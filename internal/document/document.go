@@ -1,7 +1,10 @@
 // Package document implements the JSON document data model of the
 // UDBMS benchmark: schemaless collections of mmvalue objects with
 // path-predicate queries, projections, partial updates and advisory
-// path indexes.
+// path indexes. Each collection is a txn.Records: locking, versions,
+// visibility, index maintenance and garbage collection are the shared
+// record layer's; this package adds filters, paths and the document
+// WAL ops.
 //
 // In the Figure-1 dataset this store holds Orders and Product
 // documents.
@@ -11,10 +14,8 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"udbench/internal/mmvalue"
-	"udbench/internal/ordmap"
 	"udbench/internal/txn"
 	"udbench/internal/wal"
 )
@@ -55,10 +56,9 @@ func (s *Store) Collection(name string) *Collection {
 	defer s.mu.Unlock()
 	if c = s.colls[name]; c == nil {
 		c = &Collection{
-			store:   s,
-			name:    name,
-			docs:    ordmap.New[*txn.Chain[mmvalue.Value]](0xd0c5),
-			indexes: make(map[string]*pathIndex),
+			store: s,
+			name:  name,
+			docs:  txn.NewRecords[mmvalue.Value](s.mgr, s.name+"/"+name+"/"),
 		}
 		s.colls[name] = c
 	}
@@ -78,60 +78,14 @@ func (s *Store) CollectionNames() []string {
 }
 
 // Collection is a schemaless set of documents keyed by their _id
-// string.
+// string: a txn.Records of documents plus filter routing and the
+// document WAL ops. Path indexes are the record layer's advisory
+// indexes: Stream re-verifies every candidate against the visible
+// document.
 type Collection struct {
 	store *Store
 	name  string
-	docs  *ordmap.Map[*txn.Chain[mmvalue.Value]]
-
-	// version counts committed writes: every commit hook that stamps a
-	// doc version bumps it before stamping, so the counter changes no
-	// later than the moment new data becomes visible to readers.
-	version atomic.Uint64
-
-	idxMu   sync.RWMutex
-	indexes map[string]*pathIndex
-}
-
-// pathIndex maps normalized leaf values at one path to doc ids.
-// Like relational indexes it is advisory: entries accumulate at commit
-// time and queries re-verify against the visible document.
-type pathIndex struct {
-	pp      mmvalue.Path // parsed once at CreateIndex
-	mu      sync.RWMutex
-	buckets map[string]map[string]struct{}
-}
-
-func (ix *pathIndex) add(valKey, id string) {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	b := ix.buckets[valKey]
-	if b == nil {
-		b = make(map[string]struct{})
-		ix.buckets[valKey] = b
-	}
-	b[id] = struct{}{}
-}
-
-func (ix *pathIndex) candidates(valKey string) []string {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	out := make([]string, 0, len(ix.buckets[valKey]))
-	for id := range ix.buckets[valKey] {
-		out = append(out, id)
-	}
-	return out
-}
-
-func (ix *pathIndex) drop(id string) {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	for vk, b := range ix.buckets {
-		delete(b, id)
-		if len(b) == 0 {
-			delete(ix.buckets, vk)
-		}
-	}
+	docs  *txn.Records[mmvalue.Value]
 }
 
 // Name returns the collection name.
@@ -140,52 +94,10 @@ func (c *Collection) Name() string { return c.name }
 // Manager returns the transaction manager the collection is attached to.
 func (c *Collection) Manager() *txn.Manager { return c.store.mgr }
 
-// Version counts committed writes to the collection. It is bumped
-// inside the commit hook, immediately before the corresponding doc
-// version is stamped visible, so a snapshot-derived structure (e.g.
-// the executor's join-build cache) tagged with a Version observation
-// stays valid as long as the value is unchanged.
-func (c *Collection) Version() uint64 { return c.version.Load() }
-
-func (c *Collection) resource(id string) string {
-	return c.store.name + "/" + c.name + "/" + id
-}
-
-// chainOf returns the document's version chain, creating it (with its
-// interned lock key) on first use so the lock path never rebuilds the
-// resource string. The slot stays in the map even if the insert later
-// fails (duplicate id, deadlock abort): it may already be shared with
-// a concurrent transaction holding the record lock, so evicting it
-// here would orphan that transaction's writes. An empty chain reads as
-// "not found" everywhere, matching the store's existing behavior for
-// rolled-back inserts.
-func (c *Collection) chainOf(id string) *txn.Chain[mmvalue.Value] {
-	chain, _ := c.docs.GetOrInsert(id, func() *txn.Chain[mmvalue.Value] {
-		return &txn.Chain[mmvalue.Value]{Res: txn.NewResourceKey(c.resource(id))}
-	})
-	return chain
-}
-
-// lockDoc exclusively locks id's record, preferring the interned key.
-// When the record does not exist it locks a fresh key and re-checks —
-// the id may have been inserted by a transaction the lock waited on.
-func (c *Collection) lockDoc(tx *txn.Tx, id string) (*txn.Chain[mmvalue.Value], bool, error) {
-	if chain, ok := c.docs.Get(id); ok {
-		return chain, true, tx.LockExclusiveKey(chain.Res)
-	}
-	if err := tx.LockExclusive(c.resource(id)); err != nil {
-		return nil, false, err
-	}
-	chain, ok := c.docs.Get(id)
-	return chain, ok, nil
-}
-
-func (c *Collection) run(tx *txn.Tx, fn func(*txn.Tx) error) error {
-	if tx != nil {
-		return fn(tx)
-	}
-	return c.store.mgr.RunWith(3, fn)
-}
+// Version counts committed writes to the collection; see
+// txn.Records.Version for the guarantee the executor's join-build cache
+// relies on.
+func (c *Collection) Version() uint64 { return c.docs.Version() }
 
 // valKey normalizes a leaf value for indexing, consistent with
 // mmvalue.Equal for scalars.
@@ -194,47 +106,27 @@ func valKey(v mmvalue.Value) string { return v.Key() }
 // CreateIndex adds an advisory equality index on the dotted path and
 // backfills it from latest committed documents.
 func (c *Collection) CreateIndex(path string) error {
-	c.idxMu.Lock()
-	if _, exists := c.indexes[path]; exists {
-		c.idxMu.Unlock()
+	pp := mmvalue.ParsePath(path)
+	created := c.docs.CreateIndex(path, func(doc mmvalue.Value) (string, bool) {
+		v, ok := pp.Lookup(doc)
+		if !ok {
+			return "", false
+		}
+		return valKey(v), true
+	})
+	if !created {
 		return fmt.Errorf("document %s: index on %q already exists", c.name, path)
 	}
-	ix := &pathIndex{pp: mmvalue.ParsePath(path), buckets: make(map[string]map[string]struct{})}
-	c.indexes[path] = ix
-	c.idxMu.Unlock()
-	c.docs.Ascend("", "", func(id string, chain *txn.Chain[mmvalue.Value]) bool {
-		if doc, live := chain.ReadLatest(); live {
-			if v, ok := ix.pp.Lookup(doc); ok {
-				ix.add(valKey(v), id)
-			}
-		}
-		return true
+	// DDL is durable too, so recovery rebuilds the index before
+	// replaying documents.
+	return c.store.mgr.LogDDL(func() []byte {
+		return wal.NewOp(wal.OpDocCreateIndex).String(c.name).String(path).Build()
 	})
-	// DDL is durable too: log the index creation through an auto-commit
-	// transaction so recovery rebuilds it before replaying documents.
-	if c.store.mgr.CommitLogAttached() {
-		return c.store.mgr.RunWith(3, func(tx *txn.Tx) error {
-			if tx.Logging() {
-				tx.LogOp(wal.NewOp(wal.OpDocCreateIndex).String(c.name).String(path).Build())
-			}
-			return nil
-		})
-	}
-	return nil
 }
 
 // IndexPaths lists the dotted paths with an index, in sorted order
 // (used by snapshot encoding).
-func (c *Collection) IndexPaths() []string {
-	c.idxMu.RLock()
-	defer c.idxMu.RUnlock()
-	paths := make([]string, 0, len(c.indexes))
-	for p := range c.indexes {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	return paths
-}
+func (c *Collection) IndexPaths() []string { return c.docs.IndexNames() }
 
 // UsesIndex reports whether Find/Stream would serve the filter from a
 // path index rather than a collection scan.
@@ -247,140 +139,86 @@ func (c *Collection) UsesIndex(f Filter) bool {
 }
 
 // HasIndex reports whether an index exists on the dotted path.
-func (c *Collection) HasIndex(path string) bool {
-	c.idxMu.RLock()
-	defer c.idxMu.RUnlock()
-	_, ok := c.indexes[path]
-	return ok
-}
+func (c *Collection) HasIndex(path string) bool { return c.docs.HasIndex(path) }
 
-func (c *Collection) index(path string) *pathIndex {
-	c.idxMu.RLock()
-	defer c.idxMu.RUnlock()
-	return c.indexes[path]
-}
-
-func (c *Collection) indexDoc(id string, doc mmvalue.Value) {
-	c.idxMu.RLock()
-	defer c.idxMu.RUnlock()
-	for _, ix := range c.indexes {
-		if v, ok := ix.pp.Lookup(doc); ok {
-			ix.add(valKey(v), id)
-		}
+// idOf extracts the _id of a document to be stored.
+func (c *Collection) idOf(doc mmvalue.Value) (string, error) {
+	obj, ok := doc.AsObject()
+	if !ok {
+		return "", fmt.Errorf("document %s: document must be an object", c.name)
 	}
+	idv, ok := obj.Get(IDField)
+	if !ok {
+		return "", fmt.Errorf("document %s: missing %s", c.name, IDField)
+	}
+	id, ok := idv.AsString()
+	if !ok || id == "" {
+		return "", fmt.Errorf("document %s: %s must be a non-empty string", c.name, IDField)
+	}
+	return id, nil
 }
 
 // Insert stores doc under its _id field (which must be a non-empty
 // string). Inserting an existing id fails.
-func (c *Collection) Insert(tx *txn.Tx, doc mmvalue.Value) error {
-	obj, ok := doc.AsObject()
-	if !ok {
-		return fmt.Errorf("document %s: document must be an object", c.name)
-	}
-	idv, ok := obj.Get(IDField)
-	if !ok {
-		return fmt.Errorf("document %s: missing %s", c.name, IDField)
-	}
-	id, ok := idv.AsString()
-	if !ok || id == "" {
-		return fmt.Errorf("document %s: %s must be a non-empty string", c.name, IDField)
-	}
-	return c.run(tx, func(tx *txn.Tx) error {
-		chain := c.chainOf(id)
-		if err := tx.LockExclusiveKey(chain.Res); err != nil {
-			return err
-		}
-		if _, exists := chain.Read(c.store.mgr.Oracle().Current(), tx.ID()); exists {
-			return fmt.Errorf("document %s: duplicate %s %q", c.name, IDField, id)
-		}
-		stored := doc.Clone()
-		chain.Write(tx.ID(), stored, false)
-		tx.OnUndo(func() { chain.Rollback(tx.ID()) })
-		tx.OnCommit(func(ts txn.TS) {
-			c.version.Add(1)
-			chain.CommitStamp(tx.ID(), ts)
-			c.indexDoc(id, stored)
-		})
-		if tx.Logging() {
-			tx.LogOp(wal.NewOp(wal.OpDocPut).String(c.name).String(id).
-				Bytes(mmvalue.AppendBinary(nil, stored)).Build())
-		}
-		return nil
-	})
-}
+func (c *Collection) Insert(tx *txn.Tx, doc mmvalue.Value) error { return c.put(tx, doc, false) }
 
 // ApplyPut is the replay path: it upserts doc under its _id without the
 // duplicate-id check, so recovery can reapply a logged put whether or
 // not a snapshot already holds the document.
-func (c *Collection) ApplyPut(tx *txn.Tx, doc mmvalue.Value) error {
-	obj, ok := doc.AsObject()
-	if !ok {
-		return fmt.Errorf("document %s: document must be an object", c.name)
+func (c *Collection) ApplyPut(tx *txn.Tx, doc mmvalue.Value) error { return c.put(tx, doc, true) }
+
+func (c *Collection) put(tx *txn.Tx, doc mmvalue.Value, upsert bool) error {
+	id, err := c.idOf(doc)
+	if err != nil {
+		return err
 	}
-	idv, _ := obj.Get(IDField)
-	id, ok := idv.AsString()
-	if !ok || id == "" {
-		return fmt.Errorf("document %s: %s must be a non-empty string", c.name, IDField)
-	}
-	return c.run(tx, func(tx *txn.Tx) error {
-		chain := c.chainOf(id)
-		if err := tx.LockExclusiveKey(chain.Res); err != nil {
+	return c.docs.Auto(tx, func(tx *txn.Tx) error {
+		rec, err := c.docs.Lock(tx, id)
+		if err != nil {
 			return err
 		}
-		stored := doc.Clone()
-		chain.Write(tx.ID(), stored, false)
-		tx.OnUndo(func() { chain.Rollback(tx.ID()) })
-		tx.OnCommit(func(ts txn.TS) {
-			c.version.Add(1)
-			chain.CommitStamp(tx.ID(), ts)
-			c.indexDoc(id, stored)
-		})
-		if tx.Logging() {
-			tx.LogOp(wal.NewOp(wal.OpDocPut).String(c.name).String(id).
-				Bytes(mmvalue.AppendBinary(nil, stored)).Build())
+		if !upsert {
+			if _, exists := rec.Current(tx); exists {
+				return fmt.Errorf("document %s: duplicate %s %q", c.name, IDField, id)
+			}
 		}
+		c.stage(tx, id, rec, doc.Clone())
 		return nil
 	})
 }
 
+// stage writes doc as tx's new version of id and logs the put.
+func (c *Collection) stage(tx *txn.Tx, id string, rec *txn.Chain[mmvalue.Value], doc mmvalue.Value) {
+	c.docs.Stage(tx, rec, doc, false)
+	if tx.Logging() {
+		tx.LogOp(wal.NewOp(wal.OpDocPut).String(c.name).String(id).
+			Bytes(mmvalue.AppendBinary(nil, doc)).Build())
+	}
+}
+
 // Get returns the document with the given id as visible to tx. The
 // returned document is shared; Clone before mutating.
-func (c *Collection) Get(tx *txn.Tx, id string) (mmvalue.Value, bool) {
-	chain, ok := c.docs.Get(id)
-	if !ok {
-		return mmvalue.Null, false
-	}
-	if tx == nil {
-		return chain.ReadLatest()
-	}
-	return chain.Read(tx.BeginTS(), tx.ID())
-}
+func (c *Collection) Get(tx *txn.Tx, id string) (mmvalue.Value, bool) { return c.docs.Get(tx, id) }
 
 // GetShared is the serializable read mode: it takes a shared lock on
 // the document (held to commit) and returns the latest committed
 // value, which the lock keeps stable until tx ends. A transaction is
-// required. See txn.SharedRead for the protocol.
+// required. See txn.Records.GetShared for the protocol.
 func (c *Collection) GetShared(tx *txn.Tx, id string) (mmvalue.Value, bool, error) {
 	if tx == nil {
 		return mmvalue.Null, false, fmt.Errorf("document %s/%s: GetShared requires a transaction", c.store.name, c.name)
 	}
-	return txn.SharedRead(tx, c.store.mgr,
-		func() string { return c.resource(id) },
-		func() (*txn.Chain[mmvalue.Value], bool) { return c.docs.Get(id) })
+	return c.docs.GetShared(tx, id)
 }
 
 // Update applies fn to a clone of the current document and stores the
 // result; fn must keep the _id unchanged.
 func (c *Collection) Update(tx *txn.Tx, id string, fn func(doc mmvalue.Value) (mmvalue.Value, error)) error {
-	return c.run(tx, func(tx *txn.Tx) error {
-		chain, ok, err := c.lockDoc(tx, id)
+	return c.docs.Auto(tx, func(tx *txn.Tx) error {
+		rec, cur, live, err := c.docs.LockLive(tx, id)
 		if err != nil {
 			return err
 		}
-		if !ok {
-			return fmt.Errorf("document %s: no document %q", c.name, id)
-		}
-		cur, live := chain.Read(c.store.mgr.Oracle().Current(), tx.ID())
 		if !live {
 			return fmt.Errorf("document %s: no document %q", c.name, id)
 		}
@@ -395,17 +233,7 @@ func (c *Collection) Update(tx *txn.Tx, id string, fn func(doc mmvalue.Value) (m
 		if nid, _ := no.Get(IDField); !mmvalue.Equal(nid, mmvalue.String(id)) {
 			return fmt.Errorf("document %s: update may not change %s", c.name, IDField)
 		}
-		chain.Write(tx.ID(), next, false)
-		tx.OnUndo(func() { chain.Rollback(tx.ID()) })
-		tx.OnCommit(func(ts txn.TS) {
-			c.version.Add(1)
-			chain.CommitStamp(tx.ID(), ts)
-			c.indexDoc(id, next)
-		})
-		if tx.Logging() {
-			tx.LogOp(wal.NewOp(wal.OpDocPut).String(c.name).String(id).
-				Bytes(mmvalue.AppendBinary(nil, next)).Build())
-		}
+		c.stage(tx, id, rec, next)
 		return nil
 	})
 }
@@ -428,59 +256,17 @@ func (c *Collection) UnsetPath(tx *txn.Tx, id, path string) error {
 
 // Delete tombstones the document; deleting a missing id is a no-op.
 func (c *Collection) Delete(tx *txn.Tx, id string) error {
-	return c.run(tx, func(tx *txn.Tx) error {
-		chain, ok, err := c.lockDoc(tx, id)
-		if err != nil {
+	return c.docs.Auto(tx, func(tx *txn.Tx) error {
+		rec, ok, err := c.docs.LockExisting(tx, id)
+		if err != nil || !ok {
 			return err
 		}
-		if !ok {
-			return nil
-		}
-		chain.Write(tx.ID(), mmvalue.Null, true)
-		tx.OnUndo(func() { chain.Rollback(tx.ID()) })
-		tx.OnCommit(func(ts txn.TS) {
-			c.version.Add(1)
-			chain.CommitStamp(tx.ID(), ts)
-		})
+		c.docs.Stage(tx, rec, mmvalue.Null, true)
 		if tx.Logging() {
 			tx.LogOp(wal.NewOp(wal.OpDocDelete).String(c.name).String(id).Build())
 		}
 		return nil
 	})
-}
-
-// scan iterates live documents visible to tx in id order.
-func (c *Collection) scan(tx *txn.Tx, fn func(id string, doc mmvalue.Value) bool) {
-	c.scanRange(tx, "", "", fn)
-}
-
-// scanRange iterates live documents with from <= id < to (empty to =
-// unbounded) visible to tx, in id order.
-func (c *Collection) scanRange(tx *txn.Tx, from, to string, fn func(id string, doc mmvalue.Value) bool) {
-	c.docs.Ascend(from, to, func(id string, chain *txn.Chain[mmvalue.Value]) bool {
-		var doc mmvalue.Value
-		var ok bool
-		if tx == nil {
-			doc, ok = chain.ReadLatest()
-		} else {
-			doc, ok = chain.Read(tx.BeginTS(), tx.ID())
-		}
-		if !ok {
-			return true
-		}
-		return fn(id, doc)
-	})
-}
-
-func (c *Collection) readVisible(tx *txn.Tx, id string) (mmvalue.Value, bool) {
-	chain, ok := c.docs.Get(id)
-	if !ok {
-		return mmvalue.Null, false
-	}
-	if tx == nil {
-		return chain.ReadLatest()
-	}
-	return chain.Read(tx.BeginTS(), tx.ID())
 }
 
 // HasCollection reports whether a collection of that name already
@@ -506,27 +292,12 @@ func (c *Collection) Stream(tx *txn.Tx, filter Filter, fn func(doc mmvalue.Value
 	if filter == nil {
 		filter = Everything()
 	}
+	matching := func(_ string, doc mmvalue.Value) bool { return !filter.Match(doc) || fn(doc) }
 	if path, lit, ok := filter.equalityOn(); ok && c.HasIndex(path) {
-		ix := c.index(path)
-		ids := ix.candidates(valKey(lit))
-		sort.Strings(ids)
-		for _, id := range ids {
-			doc, live := c.readVisible(tx, id)
-			if !live || !filter.Match(doc) {
-				continue
-			}
-			if !fn(doc) {
-				return
-			}
-		}
+		c.docs.Lookup(tx, path, valKey(lit), matching)
 		return
 	}
-	c.scan(tx, func(_ string, doc mmvalue.Value) bool {
-		if !filter.Match(doc) {
-			return true
-		}
-		return fn(doc)
-	})
+	c.docs.Scan(tx, "", "", matching)
 }
 
 // StreamBatch is the vectorized form of Stream: matching documents are
@@ -538,109 +309,31 @@ func (c *Collection) Stream(tx *txn.Tx, filter Filter, fn func(doc mmvalue.Value
 // or mutate. fn returning false stops the scan. Index routes delegate
 // to Stream and still batch.
 func (c *Collection) StreamBatch(tx *txn.Tx, filter Filter, buf []mmvalue.Value, fn func(docs []mmvalue.Value) bool) {
-	if cap(buf) == 0 {
-		buf = make([]mmvalue.Value, 0, 1024)
-	}
-	buf = buf[:0]
-	stopped := false
-	c.Stream(tx, filter, func(doc mmvalue.Value) bool {
-		buf = append(buf, doc)
-		if len(buf) == cap(buf) {
-			if !fn(buf) {
-				stopped = true
-				return false
-			}
-			buf = buf[:0]
-		}
-		return true
-	})
-	if !stopped && len(buf) > 0 {
-		fn(buf)
-	}
+	txn.Batch(buf, fn, func(emit func(mmvalue.Value) bool) { c.Stream(tx, filter, emit) })
 }
 
-// StreamRangeBatch is the vectorized form of StreamRange, with the
-// same batched-callback contract as StreamBatch. It always scans the
-// id range directly off store memory — the morsel primitive for
-// parallel executors.
+// StreamRangeBatch is StreamBatch restricted to ids in [from, to)
+// (empty to = unbounded). It always scans the id range directly off
+// store memory, ignoring indexes — the morsel primitive for parallel
+// executors.
 func (c *Collection) StreamRangeBatch(tx *txn.Tx, from, to string, filter Filter, buf []mmvalue.Value, fn func(docs []mmvalue.Value) bool) {
-	if cap(buf) == 0 {
-		buf = make([]mmvalue.Value, 0, 1024)
-	}
-	buf = buf[:0]
 	if filter == nil {
 		filter = Everything()
 	}
-	stopped := false
-	c.scanRange(tx, from, to, func(_ string, doc mmvalue.Value) bool {
-		if !filter.Match(doc) {
-			return true
-		}
-		buf = append(buf, doc)
-		if len(buf) == cap(buf) {
-			if !fn(buf) {
-				stopped = true
-				return false
-			}
-			buf = buf[:0]
-		}
-		return true
-	})
-	if !stopped && len(buf) > 0 {
-		fn(buf)
-	}
-}
-
-// StreamRange is Stream restricted to ids in [from, to) (empty to =
-// unbounded) and always scans: it is the partition primitive for
-// parallel executors, so it ignores indexes. Documents are shared, not
-// cloned.
-func (c *Collection) StreamRange(tx *txn.Tx, from, to string, filter Filter, fn func(doc mmvalue.Value) bool) {
-	if filter == nil {
-		filter = Everything()
-	}
-	c.scanRange(tx, from, to, func(_ string, doc mmvalue.Value) bool {
-		if !filter.Match(doc) {
-			return true
-		}
-		return fn(doc)
+	txn.Batch(buf, fn, func(emit func(mmvalue.Value) bool) {
+		c.docs.Scan(tx, from, to, func(_ string, doc mmvalue.Value) bool {
+			return !filter.Match(doc) || emit(doc)
+		})
 	})
 }
 
 // SplitPoints returns boundary ids that cut the collection into up to n
-// contiguous ranges of near-equal size for StreamRange.
+// contiguous ranges of near-equal size for StreamRangeBatch.
 func (c *Collection) SplitPoints(n int) []string { return c.docs.SplitPoints(n) }
 
 // Count returns the number of live documents at latest-committed state.
-func (c *Collection) Count() int {
-	n := 0
-	c.scan(nil, func(string, mmvalue.Value) bool { n++; return true })
-	return n
-}
+func (c *Collection) Count() int { return c.docs.Count() }
 
-// Compact garbage-collects old versions, removes dead documents and
+// Compact garbage-collects old versions and removes dead documents and
 // their index entries. Returns versions dropped.
-func (c *Collection) Compact(horizon txn.TS) int {
-	dropped := 0
-	var dead []string
-	c.docs.Ascend("", "", func(id string, chain *txn.Chain[mmvalue.Value]) bool {
-		dropped += chain.GC(horizon)
-		if _, live := chain.ReadLatest(); !live {
-			if ts := chain.LatestCommitTS(); ts != 0 && ts < horizon {
-				dead = append(dead, id)
-			}
-		}
-		return true
-	})
-	c.idxMu.RLock()
-	for _, ix := range c.indexes {
-		for _, id := range dead {
-			ix.drop(id)
-		}
-	}
-	c.idxMu.RUnlock()
-	for _, id := range dead {
-		c.docs.Remove(id)
-	}
-	return dropped
-}
+func (c *Collection) Compact(horizon txn.TS) int { return c.docs.Compact(horizon) }

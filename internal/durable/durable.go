@@ -232,7 +232,7 @@ type target struct {
 // applyOps re-applies one committed transaction's ops inside a single
 // transaction, preserving the original atomicity boundary.
 func applyOps(tgt target, ops [][]byte) error {
-	return tgt.mgr.RunWith(3, func(tx *txn.Tx) error {
+	return tgt.mgr.Auto(nil, func(tx *txn.Tx) error {
 		for _, op := range ops {
 			if err := applyOp(tgt, tx, op); err != nil {
 				return err

@@ -178,26 +178,19 @@ func (t *FTx) Abort() {
 }
 
 // RunTx executes fn in a federated transaction with 2PC commit,
-// retrying deadlock victims up to three times.
+// retrying deadlock victims under the same policy as a single-manager
+// transaction (txn.Retry). A coordinator crash is a partial commit, not
+// a deadlock, so it is returned without a retry.
 func (f *Federation) RunTx(fn func(t *FTx) error) error {
-	for attempt := 0; ; attempt++ {
+	return txn.Retry(txn.DefaultRetries, func() error {
 		ftx := f.Begin()
 		err := fn(ftx)
-		if err == nil {
-			err = ftx.Commit()
-			if err == nil {
-				return nil
-			}
-			if errors.Is(err, ErrCoordinatorCrash) {
-				return err // partial commit: retrying cannot help
-			}
-		} else {
+		if err != nil {
 			ftx.Abort()
-		}
-		if !errors.Is(err, txn.ErrDeadlock) || attempt >= 3 {
 			return err
 		}
-	}
+		return ftx.Commit()
+	})
 }
 
 // Stats mirrors udbms.Stats for the federation.

@@ -8,9 +8,13 @@
 // products.
 //
 // Concurrency: vertex and edge property records are multi-versioned
-// like every UDBench store. The adjacency structure itself is guarded
-// by a store-level RWMutex and registers commit/undo hooks so that
-// structural changes are transactional too.
+// like every UDBench store, through the shared chain helpers of the
+// record layer (txn.Chain's Stage, Visible, Current, Collect and the
+// manager's Auto wrapper). Unlike the other four stores the records
+// are hash-keyed rather than a txn.Records, because point lookups
+// dominate traversals. The adjacency structure itself is guarded by a
+// store-level RWMutex and registers undo hooks so that structural
+// changes are transactional too.
 package graph
 
 import (
@@ -132,49 +136,20 @@ func (s *Store) getOrCreateVertex(id VID, label string) *vertexRec {
 	return rec
 }
 
-func (s *Store) run(tx *txn.Tx, fn func(*txn.Tx) error) error {
-	if tx != nil {
-		return fn(tx)
-	}
-	return s.mgr.RunWith(3, fn)
-}
-
 // AddVertex inserts a vertex. Props must be an object (Null is treated
 // as an empty object). Duplicate ids fail.
 func (s *Store) AddVertex(tx *txn.Tx, id VID, label string, props mmvalue.Value) error {
-	if id == "" {
-		return fmt.Errorf("graph %s: empty vertex id", s.name)
-	}
-	props = normalizeProps(props)
-	if props.Kind() != mmvalue.KindObject {
-		return fmt.Errorf("graph %s: vertex props must be an object", s.name)
-	}
-	return s.run(tx, func(tx *txn.Tx) error {
-		rec := s.getOrCreateVertex(id, label)
-		if err := tx.LockExclusiveKey(rec.chain.Res); err != nil {
-			return err
-		}
-		if _, exists := rec.chain.Read(s.mgr.Oracle().Current(), tx.ID()); exists {
-			return fmt.Errorf("graph %s: duplicate vertex %q", s.name, id)
-		}
-		s.mu.Lock()
-		rec.label = label
-		s.mu.Unlock()
-		rec.chain.Write(tx.ID(), props.Clone(), false)
-		tx.OnUndo(func() { rec.chain.Rollback(tx.ID()) })
-		tx.OnCommit(func(ts txn.TS) { rec.chain.CommitStamp(tx.ID(), ts) })
-		if tx.Logging() {
-			tx.LogOp(wal.NewOp(wal.OpGraphVertex).String(string(id)).String(label).
-				Bytes(mmvalue.AppendBinary(nil, props)).Build())
-		}
-		return nil
-	})
+	return s.putVertex(tx, id, label, props, false)
 }
 
 // ApplyVertex is the replay path: it upserts the vertex without the
 // duplicate-id check, so recovery can reapply a logged add whether or
 // not a snapshot already holds the vertex.
 func (s *Store) ApplyVertex(tx *txn.Tx, id VID, label string, props mmvalue.Value) error {
+	return s.putVertex(tx, id, label, props, true)
+}
+
+func (s *Store) putVertex(tx *txn.Tx, id VID, label string, props mmvalue.Value, upsert bool) error {
 	if id == "" {
 		return fmt.Errorf("graph %s: empty vertex id", s.name)
 	}
@@ -182,17 +157,20 @@ func (s *Store) ApplyVertex(tx *txn.Tx, id VID, label string, props mmvalue.Valu
 	if props.Kind() != mmvalue.KindObject {
 		return fmt.Errorf("graph %s: vertex props must be an object", s.name)
 	}
-	return s.run(tx, func(tx *txn.Tx) error {
+	return s.mgr.Auto(tx, func(tx *txn.Tx) error {
 		rec := s.getOrCreateVertex(id, label)
 		if err := tx.LockExclusiveKey(rec.chain.Res); err != nil {
 			return err
 		}
+		if !upsert {
+			if _, exists := rec.chain.Current(tx); exists {
+				return fmt.Errorf("graph %s: duplicate vertex %q", s.name, id)
+			}
+		}
 		s.mu.Lock()
 		rec.label = label
 		s.mu.Unlock()
-		rec.chain.Write(tx.ID(), props.Clone(), false)
-		tx.OnUndo(func() { rec.chain.Rollback(tx.ID()) })
-		tx.OnCommit(func(ts txn.TS) { rec.chain.CommitStamp(tx.ID(), ts) })
+		rec.chain.Stage(tx, props.Clone(), false)
 		if tx.Logging() {
 			tx.LogOp(wal.NewOp(wal.OpGraphVertex).String(string(id)).String(label).
 				Bytes(mmvalue.AppendBinary(nil, props)).Build())
@@ -203,6 +181,19 @@ func (s *Store) ApplyVertex(tx *txn.Tx, id VID, label string, props mmvalue.Valu
 
 // AddEdge inserts a directed edge between existing vertices.
 func (s *Store) AddEdge(tx *txn.Tx, id EID, label string, from, to VID, props mmvalue.Value) error {
+	return s.putEdge(tx, id, label, from, to, props, false)
+}
+
+// ApplyEdge is the replay path: it upserts the edge without the
+// duplicate-id check (relinking if the endpoints changed), so recovery
+// can reapply a logged add whether or not a snapshot already holds the
+// edge. The endpoint vertices must exist, which replay guarantees
+// because their ops precede the edge op in the log.
+func (s *Store) ApplyEdge(tx *txn.Tx, id EID, label string, from, to VID, props mmvalue.Value) error {
+	return s.putEdge(tx, id, label, from, to, props, true)
+}
+
+func (s *Store) putEdge(tx *txn.Tx, id EID, label string, from, to VID, props mmvalue.Value, upsert bool) error {
 	if id == "" {
 		return fmt.Errorf("graph %s: empty edge id", s.name)
 	}
@@ -210,7 +201,7 @@ func (s *Store) AddEdge(tx *txn.Tx, id EID, label string, from, to VID, props mm
 	if props.Kind() != mmvalue.KindObject {
 		return fmt.Errorf("graph %s: edge props must be an object", s.name)
 	}
-	return s.run(tx, func(tx *txn.Tx) error {
+	return s.mgr.Auto(tx, func(tx *txn.Tx) error {
 		if err := tx.LockExclusiveKey(s.eLockKey(id)); err != nil {
 			return err
 		}
@@ -231,87 +222,33 @@ func (s *Store) AddEdge(tx *txn.Tx, id EID, label string, from, to VID, props mm
 		}
 		s.mu.Unlock()
 		if !fresh {
-			if _, exists := rec.chain.Read(s.mgr.Oracle().Current(), tx.ID()); exists {
-				return fmt.Errorf("graph %s: duplicate edge %q", s.name, id)
+			if !upsert {
+				if _, exists := rec.chain.Current(tx); exists {
+					return fmt.Errorf("graph %s: duplicate edge %q", s.name, id)
+				}
 			}
 			if rec.from != from || rec.to != to || rec.label != label {
-				// Reusing a tombstoned edge id with different endpoints:
-				// relink under the store lock.
+				// Reusing an edge id with different endpoints: relink
+				// under the store lock.
 				s.mu.Lock()
 				s.unlink(id, rec.label, rec.from, rec.to)
 				rec.label, rec.from, rec.to = label, from, to
 				s.link(id, label, from, to)
 				s.mu.Unlock()
 			}
+		} else {
+			// Registered before Stage, so on abort it runs after the
+			// version has been rolled back.
+			tx.OnUndo(func() {
+				if rec.chain.Empty() {
+					s.mu.Lock()
+					s.unlink(id, label, from, to)
+					delete(s.edges, id)
+					s.mu.Unlock()
+				}
+			})
 		}
-		rec.chain.Write(tx.ID(), props.Clone(), false)
-		tx.OnUndo(func() {
-			rec.chain.Rollback(tx.ID())
-			if fresh && rec.chain.Empty() {
-				s.mu.Lock()
-				s.unlink(id, label, from, to)
-				delete(s.edges, id)
-				s.mu.Unlock()
-			}
-		})
-		tx.OnCommit(func(ts txn.TS) { rec.chain.CommitStamp(tx.ID(), ts) })
-		if tx.Logging() {
-			tx.LogOp(wal.NewOp(wal.OpGraphEdge).String(string(id)).String(label).
-				String(string(from)).String(string(to)).
-				Bytes(mmvalue.AppendBinary(nil, props)).Build())
-		}
-		return nil
-	})
-}
-
-// ApplyEdge is the replay path: it upserts the edge without the
-// duplicate-id check (relinking if the endpoints changed), so recovery
-// can reapply a logged add whether or not a snapshot already holds the
-// edge. The endpoint vertices must exist, which replay guarantees
-// because their ops precede the edge op in the log.
-func (s *Store) ApplyEdge(tx *txn.Tx, id EID, label string, from, to VID, props mmvalue.Value) error {
-	if id == "" {
-		return fmt.Errorf("graph %s: empty edge id", s.name)
-	}
-	props = normalizeProps(props)
-	if props.Kind() != mmvalue.KindObject {
-		return fmt.Errorf("graph %s: edge props must be an object", s.name)
-	}
-	return s.run(tx, func(tx *txn.Tx) error {
-		if err := tx.LockExclusiveKey(s.eLockKey(id)); err != nil {
-			return err
-		}
-		if _, ok := s.GetVertex(tx, from); !ok {
-			return fmt.Errorf("graph %s: edge %q: no vertex %q", s.name, id, from)
-		}
-		if _, ok := s.GetVertex(tx, to); !ok {
-			return fmt.Errorf("graph %s: edge %q: no vertex %q", s.name, id, to)
-		}
-		s.mu.Lock()
-		rec := s.edges[id]
-		fresh := rec == nil
-		if fresh {
-			rec = &edgeRec{label: label, from: from, to: to}
-			rec.chain.Res = txn.NewResourceKey(s.eResource(id))
-			s.edges[id] = rec
-			s.link(id, label, from, to)
-		} else if rec.from != from || rec.to != to || rec.label != label {
-			s.unlink(id, rec.label, rec.from, rec.to)
-			rec.label, rec.from, rec.to = label, from, to
-			s.link(id, label, from, to)
-		}
-		s.mu.Unlock()
-		rec.chain.Write(tx.ID(), props.Clone(), false)
-		tx.OnUndo(func() {
-			rec.chain.Rollback(tx.ID())
-			if fresh && rec.chain.Empty() {
-				s.mu.Lock()
-				s.unlink(id, label, from, to)
-				delete(s.edges, id)
-				s.mu.Unlock()
-			}
-		})
-		tx.OnCommit(func(ts txn.TS) { rec.chain.CommitStamp(tx.ID(), ts) })
+		rec.chain.Stage(tx, props.Clone(), false)
 		if tx.Logging() {
 			tx.LogOp(wal.NewOp(wal.OpGraphEdge).String(string(id)).String(label).
 				String(string(from)).String(string(to)).
@@ -364,7 +301,7 @@ func (s *Store) GetVertex(tx *txn.Tx, id VID) (Vertex, bool) {
 	if rec == nil {
 		return Vertex{}, false
 	}
-	props, ok := readChain(&rec.chain, tx)
+	props, ok := rec.chain.Visible(tx)
 	if !ok {
 		return Vertex{}, false
 	}
@@ -379,7 +316,7 @@ func (s *Store) GetEdge(tx *txn.Tx, id EID) (Edge, bool) {
 	if rec == nil {
 		return Edge{}, false
 	}
-	props, ok := readChain(&rec.chain, tx)
+	props, ok := rec.chain.Visible(tx)
 	if !ok {
 		return Edge{}, false
 	}
@@ -389,9 +326,8 @@ func (s *Store) GetEdge(tx *txn.Tx, id EID) (Edge, bool) {
 // GetVertexShared is the serializable read mode for vertices: it takes
 // a shared lock on the vertex record (held to commit) and returns the
 // latest committed state, which the lock keeps stable until tx ends. A
-// transaction is required. It follows the txn.SharedRead protocol
-// inline (the record carries label/adjacency state beside its chain,
-// so the generic chain helper does not fit).
+// transaction is required. It follows the txn.Records.GetShared
+// protocol over the graph's hash-keyed records.
 func (s *Store) GetVertexShared(tx *txn.Tx, id VID) (Vertex, bool, error) {
 	if tx == nil {
 		return Vertex{}, false, fmt.Errorf("graph %s: GetVertexShared requires a transaction", s.name)
@@ -407,23 +343,16 @@ func (s *Store) GetVertexShared(tx *txn.Tx, id VID) (Vertex, bool, error) {
 	if rec == nil {
 		return Vertex{}, false, nil
 	}
-	props, ok := rec.chain.Read(s.mgr.Oracle().Current(), tx.ID())
+	props, ok := rec.chain.Current(tx)
 	if !ok {
 		return Vertex{}, false, nil
 	}
 	return Vertex{ID: id, Label: rec.label, Props: props}, true, nil
 }
 
-func readChain(c *txn.Chain[mmvalue.Value], tx *txn.Tx) (mmvalue.Value, bool) {
-	if tx == nil {
-		return c.ReadLatest()
-	}
-	return c.Read(tx.BeginTS(), tx.ID())
-}
-
 // SetVertexProps replaces the property object of a vertex.
 func (s *Store) SetVertexProps(tx *txn.Tx, id VID, update func(props mmvalue.Value) (mmvalue.Value, error)) error {
-	return s.run(tx, func(tx *txn.Tx) error {
+	return s.mgr.Auto(tx, func(tx *txn.Tx) error {
 		if err := tx.LockExclusiveKey(s.vLockKey(id)); err != nil {
 			return err
 		}
@@ -433,7 +362,7 @@ func (s *Store) SetVertexProps(tx *txn.Tx, id VID, update func(props mmvalue.Val
 		if rec == nil {
 			return fmt.Errorf("graph %s: no vertex %q", s.name, id)
 		}
-		cur, live := rec.chain.Read(s.mgr.Oracle().Current(), tx.ID())
+		cur, live := rec.chain.Current(tx)
 		if !live {
 			return fmt.Errorf("graph %s: no vertex %q", s.name, id)
 		}
@@ -444,9 +373,7 @@ func (s *Store) SetVertexProps(tx *txn.Tx, id VID, update func(props mmvalue.Val
 		if next.Kind() != mmvalue.KindObject {
 			return fmt.Errorf("graph %s: vertex props must be an object", s.name)
 		}
-		rec.chain.Write(tx.ID(), next, false)
-		tx.OnUndo(func() { rec.chain.Rollback(tx.ID()) })
-		tx.OnCommit(func(ts txn.TS) { rec.chain.CommitStamp(tx.ID(), ts) })
+		rec.chain.Stage(tx, next, false)
 		if tx.Logging() {
 			tx.LogOp(wal.NewOp(wal.OpGraphVertexProps).String(string(id)).
 				Bytes(mmvalue.AppendBinary(nil, next)).Build())
@@ -457,7 +384,7 @@ func (s *Store) SetVertexProps(tx *txn.Tx, id VID, update func(props mmvalue.Val
 
 // RemoveEdge tombstones an edge.
 func (s *Store) RemoveEdge(tx *txn.Tx, id EID) error {
-	return s.run(tx, func(tx *txn.Tx) error {
+	return s.mgr.Auto(tx, func(tx *txn.Tx) error {
 		if err := tx.LockExclusiveKey(s.eLockKey(id)); err != nil {
 			return err
 		}
@@ -467,9 +394,7 @@ func (s *Store) RemoveEdge(tx *txn.Tx, id EID) error {
 		if rec == nil {
 			return nil
 		}
-		rec.chain.Write(tx.ID(), mmvalue.Null, true)
-		tx.OnUndo(func() { rec.chain.Rollback(tx.ID()) })
-		tx.OnCommit(func(ts txn.TS) { rec.chain.CommitStamp(tx.ID(), ts) })
+		rec.chain.Stage(tx, mmvalue.Null, true)
 		if tx.Logging() {
 			tx.LogOp(wal.NewOp(wal.OpGraphRemoveEdge).String(string(id)).Build())
 		}
@@ -479,7 +404,7 @@ func (s *Store) RemoveEdge(tx *txn.Tx, id EID) error {
 
 // RemoveVertex tombstones a vertex and all incident edges.
 func (s *Store) RemoveVertex(tx *txn.Tx, id VID) error {
-	return s.run(tx, func(tx *txn.Tx) error {
+	return s.mgr.Auto(tx, func(tx *txn.Tx) error {
 		if err := tx.LockExclusiveKey(s.vLockKey(id)); err != nil {
 			return err
 		}
@@ -500,9 +425,7 @@ func (s *Store) RemoveVertex(tx *txn.Tx, id VID) error {
 				return err
 			}
 		}
-		rec.chain.Write(tx.ID(), mmvalue.Null, true)
-		tx.OnUndo(func() { rec.chain.Rollback(tx.ID()) })
-		tx.OnCommit(func(ts txn.TS) { rec.chain.CommitStamp(tx.ID(), ts) })
+		rec.chain.Stage(tx, mmvalue.Null, true)
 		if tx.Logging() {
 			tx.LogOp(wal.NewOp(wal.OpGraphRemoveVertex).String(string(id)).Build())
 		}
@@ -750,6 +673,33 @@ func (s *Store) EdgeCount(tx *txn.Tx) int {
 	n := 0
 	s.Edges(tx, func(Edge) bool { n++; return true })
 	return n
+}
+
+// Compact garbage-collects vertex and edge versions shadowed below
+// horizon and unlinks dead records; a dead edge also leaves the
+// adjacency lists. It returns the number of versions dropped and, like
+// every store's Compact, must not run concurrently with transactions
+// that might read below horizon.
+func (s *Store) Compact(horizon txn.TS) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	dropped := 0
+	for id, rec := range s.edges {
+		n, dead := rec.chain.Collect(horizon)
+		dropped += n
+		if dead {
+			s.unlink(id, rec.label, rec.from, rec.to)
+			delete(s.edges, id)
+		}
+	}
+	for id, rec := range s.vertices {
+		n, dead := rec.chain.Collect(horizon)
+		dropped += n
+		if dead {
+			delete(s.vertices, id)
+		}
+	}
+	return dropped
 }
 
 // PageRank computes PageRank over the live graph (out-edges, any

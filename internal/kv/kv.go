@@ -1,6 +1,8 @@
 // Package kv implements the key-value data model of the UDBMS
 // benchmark: an ordered, multi-versioned key-value store with snapshot
-// reads, transactional writes and range scans.
+// reads, transactional writes and range scans. It is the thinnest
+// store: the shared record layer (txn.Records) with prefix scans and
+// the key-value WAL ops on top.
 //
 // In the Figure-1 dataset this store holds the Feedback messages
 // (key "feedback/<customerID>/<productID>" -> rating payload). It is
@@ -16,65 +18,38 @@ import (
 	"udbench/internal/wal"
 )
 
-// Store is an ordered transactional key-value store. All operations
-// accept a transaction; passing nil runs the operation in its own
-// auto-committed transaction.
+// Store is an ordered transactional key-value store: a txn.Records of
+// mmvalue payloads plus the key-value WAL ops. All operations accept a
+// transaction; passing nil runs the operation in its own auto-committed
+// transaction.
 type Store struct {
 	name string
-	mgr  *txn.Manager
-	list *ordmap.Map[*txn.Chain[mmvalue.Value]]
+	recs *txn.Records[mmvalue.Value]
 }
 
 // NewStore creates a store named name attached to mgr. The name
 // prefixes lock resources, so two stores on one manager never collide.
 func NewStore(name string, mgr *txn.Manager) *Store {
-	return &Store{
-		name: name,
-		mgr:  mgr,
-		list: ordmap.New[*txn.Chain[mmvalue.Value]](0x5eed),
-	}
+	return &Store{name: name, recs: txn.NewRecords[mmvalue.Value](mgr, name+"/")}
 }
 
 // Name returns the store name.
 func (s *Store) Name() string { return s.name }
 
 // Manager returns the transaction manager the store is attached to.
-func (s *Store) Manager() *txn.Manager { return s.mgr }
-
-func (s *Store) resource(key string) string { return s.name + "/" + key }
-
-// chainOf returns the key's version chain, creating it (with its
-// interned lock key) on first use so the lock path never rebuilds the
-// resource string.
-func (s *Store) chainOf(key string) *txn.Chain[mmvalue.Value] {
-	chain, _ := s.list.GetOrInsert(key, func() *txn.Chain[mmvalue.Value] {
-		return &txn.Chain[mmvalue.Value]{Res: txn.NewResourceKey(s.resource(key))}
-	})
-	return chain
-}
-
-// run executes fn under tx, or under a fresh auto-committed
-// transaction when tx is nil.
-func (s *Store) run(tx *txn.Tx, fn func(*txn.Tx) error) error {
-	if tx != nil {
-		return fn(tx)
-	}
-	return s.mgr.RunWith(3, fn)
-}
+func (s *Store) Manager() *txn.Manager { return s.recs.Manager() }
 
 // Put stores value under key.
 func (s *Store) Put(tx *txn.Tx, key string, value mmvalue.Value) error {
 	if key == "" {
 		return fmt.Errorf("kv %s: empty key", s.name)
 	}
-	return s.run(tx, func(tx *txn.Tx) error {
-		chain := s.chainOf(key)
-		if err := tx.LockExclusiveKey(chain.Res); err != nil {
+	return s.recs.Auto(tx, func(tx *txn.Tx) error {
+		rec, err := s.recs.Lock(tx, key)
+		if err != nil {
 			return err
 		}
-		chain.Write(tx.ID(), value, false)
-		tx.OnUndo(func() { chain.Rollback(tx.ID()) })
-		tx.OnCommit(func(ts txn.TS) { chain.CommitStamp(tx.ID(), ts) })
+		s.recs.Stage(tx, rec, value, false)
 		if tx.Logging() {
 			tx.LogOp(wal.NewOp(wal.OpKVPut).String(key).
 				Bytes(mmvalue.AppendBinary(nil, value)).Build())
@@ -86,50 +61,30 @@ func (s *Store) Put(tx *txn.Tx, key string, value mmvalue.Value) error {
 // Get returns the value visible to tx (snapshot read). With a nil tx it
 // returns the latest committed value.
 func (s *Store) Get(tx *txn.Tx, key string) (mmvalue.Value, bool) {
-	chain, ok := s.list.Get(key)
-	if !ok {
-		return mmvalue.Null, false
-	}
-	if tx == nil {
-		return chain.ReadLatest()
-	}
-	return chain.Read(tx.BeginTS(), tx.ID())
+	return s.recs.Get(tx, key)
 }
 
 // GetShared is the serializable read mode: it takes a shared lock on
 // the key (held to commit, like every lock) and returns the latest
 // committed value, which the lock keeps stable until tx ends. A
 // transaction is required — the lock is what distinguishes this from a
-// snapshot Get. See txn.SharedRead for the protocol.
+// snapshot Get. See txn.Records.GetShared for the protocol.
 func (s *Store) GetShared(tx *txn.Tx, key string) (mmvalue.Value, bool, error) {
 	if tx == nil {
 		return mmvalue.Null, false, fmt.Errorf("kv %s: GetShared requires a transaction", s.name)
 	}
-	return txn.SharedRead(tx, s.mgr,
-		func() string { return s.resource(key) },
-		func() (*txn.Chain[mmvalue.Value], bool) { return s.list.Get(key) })
+	return s.recs.GetShared(tx, key)
 }
 
 // Delete removes key (writes a tombstone). Deleting a missing key is
-// not an error; the tombstone still serializes with concurrent writers.
+// not an error; the lock still serializes with concurrent writers.
 func (s *Store) Delete(tx *txn.Tx, key string) error {
-	return s.run(tx, func(tx *txn.Tx) error {
-		chain, ok := s.list.Get(key)
-		if !ok {
-			// Lock the name anyway: the tombstone of a missing key must
-			// still serialize with concurrent writers of that key.
-			if err := tx.LockExclusive(s.resource(key)); err != nil {
-				return err
-			}
-			if chain, ok = s.list.Get(key); !ok {
-				return nil
-			}
-		} else if err := tx.LockExclusiveKey(chain.Res); err != nil {
+	return s.recs.Auto(tx, func(tx *txn.Tx) error {
+		rec, ok, err := s.recs.LockExisting(tx, key)
+		if err != nil || !ok {
 			return err
 		}
-		chain.Write(tx.ID(), mmvalue.Null, true)
-		tx.OnUndo(func() { chain.Rollback(tx.ID()) })
-		tx.OnCommit(func(ts txn.TS) { chain.CommitStamp(tx.ID(), ts) })
+		s.recs.Stage(tx, rec, mmvalue.Null, true)
 		if tx.Logging() {
 			tx.LogOp(wal.NewOp(wal.OpKVDelete).String(key).Build())
 		}
@@ -142,61 +97,24 @@ func (s *Store) Delete(tx *txn.Tx, key string) error {
 // empty end scans to the end of the keyspace. Iteration stops early
 // when fn returns false.
 func (s *Store) Scan(tx *txn.Tx, start, end string, fn func(key string, value mmvalue.Value) bool) {
-	s.list.Ascend(start, end, func(key string, chain *txn.Chain[mmvalue.Value]) bool {
-		var v mmvalue.Value
-		var ok bool
-		if tx == nil {
-			v, ok = chain.ReadLatest()
-		} else {
-			v, ok = chain.Read(tx.BeginTS(), tx.ID())
-		}
-		if !ok {
-			return true // tombstoned or not yet visible
-		}
-		return fn(key, v)
-	})
+	s.recs.Scan(tx, start, end, fn)
 }
 
 // ScanPrefix scans every live key with the given prefix.
 func (s *Store) ScanPrefix(tx *txn.Tx, prefix string, fn func(key string, value mmvalue.Value) bool) {
-	end := ordmap.PrefixEnd(prefix)
-	s.Scan(tx, prefix, end, fn)
+	s.recs.Scan(tx, prefix, ordmap.PrefixEnd(prefix), fn)
 }
 
 // Len returns the number of live keys at the latest committed state.
 // It is O(n); intended for statistics, not hot paths.
-func (s *Store) Len() int {
-	n := 0
-	s.Scan(nil, "", "", func(string, mmvalue.Value) bool {
-		n++
-		return true
-	})
-	return n
-}
+func (s *Store) Len() int { return s.recs.Count() }
 
 // KeyCount returns the number of physical keys including tombstones.
-func (s *Store) KeyCount() int { return s.list.Len() }
+func (s *Store) KeyCount() int { return s.recs.Len() }
 
 // Compact garbage-collects version chains older than horizon and
-// physically unlinks keys whose chains became empty or whose latest
-// version is a tombstone older than horizon. It returns the number of
-// versions dropped. Compact must not run concurrently with active
-// transactions that might read below horizon.
-func (s *Store) Compact(horizon txn.TS) int {
-	type dead struct{ key string }
-	var dropped int
-	var tombs []dead
-	s.list.Ascend("", "", func(key string, chain *txn.Chain[mmvalue.Value]) bool {
-		dropped += chain.GC(horizon)
-		if _, live := chain.ReadLatest(); !live {
-			if ts := chain.LatestCommitTS(); ts != 0 && ts < horizon {
-				tombs = append(tombs, dead{key})
-			}
-		}
-		return true
-	})
-	for _, d := range tombs {
-		s.list.Remove(d.key)
-	}
-	return dropped
-}
+// physically unlinks keys whose latest version is a tombstone older
+// than horizon. It returns the number of versions dropped. Compact must
+// not run concurrently with active transactions that might read below
+// horizon.
+func (s *Store) Compact(horizon txn.TS) int { return s.recs.Compact(horizon) }

@@ -1,12 +1,13 @@
 // Package ordmap provides a concurrent ordered map from string keys to
-// arbitrary payloads, implemented as a skip list. It is the shared
-// physical index structure of the UDBench stores: the key-value store,
-// relational primary keys, document collections and XML document
-// registries all keep their version chains in an ordmap.Map.
+// arbitrary payloads, implemented as a skip list. It is the physical
+// index structure under the record layer: txn.Records keeps its version
+// chains in one ordmap.Map, and the key-value store, relational tables,
+// document collections and the XML registry are each built on a
+// txn.Records rather than on this package directly.
 //
 // Structural operations (insert, remove, iterate) are guarded by an
 // internal RWMutex; payload values must handle their own
-// synchronization (UDBench payloads are txn version chains).
+// synchronization (the record layer's payloads are txn version chains).
 package ordmap
 
 import (

@@ -137,7 +137,7 @@ func (q *Query) HashJoin(right *Table, leftCol, rightCol string) []mmvalue.Value
 	// Build hash table over the smaller probe direction: we hash the
 	// right side (typically the dimension table).
 	build := make(map[string][]mmvalue.Value)
-	right.scan(q.tx, func(_ string, row mmvalue.Value) bool {
+	right.rows.Scan(q.tx, "", "", func(_ string, row mmvalue.Value) bool {
 		if v, ok := row.MustObject().Get(rightCol); ok && !v.IsNull() {
 			k := indexKey(v)
 			build[k] = append(build[k], row)
@@ -284,17 +284,10 @@ func (db *DB) CreateTable(name string, schema Schema) (*Table, error) {
 	}
 	t := NewTable(name, schema, db.mgr)
 	db.tables[name] = t
-	// DDL is durable too: log the schema through an auto-commit
-	// transaction so recovery recreates the table before its rows.
-	if db.mgr.CommitLogAttached() {
-		if err := db.mgr.RunWith(3, func(tx *txn.Tx) error {
-			if tx.Logging() {
-				tx.LogOp(EncodeCreateTable(name, schema))
-			}
-			return nil
-		}); err != nil {
-			return nil, err
-		}
+	// DDL is durable too, so recovery recreates the table before its
+	// rows.
+	if err := db.mgr.LogDDL(func() []byte { return EncodeCreateTable(name, schema) }); err != nil {
+		return nil, err
 	}
 	return t, nil
 }

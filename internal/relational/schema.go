@@ -3,6 +3,11 @@
 // predicate language, a small planner (index vs. scan), joins and
 // aggregation. Rows are mmvalue objects validated against the table
 // schema, which keeps conversion to and from the NoSQL models lossless.
+//
+// Everything model-agnostic about a row — locking, versions,
+// visibility, the advisory indexes, garbage collection — is the shared
+// record layer, txn.Records; this package adds the schema, the
+// predicate language and its routing, and the relational WAL ops.
 package relational
 
 import (

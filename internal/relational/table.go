@@ -2,99 +2,28 @@ package relational
 
 import (
 	"fmt"
-	"sort"
-	"sync"
-	"sync/atomic"
 
 	"udbench/internal/mmvalue"
-	"udbench/internal/ordmap"
 	"udbench/internal/txn"
 	"udbench/internal/wal"
 )
 
-// Table is a transactional relational table: multi-versioned rows keyed
-// by encoded primary key, with optional secondary equality indexes.
+// Table is a transactional relational table: a txn.Records of rows
+// keyed by encoded primary key, plus the schema, predicate routing and
+// the relational WAL ops.
 //
-// Secondary indexes are advisory: entries are added at commit time and
-// only removed by Compact, so a lookup may return extra candidates;
-// the executor always re-checks the predicate against the
-// snapshot-visible row. This keeps index maintenance correct under
-// multi-versioning without versioning the index itself.
+// Secondary equality indexes are the record layer's advisory indexes:
+// a lookup may return extra candidates, so Stream always re-checks the
+// predicate against the snapshot-visible row.
 type Table struct {
 	name   string
 	schema Schema
-	mgr    *txn.Manager
-	rows   *ordmap.Map[*txn.Chain[mmvalue.Value]]
-
-	// version counts committed writes: every commit hook that stamps a
-	// row version bumps it before stamping, so the counter changes no
-	// later than the moment new data becomes visible to readers.
-	version atomic.Uint64
-
-	idxMu   sync.RWMutex
-	indexes map[string]*hashIndex // column name -> index
-}
-
-// Version counts committed writes to the table. It is bumped inside
-// the commit hook, immediately before the corresponding row version is
-// stamped visible, so a snapshot-derived structure (e.g. the
-// executor's join-build cache) tagged with a Version observation stays
-// valid as long as the value is unchanged: any write that could alter
-// what readers see bumps the counter first.
-func (t *Table) Version() uint64 { return t.version.Load() }
-
-// hashIndex maps indexKey(value) -> set of primary-key strings.
-type hashIndex struct {
-	mu      sync.RWMutex
-	buckets map[string]map[string]struct{}
-}
-
-func newHashIndex() *hashIndex {
-	return &hashIndex{buckets: make(map[string]map[string]struct{})}
-}
-
-func (ix *hashIndex) add(valKey, pk string) {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	b := ix.buckets[valKey]
-	if b == nil {
-		b = make(map[string]struct{})
-		ix.buckets[valKey] = b
-	}
-	b[pk] = struct{}{}
-}
-
-func (ix *hashIndex) candidates(valKey string) []string {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	b := ix.buckets[valKey]
-	out := make([]string, 0, len(b))
-	for pk := range b {
-		out = append(out, pk)
-	}
-	return out
-}
-
-func (ix *hashIndex) drop(pk string) {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	for vk, b := range ix.buckets {
-		delete(b, pk)
-		if len(b) == 0 {
-			delete(ix.buckets, vk)
-		}
-	}
+	rows   *txn.Records[mmvalue.Value]
 }
 
 // NewTable creates a table with the given schema attached to mgr.
 func NewTable(name string, schema Schema, mgr *txn.Manager) *Table {
-	return &Table{
-		name:    name,
-		schema:  schema,
-		mgr:     mgr,
-		rows:    ordmap.New[*txn.Chain[mmvalue.Value]](0x7ab1e),
-		indexes: make(map[string]*hashIndex),
-	}
+	return &Table{name: name, schema: schema, rows: txn.NewRecords[mmvalue.Value](mgr, name+"/")}
 }
 
 // Name returns the table name.
@@ -104,7 +33,12 @@ func (t *Table) Name() string { return t.name }
 func (t *Table) Schema() Schema { return t.schema }
 
 // Manager returns the transaction manager.
-func (t *Table) Manager() *txn.Manager { return t.mgr }
+func (t *Table) Manager() *txn.Manager { return t.rows.Manager() }
+
+// Version counts committed writes to the table; see
+// txn.Records.Version for the guarantee the executor's join-build cache
+// relies on.
+func (t *Table) Version() uint64 { return t.rows.Version() }
 
 // CreateIndex adds a secondary equality index on column and backfills
 // it from the latest committed rows.
@@ -112,47 +46,26 @@ func (t *Table) CreateIndex(column string) error {
 	if _, ok := t.schema.Column(column); !ok {
 		return fmt.Errorf("relational %s: no column %q to index", t.name, column)
 	}
-	ix := newHashIndex()
-	t.idxMu.Lock()
-	if _, exists := t.indexes[column]; exists {
-		t.idxMu.Unlock()
+	created := t.rows.CreateIndex(column, func(row mmvalue.Value) (string, bool) {
+		v, ok := row.MustObject().Get(column)
+		if !ok {
+			return "", false
+		}
+		return indexKey(v), true
+	})
+	if !created {
 		return fmt.Errorf("relational %s: index on %q already exists", t.name, column)
 	}
-	t.indexes[column] = ix
-	t.idxMu.Unlock()
-	t.rows.Ascend("", "", func(pk string, chain *txn.Chain[mmvalue.Value]) bool {
-		if row, live := chain.ReadLatest(); live {
-			if v, ok := row.MustObject().Get(column); ok {
-				ix.add(indexKey(v), pk)
-			}
-		}
-		return true
+	// DDL is durable too, so recovery rebuilds the index before
+	// replaying rows.
+	return t.Manager().LogDDL(func() []byte {
+		return wal.NewOp(wal.OpRelCreateIndex).String(t.name).String(column).Build()
 	})
-	// DDL is durable too: log the index creation through an auto-commit
-	// transaction so recovery rebuilds it before replaying rows.
-	if t.mgr.CommitLogAttached() {
-		return t.mgr.RunWith(3, func(tx *txn.Tx) error {
-			if tx.Logging() {
-				tx.LogOp(wal.NewOp(wal.OpRelCreateIndex).String(t.name).String(column).Build())
-			}
-			return nil
-		})
-	}
-	return nil
 }
 
 // IndexedColumns lists the columns with a secondary index, in sorted
 // order (used by snapshot encoding).
-func (t *Table) IndexedColumns() []string {
-	t.idxMu.RLock()
-	defer t.idxMu.RUnlock()
-	cols := make([]string, 0, len(t.indexes))
-	for c := range t.indexes {
-		cols = append(cols, c)
-	}
-	sort.Strings(cols)
-	return cols
-}
+func (t *Table) IndexedColumns() []string { return t.rows.IndexNames() }
 
 // UsesIndex reports whether Stream would serve the predicate from the
 // primary key or a secondary index rather than a table scan.
@@ -165,51 +78,7 @@ func (t *Table) UsesIndex(e Expr) bool {
 }
 
 // HasIndex reports whether a secondary index exists on column.
-func (t *Table) HasIndex(column string) bool {
-	t.idxMu.RLock()
-	defer t.idxMu.RUnlock()
-	_, ok := t.indexes[column]
-	return ok
-}
-
-func (t *Table) index(column string) *hashIndex {
-	t.idxMu.RLock()
-	defer t.idxMu.RUnlock()
-	return t.indexes[column]
-}
-
-func (t *Table) resource(pk string) string { return t.name + "/" + pk }
-
-// chainOf returns the row's version chain, creating it (with its
-// interned lock key) on first use so the lock path never rebuilds the
-// resource string.
-func (t *Table) chainOf(pk string) *txn.Chain[mmvalue.Value] {
-	chain, _ := t.rows.GetOrInsert(pk, func() *txn.Chain[mmvalue.Value] {
-		return &txn.Chain[mmvalue.Value]{Res: txn.NewResourceKey(t.resource(pk))}
-	})
-	return chain
-}
-
-// lockRow exclusively locks pk's record, preferring the interned key.
-// When the record does not exist it locks a fresh key and re-checks —
-// the row may have been inserted by a transaction the lock waited on.
-func (t *Table) lockRow(tx *txn.Tx, pk string) (*txn.Chain[mmvalue.Value], bool, error) {
-	if chain, ok := t.rows.Get(pk); ok {
-		return chain, true, tx.LockExclusiveKey(chain.Res)
-	}
-	if err := tx.LockExclusive(t.resource(pk)); err != nil {
-		return nil, false, err
-	}
-	chain, ok := t.rows.Get(pk)
-	return chain, ok, nil
-}
-
-func (t *Table) run(tx *txn.Tx, fn func(*txn.Tx) error) error {
-	if tx != nil {
-		return fn(tx)
-	}
-	return t.mgr.RunWith(3, fn)
-}
+func (t *Table) HasIndex(column string) bool { return t.rows.HasIndex(column) }
 
 // pkOf extracts and encodes the primary key of a valid row.
 func (t *Table) pkOf(row mmvalue.Value) (string, error) {
@@ -227,42 +96,14 @@ func (t *Table) pkOf(row mmvalue.Value) (string, error) {
 // Insert adds a new row. It fails if a live row with the same primary
 // key is visible at latest-committed state or pending in this
 // transaction.
-func (t *Table) Insert(tx *txn.Tx, row mmvalue.Value) error {
-	if err := t.schema.ValidateRow(row); err != nil {
-		return err
-	}
-	pk, err := t.pkOf(row)
-	if err != nil {
-		return err
-	}
-	return t.run(tx, func(tx *txn.Tx) error {
-		chain := t.chainOf(pk)
-		if err := tx.LockExclusiveKey(chain.Res); err != nil {
-			return err
-		}
-		if _, exists := chain.Read(t.mgr.Oracle().Current(), tx.ID()); exists {
-			return fmt.Errorf("relational %s: duplicate primary key %v", t.name, pk)
-		}
-		stored := row.Clone()
-		chain.Write(tx.ID(), stored, false)
-		tx.OnUndo(func() { chain.Rollback(tx.ID()) })
-		tx.OnCommit(func(ts txn.TS) {
-			t.version.Add(1)
-			chain.CommitStamp(tx.ID(), ts)
-			t.indexRow(pk, stored)
-		})
-		if tx.Logging() {
-			tx.LogOp(wal.NewOp(wal.OpRelPut).String(t.name).
-				Bytes(mmvalue.AppendBinary(nil, stored)).Build())
-		}
-		return nil
-	})
-}
+func (t *Table) Insert(tx *txn.Tx, row mmvalue.Value) error { return t.put(tx, row, false) }
 
 // ApplyPut is the replay path: it upserts row by its primary key
 // without the duplicate-key check, so recovery can reapply a logged put
 // whether or not a snapshot already holds the row.
-func (t *Table) ApplyPut(tx *txn.Tx, row mmvalue.Value) error {
+func (t *Table) ApplyPut(tx *txn.Tx, row mmvalue.Value) error { return t.put(tx, row, true) }
+
+func (t *Table) put(tx *txn.Tx, row mmvalue.Value, upsert bool) error {
 	if err := t.schema.ValidateRow(row); err != nil {
 		return err
 	}
@@ -270,36 +111,28 @@ func (t *Table) ApplyPut(tx *txn.Tx, row mmvalue.Value) error {
 	if err != nil {
 		return err
 	}
-	return t.run(tx, func(tx *txn.Tx) error {
-		chain := t.chainOf(pk)
-		if err := tx.LockExclusiveKey(chain.Res); err != nil {
+	return t.rows.Auto(tx, func(tx *txn.Tx) error {
+		rec, err := t.rows.Lock(tx, pk)
+		if err != nil {
 			return err
 		}
-		stored := row.Clone()
-		chain.Write(tx.ID(), stored, false)
-		tx.OnUndo(func() { chain.Rollback(tx.ID()) })
-		tx.OnCommit(func(ts txn.TS) {
-			t.version.Add(1)
-			chain.CommitStamp(tx.ID(), ts)
-			t.indexRow(pk, stored)
-		})
-		if tx.Logging() {
-			tx.LogOp(wal.NewOp(wal.OpRelPut).String(t.name).
-				Bytes(mmvalue.AppendBinary(nil, stored)).Build())
+		if !upsert {
+			if _, exists := rec.Current(tx); exists {
+				return fmt.Errorf("relational %s: duplicate primary key %v", t.name, pk)
+			}
 		}
+		t.stage(tx, rec, row.Clone())
 		return nil
 	})
 }
 
-// indexRow registers a committed row's values in all secondary indexes.
-func (t *Table) indexRow(pk string, row mmvalue.Value) {
-	t.idxMu.RLock()
-	defer t.idxMu.RUnlock()
-	obj := row.MustObject()
-	for col, ix := range t.indexes {
-		if v, ok := obj.Get(col); ok && !v.IsNull() {
-			ix.add(indexKey(v), pk)
-		}
+// stage writes row as tx's new version of the locked record and logs
+// the put.
+func (t *Table) stage(tx *txn.Tx, rec *txn.Chain[mmvalue.Value], row mmvalue.Value) {
+	t.rows.Stage(tx, rec, row, false)
+	if tx.Logging() {
+		tx.LogOp(wal.NewOp(wal.OpRelPut).String(t.name).
+			Bytes(mmvalue.AppendBinary(nil, row)).Build())
 	}
 }
 
@@ -307,29 +140,18 @@ func (t *Table) indexRow(pk string, row mmvalue.Value) {
 // tx (latest committed when tx is nil). The returned row is shared;
 // callers must Clone before mutating.
 func (t *Table) Get(tx *txn.Tx, pkValue any) (mmvalue.Value, bool) {
-	pk := EncodeKey(mmvalue.From(pkValue))
-	chain, ok := t.rows.Get(pk)
-	if !ok {
-		return mmvalue.Null, false
-	}
-	if tx == nil {
-		return chain.ReadLatest()
-	}
-	return chain.Read(tx.BeginTS(), tx.ID())
+	return t.rows.Get(tx, EncodeKey(mmvalue.From(pkValue)))
 }
 
 // GetShared is the serializable read mode: it takes a shared lock on
 // the row (held to commit) and returns the latest committed version,
 // which the lock keeps stable until tx ends. A transaction is
-// required. See txn.SharedRead for the protocol.
+// required. See txn.Records.GetShared for the protocol.
 func (t *Table) GetShared(tx *txn.Tx, pkValue any) (mmvalue.Value, bool, error) {
 	if tx == nil {
 		return mmvalue.Null, false, fmt.Errorf("relational %s: GetShared requires a transaction", t.name)
 	}
-	pk := EncodeKey(mmvalue.From(pkValue))
-	return txn.SharedRead(tx, t.mgr,
-		func() string { return t.resource(pk) },
-		func() (*txn.Chain[mmvalue.Value], bool) { return t.rows.Get(pk) })
+	return t.rows.GetShared(tx, EncodeKey(mmvalue.From(pkValue)))
 }
 
 // Update applies fn to the current version of the row with the given
@@ -337,15 +159,11 @@ func (t *Table) GetShared(tx *txn.Tx, pkValue any) (mmvalue.Value, bool, error) 
 // the replacement row (same primary key required).
 func (t *Table) Update(tx *txn.Tx, pkValue any, fn func(row mmvalue.Value) (mmvalue.Value, error)) error {
 	pk := EncodeKey(mmvalue.From(pkValue))
-	return t.run(tx, func(tx *txn.Tx) error {
-		chain, ok, err := t.lockRow(tx, pk)
+	return t.rows.Auto(tx, func(tx *txn.Tx) error {
+		rec, cur, live, err := t.rows.LockLive(tx, pk)
 		if err != nil {
 			return err
 		}
-		if !ok {
-			return fmt.Errorf("relational %s: no row with key %v", t.name, pkValue)
-		}
-		cur, live := chain.Read(t.mgr.Oracle().Current(), tx.ID())
 		if !live {
 			return fmt.Errorf("relational %s: no row with key %v", t.name, pkValue)
 		}
@@ -363,110 +181,32 @@ func (t *Table) Update(tx *txn.Tx, pkValue any, fn func(row mmvalue.Value) (mmva
 		if npk != pk {
 			return fmt.Errorf("relational %s: update may not change the primary key", t.name)
 		}
-		chain.Write(tx.ID(), next, false)
-		tx.OnUndo(func() { chain.Rollback(tx.ID()) })
-		tx.OnCommit(func(ts txn.TS) {
-			t.version.Add(1)
-			chain.CommitStamp(tx.ID(), ts)
-			t.indexRow(pk, next)
-		})
-		if tx.Logging() {
-			tx.LogOp(wal.NewOp(wal.OpRelPut).String(t.name).
-				Bytes(mmvalue.AppendBinary(nil, next)).Build())
-		}
+		t.stage(tx, rec, next)
 		return nil
 	})
 }
 
 // Delete tombstones the row with the given primary key. Deleting a
-// missing row reports ErrNoRow via a normal error.
+// missing row is a no-op.
 func (t *Table) Delete(tx *txn.Tx, pkValue any) error {
-	pk := EncodeKey(mmvalue.From(pkValue))
-	return t.run(tx, func(tx *txn.Tx) error {
-		chain, ok, err := t.lockRow(tx, pk)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-		if _, live := chain.Read(t.mgr.Oracle().Current(), tx.ID()); !live {
-			return nil
-		}
-		chain.Write(tx.ID(), mmvalue.Null, true)
-		tx.OnUndo(func() { chain.Rollback(tx.ID()) })
-		tx.OnCommit(func(ts txn.TS) {
-			t.version.Add(1)
-			chain.CommitStamp(tx.ID(), ts)
-		})
-		if tx.Logging() {
-			tx.LogOp(wal.NewOp(wal.OpRelDelete).String(t.name).String(pk).Build())
-		}
-		return nil
-	})
+	return t.ApplyDelete(tx, EncodeKey(mmvalue.From(pkValue)))
 }
 
-// ApplyDelete is the replay path: it tombstones the row stored under an
-// already-encoded primary key (as logged by Delete). Missing rows are a
-// no-op, which makes replay idempotent.
+// ApplyDelete is Delete by already-encoded primary key (as logged by
+// Delete): the replay path. Missing rows are a no-op, which makes
+// replay idempotent.
 func (t *Table) ApplyDelete(tx *txn.Tx, pk string) error {
-	return t.run(tx, func(tx *txn.Tx) error {
-		chain, ok, err := t.lockRow(tx, pk)
-		if err != nil {
+	return t.rows.Auto(tx, func(tx *txn.Tx) error {
+		rec, _, live, err := t.rows.LockLive(tx, pk)
+		if err != nil || !live {
 			return err
 		}
-		if !ok {
-			return nil
-		}
-		if _, live := chain.Read(t.mgr.Oracle().Current(), tx.ID()); !live {
-			return nil
-		}
-		chain.Write(tx.ID(), mmvalue.Null, true)
-		tx.OnUndo(func() { chain.Rollback(tx.ID()) })
-		tx.OnCommit(func(ts txn.TS) {
-			t.version.Add(1)
-			chain.CommitStamp(tx.ID(), ts)
-		})
+		t.rows.Stage(tx, rec, mmvalue.Null, true)
 		if tx.Logging() {
 			tx.LogOp(wal.NewOp(wal.OpRelDelete).String(t.name).String(pk).Build())
 		}
 		return nil
 	})
-}
-
-// scan iterates live rows visible to tx in primary-key order.
-func (t *Table) scan(tx *txn.Tx, fn func(pk string, row mmvalue.Value) bool) {
-	t.scanRange(tx, "", "", fn)
-}
-
-// scanRange iterates live rows with from <= pk < to (empty to =
-// unbounded) visible to tx, in primary-key order.
-func (t *Table) scanRange(tx *txn.Tx, from, to string, fn func(pk string, row mmvalue.Value) bool) {
-	t.rows.Ascend(from, to, func(pk string, chain *txn.Chain[mmvalue.Value]) bool {
-		var row mmvalue.Value
-		var ok bool
-		if tx == nil {
-			row, ok = chain.ReadLatest()
-		} else {
-			row, ok = chain.Read(tx.BeginTS(), tx.ID())
-		}
-		if !ok {
-			return true
-		}
-		return fn(pk, row)
-	})
-}
-
-// readVisible resolves one pk under the tx snapshot.
-func (t *Table) readVisible(tx *txn.Tx, pk string) (mmvalue.Value, bool) {
-	chain, ok := t.rows.Get(pk)
-	if !ok {
-		return mmvalue.Null, false
-	}
-	if tx == nil {
-		return chain.ReadLatest()
-	}
-	return chain.Read(tx.BeginTS(), tx.ID())
 }
 
 // Len returns the number of row slots in the table, including
@@ -484,41 +224,24 @@ func (t *Table) Stream(tx *txn.Tx, where Expr, fn func(row mmvalue.Value) bool) 
 	if where == nil {
 		where = TrueExpr{}
 	}
+	matching := func(_ string, row mmvalue.Value) bool { return !where.Eval(row) || fn(row) }
 	if col, lit, ok := where.equalityOn(); ok {
 		if col == t.schema.PrimaryKey {
 			// Probe every encoding a Compare-equal key may use (Int
 			// and Float spell the same number differently).
 			for _, pk := range pkEncodings(lit) {
-				if row, live := t.readVisible(tx, pk); live && where.Eval(row) {
-					if !fn(row) {
-						return
-					}
-				}
-			}
-			return
-		}
-		if t.HasIndex(col) {
-			ix := t.index(col)
-			pks := ix.candidates(indexKey(lit))
-			sort.Strings(pks)
-			for _, pk := range pks {
-				row, live := t.readVisible(tx, pk)
-				if !live || !where.Eval(row) {
-					continue
-				}
-				if !fn(row) {
+				if row, live := t.rows.Get(tx, pk); live && !matching(pk, row) {
 					return
 				}
 			}
 			return
 		}
-	}
-	t.scan(tx, func(_ string, row mmvalue.Value) bool {
-		if !where.Eval(row) {
-			return true
+		if t.HasIndex(col) {
+			t.rows.Lookup(tx, col, indexKey(lit), matching)
+			return
 		}
-		return fn(row)
-	})
+	}
+	t.rows.Scan(tx, "", "", matching)
 }
 
 // StreamBatch is the vectorized form of Stream: matching rows are
@@ -530,111 +253,33 @@ func (t *Table) Stream(tx *txn.Tx, where Expr, fn func(row mmvalue.Value) bool) 
 // mutate. fn returning false stops the scan. Index routes (primary-key
 // or secondary-index equality) delegate to Stream and still batch.
 func (t *Table) StreamBatch(tx *txn.Tx, where Expr, buf []mmvalue.Value, fn func(rows []mmvalue.Value) bool) {
-	if cap(buf) == 0 {
-		buf = make([]mmvalue.Value, 0, 1024)
-	}
-	buf = buf[:0]
-	stopped := false
-	t.Stream(tx, where, func(row mmvalue.Value) bool {
-		buf = append(buf, row)
-		if len(buf) == cap(buf) {
-			if !fn(buf) {
-				stopped = true
-				return false
-			}
-			buf = buf[:0]
-		}
-		return true
-	})
-	if !stopped && len(buf) > 0 {
-		fn(buf)
-	}
+	txn.Batch(buf, fn, func(emit func(mmvalue.Value) bool) { t.Stream(tx, where, emit) })
 }
 
-// StreamRangeBatch is the vectorized form of StreamRange, with the
-// same batched-callback contract as StreamBatch. It always scans the
-// key range directly off store memory — the morsel primitive for
-// parallel executors.
+// StreamRangeBatch is StreamBatch restricted to encoded primary keys in
+// [from, to) (empty to = unbounded). It always scans the key range
+// directly off store memory, ignoring indexes — the morsel primitive
+// for parallel executors.
 func (t *Table) StreamRangeBatch(tx *txn.Tx, from, to string, where Expr, buf []mmvalue.Value, fn func(rows []mmvalue.Value) bool) {
-	if cap(buf) == 0 {
-		buf = make([]mmvalue.Value, 0, 1024)
-	}
-	buf = buf[:0]
 	if where == nil {
 		where = TrueExpr{}
 	}
-	stopped := false
-	t.scanRange(tx, from, to, func(_ string, row mmvalue.Value) bool {
-		if !where.Eval(row) {
-			return true
-		}
-		buf = append(buf, row)
-		if len(buf) == cap(buf) {
-			if !fn(buf) {
-				stopped = true
-				return false
-			}
-			buf = buf[:0]
-		}
-		return true
-	})
-	if !stopped && len(buf) > 0 {
-		fn(buf)
-	}
-}
-
-// StreamRange is Stream restricted to encoded primary keys in
-// [from, to) (empty to = unbounded) and always scans: it is the
-// partition primitive for parallel executors, so it ignores indexes.
-// Rows are shared, not cloned.
-func (t *Table) StreamRange(tx *txn.Tx, from, to string, where Expr, fn func(row mmvalue.Value) bool) {
-	if where == nil {
-		where = TrueExpr{}
-	}
-	t.scanRange(tx, from, to, func(_ string, row mmvalue.Value) bool {
-		if !where.Eval(row) {
-			return true
-		}
-		return fn(row)
+	txn.Batch(buf, fn, func(emit func(mmvalue.Value) bool) {
+		t.rows.Scan(tx, from, to, func(_ string, row mmvalue.Value) bool {
+			return !where.Eval(row) || emit(row)
+		})
 	})
 }
 
 // SplitPoints returns boundary keys that cut the table into up to n
-// contiguous primary-key ranges of near-equal size for StreamRange.
+// contiguous primary-key ranges of near-equal size for
+// StreamRangeBatch.
 func (t *Table) SplitPoints(n int) []string { return t.rows.SplitPoints(n) }
 
 // Count returns the number of live rows at latest-committed state.
-func (t *Table) Count() int {
-	n := 0
-	t.scan(nil, func(string, mmvalue.Value) bool { n++; return true })
-	return n
-}
+func (t *Table) Count() int { return t.rows.Count() }
 
-// Compact garbage-collects old versions and rebuilds secondary indexes
-// from live rows, dropping stale index entries. Returns versions
-// dropped. Must not run concurrently with transactions reading below
-// horizon.
-func (t *Table) Compact(horizon txn.TS) int {
-	dropped := 0
-	var deadPKs []string
-	t.rows.Ascend("", "", func(pk string, chain *txn.Chain[mmvalue.Value]) bool {
-		dropped += chain.GC(horizon)
-		if _, live := chain.ReadLatest(); !live {
-			if ts := chain.LatestCommitTS(); ts != 0 && ts < horizon {
-				deadPKs = append(deadPKs, pk)
-			}
-		}
-		return true
-	})
-	t.idxMu.RLock()
-	for _, ix := range t.indexes {
-		for _, pk := range deadPKs {
-			ix.drop(pk)
-		}
-	}
-	t.idxMu.RUnlock()
-	for _, pk := range deadPKs {
-		t.rows.Remove(pk)
-	}
-	return dropped
-}
+// Compact garbage-collects old versions and unlinks dead rows together
+// with their index entries. Returns versions dropped. Must not run
+// concurrently with transactions reading below horizon.
+func (t *Table) Compact(horizon txn.TS) int { return t.rows.Compact(horizon) }

@@ -128,37 +128,56 @@ func (c *Chain[T]) Len() int {
 	return len(c.versions)
 }
 
-// SharedRead is the serializable shared-lock read protocol behind the
-// stores' GetShared methods, kept in one place so the subtleties stay
-// in sync: when the record is missing, its *name* is locked shared so
-// the absence serializes against a concurrent creator (which must take
-// the same lock to insert) and the lookup is retried; when present,
-// the interned chain key is locked and the chain is read at the
-// oracle's current edge — under the shared lock no writer can be
-// stamping this chain, so that read is the stable latest committed
-// value (or the transaction's own uncommitted write, if it already
-// holds an exclusive lock here). Uncontended shared locks are granted
-// on the lock table's contention-free fast path. tx must be non-nil;
-// lookup is called once more if the first call misses.
-func SharedRead[T any](tx *Tx, mgr *Manager, resource func() string, lookup func() (*Chain[T], bool)) (T, bool, error) {
-	var zero T
-	chain, ok := lookup()
-	if !ok {
-		if err := tx.LockShared(resource()); err != nil {
-			return zero, false, err
+// Visible returns the value a reader sees: the snapshot-visible version
+// (own uncommitted writes included) for a transaction, the latest
+// committed version when tx is nil.
+func (c *Chain[T]) Visible(tx *Tx) (T, bool) {
+	if tx == nil {
+		return c.ReadLatest()
+	}
+	return c.Read(tx.BeginTS(), tx.ID())
+}
+
+// Current returns the value as of now for a transaction holding the
+// record's lock: the newest committed version, or tx's own uncommitted
+// write. Under the lock no other writer can be stamping this chain, so
+// reading at the oracle's current edge is stable.
+func (c *Chain[T]) Current(tx *Tx) (T, bool) {
+	return c.Read(tx.mgr.oracle.Current(), tx.id)
+}
+
+// Stage is the write ritual every store shares: install value (or a
+// tombstone) as tx's uncommitted version, roll it back if tx aborts and
+// stamp it with the commit timestamp if tx commits. The caller must
+// hold the record's exclusive lock.
+func (c *Chain[T]) Stage(tx *Tx, value T, deleted bool) {
+	c.stage(tx, value, deleted, nil)
+}
+
+// stage is Stage for a chain owned by r (nil for a bare chain): r's
+// commit hook runs just before the stamp.
+func (c *Chain[T]) stage(tx *Tx, value T, deleted bool, r *Records[T]) {
+	c.Write(tx.ID(), value, deleted)
+	tx.OnUndo(func() { c.Rollback(tx.ID()) })
+	tx.OnCommit(func(ts TS) {
+		if r != nil {
+			r.committing(c, tx.ID())
 		}
-		if chain, ok = lookup(); !ok {
-			return zero, false, nil
-		}
+		c.CommitStamp(tx.ID(), ts)
+	})
+}
+
+// Collect is the per-record compaction step: it garbage-collects
+// versions shadowed below horizon and reports how many were dropped and
+// whether the record is dead — its latest committed version is a
+// tombstone older than horizon — so the owner can unlink it.
+func (c *Chain[T]) Collect(horizon TS) (dropped int, dead bool) {
+	dropped = c.GC(horizon)
+	if _, live := c.ReadLatest(); !live {
+		ts := c.LatestCommitTS()
+		dead = ts != 0 && ts < horizon
 	}
-	if err := tx.LockSharedKey(chain.Res); err != nil {
-		return zero, false, err
-	}
-	v, live := chain.Read(mgr.Oracle().Current(), tx.ID())
-	if !live {
-		return zero, false, nil
-	}
-	return v, true, nil
+	return dropped, dead
 }
 
 // GC drops committed versions that are older than horizon and shadowed

@@ -1,7 +1,13 @@
 // Package txn provides the transactional substrate shared by all UDBench
 // stores: a global timestamp oracle, per-record multi-version chains, a
 // strict two-phase-locking lock table with wait-for-graph deadlock
-// detection, and the transaction object that ties them together.
+// detection, the transaction object that ties them together, and — one
+// level up — the record layer the stores are built on: Records, an
+// ordered map of version chains that owns locking, the write ritual,
+// visibility, shared-lock reads, advisory indexes and version GC, so a
+// store adds only what is specific to its data model. One retry policy
+// (Retry, with backoff) serves every auto-committed operation and both
+// engines' RunTx.
 //
 // Concurrency model ("SI+SS2PL"): writers take exclusive locks held to
 // commit (strict 2PL), so write sets serialize. Readers never lock; they
@@ -13,6 +19,7 @@ package txn
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"sync/atomic"
 	"time"
@@ -570,21 +577,85 @@ func (tx *Tx) finish() {
 	tx.mgr.active.Add(-1)
 }
 
+// DefaultRetries is the deadlock-retry budget of every auto-committed
+// operation and of the engines' RunTx.
+const DefaultRetries = 3
+
+// Backoff between deadlock retries: the victim sleeps a uniformly random
+// time inside a window that starts at 2*backoffBase and doubles with
+// every retry up to backoffCap.
+const (
+	backoffBase = 25 * time.Microsecond
+	backoffCap  = 2 * time.Millisecond
+)
+
+// Retry is the one deadlock-retry policy: it calls attempt until it
+// returns nil or an error other than ErrDeadlock, at most retries+1
+// times, backing off between calls. attempt must leave nothing behind
+// when it fails (abort what it began).
+//
+// The backoff is what makes the budget mean something: the detector
+// victimises the youngest transaction on a cycle, and a retry begins
+// with a fresh, younger id, so an immediate retry walks straight back
+// into the same conflict and is re-killed until the budget is gone. The
+// jittered, exponentially growing sleep lets the survivors of the cycle
+// commit and desynchronises victims that would otherwise collide again.
+//
+// Termination: the loop makes at most retries+1 attempts and sleeps at
+// most retries*backoffCap in total, so it returns within that plus the
+// attempts' own run time, whatever the lock table does.
+func Retry(retries int, attempt func() error) error {
+	window := backoffBase
+	for n := 0; ; n++ {
+		err := attempt()
+		if err == nil || !errors.Is(err, ErrDeadlock) || n >= retries {
+			return err
+		}
+		window = min(2*window, backoffCap)
+		time.Sleep(time.Duration(rand.Int63n(int64(window))))
+	}
+}
+
 // RunWith executes fn inside a fresh transaction, committing on nil and
-// aborting on error. On ErrDeadlock it retries up to retries times.
+// aborting on error. A deadlock victim is retried up to retries times
+// under the Retry policy.
 func (m *Manager) RunWith(retries int, fn func(tx *Tx) error) error {
-	for attempt := 0; ; attempt++ {
+	return Retry(retries, func() error {
 		tx := m.Begin()
 		err := fn(tx)
 		if err == nil {
 			_, err = tx.Commit()
 		}
-		if err == nil {
-			return nil
+		if err != nil {
+			tx.Abort()
 		}
-		tx.Abort()
-		if !errors.Is(err, ErrDeadlock) || attempt >= retries {
-			return err
-		}
+		return err
+	})
+}
+
+// Auto is the auto-commit wrapper behind every store operation that
+// accepts an optional transaction: fn runs under tx, or — when tx is
+// nil — in a fresh transaction of its own with the default retry
+// budget.
+func (m *Manager) Auto(tx *Tx, fn func(*Tx) error) error {
+	if tx != nil {
+		return fn(tx)
 	}
+	return m.RunWith(DefaultRetries, fn)
+}
+
+// LogDDL makes a schema change durable: with a commit log attached it
+// commits the op record alone in an auto-commit transaction, so
+// recovery replays the DDL before the records that depend on it.
+// Without a log it does nothing (op is not called).
+func (m *Manager) LogDDL(op func() []byte) error {
+	if !m.CommitLogAttached() {
+		return nil
+	}
+	return m.Auto(nil, func(tx *Tx) error {
+		if tx.Logging() {
+			tx.LogOp(op())
+		}
+		return nil
+	})
 }

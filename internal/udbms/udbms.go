@@ -50,9 +50,10 @@ func (db *DB) Manager() *txn.Manager { return db.mgr }
 func (db *DB) Begin() *txn.Tx { return db.mgr.Begin() }
 
 // RunTx executes fn in a cross-model transaction, committing on nil
-// and aborting on error, retrying deadlock victims up to three times.
+// and aborting on error, retrying deadlock victims under the manager's
+// default policy (txn.DefaultRetries, with backoff).
 func (db *DB) RunTx(fn func(tx *txn.Tx) error) error {
-	return db.mgr.RunWith(3, fn)
+	return db.mgr.Auto(nil, fn)
 }
 
 // Stats summarizes the live dataset (used by experiment F1).
@@ -92,6 +93,7 @@ func (db *DB) Compact(horizon txn.TS) int {
 	for _, name := range db.Docs.CollectionNames() {
 		dropped += db.Docs.Collection(name).Compact(horizon)
 	}
+	dropped += db.Graph.Compact(horizon)
 	dropped += db.KV.Compact(horizon)
 	dropped += db.XML.Compact(horizon)
 	db.mgr.SweepLockEntries()

@@ -1,7 +1,9 @@
 // Package xmlstore implements the XML data model of the UDBMS
 // benchmark: an in-memory XML node tree with a parser built on
 // encoding/xml tokens, serialization, an XPath-subset query engine and
-// a transactional document store.
+// a transactional document store (a txn.Records of trees: locking,
+// versions, visibility and garbage collection are the shared record
+// layer's).
 //
 // In the Figure-1 dataset this store holds the Invoice documents.
 package xmlstore

@@ -3,63 +3,29 @@ package xmlstore
 import (
 	"fmt"
 
-	"udbench/internal/ordmap"
 	"udbench/internal/txn"
 	"udbench/internal/wal"
 )
 
-// Store is a transactional registry of XML documents keyed by id.
-// Stored trees are multi-versioned; readers get shared snapshots and
-// must not mutate them (Update hands out clones).
+// Store is a transactional registry of XML documents keyed by id: a
+// txn.Records of trees plus XPath queries and the XML WAL ops. Stored
+// trees are multi-versioned; readers get shared snapshots and must not
+// mutate them (Update hands out clones).
 type Store struct {
 	name string
-	mgr  *txn.Manager
-	docs *ordmap.Map[*txn.Chain[*Node]]
+	docs *txn.Records[*Node]
 }
 
 // NewStore creates an empty XML store named name on mgr.
 func NewStore(name string, mgr *txn.Manager) *Store {
-	return &Store{name: name, mgr: mgr, docs: ordmap.New[*txn.Chain[*Node]](0x3a11)}
+	return &Store{name: name, docs: txn.NewRecords[*Node](mgr, name+"/")}
 }
 
 // Name returns the store name.
 func (s *Store) Name() string { return s.name }
 
 // Manager returns the transaction manager.
-func (s *Store) Manager() *txn.Manager { return s.mgr }
-
-func (s *Store) resource(id string) string { return s.name + "/" + id }
-
-// chainOf returns the document's version chain, creating it (with its
-// interned lock key) on first use so the lock path never rebuilds the
-// resource string.
-func (s *Store) chainOf(id string) *txn.Chain[*Node] {
-	chain, _ := s.docs.GetOrInsert(id, func() *txn.Chain[*Node] {
-		return &txn.Chain[*Node]{Res: txn.NewResourceKey(s.resource(id))}
-	})
-	return chain
-}
-
-// lockDoc exclusively locks id's record, preferring the interned key.
-// When the record does not exist it locks a fresh key and re-checks —
-// the id may have been inserted by a transaction the lock waited on.
-func (s *Store) lockDoc(tx *txn.Tx, id string) (*txn.Chain[*Node], bool, error) {
-	if chain, ok := s.docs.Get(id); ok {
-		return chain, true, tx.LockExclusiveKey(chain.Res)
-	}
-	if err := tx.LockExclusive(s.resource(id)); err != nil {
-		return nil, false, err
-	}
-	chain, ok := s.docs.Get(id)
-	return chain, ok, nil
-}
-
-func (s *Store) run(tx *txn.Tx, fn func(*txn.Tx) error) error {
-	if tx != nil {
-		return fn(tx)
-	}
-	return s.mgr.RunWith(3, fn)
-}
+func (s *Store) Manager() *txn.Manager { return s.docs.Manager() }
 
 // Put stores (or replaces) the document under id.
 func (s *Store) Put(tx *txn.Tx, id string, doc *Node) error {
@@ -69,14 +35,12 @@ func (s *Store) Put(tx *txn.Tx, id string, doc *Node) error {
 	if doc == nil || doc.IsText() {
 		return fmt.Errorf("xmlstore %s: document root must be an element", s.name)
 	}
-	return s.run(tx, func(tx *txn.Tx) error {
-		chain := s.chainOf(id)
-		if err := tx.LockExclusiveKey(chain.Res); err != nil {
+	return s.docs.Auto(tx, func(tx *txn.Tx) error {
+		rec, err := s.docs.Lock(tx, id)
+		if err != nil {
 			return err
 		}
-		chain.Write(tx.ID(), doc.Clone(), false)
-		tx.OnUndo(func() { chain.Rollback(tx.ID()) })
-		tx.OnCommit(func(ts txn.TS) { chain.CommitStamp(tx.ID(), ts) })
+		s.docs.Stage(tx, rec, doc.Clone(), false)
 		if tx.Logging() {
 			tx.LogOp(wal.NewOp(wal.OpXMLPut).String(id).Bytes(Marshal(doc)).Build())
 		}
@@ -86,42 +50,27 @@ func (s *Store) Put(tx *txn.Tx, id string, doc *Node) error {
 
 // Get returns the document visible to tx. The returned tree is shared;
 // Clone before mutating.
-func (s *Store) Get(tx *txn.Tx, id string) (*Node, bool) {
-	chain, ok := s.docs.Get(id)
-	if !ok {
-		return nil, false
-	}
-	if tx == nil {
-		return chain.ReadLatest()
-	}
-	return chain.Read(tx.BeginTS(), tx.ID())
-}
+func (s *Store) Get(tx *txn.Tx, id string) (*Node, bool) { return s.docs.Get(tx, id) }
 
 // GetShared is the serializable read mode: it takes a shared lock on
 // the document (held to commit) and returns the latest committed tree,
 // which the lock keeps stable until tx ends. A transaction is
-// required. See txn.SharedRead for the protocol.
+// required. See txn.Records.GetShared for the protocol.
 func (s *Store) GetShared(tx *txn.Tx, id string) (*Node, bool, error) {
 	if tx == nil {
 		return nil, false, fmt.Errorf("xmlstore %s: GetShared requires a transaction", s.name)
 	}
-	return txn.SharedRead(tx, s.mgr,
-		func() string { return s.resource(id) },
-		func() (*txn.Chain[*Node], bool) { return s.docs.Get(id) })
+	return s.docs.GetShared(tx, id)
 }
 
 // Update applies fn to a clone of the current document and stores the
 // result.
 func (s *Store) Update(tx *txn.Tx, id string, fn func(doc *Node) (*Node, error)) error {
-	return s.run(tx, func(tx *txn.Tx) error {
-		chain, ok, err := s.lockDoc(tx, id)
+	return s.docs.Auto(tx, func(tx *txn.Tx) error {
+		rec, cur, live, err := s.docs.LockLive(tx, id)
 		if err != nil {
 			return err
 		}
-		if !ok {
-			return fmt.Errorf("xmlstore %s: no document %q", s.name, id)
-		}
-		cur, live := chain.Read(s.mgr.Oracle().Current(), tx.ID())
 		if !live {
 			return fmt.Errorf("xmlstore %s: no document %q", s.name, id)
 		}
@@ -132,9 +81,7 @@ func (s *Store) Update(tx *txn.Tx, id string, fn func(doc *Node) (*Node, error))
 		if next == nil || next.IsText() {
 			return fmt.Errorf("xmlstore %s: updated root must be an element", s.name)
 		}
-		chain.Write(tx.ID(), next, false)
-		tx.OnUndo(func() { chain.Rollback(tx.ID()) })
-		tx.OnCommit(func(ts txn.TS) { chain.CommitStamp(tx.ID(), ts) })
+		s.docs.Stage(tx, rec, next, false)
 		if tx.Logging() {
 			tx.LogOp(wal.NewOp(wal.OpXMLPut).String(id).Bytes(Marshal(next)).Build())
 		}
@@ -144,17 +91,12 @@ func (s *Store) Update(tx *txn.Tx, id string, fn func(doc *Node) (*Node, error))
 
 // Delete tombstones the document; deleting a missing id is a no-op.
 func (s *Store) Delete(tx *txn.Tx, id string) error {
-	return s.run(tx, func(tx *txn.Tx) error {
-		chain, ok, err := s.lockDoc(tx, id)
-		if err != nil {
+	return s.docs.Auto(tx, func(tx *txn.Tx) error {
+		rec, ok, err := s.docs.LockExisting(tx, id)
+		if err != nil || !ok {
 			return err
 		}
-		if !ok {
-			return nil
-		}
-		chain.Write(tx.ID(), nil, true)
-		tx.OnUndo(func() { chain.Rollback(tx.ID()) })
-		tx.OnCommit(func(ts txn.TS) { chain.CommitStamp(tx.ID(), ts) })
+		s.docs.Stage(tx, rec, nil, true)
 		if tx.Logging() {
 			tx.LogOp(wal.NewOp(wal.OpXMLDelete).String(id).Build())
 		}
@@ -164,19 +106,7 @@ func (s *Store) Delete(tx *txn.Tx, id string) error {
 
 // Scan calls fn for every live document visible to tx in id order.
 func (s *Store) Scan(tx *txn.Tx, fn func(id string, doc *Node) bool) {
-	s.docs.Ascend("", "", func(id string, chain *txn.Chain[*Node]) bool {
-		var doc *Node
-		var ok bool
-		if tx == nil {
-			doc, ok = chain.ReadLatest()
-		} else {
-			doc, ok = chain.Read(tx.BeginTS(), tx.ID())
-		}
-		if !ok {
-			return true
-		}
-		return fn(id, doc)
-	})
+	s.docs.Scan(tx, "", "", fn)
 }
 
 // Query evaluates a compiled XPath over every live document and calls
@@ -193,27 +123,7 @@ func (s *Store) Query(tx *txn.Tx, xp *XPath, fn func(id string, values []string)
 }
 
 // Count returns the number of live documents at latest-committed state.
-func (s *Store) Count() int {
-	n := 0
-	s.Scan(nil, func(string, *Node) bool { n++; return true })
-	return n
-}
+func (s *Store) Count() int { return s.docs.Count() }
 
 // Compact garbage-collects old versions and unlinks dead documents.
-func (s *Store) Compact(horizon txn.TS) int {
-	dropped := 0
-	var dead []string
-	s.docs.Ascend("", "", func(id string, chain *txn.Chain[*Node]) bool {
-		dropped += chain.GC(horizon)
-		if _, live := chain.ReadLatest(); !live {
-			if ts := chain.LatestCommitTS(); ts != 0 && ts < horizon {
-				dead = append(dead, id)
-			}
-		}
-		return true
-	})
-	for _, id := range dead {
-		s.docs.Remove(id)
-	}
-	return dropped
-}
+func (s *Store) Compact(horizon txn.TS) int { return s.docs.Compact(horizon) }
