@@ -113,14 +113,14 @@ mix flags (plus -sf/-seed/-hop/-json/-suite):
   -budget D    with -remote: queue-wait budget per request (0 = server
                default); requests exceeding it are shed server-side
   -engine E    comparative mode: drive one registered backend (e.g.
-               sqlite) instead of both native engines; partial backends
+               relational) instead of both native engines; partial backends
                run the mix subset their capabilities allow and attach a
                backend_capabilities block to the JSON report
 
 serve flags (dataset flags as in run, plus -suite):
   -addr A      listen address (default 127.0.0.1:7744)
   -engine E    registered backend to front: udbms (default, also serves
-               UQL), federation, sqlite, ... (unknown names list the
+               UQL), federation, relational, ... (unknown names list the
                registry)
   -workers N   executor pool size (default 4)
   -queue N     admission queue depth (default 256)

@@ -11,6 +11,8 @@
 //	internal/core        experiment harness (one runner per table/figure)
 //	internal/udbms       the unified multi-model engine (system under test)
 //	internal/federation  polyglot baseline: five stores + 2PC + hops
+//	internal/backend     comparative one-model leg: relbe shreds the dataset
+//	                     into a private relational.DB (-engine relational)
 //	internal/relational  relational engine (schemas, indexes, joins)
 //	internal/document    JSON document store (filters, path indexes)
 //	internal/graph       property graph store (k-hop, Dijkstra, PageRank)

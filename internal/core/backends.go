@@ -9,9 +9,9 @@ import (
 
 	// Comparative backends register themselves with the workload
 	// backend registry; this is the one place the harness links them
-	// in, so `udbench mix -engine sqlite` and the f5 comparative legs
+	// in, so `udbench mix -engine relational` and the f5 comparative legs
 	// work out of one import.
-	_ "udbench/internal/backend/sqlitebe"
+	_ "udbench/internal/backend/relbe"
 )
 
 // comparativeLegs builds a sweep leg for every registered backend

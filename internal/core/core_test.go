@@ -185,9 +185,19 @@ func TestF5LatencyVsRate(t *testing.T) {
 	for _, r := range rows {
 		byEngine[r.Engine] = append(byEngine[r.Engine], r)
 	}
-	for _, eng := range []string{"udbms", "federation"} {
+	// Every leg names the ops it ran: the comparative leg's degraded
+	// mix must not read as like-for-like against the native one.
+	wantOps := map[string]string{
+		"udbms": "Q1+T1+T2+T3+T4", "federation": "Q1+T1+T2+T3+T4", "relational": "Q1",
+	}
+	for eng, ops := range wantOps {
 		if len(byEngine[eng]) == 0 {
 			t.Fatalf("sweep has no %s rows", eng)
+		}
+		for _, r := range byEngine[eng] {
+			if r.Ops != ops {
+				t.Errorf("%s @ %.0f: ops = %q, want %q", eng, r.Offered, r.Ops, ops)
+			}
 		}
 	}
 	for _, r := range rows {

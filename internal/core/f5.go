@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"udbench/internal/metrics"
@@ -26,7 +27,11 @@ func init() {
 // rate. The typed form exists so tests (and future JSON consumers) can
 // assert on the sweep without parsing rendered table strings.
 type f5Row struct {
-	Engine    string
+	Engine string
+	// Ops names the mix items the leg ran, joined with "+": a partial
+	// backend's degraded mix ("Q1") must not read as like-for-like
+	// against the native one ("Q1+T1+T2+T3+T4").
+	Ops       string
 	Offered   float64
 	Achieved  float64
 	SvcP50    time.Duration
@@ -90,6 +95,11 @@ func rateSweep(p f5Config, info workload.Info, seed uint64, suite *workload.Suit
 	for _, se := range engines {
 		e := se.e
 		mix := suite.Mix(e)
+		names := make([]string, len(mix))
+		for i, item := range mix {
+			names[i] = item.Name
+		}
+		ops := strings.Join(names, "+")
 		rate := p.baseRate
 		for step := 0; step < p.maxSteps; step++ {
 			dc := workload.DriverConfig{
@@ -104,6 +114,7 @@ func rateSweep(p f5Config, info workload.Info, seed uint64, suite *workload.Suit
 			res := workload.RunMix(e, info, mix, dc)
 			row := f5Row{
 				Engine:     se.label,
+				Ops:        ops,
 				Offered:    rate,
 				Achieved:   res.Rate.Achieved,
 				SvcP50:     res.Latency.Percentile(50),
@@ -229,10 +240,10 @@ func runF5(cfg Config) ([]*metrics.Table, error) {
 	sweep := metrics.NewTable(
 		fmt.Sprintf("F5: latency vs offered rate (open loop, %v per rate, x%g ladder), suite %s, SF %g",
 			p.measure, p.factor, suiteName, cfg.SF),
-		"engine", "offered", "achieved", "ach%", "svc p50", "svc p99",
+		"engine", "ops", "offered", "achieved", "ach%", "svc p50", "svc p99",
 		"int p50", "int p99", "int max", "abort%", "lock wait", "dropped", "shed")
 	for _, r := range rows {
-		sweep.AddRow(r.Engine, r.Offered, r.Achieved,
+		sweep.AddRow(r.Engine, r.Ops, r.Offered, r.Achieved,
 			fmt.Sprintf("%.0f%%", 100*r.Achieved/r.Offered),
 			r.SvcP50, r.SvcP99, r.IntP50, r.IntP99, r.IntMax,
 			fmt.Sprintf("%.1f%%", 100*r.AbortRate), r.LockWait, r.Dropped, r.Shed)
@@ -240,7 +251,7 @@ func runF5(cfg Config) ([]*metrics.Table, error) {
 	knee := metrics.NewTable(
 		fmt.Sprintf("F5: saturation knee (first offered rate with achieved/offered < %.0f%%)",
 			100*f5KneeThreshold),
-		"engine", "knee ops/s", "capacity ops/s", "int p99 @ knee", "svc p99 @ knee", "int/svc")
+		"engine", "ops", "knee ops/s", "capacity ops/s", "int p99 @ knee", "svc p99 @ knee", "int/svc")
 	for _, eng := range sweepLabels(rows) {
 		k, last := kneeOf(rows, eng)
 		switch {
@@ -252,12 +263,12 @@ func runF5(cfg Config) ([]*metrics.Table, error) {
 			if last != nil {
 				capacity = last.Achieved
 			}
-			knee.AddRow(eng, k.Offered, capacity, k.IntP99, k.SvcP99,
+			knee.AddRow(eng, k.Ops, k.Offered, capacity, k.IntP99, k.SvcP99,
 				ratio(k.SvcP99, k.IntP99))
 		case last != nil:
 			// Never saturated within the ladder: report the top rung as
 			// a capacity lower bound with no knee.
-			knee.AddRow(eng, "> "+fmt.Sprintf("%.0f", last.Offered), last.Achieved,
+			knee.AddRow(eng, last.Ops, "> "+fmt.Sprintf("%.0f", last.Offered), last.Achieved,
 				last.IntP99, last.SvcP99, ratio(last.SvcP99, last.IntP99))
 		}
 	}

@@ -37,10 +37,10 @@ func TestF5SweepRemote(t *testing.T) {
 	}
 	labels := sweepLabels(rows)
 	if len(labels) != 4 {
-		t.Fatalf("sweep labels = %v, want udbms + federation + sqlite + one remote", labels)
+		t.Fatalf("sweep labels = %v, want udbms + federation + relational + one remote", labels)
 	}
-	if labels[2] != "sqlite" {
-		t.Fatalf("third sweep label = %q, want the sqlite comparative leg", labels[2])
+	if labels[2] != "relational" {
+		t.Fatalf("third sweep label = %q, want the relational comparative leg", labels[2])
 	}
 	remote := labels[3]
 	if !strings.HasSuffix(remote, "-remote") {

@@ -12,7 +12,7 @@
 //  1. Load the newest readable snapshot (corrupt or torn snapshots fall
 //     back to the previous one). The payload is the same op-blob stream
 //     the log carries, so one dispatcher applies both.
-//  2. Replay the log through the federation of stores, skipping records
+//  2. Replay the log through the five stores, skipping records
 //     at or below the snapshot timestamp. Each record is one committed
 //     transaction and is re-applied as one transaction, so a replayed
 //     prefix is always transaction-consistent. A torn or corrupt tail
@@ -31,9 +31,7 @@ import (
 	"fmt"
 	"time"
 
-	"udbench/internal/document"
 	"udbench/internal/graph"
-	"udbench/internal/kv"
 	"udbench/internal/mmvalue"
 	"udbench/internal/relational"
 	"udbench/internal/txn"
@@ -110,11 +108,7 @@ func Open(dir string, opts Options) (*DB, error) {
 		return nil, fmt.Errorf("durable: %w", err)
 	}
 	db := udbms.Open()
-	tgt := target{
-		rel: db.Relational, docs: db.Docs, graph: db.Graph,
-		kv: db.KV, xml: db.XML, mgr: db.Manager(),
-	}
-	rec, err := recoverDir(fsys, dir, tgt)
+	rec, err := recoverDir(fsys, dir, db)
 	if err != nil {
 		return nil, err
 	}
@@ -130,9 +124,9 @@ func Open(dir string, opts Options) (*DB, error) {
 	return &DB{DB: db, dir: dir, opts: opts, log: log, Recovery: rec}, nil
 }
 
-// recoverDir rebuilds tgt from dir's snapshot and log. It returns the
+// recoverDir rebuilds db from dir's snapshot and log. It returns the
 // recovery stats with everything but Elapsed filled in.
-func recoverDir(fsys wal.FS, dir string, tgt target) (RecoveryStats, error) {
+func recoverDir(fsys wal.FS, dir string, db *udbms.DB) (RecoveryStats, error) {
 	var rec RecoveryStats
 	snapTS, payload, ok, err := wal.LatestSnapshot(fsys, dir)
 	if err != nil {
@@ -149,7 +143,7 @@ func recoverDir(fsys wal.FS, dir string, tgt target) (RecoveryStats, error) {
 				batch = batch[:applyBatch]
 			}
 			ops = ops[len(batch):]
-			if err := applyOps(tgt, batch); err != nil {
+			if err := applyOps(db, batch); err != nil {
 				return rec, fmt.Errorf("durable: snapshot apply: %w", err)
 			}
 			rec.SnapshotOps += len(batch)
@@ -160,7 +154,7 @@ func recoverDir(fsys wal.FS, dir string, tgt target) (RecoveryStats, error) {
 		if ts <= snapTS {
 			return nil // already inside the snapshot
 		}
-		if err := applyOps(tgt, ops); err != nil {
+		if err := applyOps(db, ops); err != nil {
 			return err
 		}
 		rec.Records++
@@ -173,7 +167,7 @@ func recoverDir(fsys wal.FS, dir string, tgt target) (RecoveryStats, error) {
 	rec.LogBytes = rs.Bytes
 	rec.Truncated = rs.Truncated
 	rec.WatermarkTS = max(rs.LastTS, snapTS)
-	tgt.mgr.RestoreWatermark(txn.TS(rec.WatermarkTS))
+	db.Manager().RestoreWatermark(txn.TS(rec.WatermarkTS))
 	return rec, nil
 }
 
@@ -182,20 +176,11 @@ func recoverDir(fsys wal.FS, dir string, tgt target) (RecoveryStats, error) {
 // watermark: it runs under one read transaction, so replay afterwards
 // only needs the log records above the returned timestamp.
 func (d *DB) Checkpoint() (uint64, error) {
-	tgt := target{
-		rel: d.Relational, docs: d.Docs, graph: d.Graph,
-		kv: d.KV, xml: d.XML, mgr: d.Manager(),
-	}
-	return checkpoint(d.opts.fs(), d.dir, tgt)
-}
-
-func checkpoint(fsys wal.FS, dir string, tgt target) (uint64, error) {
-	tx := tgt.mgr.Begin()
+	tx := d.Begin()
 	defer tx.Abort()
 	ts := uint64(tx.BeginTS())
-	ops := encodeState(tgt, tx)
-	payload := wal.AppendCommit(nil, ts, ops)
-	if _, err := wal.WriteSnapshot(fsys, dir, ts, payload); err != nil {
+	payload := wal.AppendCommit(nil, ts, encodeState(d.DB, tx))
+	if _, err := wal.WriteSnapshot(d.opts.fs(), d.dir, ts, payload); err != nil {
 		return 0, fmt.Errorf("durable: checkpoint: %w", err)
 	}
 	return ts, nil
@@ -217,24 +202,12 @@ func (d *DB) Close() error {
 	return d.log.Close()
 }
 
-// target is the set of stores a log applies to. The unified engine
-// fills every field from one udbms.DB; the federation builds one
-// target per store.
-type target struct {
-	rel   *relational.DB
-	docs  *document.Store
-	graph *graph.Store
-	kv    *kv.Store
-	xml   *xmlstore.Store
-	mgr   *txn.Manager
-}
-
 // applyOps re-applies one committed transaction's ops inside a single
 // transaction, preserving the original atomicity boundary.
-func applyOps(tgt target, ops [][]byte) error {
-	return tgt.mgr.Auto(nil, func(tx *txn.Tx) error {
+func applyOps(db *udbms.DB, ops [][]byte) error {
+	return db.RunTx(func(tx *txn.Tx) error {
 		for _, op := range ops {
-			if err := applyOp(tgt, tx, op); err != nil {
+			if err := applyOp(db, tx, op); err != nil {
 				return err
 			}
 		}
@@ -244,7 +217,7 @@ func applyOps(tgt target, ops [][]byte) error {
 
 // applyOp dispatches one op blob to its store. Every path is an upsert
 // or an idempotent tombstone, so replaying a prefix twice converges.
-func applyOp(tgt target, tx *txn.Tx, op []byte) error {
+func applyOp(db *udbms.DB, tx *txn.Tx, op []byte) error {
 	d := wal.DecodeOp(op)
 	switch d.Code() {
 	case wal.OpKVPut:
@@ -253,32 +226,32 @@ func applyOp(tgt target, tx *txn.Tx, op []byte) error {
 		if err != nil {
 			return err
 		}
-		return tgt.kv.Put(tx, key, v)
+		return db.KV.Put(tx, key, v)
 	case wal.OpKVDelete:
 		key := d.String()
 		if err := d.Done(); err != nil {
 			return err
 		}
-		return tgt.kv.Delete(tx, key)
+		return db.KV.Delete(tx, key)
 	case wal.OpDocPut:
 		coll, _ := d.String(), d.String() // id is re-derived from the doc
 		v, err := decodeValue(d)
 		if err != nil {
 			return err
 		}
-		return tgt.docs.Collection(coll).ApplyPut(tx, v)
+		return db.Docs.Collection(coll).ApplyPut(tx, v)
 	case wal.OpDocDelete:
 		coll, id := d.String(), d.String()
 		if err := d.Done(); err != nil {
 			return err
 		}
-		return tgt.docs.Collection(coll).Delete(tx, id)
+		return db.Docs.Collection(coll).Delete(tx, id)
 	case wal.OpDocCreateIndex:
 		coll, path := d.String(), d.String()
 		if err := d.Done(); err != nil {
 			return err
 		}
-		if c := tgt.docs.Collection(coll); !c.HasIndex(path) {
+		if c := db.Docs.Collection(coll); !c.HasIndex(path) {
 			return c.CreateIndex(path)
 		}
 		return nil
@@ -287,17 +260,17 @@ func applyOp(tgt target, tx *txn.Tx, op []byte) error {
 		if err != nil {
 			return err
 		}
-		if _, exists := tgt.rel.Table(name); exists {
+		if _, exists := db.Relational.Table(name); exists {
 			return nil
 		}
-		_, err = tgt.rel.CreateTable(name, schema)
+		_, err = db.Relational.CreateTable(name, schema)
 		return err
 	case wal.OpRelCreateIndex:
 		name, col := d.String(), d.String()
 		if err := d.Done(); err != nil {
 			return err
 		}
-		t, ok := tgt.rel.Table(name)
+		t, ok := db.Relational.Table(name)
 		if !ok {
 			return fmt.Errorf("durable: create-index on unknown table %q", name)
 		}
@@ -311,7 +284,7 @@ func applyOp(tgt target, tx *txn.Tx, op []byte) error {
 		if err != nil {
 			return err
 		}
-		t, ok := tgt.rel.Table(name)
+		t, ok := db.Relational.Table(name)
 		if !ok {
 			return fmt.Errorf("durable: put on unknown table %q", name)
 		}
@@ -321,7 +294,7 @@ func applyOp(tgt target, tx *txn.Tx, op []byte) error {
 		if err := d.Done(); err != nil {
 			return err
 		}
-		t, ok := tgt.rel.Table(name)
+		t, ok := db.Relational.Table(name)
 		if !ok {
 			return fmt.Errorf("durable: delete on unknown table %q", name)
 		}
@@ -332,7 +305,7 @@ func applyOp(tgt target, tx *txn.Tx, op []byte) error {
 		if err != nil {
 			return err
 		}
-		return tgt.graph.ApplyVertex(tx, graph.VID(id), label, v)
+		return db.Graph.ApplyVertex(tx, graph.VID(id), label, v)
 	case wal.OpGraphEdge:
 		id, label := d.String(), d.String()
 		from, to := d.String(), d.String()
@@ -340,27 +313,27 @@ func applyOp(tgt target, tx *txn.Tx, op []byte) error {
 		if err != nil {
 			return err
 		}
-		return tgt.graph.ApplyEdge(tx, graph.EID(id), label, graph.VID(from), graph.VID(to), v)
+		return db.Graph.ApplyEdge(tx, graph.EID(id), label, graph.VID(from), graph.VID(to), v)
 	case wal.OpGraphVertexProps:
 		id := d.String()
 		v, err := decodeValue(d)
 		if err != nil {
 			return err
 		}
-		return tgt.graph.SetVertexProps(tx, graph.VID(id),
+		return db.Graph.SetVertexProps(tx, graph.VID(id),
 			func(mmvalue.Value) (mmvalue.Value, error) { return v, nil })
 	case wal.OpGraphRemoveVertex:
 		id := d.String()
 		if err := d.Done(); err != nil {
 			return err
 		}
-		return tgt.graph.RemoveVertex(tx, graph.VID(id))
+		return db.Graph.RemoveVertex(tx, graph.VID(id))
 	case wal.OpGraphRemoveEdge:
 		id := d.String()
 		if err := d.Done(); err != nil {
 			return err
 		}
-		return tgt.graph.RemoveEdge(tx, graph.EID(id))
+		return db.Graph.RemoveEdge(tx, graph.EID(id))
 	case wal.OpXMLPut:
 		id := d.String()
 		raw := d.Bytes()
@@ -371,13 +344,13 @@ func applyOp(tgt target, tx *txn.Tx, op []byte) error {
 		if err != nil {
 			return fmt.Errorf("durable: xml op: %w", err)
 		}
-		return tgt.xml.Put(tx, id, doc)
+		return db.XML.Put(tx, id, doc)
 	case wal.OpXMLDelete:
 		id := d.String()
 		if err := d.Done(); err != nil {
 			return err
 		}
-		return tgt.xml.Delete(tx, id)
+		return db.XML.Delete(tx, id)
 	default:
 		if err := d.Err(); err != nil {
 			return err
@@ -406,62 +379,52 @@ func decodeValue(d *wal.OpDecoder) (mmvalue.Value, error) {
 // dependency order: DDL before rows, vertices before edges. The stream
 // is the snapshot payload and uses the exact codec the log uses, so
 // applying it goes through the same dispatcher as replay.
-func encodeState(tgt target, tx *txn.Tx) [][]byte {
+func encodeState(db *udbms.DB, tx *txn.Tx) [][]byte {
 	var ops [][]byte
-	if tgt.rel != nil {
-		for _, name := range tgt.rel.TableNames() {
-			t, _ := tgt.rel.Table(name)
-			ops = append(ops, relational.EncodeCreateTable(name, t.Schema()))
-			for _, col := range t.IndexedColumns() {
-				ops = append(ops, wal.NewOp(wal.OpRelCreateIndex).String(name).String(col).Build())
-			}
-			t.Stream(tx, nil, func(row mmvalue.Value) bool {
-				ops = append(ops, wal.NewOp(wal.OpRelPut).String(name).
-					Bytes(mmvalue.AppendBinary(nil, row)).Build())
-				return true
-			})
+	for _, name := range db.Relational.TableNames() {
+		t, _ := db.Relational.Table(name)
+		ops = append(ops, relational.EncodeCreateTable(name, t.Schema()))
+		for _, col := range t.IndexedColumns() {
+			ops = append(ops, wal.NewOp(wal.OpRelCreateIndex).String(name).String(col).Build())
 		}
+		t.Stream(tx, nil, func(row mmvalue.Value) bool {
+			ops = append(ops, wal.NewOp(wal.OpRelPut).String(name).
+				Bytes(mmvalue.AppendBinary(nil, row)).Build())
+			return true
+		})
 	}
-	if tgt.docs != nil {
-		for _, name := range tgt.docs.CollectionNames() {
-			c := tgt.docs.Collection(name)
-			for _, path := range c.IndexPaths() {
-				ops = append(ops, wal.NewOp(wal.OpDocCreateIndex).String(name).String(path).Build())
-			}
-			c.Stream(tx, nil, func(doc mmvalue.Value) bool {
-				id := docID(doc)
-				ops = append(ops, wal.NewOp(wal.OpDocPut).String(name).String(id).
-					Bytes(mmvalue.AppendBinary(nil, doc)).Build())
-				return true
-			})
+	for _, name := range db.Docs.CollectionNames() {
+		c := db.Docs.Collection(name)
+		for _, path := range c.IndexPaths() {
+			ops = append(ops, wal.NewOp(wal.OpDocCreateIndex).String(name).String(path).Build())
 		}
-	}
-	if tgt.graph != nil {
-		tgt.graph.Vertices(tx, func(v graph.Vertex) bool {
-			ops = append(ops, wal.NewOp(wal.OpGraphVertex).String(string(v.ID)).String(v.Label).
-				Bytes(mmvalue.AppendBinary(nil, v.Props)).Build())
-			return true
-		})
-		tgt.graph.Edges(tx, func(e graph.Edge) bool {
-			ops = append(ops, wal.NewOp(wal.OpGraphEdge).String(string(e.ID)).String(e.Label).
-				String(string(e.From)).String(string(e.To)).
-				Bytes(mmvalue.AppendBinary(nil, e.Props)).Build())
+		c.Stream(tx, nil, func(doc mmvalue.Value) bool {
+			id := docID(doc)
+			ops = append(ops, wal.NewOp(wal.OpDocPut).String(name).String(id).
+				Bytes(mmvalue.AppendBinary(nil, doc)).Build())
 			return true
 		})
 	}
-	if tgt.kv != nil {
-		tgt.kv.Scan(tx, "", "", func(key string, value mmvalue.Value) bool {
-			ops = append(ops, wal.NewOp(wal.OpKVPut).String(key).
-				Bytes(mmvalue.AppendBinary(nil, value)).Build())
-			return true
-		})
-	}
-	if tgt.xml != nil {
-		tgt.xml.Scan(tx, func(id string, doc *xmlstore.Node) bool {
-			ops = append(ops, wal.NewOp(wal.OpXMLPut).String(id).Bytes(xmlstore.Marshal(doc)).Build())
-			return true
-		})
-	}
+	db.Graph.Vertices(tx, func(v graph.Vertex) bool {
+		ops = append(ops, wal.NewOp(wal.OpGraphVertex).String(string(v.ID)).String(v.Label).
+			Bytes(mmvalue.AppendBinary(nil, v.Props)).Build())
+		return true
+	})
+	db.Graph.Edges(tx, func(e graph.Edge) bool {
+		ops = append(ops, wal.NewOp(wal.OpGraphEdge).String(string(e.ID)).String(e.Label).
+			String(string(e.From)).String(string(e.To)).
+			Bytes(mmvalue.AppendBinary(nil, e.Props)).Build())
+		return true
+	})
+	db.KV.Scan(tx, "", "", func(key string, value mmvalue.Value) bool {
+		ops = append(ops, wal.NewOp(wal.OpKVPut).String(key).
+			Bytes(mmvalue.AppendBinary(nil, value)).Build())
+		return true
+	})
+	db.XML.Scan(tx, func(id string, doc *xmlstore.Node) bool {
+		ops = append(ops, wal.NewOp(wal.OpXMLPut).String(id).Bytes(xmlstore.Marshal(doc)).Build())
+		return true
+	})
 	return ops
 }
 

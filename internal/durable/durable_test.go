@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"testing"
 
-	"udbench/internal/federation"
 	"udbench/internal/graph"
 	"udbench/internal/mmvalue"
 	"udbench/internal/relational"
@@ -251,11 +250,9 @@ func TestReplayIdempotent(t *testing.T) {
 	}
 
 	encode := func(d *DB) []byte {
-		tgt := target{rel: d.Relational, docs: d.Docs, graph: d.Graph,
-			kv: d.KV, xml: d.XML, mgr: d.Manager()}
 		tx := d.Manager().Begin()
 		defer tx.Abort()
-		return wal.AppendCommit(nil, 0, encodeState(tgt, tx))
+		return wal.AppendCommit(nil, 0, encodeState(d.DB, tx))
 	}
 
 	once, err := Open("db", Options{FS: fsys})
@@ -267,11 +264,9 @@ func TestReplayIdempotent(t *testing.T) {
 
 	// Replay the same log a second time over the already-recovered
 	// state: every op must upsert/tombstone to the same place.
-	tgt := target{rel: once.Relational, docs: once.Docs, graph: once.Graph,
-		kv: once.KV, xml: once.XML, mgr: once.Manager()}
 	once.Manager().SetCommitLog(nil) // do not re-log the re-applied ops
 	if _, err := wal.Replay(fsys, "db/"+LogName, func(ts uint64, ops [][]byte) error {
-		return applyOps(tgt, ops)
+		return applyOps(once.DB, ops)
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -311,54 +306,5 @@ func TestSealedLogDegradation(t *testing.T) {
 	// Reads keep serving the pre-failure state.
 	if got := readSeq(d, "kv", 0); got != 0 {
 		t.Fatalf("read after seal = %d, want 0", got)
-	}
-}
-
-func TestFederationRoundTrip(t *testing.T) {
-	fsys := wal.NewMemFS()
-	f, err := OpenFederation("fed", Options{FS: fsys})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Relational.CreateTable("items", itemsSchema()); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		i := i
-		if err := f.RunTx(func(ft *federation.FTx) error {
-			if err := f.KV.Put(ft.KV(), fmt.Sprintf("k%04d", i), mmvalue.Int(int64(i))); err != nil {
-				return err
-			}
-			items, _ := f.Relational.Table("items")
-			return items.Insert(ft.Relational(), mmvalue.ObjectOf("id", i, "seq", i))
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	f2, err := OpenFederation("fed", Options{FS: fsys})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f2.Close()
-	for i := 0; i < 5; i++ {
-		if v, ok := f2.KV.Get(nil, fmt.Sprintf("k%04d", i)); !ok {
-			t.Errorf("kv %d lost", i)
-		} else if n, _ := v.AsInt(); n != int64(i) {
-			t.Errorf("kv %d = %d", i, n)
-		}
-		items, ok := f2.Relational.Table("items")
-		if !ok {
-			t.Fatal("items table lost")
-		}
-		if _, ok := items.Get(nil, i); !ok {
-			t.Errorf("row %d lost", i)
-		}
-	}
-	if s := f2.DurabilityStats(); s.Appends != 0 {
-		// fresh logs: stats start clean on reopen
-		t.Logf("post-recovery appends = %d", s.Appends)
 	}
 }

@@ -192,30 +192,3 @@ func (f *Federation) RunTx(fn func(t *FTx) error) error {
 		return ftx.Commit()
 	})
 }
-
-// Stats mirrors udbms.Stats for the federation.
-type Stats struct {
-	Tables      map[string]int
-	Collections map[string]int
-	Vertices    int
-	Edges       int
-	KVPairs     int
-	XMLDocs     int
-}
-
-// Stats counts live records in every store.
-func (f *Federation) Stats() Stats {
-	st := Stats{Tables: make(map[string]int), Collections: make(map[string]int)}
-	for _, name := range f.Relational.TableNames() {
-		t, _ := f.Relational.Table(name)
-		st.Tables[name] = t.Count()
-	}
-	for _, name := range f.Docs.CollectionNames() {
-		st.Collections[name] = f.Docs.Collection(name).Count()
-	}
-	st.Vertices = f.Graph.VertexCount(nil)
-	st.Edges = f.Graph.EdgeCount(nil)
-	st.KVPairs = f.KV.Len()
-	st.XMLDocs = f.XML.Count()
-	return st
-}

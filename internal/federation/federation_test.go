@@ -165,11 +165,13 @@ func TestFTxLocalReuse(t *testing.T) {
 	}
 }
 
-func TestStats(t *testing.T) {
+func TestSeedLandsInEveryStore(t *testing.T) {
 	f := seedFed(t)
-	st := f.Stats()
-	if st.Tables["customer"] != 1 || st.Collections["orders"] != 1 ||
-		st.Vertices != 1 || st.KVPairs != 1 || st.XMLDocs != 1 {
-		t.Errorf("stats = %+v", st)
+	cust, _ := f.Relational.Table("customer")
+	if cust.Count() != 1 || f.Docs.Collection("orders").Count() != 1 ||
+		f.Graph.VertexCount(nil) != 1 || f.KV.Len() != 1 || f.XML.Count() != 1 {
+		t.Errorf("live records: customer=%d orders=%d vertices=%d kv=%d xml=%d, want 1 each",
+			cust.Count(), f.Docs.Collection("orders").Count(),
+			f.Graph.VertexCount(nil), f.KV.Len(), f.XML.Count())
 	}
 }

@@ -28,7 +28,7 @@ var ErrUnsupported = errors.New("workload: operation unsupported by backend")
 // type assertions.
 type Backend interface {
 	// Name identifies the backend in reports ("udbms", "federation",
-	// "sqlite", ...).
+	// "relational", ...).
 	Name() string
 	// Capabilities describes what the backend supports. The driver,
 	// sweeps, and mix builders consult it once per run; it must be
@@ -290,7 +290,7 @@ type BackendOptions struct {
 // BackendSpec is one registered backend: a name, a one-line summary,
 // and a constructor that loads a suite dataset into a fresh instance.
 type BackendSpec struct {
-	// Name is the registry key ("udbms", "federation", "sqlite").
+	// Name is the registry key ("udbms", "federation", "relational").
 	Name string
 	// Description is the one-line summary shown in listings.
 	Description string
