@@ -1,10 +1,8 @@
 package udbench
 
-// One benchmark per experiment table/figure (DESIGN.md §4). Each
-// benchmark regenerates the data behind its table; the harness runners
-// in internal/core print the tables themselves (go run ./cmd/udbench
-// run all). Sub-benchmarks encode the sweep parameter so
-// `go test -bench=. -benchmem` reports every cell of every sweep.
+// The two scaling curves CI's bench-multicore job gates on. Everything
+// else that used to be benchmarked here is measured by `udbench run
+// <id>` (the experiment tables) and by the repo benchmark in bench/.
 
 import (
 	"fmt"
@@ -13,113 +11,11 @@ import (
 	"testing"
 	"time"
 
-	"udbench/internal/consistency"
-	"udbench/internal/convert"
-	"udbench/internal/datagen"
-	"udbench/internal/federation"
-	"udbench/internal/mmschema"
 	"udbench/internal/mmvalue"
 	"udbench/internal/txn"
 	"udbench/internal/udbms"
 	"udbench/internal/workload"
 )
-
-// loadedEngines builds both systems under test at the given scale.
-func loadedEngines(b *testing.B, sf float64, hop time.Duration) (*workload.UDBMSEngine, *workload.FederationEngine, workload.Info) {
-	b.Helper()
-	ds := datagen.Generate(datagen.Config{ScaleFactor: sf, Seed: 42})
-	db := udbms.Open()
-	if err := ds.Load(datagen.Target{
-		Relational: db.Relational, Docs: db.Docs, Graph: db.Graph, KV: db.KV, XML: db.XML,
-	}); err != nil {
-		b.Fatal(err)
-	}
-	f := federation.Open()
-	f.HopLatency = hop
-	if err := ds.Load(datagen.Target{
-		Relational: f.Relational, Docs: f.Docs, Graph: f.Graph, KV: f.KV, XML: f.XML,
-	}); err != nil {
-		b.Fatal(err)
-	}
-	return workload.NewUDBMSEngine(db), workload.NewFederationEngine(f), workload.InfoOf(ds)
-}
-
-// BenchmarkF1DatasetGen regenerates Figure 1's dataset (experiment F1):
-// generation plus load cost per scale factor.
-func BenchmarkF1DatasetGen(b *testing.B) {
-	for _, sf := range []float64{0.05, 0.1, 0.25} {
-		b.Run(fmt.Sprintf("SF%g", sf), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				ds := datagen.Generate(datagen.Config{ScaleFactor: sf, Seed: 42})
-				db := udbms.Open()
-				if err := ds.Load(datagen.Target{
-					Relational: db.Relational, Docs: db.Docs, Graph: db.Graph, KV: db.KV, XML: db.XML,
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkT2Queries measures Q1–Q13 latency on both engines
-// (experiment T2). The federation pays a simulated 50µs hop per store
-// request.
-func BenchmarkT2Queries(b *testing.B) {
-	uni, fed, info := loadedEngines(b, 0.1, 50*time.Microsecond)
-	gen := workload.NewParamGen(info, 42, 0)
-	p := gen.Next()
-	for _, q := range workload.AllQueries {
-		q := q
-		b.Run(fmt.Sprintf("%s/udbms", q), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := uni.RunQuery(q, p); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("%s/federation", q), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := fed.RunQuery(q, p); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkF2Scalability drives the standard mixed workload at
-// increasing client counts (experiment F2) and reports ops/sec.
-func BenchmarkF2Scalability(b *testing.B) {
-	for _, clients := range []int{1, 2, 4, 8} {
-		clients := clients
-		b.Run(fmt.Sprintf("clients%d/udbms", clients), func(b *testing.B) {
-			uni, _, info := loadedEngines(b, 0.05, 0)
-			b.ResetTimer()
-			var ops int64
-			for i := 0; i < b.N; i++ {
-				res := workload.RunMix(uni, info, workload.StandardMix(uni), workload.DriverConfig{
-					Clients: clients, OpsPerClient: 20, Theta: 0.5, Seed: uint64(i),
-				})
-				ops += res.Ops
-			}
-			b.ReportMetric(float64(ops)/b.Elapsed().Seconds(), "ops/s")
-		})
-		b.Run(fmt.Sprintf("clients%d/federation", clients), func(b *testing.B) {
-			_, fed, info := loadedEngines(b, 0.05, 20*time.Microsecond)
-			b.ResetTimer()
-			var ops int64
-			for i := 0; i < b.N; i++ {
-				res := workload.RunMix(fed, info, workload.StandardMix(fed), workload.DriverConfig{
-					Clients: clients, OpsPerClient: 20, Theta: 0.5, Seed: uint64(i),
-				})
-				ops += res.Ops
-			}
-			b.ReportMetric(float64(ops)/b.Elapsed().Seconds(), "ops/s")
-		})
-	}
-}
 
 // BenchmarkMixScaling measures how StandardMix throughput scales with
 // closed-loop clients (1, 2, 4, NumCPU) on both engines — the scaling
@@ -127,6 +23,11 @@ func BenchmarkF2Scalability(b *testing.B) {
 // engine so write history never carries across client counts; ops/s is
 // the figure of merit.
 func BenchmarkMixScaling(b *testing.B) {
+	suite, _ := workload.SuiteByName(workload.DefaultSuite)
+	legs := []struct {
+		name string
+		hop  time.Duration
+	}{{"udbms", 0}, {"federation", 20 * time.Microsecond}}
 	counts := []int{1, 2, 4, runtime.NumCPU()}
 	seen := map[int]bool{}
 	for _, clients := range counts {
@@ -134,31 +35,24 @@ func BenchmarkMixScaling(b *testing.B) {
 			continue
 		}
 		seen[clients] = true
-		clients := clients
-		b.Run(fmt.Sprintf("clients%d/udbms", clients), func(b *testing.B) {
-			uni, _, info := loadedEngines(b, 0.05, 0)
-			b.ResetTimer()
-			var ops int64
-			for i := 0; i < b.N; i++ {
-				res := workload.RunMix(uni, info, workload.StandardMix(uni), workload.DriverConfig{
-					Clients: clients, OpsPerClient: 50, Theta: 0.5, Seed: uint64(i),
-				})
-				ops += res.Ops
-			}
-			b.ReportMetric(float64(ops)/b.Elapsed().Seconds(), "ops/s")
-		})
-		b.Run(fmt.Sprintf("clients%d/federation", clients), func(b *testing.B) {
-			_, fed, info := loadedEngines(b, 0.05, 20*time.Microsecond)
-			b.ResetTimer()
-			var ops int64
-			for i := 0; i < b.N; i++ {
-				res := workload.RunMix(fed, info, workload.StandardMix(fed), workload.DriverConfig{
-					Clients: clients, OpsPerClient: 50, Theta: 0.5, Seed: uint64(i),
-				})
-				ops += res.Ops
-			}
-			b.ReportMetric(float64(ops)/b.Elapsed().Seconds(), "ops/s")
-		})
+		for _, leg := range legs {
+			b.Run(fmt.Sprintf("clients%d/%s", clients, leg.name), func(b *testing.B) {
+				ds := suite.Generate(0.05, 42)
+				e, err := workload.NewBackend(leg.name, ds, workload.BackendOptions{HopLatency: leg.hop})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ResetTimer()
+				var ops int64
+				for i := 0; i < b.N; i++ {
+					res := workload.RunMix(e, ds.Info(), workload.StandardMix(e), workload.DriverConfig{
+						Clients: clients, OpsPerClient: 50, Theta: 0.5, Seed: uint64(i),
+					})
+					ops += res.Ops
+				}
+				b.ReportMetric(float64(ops)/b.Elapsed().Seconds(), "ops/s")
+			})
+		}
 	}
 }
 
@@ -238,145 +132,6 @@ func BenchmarkSerializableReadMostly(b *testing.B) {
 				ops += int64(clients * opsPerClient)
 			}
 			b.ReportMetric(float64(ops)/b.Elapsed().Seconds(), "ops/s")
-		})
-	}
-}
-
-// BenchmarkF3Contention measures single-attempt T1 transactions under
-// Zipf contention (experiment F3) and reports the abort rate.
-func BenchmarkF3Contention(b *testing.B) {
-	for _, theta := range []float64{0, 0.9, 1.2} {
-		theta := theta
-		b.Run(fmt.Sprintf("theta%g/udbms", theta), func(b *testing.B) {
-			uni, _, info := loadedEngines(b, 0.05, 0)
-			b.ResetTimer()
-			var attempts, committed int64
-			for i := 0; i < b.N; i++ {
-				res := workload.RunContention(uni, info, workload.DriverConfig{
-					Clients: 4, OpsPerClient: 25, Theta: theta, Seed: uint64(i),
-				})
-				attempts += res.Attempts
-				committed += res.Committed
-			}
-			b.ReportMetric(float64(attempts-committed)/float64(attempts)*100, "abort%")
-		})
-	}
-}
-
-// BenchmarkT3Consistency runs the replica probe per lag level
-// (experiment T3) and reports mean version staleness.
-func BenchmarkT3Consistency(b *testing.B) {
-	for _, lag := range []time.Duration{0, 10 * time.Millisecond, 50 * time.Millisecond} {
-		lag := lag
-		b.Run(fmt.Sprintf("lag%v", lag), func(b *testing.B) {
-			var stale float64
-			for i := 0; i < b.N; i++ {
-				res := consistency.RunProbe(consistency.ProbeConfig{
-					Clients: 4, Keys: 16, OpsPerClient: 100, Replicas: 2,
-					Lag: lag, OpGap: time.Millisecond, Seed: uint64(i),
-				})
-				stale = res.Report.VersionStalenessMean
-			}
-			b.ReportMetric(stale, "staleness")
-		})
-	}
-}
-
-// BenchmarkT4Evolution measures schema evolution plus full-corpus
-// auto-migration across the standard chain (experiment T4).
-func BenchmarkT4Evolution(b *testing.B) {
-	ds := datagen.Generate(datagen.Config{ScaleFactor: 0.1, Seed: 42})
-	base := mmschema.Infer(ds.Orders)
-	chain := mmschema.StandardEvolutionChain()
-	queries := mmschema.StandardQuerySet()
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		evolved, err := mmschema.Chain(base, chain...)
-		if err != nil {
-			b.Fatal(err)
-		}
-		_ = mmschema.CheckAll(queries, evolved)
-		_ = mmschema.MigrateAll(ds.Orders, chain...)
-	}
-}
-
-// BenchmarkT5Conversion measures each conversion pair's round trip
-// (experiment T5).
-func BenchmarkT5Conversion(b *testing.B) {
-	ds := datagen.Generate(datagen.Config{ScaleFactor: 0.1, Seed: 42})
-	b.Run("doc-rel-doc", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			sr, err := convert.ShredDocs("orders", ds.Orders)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := convert.NestShredded(sr); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("rel-doc-rel", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			docs := convert.RowsToDocs(ds.Customers, "id")
-			convert.DocsToRows(docs, "id")
-		}
-	})
-	b.Run("xml-doc-xml", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for _, inv := range ds.Invoices {
-				if _, err := convert.DocToXML(convert.XMLToDoc(inv)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	b.Run("rel-graph-rel", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			gs := convert.RowsToGraphSpec(ds.Customers, "id", "c:", "customer", nil)
-			convert.GraphSpecToRows(gs, "customer")
-		}
-	})
-	b.Run("kv-rel-kv", func(b *testing.B) {
-		var pairs []convert.KVPair
-		for _, k := range ds.FeedbackKeys {
-			pairs = append(pairs, convert.KVPair{Key: k, Value: ds.Feedback[k]})
-		}
-		b.ResetTimer()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			rows, err := convert.KVToRows(pairs)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := convert.RowsToKV(rows); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkF4ScaleUp measures representative query latency as the
-// dataset grows (experiment F4).
-func BenchmarkF4ScaleUp(b *testing.B) {
-	for _, sf := range []float64{0.05, 0.1, 0.2} {
-		sf := sf
-		b.Run(fmt.Sprintf("SF%g", sf), func(b *testing.B) {
-			uni, _, info := loadedEngines(b, sf, 0)
-			gen := workload.NewParamGen(info, 42, 0)
-			p := gen.Next()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, q := range []workload.QueryID{workload.Q1, workload.Q4, workload.Q10} {
-					if _, err := uni.RunQuery(q, p); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
 		})
 	}
 }

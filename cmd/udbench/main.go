@@ -1,13 +1,8 @@
-// Command udbench runs the UDBMS multi-model database benchmark.
-//
-// Usage:
-//
-//	udbench list
-//	    List registered experiments (one per table/figure).
-//	udbench run <id>|all [-sf F] [-seed N] [-quick] [-hop D] [-csv]
-//	    Run one experiment (or all) and print its result tables.
-//	udbench generate [-sf F] [-seed N]
-//	    Generate the Figure-1 dataset and print its statistics.
+// Command udbench runs the UDBMS multi-model database benchmark: the
+// experiments (run, list), the workload driver (mix, serve, ping,
+// suites), ad-hoc UQL (query) and the dataset generator (generate).
+// `udbench help` prints every command and flag; usage() below is the
+// one place they are documented.
 package main
 
 import (
@@ -24,7 +19,6 @@ import (
 	"udbench/internal/core"
 	"udbench/internal/datagen"
 	"udbench/internal/durable"
-	"udbench/internal/federation"
 	"udbench/internal/metrics"
 	"udbench/internal/server"
 	"udbench/internal/udbms"
@@ -201,6 +195,14 @@ type tableJSON struct {
 	Rows    [][]string `json:"rows"`
 }
 
+func writeTablesJSON(path string, tables ...*metrics.Table) error {
+	out := make([]tableJSON, 0, len(tables))
+	for _, t := range tables {
+		out = append(out, tableJSON{Title: t.Title, Headers: t.Headers, Rows: t.Rows()})
+	}
+	return writeJSON(path, out)
+}
+
 func cmdRun(args []string) error {
 	cfg, pos, csv, jsonPath, err := benchFlags(args)
 	if err != nil {
@@ -237,14 +239,10 @@ func cmdRun(args []string) error {
 		}
 	}
 	if jsonPath != "" {
-		out := make([]tableJSON, 0, len(tables))
-		for _, t := range tables {
-			out = append(out, tableJSON{Title: t.Title, Headers: t.Headers, Rows: t.Rows()})
-		}
-		if err := writeJSON(jsonPath, out); err != nil {
+		if err := writeTablesJSON(jsonPath, tables...); err != nil {
 			return err
 		}
-		fmt.Printf("wrote %d tables to %s\n", len(out), jsonPath)
+		fmt.Printf("wrote %d tables to %s\n", len(tables), jsonPath)
 	}
 	return nil
 }
@@ -292,28 +290,17 @@ func cmdMix(args []string) error {
 	if *walDir != "" && suite.Name != workload.DefaultSuite {
 		return fmt.Errorf("mix: -wal drives the durable t2 store and cannot combine with -suite %s", suite.Name)
 	}
-	var driverMode workload.DriverMode
-	switch *mode {
-	case "closed":
-		driverMode = workload.ModeClosed
-		if *duration > 0 {
-			return fmt.Errorf("mix: -duration needs -mode open (the closed loop is count-bounded)")
-		}
-	case "open":
-		driverMode = workload.ModeOpen
-		if *rate <= 0 {
-			return fmt.Errorf("mix: -mode open needs a positive -rate, got %g", *rate)
-		}
-	default:
+	driverMode, ok := map[string]workload.DriverMode{"closed": workload.ModeClosed, "open": workload.ModeOpen}[*mode]
+	switch {
+	case !ok:
 		return fmt.Errorf("mix: unknown -mode %q (want closed or open)", *mode)
+	case driverMode == workload.ModeClosed && *duration > 0:
+		return fmt.Errorf("mix: -duration needs -mode open (the closed loop is count-bounded)")
+	case driverMode == workload.ModeOpen && *rate <= 0:
+		return fmt.Errorf("mix: -mode open needs a positive -rate, got %g", *rate)
 	}
-	var arrivalProc workload.ArrivalProcess
-	switch *arrival {
-	case "poisson":
-		arrivalProc = workload.ArrivalPoisson
-	case "fixed":
-		arrivalProc = workload.ArrivalFixed
-	default:
+	arrivalProc, ok := map[string]workload.ArrivalProcess{"poisson": workload.ArrivalPoisson, "fixed": workload.ArrivalFixed}[*arrival]
+	if !ok {
 		return fmt.Errorf("mix: unknown -arrival %q (want poisson or fixed)", *arrival)
 	}
 	// No arrival process exists in closed-loop mode; the JSON mirrors
@@ -341,78 +328,47 @@ func cmdMix(args []string) error {
 		engines = []workload.Backend{re}
 		fmt.Printf("remote engine %s at %s serving suite %s (customers %d, products %d, orders %d)\n",
 			re.ServerName(), *remote, re.Suite(), info.Customers, info.Products, info.Orders)
-	} else if *engineName != "" {
-		spec, err := workload.ResolveBackend(*engineName)
-		if err != nil {
-			return fmt.Errorf("mix: %w", err)
-		}
-		data := suite.Generate(*sf, *seed)
-		be, err := spec.New(data, workload.BackendOptions{HopLatency: *hop})
-		if err != nil {
-			return fmt.Errorf("mix: build %s backend: %w", spec.Name, err)
-		}
-		if c, ok := be.(io.Closer); ok {
-			defer c.Close()
-		}
-		caps := be.Capabilities()
-		if !caps.SupportsSuite(suite.Name) {
-			return fmt.Errorf("mix: backend %s does not support suite %s (supported: %v)",
-				be.Name(), suite.Name, caps.Suites)
-		}
-		if len(suite.Mix(be)) == 0 {
-			return fmt.Errorf("mix: suite %s has no ops backend %s can express", suite.Name, be.Name())
-		}
-		info = data.Info()
-		engines = []workload.Backend{be}
 	} else {
 		data := suite.Generate(*sf, *seed)
-		var db *udbms.DB
-		uniEngine := func(db *udbms.DB) *workload.UDBMSEngine { return workload.NewUDBMSEngine(db) }
-		loadUnified := true
-		if *walDir != "" {
-			policy, err := wal.ParseSyncPolicy(*fsync)
-			if err != nil {
-				return fmt.Errorf("mix: %w", err)
-			}
-			d, err := durable.Open(*walDir, durable.Options{Policy: policy})
-			if err != nil {
-				return err
-			}
-			defer d.Close()
-			if rec := d.Recovery; rec.WatermarkTS > 0 {
-				// The directory already holds a history (same -sf/-seed runs
-				// append to it): recover instead of re-loading.
-				fmt.Printf("recovered %s from %d log records + %d snapshot ops (%d KiB) in %v%s\n",
-					*walDir, rec.Records, rec.SnapshotOps, rec.LogBytes/1024,
-					rec.Elapsed.Round(time.Microsecond),
-					map[bool]string{true: ", torn tail truncated", false: ""}[rec.Truncated])
-				loadUnified = false
-			}
-			db = d.DB
-			uniEngine = func(db *udbms.DB) *workload.UDBMSEngine {
-				e := workload.NewUDBMSEngine(db)
-				e.Durable = d
-				return e
-			}
-		} else {
-			db = udbms.Open()
-		}
-		if loadUnified {
-			if err := data.Load(datagen.Target{
-				Relational: db.Relational, Docs: db.Docs, Graph: db.Graph, KV: db.KV, XML: db.XML,
-			}); err != nil {
-				return err
-			}
-		}
-		f := federation.Open()
-		f.HopLatency = *hop
-		if err := data.Load(datagen.Target{
-			Relational: f.Relational, Docs: f.Docs, Graph: f.Graph, KV: f.KV, XML: f.XML,
-		}); err != nil {
-			return err
-		}
 		info = data.Info()
-		engines = []workload.Backend{uniEngine(db), workload.NewFederationEngine(f)}
+		// Every in-process engine comes out of the backend registry;
+		// comparative mode builds the one named, the default both natives.
+		names := []string{"udbms", "federation"}
+		if *engineName != "" {
+			names = []string{*engineName}
+		}
+		for _, name := range names {
+			var be workload.Backend
+			if name == "udbms" && *walDir != "" {
+				// The durable path stays explicit: an existing log is
+				// recovered instead of re-loading the dataset.
+				d, err := openDurable(*walDir, *fsync, data)
+				if err != nil {
+					return err
+				}
+				defer d.Close()
+				e := workload.NewUDBMSEngine(d.DB)
+				e.Durable = d
+				be = e
+			} else {
+				be, err = workload.NewBackend(name, data, workload.BackendOptions{HopLatency: *hop})
+				if err != nil {
+					return fmt.Errorf("mix: %w", err)
+				}
+			}
+			if c, ok := be.(io.Closer); ok {
+				defer c.Close()
+			}
+			caps := be.Capabilities()
+			if !caps.SupportsSuite(suite.Name) {
+				return fmt.Errorf("mix: backend %s does not support suite %s (supported: %v)",
+					be.Name(), suite.Name, caps.Suites)
+			}
+			if len(suite.Mix(be)) == 0 {
+				return fmt.Errorf("mix: suite %s has no ops backend %s can express", suite.Name, be.Name())
+			}
+			engines = append(engines, be)
+		}
 	}
 	cfg := workload.DriverConfig{
 		Clients: *clients, OpsPerClient: *ops, Theta: *theta, Seed: *seed,
@@ -443,24 +399,23 @@ func cmdMix(args []string) error {
 		"engine", "queue depth max", "shed", "queue wait p99")
 	st := metrics.NewTable("Suite-op telemetry (run delta)",
 		"engine", "reads", "writes", "rows")
+	// Closed loops have no arrival schedule, so the intended column
+	// renders not-measured ("") rather than as a zero latency.
+	intended := func(d time.Duration) any {
+		if driverMode == workload.ModeOpen {
+			return d
+		}
+		return ""
+	}
 	for _, e := range engines {
 		res := workload.RunMix(e, info, suite.Mix(e), cfg)
 		s := res.Summary()
 		summaries = append(summaries, s)
-		// Closed loops have no arrival schedule, so render the intended
-		// column not-measured ("") rather than as a zero latency.
-		intP99 := any("")
-		if driverMode == workload.ModeOpen {
-			intP99 = s.IntendedP99NS
-		}
 		t.AddRow(s.Engine, "all", s.Ops, res.Latency.Mean(), s.P50NS, s.P95NS, s.P99NS,
-			intP99, s.Throughput, s.Aborts)
+			intended(s.IntendedP99NS), s.Throughput, s.Aborts)
 		for _, op := range s.PerOp {
-			opIntP99 := any("")
-			if driverMode == workload.ModeOpen {
-				opIntP99 = op.IntendedP99NS
-			}
-			t.AddRow(s.Engine, op.Name, op.Count, op.MeanNS, op.P50NS, op.P95NS, op.P99NS, opIntP99, "", "")
+			t.AddRow(s.Engine, op.Name, op.Count, op.MeanNS, op.P50NS, op.P95NS, op.P99NS,
+				intended(op.IntendedP99NS), "", "")
 		}
 		if ls := res.LockStats; ls != nil {
 			lt.AddRow(s.Engine, ls.Acquires, ls.SharedFast, ls.Waits,
@@ -491,17 +446,10 @@ func cmdMix(args []string) error {
 		}
 	}
 	fmt.Print(t.String())
-	if lt.NumRows() > 0 {
-		fmt.Print(lt.String())
-	}
-	if dt.NumRows() > 0 {
-		fmt.Print(dt.String())
-	}
-	if at.NumRows() > 0 {
-		fmt.Print(at.String())
-	}
-	if st.NumRows() > 0 {
-		fmt.Print(st.String())
+	for _, telemetry := range []*metrics.Table{lt, dt, at, st} {
+		if telemetry.NumRows() > 0 {
+			fmt.Print(telemetry.String())
+		}
 	}
 	if *jsonPath != "" {
 		out := struct {
@@ -520,6 +468,32 @@ func cmdMix(args []string) error {
 		fmt.Printf("wrote results to %s\n", *jsonPath)
 	}
 	return nil
+}
+
+// openDurable opens the durable unified store rooted at dir: a directory
+// that already holds a history (same -sf/-seed runs append to it) is
+// recovered, a fresh one gets the dataset loaded through the log.
+func openDurable(dir, fsync string, data workload.SuiteData) (*durable.DB, error) {
+	policy, err := wal.ParseSyncPolicy(fsync)
+	if err != nil {
+		return nil, fmt.Errorf("mix: %w", err)
+	}
+	d, err := durable.Open(dir, durable.Options{Policy: policy})
+	if err != nil {
+		return nil, err
+	}
+	if rec := d.Recovery; rec.WatermarkTS > 0 {
+		fmt.Printf("recovered %s from %d log records + %d snapshot ops (%d KiB) in %v%s\n",
+			dir, rec.Records, rec.SnapshotOps, rec.LogBytes/1024,
+			rec.Elapsed.Round(time.Microsecond),
+			map[bool]string{true: ", torn tail truncated", false: ""}[rec.Truncated])
+		return d, nil
+	}
+	if err := data.Load(d.Stores()); err != nil {
+		d.Close()
+		return nil, err
+	}
+	return d, nil
 }
 
 // cmdServe loads a dataset, fronts one engine with the network server
@@ -547,33 +521,22 @@ func cmdServe(args []string) error {
 		Info: data.Info(), Suite: suite.Name, Workers: *workers,
 		QueueDepth: *queue, QueueDeadline: *deadline,
 	}
-	if *engine == "" || *engine == workload.DefaultBackend {
-		// The unified engine keeps its direct store handle so the server
-		// can answer ad-hoc UQL next to the benchmark protocol.
-		db := udbms.Open()
-		if err := data.Load(datagen.Target{
-			Relational: db.Relational, Docs: db.Docs, Graph: db.Graph, KV: db.KV, XML: db.XML,
-		}); err != nil {
-			return err
-		}
-		cfg.Engine, cfg.DB = workload.NewUDBMSEngine(db), db
-	} else {
-		spec, err := workload.ResolveBackend(*engine)
-		if err != nil {
-			return fmt.Errorf("serve: %w", err)
-		}
-		be, err := spec.New(data, workload.BackendOptions{HopLatency: *hop})
-		if err != nil {
-			return fmt.Errorf("serve: build %s backend: %w", spec.Name, err)
-		}
-		if c, ok := be.(io.Closer); ok {
-			defer c.Close()
-		}
-		if !be.Capabilities().SupportsSuite(suite.Name) {
-			return fmt.Errorf("serve: backend %s does not support suite %s (supported: %v)",
-				be.Name(), suite.Name, be.Capabilities().Suites)
-		}
-		cfg.Engine = be
+	be, err := workload.NewBackend(*engine, data, workload.BackendOptions{HopLatency: *hop})
+	if err != nil {
+		return fmt.Errorf("serve: %w", err)
+	}
+	if c, ok := be.(io.Closer); ok {
+		defer c.Close()
+	}
+	if !be.Capabilities().SupportsSuite(suite.Name) {
+		return fmt.Errorf("serve: backend %s does not support suite %s (supported: %v)",
+			be.Name(), suite.Name, be.Capabilities().Suites)
+	}
+	cfg.Engine = be
+	if uni, ok := be.(*workload.UDBMSEngine); ok {
+		// The unified engine's store handle lets the server answer
+		// ad-hoc UQL next to the benchmark protocol.
+		cfg.DB = uni.DB
 	}
 	s, err := server.Listen(*addr, cfg)
 	if err != nil {
@@ -627,9 +590,7 @@ func cmdQuery(args []string) error {
 	src := strings.Join(pos, " ")
 	db := udbms.Open()
 	ds := datagen.Generate(datagen.Config{ScaleFactor: cfg.SF, Seed: cfg.Seed})
-	if err := ds.Load(datagen.Target{
-		Relational: db.Relational, Docs: db.Docs, Graph: db.Graph, KV: db.KV, XML: db.XML,
-	}); err != nil {
+	if err := ds.Load(db.Stores()); err != nil {
 		return err
 	}
 	t0 := time.Now()
@@ -654,9 +615,7 @@ func cmdGenerate(args []string) error {
 	genTime := time.Since(t0)
 	db := udbms.Open()
 	t1 := time.Now()
-	if err := ds.Load(datagen.Target{
-		Relational: db.Relational, Docs: db.Docs, Graph: db.Graph, KV: db.KV, XML: db.XML,
-	}); err != nil {
+	if err := ds.Load(db.Stores()); err != nil {
 		return err
 	}
 	loadTime := time.Since(t1)
@@ -676,8 +635,7 @@ func cmdGenerate(args []string) error {
 		fmt.Print(t.String())
 	}
 	if jsonPath != "" {
-		out := []tableJSON{{Title: t.Title, Headers: t.Headers, Rows: t.Rows()}}
-		if err := writeJSON(jsonPath, out); err != nil {
+		if err := writeTablesJSON(jsonPath, t); err != nil {
 			return err
 		}
 		fmt.Printf("wrote dataset statistics to %s\n", jsonPath)

@@ -21,7 +21,8 @@
 //	internal/txn         timestamps, 2PL + deadlock detection, version chains
 //	internal/replica     primary/replica lag simulator (consistency substrate)
 //	internal/datagen     deterministic Figure-1 dataset generator
-//	internal/workload    Q1–Q13 queries, T1–T4 transactions, drivers
+//	internal/workload    query table Q1–Q13, T1–T5 and suite op bodies, one
+//	                     native engine adapter, drivers (3.4k non-test lines)
 //	internal/mmschema    schema inference, evolution ops, query compatibility
 //	internal/convert     model conversions with gold-standard fidelity
 //	internal/consistency staleness / RYW / monotonic / atomicity metrics
@@ -33,9 +34,8 @@
 //
 //	go run ./cmd/udbench run all -quick
 //
-// The benchmarks in bench_test.go regenerate every experiment table;
-// see DESIGN.md for the experiment index and EXPERIMENTS.md for
-// reference results.
+// bench/ holds the repo's own benchmark (BENCHMARK.json); bench_test.go
+// keeps only the two scaling curves CI gates on.
 //
 // # Query execution model
 //
@@ -149,6 +149,6 @@
 //     counted), and the background detector counts sweeps, cycles
 //     found and victims marked, and reports its sweep interval.
 //     Manager.LockStats() snapshots all of it; the driver reports the
-//     per-run delta through `udbench mix -json` so contention
-//     regressions are visible in the BENCH_*.json trajectory.
+//     per-run delta through `udbench mix -json` so a contention
+//     regression is visible in the run's own report.
 package udbench

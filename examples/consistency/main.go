@@ -48,15 +48,11 @@ func main() {
 	// concurrent order updates and snapshot reads.
 	ds := datagen.Generate(datagen.Config{ScaleFactor: 0.03, Seed: 11})
 	db := udbms.Open()
-	if err := ds.Load(datagen.Target{
-		Relational: db.Relational, Docs: db.Docs, Graph: db.Graph, KV: db.KV, XML: db.XML,
-	}); err != nil {
+	if err := ds.Load(db.Stores()); err != nil {
 		log.Fatal(err)
 	}
 	fed := federation.Open()
-	if err := ds.Load(datagen.Target{
-		Relational: fed.Relational, Docs: fed.Docs, Graph: fed.Graph, KV: fed.KV, XML: fed.XML,
-	}); err != nil {
+	if err := ds.Load(fed.Stores()); err != nil {
 		log.Fatal(err)
 	}
 	info := workload.InfoOf(ds)

@@ -23,9 +23,7 @@ import (
 func main() {
 	db := udbms.Open()
 	ds := datagen.Generate(datagen.Config{ScaleFactor: 0.05, Seed: 7})
-	if err := ds.Load(datagen.Target{
-		Relational: db.Relational, Docs: db.Docs, Graph: db.Graph, KV: db.KV, XML: db.XML,
-	}); err != nil {
+	if err := ds.Load(db.Stores()); err != nil {
 		log.Fatal(err)
 	}
 

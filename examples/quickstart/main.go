@@ -21,9 +21,7 @@ func main() {
 	// Open an empty unified database and load the benchmark dataset.
 	db := udbms.Open()
 	ds := datagen.Generate(datagen.Config{ScaleFactor: 0.05, Seed: 1})
-	if err := ds.Load(datagen.Target{
-		Relational: db.Relational, Docs: db.Docs, Graph: db.Graph, KV: db.KV, XML: db.XML,
-	}); err != nil {
+	if err := ds.Load(db.Stores()); err != nil {
 		log.Fatal(err)
 	}
 	st := db.Stats()

@@ -9,7 +9,6 @@ package relbe
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 
 	"udbench/internal/datagen"
@@ -157,19 +156,6 @@ func str(o *mmvalue.Object, col string) string {
 func num(o *mmvalue.Object, col string) float64 {
 	f, _ := o.GetOr(col, mmvalue.Null).AsFloat()
 	return f
-}
-
-// seqOf mirrors the workload package's draw: the numeric suffix of a
-// generated order id, clamped to 1.
-func seqOf(orderID string) int {
-	if len(orderID) < 2 {
-		return 1
-	}
-	n, err := strconv.Atoi(orderID[1:])
-	if err != nil || n < 1 {
-		return 1
-	}
-	return n
 }
 
 // --- queries ---
@@ -367,7 +353,7 @@ func (b *Backend) tnLookup(p workload.Params) (int, error) {
 	if _, ok := tenants.Get(nil, p.CustomerID); ok {
 		found++
 	}
-	if _, ok := tickets.Get(nil, datagen.TicketID(seqOf(p.OrderID))); ok {
+	if _, ok := tickets.Get(nil, datagen.TicketID(datagen.SeqOf(p.OrderID))); ok {
 		found++
 	}
 	return found, nil
@@ -417,7 +403,7 @@ func (b *Backend) tnClose(p workload.Params) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	err = tickets.Update(nil, datagen.TicketID(seqOf(p.OrderID)), func(row mmvalue.Value) (mmvalue.Value, error) {
+	err = tickets.Update(nil, datagen.TicketID(datagen.SeqOf(p.OrderID)), func(row mmvalue.Value) (mmvalue.Value, error) {
 		row.MustObject().Set("status", mmvalue.String("closed"))
 		return row, nil
 	})

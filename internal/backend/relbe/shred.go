@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"udbench/internal/convert"
-	"udbench/internal/datagen"
 	"udbench/internal/mmvalue"
 	"udbench/internal/relational"
 	"udbench/internal/udbms"
@@ -40,13 +39,7 @@ import (
 // like the native engines do over empty stores.
 func load(data workload.SuiteData, db *relational.DB) error {
 	scratch := udbms.Open()
-	if err := data.Load(datagen.Target{
-		Relational: scratch.Relational,
-		Docs:       scratch.Docs,
-		Graph:      scratch.Graph,
-		KV:         scratch.KV,
-		XML:        scratch.XML,
-	}); err != nil {
+	if err := data.Load(scratch.Stores()); err != nil {
 		return fmt.Errorf("relbe: load dataset: %w", err)
 	}
 	for _, name := range scratch.Relational.TableNames() {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"io"
 	"time"
 
@@ -23,36 +22,32 @@ import (
 // inexpressible suite is simply not that backend's trajectory.
 func comparativeLegs(data workload.SuiteData, hop time.Duration, suite *workload.Suite) ([]sweepEngine, func(), error) {
 	var legs []sweepEngine
-	var closers []io.Closer
 	closeAll := func() {
-		for _, c := range closers {
-			c.Close()
+		for _, leg := range legs {
+			closeBackend(leg.e)
 		}
 	}
 	for _, name := range workload.BackendNames() {
 		if name == "udbms" || name == "federation" {
 			continue
 		}
-		spec, err := workload.ResolveBackend(name)
+		be, err := workload.NewBackend(name, data, workload.BackendOptions{HopLatency: hop})
 		if err != nil {
 			closeAll()
 			return nil, nil, err
 		}
-		be, err := spec.New(data, workload.BackendOptions{HopLatency: hop})
-		if err != nil {
-			closeAll()
-			return nil, nil, fmt.Errorf("comparative backend %s: %w", name, err)
-		}
 		if !be.Capabilities().SupportsSuite(suite.Name) || len(suite.Mix(be)) == 0 {
-			if c, ok := be.(io.Closer); ok {
-				c.Close()
-			}
+			closeBackend(be)
 			continue
-		}
-		if c, ok := be.(io.Closer); ok {
-			closers = append(closers, c)
 		}
 		legs = append(legs, sweepEngine{be.Name(), be})
 	}
 	return legs, closeAll, nil
+}
+
+// closeBackend releases a backend that holds resources (most do not).
+func closeBackend(be workload.Backend) {
+	if c, ok := be.(io.Closer); ok {
+		c.Close()
+	}
 }

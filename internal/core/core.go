@@ -10,10 +10,7 @@ import (
 	"sort"
 	"time"
 
-	"udbench/internal/datagen"
-	"udbench/internal/federation"
 	"udbench/internal/metrics"
-	"udbench/internal/udbms"
 	"udbench/internal/workload"
 )
 
@@ -97,66 +94,36 @@ func RunAll(cfg Config) ([]*metrics.Table, error) {
 	return out, nil
 }
 
-// testbed provisions both systems under test with the same dataset.
+// testbed provisions both native systems under test with the same
+// suite dataset, built through the backend registry like every other
+// backend.
 type testbed struct {
-	ds   *datagen.Dataset
-	info workload.Info
-	uni  *workload.UDBMSEngine
-	fed  *workload.FederationEngine
-	// data is the suite dataset the testbed was loaded from, retained
-	// so comparative backends can be provisioned with the exact same
-	// data (suite testbeds only; nil for raw-dataset testbeds).
+	info     workload.Info
+	uni, fed workload.Engine
+	// data is the dataset the testbed was loaded from, retained so
+	// comparative backends can be provisioned with the exact same data.
 	data workload.SuiteData
 }
 
-func newTestbed(sf float64, seed uint64, hop time.Duration) (*testbed, error) {
-	ds := datagen.Generate(datagen.Config{ScaleFactor: sf, Seed: seed})
-	db := udbms.Open()
-	if err := ds.Load(datagen.Target{
-		Relational: db.Relational, Docs: db.Docs, Graph: db.Graph, KV: db.KV, XML: db.XML,
-	}); err != nil {
+// newTestbed generates the named suite's dataset ("" is the default t2
+// suite, the paper's Figure-1 data) and loads it into a fresh unified
+// engine and a fresh federation.
+func newTestbed(sf float64, seed uint64, hop time.Duration, suiteName string) (*testbed, error) {
+	suite, err := workload.ResolveSuite(suiteName)
+	if err != nil {
 		return nil, err
 	}
-	f := federation.Open()
-	f.HopLatency = hop
-	if err := ds.Load(datagen.Target{
-		Relational: f.Relational, Docs: f.Docs, Graph: f.Graph, KV: f.KV, XML: f.XML,
-	}); err != nil {
-		return nil, err
-	}
-	return &testbed{
-		ds:   ds,
-		info: workload.InfoOf(ds),
-		uni:  workload.NewUDBMSEngine(db),
-		fed:  workload.NewFederationEngine(f),
-	}, nil
-}
-
-// newSuiteTestbed provisions both systems under test with a registry
-// suite's dataset. The t2 suite reproduces newTestbed exactly (same
-// generator, same loads); tb.ds stays nil for the other suites — only
-// experiments that drive mixes (not the raw dataset) accept one.
-func newSuiteTestbed(sf float64, seed uint64, hop time.Duration, suite *workload.Suite) (*testbed, error) {
 	data := suite.Generate(sf, seed)
-	db := udbms.Open()
-	if err := data.Load(datagen.Target{
-		Relational: db.Relational, Docs: db.Docs, Graph: db.Graph, KV: db.KV, XML: db.XML,
-	}); err != nil {
+	opt := workload.BackendOptions{HopLatency: hop}
+	uni, err := workload.NewBackend("udbms", data, opt)
+	if err != nil {
 		return nil, err
 	}
-	f := federation.Open()
-	f.HopLatency = hop
-	if err := data.Load(datagen.Target{
-		Relational: f.Relational, Docs: f.Docs, Graph: f.Graph, KV: f.KV, XML: f.XML,
-	}); err != nil {
+	fed, err := workload.NewBackend("federation", data, opt)
+	if err != nil {
 		return nil, err
 	}
-	return &testbed{
-		info: data.Info(),
-		uni:  workload.NewUDBMSEngine(db),
-		fed:  workload.NewFederationEngine(f),
-		data: data,
-	}, nil
+	return &testbed{info: data.Info(), uni: uni.(workload.Engine), fed: fed.(workload.Engine), data: data}, nil
 }
 
 // medianOf runs fn k times and returns the median duration.

@@ -176,14 +176,28 @@ func TestF4ScaleUp(t *testing.T) {
 	}
 }
 
+// shapeLadder is the rate ladder the sweep tests climb: three short
+// rungs are enough to assert a sweep's shape (legs, labels, a knee, the
+// backlog showing in intended latency). The first rung is already past
+// the quick federation's capacity; `udbench run f5 -quick` keeps the
+// full f5ConfigFor ladder.
+var shapeLadder = f5Config{baseRate: 4000, factor: 4, maxSteps: 3, clients: 4, theta: 0.5,
+	warmup: 30 * time.Millisecond, measure: 150 * time.Millisecond}
+
 func TestF5LatencyVsRate(t *testing.T) {
-	rows, err := f5Sweep(QuickConfig())
+	rows, err := f5Sweep(QuickConfig(), shapeLadder)
 	if err != nil {
 		t.Fatal(err)
 	}
 	byEngine := map[string][]f5Row{}
 	for _, r := range rows {
 		byEngine[r.Engine] = append(byEngine[r.Engine], r)
+	}
+	tables := f5Tables(QuickConfig(), shapeLadder, rows)
+	t.Logf("\n%s", tables[0])
+	if tables[0].NumRows() != len(rows) || tables[1].NumRows() != len(byEngine) {
+		t.Errorf("tables have %d sweep rows and %d knee rows, want %d and %d",
+			tables[0].NumRows(), tables[1].NumRows(), len(rows), len(byEngine))
 	}
 	// Every leg names the ops it ran: the comparative leg's degraded
 	// mix must not read as like-for-like against the native one.
@@ -245,7 +259,7 @@ func TestF5LatencyVsRate(t *testing.T) {
 func TestF5SweepSuite(t *testing.T) {
 	cfg := QuickConfig()
 	cfg.Suite = "timeseries"
-	rows, err := f5Sweep(cfg)
+	rows, err := f5Sweep(cfg, shapeLadder)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,10 +316,16 @@ func TestF6RecoverySweep(t *testing.T) {
 func TestF6PolicySweep(t *testing.T) {
 	cfg := QuickConfig()
 	p := f6ConfigFor(cfg)
-	p.sweep.maxSteps = 3 // the knee ordering shows within three rungs
+	// The knee ordering shows within three short rungs.
+	p.sweep.maxSteps, p.sweep.warmup, p.sweep.measure = 3, shapeLadder.warmup, shapeLadder.measure
 	rows, err := f6PolicySweep(cfg, p)
 	if err != nil {
 		t.Fatal(err)
+	}
+	tables := f6Tables(cfg, p, nil, rows)
+	t.Logf("\n%s", tables[1])
+	if knee := tables[2]; knee.NumRows() != 3 {
+		t.Errorf("knee digest has %d rows, want one per policy:\n%s", knee.NumRows(), knee)
 	}
 	seen := map[string]bool{}
 	for _, r := range rows {
@@ -351,16 +371,29 @@ func TestF6PolicySweep(t *testing.T) {
 	}
 }
 
+// TestRunAllQuick runs, through the registry and RunAll, every
+// experiment that has no dedicated test above — re-running the ones
+// that do would only repeat their sweeps.
 func TestRunAllQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full harness run skipped in -short")
+	dedicated := map[string]bool{"f1": true, "f2": true, "f3": true, "f4": true, "f5": true, "f6": true,
+		"t2": true, "t3": true, "t4": true, "t5": true}
+	all := registry
+	defer func() { registry = all }()
+	registry = map[string]Experiment{}
+	for id, e := range all {
+		if !dedicated[id] {
+			registry[id] = e
+		}
+	}
+	if len(registry) == 0 {
+		t.Fatal("every experiment has a dedicated test: nothing left to run through RunAll")
 	}
 	tables, err := RunAll(QuickConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tables) < 8 {
-		t.Fatalf("RunAll produced %d tables", len(tables))
+	if len(tables) < len(registry) {
+		t.Fatalf("RunAll produced %d tables for %d experiments", len(tables), len(registry))
 	}
 	for _, tab := range tables {
 		if tab.NumRows() == 0 {

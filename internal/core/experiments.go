@@ -58,9 +58,7 @@ func runA1(cfg Config) ([]*metrics.Table, error) {
 		var engines [2]*workload.UDBMSEngine
 		for i, withIdx := range []bool{true, false} {
 			db := udbms.Open()
-			if err := ds.LoadWithOptions(datagen.Target{
-				Relational: db.Relational, Docs: db.Docs, Graph: db.Graph, KV: db.KV, XML: db.XML,
-			}, withIdx); err != nil {
+			if err := ds.LoadWithOptions(db.Stores(), withIdx); err != nil {
 				return nil, err
 			}
 			engines[i] = workload.NewUDBMSEngine(db)
@@ -103,9 +101,7 @@ func runF1(cfg Config) ([]*metrics.Table, error) {
 		genTime := time.Since(t0)
 		db := udbms.Open()
 		t1 := time.Now()
-		if err := ds.Load(datagen.Target{
-			Relational: db.Relational, Docs: db.Docs, Graph: db.Graph, KV: db.KV, XML: db.XML,
-		}); err != nil {
+		if err := ds.Load(db.Stores()); err != nil {
 			return nil, err
 		}
 		loadTime := time.Since(t1)
@@ -120,7 +116,7 @@ func runF1(cfg Config) ([]*metrics.Table, error) {
 // engine vs the federation and verifies both return identical result
 // counts.
 func runT2(cfg Config) ([]*metrics.Table, error) {
-	tb, err := newTestbed(cfg.SF, cfg.Seed, cfg.HopLatency)
+	tb, err := newTestbed(cfg.SF, cfg.Seed, cfg.HopLatency, "")
 	if err != nil {
 		return nil, err
 	}
@@ -161,7 +157,7 @@ func runT2(cfg Config) ([]*metrics.Table, error) {
 
 // runF2 sweeps client counts over the standard mixed workload.
 func runF2(cfg Config) ([]*metrics.Table, error) {
-	tb, err := newTestbed(cfg.SF, cfg.Seed, cfg.HopLatency)
+	tb, err := newTestbed(cfg.SF, cfg.Seed, cfg.HopLatency, "")
 	if err != nil {
 		return nil, err
 	}
@@ -175,10 +171,7 @@ func runF2(cfg Config) ([]*metrics.Table, error) {
 		fmt.Sprintf("F2: throughput vs clients, SF %g", cfg.SF),
 		"clients", "udbms ops/s", "udbms p99", "federation ops/s", "federation p99")
 	for _, c := range clients {
-		dc := workload.DriverConfig{Clients: c, OpsPerClient: ops / c, Theta: 0.5, Seed: cfg.Seed}
-		if dc.OpsPerClient < 5 {
-			dc.OpsPerClient = 5
-		}
+		dc := workload.DriverConfig{Clients: c, OpsPerClient: max(ops/c, 5), Theta: 0.5, Seed: cfg.Seed}
 		ru := workload.RunMix(tb.uni, tb.info, workload.StandardMix(tb.uni), dc)
 		rf := workload.RunMix(tb.fed, tb.info, workload.StandardMix(tb.fed), dc)
 		t.AddRow(c, ru.Throughput, ru.Latency.Percentile(99), rf.Throughput, rf.Latency.Percentile(99))
@@ -199,7 +192,7 @@ func runF3(cfg Config) ([]*metrics.Table, error) {
 		"theta", "udbms aborts", "udbms ops/s", "federation aborts", "federation ops/s")
 	for _, theta := range thetas {
 		// Fresh stores per cell so stock decrements don't accumulate.
-		tb, err := newTestbed(cfg.SF, cfg.Seed, cfg.HopLatency)
+		tb, err := newTestbed(cfg.SF, cfg.Seed, cfg.HopLatency, "")
 		if err != nil {
 			return nil, err
 		}
@@ -252,7 +245,7 @@ func runT3(cfg Config) ([]*metrics.Table, error) {
 	// its per-store commits (where readers can observe a torn state)
 	// is wide enough to measure; the unified engine's single commit
 	// point has no such window at any latency.
-	tb, err := newTestbed(cfg.SF, cfg.Seed, time.Millisecond)
+	tb, err := newTestbed(cfg.SF, cfg.Seed, time.Millisecond, "")
 	if err != nil {
 		return nil, err
 	}
@@ -333,41 +326,30 @@ func runT5(cfg Config) ([]*metrics.Table, error) {
 		"conversion", "records", "fidelity", "records/s", "notes")
 
 	// JSON documents -> relational (shred) -> JSON (nest).
-	t0 := time.Now()
-	sr, err := convert.ShredDocs("orders", ds.Orders)
-	if err != nil {
-		return nil, err
+	for _, coll := range []struct {
+		name string
+		docs []mmvalue.Value
+	}{{"orders", ds.Orders}, {"products", ds.Products}} {
+		t0 := time.Now()
+		sr, err := convert.ShredDocs(coll.name, coll.docs)
+		if err != nil {
+			return nil, err
+		}
+		back, err := convert.NestShredded(sr)
+		if err != nil {
+			return nil, err
+		}
+		t.AddRow("doc->rel->doc ("+coll.name+")", len(coll.docs),
+			convert.Fidelity(coll.docs, back),
+			metrics.Throughput(int64(len(coll.docs)), time.Since(t0)),
+			fmt.Sprintf("%d child tables, %d JSON cols", len(sr.Children), len(sr.Notes)))
 	}
-	back, err := convert.NestShredded(sr)
-	if err != nil {
-		return nil, err
-	}
-	dur := time.Since(t0)
-	t.AddRow("doc->rel->doc (orders)", len(ds.Orders),
-		convert.Fidelity(ds.Orders, back),
-		metrics.Throughput(int64(len(ds.Orders)), dur),
-		fmt.Sprintf("%d child tables", len(sr.Children)))
-
-	t0 = time.Now()
-	srp, err := convert.ShredDocs("products", ds.Products)
-	if err != nil {
-		return nil, err
-	}
-	backp, err := convert.NestShredded(srp)
-	if err != nil {
-		return nil, err
-	}
-	dur = time.Since(t0)
-	t.AddRow("doc->rel->doc (products)", len(ds.Products),
-		convert.Fidelity(ds.Products, backp),
-		metrics.Throughput(int64(len(ds.Products)), dur),
-		fmt.Sprintf("%d JSON cols", len(srp.Notes)))
 
 	// Relational -> documents -> relational.
-	t0 = time.Now()
+	t0 := time.Now()
 	docs := convert.RowsToDocs(ds.Customers, "id")
 	rows := convert.DocsToRows(docs, "id")
-	dur = time.Since(t0)
+	dur := time.Since(t0)
 	t.AddRow("rel->doc->rel (customers)", len(ds.Customers),
 		convert.Fidelity(ds.Customers, rows),
 		metrics.Throughput(int64(len(ds.Customers)), dur), "")
@@ -445,7 +427,7 @@ func runF4(cfg Config) ([]*metrics.Table, error) {
 	}
 	t := metrics.NewTable("F4: unified-engine query latency vs scale factor", headers...)
 	for _, sf := range sfs {
-		tb, err := newTestbed(sf, cfg.Seed, 0)
+		tb, err := newTestbed(sf, cfg.Seed, 0, "")
 		if err != nil {
 			return nil, err
 		}
@@ -465,11 +447,4 @@ func runF4(cfg Config) ([]*metrics.Table, error) {
 		t.AddRow(row...)
 	}
 	return []*metrics.Table{t}, nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -162,34 +162,49 @@ func sweepLabels(rows []f5Row) []string {
 	return labels
 }
 
-// kneeOf digests one engine's sweep rows: the saturated knee row (nil
-// if the ladder never saturated) and the last unsaturated row before it
-// (the engine's demonstrated capacity).
-func kneeOf(rows []f5Row, label string) (knee, last *f5Row) {
+// kneeDigest is one engine's sweep in brief.
+type kneeDigest struct {
+	// at is the saturated knee rung — or, when the ladder never
+	// saturated, its top rung, reported as a capacity lower bound.
+	at *f5Row
+	// rate is the knee's offered rate ("> top" without a knee).
+	rate any
+	// best is the last unsaturated rung (the knee rung itself when even
+	// the first rung saturated): the engine's demonstrated capacity.
+	best *f5Row
+}
+
+// kneeOf digests one engine's sweep rows; ok is false when it has none.
+func kneeOf(rows []f5Row, label string) (d kneeDigest, ok bool) {
 	for i := range rows {
 		if rows[i].Engine != label {
 			continue
 		}
-		if rows[i].Saturated {
-			return &rows[i], last
+		d.at = &rows[i]
+		if d.at.Saturated {
+			d.rate = d.at.Offered
+			break
 		}
-		last = &rows[i]
+		d.best, d.rate = d.at, fmt.Sprintf("> %.0f", d.at.Offered)
 	}
-	return nil, last
+	if d.best == nil {
+		d.best = d.at
+	}
+	return d, d.at != nil
 }
 
 // f5Sweep runs the rate ladder over the two baseline engines, every
 // registered comparative backend that supports the suite — plus, when
 // cfg.Remote names a `udbench serve` address, the same sweep over the
 // wire, so the artifact carries the in-process, comparative, and
-// remote knees side by side.
-func f5Sweep(cfg Config) ([]f5Row, error) {
-	p := f5ConfigFor(cfg)
+// remote knees side by side. The ladder is a parameter so tests can
+// assert the sweep's shape on a short one.
+func f5Sweep(cfg Config, p f5Config) ([]f5Row, error) {
 	suite, err := workload.ResolveSuite(cfg.Suite)
 	if err != nil {
 		return nil, fmt.Errorf("f5: %w", err)
 	}
-	tb, err := newSuiteTestbed(cfg.SF, cfg.Seed, cfg.HopLatency, suite)
+	tb, err := newTestbed(cfg.SF, cfg.Seed, cfg.HopLatency, suite.Name)
 	if err != nil {
 		return nil, err
 	}
@@ -229,10 +244,15 @@ func f5Sweep(cfg Config) ([]f5Row, error) {
 // capacity it sustained just below it.
 func runF5(cfg Config) ([]*metrics.Table, error) {
 	p := f5ConfigFor(cfg)
-	rows, err := f5Sweep(cfg)
+	rows, err := f5Sweep(cfg, p)
 	if err != nil {
 		return nil, err
 	}
+	return f5Tables(cfg, p, rows), nil
+}
+
+// f5Tables renders a sweep: every rung, then the knee digest.
+func f5Tables(cfg Config, p f5Config, rows []f5Row) []*metrics.Table {
 	suiteName := cfg.Suite
 	if suiteName == "" {
 		suiteName = workload.DefaultSuite
@@ -253,24 +273,10 @@ func runF5(cfg Config) ([]*metrics.Table, error) {
 			100*f5KneeThreshold),
 		"engine", "ops", "knee ops/s", "capacity ops/s", "int p99 @ knee", "svc p99 @ knee", "int/svc")
 	for _, eng := range sweepLabels(rows) {
-		k, last := kneeOf(rows, eng)
-		switch {
-		case k != nil:
-			// Capacity is the last achieved rate before the knee — or
-			// the knee rung's own achieved rate when even the first
-			// rung saturated.
-			capacity := k.Achieved
-			if last != nil {
-				capacity = last.Achieved
-			}
-			knee.AddRow(eng, k.Ops, k.Offered, capacity, k.IntP99, k.SvcP99,
-				ratio(k.SvcP99, k.IntP99))
-		case last != nil:
-			// Never saturated within the ladder: report the top rung as
-			// a capacity lower bound with no knee.
-			knee.AddRow(eng, last.Ops, "> "+fmt.Sprintf("%.0f", last.Offered), last.Achieved,
-				last.IntP99, last.SvcP99, ratio(last.SvcP99, last.IntP99))
+		if d, ok := kneeOf(rows, eng); ok {
+			knee.AddRow(eng, d.at.Ops, d.rate, d.best.Achieved, d.at.IntP99, d.at.SvcP99,
+				ratio(d.at.SvcP99, d.at.IntP99))
 		}
 	}
-	return []*metrics.Table{sweep, knee}, nil
+	return []*metrics.Table{sweep, knee}
 }

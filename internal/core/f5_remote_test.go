@@ -11,7 +11,7 @@ import (
 // listener and returns its address.
 func startQuickServer(t *testing.T, cfg Config) string {
 	t.Helper()
-	tb, err := newTestbed(cfg.SF, cfg.Seed, cfg.HopLatency)
+	tb, err := newTestbed(cfg.SF, cfg.Seed, cfg.HopLatency, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func startQuickServer(t *testing.T, cfg Config) string {
 func TestF5SweepRemote(t *testing.T) {
 	cfg := QuickConfig()
 	cfg.Remote = startQuickServer(t, cfg)
-	rows, err := f5Sweep(cfg)
+	rows, err := f5Sweep(cfg, shapeLadder)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,11 +64,7 @@ func TestF5SweepRemote(t *testing.T) {
 		t.Fatal("no remote rows in the sweep")
 	}
 	// The knee digest must cover the remote label too.
-	tables, err := runF5(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	knee := tables[1]
+	knee := f5Tables(cfg, shapeLadder, rows)[1]
 	found := false
 	for _, row := range knee.Rows() {
 		if len(row) > 0 && row[0] == remote {
@@ -87,7 +83,7 @@ func TestF5SweepRemoteMismatch(t *testing.T) {
 	serveCfg := cfg
 	serveCfg.SF = cfg.SF * 2
 	cfg.Remote = startQuickServer(t, serveCfg)
-	if _, err := f5Sweep(cfg); err == nil || !strings.Contains(err.Error(), "remote dataset") {
+	if _, err := f5Sweep(cfg, shapeLadder); err == nil || !strings.Contains(err.Error(), "remote dataset") {
 		t.Fatalf("mismatched dataset err = %v, want the remote dataset guard", err)
 	}
 }
@@ -99,7 +95,7 @@ func TestF5SweepRemoteSuiteMismatch(t *testing.T) {
 	cfg := QuickConfig()
 	cfg.Remote = startQuickServer(t, cfg)
 	cfg.Suite = "timeseries"
-	if _, err := f5Sweep(cfg); err == nil || !strings.Contains(err.Error(), "remote serves suite") {
+	if _, err := f5Sweep(cfg, shapeLadder); err == nil || !strings.Contains(err.Error(), "remote serves suite") {
 		t.Fatalf("mismatched suite err = %v, want the remote suite guard", err)
 	}
 }

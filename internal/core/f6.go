@@ -54,9 +54,7 @@ func durableTestbed(sf float64, seed uint64, fsys wal.FS, policy wal.SyncPolicy)
 		return nil, nil, workload.Info{}, err
 	}
 	ds := datagen.Generate(datagen.Config{ScaleFactor: sf, Seed: seed})
-	if err := ds.Load(datagen.Target{
-		Relational: d.Relational, Docs: d.Docs, Graph: d.Graph, KV: d.KV, XML: d.XML,
-	}); err != nil {
+	if err := ds.Load(d.Stores()); err != nil {
 		return nil, nil, workload.Info{}, err
 	}
 	eng := workload.NewUDBMSEngine(d.DB)
@@ -185,17 +183,22 @@ func runF6(cfg Config) ([]*metrics.Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	polRows, err := f6PolicySweep(cfg, p)
+	if err != nil {
+		return nil, err
+	}
+	return f6Tables(cfg, p, recRows, polRows), nil
+}
+
+// f6Tables renders the recovery ladder, the policy sweep and its knee
+// digest.
+func f6Tables(cfg Config, p f6Config, recRows []f6RecoveryRow, polRows []f5Row) []*metrics.Table {
 	rt := metrics.NewTable(
 		fmt.Sprintf("F6: recovery time vs log size (group commit, %d writers), SF %g", p.clients, cfg.SF),
 		"mode", "write txns", "log KiB", "records replayed", "snapshot ops", "recovery", "replay MB/s")
 	for _, r := range recRows {
 		rt.AddRow(r.Mode, r.Ops, r.LogBytes/1024, r.Records, r.SnapOps,
 			r.Elapsed, fmt.Sprintf("%.1f", r.MBps))
-	}
-
-	polRows, err := f6PolicySweep(cfg, p)
-	if err != nil {
-		return nil, err
 	}
 	sweep := metrics.NewTable(
 		fmt.Sprintf("F6: fsync policy vs offered rate (open loop, %v barrier cost), SF %g",
@@ -214,39 +217,25 @@ func runF6(cfg Config) ([]*metrics.Table, error) {
 		fmt.Sprintf("F6: fsync-policy knee (achieved/offered < %.0f%%)", 100*f5KneeThreshold),
 		"policy", "knee ops/s", "capacity ops/s", "int p99 @ knee", "appends/batch", "fsyncs/commit")
 	for _, policy := range []string{"always", "group", "async"} {
-		k, last := kneeOf(polRows, policy)
-		// Amortization ratios come from the engine's best unsaturated
-		// rung (or the knee rung when even the first rung saturated):
-		// appends/batch is the group-commit batch size the watermark
-		// ring accumulated, fsyncs/commit the barrier cost per commit —
-		// 1 for always, 1/batch for group, ~0 for async.
-		ref := last
-		if ref == nil {
-			ref = k
-		}
-		if ref == nil {
+		d, ok := kneeOf(polRows, policy)
+		if !ok {
 			continue
 		}
+		// Amortization ratios come from the policy's best unsaturated
+		// rung: appends/batch is the group-commit batch size the
+		// watermark ring accumulated, fsyncs/commit the barrier cost per
+		// commit — 1 for always, 1/batch for group, ~0 for async.
 		perBatch, perCommit := 0.0, 0.0
-		if d := ref.Durability; d != nil {
-			if d.Batches > 0 {
-				perBatch = float64(d.Appends) / float64(d.Batches)
+		if w := d.best.Durability; w != nil {
+			if w.Batches > 0 {
+				perBatch = float64(w.Appends) / float64(w.Batches)
 			}
-			if d.Appends > 0 {
-				perCommit = float64(d.Fsyncs) / float64(d.Appends)
+			if w.Appends > 0 {
+				perCommit = float64(w.Fsyncs) / float64(w.Appends)
 			}
 		}
-		if k != nil {
-			capacity := k.Achieved
-			if last != nil {
-				capacity = last.Achieved
-			}
-			knee.AddRow(policy, k.Offered, capacity, k.IntP99,
-				fmt.Sprintf("%.1f", perBatch), fmt.Sprintf("%.2f", perCommit))
-		} else {
-			knee.AddRow(policy, "> "+fmt.Sprintf("%.0f", last.Offered), last.Achieved,
-				last.IntP99, fmt.Sprintf("%.1f", perBatch), fmt.Sprintf("%.2f", perCommit))
-		}
+		knee.AddRow(policy, d.rate, d.best.Achieved, d.at.IntP99,
+			fmt.Sprintf("%.1f", perBatch), fmt.Sprintf("%.2f", perCommit))
 	}
-	return []*metrics.Table{rt, sweep, knee}, nil
+	return []*metrics.Table{rt, sweep, knee}
 }

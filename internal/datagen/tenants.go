@@ -7,6 +7,7 @@ package datagen
 
 import (
 	"fmt"
+	"strconv"
 
 	"udbench/internal/mmvalue"
 	"udbench/internal/relational"
@@ -61,6 +62,21 @@ func TenantCounts(cfg Config) (tenants, tickets int) {
 
 // TicketID renders the document id of generated ticket i (1-based).
 func TicketID(i int) string { return fmt.Sprintf("tk%08d", i) }
+
+// SeqOf reads the numeric suffix of a generated order id ("o%08d"),
+// clamped to 1. The registry suites feed it to TicketID, SeriesPointKey
+// and LogID; every backend must address the same entity for the same
+// draw, so this is the only definition.
+func SeqOf(orderID string) int {
+	if len(orderID) < 2 {
+		return 1
+	}
+	n, err := strconv.Atoi(orderID[1:])
+	if err != nil || n < 1 {
+		return 1
+	}
+	return n
+}
 
 // GenerateTenants materializes the tenants dataset deterministically.
 func GenerateTenants(cfg Config) *TenantsDataset {

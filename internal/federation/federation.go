@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"time"
 
+	"udbench/internal/datagen"
 	"udbench/internal/document"
 	"udbench/internal/graph"
 	"udbench/internal/kv"
@@ -73,6 +74,12 @@ func Open() *Federation {
 	f.KV = kv.NewStore("kv", f.kvMgr)
 	f.XML = xmlstore.NewStore("xml", f.xmlMgr)
 	return f
+}
+
+// Stores hands out the five model stores as the bundle datasets load
+// into and op bodies run against.
+func (f *Federation) Stores() datagen.Target {
+	return datagen.Target{Relational: f.Relational, Docs: f.Docs, Graph: f.Graph, KV: f.KV, XML: f.XML}
 }
 
 // LockStats aggregates lock-table telemetry across the five per-store

@@ -96,7 +96,8 @@ func (cl *Client) readLoop() {
 	close(cl.done)
 }
 
-// call sends one request and blocks for its response.
+// call sends one request and blocks for its response; a non-OK response
+// comes back as the typed error of opErr.
 func (cl *Client) call(r request) (response, error) {
 	r.id = cl.nextID.Add(1)
 	ch := make(chan response, 1)
@@ -127,7 +128,7 @@ func (cl *Client) call(r request) (response, error) {
 		cl.mu.Unlock()
 		return response{}, err
 	}
-	return resp, nil
+	return resp, opErr(resp)
 }
 
 // opErr converts a non-OK response into the typed error the driver's
@@ -152,9 +153,6 @@ func (cl *Client) Query(q workload.QueryID, p workload.Params) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if err := opErr(resp); err != nil {
-		return 0, err
-	}
 	return int(resp.value), nil
 }
 
@@ -163,9 +161,6 @@ func (cl *Client) Query(q workload.QueryID, p workload.Params) (int, error) {
 func (cl *Client) Txn(kind byte, p workload.Params) (uint64, error) {
 	resp, err := cl.call(request{op: opTxn, budget: time.Duration(cl.budget.Load()), txn: kind, params: p})
 	if err != nil {
-		return 0, err
-	}
-	if err := opErr(resp); err != nil {
 		return 0, err
 	}
 	return resp.value, nil
@@ -177,54 +172,47 @@ func (cl *Client) UQL(src string) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := opErr(resp); err != nil {
-		return nil, err
-	}
 	return resp.rows, nil
 }
 
 // ServerInfo is what the info request advertises: the dataset
 // cardinalities clients build parameter generators from, the engine
 // name, the workload suite the server's store was loaded with, and
-// the backend's encoded capability descriptor (empty from servers
-// predating capabilities; parse with workload.ParseCapabilities).
+// the backend's capability descriptor.
 type ServerInfo struct {
 	Info   workload.Info
 	Engine string
 	Suite  string
-	Caps   string
+	Caps   workload.Capabilities
 }
 
-// Info fetches the server's dataset cardinalities, engine name, and
-// loaded workload suite. A server predating suites advertises none;
-// the default t2 suite is assumed.
+// Info fetches the server's dataset cardinalities, engine name, loaded
+// workload suite and capability descriptor. Client and server ship in
+// one binary, so every row is required: a short or unparsable response
+// is an ErrProto, never a guess — a driver that assumed a full engine
+// behind a truncated descriptor would issue ops the server refuses.
 func (cl *Client) Info() (ServerInfo, error) {
 	resp, err := cl.call(request{op: opInfo})
 	if err != nil {
 		return ServerInfo{}, err
 	}
-	if err := opErr(resp); err != nil {
-		return ServerInfo{}, err
+	if len(resp.u64s) < 3 || len(resp.rows) < 3 {
+		return ServerInfo{}, fmt.Errorf("%w: short info response (%d counts, %d rows)", ErrProto, len(resp.u64s), len(resp.rows))
 	}
-	if len(resp.u64s) < 3 || len(resp.rows) < 1 {
-		return ServerInfo{}, fmt.Errorf("%w: short info response", ErrProto)
+	caps, ok := workload.ParseCapabilities(resp.rows[2])
+	if !ok {
+		return ServerInfo{}, fmt.Errorf("%w: malformed capability descriptor %q", ErrProto, resp.rows[2])
 	}
-	si := ServerInfo{
+	return ServerInfo{
 		Info: workload.Info{
 			Customers: int(resp.u64s[0]),
 			Products:  int(resp.u64s[1]),
 			Orders:    int(resp.u64s[2]),
 		},
 		Engine: resp.rows[0],
-		Suite:  workload.DefaultSuite,
-	}
-	if len(resp.rows) >= 2 {
-		si.Suite = resp.rows[1]
-	}
-	if len(resp.rows) >= 3 {
-		si.Caps = resp.rows[2]
-	}
-	return si, nil
+		Suite:  resp.rows[1],
+		Caps:   caps,
+	}, nil
 }
 
 // SuiteOp runs one registry-suite operation remotely and returns its
@@ -236,9 +224,6 @@ func (cl *Client) SuiteOp(suite, op string, p workload.Params) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if err := opErr(resp); err != nil {
-		return 0, err
-	}
 	return int(resp.value), nil
 }
 
@@ -248,9 +233,6 @@ func (cl *Client) Nonce() (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if err := opErr(resp); err != nil {
-		return 0, err
-	}
 	return resp.value, nil
 }
 
@@ -258,9 +240,6 @@ func (cl *Client) Nonce() (uint64, error) {
 func (cl *Client) Stats() (AdmissionSnapshot, error) {
 	resp, err := cl.call(request{op: opStats})
 	if err != nil {
-		return AdmissionSnapshot{}, err
-	}
-	if err := opErr(resp); err != nil {
 		return AdmissionSnapshot{}, err
 	}
 	if len(resp.u64s) < 5 {
@@ -277,9 +256,6 @@ func (cl *Client) Stats() (AdmissionSnapshot, error) {
 
 // Ping round-trips a liveness probe.
 func (cl *Client) Ping() error {
-	resp, err := cl.call(request{op: opPing})
-	if err != nil {
-		return err
-	}
-	return opErr(resp)
+	_, err := cl.call(request{op: opPing})
+	return err
 }

@@ -54,12 +54,7 @@ func DialEngine(addr string, conns int) (*RemoteEngine, error) {
 	e.info = si.Info
 	e.name = si.Engine + "-remote"
 	e.suite = si.Suite
-	// Old servers advertise no capability row; assume a fully capable
-	// native engine, which is all they could front.
-	e.caps = workload.FullCapabilities()
-	if c, ok := workload.ParseCapabilities(si.Caps); ok {
-		e.caps = c
-	}
+	e.caps = si.Caps
 	return e, nil
 }
 
@@ -110,30 +105,25 @@ func (e *RemoteEngine) RunQuery(q workload.QueryID, p workload.Params) (int, err
 	return e.conn().Query(q, p)
 }
 
-func (e *RemoteEngine) OrderUpdate(p workload.Params) error {
-	_, err := e.conn().Txn(txnOrderUpdate, p)
+// txn runs one of the error-only transaction kinds over the wire.
+func (e *RemoteEngine) txn(kind byte, p workload.Params) error {
+	_, err := e.conn().Txn(kind, p)
 	return err
 }
 
+func (e *RemoteEngine) OrderUpdate(p workload.Params) error { return e.txn(txnOrderUpdate, p) }
+
 func (e *RemoteEngine) OrderUpdateOnce(p workload.Params) error {
-	_, err := e.conn().Txn(txnOrderUpdateOnce, p)
-	return err
+	return e.txn(txnOrderUpdateOnce, p)
 }
 
 func (e *RemoteEngine) StockTransferOnce(p workload.Params) error {
-	_, err := e.conn().Txn(txnStockTransferOnce, p)
-	return err
+	return e.txn(txnStockTransferOnce, p)
 }
 
-func (e *RemoteEngine) NewOrder(p workload.Params) error {
-	_, err := e.conn().Txn(txnNewOrder, p)
-	return err
-}
+func (e *RemoteEngine) NewOrder(p workload.Params) error { return e.txn(txnNewOrder, p) }
 
-func (e *RemoteEngine) WriteFeedback(p workload.Params) error {
-	_, err := e.conn().Txn(txnWriteFeedback, p)
-	return err
-}
+func (e *RemoteEngine) WriteFeedback(p workload.Params) error { return e.txn(txnWriteFeedback, p) }
 
 func (e *RemoteEngine) SnapshotRead(p workload.Params) (bool, error) {
 	v, err := e.conn().Txn(txnSnapshotRead, p)

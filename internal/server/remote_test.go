@@ -2,12 +2,13 @@ package server
 
 import (
 	"errors"
+	"net"
 	"strings"
 	"testing"
 	"time"
 
-	"udbench/internal/datagen"
 	"udbench/internal/udbms"
+	"udbench/internal/wal"
 	"udbench/internal/workload"
 )
 
@@ -91,9 +92,7 @@ func startSuiteServer(t *testing.T, suiteName string) (*Server, *workload.Suite,
 	}
 	data := suite.Generate(0.05, 7)
 	db := udbms.Open()
-	if err := data.Load(datagen.Target{
-		Relational: db.Relational, Docs: db.Docs, Graph: db.Graph, KV: db.KV, XML: db.XML,
-	}); err != nil {
+	if err := data.Load(db.Stores()); err != nil {
 		t.Fatal(err)
 	}
 	s := startServer(t, Config{Engine: workload.NewUDBMSEngine(db), Info: data.Info(), Suite: suiteName})
@@ -185,5 +184,82 @@ func TestRemoteAdmissionDelta(t *testing.T) {
 	if second.Admission.Shed != 0 {
 		t.Errorf("uncontended closed run reports shed = %d, want 0 (delta must be run-scoped)",
 			second.Admission.Shed)
+	}
+}
+
+// stubInfoListener answers every request on every connection with an
+// OK response carrying the given info rows — a server whose info
+// descriptor is truncated or mangled.
+func stubInfoListener(t *testing.T, rows []string) string {
+	t.Helper()
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { lis.Close() })
+	go func() {
+		for {
+			c, err := lis.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer c.Close()
+				var scratch []byte
+				for {
+					payload, grown, err := readFrame(c, scratch)
+					if err != nil {
+						return
+					}
+					scratch = grown
+					req, err := decodeRequest(payload)
+					if err != nil {
+						return
+					}
+					resp := response{id: req.id, status: StatusOK, u64s: []uint64{10, 5, 20}, rows: rows}
+					if _, err := c.Write(wal.AppendFrame(nil, encodeResponse(resp))); err != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	return lis.Addr().String()
+}
+
+// TestInfoResponseMustBeComplete pins the descriptor contract: the
+// client is told what the server fronts or it fails typed — it never
+// assumes the t2 suite or a fully capable engine behind a short or
+// unparsable info response.
+func TestInfoResponseMustBeComplete(t *testing.T) {
+	full := workload.FullCapabilities().Encode()
+	cases := map[string][]string{
+		"engine row only":      {"partial"},
+		"no capability row":    {"partial", "t2"},
+		"malformed capability": {"partial", "t2", "models=relational;txn=maybe"},
+	}
+	for name, rows := range cases {
+		addr := stubInfoListener(t, rows)
+		cl, err := Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if si, err := cl.Info(); !errors.Is(err, ErrProto) {
+			t.Errorf("%s: Info = %+v, %v; want ErrProto", name, si, err)
+		}
+		cl.Close()
+		if re, err := DialEngine(addr, 1); !errors.Is(err, ErrProto) {
+			t.Errorf("%s: DialEngine = %v, %v; want ErrProto", name, re, err)
+		}
+	}
+	// The same stub with all three rows dials fine: the failures above
+	// are about the rows, not the stub.
+	re, err := DialEngine(stubInfoListener(t, []string{"partial", "tenants", full}), 1)
+	if err != nil {
+		t.Fatalf("complete info response: %v", err)
+	}
+	defer re.Close()
+	if re.Suite() != "tenants" || re.Capabilities().Partial() {
+		t.Errorf("dialed suite %q, partial %v; want tenants, false", re.Suite(), re.Capabilities().Partial())
 	}
 }

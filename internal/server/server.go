@@ -198,9 +198,8 @@ func (s *Server) readLoop(cn *conn) {
 		case opPing:
 			cn.respond(response{id: req.id, status: StatusOK})
 		case opInfo:
-			// rows[2] advertises the backend's capability descriptor next
-			// to the engine name and suite label; old clients ignore the
-			// extra row, old servers simply omit it.
+			// rows: engine name, suite label, capability descriptor —
+			// Client.Info requires all three.
 			cn.respond(response{
 				id: req.id, status: StatusOK,
 				u64s: []uint64{uint64(s.cfg.Info.Customers), uint64(s.cfg.Info.Products), uint64(s.cfg.Info.Orders)},

@@ -146,9 +146,7 @@ func TestServerTypedErrors(t *testing.T) {
 func TestServerUQL(t *testing.T) {
 	db := udbms.Open()
 	ds := datagen.Generate(datagen.Config{ScaleFactor: 0.02, Seed: 7})
-	if err := ds.Load(datagen.Target{
-		Relational: db.Relational, Docs: db.Docs, Graph: db.Graph, KV: db.KV, XML: db.XML,
-	}); err != nil {
+	if err := ds.Load(db.Stores()); err != nil {
 		t.Fatal(err)
 	}
 	s := startServer(t, Config{Engine: workload.NewUDBMSEngine(db), DB: db, Info: workload.InfoOf(ds)})

@@ -1,6 +1,7 @@
 package udbms
 
 import (
+	"udbench/internal/datagen"
 	"udbench/internal/document"
 	"udbench/internal/graph"
 	"udbench/internal/kv"
@@ -41,6 +42,12 @@ func Open() *DB {
 		KV:         kv.NewStore("kv", mgr),
 		XML:        xmlstore.NewStore("xml", mgr),
 	}
+}
+
+// Stores hands out the five model stores as the bundle datasets load
+// into and op bodies run against.
+func (db *DB) Stores() datagen.Target {
+	return datagen.Target{Relational: db.Relational, Docs: db.Docs, Graph: db.Graph, KV: db.KV, XML: db.XML}
 }
 
 // Manager exposes the shared transaction manager.

@@ -13,9 +13,7 @@ func loadedDB(t testing.TB) *udbms.DB {
 	t.Helper()
 	db := udbms.Open()
 	ds := datagen.Generate(datagen.Config{ScaleFactor: 0.05, Seed: 77})
-	if err := ds.Load(datagen.Target{
-		Relational: db.Relational, Docs: db.Docs, Graph: db.Graph, KV: db.KV, XML: db.XML,
-	}); err != nil {
+	if err := ds.Load(db.Stores()); err != nil {
 		t.Fatal(err)
 	}
 	return db

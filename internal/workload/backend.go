@@ -3,7 +3,8 @@ package workload
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -121,29 +122,13 @@ type Capabilities struct {
 
 // SupportsQuery reports whether q is inside the descriptor.
 func (c Capabilities) SupportsQuery(q QueryID) bool {
-	if c.Queries == nil {
-		return true
-	}
-	for _, have := range c.Queries {
-		if have == q {
-			return true
-		}
-	}
-	return false
+	return c.Queries == nil || slices.Contains(c.Queries, q)
 }
 
 // SupportsSuite reports whether the named suite is inside the
 // descriptor.
 func (c Capabilities) SupportsSuite(name string) bool {
-	if c.Suites == nil {
-		return true
-	}
-	for _, have := range c.Suites {
-		if have == name {
-			return true
-		}
-	}
-	return false
+	return c.Suites == nil || slices.Contains(c.Suites, name)
 }
 
 // Partial reports whether the descriptor restricts anything a fully
@@ -182,95 +167,77 @@ func (c Capabilities) Report() *BackendCaps {
 
 // Encode serializes the static half of the descriptor for the wire
 // (the server advertises it next to the suite label). Providers are
-// per-process and not encoded.
+// per-process and not encoded. Lists join with "+"; "*" is the nil list
+// ("everything registered").
 func (c Capabilities) Encode() string {
-	var sb strings.Builder
-	sb.WriteString("models=")
-	sb.WriteString(strings.Join(c.Models, "+"))
-	sb.WriteString(";txn=")
-	sb.WriteString(boolBit(c.Transactions))
-	sb.WriteString(";snap=")
-	sb.WriteString(boolBit(c.SnapshotReads))
-	sb.WriteString(";queries=")
-	if c.Queries == nil {
-		sb.WriteString("*")
-	} else {
+	queries, suites := "*", "*"
+	if c.Queries != nil {
+		names := make([]string, len(c.Queries))
 		for i, q := range c.Queries {
-			if i > 0 {
-				sb.WriteString("+")
-			}
-			sb.WriteString(q.String())
+			names[i] = q.String()
 		}
+		queries = strings.Join(names, "+")
 	}
-	sb.WriteString(";suites=")
-	if c.Suites == nil {
-		sb.WriteString("*")
-	} else {
-		sb.WriteString(strings.Join(c.Suites, "+"))
+	if c.Suites != nil {
+		suites = strings.Join(c.Suites, "+")
 	}
-	return sb.String()
-}
-
-func boolBit(b bool) string {
-	if b {
-		return "1"
-	}
-	return "0"
+	return fmt.Sprintf("models=%s;txn=%t;snap=%t;queries=%s;suites=%s",
+		strings.Join(c.Models, "+"), c.Transactions, c.SnapshotReads, queries, suites)
 }
 
 // ParseCapabilities is Encode's inverse; ok is false on malformed
-// input (an old server not advertising capabilities), in which case
-// callers should assume a fully capable backend.
+// input, which callers must treat as an error (a guessed descriptor
+// makes the driver issue ops the backend refuses).
 func ParseCapabilities(s string) (Capabilities, bool) {
 	var c Capabilities
 	seen := map[string]bool{}
 	for _, field := range strings.Split(s, ";") {
 		key, val, found := strings.Cut(field, "=")
-		if !found {
+		if !found || seen[key] {
 			return Capabilities{}, false
 		}
 		seen[key] = true
+		var err error
 		switch key {
 		case "models":
-			if val != "" {
-				c.Models = strings.Split(val, "+")
-			}
+			c.Models = splitList(val)
 		case "txn":
-			c.Transactions = val == "1"
+			c.Transactions, err = strconv.ParseBool(val)
 		case "snap":
-			c.SnapshotReads = val == "1"
+			c.SnapshotReads, err = strconv.ParseBool(val)
 		case "queries":
-			if val == "*" {
-				c.Queries = nil
-			} else if val != "" {
-				for _, name := range strings.Split(val, "+") {
-					n, err := strconv.Atoi(strings.TrimPrefix(name, "Q"))
-					if err != nil {
-						return Capabilities{}, false
+			if names := splitList(val); names != nil {
+				c.Queries = make([]QueryID, len(names))
+				for i, name := range names {
+					var n int
+					if n, err = strconv.Atoi(strings.TrimPrefix(name, "Q")); err != nil {
+						break
 					}
-					c.Queries = append(c.Queries, QueryID(n))
+					c.Queries[i] = QueryID(n)
 				}
-			} else {
-				c.Queries = []QueryID{}
 			}
 		case "suites":
-			if val == "*" {
-				c.Suites = nil
-			} else if val != "" {
-				c.Suites = strings.Split(val, "+")
-			} else {
-				c.Suites = []string{}
-			}
+			c.Suites = splitList(val)
 		default:
 			return Capabilities{}, false
 		}
-	}
-	for _, key := range []string{"models", "txn", "snap", "queries", "suites"} {
-		if !seen[key] {
+		if err != nil {
 			return Capabilities{}, false
 		}
 	}
-	return c, true
+	return c, len(seen) == 5
+}
+
+// splitList decodes one "+"-joined list: "*" is nil (everything
+// registered), "" is empty (nothing).
+func splitList(val string) []string {
+	switch val {
+	case "*":
+		return nil
+	case "":
+		return []string{}
+	}
+	return strings.Split(val, "+")
 }
 
 // FullCapabilities is the descriptor of a natively complete engine:
@@ -299,45 +266,15 @@ type BackendSpec struct {
 	New func(data SuiteData, opt BackendOptions) (Backend, error)
 }
 
-var (
-	backendMu  sync.RWMutex
-	backendReg = map[string]*BackendSpec{}
-)
+var backends = registry[*BackendSpec]{kind: "backend"}
 
 // RegisterBackend adds a backend to the registry. Duplicate or
 // anonymous registrations panic: they are programming errors in an
 // init path.
-func RegisterBackend(s *BackendSpec) {
-	if s == nil || s.Name == "" {
-		panic("workload: RegisterBackend with empty name")
-	}
-	backendMu.Lock()
-	defer backendMu.Unlock()
-	if _, dup := backendReg[s.Name]; dup {
-		panic("workload: duplicate backend " + s.Name)
-	}
-	backendReg[s.Name] = s
-}
+func RegisterBackend(s *BackendSpec) { backends.add(s.Name, s) }
 
 // BackendNames lists the registered backend names sorted.
-func BackendNames() []string {
-	backendMu.RLock()
-	defer backendMu.RUnlock()
-	names := make([]string, 0, len(backendReg))
-	for name := range backendReg {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// BackendByName looks a backend spec up.
-func BackendByName(name string) (*BackendSpec, bool) {
-	backendMu.RLock()
-	defer backendMu.RUnlock()
-	s, ok := backendReg[name]
-	return s, ok
-}
+func BackendNames() []string { return backends.names() }
 
 // DefaultBackend is the backend an empty -engine flag resolves to.
 const DefaultBackend = "udbms"
@@ -345,13 +282,68 @@ const DefaultBackend = "udbms"
 // ResolveBackend maps an -engine flag value to its spec: "" means the
 // default, and an unknown name errors listing what is registered —
 // the same convention as ResolveSuite.
-func ResolveBackend(name string) (*BackendSpec, error) {
+func ResolveBackend(name string) (*BackendSpec, error) { return backends.resolve(name, DefaultBackend) }
+
+// NewBackend resolves name in the registry and builds an instance with
+// data loaded — the one construction path for native and external
+// backends alike.
+func NewBackend(name string, data SuiteData, opt BackendOptions) (Backend, error) {
+	spec, err := ResolveBackend(name)
+	if err != nil {
+		return nil, err
+	}
+	be, err := spec.New(data, opt)
+	if err != nil {
+		return nil, fmt.Errorf("workload: build %s backend: %w", spec.Name, err)
+	}
+	return be, nil
+}
+
+// registry is a named set behind a lock; the suites and the backends
+// each keep one, so both resolve names and report unknown ones alike.
+type registry[T any] struct {
+	kind  string // "suite" or "backend", for messages
+	mu    sync.RWMutex
+	items map[string]T
+}
+
+func (r *registry[T]) add(name string, v T) {
 	if name == "" {
-		name = DefaultBackend
+		panic("workload: registering a " + r.kind + " with an empty name")
 	}
-	s, ok := BackendByName(name)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if _, dup := r.items[name]; dup {
+		panic("workload: duplicate " + r.kind + " " + name)
+	}
+	if r.items == nil {
+		r.items = map[string]T{}
+	}
+	r.items[name] = v
+}
+
+func (r *registry[T]) names() []string {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return slices.Sorted(maps.Keys(r.items))
+}
+
+func (r *registry[T]) get(name string) (T, bool) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	v, ok := r.items[name]
+	return v, ok
+}
+
+// resolve maps a flag value to its entry: "" means def, and an unknown
+// name errors listing what is registered.
+func (r *registry[T]) resolve(name, def string) (T, error) {
+	if name == "" {
+		name = def
+	}
+	v, ok := r.get(name)
 	if !ok {
-		return nil, fmt.Errorf("workload: unknown backend %q (registered: %v)", name, BackendNames())
+		return v, fmt.Errorf("workload: unknown %s %q (registered: %v)", r.kind, name, r.names())
 	}
-	return s, nil
+	return v, nil
 }

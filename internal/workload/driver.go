@@ -209,6 +209,17 @@ type DriverConfig struct {
 	Suite string
 }
 
+// withDefaults fills in an unset client count and per-client op budget.
+func (cfg DriverConfig) withDefaults(clients int) DriverConfig {
+	if cfg.Clients <= 0 {
+		cfg.Clients = clients
+	}
+	if cfg.OpsPerClient <= 0 {
+		cfg.OpsPerClient = 100
+	}
+	return cfg
+}
+
 // LockStatsProvider is implemented by engines whose lock tables export
 // telemetry; RunMix snapshots it around the run and reports the delta.
 type LockStatsProvider interface {
@@ -342,12 +353,7 @@ func (rec *workerRecorder) observe(idx int, service, intended time.Duration, has
 // a run — op sequence, parameters, arrivals — remains a pure function
 // of the config.
 func RunMix(b Backend, info Info, mix []MixItem, cfg DriverConfig) Result {
-	if cfg.Clients <= 0 {
-		cfg.Clients = 1
-	}
-	if cfg.OpsPerClient <= 0 {
-		cfg.OpsPerClient = 100
-	}
+	cfg = cfg.withDefaults(1)
 	// A nil backend is allowed: the mix items carry their own Run
 	// closures, which is how driver-level tests exercise RunMix with
 	// synthetic operations.
@@ -408,6 +414,9 @@ func RunMix(b Backend, info Info, mix []MixItem, cfg DriverConfig) Result {
 		nonce = runSeq.Add(1)
 	}
 	recs := make([]workerRecorder, cfg.Clients)
+	for c := range recs {
+		recs[c].perOp = make([]metrics.DualHistogram, len(mix))
+	}
 	if cfg.Mode == ModeOpen {
 		if cfg.RateOpsPerSec <= 0 {
 			cfg.RateOpsPerSec = 1000
@@ -463,36 +472,52 @@ func RunMix(b Backend, info Info, mix []MixItem, cfg DriverConfig) Result {
 	return res
 }
 
-// runClosed is the classic closed loop: each worker draws parameters
-// from its own seeded generator and issues operations back to back.
-// Per-client op sequences depend only on (seed, client, theta, info),
-// which the determinism tests pin; only the FreshID carries the run
-// nonce, so repeats of one config stay comparable while never reusing
-// order ids.
-func runClosed(info Info, mix []MixItem, cfg DriverConfig, recs []workerRecorder, nonce uint64) time.Duration {
-	totalWeight := mixWeight(mix)
+// runClients is the driver's one client fan-out — the closed loop, the
+// open loop's workers, the contention sweep and the torn-read probe all
+// spawn here: n goroutines run client(c); their wall time comes back.
+func runClients(n int, client func(c int)) time.Duration {
 	var wg sync.WaitGroup
 	start := time.Now()
-	for c := 0; c < cfg.Clients; c++ {
+	for c := 0; c < n; c++ {
 		wg.Add(1)
-		go func(client int) {
+		go func() {
 			defer wg.Done()
-			rec := &recs[client]
-			rec.perOp = make([]metrics.DualHistogram, len(mix))
-			gen := NewParamGen(info, cfg.Seed+uint64(client)*7919, cfg.Theta)
-			for i := 0; i < cfg.OpsPerClient; i++ {
-				p := gen.Next()
-				p.FreshID = gen.NewOrderID(nonce, client, i)
-				idx := pickMixIndex(gen, mix, totalWeight)
-				t0 := time.Now()
-				err := mix[idx].Run(p)
-				d := time.Since(t0)
-				rec.observe(idx, d, 0, false, err)
-			}
-		}(c)
+			client(c)
+		}()
 	}
 	wg.Wait()
 	return time.Since(start)
+}
+
+// drawOps is one closed-loop client: op runs cfg.OpsPerClient times, back
+// to back, drawing its parameters from the client's own generator. The
+// sequence depends only on (seed, theta, info); callers derive seed as
+// cfg.Seed + client*stride, and the strides (7919 RunMix, 104729
+// RunContention, 31/37 torn-read writers/readers) are frozen: they fix
+// every recorded per-client op sequence.
+func drawOps(info Info, cfg DriverConfig, seed uint64, op func(i int, gen *ParamGen)) {
+	gen := NewParamGen(info, seed, cfg.Theta)
+	for i := 0; i < cfg.OpsPerClient; i++ {
+		op(i, gen)
+	}
+}
+
+// runClosed is the classic closed loop: each worker issues operations
+// back to back. Only the FreshID carries the run nonce, so repeats of
+// one config stay comparable while never reusing order ids.
+func runClosed(info Info, mix []MixItem, cfg DriverConfig, recs []workerRecorder, nonce uint64) time.Duration {
+	totalWeight := mixWeight(mix)
+	return runClients(cfg.Clients, func(client int) {
+		rec := &recs[client]
+		drawOps(info, cfg, cfg.Seed+uint64(client)*7919, func(i int, gen *ParamGen) {
+			p := gen.Next()
+			p.FreshID = gen.NewOrderID(nonce, client, i)
+			idx := pickMixIndex(gen, mix, totalWeight)
+			t0 := time.Now()
+			err := mix[idx].Run(p)
+			rec.observe(idx, time.Since(t0), 0, false, err)
+		})
+	})
 }
 
 // TornReadResult reports a torn-read probe (cross-model atomicity as
@@ -509,50 +534,28 @@ type TornReadResult struct {
 // document and XML invoice disagreeing). The unified engine must
 // report zero; the federation's independent per-store reads may not.
 func RunTornReadProbe(e Engine, info Info, cfg DriverConfig) TornReadResult {
-	if cfg.Clients <= 0 {
-		cfg.Clients = 4
-	}
-	if cfg.OpsPerClient <= 0 {
-		cfg.OpsPerClient = 100
-	}
+	cfg = cfg.withDefaults(4)
 	var reads, torn atomic.Int64
-	var wg sync.WaitGroup
-	writers := cfg.Clients / 2
-	if writers == 0 {
-		writers = 1
-	}
-	readers := cfg.Clients - writers
-	if readers == 0 {
-		readers = 1
-	}
-	for c := 0; c < writers; c++ {
-		wg.Add(1)
-		go func(client int) {
-			defer wg.Done()
-			gen := NewParamGen(info, cfg.Seed+uint64(client)*31, cfg.Theta)
-			for i := 0; i < cfg.OpsPerClient; i++ {
+	writers := max(cfg.Clients/2, 1)
+	readers := max(cfg.Clients-writers, 1)
+	runClients(writers+readers, func(c int) {
+		if c < writers {
+			drawOps(info, cfg, cfg.Seed+uint64(c)*31, func(_ int, gen *ParamGen) {
 				_ = e.OrderUpdate(gen.Next())
+			})
+			return
+		}
+		drawOps(info, cfg, cfg.Seed+uint64(c-writers)*37, func(_ int, gen *ParamGen) {
+			isTorn, err := e.SnapshotRead(gen.Next())
+			if err != nil {
+				return
 			}
-		}(c)
-	}
-	for c := 0; c < readers; c++ {
-		wg.Add(1)
-		go func(client int) {
-			defer wg.Done()
-			gen := NewParamGen(info, cfg.Seed+uint64(client)*37, cfg.Theta)
-			for i := 0; i < cfg.OpsPerClient; i++ {
-				isTorn, err := e.SnapshotRead(gen.Next())
-				if err != nil {
-					continue
-				}
-				reads.Add(1)
-				if isTorn {
-					torn.Add(1)
-				}
+			reads.Add(1)
+			if isTorn {
+				torn.Add(1)
 			}
-		}(c)
-	}
-	wg.Wait()
+		})
+	})
 	return TornReadResult{Engine: e.Name(), Reads: reads.Load(), Torn: torn.Load()}
 }
 
@@ -593,32 +596,16 @@ type ContentionResult struct {
 // deadlock/abort rate. Higher skew concentrates transfers on a hot
 // product pair locked in either order, so aborts rise with theta.
 func RunContention(e Engine, info Info, cfg DriverConfig) ContentionResult {
-	if cfg.Clients <= 0 {
-		cfg.Clients = 4
-	}
-	if cfg.OpsPerClient <= 0 {
-		cfg.OpsPerClient = 100
-	}
-	var attempts, committed atomic.Int64
-	var wg sync.WaitGroup
-	start := time.Now()
-	for c := 0; c < cfg.Clients; c++ {
-		wg.Add(1)
-		go func(client int) {
-			defer wg.Done()
-			gen := NewParamGen(info, cfg.Seed+uint64(client)*104729, cfg.Theta)
-			for i := 0; i < cfg.OpsPerClient; i++ {
-				p := gen.Next()
-				attempts.Add(1)
-				if err := e.StockTransferOnce(p); err == nil {
-					committed.Add(1)
-				}
+	cfg = cfg.withDefaults(4)
+	var committed atomic.Int64
+	elapsed := runClients(cfg.Clients, func(c int) {
+		drawOps(info, cfg, cfg.Seed+uint64(c)*104729, func(_ int, gen *ParamGen) {
+			if err := e.StockTransferOnce(gen.Next()); err == nil {
+				committed.Add(1)
 			}
-		}(c)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	att, com := attempts.Load(), committed.Load()
+		})
+	})
+	att, com := int64(cfg.Clients*cfg.OpsPerClient), committed.Load()
 	rate := 0.0
 	if att > 0 {
 		rate = float64(att-com) / float64(att)

@@ -1,0 +1,224 @@
+package workload
+
+import (
+	"errors"
+	"fmt"
+	"testing"
+	"time"
+
+	"udbench/internal/datagen"
+	"udbench/internal/federation"
+	"udbench/internal/mmvalue"
+	"udbench/internal/txn"
+	"udbench/internal/udbms"
+)
+
+// conformanceEngine is one native engine with the stores it runs over,
+// so the tests can look underneath it.
+type conformanceEngine struct {
+	Engine
+	st datagen.Target
+}
+
+// activeTxns sums the open transactions of every manager under the
+// engine (one shared manager on udbms, five on the federation).
+func (ce conformanceEngine) activeTxns() int {
+	seen := map[*txn.Manager]bool{}
+	n := 0
+	for _, m := range []*txn.Manager{
+		ce.st.Relational.Manager(), ce.st.Docs.Manager(), ce.st.Graph.Manager(), ce.st.KV.Manager(), ce.st.XML.Manager(),
+	} {
+		if !seen[m] {
+			seen[m] = true
+			n += m.ActiveCount()
+		}
+	}
+	return n
+}
+
+// newConformanceEngines builds both native engines. Loaded engines hold
+// the t2 and the tenants dataset side by side (their tables and
+// collections do not overlap), so every op class has data to succeed
+// on; unloaded ones are empty, so every body that needs a table fails.
+func newConformanceEngines(t *testing.T, loaded bool) []conformanceEngine {
+	t.Helper()
+	db, f := udbms.Open(), federation.Open()
+	engines := []conformanceEngine{
+		{NewUDBMSEngine(db), db.Stores()},
+		{NewFederationEngine(f), f.Stores()},
+	}
+	if !loaded {
+		return engines
+	}
+	for _, name := range []string{"t2", "tenants"} {
+		suite, _ := SuiteByName(name)
+		data := suite.Generate(0.02, 1234)
+		for _, ce := range engines {
+			if err := data.Load(ce.st); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return engines
+}
+
+// TestNativeEngineConformance runs every op class through both native
+// engines three ways — on loaded stores with valid parameters, on loaded
+// stores with unknown ids, on empty stores — and pins what the one
+// adapter promises for all of them: no transaction outlives the call
+// whether the body succeeded or failed, failures surface, and suite-op
+// counters move only on success.
+func TestNativeEngineConformance(t *testing.T) {
+	type opClass struct {
+		name string
+		run  func(e Engine, p Params) error
+		// failsUnknown / failsEmpty: the body errors on unknown ids /
+		// on stores without the dataset (reads of a missing record are
+		// empty results, not errors, so not every class can fail).
+		failsUnknown, failsEmpty bool
+		// emptyEither: Q11's two definitions notice a missing customer
+		// table at different points (the pipeline only once the graph
+		// walk found friends), so on empty stores one errors and the
+		// other returns 0.
+		emptyEither bool
+		// suiteWrite is set for suite ops: which counter a success moves.
+		suite      bool
+		suiteWrite bool
+	}
+	needsCustomerTable := map[QueryID]bool{Q1: true, Q4: true, Q8: true, Q10: true, Q12: true, Q13: true}
+	var classes []opClass
+	for _, q := range AllQueries {
+		classes = append(classes, opClass{
+			name:        q.String(),
+			run:         func(e Engine, p Params) error { _, err := e.RunQuery(q, p); return err },
+			failsEmpty:  needsCustomerTable[q],
+			emptyEither: q == Q11,
+		})
+	}
+	suiteOp := func(op string) func(e Engine, p Params) error {
+		return func(e Engine, p Params) error { _, err := e.RunSuiteOp("tenants", op, p); return err }
+	}
+	classes = append(classes,
+		opClass{name: "T1", run: Engine.OrderUpdate, failsUnknown: true, failsEmpty: true},
+		opClass{name: "T1-once", run: Engine.OrderUpdateOnce, failsUnknown: true, failsEmpty: true},
+		opClass{name: "T2", run: Engine.NewOrder, failsUnknown: true, failsEmpty: true},
+		opClass{name: "T3", run: Engine.WriteFeedback, failsUnknown: true, failsEmpty: true},
+		opClass{name: "T4", run: func(e Engine, p Params) error { _, err := e.SnapshotRead(p); return err }},
+		opClass{name: "T5-once", run: Engine.StockTransferOnce, failsUnknown: true, failsEmpty: true},
+		opClass{name: "suite read", run: suiteOp("t_lookup"), failsEmpty: true, suite: true},
+		opClass{name: "suite write", run: suiteOp("t_open"), failsUnknown: true, failsEmpty: true, suite: true, suiteWrite: true},
+	)
+	good := Params{
+		CustomerID: 1, OrderID: datagen.OrderID(1), ProductID: datagen.ProductID(1), ProductID2: datagen.ProductID(2),
+		City: "Helsinki", TopN: 10, Threshold: 200, Rating: 3,
+	}
+	// Unknown ids everywhere a write body looks a record up; T2's
+	// failure is its duplicate key (an order id the dataset already has).
+	unknown := good
+	unknown.CustomerID, unknown.OrderID, unknown.ProductID, unknown.ProductID2 = 1<<30, "o-missing", "p-missing", "p-missing2"
+	unknown.FreshID = datagen.OrderID(1)
+
+	loaded, empty := newConformanceEngines(t, true), newConformanceEngines(t, false)
+	fresh := 0
+	for i := range loaded {
+		for _, c := range classes {
+			t.Run(loaded[i].Name()+"/"+c.name, func(t *testing.T) {
+				check := func(label string, ce conformanceEngine, p Params, wantErr bool) {
+					t.Helper()
+					fresh++
+					if p.FreshID == "" {
+						p.FreshID = fmt.Sprintf("o-conf-%04d", fresh)
+					}
+					before := ce.Capabilities().SuiteStats.SuiteOpStats()
+					err := c.run(ce, p)
+					if (err != nil) != wantErr && !(c.emptyEither && ce == empty[i]) {
+						t.Errorf("%s: err = %v, want error %v", label, err, wantErr)
+					}
+					if n := ce.activeTxns(); n != 0 {
+						t.Errorf("%s: %d transactions still active after the call (err %v)", label, n, err)
+					}
+					delta := ce.Capabilities().SuiteStats.SuiteOpStats().Delta(before)
+					want := SuiteStats{}
+					if c.suite && err == nil {
+						want = SuiteStats{Reads: 1, Rows: delta.Rows}
+						if c.suiteWrite {
+							want = SuiteStats{Writes: 1, Rows: delta.Rows}
+						}
+					}
+					if delta != want {
+						t.Errorf("%s: suite counters moved by %+v, want %+v (err %v)", label, delta, want, err)
+					}
+				}
+				check("valid params", loaded[i], good, false)
+				check("unknown ids", loaded[i], unknown, c.failsUnknown)
+				check("empty stores", empty[i], good, c.failsEmpty)
+			})
+		}
+	}
+}
+
+// TestOnceVariantsSurfaceDeadlock builds a real two-document lock cycle
+// against each engine's document store and pins the retry switch of the
+// write discipline: the single-attempt ops (T1-once, T5-once) come back
+// with txn.ErrDeadlock, the retrying T1 rides out the same cycle and
+// commits.
+func TestOnceVariantsSurfaceDeadlock(t *testing.T) {
+	p := Params{OrderID: datagen.OrderID(1), ProductID: datagen.ProductID(1), ProductID2: datagen.ProductID(2), Rating: 3}
+	for _, ce := range newConformanceEngines(t, true) {
+		order, _ := ce.st.Docs.Collection("orders").Get(nil, p.OrderID)
+		items, _ := order.MustObject().GetOr("items", mmvalue.Null).AsArray()
+		linePID, _ := items[0].MustObject().Get("product_id")
+		// Each op locks first, then second; the rival below holds second
+		// and then asks for first.
+		cases := []struct {
+			name                 string
+			run                  func(Params) error
+			firstColl, firstID   string
+			secondColl, secondID string
+			wantDeadlock         bool
+		}{
+			{"T5-once", ce.StockTransferOnce, "products", p.ProductID, "products", p.ProductID2, true},
+			{"T1-once", ce.OrderUpdateOnce, "orders", p.OrderID, "products", linePID.MustString(), true},
+			{"T1", ce.OrderUpdate, "orders", p.OrderID, "products", linePID.MustString(), false},
+		}
+		for _, c := range cases {
+			t.Run(ce.Name()+"/"+c.name, func(t *testing.T) {
+				mgr := ce.st.Docs.Manager()
+				touch := func(tx *txn.Tx, coll, id string) error {
+					return ce.st.Docs.Collection(coll).Update(tx, id, func(d mmvalue.Value) (mmvalue.Value, error) { return d, nil })
+				}
+				rival := mgr.Begin() // older than the op's transaction: the op is the victim
+				if err := touch(rival, c.secondColl, c.secondID); err != nil {
+					t.Fatal(err)
+				}
+				waits := mgr.LockStats().Waits
+				done := make(chan error, 1)
+				go func() { done <- c.run(p) }()
+				for deadline := time.Now().Add(5 * time.Second); mgr.LockStats().Waits == waits; {
+					if time.Now().After(deadline) {
+						t.Fatal("op never blocked on the rival's lock")
+					}
+					time.Sleep(100 * time.Microsecond)
+				}
+				// Closing the cycle: the detector aborts the op's (younger)
+				// transaction, which is what lets this update through.
+				if err := touch(rival, c.firstColl, c.firstID); err != nil {
+					t.Fatalf("rival was the victim: %v", err)
+				}
+				if _, err := rival.Commit(); err != nil {
+					t.Fatal(err)
+				}
+				err := <-done
+				if got := errors.Is(err, txn.ErrDeadlock); got != c.wantDeadlock {
+					t.Errorf("err = %v; surfaced deadlock %v, want %v", err, got, c.wantDeadlock)
+				}
+				if !c.wantDeadlock && err != nil {
+					t.Errorf("retrying op failed: %v", err)
+				}
+				if n := ce.activeTxns(); n != 0 {
+					t.Errorf("%d transactions still active", n)
+				}
+			})
+		}
+	}
+}

@@ -34,9 +34,111 @@ func (c *SuiteStatsCounter) Stats() SuiteStats {
 	return SuiteStats{Reads: c.reads.Load(), Writes: c.writes.Load(), Rows: c.rows.Load()}
 }
 
+// discipline is the one decision that separates the systems under test:
+// how an op body gets the session it runs in. Everything else about an
+// op is written once, in nativeEngine.
+type discipline interface {
+	// read runs fn against the system's read view and releases it.
+	read(fn func(session) error) error
+	// write runs fn in a read-write transaction, committing on nil and
+	// rolling back on error, within a deadlock-retry budget (txn.Retry).
+	write(retries int, fn func(session) error) error
+}
+
+// The two retry budgets a write runs under.
+const (
+	once    = 0                  // single attempt: the first abort surfaces
+	retried = txn.DefaultRetries // deadlock victims are re-run
+)
+
+// nativeEngine runs the shared op bodies (ops.go, suite_*.go) over a
+// five-store bundle under a discipline: the single implementation of
+// Backend's op methods and of TxnEngine for both in-process engines.
+// Each op costs one closure and one interface call on top of its body.
+type nativeEngine struct {
+	st       datagen.Target
+	sut      discipline
+	suiteOps SuiteStatsCounter
+}
+
+// RunQuery implements Backend with the query table's shared body.
+func (e *nativeEngine) RunQuery(q QueryID, p Params) (n int, err error) {
+	def, err := q.def()
+	if err != nil {
+		return 0, err
+	}
+	err = e.sut.read(func(s session) error {
+		n, err = def.body(e.st, s, p)
+		return err
+	})
+	return n, err
+}
+
+// OrderUpdate implements TxnEngine (T1).
+func (e *nativeEngine) OrderUpdate(p Params) error {
+	return e.sut.write(retried, func(s session) error { return orderUpdateBody(e.st, s, p) })
+}
+
+// OrderUpdateOnce implements TxnEngine: one T1 attempt, aborts surface.
+func (e *nativeEngine) OrderUpdateOnce(p Params) error {
+	return e.sut.write(once, func(s session) error { return orderUpdateBody(e.st, s, p) })
+}
+
+// StockTransferOnce implements TxnEngine: one T5 attempt, aborts surface.
+func (e *nativeEngine) StockTransferOnce(p Params) error {
+	return e.sut.write(once, func(s session) error { return stockTransferBody(e.st, s, p) })
+}
+
+// NewOrder implements TxnEngine (T2).
+func (e *nativeEngine) NewOrder(p Params) error {
+	return e.sut.write(retried, func(s session) error { return newOrderBody(e.st, s, p) })
+}
+
+// WriteFeedback implements TxnEngine (T3).
+func (e *nativeEngine) WriteFeedback(p Params) error {
+	return e.sut.write(retried, func(s session) error { return writeFeedbackBody(e.st, s, p) })
+}
+
+// SnapshotRead implements TxnEngine (T4). Whether the view can be torn
+// is the read discipline's property: never under one snapshot, possibly
+// under per-store latest reads — what the consistency experiment counts.
+func (e *nativeEngine) SnapshotRead(p Params) (torn bool, err error) {
+	err = e.sut.read(func(s session) error {
+		torn, err = snapshotReadBody(e.st, s, p)
+		return err
+	})
+	return torn, err
+}
+
+// RunSuiteOp implements Backend: read ops (and the weight-0 probes) run
+// in the read view, write ops in a retried read-write transaction like
+// T1–T3. Only successful ops are counted.
+func (e *nativeEngine) RunSuiteOp(suite, op string, p Params) (n int, err error) {
+	so, err := suiteOpBody(suite, op)
+	if err != nil {
+		return 0, err
+	}
+	body := func(s session) error {
+		n, err = so.Body(e.st, s, p)
+		return err
+	}
+	if so.Write {
+		err = e.sut.write(retried, body)
+	} else {
+		err = e.sut.read(body)
+	}
+	if err == nil {
+		e.suiteOps.Observe(so.Write, n)
+	}
+	return n, err
+}
+
+// SuiteOpStats implements SuiteStatsProvider.
+func (e *nativeEngine) SuiteOpStats() SuiteStats { return e.suiteOps.Stats() }
+
 // UDBMSEngine adapts the unified multi-model engine to the workload
-// Engine interface. Reads run under one snapshot transaction spanning
-// all five models; writes run under one ACID transaction.
+// Engine interface. Its discipline: reads see one snapshot spanning all
+// five models; writes are one ACID transaction.
 type UDBMSEngine struct {
 	DB *udbms.DB
 	// Durable, when set, exposes the write-ahead-log telemetry of the
@@ -44,11 +146,15 @@ type UDBMSEngine struct {
 	// driver then reports a durability delta per run.
 	Durable DurabilityProvider
 
-	suiteOps SuiteStatsCounter
+	nativeEngine
 }
 
 // NewUDBMSEngine wraps db.
-func NewUDBMSEngine(db *udbms.DB) *UDBMSEngine { return &UDBMSEngine{DB: db} }
+func NewUDBMSEngine(db *udbms.DB) *UDBMSEngine {
+	e := &UDBMSEngine{DB: db}
+	e.st, e.sut = db.Stores(), e
+	return e
+}
 
 // Name implements Engine.
 func (e *UDBMSEngine) Name() string { return "udbms" }
@@ -77,10 +183,6 @@ func (e *UDBMSEngine) DurabilityStats() *wal.Stats {
 	return e.Durable.DurabilityStats()
 }
 
-func (e *UDBMSEngine) stores() stores {
-	return stores{rel: e.DB.Relational, docs: e.DB.Docs, gr: e.DB.Graph, kv: e.DB.KV, xml: e.DB.XML}
-}
-
 // unifiedSession serves every model from the same transaction; store
 // requests are in-process calls, so hop() is free.
 type unifiedSession struct{ tx *txn.Tx }
@@ -92,115 +194,42 @@ func (s unifiedSession) kvTx() *txn.Tx    { return s.tx }
 func (s unifiedSession) xmlTx() *txn.Tx   { return s.tx }
 func (s unifiedSession) hop()             {}
 
-// RunQuery implements Engine: the whole query sees one snapshot. The
-// join-heavy queries run through the unified engine's streaming
-// pipeline (hash joins, predicate pushdown); the rest share the
-// per-store bodies with the federation.
-func (e *UDBMSEngine) RunQuery(q QueryID, p Params) (int, error) {
+func (e *UDBMSEngine) read(fn func(session) error) error {
 	tx := e.DB.Begin()
 	defer tx.Abort() // read-only: abort releases the snapshot
-	if n, ok, err := pipelineQuery(e.DB, tx, q, p); ok {
-		return n, err
-	}
-	return runQuery(e.stores(), unifiedSession{tx}, q, p)
+	return fn(unifiedSession{tx})
 }
 
-// OrderUpdate implements Engine (T1) as a single ACID transaction.
-func (e *UDBMSEngine) OrderUpdate(p Params) error {
-	return e.DB.RunTx(func(tx *txn.Tx) error {
-		return orderUpdateBody(e.stores(), unifiedSession{tx}, p)
-	})
+func (e *UDBMSEngine) write(retries int, fn func(session) error) error {
+	return e.DB.Manager().RunWith(retries, func(tx *txn.Tx) error { return fn(unifiedSession{tx}) })
 }
 
-// OrderUpdateOnce implements Engine: a single T1 attempt without the
-// deadlock retry loop.
-func (e *UDBMSEngine) OrderUpdateOnce(p Params) error {
-	tx := e.DB.Begin()
-	if err := orderUpdateBody(e.stores(), unifiedSession{tx}, p); err != nil {
-		tx.Abort()
-		return err
-	}
-	_, err := tx.Commit()
-	return err
-}
-
-// StockTransferOnce implements Engine: a single two-product stock
-// transfer attempt without retry.
-func (e *UDBMSEngine) StockTransferOnce(p Params) error {
-	tx := e.DB.Begin()
-	if err := stockTransferBody(e.stores(), unifiedSession{tx}, p); err != nil {
-		tx.Abort()
-		return err
-	}
-	_, err := tx.Commit()
-	return err
-}
-
-// NewOrder implements Engine (T2).
-func (e *UDBMSEngine) NewOrder(p Params) error {
-	return e.DB.RunTx(func(tx *txn.Tx) error {
-		return newOrderBody(e.stores(), unifiedSession{tx}, p)
-	})
-}
-
-// WriteFeedback implements Engine (T3).
-func (e *UDBMSEngine) WriteFeedback(p Params) error {
-	return e.DB.RunTx(func(tx *txn.Tx) error {
-		return writeFeedbackBody(e.stores(), unifiedSession{tx}, p)
-	})
-}
-
-// SnapshotRead implements Engine (T4). Under the unified engine the
-// snapshot spans both models, so the view can never be torn.
-func (e *UDBMSEngine) SnapshotRead(p Params) (bool, error) {
-	tx := e.DB.Begin()
-	defer tx.Abort()
-	return snapshotReadBody(e.stores(), unifiedSession{tx}, p)
-}
-
-// RunSuiteOp implements Backend: the op body runs under one snapshot
-// transaction for reads (abort releases it, like RunQuery) or one ACID
-// transaction for writes (RunTx retries deadlock victims, like the
-// native T1–T3 paths).
-func (e *UDBMSEngine) RunSuiteOp(suite, op string, p Params) (int, error) {
-	so, err := suiteOpBody(suite, op)
-	if err != nil {
-		return 0, err
-	}
-	var n int
-	if so.Write {
-		err = e.DB.RunTx(func(tx *txn.Tx) error {
-			var bodyErr error
-			n, bodyErr = so.Body(e.stores(), unifiedSession{tx}, p)
-			return bodyErr
-		})
-	} else {
+// RunQuery implements Backend: pipeline definition first (only an
+// engine with one cross-model snapshot can run one), else the shared body.
+func (e *UDBMSEngine) RunQuery(q QueryID, p Params) (int, error) {
+	if def, err := q.def(); err == nil && def.pipeline != nil {
 		tx := e.DB.Begin()
-		n, err = so.Body(e.stores(), unifiedSession{tx}, p)
-		tx.Abort()
+		defer tx.Abort()
+		return def.pipeline(e.DB, tx, p)
 	}
-	if err == nil {
-		e.suiteOps.Observe(so.Write, n)
-	}
-	return n, err
+	return e.nativeEngine.RunQuery(q, p)
 }
 
-// SuiteOpStats implements SuiteStatsProvider.
-func (e *UDBMSEngine) SuiteOpStats() SuiteStats { return e.suiteOps.Stats() }
-
-// FederationEngine adapts the polyglot federation. Reads hit each
-// store's latest state independently (no cross-store snapshot exists)
-// and every store request pays the federation's hop latency; writes
-// run 2PC over per-store transactions.
+// FederationEngine adapts the polyglot federation. Its discipline:
+// reads hit each store's latest state independently (no cross-store
+// snapshot exists) and every store request pays the federation's hop
+// latency; writes run 2PC over per-store transactions.
 type FederationEngine struct {
 	F *federation.Federation
 
-	suiteOps SuiteStatsCounter
+	nativeEngine
 }
 
 // NewFederationEngine wraps f.
 func NewFederationEngine(f *federation.Federation) *FederationEngine {
-	return &FederationEngine{F: f}
+	e := &FederationEngine{F: f}
+	e.st, e.sut = f.Stores(), e
+	return e
 }
 
 // Name implements Engine.
@@ -219,10 +248,6 @@ func (e *FederationEngine) Capabilities() Capabilities {
 // LockStats implements LockStatsProvider: the federation aggregates
 // its five independent per-store lock tables.
 func (e *FederationEngine) LockStats() txn.LockStats { return e.F.LockStats() }
-
-func (e *FederationEngine) stores() stores {
-	return stores{rel: e.F.Relational, docs: e.F.Docs, gr: e.F.Graph, kv: e.F.KV, xml: e.F.XML}
-}
 
 // fedReadSession reads each store's latest committed state (nil tx)
 // and charges one hop per request.
@@ -249,99 +274,29 @@ func (s fedWriteSession) kvTx() *txn.Tx    { return s.ftx.KV() }
 func (s fedWriteSession) xmlTx() *txn.Tx   { return s.ftx.XML() }
 func (s fedWriteSession) hop()             { s.f.Hop() }
 
-// RunQuery implements Engine.
-func (e *FederationEngine) RunQuery(q QueryID, p Params) (int, error) {
-	return runQuery(e.stores(), fedReadSession{e.F}, q, p)
-}
+func (e *FederationEngine) read(fn func(session) error) error { return fn(fedReadSession{e.F}) }
 
-// OrderUpdate implements Engine (T1) via 2PC.
-func (e *FederationEngine) OrderUpdate(p Params) error {
-	return e.F.RunTx(func(ftx *federation.FTx) error {
-		return orderUpdateBody(e.stores(), fedWriteSession{e.F, ftx}, p)
+// write is Federation.RunTx with the retry budget as a parameter.
+func (e *FederationEngine) write(retries int, fn func(session) error) error {
+	return txn.Retry(retries, func() error {
+		ftx := e.F.Begin()
+		if err := fn(fedWriteSession{e.F, ftx}); err != nil {
+			ftx.Abort()
+			return err
+		}
+		return ftx.Commit()
 	})
 }
 
-// OrderUpdateOnce implements Engine: a single federated T1 attempt
-// without retry; deadlock and 2PC failures surface to the caller.
-func (e *FederationEngine) OrderUpdateOnce(p Params) error {
-	ftx := e.F.Begin()
-	if err := orderUpdateBody(e.stores(), fedWriteSession{e.F, ftx}, p); err != nil {
-		ftx.Abort()
-		return err
-	}
-	return ftx.Commit()
-}
-
-// StockTransferOnce implements Engine: a single federated stock
-// transfer attempt without retry.
-func (e *FederationEngine) StockTransferOnce(p Params) error {
-	ftx := e.F.Begin()
-	if err := stockTransferBody(e.stores(), fedWriteSession{e.F, ftx}, p); err != nil {
-		ftx.Abort()
-		return err
-	}
-	return ftx.Commit()
-}
-
-// NewOrder implements Engine (T2) via 2PC.
-func (e *FederationEngine) NewOrder(p Params) error {
-	return e.F.RunTx(func(ftx *federation.FTx) error {
-		return newOrderBody(e.stores(), fedWriteSession{e.F, ftx}, p)
-	})
-}
-
-// WriteFeedback implements Engine (T3) via 2PC.
-func (e *FederationEngine) WriteFeedback(p Params) error {
-	return e.F.RunTx(func(ftx *federation.FTx) error {
-		return writeFeedbackBody(e.stores(), fedWriteSession{e.F, ftx}, p)
-	})
-}
-
-// SnapshotRead implements Engine (T4). Each store is read at its own
-// latest state, so a concurrent T1 can make the view torn — exactly
-// the anomaly the consistency experiment measures.
-func (e *FederationEngine) SnapshotRead(p Params) (bool, error) {
-	return snapshotReadBody(e.stores(), fedReadSession{e.F}, p)
-}
-
-// RunSuiteOp implements Backend. Writes run via 2PC over
-// per-store transactions (RunTx retries deadlock victims); reads hit
-// each store's latest state independently — so the weight-0 probes can
-// observe torn cross-store views here, never on the unified engine.
-func (e *FederationEngine) RunSuiteOp(suite, op string, p Params) (int, error) {
-	so, err := suiteOpBody(suite, op)
-	if err != nil {
-		return 0, err
-	}
-	var n int
-	if so.Write {
-		err = e.F.RunTx(func(ftx *federation.FTx) error {
-			var bodyErr error
-			n, bodyErr = so.Body(e.stores(), fedWriteSession{e.F, ftx}, p)
-			return bodyErr
-		})
-	} else {
-		n, err = so.Body(e.stores(), fedReadSession{e.F}, p)
-	}
-	if err == nil {
-		e.suiteOps.Observe(so.Write, n)
-	}
-	return n, err
-}
-
-// SuiteOpStats implements SuiteStatsProvider.
-func (e *FederationEngine) SuiteOpStats() SuiteStats { return e.suiteOps.Stats() }
-
-// The two native engines register as backends so `udbench mix -engine`
-// and the f5 sweep construct any backend — native or external —
-// through one registry path.
+// Both native engines register as backends: mix, serve and the experiment
+// testbeds build every backend, native or external, through the registry.
 func init() {
 	RegisterBackend(&BackendSpec{
 		Name:        "udbms",
 		Description: "unified multi-model engine: one snapshot/commit across all five models",
 		New: func(data SuiteData, opt BackendOptions) (Backend, error) {
 			db := udbms.Open()
-			if err := data.Load(datagen.Target{Relational: db.Relational, Docs: db.Docs, Graph: db.Graph, KV: db.KV, XML: db.XML}); err != nil {
+			if err := data.Load(db.Stores()); err != nil {
 				return nil, err
 			}
 			return NewUDBMSEngine(db), nil
@@ -353,7 +308,7 @@ func init() {
 		New: func(data SuiteData, opt BackendOptions) (Backend, error) {
 			f := federation.Open()
 			f.HopLatency = opt.HopLatency
-			if err := data.Load(datagen.Target{Relational: f.Relational, Docs: f.Docs, Graph: f.Graph, KV: f.KV, XML: f.XML}); err != nil {
+			if err := data.Load(f.Stores()); err != nil {
 				return nil, err
 			}
 			return NewFederationEngine(f), nil

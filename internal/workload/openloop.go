@@ -2,12 +2,10 @@ package workload
 
 import (
 	"math"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"udbench/internal/datagen"
-	"udbench/internal/metrics"
 )
 
 // arrivalSeedSalt decorrelates the arrival-gap random stream from the
@@ -172,7 +170,6 @@ func runOpen(mix []MixItem, cfg DriverConfig, sched *openScheduler, recs []worke
 	queue := make(chan scheduledOp, sched.expected(cfg))
 	var deadline time.Time
 	var dropped atomic.Int64
-	var wg sync.WaitGroup
 	start := time.Now()
 	if sched.horizon > 0 {
 		deadline = start.Add(drainDeadline(sched.horizon))
@@ -190,25 +187,19 @@ func runOpen(mix []MixItem, cfg DriverConfig, sched *openScheduler, recs []worke
 		}
 		close(queue)
 	}()
-	for c := 0; c < cfg.Clients; c++ {
-		wg.Add(1)
-		go func(client int) {
-			defer wg.Done()
-			rec := &recs[client]
-			rec.perOp = make([]metrics.DualHistogram, len(mix))
-			for op := range queue {
-				if !deadline.IsZero() && time.Now().After(deadline) {
-					dropped.Add(1)
-					continue
-				}
-				t0 := time.Now()
-				err := mix[op.idx].Run(op.p)
-				end := time.Now()
-				rec.observe(op.idx, end.Sub(t0), end.Sub(start.Add(op.due)), true, err)
+	runClients(cfg.Clients, func(client int) {
+		rec := &recs[client]
+		for op := range queue {
+			if !deadline.IsZero() && time.Now().After(deadline) {
+				dropped.Add(1)
+				continue
 			}
-		}(c)
-	}
-	wg.Wait()
+			t0 := time.Now()
+			err := mix[op.idx].Run(op.p)
+			end := time.Now()
+			rec.observe(op.idx, end.Sub(t0), end.Sub(start.Add(op.due)), true, err)
+		}
+	})
 	elapsed := time.Since(start)
 	// A duration-bounded run owns the whole arrival horizon: when the
 	// last (random) arrival lands early and the backlog clears before

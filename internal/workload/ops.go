@@ -9,21 +9,11 @@ import (
 	"udbench/internal/datagen"
 	"udbench/internal/document"
 	"udbench/internal/graph"
-	"udbench/internal/kv"
 	"udbench/internal/mmvalue"
 	"udbench/internal/relational"
 	"udbench/internal/txn"
 	"udbench/internal/xmlstore"
 )
-
-// stores bundles the five model stores of either engine.
-type stores struct {
-	rel  *relational.DB
-	docs *document.Store
-	gr   *graph.Store
-	kv   *kv.Store
-	xml  *xmlstore.Store
-}
 
 // session supplies per-store transaction handles and charges the
 // engine-specific cost of one store request. For the unified engine
@@ -39,78 +29,33 @@ type session interface {
 	hop()
 }
 
-// runQuery executes one read query against the stores through the
-// session. This single implementation serves both engines, so result
-// equivalence is structural.
-func runQuery(st stores, s session, q QueryID, p Params) (int, error) {
-	switch q {
-	case Q1:
-		return q1CustomerProfile(st, s, p)
-	case Q2:
-		return q2FriendsPurchases(st, s, p)
-	case Q3:
-		return q3TopRatedProducts(st, s, p)
-	case Q4:
-		return q4CityBigSpenders(st, s, p)
-	case Q5:
-		return q5InvoiceTotalsByCurrency(st, s)
-	case Q6:
-		return q6TwoHopBuyers(st, s, p)
-	case Q7:
-		return q7OrdersWithProduct(st, s, p)
-	case Q8:
-		return q8RevenueByCity(st, s)
-	case Q9:
-		return q9InfluencerFeedback(st, s, p)
-	case Q10:
-		return q10FullChain(st, s, p)
-	case Q11:
-		return q11FriendNetworkSpend(st, s, p)
-	case Q12:
-		return q12CityRevenueHaving(st, s, p)
-	case Q13:
-		return q13TopSpenders(st, s, p)
-	}
-	return 0, fmt.Errorf("workload: unknown query %d", int(q))
-}
-
-func customerTable(st stores) (*relational.Table, error) {
-	t, ok := st.rel.Table("customer")
-	if !ok {
-		return nil, fmt.Errorf("workload: customer table missing (dataset not loaded?)")
-	}
-	return t, nil
-}
-
 func feedbackPrefix(cid int) string { return fmt.Sprintf("feedback/%06d/", cid) }
 
-func q1CustomerProfile(st stores, s session, p Params) (int, error) {
-	cust, err := customerTable(st)
+func q1CustomerProfile(st datagen.Target, s session, p Params) (int, error) {
+	cust, err := tableOf(st, "customer")
 	if err != nil {
 		return 0, err
 	}
 	s.hop()
-	row, ok := cust.Get(s.relTx(), p.CustomerID)
-	if !ok {
+	if _, ok := cust.Get(s.relTx(), p.CustomerID); !ok {
 		return 0, nil
 	}
-	_ = row
 	s.hop()
-	orders := st.docs.Collection("orders").Find(s.docTx(), document.Eq("customer_id", p.CustomerID), nil)
+	orders := st.Docs.Collection("orders").Find(s.docTx(), document.Eq("customer_id", p.CustomerID), nil)
 	s.hop()
 	feedback := 0
-	st.kv.ScanPrefix(s.kvTx(), feedbackPrefix(p.CustomerID), func(string, mmvalue.Value) bool {
+	st.KV.ScanPrefix(s.kvTx(), feedbackPrefix(p.CustomerID), func(string, mmvalue.Value) bool {
 		feedback++
 		return true
 	})
 	return 1 + len(orders) + feedback, nil
 }
 
-func q2FriendsPurchases(st stores, s session, p Params) (int, error) {
+func q2FriendsPurchases(st datagen.Target, s session, p Params) (int, error) {
 	s.hop()
-	friends := st.gr.KHop(s.graphTx(), graph.VID(customerVIDOf(p.CustomerID)), 1, graph.Both, "knows")
+	friends := st.Graph.KHop(s.graphTx(), graph.VID(datagen.CustomerVID(p.CustomerID)), 1, graph.Both, "knows")
 	products := map[string]bool{}
-	orders := st.docs.Collection("orders")
+	orders := st.Docs.Collection("orders")
 	for _, f := range friends {
 		fid, ok := customerIDOf(string(f))
 		if !ok {
@@ -128,18 +73,18 @@ func q2FriendsPurchases(st stores, s session, p Params) (int, error) {
 	return len(products), nil
 }
 
-func q3TopRatedProducts(st stores, s session, p Params) (int, error) {
+func q3TopRatedProducts(st datagen.Target, s session, p Params) (int, error) {
 	type acc struct {
 		sum, n float64
 	}
 	ratings := map[string]*acc{} // product -> rating accumulator
-	orders := st.docs.Collection("orders")
+	orders := st.Docs.Collection("orders")
 	s.hop()
 	var entries []struct {
 		oid    string
 		rating float64
 	}
-	st.kv.Scan(s.kvTx(), "feedback/", "feedback0", func(key string, v mmvalue.Value) bool {
+	st.KV.Scan(s.kvTx(), "feedback/", "feedback0", func(key string, v mmvalue.Value) bool {
 		parts := strings.Split(key, "/")
 		if len(parts) != 3 {
 			return true
@@ -196,14 +141,14 @@ func q3TopRatedProducts(st stores, s session, p Params) (int, error) {
 // request wins whenever the hop latency is nonzero — k probes cost
 // k·hop while the scan costs one hop plus an in-store pass that is
 // orders of magnitude cheaper than a round trip per probe.
-func q4CityBigSpenders(st stores, s session, p Params) (int, error) {
-	cust, err := customerTable(st)
+func q4CityBigSpenders(st datagen.Target, s session, p Params) (int, error) {
+	cust, err := tableOf(st, "customer")
 	if err != nil {
 		return 0, err
 	}
 	s.hop()
 	rows := cust.Query(s.relTx()).Where(relational.Col("city").Eq(p.City)).Project("id").Rows()
-	orders := st.docs.Collection("orders")
+	orders := st.Docs.Collection("orders")
 	count := 0
 	// Buckets are keyed by mmvalue.Key (so Float(7) matches Int(7))
 	// and re-verified with mmvalue.Equal on probe, exactly like the
@@ -252,10 +197,10 @@ func q4CityBigSpenders(st stores, s session, p Params) (int, error) {
 	return count, nil
 }
 
-func q5InvoiceTotalsByCurrency(st stores, s session) (int, error) {
+func q5InvoiceTotalsByCurrency(st datagen.Target, s session, _ Params) (int, error) {
 	s.hop()
 	sums := map[string]float64{}
-	st.xml.Scan(s.xmlTx(), func(_ string, doc *xmlstore.Node) bool {
+	st.XML.Scan(s.xmlTx(), func(_ string, doc *xmlstore.Node) bool {
 		cur, _ := doc.Attr("currency")
 		if totalEl, ok := doc.FirstChild("total"); ok {
 			if f, err := strconv.ParseFloat(totalEl.InnerText(), 64); err == nil {
@@ -267,23 +212,23 @@ func q5InvoiceTotalsByCurrency(st stores, s session) (int, error) {
 	return len(sums), nil
 }
 
-func q6TwoHopBuyers(st stores, s session, p Params) (int, error) {
+func q6TwoHopBuyers(st datagen.Target, s session, p Params) (int, error) {
 	s.hop()
-	buyers := st.gr.KHop(s.graphTx(), graph.VID("p"+p.ProductID[1:]), 1, graph.In, "purchased")
+	buyers := st.Graph.KHop(s.graphTx(), graph.VID("p"+p.ProductID[1:]), 1, graph.In, "purchased")
 	reach := map[graph.VID]bool{}
 	for _, b := range buyers {
 		reach[b] = true
 		s.hop()
-		for _, v := range st.gr.KHop(s.graphTx(), b, 2, graph.Both, "knows") {
+		for _, v := range st.Graph.KHop(s.graphTx(), b, 2, graph.Both, "knows") {
 			reach[v] = true
 		}
 	}
 	return len(reach), nil
 }
 
-func q7OrdersWithProduct(st stores, s session, p Params) (int, error) {
+func q7OrdersWithProduct(st datagen.Target, s session, p Params) (int, error) {
 	s.hop()
-	matched := st.docs.Collection("orders").Find(s.docTx(), document.Func(
+	matched := st.Docs.Collection("orders").Find(s.docTx(), document.Func(
 		"items contains "+p.ProductID,
 		func(doc mmvalue.Value) bool {
 			items, _ := mmvalue.ParsePath("items").LookupOr(doc, mmvalue.Null).AsArray()
@@ -298,7 +243,7 @@ func q7OrdersWithProduct(st stores, s session, p Params) (int, error) {
 	for _, o := range matched {
 		id, _ := o.MustObject().Get("_id")
 		s.hop()
-		if inv, ok := st.xml.Get(s.xmlTx(), id.MustString()); ok {
+		if inv, ok := st.XML.Get(s.xmlTx(), id.MustString()); ok {
 			if _, ok := inv.FirstChild("total"); ok {
 				count++
 			}
@@ -307,10 +252,26 @@ func q7OrdersWithProduct(st stores, s session, p Params) (int, error) {
 	return count, nil
 }
 
-func q8RevenueByCity(st stores, s session) (int, error) {
-	cust, err := customerTable(st)
+// orderTotals streams (customer id, total) of every order — one store
+// request, projected to the two fields the revenue queries aggregate.
+func orderTotals(st datagen.Target, s session, each func(cid int64, total float64)) {
+	s.hop()
+	for _, o := range st.Docs.Collection("orders").Find(s.docTx(), nil,
+		&document.FindOptions{Projection: []string{"customer_id", "total"}}) {
+		obj := o.MustObject()
+		cid, _ := obj.Get("customer_id")
+		total, _ := obj.GetOr("total", mmvalue.Float(0)).AsFloat()
+		each(cid.MustInt(), total)
+	}
+}
+
+// revenueByCity is the client-side join behind Q8 and Q12: fetch every
+// customer's city, then fold the order totals into a per-city sum.
+// Orders of unknown customers have no city and are left out.
+func revenueByCity(st datagen.Target, s session) (map[string]float64, error) {
+	cust, err := tableOf(st, "customer")
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	s.hop()
 	cityOf := map[int64]string{}
@@ -320,23 +281,21 @@ func q8RevenueByCity(st stores, s session) (int, error) {
 		city, _ := o.Get("city")
 		cityOf[id.MustInt()] = city.MustString()
 	}
-	s.hop()
 	revenue := map[string]float64{}
-	for _, o := range st.docs.Collection("orders").Find(s.docTx(), nil,
-		&document.FindOptions{Projection: []string{"customer_id", "total"}}) {
-		obj := o.MustObject()
-		cid, _ := obj.Get("customer_id")
-		total, _ := obj.GetOr("total", mmvalue.Float(0)).AsFloat()
-		revenue[cityOf[cid.MustInt()]] += total
-	}
+	orderTotals(st, s, func(cid int64, total float64) { revenue[cityOf[cid]] += total })
 	delete(revenue, "")
-	return len(revenue), nil
+	return revenue, nil
 }
 
-func q9InfluencerFeedback(st stores, s session, p Params) (int, error) {
+func q8RevenueByCity(st datagen.Target, s session, _ Params) (int, error) {
+	revenue, err := revenueByCity(st, s)
+	return len(revenue), err
+}
+
+func q9InfluencerFeedback(st datagen.Target, s session, p Params) (int, error) {
 	s.hop()
 	degree := map[graph.VID]int{}
-	st.gr.Edges(s.graphTx(), func(e graph.Edge) bool {
+	st.Graph.Edges(s.graphTx(), func(e graph.Edge) bool {
 		if e.Label == "knows" {
 			degree[e.From]++
 			degree[e.To]++
@@ -367,7 +326,7 @@ func q9InfluencerFeedback(st stores, s session, p Params) (int, error) {
 			continue
 		}
 		s.hop()
-		st.kv.ScanPrefix(s.kvTx(), feedbackPrefix(cid), func(string, mmvalue.Value) bool {
+		st.KV.ScanPrefix(s.kvTx(), feedbackPrefix(cid), func(string, mmvalue.Value) bool {
 			total++
 			return true
 		})
@@ -375,8 +334,8 @@ func q9InfluencerFeedback(st stores, s session, p Params) (int, error) {
 	return total, nil
 }
 
-func q10FullChain(st stores, s session, p Params) (int, error) {
-	cust, err := customerTable(st)
+func q10FullChain(st datagen.Target, s session, p Params) (int, error) {
+	cust, err := tableOf(st, "customer")
 	if err != nil {
 		return 0, err
 	}
@@ -386,8 +345,8 @@ func q10FullChain(st stores, s session, p Params) (int, error) {
 	}
 	touched := 1
 	s.hop()
-	orders := st.docs.Collection("orders").Find(s.docTx(), document.Eq("customer_id", p.CustomerID), nil)
-	products := st.docs.Collection("products")
+	orders := st.Docs.Collection("orders").Find(s.docTx(), document.Eq("customer_id", p.CustomerID), nil)
+	products := st.Docs.Collection("products")
 	for _, o := range orders {
 		touched++
 		obj := o.MustObject()
@@ -401,12 +360,12 @@ func q10FullChain(st stores, s session, p Params) (int, error) {
 		}
 		id, _ := obj.Get("_id")
 		s.hop()
-		if _, ok := st.xml.Get(s.xmlTx(), id.MustString()); ok {
+		if _, ok := st.XML.Get(s.xmlTx(), id.MustString()); ok {
 			touched++
 		}
 	}
 	s.hop()
-	st.kv.ScanPrefix(s.kvTx(), feedbackPrefix(p.CustomerID), func(string, mmvalue.Value) bool {
+	st.KV.ScanPrefix(s.kvTx(), feedbackPrefix(p.CustomerID), func(string, mmvalue.Value) bool {
 		touched++
 		return true
 	})
@@ -419,14 +378,14 @@ func q10FullChain(st stores, s session, p Params) (int, error) {
 // the threshold. The federation pays a round trip per friend for the
 // relational probe and another for the order scan; the unified engine
 // seeds one relational scan with the whole id set.
-func q11FriendNetworkSpend(st stores, s session, p Params) (int, error) {
-	cust, err := customerTable(st)
+func q11FriendNetworkSpend(st datagen.Target, s session, p Params) (int, error) {
+	cust, err := tableOf(st, "customer")
 	if err != nil {
 		return 0, err
 	}
 	s.hop()
-	friends := st.gr.KHop(s.graphTx(), graph.VID(customerVIDOf(p.CustomerID)), 2, graph.Both, "knows")
-	orders := st.docs.Collection("orders")
+	friends := st.Graph.KHop(s.graphTx(), graph.VID(datagen.CustomerVID(p.CustomerID)), 2, graph.Both, "knows")
+	orders := st.Docs.Collection("orders")
 	cities := map[string]bool{}
 	for _, f := range friends {
 		fid, ok := customerIDOf(string(f))
@@ -460,56 +419,28 @@ func q11FriendNetworkSpend(st stores, s session, p Params) (int, error) {
 // HAVING-style filter over the aggregate. The scale (×50) puts the cut
 // inside the revenue distribution so the count is neither 0 nor all
 // cities at benchmark scale factors.
-func q12CityRevenueHaving(st stores, s session, p Params) (int, error) {
-	cust, err := customerTable(st)
-	if err != nil {
-		return 0, err
-	}
-	s.hop()
-	cityOf := map[int64]string{}
-	for _, r := range cust.Query(s.relTx()).Project("id", "city").Rows() {
-		o := r.MustObject()
-		id, _ := o.Get("id")
-		city, _ := o.Get("city")
-		cityOf[id.MustInt()] = city.MustString()
-	}
-	s.hop()
-	revenue := map[string]float64{}
-	for _, o := range st.docs.Collection("orders").Find(s.docTx(), nil,
-		&document.FindOptions{Projection: []string{"customer_id", "total"}}) {
-		obj := o.MustObject()
-		cid, _ := obj.Get("customer_id")
-		total, _ := obj.GetOr("total", mmvalue.Float(0)).AsFloat()
-		revenue[cityOf[cid.MustInt()]] += total
-	}
-	delete(revenue, "") // orders of unknown customers have no city
+func q12CityRevenueHaving(st datagen.Target, s session, p Params) (int, error) {
+	revenue, err := revenueByCity(st, s)
 	count := 0
 	for _, rev := range revenue {
 		if rev > p.Threshold*50 {
 			count++
 		}
 	}
-	return count, nil
+	return count, err
 }
 
 // q13TopSpenders finds the top-N customers by total order revenue and
 // counts the distinct cities they live in — a top-N over an aggregate.
 // Ties in revenue resolve to the lower customer id (both engines sort
 // stably over an id-ordered base, so the result is deterministic).
-func q13TopSpenders(st stores, s session, p Params) (int, error) {
-	cust, err := customerTable(st)
+func q13TopSpenders(st datagen.Target, s session, p Params) (int, error) {
+	cust, err := tableOf(st, "customer")
 	if err != nil {
 		return 0, err
 	}
-	s.hop()
 	revenue := map[int64]float64{}
-	for _, o := range st.docs.Collection("orders").Find(s.docTx(), nil,
-		&document.FindOptions{Projection: []string{"customer_id", "total"}}) {
-		obj := o.MustObject()
-		cid, _ := obj.Get("customer_id")
-		total, _ := obj.GetOr("total", mmvalue.Float(0)).AsFloat()
-		revenue[cid.MustInt()] += total
-	}
+	orderTotals(st, s, func(cid int64, total float64) { revenue[cid] += total })
 	type spender struct {
 		cid int64
 		rev float64
@@ -544,8 +475,8 @@ func q13TopSpenders(st stores, s session, p Params) (int, error) {
 // and status (JSON), decrement product stock (JSON), write feedback
 // (key-value) and rewrite the invoice total (XML) — atomically when the
 // session's handles belong to one transaction.
-func orderUpdateBody(st stores, s session, p Params) error {
-	orders := st.docs.Collection("orders")
+func orderUpdateBody(st datagen.Target, s session, p Params) error {
+	orders := st.Docs.Collection("orders")
 	var lineProducts []string
 	var newTotal float64
 	var cid int
@@ -578,23 +509,16 @@ func orderUpdateBody(st stores, s session, p Params) error {
 			continue
 		}
 		seen[pid] = true
-		s.hop()
-		err = st.docs.Collection("products").Update(s.docTx(), pid, func(doc mmvalue.Value) (mmvalue.Value, error) {
-			obj := doc.MustObject()
-			stock, _ := obj.GetOr("stock", mmvalue.Int(0)).AsFloat()
-			obj.Set("stock", mmvalue.Int(int64(stock)-1))
-			return doc, nil
-		})
-		if err != nil {
+		if err := adjustStock(st, s, pid, -1); err != nil {
 			return err
 		}
 	}
 	s.hop()
-	if err := st.kv.Put(s.kvTx(), datagen.FeedbackKey(cid, p.OrderID), mmvalue.ObjectOf("rating", p.Rating, "text", "updated")); err != nil {
+	if err := st.KV.Put(s.kvTx(), datagen.FeedbackKey(cid, p.OrderID), mmvalue.ObjectOf("rating", p.Rating, "text", "updated")); err != nil {
 		return err
 	}
 	s.hop()
-	return st.xml.Update(s.xmlTx(), p.OrderID, func(n *xmlstore.Node) (*xmlstore.Node, error) {
+	return st.XML.Update(s.xmlTx(), p.OrderID, func(n *xmlstore.Node) (*xmlstore.Node, error) {
 		totalEl, ok := n.FirstChild("total")
 		if !ok {
 			totalEl = xmlstore.NewElement("total")
@@ -608,7 +532,7 @@ func orderUpdateBody(st stores, s session, p Params) error {
 
 // newOrderBody is T2: insert a small order with one line, its XML
 // invoice, and a purchased graph edge.
-func newOrderBody(st stores, s session, p Params) error {
+func newOrderBody(st datagen.Target, s session, p Params) error {
 	total := 19.99
 	order := mmvalue.ObjectOf(
 		"_id", p.FreshID,
@@ -619,7 +543,7 @@ func newOrderBody(st stores, s session, p Params) error {
 		"items", []any{map[string]any{"product_id": p.ProductID, "qty": 1, "price": total}},
 	)
 	s.hop()
-	if err := st.docs.Collection("orders").Insert(s.docTx(), order); err != nil {
+	if err := st.Docs.Collection("orders").Insert(s.docTx(), order); err != nil {
 		return err
 	}
 	inv := xmlstore.NewElement("invoice",
@@ -635,21 +559,21 @@ func newOrderBody(st stores, s session, p Params) error {
 		xmlstore.NewElement("total").Append(xmlstore.NewText(fmt.Sprintf("%.2f", total))),
 	)
 	s.hop()
-	if err := st.xml.Put(s.xmlTx(), p.FreshID, inv); err != nil {
+	if err := st.XML.Put(s.xmlTx(), p.FreshID, inv); err != nil {
 		return err
 	}
 	s.hop()
-	return st.gr.AddEdge(s.graphTx(), graph.EID("buy-"+p.FreshID), "purchased",
-		graph.VID(customerVIDOf(p.CustomerID)), graph.VID("p"+p.ProductID[1:]),
+	return st.Graph.AddEdge(s.graphTx(), graph.EID("buy-"+p.FreshID), "purchased",
+		graph.VID(datagen.CustomerVID(p.CustomerID)), graph.VID("p"+p.ProductID[1:]),
 		mmvalue.ObjectOf("order", p.FreshID, "qty", 1))
 }
 
 // writeFeedbackBody is T3: put key-value feedback and mark the order
 // reviewed in the document store.
-func writeFeedbackBody(st stores, s session, p Params) error {
+func writeFeedbackBody(st datagen.Target, s session, p Params) error {
 	s.hop()
 	var cid int
-	err := st.docs.Collection("orders").Update(s.docTx(), p.OrderID, func(doc mmvalue.Value) (mmvalue.Value, error) {
+	err := st.Docs.Collection("orders").Update(s.docTx(), p.OrderID, func(doc mmvalue.Value) (mmvalue.Value, error) {
 		obj := doc.MustObject()
 		obj.Set("status", mmvalue.String("reviewed"))
 		cidV, _ := obj.Get("customer_id")
@@ -660,7 +584,7 @@ func writeFeedbackBody(st stores, s session, p Params) error {
 		return err
 	}
 	s.hop()
-	return st.kv.Put(s.kvTx(), datagen.FeedbackKey(cid, p.OrderID),
+	return st.KV.Put(s.kvTx(), datagen.FeedbackKey(cid, p.OrderID),
 		mmvalue.ObjectOf("rating", p.Rating, "text", "review"))
 }
 
@@ -668,37 +592,39 @@ func writeFeedbackBody(st stores, s session, p Params) error {
 // ProductID2, locking the two product documents in parameter order —
 // deliberately NOT canonical order, modelling naive application code.
 // This is the deadlock generator of the contention experiment.
-func stockTransferBody(st stores, s session, p Params) error {
-	prods := st.docs.Collection("products")
-	adjust := func(id string, delta int64) error {
-		s.hop()
-		return prods.Update(s.docTx(), id, func(doc mmvalue.Value) (mmvalue.Value, error) {
-			obj := doc.MustObject()
-			stock, _ := obj.GetOr("stock", mmvalue.Int(0)).AsFloat()
-			obj.Set("stock", mmvalue.Int(int64(stock)+delta))
-			return doc, nil
-		})
-	}
-	if err := adjust(p.ProductID, -1); err != nil {
+func stockTransferBody(st datagen.Target, s session, p Params) error {
+	if err := adjustStock(st, s, p.ProductID, -1); err != nil {
 		return err
 	}
 	if p.ProductID2 == p.ProductID {
 		return nil
 	}
-	return adjust(p.ProductID2, +1)
+	return adjustStock(st, s, p.ProductID2, +1)
+}
+
+// adjustStock adds delta to one product document's stock (one store
+// request, exclusive lock on the document).
+func adjustStock(st datagen.Target, s session, pid string, delta int64) error {
+	s.hop()
+	return st.Docs.Collection("products").Update(s.docTx(), pid, func(doc mmvalue.Value) (mmvalue.Value, error) {
+		obj := doc.MustObject()
+		stock, _ := obj.GetOr("stock", mmvalue.Int(0)).AsFloat()
+		obj.Set("stock", mmvalue.Int(int64(stock)+delta))
+		return doc, nil
+	})
 }
 
 // snapshotReadBody is T4: read the order total from the document model
 // and the XML invoice; report whether the two disagreed (torn read).
-func snapshotReadBody(st stores, s session, p Params) (bool, error) {
+func snapshotReadBody(st datagen.Target, s session, p Params) (bool, error) {
 	s.hop()
-	doc, ok := st.docs.Collection("orders").Get(s.docTx(), p.OrderID)
+	doc, ok := st.Docs.Collection("orders").Get(s.docTx(), p.OrderID)
 	if !ok {
 		return false, nil
 	}
 	docTotal, _ := doc.MustObject().GetOr("total", mmvalue.Float(0)).AsFloat()
 	s.hop()
-	inv, ok := st.xml.Get(s.xmlTx(), p.OrderID)
+	inv, ok := st.XML.Get(s.xmlTx(), p.OrderID)
 	if !ok {
 		return false, nil
 	}
@@ -716,8 +642,6 @@ func snapshotReadBody(st stores, s session, p Params) (bool, error) {
 	}
 	return diff > 0.005, nil
 }
-
-func customerVIDOf(id int) string { return datagen.CustomerVID(id) }
 
 // customerIDOf parses a customer vertex id back to its number.
 func customerIDOf(vid string) (int, bool) {

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"udbench/internal/datagen"
 	"udbench/internal/graph"
 	"udbench/internal/mmvalue"
 	"udbench/internal/relational"
@@ -9,41 +10,17 @@ import (
 )
 
 // Pipeline-backed implementations of the join-heavy read queries for
-// the unified engine. They produce exactly the results of the shared
-// runQuery bodies in ops.go (the equivalence test runs both engines
-// against each other), but execute through the streaming udbms
+// the unified engine (the pipeline column of the query table in
+// workload.go). They produce exactly the results of the shared bodies
+// in ops.go (the equivalence test runs both definitions under one
+// snapshot, and both engines against each other), but execute through
+// the streaming udbms
 // pipeline: seed predicates are pushed into the stores, cross-model
 // joins run as build-once hash joins (or index probes for small
 // inputs), and the zero-copy Each terminal aggregates without cloning
 // a single document. The federation cannot take this path — it has no
 // cross-store snapshot to run one pipeline under — which is precisely
 // the structural difference the benchmark measures.
-
-// pipelineQuery dispatches q to its pipeline implementation; ok is
-// false for queries that have none (they run the shared body).
-func pipelineQuery(db *udbms.DB, tx *txn.Tx, q QueryID, p Params) (int, bool, error) {
-	switch q {
-	case Q1:
-		n, err := q1Pipeline(db, tx, p)
-		return n, true, err
-	case Q4:
-		n, err := q4Pipeline(db, tx, p)
-		return n, true, err
-	case Q8:
-		n, err := q8Pipeline(db, tx, p)
-		return n, true, err
-	case Q11:
-		n, err := q11Pipeline(db, tx, p)
-		return n, true, err
-	case Q12:
-		n, err := q12Pipeline(db, tx, p)
-		return n, true, err
-	case Q13:
-		n, err := q13Pipeline(db, tx, p)
-		return n, true, err
-	}
-	return 0, false, nil
-}
 
 // q1Pipeline: customer profile — one relational row, its order
 // documents, its key-value feedback entries.
@@ -75,13 +52,7 @@ func q4Pipeline(db *udbms.DB, tx *txn.Tx, p Params) (int, error) {
 		FromRelational("customer", relational.Col("city").Eq(p.City)).
 		JoinDocuments("orders", "id", "customer_id", "_orders").
 		Each(func(r mmvalue.Value) bool {
-			orders, _ := r.MustObject().GetOr("_orders", mmvalue.Null).AsArray()
-			sum := 0.0
-			for _, o := range orders {
-				t, _ := o.MustObject().GetOr("total", mmvalue.Float(0)).AsFloat()
-				sum += t
-			}
-			if sum > p.Threshold {
+			if joinedOrderTotal(r.MustObject()) > p.Threshold {
 				count++
 			}
 			return true
@@ -97,12 +68,7 @@ func q8Pipeline(db *udbms.DB, tx *txn.Tx, _ Params) (int, error) {
 		FromDocuments("orders", nil).
 		JoinRelational("customer", "customer_id", "id", "_cust").
 		Each(func(r mmvalue.Value) bool {
-			cust, _ := r.MustObject().GetOr("_cust", mmvalue.Null).AsArray()
-			if len(cust) == 0 {
-				return true // order of an unknown customer: no city
-			}
-			city, _ := cust[0].MustObject().GetOr("city", mmvalue.Null).AsString()
-			if city != "" {
+			if city := joinedCustomerCity(r.MustObject()); city != "" {
 				cities[city] = true
 			}
 			return true
@@ -114,7 +80,7 @@ func q8Pipeline(db *udbms.DB, tx *txn.Tx, _ Params) (int, error) {
 // seeds one relational scan (the federation probes per friend), which
 // then joins each friend's orders in a single batched pass.
 func q11Pipeline(db *udbms.DB, tx *txn.Tx, p Params) (int, error) {
-	friends := db.Graph.KHop(tx, graph.VID(customerVIDOf(p.CustomerID)), 2, graph.Both, "knows")
+	friends := db.Graph.KHop(tx, graph.VID(datagen.CustomerVID(p.CustomerID)), 2, graph.Both, "knows")
 	ids := make([]any, 0, len(friends))
 	for _, f := range friends {
 		if fid, ok := customerIDOf(string(f)); ok {
@@ -130,13 +96,7 @@ func q11Pipeline(db *udbms.DB, tx *txn.Tx, p Params) (int, error) {
 		JoinDocuments("orders", "id", "customer_id", "_orders").
 		Each(func(r mmvalue.Value) bool {
 			o := r.MustObject()
-			orders, _ := o.GetOr("_orders", mmvalue.Null).AsArray()
-			sum := 0.0
-			for _, ord := range orders {
-				t, _ := ord.MustObject().GetOr("total", mmvalue.Float(0)).AsFloat()
-				sum += t
-			}
-			if sum > p.Threshold {
+			if joinedOrderTotal(o) > p.Threshold {
 				city, _ := o.GetOr("city", mmvalue.Null).AsString()
 				if city != "" {
 					cities[city] = true
@@ -184,15 +144,33 @@ func q13Pipeline(db *udbms.DB, tx *txn.Tx, p Params) (int, error) {
 		Limit(p.TopN).
 		JoinRelational("customer", "cid", "id", "_cust").
 		Each(func(r mmvalue.Value) bool {
-			cust, _ := r.MustObject().GetOr("_cust", mmvalue.Null).AsArray()
-			if len(cust) == 0 {
-				return true
-			}
-			city, _ := cust[0].MustObject().GetOr("city", mmvalue.Null).AsString()
-			if city != "" {
+			if city := joinedCustomerCity(r.MustObject()); city != "" {
 				cities[city] = true
 			}
 			return true
 		})
 	return len(cities), err
+}
+
+// joinedOrderTotal sums the totals of the orders JoinDocuments attached
+// under "_orders".
+func joinedOrderTotal(row *mmvalue.Object) float64 {
+	orders, _ := row.GetOr("_orders", mmvalue.Null).AsArray()
+	sum := 0.0
+	for _, o := range orders {
+		t, _ := o.MustObject().GetOr("total", mmvalue.Float(0)).AsFloat()
+		sum += t
+	}
+	return sum
+}
+
+// joinedCustomerCity is the city of the customer JoinRelational attached
+// under "_cust"; "" for an order of an unknown customer.
+func joinedCustomerCity(row *mmvalue.Object) string {
+	cust, _ := row.GetOr("_cust", mmvalue.Null).AsArray()
+	if len(cust) == 0 {
+		return ""
+	}
+	city, _ := cust[0].MustObject().GetOr("city", mmvalue.Null).AsString()
+	return city
 }

@@ -2,10 +2,9 @@ package workload
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 
 	"udbench/internal/datagen"
+	"udbench/internal/relational"
 )
 
 // SuiteData is a generated dataset a suite knows how to materialize
@@ -26,7 +25,7 @@ type SuiteOp struct {
 	Name string
 	// Weight is the op's relative frequency in the suite's default mix.
 	// Weight 0 marks a consistency probe: excluded from the mix, run
-	// explicitly by tests and probes (RunSuiteProbe).
+	// explicitly by tests and probes (Backend.RunSuiteOp).
 	Weight int
 	// Write marks ops that mutate state; the engines wrap them in a
 	// read-write transaction (unified ACID / federated 2PC) instead of
@@ -36,7 +35,7 @@ type SuiteOp struct {
 	// same shared-body idiom as the T2 queries, so one implementation
 	// serves both engines. It returns a result cardinality. Nil for
 	// suites (t2) whose ops run through native Engine entry points.
-	Body func(st stores, s session, p Params) (int, error)
+	Body func(st datagen.Target, s session, p Params) (int, error)
 }
 
 // Suite is one registered workload suite: a named data shape plus the
@@ -85,44 +84,17 @@ type SuiteStatsProvider interface {
 	SuiteOpStats() SuiteStats
 }
 
-var (
-	suiteMu  sync.RWMutex
-	suiteReg = map[string]*Suite{}
-)
+var suites = registry[*Suite]{kind: "suite"}
 
 // RegisterSuite adds a suite to the registry. Duplicate or anonymous
 // registrations panic: they are programming errors in an init path.
-func RegisterSuite(s *Suite) {
-	if s == nil || s.Name == "" {
-		panic("workload: RegisterSuite with empty name")
-	}
-	suiteMu.Lock()
-	defer suiteMu.Unlock()
-	if _, dup := suiteReg[s.Name]; dup {
-		panic("workload: duplicate suite " + s.Name)
-	}
-	suiteReg[s.Name] = s
-}
+func RegisterSuite(s *Suite) { suites.add(s.Name, s) }
 
 // SuiteNames lists the registered suite names sorted.
-func SuiteNames() []string {
-	suiteMu.RLock()
-	defer suiteMu.RUnlock()
-	names := make([]string, 0, len(suiteReg))
-	for name := range suiteReg {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
+func SuiteNames() []string { return suites.names() }
 
 // SuiteByName looks a suite up.
-func SuiteByName(name string) (*Suite, bool) {
-	suiteMu.RLock()
-	defer suiteMu.RUnlock()
-	s, ok := suiteReg[name]
-	return s, ok
-}
+func SuiteByName(name string) (*Suite, bool) { return suites.get(name) }
 
 // DefaultSuite is the suite an empty -suite flag resolves to: the
 // original TPC-C-ish T2 mix, so every pre-suite artifact stays on the
@@ -131,16 +103,7 @@ const DefaultSuite = "t2"
 
 // ResolveSuite maps a -suite flag value to its suite: "" means the
 // default, and an unknown name errors listing what is registered.
-func ResolveSuite(name string) (*Suite, error) {
-	if name == "" {
-		name = DefaultSuite
-	}
-	s, ok := SuiteByName(name)
-	if !ok {
-		return nil, fmt.Errorf("workload: unknown suite %q (registered: %v)", name, SuiteNames())
-	}
-	return s, nil
-}
+func ResolveSuite(name string) (*Suite, error) { return suites.resolve(name, DefaultSuite) }
 
 // Op looks an operation up by name.
 func (s *Suite) Op(name string) (SuiteOp, bool) {
@@ -176,7 +139,6 @@ func (s *Suite) Mix(b Backend) []MixItem {
 		if op.Weight <= 0 {
 			continue // consistency probes stay out of the mix
 		}
-		op := op
 		items = append(items, MixItem{
 			Name:   op.Name,
 			Weight: op.Weight,
@@ -190,12 +152,12 @@ func (s *Suite) Mix(b Backend) []MixItem {
 }
 
 // suiteOpBody resolves a (suite, op) pair to its shared body — the
-// engines' RunSuiteOp dispatch. Native-mix ops (nil Body) are not
+// native engine's RunSuiteOp dispatch. Native-mix ops (nil Body) are not
 // runnable through this path.
 func suiteOpBody(suite, op string) (SuiteOp, error) {
-	s, ok := SuiteByName(suite)
-	if !ok {
-		return SuiteOp{}, fmt.Errorf("workload: unknown suite %q (registered: %v)", suite, SuiteNames())
+	s, err := suites.resolve(suite, "")
+	if err != nil {
+		return SuiteOp{}, err
 	}
 	so, ok := s.Op(op)
 	if !ok {
@@ -205,14 +167,6 @@ func suiteOpBody(suite, op string) (SuiteOp, error) {
 		return SuiteOp{}, fmt.Errorf("workload: suite %s op %s runs through native engine entry points", suite, op)
 	}
 	return so, nil
-}
-
-// RunSuiteProbe runs one weight-0 consistency probe through the
-// backend's RunSuiteOp and returns its violation count (0 = the
-// invariant held for the probed entity). Backends that cannot execute
-// the suite return ErrUnsupported.
-func RunSuiteProbe(b Backend, suite, op string, p Params) (int, error) {
-	return b.RunSuiteOp(suite, op, p)
 }
 
 // The t2 suite is the original benchmark: the TPC-C-ish multi-model
@@ -225,7 +179,8 @@ func init() {
 		Name:        "t2",
 		Description: "TPC-C-ish multi-model OLTP mix (Q1 + T1-T4) over the Figure 1 dataset",
 		Generate: func(sf float64, seed uint64) SuiteData {
-			return t2Data{datagen.Generate(datagen.Config{ScaleFactor: sf, Seed: seed})}
+			ds := datagen.Generate(datagen.Config{ScaleFactor: sf, Seed: seed})
+			return dataset{ds, InfoOf(ds)}
 		},
 		Ops: []SuiteOp{
 			{Name: "Q1", Weight: 50},
@@ -238,8 +193,23 @@ func init() {
 	})
 }
 
-// t2Data adapts the Figure-1 dataset to SuiteData.
-type t2Data struct{ ds *datagen.Dataset }
+// dataset is the SuiteData of every built-in suite: a generated datagen
+// dataset (they all load into a Target) plus the cardinalities the
+// suite's parameter draws range over.
+type dataset struct {
+	loader interface{ Load(datagen.Target) error }
+	info   Info
+}
 
-func (d t2Data) Load(t datagen.Target) error { return d.ds.Load(t) }
-func (d t2Data) Info() Info                  { return InfoOf(d.ds) }
+func (d dataset) Load(t datagen.Target) error { return d.loader.Load(t) }
+func (d dataset) Info() Info                  { return d.info }
+
+// tableOf fetches one of the suite's relational tables, or says which
+// dataset is missing.
+func tableOf(st datagen.Target, name string) (*relational.Table, error) {
+	t, ok := st.Relational.Table(name)
+	if !ok {
+		return nil, fmt.Errorf("workload: %s table missing (dataset not loaded?)", name)
+	}
+	return t, nil
+}

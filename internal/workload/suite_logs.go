@@ -19,7 +19,11 @@ func init() {
 		Name:        "logs",
 		Description: "large-value log records with secondary-index selectivity sweeps over document+XML stores (vectorized scans)",
 		Generate: func(sf float64, seed uint64) SuiteData {
-			return logsData{datagen.GenerateLogs(datagen.Config{ScaleFactor: sf, Seed: seed})}
+			// CustomerID draws a source (Zipf -> chatty sources), Rating a
+			// level (uniform over the five), OrderID's numeric suffix a
+			// record sequence.
+			ds := datagen.GenerateLogs(datagen.Config{ScaleFactor: sf, Seed: seed})
+			return dataset{ds, Info{Customers: ds.NumSources(), Products: len(datagen.LogLevels), Orders: ds.NumRecords()}}
 		},
 		Ops: []SuiteOp{
 			{Name: "ingest", Weight: 30, Write: true, Body: lgIngestBody},
@@ -33,26 +37,16 @@ func init() {
 	})
 }
 
-// logsData adapts the generated logs dataset to SuiteData: CustomerID
-// draws a source (Zipf -> chatty sources), Rating a level (uniform
-// over the five levels), OrderID's numeric suffix a record sequence.
-type logsData struct{ ds *datagen.LogsDataset }
-
-func (d logsData) Load(t datagen.Target) error { return d.ds.Load(t) }
-func (d logsData) Info() Info {
-	return Info{Customers: d.ds.NumSources(), Products: len(datagen.LogLevels), Orders: d.ds.NumRecords()}
-}
-
 // lgIngestBody appends one log record — and, for error-class levels,
 // its XML payload blob under the same id, atomically, which is exactly
 // the invariant the blob_sync probe checks.
-func lgIngestBody(st stores, s session, p Params) (int, error) {
+func lgIngestBody(st datagen.Target, s session, p Params) (int, error) {
 	id := "lg-" + p.FreshID
 	level := datagen.LogLevelOf(p.Rating)
 	source := datagen.LogSourceID(p.CustomerID)
 	msg := source + " runtime " + strings.Repeat("x", datagen.LogMessageBytes)
 	s.hop()
-	if err := st.docs.Collection("logs").Insert(s.docTx(), mmvalue.ObjectOf(
+	if err := st.Docs.Collection("logs").Insert(s.docTx(), mmvalue.ObjectOf(
 		"_id", id,
 		"level", level,
 		"source", source,
@@ -65,7 +59,7 @@ func lgIngestBody(st stores, s session, p Params) (int, error) {
 		return 1, nil
 	}
 	s.hop()
-	if err := st.xml.Put(s.xmlTx(), id, datagen.LogBlob(id, level, source, msg)); err != nil {
+	if err := st.XML.Put(s.xmlTx(), id, datagen.LogBlob(id, level, source, msg)); err != nil {
 		return 0, err
 	}
 	return 1, nil
@@ -74,18 +68,18 @@ func lgIngestBody(st stores, s session, p Params) (int, error) {
 // lgByLevelBody is the selectivity sweep: a level-scoped count whose
 // hit rate ranges from 2% of the collection (fatal) to 40% (info),
 // depending on the uniformly drawn level.
-func lgByLevelBody(st stores, s session, p Params) (int, error) {
+func lgByLevelBody(st datagen.Target, s session, p Params) (int, error) {
 	s.hop()
-	rows := st.docs.Collection("logs").Find(s.docTx(),
+	rows := st.Docs.Collection("logs").Find(s.docTx(),
 		document.Eq("level", datagen.LogLevelOf(p.Rating)),
 		&document.FindOptions{Projection: []string{"_id"}})
 	return len(rows), nil
 }
 
 // lgBySourceBody counts one source's records off the source index.
-func lgBySourceBody(st stores, s session, p Params) (int, error) {
+func lgBySourceBody(st datagen.Target, s session, p Params) (int, error) {
 	s.hop()
-	rows := st.docs.Collection("logs").Find(s.docTx(),
+	rows := st.Docs.Collection("logs").Find(s.docTx(),
 		document.Eq("source", datagen.LogSourceID(p.CustomerID)),
 		&document.FindOptions{Projection: []string{"_id"}})
 	return len(rows), nil
@@ -93,9 +87,9 @@ func lgBySourceBody(st stores, s session, p Params) (int, error) {
 
 // lgBlobFetchBody joins the document index into the XML store: find
 // one source's error records, fetch up to TopN of their payload blobs.
-func lgBlobFetchBody(st stores, s session, p Params) (int, error) {
+func lgBlobFetchBody(st datagen.Target, s session, p Params) (int, error) {
 	s.hop()
-	rows := st.docs.Collection("logs").Find(s.docTx(),
+	rows := st.Docs.Collection("logs").Find(s.docTx(),
 		document.All(document.Eq("source", datagen.LogSourceID(p.CustomerID)),
 			document.Eq("level", "error")),
 		&document.FindOptions{Projection: []string{"_id"}})
@@ -106,7 +100,7 @@ func lgBlobFetchBody(st stores, s session, p Params) (int, error) {
 		}
 		id, _ := r.MustObject().Get("_id")
 		s.hop()
-		if _, ok := st.xml.Get(s.xmlTx(), id.MustString()); ok {
+		if _, ok := st.XML.Get(s.xmlTx(), id.MustString()); ok {
 			fetched++
 		}
 	}
@@ -116,16 +110,16 @@ func lgBlobFetchBody(st stores, s session, p Params) (int, error) {
 // lgBlobSyncBody is the weight-0 consistency probe: one record's
 // document and blob presence must agree — an error-class record has a
 // blob, any other level has none. Returns 1 on a violation.
-func lgBlobSyncBody(st stores, s session, p Params) (int, error) {
-	id := datagen.LogID(seqOf(p.OrderID))
+func lgBlobSyncBody(st datagen.Target, s session, p Params) (int, error) {
+	id := datagen.LogID(datagen.SeqOf(p.OrderID))
 	s.hop()
-	doc, ok := st.docs.Collection("logs").Get(s.docTx(), id)
+	doc, ok := st.Docs.Collection("logs").Get(s.docTx(), id)
 	if !ok {
 		return 0, nil
 	}
 	level, _ := doc.MustObject().GetOr("level", mmvalue.Null).AsString()
 	s.hop()
-	_, hasBlob := st.xml.Get(s.xmlTx(), id)
+	_, hasBlob := st.XML.Get(s.xmlTx(), id)
 	if datagen.LogHasBlob(level) != hasBlob {
 		return 1, nil
 	}

@@ -1,12 +1,9 @@
 package workload
 
 import (
-	"fmt"
-
 	"udbench/internal/datagen"
 	"udbench/internal/document"
 	"udbench/internal/mmvalue"
-	"udbench/internal/relational"
 )
 
 // The tenants suite is the multi-tenant SaaS shape: a relational
@@ -20,7 +17,10 @@ func init() {
 		Name:        "tenants",
 		Description: "zipf multi-tenant SaaS with one hot tenant and tenant-scoped queries (lock striping, shared-read fast path)",
 		Generate: func(sf float64, seed uint64) SuiteData {
-			return tenantData{datagen.GenerateTenants(datagen.Config{ScaleFactor: sf, Seed: seed})}
+			// CustomerID draws a tenant id (Zipf -> the hot tenant),
+			// OrderID's numeric suffix a ticket sequence.
+			ds := datagen.GenerateTenants(datagen.Config{ScaleFactor: sf, Seed: seed})
+			return dataset{ds, Info{Customers: ds.NumTenants(), Products: ds.NumTenants(), Orders: ds.NumTickets()}}
 		},
 		Ops: []SuiteOp{
 			{Name: "t_lookup", Weight: 40, Body: tnLookupBody},
@@ -34,28 +34,10 @@ func init() {
 	})
 }
 
-// tenantData adapts the generated tenants dataset to SuiteData:
-// CustomerID draws a tenant id (Zipf -> the hot tenant), OrderID's
-// numeric suffix a ticket sequence.
-type tenantData struct{ ds *datagen.TenantsDataset }
-
-func (d tenantData) Load(t datagen.Target) error { return d.ds.Load(t) }
-func (d tenantData) Info() Info {
-	return Info{Customers: d.ds.NumTenants(), Products: d.ds.NumTenants(), Orders: d.ds.NumTickets()}
-}
-
-func tenantTable(st stores) (*relational.Table, error) {
-	t, ok := st.rel.Table("tenant")
-	if !ok {
-		return nil, fmt.Errorf("workload: tenant table missing (tenants dataset not loaded?)")
-	}
-	return t, nil
-}
-
 // tnLookupBody is the point-read op: one tenant catalog row plus one
 // ticket document by id.
-func tnLookupBody(st stores, s session, p Params) (int, error) {
-	tbl, err := tenantTable(st)
+func tnLookupBody(st datagen.Target, s session, p Params) (int, error) {
+	tbl, err := tableOf(st, "tenant")
 	if err != nil {
 		return 0, err
 	}
@@ -65,7 +47,7 @@ func tnLookupBody(st stores, s session, p Params) (int, error) {
 		found++
 	}
 	s.hop()
-	if _, ok := st.docs.Collection("tickets").Get(s.docTx(), datagen.TicketID(seqOf(p.OrderID))); ok {
+	if _, ok := st.Docs.Collection("tickets").Get(s.docTx(), datagen.TicketID(datagen.SeqOf(p.OrderID))); ok {
 		found++
 	}
 	return found, nil
@@ -73,9 +55,9 @@ func tnLookupBody(st stores, s session, p Params) (int, error) {
 
 // tnInboxBody is the tenant-scoped query: open tickets of one tenant,
 // served off the tenant_id secondary index.
-func tnInboxBody(st stores, s session, p Params) (int, error) {
+func tnInboxBody(st datagen.Target, s session, p Params) (int, error) {
 	s.hop()
-	rows := st.docs.Collection("tickets").Find(s.docTx(),
+	rows := st.Docs.Collection("tickets").Find(s.docTx(),
 		document.All(document.Eq("tenant_id", p.CustomerID), document.Eq("status", "open")),
 		&document.FindOptions{Projection: []string{"_id", "priority"}})
 	return len(rows), nil
@@ -84,13 +66,13 @@ func tnInboxBody(st stores, s session, p Params) (int, error) {
 // tnOpenBody opens a ticket: insert the document and bump the tenant's
 // catalog counter in one transaction. Zipf tenant selection makes the
 // hot tenant's row the suite's write hotspot.
-func tnOpenBody(st stores, s session, p Params) (int, error) {
-	tbl, err := tenantTable(st)
+func tnOpenBody(st datagen.Target, s session, p Params) (int, error) {
+	tbl, err := tableOf(st, "tenant")
 	if err != nil {
 		return 0, err
 	}
 	s.hop()
-	if err := st.docs.Collection("tickets").Insert(s.docTx(), mmvalue.ObjectOf(
+	if err := st.Docs.Collection("tickets").Insert(s.docTx(), mmvalue.ObjectOf(
 		"_id", "tk-"+p.FreshID,
 		"tenant_id", p.CustomerID,
 		"status", "open",
@@ -115,9 +97,9 @@ func tnOpenBody(st stores, s session, p Params) (int, error) {
 
 // tnCloseBody closes one generated ticket (status write, no counter
 // change — closed tickets stay counted).
-func tnCloseBody(st stores, s session, p Params) (int, error) {
+func tnCloseBody(st datagen.Target, s session, p Params) (int, error) {
 	s.hop()
-	err := st.docs.Collection("tickets").Update(s.docTx(), datagen.TicketID(seqOf(p.OrderID)),
+	err := st.Docs.Collection("tickets").Update(s.docTx(), datagen.TicketID(datagen.SeqOf(p.OrderID)),
 		func(doc mmvalue.Value) (mmvalue.Value, error) {
 			doc.MustObject().Set("status", mmvalue.String("closed"))
 			return doc, nil
@@ -131,8 +113,8 @@ func tnCloseBody(st stores, s session, p Params) (int, error) {
 // tnCountBody is the weight-0 consistency probe: the tenant catalog's
 // ticket counter must equal the collection's tenant-scoped document
 // count in any consistent view. Returns 1 on a violation.
-func tnCountBody(st stores, s session, p Params) (int, error) {
-	tbl, err := tenantTable(st)
+func tnCountBody(st datagen.Target, s session, p Params) (int, error) {
+	tbl, err := tableOf(st, "tenant")
 	if err != nil {
 		return 0, err
 	}
@@ -143,7 +125,7 @@ func tnCountBody(st stores, s session, p Params) (int, error) {
 	}
 	counted, _ := row.MustObject().GetOr("tickets", mmvalue.Int(0)).AsFloat()
 	s.hop()
-	docs := st.docs.Collection("tickets").Find(s.docTx(), document.Eq("tenant_id", p.CustomerID),
+	docs := st.Docs.Collection("tickets").Find(s.docTx(), document.Eq("tenant_id", p.CustomerID),
 		&document.FindOptions{Projection: []string{"_id"}})
 	if int(counted) != len(docs) {
 		return 1, nil

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"testing"
 
-	"udbench/internal/datagen"
 	"udbench/internal/federation"
 	"udbench/internal/udbms"
 )
@@ -199,11 +198,11 @@ func newSuiteFixture(t testing.TB, name string, sf float64) *suiteFixture {
 	}
 	data := suite.Generate(sf, 1234)
 	db := udbms.Open()
-	if err := data.Load(datagen.Target{Relational: db.Relational, Docs: db.Docs, Graph: db.Graph, KV: db.KV, XML: db.XML}); err != nil {
+	if err := data.Load(db.Stores()); err != nil {
 		t.Fatal(err)
 	}
 	f := federation.Open()
-	if err := data.Load(datagen.Target{Relational: f.Relational, Docs: f.Docs, Graph: f.Graph, KV: f.KV, XML: f.XML}); err != nil {
+	if err := data.Load(f.Stores()); err != nil {
 		t.Fatal(err)
 	}
 	return &suiteFixture{suite: suite, info: data.Info(), uni: NewUDBMSEngine(db), fed: NewFederationEngine(f)}
@@ -289,7 +288,7 @@ func TestSuiteProbesHoldOnUnified(t *testing.T) {
 				for i := 0; i < 20; i++ {
 					p := gen.Next()
 					for _, probe := range fx.suite.Probes() {
-						v, err := RunSuiteProbe(fx.uni, name, probe.Name, p)
+						v, err := fx.uni.RunSuiteOp(name, probe.Name, p)
 						if err != nil {
 							t.Fatalf("%s probe %s (%s): %v", name, probe.Name, stage, err)
 						}
@@ -351,7 +350,7 @@ func TestSuiteOpErrors(t *testing.T) {
 	if _, err := fx.uni.RunSuiteOp("t2", "Q1", Params{}); err == nil {
 		t.Error("t2 native op ran through the shared-body dispatch")
 	}
-	if _, err := RunSuiteProbe(nopEngine{}, "timeseries", "watermark", Params{}); !errors.Is(err, ErrUnsupported) {
+	if _, err := (nopEngine{}).RunSuiteOp("timeseries", "watermark", Params{}); !errors.Is(err, ErrUnsupported) {
 		t.Errorf("probe on a backend without suite execution = %v, want ErrUnsupported", err)
 	}
 	mix := (&Suite{Name: "x", Ops: []SuiteOp{{Name: "a", Weight: 1}}}).Mix(nopEngine{})

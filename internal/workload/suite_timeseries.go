@@ -1,12 +1,8 @@
 package workload
 
 import (
-	"fmt"
-	"strconv"
-
 	"udbench/internal/datagen"
 	"udbench/internal/mmvalue"
-	"udbench/internal/relational"
 )
 
 // The timeseries suite is the append-heavy ingest shape: a relational
@@ -20,7 +16,10 @@ func init() {
 		Name:        "timeseries",
 		Description: "append-heavy KV+relational ingest with windowed range scans (epoch watermark, version-chain growth)",
 		Generate: func(sf float64, seed uint64) SuiteData {
-			return tsData{datagen.GenerateTimeseries(datagen.Config{ScaleFactor: sf, Seed: seed})}
+			// CustomerID draws a series id (Zipf -> hot series), OrderID's
+			// numeric suffix a point sequence.
+			ds := datagen.GenerateTimeseries(datagen.Config{ScaleFactor: sf, Seed: seed})
+			return dataset{ds, Info{Customers: ds.NumSeries(), Products: ds.NumSeries(), Orders: ds.NumPoints()}}
 		},
 		Ops: []SuiteOp{
 			{Name: "append", Weight: 60, Write: true, Body: tsAppendBody},
@@ -34,44 +33,13 @@ func init() {
 	})
 }
 
-// tsData adapts the generated timeseries dataset to SuiteData. The
-// parameter generator reinterprets Info: CustomerID draws a series id
-// (Zipf -> hot series), OrderID's numeric suffix a point sequence.
-type tsData struct{ ds *datagen.TimeseriesDataset }
-
-func (d tsData) Load(t datagen.Target) error { return d.ds.Load(t) }
-func (d tsData) Info() Info {
-	return Info{Customers: d.ds.NumSeries(), Products: d.ds.NumSeries(), Orders: d.ds.NumPoints()}
-}
-
-func seriesTable(st stores) (*relational.Table, error) {
-	t, ok := st.rel.Table("series")
-	if !ok {
-		return nil, fmt.Errorf("workload: series table missing (timeseries dataset not loaded?)")
-	}
-	return t, nil
-}
-
-// seqOf reads the numeric suffix of a generated order id ("o%08d") —
-// the suites reinterpret the draw as a point/ticket/record sequence.
-func seqOf(orderID string) int {
-	if len(orderID) < 2 {
-		return 1
-	}
-	n, err := strconv.Atoi(orderID[1:])
-	if err != nil || n < 1 {
-		return 1
-	}
-	return n
-}
-
 // tsAppendBody ingests one point: bump the series' point counter in
 // the catalog row and insert the point under the series' append
 // prefix. The two writes commit atomically on the unified engine and
 // via 2PC on the federation; the watermark probe measures exactly
 // whether readers can see them split.
-func tsAppendBody(st stores, s session, p Params) (int, error) {
-	tbl, err := seriesTable(st)
+func tsAppendBody(st datagen.Target, s session, p Params) (int, error) {
+	tbl, err := tableOf(st, "series")
 	if err != nil {
 		return 0, err
 	}
@@ -86,7 +54,7 @@ func tsAppendBody(st stores, s session, p Params) (int, error) {
 		return 0, err
 	}
 	s.hop()
-	if err := st.kv.Put(s.kvTx(), datagen.SeriesAppendKey(p.CustomerID, p.FreshID),
+	if err := st.KV.Put(s.kvTx(), datagen.SeriesAppendKey(p.CustomerID, p.FreshID),
 		mmvalue.ObjectOf("v", p.Threshold)); err != nil {
 		return 0, err
 	}
@@ -96,8 +64,8 @@ func tsAppendBody(st stores, s session, p Params) (int, error) {
 // tsWindowBody reads one window of TopN consecutive generated points:
 // catalog lookup for the series' base extent, then one ordered kv
 // range scan — the suite's hot read path.
-func tsWindowBody(st stores, s session, p Params) (int, error) {
-	tbl, err := seriesTable(st)
+func tsWindowBody(st datagen.Target, s session, p Params) (int, error) {
+	tbl, err := tableOf(st, "series")
 	if err != nil {
 		return 0, err
 	}
@@ -115,10 +83,10 @@ func tsWindowBody(st stores, s session, p Params) (int, error) {
 	if window < 1 {
 		window = 1
 	}
-	lo := seqOf(p.OrderID)%b + 1
+	lo := datagen.SeqOf(p.OrderID)%b + 1
 	count := 0
 	s.hop()
-	st.kv.Scan(s.kvTx(), datagen.SeriesPointKey(p.CustomerID, lo),
+	st.KV.Scan(s.kvTx(), datagen.SeriesPointKey(p.CustomerID, lo),
 		datagen.SeriesPointKey(p.CustomerID, lo+window), func(string, mmvalue.Value) bool {
 			count++
 			return true
@@ -129,10 +97,10 @@ func tsWindowBody(st stores, s session, p Params) (int, error) {
 // tsAggregateBody scans the series' whole prefix (generated points and
 // runtime appends) and counts values above the threshold — the
 // full-series analytic read.
-func tsAggregateBody(st stores, s session, p Params) (int, error) {
+func tsAggregateBody(st datagen.Target, s session, p Params) (int, error) {
 	above := 0
 	s.hop()
-	st.kv.ScanPrefix(s.kvTx(), datagen.SeriesPrefix(p.CustomerID), func(_ string, v mmvalue.Value) bool {
+	st.KV.ScanPrefix(s.kvTx(), datagen.SeriesPrefix(p.CustomerID), func(_ string, v mmvalue.Value) bool {
 		f, _ := v.MustObject().GetOr("v", mmvalue.Float(0)).AsFloat()
 		if f > p.Threshold {
 			above++
@@ -144,8 +112,8 @@ func tsAggregateBody(st stores, s session, p Params) (int, error) {
 
 // tsLatestBody is the point-read op: catalog row plus one generated
 // point fetched by key.
-func tsLatestBody(st stores, s session, p Params) (int, error) {
-	tbl, err := seriesTable(st)
+func tsLatestBody(st datagen.Target, s session, p Params) (int, error) {
+	tbl, err := tableOf(st, "series")
 	if err != nil {
 		return 0, err
 	}
@@ -160,7 +128,7 @@ func tsLatestBody(st stores, s session, p Params) (int, error) {
 		return 0, nil
 	}
 	s.hop()
-	if _, ok := st.kv.Get(s.kvTx(), datagen.SeriesPointKey(p.CustomerID, seqOf(p.OrderID)%b+1)); ok {
+	if _, ok := st.KV.Get(s.kvTx(), datagen.SeriesPointKey(p.CustomerID, datagen.SeqOf(p.OrderID)%b+1)); ok {
 		return 1, nil
 	}
 	return 0, nil
@@ -170,8 +138,8 @@ func tsLatestBody(st stores, s session, p Params) (int, error) {
 // view the catalog counter equals the base extent plus the appended
 // points. Returns 1 on a violation (a torn catalog/store view — the
 // unified engine's snapshot must never show one), 0 otherwise.
-func tsWatermarkBody(st stores, s session, p Params) (int, error) {
-	tbl, err := seriesTable(st)
+func tsWatermarkBody(st datagen.Target, s session, p Params) (int, error) {
+	tbl, err := tableOf(st, "series")
 	if err != nil {
 		return 0, err
 	}
@@ -185,7 +153,7 @@ func tsWatermarkBody(st stores, s session, p Params) (int, error) {
 	base, _ := obj.GetOr("base", mmvalue.Int(0)).AsFloat()
 	appended := 0
 	s.hop()
-	st.kv.ScanPrefix(s.kvTx(), datagen.SeriesAppendPrefix(p.CustomerID), func(string, mmvalue.Value) bool {
+	st.KV.ScanPrefix(s.kvTx(), datagen.SeriesAppendPrefix(p.CustomerID), func(string, mmvalue.Value) bool {
 		appended++
 		return true
 	})

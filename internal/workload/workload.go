@@ -5,17 +5,20 @@
 // paper's order-update example), and a concurrent closed-loop driver
 // with Zipf-skewed parameter selection.
 //
-// Every operation has two implementations behind the Engine interface:
-// the unified engine runs all models under one snapshot/commit, while
-// the federation pays a network hop per store request and coordinates
-// writes with 2PC. The benchmark's T2/F2/F3 experiments are exactly
-// the comparison of these two implementations.
+// Every operation has one body, run by one native engine adapter
+// (engine.go) under either of two transaction disciplines: the unified
+// engine gives the body one snapshot/commit across all models, while
+// the federation charges a network hop per store request and
+// coordinates writes with 2PC. The benchmark's T2/F2/F3 experiments are
+// exactly the comparison of these two disciplines.
 package workload
 
 import (
 	"fmt"
 
 	"udbench/internal/datagen"
+	"udbench/internal/txn"
+	"udbench/internal/udbms"
 )
 
 // QueryID names one of the thirteen benchmark queries.
@@ -63,41 +66,58 @@ const (
 	Q13
 )
 
-// AllQueries lists the query ids in order.
-var AllQueries = []QueryID{Q1, Q2, Q3, Q4, Q5, Q6, Q7, Q8, Q9, Q10, Q11, Q12, Q13}
+// queryDef is one row of the query table — the only place a query is
+// registered. body is the shared definition both engines can run
+// through a session; pipeline, when set, is the unified engine's
+// vectorized definition of the same query (the federation has no
+// cross-store snapshot to run one under).
+type queryDef struct {
+	models   string
+	body     func(st datagen.Target, s session, p Params) (int, error)
+	pipeline func(db *udbms.DB, tx *txn.Tx, p Params) (int, error)
+}
+
+// queryTable is indexed by query id (slot 0 is unused).
+var queryTable = [...]queryDef{
+	Q1:  {"R+D+K", q1CustomerProfile, q1Pipeline},
+	Q2:  {"G+D", q2FriendsPurchases, nil},
+	Q3:  {"K+D", q3TopRatedProducts, nil},
+	Q4:  {"R+D", q4CityBigSpenders, q4Pipeline},
+	Q5:  {"X", q5InvoiceTotalsByCurrency, nil},
+	Q6:  {"G+D", q6TwoHopBuyers, nil},
+	Q7:  {"D+X", q7OrdersWithProduct, nil},
+	Q8:  {"R+D", q8RevenueByCity, q8Pipeline},
+	Q9:  {"G+K", q9InfluencerFeedback, nil},
+	Q10: {"R+D+G+K+X", q10FullChain, nil},
+	Q11: {"G+R+D", q11FriendNetworkSpend, q11Pipeline},
+	Q12: {"R+D", q12CityRevenueHaving, q12Pipeline},
+	Q13: {"R+D", q13TopSpenders, q13Pipeline},
+}
+
+// def looks q up in the query table.
+func (q QueryID) def() (*queryDef, error) {
+	if q < Q1 || int(q) >= len(queryTable) {
+		return nil, fmt.Errorf("workload: unknown query %d", int(q))
+	}
+	return &queryTable[q], nil
+}
+
+// AllQueries lists the query ids in table order.
+var AllQueries = func() []QueryID {
+	ids := make([]QueryID, 0, len(queryTable)-1)
+	for q := Q1; int(q) < len(queryTable); q++ {
+		ids = append(ids, q)
+	}
+	return ids
+}()
 
 // String returns "Q1".."Q13".
 func (q QueryID) String() string { return fmt.Sprintf("Q%d", int(q)) }
 
 // Models returns the data models the query touches (for reporting).
 func (q QueryID) Models() string {
-	switch q {
-	case Q1:
-		return "R+D+K"
-	case Q2:
-		return "G+D"
-	case Q3:
-		return "K+D"
-	case Q4:
-		return "R+D"
-	case Q5:
-		return "X"
-	case Q6:
-		return "G+D"
-	case Q7:
-		return "D+X"
-	case Q8:
-		return "R+D"
-	case Q9:
-		return "G+K"
-	case Q10:
-		return "R+D+G+K+X"
-	case Q11:
-		return "G+R+D"
-	case Q12:
-		return "R+D"
-	case Q13:
-		return "R+D"
+	if d, err := q.def(); err == nil {
+		return d.models
 	}
 	return "?"
 }

@@ -22,11 +22,11 @@ func newFixture(t testing.TB, sf float64) *fixture {
 	t.Helper()
 	ds := datagen.Generate(datagen.Config{ScaleFactor: sf, Seed: 1234})
 	db := udbms.Open()
-	if err := ds.Load(datagen.Target{Relational: db.Relational, Docs: db.Docs, Graph: db.Graph, KV: db.KV, XML: db.XML}); err != nil {
+	if err := ds.Load(db.Stores()); err != nil {
 		t.Fatal(err)
 	}
 	f := federation.Open()
-	if err := ds.Load(datagen.Target{Relational: f.Relational, Docs: f.Docs, Graph: f.Graph, KV: f.KV, XML: f.XML}); err != nil {
+	if err := ds.Load(f.Stores()); err != nil {
 		t.Fatal(err)
 	}
 	return &fixture{ds: ds, info: InfoOf(ds), uni: NewUDBMSEngine(db), fed: NewFederationEngine(f)}
@@ -62,6 +62,26 @@ func TestEnginesProduceIdenticalResults(t *testing.T) {
 			}
 			if a != b {
 				t.Errorf("%s: udbms=%d federation=%d (params %+v)", q, a, b, p)
+			}
+			// A query with two definitions must agree with itself: the
+			// pipeline body and the shared body under one unified
+			// snapshot, not only across engines.
+			def, _ := q.def()
+			if def.pipeline == nil {
+				continue
+			}
+			tx := fx.uni.DB.Begin()
+			piped, err := def.pipeline(fx.uni.DB, tx, p)
+			if err != nil {
+				t.Fatalf("%s pipeline body: %v", q, err)
+			}
+			shared, err := def.body(fx.uni.DB.Stores(), unifiedSession{tx}, p)
+			if err != nil {
+				t.Fatalf("%s shared body: %v", q, err)
+			}
+			tx.Abort()
+			if piped != shared {
+				t.Errorf("%s under one snapshot: pipeline=%d shared=%d (params %+v)", q, piped, shared, p)
 			}
 		}
 	}
