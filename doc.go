@@ -66,14 +66,13 @@
 //     build side.
 //   - GroupBy/Aggregate folds batches into a hash of accumulators
 //     (sum/count/min/max/avg) keyed by any row expression.
-//   - Parallel(n) scans full-scan seeds with morsel-driven
-//     parallelism: workers claim ~256-row key-range morsels from a
-//     shared atomic cursor (skew cannot straggle one worker), run
-//     leading filters in-scan, and the survivors merge in key order —
-//     results are bit-identical to the sequential scan, which a
-//     randomized equivalence property test pins against a reference
-//     row-at-a-time interpreter. A shared atomic row budget lets a
-//     downstream Limit stop all workers early.
+//   - Every store request the executor issues goes through an
+//     accessor (udbms.Access): under DB.Pipeline one snapshot and free
+//     requests; under PipelineOver — how the federation runs the same
+//     query definitions — each store's latest state, one hop per
+//     request and no join cache. A randomized equivalence property
+//     test pins the executor against a reference row-at-a-time
+//     interpreter.
 //
 // The UQL layer (internal/uql) compiles leading FILTER clauses into
 // native store predicates (document.Filter / relational.Expr) pushed

@@ -12,6 +12,7 @@ package datagen
 
 import (
 	"fmt"
+	"strings"
 
 	"udbench/internal/document"
 	"udbench/internal/graph"
@@ -86,8 +87,11 @@ func CustomerSchema() relational.Schema {
 	)
 }
 
+// Cities is every city a generated customer can live in; the workload's
+// parameter generator draws its city parameter from the same list.
+var Cities = []string{"Helsinki", "Turku", "Tampere", "Oulu", "Espoo", "Vantaa", "Lahti", "Kuopio"}
+
 var (
-	cities    = []string{"Helsinki", "Turku", "Tampere", "Oulu", "Espoo", "Vantaa", "Lahti", "Kuopio"}
 	countries = []string{"FI", "SE", "NO", "DK", "EE"}
 	brands    = []string{"Acme", "Globex", "Initech", "Umbrella", "Hooli", "Vandelay"}
 	cats      = []string{"electronics", "books", "garden", "toys", "sports", "grocery"}
@@ -130,7 +134,7 @@ func Generate(cfg Config) *Dataset {
 			"id", i,
 			"name", Pick(rng, first)+" "+Pick(rng, last),
 			"age", 18+rng.Intn(60),
-			"city", Pick(rng, cities),
+			"city", Pick(rng, Cities),
 			"country", Pick(rng, countries),
 			"vip", rng.Intn(10) == 0,
 		))
@@ -175,7 +179,7 @@ func Generate(cfg Config) *Dataset {
 			ds.PurchaseEdges = append(ds.PurchaseEdges, EdgeSpec{
 				ID:    fmt.Sprintf("buy-%s-%d", oid, li),
 				From:  customerVID(cid),
-				To:    "p" + pidVal.MustString()[1:], // product vid shares numeric suffix
+				To:    ProductVID(pidVal.MustString()),
 				Label: "purchased",
 				Props: mmvalue.ObjectOf("order", oid, "qty", qty),
 			})
@@ -266,6 +270,16 @@ func OrderID(i int) string { return orderID(i) }
 // CustomerVID renders the graph vertex id of customer i (1-based).
 func CustomerVID(i int) string { return customerVID(i) }
 
+// ProductVID renders the graph vertex id of the product whose document
+// id is productID (they share the numeric suffix); "" when productID is
+// not a product id.
+func ProductVID(productID string) string {
+	if !strings.HasPrefix(productID, "p") {
+		return ""
+	}
+	return "p" + productID[1:]
+}
+
 // FeedbackKey renders the key-value key for feedback on an order.
 func FeedbackKey(customerID int, orderID string) string {
 	return fmt.Sprintf("feedback/%06d/%s", customerID, orderID)
@@ -346,7 +360,7 @@ func (ds *Dataset) LoadWithOptions(t Target, createIndexes bool) error {
 		}
 	}
 	for i := 1; i <= len(ds.Products); i++ {
-		if err := t.Graph.AddVertex(nil, graph.VID("p"+productID(i)[1:]), "product", mmvalue.ObjectOf("id", i)); err != nil {
+		if err := t.Graph.AddVertex(nil, graph.VID(ProductVID(productID(i))), "product", mmvalue.ObjectOf("id", i)); err != nil {
 			return err
 		}
 	}

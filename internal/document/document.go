@@ -312,25 +312,6 @@ func (c *Collection) StreamBatch(tx *txn.Tx, filter Filter, buf []mmvalue.Value,
 	txn.Batch(buf, fn, func(emit func(mmvalue.Value) bool) { c.Stream(tx, filter, emit) })
 }
 
-// StreamRangeBatch is StreamBatch restricted to ids in [from, to)
-// (empty to = unbounded). It always scans the id range directly off
-// store memory, ignoring indexes — the morsel primitive for parallel
-// executors.
-func (c *Collection) StreamRangeBatch(tx *txn.Tx, from, to string, filter Filter, buf []mmvalue.Value, fn func(docs []mmvalue.Value) bool) {
-	if filter == nil {
-		filter = Everything()
-	}
-	txn.Batch(buf, fn, func(emit func(mmvalue.Value) bool) {
-		c.docs.Scan(tx, from, to, func(_ string, doc mmvalue.Value) bool {
-			return !filter.Match(doc) || emit(doc)
-		})
-	})
-}
-
-// SplitPoints returns boundary ids that cut the collection into up to n
-// contiguous ranges of near-equal size for StreamRangeBatch.
-func (c *Collection) SplitPoints(n int) []string { return c.docs.SplitPoints(n) }
-
 // Count returns the number of live documents at latest-committed state.
 func (c *Collection) Count() int { return c.docs.Count() }
 

@@ -6,6 +6,7 @@ import (
 
 	"udbench/internal/consistency"
 	"udbench/internal/mmvalue"
+	"udbench/internal/txn"
 )
 
 // TestCrashDetectedByAtomicityChecker ties the federation's 2PC crash
@@ -24,7 +25,7 @@ func TestCrashDetectedByAtomicityChecker(t *testing.T) {
 	})
 
 	f.CrashAfterNCommits = 1
-	err := f.RunTx(func(ftx *FTx) error {
+	err := f.RunTx(txn.DefaultRetries, func(ftx *FTx) error {
 		if err := f.Docs.Collection("orders").SetPath(ftx.Docs(), "o1", "total", mmvalue.Float(777)); err != nil {
 			return err
 		}
@@ -60,7 +61,7 @@ func TestCrashDetectedByAtomicityChecker(t *testing.T) {
 func TestCrashBeforeAnyCommitIsAtomic(t *testing.T) {
 	f := seedFed(t)
 	f.CrashAfterNCommits = 0
-	err := f.RunTx(func(ftx *FTx) error {
+	err := f.RunTx(txn.DefaultRetries, func(ftx *FTx) error {
 		f.Docs.Collection("orders").SetPath(ftx.Docs(), "o1", "total", mmvalue.Float(888))
 		return f.KV.Put(ftx.KV(), "feedback/1/o1", mmvalue.ObjectOf("rating", 8))
 	})

@@ -2,7 +2,9 @@
 // UDBMS benchmark compares against: five independent single-model
 // stores, each with its own transaction manager (its own lock space,
 // timestamps and commit point), glued together by an application-level
-// two-phase-commit coordinator and client-side joins.
+// two-phase-commit coordinator; joins run client-side, on the same
+// pipeline executor as the unified engine's but over these stores (see
+// udbms.PipelineOver).
 //
 // Two structural costs distinguish it from the unified engine:
 //
@@ -185,11 +187,12 @@ func (t *FTx) Abort() {
 }
 
 // RunTx executes fn in a federated transaction with 2PC commit,
-// retrying deadlock victims under the same policy as a single-manager
-// transaction (txn.Retry). A coordinator crash is a partial commit, not
-// a deadlock, so it is returned without a retry.
-func (f *Federation) RunTx(fn func(t *FTx) error) error {
-	return txn.Retry(txn.DefaultRetries, func() error {
+// re-running deadlock victims up to retries times under the same policy
+// as a single-manager transaction (txn.Retry; txn.DefaultRetries is the
+// usual budget, 0 surfaces the first abort). A coordinator crash is a
+// partial commit, not a deadlock, so it is returned without a retry.
+func (f *Federation) RunTx(retries int, fn func(t *FTx) error) error {
+	return txn.Retry(retries, func() error {
 		ftx := f.Begin()
 		err := fn(ftx)
 		if err != nil {

@@ -7,6 +7,7 @@ import (
 
 	"udbench/internal/mmvalue"
 	"udbench/internal/relational"
+	"udbench/internal/txn"
 	"udbench/internal/xmlstore"
 )
 
@@ -30,7 +31,7 @@ func seedFed(t testing.TB) *Federation {
 
 func TestFederatedTransactionCommit(t *testing.T) {
 	f := seedFed(t)
-	err := f.RunTx(func(ftx *FTx) error {
+	err := f.RunTx(txn.DefaultRetries, func(ftx *FTx) error {
 		if err := f.Docs.Collection("orders").SetPath(ftx.Docs(), "o1", "total", mmvalue.Float(99)); err != nil {
 			return err
 		}
@@ -58,7 +59,7 @@ func TestFederatedTransactionCommit(t *testing.T) {
 func TestFederatedAbortRollsBackAllStores(t *testing.T) {
 	f := seedFed(t)
 	boom := errors.New("boom")
-	err := f.RunTx(func(ftx *FTx) error {
+	err := f.RunTx(txn.DefaultRetries, func(ftx *FTx) error {
 		f.Docs.Collection("orders").SetPath(ftx.Docs(), "o1", "total", mmvalue.Float(-5))
 		f.KV.Put(ftx.KV(), "feedback/1/o1", mmvalue.ObjectOf("rating", 0))
 		return boom
@@ -79,7 +80,7 @@ func TestFederatedAbortRollsBackAllStores(t *testing.T) {
 func TestCoordinatorCrashLeavesPartialState(t *testing.T) {
 	f := seedFed(t)
 	f.CrashAfterNCommits = 1 // commit exactly one participant, then crash
-	err := f.RunTx(func(ftx *FTx) error {
+	err := f.RunTx(txn.DefaultRetries, func(ftx *FTx) error {
 		// Touch doc first, then kv: commit order follows first use.
 		if err := f.Docs.Collection("orders").SetPath(ftx.Docs(), "o1", "total", mmvalue.Float(500)); err != nil {
 			return err
@@ -103,7 +104,7 @@ func TestCoordinatorCrashLeavesPartialState(t *testing.T) {
 	if f.CrashAfterNCommits != -1 {
 		t.Error("crash injection should reset")
 	}
-	err = f.RunTx(func(ftx *FTx) error {
+	err = f.RunTx(txn.DefaultRetries, func(ftx *FTx) error {
 		return f.KV.Put(ftx.KV(), "feedback/1/o1", mmvalue.ObjectOf("rating", 2))
 	})
 	if err != nil {
@@ -115,7 +116,7 @@ func TestHopLatencyCharged(t *testing.T) {
 	f := seedFed(t)
 	f.HopLatency = 2 * time.Millisecond
 	start := time.Now()
-	err := f.RunTx(func(ftx *FTx) error {
+	err := f.RunTx(txn.DefaultRetries, func(ftx *FTx) error {
 		// Two stores: begin hops (2) + prepare (2) + commit (2) = 6 hops minimum.
 		f.KV.Put(ftx.KV(), "k", mmvalue.Int(1))
 		f.Docs.Collection("orders").SetPath(ftx.Docs(), "o1", "x", mmvalue.Int(1))

@@ -157,37 +157,6 @@ func (m *Map[T]) Len() int {
 	return m.size
 }
 
-// SplitPoints returns up to n-1 boundary keys that partition the key
-// space into n runs of near-equal size: Ascend("", b1), Ascend(b1, b2),
-// ..., Ascend(bk, "") together visit every key exactly once. Fewer
-// boundaries (possibly none) are returned when the map is small. The
-// boundaries reflect the keys present at call time; keys inserted later
-// still fall into exactly one partition.
-func (m *Map[T]) SplitPoints(n int) []string {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	if n <= 1 || m.size < 2 {
-		return nil
-	}
-	if n > m.size {
-		n = m.size
-	}
-	bounds := make([]string, 0, n-1)
-	stride := m.size / n
-	if stride == 0 {
-		stride = 1
-	}
-	i, next := 0, stride
-	for x := m.head.next[0]; x != nil && len(bounds) < n-1; x = x.next[0] {
-		if i == next {
-			bounds = append(bounds, x.key)
-			next += stride
-		}
-		i++
-	}
-	return bounds
-}
-
 // PrefixEnd returns the smallest key greater than every key with the
 // given prefix, or "" (unbounded) if the prefix is all 0xff bytes.
 func PrefixEnd(prefix string) string {

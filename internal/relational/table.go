@@ -258,8 +258,8 @@ func (t *Table) StreamBatch(tx *txn.Tx, where Expr, buf []mmvalue.Value, fn func
 
 // StreamRangeBatch is StreamBatch restricted to encoded primary keys in
 // [from, to) (empty to = unbounded). It always scans the key range
-// directly off store memory, ignoring indexes — the morsel primitive
-// for parallel executors.
+// directly off store memory, ignoring indexes — relbe's key-range
+// scans (internal/backend/relbe) run on it.
 func (t *Table) StreamRangeBatch(tx *txn.Tx, from, to string, where Expr, buf []mmvalue.Value, fn func(rows []mmvalue.Value) bool) {
 	if where == nil {
 		where = TrueExpr{}
@@ -270,11 +270,6 @@ func (t *Table) StreamRangeBatch(tx *txn.Tx, from, to string, where Expr, buf []
 		})
 	})
 }
-
-// SplitPoints returns boundary keys that cut the table into up to n
-// contiguous primary-key ranges of near-equal size for
-// StreamRangeBatch.
-func (t *Table) SplitPoints(n int) []string { return t.rows.SplitPoints(n) }
 
 // Count returns the number of live rows at latest-committed state.
 func (t *Table) Count() int { return t.rows.Count() }

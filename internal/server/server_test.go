@@ -169,6 +169,33 @@ func TestServerUQL(t *testing.T) {
 	}
 }
 
+// TestServerSurvivesEmptyProductID pins two well-formed requests that
+// used to take the whole server down: Q6 and T2 slice the product id to
+// derive its graph vertex, and an empty id panicked on an admission
+// worker. Both must answer — no rows, a remote error — and the same
+// server must still serve the next request.
+func TestServerSurvivesEmptyProductID(t *testing.T) {
+	db := udbms.Open()
+	ds := datagen.Generate(datagen.Config{ScaleFactor: 0.02, Seed: 7})
+	if err := ds.Load(db.Stores()); err != nil {
+		t.Fatal(err)
+	}
+	s := startServer(t, Config{Engine: workload.NewUDBMSEngine(db), Info: workload.InfoOf(ds)})
+	cl := dial(t, s)
+	if n, err := cl.Query(workload.Q6, workload.Params{}); n != 0 || err != nil {
+		t.Errorf("Q6 with no product id = %d, %v; want 0 rows, no error", n, err)
+	}
+	if _, err := cl.Txn(txnNewOrder, workload.Params{CustomerID: 1, FreshID: "o-no-product"}); !errors.Is(err, ErrRemote) {
+		t.Errorf("T2 with no product id: err = %v, want ErrRemote", err)
+	}
+	if _, ok := db.Docs.Collection("orders").Get(nil, "o-no-product"); ok {
+		t.Error("T2 with no product id left its order behind")
+	}
+	if err := cl.Ping(); err != nil {
+		t.Errorf("ping after the two requests: %v", err)
+	}
+}
+
 // TestServerDeadlineShed pins deadline-aware shedding: with one worker
 // busy on a slow op and a microscopic queue budget, queued requests are
 // rejected with a typed overload response instead of being served late.

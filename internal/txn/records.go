@@ -195,10 +195,6 @@ func (r *Records[T]) Count() int {
 	return n
 }
 
-// SplitPoints returns boundary keys that cut the records into up to n
-// contiguous key ranges of near-equal size for parallel Scans.
-func (r *Records[T]) SplitPoints(n int) []string { return r.chains.SplitPoints(n) }
-
 // Compact garbage-collects versions shadowed below horizon and
 // physically unlinks records whose latest version is a tombstone older
 // than horizon, together with their index entries. It returns the

@@ -16,13 +16,6 @@ const (
 	// a batch of Value headers (~48 KB) inside L1/L2 while amortizing
 	// the per-batch operator dispatch to noise.
 	batchCap = 1024
-	// morselSize is the target number of row slots per parallel scan
-	// morsel. Small enough that a skewed predicate cannot straggle one
-	// worker for long, large enough that the shared cursor is cold.
-	morselSize = 256
-	// maxMorsels bounds the morsel count so split-point computation and
-	// per-morsel bookkeeping stay cheap on huge stores.
-	maxMorsels = 1024
 )
 
 // Batch is a transient view of up to batchCap rows flowing through the

@@ -28,15 +28,6 @@
 // rowState protocol in exec.go); Rows() clones on the way out, while
 // Count/Each and rows dropped by Limit never pay for a clone.
 //
-// Parallel(n) switches the seed scan to morsel-driven parallelism: the
-// key space is pre-split into ~256-row morsels and n workers claim
-// them from a shared atomic cursor, so skew cannot straggle a worker.
-// Leading Filter stages execute inside the workers; surviving rows
-// merge in key order, making results bit-identical to the sequential
-// scan. A shared atomic row budget derived from a downstream Limit —
-// plus a stop flag raised when the merged chain refuses a batch —
-// short-circuits workers across the whole scan (see runMorsels).
-//
 // Equality joins between models build a hash table over the build side
 // and probe it per batch; small probe sets fall back to store indexes.
 // Build-side hash tables are memoized across queries in a version-
@@ -44,4 +35,12 @@
 // version counter before it becomes visible, so an unchanged counter
 // certifies an unchanged build side and read-heavy workloads skip the
 // rebuild entirely.
+//
+// Every store request the executor issues — seed scan, build-side
+// scan, index probe, per-row key-value / XML / graph fetch — goes
+// through the pipeline's Access: a transaction handle per model and a
+// Hop charged per request. DB.Pipeline's is one snapshot with free
+// hops. PipelineOver takes the caller's, which is how the federation
+// runs the same query definitions over its own stores: each store's
+// latest state, a hop per request, and no join cache.
 package udbms

@@ -1,15 +1,12 @@
 package udbms
 
 import (
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"udbench/internal/document"
 	"udbench/internal/graph"
 	"udbench/internal/mmvalue"
 	"udbench/internal/relational"
-	"udbench/internal/txn"
 )
 
 // This file is the vectorized execution engine behind Pipeline: a
@@ -31,16 +28,9 @@ import (
 // contract ("returned rows are yours to mutate") is unchanged while
 // Count/Each and dropped rows (Limit) never pay for a clone.
 //
-// Parallelism model. Parallel(n) runs the seed scan with morsel-driven
-// parallelism: the key space is pre-split into ~morselSize-row morsels
-// and n workers claim them from a shared atomic cursor, so a skewed
-// predicate cannot straggle one worker. Leading Filter stages execute
-// inside the workers (they only rewrite selection vectors, so pushing
-// them below the merge is safe); the surviving rows of completed
-// morsels then stream through the rest of the chain in key order (an
-// ordered merge — results are identical to the sequential scan). A
-// shared row budget derived from a downstream Limit stops workers
-// from scanning morsels the limit can never consume.
+// Every store request a source or a join issues goes through the
+// pipeline's Access (pipeline.go): Hop first, then the call under that
+// model's handle.
 
 type rowState uint8
 
@@ -69,53 +59,12 @@ type stage interface {
 type source interface {
 	state() rowState
 	run(emit func(*Batch) bool)
-	// morsels splits the scan into fixed-size key-range morsels for
-	// parallel execution; nil means the source does not support it
-	// (index routes and graph scans). workers hints the parallelism
-	// degree so tiny stores still yield one morsel per worker.
-	morsels(workers int) *morselScan
 }
 
-// morselScan is a partitioned scan: ranges lists contiguous [from, to)
-// key ranges in key order; scan streams one range's matching rows in
-// batches of shared rows gathered into scratch — callers hand each
-// worker one reusable scratch buffer instead of allocating per morsel.
-type morselScan struct {
-	ranges [][2]string
-	scan   func(from, to string, scratch []mmvalue.Value, fn func(rows []mmvalue.Value) bool)
-}
-
-// morselRanges turns split-point boundaries into [from, to) ranges.
-func morselRanges(bounds []string) [][2]string {
-	if len(bounds) == 0 {
-		return nil
-	}
-	edges := append(append(make([]string, 0, len(bounds)+2), ""), bounds...)
-	edges = append(edges, "")
-	ranges := make([][2]string, len(edges)-1)
-	for i := 0; i < len(edges)-1; i++ {
-		ranges[i] = [2]string{edges[i], edges[i+1]}
-	}
-	return ranges
-}
-
-// morselCount sizes the morsel set for a store with n row slots.
-func morselCount(n, workers int) int {
-	m := n / morselSize
-	if m < workers {
-		m = workers
-	}
-	if m > maxMorsels {
-		m = maxMorsels
-	}
-	return m
-}
-
-// rowBufPool recycles the executor's row buffers — seed scan batches,
-// morsel scratch, join probe buffers — across queries. These buffers
-// peak at a few KB to a few tens of KB each; allocating them fresh per
-// query dominated the allocation profile of small and mid-size
-// queries. Buffers are cleared before going back so pooled slots never
+// rowBufPool recycles the executor's row buffers — seed scan batches
+// and join probe buffers — across queries. These buffers peak at a few
+// KB to a few tens of KB each; allocating them fresh per query
+// dominated the allocation profile of small and mid-size queries. Buffers are cleared before going back so pooled slots never
 // pin store rows.
 var rowBufPool = sync.Pool{New: func() any { return &rowBuf{} }}
 
@@ -156,7 +105,7 @@ func seedBufCap(n int) int {
 
 type relSource struct {
 	t     *relational.Table
-	tx    *txn.Tx
+	acc   Access
 	where relational.Expr
 }
 
@@ -165,29 +114,17 @@ func (s *relSource) state() rowState { return rowShared }
 func (s *relSource) run(emit func(*Batch) bool) {
 	b := &Batch{}
 	rb := getRowBuf(seedBufCap(s.t.Len()))
-	s.t.StreamBatch(s.tx, s.where, rb.rows, func(rows []mmvalue.Value) bool {
+	s.acc.Hop()
+	s.t.StreamBatch(s.acc.RelTx(), s.where, rb.rows, func(rows []mmvalue.Value) bool {
 		b.rows, b.sel = rows, nil
 		return emit(b)
 	})
 	putRowBuf(rb, rb.rows)
 }
 
-func (s *relSource) morsels(workers int) *morselScan {
-	if s.where != nil && s.t.UsesIndex(s.where) {
-		return nil // index route: already sub-linear, not worth splitting
-	}
-	ranges := morselRanges(s.t.SplitPoints(morselCount(s.t.Len(), workers)))
-	if ranges == nil {
-		return nil
-	}
-	return &morselScan{ranges: ranges, scan: func(from, to string, scratch []mmvalue.Value, fn func([]mmvalue.Value) bool) {
-		s.t.StreamRangeBatch(s.tx, from, to, s.where, scratch, fn)
-	}}
-}
-
 type docSource struct {
 	c      *document.Collection
-	tx     *txn.Tx
+	acc    Access
 	filter document.Filter
 }
 
@@ -196,29 +133,17 @@ func (s *docSource) state() rowState { return rowShared }
 func (s *docSource) run(emit func(*Batch) bool) {
 	b := &Batch{}
 	rb := getRowBuf(seedBufCap(s.c.Len()))
-	s.c.StreamBatch(s.tx, s.filter, rb.rows, func(rows []mmvalue.Value) bool {
+	s.acc.Hop()
+	s.c.StreamBatch(s.acc.DocTx(), s.filter, rb.rows, func(rows []mmvalue.Value) bool {
 		b.rows, b.sel = rows, nil
 		return emit(b)
 	})
 	putRowBuf(rb, rb.rows)
 }
 
-func (s *docSource) morsels(workers int) *morselScan {
-	if s.filter != nil && s.c.UsesIndex(s.filter) {
-		return nil
-	}
-	ranges := morselRanges(s.c.SplitPoints(morselCount(s.c.Len(), workers)))
-	if ranges == nil {
-		return nil
-	}
-	return &morselScan{ranges: ranges, scan: func(from, to string, scratch []mmvalue.Value, fn func([]mmvalue.Value) bool) {
-		s.c.StreamRangeBatch(s.tx, from, to, s.filter, scratch, fn)
-	}}
-}
-
 type graphSource struct {
 	g     *graph.Store
-	tx    *txn.Tx
+	acc   Access
 	label string
 	ok    func(graph.Vertex) bool
 }
@@ -231,7 +156,8 @@ func (s *graphSource) run(emit func(*Batch) bool) {
 	rb := getRowBuf(seedBufCap(batchCap))
 	b := &Batch{rows: rb.rows}
 	stopped := false
-	s.g.Vertices(s.tx, func(v graph.Vertex) bool {
+	s.acc.Hop()
+	s.g.Vertices(s.acc.GraphTx(), func(v graph.Vertex) bool {
 		if s.label != "" && v.Label != s.label {
 			return true
 		}
@@ -257,8 +183,6 @@ func (s *graphSource) run(emit func(*Batch) bool) {
 	putRowBuf(rb, b.rows)
 }
 
-func (s *graphSource) morsels(int) *morselScan { return nil }
-
 // ---- plan compilation and execution ----
 
 // finalState computes the ownership of rows leaving the last stage.
@@ -283,36 +207,15 @@ func (p *Pipeline) execute(onRow func(mmvalue.Value) bool) error {
 	if p.src == nil {
 		return nil
 	}
-	if p.par > 1 {
-		if ms := p.src.morsels(p.par); ms != nil && len(ms.ranges) > 1 {
-			// Leading filters run inside the scan workers: they only
-			// rewrite selection vectors (no ownership change, no
-			// reordering), so pushing them below the merge parallelizes
-			// predicate evaluation and shrinks the buffered morsels to
-			// the surviving rows. The merger runs the rest of the chain.
-			npref := 0
-			for npref < len(p.stages) {
-				if _, ok := p.stages[npref].(*filterStage); !ok {
-					break
-				}
-				npref++
-			}
-			head := p.wireChain(p.stages[npref:], onRow)
-			p.runMorsels(ms, p.stages[:npref], head)
-			head.flush()
-			return nil
-		}
-	}
-	head := p.wireChain(p.stages, onRow)
+	head := p.wireChain(onRow)
 	p.src.run(head.push)
 	head.flush()
 	return nil
 }
 
-// wireChain wires stages back-to-front into a rowSink terminal. The
-// input state is the source's: callers passing a stage suffix may only
-// drop state-preserving stages (filters) from the front.
-func (p *Pipeline) wireChain(stages []stage, onRow func(mmvalue.Value) bool) batchSink {
+// wireChain wires the stages back-to-front into a rowSink terminal.
+func (p *Pipeline) wireChain(onRow func(mmvalue.Value) bool) batchSink {
+	stages := p.stages
 	var head batchSink = &rowSink{fn: onRow}
 	st := p.src.state()
 	states := make([]rowState, len(stages))
@@ -329,200 +232,4 @@ func (p *Pipeline) wireChain(stages []stage, onRow func(mmvalue.Value) bool) bat
 		transient = transient && !stages[i].retains()
 	}
 	return head
-}
-
-// seedBudget computes the shared row budget for a parallel scan: the
-// Limit bound, when every merger-side stage up to the first bounded
-// Limit is strictly one-to-one and order-preserving (maps and the
-// attach joins are; sorts reorder, group-by collapses). -1 means
-// unbudgeted — workers then rely on the stop flag alone. stages is the
-// chain the merger runs; leading filters executed inside the workers
-// are excluded, which is what makes Filter→Limit budgetable: the
-// budget counts post-filter rows, exactly what workers buffer.
-func seedBudget(stages []stage) int {
-	for _, s := range stages {
-		switch st := s.(type) {
-		case *limitStage:
-			if st.n >= 0 {
-				return st.n
-			}
-			// Unlimited Limit is a no-op: keep walking.
-		case *mapStage, *hashJoinStage, *perRowStage:
-			// 1:1 and order-preserving: the k-th seed row is the k-th
-			// output row.
-		default:
-			return -1
-		}
-	}
-	return -1
-}
-
-// morselGather terminates a worker's in-scan operator chain: it copies
-// the surviving rows of each batch into the current morsel's buffer
-// and refuses further input once the buffered count reaches the
-// worker's budget quota or the shared stop flag rises.
-type morselGather struct {
-	rb    *rowBuf
-	quota int64 // post-filter row cap for this morsel; -1 = unbudgeted
-	stop  *atomic.Bool
-}
-
-func (g *morselGather) push(b *Batch) bool {
-	if b.sel != nil {
-		for _, i := range b.sel {
-			g.rb.rows = append(g.rb.rows, b.rows[i])
-		}
-	} else {
-		g.rb.rows = append(g.rb.rows, b.rows...)
-	}
-	if g.quota > 0 && int64(len(g.rb.rows)) >= g.quota {
-		return false
-	}
-	return !g.stop.Load()
-}
-
-func (g *morselGather) flush() {}
-
-// runMorsels is the morsel-driven parallel scan. Workers claim morsel
-// indexes from a shared atomic cursor, run the chain's leading filters
-// in-scan, and buffer each morsel's surviving (shared) rows; the
-// caller streams completed morsels through the rest of the operator
-// chain in key order, so results are identical to the sequential scan.
-// Two shared atomics short-circuit the scan: stop is set as soon as
-// the merger chain refuses a batch (any downstream Limit satisfied),
-// and remaining — the row budget when a Limit is 1:1-reachable from
-// the merge point — caps how many rows a worker buffers before its
-// morsel is even merged. Because workers buffer post-filter rows, the
-// budget applies to Filter→Limit pipelines too.
-//
-// Claims are paced by a lookahead window over the merge frontier:
-// a worker does not start morsel i until the merger has consumed
-// morsel i-window. This bounds both the peak buffered memory
-// (window × morsel rows instead of the whole relation) and the wasted
-// scan work after an early Limit fires — without the window, fast
-// in-memory scans would finish every morsel before the first merged
-// batch could raise the stop flag.
-func (p *Pipeline) runMorsels(ms *morselScan, prefix []stage, head batchSink) {
-	nm := len(ms.ranges)
-	workers := p.par
-	if workers > nm {
-		workers = nm
-	}
-	budget := seedBudget(p.stages[len(prefix):])
-	window := int64(2 * workers)
-
-	var cursor atomic.Int64
-	var stop atomic.Bool
-	var frontier atomic.Int64 // morsels the merger has consumed
-	var remaining atomic.Int64
-	remaining.Store(int64(budget))
-
-	bufs := make([]*rowBuf, nm)
-	done := make([]chan struct{}, nm)
-	for i := range done {
-		done[i] = make(chan struct{})
-	}
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Each worker wires its own copy of the filter prefix (sink
-			// scratch is not shareable) over a gather terminal; filters
-			// preserve row state, so the state/transient inputs echo the
-			// source contract.
-			g := &morselGather{stop: &stop}
-			var chain batchSink = g
-			for i := len(prefix) - 1; i >= 0; i-- {
-				chain = prefix[i].wire(p.src.state(), true, chain)
-			}
-			srb := getRowBuf(morselSize)
-			defer func() { putRowBuf(srb, srb.rows) }()
-			var b Batch
-			for {
-				i := int(cursor.Add(1) - 1)
-				if i >= nm {
-					return
-				}
-				// Pace the claim: wait for the merge frontier to come
-				// within window morsels. The merger is never more than
-				// one blocking push behind, so this spin is short; stop
-				// breaks it so abandoned scans are skipped outright.
-				for int64(i) >= frontier.Load()+window && !stop.Load() {
-					runtime.Gosched()
-				}
-				// Snapshot the budget: remaining only shrinks (the
-				// merger decrements it in morsel order), so it is a
-				// safe upper bound on the rows this morsel can
-				// contribute.
-				quota := int64(-1)
-				if budget >= 0 {
-					quota = remaining.Load()
-				}
-				if quota != 0 && !stop.Load() {
-					rb := getRowBuf(morselSize)
-					g.rb, g.quota = rb, quota
-					r := ms.ranges[i]
-					ms.scan(r[0], r[1], srb.rows, func(rows []mmvalue.Value) bool {
-						b.rows, b.sel = rows, nil
-						return chain.push(&b)
-					})
-					if len(rb.rows) > 0 {
-						bufs[i] = rb
-					} else {
-						putRowBuf(rb, rb.rows)
-					}
-					g.rb = nil
-				}
-				close(done[i])
-			}
-		}()
-	}
-
-	// Ordered streaming merge on the caller goroutine. Morsel buffers
-	// return to the pool as soon as they are consumed: retaining stages
-	// copy row structs out during push, so nothing downstream aliases
-	// the buffer afterwards (the sequential scan reuses its seed
-	// scratch the same way).
-	b := &Batch{}
-	for i := 0; i < nm; i++ {
-		<-done[i]
-		frontier.Store(int64(i + 1))
-		rb := bufs[i]
-		bufs[i] = nil
-		if stop.Load() {
-			if rb != nil {
-				putRowBuf(rb, rb.rows)
-			}
-			continue // drain the done channels; workers close them fast
-		}
-		if rb == nil {
-			continue
-		}
-		rows := rb.rows
-		if budget >= 0 {
-			if rem := remaining.Load(); int64(len(rows)) > rem {
-				rows = rows[:rem]
-			}
-		}
-		for start := 0; start < len(rows); start += batchCap {
-			end := start + batchCap
-			if end > len(rows) {
-				end = len(rows)
-			}
-			b.rows, b.sel = rows[start:end], nil
-			n := int64(b.Len())
-			ok := head.push(b)
-			if budget >= 0 {
-				remaining.Add(-n)
-			}
-			if !ok {
-				stop.Store(true)
-				break
-			}
-		}
-		putRowBuf(rb, rb.rows)
-	}
-	wg.Wait()
 }

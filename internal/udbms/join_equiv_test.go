@@ -292,56 +292,3 @@ func TestSelfJoinNoDeadlock(t *testing.T) {
 		t.Errorf("self join matched %d pairs, want 500", n)
 	}
 }
-
-// TestParallelScanEquivalence checks that Parallel(n) returns the rows
-// of the sequential scan in identical order, with filters and joins
-// downstream.
-func TestParallelScanEquivalence(t *testing.T) {
-	db := seedJoinDB(t, rand.New(rand.NewSource(7)), 150, 40, false, false)
-	build := func(par int) []mmvalue.Value {
-		p := db.Pipeline(nil).
-			FromDocuments("probe", nil).
-			Filter(func(r mmvalue.Value) bool {
-				n, _ := r.MustObject().GetOr("n", mmvalue.Int(0)).AsInt()
-				return n%3 != 0
-			}).
-			JoinDocuments("build", "cid", "ref.cid", "m")
-		if par > 1 {
-			p = p.Parallel(par)
-		}
-		rows, err := p.Rows()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rows
-	}
-	seq := build(1)
-	for _, par := range []int{2, 4, 13} {
-		got := build(par)
-		if len(got) != len(seq) {
-			t.Fatalf("Parallel(%d): %d rows, want %d", par, len(got), len(seq))
-		}
-		for i := range got {
-			if got[i].String() != seq[i].String() {
-				t.Errorf("Parallel(%d): row %d differs:\n got  %s\n want %s", par, i, got[i], seq[i])
-			}
-		}
-	}
-	// Relational seeds partition too.
-	relSeq, err := db.Pipeline(nil).FromRelational("buildtab", nil).Rows()
-	if err != nil {
-		t.Fatal(err)
-	}
-	relPar, err := db.Pipeline(nil).FromRelational("buildtab", nil).Parallel(4).Rows()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(relSeq) != len(relPar) {
-		t.Fatalf("relational parallel: %d != %d", len(relPar), len(relSeq))
-	}
-	for i := range relSeq {
-		if relSeq[i].String() != relPar[i].String() {
-			t.Errorf("relational parallel row %d differs", i)
-		}
-	}
-}

@@ -3,6 +3,7 @@ package udbms
 import (
 	"fmt"
 
+	"udbench/internal/datagen"
 	"udbench/internal/document"
 	"udbench/internal/graph"
 	"udbench/internal/mmvalue"
@@ -11,10 +12,37 @@ import (
 	"udbench/internal/xmlstore"
 )
 
+// Access is how a pipeline reaches the stores: the transaction each
+// model's requests run under (nil = that store's latest committed
+// state) and Hop, which the executor calls once before every store
+// request it issues — seed scan, join build scan, per-key index probe,
+// per-row key-value / XML / graph fetch. Handles are asked for at
+// request time, so an accessor may start them lazily.
+type Access interface {
+	RelTx() *txn.Tx
+	DocTx() *txn.Tx
+	GraphTx() *txn.Tx
+	KVTx() *txn.Tx
+	XMLTx() *txn.Tx
+	Hop()
+}
+
+// Snapshot is the unified engine's Access: all five models under one
+// transaction, and store requests are in-process calls, so Hop is free.
+type Snapshot struct{ Tx *txn.Tx }
+
+func (s Snapshot) RelTx() *txn.Tx   { return s.Tx }
+func (s Snapshot) DocTx() *txn.Tx   { return s.Tx }
+func (s Snapshot) GraphTx() *txn.Tx { return s.Tx }
+func (s Snapshot) KVTx() *txn.Tx    { return s.Tx }
+func (s Snapshot) XMLTx() *txn.Tx   { return s.Tx }
+func (s Snapshot) Hop()             {}
+
 // Pipeline is a fluent multi-model query: it starts from one model and
-// hops across the others. All stages read under the same transaction
-// snapshot, which is the core capability a unified engine offers over a
-// federation.
+// hops across the others. Under DB.Pipeline all stages read one
+// transaction snapshot, which is the core capability a unified engine
+// offers over a federation; under PipelineOver the same stages run
+// against independent stores through the caller's Access.
 //
 // Execution is lazy, streaming and vectorized: stages build an
 // operator tree that is only evaluated when a terminal — Rows, Count
@@ -31,19 +59,31 @@ import (
 // Build errors (unknown table, bad XPath) are deferred to the
 // terminals and visible early via Err.
 type Pipeline struct {
-	db  *DB
-	tx  *txn.Tx
-	err error
-	src source
+	st  datagen.Target
+	acc Access
+	// joins is the owning DB's join-build cache; nil under PipelineOver.
+	joins *joinCache
+	err   error
+	src   source
 	// stages apply in order between the source and the terminal.
 	stages []stage
-	// par is the seed-scan parallelism degree (<=1 = sequential).
-	par int
 }
 
-// Pipeline starts an empty pipeline under tx (nil = latest committed).
+// Pipeline starts an empty pipeline under tx (nil = latest committed):
+// one snapshot across all models, free hops, and join builds memoized
+// in the DB's version-keyed cache.
 func (db *DB) Pipeline(tx *txn.Tx) *Pipeline {
-	return &Pipeline{db: db, tx: tx}
+	return &Pipeline{st: db.Stores(), acc: Snapshot{tx}, joins: &db.joins}
+}
+
+// PipelineOver starts an empty pipeline over stores no DB owns — the
+// federation's. Every store request goes through a: it reads under a's
+// handle for that model and pays a.Hop() first. There is no join cache
+// (independent stores offer no common commit hook to invalidate one
+// by), so each join picks per execution between per-key index probes,
+// one request each, and one build-side scan, one request in all.
+func PipelineOver(st datagen.Target, a Access) *Pipeline {
+	return &Pipeline{st: st, acc: a}
 }
 
 // Err returns the first error the pipeline encountered while building.
@@ -88,27 +128,6 @@ func (p *Pipeline) Each(fn func(row mmvalue.Value) bool) error {
 	return p.execute(fn)
 }
 
-// Parallel runs the seed scan morsel-driven across n goroutines: the
-// key space is pre-split into fixed-size morsels and workers claim
-// them from a shared cursor, so a skewed predicate cannot straggle one
-// worker. Completed morsels merge in key order — results are identical
-// to the sequential scan. It applies to full-scan relational/document
-// seeds; index-served seeds and graph scans ignore it. Limit
-// short-circuits across workers: a shared atomic row budget (or, for
-// limits behind filters/sorts, a shared stop flag) halts morsel
-// claiming as soon as the limit is satisfied, so unneeded morsels are
-// never scanned. The seed predicate (the relational.Expr or
-// document.Filter passed to From*) is evaluated concurrently from the
-// worker goroutines, so it must be safe for concurrent use — stateless
-// predicates (all the Eq/Lt/All/... constructors and the uql pushdown
-// output) are; a stateful Func closure is not. Later stages (Filter,
-// Map, joins, GroupBy) run sequentially after the merge and are
-// unaffected.
-func (p *Pipeline) Parallel(n int) *Pipeline {
-	p.par = n
-	return p
-}
-
 // FromRelational seeds the pipeline with rows of the named table
 // matching the predicate (nil = all rows). Equality predicates on the
 // primary key or an indexed column are served from the index.
@@ -116,12 +135,12 @@ func (p *Pipeline) FromRelational(table string, where relational.Expr) *Pipeline
 	if p.err != nil {
 		return p
 	}
-	t, ok := p.db.Relational.Table(table)
+	t, ok := p.st.Relational.Table(table)
 	if !ok {
 		p.err = fmt.Errorf("udbms: no table %q", table)
 		return p
 	}
-	p.src = &relSource{t: t, tx: p.tx, where: where}
+	p.src = &relSource{t: t, acc: p.acc, where: where}
 	return p
 }
 
@@ -132,7 +151,7 @@ func (p *Pipeline) FromDocuments(collection string, filter document.Filter) *Pip
 	if p.err != nil {
 		return p
 	}
-	p.src = &docSource{c: p.db.Docs.Collection(collection), tx: p.tx, filter: filter}
+	p.src = &docSource{c: p.st.Docs.Collection(collection), acc: p.acc, filter: filter}
 	return p
 }
 
@@ -143,7 +162,7 @@ func (p *Pipeline) FromGraphVertices(label string, ok func(graph.Vertex) bool) *
 	if p.err != nil {
 		return p
 	}
-	p.src = &graphSource{g: p.db.Graph, tx: p.tx, label: label, ok: ok}
+	p.src = &graphSource{g: p.st.Graph, acc: p.acc, label: label, ok: ok}
 	return p
 }
 
@@ -218,7 +237,7 @@ func (p *Pipeline) JoinDocuments(collection, rowField, docPath, asField string) 
 	if p.err != nil {
 		return p
 	}
-	coll := p.db.Docs.Collection(collection)
+	coll := p.st.Docs.Collection(collection)
 	pp := mmvalue.ParsePath(docPath)
 	scan := func(tx *txn.Tx) *hashTable {
 		ht := newHashTable(coll.Len())
@@ -230,21 +249,27 @@ func (p *Pipeline) JoinDocuments(collection, rowField, docPath, asField string) 
 		})
 		return ht
 	}
-	key := joinCacheKey{store: coll, field: docPath}
 	spec := joinSpec{
 		rowField: rowField,
 		asField:  asField,
-		buildLen: coll.Len(),
-		build:    func() *hashTable { return scan(p.tx) },
-		cacheGet: func() *hashTable { return p.db.joins.get(key, coll.Version(), p.tx) },
-		cachePut: func() *hashTable {
-			return p.db.joins.put(key, coll.Manager(), coll.Version, p.tx, scan)
+		build: func() *hashTable {
+			p.acc.Hop()
+			return scan(p.acc.DocTx())
 		},
 	}
+	if p.joins != nil {
+		key := joinCacheKey{store: coll, field: docPath}
+		spec.cacheGet = func() *hashTable { return p.joins.get(key, coll.Version(), p.acc.DocTx()) }
+		spec.cachePut = func() *hashTable {
+			return p.joins.put(key, coll.Manager(), coll.Version, p.acc.DocTx(), scan)
+		}
+	}
 	if coll.HasIndex(docPath) {
+		spec.probeBelow = p.probeBelow(coll.Len())
 		spec.indexProbe = func(key mmvalue.Value) []mmvalue.Value {
 			var matches []mmvalue.Value
-			coll.Stream(p.tx, document.Eq(docPath, key), func(doc mmvalue.Value) bool {
+			p.acc.Hop()
+			coll.Stream(p.acc.DocTx(), document.Eq(docPath, key), func(doc mmvalue.Value) bool {
 				matches = append(matches, doc)
 				return true
 			})
@@ -263,7 +288,7 @@ func (p *Pipeline) JoinRelational(table, rowField, column, asField string) *Pipe
 	if p.err != nil {
 		return p
 	}
-	t, ok := p.db.Relational.Table(table)
+	t, ok := p.st.Relational.Table(table)
 	if !ok {
 		p.err = fmt.Errorf("udbms: no table %q", table)
 		return p
@@ -278,21 +303,27 @@ func (p *Pipeline) JoinRelational(table, rowField, column, asField string) *Pipe
 		})
 		return ht
 	}
-	key := joinCacheKey{store: t, field: column}
 	spec := joinSpec{
 		rowField: rowField,
 		asField:  asField,
-		buildLen: t.Len(),
-		build:    func() *hashTable { return scan(p.tx) },
-		cacheGet: func() *hashTable { return p.db.joins.get(key, t.Version(), p.tx) },
-		cachePut: func() *hashTable {
-			return p.db.joins.put(key, t.Manager(), t.Version, p.tx, scan)
+		build: func() *hashTable {
+			p.acc.Hop()
+			return scan(p.acc.RelTx())
 		},
 	}
+	if p.joins != nil {
+		key := joinCacheKey{store: t, field: column}
+		spec.cacheGet = func() *hashTable { return p.joins.get(key, t.Version(), p.acc.RelTx()) }
+		spec.cachePut = func() *hashTable {
+			return p.joins.put(key, t.Manager(), t.Version, p.acc.RelTx(), scan)
+		}
+	}
 	if t.UsesIndex(relational.Col(column).Eq(0)) {
+		spec.probeBelow = p.probeBelow(t.Len())
 		spec.indexProbe = func(key mmvalue.Value) []mmvalue.Value {
 			var matches []mmvalue.Value
-			t.Stream(p.tx, relational.Col(column).Eq(key), func(row mmvalue.Value) bool {
+			p.acc.Hop()
+			t.Stream(p.acc.RelTx(), relational.Col(column).Eq(key), func(row mmvalue.Value) bool {
 				matches = append(matches, row)
 				return true
 			})
@@ -301,6 +332,19 @@ func (p *Pipeline) JoinRelational(table, rowField, column, asField string) *Pipe
 	}
 	p.stages = append(p.stages, &hashJoinStage{spec: spec})
 	return p
+}
+
+// probeBelow is the probe-set size under which a join against an
+// indexed build side of buildLen rows sends per-key index probes
+// instead of scanning the build side once. In process a probe costs
+// about eight scanned rows. Under PipelineOver (no join cache) every
+// probe is a round trip and the whole scan is one, so only a single
+// probe is worth sending.
+func (p *Pipeline) probeBelow(buildLen int) int {
+	if p.joins == nil {
+		return 2
+	}
+	return min(max(buildLen/8, 4), 1024)
 }
 
 // JoinKVPrefix extends each row with all key-value pairs whose key has
@@ -315,7 +359,8 @@ func (p *Pipeline) JoinKVPrefix(prefixFn func(row mmvalue.Value) string, asField
 		asField: asField,
 		fetch: func(r mmvalue.Value) []mmvalue.Value {
 			var matches []mmvalue.Value
-			p.db.KV.ScanPrefix(p.tx, prefixFn(r), func(k string, v mmvalue.Value) bool {
+			p.acc.Hop()
+			p.st.KV.ScanPrefix(p.acc.KVTx(), prefixFn(r), func(k string, v mmvalue.Value) bool {
 				matches = append(matches, mmvalue.ObjectOf("key", k, "value", v))
 				return true
 			})
@@ -341,7 +386,8 @@ func (p *Pipeline) JoinXML(idFn func(row mmvalue.Value) string, xpath string, as
 		ownedVals: true,
 		fetch: func(r mmvalue.Value) []mmvalue.Value {
 			var vals []mmvalue.Value
-			if doc, ok := p.db.XML.Get(p.tx, idFn(r)); ok {
+			p.acc.Hop()
+			if doc, ok := p.st.XML.Get(p.acc.XMLTx(), idFn(r)); ok {
 				for _, s := range xp.SelectValues(doc) {
 					vals = append(vals, mmvalue.String(s))
 				}
@@ -363,7 +409,8 @@ func (p *Pipeline) ExpandGraph(vidFn func(row mmvalue.Value) string, k int, dir 
 		asField:   asField,
 		ownedVals: true,
 		fetch: func(r mmvalue.Value) []mmvalue.Value {
-			hops := p.db.Graph.KHop(p.tx, graph.VID(vidFn(r)), k, dir, label)
+			p.acc.Hop()
+			hops := p.st.Graph.KHop(p.acc.GraphTx(), graph.VID(vidFn(r)), k, dir, label)
 			vals := make([]mmvalue.Value, len(hops))
 			for i, h := range hops {
 				vals[i] = mmvalue.String(string(h))

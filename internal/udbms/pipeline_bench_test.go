@@ -147,28 +147,3 @@ func BenchmarkGroupBy(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkPipelineParallelScan measures the partitioned seed scan
-// against the sequential one over a filtered collection scan.
-func BenchmarkPipelineParallelScan(b *testing.B) {
-	db := benchJoinDB(b, 20000, 8, false)
-	for _, par := range []int{1, 4} {
-		b.Run(fmt.Sprintf("par%d", par), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				p := db.Pipeline(nil).
-					FromDocuments("probe", nil).
-					Filter(func(r mmvalue.Value) bool {
-						id, _ := r.MustObject().GetOr("cid", mmvalue.Int(0)).AsInt()
-						return id%2 == 0
-					})
-				if par > 1 {
-					p = p.Parallel(par)
-				}
-				if n, err := p.Count(); err != nil || n == 0 {
-					b.Fatalf("count=%d err=%v", n, err)
-				}
-			}
-		})
-	}
-}

@@ -396,14 +396,14 @@ type joinSpec struct {
 	rowField string
 	// asField receives the match array.
 	asField string
-	// buildLen approximates the build-side size (for strategy choice).
-	buildLen int
 	// build scans the build side once into a hash table, under the
-	// pipeline's own transaction.
+	// pipeline's own handle for that store.
 	build func() *hashTable
 	// indexProbe fetches matches for one key through a store index;
-	// nil when the build side has no usable index.
+	// nil when the build side has no usable index. Probe sets smaller
+	// than probeBelow use it (see Pipeline.probeBelow).
 	indexProbe func(key mmvalue.Value) []mmvalue.Value
+	probeBelow int
 	// cacheGet/cachePut consult the DB-level join-build cache
 	// (joincache.go): cacheGet is lookup-only, cachePut builds under a
 	// snapshot transaction and caches. Either may be nil (no cache) or
@@ -435,28 +435,13 @@ func (st *hashJoinStage) outState(rowState) rowState {
 func (st *hashJoinStage) retains() bool { return true }
 
 func (st *hashJoinStage) wire(in rowState, transient bool, down batchSink) batchSink {
-	threshold := 0
-	if st.spec.indexProbe != nil {
-		threshold = st.spec.buildLen / 8
-		if threshold < 4 {
-			threshold = 4
-		}
-		if threshold > 1024 {
-			threshold = 1024
-		}
-	}
-	return &joinSink{
-		spec:      st.spec,
-		threshold: threshold,
-		at:        newAttacher(down, st.spec.asField, in, transient),
-	}
+	return &joinSink{spec: st.spec, at: newAttacher(down, st.spec.asField, in, transient)}
 }
 
 type joinSink struct {
-	spec      joinSpec
-	threshold int
-	at        *attacher
-	rb        *rowBuf // pooled probe-row buffer
+	spec joinSpec
+	at   *attacher
+	rb   *rowBuf // pooled probe-row buffer
 }
 
 func (j *joinSink) push(b *Batch) bool {
@@ -464,7 +449,7 @@ func (j *joinSink) push(b *Batch) bool {
 		return false
 	}
 	if j.rb == nil {
-		j.rb = getRowBuf(4 * morselSize)
+		j.rb = getRowBuf(batchCap)
 	}
 	if b.sel == nil {
 		j.rb.rows = append(j.rb.rows, b.rows...)
@@ -479,10 +464,12 @@ func (j *joinSink) push(b *Batch) bool {
 // flush picks the probe strategy. A cached build table wins outright —
 // probing it costs the same as index lookups without the per-probe
 // store scan — so it is consulted (lookup only, never a build) before
-// the size heuristics. Otherwise small probe sets against an indexed
-// build side use per-key index lookups, and everything else builds the
-// hash table, preferring the cacheable snapshot build when its
-// visibility gates pass.
+// the size heuristics. Otherwise probe sets under spec.probeBelow
+// against an indexed build side use per-key index lookups, and
+// everything else builds the hash table, preferring the cacheable
+// snapshot build when its visibility gates pass. Without a cache
+// (PipelineOver) only the last choice is left: k probes, k requests, or
+// one build scan, one request.
 func (j *joinSink) flush() {
 	if !j.at.stopped && j.rb != nil && len(j.rb.rows) > 0 {
 		buf := j.rb.rows
@@ -498,7 +485,7 @@ func (j *joinSink) flush() {
 				// small probe sets keep the index route.
 				ht = j.spec.cachePut()
 			}
-			if ht == nil && (j.spec.indexProbe == nil || len(buf) >= j.threshold) {
+			if ht == nil && len(buf) >= j.spec.probeBelow {
 				ht = j.spec.build()
 			}
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"sync/atomic"
 	"testing"
 
 	"udbench/internal/document"
@@ -14,7 +13,7 @@ import (
 // Property test: the vectorized batch executor is observationally
 // identical to a row-at-a-time reference interpreter for randomized
 // pipelines — seed × filter × map × join × sort × limit × group-by in
-// random order — both sequentially and in Parallel morsel mode. The
+// random order. The
 // reference applies each stage's documented semantics with plain Go
 // loops over materialized rows; the only tolerated difference is the
 // internal order of join match arrays (strategies may emit matches in
@@ -306,36 +305,31 @@ func TestVectorizedPipelineEquivalence(t *testing.T) {
 			}
 			want := canonRows(refRows, joinFields)
 
-			for _, par := range []int{1, 4} {
-				p := db.Pipeline(nil)
-				switch seedKind {
-				case 0:
-					p = p.FromDocuments("probe", nil)
-				case 1:
-					p = p.FromDocuments("probe", seedPred)
-				default:
-					p = p.FromRelational("buildtab", nil)
-				}
-				for _, op := range ops {
-					p = op.build(p)
-				}
-				if par > 1 {
-					p = p.Parallel(par)
-				}
-				rows, err := p.Rows()
-				if err != nil {
-					t.Fatalf("par=%d seed=%d ops=%v: %v", par, seedKind, names, err)
-				}
-				got := canonRows(rows, joinFields)
-				if len(got) != len(want) {
-					t.Fatalf("par=%d seed=%d ops=%v: %d rows, want %d",
-						par, seedKind, names, len(got), len(want))
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("par=%d seed=%d ops=%v: row %d:\n got  %s\n want %s",
-							par, seedKind, names, i, got[i], want[i])
-					}
+			p := db.Pipeline(nil)
+			switch seedKind {
+			case 0:
+				p = p.FromDocuments("probe", nil)
+			case 1:
+				p = p.FromDocuments("probe", seedPred)
+			default:
+				p = p.FromRelational("buildtab", nil)
+			}
+			for _, op := range ops {
+				p = op.build(p)
+			}
+			rows, err := p.Rows()
+			if err != nil {
+				t.Fatalf("seed=%d ops=%v: %v", seedKind, names, err)
+			}
+			got := canonRows(rows, joinFields)
+			if len(got) != len(want) {
+				t.Fatalf("seed=%d ops=%v: %d rows, want %d",
+					seedKind, names, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("seed=%d ops=%v: row %d:\n got  %s\n want %s",
+						seedKind, names, i, got[i], want[i])
 				}
 			}
 		})
@@ -389,87 +383,4 @@ func TestGroupByAggregates(t *testing.T) {
 		mmvalue.Int(10), mmvalue.Float(20.5), mmvalue.Float(15.25))
 	check(2, mmvalue.String("Turku"), mmvalue.Float(5), mmvalue.Int(1),
 		mmvalue.Int(5), mmvalue.Int(5), mmvalue.Float(5))
-}
-
-// TestParallelLimitStopsScanning is the regression test for the old
-// caveat that Parallel scanned every partition fully even under an
-// early Limit. The shared row budget (or stop flag) must halt morsel
-// claiming: with Limit(8) over 10k documents, the seed predicate must
-// run on well under half the collection, while still returning exactly
-// the sequential result.
-func TestParallelLimitStopsScanning(t *testing.T) {
-	db := Open()
-	coll := db.Docs.Collection("wide")
-	const total = 10000
-	for i := 0; i < total; i++ {
-		if err := coll.Insert(nil, mmvalue.ObjectOf(
-			"_id", fmt.Sprintf("w%05d", i), "n", int64(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var visited atomic.Int64
-	run := func(par int) []mmvalue.Value {
-		p := db.Pipeline(nil).
-			FromDocuments("wide", document.Func("count visits", func(mmvalue.Value) bool {
-				visited.Add(1)
-				return true
-			})).
-			Limit(8)
-		if par > 1 {
-			p = p.Parallel(par)
-		}
-		rows, err := p.Rows()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rows
-	}
-
-	seq := run(1)
-	if len(seq) != 8 {
-		t.Fatalf("sequential Limit(8) returned %d rows", len(seq))
-	}
-
-	visited.Store(0)
-	par := run(4)
-	parVisited := visited.Load()
-	if len(par) != 8 {
-		t.Fatalf("parallel Limit(8) returned %d rows", len(par))
-	}
-	for i := range par {
-		if par[i].String() != seq[i].String() {
-			t.Errorf("row %d differs:\n got  %s\n want %s", i, par[i], seq[i])
-		}
-	}
-	// Workers stop at morsel granularity, so a small overshoot past the
-	// budget is expected — but nowhere near a full scan.
-	if parVisited > total*3/4 {
-		t.Errorf("Parallel(4)+Limit(8) visited %d of %d rows: partitions were scanned fully", parVisited, total)
-	}
-
-	// A limit behind a filter takes the stop-flag path (the budget
-	// cannot be pushed through a non-1:1 stage); it must short-circuit
-	// too.
-	visited.Store(0)
-	rows, err := db.Pipeline(nil).
-		FromDocuments("wide", document.Func("count visits", func(mmvalue.Value) bool {
-			visited.Add(1)
-			return true
-		})).
-		Filter(func(r mmvalue.Value) bool {
-			n, _ := r.MustObject().GetOr("n", mmvalue.Int(0)).AsInt()
-			return n%2 == 0
-		}).
-		Limit(8).
-		Parallel(4).
-		Rows()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 8 {
-		t.Fatalf("filtered parallel Limit(8) returned %d rows", len(rows))
-	}
-	if v := visited.Load(); v > total*3/4 {
-		t.Errorf("stop-flag path visited %d of %d rows: no short-circuit", v, total)
-	}
 }

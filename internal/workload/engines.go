@@ -51,9 +51,10 @@ const (
 	retried = txn.DefaultRetries // deadlock victims are re-run
 )
 
-// nativeEngine runs the shared op bodies (ops.go, suite_*.go) over a
-// five-store bundle under a discipline: the single implementation of
-// Backend's op methods and of TxnEngine for both in-process engines.
+// nativeEngine runs the op bodies (ops.go, pipeline_queries.go,
+// suite_*.go) over a five-store bundle under a discipline: the single
+// implementation of Backend's op methods and of TxnEngine for both
+// in-process engines.
 // Each op costs one closure and one interface call on top of its body.
 type nativeEngine struct {
 	st       datagen.Target
@@ -61,7 +62,7 @@ type nativeEngine struct {
 	suiteOps SuiteStatsCounter
 }
 
-// RunQuery implements Backend with the query table's shared body.
+// RunQuery implements Backend with the query table's body.
 func (e *nativeEngine) RunQuery(q QueryID, p Params) (n int, err error) {
 	def, err := q.def()
 	if err != nil {
@@ -184,35 +185,25 @@ func (e *UDBMSEngine) DurabilityStats() *wal.Stats {
 }
 
 // unifiedSession serves every model from the same transaction; store
-// requests are in-process calls, so hop() is free.
-type unifiedSession struct{ tx *txn.Tx }
+// requests are in-process calls, so Hop() is free, and pipelines are the
+// DB's own (one snapshot, join builds cached).
+type unifiedSession struct {
+	udbms.Snapshot
+	db *udbms.DB
+}
 
-func (s unifiedSession) relTx() *txn.Tx   { return s.tx }
-func (s unifiedSession) docTx() *txn.Tx   { return s.tx }
-func (s unifiedSession) graphTx() *txn.Tx { return s.tx }
-func (s unifiedSession) kvTx() *txn.Tx    { return s.tx }
-func (s unifiedSession) xmlTx() *txn.Tx   { return s.tx }
-func (s unifiedSession) hop()             {}
+func (s unifiedSession) pipeline() *udbms.Pipeline { return s.db.Pipeline(s.Tx) }
 
 func (e *UDBMSEngine) read(fn func(session) error) error {
 	tx := e.DB.Begin()
 	defer tx.Abort() // read-only: abort releases the snapshot
-	return fn(unifiedSession{tx})
+	return fn(unifiedSession{udbms.Snapshot{Tx: tx}, e.DB})
 }
 
 func (e *UDBMSEngine) write(retries int, fn func(session) error) error {
-	return e.DB.Manager().RunWith(retries, func(tx *txn.Tx) error { return fn(unifiedSession{tx}) })
-}
-
-// RunQuery implements Backend: pipeline definition first (only an
-// engine with one cross-model snapshot can run one), else the shared body.
-func (e *UDBMSEngine) RunQuery(q QueryID, p Params) (int, error) {
-	if def, err := q.def(); err == nil && def.pipeline != nil {
-		tx := e.DB.Begin()
-		defer tx.Abort()
-		return def.pipeline(e.DB, tx, p)
-	}
-	return e.nativeEngine.RunQuery(q, p)
+	return e.DB.Manager().RunWith(retries, func(tx *txn.Tx) error {
+		return fn(unifiedSession{udbms.Snapshot{Tx: tx}, e.DB})
+	})
 }
 
 // FederationEngine adapts the polyglot federation. Its discipline:
@@ -250,15 +241,17 @@ func (e *FederationEngine) Capabilities() Capabilities {
 func (e *FederationEngine) LockStats() txn.LockStats { return e.F.LockStats() }
 
 // fedReadSession reads each store's latest committed state (nil tx)
-// and charges one hop per request.
+// and charges one hop per request, the executor's included.
 type fedReadSession struct{ f *federation.Federation }
 
-func (s fedReadSession) relTx() *txn.Tx   { return nil }
-func (s fedReadSession) docTx() *txn.Tx   { return nil }
-func (s fedReadSession) graphTx() *txn.Tx { return nil }
-func (s fedReadSession) kvTx() *txn.Tx    { return nil }
-func (s fedReadSession) xmlTx() *txn.Tx   { return nil }
-func (s fedReadSession) hop()             { s.f.Hop() }
+func (s fedReadSession) RelTx() *txn.Tx   { return nil }
+func (s fedReadSession) DocTx() *txn.Tx   { return nil }
+func (s fedReadSession) GraphTx() *txn.Tx { return nil }
+func (s fedReadSession) KVTx() *txn.Tx    { return nil }
+func (s fedReadSession) XMLTx() *txn.Tx   { return nil }
+func (s fedReadSession) Hop()             { s.f.Hop() }
+
+func (s fedReadSession) pipeline() *udbms.Pipeline { return udbms.PipelineOver(s.f.Stores(), s) }
 
 // fedWriteSession maps each model to its local transaction inside a
 // federated 2PC transaction.
@@ -267,25 +260,19 @@ type fedWriteSession struct {
 	ftx *federation.FTx
 }
 
-func (s fedWriteSession) relTx() *txn.Tx   { return s.ftx.Relational() }
-func (s fedWriteSession) docTx() *txn.Tx   { return s.ftx.Docs() }
-func (s fedWriteSession) graphTx() *txn.Tx { return s.ftx.Graph() }
-func (s fedWriteSession) kvTx() *txn.Tx    { return s.ftx.KV() }
-func (s fedWriteSession) xmlTx() *txn.Tx   { return s.ftx.XML() }
-func (s fedWriteSession) hop()             { s.f.Hop() }
+func (s fedWriteSession) RelTx() *txn.Tx   { return s.ftx.Relational() }
+func (s fedWriteSession) DocTx() *txn.Tx   { return s.ftx.Docs() }
+func (s fedWriteSession) GraphTx() *txn.Tx { return s.ftx.Graph() }
+func (s fedWriteSession) KVTx() *txn.Tx    { return s.ftx.KV() }
+func (s fedWriteSession) XMLTx() *txn.Tx   { return s.ftx.XML() }
+func (s fedWriteSession) Hop()             { s.f.Hop() }
+
+func (s fedWriteSession) pipeline() *udbms.Pipeline { return udbms.PipelineOver(s.f.Stores(), s) }
 
 func (e *FederationEngine) read(fn func(session) error) error { return fn(fedReadSession{e.F}) }
 
-// write is Federation.RunTx with the retry budget as a parameter.
 func (e *FederationEngine) write(retries int, fn func(session) error) error {
-	return txn.Retry(retries, func() error {
-		ftx := e.F.Begin()
-		if err := fn(fedWriteSession{e.F, ftx}); err != nil {
-			ftx.Abort()
-			return err
-		}
-		return ftx.Commit()
-	})
+	return e.F.RunTx(retries, func(ftx *federation.FTx) error { return fn(fedWriteSession{e.F, ftx}) })
 }
 
 // Both native engines register as backends: mix, serve and the experiment

@@ -10,50 +10,28 @@ import (
 	"udbench/internal/document"
 	"udbench/internal/graph"
 	"udbench/internal/mmvalue"
-	"udbench/internal/relational"
-	"udbench/internal/txn"
+	"udbench/internal/udbms"
 	"udbench/internal/xmlstore"
 )
 
-// session supplies per-store transaction handles and charges the
-// engine-specific cost of one store request. For the unified engine
-// every handle is the same snapshot transaction and hop() is free; for
+// session is what an op body runs in: the per-store transaction handles
+// and the charge for one store request (udbms.Access — the accessor the
+// pipeline executor issues its own requests through), plus the executor
+// itself. For the unified engine every handle is the same snapshot
+// transaction, Hop() is free and pipelines keep the DB's join cache; for
 // the federation the handles are independent (or nil for auto-commit
-// reads) and hop() sleeps for the simulated network round trip.
+// reads), Hop() sleeps for the simulated network round trip and a
+// pipeline is just the session's requests in executor order.
 type session interface {
-	relTx() *txn.Tx
-	docTx() *txn.Tx
-	graphTx() *txn.Tx
-	kvTx() *txn.Tx
-	xmlTx() *txn.Tx
-	hop()
+	udbms.Access
+	pipeline() *udbms.Pipeline
 }
 
 func feedbackPrefix(cid int) string { return fmt.Sprintf("feedback/%06d/", cid) }
 
-func q1CustomerProfile(st datagen.Target, s session, p Params) (int, error) {
-	cust, err := tableOf(st, "customer")
-	if err != nil {
-		return 0, err
-	}
-	s.hop()
-	if _, ok := cust.Get(s.relTx(), p.CustomerID); !ok {
-		return 0, nil
-	}
-	s.hop()
-	orders := st.Docs.Collection("orders").Find(s.docTx(), document.Eq("customer_id", p.CustomerID), nil)
-	s.hop()
-	feedback := 0
-	st.KV.ScanPrefix(s.kvTx(), feedbackPrefix(p.CustomerID), func(string, mmvalue.Value) bool {
-		feedback++
-		return true
-	})
-	return 1 + len(orders) + feedback, nil
-}
-
 func q2FriendsPurchases(st datagen.Target, s session, p Params) (int, error) {
-	s.hop()
-	friends := st.Graph.KHop(s.graphTx(), graph.VID(datagen.CustomerVID(p.CustomerID)), 1, graph.Both, "knows")
+	s.Hop()
+	friends := st.Graph.KHop(s.GraphTx(), graph.VID(datagen.CustomerVID(p.CustomerID)), 1, graph.Both, "knows")
 	products := map[string]bool{}
 	orders := st.Docs.Collection("orders")
 	for _, f := range friends {
@@ -61,8 +39,8 @@ func q2FriendsPurchases(st datagen.Target, s session, p Params) (int, error) {
 		if !ok {
 			continue
 		}
-		s.hop()
-		for _, o := range orders.Find(s.docTx(), document.Eq("customer_id", fid), nil) {
+		s.Hop()
+		for _, o := range orders.Find(s.DocTx(), document.Eq("customer_id", fid), nil) {
 			items, _ := o.MustObject().GetOr("items", mmvalue.Null).AsArray()
 			for _, it := range items {
 				pid, _ := it.MustObject().Get("product_id")
@@ -79,12 +57,12 @@ func q3TopRatedProducts(st datagen.Target, s session, p Params) (int, error) {
 	}
 	ratings := map[string]*acc{} // product -> rating accumulator
 	orders := st.Docs.Collection("orders")
-	s.hop()
+	s.Hop()
 	var entries []struct {
 		oid    string
 		rating float64
 	}
-	st.KV.Scan(s.kvTx(), "feedback/", "feedback0", func(key string, v mmvalue.Value) bool {
+	st.KV.Scan(s.KVTx(), "feedback/", "feedback0", func(key string, v mmvalue.Value) bool {
 		parts := strings.Split(key, "/")
 		if len(parts) != 3 {
 			return true
@@ -97,8 +75,8 @@ func q3TopRatedProducts(st datagen.Target, s session, p Params) (int, error) {
 		return true
 	})
 	for _, e := range entries {
-		s.hop()
-		o, ok := orders.Get(s.docTx(), e.oid)
+		s.Hop()
+		o, ok := orders.Get(s.DocTx(), e.oid)
 		if !ok {
 			continue
 		}
@@ -134,73 +112,10 @@ func q3TopRatedProducts(st datagen.Target, s session, p Params) (int, error) {
 	return len(rs), nil
 }
 
-// q4CityBigSpenders executes as a client-side hash join, the best a
-// federation can do: fetch the city's customers, then fetch all their
-// orders in one request and aggregate locally. Per-customer index
-// probes would each pay a store round trip, so the single bulk scan
-// request wins whenever the hop latency is nonzero — k probes cost
-// k·hop while the scan costs one hop plus an in-store pass that is
-// orders of magnitude cheaper than a round trip per probe.
-func q4CityBigSpenders(st datagen.Target, s session, p Params) (int, error) {
-	cust, err := tableOf(st, "customer")
-	if err != nil {
-		return 0, err
-	}
-	s.hop()
-	rows := cust.Query(s.relTx()).Where(relational.Col("city").Eq(p.City)).Project("id").Rows()
-	orders := st.Docs.Collection("orders")
-	count := 0
-	// Buckets are keyed by mmvalue.Key (so Float(7) matches Int(7))
-	// and re-verified with mmvalue.Equal on probe, exactly like the
-	// document.Eq probes this join replaces — Key collisions cannot
-	// merge distinct customers.
-	type custSum struct {
-		id  mmvalue.Value
-		sum float64
-	}
-	bucket := make(map[string][]*custSum, len(rows))
-	all := make([]*custSum, 0, len(rows))
-	for _, r := range rows {
-		id, _ := r.MustObject().Get("id")
-		cs := &custSum{id: id}
-		bucket[id.Key()] = append(bucket[id.Key()], cs)
-		all = append(all, cs)
-	}
-	cidPath := mmvalue.ParsePath("customer_id")
-	matchCust := func(cid mmvalue.Value) *custSum {
-		for _, cs := range bucket[cid.Key()] {
-			if mmvalue.Equal(cs.id, cid) {
-				return cs
-			}
-		}
-		return nil
-	}
-	s.hop()
-	for _, o := range orders.Find(s.docTx(), document.Func(
-		"customer_id in city set",
-		func(doc mmvalue.Value) bool {
-			cid, ok := cidPath.Lookup(doc)
-			return ok && !cid.IsNull() && matchCust(cid) != nil
-		}), &document.FindOptions{Projection: []string{"customer_id", "total"}}) {
-		obj := o.MustObject()
-		cid, _ := obj.Get("customer_id")
-		t, _ := obj.GetOr("total", mmvalue.Float(0)).AsFloat()
-		if cs := matchCust(cid); cs != nil {
-			cs.sum += t
-		}
-	}
-	for _, cs := range all {
-		if cs.sum > p.Threshold {
-			count++
-		}
-	}
-	return count, nil
-}
-
 func q5InvoiceTotalsByCurrency(st datagen.Target, s session, _ Params) (int, error) {
-	s.hop()
+	s.Hop()
 	sums := map[string]float64{}
-	st.XML.Scan(s.xmlTx(), func(_ string, doc *xmlstore.Node) bool {
+	st.XML.Scan(s.XMLTx(), func(_ string, doc *xmlstore.Node) bool {
 		cur, _ := doc.Attr("currency")
 		if totalEl, ok := doc.FirstChild("total"); ok {
 			if f, err := strconv.ParseFloat(totalEl.InnerText(), 64); err == nil {
@@ -213,13 +128,17 @@ func q5InvoiceTotalsByCurrency(st datagen.Target, s session, _ Params) (int, err
 }
 
 func q6TwoHopBuyers(st datagen.Target, s session, p Params) (int, error) {
-	s.hop()
-	buyers := st.Graph.KHop(s.graphTx(), graph.VID("p"+p.ProductID[1:]), 1, graph.In, "purchased")
+	product := datagen.ProductVID(p.ProductID)
+	if product == "" {
+		return 0, nil
+	}
+	s.Hop()
+	buyers := st.Graph.KHop(s.GraphTx(), graph.VID(product), 1, graph.In, "purchased")
 	reach := map[graph.VID]bool{}
 	for _, b := range buyers {
 		reach[b] = true
-		s.hop()
-		for _, v := range st.Graph.KHop(s.graphTx(), b, 2, graph.Both, "knows") {
+		s.Hop()
+		for _, v := range st.Graph.KHop(s.GraphTx(), b, 2, graph.Both, "knows") {
 			reach[v] = true
 		}
 	}
@@ -227,8 +146,8 @@ func q6TwoHopBuyers(st datagen.Target, s session, p Params) (int, error) {
 }
 
 func q7OrdersWithProduct(st datagen.Target, s session, p Params) (int, error) {
-	s.hop()
-	matched := st.Docs.Collection("orders").Find(s.docTx(), document.Func(
+	s.Hop()
+	matched := st.Docs.Collection("orders").Find(s.DocTx(), document.Func(
 		"items contains "+p.ProductID,
 		func(doc mmvalue.Value) bool {
 			items, _ := mmvalue.ParsePath("items").LookupOr(doc, mmvalue.Null).AsArray()
@@ -242,8 +161,8 @@ func q7OrdersWithProduct(st datagen.Target, s session, p Params) (int, error) {
 	count := 0
 	for _, o := range matched {
 		id, _ := o.MustObject().Get("_id")
-		s.hop()
-		if inv, ok := st.XML.Get(s.xmlTx(), id.MustString()); ok {
+		s.Hop()
+		if inv, ok := st.XML.Get(s.XMLTx(), id.MustString()); ok {
 			if _, ok := inv.FirstChild("total"); ok {
 				count++
 			}
@@ -252,50 +171,10 @@ func q7OrdersWithProduct(st datagen.Target, s session, p Params) (int, error) {
 	return count, nil
 }
 
-// orderTotals streams (customer id, total) of every order — one store
-// request, projected to the two fields the revenue queries aggregate.
-func orderTotals(st datagen.Target, s session, each func(cid int64, total float64)) {
-	s.hop()
-	for _, o := range st.Docs.Collection("orders").Find(s.docTx(), nil,
-		&document.FindOptions{Projection: []string{"customer_id", "total"}}) {
-		obj := o.MustObject()
-		cid, _ := obj.Get("customer_id")
-		total, _ := obj.GetOr("total", mmvalue.Float(0)).AsFloat()
-		each(cid.MustInt(), total)
-	}
-}
-
-// revenueByCity is the client-side join behind Q8 and Q12: fetch every
-// customer's city, then fold the order totals into a per-city sum.
-// Orders of unknown customers have no city and are left out.
-func revenueByCity(st datagen.Target, s session) (map[string]float64, error) {
-	cust, err := tableOf(st, "customer")
-	if err != nil {
-		return nil, err
-	}
-	s.hop()
-	cityOf := map[int64]string{}
-	for _, r := range cust.Query(s.relTx()).Project("id", "city").Rows() {
-		o := r.MustObject()
-		id, _ := o.Get("id")
-		city, _ := o.Get("city")
-		cityOf[id.MustInt()] = city.MustString()
-	}
-	revenue := map[string]float64{}
-	orderTotals(st, s, func(cid int64, total float64) { revenue[cityOf[cid]] += total })
-	delete(revenue, "")
-	return revenue, nil
-}
-
-func q8RevenueByCity(st datagen.Target, s session, _ Params) (int, error) {
-	revenue, err := revenueByCity(st, s)
-	return len(revenue), err
-}
-
 func q9InfluencerFeedback(st datagen.Target, s session, p Params) (int, error) {
-	s.hop()
+	s.Hop()
 	degree := map[graph.VID]int{}
-	st.Graph.Edges(s.graphTx(), func(e graph.Edge) bool {
+	st.Graph.Edges(s.GraphTx(), func(e graph.Edge) bool {
 		if e.Label == "knows" {
 			degree[e.From]++
 			degree[e.To]++
@@ -325,8 +204,8 @@ func q9InfluencerFeedback(st datagen.Target, s session, p Params) (int, error) {
 		if !ok {
 			continue
 		}
-		s.hop()
-		st.KV.ScanPrefix(s.kvTx(), feedbackPrefix(cid), func(string, mmvalue.Value) bool {
+		s.Hop()
+		st.KV.ScanPrefix(s.KVTx(), feedbackPrefix(cid), func(string, mmvalue.Value) bool {
 			total++
 			return true
 		})
@@ -339,13 +218,13 @@ func q10FullChain(st datagen.Target, s session, p Params) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	s.hop()
-	if _, ok := cust.Get(s.relTx(), p.CustomerID); !ok {
+	s.Hop()
+	if _, ok := cust.Get(s.RelTx(), p.CustomerID); !ok {
 		return 0, nil
 	}
 	touched := 1
-	s.hop()
-	orders := st.Docs.Collection("orders").Find(s.docTx(), document.Eq("customer_id", p.CustomerID), nil)
+	s.Hop()
+	orders := st.Docs.Collection("orders").Find(s.DocTx(), document.Eq("customer_id", p.CustomerID), nil)
 	products := st.Docs.Collection("products")
 	for _, o := range orders {
 		touched++
@@ -353,120 +232,23 @@ func q10FullChain(st datagen.Target, s session, p Params) (int, error) {
 		items, _ := obj.GetOr("items", mmvalue.Null).AsArray()
 		for _, it := range items {
 			pid, _ := it.MustObject().Get("product_id")
-			s.hop()
-			if _, ok := products.Get(s.docTx(), pid.MustString()); ok {
+			s.Hop()
+			if _, ok := products.Get(s.DocTx(), pid.MustString()); ok {
 				touched++
 			}
 		}
 		id, _ := obj.Get("_id")
-		s.hop()
-		if _, ok := st.XML.Get(s.xmlTx(), id.MustString()); ok {
+		s.Hop()
+		if _, ok := st.XML.Get(s.XMLTx(), id.MustString()); ok {
 			touched++
 		}
 	}
-	s.hop()
-	st.KV.ScanPrefix(s.kvTx(), feedbackPrefix(p.CustomerID), func(string, mmvalue.Value) bool {
+	s.Hop()
+	st.KV.ScanPrefix(s.KVTx(), feedbackPrefix(p.CustomerID), func(string, mmvalue.Value) bool {
 		touched++
 		return true
 	})
 	return touched, nil
-}
-
-// q11FriendNetworkSpend walks the two-hop "knows" network of a
-// customer, then checks each friend's relational row and order totals:
-// the result counts the distinct cities of friends who spent more than
-// the threshold. The federation pays a round trip per friend for the
-// relational probe and another for the order scan; the unified engine
-// seeds one relational scan with the whole id set.
-func q11FriendNetworkSpend(st datagen.Target, s session, p Params) (int, error) {
-	cust, err := tableOf(st, "customer")
-	if err != nil {
-		return 0, err
-	}
-	s.hop()
-	friends := st.Graph.KHop(s.graphTx(), graph.VID(datagen.CustomerVID(p.CustomerID)), 2, graph.Both, "knows")
-	orders := st.Docs.Collection("orders")
-	cities := map[string]bool{}
-	for _, f := range friends {
-		fid, ok := customerIDOf(string(f))
-		if !ok {
-			continue
-		}
-		s.hop()
-		row, ok := cust.Get(s.relTx(), fid)
-		if !ok {
-			continue
-		}
-		sum := 0.0
-		s.hop()
-		for _, o := range orders.Find(s.docTx(), document.Eq("customer_id", fid),
-			&document.FindOptions{Projection: []string{"total"}}) {
-			t, _ := o.MustObject().GetOr("total", mmvalue.Float(0)).AsFloat()
-			sum += t
-		}
-		if sum > p.Threshold {
-			city, _ := row.MustObject().GetOr("city", mmvalue.Null).AsString()
-			if city != "" {
-				cities[city] = true
-			}
-		}
-	}
-	return len(cities), nil
-}
-
-// q12CityRevenueHaving groups order revenue by customer city and
-// counts the cities whose total exceeds a scaled threshold — a
-// HAVING-style filter over the aggregate. The scale (×50) puts the cut
-// inside the revenue distribution so the count is neither 0 nor all
-// cities at benchmark scale factors.
-func q12CityRevenueHaving(st datagen.Target, s session, p Params) (int, error) {
-	revenue, err := revenueByCity(st, s)
-	count := 0
-	for _, rev := range revenue {
-		if rev > p.Threshold*50 {
-			count++
-		}
-	}
-	return count, err
-}
-
-// q13TopSpenders finds the top-N customers by total order revenue and
-// counts the distinct cities they live in — a top-N over an aggregate.
-// Ties in revenue resolve to the lower customer id (both engines sort
-// stably over an id-ordered base, so the result is deterministic).
-func q13TopSpenders(st datagen.Target, s session, p Params) (int, error) {
-	cust, err := tableOf(st, "customer")
-	if err != nil {
-		return 0, err
-	}
-	revenue := map[int64]float64{}
-	orderTotals(st, s, func(cid int64, total float64) { revenue[cid] += total })
-	type spender struct {
-		cid int64
-		rev float64
-	}
-	top := make([]spender, 0, len(revenue))
-	for cid, rev := range revenue {
-		top = append(top, spender{cid, rev})
-	}
-	sort.Slice(top, func(i, j int) bool { return top[i].cid < top[j].cid })
-	sort.SliceStable(top, func(i, j int) bool { return top[i].rev > top[j].rev })
-	if len(top) > p.TopN {
-		top = top[:p.TopN]
-	}
-	cities := map[string]bool{}
-	for _, sp := range top {
-		s.hop()
-		row, ok := cust.Get(s.relTx(), int(sp.cid))
-		if !ok {
-			continue
-		}
-		city, _ := row.MustObject().GetOr("city", mmvalue.Null).AsString()
-		if city != "" {
-			cities[city] = true
-		}
-	}
-	return len(cities), nil
 }
 
 // --- write transaction bodies (shared by both engines) ---
@@ -480,8 +262,8 @@ func orderUpdateBody(st datagen.Target, s session, p Params) error {
 	var lineProducts []string
 	var newTotal float64
 	var cid int
-	s.hop()
-	err := orders.Update(s.docTx(), p.OrderID, func(doc mmvalue.Value) (mmvalue.Value, error) {
+	s.Hop()
+	err := orders.Update(s.DocTx(), p.OrderID, func(doc mmvalue.Value) (mmvalue.Value, error) {
 		obj := doc.MustObject()
 		total, _ := obj.GetOr("total", mmvalue.Float(0)).AsFloat()
 		newTotal = float64(int((total+1)*100)) / 100
@@ -513,12 +295,12 @@ func orderUpdateBody(st datagen.Target, s session, p Params) error {
 			return err
 		}
 	}
-	s.hop()
-	if err := st.KV.Put(s.kvTx(), datagen.FeedbackKey(cid, p.OrderID), mmvalue.ObjectOf("rating", p.Rating, "text", "updated")); err != nil {
+	s.Hop()
+	if err := st.KV.Put(s.KVTx(), datagen.FeedbackKey(cid, p.OrderID), mmvalue.ObjectOf("rating", p.Rating, "text", "updated")); err != nil {
 		return err
 	}
-	s.hop()
-	return st.XML.Update(s.xmlTx(), p.OrderID, func(n *xmlstore.Node) (*xmlstore.Node, error) {
+	s.Hop()
+	return st.XML.Update(s.XMLTx(), p.OrderID, func(n *xmlstore.Node) (*xmlstore.Node, error) {
 		totalEl, ok := n.FirstChild("total")
 		if !ok {
 			totalEl = xmlstore.NewElement("total")
@@ -533,6 +315,10 @@ func orderUpdateBody(st datagen.Target, s session, p Params) error {
 // newOrderBody is T2: insert a small order with one line, its XML
 // invoice, and a purchased graph edge.
 func newOrderBody(st datagen.Target, s session, p Params) error {
+	product := datagen.ProductVID(p.ProductID)
+	if product == "" {
+		return fmt.Errorf("workload: new order: %q is not a product id", p.ProductID)
+	}
 	total := 19.99
 	order := mmvalue.ObjectOf(
 		"_id", p.FreshID,
@@ -542,8 +328,8 @@ func newOrderBody(st datagen.Target, s session, p Params) error {
 		"total", total,
 		"items", []any{map[string]any{"product_id": p.ProductID, "qty": 1, "price": total}},
 	)
-	s.hop()
-	if err := st.Docs.Collection("orders").Insert(s.docTx(), order); err != nil {
+	s.Hop()
+	if err := st.Docs.Collection("orders").Insert(s.DocTx(), order); err != nil {
 		return err
 	}
 	inv := xmlstore.NewElement("invoice",
@@ -558,22 +344,22 @@ func newOrderBody(st datagen.Target, s session, p Params) error {
 		)),
 		xmlstore.NewElement("total").Append(xmlstore.NewText(fmt.Sprintf("%.2f", total))),
 	)
-	s.hop()
-	if err := st.XML.Put(s.xmlTx(), p.FreshID, inv); err != nil {
+	s.Hop()
+	if err := st.XML.Put(s.XMLTx(), p.FreshID, inv); err != nil {
 		return err
 	}
-	s.hop()
-	return st.Graph.AddEdge(s.graphTx(), graph.EID("buy-"+p.FreshID), "purchased",
-		graph.VID(datagen.CustomerVID(p.CustomerID)), graph.VID("p"+p.ProductID[1:]),
+	s.Hop()
+	return st.Graph.AddEdge(s.GraphTx(), graph.EID("buy-"+p.FreshID), "purchased",
+		graph.VID(datagen.CustomerVID(p.CustomerID)), graph.VID(product),
 		mmvalue.ObjectOf("order", p.FreshID, "qty", 1))
 }
 
 // writeFeedbackBody is T3: put key-value feedback and mark the order
 // reviewed in the document store.
 func writeFeedbackBody(st datagen.Target, s session, p Params) error {
-	s.hop()
+	s.Hop()
 	var cid int
-	err := st.Docs.Collection("orders").Update(s.docTx(), p.OrderID, func(doc mmvalue.Value) (mmvalue.Value, error) {
+	err := st.Docs.Collection("orders").Update(s.DocTx(), p.OrderID, func(doc mmvalue.Value) (mmvalue.Value, error) {
 		obj := doc.MustObject()
 		obj.Set("status", mmvalue.String("reviewed"))
 		cidV, _ := obj.Get("customer_id")
@@ -583,8 +369,8 @@ func writeFeedbackBody(st datagen.Target, s session, p Params) error {
 	if err != nil {
 		return err
 	}
-	s.hop()
-	return st.KV.Put(s.kvTx(), datagen.FeedbackKey(cid, p.OrderID),
+	s.Hop()
+	return st.KV.Put(s.KVTx(), datagen.FeedbackKey(cid, p.OrderID),
 		mmvalue.ObjectOf("rating", p.Rating, "text", "review"))
 }
 
@@ -605,8 +391,8 @@ func stockTransferBody(st datagen.Target, s session, p Params) error {
 // adjustStock adds delta to one product document's stock (one store
 // request, exclusive lock on the document).
 func adjustStock(st datagen.Target, s session, pid string, delta int64) error {
-	s.hop()
-	return st.Docs.Collection("products").Update(s.docTx(), pid, func(doc mmvalue.Value) (mmvalue.Value, error) {
+	s.Hop()
+	return st.Docs.Collection("products").Update(s.DocTx(), pid, func(doc mmvalue.Value) (mmvalue.Value, error) {
 		obj := doc.MustObject()
 		stock, _ := obj.GetOr("stock", mmvalue.Int(0)).AsFloat()
 		obj.Set("stock", mmvalue.Int(int64(stock)+delta))
@@ -617,14 +403,14 @@ func adjustStock(st datagen.Target, s session, pid string, delta int64) error {
 // snapshotReadBody is T4: read the order total from the document model
 // and the XML invoice; report whether the two disagreed (torn read).
 func snapshotReadBody(st datagen.Target, s session, p Params) (bool, error) {
-	s.hop()
-	doc, ok := st.Docs.Collection("orders").Get(s.docTx(), p.OrderID)
+	s.Hop()
+	doc, ok := st.Docs.Collection("orders").Get(s.DocTx(), p.OrderID)
 	if !ok {
 		return false, nil
 	}
 	docTotal, _ := doc.MustObject().GetOr("total", mmvalue.Float(0)).AsFloat()
-	s.hop()
-	inv, ok := st.XML.Get(s.xmlTx(), p.OrderID)
+	s.Hop()
+	inv, ok := st.XML.Get(s.XMLTx(), p.OrderID)
 	if !ok {
 		return false, nil
 	}

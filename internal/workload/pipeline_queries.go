@@ -5,28 +5,27 @@ import (
 	"udbench/internal/graph"
 	"udbench/internal/mmvalue"
 	"udbench/internal/relational"
-	"udbench/internal/txn"
 	"udbench/internal/udbms"
 )
 
-// Pipeline-backed implementations of the join-heavy read queries for
-// the unified engine (the pipeline column of the query table in
-// workload.go). They produce exactly the results of the shared bodies
-// in ops.go (the equivalence test runs both definitions under one
-// snapshot, and both engines against each other), but execute through
-// the streaming udbms
-// pipeline: seed predicates are pushed into the stores, cross-model
-// joins run as build-once hash joins (or index probes for small
-// inputs), and the zero-copy Each terminal aggregates without cloning
-// a single document. The federation cannot take this path — it has no
-// cross-store snapshot to run one pipeline under — which is precisely
-// the structural difference the benchmark measures.
+// The join queries of the query table (workload.go), each defined once
+// over the session's pipeline: seed predicates are pushed into the
+// stores, cross-model joins run as hash joins or index probes, and the
+// zero-copy Each terminal aggregates without cloning a document. What
+// separates the engines is the session the definition runs in. The
+// unified engine's pipeline reads one snapshot, its requests are free
+// and its join builds are cached until the next commit; the federation's
+// reads each store's latest state, pays a hop per request — one per
+// seed scan, per build-side scan, per index probe, per per-row fetch —
+// and rebuilds every join. relbe's relational.Query definitions of five
+// of these stay separate on purpose: TestQueryAgreement compares
+// against them.
 
 // q1Pipeline: customer profile — one relational row, its order
 // documents, its key-value feedback entries.
-func q1Pipeline(db *udbms.DB, tx *txn.Tx, p Params) (int, error) {
+func q1Pipeline(_ datagen.Target, s session, p Params) (int, error) {
 	count := 0
-	err := db.Pipeline(tx).
+	err := s.pipeline().
 		FromRelational("customer", relational.Col("id").Eq(p.CustomerID)).
 		JoinDocuments("orders", "id", "customer_id", "_orders").
 		JoinKVPrefix(func(r mmvalue.Value) string {
@@ -46,9 +45,9 @@ func q1Pipeline(db *udbms.DB, tx *txn.Tx, p Params) (int, error) {
 // q4Pipeline: city big spenders — customers of a city (index-served
 // seed) joined with their orders, keeping those whose order total sum
 // exceeds the threshold.
-func q4Pipeline(db *udbms.DB, tx *txn.Tx, p Params) (int, error) {
+func q4Pipeline(_ datagen.Target, s session, p Params) (int, error) {
 	count := 0
-	err := db.Pipeline(tx).
+	err := s.pipeline().
 		FromRelational("customer", relational.Col("city").Eq(p.City)).
 		JoinDocuments("orders", "id", "customer_id", "_orders").
 		Each(func(r mmvalue.Value) bool {
@@ -62,9 +61,9 @@ func q4Pipeline(db *udbms.DB, tx *txn.Tx, p Params) (int, error) {
 
 // q8Pipeline: revenue by city — every order hash-joined against the
 // customer table, counting the distinct cities that see revenue.
-func q8Pipeline(db *udbms.DB, tx *txn.Tx, _ Params) (int, error) {
+func q8Pipeline(_ datagen.Target, s session, _ Params) (int, error) {
 	cities := make(map[string]bool)
-	err := db.Pipeline(tx).
+	err := s.pipeline().
 		FromDocuments("orders", nil).
 		JoinRelational("customer", "customer_id", "id", "_cust").
 		Each(func(r mmvalue.Value) bool {
@@ -76,11 +75,13 @@ func q8Pipeline(db *udbms.DB, tx *txn.Tx, _ Params) (int, error) {
 	return len(cities), err
 }
 
-// q11Pipeline: friend-network spend — the two-hop "knows" neighborhood
-// seeds one relational scan (the federation probes per friend), which
-// then joins each friend's orders in a single batched pass.
-func q11Pipeline(db *udbms.DB, tx *txn.Tx, p Params) (int, error) {
-	friends := db.Graph.KHop(tx, graph.VID(datagen.CustomerVID(p.CustomerID)), 2, graph.Both, "knows")
+// q11Pipeline: friend-network spend — the distinct cities of the
+// customers in a two-hop "knows" neighborhood whose order totals exceed
+// the threshold. The neighborhood seeds one relational scan (the whole
+// id set in one request), which then joins each friend's orders.
+func q11Pipeline(st datagen.Target, s session, p Params) (int, error) {
+	s.Hop()
+	friends := st.Graph.KHop(s.GraphTx(), graph.VID(datagen.CustomerVID(p.CustomerID)), 2, graph.Both, "knows")
 	ids := make([]any, 0, len(friends))
 	for _, f := range friends {
 		if fid, ok := customerIDOf(string(f)); ok {
@@ -91,7 +92,7 @@ func q11Pipeline(db *udbms.DB, tx *txn.Tx, p Params) (int, error) {
 		return 0, nil
 	}
 	cities := make(map[string]bool)
-	err := db.Pipeline(tx).
+	err := s.pipeline().
 		FromRelational("customer", relational.Col("id").In(ids...)).
 		JoinDocuments("orders", "id", "customer_id", "_orders").
 		Each(func(r mmvalue.Value) bool {
@@ -111,11 +112,12 @@ func q11Pipeline(db *udbms.DB, tx *txn.Tx, p Params) (int, error) {
 // order→customer join into one row per city, and the Each applies the
 // HAVING-style cut on the aggregate. The group key is the joined
 // customer's city ("_cust.0.city"); orders of unknown customers group
-// under null and are excluded, mirroring the shared body's delete of
-// the empty-city bucket.
-func q12Pipeline(db *udbms.DB, tx *txn.Tx, p Params) (int, error) {
+// under null and are excluded. The scale (×50) puts the cut inside the
+// revenue distribution so the count is neither 0 nor all cities at
+// benchmark scale factors.
+func q12Pipeline(_ datagen.Target, s session, p Params) (int, error) {
 	count := 0
-	err := db.Pipeline(tx).
+	err := s.pipeline().
 		FromDocuments("orders", nil).
 		JoinRelational("customer", "customer_id", "id", "_cust").
 		GroupBy("_cust.0.city", "city", udbms.Sum("total", "revenue")).
@@ -135,9 +137,9 @@ func q12Pipeline(db *udbms.DB, tx *txn.Tx, p Params) (int, error) {
 // SortBy/Limit keep the top N (stable sort over the group stage's
 // id-ordered output makes revenue ties deterministic), and the final
 // relational join resolves their cities.
-func q13Pipeline(db *udbms.DB, tx *txn.Tx, p Params) (int, error) {
+func q13Pipeline(_ datagen.Target, s session, p Params) (int, error) {
 	cities := make(map[string]bool)
-	err := db.Pipeline(tx).
+	err := s.pipeline().
 		FromDocuments("orders", nil).
 		GroupBy("customer_id", "cid", udbms.Sum("total", "revenue")).
 		SortBy("revenue", true).

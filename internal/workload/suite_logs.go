@@ -45,8 +45,8 @@ func lgIngestBody(st datagen.Target, s session, p Params) (int, error) {
 	level := datagen.LogLevelOf(p.Rating)
 	source := datagen.LogSourceID(p.CustomerID)
 	msg := source + " runtime " + strings.Repeat("x", datagen.LogMessageBytes)
-	s.hop()
-	if err := st.Docs.Collection("logs").Insert(s.docTx(), mmvalue.ObjectOf(
+	s.Hop()
+	if err := st.Docs.Collection("logs").Insert(s.DocTx(), mmvalue.ObjectOf(
 		"_id", id,
 		"level", level,
 		"source", source,
@@ -58,8 +58,8 @@ func lgIngestBody(st datagen.Target, s session, p Params) (int, error) {
 	if !datagen.LogHasBlob(level) {
 		return 1, nil
 	}
-	s.hop()
-	if err := st.XML.Put(s.xmlTx(), id, datagen.LogBlob(id, level, source, msg)); err != nil {
+	s.Hop()
+	if err := st.XML.Put(s.XMLTx(), id, datagen.LogBlob(id, level, source, msg)); err != nil {
 		return 0, err
 	}
 	return 1, nil
@@ -69,8 +69,8 @@ func lgIngestBody(st datagen.Target, s session, p Params) (int, error) {
 // hit rate ranges from 2% of the collection (fatal) to 40% (info),
 // depending on the uniformly drawn level.
 func lgByLevelBody(st datagen.Target, s session, p Params) (int, error) {
-	s.hop()
-	rows := st.Docs.Collection("logs").Find(s.docTx(),
+	s.Hop()
+	rows := st.Docs.Collection("logs").Find(s.DocTx(),
 		document.Eq("level", datagen.LogLevelOf(p.Rating)),
 		&document.FindOptions{Projection: []string{"_id"}})
 	return len(rows), nil
@@ -78,8 +78,8 @@ func lgByLevelBody(st datagen.Target, s session, p Params) (int, error) {
 
 // lgBySourceBody counts one source's records off the source index.
 func lgBySourceBody(st datagen.Target, s session, p Params) (int, error) {
-	s.hop()
-	rows := st.Docs.Collection("logs").Find(s.docTx(),
+	s.Hop()
+	rows := st.Docs.Collection("logs").Find(s.DocTx(),
 		document.Eq("source", datagen.LogSourceID(p.CustomerID)),
 		&document.FindOptions{Projection: []string{"_id"}})
 	return len(rows), nil
@@ -88,8 +88,8 @@ func lgBySourceBody(st datagen.Target, s session, p Params) (int, error) {
 // lgBlobFetchBody joins the document index into the XML store: find
 // one source's error records, fetch up to TopN of their payload blobs.
 func lgBlobFetchBody(st datagen.Target, s session, p Params) (int, error) {
-	s.hop()
-	rows := st.Docs.Collection("logs").Find(s.docTx(),
+	s.Hop()
+	rows := st.Docs.Collection("logs").Find(s.DocTx(),
 		document.All(document.Eq("source", datagen.LogSourceID(p.CustomerID)),
 			document.Eq("level", "error")),
 		&document.FindOptions{Projection: []string{"_id"}})
@@ -99,8 +99,8 @@ func lgBlobFetchBody(st datagen.Target, s session, p Params) (int, error) {
 			break
 		}
 		id, _ := r.MustObject().Get("_id")
-		s.hop()
-		if _, ok := st.XML.Get(s.xmlTx(), id.MustString()); ok {
+		s.Hop()
+		if _, ok := st.XML.Get(s.XMLTx(), id.MustString()); ok {
 			fetched++
 		}
 	}
@@ -112,14 +112,14 @@ func lgBlobFetchBody(st datagen.Target, s session, p Params) (int, error) {
 // blob, any other level has none. Returns 1 on a violation.
 func lgBlobSyncBody(st datagen.Target, s session, p Params) (int, error) {
 	id := datagen.LogID(datagen.SeqOf(p.OrderID))
-	s.hop()
-	doc, ok := st.Docs.Collection("logs").Get(s.docTx(), id)
+	s.Hop()
+	doc, ok := st.Docs.Collection("logs").Get(s.DocTx(), id)
 	if !ok {
 		return 0, nil
 	}
 	level, _ := doc.MustObject().GetOr("level", mmvalue.Null).AsString()
-	s.hop()
-	_, hasBlob := st.XML.Get(s.xmlTx(), id)
+	s.Hop()
+	_, hasBlob := st.XML.Get(s.XMLTx(), id)
 	if datagen.LogHasBlob(level) != hasBlob {
 		return 1, nil
 	}

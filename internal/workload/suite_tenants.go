@@ -42,12 +42,12 @@ func tnLookupBody(st datagen.Target, s session, p Params) (int, error) {
 		return 0, err
 	}
 	found := 0
-	s.hop()
-	if _, ok := tbl.Get(s.relTx(), p.CustomerID); ok {
+	s.Hop()
+	if _, ok := tbl.Get(s.RelTx(), p.CustomerID); ok {
 		found++
 	}
-	s.hop()
-	if _, ok := st.Docs.Collection("tickets").Get(s.docTx(), datagen.TicketID(datagen.SeqOf(p.OrderID))); ok {
+	s.Hop()
+	if _, ok := st.Docs.Collection("tickets").Get(s.DocTx(), datagen.TicketID(datagen.SeqOf(p.OrderID))); ok {
 		found++
 	}
 	return found, nil
@@ -56,8 +56,8 @@ func tnLookupBody(st datagen.Target, s session, p Params) (int, error) {
 // tnInboxBody is the tenant-scoped query: open tickets of one tenant,
 // served off the tenant_id secondary index.
 func tnInboxBody(st datagen.Target, s session, p Params) (int, error) {
-	s.hop()
-	rows := st.Docs.Collection("tickets").Find(s.docTx(),
+	s.Hop()
+	rows := st.Docs.Collection("tickets").Find(s.DocTx(),
 		document.All(document.Eq("tenant_id", p.CustomerID), document.Eq("status", "open")),
 		&document.FindOptions{Projection: []string{"_id", "priority"}})
 	return len(rows), nil
@@ -71,8 +71,8 @@ func tnOpenBody(st datagen.Target, s session, p Params) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	s.hop()
-	if err := st.Docs.Collection("tickets").Insert(s.docTx(), mmvalue.ObjectOf(
+	s.Hop()
+	if err := st.Docs.Collection("tickets").Insert(s.DocTx(), mmvalue.ObjectOf(
 		"_id", "tk-"+p.FreshID,
 		"tenant_id", p.CustomerID,
 		"status", "open",
@@ -82,8 +82,8 @@ func tnOpenBody(st datagen.Target, s session, p Params) (int, error) {
 	)); err != nil {
 		return 0, err
 	}
-	s.hop()
-	err = tbl.Update(s.relTx(), p.CustomerID, func(row mmvalue.Value) (mmvalue.Value, error) {
+	s.Hop()
+	err = tbl.Update(s.RelTx(), p.CustomerID, func(row mmvalue.Value) (mmvalue.Value, error) {
 		obj := row.MustObject()
 		n, _ := obj.GetOr("tickets", mmvalue.Int(0)).AsFloat()
 		obj.Set("tickets", mmvalue.Int(int64(n)+1))
@@ -98,8 +98,8 @@ func tnOpenBody(st datagen.Target, s session, p Params) (int, error) {
 // tnCloseBody closes one generated ticket (status write, no counter
 // change — closed tickets stay counted).
 func tnCloseBody(st datagen.Target, s session, p Params) (int, error) {
-	s.hop()
-	err := st.Docs.Collection("tickets").Update(s.docTx(), datagen.TicketID(datagen.SeqOf(p.OrderID)),
+	s.Hop()
+	err := st.Docs.Collection("tickets").Update(s.DocTx(), datagen.TicketID(datagen.SeqOf(p.OrderID)),
 		func(doc mmvalue.Value) (mmvalue.Value, error) {
 			doc.MustObject().Set("status", mmvalue.String("closed"))
 			return doc, nil
@@ -118,14 +118,14 @@ func tnCountBody(st datagen.Target, s session, p Params) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	s.hop()
-	row, ok := tbl.Get(s.relTx(), p.CustomerID)
+	s.Hop()
+	row, ok := tbl.Get(s.RelTx(), p.CustomerID)
 	if !ok {
 		return 0, nil
 	}
 	counted, _ := row.MustObject().GetOr("tickets", mmvalue.Int(0)).AsFloat()
-	s.hop()
-	docs := st.Docs.Collection("tickets").Find(s.docTx(), document.Eq("tenant_id", p.CustomerID),
+	s.Hop()
+	docs := st.Docs.Collection("tickets").Find(s.DocTx(), document.Eq("tenant_id", p.CustomerID),
 		&document.FindOptions{Projection: []string{"_id"}})
 	if int(counted) != len(docs) {
 		return 1, nil

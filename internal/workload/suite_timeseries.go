@@ -43,8 +43,8 @@ func tsAppendBody(st datagen.Target, s session, p Params) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	s.hop()
-	err = tbl.Update(s.relTx(), p.CustomerID, func(row mmvalue.Value) (mmvalue.Value, error) {
+	s.Hop()
+	err = tbl.Update(s.RelTx(), p.CustomerID, func(row mmvalue.Value) (mmvalue.Value, error) {
 		obj := row.MustObject()
 		n, _ := obj.GetOr("points", mmvalue.Int(0)).AsFloat()
 		obj.Set("points", mmvalue.Int(int64(n)+1))
@@ -53,8 +53,8 @@ func tsAppendBody(st datagen.Target, s session, p Params) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	s.hop()
-	if err := st.KV.Put(s.kvTx(), datagen.SeriesAppendKey(p.CustomerID, p.FreshID),
+	s.Hop()
+	if err := st.KV.Put(s.KVTx(), datagen.SeriesAppendKey(p.CustomerID, p.FreshID),
 		mmvalue.ObjectOf("v", p.Threshold)); err != nil {
 		return 0, err
 	}
@@ -69,8 +69,8 @@ func tsWindowBody(st datagen.Target, s session, p Params) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	s.hop()
-	row, ok := tbl.Get(s.relTx(), p.CustomerID)
+	s.Hop()
+	row, ok := tbl.Get(s.RelTx(), p.CustomerID)
 	if !ok {
 		return 0, nil
 	}
@@ -85,8 +85,8 @@ func tsWindowBody(st datagen.Target, s session, p Params) (int, error) {
 	}
 	lo := datagen.SeqOf(p.OrderID)%b + 1
 	count := 0
-	s.hop()
-	st.KV.Scan(s.kvTx(), datagen.SeriesPointKey(p.CustomerID, lo),
+	s.Hop()
+	st.KV.Scan(s.KVTx(), datagen.SeriesPointKey(p.CustomerID, lo),
 		datagen.SeriesPointKey(p.CustomerID, lo+window), func(string, mmvalue.Value) bool {
 			count++
 			return true
@@ -99,8 +99,8 @@ func tsWindowBody(st datagen.Target, s session, p Params) (int, error) {
 // full-series analytic read.
 func tsAggregateBody(st datagen.Target, s session, p Params) (int, error) {
 	above := 0
-	s.hop()
-	st.KV.ScanPrefix(s.kvTx(), datagen.SeriesPrefix(p.CustomerID), func(_ string, v mmvalue.Value) bool {
+	s.Hop()
+	st.KV.ScanPrefix(s.KVTx(), datagen.SeriesPrefix(p.CustomerID), func(_ string, v mmvalue.Value) bool {
 		f, _ := v.MustObject().GetOr("v", mmvalue.Float(0)).AsFloat()
 		if f > p.Threshold {
 			above++
@@ -117,8 +117,8 @@ func tsLatestBody(st datagen.Target, s session, p Params) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	s.hop()
-	row, ok := tbl.Get(s.relTx(), p.CustomerID)
+	s.Hop()
+	row, ok := tbl.Get(s.RelTx(), p.CustomerID)
 	if !ok {
 		return 0, nil
 	}
@@ -127,8 +127,8 @@ func tsLatestBody(st datagen.Target, s session, p Params) (int, error) {
 	if b <= 0 {
 		return 0, nil
 	}
-	s.hop()
-	if _, ok := st.KV.Get(s.kvTx(), datagen.SeriesPointKey(p.CustomerID, datagen.SeqOf(p.OrderID)%b+1)); ok {
+	s.Hop()
+	if _, ok := st.KV.Get(s.KVTx(), datagen.SeriesPointKey(p.CustomerID, datagen.SeqOf(p.OrderID)%b+1)); ok {
 		return 1, nil
 	}
 	return 0, nil
@@ -143,8 +143,8 @@ func tsWatermarkBody(st datagen.Target, s session, p Params) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	s.hop()
-	row, ok := tbl.Get(s.relTx(), p.CustomerID)
+	s.Hop()
+	row, ok := tbl.Get(s.RelTx(), p.CustomerID)
 	if !ok {
 		return 0, nil
 	}
@@ -152,8 +152,8 @@ func tsWatermarkBody(st datagen.Target, s session, p Params) (int, error) {
 	pts, _ := obj.GetOr("points", mmvalue.Int(0)).AsFloat()
 	base, _ := obj.GetOr("base", mmvalue.Int(0)).AsFloat()
 	appended := 0
-	s.hop()
-	st.KV.ScanPrefix(s.kvTx(), datagen.SeriesAppendPrefix(p.CustomerID), func(string, mmvalue.Value) bool {
+	s.Hop()
+	st.KV.ScanPrefix(s.KVTx(), datagen.SeriesAppendPrefix(p.CustomerID), func(string, mmvalue.Value) bool {
 		appended++
 		return true
 	})

@@ -5,11 +5,12 @@
 // paper's order-update example), and a concurrent closed-loop driver
 // with Zipf-skewed parameter selection.
 //
-// Every operation has one body, run by one native engine adapter
-// (engine.go) under either of two transaction disciplines: the unified
+// Every operation has one body — the join queries' is a udbms.Pipeline
+// obtained from the session — run by one native engine adapter
+// (engines.go) under either of two transaction disciplines: the unified
 // engine gives the body one snapshot/commit across all models, while
-// the federation charges a network hop per store request and
-// coordinates writes with 2PC. The benchmark's T2/F2/F3 experiments are
+// the federation charges a network hop per store request, the
+// executor's included, and coordinates writes with 2PC. The benchmark's T2/F2/F3 experiments are
 // exactly the comparison of these two disciplines.
 package workload
 
@@ -17,8 +18,6 @@ import (
 	"fmt"
 
 	"udbench/internal/datagen"
-	"udbench/internal/txn"
-	"udbench/internal/udbms"
 )
 
 // QueryID names one of the thirteen benchmark queries.
@@ -67,31 +66,29 @@ const (
 )
 
 // queryDef is one row of the query table — the only place a query is
-// registered. body is the shared definition both engines can run
-// through a session; pipeline, when set, is the unified engine's
-// vectorized definition of the same query (the federation has no
-// cross-store snapshot to run one under).
+// registered, and body its one definition: both engines run it, each
+// through its own session (ops.go; the join queries, written over the
+// session's pipeline, are in pipeline_queries.go).
 type queryDef struct {
-	models   string
-	body     func(st datagen.Target, s session, p Params) (int, error)
-	pipeline func(db *udbms.DB, tx *txn.Tx, p Params) (int, error)
+	models string
+	body   func(st datagen.Target, s session, p Params) (int, error)
 }
 
 // queryTable is indexed by query id (slot 0 is unused).
 var queryTable = [...]queryDef{
-	Q1:  {"R+D+K", q1CustomerProfile, q1Pipeline},
-	Q2:  {"G+D", q2FriendsPurchases, nil},
-	Q3:  {"K+D", q3TopRatedProducts, nil},
-	Q4:  {"R+D", q4CityBigSpenders, q4Pipeline},
-	Q5:  {"X", q5InvoiceTotalsByCurrency, nil},
-	Q6:  {"G+D", q6TwoHopBuyers, nil},
-	Q7:  {"D+X", q7OrdersWithProduct, nil},
-	Q8:  {"R+D", q8RevenueByCity, q8Pipeline},
-	Q9:  {"G+K", q9InfluencerFeedback, nil},
-	Q10: {"R+D+G+K+X", q10FullChain, nil},
-	Q11: {"G+R+D", q11FriendNetworkSpend, q11Pipeline},
-	Q12: {"R+D", q12CityRevenueHaving, q12Pipeline},
-	Q13: {"R+D", q13TopSpenders, q13Pipeline},
+	Q1:  {"R+D+K", q1Pipeline},
+	Q2:  {"G+D", q2FriendsPurchases},
+	Q3:  {"K+D", q3TopRatedProducts},
+	Q4:  {"R+D", q4Pipeline},
+	Q5:  {"X", q5InvoiceTotalsByCurrency},
+	Q6:  {"G+D", q6TwoHopBuyers},
+	Q7:  {"D+X", q7OrdersWithProduct},
+	Q8:  {"R+D", q8Pipeline},
+	Q9:  {"G+K", q9InfluencerFeedback},
+	Q10: {"R+D+G+K+X", q10FullChain},
+	Q11: {"G+R+D", q11Pipeline},
+	Q12: {"R+D", q12Pipeline},
+	Q13: {"R+D", q13Pipeline},
 }
 
 // def looks q up in the query table.
@@ -188,7 +185,6 @@ func NewParamGen(info Info, seed uint64, theta float64) *ParamGen {
 // ProductID (wrapping to the next product when the skewed draw
 // collides).
 func (g *ParamGen) Next() Params {
-	cities := []string{"Helsinki", "Turku", "Tampere", "Oulu", "Espoo", "Vantaa", "Lahti", "Kuopio"}
 	p1 := g.prodZ.Next() + 1
 	p2 := g.prodZ.Next() + 1
 	if p2 == p1 {
@@ -202,7 +198,7 @@ func (g *ParamGen) Next() Params {
 		OrderID:    datagen.OrderID(g.ordZ.Next() + 1),
 		ProductID:  datagen.ProductID(p1),
 		ProductID2: datagen.ProductID(p2),
-		City:       datagen.Pick(g.rng, cities),
+		City:       datagen.Pick(g.rng, datagen.Cities),
 		TopN:       10,
 		Threshold:  200,
 		Rating:     1 + g.rng.Intn(5),

@@ -4,7 +4,9 @@ import (
 	"testing"
 
 	"udbench/internal/datagen"
+	"udbench/internal/document"
 	"udbench/internal/federation"
+	"udbench/internal/graph"
 	"udbench/internal/mmvalue"
 	"udbench/internal/udbms"
 	"udbench/internal/xmlstore"
@@ -63,26 +65,98 @@ func TestEnginesProduceIdenticalResults(t *testing.T) {
 			if a != b {
 				t.Errorf("%s: udbms=%d federation=%d (params %+v)", q, a, b, p)
 			}
-			// A query with two definitions must agree with itself: the
-			// pipeline body and the shared body under one unified
-			// snapshot, not only across engines.
-			def, _ := q.def()
-			if def.pipeline == nil {
-				continue
+		}
+	}
+}
+
+// q11FriendNetworkSpend is the reference for Q11, the one join query
+// relbe (and so TestQueryAgreement) does not cover: hand-written against
+// the stores, no executor. It walks the two-hop "knows" network of a
+// customer, then checks each friend's relational row and order totals;
+// the result counts the distinct cities of friends who spent more than
+// the threshold.
+func q11FriendNetworkSpend(st datagen.Target, s session, p Params) (int, error) {
+	cust, err := tableOf(st, "customer")
+	if err != nil {
+		return 0, err
+	}
+	s.Hop()
+	friends := st.Graph.KHop(s.GraphTx(), graph.VID(datagen.CustomerVID(p.CustomerID)), 2, graph.Both, "knows")
+	orders := st.Docs.Collection("orders")
+	cities := map[string]bool{}
+	for _, f := range friends {
+		fid, ok := customerIDOf(string(f))
+		if !ok {
+			continue
+		}
+		s.Hop()
+		row, ok := cust.Get(s.RelTx(), fid)
+		if !ok {
+			continue
+		}
+		sum := 0.0
+		s.Hop()
+		for _, o := range orders.Find(s.DocTx(), document.Eq("customer_id", fid),
+			&document.FindOptions{Projection: []string{"total"}}) {
+			t, _ := o.MustObject().GetOr("total", mmvalue.Float(0)).AsFloat()
+			sum += t
+		}
+		if sum > p.Threshold {
+			city, _ := row.MustObject().GetOr("city", mmvalue.Null).AsString()
+			if city != "" {
+				cities[city] = true
 			}
-			tx := fx.uni.DB.Begin()
-			piped, err := def.pipeline(fx.uni.DB, tx, p)
-			if err != nil {
-				t.Fatalf("%s pipeline body: %v", q, err)
+		}
+	}
+	return len(cities), nil
+}
+
+func TestQ11MatchesReference(t *testing.T) {
+	fx := newFixture(t, 0.04)
+	gen := NewParamGen(fx.info, 11, 0)
+	nonzero := 0
+	for trial := 0; trial < 20; trial++ {
+		p := gen.Next()
+		var want int
+		if err := fx.uni.read(func(s session) (err error) {
+			want, err = q11FriendNetworkSpend(fx.uni.DB.Stores(), s, p)
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if want > 0 {
+			nonzero++
+		}
+		for _, e := range []Engine{fx.uni, fx.fed} {
+			if got, err := e.RunQuery(Q11, p); err != nil || got != want {
+				t.Errorf("%s Q11 = %d, %v; reference %d (params %+v)", e.Name(), got, err, want, p)
 			}
-			shared, err := def.body(fx.uni.DB.Stores(), unifiedSession{tx}, p)
-			if err != nil {
-				t.Fatalf("%s shared body: %v", q, err)
-			}
-			tx.Abort()
-			if piped != shared {
-				t.Errorf("%s under one snapshot: pipeline=%d shared=%d (params %+v)", q, piped, shared, p)
-			}
+		}
+	}
+	if nonzero == 0 {
+		t.Error("every draw had an empty answer: the comparison proves nothing")
+	}
+}
+
+// TestParamGenCitiesHaveCustomers guards Q4 against drawing a city no
+// customer lives in (it would silently return 0): the generator's city
+// list is datagen's, and at SF 0.05 every entry is populated.
+func TestParamGenCitiesHaveCustomers(t *testing.T) {
+	ds := datagen.Generate(datagen.Config{ScaleFactor: 0.05, Seed: 1234})
+	lives := map[string]bool{}
+	for _, c := range ds.Customers {
+		city, _ := c.MustObject().Get("city")
+		lives[city.MustString()] = true
+	}
+	for _, city := range datagen.Cities {
+		if !lives[city] {
+			t.Errorf("no customer lives in %s", city)
+		}
+	}
+	gen := NewParamGen(InfoOf(ds), 1, 0)
+	for i := 0; i < 200; i++ {
+		if city := gen.Next().City; !lives[city] {
+			t.Fatalf("draw %d: city %q has no customer", i, city)
 		}
 	}
 }
