@@ -56,13 +56,13 @@
 //     kind-homogeneous, falling back to generic mmvalue comparisons
 //     for mixed columns.
 //   - JoinDocuments/JoinRelational are hash joins keyed by mmvalue
-//     hashes with exact Equal verification. Build-side hash tables are
-//     memoized across queries in a version-keyed cache: stores bump a
-//     version counter before a commit's rows become visible, so an
-//     unchanged counter certifies an unchanged build side. When the
-//     probe set turns out small and the build side has a path/column
-//     index (or the join column is the primary key), the executor
-//     falls back to per-row index probes instead of scanning the
+//     hashes with exact Equal verification. When the build side has a
+//     path/column index (or the join column is the primary key), a
+//     join sends per-row index probes until the probes spent since the
+//     side's last commit would have paid for a build, then builds once;
+//     built tables are memoized across queries in a version-keyed
+//     cache: stores bump a version counter before a commit's rows
+//     become visible, so an unchanged counter certifies an unchanged
 //     build side.
 //   - GroupBy/Aggregate folds batches into a hash of accumulators
 //     (sum/count/min/max/avg) keyed by any row expression.

@@ -28,13 +28,15 @@
 // rowState protocol in exec.go); Rows() clones on the way out, while
 // Count/Each and rows dropped by Limit never pay for a clone.
 //
-// Equality joins between models build a hash table over the build side
-// and probe it per batch; small probe sets fall back to store indexes.
-// Build-side hash tables are memoized across queries in a version-
-// keyed cache (joincache.go): every committed write bumps a per-store
-// version counter before it becomes visible, so an unchanged counter
-// certifies an unchanged build side and read-heavy workloads skip the
-// rebuild entirely.
+// Equality joins between models either send one store-index probe per
+// row (rent) or build a hash table over the build side and probe it
+// per batch (buy). Against an indexed build side a join rents until the
+// probes spent since the side's last commit would have paid for a
+// build, then builds once and memoizes the table in a version-keyed
+// cache (joincache.go): every committed write bumps a per-store version
+// counter before it becomes visible, so an unchanged counter certifies
+// an unchanged build side. A side that keeps changing is only probed;
+// read-heavy workloads build once and skip the rebuild entirely.
 //
 // Every store request the executor issues — seed scan, build-side
 // scan, index probe, per-row key-value / XML / graph fetch — goes

@@ -2,42 +2,58 @@ package udbms
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"udbench/internal/txn"
 )
 
-// joinCache memoizes build-side hash tables across pipeline runs.
+// joinCache decides, per build side, between renting (index probes)
+// and buying (one hash build, cached across pipeline runs).
 //
-// Analytic queries re-scan the same build side (a customer table, an
-// orders collection) on every execution and rebuild an identical hash
-// table each time — for read-heavy workloads the build dominates the
-// join's allocation profile. The cache keeps one table per
-// (store, join path) pair and reuses it for as long as it provably
-// matches what the requesting reader would see:
+// A cold join against an indexed build side does not know whether the
+// side will stay unchanged long enough for a build to pay off, so it
+// rents: the probe rows are charged to an account for the build side
+// at its current Version(), and index probes are sent for as long as
+// the account stays under Pipeline.probeBelow — the number of probes
+// that cost as much as one build. The join that takes the account over
+// the threshold buys: it builds once and offers the table to the
+// cache, where it serves every reader until the next commit. A build
+// side that keeps changing is only ever probed; a quiet one is built
+// once, after its probes have cost as much as a build (rent-then-buy,
+// at most twice the cost of knowing the future). Build sides without
+// an index are built on every cache miss.
 //
-//   - Entries are built under a throwaway snapshot transaction pinned
-//     at the published commit watermark, so an entry is exactly the
-//     store's committed state at entry.snap.
-//   - Stores bump a version counter inside the commit hook, before the
-//     corresponding row versions are stamped visible (see
-//     Table.Version / Collection.Version). An entry records the
-//     counter at build time; any later committed write bumps it first,
-//     so "counter unchanged" certifies the visible data is unchanged.
-//   - Builds are refused while commits are in flight
-//     (Oracle().Current() != Published()): a commit that had already
-//     bumped the counter but not yet published could otherwise slip
-//     its effects past the version check.
-//   - A transactional reader gets the entry only when its snapshot is
-//     at or above entry.snap and it has written nothing itself
-//     (Tx.ReadOnly): with the version unchanged there are no commits
-//     between the two snapshots, so both see identical build-side
-//     state. Non-transactional readers (latest-committed streams) are
-//     served whenever the version matches.
+// An entry at version v holds either the built table or the probes
+// spent at v without one; a commit resets both by bumping the version.
+// Certifying a table for other readers rests on these gates:
 //
-// Anything that fails the gates simply falls back to the per-query
-// build — the cache is a fast path, never a requirement.
+//   - Stores bump a version counter inside the commit hook, after the
+//     commit has drawn its timestamp and before its row versions are
+//     stamped visible (see Table.Version / Collection.Version). So
+//     "counter unchanged across the scan" certifies that no commit
+//     touched the build side during it.
+//   - The table is built under the reader's own snapshot (a snapshot
+//     at the published watermark when the reader has none) and is
+//     certified only when, at the start of the build, no commit was in
+//     flight (Oracle().Current() == Published()), the snapshot sits at
+//     that watermark, and the reader has written nothing (Tx.ReadOnly).
+//     The version is read before the in-flight check, so a commit the
+//     counter already reflects has published by the time the snapshot
+//     is taken, and any later one changes the counter.
+//   - A transactional reader gets a cached table only when its snapshot
+//     is at or above the entry's and it has written nothing itself:
+//     with the version unchanged there are no commits between the two
+//     snapshots, so both see identical build-side state.
+//     Non-transactional readers (latest-committed streams) are served
+//     whenever the version matches.
+//
+// A build that fails the gates is still used by the query that paid
+// for it — the build side is scanned at most once per join.
 type joinCache struct {
-	m sync.Map // joinCacheKey -> *joinCacheEntry
+	m  sync.Map   // joinCacheKey -> *joinCacheEntry
+	mu sync.Mutex // serialises entry replacement
+
+	hits, probeRows, builds, cachedBuilds atomic.Uint64
 }
 
 // joinCacheKey identifies a build side by store identity (pointer) and
@@ -50,7 +66,36 @@ type joinCacheKey struct {
 type joinCacheEntry struct {
 	ver  uint64
 	snap txn.TS
-	ht   *hashTable
+	ht   *hashTable // nil while the entry is only a probe account
+	// probes counts the probe rows charged at ver without a usable
+	// table.
+	probes atomic.Int64
+}
+
+// buildSide is what a hash join needs of its build-side store.
+type buildSide interface {
+	Version() uint64
+	Manager() *txn.Manager
+	Len() int
+}
+
+// JoinStats counts, since Open, how the executor's hash joins found
+// their matches. Each join execution bumps at most one of CacheHits,
+// ProbeRows (by its probe rows) and Builds.
+type JoinStats struct {
+	CacheHits    uint64 // joins served by a cached build table
+	ProbeRows    uint64 // probe rows sent to a build-side index
+	Builds       uint64 // build-side scans into a hash table
+	CachedBuilds uint64 // builds certified and offered to the cache
+}
+
+func (c *joinCache) stats() JoinStats {
+	return JoinStats{
+		CacheHits:    c.hits.Load(),
+		ProbeRows:    c.probeRows.Load(),
+		Builds:       c.builds.Load(),
+		CachedBuilds: c.cachedBuilds.Load(),
+	}
 }
 
 // get returns the cached hash table if it is provably equivalent to
@@ -62,41 +107,68 @@ func (c *joinCache) get(key joinCacheKey, ver uint64, tx *txn.Tx) *hashTable {
 		return nil
 	}
 	ent := e.(*joinCacheEntry)
-	if ent.ver != ver {
+	if ent.ht == nil || ent.ver != ver {
 		return nil
 	}
 	if tx != nil && (tx.BeginTS() < ent.snap || !tx.ReadOnly()) {
 		return nil
 	}
+	c.hits.Add(1)
 	return ent.ht
 }
 
-// put builds the hash table under a snapshot transaction at the
-// published watermark, caches it, and returns it when the result is
-// also valid for the requesting tx. It returns nil when the build
-// cannot be certified (in-flight commits, writer transactions, stale
-// reader snapshots); the caller falls back to its per-query build.
-func (c *joinCache) put(key joinCacheKey, mgr *txn.Manager, version func() uint64, tx *txn.Tx, scan func(*txn.Tx) *hashTable) *hashTable {
-	if tx != nil && !tx.ReadOnly() {
-		return nil
+// rent charges rows probe rows to key's account at ver and reports
+// whether the account, this charge included, is still under below — in
+// which case the caller sends index probes. A reader whose version
+// observation is already stale charges the newer account.
+func (c *joinCache) rent(key joinCacheKey, ver uint64, rows, below int) bool {
+	var ent *joinCacheEntry
+	if e, ok := c.m.Load(key); ok {
+		ent = e.(*joinCacheEntry)
 	}
-	if mgr.Oracle().Current() != mgr.Published() {
-		return nil // commits mid-publish: version checks are not airtight
+	if ent == nil || ent.ver < ver {
+		ent = c.install(key, &joinCacheEntry{ver: ver}, true)
 	}
-	ver := version()
-	btx := mgr.Begin()
-	snap := btx.BeginTS()
-	ht := scan(btx)
-	btx.Abort()
-	if version() != ver {
-		// A writer committed during the build. The table is still a
-		// consistent snapshot at snap, but certifying it for future
-		// readers (or even this one) is no longer possible.
-		return nil
+	if ent.probes.Add(int64(rows)) >= int64(below) {
+		return false
 	}
-	c.m.Store(key, &joinCacheEntry{ver: ver, snap: snap, ht: ht})
-	if tx != nil && tx.BeginTS() != snap {
-		return nil // reader began under an older watermark than the entry
+	c.probeRows.Add(uint64(rows))
+	return true
+}
+
+// build scans the build side once under tx — under a snapshot at the
+// published watermark when tx is nil — and offers the table to the
+// cache when the gates in the type comment certify it.
+func (c *joinCache) build(key joinCacheKey, side buildSide, tx *txn.Tx, scan func(*txn.Tx) *hashTable) *hashTable {
+	mgr := side.Manager()
+	ver := side.Version()
+	wm := mgr.Published()
+	quiet := mgr.Oracle().Current() == wm
+	if tx == nil {
+		tx = mgr.Begin()
+		defer tx.Abort()
+	}
+	ht := scan(tx)
+	c.builds.Add(1)
+	if quiet && tx.ReadOnly() && tx.BeginTS() >= wm && side.Version() == ver {
+		c.install(key, &joinCacheEntry{ver: ver, snap: tx.BeginTS(), ht: ht}, false)
+		c.cachedBuilds.Add(1)
 	}
 	return ht
+}
+
+// install stores ent under key unless the stored entry is newer (or,
+// with keepSame, at the same version) and returns the entry left in
+// place. Versions only move forward, so a slow reader cannot roll an
+// entry back.
+func (c *joinCache) install(key joinCacheKey, ent *joinCacheEntry, keepSame bool) *joinCacheEntry {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e, ok := c.m.Load(key); ok {
+		if old := e.(*joinCacheEntry); old.ver > ent.ver || keepSame && old.ver == ent.ver {
+			return old
+		}
+	}
+	c.m.Store(key, ent)
+	return ent
 }

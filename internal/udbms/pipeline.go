@@ -50,8 +50,8 @@ func (s Snapshot) Hop()             {}
 // 1024 rows rather than single rows (see exec.go). Limit
 // short-circuits upstream operators, filters narrow batches through a
 // selection vector against shared store memory without copying, and
-// the cross-model joins build a hash table over the smaller side
-// (falling back to store indexes when the probe set is small). Rows
+// the cross-model joins pick per execution between store index probes
+// and one hash build over the build side (joinSpec.route). Rows
 // returned by Rows are deep copies and may be mutated freely; Filter
 // predicates and Each callbacks observe shared rows and must not
 // mutate them.
@@ -70,8 +70,9 @@ type Pipeline struct {
 }
 
 // Pipeline starts an empty pipeline under tx (nil = latest committed):
-// one snapshot across all models, free hops, and join builds memoized
-// in the DB's version-keyed cache.
+// one snapshot across all models, free hops, and joins that rent index
+// probes until a build would have paid, then memoize the build in the
+// DB's version-keyed cache.
 func (db *DB) Pipeline(tx *txn.Tx) *Pipeline {
 	return &Pipeline{st: db.Stores(), acc: Snapshot{tx}, joins: &db.joins}
 }
@@ -228,62 +229,32 @@ func (p *Pipeline) GroupBy(keyPath, asKey string, aggs ...Agg) *Pipeline {
 // JoinDocuments extends each row with the documents of collection
 // whose docPath value equals the row's rowField value; matches land as
 // an array under asField. Rows without matches keep an empty array;
-// null row keys match nothing. The join is executed as a build-once
-// hash join over the collection unless the probe set is small and the
-// collection has an index on docPath, in which case it falls back to
-// per-row index lookups. The build side is only scanned after the
-// seed scan completes, so joining a collection with itself is safe.
+// null row keys match nothing. When the collection has an index on
+// docPath the join rents — per-row index lookups — until the probes
+// would have paid for a build, and then buys: one hash build over the
+// collection, cached until its next commit (joinSpec.route). The build
+// side is only scanned after the seed scan completes, so joining a
+// collection with itself is safe.
 func (p *Pipeline) JoinDocuments(collection, rowField, docPath, asField string) *Pipeline {
 	if p.err != nil {
 		return p
 	}
 	coll := p.st.Docs.Collection(collection)
-	pp := mmvalue.ParsePath(docPath)
-	scan := func(tx *txn.Tx) *hashTable {
-		ht := newHashTable(coll.Len())
-		coll.Stream(tx, nil, func(doc mmvalue.Value) bool {
-			if v, ok := pp.Lookup(doc); ok && !v.IsNull() {
-				ht.add(v, doc)
-			}
-			return true
-		})
-		return ht
-	}
-	spec := joinSpec{
-		rowField: rowField,
-		asField:  asField,
-		build: func() *hashTable {
-			p.acc.Hop()
-			return scan(p.acc.DocTx())
-		},
-	}
-	if p.joins != nil {
-		key := joinCacheKey{store: coll, field: docPath}
-		spec.cacheGet = func() *hashTable { return p.joins.get(key, coll.Version(), p.acc.DocTx()) }
-		spec.cachePut = func() *hashTable {
-			return p.joins.put(key, coll.Manager(), coll.Version, p.acc.DocTx(), scan)
-		}
-	}
+	var probe func(*txn.Tx, mmvalue.Value, func(mmvalue.Value) bool)
 	if coll.HasIndex(docPath) {
-		spec.probeBelow = p.probeBelow(coll.Len())
-		spec.indexProbe = func(key mmvalue.Value) []mmvalue.Value {
-			var matches []mmvalue.Value
-			p.acc.Hop()
-			coll.Stream(p.acc.DocTx(), document.Eq(docPath, key), func(doc mmvalue.Value) bool {
-				matches = append(matches, doc)
-				return true
-			})
-			return matches
+		probe = func(tx *txn.Tx, key mmvalue.Value, fn func(mmvalue.Value) bool) {
+			coll.Stream(tx, document.Eq(docPath, key), fn)
 		}
 	}
-	p.stages = append(p.stages, &hashJoinStage{spec: spec})
-	return p
+	return p.hashJoin(coll, docPath, rowField, asField, p.acc.DocTx,
+		func(tx *txn.Tx, fn func(mmvalue.Value) bool) { coll.Stream(tx, nil, fn) },
+		mmvalue.ParsePath(docPath).Lookup, probe)
 }
 
 // JoinRelational extends each row with the rows of table whose column
 // equals the row's rowField value, landing under asField as an array.
-// Like JoinDocuments it is a build-once hash join with a fallback to
-// primary-key or secondary-index lookups for small probe sets.
+// Like JoinDocuments it rents primary-key or secondary-index lookups
+// before it buys a hash build.
 func (p *Pipeline) JoinRelational(table, rowField, column, asField string) *Pipeline {
 	if p.err != nil {
 		return p
@@ -293,37 +264,50 @@ func (p *Pipeline) JoinRelational(table, rowField, column, asField string) *Pipe
 		p.err = fmt.Errorf("udbms: no table %q", table)
 		return p
 	}
-	scan := func(tx *txn.Tx) *hashTable {
-		ht := newHashTable(t.Len())
-		t.Stream(tx, nil, func(row mmvalue.Value) bool {
-			if v, ok := row.MustObject().Get(column); ok && !v.IsNull() {
-				ht.add(v, row)
-			}
-			return true
-		})
-		return ht
+	var probe func(*txn.Tx, mmvalue.Value, func(mmvalue.Value) bool)
+	if t.UsesIndex(relational.Col(column).Eq(0)) {
+		probe = func(tx *txn.Tx, key mmvalue.Value, fn func(mmvalue.Value) bool) {
+			t.Stream(tx, relational.Col(column).Eq(key), fn)
+		}
 	}
+	return p.hashJoin(t, column, rowField, asField, p.acc.RelTx,
+		func(tx *txn.Tx, fn func(mmvalue.Value) bool) { t.Stream(tx, nil, fn) },
+		func(row mmvalue.Value) (mmvalue.Value, bool) { return row.MustObject().Get(column) },
+		probe)
+}
+
+// hashJoin appends the equality join against one build side: stream
+// reads every build row as tx (the pipeline's handle for the side's
+// store) sees it, keyOf extracts a build row's join key, and probe —
+// nil without an index on field — streams the rows matching one key.
+func (p *Pipeline) hashJoin(side buildSide, field, rowField, asField string, tx func() *txn.Tx,
+	stream func(*txn.Tx, func(mmvalue.Value) bool), keyOf func(mmvalue.Value) (mmvalue.Value, bool),
+	probe func(*txn.Tx, mmvalue.Value, func(mmvalue.Value) bool)) *Pipeline {
 	spec := joinSpec{
 		rowField: rowField,
 		asField:  asField,
-		build: func() *hashTable {
-			p.acc.Hop()
-			return scan(p.acc.RelTx())
+		side:     side,
+		tx:       tx,
+		hop:      p.acc.Hop,
+		scan: func(tx *txn.Tx) *hashTable {
+			ht := newHashTable(side.Len())
+			stream(tx, func(row mmvalue.Value) bool {
+				if v, ok := keyOf(row); ok && !v.IsNull() {
+					ht.add(v, row)
+				}
+				return true
+			})
+			return ht
 		},
+		cache: p.joins,
+		key:   joinCacheKey{store: side, field: field},
 	}
-	if p.joins != nil {
-		key := joinCacheKey{store: t, field: column}
-		spec.cacheGet = func() *hashTable { return p.joins.get(key, t.Version(), p.acc.RelTx()) }
-		spec.cachePut = func() *hashTable {
-			return p.joins.put(key, t.Manager(), t.Version, p.acc.RelTx(), scan)
-		}
-	}
-	if t.UsesIndex(relational.Col(column).Eq(0)) {
-		spec.probeBelow = p.probeBelow(t.Len())
+	if probe != nil {
+		spec.probeBelow = p.probeBelow(side.Len())
 		spec.indexProbe = func(key mmvalue.Value) []mmvalue.Value {
 			var matches []mmvalue.Value
 			p.acc.Hop()
-			t.Stream(p.acc.RelTx(), relational.Col(column).Eq(key), func(row mmvalue.Value) bool {
+			probe(tx(), key, func(row mmvalue.Value) bool {
 				matches = append(matches, row)
 				return true
 			})
@@ -334,17 +318,29 @@ func (p *Pipeline) JoinRelational(table, rowField, column, asField string) *Pipe
 	return p
 }
 
-// probeBelow is the probe-set size under which a join against an
-// indexed build side of buildLen rows sends per-key index probes
-// instead of scanning the build side once. In process a probe costs
-// about eight scanned rows. Under PipelineOver (no join cache) every
-// probe is a round trip and the whole scan is one, so only a single
-// probe is worth sending.
+// probeScanRatio is what one index probe costs in build-side rows
+// scanned into a hash table, in process (2 cores, go1.24). The /cold
+// legs of BenchmarkPipelineJoin put a probe returning ~4 small
+// documents at ≈ 4.2 µs (probe10 cold 55 µs − warm 13 µs, over 10) and
+// a build at ≈ 0.53 µs per row (probe500 cold 690 µs − warm 155 µs,
+// over 1 000 rows): ≈ 8. On the benchmark's orders collection, keyed on
+// customer_id, the ratio is higher: 5.7 µs vs 0.64 µs per row at SF 1
+// and 9.6 vs 0.92 at SF 4 in a loop (≈ 9 and 10), and a whole Q4 right
+// after a commit costs 9.1 µs per probed customer vs 0.77 µs per order
+// built at SF 1, 14.1 vs 1.2 at SF 4 (≈ 12).
+const probeScanRatio = 10
+
+// probeBelow is the number of probe rows that cost as much as one scan
+// of an indexed build side of buildLen rows: the rent a join pays in
+// index probes before it buys a hash build (joinSpec.route). In
+// process that is buildLen/probeScanRatio, and never under 4. Under
+// PipelineOver (no join cache) every probe is a round trip and the
+// whole scan is one, so only a single probe is worth sending.
 func (p *Pipeline) probeBelow(buildLen int) int {
 	if p.joins == nil {
 		return 2
 	}
-	return min(max(buildLen/8, 4), 1024)
+	return max(buildLen/probeScanRatio, 4)
 }
 
 // JoinKVPrefix extends each row with all key-value pairs whose key has

@@ -25,8 +25,9 @@ type DB struct {
 	// XML is the XML document model.
 	XML *xmlstore.Store
 
-	// joins caches build-side hash tables for the pipeline executor's
-	// equality joins, keyed by store version (see joincache.go).
+	// joins holds, per build side of the pipeline executor's equality
+	// joins, the cached hash table or the index probes spent without
+	// one, keyed by store version (see joincache.go).
 	joins joinCache
 }
 
@@ -62,6 +63,11 @@ func (db *DB) Begin() *txn.Tx { return db.mgr.Begin() }
 func (db *DB) RunTx(fn func(tx *txn.Tx) error) error {
 	return db.mgr.Auto(nil, fn)
 }
+
+// JoinStats reports how the pipeline executor's hash joins have found
+// their matches since Open: cached tables, index probes, build scans.
+// It is kept out of Stats, which describes the dataset alone.
+func (db *DB) JoinStats() JoinStats { return db.joins.stats() }
 
 // Stats summarizes the live dataset (used by experiment F1).
 type Stats struct {

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"udbench/internal/mmvalue"
+	"udbench/internal/txn"
 )
 
 // This file holds the vectorized operator implementations: every stage
@@ -390,37 +391,64 @@ func (h *hashTable) get(key mmvalue.Value) []mmvalue.Value {
 }
 
 // joinSpec abstracts the build side of an equality join (document
-// collection or relational table).
+// collection or relational table) and the two ways to reach it: per-key
+// index probes (rent) or one scan into a hash table (buy).
 type joinSpec struct {
 	// rowField is the flat field of the pipeline row holding the key.
 	rowField string
 	// asField receives the match array.
 	asField string
-	// build scans the build side once into a hash table, under the
-	// pipeline's own handle for that store.
-	build func() *hashTable
+	// side is the build-side store, tx the pipeline's handle for it
+	// and hop the pipeline's Access.Hop.
+	side buildSide
+	tx   func() *txn.Tx
+	hop  func()
+	// scan reads the whole build side into a hash table as tx sees it.
+	scan func(tx *txn.Tx) *hashTable
 	// indexProbe fetches matches for one key through a store index;
-	// nil when the build side has no usable index. Probe sets smaller
-	// than probeBelow use it (see Pipeline.probeBelow).
+	// nil when the build side has no usable index.
 	indexProbe func(key mmvalue.Value) []mmvalue.Value
+	// probeBelow is the number of probe rows that cost as much as one
+	// scan (see Pipeline.probeBelow).
 	probeBelow int
-	// cacheGet/cachePut consult the DB-level join-build cache
-	// (joincache.go): cacheGet is lookup-only, cachePut builds under a
-	// snapshot transaction and caches. Either may be nil (no cache) or
-	// return nil (gates failed); callers fall back to build.
-	cacheGet func() *hashTable
-	cachePut func() *hashTable
+	// cache is the owning DB's join cache and key this build side's
+	// entry in it; cache is nil under PipelineOver.
+	cache *joinCache
+	key   joinCacheKey
+}
+
+// route picks how n buffered probe rows find their matches and returns
+// the hash table to probe, or nil for per-key index probes. In order:
+// a valid cached table; else, against an indexed build side, index
+// probes while the side's probe account — n included — stays under
+// probeBelow; else one scan under the pipeline's own snapshot, offered
+// to the cache (joincache.go). Without a cache (PipelineOver) the
+// account is just n: k probes cost k requests, one scan costs one.
+func (s *joinSpec) route(n int) *hashTable {
+	if s.cache == nil {
+		if s.indexProbe != nil && n < s.probeBelow {
+			return nil
+		}
+		s.hop()
+		return s.scan(s.tx())
+	}
+	ver, tx := s.side.Version(), s.tx()
+	if ht := s.cache.get(s.key, ver, tx); ht != nil {
+		return ht
+	}
+	if s.indexProbe != nil && s.cache.rent(s.key, ver, n, s.probeBelow) {
+		return nil
+	}
+	s.hop()
+	return s.cache.build(s.key, s.side, tx, s.scan)
 }
 
 // hashJoinStage joins the batch stream against a build side. It is a
-// blocking operator: probe rows are buffered together with their join
-// keys — extracted one batch at a time — until the input ends, then
-// the strategy is picked from the exact probe count: a small probe set
-// against an indexed build side uses per-key index lookups, anything
-// else scans the build side once into a hash table and probes the
-// buffered key column in one tight loop. Deferring the build-side scan
-// to flush also guarantees it never nests inside the still-open seed
-// scan, so self-joins cannot deadlock on the store's scan lock.
+// blocking operator: probe rows are buffered until the input ends, so
+// the route (joinSpec.route) is picked from the exact probe count, and
+// a hash table is probed in one tight loop. Deferring the build-side
+// scan to flush also guarantees it never nests inside the still-open
+// seed scan, so self-joins cannot deadlock on the store's scan lock.
 type hashJoinStage struct {
 	spec joinSpec
 }
@@ -461,56 +489,25 @@ func (j *joinSink) push(b *Batch) bool {
 	return true
 }
 
-// flush picks the probe strategy. A cached build table wins outright —
-// probing it costs the same as index lookups without the per-probe
-// store scan — so it is consulted (lookup only, never a build) before
-// the size heuristics. Otherwise probe sets under spec.probeBelow
-// against an indexed build side use per-key index lookups, and
-// everything else builds the hash table, preferring the cacheable
-// snapshot build when its visibility gates pass. Without a cache
-// (PipelineOver) only the last choice is left: k probes, k requests, or
-// one build scan, one request.
+// flush routes the buffered probe rows once (rent-then-buy, see
+// joinSpec.route) and attaches each row's matches: from the hash table
+// when the route bought or found one, else from one index probe per
+// non-null key. The build side is scanned at most once per flush.
 func (j *joinSink) flush() {
 	if !j.at.stopped && j.rb != nil && len(j.rb.rows) > 0 {
-		buf := j.rb.rows
-		var ht *hashTable
-		if j.spec.cacheGet != nil {
-			ht = j.spec.cacheGet()
-		}
-		if ht == nil {
-			if j.spec.cachePut != nil {
-				// Even below the index-probe threshold a cacheable
-				// build wins: it runs once per store change instead of
-				// once per query. When the visibility gates refuse it,
-				// small probe sets keep the index route.
-				ht = j.spec.cachePut()
+		ht := j.spec.route(len(j.rb.rows))
+		for _, r := range j.rb.rows {
+			key := r.MustObject().GetOr(j.spec.rowField, mmvalue.Null)
+			var matches []mmvalue.Value
+			switch {
+			case key.IsNull():
+			case ht != nil:
+				matches = ht.get(key)
+			default:
+				matches = j.spec.indexProbe(key)
 			}
-			if ht == nil && len(buf) >= j.spec.probeBelow {
-				ht = j.spec.build()
-			}
-		}
-		if ht != nil {
-			for _, r := range buf {
-				key := r.MustObject().GetOr(j.spec.rowField, mmvalue.Null)
-				var matches []mmvalue.Value
-				if !key.IsNull() {
-					matches = ht.get(key)
-				}
-				if !j.at.attach(r, matches) {
-					break
-				}
-			}
-		} else {
-			// Small probe set: index probes beat a full build-side scan.
-			for _, r := range buf {
-				key := r.MustObject().GetOr(j.spec.rowField, mmvalue.Null)
-				var matches []mmvalue.Value
-				if !key.IsNull() {
-					matches = j.spec.indexProbe(key)
-				}
-				if !j.at.attach(r, matches) {
-					break
-				}
+			if !j.at.attach(r, matches) {
+				break
 			}
 		}
 	}

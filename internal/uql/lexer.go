@@ -29,8 +29,8 @@
 //     comparisons follow mmvalue.Compare, so e.g. `c.age < 30` still
 //     matches documents without an age and `c.name != "x"` matches
 //     null names, even when served by a store predicate.
-//   - JOIN stages run as build-once hash joins (with an index-probe
-//     fallback for small inputs) instead of one probe query per row.
+//   - JOIN stages run on the executor's joins: index probes while they
+//     are cheaper than a build, else one cached hash build.
 //   - SORT is a blocking operator; LIMIT short-circuits the upstream
 //     operators including the store scans; RETURN projections stream
 //     and clone only the projected values.
