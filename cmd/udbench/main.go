@@ -1,6 +1,6 @@
 // Command udbench runs the UDBMS multi-model database benchmark: the
 // experiments (run, list), the workload driver (mix, serve, ping,
-// suites), ad-hoc UQL (query) and the dataset generator (generate).
+// suites) and the dataset generator (generate).
 // `udbench help` prints every command and flag; usage() below is the
 // one place they are documented.
 package main
@@ -12,7 +12,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -22,7 +21,6 @@ import (
 	"udbench/internal/metrics"
 	"udbench/internal/server"
 	"udbench/internal/udbms"
-	"udbench/internal/uql"
 	"udbench/internal/wal"
 	"udbench/internal/workload"
 )
@@ -42,8 +40,6 @@ func main() {
 		err = cmdGenerate(os.Args[2:])
 	case "mix":
 		err = cmdMix(os.Args[2:])
-	case "query":
-		err = cmdQuery(os.Args[2:])
 	case "serve":
 		err = cmdServe(os.Args[2:])
 	case "ping":
@@ -71,7 +67,6 @@ commands:
   run <id>|all [flags]         run experiments (ids from 'list')
   generate [flags]             generate the dataset and print stats
   mix [flags]                  drive the standard OLTP mix on both engines
-  query "<uql>" [flags]        run a UQL query on a generated dataset
   serve [flags]                serve an engine over the network protocol
   ping -addr A                 probe a running server (readiness checks)
   suites                       list registered workload suites
@@ -113,9 +108,8 @@ mix flags (plus -sf/-seed/-hop/-json/-suite):
 
 serve flags (dataset flags as in run, plus -suite):
   -addr A      listen address (default 127.0.0.1:7744)
-  -engine E    registered backend to front: udbms (default, also serves
-               UQL), federation, relational, ... (unknown names list the
-               registry)
+  -engine E    registered backend to front: udbms (default), federation,
+               relational, ... (unknown names list the registry)
   -workers N   executor pool size (default 4)
   -queue N     admission queue depth (default 256)
   -deadline D  default queue-wait budget before shedding (default 100ms)
@@ -497,14 +491,14 @@ func openDurable(dir, fsync string, data workload.SuiteData) (*durable.DB, error
 }
 
 // cmdServe loads a dataset, fronts one engine with the network server
-// and blocks until interrupted. A udbms server also answers ad-hoc UQL.
+// and blocks until interrupted.
 func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:7744", "listen address")
 	sf := fs.Float64("sf", 0.2, "scale factor")
 	seed := fs.Uint64("seed", 42, "generator seed")
 	hop := fs.Duration("hop", 100*time.Microsecond, "federation hop latency")
-	engine := fs.String("engine", "udbms", "registered backend to serve (udbms additionally answers UQL)")
+	engine := fs.String("engine", "udbms", "registered backend to serve")
 	workers := fs.Int("workers", 4, "executor pool size")
 	queue := fs.Int("queue", 256, "admission queue depth")
 	deadline := fs.Duration("deadline", 100*time.Millisecond, "default queue-wait budget before shedding")
@@ -533,11 +527,6 @@ func cmdServe(args []string) error {
 			be.Name(), suite.Name, be.Capabilities().Suites)
 	}
 	cfg.Engine = be
-	if uni, ok := be.(*workload.UDBMSEngine); ok {
-		// The unified engine's store handle lets the server answer
-		// ad-hoc UQL next to the benchmark protocol.
-		cfg.DB = uni.DB
-	}
 	s, err := server.Listen(*addr, cfg)
 	if err != nil {
 		return err
@@ -576,32 +565,6 @@ func cmdPing(args []string) error {
 	fmt.Printf("%s: %s engine up serving suite %s, %v round trip (customers %d, products %d, orders %d)\n",
 		*addr, si.Engine, si.Suite, time.Since(t0).Round(time.Microsecond),
 		si.Info.Customers, si.Info.Products, si.Info.Orders)
-	return nil
-}
-
-func cmdQuery(args []string) error {
-	cfg, pos, _, _, err := benchFlags(args)
-	if err != nil {
-		return err
-	}
-	if len(pos) == 0 {
-		return fmt.Errorf(`query: missing UQL text, e.g. 'FOR c IN customer FILTER c.age > 40 LIMIT 5 RETURN c.name'`)
-	}
-	src := strings.Join(pos, " ")
-	db := udbms.Open()
-	ds := datagen.Generate(datagen.Config{ScaleFactor: cfg.SF, Seed: cfg.Seed})
-	if err := ds.Load(db.Stores()); err != nil {
-		return err
-	}
-	t0 := time.Now()
-	rows, err := uql.Run(db, nil, src)
-	if err != nil {
-		return err
-	}
-	for _, r := range rows {
-		fmt.Println(r)
-	}
-	fmt.Printf("-- %d rows in %v (SF %g)\n", len(rows), time.Since(t0).Round(time.Microsecond), cfg.SF)
 	return nil
 }
 

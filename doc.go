@@ -41,17 +41,17 @@
 //
 // Cross-model queries execute through udbms.Pipeline, a vectorized
 // push-based operator chain built lazily and pulled only by a terminal
-// (Rows, Count, Each). Operators exchange column batches — up to 1024
-// row references plus a selection vector — not single rows, so dynamic
-// dispatch costs one virtual call per batch and the inner loops are
-// monomorphic:
+// (Rows, Count, Each). Operators exchange batches of up to 1024 row
+// references, not single rows, so dynamic dispatch costs one virtual
+// call per batch and the inner loops are monomorphic:
 //
 //   - Source operators emit batches straight out of shared store
 //     memory through pooled scratch buffers — no row is cloned during
 //     execution; Rows copies on collect, Count/Each never copy.
-//   - Filter narrows a batch by rewriting its selection vector in
-//     place; Limit short-circuits upstream operators, including the
-//     store scans themselves. Sort and join keys are extracted into
+//   - Seed predicates (relational.Expr, document.Filter) run inside
+//     the store scan, through an index when one pins them; Limit
+//     short-circuits upstream operators, including the store scans
+//     themselves. Sort and join keys are extracted into
 //     typed vectors (int64/float64/string) when a column is
 //     kind-homogeneous, falling back to generic mmvalue comparisons
 //     for mixed columns.
@@ -73,12 +73,6 @@
 //     request and no join cache. A randomized equivalence property
 //     test pins the executor against a reference row-at-a-time
 //     interpreter.
-//
-// The UQL layer (internal/uql) compiles leading FILTER clauses into
-// native store predicates (document.Filter / relational.Expr) pushed
-// into the seed scan — exactly preserving UQL's missing-path and null
-// comparison semantics — so secondary indexes engage; untranslatable
-// conjuncts remain as residual row filters.
 //
 // # Concurrency architecture
 //

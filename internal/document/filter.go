@@ -91,28 +91,6 @@ func Gt(path string, value any) Filter { return newCmpFilter(path, "gt", value) 
 // Ge matches path >= value.
 func Ge(path string, value any) Filter { return newCmpFilter(path, "ge", value) }
 
-type existsFilter struct {
-	path string
-	pp   mmvalue.Path
-	want bool
-}
-
-// Exists matches documents where the path is (or is not) present.
-func Exists(path string, want bool) Filter {
-	return existsFilter{path: path, pp: mmvalue.ParsePath(path), want: want}
-}
-
-func (f existsFilter) Match(doc mmvalue.Value) bool {
-	_, ok := f.pp.Lookup(doc)
-	return ok == f.want
-}
-
-func (f existsFilter) String() string {
-	return fmt.Sprintf("{%s: {$exists: %v}}", f.path, f.want)
-}
-
-func (f existsFilter) equalityOn() (string, mmvalue.Value, bool) { return "", mmvalue.Null, false }
-
 type containsFilter struct {
 	path string
 	pp   mmvalue.Path
@@ -178,30 +156,6 @@ func (f andFilter) equalityOn() (string, mmvalue.Value, bool) {
 	}
 	return "", mmvalue.Null, false
 }
-
-type orFilter struct{ fs []Filter }
-
-// Any matches documents satisfying at least one sub-filter.
-func Any(fs ...Filter) Filter { return orFilter{fs} }
-
-func (f orFilter) Match(doc mmvalue.Value) bool {
-	for _, sub := range f.fs {
-		if sub.Match(doc) {
-			return true
-		}
-	}
-	return false
-}
-
-func (f orFilter) String() string {
-	parts := make([]string, len(f.fs))
-	for i, s := range f.fs {
-		parts[i] = s.String()
-	}
-	return "{$or: [" + strings.Join(parts, ", ") + "]}"
-}
-
-func (f orFilter) equalityOn() (string, mmvalue.Value, bool) { return "", mmvalue.Null, false }
 
 // funcFilter adapts an arbitrary predicate function.
 type funcFilter struct {

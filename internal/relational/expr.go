@@ -154,45 +154,6 @@ func (e inExpr) equalityOn() (string, mmvalue.Value, bool) {
 	return "", mmvalue.Null, false
 }
 
-// likeExpr implements a simple LIKE with % wildcards at either end.
-type likeExpr struct {
-	col     ColRef
-	pattern string
-}
-
-// Like builds column LIKE pattern, where pattern may carry a leading
-// and/or trailing %. Patterns without % match exactly.
-func (c ColRef) Like(pattern string) Expr { return likeExpr{c, pattern} }
-
-func (e likeExpr) Eval(row mmvalue.Value) bool {
-	s, ok := e.col.value(row).AsString()
-	if !ok {
-		return false
-	}
-	p := e.pattern
-	pre := strings.HasPrefix(p, "%")
-	suf := strings.HasSuffix(p, "%")
-	core := strings.TrimSuffix(strings.TrimPrefix(p, "%"), "%")
-	switch {
-	case pre && suf:
-		return strings.Contains(s, core)
-	case pre:
-		return strings.HasSuffix(s, core)
-	case suf:
-		return strings.HasPrefix(s, core)
-	default:
-		return s == core
-	}
-}
-
-func (e likeExpr) String() string {
-	return fmt.Sprintf("%s LIKE %q", e.col.Name, e.pattern)
-}
-
-func (e likeExpr) equalityOn() (string, mmvalue.Value, bool) {
-	return "", mmvalue.Null, false
-}
-
 type andExpr struct{ l, r Expr }
 
 // And is logical conjunction.
@@ -205,29 +166,6 @@ func (e andExpr) equalityOn() (string, mmvalue.Value, bool) {
 		return c, v, true
 	}
 	return e.r.equalityOn()
-}
-
-type orExpr struct{ l, r Expr }
-
-// Or is logical disjunction.
-func Or(l, r Expr) Expr { return orExpr{l, r} }
-
-func (e orExpr) Eval(row mmvalue.Value) bool { return e.l.Eval(row) || e.r.Eval(row) }
-func (e orExpr) String() string              { return "(" + e.l.String() + " OR " + e.r.String() + ")" }
-func (e orExpr) equalityOn() (string, mmvalue.Value, bool) {
-	// A disjunction cannot pin a single index bucket.
-	return "", mmvalue.Null, false
-}
-
-type notExpr struct{ e Expr }
-
-// Not is logical negation.
-func Not(e Expr) Expr { return notExpr{e} }
-
-func (e notExpr) Eval(row mmvalue.Value) bool { return !e.e.Eval(row) }
-func (e notExpr) String() string              { return "NOT " + e.e.String() }
-func (e notExpr) equalityOn() (string, mmvalue.Value, bool) {
-	return "", mmvalue.Null, false
 }
 
 // TrueExpr matches every row (used for unconditional scans).

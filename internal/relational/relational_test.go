@@ -256,18 +256,10 @@ func TestExprSemantics(t *testing.T) {
 		{Col("age").Le(30), true},
 		{Col("age").Gt(30), false},
 		{Col("age").Ge(31), false},
-		{Col("name").Like("ali%"), true},
-		{Col("name").Like("%ice"), true},
-		{Col("name").Like("%lic%"), true},
-		{Col("name").Like("alice"), true},
-		{Col("name").Like("bob%"), false},
-		{Col("age").Like("3%"), false}, // LIKE on non-string
 		{Col("city").In("hki", "tku"), true},
 		{Col("city").In("tku"), false},
 		{And(Col("age").Eq(30), Col("city").Eq("hki")), true},
 		{And(Col("age").Eq(30), Col("city").Eq("tku")), false},
-		{Or(Col("age").Eq(99), Col("city").Eq("hki")), true},
-		{Not(Col("age").Eq(30)), false},
 		{TrueExpr{}, true},
 		// NULL semantics: vip column is absent.
 		{Col("vip").Eq(true), false},
@@ -281,8 +273,8 @@ func TestExprSemantics(t *testing.T) {
 		}
 	}
 	// String rendering sanity.
-	s := And(Col("a").Eq(1), Or(Col("b").Lt(2), Not(Col("c").In(1, 2)))).String()
-	if !strings.Contains(s, "AND") || !strings.Contains(s, "OR") || !strings.Contains(s, "IN") {
+	s := And(Col("a").Eq(1), Col("c").In(1, 2)).String()
+	if !strings.Contains(s, "AND") || !strings.Contains(s, "IN") {
 		t.Errorf("expr string = %s", s)
 	}
 }
@@ -311,7 +303,7 @@ func TestIndexLookupAndPlan(t *testing.T) {
 		t.Fatalf("index lookup got %d rows, want 10", len(rows))
 	}
 	// Index result matches scan result.
-	scanRows := tbl.Query(nil).Where(And(Col("city").Like("city3"), TrueExpr{})).Rows()
+	scanRows := tbl.Query(nil).Where(And(Col("city").Ge("city3"), Col("city").Le("city3"))).Rows()
 	if len(scanRows) != len(rows) {
 		t.Errorf("index vs scan mismatch: %d vs %d", len(rows), len(scanRows))
 	}
@@ -621,7 +613,7 @@ func BenchmarkIndexLookupVsScan(b *testing.B) {
 	}
 	b.Run("scan", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			tbl.Query(nil).Where(Col("city").Like("city42")).Rows()
+			tbl.Query(nil).Where(Col("city").Eq("city42")).Rows()
 		}
 	})
 	tbl.CreateIndex("city")

@@ -166,15 +166,6 @@ func (cl *Client) Txn(kind byte, p workload.Params) (uint64, error) {
 	return resp.value, nil
 }
 
-// UQL runs an ad-hoc UQL query remotely, returning rendered rows.
-func (cl *Client) UQL(src string) ([]string, error) {
-	resp, err := cl.call(request{op: opUQL, budget: time.Duration(cl.budget.Load()), uql: src})
-	if err != nil {
-		return nil, err
-	}
-	return resp.rows, nil
-}
-
 // ServerInfo is what the info request advertises: the dataset
 // cardinalities clients build parameter generators from, the engine
 // name, the workload suite the server's store was loaded with, and

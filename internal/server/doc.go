@@ -1,9 +1,8 @@
 // Package server is UDBench's network front-end: it serves the
-// benchmark's T2/mix operation set (Q1–Q13, T1–T5) plus ad-hoc UQL
-// queries over a minimal length-prefixed binary protocol, backed by a
-// per-connection session layer over the existing workload.Engine
-// implementations (the unified udbms engine or the polyglot
-// federation).
+// benchmark's operation set (Q1–Q13, T1–T5, registry-suite ops) over a
+// minimal length-prefixed binary protocol, in front of any registered
+// workload.Backend (the unified udbms engine, the polyglot federation,
+// the relational comparative leg).
 //
 // # Wire protocol
 //
@@ -29,7 +28,9 @@
 // instead of being served late. The queue exports telemetry — depth
 // high watermark, shed count, queue-wait distribution — which remote
 // clients fold into the standard RunSummary JSON as the
-// admission{queue_depth_max,shed,queue_wait_p99_ns} block.
+// admission{queue_depth_max,shed,queue_wait_p99_ns} block. A worker
+// whose engine op panics answers that request with an internal error
+// and keeps serving.
 //
 // # Remote engine
 //

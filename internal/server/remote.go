@@ -137,9 +137,6 @@ func (e *RemoteEngine) RunSuiteOp(suite, op string, p workload.Params) (int, err
 	return e.conn().SuiteOp(suite, op, p)
 }
 
-// UQL runs an ad-hoc UQL query on the server.
-func (e *RemoteEngine) UQL(src string) ([]string, error) { return e.conn().UQL(src) }
-
 // AdmissionStats implements workload.AdmissionProvider by fetching the
 // server's cumulative telemetry; the driver snapshots it before and
 // after a run and reports the delta. A transport error yields nil —

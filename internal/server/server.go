@@ -4,14 +4,14 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"udbench/internal/federation"
 	"udbench/internal/txn"
-	"udbench/internal/udbms"
-	"udbench/internal/uql"
 	"udbench/internal/wal"
 	"udbench/internal/workload"
 )
@@ -23,10 +23,6 @@ type Config struct {
 	// without the TxnEngine capability answer with the unsupported
 	// error class instead of executing.
 	Engine workload.Backend
-	// DB, when set, additionally serves ad-hoc UQL queries against the
-	// unified engine. Optional: a federation server has no unified DB
-	// and answers UQL requests with an unsupported error.
-	DB *udbms.DB
 	// Info carries the dataset cardinalities clients need to build
 	// their parameter generators (served by the info request).
 	Info workload.Info
@@ -54,8 +50,9 @@ type Server struct {
 	lis net.Listener
 	adm *admission
 
-	nonce  atomic.Uint64
-	closed atomic.Bool
+	nonce    atomic.Uint64
+	closed   atomic.Bool
+	panicked atomic.Bool // the first recovered op panic's stack went to stderr
 
 	mu    sync.Mutex
 	conns map[*conn]struct{}
@@ -222,8 +219,19 @@ func (s *Server) readLoop(cn *conn) {
 }
 
 // exec runs one admitted workload request on the engine and writes the
-// response.
+// response. A panicking engine op answers its request with a generic
+// internal error and leaves the worker serving: one bad request must
+// not end the server. The first such panic's stack goes to stderr.
 func (s *Server) exec(t task) {
+	defer func() {
+		if v := recover(); v != nil {
+			if s.panicked.CompareAndSwap(false, true) {
+				fmt.Fprintf(os.Stderr, "server: recovered panic in op 0x%02x: %v\n%s", t.req.op, v, debug.Stack())
+			}
+			t.c.respond(response{id: t.req.id, status: StatusErr, errClass: errClassGeneric,
+				errMsg: fmt.Sprintf("server: internal error: %v", v)})
+		}
+	}()
 	req := t.req
 	var value uint64
 	var err error
@@ -273,22 +281,6 @@ func (s *Server) exec(t task) {
 		var n int
 		n, err = s.cfg.Engine.RunSuiteOp(req.suite, req.suiteOp, req.params)
 		value = uint64(n)
-	case opUQL:
-		if s.cfg.DB == nil {
-			t.c.respond(response{id: req.id, status: StatusErr, errClass: errClassUnsupported,
-				errMsg: "server: engine does not serve UQL"})
-			return
-		}
-		rows, uqlErr := uql.Run(s.cfg.DB, nil, req.uql)
-		err = uqlErr
-		if err == nil {
-			out := make([]string, len(rows))
-			for i, r := range rows {
-				out[i] = fmt.Sprint(r)
-			}
-			t.c.respond(response{id: req.id, status: StatusOK, value: uint64(len(out)), rows: out})
-			return
-		}
 	}
 	if err != nil {
 		t.c.respond(response{id: req.id, status: StatusErr, errClass: classifyErr(err), errMsg: err.Error()})

@@ -3,6 +3,8 @@ package server
 import (
 	"errors"
 	"fmt"
+	"net"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -11,6 +13,7 @@ import (
 	"udbench/internal/federation"
 	"udbench/internal/txn"
 	"udbench/internal/udbms"
+	"udbench/internal/wal"
 	"udbench/internal/workload"
 )
 
@@ -141,31 +144,67 @@ func TestServerTypedErrors(t *testing.T) {
 	}
 }
 
-// TestServerUQL serves an ad-hoc UQL query against a loaded unified
-// engine, and pins the typed unsupported error when no DB is attached.
-func TestServerUQL(t *testing.T) {
-	db := udbms.Open()
-	ds := datagen.Generate(datagen.Config{ScaleFactor: 0.02, Seed: 7})
-	if err := ds.Load(db.Stores()); err != nil {
+// panickingEngine panics inside RunQuery for one query id.
+type panickingEngine struct {
+	stubEngine
+	on workload.QueryID
+}
+
+func (e *panickingEngine) RunQuery(q workload.QueryID, p workload.Params) (int, error) {
+	if q == e.on {
+		panic("stub engine exploded")
+	}
+	return e.stubEngine.RunQuery(q, p)
+}
+
+// TestServerSurvivesPanickingOp pins that a panic inside an engine op
+// costs only its own request: the caller gets a remote internal error,
+// and the same connection and worker keep serving.
+func TestServerSurvivesPanickingOp(t *testing.T) {
+	s := startServer(t, Config{Engine: &panickingEngine{on: workload.Q4}, Workers: 1})
+	cl := dial(t, s)
+	_, err := cl.Query(workload.Q4, testParams)
+	if !errors.Is(err, ErrRemote) || !strings.Contains(err.Error(), "internal error: stub engine exploded") {
+		t.Errorf("panicking op err = %v, want ErrRemote carrying the internal error", err)
+	}
+	if err := cl.Ping(); err != nil {
+		t.Errorf("ping after the panic: %v", err)
+	}
+	if n, err := cl.Query(workload.Q5, testParams); err != nil || n != 50 {
+		t.Errorf("query after the panic = %d, %v; want 50, nil", n, err)
+	}
+}
+
+// TestServerRejectsRetiredOp sends an intact frame carrying the retired
+// op code 0x03: the server answers it with an error and the stream
+// stays in sync for the next request.
+func TestServerRejectsRetiredOp(t *testing.T) {
+	s := startServer(t, Config{Engine: &stubEngine{}})
+	c, err := net.Dial("tcp", s.Addr().String())
+	if err != nil {
 		t.Fatal(err)
 	}
-	s := startServer(t, Config{Engine: workload.NewUDBMSEngine(db), DB: db, Info: workload.InfoOf(ds)})
-	cl := dial(t, s)
-	rows, err := cl.UQL(`FOR c IN customer LIMIT 3 RETURN c.name`)
-	if err != nil {
-		t.Fatalf("uql: %v", err)
+	defer c.Close()
+	roundTrip := func(payload []byte) response {
+		t.Helper()
+		if _, err := c.Write(wal.AppendFrame(nil, payload)); err != nil {
+			t.Fatal(err)
+		}
+		frame, _, err := readFrame(c, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := decodeResponse(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
 	}
-	if len(rows) != 3 {
-		t.Errorf("uql rows = %d, want 3", len(rows))
+	if r := roundTrip(wal.NewOp(0x03).Uvarint(1).Uvarint(0).String("x").Build()); r.status != StatusErr {
+		t.Errorf("op 0x03 answered status %d, want StatusErr", r.status)
 	}
-	if _, err := cl.UQL(`FOR !!! bogus`); !errors.Is(err, ErrRemote) {
-		t.Errorf("bad uql err = %v, want ErrRemote", err)
-	}
-
-	bare := startServer(t, Config{Engine: &stubEngine{}})
-	cl2 := dial(t, bare)
-	if _, err := cl2.UQL(`FOR c IN customer RETURN c`); !errors.Is(err, ErrRemote) {
-		t.Errorf("uql without DB err = %v, want ErrRemote (unsupported)", err)
+	if r := roundTrip(encodeRequest(request{op: opPing, id: 2})); r.status != StatusOK || r.id != 2 {
+		t.Errorf("ping after op 0x03 = %+v, want StatusOK for id 2", r)
 	}
 }
 

@@ -28,8 +28,9 @@ var (
 	ErrRemote = errors.New("server: remote operation failed")
 )
 
-// maxFrame bounds one protocol frame. The largest legitimate message
-// is a UQL result set, far below this; a bigger length prefix is
+// maxFrame bounds one protocol frame. Every legitimate message — an
+// operation with its parameters, an info or stats response, an error
+// text — is a few hundred bytes at most; a bigger length prefix is
 // corruption and is rejected before any allocation happens.
 const maxFrame = 1 << 20
 
@@ -37,11 +38,11 @@ const maxFrame = 1 << 20
 // with wal.AppendFrame verify here and vice versa.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// Request op codes (first byte of every request payload).
+// Request op codes (first byte of every request payload). 0x03, a
+// retired ad-hoc query op, decodes as unknown.
 const (
 	opQuery   byte = 0x01 // benchmark read query: query id + params
 	opTxn     byte = 0x02 // benchmark transaction: txn kind + params
-	opUQL     byte = 0x03 // ad-hoc UQL: source text
 	opSuiteOp byte = 0x04 // registry-suite operation: suite + op names + params
 	opInfo    byte = 0x10 // dataset cardinalities + engine name + suite
 	opNonce   byte = 0x11 // server-issued run nonce
@@ -77,7 +78,7 @@ const (
 	errClassGeneric     byte = 0
 	errClassDeadlock    byte = 1
 	errClassCoordCrash  byte = 2
-	errClassUnsupported byte = 3 // e.g. UQL on a server without a DB
+	errClassUnsupported byte = 3 // e.g. a txn on a backend without native transactions
 )
 
 // Shed reasons inside StatusOverload responses.
@@ -94,7 +95,6 @@ type request struct {
 	query   workload.QueryID
 	txn     byte
 	params  workload.Params
-	uql     string
 	suite   string // opSuiteOp: registered suite name
 	suiteOp string // opSuiteOp: operation name within the suite
 }
@@ -108,7 +108,7 @@ type response struct {
 	status     byte
 	value      uint64   // query cardinality / torn flag / nonce
 	u64s       []uint64 // info cardinalities, stats counters
-	rows       []string // UQL row renderings, engine name
+	rows       []string // info: engine name, suite, capability descriptor
 	errClass   byte
 	shedReason byte
 	errMsg     string
@@ -153,8 +153,6 @@ func encodeRequest(r request) []byte {
 	case opTxn:
 		e.Byte(r.txn)
 		appendParams(e, r.params)
-	case opUQL:
-		e.String(r.uql)
 	case opSuiteOp:
 		e.String(r.suite)
 		e.String(r.suiteOp)
@@ -183,8 +181,6 @@ func decodeRequest(payload []byte) (request, error) {
 		if d.Err() == nil && (r.txn < txnOrderUpdate || r.txn > txnSnapshotRead) {
 			return r, fmt.Errorf("%w: unknown txn kind 0x%02x", ErrProto, r.txn)
 		}
-	case opUQL:
-		r.uql = d.String()
 	case opSuiteOp:
 		r.suite = d.String()
 		r.suiteOp = d.String()

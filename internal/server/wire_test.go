@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -25,7 +26,6 @@ func TestRequestRoundTrip(t *testing.T) {
 		{op: opQuery, id: 1, budget: 50 * time.Millisecond, query: workload.Q7, params: testParams},
 		{op: opTxn, id: 2, txn: txnStockTransferOnce, params: testParams},
 		{op: opTxn, id: 3, txn: txnSnapshotRead},
-		{op: opUQL, id: 4, uql: `FOR c IN customer LIMIT 3 RETURN c.name`},
 		{op: opInfo, id: 5},
 		{op: opNonce, id: 6},
 		{op: opStats, id: 7},
@@ -127,6 +127,7 @@ func TestReadFrameErrors(t *testing.T) {
 func TestDecodeRejects(t *testing.T) {
 	cases := map[string][]byte{
 		"unknown request op": wal.NewOp(0x7f).Uvarint(1).Uvarint(0).Build(),
+		"retired op 0x03":    wal.NewOp(0x03).Uvarint(1).Uvarint(0).String("x").Build(),
 		"unknown txn kind":   encodeRequest(request{op: opTxn, id: 1, txn: 99}),
 		"query id zero":      encodeRequest(request{op: opQuery, id: 1, query: 0}),
 		"query id huge":      encodeRequest(request{op: opQuery, id: 1, query: workload.QueryID(len(workload.AllQueries) + 1)}),
@@ -137,6 +138,9 @@ func TestDecodeRejects(t *testing.T) {
 		if _, err := decodeRequest(payload); !errors.Is(err, ErrProto) {
 			t.Errorf("%s: err = %v, want ErrProto", name, err)
 		}
+	}
+	if _, err := decodeRequest(cases["retired op 0x03"]); err == nil || !strings.Contains(err.Error(), "unknown request op") {
+		t.Errorf("retired op 0x03: err = %v, want unknown request op", err)
 	}
 	respCases := map[string][]byte{
 		"unknown status": wal.NewOp(0x77).Uvarint(1).Build(),

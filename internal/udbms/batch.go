@@ -4,12 +4,11 @@ import (
 	"udbench/internal/mmvalue"
 )
 
-// This file defines the columnar unit of execution. Operators no longer
-// exchange single rows through interface calls: they exchange a *Batch —
-// up to batchCap row references plus a selection vector — so the
-// per-row dynamic dispatch of the old push-based chain is amortized to
-// one virtual call per batch, and the inner loops over a batch are
-// monomorphic and inlinable.
+// This file defines the columnar unit of execution. Operators do not
+// exchange single rows through interface calls: they exchange a *Batch
+// of up to batchCap row references, so the per-row dynamic dispatch of
+// a push-based chain is amortized to one virtual call per batch, and
+// the inner loops over a batch are monomorphic and inlinable.
 
 const (
 	// batchCap is the maximum number of rows per Batch. 1024 rows keeps
@@ -19,10 +18,8 @@ const (
 )
 
 // Batch is a transient view of up to batchCap rows flowing through the
-// executor. rows is the fallback column: whole-row mmvalue references,
-// possibly shared with store memory. sel, when non-nil, lists the live
-// row indexes in emission order — filters narrow a batch by rewriting
-// sel instead of copying rows. A nil sel means every row is live.
+// executor: whole-row mmvalue references, possibly shared with store
+// memory.
 //
 // Batches are owned by the operator that emits them and are valid only
 // for the duration of the downstream push call: buffering stages (sort,
@@ -30,39 +27,19 @@ const (
 // the Batch itself.
 type Batch struct {
 	rows []mmvalue.Value
-	sel  []int32
 }
 
-// Len returns the number of live rows in the batch.
-func (b *Batch) Len() int {
-	if b.sel != nil {
-		return len(b.sel)
-	}
-	return len(b.rows)
-}
+// Len returns the number of rows in the batch.
+func (b *Batch) Len() int { return len(b.rows) }
 
-// Row returns the i-th live row (0 <= i < Len()).
-func (b *Batch) Row(i int) mmvalue.Value {
-	if b.sel != nil {
-		return b.rows[b.sel[i]]
-	}
-	return b.rows[i]
-}
+// Row returns the i-th row (0 <= i < Len()).
+func (b *Batch) Row(i int) mmvalue.Value { return b.rows[i] }
 
-// truncate drops all but the first n live rows.
-func (b *Batch) truncate(n int) {
-	if b.sel != nil {
-		b.sel = b.sel[:n]
-		return
-	}
-	b.rows = b.rows[:n]
-}
+// truncate drops all but the first n rows.
+func (b *Batch) truncate(n int) { b.rows = b.rows[:n] }
 
 // reset empties the batch for reuse, keeping row capacity.
-func (b *Batch) reset() {
-	b.rows = b.rows[:0]
-	b.sel = nil
-}
+func (b *Batch) reset() { b.rows = b.rows[:0] }
 
 // colVec is a column extracted from buffered rows: the values at one
 // path, plus enough kind bookkeeping to decide whether a typed vector

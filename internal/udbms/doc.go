@@ -13,13 +13,13 @@
 // # Vectorized executor
 //
 // Pipeline queries compile into a push-based chain of operators that
-// exchange column batches instead of single rows. A Batch (batch.go)
-// carries up to 1024 row values plus an optional selection vector;
-// filters narrow a batch by rewriting the selection vector in place —
-// no row is copied or re-pushed — so a scan→filter→count pipeline does
-// one interface dispatch per 1024 rows rather than per row. Sorts and
-// joins extract key columns once per batch; group-by aggregates
-// (sum/count/min/max/avg) fold batches into a hash of accumulators.
+// exchange batches instead of single rows. A Batch (batch.go) carries
+// up to 1024 row values, so a scan→limit→count pipeline does one
+// interface dispatch per 1024 rows rather than per row. Seeds push
+// their predicate into the store's scan (and its index, when one pins
+// the predicate). Sorts and joins extract key columns once per batch;
+// group-by aggregates (sum/count/min/max/avg) fold batches into a hash
+// of accumulators.
 //
 // Seed scans stream rows straight out of store memory in batches,
 // using pooled scratch buffers so a steady-state query allocates a
@@ -39,7 +39,7 @@
 // read-heavy workloads build once and skip the rebuild entirely.
 //
 // Every store request the executor issues — seed scan, build-side
-// scan, index probe, per-row key-value / XML / graph fetch — goes
+// scan, index probe, per-row key-value prefix scan — goes
 // through the pipeline's Access: a transaction handle per model and a
 // Hop charged per request. DB.Pipeline's is one snapshot with free
 // hops. PipelineOver takes the caller's, which is how the federation

@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"udbench/internal/document"
-	"udbench/internal/graph"
 	"udbench/internal/mmvalue"
 	"udbench/internal/relational"
 )
@@ -23,10 +22,10 @@ import (
 //   - rowOwned:   deep-cloned, fully owned by the pipeline.
 //
 // Join stages shallow-clone on demand before attaching match arrays;
-// Map deep-clones before handing the row to user code. Rows() deep-
-// clones anything not already rowOwned on the way out, so the public
-// contract ("returned rows are yours to mutate") is unchanged while
-// Count/Each and dropped rows (Limit) never pay for a clone.
+// group-by emits fresh rows. Rows() deep-clones anything not already
+// rowOwned on the way out, so the public contract ("returned rows are
+// yours to mutate") is unchanged while Count/Each and dropped rows
+// (Limit) never pay for a clone.
 //
 // Every store request a source or a join issues goes through the
 // pipeline's Access (pipeline.go): Hop first, then the call under that
@@ -55,9 +54,9 @@ type stage interface {
 	wire(in rowState, transient bool, down batchSink) batchSink
 }
 
-// source produces the seed batch stream.
+// source produces the seed batch stream. Seed rows are shared with
+// store memory (rowShared).
 type source interface {
-	state() rowState
 	run(emit func(*Batch) bool)
 }
 
@@ -109,14 +108,12 @@ type relSource struct {
 	where relational.Expr
 }
 
-func (s *relSource) state() rowState { return rowShared }
-
 func (s *relSource) run(emit func(*Batch) bool) {
 	b := &Batch{}
 	rb := getRowBuf(seedBufCap(s.t.Len()))
 	s.acc.Hop()
 	s.t.StreamBatch(s.acc.RelTx(), s.where, rb.rows, func(rows []mmvalue.Value) bool {
-		b.rows, b.sel = rows, nil
+		b.rows = rows
 		return emit(b)
 	})
 	putRowBuf(rb, rb.rows)
@@ -128,59 +125,15 @@ type docSource struct {
 	filter document.Filter
 }
 
-func (s *docSource) state() rowState { return rowShared }
-
 func (s *docSource) run(emit func(*Batch) bool) {
 	b := &Batch{}
 	rb := getRowBuf(seedBufCap(s.c.Len()))
 	s.acc.Hop()
 	s.c.StreamBatch(s.acc.DocTx(), s.filter, rb.rows, func(rows []mmvalue.Value) bool {
-		b.rows, b.sel = rows, nil
+		b.rows = rows
 		return emit(b)
 	})
 	putRowBuf(rb, rb.rows)
-}
-
-type graphSource struct {
-	g     *graph.Store
-	acc   Access
-	label string
-	ok    func(graph.Vertex) bool
-}
-
-// Graph vertex rows are built fresh (cloned props + _vid/_label), so
-// they are owned from the start.
-func (s *graphSource) state() rowState { return rowOwned }
-
-func (s *graphSource) run(emit func(*Batch) bool) {
-	rb := getRowBuf(seedBufCap(batchCap))
-	b := &Batch{rows: rb.rows}
-	stopped := false
-	s.acc.Hop()
-	s.g.Vertices(s.acc.GraphTx(), func(v graph.Vertex) bool {
-		if s.label != "" && v.Label != s.label {
-			return true
-		}
-		if s.ok != nil && !s.ok(v) {
-			return true
-		}
-		row := v.Props.Clone().MustObject()
-		row.Set("_vid", mmvalue.String(string(v.ID)))
-		row.Set("_label", mmvalue.String(v.Label))
-		b.rows = append(b.rows, mmvalue.FromObject(row))
-		if len(b.rows) == batchCap {
-			if !emit(b) {
-				stopped = true
-				return false
-			}
-			b.reset()
-		}
-		return true
-	})
-	if !stopped && len(b.rows) > 0 {
-		emit(b)
-	}
-	putRowBuf(rb, b.rows)
 }
 
 // ---- plan compilation and execution ----
@@ -190,7 +143,7 @@ func (p *Pipeline) finalState() rowState {
 	if p.src == nil {
 		return rowOwned
 	}
-	st := p.src.state()
+	st := rowShared
 	for _, s := range p.stages {
 		st = s.outState(st)
 	}
@@ -217,7 +170,7 @@ func (p *Pipeline) execute(onRow func(mmvalue.Value) bool) error {
 func (p *Pipeline) wireChain(onRow func(mmvalue.Value) bool) batchSink {
 	stages := p.stages
 	var head batchSink = &rowSink{fn: onRow}
-	st := p.src.state()
+	st := rowShared
 	states := make([]rowState, len(stages))
 	for i, s := range stages {
 		states[i] = st

@@ -5,18 +5,16 @@ import (
 
 	"udbench/internal/datagen"
 	"udbench/internal/document"
-	"udbench/internal/graph"
 	"udbench/internal/mmvalue"
 	"udbench/internal/relational"
 	"udbench/internal/txn"
-	"udbench/internal/xmlstore"
 )
 
 // Access is how a pipeline reaches the stores: the transaction each
 // model's requests run under (nil = that store's latest committed
 // state) and Hop, which the executor calls once before every store
 // request it issues — seed scan, join build scan, per-key index probe,
-// per-row key-value / XML / graph fetch. Handles are asked for at
+// per-row key-value prefix scan. Handles are asked for at
 // request time, so an accessor may start them lazily.
 type Access interface {
 	RelTx() *txn.Tx
@@ -48,16 +46,13 @@ func (s Snapshot) Hop()             {}
 // operator tree that is only evaluated when a terminal — Rows, Count
 // or Each — pulls it, and operators exchange column batches of up to
 // 1024 rows rather than single rows (see exec.go). Limit
-// short-circuits upstream operators, filters narrow batches through a
-// selection vector against shared store memory without copying, and
-// the cross-model joins pick per execution between store index probes
-// and one hash build over the build side (joinSpec.route). Rows
-// returned by Rows are deep copies and may be mutated freely; Filter
-// predicates and Each callbacks observe shared rows and must not
-// mutate them.
+// short-circuits upstream operators, and the cross-model joins pick per
+// execution between store index probes and one hash build over the
+// build side (joinSpec.route). Rows returned by Rows are deep copies
+// and may be mutated freely; Each callbacks observe shared rows and
+// must not mutate them.
 //
-// Build errors (unknown table, bad XPath) are deferred to the
-// terminals and visible early via Err.
+// Build errors (an unknown table) are deferred to the terminals.
 type Pipeline struct {
 	st  datagen.Target
 	acc Access
@@ -86,9 +81,6 @@ func (db *DB) Pipeline(tx *txn.Tx) *Pipeline {
 func PipelineOver(st datagen.Target, a Access) *Pipeline {
 	return &Pipeline{st: st, acc: a}
 }
-
-// Err returns the first error the pipeline encountered while building.
-func (p *Pipeline) Err() error { return p.err }
 
 // Rows executes the pipeline and returns the result rows. The rows are
 // fully owned by the caller and may be mutated freely. Calling Rows
@@ -156,37 +148,6 @@ func (p *Pipeline) FromDocuments(collection string, filter document.Filter) *Pip
 	return p
 }
 
-// FromGraphVertices seeds the pipeline with graph vertices whose label
-// matches (""=any) and whose properties satisfy ok (nil=all). Each row
-// is the vertex property object extended with "_vid" and "_label".
-func (p *Pipeline) FromGraphVertices(label string, ok func(graph.Vertex) bool) *Pipeline {
-	if p.err != nil {
-		return p
-	}
-	p.src = &graphSource{g: p.st.Graph, acc: p.acc, label: label, ok: ok}
-	return p
-}
-
-// Filter keeps rows for which keep returns true. The predicate runs
-// against shared rows and must not mutate them.
-func (p *Pipeline) Filter(keep func(row mmvalue.Value) bool) *Pipeline {
-	if p.err != nil {
-		return p
-	}
-	p.stages = append(p.stages, &filterStage{keep: keep})
-	return p
-}
-
-// Map replaces each row with fn(row). fn receives a private copy and
-// may mutate it freely.
-func (p *Pipeline) Map(fn func(row mmvalue.Value) mmvalue.Value) *Pipeline {
-	if p.err != nil {
-		return p
-	}
-	p.stages = append(p.stages, &mapStage{fn: fn})
-	return p
-}
-
 // Limit truncates the result to the first n rows; upstream operators
 // stop as soon as the limit is satisfied (blocking stages — SortBy and
 // the hash joins — buffer their input first and only stop emitting).
@@ -216,8 +177,8 @@ func (p *Pipeline) SortBy(path string, descending bool) *Pipeline {
 // row is fully owned and has the shape {asKey: key, <agg fields>...};
 // rows stream out in ascending key order (mmvalue.Compare), so results
 // are deterministic. GroupBy is a blocking stage like SortBy: it
-// buffers accumulators until the input ends, then a following Filter
-// acts as a HAVING clause and SortBy+Limit as top-N over aggregates.
+// buffers accumulators until the input ends, and a following
+// SortBy+Limit is top-N over aggregates.
 func (p *Pipeline) GroupBy(keyPath, asKey string, aggs ...Agg) *Pipeline {
 	if p.err != nil {
 		return p
@@ -361,57 +322,6 @@ func (p *Pipeline) JoinKVPrefix(prefixFn func(row mmvalue.Value) string, asField
 				return true
 			})
 			return matches
-		},
-	})
-	return p
-}
-
-// JoinXML evaluates the XPath against the XML document idFn(row) names
-// and lands the string results under asField.
-func (p *Pipeline) JoinXML(idFn func(row mmvalue.Value) string, xpath string, asField string) *Pipeline {
-	if p.err != nil {
-		return p
-	}
-	xp, err := xmlstore.CompileXPath(xpath)
-	if err != nil {
-		p.err = err
-		return p
-	}
-	p.stages = append(p.stages, &perRowStage{
-		asField:   asField,
-		ownedVals: true,
-		fetch: func(r mmvalue.Value) []mmvalue.Value {
-			var vals []mmvalue.Value
-			p.acc.Hop()
-			if doc, ok := p.st.XML.Get(p.acc.XMLTx(), idFn(r)); ok {
-				for _, s := range xp.SelectValues(doc) {
-					vals = append(vals, mmvalue.String(s))
-				}
-			}
-			return vals
-		},
-	})
-	return p
-}
-
-// ExpandGraph replaces each row's vertex neighbourhood: for the vertex
-// named by vidFn(row), the ids of vertices within k hops over label in
-// direction dir land under asField as an array of strings.
-func (p *Pipeline) ExpandGraph(vidFn func(row mmvalue.Value) string, k int, dir graph.Dir, label, asField string) *Pipeline {
-	if p.err != nil {
-		return p
-	}
-	p.stages = append(p.stages, &perRowStage{
-		asField:   asField,
-		ownedVals: true,
-		fetch: func(r mmvalue.Value) []mmvalue.Value {
-			p.acc.Hop()
-			hops := p.st.Graph.KHop(p.acc.GraphTx(), graph.VID(vidFn(r)), k, dir, label)
-			vals := make([]mmvalue.Value, len(hops))
-			for i, h := range hops {
-				vals[i] = mmvalue.String(string(h))
-			}
-			return vals
 		},
 	})
 	return p

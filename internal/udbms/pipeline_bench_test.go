@@ -128,38 +128,6 @@ func BenchmarkPipelineJoin(b *testing.B) {
 	}
 }
 
-// BenchmarkVectorizedFilter measures the filter stage's batch path —
-// selection-vector rewriting over shared store rows, Count terminal —
-// at two selectivities.
-func BenchmarkVectorizedFilter(b *testing.B) {
-	db := benchJoinDB(b, 50000, 8, false)
-	preds := []struct {
-		name string
-		keep func(int64) bool
-	}{
-		{"keep7of8", func(id int64) bool { return id%8 != 0 }},
-		{"keep1of8", func(id int64) bool { return id%8 == 0 }},
-	}
-	for _, pr := range preds {
-		keep := pr.keep
-		b.Run(pr.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				n, err := db.Pipeline(nil).
-					FromDocuments("probe", nil).
-					Filter(func(r mmvalue.Value) bool {
-						id, _ := r.MustObject().GetOr("cid", mmvalue.Int(0)).AsInt()
-						return keep(id)
-					}).
-					Count()
-				if err != nil || n == 0 {
-					b.Fatalf("count=%d err=%v", n, err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkGroupBy measures the batch-native aggregation stage:
 // 50k documents folded into ~a handful of groups with three
 // accumulators each.

@@ -9,10 +9,10 @@ import (
 )
 
 // This file holds the vectorized operator implementations: every stage
-// consumes and produces a *Batch per call. Filters rewrite the
-// selection vector in place, sorts and joins extract key columns once
-// per batch, and group-by aggregates into a hash of accumulators —
-// there is exactly one interface dispatch per batch, not per row.
+// consumes and produces a *Batch per call. Sorts and joins extract key
+// columns once per batch, and group-by aggregates into a hash of
+// accumulators — there is exactly one interface dispatch per batch,
+// not per row.
 
 // batchSink consumes a batch stream. push reports false to stop the
 // upstream producer early (limit short-circuit); flush signals
@@ -28,14 +28,6 @@ type rowSink struct {
 }
 
 func (s *rowSink) push(b *Batch) bool {
-	if b.sel != nil {
-		for _, i := range b.sel {
-			if !s.fn(b.rows[i]) {
-				return false
-			}
-		}
-		return true
-	}
 	for _, r := range b.rows {
 		if !s.fn(r) {
 			return false
@@ -45,88 +37,6 @@ func (s *rowSink) push(b *Batch) bool {
 }
 
 func (s *rowSink) flush() {}
-
-// ---- filter ----
-
-type filterStage struct {
-	keep func(mmvalue.Value) bool
-}
-
-func (st *filterStage) outState(in rowState) rowState { return in }
-func (st *filterStage) retains() bool                 { return false }
-
-func (st *filterStage) wire(_ rowState, _ bool, down batchSink) batchSink {
-	return &filterSink{keep: st.keep, down: down, sel: make([]int32, 0, batchCap)}
-}
-
-// filterSink narrows each batch by rewriting its selection vector: no
-// row is copied or re-pushed, survivors are named by index.
-type filterSink struct {
-	keep func(mmvalue.Value) bool
-	down batchSink
-	sel  []int32
-}
-
-func (s *filterSink) push(b *Batch) bool {
-	sel := s.sel[:0]
-	if b.sel != nil {
-		for _, i := range b.sel {
-			if s.keep(b.rows[i]) {
-				sel = append(sel, i)
-			}
-		}
-	} else {
-		for i, r := range b.rows {
-			if s.keep(r) {
-				sel = append(sel, int32(i))
-			}
-		}
-	}
-	s.sel = sel
-	if len(sel) == 0 {
-		return true // empty batch: skip the downstream call entirely
-	}
-	b.sel = sel
-	return s.down.push(b)
-}
-
-func (s *filterSink) flush() { s.down.flush() }
-
-// ---- map ----
-
-type mapStage struct {
-	fn func(mmvalue.Value) mmvalue.Value
-}
-
-func (st *mapStage) outState(rowState) rowState { return rowOwned }
-func (st *mapStage) retains() bool              { return false }
-
-func (st *mapStage) wire(in rowState, _ bool, down batchSink) batchSink {
-	return &mapSink{fn: st.fn, in: in, down: down,
-		out: Batch{rows: make([]mmvalue.Value, 0, batchCap)}}
-}
-
-type mapSink struct {
-	fn   func(mmvalue.Value) mmvalue.Value
-	in   rowState
-	down batchSink
-	out  Batch
-}
-
-func (s *mapSink) push(b *Batch) bool {
-	s.out.reset()
-	n := b.Len()
-	for i := 0; i < n; i++ {
-		r := b.Row(i)
-		if s.in != rowOwned {
-			r = r.Clone()
-		}
-		s.out.rows = append(s.out.rows, s.fn(r))
-	}
-	return s.down.push(&s.out)
-}
-
-func (s *mapSink) flush() { s.down.flush() }
 
 // ---- limit ----
 
@@ -479,13 +389,7 @@ func (j *joinSink) push(b *Batch) bool {
 	if j.rb == nil {
 		j.rb = getRowBuf(batchCap)
 	}
-	if b.sel == nil {
-		j.rb.rows = append(j.rb.rows, b.rows...)
-	} else {
-		for _, ix := range b.sel {
-			j.rb.rows = append(j.rb.rows, b.rows[ix])
-		}
-	}
+	j.rb.rows = append(j.rb.rows, b.rows...)
 	return true
 }
 
@@ -524,28 +428,19 @@ func (j *joinSink) flush() {
 
 // ---- per-row probe joins ----
 
-// perRowStage covers the probe-only joins (KV prefix, XML, graph
-// expansion): each row triggers one bounded store lookup, and the
-// fetched values are attached under asField. Output rows accumulate
-// into batches.
+// perRowStage is the probe-only join (the key-value prefix join): each
+// row triggers one bounded store lookup, and the fetched values are
+// attached under asField. Output rows accumulate into batches.
 type perRowStage struct {
-	// fetch returns the values to attach for the row. attached values
-	// may alias store memory (ownedVals=false) or be freshly built
-	// (ownedVals=true).
-	fetch     func(row mmvalue.Value) []mmvalue.Value
-	asField   string
-	ownedVals bool
+	// fetch returns the values to attach for the row; they may alias
+	// store memory.
+	fetch   func(row mmvalue.Value) []mmvalue.Value
+	asField string
 }
 
-func (st *perRowStage) outState(in rowState) rowState {
-	if !st.ownedVals {
-		return rowShallow
-	}
-	if in == rowShared {
-		return rowShallow
-	}
-	return in
-}
+// Attached values may alias the store, so the row is at most
+// shallow-owned afterwards.
+func (st *perRowStage) outState(rowState) rowState { return rowShallow }
 
 func (st *perRowStage) retains() bool { return false }
 

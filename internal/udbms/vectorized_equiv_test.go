@@ -12,16 +12,15 @@ import (
 
 // Property test: the vectorized batch executor is observationally
 // identical to a row-at-a-time reference interpreter for randomized
-// pipelines — seed × filter × map × join × sort × limit × group-by in
-// random order. The
-// reference applies each stage's documented semantics with plain Go
-// loops over materialized rows; the only tolerated difference is the
-// internal order of join match arrays (strategies may emit matches in
-// index vs scan order), which canonRow sorts away on both sides.
+// pipelines — seed × join × sort × limit × group-by in random order.
+// The reference applies each stage's documented semantics with plain
+// Go loops over materialized rows; the only tolerated difference is
+// the internal order of join match arrays (strategies may emit matches
+// in index vs scan order), which canonRow sorts away on both sides.
 
 // sigOf is a pure row fingerprint that deliberately ignores join match
-// arrays (their internal order is strategy-dependent), so it is safe
-// as a filter/map input at any pipeline position.
+// arrays (their internal order is strategy-dependent); the filtered
+// seed keys on it.
 func sigOf(r mmvalue.Value) int {
 	o := r.MustObject()
 	s := o.GetOr("cid", mmvalue.Null).String() +
@@ -148,41 +147,8 @@ func refGroupBy(rows []mmvalue.Value, keyPath mmvalue.Path, asKey string, aggs [
 func randOps(rng *rand.Rand) (ops []pipeOp, joinFields []string) {
 	n := 2 + rng.Intn(4)
 	for i := 0; i < n; i++ {
-		switch rng.Intn(7) {
-		case 0: // filter
-			k := 2 + rng.Intn(3)
-			pred := func(r mmvalue.Value) bool { return sigOf(r)%k != 0 }
-			ops = append(ops, pipeOp{
-				name:  fmt.Sprintf("filter%%%d", k),
-				build: func(p *Pipeline) *Pipeline { return p.Filter(pred) },
-				ref: func(_ *DB, rows []mmvalue.Value) []mmvalue.Value {
-					var out []mmvalue.Value
-					for _, r := range rows {
-						if pred(r) {
-							out = append(out, r)
-						}
-					}
-					return out
-				},
-			})
-		case 1: // map: attach a derived field on a clone
-			fn := func(r mmvalue.Value) mmvalue.Value {
-				c := r.Clone()
-				c.MustObject().Set("len", mmvalue.Int(int64(sigOf(r))))
-				return c
-			}
-			ops = append(ops, pipeOp{
-				name:  "map",
-				build: func(p *Pipeline) *Pipeline { return p.Map(fn) },
-				ref: func(_ *DB, rows []mmvalue.Value) []mmvalue.Value {
-					out := make([]mmvalue.Value, len(rows))
-					for i, r := range rows {
-						out[i] = fn(r)
-					}
-					return out
-				},
-			})
-		case 2: // sort
+		switch rng.Intn(5) {
+		case 0: // sort
 			paths := []string{"cid", "n", "payload", "ref.cid", "k"}
 			path := paths[rng.Intn(len(paths))]
 			desc := rng.Intn(2) == 0
@@ -194,7 +160,7 @@ func randOps(rng *rand.Rand) (ops []pipeOp, joinFields []string) {
 					return refSort(rows, pp, desc)
 				},
 			})
-		case 3: // limit
+		case 1: // limit
 			lim := rng.Intn(60)
 			ops = append(ops, pipeOp{
 				name:  fmt.Sprintf("limit(%d)", lim),
@@ -206,7 +172,7 @@ func randOps(rng *rand.Rand) (ops []pipeOp, joinFields []string) {
 					return rows
 				},
 			})
-		case 4: // join against the build collection (nested key path)
+		case 2: // join against the build collection (nested key path)
 			field := fmt.Sprintf("m%d", i)
 			joinFields = append(joinFields, field)
 			ops = append(ops, pipeOp{
@@ -216,7 +182,7 @@ func randOps(rng *rand.Rand) (ops []pipeOp, joinFields []string) {
 					return refJoinDocuments(db, rows, "build", "cid", "ref.cid", field)
 				},
 			})
-		case 5: // join against the relational build table
+		case 3: // join against the relational build table
 			field := fmt.Sprintf("m%d", i)
 			joinFields = append(joinFields, field)
 			ops = append(ops, pipeOp{
@@ -226,7 +192,7 @@ func randOps(rng *rand.Rand) (ops []pipeOp, joinFields []string) {
 					return refJoinRelational(db, rows, "buildtab", "cid", "cid", field)
 				},
 			})
-		case 6: // group-by with a random aggregate set
+		case 4: // group-by with a random aggregate set
 			keys := []string{"cid", "n"}
 			keyPath := keys[rng.Intn(len(keys))]
 			aggs := []Agg{Count("c")}
