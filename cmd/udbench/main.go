@@ -386,7 +386,7 @@ func cmdMix(args []string) error {
 	t := metrics.NewTable(title,
 		"engine", "op", "count", "mean", "p50", "p95", "p99", "int p99", "ops/s", "aborts")
 	lt := metrics.NewTable("Lock-table telemetry",
-		"engine", "acquires", "shared fast", "waits", "wait%", "wait time", "sweeps", "cycles", "victims")
+		"engine", "acquires", "waits", "wait%", "wait time", "sweeps", "cycles", "victims")
 	dt := metrics.NewTable("Durability telemetry",
 		"engine", "policy", "commits logged", "ops", "batches", "commits/batch", "fsyncs", "log KiB", "sealed")
 	at := metrics.NewTable("Admission telemetry (server-side, run delta)",
@@ -412,7 +412,7 @@ func cmdMix(args []string) error {
 				intended(op.IntendedP99NS), "", "")
 		}
 		if ls := res.LockStats; ls != nil {
-			lt.AddRow(s.Engine, ls.Acquires, ls.SharedFast, ls.Waits,
+			lt.AddRow(s.Engine, ls.Acquires, ls.Waits,
 				fmt.Sprintf("%.2f%%", 100*ls.WaitRate()), ls.WaitNS,
 				ls.Detector.Sweeps, ls.Detector.Cycles, ls.Detector.Victims)
 		}

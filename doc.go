@@ -35,7 +35,7 @@
 //	go run ./cmd/udbench run all -quick
 //
 // bench/ holds the repo's own benchmark (BENCHMARK.json); bench_test.go
-// keeps only the two scaling curves CI gates on.
+// keeps only the scaling curve CI gates on.
 //
 // # Query execution model
 //
@@ -82,23 +82,12 @@
 //   - Lock table (internal/txn): striped into 64 shards by resource-key
 //     hash, each with its own mutex and condition variable. Acquires of
 //     unrelated records never contend and a release wakes only its own
-//     shard. Entries are resident (created once per resource, indexed
-//     lock-free), which enables the shared fast path below.
-//   - Contention-free serializable reads: a shared lock on an entry
-//     with no exclusive holder and no queued waiter is granted by one
-//     CAS on the entry's reader count — no shard mutex, no allocation.
-//     Once a writer queues, a flag bit shuts the fast path so readers
-//     cannot starve it, and slow-path shared requests queue behind the
-//     waiting writer too. Fast readers are anonymous; if their
-//     transaction ever blocks, it first promotes those holds into the
-//     named holders map so the deadlock detector sees every edge. The
-//     stores expose this as GetShared (serializable read mode);
-//     snapshot reads still never lock at all.
+//     shard. There is one lock mode, exclusive: only writers lock.
 //   - Background deadlock detection: a blocked acquire only records
-//     its wait-for edges; a sweeper goroutine — spawned when the first
+//     its wait-for edge; a sweeper goroutine — spawned when the first
 //     waiter appears, exiting when the graph drains — runs one DFS
-//     over the whole cross-shard graph per interval (default 1ms,
-//     Manager.SetDetectorInterval) and marks the youngest transaction
+//     over the whole cross-shard graph per interval (1ms,
+//     txn.DefaultDetectorInterval) and marks the youngest transaction
 //     of each cycle as the victim. Victim latency is bounded by the
 //     interval; a blocked acquire no longer pays a graph traversal.
 //   - Interned lock keys: every record carries its precomputed
@@ -137,9 +126,9 @@
 //     top of this and reports each engine's saturation knee.
 //     docs/BENCHMARKING.md covers the methodology.
 //   - Lock telemetry (internal/txn): every shard counts acquires,
-//     fast-path shared grants, blocked acquires and blocked wall time
-//     in atomic counters (so even the mutex-free fast path is
-//     counted), and the background detector counts sweeps, cycles
+//     blocked acquires and blocked wall time in atomic counters (a
+//     snapshot takes no shard mutex), and the background detector
+//     counts sweeps, cycles
 //     found and victims marked, and reports its sweep interval.
 //     Manager.LockStats() snapshots all of it; the driver reports the
 //     per-run delta through `udbench mix -json` so a contention

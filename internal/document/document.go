@@ -200,17 +200,6 @@ func (c *Collection) stage(tx *txn.Tx, id string, rec *txn.Chain[mmvalue.Value],
 // returned document is shared; Clone before mutating.
 func (c *Collection) Get(tx *txn.Tx, id string) (mmvalue.Value, bool) { return c.docs.Get(tx, id) }
 
-// GetShared is the serializable read mode: it takes a shared lock on
-// the document (held to commit) and returns the latest committed
-// value, which the lock keeps stable until tx ends. A transaction is
-// required. See txn.Records.GetShared for the protocol.
-func (c *Collection) GetShared(tx *txn.Tx, id string) (mmvalue.Value, bool, error) {
-	if tx == nil {
-		return mmvalue.Null, false, fmt.Errorf("document %s/%s: GetShared requires a transaction", c.store.name, c.name)
-	}
-	return c.docs.GetShared(tx, id)
-}
-
 // Update applies fn to a clone of the current document and stores the
 // result; fn must keep the _id unchanged.
 func (c *Collection) Update(tx *txn.Tx, id string, fn func(doc mmvalue.Value) (mmvalue.Value, error)) error {

@@ -323,33 +323,6 @@ func (s *Store) GetEdge(tx *txn.Tx, id EID) (Edge, bool) {
 	return Edge{ID: id, Label: rec.label, From: rec.from, To: rec.to, Props: props}, true
 }
 
-// GetVertexShared is the serializable read mode for vertices: it takes
-// a shared lock on the vertex record (held to commit) and returns the
-// latest committed state, which the lock keeps stable until tx ends. A
-// transaction is required. It follows the txn.Records.GetShared
-// protocol over the graph's hash-keyed records.
-func (s *Store) GetVertexShared(tx *txn.Tx, id VID) (Vertex, bool, error) {
-	if tx == nil {
-		return Vertex{}, false, fmt.Errorf("graph %s: GetVertexShared requires a transaction", s.name)
-	}
-	// vLockKey serializes the absence case too: a missing vertex locks
-	// a fresh key that any concurrent creator must also take.
-	if err := tx.LockSharedKey(s.vLockKey(id)); err != nil {
-		return Vertex{}, false, err
-	}
-	s.mu.RLock()
-	rec := s.vertices[id]
-	s.mu.RUnlock()
-	if rec == nil {
-		return Vertex{}, false, nil
-	}
-	props, ok := rec.chain.Current(tx)
-	if !ok {
-		return Vertex{}, false, nil
-	}
-	return Vertex{ID: id, Label: rec.label, Props: props}, true, nil
-}
-
 // SetVertexProps replaces the property object of a vertex.
 func (s *Store) SetVertexProps(tx *txn.Tx, id VID, update func(props mmvalue.Value) (mmvalue.Value, error)) error {
 	return s.mgr.Auto(tx, func(tx *txn.Tx) error {

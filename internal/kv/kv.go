@@ -64,18 +64,6 @@ func (s *Store) Get(tx *txn.Tx, key string) (mmvalue.Value, bool) {
 	return s.recs.Get(tx, key)
 }
 
-// GetShared is the serializable read mode: it takes a shared lock on
-// the key (held to commit, like every lock) and returns the latest
-// committed value, which the lock keeps stable until tx ends. A
-// transaction is required — the lock is what distinguishes this from a
-// snapshot Get. See txn.Records.GetShared for the protocol.
-func (s *Store) GetShared(tx *txn.Tx, key string) (mmvalue.Value, bool, error) {
-	if tx == nil {
-		return mmvalue.Null, false, fmt.Errorf("kv %s: GetShared requires a transaction", s.name)
-	}
-	return s.recs.GetShared(tx, key)
-}
-
 // Delete removes key (writes a tombstone). Deleting a missing key is
 // not an error; the lock still serializes with concurrent writers.
 func (s *Store) Delete(tx *txn.Tx, key string) error {

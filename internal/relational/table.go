@@ -143,17 +143,6 @@ func (t *Table) Get(tx *txn.Tx, pkValue any) (mmvalue.Value, bool) {
 	return t.rows.Get(tx, EncodeKey(mmvalue.From(pkValue)))
 }
 
-// GetShared is the serializable read mode: it takes a shared lock on
-// the row (held to commit) and returns the latest committed version,
-// which the lock keeps stable until tx ends. A transaction is
-// required. See txn.Records.GetShared for the protocol.
-func (t *Table) GetShared(tx *txn.Tx, pkValue any) (mmvalue.Value, bool, error) {
-	if tx == nil {
-		return mmvalue.Null, false, fmt.Errorf("relational %s: GetShared requires a transaction", t.name)
-	}
-	return t.rows.GetShared(tx, EncodeKey(mmvalue.From(pkValue)))
-}
-
 // Update applies fn to the current version of the row with the given
 // primary key and stores the result. fn receives a clone and returns
 // the replacement row (same primary key required).

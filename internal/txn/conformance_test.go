@@ -22,7 +22,6 @@ type model struct {
 	insert  func(tx *txn.Tx, key string, n int64) error // new record
 	update  func(tx *txn.Tx, key string, n int64) error // replace a live record
 	get     func(tx *txn.Tx, key string) (int64, bool)
-	shared  func(tx *txn.Tx, key string) (int64, bool, error)
 	del     func(tx *txn.Tx, key string) error
 	compact func(horizon txn.TS) int
 }
@@ -57,12 +56,7 @@ func fiveStores() []model {
 		update: func(tx *txn.Tx, k string, n int64) error {
 			return tab.Update(tx, k, func(mmvalue.Value) (mmvalue.Value, error) { return mmvalue.ObjectOf("id", k, "n", n), nil })
 		},
-		get: func(tx *txn.Tx, k string) (int64, bool) { return intOf(tab.Get(tx, k)) },
-		shared: func(tx *txn.Tx, k string) (int64, bool, error) {
-			v, ok, err := tab.GetShared(tx, k)
-			n, ok := intOf(v, ok)
-			return n, ok, err
-		},
+		get:     func(tx *txn.Tx, k string) (int64, bool) { return intOf(tab.Get(tx, k)) },
 		del:     func(tx *txn.Tx, k string) error { return tab.Delete(tx, k) },
 		compact: tab.Compact,
 	})
@@ -71,14 +65,9 @@ func fiveStores() []model {
 	coll := document.NewStore("doc", mgr).Collection("c")
 	ms = append(ms, model{
 		name: "document", mgr: mgr,
-		insert: func(tx *txn.Tx, k string, n int64) error { return coll.Insert(tx, mmvalue.ObjectOf("_id", k, "n", n)) },
-		update: func(tx *txn.Tx, k string, n int64) error { return coll.SetPath(tx, k, "n", mmvalue.Int(n)) },
-		get:    func(tx *txn.Tx, k string) (int64, bool) { return intOf(coll.Get(tx, k)) },
-		shared: func(tx *txn.Tx, k string) (int64, bool, error) {
-			v, ok, err := coll.GetShared(tx, k)
-			n, ok := intOf(v, ok)
-			return n, ok, err
-		},
+		insert:  func(tx *txn.Tx, k string, n int64) error { return coll.Insert(tx, mmvalue.ObjectOf("_id", k, "n", n)) },
+		update:  func(tx *txn.Tx, k string, n int64) error { return coll.SetPath(tx, k, "n", mmvalue.Int(n)) },
+		get:     func(tx *txn.Tx, k string) (int64, bool) { return intOf(coll.Get(tx, k)) },
 		del:     coll.Delete,
 		compact: coll.Compact,
 	})
@@ -88,14 +77,9 @@ func fiveStores() []model {
 	put := func(tx *txn.Tx, k string, n int64) error { return kvs.Put(tx, k, mmvalue.ObjectOf("n", n)) }
 	ms = append(ms, model{
 		name: "kv", mgr: mgr,
-		insert: put,
-		update: put,
-		get:    func(tx *txn.Tx, k string) (int64, bool) { return intOf(kvs.Get(tx, k)) },
-		shared: func(tx *txn.Tx, k string) (int64, bool, error) {
-			v, ok, err := kvs.GetShared(tx, k)
-			n, ok := intOf(v, ok)
-			return n, ok, err
-		},
+		insert:  put,
+		update:  put,
+		get:     func(tx *txn.Tx, k string) (int64, bool) { return intOf(kvs.Get(tx, k)) },
 		del:     kvs.Delete,
 		compact: kvs.Compact,
 	})
@@ -111,12 +95,7 @@ func fiveStores() []model {
 		update: func(tx *txn.Tx, k string, n int64) error {
 			return xs.Update(tx, k, func(*xmlstore.Node) (*xmlstore.Node, error) { return elem(n), nil })
 		},
-		get: func(tx *txn.Tx, k string) (int64, bool) { return xmlOf(xs.Get(tx, k)) },
-		shared: func(tx *txn.Tx, k string) (int64, bool, error) {
-			v, ok, err := xs.GetShared(tx, k)
-			n, ok := xmlOf(v, ok)
-			return n, ok, err
-		},
+		get:     func(tx *txn.Tx, k string) (int64, bool) { return xmlOf(xs.Get(tx, k)) },
 		del:     xs.Delete,
 		compact: xs.Compact,
 	})
@@ -136,11 +115,6 @@ func fiveStores() []model {
 		get: func(tx *txn.Tx, k string) (int64, bool) {
 			v, ok := g.GetVertex(tx, graph.VID(k))
 			return intOf(v.Props, ok)
-		},
-		shared: func(tx *txn.Tx, k string) (int64, bool, error) {
-			v, ok, err := g.GetVertexShared(tx, graph.VID(k))
-			n, ok := intOf(v.Props, ok)
-			return n, ok, err
 		},
 		del:     func(tx *txn.Tx, k string) error { return g.RemoveVertex(tx, graph.VID(k)) },
 		compact: g.Compact,
@@ -179,15 +153,11 @@ func TestRecordLayerConformance(t *testing.T) {
 			want("snapshot", reader, "k", 1, true)
 			want("latest", nil, "k", 2, true)
 
-			// Read-your-own-writes, invisible to everyone else; a shared
-			// read by the writer returns its own write too.
+			// Read-your-own-writes, invisible to everyone else.
 			tx := m.mgr.Begin()
 			must("tx update", m.update(tx, "k", 3))
 			want("own write", tx, "k", 3, true)
 			want("uncommitted is private", nil, "k", 2, true)
-			if n, ok, err := m.shared(tx, "k"); err != nil || !ok || n != 3 {
-				t.Fatalf("shared read of own write = (%d, %v, %v), want (3, true, nil)", n, ok, err)
-			}
 
 			// Rollback restores the prior version.
 			tx.Abort()
@@ -213,14 +183,6 @@ func TestRecordLayerConformance(t *testing.T) {
 			want("compacted away", nil, "k", 0, false)
 			must("reinsert", m.insert(nil, "k", 4))
 			want("reinsert", nil, "k", 4, true)
-
-			// A shared read of a missing key locks the name: absent, and
-			// stays absent until the reader ends.
-			sr := m.mgr.Begin()
-			if _, ok, err := m.shared(sr, "later"); err != nil || ok {
-				t.Fatalf("shared read of missing key = (%v, %v)", ok, err)
-			}
-			sr.Abort()
 
 			// Lock wait, then re-check: a delete that queues behind an
 			// uncommitted insert must decide on the state it finds once

@@ -1,41 +1,24 @@
 package txn
 
-// Lock-entry garbage collection. Lock entries are resident: every
-// resource name ever locked — including names merely *probed*, since a
-// GetShared miss takes (and drops) a shared lock on a name that has no
-// version chain — leaves a permanent entry in its shard's index. A
-// point-read-miss workload, or an analytic scan probing sparse keys,
-// would grow the table unboundedly. SweepLockEntries removes every
-// entry that is provably idle, using a tombstone protocol that stays
-// correct against the lock-free shared fast path:
-//
-//  1. Under the shard mutex, an entry qualifies when its holders map is
-//     empty and it has no (exclusive-)waiters — facts owned by that
-//     mutex.
-//  2. The sweep then CASes the entry's state word from *exactly zero*
-//     to flagDead. Anonymous fast-path readers live only in the state
-//     count, so a non-zero word (reader count, exclusive flag, waiter
-//     flag) fails the CAS and the entry survives. A reader that
-//     CAS-increments first wins the race; a reader that arrives after
-//     sees flagDead and backs off to the slow path.
-//  3. Still in the same critical section, the entry is deleted from the
-//     shard index. The slow path re-checks flagDead after taking the
-//     shard mutex and re-resolves the name, so a raced acquire lands on
-//     a fresh entry — never on the orphan.
-//
-// Locks granted later simply re-create the entry; sweeping costs one
-// LoadOrStore on the next acquire of a swept name.
+// Lock-entry garbage collection. A lock entry outlives its release, so
+// every resource name ever locked stays in its shard's map — including
+// names that have no record, since LockExisting locks the name of a
+// missing key to serialize the absence with a concurrent creator. A
+// workload that keeps writing or deleting keys that do not exist would
+// grow the table unboundedly. SweepLockEntries removes every entry with
+// no holder and no waiter, under the shard mutex that guards both, so a
+// concurrent acquire either finds the entry before the sweep (and keeps
+// it busy) or re-creates it after.
 
 // SweepLockEntries removes idle lock-table entries (no holder, no
-// waiter, no fast-path reader) and returns how many were removed. It is
-// safe to run concurrently with transactions: busy entries are skipped
-// and raced acquires re-resolve. Callers should invoke it at a GC point
-// — udbms Compact runs it alongside version-chain GC at the published
-// commit watermark.
+// waiter) and returns how many were removed. It is safe to run
+// concurrently with transactions: busy entries are skipped. Callers
+// should invoke it at a GC point — udbms Compact runs it alongside
+// version-chain GC at the published commit watermark.
 func (m *Manager) SweepLockEntries() int { return m.locks.sweepEntries() }
 
-// LockEntryCount reports the number of resident lock-table entries
-// across all shards (a telemetry walk, not a constant-time counter).
+// LockEntryCount reports the number of lock-table entries across all
+// shards (a telemetry walk, not a constant-time counter).
 func (m *Manager) LockEntryCount() int { return m.locks.entryCount() }
 
 func (lt *lockTable) sweepEntries() int {
@@ -43,15 +26,12 @@ func (lt *lockTable) sweepEntries() int {
 	for i := range lt.shards {
 		s := &lt.shards[i]
 		s.mu.Lock()
-		s.entries.Range(func(k, v any) bool {
-			e := v.(*lockEntry)
-			if len(e.holders) == 0 && e.waiters == 0 && len(e.xwaiters) == 0 &&
-				e.state.CompareAndSwap(0, flagDead) {
-				s.entries.Delete(k)
+		for name, e := range s.entries {
+			if e.holder == 0 && e.waiters == 0 {
+				delete(s.entries, name)
 				removed++
 			}
-			return true
-		})
+		}
 		s.mu.Unlock()
 	}
 	return removed
@@ -60,7 +40,10 @@ func (lt *lockTable) sweepEntries() int {
 func (lt *lockTable) entryCount() int {
 	n := 0
 	for i := range lt.shards {
-		lt.shards[i].entries.Range(func(any, any) bool { n++; return true })
+		s := &lt.shards[i]
+		s.mu.Lock()
+		n += len(s.entries)
+		s.mu.Unlock()
 	}
 	return n
 }

@@ -3,12 +3,14 @@ package txn
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
-// A storm of shared-lock probes on names that are never locked again
-// (the GetShared-miss pattern) must not grow the lock table forever:
-// a sweep at a GC point reclaims every idle entry.
+// A storm of locks on names that are never locked again (the
+// LockExisting-miss pattern: a write to a key that does not exist locks
+// its name) must not grow the lock table forever: a sweep at a GC
+// point reclaims every idle entry.
 func TestSweepReclaimsMissStorm(t *testing.T) {
 	m := NewManager()
 	base := m.LockEntryCount()
@@ -16,13 +18,13 @@ func TestSweepReclaimsMissStorm(t *testing.T) {
 	const misses = 5000
 	for i := 0; i < misses; i++ {
 		tx := m.Begin()
-		if err := tx.LockShared(fmt.Sprintf("ghost/%d", i)); err != nil {
+		if err := tx.LockExclusive(fmt.Sprintf("ghost/%d", i)); err != nil {
 			t.Fatal(err)
 		}
 		tx.Abort()
 	}
 	if got := m.LockEntryCount(); got < base+misses {
-		t.Fatalf("expected >= %d resident entries after miss storm, got %d", base+misses, got)
+		t.Fatalf("expected >= %d entries after miss storm, got %d", base+misses, got)
 	}
 
 	removed := m.SweepLockEntries()
@@ -39,15 +41,15 @@ func TestSweepReclaimsMissStorm(t *testing.T) {
 		t.Fatal(err)
 	}
 	tx2 := m.Begin()
-	if err := tx2.LockShared("ghost/8"); err != nil {
+	if err := tx2.LockExclusive("ghost/8"); err != nil {
 		t.Fatal(err)
 	}
 	tx.Abort()
 	tx2.Abort()
 }
 
-// Entries with a live holder — named or anonymous fast-path — must
-// survive the sweep, and their locks must keep excluding.
+// Entries with a live holder must survive the sweep, and their locks
+// must keep excluding.
 func TestSweepSkipsHeldEntries(t *testing.T) {
 	m := NewManager()
 
@@ -55,15 +57,15 @@ func TestSweepSkipsHeldEntries(t *testing.T) {
 	if err := wr.LockExclusive("held/x"); err != nil {
 		t.Fatal(err)
 	}
-	rd := m.Begin()
-	if err := rd.LockShared("held/s"); err != nil { // fast path: anonymous count
+	wr2 := m.Begin()
+	if err := wr2.LockExclusive("held/y"); err != nil {
 		t.Fatal(err)
 	}
 
 	m.SweepLockEntries()
 
-	// The exclusive lock still excludes after the sweep: a second
-	// writer must conflict, not be granted on a fresh orphan entry.
+	// The lock still excludes after the sweep: a second writer must
+	// conflict, not be granted on a fresh orphan entry.
 	blocked := make(chan struct{})
 	go func() {
 		tx := m.Begin()
@@ -74,25 +76,27 @@ func TestSweepSkipsHeldEntries(t *testing.T) {
 	wr.Abort()
 	<-blocked
 
-	// The fast-path shared hold kept its entry alive too: releasing it
-	// must not touch freed state (the race detector would flag it).
-	rd.Abort()
+	// The second held entry survived too: releasing it must not touch
+	// freed state (the race detector would flag it).
+	wr2.Abort()
 
 	if removed := m.SweepLockEntries(); removed < 2 {
 		t.Fatalf("post-release sweep removed %d, want >= 2", removed)
 	}
 }
 
-// Sweeps racing fast-path readers and writers must never grant two
-// owners or lose a release: the flagDead tombstone protocol forces a
-// raced reader onto the slow path where it re-resolves the name. Run
+// Sweeps racing lock traffic must never grant two owners or lose a
+// release: an entry with a holder or a sleeping waiter is never
+// removed, so every acquire of a name lands on the one live entry. Run
 // under -race, this is the memory-safety gate for the GC.
 func TestSweepRacesLockTraffic(t *testing.T) {
 	m := NewManager()
 	const (
 		workers = 8
 		rounds  = 400
+		names   = 7
 	)
+	var owners [names]atomic.Int32
 	stop := make(chan struct{})
 	var sweeper sync.WaitGroup
 	sweeper.Add(1)
@@ -115,15 +119,14 @@ func TestSweepRacesLockTraffic(t *testing.T) {
 			defer traffic.Done()
 			for i := 0; i < rounds; i++ {
 				tx := m.Begin()
-				name := fmt.Sprintf("hot/%d", i%7)
-				var err error
-				if w%2 == 0 {
-					err = tx.LockShared(name)
-				} else {
-					err = tx.LockExclusive(name)
-				}
-				if err != nil && err != ErrDeadlock {
+				n := i % names
+				if err := tx.LockExclusive(fmt.Sprintf("hot/%d", n)); err != nil {
 					t.Errorf("worker %d: %v", w, err)
+				} else {
+					if owners[n].Add(1) != 1 {
+						t.Errorf("worker %d: two owners of hot/%d", w, n)
+					}
+					owners[n].Add(-1)
 				}
 				tx.Abort()
 			}

@@ -6,13 +6,10 @@ import "time"
 // no activity are omitted from snapshots, so Shard identifies which of
 // the numLockShards stripes the counters belong to.
 type ShardLockStats struct {
-	Shard    int    `json:"shard"`
-	Acquires uint64 `json:"acquires"`
-	// SharedFast counts the subset of Acquires granted on the lock-free
-	// shared fast path (reader-count CAS, no shard mutex).
-	SharedFast uint64        `json:"shared_fast"`
-	Waits      uint64        `json:"waits"`
-	WaitNS     time.Duration `json:"wait_ns"`
+	Shard    int           `json:"shard"`
+	Acquires uint64        `json:"acquires"`
+	Waits    uint64        `json:"waits"`
+	WaitNS   time.Duration `json:"wait_ns"`
 }
 
 // DetectorStats summarizes the background deadlock detector's work: how
@@ -34,12 +31,11 @@ type DetectorStats struct {
 // only, ordered by shard index). Counters are monotone, so the
 // telemetry of a bounded run is the Delta of two snapshots.
 type LockStats struct {
-	Acquires   uint64           `json:"acquires"`
-	SharedFast uint64           `json:"shared_fast"`
-	Waits      uint64           `json:"waits"`
-	WaitNS     time.Duration    `json:"wait_ns"`
-	Detector   DetectorStats    `json:"detector"`
-	Shards     []ShardLockStats `json:"shards"`
+	Acquires uint64           `json:"acquires"`
+	Waits    uint64           `json:"waits"`
+	WaitNS   time.Duration    `json:"wait_ns"`
+	Detector DetectorStats    `json:"detector"`
+	Shards   []ShardLockStats `json:"shards"`
 }
 
 // WaitRate returns the fraction of acquires that blocked.
@@ -60,10 +56,9 @@ func (s LockStats) Delta(prev LockStats) LockStats {
 		prevShards[ps.Shard] = ps
 	}
 	out := LockStats{
-		Acquires:   s.Acquires - prev.Acquires,
-		SharedFast: s.SharedFast - prev.SharedFast,
-		Waits:      s.Waits - prev.Waits,
-		WaitNS:     s.WaitNS - prev.WaitNS,
+		Acquires: s.Acquires - prev.Acquires,
+		Waits:    s.Waits - prev.Waits,
+		WaitNS:   s.WaitNS - prev.WaitNS,
 		Detector: DetectorStats{
 			Sweeps:     s.Detector.Sweeps - prev.Detector.Sweeps,
 			Cycles:     s.Detector.Cycles - prev.Detector.Cycles,
@@ -74,11 +69,10 @@ func (s LockStats) Delta(prev LockStats) LockStats {
 	for _, sh := range s.Shards {
 		p := prevShards[sh.Shard]
 		d := ShardLockStats{
-			Shard:      sh.Shard,
-			Acquires:   sh.Acquires - p.Acquires,
-			SharedFast: sh.SharedFast - p.SharedFast,
-			Waits:      sh.Waits - p.Waits,
-			WaitNS:     sh.WaitNS - p.WaitNS,
+			Shard:    sh.Shard,
+			Acquires: sh.Acquires - p.Acquires,
+			Waits:    sh.Waits - p.Waits,
+			WaitNS:   sh.WaitNS - p.WaitNS,
 		}
 		if d.Acquires != 0 || d.Waits != 0 || d.WaitNS != 0 {
 			out.Shards = append(out.Shards, d)
@@ -101,7 +95,6 @@ func (s LockStats) Merge(other LockStats) LockStats {
 			acc := byShard[sh.Shard]
 			acc.Shard = sh.Shard
 			acc.Acquires += sh.Acquires
-			acc.SharedFast += sh.SharedFast
 			acc.Waits += sh.Waits
 			acc.WaitNS += sh.WaitNS
 			byShard[sh.Shard] = acc
@@ -115,10 +108,9 @@ func (s LockStats) Merge(other LockStats) LockStats {
 		interval = other.Detector.IntervalNS
 	}
 	out := LockStats{
-		Acquires:   s.Acquires + other.Acquires,
-		SharedFast: s.SharedFast + other.SharedFast,
-		Waits:      s.Waits + other.Waits,
-		WaitNS:     s.WaitNS + other.WaitNS,
+		Acquires: s.Acquires + other.Acquires,
+		Waits:    s.Waits + other.Waits,
+		WaitNS:   s.WaitNS + other.WaitNS,
 		Detector: DetectorStats{
 			Sweeps:     s.Detector.Sweeps + other.Detector.Sweeps,
 			Cycles:     s.Detector.Cycles + other.Detector.Cycles,
@@ -147,24 +139,22 @@ func (lt *lockTable) stats() LockStats {
 	for i := range lt.shards {
 		s := &lt.shards[i]
 		acq := s.acquires.Load()
-		fast := s.sharedFast.Load()
 		waits := s.waits.Load()
 		wt := time.Duration(s.waitNS.Load())
 		if acq == 0 && waits == 0 {
 			continue
 		}
 		out.Acquires += acq
-		out.SharedFast += fast
 		out.Waits += waits
 		out.WaitNS += wt
 		out.Shards = append(out.Shards, ShardLockStats{
-			Shard: i, Acquires: acq, SharedFast: fast, Waits: waits, WaitNS: wt,
+			Shard: i, Acquires: acq, Waits: waits, WaitNS: wt,
 		})
 	}
 	d := &lt.det
 	d.mu.Lock()
 	out.Detector = DetectorStats{
-		Sweeps: d.sweeps, Cycles: d.cycles, Victims: d.victims, IntervalNS: d.interval,
+		Sweeps: d.sweeps, Cycles: d.cycles, Victims: d.victims, IntervalNS: DefaultDetectorInterval,
 	}
 	d.mu.Unlock()
 	return out

@@ -6,13 +6,6 @@ import (
 	"time"
 )
 
-type lockMode uint8
-
-const (
-	lockShared lockMode = iota
-	lockExclusive
-)
-
 // numLockShards is the number of independent lock-table shards. Must be
 // a power of two (shard selection masks the key hash). 64 shards keep
 // the probability of two hot records colliding low while the per-shard
@@ -49,57 +42,25 @@ func fnv32a(s string) uint32 {
 	return h
 }
 
-// Entry state word layout (lockEntry.state). The low 32 bits count
-// fast-path shared holders (anonymous readers granted by CAS without
-// the shard mutex); the flag bits mirror, for the lock-free reader
-// path, facts whose source of truth lives under the shard mutex.
-const (
-	// fastCountMask extracts the fast-path shared-reader count.
-	fastCountMask uint64 = (1 << 32) - 1
-	// flagExclusive is set exactly while an exclusive holder exists in
-	// the entry's holders map. Set atomically with the writer's grant
-	// (CAS against a zero reader count), cleared at release.
-	flagExclusive uint64 = 1 << 32
-	// flagWaiters is set while at least one transaction sleeps on this
-	// entry. New fast-path readers back off to the slow path while it is
-	// set, so a storm of readers cannot starve a blocked writer.
-	flagWaiters uint64 = 1 << 33
-	// flagDead marks an entry removed from its shard's index by
-	// sweepEntries. It is only ever CAS-set from an exactly-zero state
-	// word under the shard mutex, in the same critical section as the
-	// index delete, and is never cleared: a raced fast-path reader
-	// backs off to the slow path, which re-resolves the name to a
-	// fresh entry under the mutex.
-	flagDead uint64 = 1 << 34
-)
-
 // DefaultDetectorInterval is the cadence of the background deadlock
 // detector: the upper bound a deadlocked transaction waits before a
-// sweep finds the cycle and marks a victim. Override per manager with
-// SetDetectorInterval.
+// sweep finds the cycle and marks a victim.
 const DefaultDetectorInterval = time.Millisecond
 
 // lockTable implements strict two-phase locking over string-named
-// resources. The table is striped: entries are sharded by resource-key
-// hash, each shard with its own mutex and condition variable, so
-// acquires of unrelated resources never contend and a release only
-// wakes waiters in its own shard.
+// resources with one lock mode, exclusive: snapshot readers never lock,
+// so every lock is a writer's, held to commit. The table is striped:
+// entries are sharded by resource-key hash, each shard with its own
+// mutex and condition variable, so acquires of unrelated resources
+// never contend and a release only wakes waiters in its own shard.
 //
-// Shared locks additionally have a contention-free fast path: when an
-// entry has no exclusive holder and no sleeping waiter, a reader
-// CAS-increments the entry's fast reader count and never touches the
-// shard mutex. Entries are therefore *resident*: once created for a
-// resource they stay in the shard's lock-free index (the table grows
-// with the set of resources ever locked — including names merely
-// probed by a GetShared miss), which is what makes a raced fast-path
-// pointer safe to CAS against. Residency is bounded by sweepEntries:
-// at a GC point (udbms Compact, keyed off the published watermark) an
-// entry with no holders and no waiters is tombstoned with flagDead and
-// removed; the flag makes a raced CAS fail so the reader re-resolves
-// the name through the slow path.
+// An entry is created on the first acquire of its name and stays in
+// the shard's map after release, so steady-state acquires of a hot
+// record allocate nothing. Idle entries (no holder, no waiter) are
+// removed by sweepEntries at a GC point — see lockgc.go.
 //
 // Deadlock detection is batched: a blocked acquire only records its
-// wait-for edges; a background sweeper goroutine — spawned when the
+// wait-for edge; a background sweeper goroutine — spawned when the
 // first waiter appears, exiting when the graph drains — runs one DFS
 // over the whole cross-shard graph per interval and marks victims.
 type lockTable struct {
@@ -110,63 +71,30 @@ type lockTable struct {
 type lockShard struct {
 	mu   sync.Mutex
 	cond *sync.Cond
-	// entries is the lock-free resource index: resource name ->
-	// *lockEntry. Entries are created under mu (slow path) and never
-	// removed, so a pointer loaded here is valid forever.
-	entries sync.Map
-	// Telemetry. Atomics, not mutex-guarded counters: the shared fast
-	// path must count acquires without ever taking mu.
-	acquires   atomic.Uint64 // acquire calls routed to this shard
-	sharedFast atomic.Uint64 // shared acquires granted on the lock-free fast path
-	waits      atomic.Uint64 // acquires that blocked at least once
-	waitNS     atomic.Int64  // wall time spent asleep in cond.Wait
+	// entries maps resource name -> lock entry; guarded by mu.
+	entries map[string]*lockEntry
+	// Telemetry. Atomics so a stats snapshot never takes mu.
+	acquires atomic.Uint64 // acquire calls routed to this shard
+	waits    atomic.Uint64 // acquires that blocked at least once
+	waitNS   atomic.Int64  // wall time spent asleep in cond.Wait
 }
 
+// lockEntry is the state of one lock, guarded by its shard mutex.
 type lockEntry struct {
-	// state is the lock-free view: fast reader count + flags. See the
-	// flag constants for the layout and ownership rules.
-	state atomic.Uint64
-	// holders maps txID -> mode currently granted via the slow path.
-	// Guarded by the shard mutex. Fast-path readers are anonymous: they
-	// live only in the state count (and in their transaction's held-lock
-	// list, which promotes them into holders if the transaction ever
-	// blocks, keeping deadlock detection sound).
-	holders map[uint64]lockMode
-	// waiters counts transactions currently asleep on this entry;
-	// guarded by the shard mutex. Its zero/non-zero transitions drive
-	// flagWaiters.
+	// holder is the transaction holding the lock; 0 when free
+	// (transaction IDs start at 1).
+	holder uint64
+	// waiters counts transactions currently asleep on this entry; the
+	// sweep never removes an entry a waiter will wake up on.
 	waiters int
-	// xwaiters is the set of transactions sleeping on this entry that
-	// want the lock exclusively. New shared requests queue behind them
-	// (no reader pile-on past a waiting writer) and take wait-for edges
-	// to them. Guarded by the shard mutex; allocated on first writer
-	// wait.
-	xwaiters map[uint64]struct{}
 }
 
-// fastHoldPromoter is implemented by *Tx: promoteFastHolds converts the
-// transaction's anonymous fast-path shared holds into named holders-map
-// entries. The lock table calls it once, without holding any shard
-// mutex, before a transaction first sleeps — a sleeping transaction's
-// shared holds must be visible to the deadlock detector, or a writer
-// blocked on them would wait on an edge the wait-for graph cannot see.
-// hasFastHolds lets the table skip the mutex round trip when there is
-// nothing to promote (it reads only caller-goroutine-owned state).
-type fastHoldPromoter interface {
-	hasFastHolds() bool
-	promoteFastHolds()
-}
-
-// heldLock records one lock held by a transaction: the key, the entry
-// it was granted on (entries are resident, so the pointer stays valid),
-// the granted mode, and whether the grant was the anonymous shared fast
-// path (released by count decrement) or a holders-map grant (released
-// under the shard mutex).
+// heldLock records one lock held by a transaction: the key and the
+// entry it was granted on. A held entry is never swept, so release
+// reaches it without a map lookup.
 type heldLock struct {
 	key   ResourceKey
 	entry *lockEntry
-	mode  lockMode
-	fast  bool
 }
 
 // detector owns the cross-shard deadlock state: the wait-for graph, the
@@ -176,8 +104,7 @@ type heldLock struct {
 // around — the background sweeper collects victims under det.mu, drops
 // it, and only then takes shard mutexes to broadcast.
 type detector struct {
-	mu       sync.Mutex
-	interval time.Duration
+	mu sync.Mutex
 	// waitsFor[a] = set of txIDs that a is currently waiting on.
 	waitsFor map[uint64]map[uint64]struct{}
 	// aborted marks waiters chosen as deadlock victims so they stop
@@ -198,7 +125,6 @@ type detector struct {
 func newLockTable() *lockTable {
 	lt := &lockTable{
 		det: detector{
-			interval:  DefaultDetectorInterval,
 			waitsFor:  make(map[uint64]map[uint64]struct{}),
 			aborted:   make(map[uint64]struct{}),
 			waitShard: make(map[uint64]*lockShard),
@@ -207,270 +133,60 @@ func newLockTable() *lockTable {
 	for i := range lt.shards {
 		s := &lt.shards[i]
 		s.cond = sync.NewCond(&s.mu)
+		s.entries = make(map[string]*lockEntry)
 	}
 	return lt
 }
 
-// getOrCreate returns the resident entry for name, creating it on first
-// use. Safe without the shard mutex (sync.Map), but creation normally
-// happens on the slow path anyway.
-func (s *lockShard) getOrCreate(name string) *lockEntry {
-	if v, ok := s.entries.Load(name); ok {
-		return v.(*lockEntry)
-	}
-	v, _ := s.entries.LoadOrStore(name, &lockEntry{holders: make(map[uint64]lockMode, 2)})
-	return v.(*lockEntry)
-}
-
-// acquireSharedFast tries the contention-free shared-lock grant: if the
-// entry exists and has no exclusive holder and no sleeping waiter, a
-// single CAS increments the reader count and the acquire is done — no
-// shard mutex, no allocation. It returns nil when the caller must take
-// the slow path (entry missing or swept, writer present, or waiters
-// queued).
-func (lt *lockTable) acquireSharedFast(key ResourceKey) *lockEntry {
-	s := &lt.shards[key.shard]
-	v, ok := s.entries.Load(key.name)
-	if !ok {
-		return nil
-	}
-	e := v.(*lockEntry)
-	for {
-		st := e.state.Load()
-		if st&(flagExclusive|flagWaiters|flagDead) != 0 {
-			return nil
-		}
-		if e.state.CompareAndSwap(st, st+1) {
-			s.acquires.Add(1)
-			s.sharedFast.Add(1)
-			return e
-		}
-	}
-}
-
-// releaseFastShared drops one fast-path shared hold. Only when the
-// count drains to zero with a waiter flagged does it touch the shard
-// mutex, to hand off to a blocked writer without a lost wakeup: the
-// writer re-checks the count under the mutex, so it either saw zero
-// already or is in cond.Wait when the broadcast arrives.
-func (lt *lockTable) releaseFastShared(key ResourceKey, e *lockEntry) {
-	st := e.state.Add(^uint64(0)) // decrement reader count
-	if st&fastCountMask == 0 && st&flagWaiters != 0 {
-		s := &lt.shards[key.shard]
-		s.mu.Lock()
-		s.cond.Broadcast()
-		s.mu.Unlock()
-	}
-}
-
-// promoteFastShared converts one anonymous fast-path shared hold of
-// txID into a named holders-map entry, waking the shard so any writer
-// blocked on the drained count re-evaluates (and records a wait-for
-// edge to txID, which the background detector can now see). Called
-// while the promoting transaction holds no shard mutex.
-func (lt *lockTable) promoteFastShared(txID uint64, key ResourceKey, e *lockEntry) {
-	s := &lt.shards[key.shard]
-	s.mu.Lock()
-	e.holders[txID] = lockShared
-	e.state.Add(^uint64(0)) // the anonymous count ref becomes the holders entry
-	s.cond.Broadcast()
-	s.mu.Unlock()
-}
-
-// acquire blocks until the lock is granted or the caller is chosen as a
-// deadlock victim. It returns granted=true when a new lock was granted
-// and granted=false when the transaction already held a sufficient
-// lock; waited reports whether the call ever blocked (and therefore
-// registered state in the detector); entry is the resident lock entry
-// (valid on every return, for release bookkeeping). pr, when non-nil,
-// is invoked once before the caller first sleeps so its fast-path
-// shared holds become visible to the deadlock detector.
-func (lt *lockTable) acquire(txID uint64, key ResourceKey, mode lockMode, pr fastHoldPromoter) (granted, waited bool, entry *lockEntry, err error) {
+// acquire blocks until txID holds key's lock or is chosen as a deadlock
+// victim. The caller must not already hold the lock (Tx.lock filters
+// re-entry). waited reports whether the call ever blocked (and
+// therefore registered state in the detector); entry is the lock entry
+// (valid on every return, for release bookkeeping).
+func (lt *lockTable) acquire(txID uint64, key ResourceKey) (waited bool, entry *lockEntry, err error) {
 	s := &lt.shards[key.shard]
 	s.acquires.Add(1)
-	e := s.getOrCreate(key.name)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// slept tracks whether this acquire already counted toward s.waits
-	// (one blocked acquire, however many times it re-sleeps); promoted
-	// whether the pre-sleep fast-hold promotion already ran.
-	slept := false
-	promoted := pr == nil
-
+	e := s.entries[key.name]
+	if e == nil {
+		e = &lockEntry{}
+		s.entries[key.name] = e
+	}
 	for {
-		// The entry may have been fetched outside the mutex (before the
-		// Lock above, or across the promotion window below, which drops
-		// it): a concurrent sweep may have tombstoned and removed it in
-		// between. Dead entries are marked and deleted in one critical
-		// section under this mutex, so re-resolving under the mutex
-		// yields a live entry.
-		for e.state.Load()&flagDead != 0 {
-			e = s.getOrCreate(key.name)
-		}
 		if waited {
-			// Refresh our wait edges each retry so released blockers do
+			// Refresh our wait edge each retry so a released holder does
 			// not linger in the graph and cause spurious victims, and
 			// honor a victim marking before re-checking grantability.
 			// A transaction that never waited has no detector state, so
-			// the fast path skips the detector lock entirely.
+			// the uncontended path skips the detector lock entirely.
 			lt.det.clearWaits(txID)
 			if lt.det.consumeAborted(txID) {
-				// Our departure may have emptied xwaiters: shared
-				// requests queued behind us must re-evaluate, and no
-				// release will ever broadcast on their behalf if the
-				// holders they were compatible with are already gone.
-				s.cond.Broadcast()
-				return false, true, e, ErrDeadlock
+				return true, e, ErrDeadlock
 			}
 		}
-		if held, ok := e.holders[txID]; ok {
-			if held == lockExclusive || mode == lockShared {
-				return false, waited, e, nil // already sufficient
-			}
-			// Upgrade S -> X: fall through and wait until we are the
-			// only holder and the fast reader count is drained.
-		}
-		if mode == lockExclusive {
-			if !hasOtherHolder(e, txID) {
-				// The holders map is clear; the grant still has to beat
-				// the lock-free readers. CAS-setting flagExclusive
-				// against a zero fast count closes the race: a reader
-				// that increments first fails our CAS, a reader after
-				// our CAS sees the flag and backs off.
-				st := e.state.Load()
-				if st&fastCountMask == 0 && e.state.CompareAndSwap(st, st|flagExclusive) {
-					e.holders[txID] = lockExclusive
-					if waited {
-						lt.det.onGrant(txID)
-					}
-					return true, waited, e, nil
-				}
-			}
-		} else {
-			// Shared slow path: compatible with other shared holders
-			// (named or fast), but queues behind a waiting writer so
-			// readers cannot pile on past it.
-			if !hasExclusiveHolder(e, txID) && len(e.xwaiters) == 0 {
-				e.holders[txID] = lockShared
-				if waited {
-					lt.det.onGrant(txID)
-				}
-				return true, waited, e, nil
-			}
-		}
-		// Record wait edges to every conflicting holder (and, for a
-		// shared request, to the writers queued ahead), then sleep; the
-		// background detector sweeps the graph for cycles.
-		lt.det.addWaits(txID, blockersFor(e, txID, mode), s)
-		waited = true
-		if !promoted {
-			promoted = true
-			if pr.hasFastHolds() {
-				// First block: make our anonymous shared holds visible
-				// to the detector. Promotion takes other shards'
-				// mutexes, and shard mutexes are never nested — drop
-				// ours, promote, retake, and re-evaluate from scratch.
-				s.mu.Unlock()
-				pr.promoteFastHolds()
-				s.mu.Lock()
-				continue
-			}
-		}
-		if !slept {
-			s.waits.Add(1)
-			slept = true
-		}
-		e.waiters++
-		if e.waiters == 1 {
-			e.state.Or(flagWaiters)
-		}
-		if mode == lockExclusive {
-			if e.xwaiters == nil {
-				e.xwaiters = make(map[uint64]struct{}, 2)
-			}
-			e.xwaiters[txID] = struct{}{}
-			// Re-check the reader count now that flagWaiters is
-			// published. A fast reader that drained the count between
-			// our grant check and the flag-set saw no flag and skipped
-			// the handoff broadcast; sleeping here would be forever
-			// (an anonymous reader also leaves no wait-for edge for
-			// the detector to find). With the flag visible no new
-			// reader can increment, the count can only fall — so if it
-			// is zero now the grant CAS cannot be raced and must
-			// succeed; if it is not, the last reader is guaranteed to
-			// see the flag and broadcast, and sleeping is safe.
-			st := e.state.Load()
-			if st&fastCountMask == 0 && !hasOtherHolder(e, txID) &&
-				e.state.CompareAndSwap(st, st|flagExclusive) {
-				e.waiters--
-				if e.waiters == 0 {
-					e.state.And(^flagWaiters)
-				}
-				delete(e.xwaiters, txID)
-				e.holders[txID] = lockExclusive
+		if e.holder == 0 {
+			e.holder = txID
+			if waited {
 				lt.det.onGrant(txID)
-				return true, true, e, nil
 			}
+			return waited, e, nil
+		}
+		// Record the wait edge to the holder, then sleep; the
+		// background detector sweeps the graph for cycles.
+		lt.det.addWait(txID, e.holder, s)
+		if !waited {
+			s.waits.Add(1)
+			waited = true
 		}
 		// Time each sleep individually so only genuinely blocked time
 		// lands in waitNS — awake retry work is not billed.
+		e.waiters++
 		sleepStart := time.Now()
 		s.cond.Wait()
 		e.waiters--
-		if e.waiters == 0 {
-			e.state.And(^flagWaiters)
-		}
-		if mode == lockExclusive {
-			delete(e.xwaiters, txID)
-		}
 		s.waitNS.Add(int64(time.Since(sleepStart)))
 	}
-}
-
-// hasOtherHolder reports whether any transaction other than txID holds
-// the entry in any mode (fast-path readers excluded — the caller checks
-// the state count separately).
-func hasOtherHolder(e *lockEntry, txID uint64) bool {
-	for holder := range e.holders {
-		if holder != txID {
-			return true
-		}
-	}
-	return false
-}
-
-// hasExclusiveHolder reports whether a transaction other than txID
-// holds the entry exclusively.
-func hasExclusiveHolder(e *lockEntry, txID uint64) bool {
-	for holder, hm := range e.holders {
-		if holder != txID && hm == lockExclusive {
-			return true
-		}
-	}
-	return false
-}
-
-// blockersFor lists the transactions a blocked request waits on: every
-// conflicting holder, plus — for shared requests — the writers queued
-// ahead of it.
-func blockersFor(e *lockEntry, txID uint64, mode lockMode) []uint64 {
-	var out []uint64
-	for holder, hm := range e.holders {
-		if holder == txID {
-			continue
-		}
-		if mode == lockExclusive || hm == lockExclusive {
-			out = append(out, holder)
-		}
-	}
-	if mode == lockShared {
-		for w := range e.xwaiters {
-			if w != txID {
-				out = append(out, w)
-			}
-		}
-	}
-	return out
 }
 
 // release drops the given locks held by txID, waking only the affected
@@ -479,18 +195,9 @@ func blockersFor(e *lockEntry, txID uint64, mode lockMode) []uint64 {
 func (lt *lockTable) release(txID uint64, held []heldLock, waited bool) {
 	for i := range held {
 		h := &held[i]
-		if h.fast {
-			lt.releaseFastShared(h.key, h.entry)
-			continue
-		}
 		s := &lt.shards[h.key.shard]
 		s.mu.Lock()
-		if hm, ok := h.entry.holders[txID]; ok {
-			delete(h.entry.holders, txID)
-			if hm == lockExclusive {
-				h.entry.state.And(^flagExclusive)
-			}
-		}
+		h.entry.holder = 0
 		s.cond.Broadcast()
 		s.mu.Unlock()
 	}
@@ -501,21 +208,18 @@ func (lt *lockTable) release(txID uint64, held []heldLock, waited bool) {
 
 // --- detector ---
 
-// addWaits records txID's wait edges to blockers (noting the shard it
-// will sleep on) and ensures the background sweeper is running. Unlike
-// the old per-acquire DFS, no cycle search happens here: the sweeper
-// finds cycles in batch, so a blocked acquire pays one map update
-// instead of a graph traversal.
-func (d *detector) addWaits(txID uint64, blockers []uint64, s *lockShard) {
+// addWait records txID's wait edge to blocker (noting the shard it
+// will sleep on) and ensures the background sweeper is running. No
+// cycle search happens here: the sweeper finds cycles in batch, so a
+// blocked acquire pays one map update instead of a graph traversal.
+func (d *detector) addWait(txID, blocker uint64, s *lockShard) {
 	d.mu.Lock()
 	w := d.waitsFor[txID]
 	if w == nil {
-		w = make(map[uint64]struct{}, len(blockers))
+		w = make(map[uint64]struct{}, 1)
 		d.waitsFor[txID] = w
 	}
-	for _, b := range blockers {
-		w[b] = struct{}{}
-	}
+	w[blocker] = struct{}{}
 	d.waitShard[txID] = s
 	if !d.running {
 		// First waiter: spawn the sweeper, which sweeps immediately —
@@ -541,14 +245,13 @@ func (d *detector) run() {
 		}
 		d.sweeps++
 		wake := d.sweepLocked()
-		iv := d.interval
 		d.mu.Unlock()
 		for _, s := range wake {
 			s.mu.Lock()
 			s.cond.Broadcast()
 			s.mu.Unlock()
 		}
-		time.Sleep(iv)
+		time.Sleep(DefaultDetectorInterval)
 	}
 }
 

@@ -31,36 +31,25 @@ func keysOnDistinctShards(t *testing.T, n int) []ResourceKey {
 // TestLockAcquireReleaseZeroAlloc pins the tentpole property: steady-
 // state exclusive acquire + release on a precomputed (interned) key
 // performs zero allocations. AllocsPerRun's warm-up call absorbs the
-// one-time entry allocation; afterwards the resident entry is reused
+// one-time entry allocation; afterwards the kept entry is reused
 // forever.
 func TestLockAcquireReleaseZeroAlloc(t *testing.T) {
 	lt := newLockTable()
 	key := NewResourceKey("orders/o-000042")
-	_, _, e, err := lt.acquire(1, key, lockExclusive, nil)
+	_, e, err := lt.acquire(1, key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	held := []heldLock{{key: key, entry: e, mode: lockExclusive}}
+	held := []heldLock{{key: key, entry: e}}
 	lt.release(1, held, false)
 	allocs := testing.AllocsPerRun(1000, func() {
-		if _, _, _, err := lt.acquire(1, key, lockExclusive, nil); err != nil {
+		if _, _, err := lt.acquire(1, key); err != nil {
 			t.Fatal(err)
 		}
 		lt.release(1, held, false)
 	})
 	if allocs != 0 {
 		t.Errorf("acquire+release on interned key allocated %.1f times per run, want 0", allocs)
-	}
-	// Shared mode (slow path) too.
-	heldShared := []heldLock{{key: key, entry: e, mode: lockShared}}
-	allocs = testing.AllocsPerRun(1000, func() {
-		if _, _, _, err := lt.acquire(1, key, lockShared, nil); err != nil {
-			t.Fatal(err)
-		}
-		lt.release(1, heldShared, false)
-	})
-	if allocs != 0 {
-		t.Errorf("shared acquire+release allocated %.1f times per run, want 0", allocs)
 	}
 }
 
@@ -231,15 +220,15 @@ func BenchmarkLockAcquireRelease(b *testing.B) {
 	b.Run("interned", func(b *testing.B) {
 		lt := newLockTable()
 		key := NewResourceKey("orders/o-000042")
-		_, _, e, err := lt.acquire(1, key, lockExclusive, nil)
+		_, e, err := lt.acquire(1, key)
 		if err != nil {
 			b.Fatal(err)
 		}
-		held := []heldLock{{key: key, entry: e, mode: lockExclusive}}
+		held := []heldLock{{key: key, entry: e}}
 		lt.release(1, held, false)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, _, err := lt.acquire(1, key, lockExclusive, nil); err != nil {
+			if _, _, err := lt.acquire(1, key); err != nil {
 				b.Fatal(err)
 			}
 			lt.release(1, held, false)
@@ -251,43 +240,11 @@ func BenchmarkLockAcquireRelease(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			key := NewResourceKey(store + "/" + id)
-			_, _, e, err := lt.acquire(1, key, lockExclusive, nil)
+			_, e, err := lt.acquire(1, key)
 			if err != nil {
 				b.Fatal(err)
 			}
-			lt.release(1, []heldLock{{key: key, entry: e, mode: lockExclusive}}, false)
+			lt.release(1, []heldLock{{key: key, entry: e}}, false)
 		}
 	})
-}
-
-// TestSharedThenUpgradeAcrossWaiters reproduces the S->X upgrade path
-// on the striped table: two shared holders, one upgrades, the other
-// releases, the upgrade must then be granted.
-func TestSharedThenUpgradeAcrossWaiters(t *testing.T) {
-	m := NewManager()
-	key := NewResourceKey("upg/k")
-	t1, t2 := m.Begin(), m.Begin()
-	if err := t1.LockSharedKey(key); err != nil {
-		t.Fatal(err)
-	}
-	if err := t2.LockSharedKey(key); err != nil {
-		t.Fatal(err)
-	}
-	upgraded := make(chan error, 1)
-	go func() { upgraded <- t1.LockExclusiveKey(key) }()
-	select {
-	case err := <-upgraded:
-		t.Fatalf("upgrade granted while second shared holder exists (err=%v)", err)
-	case <-time.After(50 * time.Millisecond):
-	}
-	t2.Abort()
-	select {
-	case err := <-upgraded:
-		if err != nil {
-			t.Fatalf("upgrade after release: %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("upgrade never granted")
-	}
-	t1.Abort()
 }

@@ -12,9 +12,8 @@ import (
 // from record key to version chain that owns everything model-agnostic
 // about a record — its interned lock key, the lock-then-recheck
 // protocol, the write / undo / commit-stamp ritual, snapshot-vs-latest
-// visibility for point reads and ordered scans, serializable
-// shared-lock reads, advisory secondary indexes, a committed-write
-// counter and version garbage collection. The relational, document,
+// visibility for point reads and ordered scans, advisory secondary
+// indexes, a committed-write counter and version garbage collection. The relational, document,
 // key-value and XML stores are each a Records plus what is specific to
 // their model (schema, filters, XPath, WAL op encodings); the graph
 // store keeps hash-keyed records and drives its chains through the
@@ -140,35 +139,6 @@ func (r *Records[T]) Get(tx *Tx, key string) (T, bool) {
 	}
 	var zero T
 	return zero, false
-}
-
-// GetShared is the serializable read mode: a shared lock on the record,
-// held to commit like every lock, keeps the returned latest committed
-// value stable until tx ends. When the record is missing, its *name* is
-// locked shared so the absence serializes against a concurrent creator
-// (which must take the same lock to insert) and the lookup is retried;
-// when present, the interned chain key is locked and the chain is read
-// at the oracle's current edge — under the shared lock no writer can be
-// stamping this chain, so that read is the stable latest committed
-// value (or the transaction's own uncommitted write, if it already
-// holds an exclusive lock here). Uncontended shared locks are granted
-// on the lock table's contention-free fast path. tx must be non-nil.
-func (r *Records[T]) GetShared(tx *Tx, key string) (T, bool, error) {
-	var zero T
-	c, ok := r.chains.Get(key)
-	if !ok {
-		if err := tx.LockShared(r.prefix + key); err != nil {
-			return zero, false, err
-		}
-		if c, ok = r.chains.Get(key); !ok {
-			return zero, false, nil
-		}
-	}
-	if err := tx.LockSharedKey(c.Res); err != nil {
-		return zero, false, err
-	}
-	v, live := c.Current(tx)
-	return v, live, nil
 }
 
 // Scan calls fn for every live record with from <= key < to (empty to =

@@ -4,10 +4,10 @@
 // detection, the transaction object that ties them together, and — one
 // level up — the record layer the stores are built on: Records, an
 // ordered map of version chains that owns locking, the write ritual,
-// visibility, shared-lock reads, advisory indexes and version GC, so a
-// store adds only what is specific to its data model. One retry policy
-// (Retry, with backoff) serves every auto-committed operation and both
-// engines' RunTx.
+// visibility, advisory indexes and version GC, so a store adds only
+// what is specific to its data model. One retry policy (Retry, with
+// backoff) serves every auto-committed operation and both engines'
+// RunTx.
 //
 // Concurrency model ("SI+SS2PL"): writers take exclusive locks held to
 // commit (strict 2PL), so write sets serialize. Readers never lock; they
@@ -47,9 +47,6 @@ var (
 	ErrDeadlock = errors.New("txn: deadlock detected, transaction aborted")
 	// ErrTxClosed is returned when using a committed or aborted Tx.
 	ErrTxClosed = errors.New("txn: transaction is closed")
-	// ErrLockTimeout is reserved for lock-wait timeouts (unused by the
-	// default wait-for-graph policy but part of the public contract).
-	ErrLockTimeout = errors.New("txn: lock wait timeout")
 )
 
 // Status describes the lifecycle state of a transaction.
@@ -180,30 +177,6 @@ func (m *Manager) Begin() *Tx {
 // the publish watermark.
 func (m *Manager) Oracle() *Oracle { return &m.oracle }
 
-// SetDetectorInterval overrides the background deadlock-detector sweep
-// cadence (default DefaultDetectorInterval). Shorter intervals bound
-// victim latency tighter at the cost of more sweeps under contention;
-// non-positive durations reset to the default.
-func (m *Manager) SetDetectorInterval(d time.Duration) {
-	if d <= 0 {
-		d = DefaultDetectorInterval
-	}
-	det := &m.locks.det
-	det.mu.Lock()
-	det.interval = d
-	det.mu.Unlock()
-}
-
-// DetectorInterval returns the background deadlock-detector sweep
-// cadence.
-func (m *Manager) DetectorInterval() time.Duration {
-	det := &m.locks.det
-	det.mu.Lock()
-	d := det.interval
-	det.mu.Unlock()
-	return d
-}
-
 // Published returns the commit watermark: every commit with timestamp
 // at or below it is fully stamped and visible to new snapshots. While
 // commits are stamping, Oracle().Current() runs ahead of Published();
@@ -263,10 +236,9 @@ type Tx struct {
 	// commit log. Stores append via LogOp only when Logging() is true,
 	// so with no log attached the write hot path stays untouched.
 	walOps [][]byte
-	// heldLocks records every lock this transaction holds — at most one
-	// record per resource (upgrades update the record in place). The
-	// records carry the entry pointer and grant path so release and
-	// fast-hold promotion never re-hash a key.
+	// heldLocks records every lock this transaction holds — one record
+	// per resource. The records carry the entry pointer so release never
+	// looks a key up again.
 	heldLocks []heldLock
 	// heldIndex maps resource name -> heldLocks slot once the
 	// transaction holds more than heldIndexThreshold locks, keeping the
@@ -292,20 +264,12 @@ func (tx *Tx) Status() Status { return tx.status }
 func (tx *Tx) Active() bool { return tx.status == StatusActive }
 
 // ReadOnly reports whether the transaction has performed no writes so
-// far: no exclusive locks, no undo actions, no logged ops. Read-side
-// caches use it to rule out uncommitted own-writes that a shared
-// (committed-state) structure could not reflect. The answer is only
-// about the past — the transaction may still write afterwards.
+// far: no locks (every lock is a writer's), no undo actions, no logged
+// ops. Read-side caches use it to rule out uncommitted own-writes that
+// a shared (committed-state) structure could not reflect. The answer is
+// only about the past — the transaction may still write afterwards.
 func (tx *Tx) ReadOnly() bool {
-	if len(tx.undo) > 0 || len(tx.walOps) > 0 {
-		return false
-	}
-	for i := range tx.heldLocks {
-		if tx.heldLocks[i].mode == lockExclusive {
-			return false
-		}
-	}
-	return true
+	return len(tx.heldLocks) == 0 && len(tx.undo) == 0 && len(tx.walOps) == 0
 }
 
 // LockExclusive acquires an exclusive lock on the named resource,
@@ -314,48 +278,31 @@ func (tx *Tx) ReadOnly() bool {
 // Locks are held until Commit or Abort (strict 2PL). Hot paths should
 // prefer LockExclusiveKey with a precomputed ResourceKey.
 func (tx *Tx) LockExclusive(resource string) error {
-	return tx.lock(NewResourceKey(resource), lockExclusive)
+	return tx.lock(NewResourceKey(resource))
 }
 
 // LockExclusiveKey is LockExclusive over a precomputed key; with an
 // interned key the acquire path performs no allocations.
 func (tx *Tx) LockExclusiveKey(key ResourceKey) error {
-	return tx.lock(key, lockExclusive)
-}
-
-// LockShared acquires a shared lock on the named resource. Shared locks
-// are only used by the optional serializable read mode; snapshot reads
-// do not lock. When the resource has no exclusive holder and no queued
-// waiter, the acquire is a single CAS on the entry's reader count — no
-// shard mutex, no allocation.
-func (tx *Tx) LockShared(resource string) error {
-	return tx.lock(NewResourceKey(resource), lockShared)
-}
-
-// LockSharedKey is LockShared over a precomputed key.
-func (tx *Tx) LockSharedKey(key ResourceKey) error {
-	return tx.lock(key, lockShared)
+	return tx.lock(key)
 }
 
 // heldIndexThreshold is the held-lock count past which Tx builds the
 // name->slot index instead of linearly scanning heldLocks per acquire.
 const heldIndexThreshold = 16
 
-// findHeld returns this transaction's record for the named resource,
-// or nil.
-func (tx *Tx) findHeld(name string) *heldLock {
+// holds reports whether this transaction holds the named resource.
+func (tx *Tx) holds(name string) bool {
 	if tx.heldIndex != nil {
-		if i, ok := tx.heldIndex[name]; ok {
-			return &tx.heldLocks[i]
-		}
-		return nil
+		_, ok := tx.heldIndex[name]
+		return ok
 	}
 	for i := range tx.heldLocks {
 		if tx.heldLocks[i].key.name == name {
-			return &tx.heldLocks[i]
+			return true
 		}
 	}
-	return nil
+	return false
 }
 
 // recordHeld appends a held-lock record, upgrading to the indexed
@@ -372,45 +319,14 @@ func (tx *Tx) recordHeld(h heldLock) {
 	}
 }
 
-func (tx *Tx) lock(key ResourceKey, mode lockMode) error {
+func (tx *Tx) lock(key ResourceKey) error {
 	if tx.status != StatusActive {
 		return ErrTxClosed
 	}
-	// Reentrancy and upgrade routing over our own held set. Fast-path
-	// shared holds are anonymous in the lock table, so the table cannot
-	// recognize a re-acquire or an upgrade — the transaction's own
-	// records are the source of truth.
-	if h := tx.findHeld(key.name); h != nil {
-		if h.mode == lockExclusive || mode == lockShared {
-			return nil // already sufficient
-		}
-		// Upgrade S -> X. An anonymous fast ref must first become a
-		// named holders-map entry, otherwise the exclusive grant would
-		// wait for its own reader count to drain.
-		if h.fast {
-			tx.mgr.locks.promoteFastShared(tx.id, h.key, h.entry)
-			h.fast = false
-		}
-		granted, waited, _, err := tx.mgr.locks.acquire(tx.id, key, lockExclusive, tx)
-		if waited {
-			tx.waited = true
-		}
-		if err != nil {
-			tx.Abort()
-			return err
-		}
-		if granted {
-			h.mode = lockExclusive
-		}
-		return nil
+	if tx.holds(key.name) {
+		return nil // re-entry: locks are held to commit
 	}
-	if mode == lockShared {
-		if e := tx.mgr.locks.acquireSharedFast(key); e != nil {
-			tx.recordHeld(heldLock{key: key, entry: e, mode: lockShared, fast: true})
-			return nil
-		}
-	}
-	granted, waited, e, err := tx.mgr.locks.acquire(tx.id, key, mode, tx)
+	waited, e, err := tx.mgr.locks.acquire(tx.id, key)
 	if waited {
 		tx.waited = true
 	}
@@ -418,38 +334,8 @@ func (tx *Tx) lock(key ResourceKey, mode lockMode) error {
 		tx.Abort()
 		return err
 	}
-	if granted {
-		tx.recordHeld(heldLock{key: key, entry: e, mode: mode})
-	}
+	tx.recordHeld(heldLock{key: key, entry: e})
 	return nil
-}
-
-// hasFastHolds reports whether any held lock is an anonymous fast-path
-// shared grant. The lock table asks before paying the promotion mutex
-// round trip; only this transaction's goroutine touches heldLocks, so
-// the scan is safe from inside a blocked acquire.
-func (tx *Tx) hasFastHolds() bool {
-	for i := range tx.heldLocks {
-		if tx.heldLocks[i].fast {
-			return true
-		}
-	}
-	return false
-}
-
-// promoteFastHolds converts every anonymous fast-path shared hold into
-// a named holders-map entry. The lock table calls it (via the
-// fastHoldPromoter interface) once before this transaction first
-// sleeps, so the deadlock detector can see the shared locks a sleeping
-// transaction holds.
-func (tx *Tx) promoteFastHolds() {
-	for i := range tx.heldLocks {
-		h := &tx.heldLocks[i]
-		if h.fast {
-			tx.mgr.locks.promoteFastShared(tx.id, h.key, h.entry)
-			h.fast = false
-		}
-	}
 }
 
 // Logging reports whether this transaction's mutations should be

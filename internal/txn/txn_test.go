@@ -2,6 +2,7 @@ package txn
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -146,28 +147,6 @@ func TestExclusiveLockBlocksAndReleases(t *testing.T) {
 	}
 }
 
-func TestSharedLocksCoexist(t *testing.T) {
-	m := NewManager()
-	t1, t2 := m.Begin(), m.Begin()
-	if err := t1.LockShared("k"); err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() {
-		done <- t2.LockShared("k")
-	}()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("shared lock should not block on shared lock")
-	}
-	t1.Abort()
-	t2.Abort()
-}
-
 func TestLockReentrancy(t *testing.T) {
 	m := NewManager()
 	tx := m.Begin()
@@ -176,35 +155,101 @@ func TestLockReentrancy(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := tx.LockShared("k"); err != nil {
-		t.Fatal("shared after exclusive should be satisfied")
+	if got := len(tx.heldLocks); got != 1 {
+		t.Fatalf("reentrant acquires hold %d locks, want 1", got)
 	}
 	tx.Abort()
 }
 
-func TestSharedToExclusiveUpgrade(t *testing.T) {
+// TestLockHeavyTransactionIndex drives a transaction past the held-
+// lock index threshold and verifies reentrancy and release still
+// behave on the indexed lookup path.
+func TestLockHeavyTransactionIndex(t *testing.T) {
 	m := NewManager()
 	tx := m.Begin()
-	if err := tx.LockShared("k"); err != nil {
+	const n = 3 * heldIndexThreshold
+	keys := make([]ResourceKey, n)
+	for i := range keys {
+		keys[i] = NewResourceKey(fmt.Sprintf("many/%03d", i))
+		if err := tx.LockExclusiveKey(keys[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Reacquire a key found via the index (past threshold).
+	probe := n - 2
+	if err := tx.LockExclusiveKey(keys[probe]); err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.LockExclusive("k"); err != nil {
-		t.Fatal("upgrade with sole holder should succeed immediately:", err)
+	if got := len(tx.heldLocks); got != n {
+		t.Fatalf("reentrant acquire grew heldLocks to %d, want %d", got, n)
 	}
-	// Another tx must now block.
+	// The held lock must exclude another transaction.
 	t2 := m.Begin()
 	blocked := make(chan error, 1)
-	go func() { blocked <- t2.LockShared("k") }()
+	go func() { blocked <- t2.LockExclusiveKey(keys[probe]) }()
 	select {
-	case <-blocked:
-		t.Fatal("shared lock granted while exclusive held")
-	case <-time.After(30 * time.Millisecond):
+	case err := <-blocked:
+		t.Fatalf("lock granted on a held key (err=%v)", err)
+	case <-time.After(50 * time.Millisecond):
 	}
-	tx.Abort()
+	tx.Abort() // releases all n locks through the records
 	if err := <-blocked; err != nil {
 		t.Fatal(err)
 	}
 	t2.Abort()
+	if m.ActiveCount() != 0 {
+		t.Errorf("active transactions leaked: %d", m.ActiveCount())
+	}
+}
+
+// TestTxReadOnly pins what the join cache's certification relies on:
+// a transaction is read-only until it stages a write or takes a lock,
+// and a LockExisting miss takes an exclusive lock with no undo.
+func TestTxReadOnly(t *testing.T) {
+	m := NewManager()
+	recs := NewRecords[int](m, "ro/")
+	if err := m.RunWith(0, func(tx *Tx) error {
+		c, err := recs.Lock(tx, "a")
+		if err == nil {
+			recs.Stage(tx, c, 1, false)
+		}
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	tx := m.Begin()
+	if !tx.ReadOnly() {
+		t.Error("fresh tx is not read-only")
+	}
+	if v, ok := recs.Get(tx, "a"); !ok || v != 1 {
+		t.Fatalf("get a = (%d, %v), want (1, true)", v, ok)
+	}
+	recs.Scan(tx, "", "", func(string, int) bool { return true })
+	if !tx.ReadOnly() {
+		t.Error("tx that only read is not read-only")
+	}
+	tx.Abort()
+
+	tx = m.Begin()
+	c, err := recs.Lock(tx, "b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs.Stage(tx, c, 2, false)
+	if tx.ReadOnly() {
+		t.Error("tx with a staged write is read-only")
+	}
+	tx.Abort()
+
+	tx = m.Begin()
+	if _, ok, err := recs.LockExisting(tx, "missing"); err != nil || ok {
+		t.Fatalf("LockExisting(missing) = (%v, %v), want (false, nil)", ok, err)
+	}
+	if tx.ReadOnly() {
+		t.Error("tx holding a LockExisting miss lock is read-only")
+	}
+	tx.Abort()
 }
 
 func TestDeadlockDetection(t *testing.T) {
@@ -322,4 +367,146 @@ func TestStatusString(t *testing.T) {
 	if Status(9).String() != "status(9)" {
 		t.Error("unknown status string wrong")
 	}
+}
+
+// TestEpochCommitNoTornReads hammers the epoch commit protocol: every
+// writer updates two chains to the same value inside one transaction;
+// a concurrent Begin must never observe the two chains at different
+// values — the torn state the old commitMu existed to prevent, now
+// guaranteed by publish-in-order.
+func TestEpochCommitNoTornReads(t *testing.T) {
+	m := NewManager()
+	var a, b Chain[int]
+	ka, kb := NewResourceKey("torn/a"), NewResourceKey("torn/b")
+	commitBoth := func(v int) error {
+		return m.RunWith(0, func(tx *Tx) error {
+			if err := tx.LockExclusiveKey(ka); err != nil {
+				return err
+			}
+			if err := tx.LockExclusiveKey(kb); err != nil {
+				return err
+			}
+			a.Write(tx.ID(), v, false)
+			b.Write(tx.ID(), v, false)
+			id := tx.ID()
+			tx.OnUndo(func() { a.Rollback(id); b.Rollback(id) })
+			tx.OnCommit(func(ts TS) { a.CommitStamp(id, ts); b.CommitStamp(id, ts) })
+			return nil
+		})
+	}
+	if err := commitBoth(0); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	var writes atomic.Int64
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				if err := commitBoth(w*1000 + i); err != nil {
+					t.Errorf("writer: %v", err)
+					return
+				}
+				writes.Add(1)
+			}
+		}(w)
+	}
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				tx := m.Begin()
+				va, _ := a.Read(tx.BeginTS(), tx.ID())
+				vb, _ := b.Read(tx.BeginTS(), tx.ID())
+				tx.Abort()
+				if va != vb {
+					t.Errorf("torn read: a=%d b=%d at snapshot %d", va, vb, tx.BeginTS())
+					return
+				}
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() {
+		for writes.Load() < 4*200 {
+			time.Sleep(time.Millisecond)
+		}
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Error("writers did not finish")
+	}
+	close(stop)
+	wg.Wait()
+}
+
+// TestCommitVisibleToSubsequentBegin pins read-your-writes across the
+// epoch publish step: once Commit returns, any Begin — from any
+// goroutine — must snapshot at or above that commit, even while other
+// commits are in flight and the watermark is advancing out of order.
+func TestCommitVisibleToSubsequentBegin(t *testing.T) {
+	m := NewManager()
+	const workers, iters = 8, 300
+	chains := make([]Chain[int], workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			key := NewResourceKey(fmt.Sprintf("ryw/%d", w))
+			c := &chains[w]
+			for i := 1; i <= iters; i++ {
+				err := m.RunWith(0, func(tx *Tx) error {
+					if err := tx.LockExclusiveKey(key); err != nil {
+						return err
+					}
+					c.Write(tx.ID(), i, false)
+					id := tx.ID()
+					tx.OnUndo(func() { c.Rollback(id) })
+					tx.OnCommit(func(ts TS) { c.CommitStamp(id, ts) })
+					return nil
+				})
+				if err != nil {
+					t.Errorf("worker %d: %v", w, err)
+					return
+				}
+				// The write committed; a fresh snapshot must see it.
+				tx := m.Begin()
+				got, ok := c.Read(tx.BeginTS(), tx.ID())
+				tx.Abort()
+				if !ok || got != i {
+					t.Errorf("worker %d: begin after commit read %d (ok=%v), want %d", w, got, ok, i)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
+// BenchmarkEpochCommit measures the Begin+Commit round trip with no
+// locks: the old commitMu made every Begin take a read lock and every
+// Commit a write lock; the epoch protocol is two atomic loads and a
+// publish.
+func BenchmarkEpochCommit(b *testing.B) {
+	m := NewManager()
+	b.ReportAllocs()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			tx := m.Begin()
+			if _, err := tx.Commit(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

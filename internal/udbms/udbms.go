@@ -89,10 +89,10 @@ type Stats struct {
 // Compact must not run concurrently with transactions that read below
 // the horizon; in the benchmark it runs between workload phases.
 //
-// Compact also sweeps idle lock-table entries: names merely probed
-// (a GetShared miss on a key that never existed) leave resident lock
-// entries with no version chain, and this is the watermark-keyed GC
-// point that reclaims them. The sweep itself is safe against running
+// Compact also sweeps idle lock-table entries: a write or delete of a
+// key that does not exist locks its name anyway (LockExisting), leaving
+// a lock entry with no version chain, and this is the watermark-keyed
+// GC point that reclaims them. The sweep itself is safe against running
 // transactions (busy entries are skipped); see txn.SweepLockEntries.
 func (db *DB) Compact(horizon txn.TS) int {
 	if horizon == 0 {

@@ -50,10 +50,8 @@ var goldenSummaryFields = []string{
 	"lock_stats.detector.victims",
 	"lock_stats.shards[].acquires",
 	"lock_stats.shards[].shard",
-	"lock_stats.shards[].shared_fast",
 	"lock_stats.shards[].wait_ns",
 	"lock_stats.shards[].waits",
-	"lock_stats.shared_fast",
 	"lock_stats.wait_ns",
 	"lock_stats.waits",
 	"mode",

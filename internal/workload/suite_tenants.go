@@ -11,11 +11,11 @@ import (
 // ticket placement Zipf-skewed so tenant 1 is hot. Ticket opens bump
 // the hot tenant's catalog row (lock-striping stress: most writers
 // collide on one lock), while tenant-scoped inbox queries ride the
-// tenant_id secondary index and the shared-read fast path.
+// tenant_id secondary index under lock-free snapshot reads.
 func init() {
 	RegisterSuite(&Suite{
 		Name:        "tenants",
-		Description: "zipf multi-tenant SaaS with one hot tenant and tenant-scoped queries (lock striping, shared-read fast path)",
+		Description: "zipf multi-tenant SaaS with one hot tenant and tenant-scoped queries (lock striping, lock-free snapshot reads)",
 		Generate: func(sf float64, seed uint64) SuiteData {
 			// CustomerID draws a tenant id (Zipf -> the hot tenant),
 			// OrderID's numeric suffix a ticket sequence.

@@ -52,17 +52,6 @@ func (s *Store) Put(tx *txn.Tx, id string, doc *Node) error {
 // Clone before mutating.
 func (s *Store) Get(tx *txn.Tx, id string) (*Node, bool) { return s.docs.Get(tx, id) }
 
-// GetShared is the serializable read mode: it takes a shared lock on
-// the document (held to commit) and returns the latest committed tree,
-// which the lock keeps stable until tx ends. A transaction is
-// required. See txn.Records.GetShared for the protocol.
-func (s *Store) GetShared(tx *txn.Tx, id string) (*Node, bool, error) {
-	if tx == nil {
-		return nil, false, fmt.Errorf("xmlstore %s: GetShared requires a transaction", s.name)
-	}
-	return s.docs.GetShared(tx, id)
-}
-
 // Update applies fn to a clone of the current document and stores the
 // result.
 func (s *Store) Update(tx *txn.Tx, id string, fn func(doc *Node) (*Node, error)) error {
