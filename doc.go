@@ -28,6 +28,8 @@
 //	internal/consistency staleness / RYW / monotonic / atomicity metrics
 //	internal/metrics     histograms, percentiles, result tables
 //	internal/mmvalue     the shared dynamic value system
+//	internal/ordmap      ordered map under txn.Records: a hash for point
+//	                     gets, a skip list for ordered scans
 //	cmd/udbench          the benchmark CLI
 //
 // Run the whole benchmark:
@@ -94,10 +96,14 @@
 //     txn.ResourceKey (name + shard), built once when the record is
 //     created, so steady-state acquire/release performs zero
 //     allocations — no per-lock string concatenation or hashing.
-//   - Snapshot reads never lock (MVCC version chains); writers hold
-//     exclusive locks to commit (strict 2PL). The commit point is
-//     epoch-based: a commit stamps its versions at a timestamp from an
-//     atomic sequence (safe — it still holds its exclusive locks),
+//   - Snapshot reads take no record lock: a version chain (txn.Chain)
+//     is an immutable newest-first list that readers walk with atomic
+//     loads, and a store point get finds its chain through a hash
+//     (under the map's read lock) rather than a skip-list walk.
+//     Writers hold exclusive locks to commit (strict 2PL). The commit
+//     point is epoch-based: a commit stamps its versions at a
+//     timestamp from an atomic sequence (safe — it still holds its
+//     exclusive locks),
 //     then publishes by raising a watermark once all smaller
 //     timestamps have published. Begin snapshots at the watermark with
 //     a single atomic load, so cross-model snapshots are never torn

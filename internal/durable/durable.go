@@ -29,6 +29,7 @@ package durable
 
 import (
 	"fmt"
+	"sort"
 	"time"
 
 	"udbench/internal/graph"
@@ -410,12 +411,18 @@ func encodeState(db *udbms.DB, tx *txn.Tx) [][]byte {
 			Bytes(mmvalue.AppendBinary(nil, v.Props)).Build())
 		return true
 	})
-	db.Graph.Edges(tx, func(e graph.Edge) bool {
+	var edges []graph.Edge
+	db.Graph.Edges(tx, "", func(e graph.Edge) bool {
+		edges = append(edges, e)
+		return true
+	})
+	// Edges come unordered; sort so equal states encode to equal bytes.
+	sort.Slice(edges, func(i, j int) bool { return edges[i].ID < edges[j].ID })
+	for _, e := range edges {
 		ops = append(ops, wal.NewOp(wal.OpGraphEdge).String(string(e.ID)).String(e.Label).
 			String(string(e.From)).String(string(e.To)).
 			Bytes(mmvalue.AppendBinary(nil, e.Props)).Build())
-		return true
-	})
+	}
 	db.KV.Scan(tx, "", "", func(key string, value mmvalue.Value) bool {
 		ops = append(ops, wal.NewOp(wal.OpKVPut).String(key).
 			Bytes(mmvalue.AppendBinary(nil, value)).Build())

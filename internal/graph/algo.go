@@ -117,10 +117,7 @@ func (s *Store) undirectedAdjacency(tx *txn.Tx, label string) map[VID][]VID {
 		}
 		adj[a][b] = true
 	}
-	s.Edges(tx, func(e Edge) bool {
-		if label != "" && e.Label != label {
-			return true
-		}
+	s.Edges(tx, label, func(e Edge) bool {
 		add(e.From, e.To)
 		add(e.To, e.From)
 		return true

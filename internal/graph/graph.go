@@ -14,7 +14,9 @@
 // are hash-keyed rather than a txn.Records, because point lookups
 // dominate traversals. The adjacency structure itself is guarded by a
 // store-level RWMutex and registers undo hooks so that structural
-// changes are transactional too.
+// changes are transactional too. Whole-graph edge scans (Edges) walk
+// the out-adjacency lists of one label, or of all labels, under one
+// read lock and visit edges in no particular order.
 package graph
 
 import (
@@ -228,13 +230,11 @@ func (s *Store) putEdge(tx *txn.Tx, id EID, label string, from, to VID, props mm
 				}
 			}
 			if rec.from != from || rec.to != to || rec.label != label {
-				// Reusing an edge id with different endpoints: relink
-				// under the store lock.
-				s.mu.Lock()
-				s.unlink(id, rec.label, rec.from, rec.to)
-				rec.label, rec.from, rec.to = label, from, to
-				s.link(id, label, from, to)
-				s.mu.Unlock()
+				// Reusing an edge id with different endpoints or label:
+				// relink, and put the old triple back if tx aborts.
+				oldLabel, oldFrom, oldTo := rec.label, rec.from, rec.to
+				s.relink(id, rec, label, from, to)
+				tx.OnUndo(func() { s.relink(id, rec, oldLabel, oldFrom, oldTo) })
 			}
 		} else {
 			// Registered before Stage, so on abort it runs after the
@@ -267,6 +267,16 @@ func (s *Store) link(id EID, label string, from, to VID) {
 		s.in[to] = make(map[string][]EID)
 	}
 	s.in[to][label] = append(s.in[to][label], id)
+}
+
+// relink moves edge id's adjacency entries and record to a new label and
+// endpoints under the store lock. The caller holds the edge's lock.
+func (s *Store) relink(id EID, rec *edgeRec, label string, from, to VID) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.unlink(id, rec.label, rec.from, rec.to)
+	rec.label, rec.from, rec.to = label, from, to
+	s.link(id, label, from, to)
 }
 
 func (s *Store) unlink(id EID, label string, from, to VID) {
@@ -312,6 +322,10 @@ func (s *Store) GetVertex(tx *txn.Tx, id VID) (Vertex, bool) {
 func (s *Store) GetEdge(tx *txn.Tx, id EID) (Edge, bool) {
 	s.mu.RLock()
 	rec := s.edges[id]
+	var e Edge
+	if rec != nil {
+		e = rec.edge(id)
+	}
 	s.mu.RUnlock()
 	if rec == nil {
 		return Edge{}, false
@@ -320,7 +334,13 @@ func (s *Store) GetEdge(tx *txn.Tx, id EID) (Edge, bool) {
 	if !ok {
 		return Edge{}, false
 	}
-	return Edge{ID: id, Label: rec.label, From: rec.from, To: rec.to, Props: props}, true
+	e.Props = props
+	return e, true
+}
+
+// edge returns the record's identity fields; callers hold s.mu.
+func (rec *edgeRec) edge(id EID) Edge {
+	return Edge{ID: id, Label: rec.label, From: rec.from, To: rec.to}
 }
 
 // SetVertexProps replaces the property object of a vertex.
@@ -616,18 +636,37 @@ func (s *Store) Vertices(tx *txn.Tx, fn func(v Vertex) bool) {
 	}
 }
 
-// Edges calls fn for every live edge visible to tx in id order.
-func (s *Store) Edges(tx *txn.Tx, fn func(e Edge) bool) {
+// Edges calls fn for every live edge with the given label ("" for every
+// label) visible to tx, in no particular order, until fn returns false.
+// Like ordmap.Ascend it holds the structural read lock throughout — here
+// the store's, while it walks the out-adjacency lists — so fn must not
+// call back into the store; gathering the edges first to release the
+// lock would cost more than the walk itself.
+func (s *Store) Edges(tx *txn.Tx, label string, fn func(e Edge) bool) {
 	s.mu.RLock()
-	ids := make([]EID, 0, len(s.edges))
-	for id := range s.edges {
-		ids = append(ids, id)
+	defer s.mu.RUnlock()
+	visit := func(eids []EID) bool {
+		for _, id := range eids {
+			rec := s.edges[id]
+			if props, ok := rec.chain.Visible(tx); ok {
+				e := rec.edge(id)
+				e.Props = props
+				if !fn(e) {
+					return false
+				}
+			}
+		}
+		return true
 	}
-	s.mu.RUnlock()
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		if e, ok := s.GetEdge(tx, id); ok {
-			if !fn(e) {
+	for _, byLabel := range s.out {
+		if label != "" {
+			if !visit(byLabel[label]) {
+				return
+			}
+			continue
+		}
+		for _, eids := range byLabel {
+			if !visit(eids) {
 				return
 			}
 		}
@@ -644,7 +683,7 @@ func (s *Store) VertexCount(tx *txn.Tx) int {
 // EdgeCount returns the number of live edges.
 func (s *Store) EdgeCount(tx *txn.Tx) int {
 	n := 0
-	s.Edges(tx, func(Edge) bool { n++; return true })
+	s.Edges(tx, "", func(Edge) bool { n++; return true })
 	return n
 }
 
@@ -719,24 +758,27 @@ func (s *Store) PageRank(tx *txn.Tx, d float64, iters int) map[VID]float64 {
 }
 
 // MatchPattern finds all (src, dst) pairs connected by an edge with
-// the given label where the src and dst vertices satisfy the provided
-// predicates (nil matches everything).
+// the given label ("" for any) where the src and dst vertices satisfy
+// the provided predicates (nil matches everything). Pairs come in no
+// particular order.
 func (s *Store) MatchPattern(tx *txn.Tx, label string, srcOK, dstOK func(Vertex) bool) [][2]Vertex {
-	var out [][2]Vertex
-	s.Edges(tx, func(e Edge) bool {
-		if label != "" && e.Label != label {
-			return true
-		}
-		src, ok := s.GetVertex(tx, e.From)
-		if !ok || (srcOK != nil && !srcOK(src)) {
-			return true
-		}
-		dst, ok := s.GetVertex(tx, e.To)
-		if !ok || (dstOK != nil && !dstOK(dst)) {
-			return true
-		}
-		out = append(out, [2]Vertex{src, dst})
+	// Gather the endpoints first: Edges' callback may not read vertices.
+	var ends [][2]VID
+	s.Edges(tx, label, func(e Edge) bool {
+		ends = append(ends, [2]VID{e.From, e.To})
 		return true
 	})
+	var out [][2]Vertex
+	for _, fromTo := range ends {
+		src, ok := s.GetVertex(tx, fromTo[0])
+		if !ok || (srcOK != nil && !srcOK(src)) {
+			continue
+		}
+		dst, ok := s.GetVertex(tx, fromTo[1])
+		if !ok || (dstOK != nil && !dstOK(dst)) {
+			continue
+		}
+		out = append(out, [2]Vertex{src, dst})
+	}
 	return out
 }

@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math"
+	"sort"
 	"sync"
 	"testing"
 
@@ -413,5 +414,134 @@ func BenchmarkKHop(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g.KHop(nil, VID(fmt.Sprintf("v%04d", i%n)), 3, Out, "l")
+	}
+}
+
+// TestEdgeRelinkRollsBackOnAbort pins the undo of an edge-id reuse with
+// new endpoints and label: an aborted reuse must leave the record and
+// the adjacency lists as they were, so an older snapshot still sees the
+// original edge.
+func TestEdgeRelinkRollsBackOnAbort(t *testing.T) {
+	g := newTestGraph()
+	for _, v := range []VID{"a", "b", "c"} {
+		g.AddVertex(nil, v, "n", mmvalue.Null)
+	}
+	if err := g.AddEdge(nil, "e", "l", "a", "b", mmvalue.Null); err != nil {
+		t.Fatal(err)
+	}
+	old := g.Manager().Begin()
+	defer old.Abort()
+	if err := g.RemoveEdge(nil, "e"); err != nil {
+		t.Fatal(err)
+	}
+	tx := g.Manager().Begin()
+	if err := g.AddEdge(tx, "e", "m", "b", "c", mmvalue.Null); err != nil {
+		t.Fatal(err)
+	}
+	if e, ok := g.GetEdge(tx, "e"); !ok || e.Label != "m" || e.From != "b" || e.To != "c" {
+		t.Fatalf("in-flight reuse = %+v, %v", e, ok)
+	}
+	tx.Abort()
+	e, ok := g.GetEdge(old, "e")
+	if !ok || e.Label != "l" || e.From != "a" || e.To != "b" {
+		t.Fatalf("old snapshot after aborted reuse = %+v, %v; want l a->b", e, ok)
+	}
+	if d := g.Degree(old, "a", Out, "l"); d != 1 {
+		t.Errorf("old snapshot a out-degree over l = %d, want 1", d)
+	}
+	if d := g.Degree(old, "b", Out, "m"); d != 0 {
+		t.Errorf("aborted relink left b -m-> adjacency, degree %d", d)
+	}
+	if _, ok := g.GetEdge(nil, "e"); ok {
+		t.Error("removed edge visible at latest after aborted reuse")
+	}
+}
+
+// edgesByScan is the reference for Edges: every edge record in id order
+// through GetEdge, filtered by label.
+func edgesByScan(g *Store, tx *txn.Tx, label string) []Edge {
+	g.mu.RLock()
+	ids := make([]EID, 0, len(g.edges))
+	for id := range g.edges {
+		ids = append(ids, id)
+	}
+	g.mu.RUnlock()
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	var out []Edge
+	for _, id := range ids {
+		if e, ok := g.GetEdge(tx, id); ok && (label == "" || e.Label == label) {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// edgesSorted collects Edges(tx, label) and sorts the result by id.
+func edgesSorted(g *Store, tx *txn.Tx, label string) []Edge {
+	var out []Edge
+	g.Edges(tx, label, func(e Edge) bool { out = append(out, e); return true })
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	return out
+}
+
+func TestEdgesByLabelMatchesFilteredScan(t *testing.T) {
+	g := buildSocial(t)
+	mgr := g.Manager()
+	snap := mgr.Begin() // sees the six edges of buildSocial
+	defer snap.Abort()
+	if err := g.RemoveEdge(nil, "e2"); err != nil {
+		t.Fatal(err)
+	}
+	// Relabel: remove e3 and reuse its id under another label.
+	if err := g.RemoveEdge(nil, "e3"); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.AddEdge(nil, "e3", "follows", "d", "a", mmvalue.Null); err != nil {
+		t.Fatal(err)
+	}
+	open := mgr.Begin()
+	defer open.Abort()
+	if err := g.AddEdge(open, "e7", "knows", "d", "b", mmvalue.Null); err != nil {
+		t.Fatal(err)
+	}
+
+	readers := []struct {
+		name string
+		tx   *txn.Tx
+	}{{"latest", nil}, {"snapshot", snap}, {"open tx", open}}
+	for _, r := range readers {
+		union := 0
+		for _, label := range []string{"knows", "bought", "follows", "missing"} {
+			got, want := edgesSorted(g, r.tx, label), edgesByScan(g, r.tx, label)
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("%s Edges(%q) = %v, want %v", r.name, label, got, want)
+			}
+			union += len(got)
+		}
+		all := edgesSorted(g, r.tx, "")
+		if want := edgesByScan(g, r.tx, ""); fmt.Sprint(all) != fmt.Sprint(want) {
+			t.Errorf("%s Edges(\"\") = %v, want %v", r.name, all, want)
+		}
+		if len(all) != union {
+			t.Errorf("%s: Edges(\"\") has %d edges, the labels' union %d", r.name, len(all), union)
+		}
+	}
+	count := func(tx *txn.Tx, label string) int { return len(edgesSorted(g, tx, label)) }
+	if n := count(nil, "knows"); n != 2 { // e1, e4
+		t.Errorf("latest knows = %d, want 2", n)
+	}
+	if n := count(open, "knows"); n != 3 { // e1, e4 and the pending e7
+		t.Errorf("open tx knows = %d, want 3", n)
+	}
+	if got := edgesSorted(g, snap, "knows"); len(got) < 2 || got[1].ID != "e2" {
+		t.Errorf("snapshot knows = %v, want e2 (removed after the snapshot) included", got)
+	}
+	if n := count(nil, "follows"); n != 1 {
+		t.Errorf("latest follows = %d, want 1", n)
+	}
+	stopped := 0
+	g.Edges(nil, "", func(Edge) bool { stopped++; return false })
+	if stopped != 1 {
+		t.Errorf("Edges kept calling after fn returned false: %d calls", stopped)
 	}
 }

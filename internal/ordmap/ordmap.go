@@ -1,9 +1,14 @@
 // Package ordmap provides a concurrent ordered map from string keys to
-// arbitrary payloads, implemented as a skip list. It is the physical
-// index structure under the record layer: txn.Records keeps its version
-// chains in one ordmap.Map, and the key-value store, relational tables,
-// document collections and the XML registry are each built on a
-// txn.Records rather than on this package directly.
+// arbitrary payloads. It is the physical index structure under the
+// record layer: txn.Records keeps its version chains in one ordmap.Map,
+// and the key-value store, relational tables, document collections and
+// the XML registry are each built on a txn.Records rather than on this
+// package directly.
+//
+// Each key lives in two structures: a hash for point lookups (Get and
+// GetOrInsert of an existing key) and a skip list for order (Ascend).
+// Only a first insert and a remove touch both; a point read never walks
+// the skip list.
 //
 // Structural operations (insert, remove, iterate) are guarded by an
 // internal RWMutex; payload values must handle their own
@@ -20,9 +25,9 @@ const maxLevel = 24
 // Map is an ordered map. Create with New; the zero value is not usable.
 type Map[T any] struct {
 	mu    sync.RWMutex
+	hash  map[string]*node[T]
 	head  *node[T]
 	level int
-	size  int
 	rnd   *rand.Rand
 }
 
@@ -36,6 +41,7 @@ type node[T any] struct {
 // only; any constant yields a correct structure.
 func New[T any](seed int64) *Map[T] {
 	return &Map[T]{
+		hash:  make(map[string]*node[T]),
 		head:  &node[T]{next: make([]*node[T], maxLevel)},
 		level: 1,
 		rnd:   rand.New(rand.NewSource(seed)),
@@ -53,13 +59,13 @@ func (m *Map[T]) randomLevel() int {
 // Get returns the payload stored at key.
 func (m *Map[T]) Get(key string) (T, bool) {
 	m.mu.RLock()
-	defer m.mu.RUnlock()
-	n := m.seekGE(key)
-	if n != nil && n.key == key {
-		return n.val, true
+	n := m.hash[key]
+	m.mu.RUnlock()
+	if n == nil {
+		var zero T
+		return zero, false
 	}
-	var zero T
-	return zero, false
+	return n.val, true
 }
 
 // seekGE returns the first node with key >= target; callers hold mu.
@@ -73,12 +79,9 @@ func (m *Map[T]) seekGE(target string) *node[T] {
 	return x.next[0]
 }
 
-// GetOrInsert returns the payload at key, inserting mk() if absent.
-// The boolean reports whether an insert happened.
-func (m *Map[T]) GetOrInsert(key string, mk func() T) (T, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	update := make([]*node[T], maxLevel)
+// predecessors fills update with the rightmost node before key on every
+// level and returns the first node with key >= key; callers hold mu.
+func (m *Map[T]) predecessors(key string, update *[maxLevel]*node[T]) *node[T] {
 	x := m.head
 	for i := m.level - 1; i >= 0; i-- {
 		for x.next[i] != nil && x.next[i].key < key {
@@ -86,9 +89,22 @@ func (m *Map[T]) GetOrInsert(key string, mk func() T) (T, bool) {
 		}
 		update[i] = x
 	}
-	if n := x.next[0]; n != nil && n.key == key {
+	return x.next[0]
+}
+
+// GetOrInsert returns the payload at key, inserting mk() if absent.
+// The boolean reports whether an insert happened.
+func (m *Map[T]) GetOrInsert(key string, mk func() T) (T, bool) {
+	if v, ok := m.Get(key); ok {
+		return v, false
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if n := m.hash[key]; n != nil {
 		return n.val, false
 	}
+	var update [maxLevel]*node[T]
+	m.predecessors(key, &update)
 	lvl := m.randomLevel()
 	if lvl > m.level {
 		for i := m.level; i < lvl; i++ {
@@ -101,7 +117,7 @@ func (m *Map[T]) GetOrInsert(key string, mk func() T) (T, bool) {
 		n.next[i] = update[i].next[i]
 		update[i].next[i] = n
 	}
-	m.size++
+	m.hash[key] = n
 	return n.val, true
 }
 
@@ -109,18 +125,11 @@ func (m *Map[T]) GetOrInsert(key string, mk func() T) (T, bool) {
 func (m *Map[T]) Remove(key string) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	update := make([]*node[T], maxLevel)
-	x := m.head
-	for i := m.level - 1; i >= 0; i-- {
-		for x.next[i] != nil && x.next[i].key < key {
-			x = x.next[i]
-		}
-		update[i] = x
-	}
-	n := x.next[0]
-	if n == nil || n.key != key {
+	if m.hash[key] == nil {
 		return false
 	}
+	var update [maxLevel]*node[T]
+	n := m.predecessors(key, &update)
 	for i := 0; i < len(n.next); i++ {
 		if update[i].next[i] == n {
 			update[i].next[i] = n.next[i]
@@ -129,7 +138,7 @@ func (m *Map[T]) Remove(key string) bool {
 	for m.level > 1 && m.head.next[m.level-1] == nil {
 		m.level--
 	}
-	m.size--
+	delete(m.hash, key)
 	return true
 }
 
@@ -154,7 +163,7 @@ func (m *Map[T]) Ascend(start, end string, fn func(key string, val T) bool) {
 func (m *Map[T]) Len() int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return m.size
+	return len(m.hash)
 }
 
 // PrefixEnd returns the smallest key greater than every key with the

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -138,5 +139,111 @@ func TestPrefixEnd(t *testing.T) {
 		if got := PrefixEnd(c.in); got != c.want {
 			t.Errorf("PrefixEnd(%q) = %q, want %q", c.in, got, c.want)
 		}
+	}
+}
+
+// TestGetAgreesWithAscend checks the hash against the skip list: after
+// random GetOrInsert/Remove runs, Get must answer every key of the key
+// space as a reference map does, and Ascend must list exactly the keys
+// Get finds. A second part runs readers beside a writer (meaningful
+// under -race): a key the writer never removes must stay visible to Get
+// and Ascend from the moment its insert returns.
+func TestGetAgreesWithAscend(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		m := New[int](seed)
+		ref := map[string]int{}
+		for i := 0; i < 400; i++ {
+			k := fmt.Sprintf("%03d", r.Intn(100))
+			if r.Intn(3) == 0 {
+				_, had := ref[k]
+				if m.Remove(k) != had {
+					return false
+				}
+				delete(ref, k)
+				continue
+			}
+			val := r.Intn(1000)
+			got, inserted := m.GetOrInsert(k, func() int { return val })
+			if old, had := ref[k]; had {
+				if inserted || got != old {
+					return false
+				}
+			} else {
+				if !inserted || got != val {
+					return false
+				}
+				ref[k] = val
+			}
+		}
+		for i := 0; i < 100; i++ {
+			k := fmt.Sprintf("%03d", i)
+			v, ok := m.Get(k)
+			rv, rok := ref[k]
+			if ok != rok || v != rv {
+				return false
+			}
+		}
+		n := 0
+		agree := true
+		m.Ascend("", "", func(k string, v int) bool {
+			n++
+			if gv, ok := m.hash[k]; !ok || gv.val != v {
+				agree = false
+			}
+			return true
+		})
+		return agree && n == len(ref) && m.Len() == len(ref)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Error(err)
+	}
+
+	m := New[int](7)
+	const keys = 500
+	var inserted [keys]atomic.Bool
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			rnd := rand.New(rand.NewSource(int64(r)))
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				i := rnd.Intn(keys)
+				was := inserted[i].Load()
+				k := fmt.Sprintf("k%04d", i)
+				if v, ok := m.Get(k); was && (!ok || v != i) {
+					t.Errorf("Get(%s) = (%d, %v) after its insert returned", k, v, ok)
+					return
+				}
+				found := false
+				m.Ascend(k, "", func(key string, v int) bool {
+					found = key == k && v == i
+					return false
+				})
+				if was && !found {
+					t.Errorf("Ascend from %s missed it after its insert returned", k)
+					return
+				}
+			}
+		}(r)
+	}
+	for i := 0; i < keys; i++ {
+		m.GetOrInsert(fmt.Sprintf("k%04d", i), func() int { return i })
+		inserted[i].Store(true)
+		// Churn a key the readers never ask for.
+		m.GetOrInsert(fmt.Sprintf("x%04d", i), func() int { return -1 })
+		m.Remove(fmt.Sprintf("x%04d", i))
+	}
+	close(stop)
+	wg.Wait()
+	if m.Len() != keys {
+		t.Errorf("Len = %d, want %d", m.Len(), keys)
 	}
 }

@@ -2,30 +2,48 @@ package txn
 
 import (
 	"sync"
+	"sync/atomic"
 )
 
-// Chain is a per-record multi-version chain. Versions are kept in
-// ascending commit-timestamp order; at most one uncommitted version
-// (owned by the writing transaction, which holds the record's exclusive
-// lock) may sit at the tail.
+// Chain is a per-record multi-version chain: an immutable newest-first
+// linked list of versions in descending commit-timestamp order. At most
+// one uncommitted version (owned by the writing transaction, which holds
+// the record's exclusive lock) may sit at the head.
 //
-// The zero Chain is empty and ready to use. Chain is safe for
-// concurrent readers and one writer (the lock holder).
+// Readers take no lock; one writer at a time under the record lock.
+// Read, ReadLatest, LatestCommitTS, Empty and Len load the head and
+// follow atomic next pointers. Write, CommitStamp, Rollback and GC
+// serialise on a mutex only among themselves: a write publishes a new
+// head node (replacing the caller's own pending head rather than editing
+// it), a commit stamps the pending head's atomic timestamp, a rollback
+// pops it, and GC cuts the list below the newest version at or under the
+// horizon. A reader that is past a cut keeps walking the nodes it
+// already reached, which stay valid.
+//
+// The zero Chain is empty and ready to use.
 type Chain[T any] struct {
 	// Res is the record's interned lock-table key, set once by the
 	// owning store when the record is created (before the chain is
 	// shared) so the lock path never rebuilds the resource string.
 	Res ResourceKey
 
-	mu       sync.RWMutex
-	versions []version[T]
+	mu   sync.Mutex // serialises writers
+	head atomic.Pointer[version[T]]
 }
 
+// version is one node of a chain. Everything but commitTS and next is
+// fixed before the node is published.
 type version[T any] struct {
-	commitTS TS     // 0 while uncommitted
-	owner    uint64 // writing txID while uncommitted, else 0
+	commitTS atomic.Uint64 // 0 while uncommitted
+	owner    uint64        // writing txID; meaningful only while uncommitted
 	deleted  bool
 	value    T
+	next     atomic.Pointer[version[T]] // next older version
+}
+
+// pendingOf reports whether v is txID's uncommitted version.
+func (v *version[T]) pendingOf(txID uint64) bool {
+	return v != nil && v.commitTS.Load() == 0 && v.owner == txID
 }
 
 // Read returns the record value visible to a reader with snapshot
@@ -33,17 +51,15 @@ type version[T any] struct {
 // transactional readers). Own uncommitted writes are visible. The
 // second result is false if no visible, non-deleted version exists.
 func (c *Chain[T]) Read(snapTS TS, txID uint64) (T, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	for i := len(c.versions) - 1; i >= 0; i-- {
-		v := &c.versions[i]
-		if v.commitTS == 0 {
+	for v := c.head.Load(); v != nil; v = v.next.Load() {
+		ts := TS(v.commitTS.Load())
+		if ts == 0 {
 			if txID != 0 && v.owner == txID {
 				return v.value, !v.deleted
 			}
 			continue
 		}
-		if v.commitTS <= snapTS {
+		if ts <= snapTS {
 			return v.value, !v.deleted
 		}
 	}
@@ -51,16 +67,21 @@ func (c *Chain[T]) Read(snapTS TS, txID uint64) (T, bool) {
 	return zero, false
 }
 
+// latestCommitted returns the newest committed version, or nil.
+func (c *Chain[T]) latestCommitted() *version[T] {
+	for v := c.head.Load(); v != nil; v = v.next.Load() {
+		if v.commitTS.Load() != 0 {
+			return v
+		}
+	}
+	return nil
+}
+
 // ReadLatest returns the newest committed version regardless of
 // snapshot (used by replication shipping and non-transactional paths).
 func (c *Chain[T]) ReadLatest() (T, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	for i := len(c.versions) - 1; i >= 0; i-- {
-		v := &c.versions[i]
-		if v.commitTS != 0 {
-			return v.value, !v.deleted
-		}
+	if v := c.latestCommitted(); v != nil {
+		return v.value, !v.deleted
 	}
 	var zero T
 	return zero, false
@@ -69,28 +90,25 @@ func (c *Chain[T]) ReadLatest() (T, bool) {
 // LatestCommitTS returns the commit timestamp of the newest committed
 // version, or 0 if none.
 func (c *Chain[T]) LatestCommitTS() TS {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	for i := len(c.versions) - 1; i >= 0; i-- {
-		if c.versions[i].commitTS != 0 {
-			return c.versions[i].commitTS
-		}
+	if v := c.latestCommitted(); v != nil {
+		return TS(v.commitTS.Load())
 	}
 	return 0
 }
 
 // Write installs an uncommitted version owned by txID. The caller must
 // hold the record's exclusive lock. A previous uncommitted version by
-// the same transaction is replaced in place.
+// the same transaction is replaced.
 func (c *Chain[T]) Write(txID uint64, value T, deleted bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if n := len(c.versions); n > 0 && c.versions[n-1].commitTS == 0 && c.versions[n-1].owner == txID {
-		c.versions[n-1].value = value
-		c.versions[n-1].deleted = deleted
-		return
+	nv := &version[T]{owner: txID, deleted: deleted, value: value}
+	older := c.head.Load()
+	if older.pendingOf(txID) {
+		older = older.next.Load()
 	}
-	c.versions = append(c.versions, version[T]{owner: txID, value: value, deleted: deleted})
+	nv.next.Store(older)
+	c.head.Store(nv)
 }
 
 // CommitStamp stamps txID's uncommitted version with ts. It is a no-op
@@ -98,9 +116,8 @@ func (c *Chain[T]) Write(txID uint64, value T, deleted bool) {
 func (c *Chain[T]) CommitStamp(txID uint64, ts TS) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if n := len(c.versions); n > 0 && c.versions[n-1].commitTS == 0 && c.versions[n-1].owner == txID {
-		c.versions[n-1].commitTS = ts
-		c.versions[n-1].owner = 0
+	if h := c.head.Load(); h.pendingOf(txID) {
+		h.commitTS.Store(uint64(ts))
 	}
 }
 
@@ -108,24 +125,22 @@ func (c *Chain[T]) CommitStamp(txID uint64, ts TS) {
 func (c *Chain[T]) Rollback(txID uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if n := len(c.versions); n > 0 && c.versions[n-1].commitTS == 0 && c.versions[n-1].owner == txID {
-		c.versions = c.versions[:n-1]
+	if h := c.head.Load(); h.pendingOf(txID) {
+		c.head.Store(h.next.Load())
 	}
 }
 
 // Empty reports whether the chain holds no versions at all (safe to
 // garbage-collect the record).
-func (c *Chain[T]) Empty() bool {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.versions) == 0
-}
+func (c *Chain[T]) Empty() bool { return c.head.Load() == nil }
 
 // Len returns the number of stored versions (committed + pending).
 func (c *Chain[T]) Len() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.versions)
+	n := 0
+	for v := c.head.Load(); v != nil; v = v.next.Load() {
+		n++
+	}
+	return n
 }
 
 // Visible returns the value a reader sees: the snapshot-visible version
@@ -186,18 +201,15 @@ func (c *Chain[T]) Collect(horizon TS) (dropped int, dead bool) {
 func (c *Chain[T]) GC(horizon TS) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	keepFrom := 0
-	for i := 0; i < len(c.versions)-1; i++ {
-		v := &c.versions[i]
-		next := &c.versions[i+1]
-		if v.commitTS != 0 && v.commitTS < horizon && next.commitTS != 0 && next.commitTS <= horizon {
-			keepFrom = i + 1
+	for v := c.head.Load(); v != nil; v = v.next.Load() {
+		if ts := TS(v.commitTS.Load()); ts != 0 && ts <= horizon {
+			dropped := 0
+			for o := v.next.Load(); o != nil; o = o.next.Load() {
+				dropped++
+			}
+			v.next.Store(nil)
+			return dropped
 		}
 	}
-	if keepFrom == 0 {
-		return 0
-	}
-	dropped := keepFrom
-	c.versions = append([]version[T]{}, c.versions[keepFrom:]...)
-	return dropped
+	return 0
 }

@@ -249,3 +249,22 @@ func TestPropChainMatchesReferenceModel(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// BenchmarkChainRead is a snapshot read of a chain with four committed
+// versions from parallel readers, the shape of every store point get.
+func BenchmarkChainRead(b *testing.B) {
+	var c Chain[int]
+	for i := 1; i <= 4; i++ {
+		c.Write(uint64(i), i, false)
+		c.CommitStamp(uint64(i), TS(i*10))
+	}
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			if v, ok := c.Read(100, 0); !ok || v != 4 {
+				b.Errorf("Read = (%d, %v)", v, ok)
+				return
+			}
+		}
+	})
+}

@@ -174,11 +174,9 @@ func q7OrdersWithProduct(st datagen.Target, s session, p Params) (int, error) {
 func q9InfluencerFeedback(st datagen.Target, s session, p Params) (int, error) {
 	s.Hop()
 	degree := map[graph.VID]int{}
-	st.Graph.Edges(s.GraphTx(), func(e graph.Edge) bool {
-		if e.Label == "knows" {
-			degree[e.From]++
-			degree[e.To]++
-		}
+	st.Graph.Edges(s.GraphTx(), "knows", func(e graph.Edge) bool {
+		degree[e.From]++
+		degree[e.To]++
 		return true
 	})
 	type dv struct {

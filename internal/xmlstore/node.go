@@ -105,6 +105,9 @@ func (n *Node) FirstChild(name string) (*Node, bool) {
 
 // InnerText concatenates all descendant text.
 func (n *Node) InnerText() string {
+	if len(n.Children) == 1 && n.Children[0].IsText() {
+		return n.Children[0].Text
+	}
 	var sb strings.Builder
 	n.innerText(&sb)
 	return sb.String()

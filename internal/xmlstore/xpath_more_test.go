@@ -112,3 +112,27 @@ func TestInnerTextMixedContent(t *testing.T) {
 		t.Errorf("InnerText = %q", got)
 	}
 }
+
+// TestInnerText covers the one-text-child fast path next to the shapes
+// that still concatenate.
+func TestInnerText(t *testing.T) {
+	cases := []struct {
+		name string
+		n    *Node
+		want string
+	}{
+		{"one text child", NewElement("total").Append(NewText("27.00")), "27.00"},
+		{"text node itself", NewText("t"), "t"},
+		{"empty element", NewElement("e"), ""},
+		{"empty text child", NewElement("e").Append(NewText("")), ""},
+		{"one element child", MustParse(`<a><b>x</b></a>`), "x"},
+		{"nested", MustParse(`<a><b><c>deep</c></b></a>`), "deep"},
+		{"two text children", NewElement("e").Append(NewText("ab"), NewText("cd")), "abcd"},
+		{"mixed", MustParse(`<p>Hello <b>bold</b> world</p>`), "Hello bold world"},
+	}
+	for _, c := range cases {
+		if got := c.n.InnerText(); got != c.want {
+			t.Errorf("%s: InnerText = %q, want %q", c.name, got, c.want)
+		}
+	}
+}
