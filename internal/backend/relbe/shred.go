@@ -6,6 +6,7 @@ import (
 	"udbench/internal/convert"
 	"udbench/internal/mmvalue"
 	"udbench/internal/relational"
+	"udbench/internal/txn"
 	"udbench/internal/udbms"
 	"udbench/internal/workload"
 )
@@ -104,10 +105,10 @@ func createTable(db *relational.DB, name string, schema relational.Schema, rows 
 	if err != nil {
 		return fmt.Errorf("relbe: %w", err)
 	}
-	for _, row := range rows {
-		if err := t.Insert(nil, row); err != nil {
-			return fmt.Errorf("relbe: %w", err)
-		}
+	if err := t.Manager().Bulk(len(rows), func(tx *txn.Tx, i int) error {
+		return t.Insert(tx, rows[i])
+	}); err != nil {
+		return fmt.Errorf("relbe: %w", err)
 	}
 	for _, col := range indexed {
 		if _, ok := schema.Column(col); !ok {

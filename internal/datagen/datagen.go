@@ -12,6 +12,8 @@ package datagen
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 
 	"udbench/internal/document"
@@ -19,6 +21,7 @@ import (
 	"udbench/internal/kv"
 	"udbench/internal/mmvalue"
 	"udbench/internal/relational"
+	"udbench/internal/txn"
 	"udbench/internal/xmlstore"
 )
 
@@ -295,24 +298,28 @@ type Target struct {
 	XML        *xmlstore.Store
 }
 
-// Load copies the dataset into the target stores (auto-committed, no
-// cross-store transaction needed for an initial load) and creates the
-// benchmark's standard secondary indexes.
+// Load copies the dataset into the target stores, in transactions of
+// txn.BulkBatch records (no cross-store transaction is needed for an
+// initial load), and creates the benchmark's standard secondary
+// indexes.
 func (ds *Dataset) Load(t Target) error { return ds.LoadWithOptions(t, true) }
 
 // LoadWithOptions is Load with control over whether the benchmark's
 // standard secondary indexes (customer.city, orders.customer_id,
 // products.category) are created — the index-ablation experiment
-// loads without them.
+// loads without them. Every loop commits through its own store's
+// manager, so a federation's five managers load the same way one
+// unified manager does. The order is fixed (invoices by order id), so
+// equal datasets load as equal commit sequences.
 func (ds *Dataset) LoadWithOptions(t Target, createIndexes bool) error {
 	cust, err := t.Relational.CreateTable("customer", CustomerSchema())
 	if err != nil {
 		return err
 	}
-	for _, row := range ds.Customers {
-		if err := cust.Insert(nil, row); err != nil {
-			return err
-		}
+	if err := cust.Manager().Bulk(len(ds.Customers), func(tx *txn.Tx, i int) error {
+		return cust.Insert(tx, ds.Customers[i])
+	}); err != nil {
+		return err
 	}
 	if createIndexes {
 		if err := cust.CreateIndex("city"); err != nil {
@@ -322,15 +329,16 @@ func (ds *Dataset) LoadWithOptions(t Target, createIndexes bool) error {
 
 	orders := t.Docs.Collection("orders")
 	products := t.Docs.Collection("products")
-	for _, p := range ds.Products {
-		if err := products.Insert(nil, p); err != nil {
-			return err
-		}
+	docs := t.Docs.Manager()
+	if err := docs.Bulk(len(ds.Products), func(tx *txn.Tx, i int) error {
+		return products.Insert(tx, ds.Products[i])
+	}); err != nil {
+		return err
 	}
-	for _, o := range ds.Orders {
-		if err := orders.Insert(nil, o); err != nil {
-			return err
-		}
+	if err := docs.Bulk(len(ds.Orders), func(tx *txn.Tx, i int) error {
+		return orders.Insert(tx, ds.Orders[i])
+	}); err != nil {
+		return err
 	}
 	if createIndexes {
 		if err := orders.CreateIndex("customer_id"); err != nil {
@@ -341,36 +349,37 @@ func (ds *Dataset) LoadWithOptions(t Target, createIndexes bool) error {
 		}
 	}
 
-	for _, key := range ds.FeedbackKeys {
-		if err := t.KV.Put(nil, key, ds.Feedback[key]); err != nil {
-			return err
-		}
+	if err := t.KV.Manager().Bulk(len(ds.FeedbackKeys), func(tx *txn.Tx, i int) error {
+		key := ds.FeedbackKeys[i]
+		return t.KV.Put(tx, key, ds.Feedback[key])
+	}); err != nil {
+		return err
 	}
 
-	for oid, inv := range ds.Invoices {
-		if err := t.XML.Put(nil, oid, inv); err != nil {
-			return err
-		}
+	oids := slices.Sorted(maps.Keys(ds.Invoices))
+	if err := t.XML.Manager().Bulk(len(oids), func(tx *txn.Tx, i int) error {
+		return t.XML.Put(tx, oids[i], ds.Invoices[oids[i]])
+	}); err != nil {
+		return err
 	}
 
 	// Graph: customer and product vertices, then edges.
-	for i := 1; i <= len(ds.Customers); i++ {
-		if err := t.Graph.AddVertex(nil, graph.VID(customerVID(i)), "customer", mmvalue.ObjectOf("id", i)); err != nil {
-			return err
-		}
+	g := t.Graph.Manager()
+	if err := g.Bulk(len(ds.Customers), func(tx *txn.Tx, i int) error {
+		return t.Graph.AddVertex(tx, graph.VID(customerVID(i+1)), "customer", mmvalue.ObjectOf("id", i+1))
+	}); err != nil {
+		return err
 	}
-	for i := 1; i <= len(ds.Products); i++ {
-		if err := t.Graph.AddVertex(nil, graph.VID(ProductVID(productID(i))), "product", mmvalue.ObjectOf("id", i)); err != nil {
-			return err
-		}
+	if err := g.Bulk(len(ds.Products), func(tx *txn.Tx, i int) error {
+		return t.Graph.AddVertex(tx, graph.VID(ProductVID(productID(i+1))), "product", mmvalue.ObjectOf("id", i+1))
+	}); err != nil {
+		return err
 	}
-	for _, e := range ds.KnowsEdges {
-		if err := t.Graph.AddEdge(nil, graph.EID(e.ID), e.Label, graph.VID(e.From), graph.VID(e.To), e.Props); err != nil {
-			return err
-		}
-	}
-	for _, e := range ds.PurchaseEdges {
-		if err := t.Graph.AddEdge(nil, graph.EID(e.ID), e.Label, graph.VID(e.From), graph.VID(e.To), e.Props); err != nil {
+	for _, edges := range [][]EdgeSpec{ds.KnowsEdges, ds.PurchaseEdges} {
+		if err := g.Bulk(len(edges), func(tx *txn.Tx, i int) error {
+			e := edges[i]
+			return t.Graph.AddEdge(tx, graph.EID(e.ID), e.Label, graph.VID(e.From), graph.VID(e.To), e.Props)
+		}); err != nil {
 			return err
 		}
 	}

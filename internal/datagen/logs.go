@@ -12,6 +12,7 @@ import (
 	"strings"
 
 	"udbench/internal/mmvalue"
+	"udbench/internal/txn"
 	"udbench/internal/xmlstore"
 )
 
@@ -137,14 +138,15 @@ func (ds *LogsDataset) NumSources() int {
 // NumRecords returns the generated record count.
 func (ds *LogsDataset) NumRecords() int { return len(ds.Records) }
 
-// Load copies the dataset into the target stores and creates the
-// level and source secondary indexes the selectivity sweeps probe.
+// Load copies the dataset into the target stores, in transactions of
+// txn.BulkBatch records, and creates the level and source secondary
+// indexes the selectivity sweeps probe.
 func (ds *LogsDataset) Load(t Target) error {
 	logs := t.Docs.Collection("logs")
-	for _, doc := range ds.Records {
-		if err := logs.Insert(nil, doc); err != nil {
-			return err
-		}
+	if err := logs.Manager().Bulk(len(ds.Records), func(tx *txn.Tx, i int) error {
+		return logs.Insert(tx, ds.Records[i])
+	}); err != nil {
+		return err
 	}
 	if err := logs.CreateIndex("level"); err != nil {
 		return err
@@ -152,10 +154,8 @@ func (ds *LogsDataset) Load(t Target) error {
 	if err := logs.CreateIndex("source"); err != nil {
 		return err
 	}
-	for _, id := range ds.BlobIDs {
-		if err := t.XML.Put(nil, id, ds.Blobs[id]); err != nil {
-			return err
-		}
-	}
-	return nil
+	return t.XML.Manager().Bulk(len(ds.BlobIDs), func(tx *txn.Tx, i int) error {
+		id := ds.BlobIDs[i]
+		return t.XML.Put(tx, id, ds.Blobs[id])
+	})
 }

@@ -11,6 +11,7 @@ import (
 
 	"udbench/internal/mmvalue"
 	"udbench/internal/relational"
+	"udbench/internal/txn"
 )
 
 // Reference tenant entity counts at scale factor 1.
@@ -118,23 +119,24 @@ func (ds *TenantsDataset) NumTenants() int { return len(ds.Tenants) }
 // NumTickets returns the generated ticket count.
 func (ds *TenantsDataset) NumTickets() int { return len(ds.Tickets) }
 
-// Load copies the dataset into the target stores and creates the
-// tenant-scoping index every inbox query probes.
+// Load copies the dataset into the target stores, in transactions of
+// txn.BulkBatch records, and creates the tenant-scoping index every
+// inbox query probes.
 func (ds *TenantsDataset) Load(t Target) error {
 	tenants, err := t.Relational.CreateTable("tenant", TenantSchema())
 	if err != nil {
 		return err
 	}
-	for _, row := range ds.Tenants {
-		if err := tenants.Insert(nil, row); err != nil {
-			return err
-		}
+	if err := tenants.Manager().Bulk(len(ds.Tenants), func(tx *txn.Tx, i int) error {
+		return tenants.Insert(tx, ds.Tenants[i])
+	}); err != nil {
+		return err
 	}
 	tickets := t.Docs.Collection("tickets")
-	for _, doc := range ds.Tickets {
-		if err := tickets.Insert(nil, doc); err != nil {
-			return err
-		}
+	if err := tickets.Manager().Bulk(len(ds.Tickets), func(tx *txn.Tx, i int) error {
+		return tickets.Insert(tx, ds.Tickets[i])
+	}); err != nil {
+		return err
 	}
 	return tickets.CreateIndex("tenant_id")
 }

@@ -10,6 +10,7 @@ import (
 
 	"udbench/internal/mmvalue"
 	"udbench/internal/relational"
+	"udbench/internal/txn"
 )
 
 // Reference timeseries entity counts at scale factor 1.
@@ -124,21 +125,20 @@ func (ds *TimeseriesDataset) NumSeries() int { return len(ds.Series) }
 // NumPoints returns the generated point count.
 func (ds *TimeseriesDataset) NumPoints() int { return len(ds.PointKeys) }
 
-// Load copies the dataset into the target stores (auto-committed).
+// Load copies the dataset into the target stores, in transactions of
+// txn.BulkBatch records.
 func (ds *TimeseriesDataset) Load(t Target) error {
 	series, err := t.Relational.CreateTable("series", SeriesSchema())
 	if err != nil {
 		return err
 	}
-	for _, row := range ds.Series {
-		if err := series.Insert(nil, row); err != nil {
-			return err
-		}
+	if err := series.Manager().Bulk(len(ds.Series), func(tx *txn.Tx, i int) error {
+		return series.Insert(tx, ds.Series[i])
+	}); err != nil {
+		return err
 	}
-	for _, key := range ds.PointKeys {
-		if err := t.KV.Put(nil, key, ds.Points[key]); err != nil {
-			return err
-		}
-	}
-	return nil
+	return t.KV.Manager().Bulk(len(ds.PointKeys), func(tx *txn.Tx, i int) error {
+		key := ds.PointKeys[i]
+		return t.KV.Put(tx, key, ds.Points[key])
+	})
 }

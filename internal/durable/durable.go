@@ -11,7 +11,9 @@
 //
 //  1. Load the newest readable snapshot (corrupt or torn snapshots fall
 //     back to the previous one). The payload is the same op-blob stream
-//     the log carries, so one dispatcher applies both.
+//     the log carries, so one dispatcher applies both; snapshot ops are
+//     applied through txn.Manager.Bulk, txn.BulkBatch ops per
+//     transaction, like any other bulk load.
 //  2. Replay the log through the five stores, skipping records
 //     at or below the snapshot timestamp. Each record is one committed
 //     transaction and is re-applied as one transaction, so a replayed
@@ -43,11 +45,6 @@ import (
 
 // LogName is the log file name inside a durable directory.
 const LogName = "wal.log"
-
-// applyBatch is how many snapshot ops are grouped into one transaction
-// during recovery (log records keep their original transaction
-// boundaries instead).
-const applyBatch = 512
 
 // Options tunes a durable database.
 type Options struct {
@@ -138,17 +135,12 @@ func recoverDir(fsys wal.FS, dir string, db *udbms.DB) (RecoveryStats, error) {
 		if err != nil {
 			return rec, fmt.Errorf("durable: snapshot payload: %w", err)
 		}
-		for len(ops) > 0 {
-			batch := ops
-			if len(batch) > applyBatch {
-				batch = batch[:applyBatch]
-			}
-			ops = ops[len(batch):]
-			if err := applyOps(db, batch); err != nil {
-				return rec, fmt.Errorf("durable: snapshot apply: %w", err)
-			}
-			rec.SnapshotOps += len(batch)
+		if err := db.Manager().Bulk(len(ops), func(tx *txn.Tx, i int) error {
+			return applyOp(db, tx, ops[i])
+		}); err != nil {
+			return rec, fmt.Errorf("durable: snapshot apply: %w", err)
 		}
+		rec.SnapshotOps = len(ops)
 		rec.SnapshotTS = snapTS
 	}
 	rs, err := wal.Replay(fsys, dir+"/"+LogName, func(ts uint64, ops [][]byte) error {

@@ -170,8 +170,18 @@ func (s *Store) putVertex(tx *txn.Tx, id VID, label string, props mmvalue.Value,
 			}
 		}
 		s.mu.Lock()
+		oldLabel := rec.label
 		rec.label = label
 		s.mu.Unlock()
+		if oldLabel != label {
+			// The label is not versioned: put the old one back if tx
+			// aborts, as putEdge does for a relink.
+			tx.OnUndo(func() {
+				s.mu.Lock()
+				rec.label = oldLabel
+				s.mu.Unlock()
+			})
+		}
 		rec.chain.Stage(tx, props.Clone(), false)
 		if tx.Logging() {
 			tx.LogOp(wal.NewOp(wal.OpGraphVertex).String(string(id)).String(label).
@@ -307,6 +317,10 @@ func normalizeProps(props mmvalue.Value) mmvalue.Value {
 func (s *Store) GetVertex(tx *txn.Tx, id VID) (Vertex, bool) {
 	s.mu.RLock()
 	rec := s.vertices[id]
+	var label string
+	if rec != nil {
+		label = rec.label
+	}
 	s.mu.RUnlock()
 	if rec == nil {
 		return Vertex{}, false
@@ -315,7 +329,7 @@ func (s *Store) GetVertex(tx *txn.Tx, id VID) (Vertex, bool) {
 	if !ok {
 		return Vertex{}, false
 	}
-	return Vertex{ID: id, Label: rec.label, Props: props}, true
+	return Vertex{ID: id, Label: label, Props: props}, true
 }
 
 // GetEdge returns the edge as visible to tx.

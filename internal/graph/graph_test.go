@@ -457,6 +457,70 @@ func TestEdgeRelinkRollsBackOnAbort(t *testing.T) {
 	}
 }
 
+// TestVertexRelabelRollsBackOnAbort is the vertex counterpart: re-adding
+// a removed vertex under a new label and aborting must leave the old
+// label, so an older snapshot still sees the vertex as it was.
+func TestVertexRelabelRollsBackOnAbort(t *testing.T) {
+	g := newTestGraph()
+	if err := g.AddVertex(nil, "v", "a", mmvalue.Null); err != nil {
+		t.Fatal(err)
+	}
+	old := g.Manager().Begin()
+	defer old.Abort()
+	if err := g.RemoveVertex(nil, "v"); err != nil {
+		t.Fatal(err)
+	}
+	tx := g.Manager().Begin()
+	if err := g.AddVertex(tx, "v", "b", mmvalue.Null); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := g.GetVertex(tx, "v"); !ok || v.Label != "b" {
+		t.Fatalf("in-flight re-add = %+v, %v", v, ok)
+	}
+	tx.Abort()
+	if v, ok := g.GetVertex(old, "v"); !ok || v.Label != "a" {
+		t.Fatalf("old snapshot after aborted re-add = %+v, %v; want label a", v, ok)
+	}
+	if _, ok := g.GetVertex(nil, "v"); ok {
+		t.Error("removed vertex visible at latest after aborted re-add")
+	}
+}
+
+// TestGetVertexDuringRelabel reads vertices while replay-style upserts
+// flip their labels; run under -race it pins that GetVertex reads the
+// label under the store lock putVertex writes it under.
+func TestGetVertexDuringRelabel(t *testing.T) {
+	g := newTestGraph()
+	const n = 8
+	for i := 0; i < n; i++ {
+		if err := g.AddVertex(nil, VID(fmt.Sprint(i)), "even", mmvalue.Null); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for r := 0; r < 200; r++ {
+			label := [2]string{"even", "odd"}[r%2]
+			for i := 0; i < n; i++ {
+				if err := g.ApplyVertex(nil, VID(fmt.Sprint(i)), label, mmvalue.Null); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}
+	}()
+	for r := 0; r < 200; r++ {
+		for i := 0; i < n; i++ {
+			if v, ok := g.GetVertex(nil, VID(fmt.Sprint(i))); !ok || (v.Label != "even" && v.Label != "odd") {
+				t.Fatalf("GetVertex(%d) = %+v, %v", i, v, ok)
+			}
+		}
+	}
+	wg.Wait()
+}
+
 // edgesByScan is the reference for Edges: every edge record in id order
 // through GetEdge, filtered by label.
 func edgesByScan(g *Store, tx *txn.Tx, label string) []Edge {

@@ -6,8 +6,8 @@
 // ordered map of version chains that owns locking, the write ritual,
 // visibility, advisory indexes and version GC, so a store adds only
 // what is specific to its data model. One retry policy (Retry, with
-// backoff) serves every auto-committed operation and both engines'
-// RunTx.
+// backoff) serves every auto-committed operation, every bulk load (Bulk,
+// BulkBatch records per transaction) and both engines' RunTx.
 //
 // Concurrency model ("SI+SS2PL"): writers take exclusive locks held to
 // commit (strict 2PL), so write sets serialize. Readers never lock; they
@@ -528,6 +528,34 @@ func (m *Manager) Auto(tx *Tx, fn func(*Tx) error) error {
 		return fn(tx)
 	}
 	return m.RunWith(DefaultRetries, fn)
+}
+
+// BulkBatch is how many records Bulk puts in one transaction: large
+// enough that a logged load pays one commit record and one durability
+// barrier per BulkBatch records, small enough that a batch's held locks
+// and undo list stay a few hundred entries.
+const BulkBatch = 512
+
+// Bulk is the one bulk-load path: it calls put for every i in [0, n),
+// BulkBatch calls per transaction, and commits each transaction under
+// RunWith's deadlock-retry policy before the next begins. A failing put
+// aborts its batch and ends the load; earlier batches stay committed,
+// so a crash or an error leaves a prefix of whole batches.
+func (m *Manager) Bulk(n int, put func(tx *Tx, i int) error) error {
+	for lo := 0; lo < n; lo += BulkBatch {
+		hi := min(lo+BulkBatch, n)
+		if err := m.RunWith(DefaultRetries, func(tx *Tx) error {
+			for i := lo; i < hi; i++ {
+				if err := put(tx, i); err != nil {
+					return err
+				}
+			}
+			return nil
+		}); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // LogDDL makes a schema change durable: with a commit log attached it

@@ -63,8 +63,11 @@ type source interface {
 // rowBufPool recycles the executor's row buffers — seed scan batches
 // and join probe buffers — across queries. These buffers peak at a few
 // KB to a few tens of KB each; allocating them fresh per query
-// dominated the allocation profile of small and mid-size queries. Buffers are cleared before going back so pooled slots never
-// pin store rows.
+// dominated the allocation profile of small and mid-size queries.
+// Pooled buffers are zero in every slot, so a pooled slot never pins a
+// store row: a user clears exactly the prefix it wrote before handing
+// the buffer back. A point query borrowing a buffer a large join grew
+// thus pays for the few slots it touched, not for the capacity.
 var rowBufPool = sync.Pool{New: func() any { return &rowBuf{} }}
 
 type rowBuf struct{ rows []mmvalue.Value }
@@ -77,12 +80,12 @@ func getRowBuf(capHint int) *rowBuf {
 	return rb
 }
 
-// putRowBuf clears rows (the buffer's current backing array, possibly
-// regrown since getRowBuf) and returns it to the pool.
-func putRowBuf(rb *rowBuf, rows []mmvalue.Value) {
-	rows = rows[:cap(rows)]
-	clear(rows)
-	rb.rows = rows[:0]
+// putRowBuf clears used — the written prefix of the buffer's current
+// backing array, possibly regrown since getRowBuf — and returns the
+// buffer to the pool. Slots past len(used) must never have been written.
+func putRowBuf(rb *rowBuf, used []mmvalue.Value) {
+	clear(used)
+	rb.rows = used[:0]
 	rowBufPool.Put(rb)
 }
 
@@ -113,6 +116,7 @@ func (s *relSource) run(emit func(*Batch) bool) {
 	rb := getRowBuf(seedBufCap(s.t.Len()))
 	s.acc.Hop()
 	s.t.StreamBatch(s.acc.RelTx(), s.where, rb.rows, func(rows []mmvalue.Value) bool {
+		rb.rows = rows[:max(len(rb.rows), len(rows))] // the written prefix
 		b.rows = rows
 		return emit(b)
 	})
@@ -130,6 +134,7 @@ func (s *docSource) run(emit func(*Batch) bool) {
 	rb := getRowBuf(seedBufCap(s.c.Len()))
 	s.acc.Hop()
 	s.c.StreamBatch(s.acc.DocTx(), s.filter, rb.rows, func(rows []mmvalue.Value) bool {
+		rb.rows = rows[:max(len(rb.rows), len(rows))] // the written prefix
 		b.rows = rows
 		return emit(b)
 	})

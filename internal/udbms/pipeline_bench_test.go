@@ -126,6 +126,29 @@ func BenchmarkPipelineJoin(b *testing.B) {
 			}
 		})
 	}
+	// A one-row probe after a 4096-row join: the point query borrows the
+	// pooled row buffers the big join grew, so this leg measures what
+	// handing them back costs.
+	b.Run("point/after-probe4096", func(b *testing.B) {
+		big := benchJoinDB(b, 4096, 1000, true)
+		if err := big.Docs.Collection("one").Insert(nil, mmvalue.ObjectOf("_id", "x", "cid", int64(0))); err != nil {
+			b.Fatal(err)
+		}
+		run := func(from string) {
+			err := big.Pipeline(nil).FromDocuments(from, nil).
+				JoinDocuments("build", "cid", "cid", "m").
+				Each(func(mmvalue.Value) bool { return true })
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+		run("probe")
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			run("one")
+		}
+	})
 }
 
 // BenchmarkGroupBy measures the batch-native aggregation stage:

@@ -172,7 +172,8 @@ const attachCap = 64
 // order of 100KB of allocation, which dwarfed everything else in
 // mid-size join queries; the pool amortizes it across queries. Ring
 // objects keep their field storage between queries (that is the
-// point); out is cleared on release so pooled slots never pin rows.
+// point); the written prefix of out is cleared on release so pooled
+// slots never pin rows.
 type attachScratch struct {
 	objs []*mmvalue.Object
 	out  []mmvalue.Value
@@ -194,6 +195,7 @@ type attacher struct {
 	useScr  bool
 	scr     *attachScratch
 	out     Batch
+	used    int // most rows out has held: the prefix release clears
 	stopped bool
 }
 
@@ -216,7 +218,7 @@ func (a *attacher) release() {
 	if a.scr == nil {
 		return
 	}
-	out := a.out.rows[:cap(a.out.rows)]
+	out := a.out.rows[:max(a.used, len(a.out.rows))]
 	clear(out)
 	a.scr.out = out[:0]
 	attachScratchPool.Put(a.scr)
@@ -252,6 +254,8 @@ func (a *attacher) emit() bool {
 	if len(a.out.rows) == 0 {
 		return !a.stopped
 	}
+	// Before the push: downstream may truncate the batch it is handed.
+	a.used = max(a.used, len(a.out.rows))
 	ok := a.down.push(&a.out)
 	a.out.reset()
 	if !ok {

@@ -11,7 +11,8 @@ import (
 // into either engine's stores. Implementations wrap the datagen types
 // so the workload layer never depends on one concrete dataset shape.
 type SuiteData interface {
-	// Load copies the dataset into the target stores (auto-committed).
+	// Load copies the dataset into the target stores, in transactions
+	// of txn.BulkBatch records.
 	Load(t datagen.Target) error
 	// Info exposes the cardinalities the parameter generator draws
 	// from. Every field must be >= 1 (the Zipf generators reject empty
