@@ -127,14 +127,15 @@ func cmdList() error {
 
 func benchFlags(args []string) (core.Config, []string, bool, string, error) {
 	fs := flag.NewFlagSet("run", flag.ContinueOnError)
-	sf := fs.Float64("sf", 0.2, "scale factor")
-	seed := fs.Uint64("seed", 42, "generator seed")
-	quick := fs.Bool("quick", false, "quick mode")
-	hop := fs.Duration("hop", 100*time.Microsecond, "federation hop latency")
+	cfg := core.DefaultConfig()
+	fs.Float64Var(&cfg.SF, "sf", cfg.SF, "scale factor")
+	fs.Uint64Var(&cfg.Seed, "seed", cfg.Seed, "generator seed")
+	fs.BoolVar(&cfg.Quick, "quick", cfg.Quick, "quick mode")
+	fs.DurationVar(&cfg.HopLatency, "hop", cfg.HopLatency, "federation hop latency")
 	csv := fs.Bool("csv", false, "CSV output")
 	jsonPath := fs.String("json", "", "write results as JSON to this file")
-	remote := fs.String("remote", "", "also sweep a running 'udbench serve' at this address (f5)")
-	suite := fs.String("suite", "", "workload suite to drive (default t2; see 'udbench suites')")
+	fs.StringVar(&cfg.Remote, "remote", "", "also sweep a running 'udbench serve' at this address (f5)")
+	fs.StringVar(&cfg.Suite, "suite", "", "workload suite to drive (default t2; see 'udbench suites')")
 	// Allow the experiment id before the flags.
 	var pos []string
 	rest := args
@@ -145,10 +146,9 @@ func benchFlags(args []string) (core.Config, []string, bool, string, error) {
 	if err := fs.Parse(rest); err != nil {
 		return core.Config{}, nil, false, "", err
 	}
-	if _, err := workload.ResolveSuite(*suite); err != nil {
+	if _, err := workload.ResolveSuite(cfg.Suite); err != nil {
 		return core.Config{}, nil, false, "", err
 	}
-	cfg := core.Config{SF: *sf, Seed: *seed, Quick: *quick, HopLatency: *hop, Remote: *remote, Suite: *suite}
 	return cfg, append(pos, fs.Args()...), *csv, *jsonPath, nil
 }
 

@@ -15,9 +15,9 @@
 //	                     into a private relational.DB (-engine relational)
 //	internal/relational  relational engine (schemas, indexes, joins)
 //	internal/document    JSON document store (filters, path indexes)
-//	internal/graph       property graph store (k-hop, Dijkstra, PageRank)
+//	internal/graph       property graph store (neighbours, degree, k-hop)
 //	internal/kv          ordered key-value store (skip list, prefix scans)
-//	internal/xmlstore    XML store (parser, XPath subset, validation)
+//	internal/xmlstore    XML store (parser, serializer, tree navigation)
 //	internal/txn         timestamps, 2PL + deadlock detection, version chains
 //	internal/replica     primary/replica lag simulator (consistency substrate)
 //	internal/datagen     deterministic Figure-1 dataset generator

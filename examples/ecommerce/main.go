@@ -95,11 +95,12 @@ func main() {
 	fmt.Printf("customer %d has %d friends who purchased %d distinct products\n",
 		customer, len(friends), len(recommended))
 
-	// Invoice audit: sum EUR invoice totals via XPath.
-	xp, _ := xmlstore.CompileXPath(`/invoice[@currency='EUR']/total`)
+	// Invoice audit: count the totals on EUR invoices.
 	count := 0
-	db.XML.Query(nil, xp, func(_ string, vals []string) bool {
-		count += len(vals)
+	db.XML.Scan(nil, func(_ string, inv *xmlstore.Node) bool {
+		if cur, _ := inv.Attr("currency"); cur == "EUR" {
+			count += len(inv.ChildElements("total"))
+		}
 		return true
 	})
 	fmt.Printf("EUR invoices audited: %d\n", count)

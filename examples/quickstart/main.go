@@ -48,9 +48,15 @@ func main() {
 	fmt.Printf("key-value   | feedback entries of customer 1: %d\n", n)
 
 	// XML: EUR invoices.
-	xp, _ := xmlstore.CompileXPath(`/invoice[@currency='EUR']/total`)
 	eur := 0
-	db.XML.Query(nil, xp, func(string, []string) bool { eur++; return true })
+	db.XML.Scan(nil, func(_ string, inv *xmlstore.Node) bool {
+		if cur, _ := inv.Attr("currency"); cur == "EUR" {
+			if _, ok := inv.FirstChild("total"); ok {
+				eur++
+			}
+		}
+		return true
+	})
 	fmt.Printf("xml         | EUR invoices: %d\n", eur)
 
 	// Cross-model pipeline: Helsinki customers joined with their

@@ -235,14 +235,6 @@ func (c *Collection) SetPath(tx *txn.Tx, id, path string, value mmvalue.Value) e
 	})
 }
 
-// UnsetPath removes a dotted path from the document.
-func (c *Collection) UnsetPath(tx *txn.Tx, id, path string) error {
-	return c.Update(tx, id, func(doc mmvalue.Value) (mmvalue.Value, error) {
-		mmvalue.ParsePath(path).Delete(doc)
-		return doc, nil
-	})
-}
-
 // Delete tombstones the document; deleting a missing id is a no-op.
 func (c *Collection) Delete(tx *txn.Tx, id string) error {
 	return c.docs.Auto(tx, func(tx *txn.Tx) error {
@@ -256,15 +248,6 @@ func (c *Collection) Delete(tx *txn.Tx, id string) error {
 		}
 		return nil
 	})
-}
-
-// HasCollection reports whether a collection of that name already
-// exists, without creating it.
-func (s *Store) HasCollection(name string) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	_, ok := s.colls[name]
-	return ok
 }
 
 // Len returns the number of document slots in the collection, including

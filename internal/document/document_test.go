@@ -95,13 +95,6 @@ func TestUpdateAndPathOps(t *testing.T) {
 	if v, _ := mmvalue.ParsePath("ship.tracking.code").Lookup(doc); !mmvalue.Equal(v, mmvalue.String("X1")) {
 		t.Error("deep SetPath lost")
 	}
-	if err := c.UnsetPath(nil, "o1", "ship.days"); err != nil {
-		t.Fatal(err)
-	}
-	doc, _ = c.Get(nil, "o1")
-	if _, ok := mmvalue.ParsePath("ship.days").Lookup(doc); ok {
-		t.Error("UnsetPath failed")
-	}
 	// _id change rejected.
 	err := c.Update(nil, "o1", func(d mmvalue.Value) (mmvalue.Value, error) {
 		d.MustObject().Set("_id", mmvalue.String("o9"))
@@ -142,18 +135,12 @@ func TestFilters(t *testing.T) {
 		want int
 	}{
 		{Eq("customer_id", 1), 2},
-		{Ne("customer_id", 1), 1},
-		{Lt("total", 50), 1},
-		{Le("total", 50), 2},
 		{Gt("total", 10), 2},
-		{Ge("total", 10), 3},
-		{Contains("items.0.sku", "x"), 0}, // not an array
 		{All(Eq("customer_id", 1), Gt("total", 50)), 1},
 		{Everything(), 3},
 		{Eq("missing", nil), 3}, // missing path matches eq-null
-		{Ne("missing", "x"), 3}, // missing path matches ne-non-null
-		{Ne("missing", nil), 0}, // but not ne-null
-		{Lt("missing", 100), 0}, // range on missing never matches
+		{Eq("missing", "x"), 0}, // but not eq-non-null
+		{Gt("missing", -1), 0},  // range on missing never matches
 		{Eq("ship.city", "hki"), 3},
 	}
 	for _, tc := range cases {
@@ -161,40 +148,25 @@ func TestFilters(t *testing.T) {
 			t.Errorf("%s matched %d, want %d", tc.f, got, tc.want)
 		}
 	}
-	// Array contains on a real array path.
-	c.Insert(nil, mmvalue.ObjectOf("_id", "o4", "tags", []any{"red", "blue"}))
-	if got := c.CountWhere(nil, Contains("tags", "red")); got != 1 {
-		t.Errorf("Contains matched %d", got)
-	}
-	if got := c.CountWhere(nil, Contains("tags", "green")); got != 0 {
-		t.Errorf("Contains(green) matched %d", got)
-	}
 	// Nil filter counts all.
-	if got := c.CountWhere(nil, nil); got != 4 {
+	if got := c.CountWhere(nil, nil); got != 3 {
 		t.Errorf("nil filter = %d", got)
 	}
 	// Filter strings render.
-	s := All(Eq("a", 1), Lt("b", 2), Contains("c", "x")).String()
-	for _, frag := range []string{"$and", "$lt", "$contains"} {
+	s := All(Eq("a", 1), Gt("b", 2)).String()
+	for _, frag := range []string{"$and", "$eq", "$gt"} {
 		if !strings.Contains(s, frag) {
 			t.Errorf("filter string %q missing %q", s, frag)
 		}
 	}
 }
 
-func TestFindSortLimitProjection(t *testing.T) {
+func TestFindProjection(t *testing.T) {
 	c := newTestStore().Collection("orders")
 	for i := 1; i <= 6; i++ {
 		c.Insert(nil, orderDoc(fmt.Sprintf("o%d", i), int64(i%2), float64(i*10)))
 	}
-	docs := c.Find(nil, Everything(), &FindOptions{SortPath: "total", Descending: true, Limit: 2})
-	if len(docs) != 2 {
-		t.Fatalf("limit got %d", len(docs))
-	}
-	if v, _ := mmvalue.ParsePath("total").Lookup(docs[0]); !mmvalue.Equal(v, mmvalue.Float(60)) {
-		t.Errorf("sort desc first = %s", v)
-	}
-	docs = c.Find(nil, Eq("customer_id", 1), &FindOptions{Projection: []string{"total", "ship.city"}})
+	docs := c.Find(nil, Eq("customer_id", 1), &FindOptions{Projection: []string{"total", "ship.city"}})
 	if len(docs) != 3 {
 		t.Fatalf("projection find got %d", len(docs))
 	}
@@ -207,13 +179,6 @@ func TestFindSortLimitProjection(t *testing.T) {
 	}
 	if v, found := mmvalue.ParsePath("ship.city").Lookup(docs[0]); !found || !mmvalue.Equal(v, mmvalue.String("hki")) {
 		t.Error("nested projection missing")
-	}
-	// FindOne.
-	if _, ok := c.FindOne(nil, Eq("_id", "o3")); !ok {
-		t.Error("FindOne missed")
-	}
-	if _, ok := c.FindOne(nil, Eq("_id", "zz")); ok {
-		t.Error("FindOne phantom")
 	}
 	// Find results are clones.
 	docs = c.Find(nil, Eq("_id", "o1"), nil)

@@ -2,7 +2,6 @@ package document
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"udbench/internal/mmvalue"
@@ -23,7 +22,7 @@ type Filter interface {
 type cmpFilter struct {
 	path string
 	pp   mmvalue.Path // precompiled once at construction, reused per Match
-	op   string       // "eq","ne","lt","le","gt","ge"
+	op   string       // "eq" or "gt"
 	lit  mmvalue.Value
 }
 
@@ -34,32 +33,14 @@ func newCmpFilter(path, op string, value any) cmpFilter {
 func (f cmpFilter) Match(doc mmvalue.Value) bool {
 	v, ok := f.pp.Lookup(doc)
 	if !ok {
-		// Missing path: only $ne and eq-null match.
-		switch f.op {
-		case "ne":
-			return !f.lit.IsNull()
-		case "eq":
-			return f.lit.IsNull()
-		default:
-			return false
-		}
+		// Missing path: only eq-null matches.
+		return f.op == "eq" && f.lit.IsNull()
 	}
 	c := mmvalue.Compare(v, f.lit)
-	switch f.op {
-	case "eq":
+	if f.op == "eq" {
 		return c == 0
-	case "ne":
-		return c != 0
-	case "lt":
-		return c < 0
-	case "le":
-		return c <= 0
-	case "gt":
-		return c > 0
-	case "ge":
-		return c >= 0
 	}
-	return false
+	return c > 0
 }
 
 func (f cmpFilter) String() string {
@@ -76,55 +57,8 @@ func (f cmpFilter) equalityOn() (string, mmvalue.Value, bool) {
 // Eq matches path == value.
 func Eq(path string, value any) Filter { return newCmpFilter(path, "eq", value) }
 
-// Ne matches path != value (missing paths match unless value is null).
-func Ne(path string, value any) Filter { return newCmpFilter(path, "ne", value) }
-
-// Lt matches path < value.
-func Lt(path string, value any) Filter { return newCmpFilter(path, "lt", value) }
-
-// Le matches path <= value.
-func Le(path string, value any) Filter { return newCmpFilter(path, "le", value) }
-
 // Gt matches path > value.
 func Gt(path string, value any) Filter { return newCmpFilter(path, "gt", value) }
-
-// Ge matches path >= value.
-func Ge(path string, value any) Filter { return newCmpFilter(path, "ge", value) }
-
-type containsFilter struct {
-	path string
-	pp   mmvalue.Path
-	elem mmvalue.Value
-}
-
-// Contains matches documents whose array at path contains an element
-// equal to value.
-func Contains(path string, value any) Filter {
-	return containsFilter{path: path, pp: mmvalue.ParsePath(path), elem: mmvalue.From(value)}
-}
-
-func (f containsFilter) Match(doc mmvalue.Value) bool {
-	v, ok := f.pp.Lookup(doc)
-	if !ok {
-		return false
-	}
-	elems, ok := v.AsArray()
-	if !ok {
-		return false
-	}
-	for _, e := range elems {
-		if mmvalue.Equal(e, f.elem) {
-			return true
-		}
-	}
-	return false
-}
-
-func (f containsFilter) String() string {
-	return fmt.Sprintf("{%s: {$contains: %s}}", f.path, f.elem)
-}
-
-func (f containsFilter) equalityOn() (string, mmvalue.Value, bool) { return "", mmvalue.Null, false }
 
 type andFilter struct{ fs []Filter }
 
@@ -186,52 +120,20 @@ func (trueFilter) equalityOn() (string, mmvalue.Value, bool) { return "", mmvalu
 
 // FindOptions tunes a Find call.
 type FindOptions struct {
-	// SortPath orders results by the value at this dotted path.
-	SortPath string
-	// Descending flips the sort order.
-	Descending bool
-	// Limit caps the number of results; <0 means unlimited.
-	Limit int
 	// Projection restricts result documents to these dotted paths
 	// (plus _id).
 	Projection []string
 }
 
-// Find returns clones of all documents visible to tx matching filter,
-// honouring opts. A nil opts means no sort, no limit, full documents.
+// Find returns clones of all documents visible to tx matching filter
+// (nil = all), in id order. A nil opts means full documents.
 func (c *Collection) Find(tx *txn.Tx, filter Filter, opts *FindOptions) []mmvalue.Value {
-	if filter == nil {
-		filter = Everything()
-	}
-	limit := -1
-	if opts != nil {
-		limit = opts.Limit
-		if opts.Limit == 0 {
-			limit = -1
-		}
-	}
 	var out []mmvalue.Value
-	noSort := opts == nil || opts.SortPath == ""
 	// Stream owns the access-path choice (index route vs scan).
 	c.Stream(tx, filter, func(doc mmvalue.Value) bool {
 		out = append(out, doc)
-		// Early stop only when no post-sort is requested.
-		return !(noSort && limit >= 0 && len(out) >= limit)
+		return true
 	})
-	if opts != nil && opts.SortPath != "" {
-		p := mmvalue.ParsePath(opts.SortPath)
-		sort.SliceStable(out, func(i, j int) bool {
-			a := p.LookupOr(out[i], mmvalue.Null)
-			b := p.LookupOr(out[j], mmvalue.Null)
-			if opts.Descending {
-				return mmvalue.Compare(a, b) > 0
-			}
-			return mmvalue.Compare(a, b) < 0
-		})
-	}
-	if limit >= 0 && len(out) > limit {
-		out = out[:limit]
-	}
 	res := make([]mmvalue.Value, len(out))
 	var projPaths []mmvalue.Path
 	if opts != nil && len(opts.Projection) > 0 {
@@ -248,15 +150,6 @@ func (c *Collection) Find(tx *txn.Tx, filter Filter, opts *FindOptions) []mmvalu
 		}
 	}
 	return res
-}
-
-// FindOne returns the first matching document in id order.
-func (c *Collection) FindOne(tx *txn.Tx, filter Filter) (mmvalue.Value, bool) {
-	docs := c.Find(tx, filter, &FindOptions{Limit: 1})
-	if len(docs) == 0 {
-		return mmvalue.Null, false
-	}
-	return docs[0], true
 }
 
 // CountWhere returns the number of documents matching filter.

@@ -8,38 +8,6 @@ import (
 	"udbench/internal/txn"
 )
 
-func TestFindOptionsZeroLimitMeansUnlimited(t *testing.T) {
-	c := newTestStore().Collection("x")
-	for i := 0; i < 5; i++ {
-		c.Insert(nil, mmvalue.ObjectOf("_id", fmt.Sprintf("d%d", i), "n", i))
-	}
-	docs := c.Find(nil, nil, &FindOptions{Limit: 0})
-	if len(docs) != 5 {
-		t.Errorf("limit 0 (unset) returned %d", len(docs))
-	}
-	docs = c.Find(nil, nil, &FindOptions{Limit: -1})
-	if len(docs) != 5 {
-		t.Errorf("limit -1 returned %d", len(docs))
-	}
-}
-
-func TestSortByNestedPathAndMissingValues(t *testing.T) {
-	c := newTestStore().Collection("x")
-	c.Insert(nil, mmvalue.MustParseJSON(`{"_id":"a","m":{"rank":3}}`))
-	c.Insert(nil, mmvalue.MustParseJSON(`{"_id":"b"}`))
-	c.Insert(nil, mmvalue.MustParseJSON(`{"_id":"c","m":{"rank":1}}`))
-	docs := c.Find(nil, nil, &FindOptions{SortPath: "m.rank"})
-	var ids []string
-	for _, d := range docs {
-		id, _ := d.MustObject().Get("_id")
-		ids = append(ids, id.MustString())
-	}
-	// Missing path collates first (null), then 1, then 3.
-	if fmt.Sprint(ids) != "[b c a]" {
-		t.Errorf("nested sort = %v", ids)
-	}
-}
-
 func TestFuncFilter(t *testing.T) {
 	c := newTestStore().Collection("x")
 	c.Insert(nil, mmvalue.MustParseJSON(`{"_id":"a","items":[{"q":1},{"q":5}]}`))

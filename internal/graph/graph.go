@@ -1,7 +1,6 @@
 // Package graph implements the property-graph data model of the UDBMS
 // benchmark: labeled vertices and edges with mmvalue properties,
-// adjacency indexes, k-hop traversal, shortest paths, simple pattern
-// matching and PageRank.
+// adjacency indexes, neighbour and degree lookups, and k-hop traversal.
 //
 // In the Figure-1 dataset this store holds the social "knows" network
 // between customers and the "purchased" edges from customers to
@@ -20,7 +19,6 @@
 package graph
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 	"sync"
@@ -527,111 +525,6 @@ func (s *Store) KHop(tx *txn.Tx, start VID, k int, dir Dir, label string) []VID 
 	return result
 }
 
-// ShortestPath returns the vertices on a minimal-hop path from a to b
-// (inclusive), or false if unreachable. Edges are traversed in
-// direction dir over the given label ("" = any).
-func (s *Store) ShortestPath(tx *txn.Tx, a, b VID, dir Dir, label string) ([]VID, bool) {
-	if a == b {
-		return []VID{a}, true
-	}
-	prev := map[VID]VID{a: a}
-	frontier := []VID{a}
-	for len(frontier) > 0 {
-		var next []VID
-		for _, v := range frontier {
-			for _, e := range s.Neighbors(tx, v, dir, label) {
-				nb := e.To
-				if dir == In {
-					nb = e.From
-				} else if dir == Both && nb == v {
-					nb = e.From
-				}
-				if _, seen := prev[nb]; seen {
-					continue
-				}
-				prev[nb] = v
-				if nb == b {
-					return rebuildPath(prev, a, b), true
-				}
-				next = append(next, nb)
-			}
-		}
-		frontier = next
-	}
-	return nil, false
-}
-
-func rebuildPath(prev map[VID]VID, a, b VID) []VID {
-	var rev []VID
-	for cur := b; ; cur = prev[cur] {
-		rev = append(rev, cur)
-		if cur == a {
-			break
-		}
-	}
-	path := make([]VID, len(rev))
-	for i, v := range rev {
-		path[len(rev)-1-i] = v
-	}
-	return path
-}
-
-// WeightedShortestPath runs Dijkstra over the float property weightProp
-// of edges (missing weights count as 1). It returns the path and total
-// cost.
-func (s *Store) WeightedShortestPath(tx *txn.Tx, a, b VID, dir Dir, label, weightProp string) ([]VID, float64, bool) {
-	dist := map[VID]float64{a: 0}
-	prev := map[VID]VID{a: a}
-	pq := &vidHeap{{v: a, d: 0}}
-	done := map[VID]bool{}
-	for pq.Len() > 0 {
-		item := heap.Pop(pq).(vidDist)
-		if done[item.v] {
-			continue
-		}
-		done[item.v] = true
-		if item.v == b {
-			return rebuildPath(prev, a, b), item.d, true
-		}
-		for _, e := range s.Neighbors(tx, item.v, dir, label) {
-			nb := e.To
-			if dir == In {
-				nb = e.From
-			} else if dir == Both && nb == item.v {
-				nb = e.From
-			}
-			w := 1.0
-			if p, ok := e.Props.AsObject(); ok {
-				if wv, ok := p.Get(weightProp); ok {
-					if f, ok := wv.AsFloat(); ok {
-						w = f
-					}
-				}
-			}
-			nd := item.d + w
-			if cur, seen := dist[nb]; !seen || nd < cur {
-				dist[nb] = nd
-				prev[nb] = item.v
-				heap.Push(pq, vidDist{v: nb, d: nd})
-			}
-		}
-	}
-	return nil, 0, false
-}
-
-type vidDist struct {
-	v VID
-	d float64
-}
-
-type vidHeap []vidDist
-
-func (h vidHeap) Len() int           { return len(h) }
-func (h vidHeap) Less(i, j int) bool { return h[i].d < h[j].d }
-func (h vidHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *vidHeap) Push(x any)        { *h = append(*h, x.(vidDist)) }
-func (h *vidHeap) Pop() any          { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
-
 // Vertices calls fn for every live vertex visible to tx in id order.
 func (s *Store) Vertices(tx *txn.Tx, fn func(v Vertex) bool) {
 	s.mu.RLock()
@@ -726,73 +619,4 @@ func (s *Store) Compact(horizon txn.TS) int {
 		}
 	}
 	return dropped
-}
-
-// PageRank computes PageRank over the live graph (out-edges, any
-// label) with damping d for the given number of iterations. Returns a
-// map from vertex to rank; ranks sum approximately to 1.
-func (s *Store) PageRank(tx *txn.Tx, d float64, iters int) map[VID]float64 {
-	var ids []VID
-	s.Vertices(tx, func(v Vertex) bool { ids = append(ids, v.ID); return true })
-	n := len(ids)
-	if n == 0 {
-		return nil
-	}
-	rank := make(map[VID]float64, n)
-	for _, id := range ids {
-		rank[id] = 1.0 / float64(n)
-	}
-	for it := 0; it < iters; it++ {
-		next := make(map[VID]float64, n)
-		base := (1 - d) / float64(n)
-		for _, id := range ids {
-			next[id] = base
-		}
-		dangling := 0.0
-		for _, id := range ids {
-			outs := s.Neighbors(tx, id, Out, "")
-			if len(outs) == 0 {
-				dangling += rank[id]
-				continue
-			}
-			share := rank[id] / float64(len(outs))
-			for _, e := range outs {
-				next[e.To] += d * share
-			}
-		}
-		if dangling > 0 {
-			spread := d * dangling / float64(n)
-			for _, id := range ids {
-				next[id] += spread
-			}
-		}
-		rank = next
-	}
-	return rank
-}
-
-// MatchPattern finds all (src, dst) pairs connected by an edge with
-// the given label ("" for any) where the src and dst vertices satisfy
-// the provided predicates (nil matches everything). Pairs come in no
-// particular order.
-func (s *Store) MatchPattern(tx *txn.Tx, label string, srcOK, dstOK func(Vertex) bool) [][2]Vertex {
-	// Gather the endpoints first: Edges' callback may not read vertices.
-	var ends [][2]VID
-	s.Edges(tx, label, func(e Edge) bool {
-		ends = append(ends, [2]VID{e.From, e.To})
-		return true
-	})
-	var out [][2]Vertex
-	for _, fromTo := range ends {
-		src, ok := s.GetVertex(tx, fromTo[0])
-		if !ok || (srcOK != nil && !srcOK(src)) {
-			continue
-		}
-		dst, ok := s.GetVertex(tx, fromTo[1])
-		if !ok || (dstOK != nil && !dstOK(dst)) {
-			continue
-		}
-		out = append(out, [2]Vertex{src, dst})
-	}
-	return out
 }

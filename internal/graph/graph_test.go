@@ -2,7 +2,6 @@ package graph
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 	"testing"
@@ -148,44 +147,26 @@ func TestKHop(t *testing.T) {
 	}
 }
 
-func TestShortestPath(t *testing.T) {
+// TestAlgorithmsHonorSnapshots pins that traversals read at the
+// transaction's snapshot: an edge committed after the reader began
+// extends neither its k-hop reach nor its degrees.
+func TestAlgorithmsHonorSnapshots(t *testing.T) {
 	g := buildSocial(t)
-	path, ok := g.ShortestPath(nil, "a", "d", Out, "knows")
-	if !ok || fmt.Sprint(path) != "[a c d]" {
-		t.Errorf("path = %v, %v", path, ok)
+	reader := g.Manager().Begin()
+	defer reader.Abort()
+	g.AddVertex(nil, "e", "customer", mmvalue.Null)
+	g.AddEdge(nil, "e9", "knows", "d", "e", mmvalue.Null)
+	if got := g.KHop(reader, "a", 3, Out, "knows"); fmt.Sprint(got) != "[b c d]" {
+		t.Errorf("snapshot 3-hop = %v", got)
 	}
-	if p, ok := g.ShortestPath(nil, "a", "a", Out, ""); !ok || len(p) != 1 {
-		t.Error("self path should be [a]")
+	if got := g.KHop(nil, "a", 3, Out, "knows"); fmt.Sprint(got) != "[b c d e]" {
+		t.Errorf("latest 3-hop = %v", got)
 	}
-	if _, ok := g.ShortestPath(nil, "d", "a", Out, "knows"); ok {
-		t.Error("d cannot reach a along out edges")
+	if d := g.Degree(reader, "d", Out, "knows"); d != 0 {
+		t.Errorf("snapshot d out-degree = %d, want 0", d)
 	}
-	if path, ok := g.ShortestPath(nil, "d", "a", Both, "knows"); !ok || len(path) != 3 {
-		t.Errorf("both-direction path = %v, %v", path, ok)
-	}
-}
-
-func TestWeightedShortestPath(t *testing.T) {
-	g := newTestGraph()
-	for _, v := range []VID{"a", "b", "c"} {
-		g.AddVertex(nil, v, "n", mmvalue.Null)
-	}
-	g.AddEdge(nil, "ab", "road", "a", "b", mmvalue.ObjectOf("w", 1.0))
-	g.AddEdge(nil, "bc", "road", "b", "c", mmvalue.ObjectOf("w", 1.0))
-	g.AddEdge(nil, "ac", "road", "a", "c", mmvalue.ObjectOf("w", 5.0))
-	path, cost, ok := g.WeightedShortestPath(nil, "a", "c", Out, "road", "w")
-	if !ok || cost != 2 || fmt.Sprint(path) != "[a b c]" {
-		t.Errorf("dijkstra = %v cost %g ok %v", path, cost, ok)
-	}
-	// Missing weight property defaults to 1.
-	g.AddVertex(nil, "d", "n", mmvalue.Null)
-	g.AddEdge(nil, "cd", "road", "c", "d", mmvalue.Null)
-	_, cost, ok = g.WeightedShortestPath(nil, "a", "d", Out, "road", "w")
-	if !ok || cost != 3 {
-		t.Errorf("default weight cost = %g", cost)
-	}
-	if _, _, ok := g.WeightedShortestPath(nil, "d", "a", Out, "road", "w"); ok {
-		t.Error("unreachable should report false")
+	if d := g.Degree(nil, "d", Out, "knows"); d != 1 {
+		t.Errorf("latest d out-degree = %d, want 1", d)
 	}
 }
 
@@ -197,9 +178,8 @@ func TestRemoveEdgeAndVertex(t *testing.T) {
 	if _, ok := g.GetEdge(nil, "e4"); ok {
 		t.Error("removed edge visible")
 	}
-	path, _ := g.ShortestPath(nil, "a", "d", Out, "knows")
-	if fmt.Sprint(path) != "[a b c d]" {
-		t.Errorf("path after edge removal = %v", path)
+	if hop1 := g.KHop(nil, "a", 1, Out, "knows"); fmt.Sprint(hop1) != "[b]" {
+		t.Errorf("1-hop after edge removal = %v", hop1)
 	}
 	// Removing vertex c removes incident edges.
 	if err := g.RemoveVertex(nil, "c"); err != nil {
@@ -214,8 +194,8 @@ func TestRemoveEdgeAndVertex(t *testing.T) {
 	if _, ok := g.GetEdge(nil, "e6"); ok {
 		t.Error("incident edge e6 survived vertex removal")
 	}
-	if _, ok := g.ShortestPath(nil, "a", "d", Out, "knows"); ok {
-		t.Error("d should be unreachable after c removed")
+	if reach := g.KHop(nil, "a", 3, Out, "knows"); fmt.Sprint(reach) != "[b]" {
+		t.Errorf("reachable after c removed = %v, want [b]", reach)
 	}
 	// Removing a missing vertex is a no-op.
 	if err := g.RemoveVertex(nil, "zz"); err != nil {
@@ -283,58 +263,6 @@ func TestSetVertexProps(t *testing.T) {
 	})
 	if err == nil {
 		t.Error("non-object props should fail")
-	}
-}
-
-func TestPageRank(t *testing.T) {
-	g := newTestGraph()
-	// Star: everyone points at "hub".
-	g.AddVertex(nil, "hub", "n", mmvalue.Null)
-	for i := 0; i < 5; i++ {
-		v := VID(fmt.Sprintf("s%d", i))
-		g.AddVertex(nil, v, "n", mmvalue.Null)
-		g.AddEdge(nil, EID("e"+string(v)), "link", v, "hub", mmvalue.Null)
-	}
-	rank := g.PageRank(nil, 0.85, 30)
-	sum := 0.0
-	for _, r := range rank {
-		sum += r
-	}
-	if math.Abs(sum-1) > 1e-6 {
-		t.Errorf("ranks sum to %g", sum)
-	}
-	for i := 0; i < 5; i++ {
-		if rank[VID(fmt.Sprintf("s%d", i))] >= rank["hub"] {
-			t.Errorf("hub should dominate spokes")
-		}
-	}
-	if g.PageRank(nil, 0.85, 5) == nil {
-		t.Error("non-empty graph returned nil ranks")
-	}
-	if NewStore("e", txn.NewManager()).PageRank(nil, 0.85, 5) != nil {
-		t.Error("empty graph should return nil")
-	}
-}
-
-func TestMatchPattern(t *testing.T) {
-	g := buildSocial(t)
-	// customers who bought p1
-	pairs := g.MatchPattern(nil, "bought",
-		func(v Vertex) bool { return v.Label == "customer" },
-		func(v Vertex) bool { return v.Label == "product" },
-	)
-	if len(pairs) != 2 {
-		t.Fatalf("pattern matched %d pairs", len(pairs))
-	}
-	// nil predicates match everything with the label
-	all := g.MatchPattern(nil, "knows", nil, nil)
-	if len(all) != 4 {
-		t.Errorf("knows pattern = %d", len(all))
-	}
-	none := g.MatchPattern(nil, "bought",
-		func(v Vertex) bool { return false }, nil)
-	if len(none) != 0 {
-		t.Error("false predicate should match nothing")
 	}
 }
 

@@ -121,36 +121,3 @@ func (p Path) Delete(root Value) bool {
 	}
 	return parent.obj.Delete(p[len(p)-1])
 }
-
-// Walk visits every (path, leaf) pair in root in deterministic
-// (insertion for objects, index for arrays) order. Leaves are scalar
-// values plus empty arrays/objects. The walk stops if fn returns false.
-func Walk(root Value, fn func(path Path, leaf Value) bool) {
-	walk(root, nil, fn)
-}
-
-func walk(v Value, prefix Path, fn func(Path, Value) bool) bool {
-	switch v.kind {
-	case KindArray:
-		if len(v.arr) == 0 {
-			return fn(append(Path{}, prefix...), v)
-		}
-		for i, e := range v.arr {
-			if !walk(e, append(prefix, strconv.Itoa(i)), fn) {
-				return false
-			}
-		}
-	case KindObject:
-		if v.obj.Len() == 0 {
-			return fn(append(Path{}, prefix...), v)
-		}
-		for i, k := range v.obj.keys {
-			if !walk(v.obj.at(i), append(prefix, k), fn) {
-				return false
-			}
-		}
-	default:
-		return fn(append(Path{}, prefix...), v)
-	}
-	return true
-}

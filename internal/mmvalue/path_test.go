@@ -119,28 +119,6 @@ func TestPathDelete(t *testing.T) {
 	}
 }
 
-func TestWalk(t *testing.T) {
-	doc := MustParseJSON(`{"a": 1, "b": [2, {"c": 3}], "d": {}, "e": []}`)
-	var got []string
-	Walk(doc, func(p Path, leaf Value) bool {
-		got = append(got, p.String()+"="+leaf.String())
-		return true
-	})
-	want := []string{"a=1", "b.0=2", "b.1.c=3", "d={}", "e=[]"}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("Walk = %v, want %v", got, want)
-	}
-	// Early stop.
-	count := 0
-	Walk(doc, func(Path, Value) bool {
-		count++
-		return count < 2
-	})
-	if count != 2 {
-		t.Errorf("Walk early stop visited %d, want 2", count)
-	}
-}
-
 func TestJSONParseErrors(t *testing.T) {
 	if _, err := ParseJSON([]byte(`{"a":`)); err == nil {
 		t.Error("truncated JSON should error")

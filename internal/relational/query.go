@@ -9,21 +9,18 @@ import (
 )
 
 // Query is a fluent single-table query. Build with Table.Query, then
-// chain Where/OrderBy/Limit/Project and finish with Rows or Count.
+// chain Where/Project and finish with Rows, Count, HashJoin or GroupBy.
 type Query struct {
 	table   *Table
 	tx      *txn.Tx
 	where   Expr
-	orderBy string
-	desc    bool
-	limit   int
 	project []string
 }
 
 // Query starts a query over the table as seen by tx (latest committed
 // when tx is nil).
 func (t *Table) Query(tx *txn.Tx) *Query {
-	return &Query{table: t, tx: tx, where: TrueExpr{}, limit: -1}
+	return &Query{table: t, tx: tx, where: TrueExpr{}}
 }
 
 // Where restricts the result to rows matching e. Multiple calls AND.
@@ -36,68 +33,22 @@ func (q *Query) Where(e Expr) *Query {
 	return q
 }
 
-// OrderBy sorts the result by the named column.
-func (q *Query) OrderBy(column string, descending bool) *Query {
-	q.orderBy = column
-	q.desc = descending
-	return q
-}
-
-// Limit caps the number of returned rows (applied after ordering).
-func (q *Query) Limit(n int) *Query {
-	q.limit = n
-	return q
-}
-
 // Project restricts returned rows to the named columns.
 func (q *Query) Project(columns ...string) *Query {
 	q.project = columns
 	return q
 }
 
-// Plan describes how a query would execute; exposed for the benchmark
-// harness and tests.
-type Plan struct {
-	UseIndex bool
-	Column   string
-}
-
-// Plan returns the access path the executor will choose. A primary-key
-// equality reports as an index access on the key column (it resolves
-// to a point lookup).
-func (q *Query) Plan() Plan {
-	if col, _, ok := q.where.equalityOn(); ok &&
-		(col == q.table.schema.PrimaryKey || q.table.HasIndex(col)) {
-		return Plan{UseIndex: true, Column: col}
-	}
-	return Plan{}
-}
-
-// Rows executes the query and returns matching rows. Rows are clones;
-// callers may mutate them freely.
+// Rows executes the query and returns matching rows in primary-key
+// order. Rows are clones; callers may mutate them freely.
 func (q *Query) Rows() []mmvalue.Value {
 	var out []mmvalue.Value
 	// Stream owns the access-path choice (primary-key point lookup,
 	// index route, or scan).
 	q.table.Stream(q.tx, q.where, func(row mmvalue.Value) bool {
 		out = append(out, row)
-		// Early stop only when no post-ordering is required.
-		return !(q.orderBy == "" && q.limit >= 0 && len(out) >= q.limit)
+		return true
 	})
-	if q.orderBy != "" {
-		col := q.orderBy
-		sort.SliceStable(out, func(i, j int) bool {
-			a := out[i].MustObject().GetOr(col, mmvalue.Null)
-			b := out[j].MustObject().GetOr(col, mmvalue.Null)
-			if q.desc {
-				return mmvalue.Compare(a, b) > 0
-			}
-			return mmvalue.Compare(a, b) < 0
-		})
-	}
-	if q.limit >= 0 && len(out) > q.limit {
-		out = out[:q.limit]
-	}
 	// Clone (and project) on the way out so callers cannot mutate
 	// stored rows.
 	res := make([]mmvalue.Value, len(out))
@@ -121,10 +72,10 @@ func (q *Query) Rows() []mmvalue.Value {
 // Count executes the query and returns the number of matching rows.
 func (q *Query) Count() int {
 	n := 0
-	run := q.project
-	q.project = []string{q.table.schema.PrimaryKey}
-	n = len(q.Rows())
-	q.project = run
+	q.table.Stream(q.tx, q.where, func(mmvalue.Value) bool {
+		n++
+		return true
+	})
 	return n
 }
 

@@ -8,31 +8,6 @@ import (
 	"udbench/internal/txn"
 )
 
-func TestOrderByMissingColumnSortsNullsFirst(t *testing.T) {
-	tbl := NewTable("t", MustSchema("id",
-		Column{Name: "id", Type: TypeInt},
-		Column{Name: "score", Type: TypeInt, Nullable: true},
-	), txn.NewManager())
-	tbl.Insert(nil, mmvalue.ObjectOf("id", 1, "score", 10))
-	tbl.Insert(nil, mmvalue.ObjectOf("id", 2)) // score absent
-	tbl.Insert(nil, mmvalue.ObjectOf("id", 3, "score", 5))
-	rows := tbl.Query(nil).OrderBy("score", false).Rows()
-	ids := make([]int64, len(rows))
-	for i, r := range rows {
-		id, _ := r.MustObject().Get("id")
-		ids[i] = id.MustInt()
-	}
-	// Null (missing) collates before numbers.
-	if fmt.Sprint(ids) != "[2 3 1]" {
-		t.Errorf("null-first order = %v", ids)
-	}
-	rows = tbl.Query(nil).OrderBy("score", true).Rows()
-	id0, _ := rows[0].MustObject().Get("id")
-	if id0.MustInt() != 1 {
-		t.Errorf("desc order first = %d", id0.MustInt())
-	}
-}
-
 func TestProjectionOfMissingColumns(t *testing.T) {
 	tbl := newCustomerTable(t)
 	tbl.Insert(nil, mmvalue.ObjectOf("id", 1, "name", "a"))
@@ -103,43 +78,25 @@ func TestIndexedCountMatchesScanCount(t *testing.T) {
 	}
 }
 
-func TestQueryLimitWithoutOrderStopsEarly(t *testing.T) {
-	tbl := newCustomerTable(t)
-	for i := 1; i <= 100; i++ {
-		tbl.Insert(nil, row(int64(i), "n", 30, "hki"))
-	}
-	rows := tbl.Query(nil).Limit(7).Rows()
-	if len(rows) != 7 {
-		t.Errorf("limit rows = %d", len(rows))
-	}
-	// Limit 0 returns nothing; negative means unlimited.
-	if n := len(tbl.Query(nil).Limit(0).Rows()); n != 0 {
-		t.Errorf("limit 0 rows = %d", n)
-	}
-	if n := len(tbl.Query(nil).Limit(-1).Rows()); n != 100 {
-		t.Errorf("limit -1 rows = %d", n)
-	}
-}
-
 func TestInExprMultipleValuesNoIndexPin(t *testing.T) {
 	tbl := newCustomerTable(t)
 	tbl.CreateIndex("city")
 	tbl.Insert(nil, row(1, "a", 30, "x"))
 	tbl.Insert(nil, row(2, "b", 30, "y"))
 	tbl.Insert(nil, row(3, "c", 30, "z"))
-	q := tbl.Query(nil).Where(Col("city").In("x", "y"))
-	if q.Plan().UseIndex {
+	in := Col("city").In("x", "y")
+	if tbl.UsesIndex(in) {
 		t.Error("multi-value IN must not pin one index bucket")
 	}
-	if n := q.Count(); n != 2 {
+	if n := tbl.Query(nil).Where(in).Count(); n != 2 {
 		t.Errorf("IN matched %d", n)
 	}
 	// Single-value IN does use the index.
-	q = tbl.Query(nil).Where(Col("city").In("z"))
-	if !q.Plan().UseIndex {
+	in = Col("city").In("z")
+	if !tbl.UsesIndex(in) {
 		t.Error("single-value IN should use the index")
 	}
-	if n := q.Count(); n != 1 {
+	if n := tbl.Query(nil).Where(in).Count(); n != 1 {
 		t.Errorf("single IN matched %d", n)
 	}
 }

@@ -13,7 +13,6 @@ package relational
 import (
 	"fmt"
 	"math"
-	"strconv"
 
 	"udbench/internal/mmvalue"
 	"udbench/internal/wal"
@@ -210,18 +209,6 @@ func pkEncodings(v mmvalue.Value) []string {
 		}
 	}
 	return keys
-}
-
-// DecodeIntKey recovers the int64 from an EncodeKey-produced int key.
-func DecodeIntKey(key string) (int64, bool) {
-	if len(key) != 17 || key[0] != 'i' {
-		return 0, false
-	}
-	u, err := strconv.ParseUint(key[1:], 16, 64)
-	if err != nil {
-		return 0, false
-	}
-	return int64(u ^ (1 << 63)), true
 }
 
 // indexKey renders any column value for equality indexing: a stable

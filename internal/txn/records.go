@@ -15,7 +15,7 @@ import (
 // visibility for point reads and ordered scans, advisory secondary
 // indexes, a committed-write counter and version garbage collection. The relational, document,
 // key-value and XML stores are each a Records plus what is specific to
-// their model (schema, filters, XPath, WAL op encodings); the graph
+// their model (schema, filters, XML trees, WAL op encodings); the graph
 // store keeps hash-keyed records and drives its chains through the
 // same Chain helpers (Stage, Visible, Current, Collect).
 type Records[T any] struct {

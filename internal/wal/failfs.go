@@ -34,7 +34,6 @@ type FailFS struct {
 	// the process lives (the seal-the-log scenario). 0 = disabled.
 	syncErrAfter int
 	renameErr    error
-	writeDelay   time.Duration
 	syncDelay    time.Duration
 	crashed      bool
 }
@@ -74,13 +73,6 @@ func (f *FailFS) FailRename(err error) {
 	f.renameErr = err
 }
 
-// SetWriteLatency injects d of latency before every write.
-func (f *FailFS) SetWriteLatency(d time.Duration) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.writeDelay = d
-}
-
 // SetSyncLatency injects d of latency before every fsync — a hermetic
 // model of a storage device's durability-barrier cost, which is what
 // separates the fsync policies in the durability experiments.
@@ -104,7 +96,6 @@ type failFile struct {
 
 func (h *failFile) Write(p []byte) (int, error) {
 	h.ffs.mu.Lock()
-	delay := h.ffs.writeDelay
 	if h.ffs.crashed {
 		h.ffs.mu.Unlock()
 		return 0, fmt.Errorf("%w: crashed", ErrInjected)
@@ -120,9 +111,6 @@ func (h *failFile) Write(p []byte) (int, error) {
 		h.ffs.written += int64(partial)
 	}
 	h.ffs.mu.Unlock()
-	if delay > 0 {
-		time.Sleep(delay)
-	}
 	if partial >= 0 {
 		if partial > 0 {
 			h.inner.Write(p[:partial]) // the torn prefix that "made it to disk"

@@ -262,13 +262,3 @@ func (m *MemFS) Crash(rng *rand.Rand) {
 		f.synced = keep
 	}
 }
-
-// SyncedBytes returns how many bytes of name are currently durable.
-func (m *MemFS) SyncedBytes(name string) int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if f := m.files[name]; f != nil {
-		return int64(f.synced)
-	}
-	return 0
-}

@@ -139,7 +139,7 @@ const (
 	OpKVPut    byte = 0x10
 	OpKVDelete byte = 0x11
 	// Document store. Put carries the full post-image, so Insert,
-	// Update, SetPath and UnsetPath all log the same op.
+	// Update and SetPath log the same op.
 	OpDocPut         byte = 0x20
 	OpDocDelete      byte = 0x21
 	OpDocCreateIndex byte = 0x22

@@ -1,9 +1,9 @@
 // Package xmlstore implements the XML data model of the UDBMS
 // benchmark: an in-memory XML node tree with a parser built on
-// encoding/xml tokens, serialization, an XPath-subset query engine and
-// a transactional document store (a txn.Records of trees: locking,
-// versions, visibility and garbage collection are the shared record
-// layer's).
+// encoding/xml tokens, serialization and a transactional document
+// store (a txn.Records of trees: locking, versions, visibility and
+// garbage collection are the shared record layer's). Readers navigate
+// trees with Attr, FirstChild and ChildElements.
 //
 // In the Figure-1 dataset this store holds the Invoice documents.
 package xmlstore
@@ -13,7 +13,6 @@ import (
 	"encoding/xml"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 )
 
@@ -68,17 +67,6 @@ func (n *Node) SetAttr(name, value string) {
 		}
 	}
 	n.Attrs = append(n.Attrs, Attr{Name: name, Value: value})
-}
-
-// RemoveAttr deletes an attribute; it reports whether it existed.
-func (n *Node) RemoveAttr(name string) bool {
-	for i, a := range n.Attrs {
-		if a.Name == name {
-			n.Attrs = append(n.Attrs[:i], n.Attrs[i+1:]...)
-			return true
-		}
-	}
-	return false
 }
 
 // ChildElements returns the element children with the given name
@@ -265,77 +253,4 @@ func writeNode(buf *bytes.Buffer, n *Node) {
 	buf.WriteString("</")
 	buf.WriteString(n.Name)
 	buf.WriteByte('>')
-}
-
-// ElementRule is a light DTD-style constraint on one element type.
-type ElementRule struct {
-	// RequiredAttrs must all be present.
-	RequiredAttrs []string
-	// AllowedChildren restricts child element names (nil = any).
-	AllowedChildren []string
-	// RequiredChildren must each occur at least once.
-	RequiredChildren []string
-}
-
-// Validate checks the subtree against per-element rules keyed by
-// element name; elements without a rule are unconstrained. It returns
-// every violation found.
-func Validate(n *Node, rules map[string]ElementRule) []error {
-	var errs []error
-	var walk func(*Node)
-	walk = func(cur *Node) {
-		if cur.IsText() {
-			return
-		}
-		if rule, ok := rules[cur.Name]; ok {
-			for _, ra := range rule.RequiredAttrs {
-				if _, has := cur.Attr(ra); !has {
-					errs = append(errs, fmt.Errorf("element %s: missing required attribute %q", cur.Name, ra))
-				}
-			}
-			if rule.AllowedChildren != nil {
-				allowed := make(map[string]bool, len(rule.AllowedChildren))
-				for _, a := range rule.AllowedChildren {
-					allowed[a] = true
-				}
-				for _, c := range cur.ChildElements("") {
-					if !allowed[c.Name] {
-						errs = append(errs, fmt.Errorf("element %s: child %q not allowed", cur.Name, c.Name))
-					}
-				}
-			}
-			for _, rc := range rule.RequiredChildren {
-				if len(cur.ChildElements(rc)) == 0 {
-					errs = append(errs, fmt.Errorf("element %s: missing required child %q", cur.Name, rc))
-				}
-			}
-		}
-		for _, c := range cur.Children {
-			walk(c)
-		}
-	}
-	walk(n)
-	return errs
-}
-
-// ElementNames returns the sorted set of element names in the subtree
-// (used by schema inference).
-func ElementNames(n *Node) []string {
-	set := map[string]bool{}
-	var walk func(*Node)
-	walk = func(cur *Node) {
-		if !cur.IsText() {
-			set[cur.Name] = true
-			for _, c := range cur.Children {
-				walk(c)
-			}
-		}
-	}
-	walk(n)
-	names := make([]string, 0, len(set))
-	for k := range set {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
 }

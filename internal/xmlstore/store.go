@@ -8,9 +8,9 @@ import (
 )
 
 // Store is a transactional registry of XML documents keyed by id: a
-// txn.Records of trees plus XPath queries and the XML WAL ops. Stored
-// trees are multi-versioned; readers get shared snapshots and must not
-// mutate them (Update hands out clones).
+// txn.Records of trees plus the XML WAL ops. Stored trees are
+// multi-versioned; readers get shared snapshots and must not mutate
+// them (Update hands out clones).
 type Store struct {
 	name string
 	docs *txn.Records[*Node]
@@ -96,19 +96,6 @@ func (s *Store) Delete(tx *txn.Tx, id string) error {
 // Scan calls fn for every live document visible to tx in id order.
 func (s *Store) Scan(tx *txn.Tx, fn func(id string, doc *Node) bool) {
 	s.docs.Scan(tx, "", "", fn)
-}
-
-// Query evaluates a compiled XPath over every live document and calls
-// fn with each document id and its matching values. Documents with no
-// matches are skipped.
-func (s *Store) Query(tx *txn.Tx, xp *XPath, fn func(id string, values []string) bool) {
-	s.Scan(tx, func(id string, doc *Node) bool {
-		vals := xp.SelectValues(doc)
-		if len(vals) == 0 {
-			return true
-		}
-		return fn(id, vals)
-	})
 }
 
 // Count returns the number of live documents at latest-committed state.

@@ -2,7 +2,6 @@ package xmlstore
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 
 	"udbench/internal/txn"
@@ -96,9 +95,6 @@ func TestNodeMutationHelpers(t *testing.T) {
 	if v, _ := n.Attr("k"); v != "2" {
 		t.Error("SetAttr replace failed")
 	}
-	if !n.RemoveAttr("k") || n.RemoveAttr("k") {
-		t.Error("RemoveAttr semantics wrong")
-	}
 	c := MustParse(invoiceXML).Clone()
 	orig := MustParse(invoiceXML)
 	lines, _ := c.FirstChild("lines")
@@ -124,125 +120,6 @@ func TestEqualSemantics(t *testing.T) {
 	}
 	if !Equal(nil, nil) || Equal(a, nil) {
 		t.Error("nil handling wrong")
-	}
-}
-
-func TestXPathBasics(t *testing.T) {
-	doc := MustParse(invoiceXML)
-	cases := []struct {
-		expr string
-		want []string
-	}{
-		{"/invoice/@id", []string{"inv-1"}},
-		{"/invoice/customer/@cid", []string{"7"}},
-		{"/invoice/customer/text()", []string{"Alice"}},
-		{"/invoice/total", []string{"27.00"}},
-		{"/invoice/lines/line/@sku", []string{"a1", "b2", "c3"}},
-		{"//line/@sku", []string{"a1", "b2", "c3"}},
-		{"/invoice/lines/line[2]/@sku", []string{"b2"}},
-		{"/invoice/lines/line[@sku='c3']/@price", []string{"1.25"}},
-		{"/invoice/lines/line[@qty]/@sku", []string{"a1", "b2", "c3"}},
-		{"/invoice/lines/line[9]/@sku", nil},
-		{"/invoice/*", []string{"Alice", "", "27.00"}},
-		{"//total", []string{"27.00"}},
-		{"/bogus/@id", nil},
-		{"//line[@sku='zz']", nil},
-	}
-	for _, c := range cases {
-		xp, err := CompileXPath(c.expr)
-		if err != nil {
-			t.Errorf("compile %q: %v", c.expr, err)
-			continue
-		}
-		got := xp.SelectValues(doc)
-		if fmt.Sprint(got) != fmt.Sprint(c.want) {
-			t.Errorf("%s = %v, want %v", c.expr, got, c.want)
-		}
-	}
-	// Element predicate on child text.
-	root := MustParse(`<r><p><name>x</name><v>1</v></p><p><name>y</name><v>2</v></p></r>`)
-	xp, _ := CompileXPath(`/r/p[name='y']/v`)
-	if got := xp.SelectValues(root); fmt.Sprint(got) != "[2]" {
-		t.Errorf("child text predicate = %v", got)
-	}
-	xp, _ = CompileXPath(`/r/p[name]/v`)
-	if got := xp.SelectValues(root); len(got) != 2 {
-		t.Errorf("child existence predicate = %v", got)
-	}
-	// First helper.
-	xp, _ = CompileXPath("/invoice/@currency")
-	if v, ok := xp.First(doc); !ok || v != "EUR" {
-		t.Errorf("First = %q, %v", v, ok)
-	}
-	xp, _ = CompileXPath("/invoice/@missing")
-	if _, ok := xp.First(doc); ok {
-		t.Error("First on empty result should report false")
-	}
-}
-
-func TestXPathSelectNodes(t *testing.T) {
-	doc := MustParse(invoiceXML)
-	xp, _ := CompileXPath("//line")
-	nodes := xp.SelectNodes(doc)
-	if len(nodes) != 3 {
-		t.Fatalf("SelectNodes = %d", len(nodes))
-	}
-	if v, _ := nodes[1].Attr("sku"); v != "b2" {
-		t.Error("node order wrong")
-	}
-	if xp.String() != "//line" {
-		t.Error("String() wrong")
-	}
-}
-
-func TestXPathCompileErrors(t *testing.T) {
-	bad := []string{
-		"",
-		"invoice",
-		"/invoice/",
-		"/invoice/@",
-		"/@a/b",
-		"/invoice//",
-		"/invoice/line[",
-		"/invoice/line[0]",
-		"/a/text()/b",
-		"/a/@id/b",
-		"/a/@id[1]",
-		"/a/[]",
-	}
-	for _, expr := range bad {
-		if _, err := CompileXPath(expr); err == nil {
-			t.Errorf("CompileXPath(%q) should fail", expr)
-		}
-	}
-}
-
-func TestValidate(t *testing.T) {
-	doc := MustParse(invoiceXML)
-	rules := map[string]ElementRule{
-		"invoice": {
-			RequiredAttrs:    []string{"id", "currency"},
-			AllowedChildren:  []string{"customer", "lines", "total"},
-			RequiredChildren: []string{"customer", "total"},
-		},
-		"line": {RequiredAttrs: []string{"sku", "qty", "price"}},
-	}
-	if errs := Validate(doc, rules); len(errs) != 0 {
-		t.Fatalf("valid doc produced %v", errs)
-	}
-	bad := MustParse(`<invoice id="x"><lines><line qty="1"/></lines><extra/></invoice>`)
-	errs := Validate(bad, rules)
-	// missing currency; extra child; missing customer, total; line missing sku, price
-	if len(errs) != 6 {
-		t.Errorf("violations = %d: %v", len(errs), errs)
-	}
-}
-
-func TestElementNames(t *testing.T) {
-	doc := MustParse(invoiceXML)
-	names := ElementNames(doc)
-	if strings.Join(names, ",") != "customer,invoice,line,lines,total" {
-		t.Errorf("ElementNames = %v", names)
 	}
 }
 
@@ -322,14 +199,16 @@ func TestStoreQueryAndScan(t *testing.T) {
 	if s.Count() != 5 {
 		t.Fatalf("Count = %d", s.Count())
 	}
-	xp, _ := CompileXPath(`/invoice[@currency='USD']/total`)
 	var ids []string
-	s.Query(nil, xp, func(id string, vals []string) bool {
-		ids = append(ids, id+"="+vals[0])
+	s.Scan(nil, func(id string, doc *Node) bool {
+		if cur, _ := doc.Attr("currency"); cur == "USD" {
+			total, _ := doc.FirstChild("total")
+			ids = append(ids, id+"="+total.InnerText())
+		}
 		return true
 	})
 	if fmt.Sprint(ids) != "[inv-2=20 inv-4=40]" {
-		t.Errorf("query = %v", ids)
+		t.Errorf("USD totals = %v", ids)
 	}
 	// Early stop.
 	n := 0
@@ -394,11 +273,33 @@ func BenchmarkParse(b *testing.B) {
 	}
 }
 
-func BenchmarkXPath(b *testing.B) {
-	doc := MustParse(invoiceXML)
-	xp, _ := CompileXPath("//line[@sku='b2']/@price")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		xp.SelectValues(doc)
+func TestInnerTextMixedContent(t *testing.T) {
+	n := MustParse(`<p>Hello <b>bold</b> world</p>`)
+	if got := n.InnerText(); got != "Hello bold world" {
+		t.Errorf("InnerText = %q", got)
+	}
+}
+
+// TestInnerText covers the one-text-child fast path next to the shapes
+// that still concatenate.
+func TestInnerText(t *testing.T) {
+	cases := []struct {
+		name string
+		n    *Node
+		want string
+	}{
+		{"one text child", NewElement("total").Append(NewText("27.00")), "27.00"},
+		{"text node itself", NewText("t"), "t"},
+		{"empty element", NewElement("e"), ""},
+		{"empty text child", NewElement("e").Append(NewText("")), ""},
+		{"one element child", MustParse(`<a><b>x</b></a>`), "x"},
+		{"nested", MustParse(`<a><b><c>deep</c></b></a>`), "deep"},
+		{"two text children", NewElement("e").Append(NewText("ab"), NewText("cd")), "abcd"},
+		{"mixed", MustParse(`<p>Hello <b>bold</b> world</p>`), "Hello bold world"},
+	}
+	for _, c := range cases {
+		if got := c.n.InnerText(); got != c.want {
+			t.Errorf("%s: InnerText = %q, want %q", c.name, got, c.want)
+		}
 	}
 }
