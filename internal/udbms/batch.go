@@ -1,6 +1,9 @@
 package udbms
 
 import (
+	"cmp"
+	"slices"
+
 	"udbench/internal/mmvalue"
 )
 
@@ -47,15 +50,10 @@ func (b *Batch) reset() { b.rows = b.rows[:0] }
 // loop. Values are headers only — extraction never clones.
 type colVec struct {
 	vals []mmvalue.Value
-	// kinds is a bitmask of the mmvalue kinds seen; homogeneous()
-	// reports a typed fast path only when exactly one scalar kind is
-	// present across every value.
+	// kinds is a bitmask of the mmvalue kinds seen; order takes a typed
+	// fast path only when exactly one scalar kind is present across
+	// every value.
 	kinds uint16
-}
-
-func (c *colVec) reset() {
-	c.vals = c.vals[:0]
-	c.kinds = 0
 }
 
 func (c *colVec) append(v mmvalue.Value) {
@@ -63,48 +61,43 @@ func (c *colVec) append(v mmvalue.Value) {
 	c.kinds |= 1 << uint(v.Kind())
 }
 
-// homogeneous reports the single scalar kind shared by every value, if
-// any. Mixed batches (or any null/array/object value) fall back to the
-// mmvalue column.
-func (c *colVec) homogeneous() (mmvalue.Kind, bool) {
+// order returns the positions of the values in ascending
+// mmvalue.Compare order, descending when desc; equal values keep the
+// order of their positions. Values all of one scalar kind compare as a
+// typed vector; any other mix (nulls included) through mmvalue.Compare.
+func (c *colVec) order(desc bool) []int32 {
+	var compare func(a, b int32) int
 	switch c.kinds {
-	case 1 << uint(mmvalue.KindInt):
-		return mmvalue.KindInt, true
-	case 1 << uint(mmvalue.KindFloat):
-		return mmvalue.KindFloat, true
-	case 1 << uint(mmvalue.KindString):
-		return mmvalue.KindString, true
+	case 1 << mmvalue.KindInt:
+		compare = typedCompare(c.vals, mmvalue.Value.AsInt)
+	case 1 << mmvalue.KindFloat:
+		compare = typedCompare(c.vals, mmvalue.Value.AsFloat)
+	case 1 << mmvalue.KindString:
+		compare = typedCompare(c.vals, mmvalue.Value.AsString)
+	default:
+		compare = func(a, b int32) int { return mmvalue.Compare(c.vals[a], c.vals[b]) }
 	}
-	return mmvalue.KindNull, false
+	perm := make([]int32, len(c.vals))
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	slices.SortFunc(perm, func(a, b int32) int {
+		r := compare(a, b)
+		if desc {
+			r = -r
+		}
+		return cmp.Or(r, cmp.Compare(a, b))
+	})
+	return perm
 }
 
-// ints materializes the typed int64 vector (call only when homogeneous
-// reported KindInt).
-func (c *colVec) ints(buf []int64) []int64 {
-	buf = buf[:0]
-	for _, v := range c.vals {
-		i, _ := v.AsInt()
-		buf = append(buf, i)
+// typedCompare compares positions of vals as T, extracted once by as.
+// cmp.Compare orders NaN first and equal to itself, as mmvalue.Compare
+// does.
+func typedCompare[T cmp.Ordered](vals []mmvalue.Value, as func(mmvalue.Value) (T, bool)) func(a, b int32) int {
+	v := make([]T, len(vals))
+	for i, x := range vals {
+		v[i], _ = as(x)
 	}
-	return buf
-}
-
-// floats materializes the typed float64 vector (KindFloat only).
-func (c *colVec) floats(buf []float64) []float64 {
-	buf = buf[:0]
-	for _, v := range c.vals {
-		f, _ := v.AsFloat()
-		buf = append(buf, f)
-	}
-	return buf
-}
-
-// strs materializes the typed string vector (KindString only).
-func (c *colVec) strs(buf []string) []string {
-	buf = buf[:0]
-	for _, v := range c.vals {
-		s, _ := v.AsString()
-		buf = append(buf, s)
-	}
-	return buf
+	return func(a, b int32) int { return cmp.Compare(v[a], v[b]) }
 }

@@ -38,6 +38,13 @@
 // an unchanged build side. A side that keeps changing is only probed;
 // read-heavy workloads build once and skip the rebuild entirely.
 //
+// A plan that is a whole-store seed, joins and a GroupBy reading only
+// seed paths and "<asField>.0.<path>" runs that prefix over column
+// projections (projection.go): per store, one typed vector and validity
+// bitmap per path read, and a key → first-row index for a build side,
+// cached and certified like a hash table. Mixed-kind columns, and join
+// keys of two kinds or floats, fall back to rows.
+//
 // Every store request the executor issues — seed scan, build-side
 // scan, index probe, per-row key-value prefix scan — goes
 // through the pipeline's Access: a transaction handle per model and a

@@ -54,12 +54,6 @@ type stage interface {
 	wire(in rowState, transient bool, down batchSink) batchSink
 }
 
-// source produces the seed batch stream. Seed rows are shared with
-// store memory (rowShared).
-type source interface {
-	run(emit func(*Batch) bool)
-}
-
 // rowBufPool recycles the executor's row buffers — seed scan batches
 // and join probe buffers — across queries. These buffers peak at a few
 // KB to a few tens of KB each; allocating them fresh per query
@@ -103,41 +97,31 @@ func seedBufCap(n int) int {
 	return n
 }
 
-// ---- sources ----
+// ---- source ----
 
-type relSource struct {
-	t     *relational.Table
-	acc   Access
-	where relational.Expr
-}
-
-func (s *relSource) run(emit func(*Batch) bool) {
-	b := &Batch{}
-	rb := getRowBuf(seedBufCap(s.t.Len()))
-	s.acc.Hop()
-	s.t.StreamBatch(s.acc.RelTx(), s.where, rb.rows, func(rows []mmvalue.Value) bool {
-		rb.rows = rows[:max(len(rb.rows), len(rows))] // the written prefix
-		b.rows = rows
-		return emit(b)
-	})
-	putRowBuf(rb, rb.rows)
-}
-
-type docSource struct {
-	c      *document.Collection
-	acc    Access
+// source produces the seed batch stream: the documents of a
+// collection matching filter, or the rows of a table matching where
+// (nil = all). Seed rows are shared with store memory (rowShared).
+type source struct {
+	storeScan
 	filter document.Filter
+	where  relational.Expr
 }
 
-func (s *docSource) run(emit func(*Batch) bool) {
+func (s *source) run(emit func(*Batch) bool) {
 	b := &Batch{}
-	rb := getRowBuf(seedBufCap(s.c.Len()))
+	rb := getRowBuf(seedBufCap(s.side.Len()))
 	s.acc.Hop()
-	s.c.StreamBatch(s.acc.DocTx(), s.filter, rb.rows, func(rows []mmvalue.Value) bool {
+	fn := func(rows []mmvalue.Value) bool {
 		rb.rows = rows[:max(len(rb.rows), len(rows))] // the written prefix
 		b.rows = rows
 		return emit(b)
-	})
+	}
+	if c, ok := s.side.(*document.Collection); ok {
+		c.StreamBatch(s.tx(), s.filter, rb.rows, fn)
+	} else {
+		s.side.(*relational.Table).StreamBatch(s.tx(), s.where, rb.rows, fn)
+	}
 	putRowBuf(rb, rb.rows)
 }
 
@@ -157,23 +141,23 @@ func (p *Pipeline) finalState() rowState {
 
 // execute compiles the operator chain and streams the final rows into
 // onRow. Rows passed to onRow follow the pipeline's final ownership
-// state — Rows() clones them as needed, Count/Each never do.
+// state — Rows() clones them as needed, Count/Each never do. A plan the
+// column projections serve (projection.go) runs its prefix over them.
 func (p *Pipeline) execute(onRow func(mmvalue.Value) bool) error {
 	if p.err != nil {
 		return p.err
 	}
-	if p.src == nil {
+	if p.src == nil || p.runProjected(onRow) {
 		return nil
 	}
-	head := p.wireChain(onRow)
+	head := wireChain(p.stages, onRow)
 	p.src.run(head.push)
 	head.flush()
 	return nil
 }
 
-// wireChain wires the stages back-to-front into a rowSink terminal.
-func (p *Pipeline) wireChain(onRow func(mmvalue.Value) bool) batchSink {
-	stages := p.stages
+// wireChain wires stages back-to-front into a rowSink terminal.
+func wireChain(stages []stage, onRow func(mmvalue.Value) bool) batchSink {
 	var head batchSink = &rowSink{fn: onRow}
 	st := rowShared
 	states := make([]rowState, len(stages))

@@ -8,7 +8,8 @@ import (
 )
 
 // joinCache decides, per build side, between renting (index probes)
-// and buying (one hash build, cached across pipeline runs).
+// and buying (one hash build, cached across pipeline runs). It also
+// holds column projections (projection.go), which are always bought.
 //
 // A cold join against an indexed build side does not know whether the
 // side will stay unchanged long enough for a build to pay off, so it
@@ -23,9 +24,9 @@ import (
 // at most twice the cost of knowing the future). Build sides without
 // an index are built on every cache miss.
 //
-// An entry at version v holds either the built table or the probes
-// spent at v without one; a commit resets both by bumping the version.
-// Certifying a table for other readers rests on these gates:
+// An entry at version v holds either the built table or projection, or
+// the probes spent at v without one; a commit resets both by bumping the
+// version. Certifying a build for other readers rests on these gates:
 //
 //   - Stores bump a version counter inside the commit hook, after the
 //     commit has drawn its timestamp and before its row versions are
@@ -57,16 +58,19 @@ type joinCache struct {
 }
 
 // joinCacheKey identifies a build side by store identity (pointer) and
-// the path/column the build keys on.
+// the path/column the build keys on, or a projection by its store and
+// its column paths (cols).
 type joinCacheKey struct {
 	store any
 	field string
+	cols  string
 }
 
 type joinCacheEntry struct {
 	ver  uint64
 	snap txn.TS
 	ht   *hashTable // nil while the entry is only a probe account
+	proj *projection
 	// probes counts the probe rows charged at ver without a usable
 	// table.
 	probes atomic.Int64
@@ -81,11 +85,12 @@ type buildSide interface {
 
 // JoinStats counts, since Open, how the executor's hash joins found
 // their matches. Each join execution bumps at most one of CacheHits,
-// ProbeRows (by its probe rows) and Builds.
+// ProbeRows (by its probe rows) and Builds, and so does each column
+// projection (projection.go) a plan reads.
 type JoinStats struct {
-	CacheHits    uint64 // joins served by a cached build table
+	CacheHits    uint64 // joins and projections served from the cache
 	ProbeRows    uint64 // probe rows sent to a build-side index
-	Builds       uint64 // build-side scans into a hash table
+	Builds       uint64 // store scans into a hash table or projection
 	CachedBuilds uint64 // builds certified and offered to the cache
 }
 
@@ -98,23 +103,23 @@ func (c *joinCache) stats() JoinStats {
 	}
 }
 
-// get returns the cached hash table if it is provably equivalent to
-// what a fresh build under tx would produce, else nil. Lookup only —
-// it never builds.
-func (c *joinCache) get(key joinCacheKey, ver uint64, tx *txn.Tx) *hashTable {
+// get returns the cached entry if its table or projection is provably
+// equivalent to what a fresh build under tx would produce, else nil.
+// Lookup only — it never builds.
+func (c *joinCache) get(key joinCacheKey, ver uint64, tx *txn.Tx) *joinCacheEntry {
 	e, ok := c.m.Load(key)
 	if !ok {
 		return nil
 	}
 	ent := e.(*joinCacheEntry)
-	if ent.ht == nil || ent.ver != ver {
+	if ent.ht == nil && ent.proj == nil || ent.ver != ver {
 		return nil
 	}
 	if tx != nil && (tx.BeginTS() < ent.snap || !tx.ReadOnly()) {
 		return nil
 	}
 	c.hits.Add(1)
-	return ent.ht
+	return ent
 }
 
 // rent charges rows probe rows to key's account at ver and reports
@@ -137,9 +142,9 @@ func (c *joinCache) rent(key joinCacheKey, ver uint64, rows, below int) bool {
 }
 
 // build scans the build side once under tx — under a snapshot at the
-// published watermark when tx is nil — and offers the table to the
-// cache when the gates in the type comment certify it.
-func (c *joinCache) build(key joinCacheKey, side buildSide, tx *txn.Tx, scan func(*txn.Tx) *hashTable) *hashTable {
+// published watermark when tx is nil — into a table or projection, and
+// offers it to the cache when the gates in the type comment certify it.
+func (c *joinCache) build(key joinCacheKey, side buildSide, tx *txn.Tx, scan func(*txn.Tx) *joinCacheEntry) *joinCacheEntry {
 	mgr := side.Manager()
 	ver := side.Version()
 	wm := mgr.Published()
@@ -148,13 +153,14 @@ func (c *joinCache) build(key joinCacheKey, side buildSide, tx *txn.Tx, scan fun
 		tx = mgr.Begin()
 		defer tx.Abort()
 	}
-	ht := scan(tx)
+	ent := scan(tx)
 	c.builds.Add(1)
 	if quiet && tx.ReadOnly() && tx.BeginTS() >= wm && side.Version() == ver {
-		c.install(key, &joinCacheEntry{ver: ver, snap: tx.BeginTS(), ht: ht}, false)
+		ent.ver, ent.snap = ver, tx.BeginTS()
+		c.install(key, ent, false)
 		c.cachedBuilds.Add(1)
 	}
-	return ht
+	return ent
 }
 
 // install stores ent under key unless the stored entry is newer (or,

@@ -59,7 +59,7 @@ type Pipeline struct {
 	// joins is the owning DB's join-build cache; nil under PipelineOver.
 	joins *joinCache
 	err   error
-	src   source
+	src   *source
 	// stages apply in order between the source and the terminal.
 	stages []stage
 }
@@ -133,7 +133,7 @@ func (p *Pipeline) FromRelational(table string, where relational.Expr) *Pipeline
 		p.err = fmt.Errorf("udbms: no table %q", table)
 		return p
 	}
-	p.src = &relSource{t: t, acc: p.acc, where: where}
+	p.src = &source{storeScan: storeScan{t, p.acc}, where: where}
 	return p
 }
 
@@ -144,7 +144,7 @@ func (p *Pipeline) FromDocuments(collection string, filter document.Filter) *Pip
 	if p.err != nil {
 		return p
 	}
-	p.src = &docSource{c: p.st.Docs.Collection(collection), acc: p.acc, filter: filter}
+	p.src = &source{storeScan: storeScan{p.st.Docs.Collection(collection), p.acc}, filter: filter}
 	return p
 }
 
@@ -207,9 +207,7 @@ func (p *Pipeline) JoinDocuments(collection, rowField, docPath, asField string) 
 			coll.Stream(tx, document.Eq(docPath, key), fn)
 		}
 	}
-	return p.hashJoin(coll, docPath, rowField, asField, p.acc.DocTx,
-		func(tx *txn.Tx, fn func(mmvalue.Value) bool) { coll.Stream(tx, nil, fn) },
-		mmvalue.ParsePath(docPath).Lookup, probe)
+	return p.hashJoin(storeScan{coll, p.acc}, docPath, mmvalue.ParsePath(docPath), rowField, asField, probe)
 }
 
 // JoinRelational extends each row with the rows of table whose column
@@ -231,44 +229,29 @@ func (p *Pipeline) JoinRelational(table, rowField, column, asField string) *Pipe
 			t.Stream(tx, relational.Col(column).Eq(key), fn)
 		}
 	}
-	return p.hashJoin(t, column, rowField, asField, p.acc.RelTx,
-		func(tx *txn.Tx, fn func(mmvalue.Value) bool) { t.Stream(tx, nil, fn) },
-		func(row mmvalue.Value) (mmvalue.Value, bool) { return row.MustObject().Get(column) },
-		probe)
+	return p.hashJoin(storeScan{t, p.acc}, column, mmvalue.Path{column}, rowField, asField, probe)
 }
 
-// hashJoin appends the equality join against one build side: stream
-// reads every build row as tx (the pipeline's handle for the side's
-// store) sees it, keyOf extracts a build row's join key, and probe —
-// nil without an index on field — streams the rows matching one key.
-func (p *Pipeline) hashJoin(side buildSide, field, rowField, asField string, tx func() *txn.Tx,
-	stream func(*txn.Tx, func(mmvalue.Value) bool), keyOf func(mmvalue.Value) (mmvalue.Value, bool),
+// hashJoin appends the equality join against one build side: keyPath
+// locates a build row's join key (field names it in the cache key), and
+// probe — nil without an index on field — streams the rows matching one
+// key.
+func (p *Pipeline) hashJoin(side storeScan, field string, keyPath mmvalue.Path, rowField, asField string,
 	probe func(*txn.Tx, mmvalue.Value, func(mmvalue.Value) bool)) *Pipeline {
 	spec := joinSpec{
-		rowField: rowField,
-		asField:  asField,
-		side:     side,
-		tx:       tx,
-		hop:      p.acc.Hop,
-		scan: func(tx *txn.Tx) *hashTable {
-			ht := newHashTable(side.Len())
-			stream(tx, func(row mmvalue.Value) bool {
-				if v, ok := keyOf(row); ok && !v.IsNull() {
-					ht.add(v, row)
-				}
-				return true
-			})
-			return ht
-		},
-		cache: p.joins,
-		key:   joinCacheKey{store: side, field: field},
+		rowField:  rowField,
+		asField:   asField,
+		storeScan: side,
+		keyPath:   keyPath,
+		cache:     p.joins,
+		key:       joinCacheKey{store: side.side, field: field},
 	}
 	if probe != nil {
-		spec.probeBelow = p.probeBelow(side.Len())
+		spec.probeBelow = p.probeBelow(side.side.Len())
 		spec.indexProbe = func(key mmvalue.Value) []mmvalue.Value {
 			var matches []mmvalue.Value
 			p.acc.Hop()
-			probe(tx(), key, func(row mmvalue.Value) bool {
+			probe(side.tx(), key, func(row mmvalue.Value) bool {
 				matches = append(matches, row)
 				return true
 			})

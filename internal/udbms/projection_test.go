@@ -1,0 +1,343 @@
+package udbms
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"sync"
+	"testing"
+
+	"udbench/internal/document"
+	"udbench/internal/mmvalue"
+	"udbench/internal/relational"
+	"udbench/internal/txn"
+)
+
+// projMode picks the kinds of projDB's data, and so whether the
+// projected plans may run over columns.
+type projMode int
+
+const (
+	projInt   projMode = iota // int join keys: columns
+	projStr                   // string join keys: columns
+	projCross                 // int probe keys, float build keys: joins on rows
+	projMixed                 // one int total among floats: rows
+)
+
+// projDB builds an "orders" collection {cid, total}, a "custtab" table
+// and a "custdocs" collection {ref.cid, city, score}. Every field may be
+// null or missing; build keys repeat and some probe keys match nothing;
+// totals go negative and now and then NaN.
+func projDB(t *testing.T, rng *rand.Rand, mode projMode) *DB {
+	t.Helper()
+	key := func(k int) mmvalue.Value {
+		if mode == projStr {
+			return mmvalue.String(fmt.Sprintf("k%d", k))
+		}
+		return mmvalue.Int(int64(k))
+	}
+	buildKey, keyType := key, relational.TypeInt
+	switch mode {
+	case projStr:
+		keyType = relational.TypeString
+	case projCross:
+		buildKey = func(k int) mmvalue.Value { return mmvalue.Float(float64(k)) }
+		keyType = relational.TypeFloat
+	}
+	maybe := func(o *mmvalue.Object, field string, v mmvalue.Value) {
+		switch rng.Intn(8) {
+		case 0:
+			o.Set(field, mmvalue.Null)
+		case 1: // missing
+		default:
+			o.Set(field, v)
+		}
+	}
+	db := Open()
+	orders := db.Docs.Collection("orders")
+	for i := 0; i < 150+rng.Intn(150); i++ {
+		o := mmvalue.NewObject()
+		o.Set("_id", mmvalue.String(fmt.Sprintf("o%04d", i)))
+		maybe(o, "cid", key(rng.Intn(20)))
+		total := mmvalue.Float(float64(rng.Intn(2000)-500) / 7)
+		if rng.Intn(40) == 0 {
+			total = mmvalue.Float(math.NaN())
+		}
+		maybe(o, "total", total)
+		if mode == projMixed && i == 7 {
+			o.Set("total", mmvalue.Int(3))
+		}
+		if err := orders.Insert(nil, mmvalue.FromObject(o)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tbl, err := db.Relational.CreateTable("custtab", relational.MustSchema("id",
+		relational.Column{Name: "id", Type: relational.TypeInt},
+		relational.Column{Name: "cid", Type: keyType, Nullable: true},
+		relational.Column{Name: "city", Type: relational.TypeString, Nullable: true},
+		relational.Column{Name: "score", Type: relational.TypeInt, Nullable: true},
+	))
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs := db.Docs.Collection("custdocs")
+	for i := 0; i < 40+rng.Intn(40); i++ {
+		k := buildKey(rng.Intn(15)) // probe keys 15..19 match nothing
+		city := mmvalue.String(fmt.Sprintf("c%d", rng.Intn(6)))
+		score := mmvalue.Int(int64(rng.Intn(100)))
+		row, d, ref := mmvalue.NewObject(), mmvalue.NewObject(), mmvalue.NewObject()
+		row.Set("id", mmvalue.Int(int64(i)))
+		d.Set("_id", mmvalue.String(fmt.Sprintf("d%04d", i)))
+		d.Set("ref", mmvalue.FromObject(ref))
+		maybe(row, "cid", k)
+		maybe(ref, "cid", k)
+		for _, o := range []*mmvalue.Object{row, d} {
+			maybe(o, "city", city)
+			maybe(o, "score", score)
+		}
+		if err := tbl.Insert(nil, mmvalue.FromObject(row)); err != nil {
+			t.Fatal(err)
+		}
+		if err := docs.Insert(nil, mmvalue.FromObject(d)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rng.Intn(2) == 0 { // the row path then rents index probes
+		if err := tbl.CreateIndex("cid"); err != nil {
+			t.Fatal(err)
+		}
+		if err := docs.CreateIndex("ref.cid"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return db
+}
+
+// projPlanCase is a plan of the projected shape with its reference: the
+// joins and the group-by applied to materialized order rows.
+type projPlanCase struct {
+	name   string
+	joins  bool
+	onRows bool // the plan lacks the shape
+	build  func(p *Pipeline) *Pipeline
+	refRow func(db *DB, rows []mmvalue.Value) []mmvalue.Value
+}
+
+// projPlans draws the aggregates at random; every plan sums total.
+func projPlans(rng *rand.Rand) []projPlanCase {
+	aggs := []Agg{Sum("total", "s"), Count("n")}
+	for _, a := range []Agg{Avg("total", "av"), Min("total", "mn"), Max("c.0.score", "mx"), Max("d.0.city", "mc")} {
+		if rng.Intn(2) == 0 {
+			aggs = append(aggs, a)
+		}
+	}
+	var cases []projPlanCase
+	for _, c := range []struct {
+		name          string
+		key           string
+		rel, doc, top bool
+	}{
+		{"seed key", "cid", false, false, false},
+		{"relational city", "c.0.city", true, false, false},
+		{"document city", "d.0.city", false, true, false},
+		{"both joins", "c.0.city", true, true, false},
+		{"relational score, top 3", "c.0.score", true, false, true},
+		{"second match", "c.1.city", true, false, false},
+	} {
+		cases = append(cases, projPlanCase{
+			name:   c.name,
+			joins:  c.rel || c.doc,
+			onRows: c.key == "c.1.city",
+			build: func(p *Pipeline) *Pipeline {
+				p = p.FromDocuments("orders", nil)
+				if c.rel {
+					p = p.JoinRelational("custtab", "cid", "cid", "c")
+				}
+				if c.doc {
+					p = p.JoinDocuments("custdocs", "cid", "ref.cid", "d")
+				}
+				if p = p.GroupBy(c.key, "k", aggs...); c.top {
+					p = p.SortBy("s", true).Limit(3)
+				}
+				return p
+			},
+			refRow: func(db *DB, rows []mmvalue.Value) []mmvalue.Value {
+				if c.rel {
+					rows = refJoinRelational(db, rows, "custtab", "cid", "cid", "c")
+				}
+				if c.doc {
+					rows = refJoinDocuments(db, rows, "custdocs", "cid", "ref.cid", "d")
+				}
+				if rows = refGroupBy(rows, mmvalue.ParsePath(c.key), "k", aggs); c.top {
+					rows = refSort(rows, mmvalue.ParsePath("s"), true)[:min(3, len(rows))]
+				}
+				return rows
+			},
+		})
+	}
+	return cases
+}
+
+// TestProjectionMatchesRowPath runs the projected plans over random data
+// and compares them with the row-at-a-time references. Int and string
+// join keys run over columns; float build keys against int probe keys,
+// and a column mixing ints and floats, must run on rows.
+func TestProjectionMatchesRowPath(t *testing.T) {
+	for seed := int64(0); seed < 40; seed++ {
+		mode := projMode(seed % 4)
+		rng := rand.New(rand.NewSource(seed))
+		db := projDB(t, rng, mode)
+		for _, pc := range projPlans(rng) {
+			label := fmt.Sprintf("seed %d mode %d %s", seed, mode, pc.name)
+			want := pc.refRow(db, db.Docs.Collection("orders").Find(nil, nil, nil))
+			var got []mmvalue.Value
+			ran := pc.build(db.Pipeline(nil)).runProjected(func(r mmvalue.Value) bool {
+				got = append(got, r.Clone())
+				return true
+			})
+			wantRan := !pc.onRows && (mode == projInt || mode == projStr || mode == projCross && !pc.joins)
+			if ran != wantRan {
+				t.Errorf("%s: ran over columns %v, want %v", label, ran, wantRan)
+			}
+			rows, err := pc.build(db.Pipeline(nil)).Rows()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ran {
+				got = rows
+			}
+			for _, g := range [][]mmvalue.Value{got, rows} {
+				if fmt.Sprint(g) != fmt.Sprint(want) {
+					t.Fatalf("%s:\n got  %v\n want %v", label, g, want)
+				}
+			}
+		}
+	}
+}
+
+// refOrdersAt is every order joined row at a time, under tx, to its
+// custtab rows as "c" and its custdocs documents as "d".
+func refOrdersAt(db *DB, tx *txn.Tx) []mmvalue.Value {
+	tbl, _ := db.Relational.Table("custtab")
+	docs := db.Docs.Collection("custdocs")
+	rows := db.Docs.Collection("orders").Find(tx, nil, nil)
+	for _, r := range rows {
+		o := r.MustObject()
+		var c, d []mmvalue.Value
+		if key := o.GetOr("cid", mmvalue.Null); !key.IsNull() {
+			c = tbl.Query(tx).Where(relational.Col("cid").Eq(key)).Rows()
+			d = docs.Find(tx, document.Eq("ref.cid", key), nil)
+		}
+		o.Set("c", mmvalue.Array(c...))
+		o.Set("d", mmvalue.Array(d...))
+	}
+	return rows
+}
+
+// TestProjectionUnderWriters is TestJoinRouteUnderWriters for a
+// projected plan: two snapshot readers group orders by their customer's
+// city over both joins while a writer moves join keys, cities and
+// totals. Every answer must run over columns — built under the reader's
+// snapshot or served from the cache — and equal the row-at-a-time
+// reference under that snapshot.
+func TestProjectionUnderWriters(t *testing.T) {
+	db := projDB(t, rand.New(rand.NewSource(11)), projInt)
+	tbl, _ := db.Relational.Table("custtab")
+	docs, orders := db.Docs.Collection("custdocs"), db.Docs.Collection("orders")
+	nBuild := tbl.Count()
+	aggs := []Agg{Sum("total", "s"), Count("n"), Max("d.0.score", "mx")}
+	plan := func(p *Pipeline) *Pipeline {
+		return p.FromDocuments("orders", nil).
+			JoinRelational("custtab", "cid", "cid", "c").
+			JoinDocuments("custdocs", "cid", "ref.cid", "d").
+			GroupBy("c.0.city", "k", aggs...)
+	}
+	before := db.JoinStats()
+
+	stop := make(chan struct{})
+	var writes int
+	var writerErr error
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		rng := rand.New(rand.NewSource(1))
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			err := db.RunTx(func(tx *txn.Tx) error {
+				i := rng.Intn(nBuild)
+				key := mmvalue.Int(int64(rng.Intn(20)))
+				if rng.Intn(4) == 0 {
+					key = mmvalue.Null
+				}
+				city := mmvalue.String(fmt.Sprintf("c%d", rng.Intn(6)))
+				if err := tbl.Update(tx, i, func(row mmvalue.Value) (mmvalue.Value, error) {
+					row.MustObject().Set("cid", key)
+					row.MustObject().Set("city", city)
+					return row, nil
+				}); err != nil {
+					return err
+				}
+				if err := docs.SetPath(tx, fmt.Sprintf("d%04d", i), "ref.cid", key); err != nil {
+					return err
+				}
+				return orders.SetPath(tx, fmt.Sprintf("o%04d", rng.Intn(150)), "total", mmvalue.Float(float64(rng.Intn(900))/7))
+			})
+			if err != nil {
+				writerErr = err
+				return
+			}
+			writes++
+		}
+	}()
+
+	type run struct {
+		label     string
+		ran       bool
+		got, want []mmvalue.Value
+	}
+	runs := make([][]run, 2)
+	var readers sync.WaitGroup
+	for r := range runs {
+		readers.Add(1)
+		go func(r int) {
+			defer readers.Done()
+			for it := 0; it < 40; it++ {
+				tx := db.Begin()
+				var got []mmvalue.Value
+				ran := plan(db.Pipeline(tx)).runProjected(func(row mmvalue.Value) bool {
+					got = append(got, row.Clone())
+					return true
+				})
+				want := refGroupBy(refOrdersAt(db, tx), mmvalue.ParsePath("c.0.city"), "k", aggs)
+				runs[r] = append(runs[r], run{fmt.Sprintf("reader %d it %d", r, it), ran, got, want})
+				tx.Abort()
+			}
+		}(r)
+	}
+	readers.Wait()
+	close(stop)
+	wg.Wait()
+	if writerErr != nil {
+		t.Fatalf("writer: %v", writerErr)
+	}
+	for _, rs := range runs {
+		for _, run := range rs {
+			if !run.ran {
+				t.Fatalf("%s: ran on rows", run.label)
+			}
+			if fmt.Sprint(run.got) != fmt.Sprint(run.want) {
+				t.Fatalf("%s:\n got  %v\n want %v", run.label, run.got, run.want)
+			}
+		}
+	}
+	d := statsDelta(db.JoinStats(), before)
+	if writes == 0 || d.Builds == 0 {
+		t.Fatalf("writes %d, routes %+v: want commits and projection builds", writes, d)
+	}
+	t.Logf("writes %d, routes %+v", writes, d)
+}

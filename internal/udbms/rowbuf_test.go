@@ -35,8 +35,7 @@ func TestSeedScanClearsEveryWrittenSlot(t *testing.T) {
 	}
 	var backing []mmvalue.Value
 	var batches []int
-	src := &docSource{c: c, acc: Snapshot{}}
-	src.run(func(b *Batch) bool {
+	db.Pipeline(nil).FromDocuments("c", nil).src.run(func(b *Batch) bool {
 		backing = b.rows[:cap(b.rows)]
 		batches = append(batches, b.Len())
 		return true

@@ -1,7 +1,6 @@
 package udbms
 
 import (
-	"sort"
 	"sync"
 
 	"udbench/internal/mmvalue"
@@ -89,59 +88,42 @@ func (st *sortStage) outState(in rowState) rowState { return in }
 func (st *sortStage) retains() bool                 { return true }
 
 func (st *sortStage) wire(_ rowState, _ bool, down batchSink) batchSink {
-	return &sortSink{st: st, down: down}
+	s := &sortSink{st: st, down: down, rows: getRowBuf(batchCap), kbuf: getRowBuf(batchCap)}
+	s.keys.vals = s.kbuf.rows
+	return s
 }
 
 type sortSink struct {
 	st   *sortStage
 	down batchSink
-	rows []mmvalue.Value
-	keys colVec
+	// rows holds the buffered rows and keys.vals their sort keys, both
+	// in pooled buffers that flush hands back.
+	rows, kbuf *rowBuf
+	keys       colVec
 }
 
 func (s *sortSink) push(b *Batch) bool {
 	n := b.Len()
 	for i := 0; i < n; i++ {
 		r := b.Row(i)
-		s.rows = append(s.rows, r)
+		s.rows.rows = append(s.rows.rows, r)
 		s.keys.append(s.st.path.LookupOr(r, mmvalue.Null))
 	}
 	return true
 }
 
 func (s *sortSink) flush() {
-	perm := make([]int32, len(s.rows))
-	for i := range perm {
-		perm[i] = int32(i)
-	}
-	desc := s.st.desc
-	var less func(a, b int32) bool
-	switch kind, _ := s.keys.homogeneous(); kind {
-	case mmvalue.KindInt:
-		ints := s.keys.ints(nil)
-		less = func(a, b int32) bool { return ints[a] < ints[b] }
-	case mmvalue.KindFloat:
-		floats := s.keys.floats(nil)
-		less = func(a, b int32) bool { return floats[a] < floats[b] }
-	case mmvalue.KindString:
-		strs := s.keys.strs(nil)
-		less = func(a, b int32) bool { return strs[a] < strs[b] }
-	default:
-		vals := s.keys.vals
-		less = func(a, b int32) bool { return mmvalue.Compare(vals[a], vals[b]) < 0 }
-	}
-	sort.SliceStable(perm, func(i, j int) bool {
-		if desc {
-			return less(perm[j], perm[i])
-		}
-		return less(perm[i], perm[j])
-	})
-	out := Batch{rows: make([]mmvalue.Value, 0, batchCap)}
+	rows := s.rows.rows
+	defer func() {
+		putRowBuf(s.rows, rows)
+		putRowBuf(s.kbuf, s.keys.vals)
+	}()
+	perm := s.keys.order(s.st.desc)
+	out := Batch{rows: make([]mmvalue.Value, 0, min(len(rows), batchCap))}
 	for _, i := range perm {
-		out.rows = append(out.rows, s.rows[i])
+		out.rows = append(out.rows, rows[i])
 		if len(out.rows) == batchCap {
 			if !s.down.push(&out) {
-				s.rows, s.keys.vals = nil, nil
 				s.down.flush()
 				return
 			}
@@ -151,7 +133,6 @@ func (s *sortSink) flush() {
 	if len(out.rows) > 0 {
 		s.down.push(&out)
 	}
-	s.rows, s.keys.vals = nil, nil
 	s.down.flush()
 }
 
@@ -312,13 +293,9 @@ type joinSpec struct {
 	rowField string
 	// asField receives the match array.
 	asField string
-	// side is the build-side store, tx the pipeline's handle for it
-	// and hop the pipeline's Access.Hop.
-	side buildSide
-	tx   func() *txn.Tx
-	hop  func()
-	// scan reads the whole build side into a hash table as tx sees it.
-	scan func(tx *txn.Tx) *hashTable
+	// storeScan reads the build side; keyPath locates a build row's key.
+	storeScan
+	keyPath mmvalue.Path
 	// indexProbe fetches matches for one key through a store index;
 	// nil when the build side has no usable index.
 	indexProbe func(key mmvalue.Value) []mmvalue.Value
@@ -343,18 +320,32 @@ func (s *joinSpec) route(n int) *hashTable {
 		if s.indexProbe != nil && n < s.probeBelow {
 			return nil
 		}
-		s.hop()
+		s.acc.Hop()
 		return s.scan(s.tx())
 	}
 	ver, tx := s.side.Version(), s.tx()
-	if ht := s.cache.get(s.key, ver, tx); ht != nil {
-		return ht
+	if e := s.cache.get(s.key, ver, tx); e != nil {
+		return e.ht
 	}
 	if s.indexProbe != nil && s.cache.rent(s.key, ver, n, s.probeBelow) {
 		return nil
 	}
-	s.hop()
-	return s.cache.build(s.key, s.side, tx, s.scan)
+	s.acc.Hop()
+	return s.cache.build(s.key, s.side, tx, func(tx *txn.Tx) *joinCacheEntry {
+		return &joinCacheEntry{ht: s.scan(tx)}
+	}).ht
+}
+
+// scan reads the whole build side into a hash table as tx sees it.
+func (s *joinSpec) scan(tx *txn.Tx) *hashTable {
+	ht := newHashTable(s.side.Len())
+	s.stream(tx, func(row mmvalue.Value) bool {
+		if v, ok := s.keyPath.Lookup(row); ok && !v.IsNull() {
+			ht.add(v, row)
+		}
+		return true
+	})
+	return ht
 }
 
 // hashJoinStage joins the batch stream against a build side. It is a
@@ -534,7 +525,7 @@ func (st *groupStage) outState(rowState) rowState { return rowOwned }
 func (st *groupStage) retains() bool { return false }
 
 func (st *groupStage) wire(_ rowState, _ bool, down batchSink) batchSink {
-	return &groupSink{st: st, down: down, buckets: make(map[uint64][]*groupAcc)}
+	return &groupSink{st: st, down: down, buckets: make(map[uint64]*groupAcc)}
 }
 
 type aggState struct {
@@ -548,24 +539,25 @@ type groupAcc struct {
 	key   mmvalue.Value // cloned: outlives the pushed batch
 	count int64
 	st    []aggState
+	next  *groupAcc // the next group in the same hash bucket
 }
 
 type groupSink struct {
 	st      *groupStage
 	down    batchSink
-	buckets map[uint64][]*groupAcc
+	buckets map[uint64]*groupAcc
 	accs    []*groupAcc
 }
 
 func (g *groupSink) acc(key mmvalue.Value) *groupAcc {
 	h := key.Hash()
-	for _, a := range g.buckets[h] {
+	for a := g.buckets[h]; a != nil; a = a.next {
 		if mmvalue.Equal(a.key, key) {
 			return a
 		}
 	}
-	a := &groupAcc{key: key.Clone(), st: make([]aggState, len(g.st.aggs))}
-	g.buckets[h] = append(g.buckets[h], a)
+	a := &groupAcc{key: key.Clone(), st: make([]aggState, len(g.st.aggs)), next: g.buckets[h]}
+	g.buckets[h] = a
 	g.accs = append(g.accs, a)
 	return a
 }
@@ -577,42 +569,53 @@ func (g *groupSink) push(b *Batch) bool {
 		acc := g.acc(g.st.key.LookupOr(r, mmvalue.Null))
 		acc.count++
 		for k := range g.st.aggs {
-			a := &g.st.aggs[k]
-			s := &acc.st[k]
-			switch a.kind {
-			case aggCount:
-				// count is per-group, tracked once above.
-			case aggSum, aggAvg:
-				if f, ok := a.path.LookupOr(r, mmvalue.Null).AsFloat(); ok {
-					s.sum += f
-					s.n++
-				}
-			case aggMin:
-				if v := a.path.LookupOr(r, mmvalue.Null); !v.IsNull() {
-					if !s.seen || mmvalue.Compare(v, s.best) < 0 {
-						s.best, s.seen = v.Clone(), true
-					}
-				}
-			case aggMax:
-				if v := a.path.LookupOr(r, mmvalue.Null); !v.IsNull() {
-					if !s.seen || mmvalue.Compare(v, s.best) > 0 {
-						s.best, s.seen = v.Clone(), true
-					}
-				}
+			if a := &g.st.aggs[k]; a.kind != aggCount { // count is per-group, tracked once above
+				acc.st[k].fold(a.kind, a.path.LookupOr(r, mmvalue.Null))
 			}
 		}
 	}
 	return true
 }
 
+// fold adds one row's value to a Sum, Avg, Min or Max.
+func (s *aggState) fold(kind aggKind, v mmvalue.Value) {
+	switch kind {
+	case aggSum, aggAvg:
+		if f, ok := v.AsFloat(); ok {
+			s.sum += f
+			s.n++
+		}
+	case aggMin:
+		if !v.IsNull() && (!s.seen || mmvalue.Compare(v, s.best) < 0) {
+			s.best, s.seen = v.Clone(), true
+		}
+	case aggMax:
+		if !v.IsNull() && (!s.seen || mmvalue.Compare(v, s.best) > 0) {
+			s.best, s.seen = v.Clone(), true
+		}
+	}
+}
+
+// flush emits one row per group in ascending key order.
 func (g *groupSink) flush() {
-	accs := g.accs
-	sort.SliceStable(accs, func(i, j int) bool {
-		return mmvalue.Compare(accs[i].key, accs[j].key) < 0
-	})
-	out := Batch{rows: make([]mmvalue.Value, 0, batchCap)}
-	for _, acc := range accs {
-		obj := mmvalue.NewObject()
+	kbuf := getRowBuf(len(g.accs))
+	keys := colVec{vals: kbuf.rows}
+	for _, a := range g.accs {
+		keys.append(a.key)
+	}
+	perm := keys.order(false)
+	putRowBuf(kbuf, keys.vals)
+	// Every row has the same fields, so each starts as a copy of tmpl:
+	// three allocations, none of them regrown.
+	tmpl := mmvalue.NewObject()
+	tmpl.Set(g.st.asKey, mmvalue.Null)
+	for _, a := range g.st.aggs {
+		tmpl.Set(a.as, mmvalue.Null)
+	}
+	out := Batch{rows: make([]mmvalue.Value, 0, min(len(perm), batchCap))}
+	for _, i := range perm {
+		acc := g.accs[i]
+		obj := tmpl.Clone()
 		obj.Set(g.st.asKey, acc.key)
 		for k := range g.st.aggs {
 			a := &g.st.aggs[k]

@@ -63,15 +63,17 @@ func q3TopRatedProducts(st datagen.Target, s session, p Params) (int, error) {
 		rating float64
 	}
 	st.KV.Scan(s.KVTx(), "feedback/", "feedback0", func(key string, v mmvalue.Value) bool {
-		parts := strings.Split(key, "/")
-		if len(parts) != 3 {
+		// A feedback key is exactly three parts: feedback/<cid>/<oid>.
+		_, rest, _ := strings.Cut(key, "/")
+		_, oid, ok := strings.Cut(rest, "/")
+		if !ok || strings.IndexByte(oid, '/') >= 0 {
 			return true
 		}
 		r, _ := v.MustObject().GetOr("rating", mmvalue.Int(0)).AsFloat()
 		entries = append(entries, struct {
 			oid    string
 			rating float64
-		}{parts[2], r})
+		}{oid, r})
 		return true
 	})
 	for _, e := range entries {

@@ -266,6 +266,32 @@ func TestQueriesReturnWork(t *testing.T) {
 	}
 }
 
+// TestProjectedQueriesRepeatFromCache pins that on a quiet DB a repeated
+// Q8, Q12 or Q13 scans nothing: its column projections (and Q13's
+// top-N join) come from the join cache, so the repeat adds two cache
+// hits and no builds or probes.
+func TestProjectedQueriesRepeatFromCache(t *testing.T) {
+	fx := newFixture(t, 0.05)
+	p := NewParamGen(fx.info, 3, 0).Next()
+	for _, q := range []QueryID{Q8, Q12, Q13} {
+		first, err := fx.uni.RunQuery(q, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := fx.uni.DB.JoinStats()
+		again, err := fx.uni.RunQuery(q, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := fx.uni.DB.JoinStats()
+		want := before
+		want.CacheHits += 2
+		if after != want || again != first {
+			t.Errorf("%s repeated: %d rows (first %d), join stats %+v -> %+v, want %+v", q, again, first, before, after, want)
+		}
+	}
+}
+
 func TestOrderUpdateT1AllModels(t *testing.T) {
 	fx := newFixture(t, 0.02)
 	oid := datagen.OrderID(1)
