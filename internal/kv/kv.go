@@ -5,7 +5,7 @@
 // the key-value WAL ops on top.
 //
 // In the Figure-1 dataset this store holds the Feedback messages
-// (key "feedback/<customerID>/<productID>" -> rating payload). It is
+// (key "feedback/<customerID>/<orderID>" -> rating payload). It is
 // also the baseline store of the polyglot federation.
 package kv
 
@@ -57,6 +57,9 @@ func (s *Store) Put(tx *txn.Tx, key string, value mmvalue.Value) error {
 		return nil
 	})
 }
+
+// Version counts committed writes to the store (txn.Records.Version).
+func (s *Store) Version() uint64 { return s.recs.Version() }
 
 // Get returns the value visible to tx (snapshot read). With a nil tx it
 // returns the latest committed value.

@@ -44,60 +44,20 @@ func (b *Batch) truncate(n int) { b.rows = b.rows[:n] }
 // reset empties the batch for reuse, keeping row capacity.
 func (b *Batch) reset() { b.rows = b.rows[:0] }
 
-// colVec is a column extracted from buffered rows: the values at one
-// path, plus enough kind bookkeeping to decide whether a typed vector
-// (int64/float64/string) can replace mmvalue comparisons in the hot
-// loop. Values are headers only — extraction never clones.
-type colVec struct {
-	vals []mmvalue.Value
-	// kinds is a bitmask of the mmvalue kinds seen; order takes a typed
-	// fast path only when exactly one scalar kind is present across
-	// every value.
-	kinds uint16
-}
-
-func (c *colVec) append(v mmvalue.Value) {
-	c.vals = append(c.vals, v)
-	c.kinds |= 1 << uint(v.Kind())
-}
-
-// order returns the positions of the values in ascending
-// mmvalue.Compare order, descending when desc; equal values keep the
-// order of their positions. Values all of one scalar kind compare as a
-// typed vector; any other mix (nulls included) through mmvalue.Compare.
-func (c *colVec) order(desc bool) []int32 {
-	var compare func(a, b int32) int
-	switch c.kinds {
-	case 1 << mmvalue.KindInt:
-		compare = typedCompare(c.vals, mmvalue.Value.AsInt)
-	case 1 << mmvalue.KindFloat:
-		compare = typedCompare(c.vals, mmvalue.Value.AsFloat)
-	case 1 << mmvalue.KindString:
-		compare = typedCompare(c.vals, mmvalue.Value.AsString)
-	default:
-		compare = func(a, b int32) int { return mmvalue.Compare(c.vals[a], c.vals[b]) }
-	}
-	perm := make([]int32, len(c.vals))
+// order returns the positions of vals in ascending mmvalue.Compare
+// order, descending when desc; equal values keep the order of their
+// positions.
+func order(vals []mmvalue.Value, desc bool) []int32 {
+	perm := make([]int32, len(vals))
 	for i := range perm {
 		perm[i] = int32(i)
 	}
 	slices.SortFunc(perm, func(a, b int32) int {
-		r := compare(a, b)
+		r := mmvalue.Compare(vals[a], vals[b])
 		if desc {
 			r = -r
 		}
 		return cmp.Or(r, cmp.Compare(a, b))
 	})
 	return perm
-}
-
-// typedCompare compares positions of vals as T, extracted once by as.
-// cmp.Compare orders NaN first and equal to itself, as mmvalue.Compare
-// does.
-func typedCompare[T cmp.Ordered](vals []mmvalue.Value, as func(mmvalue.Value) (T, bool)) func(a, b int32) int {
-	v := make([]T, len(vals))
-	for i, x := range vals {
-		v[i], _ = as(x)
-	}
-	return func(a, b int32) int { return cmp.Compare(v[a], v[b]) }
 }

@@ -4,8 +4,10 @@ import (
 	"sync"
 
 	"udbench/internal/document"
+	"udbench/internal/kv"
 	"udbench/internal/mmvalue"
 	"udbench/internal/relational"
+	"udbench/internal/txn"
 )
 
 // This file is the vectorized execution engine behind Pipeline: a
@@ -99,9 +101,9 @@ func seedBufCap(n int) int {
 
 // ---- source ----
 
-// source produces the seed batch stream: the documents of a
-// collection matching filter, or the rows of a table matching where
-// (nil = all). Seed rows are shared with store memory (rowShared).
+// source produces the seed batch stream: the documents of a collection
+// matching filter, the rows of a table matching where (nil = all), or
+// FromKVPrefix's rows. Seed rows are shared with store memory.
 type source struct {
 	storeScan
 	filter document.Filter
@@ -110,17 +112,24 @@ type source struct {
 
 func (s *source) run(emit func(*Batch) bool) {
 	b := &Batch{}
-	rb := getRowBuf(seedBufCap(s.side.Len()))
+	n := batchCap // kv.Store.Len counts by scanning
+	if _, ok := s.side.(*kv.Store); !ok {
+		n = s.side.Len()
+	}
+	rb := getRowBuf(seedBufCap(n))
 	s.acc.Hop()
 	fn := func(rows []mmvalue.Value) bool {
 		rb.rows = rows[:max(len(rb.rows), len(rows))] // the written prefix
 		b.rows = rows
 		return emit(b)
 	}
-	if c, ok := s.side.(*document.Collection); ok {
-		c.StreamBatch(s.tx(), s.filter, rb.rows, fn)
-	} else {
-		s.side.(*relational.Table).StreamBatch(s.tx(), s.where, rb.rows, fn)
+	switch side := s.side.(type) {
+	case *document.Collection:
+		side.StreamBatch(s.tx(), s.filter, rb.rows, fn)
+	case *relational.Table:
+		side.StreamBatch(s.tx(), s.where, rb.rows, fn)
+	default:
+		txn.Batch(rb.rows, fn, func(emit func(mmvalue.Value) bool) { s.stream(s.tx(), emit) })
 	}
 	putRowBuf(rb, rb.rows)
 }

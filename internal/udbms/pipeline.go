@@ -133,7 +133,7 @@ func (p *Pipeline) FromRelational(table string, where relational.Expr) *Pipeline
 		p.err = fmt.Errorf("udbms: no table %q", table)
 		return p
 	}
-	p.src = &source{storeScan: storeScan{t, p.acc}, where: where}
+	p.src = &source{storeScan: storeScan{side: t, acc: p.acc}, where: where}
 	return p
 }
 
@@ -144,19 +144,57 @@ func (p *Pipeline) FromDocuments(collection string, filter document.Filter) *Pip
 	if p.err != nil {
 		return p
 	}
-	p.src = &source{storeScan: storeScan{p.st.Docs.Collection(collection), p.acc}, filter: filter}
+	p.src = &source{storeScan: storeScan{side: p.st.Docs.Collection(collection), acc: p.acc}, filter: filter}
+	return p
+}
+
+// FromKVPrefix seeds the pipeline with the key-value pairs under prefix
+// whose key remainder splits on "/" into exactly len(keyFields) parts,
+// one row {keyFields[i]: part i, "value": value} per pair, in key order.
+// Keys of any other shape are skipped.
+func (p *Pipeline) FromKVPrefix(prefix string, keyFields ...string) *Pipeline {
+	if p.err != nil {
+		return p
+	}
+	p.src = &source{storeScan: storeScan{side: p.st.KV, acc: p.acc, prefix: prefix, keys: keyFields}}
 	return p
 }
 
 // Limit truncates the result to the first n rows; upstream operators
 // stop as soon as the limit is satisfied (blocking stages — SortBy and
 // the hash joins — buffer their input first and only stop emitting).
-// Negative n means unlimited.
+// Negative n means unlimited. GroupBy → SortBy(one of its aggregates) →
+// Limit(n) builds only the n group rows the limit keeps.
 func (p *Pipeline) Limit(n int) *Pipeline {
 	if p.err != nil {
 		return p
 	}
+	if k := len(p.stages); n >= 0 && k >= 2 {
+		g, _ := p.stages[k-2].(*groupStage)
+		s, _ := p.stages[k-1].(*sortStage)
+		for a := 0; g != nil && s != nil && len(s.path) == 1 && a < len(g.aggs); a++ {
+			if g.aggs[a].as == s.path[0] { // the last aggregate of a name is the field a row keeps
+				g.top, g.topN, g.topAgg = s, n, a
+			}
+		}
+	}
 	p.stages = append(p.stages, &limitStage{n: n})
+	return p
+}
+
+// Unnest replaces each row by one row per element of the array at path,
+// holding the element under as; a missing, null or non-array value
+// yields no rows.
+func (p *Pipeline) Unnest(path, as string) *Pipeline {
+	if p.err != nil {
+		return p
+	}
+	pp := mmvalue.ParsePath(path)
+	p.stages = append(p.stages, &perRowStage{asField: as, unnest: true, path: pp,
+		fetch: func(r mmvalue.Value) []mmvalue.Value {
+			elems, _ := pp.LookupOr(r, mmvalue.Null).AsArray()
+			return elems
+		}})
 	return p
 }
 
@@ -207,7 +245,7 @@ func (p *Pipeline) JoinDocuments(collection, rowField, docPath, asField string) 
 			coll.Stream(tx, document.Eq(docPath, key), fn)
 		}
 	}
-	return p.hashJoin(storeScan{coll, p.acc}, docPath, mmvalue.ParsePath(docPath), rowField, asField, probe)
+	return p.hashJoin(storeScan{side: coll, acc: p.acc}, docPath, mmvalue.ParsePath(docPath), rowField, asField, probe)
 }
 
 // JoinRelational extends each row with the rows of table whose column
@@ -229,7 +267,7 @@ func (p *Pipeline) JoinRelational(table, rowField, column, asField string) *Pipe
 			t.Stream(tx, relational.Col(column).Eq(key), fn)
 		}
 	}
-	return p.hashJoin(storeScan{t, p.acc}, column, mmvalue.Path{column}, rowField, asField, probe)
+	return p.hashJoin(storeScan{side: t, acc: p.acc}, column, mmvalue.Path{column}, rowField, asField, probe)
 }
 
 // hashJoin appends the equality join against one build side: keyPath

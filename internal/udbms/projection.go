@@ -4,23 +4,30 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 
 	"udbench/internal/document"
+	"udbench/internal/kv"
 	"udbench/internal/mmvalue"
 	"udbench/internal/relational"
 	"udbench/internal/txn"
 )
 
-// storeScan is one document collection or relational table read under
-// the pipeline's handle for its store.
+// storeScan is one document collection, relational table or key-value
+// prefix (FromKVPrefix's rows) read under the pipeline's handle for it.
 type storeScan struct {
-	side buildSide
-	acc  Access
+	side   buildSide
+	acc    Access
+	prefix string
+	keys   []string
 }
 
 func (s storeScan) tx() *txn.Tx {
-	if _, ok := s.side.(*document.Collection); ok {
+	switch s.side.(type) {
+	case *document.Collection:
 		return s.acc.DocTx()
+	case *kv.Store:
+		return s.acc.KVTx()
 	}
 	return s.acc.RelTx()
 }
@@ -28,10 +35,24 @@ func (s storeScan) tx() *txn.Tx {
 // stream calls fn for every row of the store as tx sees it, in scan
 // order.
 func (s storeScan) stream(tx *txn.Tx, fn func(mmvalue.Value) bool) {
-	if c, ok := s.side.(*document.Collection); ok {
-		c.Stream(tx, nil, fn)
-	} else {
-		s.side.(*relational.Table).Stream(tx, nil, fn)
+	switch side := s.side.(type) {
+	case *document.Collection:
+		side.Stream(tx, nil, fn)
+	case *relational.Table:
+		side.Stream(tx, nil, fn)
+	case *kv.Store:
+		side.ScanPrefix(tx, s.prefix, func(key string, v mmvalue.Value) bool {
+			parts := strings.Split(key[len(s.prefix):], "/")
+			if len(parts) != len(s.keys) {
+				return true
+			}
+			row := mmvalue.NewObject()
+			for i, k := range s.keys {
+				row.Set(k, mmvalue.String(parts[i]))
+			}
+			row.Set("value", v)
+			return fn(mmvalue.FromObject(row))
+		})
 	}
 }
 
@@ -85,89 +106,158 @@ func (c *column) value(r int) mmvalue.Value {
 }
 
 // projection is one store's rows at one version, one column per
-// projected path. first maps each value of the first column to 1 + the
-// first row holding it: a join's build side projects its key first.
+// projected path; dicts and links derive from the columns on first use.
+// elems projects the elements of the array a plan unnests from these
+// rows, row r's being off[r] ≤ e < off[r+1].
 type projection struct {
 	n     int
 	cols  []column
-	first scalarMap[int]
+	off   []int32
+	elems *projection
+	mu    sync.Mutex
+	dicts map[int]*dict
+	links map[int]projLink // per probe column
 }
 
-func project(s storeScan, tx *txn.Tx, paths []mmvalue.Path) *projection {
-	p := &projection{cols: make([]column, len(paths)), first: scalarMap[int]{map[int64]int{}, map[string]int{}}}
-	s.stream(tx, func(row mmvalue.Value) bool {
-		for c, path := range paths {
-			p.cols[c].add(p.n, path.LookupOr(row, mmvalue.Null))
+// projLink is link's result for one build projection.
+type projLink struct {
+	build *projection
+	rows  []int32
+}
+
+func newProjection(paths int) *projection {
+	return &projection{cols: make([]column, paths), dicts: map[int]*dict{}, links: map[int]projLink{}}
+}
+
+// add appends row to p, and its elements to p.elems.
+func (p *projection) add(row mmvalue.Value, paths []mmvalue.Path, arr *arraySpec) {
+	for c, path := range paths {
+		p.cols[c].add(p.n, path.LookupOr(row, mmvalue.Null))
+	}
+	p.n++
+	if arr != nil {
+		items, _ := arr.path.LookupOr(row, mmvalue.Null).AsArray()
+		for _, it := range items {
+			p.elems.add(it, arr.elems, nil)
 		}
-		p.n++
+		p.off = append(p.off, int32(p.elems.n))
+	}
+}
+
+func project(s storeScan, tx *txn.Tx, paths []mmvalue.Path, arr *arraySpec) *projection {
+	p := newProjection(len(paths))
+	if arr != nil {
+		p.off, p.elems = []int32{0}, newProjection(len(arr.elems))
+	}
+	s.stream(tx, func(row mmvalue.Value) bool {
+		p.add(row, paths, arr)
 		return true
 	})
-	for r := p.n - 1; r >= 0 && !p.cols[0].mixed; r-- { // backwards: the first row holding a key wins
-		p.first.set(p.cols[0].value(r), r+1)
-	}
 	return p
 }
 
-// scalarMap maps int and string keys to values by their typed value;
-// it holds no other kind.
-type scalarMap[V any] struct {
-	ints map[int64]V
-	strs map[string]V
+// dict codes a column densely: the distinct values under mmvalue.Equal
+// in order of first appearance, code 0 being null.
+type dict struct {
+	codes []int32            // per row
+	vals  []mmvalue.Value    // per code
+	first []int32            // per code, the first row holding it
+	index map[uint64][]int32 // codes by value hash
 }
 
-func (m scalarMap[V]) get(k mmvalue.Value) (v V, ok bool) {
-	switch k.Kind() {
-	case mmvalue.KindInt:
-		v, ok = m.ints[k.MustInt()]
-	case mmvalue.KindString:
-		v, ok = m.strs[k.MustString()]
+// code returns v's code, or -1 when no row holds v.
+func (d *dict) code(v mmvalue.Value) int32 {
+	for _, c := range d.index[v.Hash()] {
+		if mmvalue.Equal(d.vals[c], v) {
+			return c
+		}
 	}
-	return v, ok
+	return -1
 }
 
-func (m scalarMap[V]) set(k mmvalue.Value, v V) {
-	switch k.Kind() {
-	case mmvalue.KindInt:
-		m.ints[k.MustInt()] = v
-	case mmvalue.KindString:
-		m.strs[k.MustString()] = v
+// dict returns column col's dict.
+func (p *projection) dict(col int) *dict {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if d := p.dicts[col]; d != nil {
+		return d
 	}
+	d := &dict{codes: make([]int32, p.n), vals: []mmvalue.Value{mmvalue.Null}, first: []int32{-1},
+		index: map[uint64][]int32{mmvalue.Null.Hash(): {0}}}
+	for r := range d.codes {
+		v := p.cols[col].value(r)
+		if d.codes[r] = d.code(v); d.codes[r] < 0 {
+			d.codes[r] = int32(len(d.vals))
+			d.index[v.Hash()] = append(d.index[v.Hash()], d.codes[r])
+			d.vals, d.first = append(d.vals, v), append(d.first, int32(r))
+		}
+	}
+	p.dicts[col] = d
+	return d
 }
 
-// project returns s's projection onto paths for the pipeline's reader:
-// the join cache's, or one scan (and hop) offered to the cache.
-func (p *Pipeline) project(s storeScan, paths []mmvalue.Path) *projection {
+// link returns, for every row, the first row of build whose first
+// column equals the row's non-null value in column col, or -1.
+func (p *projection) link(col int, build *projection) []int32 {
+	keys := build.dict(0) // before p.mu: p may be build
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if l := p.links[col]; l.build == build {
+		return l.rows
+	}
+	rows := make([]int32, p.n)
+	for r := range rows {
+		rows[r] = -1
+		if c := keys.code(p.cols[col].value(r)); c > 0 { // code 0: null, which matches nothing
+			rows[r] = keys.first[c]
+		}
+	}
+	p.links[col] = projLink{build, rows}
+	return rows
+}
+
+// project returns s's projection onto paths (and arr, when not nil)
+// for the pipeline's reader: the join cache's, or one scan (and hop)
+// offered to the cache.
+func (p *Pipeline) project(s storeScan, paths []mmvalue.Path, arr *arraySpec) *projection {
 	if p.joins == nil {
 		p.acc.Hop()
-		return project(s, s.tx(), paths)
+		return project(s, s.tx(), paths, arr)
 	}
-	var cols strings.Builder
-	for _, path := range paths {
-		fmt.Fprintf(&cols, "%q", []string(path))
-	}
-	key := joinCacheKey{store: s.side, cols: cols.String()}
+	key := joinCacheKey{store: s.side, cols: fmt.Sprintf("%q %q %q %#v", s.prefix, s.keys, paths, arr)}
 	ver, tx := s.side.Version(), s.tx()
 	if e := p.joins.get(key, ver, tx); e != nil {
 		return e.proj
 	}
 	p.acc.Hop()
 	return p.joins.build(key, s.side, tx, func(tx *txn.Tx) *joinCacheEntry {
-		return &joinCacheEntry{proj: project(s, tx, paths)}
+		return &joinCacheEntry{proj: project(s, tx, paths, arr)}
 	}).proj
 }
 
-// projPlan is a plan's projected prefix. Scan 0 is the seed and scan
-// j+1 join j's build side; paths[i] are the paths projected from scan
-// i, and a colRef names one of them.
+// projPlan is a plan's projected prefix. Scan 0 is the seed, scan j+1
+// join j's build side and, with an Unnest, the last scan the elements
+// of arr; paths[i] are the paths projected from scan i, and a colRef
+// names one of them.
 type projPlan struct {
 	scans  []storeScan
 	paths  [][]mmvalue.Path
 	joins  []*joinSpec
+	arr    *arraySpec
 	probes []colRef // per join, its probe key
 	key    colRef   // the GroupBy key
 	aggs   []colRef // per aggregate; unused for Count
 	rest   []stage  // the GroupBy and the stages after it
 	bad    bool     // a path reads a match array other than at ".0."
+}
+
+// arraySpec is the array a plan unnests: at path in the rows of scan,
+// each element under as, and the element paths the plan reads.
+type arraySpec struct {
+	scan  int
+	path  mmvalue.Path
+	as    string
+	elems []mmvalue.Path
 }
 
 type colRef struct{ scan, col int }
@@ -181,7 +271,16 @@ func (p *Pipeline) projectedPlan() (*projPlan, bool) {
 	pl := &projPlan{scans: []storeScan{p.src.storeScan}, paths: make([][]mmvalue.Path, 1)}
 	for i, st := range p.stages {
 		switch st := st.(type) {
+		case *perRowStage:
+			if !st.unnest || pl.arr != nil {
+				return nil, false
+			}
+			scan, rest := pl.locate(st.path)
+			pl.arr = &arraySpec{scan: scan, path: rest, as: st.asField}
 		case *hashJoinStage:
+			if pl.arr != nil {
+				return nil, false
+			}
 			pl.probes = append(pl.probes, pl.resolve(mmvalue.Path{st.spec.rowField}))
 			pl.joins = append(pl.joins, &st.spec)
 			pl.scans = append(pl.scans, st.spec.storeScan)
@@ -203,23 +302,32 @@ func (p *Pipeline) projectedPlan() (*projPlan, bool) {
 	return nil, false
 }
 
-// resolve names the column at path, appending it to its scan's paths:
-// "<asField>.0.<rest>" is rest in the build rows of the last join that
-// attaches asField, any other path a seed path.
+// resolve names the column at path, appending it to its scan's paths;
+// a path that starts at the Unnest's field reads its elements.
 func (pl *projPlan) resolve(path mmvalue.Path) colRef {
-	scan, rest := 0, path
+	if a := pl.arr; a != nil && len(path) > 0 && path[0] == a.as {
+		a.elems = append(a.elems, path[1:])
+		return colRef{len(pl.scans), len(a.elems) - 1}
+	}
+	scan, rest := pl.locate(path)
+	pl.paths[scan] = append(pl.paths[scan], rest)
+	return colRef{scan, len(pl.paths[scan]) - 1}
+}
+
+// locate finds the scan whose rows path reads, and the path within
+// them: "<asField>.0.<rest>" is rest in the build rows of the last join
+// that attaches asField, any other path a seed path.
+func (pl *projPlan) locate(path mmvalue.Path) (int, mmvalue.Path) {
 	for j := len(pl.joins) - 1; j >= 0; j-- {
 		if len(path) > 0 && path[0] == pl.joins[j].asField {
 			if len(path) < 3 || path[1] != "0" {
 				pl.bad = true
-				return colRef{}
+				return 0, nil
 			}
-			scan, rest = j+1, path[2:]
-			break
+			return j + 1, path[2:]
 		}
 	}
-	pl.paths[scan] = append(pl.paths[scan], rest)
-	return colRef{scan, len(pl.paths[scan]) - 1}
+	return 0, path
 }
 
 // runProjected runs a plan of the projected shape and reports true. It
@@ -230,15 +338,23 @@ func (p *Pipeline) runProjected(onRow func(mmvalue.Value) bool) bool {
 	if !ok {
 		return false
 	}
-	projs := make([]*projection, len(pl.scans))
+	projs := make([]*projection, len(pl.scans), len(pl.scans)+1)
 	for i, s := range pl.scans {
-		projs[i] = p.project(s, pl.paths[i])
-		if slices.ContainsFunc(projs[i].cols, func(c column) bool { return c.mixed }) {
+		var arr *arraySpec
+		if pl.arr != nil && pl.arr.scan == i {
+			arr = pl.arr
+		}
+		if projs[i] = p.project(s, pl.paths[i], arr); arr != nil {
+			projs = append(projs, projs[i].elems)
+		}
+	}
+	for _, pr := range projs {
+		if slices.ContainsFunc(pr.cols, func(c column) bool { return c.mixed }) {
 			return false
 		}
 	}
-	// The typed index matches what Equal does only when both keys are ints
-	// or both strings: Int(1) equals Float(1), and NaN equals itself.
+	// Join keys of two kinds, or float keys, stay on rows: columns serve
+	// the int and string keys every benchmark join has.
 	for j, probe := range pl.probes {
 		k, bk := projs[0].cols[probe.col].kind, projs[j+1].cols[0].kind
 		if k == mmvalue.KindFloat || k != bk && k != mmvalue.KindNull && bk != mmvalue.KindNull {
@@ -247,25 +363,44 @@ func (p *Pipeline) runProjected(onRow func(mmvalue.Value) bool) bool {
 	}
 	at := make([]int, len(projs)) // at[i]: the row of scan i the seed row reads
 	val := func(ref colRef) mmvalue.Value { return projs[ref.scan].cols[ref.col].value(at[ref.scan]) }
+	links := make([][]int32, len(pl.probes))
+	for j, probe := range pl.probes {
+		links[j] = projs[0].link(probe.col, projs[j+1])
+	}
 	g := wireChain(pl.rest, onRow).(*groupSink)
-	// groups finds a group by its typed key rather than by hash and Equal.
-	groups := scalarMap[*groupAcc]{map[int64]*groupAcc{}, map[string]*groupAcc{}}
-	for r := 0; r < projs[0].n; r++ {
-		at[0] = r
-		for j, probe := range pl.probes {
-			first, _ := projs[j+1].first.get(val(probe))
-			at[j+1] = first - 1
+	// A group is found by its key's code: its accumulator is slab[code].
+	keys := projs[pl.key.scan].dict(pl.key.col)
+	slab, nagg := make([]groupAcc, len(keys.vals)), len(g.st.aggs)
+	states := make([]aggState, len(slab)*nagg)
+	fold := func() {
+		code := 0
+		if r := at[pl.key.scan]; r >= 0 {
+			code = int(keys.codes[r])
 		}
-		key := val(pl.key)
-		acc, ok := groups.get(key)
-		if !ok {
-			acc = g.acc(key)
-			groups.set(key, acc)
+		acc := &slab[code]
+		if acc.count == 0 {
+			acc.key, acc.st = keys.vals[code], states[code*nagg:(code+1)*nagg]
+			g.accs = append(g.accs, acc)
 		}
 		acc.count++
 		for k := range g.st.aggs {
 			if a := &g.st.aggs[k]; a.kind != aggCount {
 				acc.st[k].fold(a.kind, val(pl.aggs[k]))
+			}
+		}
+	}
+	for r := 0; r < projs[0].n; r++ {
+		at[0] = r
+		for j, l := range links {
+			at[j+1] = int(l[r])
+		}
+		switch a, e := pl.arr, len(pl.scans); {
+		case a == nil:
+			fold()
+		case at[a.scan] >= 0:
+			off := projs[a.scan].off[at[a.scan]:]
+			for at[e] = int(off[0]); at[e] < int(off[1]); at[e]++ {
+				fold()
 			}
 		}
 	}

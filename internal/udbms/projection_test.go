@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -119,8 +120,10 @@ type projPlanCase struct {
 	name   string
 	joins  bool
 	onRows bool // the plan lacks the shape
-	build  func(p *Pipeline) *Pipeline
-	refRow func(db *DB, rows []mmvalue.Value) []mmvalue.Value
+	// unmixed: the plan reads no column projMixed mixes kinds in
+	unmixed bool
+	build   func(p *Pipeline) *Pipeline
+	refRow  func(db *DB, rows []mmvalue.Value) []mmvalue.Value
 }
 
 // projPlans draws the aggregates at random; every plan sums total.
@@ -178,16 +181,168 @@ func projPlans(rng *rand.Rand) []projPlanCase {
 	return cases
 }
 
+// projKVData gives projDB's orders line items {pid, qty} and adds
+// feedback pairs "fb/<cid>/<oid>" -> {r}. Items may be empty, not an
+// array or missing, an element may lack pid or not be an object, and a
+// rating may be null or missing; some keys have another shape or name
+// no order. In projMixed mode one qty is a float among ints.
+func projKVData(t *testing.T, db *DB, rng *rand.Rand, mode projMode) {
+	t.Helper()
+	orders := db.Docs.Collection("orders")
+	put := func(key string, fb *mmvalue.Object) {
+		if err := db.KV.Put(nil, key, mmvalue.FromObject(fb)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, o := range orders.Find(nil, nil, nil) {
+		id := o.MustObject().GetOr("_id", mmvalue.Null).MustString()
+		var items mmvalue.Value
+		switch rng.Intn(8) {
+		case 0:
+			items = mmvalue.Array()
+		case 1:
+			items = mmvalue.String("none")
+		case 2: // missing
+		default:
+			elems := make([]mmvalue.Value, 1+rng.Intn(3))
+			for e := range elems {
+				el := mmvalue.NewObject()
+				if rng.Intn(6) > 0 {
+					el.Set("pid", mmvalue.String(fmt.Sprintf("p%d", rng.Intn(12))))
+				}
+				el.Set("qty", mmvalue.Int(int64(rng.Intn(5))))
+				if elems[e] = mmvalue.FromObject(el); rng.Intn(10) == 0 {
+					elems[e] = mmvalue.Int(7)
+				}
+			}
+			items = mmvalue.Array(elems...)
+		}
+		if mode == projMixed && id == "o0000" {
+			items = mmvalue.Array(mmvalue.ObjectOf("pid", "p1", "qty", 2.5))
+		}
+		if items.Kind() != mmvalue.KindNull {
+			if err := orders.SetPath(nil, id, "items", items); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if rng.Intn(10) < 7 || id == "o0000" {
+			fb := mmvalue.NewObject()
+			maybe := rng.Intn(8)
+			if maybe > 0 {
+				fb.Set("r", mmvalue.Int(int64(1+rng.Intn(5))))
+			}
+			if maybe == 1 {
+				fb.Set("r", mmvalue.Null)
+			}
+			put(fmt.Sprintf("fb/%d/%s", rng.Intn(20), id), fb)
+		}
+	}
+	for _, key := range []string{"fb/x", "fb/1/o0001/extra", "fb/2/o9999", "fa/1/o0001", "fb//o0002"} {
+		put(key, mmvalue.ObjectOf("r", 5).MustObject())
+	}
+}
+
+// refKVAt is FromKVPrefix("fb/", "cid", "oid") under tx.
+func refKVAt(db *DB, tx *txn.Tx) []mmvalue.Value {
+	var rows []mmvalue.Value
+	db.KV.ScanPrefix(tx, "fb/", func(key string, v mmvalue.Value) bool {
+		if parts := strings.Split(strings.TrimPrefix(key, "fb/"), "/"); len(parts) == 2 {
+			rows = append(rows, mmvalue.ObjectOf("cid", parts[0], "oid", parts[1], "value", v))
+		}
+		return true
+	})
+	return rows
+}
+
+// refKVOrdersAt is refKVAt joined to its order as "o" and unnested at
+// "o.0.items" as "it", row at a time under tx.
+func refKVOrdersAt(db *DB, tx *txn.Tx) []mmvalue.Value {
+	var rows []mmvalue.Value
+	for _, row := range refKVAt(db, tx) {
+		var o []mmvalue.Value
+		if doc, ok := db.Docs.Collection("orders").Get(tx, row.MustObject().GetOr("oid", mmvalue.Null).MustString()); ok {
+			o = append(o, doc)
+		}
+		row.MustObject().Set("o", mmvalue.Array(o...))
+		items, _ := mmvalue.ParsePath("o.0.items").LookupOr(row, mmvalue.Null).AsArray()
+		for _, it := range items {
+			r := row.Clone()
+			r.MustObject().Set("it", it)
+			rows = append(rows, r)
+		}
+	}
+	return rows
+}
+
+// projKVPlans are the key-value seed and Unnest plans over projKVData.
+func projKVPlans() []projPlanCase {
+	aggs := []Agg{Avg("value.r", "av"), Count("n"), Sum("it.qty", "s"), Max("it.pid", "mx"), Min("cid", "mn")}
+	joined := func(p *Pipeline) *Pipeline {
+		return p.FromKVPrefix("fb/", "cid", "oid").JoinDocuments("orders", "oid", "_id", "o").Unnest("o.0.items", "it")
+	}
+	return []projPlanCase{
+		{
+			name:    "kv seed key",
+			unmixed: true,
+			build: func(p *Pipeline) *Pipeline {
+				return p.FromKVPrefix("fb/", "cid", "oid").GroupBy("cid", "k", aggs[:2]...)
+			},
+			refRow: func(db *DB, _ []mmvalue.Value) []mmvalue.Value {
+				return refGroupBy(refKVAt(db, nil), mmvalue.Path{"cid"}, "k", aggs[:2])
+			},
+		},
+		{
+			name:  "kv join unnest",
+			build: func(p *Pipeline) *Pipeline { return joined(p).GroupBy("it.pid", "k", aggs...) },
+			refRow: func(db *DB, _ []mmvalue.Value) []mmvalue.Value {
+				return refGroupBy(refKVOrdersAt(db, nil), mmvalue.ParsePath("it.pid"), "k", aggs)
+			},
+		},
+		{
+			name: "kv join unnest, top 3",
+			build: func(p *Pipeline) *Pipeline {
+				return joined(p).GroupBy("it.pid", "k", aggs...).SortBy("av", true).Limit(3)
+			},
+			refRow: func(db *DB, _ []mmvalue.Value) []mmvalue.Value {
+				rows := refGroupBy(refKVOrdersAt(db, nil), mmvalue.ParsePath("it.pid"), "k", aggs)
+				return refSort(rows, mmvalue.Path{"av"}, true)[:min(3, len(rows))]
+			},
+		},
+		{
+			name: "seed unnest",
+			build: func(p *Pipeline) *Pipeline {
+				return p.FromDocuments("orders", nil).Unnest("items", "it").GroupBy("it.pid", "k", aggs[1:4]...)
+			},
+			refRow: func(_ *DB, orders []mmvalue.Value) []mmvalue.Value {
+				var rows []mmvalue.Value
+				for _, o := range orders {
+					items, _ := o.MustObject().GetOr("items", mmvalue.Null).AsArray()
+					for _, it := range items {
+						r := o.Clone()
+						r.MustObject().Set("it", it)
+						rows = append(rows, r)
+					}
+				}
+				return refGroupBy(rows, mmvalue.ParsePath("it.pid"), "k", aggs[1:4])
+			},
+		},
+	}
+}
+
 // TestProjectionMatchesRowPath runs the projected plans over random data
 // and compares them with the row-at-a-time references. Int and string
 // join keys run over columns; float build keys against int probe keys,
-// and a column mixing ints and floats, must run on rows.
+// and a column mixing ints and floats, must run on rows. The key-value
+// seed and Unnest plans join on order ids and run over columns unless
+// an element column mixes kinds (projMixed).
 func TestProjectionMatchesRowPath(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		mode := projMode(seed % 4)
 		rng := rand.New(rand.NewSource(seed))
 		db := projDB(t, rng, mode)
-		for _, pc := range projPlans(rng) {
+		plans := projPlans(rng)
+		projKVData(t, db, rng, mode)
+		for _, pc := range append(plans, projKVPlans()...) {
 			label := fmt.Sprintf("seed %d mode %d %s", seed, mode, pc.name)
 			want := pc.refRow(db, db.Docs.Collection("orders").Find(nil, nil, nil))
 			var got []mmvalue.Value
@@ -195,7 +350,7 @@ func TestProjectionMatchesRowPath(t *testing.T) {
 				got = append(got, r.Clone())
 				return true
 			})
-			wantRan := !pc.onRows && (mode == projInt || mode == projStr || mode == projCross && !pc.joins)
+			wantRan := !pc.onRows && (mode != projMixed || pc.unmixed) && (mode != projCross || !pc.joins)
 			if ran != wantRan {
 				t.Errorf("%s: ran over columns %v, want %v", label, ran, wantRan)
 			}
@@ -239,9 +394,12 @@ func refOrdersAt(db *DB, tx *txn.Tx) []mmvalue.Value {
 // city over both joins while a writer moves join keys, cities and
 // totals. Every answer must run over columns — built under the reader's
 // snapshot or served from the cache — and equal the row-at-a-time
-// reference under that snapshot.
+// reference under that snapshot. The readers also run a key-value seed
+// → join → Unnest → group plan while the writer rates orders and
+// rewrites their items.
 func TestProjectionUnderWriters(t *testing.T) {
 	db := projDB(t, rand.New(rand.NewSource(11)), projInt)
+	projKVData(t, db, rand.New(rand.NewSource(12)), projInt)
 	tbl, _ := db.Relational.Table("custtab")
 	docs, orders := db.Docs.Collection("custdocs"), db.Docs.Collection("orders")
 	nBuild := tbl.Count()
@@ -251,6 +409,13 @@ func TestProjectionUnderWriters(t *testing.T) {
 			JoinRelational("custtab", "cid", "cid", "c").
 			JoinDocuments("custdocs", "cid", "ref.cid", "d").
 			GroupBy("c.0.city", "k", aggs...)
+	}
+	kvAggs := []Agg{Avg("value.r", "av"), Count("n"), Sum("it.qty", "s")}
+	kvPlan := func(p *Pipeline) *Pipeline {
+		return p.FromKVPrefix("fb/", "cid", "oid").
+			JoinDocuments("orders", "oid", "_id", "o").
+			Unnest("o.0.items", "it").
+			GroupBy("it.pid", "k", kvAggs...)
 	}
 	before := db.JoinStats()
 
@@ -285,6 +450,13 @@ func TestProjectionUnderWriters(t *testing.T) {
 				if err := docs.SetPath(tx, fmt.Sprintf("d%04d", i), "ref.cid", key); err != nil {
 					return err
 				}
+				if err := db.KV.Put(tx, fmt.Sprintf("fb/%d/o%04d", rng.Intn(20), rng.Intn(150)), mmvalue.ObjectOf("r", rng.Intn(5))); err != nil {
+					return err
+				}
+				item := mmvalue.ObjectOf("pid", fmt.Sprintf("p%d", rng.Intn(12)), "qty", rng.Intn(5))
+				if err := orders.SetPath(tx, fmt.Sprintf("o%04d", rng.Intn(150)), "items", mmvalue.Array(item)); err != nil {
+					return err
+				}
 				return orders.SetPath(tx, fmt.Sprintf("o%04d", rng.Intn(150)), "total", mmvalue.Float(float64(rng.Intn(900))/7))
 			})
 			if err != nil {
@@ -315,6 +487,13 @@ func TestProjectionUnderWriters(t *testing.T) {
 				})
 				want := refGroupBy(refOrdersAt(db, tx), mmvalue.ParsePath("c.0.city"), "k", aggs)
 				runs[r] = append(runs[r], run{fmt.Sprintf("reader %d it %d", r, it), ran, got, want})
+				got = nil
+				ran = kvPlan(db.Pipeline(tx)).runProjected(func(row mmvalue.Value) bool {
+					got = append(got, row.Clone())
+					return true
+				})
+				want = refGroupBy(refKVOrdersAt(db, tx), mmvalue.ParsePath("it.pid"), "k", kvAggs)
+				runs[r] = append(runs[r], run{fmt.Sprintf("reader %d it %d kv", r, it), ran, got, want})
 				tx.Abort()
 			}
 		}(r)

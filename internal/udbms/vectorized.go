@@ -1,6 +1,8 @@
 package udbms
 
 import (
+	"slices"
+	"sort"
 	"sync"
 
 	"udbench/internal/mmvalue"
@@ -75,10 +77,7 @@ func (s *limitSink) flush() { s.down.flush() }
 
 // sortStage is a blocking operator: it buffers the input rows together
 // with a sort-key column extracted once per batch, then re-streams in
-// order on flush. When every key shares one scalar kind the comparison
-// loop runs over a typed int64/float64/string vector; mixed keys fall
-// back to mmvalue.Compare. Rows stay shared — sorting reorders
-// references only.
+// order on flush. Rows stay shared — sorting reorders references only.
 type sortStage struct {
 	path mmvalue.Path
 	desc bool
@@ -88,18 +87,15 @@ func (st *sortStage) outState(in rowState) rowState { return in }
 func (st *sortStage) retains() bool                 { return true }
 
 func (st *sortStage) wire(_ rowState, _ bool, down batchSink) batchSink {
-	s := &sortSink{st: st, down: down, rows: getRowBuf(batchCap), kbuf: getRowBuf(batchCap)}
-	s.keys.vals = s.kbuf.rows
-	return s
+	return &sortSink{st: st, down: down, rows: getRowBuf(batchCap), keys: getRowBuf(batchCap)}
 }
 
 type sortSink struct {
 	st   *sortStage
 	down batchSink
-	// rows holds the buffered rows and keys.vals their sort keys, both
-	// in pooled buffers that flush hands back.
-	rows, kbuf *rowBuf
-	keys       colVec
+	// rows holds the buffered rows and keys their sort keys, both in
+	// pooled buffers that flush hands back.
+	rows, keys *rowBuf
 }
 
 func (s *sortSink) push(b *Batch) bool {
@@ -107,7 +103,7 @@ func (s *sortSink) push(b *Batch) bool {
 	for i := 0; i < n; i++ {
 		r := b.Row(i)
 		s.rows.rows = append(s.rows.rows, r)
-		s.keys.append(s.st.path.LookupOr(r, mmvalue.Null))
+		s.keys.rows = append(s.keys.rows, s.st.path.LookupOr(r, mmvalue.Null))
 	}
 	return true
 }
@@ -116,9 +112,9 @@ func (s *sortSink) flush() {
 	rows := s.rows.rows
 	defer func() {
 		putRowBuf(s.rows, rows)
-		putRowBuf(s.kbuf, s.keys.vals)
+		putRowBuf(s.keys, s.keys.rows)
 	}()
-	perm := s.keys.order(s.st.desc)
+	perm := order(s.keys.rows, s.st.desc)
 	out := Batch{rows: make([]mmvalue.Value, 0, min(len(rows), batchCap))}
 	for _, i := range perm {
 		out.rows = append(out.rows, rows[i])
@@ -207,7 +203,13 @@ func (a *attacher) release() {
 	a.out.rows = nil
 }
 
+// attach emits r with its matches under asField.
 func (a *attacher) attach(r mmvalue.Value, matches []mmvalue.Value) bool {
+	return a.attachValue(r, mmvalue.Array(matches...))
+}
+
+// attachValue emits r with v under asField.
+func (a *attacher) attachValue(r, v mmvalue.Value) bool {
 	obj := r.MustObject()
 	if a.in == rowShared {
 		if a.useScr {
@@ -222,7 +224,7 @@ func (a *attacher) attach(r mmvalue.Value, matches []mmvalue.Value) bool {
 		}
 		r = mmvalue.FromObject(obj)
 	}
-	obj.Set(a.asField, mmvalue.Array(matches...))
+	obj.Set(a.asField, v)
 	a.out.rows = append(a.out.rows, r)
 	if len(a.out.rows) == attachCap {
 		return a.emit()
@@ -425,12 +427,15 @@ func (j *joinSink) flush() {
 
 // perRowStage is the probe-only join (the key-value prefix join): each
 // row triggers one bounded store lookup, and the fetched values are
-// attached under asField. Output rows accumulate into batches.
+// attached under asField, or with unnest (Pipeline.Unnest) each one
+// under asField in a row of its own. Output rows accumulate into batches.
 type perRowStage struct {
 	// fetch returns the values to attach for the row; they may alias
 	// store memory.
 	fetch   func(row mmvalue.Value) []mmvalue.Value
 	asField string
+	unnest  bool
+	path    mmvalue.Path // the array Unnest reads
 }
 
 // Attached values may alias the store, so the row is at most
@@ -440,12 +445,15 @@ func (st *perRowStage) outState(rowState) rowState { return rowShallow }
 func (st *perRowStage) retains() bool { return false }
 
 func (st *perRowStage) wire(in rowState, transient bool, down batchSink) batchSink {
-	return &perRowSink{fetch: st.fetch, at: newAttacher(down, st.asField, in, transient)}
+	if st.unnest {
+		in = rowShared // one row in, several out: each must be a copy
+	}
+	return &perRowSink{perRowStage: st, at: newAttacher(down, st.asField, in, transient)}
 }
 
 type perRowSink struct {
-	fetch func(row mmvalue.Value) []mmvalue.Value
-	at    *attacher
+	*perRowStage
+	at *attacher
 }
 
 func (s *perRowSink) push(b *Batch) bool {
@@ -455,8 +463,17 @@ func (s *perRowSink) push(b *Batch) bool {
 	n := b.Len()
 	for i := 0; i < n; i++ {
 		r := b.Row(i)
-		if !s.at.attach(r, s.fetch(r)) {
-			return false
+		vals := s.fetch(r)
+		if !s.unnest {
+			if !s.at.attach(r, vals) {
+				return false
+			}
+			continue
+		}
+		for _, v := range vals {
+			if !s.at.attachValue(r, v) {
+				return false
+			}
 		}
 	}
 	return true
@@ -516,6 +533,10 @@ type groupStage struct {
 	key   mmvalue.Path
 	asKey string
 	aggs  []Agg
+	// top, when set, is a SortBy on aggregate topAgg that a Limit(topN)
+	// follows (Pipeline.Limit): flush builds only the rows they keep.
+	top          *sortStage
+	topN, topAgg int
 }
 
 func (st *groupStage) outState(rowState) rowState { return rowOwned }
@@ -596,15 +617,55 @@ func (s *aggState) fold(kind aggKind, v mmvalue.Value) {
 	}
 }
 
-// flush emits one row per group in ascending key order.
-func (g *groupSink) flush() {
-	kbuf := getRowBuf(len(g.accs))
-	keys := colVec{vals: kbuf.rows}
-	for _, a := range g.accs {
-		keys.append(a.key)
+// value is aggregate k's output field in group a's row.
+func (g *groupSink) value(a *groupAcc, k int) mmvalue.Value {
+	s := &a.st[k]
+	switch g.st.aggs[k].kind {
+	case aggCount:
+		return mmvalue.Int(a.count)
+	case aggSum:
+		return mmvalue.Float(s.sum)
+	case aggAvg:
+		if s.n > 0 {
+			return mmvalue.Float(s.sum / float64(s.n))
+		}
+	default:
+		if s.seen {
+			return s.best
+		}
 	}
-	perm := keys.order(false)
-	putRowBuf(kbuf, keys.vals)
+	return mmvalue.Null
+}
+
+// order returns the groups to emit: all of them by ascending key, or
+// with top set (and fewer than all kept) the first topN in the top
+// SortBy's order, ties by ascending key, kept by a bounded insertion.
+func (g *groupSink) order() []*groupAcc {
+	if n, k := g.st.topN, g.st.topAgg; g.st.top != nil && n < len(g.accs) {
+		before := func(a, b *groupAcc) bool {
+			c := mmvalue.Compare(g.value(a, k), g.value(b, k))
+			if g.st.top.desc {
+				c = -c
+			}
+			return c < 0 || c == 0 && mmvalue.Compare(a.key, b.key) < 0
+		}
+		top := make([]*groupAcc, 0, n+1)
+		for _, a := range g.accs {
+			if len(top) == n && (n == 0 || !before(a, top[n-1])) {
+				continue
+			}
+			i := sort.Search(len(top), func(i int) bool { return before(a, top[i]) })
+			top = slices.Insert(top, i, a)[:min(len(top)+1, n)]
+		}
+		return top
+	}
+	slices.SortStableFunc(g.accs, func(a, b *groupAcc) int { return mmvalue.Compare(a.key, b.key) })
+	return g.accs
+}
+
+// flush emits one row per group in order (groupSink.order).
+func (g *groupSink) flush() {
+	accs := g.order()
 	// Every row has the same fields, so each starts as a copy of tmpl:
 	// three allocations, none of them regrown.
 	tmpl := mmvalue.NewObject()
@@ -612,32 +673,12 @@ func (g *groupSink) flush() {
 	for _, a := range g.st.aggs {
 		tmpl.Set(a.as, mmvalue.Null)
 	}
-	out := Batch{rows: make([]mmvalue.Value, 0, min(len(perm), batchCap))}
-	for _, i := range perm {
-		acc := g.accs[i]
+	out := Batch{rows: make([]mmvalue.Value, 0, min(len(accs), batchCap))}
+	for _, acc := range accs {
 		obj := tmpl.Clone()
 		obj.Set(g.st.asKey, acc.key)
-		for k := range g.st.aggs {
-			a := &g.st.aggs[k]
-			s := acc.st[k]
-			switch a.kind {
-			case aggCount:
-				obj.Set(a.as, mmvalue.Int(acc.count))
-			case aggSum:
-				obj.Set(a.as, mmvalue.Float(s.sum))
-			case aggAvg:
-				if s.n > 0 {
-					obj.Set(a.as, mmvalue.Float(s.sum/float64(s.n)))
-				} else {
-					obj.Set(a.as, mmvalue.Null)
-				}
-			case aggMin, aggMax:
-				if s.seen {
-					obj.Set(a.as, s.best)
-				} else {
-					obj.Set(a.as, mmvalue.Null)
-				}
-			}
+		for k, a := range g.st.aggs {
+			obj.Set(a.as, g.value(acc, k))
 		}
 		out.rows = append(out.rows, mmvalue.FromObject(obj))
 		if len(out.rows) == batchCap {

@@ -141,37 +141,47 @@ func refGroupBy(rows []mmvalue.Value, keyPath mmvalue.Path, asKey string, aggs [
 	return out
 }
 
+// sortOp sorts on path like SortBy, by refSort.
+func sortOp(path string, desc bool) pipeOp {
+	pp := mmvalue.ParsePath(path)
+	return pipeOp{
+		name:  fmt.Sprintf("sort(%s,desc=%v)", path, desc),
+		build: func(p *Pipeline) *Pipeline { return p.SortBy(path, desc) },
+		ref: func(_ *DB, rows []mmvalue.Value) []mmvalue.Value {
+			return refSort(rows, pp, desc)
+		},
+	}
+}
+
+// limitOp keeps the first lim rows.
+func limitOp(lim int) pipeOp {
+	return pipeOp{
+		name:  fmt.Sprintf("limit(%d)", lim),
+		build: func(p *Pipeline) *Pipeline { return p.Limit(lim) },
+		ref: func(_ *DB, rows []mmvalue.Value) []mmvalue.Value {
+			if len(rows) > lim {
+				rows = rows[:lim]
+			}
+			return rows
+		},
+	}
+}
+
 // randOps draws 2–5 random stages. Join attachment fields are unique
 // per position ("m0", "m1", ...) and reported so canonRow can
-// normalize their internal order.
+// normalize their internal order. The sort paths include the group-by
+// output fields, and draw 5 is a group-by followed by a sort on one of
+// its aggregates and a limit: the plan GroupBy builds only the top N
+// rows of.
 func randOps(rng *rand.Rand) (ops []pipeOp, joinFields []string) {
 	n := 2 + rng.Intn(4)
 	for i := 0; i < n; i++ {
-		switch rng.Intn(5) {
+		switch draw := rng.Intn(6); draw {
 		case 0: // sort
-			paths := []string{"cid", "n", "payload", "ref.cid", "k"}
-			path := paths[rng.Intn(len(paths))]
-			desc := rng.Intn(2) == 0
-			pp := mmvalue.ParsePath(path)
-			ops = append(ops, pipeOp{
-				name:  fmt.Sprintf("sort(%s,desc=%v)", path, desc),
-				build: func(p *Pipeline) *Pipeline { return p.SortBy(path, desc) },
-				ref: func(_ *DB, rows []mmvalue.Value) []mmvalue.Value {
-					return refSort(rows, pp, desc)
-				},
-			})
+			paths := []string{"cid", "n", "payload", "ref.cid", "k", "c", "s", "av", "mn", "mx"}
+			ops = append(ops, sortOp(paths[rng.Intn(len(paths))], rng.Intn(2) == 0))
 		case 1: // limit
-			lim := rng.Intn(60)
-			ops = append(ops, pipeOp{
-				name:  fmt.Sprintf("limit(%d)", lim),
-				build: func(p *Pipeline) *Pipeline { return p.Limit(lim) },
-				ref: func(_ *DB, rows []mmvalue.Value) []mmvalue.Value {
-					if len(rows) > lim {
-						rows = rows[:lim]
-					}
-					return rows
-				},
-			})
+			ops = append(ops, limitOp(rng.Intn(60)))
 		case 2: // join against the build collection (nested key path)
 			field := fmt.Sprintf("m%d", i)
 			joinFields = append(joinFields, field)
@@ -192,7 +202,7 @@ func randOps(rng *rand.Rand) (ops []pipeOp, joinFields []string) {
 					return refJoinRelational(db, rows, "buildtab", "cid", "cid", field)
 				},
 			})
-		case 4: // group-by with a random aggregate set
+		case 4, 5: // group-by with a random aggregate set
 			keys := []string{"cid", "n"}
 			keyPath := keys[rng.Intn(len(keys))]
 			aggs := []Agg{Count("c")}
@@ -216,6 +226,9 @@ func randOps(rng *rand.Rand) (ops []pipeOp, joinFields []string) {
 					return refGroupBy(rows, pp, "k", aggs)
 				},
 			})
+			if draw == 5 {
+				ops = append(ops, sortOp(aggs[rng.Intn(len(aggs))].as, rng.Intn(2) == 0), limitOp(rng.Intn(12)))
+			}
 		}
 	}
 	return ops, joinFields

@@ -276,7 +276,7 @@ func TestFederationHopCounts(t *testing.T) {
 		want := map[QueryID]int{
 			Q1:  3, // customer row, one orders probe, feedback prefix
 			Q2:  1 + friends(1),
-			Q3:  1 + len(fx.ds.FeedbackKeys),
+			Q3:  2, // feedback seed, one orders scan
 			Q4:  2, // city seed, one orders build
 			Q5:  1,
 			Q6:  1 + len(st.Graph.KHop(nil, graph.VID(datagen.ProductVID(p.ProductID)), 1, graph.In, "purchased")),

@@ -51,69 +51,6 @@ func q2FriendsPurchases(st datagen.Target, s session, p Params) (int, error) {
 	return len(products), nil
 }
 
-func q3TopRatedProducts(st datagen.Target, s session, p Params) (int, error) {
-	type acc struct {
-		sum, n float64
-	}
-	ratings := map[string]*acc{} // product -> rating accumulator
-	orders := st.Docs.Collection("orders")
-	s.Hop()
-	var entries []struct {
-		oid    string
-		rating float64
-	}
-	st.KV.Scan(s.KVTx(), "feedback/", "feedback0", func(key string, v mmvalue.Value) bool {
-		// A feedback key is exactly three parts: feedback/<cid>/<oid>.
-		_, rest, _ := strings.Cut(key, "/")
-		_, oid, ok := strings.Cut(rest, "/")
-		if !ok || strings.IndexByte(oid, '/') >= 0 {
-			return true
-		}
-		r, _ := v.MustObject().GetOr("rating", mmvalue.Int(0)).AsFloat()
-		entries = append(entries, struct {
-			oid    string
-			rating float64
-		}{oid, r})
-		return true
-	})
-	for _, e := range entries {
-		s.Hop()
-		o, ok := orders.Get(s.DocTx(), e.oid)
-		if !ok {
-			continue
-		}
-		items, _ := o.MustObject().GetOr("items", mmvalue.Null).AsArray()
-		for _, it := range items {
-			pid, _ := it.MustObject().Get("product_id")
-			a := ratings[pid.MustString()]
-			if a == nil {
-				a = &acc{}
-				ratings[pid.MustString()] = a
-			}
-			a.sum += e.rating
-			a.n++
-		}
-	}
-	type ranked struct {
-		pid string
-		avg float64
-	}
-	var rs []ranked
-	for pid, a := range ratings {
-		rs = append(rs, ranked{pid, a.sum / a.n})
-	}
-	sort.Slice(rs, func(i, j int) bool {
-		if rs[i].avg != rs[j].avg {
-			return rs[i].avg > rs[j].avg
-		}
-		return rs[i].pid < rs[j].pid
-	})
-	if len(rs) > p.TopN {
-		rs = rs[:p.TopN]
-	}
-	return len(rs), nil
-}
-
 func q5InvoiceTotalsByCurrency(st datagen.Target, s session, _ Params) (int, error) {
 	s.Hop()
 	sums := map[string]float64{}

@@ -78,7 +78,7 @@ type queryDef struct {
 var queryTable = [...]queryDef{
 	Q1:  {"R+D+K", q1Pipeline},
 	Q2:  {"G+D", q2FriendsPurchases},
-	Q3:  {"K+D", q3TopRatedProducts},
+	Q3:  {"K+D", q3Pipeline},
 	Q4:  {"R+D", q4Pipeline},
 	Q5:  {"X", q5InvoiceTotalsByCurrency},
 	Q6:  {"G+D", q6TwoHopBuyers},

@@ -267,13 +267,13 @@ func TestQueriesReturnWork(t *testing.T) {
 }
 
 // TestProjectedQueriesRepeatFromCache pins that on a quiet DB a repeated
-// Q8, Q12 or Q13 scans nothing: its column projections (and Q13's
+// Q3, Q8, Q12 or Q13 scans nothing: its column projections (and Q13's
 // top-N join) come from the join cache, so the repeat adds two cache
 // hits and no builds or probes.
 func TestProjectedQueriesRepeatFromCache(t *testing.T) {
 	fx := newFixture(t, 0.05)
 	p := NewParamGen(fx.info, 3, 0).Next()
-	for _, q := range []QueryID{Q8, Q12, Q13} {
+	for _, q := range []QueryID{Q3, Q8, Q12, Q13} {
 		first, err := fx.uni.RunQuery(q, p)
 		if err != nil {
 			t.Fatal(err)
