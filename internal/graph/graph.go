@@ -16,12 +16,17 @@
 // changes are transactional too. Whole-graph edge scans (Edges) walk
 // the out-adjacency lists of one label, or of all labels, under one
 // read lock and visit edges in no particular order.
+//
+// Version counts committed writes like txn.Records.Version, bumped in
+// the commit hook before the stamp, and edge relinks and their undo as
+// they happen: those change what scans see before a commit.
 package graph
 
 import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"udbench/internal/mmvalue"
 	"udbench/internal/txn"
@@ -61,8 +66,10 @@ type Store struct {
 	// out[v][label] and in[v][label] list edge ids. Structure entries
 	// exist only for committed edges plus uncommitted ones owned by an
 	// in-flight transaction; visibility is re-checked on read.
-	out map[VID]map[string][]EID
-	in  map[VID]map[string][]EID
+	out     map[VID]map[string][]EID
+	in      map[VID]map[string][]EID
+	version atomic.Uint64                           // see Version
+	bump    func(*txn.Chain[mmvalue.Value], uint64) // the chains' commit hook
 }
 
 type vertexRec struct {
@@ -78,7 +85,7 @@ type edgeRec struct {
 
 // NewStore creates an empty graph named name on mgr.
 func NewStore(name string, mgr *txn.Manager) *Store {
-	return &Store{
+	s := &Store{
 		name:     name,
 		mgr:      mgr,
 		vertices: make(map[VID]*vertexRec),
@@ -86,6 +93,8 @@ func NewStore(name string, mgr *txn.Manager) *Store {
 		out:      make(map[VID]map[string][]EID),
 		in:       make(map[VID]map[string][]EID),
 	}
+	s.bump = func(*txn.Chain[mmvalue.Value], uint64) { s.version.Add(1) }
+	return s
 }
 
 // Name returns the store name.
@@ -93,6 +102,12 @@ func (s *Store) Name() string { return s.name }
 
 // Manager returns the transaction manager.
 func (s *Store) Manager() *txn.Manager { return s.mgr }
+
+// Version counts committed writes and edge relinks (package comment).
+func (s *Store) Version() uint64 { return s.version.Load() }
+
+// Len is an O(1) size hint for a scan over Edges: the edge records.
+func (s *Store) Len() int { s.mu.RLock(); defer s.mu.RUnlock(); return len(s.edges) }
 
 func (s *Store) vResource(id VID) string { return s.name + "/v/" + string(id) }
 func (s *Store) eResource(id EID) string { return s.name + "/e/" + string(id) }
@@ -180,7 +195,7 @@ func (s *Store) putVertex(tx *txn.Tx, id VID, label string, props mmvalue.Value,
 				s.mu.Unlock()
 			})
 		}
-		rec.chain.Stage(tx, props.Clone(), false)
+		rec.chain.Stage(tx, props.Clone(), false, s.bump)
 		if tx.Logging() {
 			tx.LogOp(wal.NewOp(wal.OpGraphVertex).String(string(id)).String(label).
 				Bytes(mmvalue.AppendBinary(nil, props)).Build())
@@ -256,7 +271,7 @@ func (s *Store) putEdge(tx *txn.Tx, id EID, label string, from, to VID, props mm
 				}
 			})
 		}
-		rec.chain.Stage(tx, props.Clone(), false)
+		rec.chain.Stage(tx, props.Clone(), false, s.bump)
 		if tx.Logging() {
 			tx.LogOp(wal.NewOp(wal.OpGraphEdge).String(string(id)).String(label).
 				String(string(from)).String(string(to)).
@@ -282,6 +297,7 @@ func (s *Store) link(id EID, label string, from, to VID) {
 func (s *Store) relink(id EID, rec *edgeRec, label string, from, to VID) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.version.Add(1)
 	s.unlink(id, rec.label, rec.from, rec.to)
 	rec.label, rec.from, rec.to = label, from, to
 	s.link(id, label, from, to)
@@ -378,7 +394,7 @@ func (s *Store) SetVertexProps(tx *txn.Tx, id VID, update func(props mmvalue.Val
 		if next.Kind() != mmvalue.KindObject {
 			return fmt.Errorf("graph %s: vertex props must be an object", s.name)
 		}
-		rec.chain.Stage(tx, next, false)
+		rec.chain.Stage(tx, next, false, s.bump)
 		if tx.Logging() {
 			tx.LogOp(wal.NewOp(wal.OpGraphVertexProps).String(string(id)).
 				Bytes(mmvalue.AppendBinary(nil, next)).Build())
@@ -399,7 +415,7 @@ func (s *Store) RemoveEdge(tx *txn.Tx, id EID) error {
 		if rec == nil {
 			return nil
 		}
-		rec.chain.Stage(tx, mmvalue.Null, true)
+		rec.chain.Stage(tx, mmvalue.Null, true, s.bump)
 		if tx.Logging() {
 			tx.LogOp(wal.NewOp(wal.OpGraphRemoveEdge).String(string(id)).Build())
 		}
@@ -430,7 +446,7 @@ func (s *Store) RemoveVertex(tx *txn.Tx, id VID) error {
 				return err
 			}
 		}
-		rec.chain.Stage(tx, mmvalue.Null, true)
+		rec.chain.Stage(tx, mmvalue.Null, true, s.bump)
 		if tx.Logging() {
 			tx.LogOp(wal.NewOp(wal.OpGraphRemoveVertex).String(string(id)).Build())
 		}

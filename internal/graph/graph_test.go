@@ -537,3 +537,70 @@ func TestEdgesByLabelMatchesFilteredScan(t *testing.T) {
 		t.Errorf("Edges kept calling after fn returned false: %d calls", stopped)
 	}
 }
+
+// TestVersionCountsWrites pins Version's contract: every write path
+// moves the counter no later than its commit becomes visible — a reader
+// that sees the write also sees a new version — an edge relink moves it
+// as it happens and its undo moves it again, and reads never move it.
+func TestVersionCountsWrites(t *testing.T) {
+	g := buildSocial(t)
+	for _, w := range []struct {
+		name    string
+		write   func() error
+		visible func() bool
+	}{
+		{"AddVertex", func() error { return g.AddVertex(nil, "x", "customer", mmvalue.Null) },
+			func() bool { _, ok := g.GetVertex(nil, "x"); return ok }},
+		{"AddEdge", func() error { return g.AddEdge(nil, "ex", "knows", "x", "a", mmvalue.Null) },
+			func() bool { _, ok := g.GetEdge(nil, "ex"); return ok }},
+		{"SetVertexProps", func() error {
+			return g.SetVertexProps(nil, "x", func(mmvalue.Value) (mmvalue.Value, error) { return mmvalue.ObjectOf("k", 1), nil })
+		}, func() bool { v, ok := g.GetVertex(nil, "x"); return ok && v.Props.MustObject().Len() == 1 }},
+		{"ApplyEdge relink", func() error { return g.ApplyEdge(nil, "ex", "bought", "b", "p1", mmvalue.Null) },
+			func() bool { e, ok := g.GetEdge(nil, "ex"); return ok && e.Label == "bought" }},
+		{"RemoveEdge", func() error { return g.RemoveEdge(nil, "ex") },
+			func() bool { _, ok := g.GetEdge(nil, "ex"); return !ok }},
+		{"RemoveVertex", func() error { return g.RemoveVertex(nil, "x") },
+			func() bool { _, ok := g.GetVertex(nil, "x"); return !ok }},
+	} {
+		before := g.Version()
+		seen := make(chan uint64)
+		go func() { // the version a reader sees once the write is visible
+			for !w.visible() {
+			}
+			seen <- g.Version()
+		}()
+		if err := w.write(); err != nil {
+			t.Fatalf("%s: %v", w.name, err)
+		}
+		if v := <-seen; v == before {
+			t.Errorf("%s: visible at version %d, the version before it", w.name, v)
+		}
+	}
+
+	// A relink moves the counter before the commit, and its undo again.
+	before := g.Version()
+	tx := g.Manager().Begin()
+	if err := g.ApplyEdge(tx, "e1", "bought", "b", "p1", mmvalue.Null); err != nil {
+		t.Fatal(err)
+	}
+	mid := g.Version()
+	tx.Abort()
+	if after := g.Version(); mid <= before || after <= mid {
+		t.Errorf("aborted relink: version %d, then %d, then %d after the undo; want it to rise twice", before, mid, after)
+	}
+	if e, _ := g.GetEdge(nil, "e1"); e.Label != "knows" || e.From != "a" {
+		t.Errorf("aborted relink left %+v", e)
+	}
+
+	before = g.Version()
+	g.GetVertex(nil, "a")
+	g.GetEdge(nil, "e1")
+	g.Neighbors(nil, "a", Both, "")
+	g.KHop(nil, "a", 2, Both, "knows")
+	g.Edges(nil, "knows", func(Edge) bool { return true })
+	g.VertexCount(nil)
+	if g.Len() == 0 || g.Version() != before {
+		t.Errorf("reads moved the version %d -> %d", before, g.Version())
+	}
+}

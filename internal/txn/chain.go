@@ -162,22 +162,15 @@ func (c *Chain[T]) Current(tx *Tx) (T, bool) {
 }
 
 // Stage is the write ritual every store shares: install value (or a
-// tombstone) as tx's uncommitted version, roll it back if tx aborts and
-// stamp it with the commit timestamp if tx commits. The caller must
+// tombstone) as tx's uncommitted version, roll it back if tx aborts and,
+// if tx commits, run the owner's commit hook, which bumps its version
+// counter, just before stamping the commit timestamp. The caller must
 // hold the record's exclusive lock.
-func (c *Chain[T]) Stage(tx *Tx, value T, deleted bool) {
-	c.stage(tx, value, deleted, nil)
-}
-
-// stage is Stage for a chain owned by r (nil for a bare chain): r's
-// commit hook runs just before the stamp.
-func (c *Chain[T]) stage(tx *Tx, value T, deleted bool, r *Records[T]) {
+func (c *Chain[T]) Stage(tx *Tx, value T, deleted bool, committing func(c *Chain[T], txID uint64)) {
 	c.Write(tx.ID(), value, deleted)
 	tx.OnUndo(func() { c.Rollback(tx.ID()) })
 	tx.OnCommit(func(ts TS) {
-		if r != nil {
-			r.committing(c, tx.ID())
-		}
+		committing(c, tx.ID())
 		c.CommitStamp(tx.ID(), ts)
 	})
 }

@@ -27,6 +27,7 @@ type Records[T any] struct {
 	// stamping, so the counter changes no later than the moment new data
 	// becomes visible to readers.
 	version atomic.Uint64
+	hook    func(*Chain[T], uint64) // committing, bound once
 
 	idxMu   sync.RWMutex
 	indexes map[string]*index[T]
@@ -39,12 +40,14 @@ const skipListSeed = 0x5eed
 // NewRecords returns an empty record set on mgr whose lock resources
 // are named prefix+key.
 func NewRecords[T any](mgr *Manager, prefix string) *Records[T] {
-	return &Records[T]{
+	r := &Records[T]{
 		mgr:     mgr,
 		prefix:  prefix,
 		chains:  ordmap.New[*Chain[T]](skipListSeed),
 		indexes: make(map[string]*index[T]),
 	}
+	r.hook = r.committing
+	return r
 }
 
 // Manager returns the transaction manager the records are attached to.
@@ -106,7 +109,7 @@ func (r *Records[T]) LockLive(tx *Tx, key string) (c *Chain[T], cur T, live bool
 // counter is bumped and a live value is entered into every index just
 // before the version is stamped visible.
 func (r *Records[T]) Stage(tx *Tx, c *Chain[T], value T, deleted bool) {
-	c.stage(tx, value, deleted, r)
+	c.Stage(tx, value, deleted, r.hook)
 }
 
 // committing is the commit-hook half of Stage. It reads the value back

@@ -38,12 +38,13 @@
 // an unchanged build side. A side that keeps changing is only probed;
 // read-heavy workloads build once and skip the rebuild entirely.
 //
-// A plan that is a whole-store or key-value-prefix seed, joins, at most
-// one Unnest and a GroupBy reading only seed paths, "<asField>.0.<path>"
-// and paths under the Unnest's field runs that prefix over column
-// projections (projection.go): per store (and unnested array), one typed
-// vector and validity bitmap per path read, cached and certified like a
-// hash table, with join and group keys coded once per projection.
+// A plan that is a whole-store, key-value-prefix or graph edge-end seed,
+// joins, at most one Unnest and a GroupBy reading only seed paths,
+// "<asField>.0.<path>" and paths under the Unnest's field runs that
+// prefix over column projections (projection.go): per store (and
+// unnested array), one typed vector and validity bitmap per path read,
+// cached and certified like a hash table, with join and group keys coded
+// once per projection; a warm Count per key folds those codes alone.
 // Mixed-kind columns, and join keys of two kinds or floats, fall back to
 // rows. GroupBy → SortBy(an aggregate) → Limit(n) builds n group rows.
 //

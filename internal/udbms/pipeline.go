@@ -160,6 +160,17 @@ func (p *Pipeline) FromKVPrefix(prefix string, keyFields ...string) *Pipeline {
 	return p
 }
 
+// FromEdgeEnds seeds the pipeline with rows {as: From} and {as: To} for
+// each live graph edge with label, so a self-loop's vertex comes twice.
+// The scan holds the graph's read lock; no stage calls back into the graph.
+func (p *Pipeline) FromEdgeEnds(label, as string) *Pipeline {
+	if p.err != nil {
+		return p
+	}
+	p.src = &source{storeScan: storeScan{side: p.st.Graph, acc: p.acc, prefix: label, keys: []string{as}}}
+	return p
+}
+
 // Limit truncates the result to the first n rows; upstream operators
 // stop as soon as the limit is satisfied (blocking stages — SortBy and
 // the hash joins — buffer their input first and only stop emitting).
@@ -328,18 +339,25 @@ func (p *Pipeline) probeBelow(buildLen int) int {
 // JoinKVPrefix extends each row with all key-value pairs whose key has
 // prefix prefixFn(row), landing under asField as an array of
 // {key, value} objects. Each row costs one bounded skip-list seek —
-// the key-value store's native prefix index.
+// the key-value store's native prefix index; an empty prefix, none.
 func (p *Pipeline) JoinKVPrefix(prefixFn func(row mmvalue.Value) string, asField string) *Pipeline {
 	if p.err != nil {
 		return p
 	}
+	match := mmvalue.ObjectOf("key", "", "value", nil).MustObject() // each match is a copy
 	p.stages = append(p.stages, &perRowStage{
 		asField: asField,
-		fetch: func(r mmvalue.Value) []mmvalue.Value {
-			var matches []mmvalue.Value
+		fetch: func(r mmvalue.Value) (matches []mmvalue.Value) {
+			prefix := prefixFn(r)
+			if prefix == "" {
+				return nil
+			}
 			p.acc.Hop()
-			p.st.KV.ScanPrefix(p.acc.KVTx(), prefixFn(r), func(k string, v mmvalue.Value) bool {
-				matches = append(matches, mmvalue.ObjectOf("key", k, "value", v))
+			p.st.KV.ScanPrefix(p.acc.KVTx(), prefix, func(k string, v mmvalue.Value) bool {
+				m := match.Clone()
+				m.Set("key", mmvalue.String(k))
+				m.Set("value", v)
+				matches = append(matches, mmvalue.FromObject(m))
 				return true
 			})
 			return matches

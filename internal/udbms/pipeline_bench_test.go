@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"udbench/internal/document"
+	"udbench/internal/graph"
 	"udbench/internal/mmvalue"
 	"udbench/internal/relational"
 	"udbench/internal/txn"
@@ -178,7 +179,9 @@ func BenchmarkGroupBy(b *testing.B) {
 // that matches everything keeps the plan off the projected shape). The
 // q3 legs run the Q3 shape over columns: 7 200 feedback pairs joined to
 // their orders, unnested into line items and averaged per product, top
-// 10. The /warm legs repeat over unchanged stores, so projections and
+// 10. The q9 legs run the Q9 shape: the ends of 8 000 "knows" edges
+// among 4 000 vertices counted per vertex, top 10 by degree. The /warm
+// legs repeat over unchanged stores, so projections and
 // the hash table come from the join cache; the /cold legs commit one
 // write to every store between iterations, so every iteration projects
 // (or builds) afresh. A cold projected run costing no more than a cold
@@ -215,6 +218,17 @@ func BenchmarkProjectedGroup(b *testing.B) {
 	}); err != nil {
 		b.Fatal(err)
 	}
+	if err := db.Manager().Bulk(4000, func(tx *txn.Tx, i int) error {
+		return db.Graph.AddVertex(tx, graph.VID(fmt.Sprintf("c%d", i)), "customer", mmvalue.Null)
+	}); err != nil {
+		b.Fatal(err)
+	}
+	if err := db.Manager().Bulk(8000, func(tx *txn.Tx, i int) error {
+		from, to := graph.VID(fmt.Sprintf("c%d", rng.Intn(4000))), graph.VID(fmt.Sprintf("c%d", rng.Intn(4000)))
+		return db.Graph.AddEdge(tx, graph.EID(fmt.Sprintf("k%d", i)), "knows", from, to, mmvalue.Null)
+	}); err != nil {
+		b.Fatal(err)
+	}
 	run := func(b *testing.B, seed document.Filter) {
 		groups := 0
 		err := db.Pipeline(nil).FromDocuments("orders", seed).
@@ -237,6 +251,16 @@ func BenchmarkProjectedGroup(b *testing.B) {
 			b.Fatalf("products=%d err=%v", n, err)
 		}
 	}
+	q9 := func(b *testing.B, _ document.Filter) {
+		n, err := db.Pipeline(nil).FromEdgeEnds("knows", "v").
+			GroupBy("v", "v", Count("degree")).
+			SortBy("degree", true).
+			Limit(10).
+			Count()
+		if err != nil || n != 10 {
+			b.Fatalf("vertices=%d err=%v", n, err)
+		}
+	}
 	for _, leg := range []struct {
 		name string
 		seed document.Filter
@@ -249,6 +273,8 @@ func BenchmarkProjectedGroup(b *testing.B) {
 		{"rows/cold", document.Everything(), true, run},
 		{"q3/warm", nil, false, q3},
 		{"q3/cold", nil, true, q3},
+		{"q9/warm", nil, false, q9},
+		{"q9/cold", nil, true, q9},
 	} {
 		b.Run(leg.name, func(b *testing.B) {
 			leg.run(b, leg.seed)
@@ -263,6 +289,9 @@ func BenchmarkProjectedGroup(b *testing.B) {
 							return err
 						}
 						if err := db.KV.Put(tx, "feedback/000000/o00000", mmvalue.ObjectOf("rating", 1+i%5)); err != nil {
+							return err
+						}
+						if err := db.Graph.SetVertexProps(tx, "c0", func(props mmvalue.Value) (mmvalue.Value, error) { return props, nil }); err != nil {
 							return err
 						}
 						return cust.Update(tx, 0, func(row mmvalue.Value) (mmvalue.Value, error) { return row, nil })

@@ -7,14 +7,16 @@ import (
 	"sync"
 
 	"udbench/internal/document"
+	"udbench/internal/graph"
 	"udbench/internal/kv"
 	"udbench/internal/mmvalue"
 	"udbench/internal/relational"
 	"udbench/internal/txn"
 )
 
-// storeScan is one document collection, relational table or key-value
-// prefix (FromKVPrefix's rows) read under the pipeline's handle for it.
+// storeScan is one document collection, relational table, key-value
+// prefix (FromKVPrefix's rows) or edge label in prefix (FromEdgeEnds's
+// rows, as keys[0]) read under the pipeline's handle for it.
 type storeScan struct {
 	side   buildSide
 	acc    Access
@@ -28,6 +30,8 @@ func (s storeScan) tx() *txn.Tx {
 		return s.acc.DocTx()
 	case *kv.Store:
 		return s.acc.KVTx()
+	case *graph.Store:
+		return s.acc.GraphTx()
 	}
 	return s.acc.RelTx()
 }
@@ -52,6 +56,10 @@ func (s storeScan) stream(tx *txn.Tx, fn func(mmvalue.Value) bool) {
 			}
 			row.Set("value", v)
 			return fn(mmvalue.FromObject(row))
+		})
+	case *graph.Store:
+		side.Edges(tx, s.prefix, func(e graph.Edge) bool {
+			return fn(mmvalue.ObjectOf(s.keys[0], string(e.From))) && fn(mmvalue.ObjectOf(s.keys[0], string(e.To)))
 		})
 	}
 }
@@ -368,28 +376,36 @@ func (p *Pipeline) runProjected(onRow func(mmvalue.Value) bool) bool {
 		links[j] = projs[0].link(probe.col, projs[j+1])
 	}
 	g := wireChain(pl.rest, onRow).(*groupSink)
-	// A group is found by its key's code: its accumulator is slab[code].
+	// A group is found by its key's code: the fold counts its rows in
+	// counts[code] and folds its other aggregates into states[code*ns:],
+	// and slab[code] is then its accumulator.
 	keys := projs[pl.key.scan].dict(pl.key.col)
-	slab, nagg := make([]groupAcc, len(keys.vals)), len(g.st.aggs)
-	states := make([]aggState, len(slab)*nagg)
+	fs, n, ns := foldPool.Get().(*foldScratch), len(keys.vals), len(g.st.aggs)
+	if !slices.ContainsFunc(g.st.aggs, func(a Agg) bool { return a.kind != aggCount }) {
+		ns = 0 // counts need no states
+	}
+	counts, slab := slices.Grow(fs.counts[:0], n)[:n], slices.Grow(fs.slab[:0], n)[:n]
+	states := slices.Grow(fs.states[:0], n*ns)[:n*ns]
 	fold := func() {
 		code := 0
 		if r := at[pl.key.scan]; r >= 0 {
 			code = int(keys.codes[r])
 		}
-		acc := &slab[code]
-		if acc.count == 0 {
-			acc.key, acc.st = keys.vals[code], states[code*nagg:(code+1)*nagg]
-			g.accs = append(g.accs, acc)
-		}
-		acc.count++
-		for k := range g.st.aggs {
+		counts[code]++
+		for k := 0; k < ns; k++ {
 			if a := &g.st.aggs[k]; a.kind != aggCount {
-				acc.st[k].fold(a.kind, val(pl.aggs[k]))
+				states[code*ns+k].fold(a.kind, val(pl.aggs[k]))
 			}
 		}
 	}
-	for r := 0; r < projs[0].n; r++ {
+	rows := projs[0].n
+	if len(links) == 0 && pl.arr == nil && ns == 0 { // seed rows counted per key, not folded
+		for _, c := range keys.codes {
+			counts[c]++
+		}
+		rows = 0
+	}
+	for r := 0; r < rows; r++ {
 		at[0] = r
 		for j, l := range links {
 			at[j+1] = int(l[r])
@@ -404,6 +420,29 @@ func (p *Pipeline) runProjected(onRow func(mmvalue.Value) bool) bool {
 			}
 		}
 	}
+	g.accs = fs.accs[:0]
+	for code, c := range counts { // in code order: keys are distinct, so order sorts them alike
+		if a := &slab[code]; c > 0 {
+			a.key, a.count, a.st = keys.vals[code], c, states[code*ns:(code+1)*ns]
+			g.accs = append(g.accs, a)
+		}
+	}
+	fs.counts, fs.slab, fs.states, fs.accs = counts, slab, states, g.accs // before flush drops g.accs
 	g.flush()
+	clear(counts)
+	clear(slab)
+	clear(states)
+	foldPool.Put(fs)
 	return true
+}
+
+// foldPool recycles runProjected's accumulators, cleared: a warm fold
+// over thousands of groups would otherwise allocate them on every run.
+var foldPool = sync.Pool{New: func() any { return &foldScratch{} }}
+
+type foldScratch struct {
+	counts []int64
+	slab   []groupAcc
+	states []aggState
+	accs   []*groupAcc
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"udbench/internal/document"
+	"udbench/internal/graph"
 	"udbench/internal/mmvalue"
 	"udbench/internal/relational"
 	"udbench/internal/txn"
@@ -329,12 +330,102 @@ func projKVPlans() []projPlanCase {
 	}
 }
 
+// projGraphData gives the graph vertices v00..v29, some isolated, and
+// random "knows" edges among them, self-loops included, with "other"
+// edges beside them; then it removes some edges of both labels.
+func projGraphData(t *testing.T, db *DB, rng *rand.Rand) {
+	t.Helper()
+	for i := 0; i < 30; i++ {
+		if err := db.Graph.AddVertex(nil, graph.VID(fmt.Sprintf("v%02d", i)), "n", mmvalue.Null); err != nil {
+			t.Fatal(err)
+		}
+	}
+	vertex := func() graph.VID { return graph.VID(fmt.Sprintf("v%02d", rng.Intn(25))) } // v25..v29 stay isolated
+	for i := 0; i < 60+rng.Intn(60); i++ {
+		label, from, to := "knows", vertex(), vertex()
+		switch rng.Intn(8) {
+		case 0:
+			to = from
+		case 1:
+			label = "other"
+		}
+		if err := db.Graph.AddEdge(nil, graph.EID(fmt.Sprintf("e%03d", i)), label, from, to, mmvalue.Null); err != nil {
+			t.Fatal(err)
+		}
+		if rng.Intn(6) == 0 {
+			if err := db.Graph.RemoveEdge(nil, graph.EID(fmt.Sprintf("e%03d", i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// refEdgeEndsAt is FromEdgeEnds(label, "v") under tx, walked vertex by
+// vertex through the out-adjacency lists.
+func refEdgeEndsAt(db *DB, tx *txn.Tx, label string) []mmvalue.Value {
+	var rows []mmvalue.Value
+	db.Graph.Vertices(tx, func(v graph.Vertex) bool {
+		for _, e := range db.Graph.Neighbors(tx, v.ID, graph.Out, label) {
+			rows = append(rows, mmvalue.ObjectOf("v", string(e.From)), mmvalue.ObjectOf("v", string(e.To)))
+		}
+		return true
+	})
+	return rows
+}
+
+// projGraphPlans are the edge-end seed plans over projGraphData: counts
+// per vertex, plain and top 3 (where degree ties abound), with a second
+// aggregate, and over a label no edge has; and one that runs on rows.
+func projGraphPlans() []projPlanCase {
+	count, both := []Agg{Count("n")}, []Agg{Count("n"), Max("v", "mx")}
+	plan := func(label string, aggs []Agg, top bool) projPlanCase {
+		return projPlanCase{
+			name:    fmt.Sprintf("edge ends %s %d aggs top %v", label, len(aggs), top),
+			unmixed: true,
+			build: func(p *Pipeline) *Pipeline {
+				if p = p.FromEdgeEnds(label, "v").GroupBy("v", "k", aggs...); top {
+					p = p.SortBy("n", true).Limit(3)
+				}
+				return p
+			},
+			refRow: func(db *DB, _ []mmvalue.Value) []mmvalue.Value {
+				rows := refGroupBy(refEdgeEndsAt(db, nil, label), mmvalue.Path{"v"}, "k", aggs)
+				if top {
+					rows = refSort(rows, mmvalue.Path{"n"}, true)[:min(3, len(rows))]
+				}
+				return rows
+			},
+		}
+	}
+	onRows := projPlanCase{ // a SortBy first keeps the plan on rows
+		name:    "edge ends sorted, then grouped",
+		unmixed: true,
+		onRows:  true,
+		build: func(p *Pipeline) *Pipeline {
+			return p.FromEdgeEnds("knows", "v").SortBy("v", true).GroupBy("v", "k", both...)
+		},
+		refRow: func(db *DB, _ []mmvalue.Value) []mmvalue.Value {
+			return refGroupBy(refEdgeEndsAt(db, nil, "knows"), mmvalue.Path{"v"}, "k", both)
+		},
+	}
+	return []projPlanCase{
+		onRows,
+		plan("knows", count, false),
+		plan("knows", count, true),
+		plan("knows", both, false),
+		plan("knows", both, true),
+		plan("none", count, false),
+		plan("none", count, true),
+	}
+}
+
 // TestProjectionMatchesRowPath runs the projected plans over random data
 // and compares them with the row-at-a-time references. Int and string
 // join keys run over columns; float build keys against int probe keys,
 // and a column mixing ints and floats, must run on rows. The key-value
 // seed and Unnest plans join on order ids and run over columns unless
-// an element column mixes kinds (projMixed).
+// an element column mixes kinds (projMixed). The edge-end seed plans
+// always run over columns.
 func TestProjectionMatchesRowPath(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		mode := projMode(seed % 4)
@@ -342,7 +433,8 @@ func TestProjectionMatchesRowPath(t *testing.T) {
 		db := projDB(t, rng, mode)
 		plans := projPlans(rng)
 		projKVData(t, db, rng, mode)
-		for _, pc := range append(plans, projKVPlans()...) {
+		projGraphData(t, db, rng)
+		for _, pc := range append(append(plans, projKVPlans()...), projGraphPlans()...) {
 			label := fmt.Sprintf("seed %d mode %d %s", seed, mode, pc.name)
 			want := pc.refRow(db, db.Docs.Collection("orders").Find(nil, nil, nil))
 			var got []mmvalue.Value
@@ -396,10 +488,12 @@ func refOrdersAt(db *DB, tx *txn.Tx) []mmvalue.Value {
 // snapshot or served from the cache — and equal the row-at-a-time
 // reference under that snapshot. The readers also run a key-value seed
 // → join → Unnest → group plan while the writer rates orders and
-// rewrites their items.
+// rewrites their items, and an edge-end → top-N group plan while it adds
+// and removes "knows" edges.
 func TestProjectionUnderWriters(t *testing.T) {
 	db := projDB(t, rand.New(rand.NewSource(11)), projInt)
 	projKVData(t, db, rand.New(rand.NewSource(12)), projInt)
+	projGraphData(t, db, rand.New(rand.NewSource(13)))
 	tbl, _ := db.Relational.Table("custtab")
 	docs, orders := db.Docs.Collection("custdocs"), db.Docs.Collection("orders")
 	nBuild := tbl.Count()
@@ -416,6 +510,10 @@ func TestProjectionUnderWriters(t *testing.T) {
 			JoinDocuments("orders", "oid", "_id", "o").
 			Unnest("o.0.items", "it").
 			GroupBy("it.pid", "k", kvAggs...)
+	}
+	graphAggs := []Agg{Count("n")}
+	graphPlan := func(p *Pipeline) *Pipeline {
+		return p.FromEdgeEnds("knows", "v").GroupBy("v", "k", graphAggs...).SortBy("n", true).Limit(5)
 	}
 	before := db.JoinStats()
 
@@ -451,6 +549,19 @@ func TestProjectionUnderWriters(t *testing.T) {
 					return err
 				}
 				if err := db.KV.Put(tx, fmt.Sprintf("fb/%d/o%04d", rng.Intn(20), rng.Intn(150)), mmvalue.ObjectOf("r", rng.Intn(5))); err != nil {
+					return err
+				}
+				// Toggle one of 40 knows edges, each id always between the
+				// same two vertices: a reused id with new endpoints would
+				// relink, which is not versioned.
+				w := rng.Intn(40)
+				eid := graph.EID(fmt.Sprintf("w%02d", w))
+				if _, live := db.Graph.GetEdge(tx, eid); live {
+					if err := db.Graph.RemoveEdge(tx, eid); err != nil {
+						return err
+					}
+				} else if err := db.Graph.AddEdge(tx, eid, "knows", graph.VID(fmt.Sprintf("v%02d", w%30)),
+					graph.VID(fmt.Sprintf("v%02d", w*7%30)), mmvalue.Null); err != nil {
 					return err
 				}
 				item := mmvalue.ObjectOf("pid", fmt.Sprintf("p%d", rng.Intn(12)), "qty", rng.Intn(5))
@@ -494,6 +605,14 @@ func TestProjectionUnderWriters(t *testing.T) {
 				})
 				want = refGroupBy(refKVOrdersAt(db, tx), mmvalue.ParsePath("it.pid"), "k", kvAggs)
 				runs[r] = append(runs[r], run{fmt.Sprintf("reader %d it %d kv", r, it), ran, got, want})
+				got = nil
+				ran = graphPlan(db.Pipeline(tx)).runProjected(func(row mmvalue.Value) bool {
+					got = append(got, row.Clone())
+					return true
+				})
+				want = refGroupBy(refEdgeEndsAt(db, tx, "knows"), mmvalue.Path{"v"}, "k", graphAggs)
+				want = refSort(want, mmvalue.Path{"n"}, true)[:min(5, len(want))]
+				runs[r] = append(runs[r], run{fmt.Sprintf("reader %d it %d graph", r, it), ran, got, want})
 				tx.Abort()
 			}
 		}(r)

@@ -172,6 +172,46 @@ func TestPipelineRelationalToDocsToKV(t *testing.T) {
 	}
 }
 
+// hopCount is a Snapshot that counts its hops.
+type hopCount struct {
+	Snapshot
+	hops *int
+}
+
+func (h hopCount) Hop() { *h.hops++ }
+
+// TestJoinKVPrefixEmptyPrefix pins that a row whose prefix is "" gets an
+// empty match array without a store request: no Hop, where a non-empty
+// prefix costs one per row.
+func TestJoinKVPrefixEmptyPrefix(t *testing.T) {
+	db := seedSmall(t)
+	for _, c := range []struct {
+		prefix    string
+		wantHops  int
+		wantMatch int
+	}{{"", 1, 0}, {"feedback/", 1 + 3, 3 * 4}} {
+		hops := 0
+		rows, err := PipelineOver(db.Stores(), hopCount{hops: &hops}).
+			FromRelational("customer", relational.Col("city").Eq("hki")).
+			JoinKVPrefix(func(mmvalue.Value) string { return c.prefix }, "fb").
+			Rows()
+		if err != nil {
+			t.Fatal(err)
+		}
+		matches := 0
+		for _, r := range rows {
+			fb, ok := r.MustObject().GetOr("fb", mmvalue.Null).AsArray()
+			if !ok {
+				t.Fatalf("prefix %q: row %s has no match array", c.prefix, r)
+			}
+			matches += len(fb)
+		}
+		if len(rows) != 3 || hops != c.wantHops || matches != c.wantMatch {
+			t.Errorf("prefix %q: %d rows, %d hops, %d matches; want 3, %d, %d", c.prefix, len(rows), hops, matches, c.wantHops, c.wantMatch)
+		}
+	}
+}
+
 func TestPipelineLimitCountErr(t *testing.T) {
 	db := seedSmall(t)
 	p := db.Pipeline(nil).

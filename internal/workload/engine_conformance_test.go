@@ -301,8 +301,9 @@ func TestFederationHopCounts(t *testing.T) {
 	}
 }
 
-// TestFederationJoinQueriesUnderWriters runs the six join queries on the
-// federation while T1 and T2 commit underneath them. The executor reads
+// TestFederationJoinQueriesUnderWriters runs the join queries on the
+// federation while T1 and T2 commit underneath them (T2 adds a graph
+// edge, which Q9's edge-end seed scans). The executor reads
 // each store's latest state with no snapshot, so it sees rows appear and
 // change mid-query: under -race this must stay free of races, hangs and
 // errors (answers may be torn — that is the federation's discipline).
@@ -338,7 +339,7 @@ func TestFederationJoinQueriesUnderWriters(t *testing.T) {
 		gen := NewParamGen(fx.info, 5, 0)
 		for round := 0; round < 40; round++ {
 			p := gen.Next()
-			for _, q := range []QueryID{Q1, Q4, Q8, Q11, Q12, Q13} {
+			for _, q := range []QueryID{Q1, Q4, Q8, Q9, Q11, Q12, Q13} {
 				if _, err := fx.fed.RunQuery(q, p); err != nil {
 					done <- fmt.Errorf("%s: %w", q, err)
 					return

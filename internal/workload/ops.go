@@ -2,7 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -108,46 +107,6 @@ func q7OrdersWithProduct(st datagen.Target, s session, p Params) (int, error) {
 		}
 	}
 	return count, nil
-}
-
-func q9InfluencerFeedback(st datagen.Target, s session, p Params) (int, error) {
-	s.Hop()
-	degree := map[graph.VID]int{}
-	st.Graph.Edges(s.GraphTx(), "knows", func(e graph.Edge) bool {
-		degree[e.From]++
-		degree[e.To]++
-		return true
-	})
-	type dv struct {
-		v graph.VID
-		d int
-	}
-	var top []dv
-	for v, d := range degree {
-		top = append(top, dv{v, d})
-	}
-	sort.Slice(top, func(i, j int) bool {
-		if top[i].d != top[j].d {
-			return top[i].d > top[j].d
-		}
-		return top[i].v < top[j].v
-	})
-	if len(top) > p.TopN {
-		top = top[:p.TopN]
-	}
-	total := 0
-	for _, t := range top {
-		cid, ok := customerIDOf(string(t.v))
-		if !ok {
-			continue
-		}
-		s.Hop()
-		st.KV.ScanPrefix(s.KVTx(), feedbackPrefix(cid), func(string, mmvalue.Value) bool {
-			total++
-			return true
-		})
-	}
-	return total, nil
 }
 
 func q10FullChain(st datagen.Target, s session, p Params) (int, error) {

@@ -8,18 +8,18 @@ import (
 	"udbench/internal/udbms"
 )
 
-// The join queries of the query table (workload.go), each defined once
-// over the session's pipeline: seed predicates are pushed into the
-// stores, cross-model joins run as hash joins or index probes, and the
-// zero-copy Each terminal aggregates without cloning a document. What
-// separates the engines is the session the definition runs in. The
-// unified engine's pipeline reads one snapshot, its requests are free
-// and its join builds are cached until the next commit; the federation's
-// reads each store's latest state, pays a hop per request — one per
-// seed scan, per build-side scan, per index probe, per per-row fetch —
-// and rebuilds every join. relbe's relational.Query definitions of six
-// of these stay separate on purpose: TestQueryAgreement compares
-// against them.
+// The eight join queries of the query table (workload.go) — Q1, Q3, Q4,
+// Q8, Q9, Q11, Q12, Q13 — each defined once over the session's pipeline:
+// seed predicates are pushed into the stores, cross-model joins run as
+// hash joins or index probes, and the zero-copy Each terminal aggregates
+// without cloning a document. What separates the engines is the session
+// the definition runs in. The unified engine's pipeline reads one
+// snapshot, its requests are free and its join builds are cached until
+// the next commit; the federation's reads each store's latest state,
+// pays a hop per request — one per seed scan, per build-side scan, per
+// index probe, per per-row fetch — and rebuilds every join. relbe's
+// relational.Query definitions of six of these stay separate on
+// purpose: TestQueryAgreement compares against them.
 
 // q1Pipeline: customer profile — one relational row, its order
 // documents, its key-value feedback entries.
@@ -96,6 +96,39 @@ func q8Pipeline(_ datagen.Target, s session, _ Params) (int, error) {
 			return true
 		})
 	return count, err
+}
+
+// q9Pipeline: influencer feedback — the feedback entries of the top N
+// vertices by "knows" degree; a non-customer has none and costs no hop.
+func q9Pipeline(_ datagen.Target, s session, p Params) (int, error) {
+	total := 0
+	err := q9Ranking(s, p).
+		JoinKVPrefix(feedbackPrefixOfVertex, "_feedback").
+		Each(func(r mmvalue.Value) bool {
+			feedback, _ := r.MustObject().GetOr("_feedback", mmvalue.Null).AsArray()
+			total += len(feedback)
+			return true
+		})
+	return total, err
+}
+
+// q9Ranking is Q9's ranked {v, degree} rows: the ends of every "knows"
+// edge (a self-loop counts twice) per vertex, top N, ties by vertex id.
+func q9Ranking(s session, p Params) *udbms.Pipeline {
+	return s.pipeline().
+		FromEdgeEnds("knows", "v").
+		GroupBy("v", "v", udbms.Count("degree")).
+		SortBy("degree", true).
+		Limit(p.TopN)
+}
+
+// feedbackPrefixOfVertex is the feedback prefix of the customer at row's
+// vertex "v", or "" when the vertex is not a customer.
+func feedbackPrefixOfVertex(row mmvalue.Value) string {
+	if cid, ok := customerIDOf(row.MustObject().GetOr("v", mmvalue.Null).MustString()); ok {
+		return feedbackPrefix(cid)
+	}
+	return ""
 }
 
 // q11Pipeline: friend-network spend — the distinct cities of the

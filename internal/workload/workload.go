@@ -84,7 +84,7 @@ var queryTable = [...]queryDef{
 	Q6:  {"G+D", q6TwoHopBuyers},
 	Q7:  {"D+X", q7OrdersWithProduct},
 	Q8:  {"R+D", q8Pipeline},
-	Q9:  {"G+K", q9InfluencerFeedback},
+	Q9:  {"G+K", q9Pipeline},
 	Q10: {"R+D+G+K+X", q10FullChain},
 	Q11: {"G+R+D", q11Pipeline},
 	Q12: {"R+D", q12Pipeline},

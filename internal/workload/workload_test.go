@@ -141,8 +141,33 @@ func TestQ11MatchesReference(t *testing.T) {
 
 // q9SortedScan is the reference for Q9, written the way Q9 used to read
 // the graph before graph.Edges took a label: gather every live edge of
-// every label, sort them all by id, and count only the "knows" ones.
+// every label, sort them all by id, and count only the "knows" ones
+// (q9SortedRanking); then count the ranked customers' feedback.
 func q9SortedScan(st datagen.Target, s session, p Params) (int, error) {
+	total := 0
+	for _, t := range q9SortedRanking(st, s, p) {
+		cid, ok := customerIDOf(string(t.v))
+		if !ok {
+			continue
+		}
+		s.Hop()
+		st.KV.ScanPrefix(s.KVTx(), feedbackPrefix(cid), func(string, mmvalue.Value) bool {
+			total++
+			return true
+		})
+	}
+	return total, nil
+}
+
+// q9Ranked is one (v, degree) entry of Q9's ranking.
+type q9Ranked struct {
+	v graph.VID
+	d int
+}
+
+// q9SortedRanking is q9SortedScan's ranking: the top N vertices by
+// "knows" degree, ties by vertex id.
+func q9SortedRanking(st datagen.Target, s session, p Params) []q9Ranked {
 	s.Hop()
 	var all []graph.Edge
 	st.Graph.Vertices(s.GraphTx(), func(v graph.Vertex) bool {
@@ -157,13 +182,9 @@ func q9SortedScan(st datagen.Target, s session, p Params) (int, error) {
 			degree[e.To]++
 		}
 	}
-	type dv struct {
-		v graph.VID
-		d int
-	}
-	var top []dv
+	var top []q9Ranked
 	for v, d := range degree {
-		top = append(top, dv{v, d})
+		top = append(top, q9Ranked{v, d})
 	}
 	sort.Slice(top, func(i, j int) bool {
 		if top[i].d != top[j].d {
@@ -171,22 +192,7 @@ func q9SortedScan(st datagen.Target, s session, p Params) (int, error) {
 		}
 		return top[i].v < top[j].v
 	})
-	if len(top) > p.TopN {
-		top = top[:p.TopN]
-	}
-	total := 0
-	for _, t := range top {
-		cid, ok := customerIDOf(string(t.v))
-		if !ok {
-			continue
-		}
-		s.Hop()
-		st.KV.ScanPrefix(s.KVTx(), feedbackPrefix(cid), func(string, mmvalue.Value) bool {
-			total++
-			return true
-		})
-	}
-	return total, nil
+	return top[:min(len(top), p.TopN)]
 }
 
 func TestQ9MatchesReference(t *testing.T) {
@@ -267,13 +273,14 @@ func TestQueriesReturnWork(t *testing.T) {
 }
 
 // TestProjectedQueriesRepeatFromCache pins that on a quiet DB a repeated
-// Q3, Q8, Q12 or Q13 scans nothing: its column projections (and Q13's
-// top-N join) come from the join cache, so the repeat adds two cache
-// hits and no builds or probes.
+// Q3, Q8, Q9, Q12 or Q13 scans nothing: its column projections (and
+// Q13's top-N join) come from the join cache, so the repeat adds two
+// cache hits — one for Q9, whose only projection is its edge-end seed —
+// and no builds or probes.
 func TestProjectedQueriesRepeatFromCache(t *testing.T) {
 	fx := newFixture(t, 0.05)
 	p := NewParamGen(fx.info, 3, 0).Next()
-	for _, q := range []QueryID{Q3, Q8, Q12, Q13} {
+	for _, q := range []QueryID{Q3, Q8, Q9, Q12, Q13} {
 		first, err := fx.uni.RunQuery(q, p)
 		if err != nil {
 			t.Fatal(err)
@@ -285,7 +292,9 @@ func TestProjectedQueriesRepeatFromCache(t *testing.T) {
 		}
 		after := fx.uni.DB.JoinStats()
 		want := before
-		want.CacheHits += 2
+		if want.CacheHits += 2; q == Q9 {
+			want.CacheHits--
+		}
 		if after != want || again != first {
 			t.Errorf("%s repeated: %d rows (first %d), join stats %+v -> %+v, want %+v", q, again, first, before, after, want)
 		}
