@@ -44,9 +44,9 @@
 // prefix over column projections (projection.go): per store (and
 // unnested array), one typed vector and validity bitmap per path read,
 // cached and certified like a hash table, with join and group keys coded
-// once per projection; a warm Count per key folds those codes alone.
-// Mixed-kind columns, and join keys of two kinds or floats, fall back to
-// rows. GroupBy → SortBy(an aggregate) → Limit(n) builds n group rows.
+// once per projection (string keys through a Go map). Mixed-kind
+// columns, and join keys of two kinds or floats, fall back to rows.
+// GroupBy → SortBy(an aggregate) → Limit(n) builds n group rows.
 //
 // Every store request the executor issues — seed scan, build-side
 // scan, index probe, per-row key-value prefix scan — goes

@@ -344,7 +344,6 @@ func (p *Pipeline) JoinKVPrefix(prefixFn func(row mmvalue.Value) string, asField
 	if p.err != nil {
 		return p
 	}
-	match := mmvalue.ObjectOf("key", "", "value", nil).MustObject() // each match is a copy
 	p.stages = append(p.stages, &perRowStage{
 		asField: asField,
 		fetch: func(r mmvalue.Value) (matches []mmvalue.Value) {
@@ -354,10 +353,7 @@ func (p *Pipeline) JoinKVPrefix(prefixFn func(row mmvalue.Value) string, asField
 			}
 			p.acc.Hop()
 			p.st.KV.ScanPrefix(p.acc.KVTx(), prefix, func(k string, v mmvalue.Value) bool {
-				m := match.Clone()
-				m.Set("key", mmvalue.String(k))
-				m.Set("value", v)
-				matches = append(matches, mmvalue.FromObject(m))
+				matches = append(matches, mmvalue.ObjectOf("key", k, "value", v))
 				return true
 			})
 			return matches

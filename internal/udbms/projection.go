@@ -157,6 +157,16 @@ func project(s storeScan, tx *txn.Tx, paths []mmvalue.Path, arr *arraySpec) *pro
 	if arr != nil {
 		p.off, p.elems = []int32{0}, newProjection(len(arr.elems))
 	}
+	g, ok := s.side.(*graph.Store)
+	if ok && arr == nil && len(paths) == 1 && slices.Equal(paths[0], mmvalue.Path{s.keys[0]}) {
+		g.Edges(tx, s.prefix, func(e graph.Edge) bool { // the ends alone: no row is built
+			p.cols[0].add(p.n, mmvalue.String(string(e.From)))
+			p.cols[0].add(p.n+1, mmvalue.String(string(e.To)))
+			p.n += 2
+			return true
+		})
+		return p
+	}
 	s.stream(tx, func(row mmvalue.Value) bool {
 		p.add(row, paths, arr)
 		return true
@@ -167,16 +177,26 @@ func project(s storeScan, tx *txn.Tx, paths []mmvalue.Path, arr *arraySpec) *pro
 // dict codes a column densely: the distinct values under mmvalue.Equal
 // in order of first appearance, code 0 being null.
 type dict struct {
+	col   *column
 	codes []int32            // per row
-	vals  []mmvalue.Value    // per code
-	first []int32            // per code, the first row holding it
-	index map[uint64][]int32 // codes by value hash
+	first []int32            // per code, the first row holding it (-1: null)
+	strs  map[string]int32   // a string column's codes by value
+	index map[uint64][]int32 // other codes by value hash
 }
+
+// val returns code c's value.
+func (d *dict) val(c int) mmvalue.Value { return d.col.value(int(d.first[c])) }
 
 // code returns v's code, or -1 when no row holds v.
 func (d *dict) code(v mmvalue.Value) int32 {
+	if s, ok := v.AsString(); ok && d.strs != nil {
+		if c, ok := d.strs[s]; ok {
+			return c
+		}
+		return -1
+	}
 	for _, c := range d.index[v.Hash()] {
-		if mmvalue.Equal(d.vals[c], v) {
+		if mmvalue.Equal(d.val(int(c)), v) {
 			return c
 		}
 	}
@@ -190,14 +210,26 @@ func (p *projection) dict(col int) *dict {
 	if d := p.dicts[col]; d != nil {
 		return d
 	}
-	d := &dict{codes: make([]int32, p.n), vals: []mmvalue.Value{mmvalue.Null}, first: []int32{-1},
+	d := &dict{col: &p.cols[col], codes: make([]int32, p.n), first: []int32{-1},
 		index: map[uint64][]int32{mmvalue.Null.Hash(): {0}}}
+	if d.col.kind == mmvalue.KindString { // a Go map codes strings faster than hashed Values
+		d.strs = map[string]int32{}
+	}
 	for r := range d.codes {
-		v := p.cols[col].value(r)
+		if d.strs != nil && d.col.valid[r/64]&(1<<(r%64)) != 0 { // no Value is built
+			c, ok := d.strs[d.col.strs[r]]
+			if !ok {
+				c = int32(len(d.first))
+				d.strs[d.col.strs[r]], d.first = c, append(d.first, int32(r))
+			}
+			d.codes[r] = c
+			continue
+		}
+		v := d.col.value(r)
 		if d.codes[r] = d.code(v); d.codes[r] < 0 {
-			d.codes[r] = int32(len(d.vals))
+			d.codes[r] = int32(len(d.first))
 			d.index[v.Hash()] = append(d.index[v.Hash()], d.codes[r])
-			d.vals, d.first = append(d.vals, v), append(d.first, int32(r))
+			d.first = append(d.first, int32(r))
 		}
 	}
 	p.dicts[col] = d
@@ -376,36 +408,29 @@ func (p *Pipeline) runProjected(onRow func(mmvalue.Value) bool) bool {
 		links[j] = projs[0].link(probe.col, projs[j+1])
 	}
 	g := wireChain(pl.rest, onRow).(*groupSink)
-	// A group is found by its key's code: the fold counts its rows in
-	// counts[code] and folds its other aggregates into states[code*ns:],
-	// and slab[code] is then its accumulator.
+	// A group is found by its key's code: its accumulator is slab[code].
 	keys := projs[pl.key.scan].dict(pl.key.col)
-	fs, n, ns := foldPool.Get().(*foldScratch), len(keys.vals), len(g.st.aggs)
-	if !slices.ContainsFunc(g.st.aggs, func(a Agg) bool { return a.kind != aggCount }) {
-		ns = 0 // counts need no states
-	}
-	counts, slab := slices.Grow(fs.counts[:0], n)[:n], slices.Grow(fs.slab[:0], n)[:n]
-	states := slices.Grow(fs.states[:0], n*ns)[:n*ns]
+	fs, n, nagg := foldPool.Get().(*foldScratch), len(keys.first), len(g.st.aggs)
+	slab, states := slices.Grow(fs.slab[:0], n)[:n], slices.Grow(fs.states[:0], n*nagg)[:n*nagg]
+	g.accs = fs.accs[:0]
 	fold := func() {
 		code := 0
 		if r := at[pl.key.scan]; r >= 0 {
 			code = int(keys.codes[r])
 		}
-		counts[code]++
-		for k := 0; k < ns; k++ {
+		acc := &slab[code]
+		if acc.count == 0 {
+			acc.key, acc.st = keys.val(code), states[code*nagg:(code+1)*nagg]
+			g.accs = append(g.accs, acc)
+		}
+		acc.count++
+		for k := range g.st.aggs {
 			if a := &g.st.aggs[k]; a.kind != aggCount {
-				states[code*ns+k].fold(a.kind, val(pl.aggs[k]))
+				acc.st[k].fold(a.kind, val(pl.aggs[k]))
 			}
 		}
 	}
-	rows := projs[0].n
-	if len(links) == 0 && pl.arr == nil && ns == 0 { // seed rows counted per key, not folded
-		for _, c := range keys.codes {
-			counts[c]++
-		}
-		rows = 0
-	}
-	for r := 0; r < rows; r++ {
+	for r := 0; r < projs[0].n; r++ {
 		at[0] = r
 		for j, l := range links {
 			at[j+1] = int(l[r])
@@ -420,16 +445,8 @@ func (p *Pipeline) runProjected(onRow func(mmvalue.Value) bool) bool {
 			}
 		}
 	}
-	g.accs = fs.accs[:0]
-	for code, c := range counts { // in code order: keys are distinct, so order sorts them alike
-		if a := &slab[code]; c > 0 {
-			a.key, a.count, a.st = keys.vals[code], c, states[code*ns:(code+1)*ns]
-			g.accs = append(g.accs, a)
-		}
-	}
-	fs.counts, fs.slab, fs.states, fs.accs = counts, slab, states, g.accs // before flush drops g.accs
+	fs.slab, fs.states, fs.accs = slab, states, g.accs // before flush drops g.accs
 	g.flush()
-	clear(counts)
 	clear(slab)
 	clear(states)
 	foldPool.Put(fs)
@@ -441,7 +458,6 @@ func (p *Pipeline) runProjected(onRow func(mmvalue.Value) bool) bool {
 var foldPool = sync.Pool{New: func() any { return &foldScratch{} }}
 
 type foldScratch struct {
-	counts []int64
 	slab   []groupAcc
 	states []aggState
 	accs   []*groupAcc

@@ -1,7 +1,6 @@
 package udbms
 
 import (
-	"cmp"
 	"slices"
 	"sort"
 	"sync"
@@ -620,11 +619,10 @@ func (s *aggState) fold(kind aggKind, v mmvalue.Value) {
 
 // value is aggregate k's output field in group a's row.
 func (g *groupSink) value(a *groupAcc, k int) mmvalue.Value {
-	if g.st.aggs[k].kind == aggCount { // before a.st, which a count may lack
-		return mmvalue.Int(a.count)
-	}
 	s := &a.st[k]
 	switch g.st.aggs[k].kind {
+	case aggCount:
+		return mmvalue.Int(a.count)
 	case aggSum:
 		return mmvalue.Float(s.sum)
 	case aggAvg:
@@ -645,10 +643,7 @@ func (g *groupSink) value(a *groupAcc, k int) mmvalue.Value {
 func (g *groupSink) order() []*groupAcc {
 	if n, k := g.st.topN, g.st.topAgg; g.st.top != nil && n < len(g.accs) {
 		before := func(a, b *groupAcc) bool {
-			c := cmp.Compare(a.count, b.count) // a Count's value, without building it
-			if g.st.aggs[k].kind != aggCount {
-				c = mmvalue.Compare(g.value(a, k), g.value(b, k))
-			}
+			c := mmvalue.Compare(g.value(a, k), g.value(b, k))
 			if g.st.top.desc {
 				c = -c
 			}
