@@ -48,15 +48,14 @@
 // call per batch and the inner loops are monomorphic:
 //
 //   - Source operators emit batches straight out of shared store
-//     memory through pooled scratch buffers — no row is cloned during
-//     execution; Rows copies on collect, Count/Each never copy.
+//     memory through pooled scratch buffers. No stage mutates a row it
+//     is pushed: a join or Unnest attaches its field to a copy of the
+//     row object (a pooled scratch object when nothing downstream
+//     retains rows). Rows deep-copies on collect; Count/Each never do.
 //   - Seed predicates (relational.Expr, document.Filter) run inside
 //     the store scan, through an index when one pins them; Limit
 //     short-circuits upstream operators, including the store scans
-//     themselves. Sort and join keys are extracted into
-//     typed vectors (int64/float64/string) when a column is
-//     kind-homogeneous, falling back to generic mmvalue comparisons
-//     for mixed columns.
+//     themselves. Sorts compare keys with mmvalue.Compare.
 //   - JoinDocuments/JoinRelational are hash joins keyed by mmvalue
 //     hashes with exact Equal verification. When the build side has a
 //     path/column index (or the join column is the primary key), a
@@ -66,8 +65,12 @@
 //     cache: stores bump a version counter before a commit's rows
 //     become visible, so an unchanged counter certifies an unchanged
 //     build side.
-//   - GroupBy/Aggregate folds batches into a hash of accumulators
-//     (sum/count/min/max/avg) keyed by any row expression.
+//   - GroupBy folds batches into accumulators (sum/count/min/max/avg)
+//     found by the hash of the group key. A whole-store scan into a
+//     GroupBy, joins and an Unnest before it included, runs that prefix
+//     over cached column projections instead: typed vectors per path
+//     read, with join and group keys coded once per projection, so the
+//     fold indexes its accumulators by the group key's code.
 //   - Every store request the executor issues goes through an
 //     accessor (udbms.Access): under DB.Pipeline one snapshot and free
 //     requests; under PipelineOver — how the federation runs the same

@@ -272,18 +272,6 @@ func (c *Collection) Stream(tx *txn.Tx, filter Filter, fn func(doc mmvalue.Value
 	c.docs.Scan(tx, "", "", matching)
 }
 
-// StreamBatch is the vectorized form of Stream: matching documents are
-// gathered into buf and fn is called once per full buffer (batch size
-// = cap(buf)) plus once for the final remainder, amortizing the
-// per-document callback dispatch of Stream to one call per batch. The
-// delivered slice is reused between calls and its documents are shared
-// with the store: consume (or copy) within the callback, do not retain
-// or mutate. fn returning false stops the scan. Index routes delegate
-// to Stream and still batch.
-func (c *Collection) StreamBatch(tx *txn.Tx, filter Filter, buf []mmvalue.Value, fn func(docs []mmvalue.Value) bool) {
-	txn.Batch(buf, fn, func(emit func(mmvalue.Value) bool) { c.Stream(tx, filter, emit) })
-}
-
 // Count returns the number of live documents at latest-committed state.
 func (c *Collection) Count() int { return c.docs.Count() }
 

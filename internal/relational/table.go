@@ -233,21 +233,14 @@ func (t *Table) Stream(tx *txn.Tx, where Expr, fn func(row mmvalue.Value) bool) 
 	t.rows.Scan(tx, "", "", matching)
 }
 
-// StreamBatch is the vectorized form of Stream: matching rows are
-// gathered into buf and fn is called once per full buffer (batch size
-// = cap(buf)) plus once for the final remainder, amortizing the
-// per-row callback dispatch of Stream to one call per batch. The
+// StreamRangeBatch streams the rows matching where (nil = all) whose
+// encoded primary keys fall in [from, to) (empty to = unbounded) in
+// batches: they are gathered into buf and fn is called once per full
+// buffer (batch size = cap(buf)) plus once for the final remainder. The
 // delivered slice is reused between calls and its rows are shared with
 // the store: consume (or copy) within the callback, do not retain or
-// mutate. fn returning false stops the scan. Index routes (primary-key
-// or secondary-index equality) delegate to Stream and still batch.
-func (t *Table) StreamBatch(tx *txn.Tx, where Expr, buf []mmvalue.Value, fn func(rows []mmvalue.Value) bool) {
-	txn.Batch(buf, fn, func(emit func(mmvalue.Value) bool) { t.Stream(tx, where, emit) })
-}
-
-// StreamRangeBatch is StreamBatch restricted to encoded primary keys in
-// [from, to) (empty to = unbounded). It always scans the key range
-// directly off store memory, ignoring indexes — relbe's key-range
+// mutate. fn returning false stops the scan. It always scans the key
+// range directly off store memory, ignoring indexes — relbe's key-range
 // scans (internal/backend/relbe) run on it.
 func (t *Table) StreamRangeBatch(tx *txn.Tx, from, to string, where Expr, buf []mmvalue.Value, fn func(rows []mmvalue.Value) bool) {
 	if where == nil {

@@ -13,19 +13,22 @@
 // # Vectorized executor
 //
 // Pipeline queries compile into a push-based chain of operators that
-// exchange batches instead of single rows. A Batch (batch.go) carries
-// up to 1024 row values, so a scan→limit→count pipeline does one
+// exchange batches of up to 1024 rows, plain []mmvalue.Value slices,
+// instead of single rows, so a scan→limit→count pipeline does one
 // interface dispatch per 1024 rows rather than per row. Seeds push
 // their predicate into the store's scan (and its index, when one pins
-// the predicate). Sorts and joins extract key columns once per batch;
-// group-by aggregates (sum/count/min/max/avg) fold batches into a hash
-// of accumulators.
+// the predicate). Sorts order row positions by mmvalue.Compare of their
+// keys; group-by aggregates (sum/count/min/max/avg) fold rows into
+// accumulators found by the hash of the group key.
 //
 // Seed scans stream rows straight out of store memory in batches,
 // using pooled scratch buffers so a steady-state query allocates a
-// near-constant few hundred bytes regardless of rows scanned. Rows
-// stay shared with the store until a stage needs ownership (the
-// rowState protocol in exec.go); Rows() clones on the way out, while
+// near-constant few hundred bytes regardless of rows scanned. One copy
+// rule keeps store rows intact: no stage mutates a row it is pushed. A
+// stage that attaches a field (the joins, Unnest) extends a copy of the
+// row object — a scratch object from its pooled ring when nothing
+// downstream retains rows, else a shallow clone — and GroupBy emits
+// fresh rows. Rows() deep-clones every row on the way out, while
 // Count/Each and rows dropped by Limit never pay for a clone.
 //
 // Equality joins between models either send one store-index probe per
@@ -44,9 +47,11 @@
 // prefix over column projections (projection.go): per store (and
 // unnested array), one typed vector and validity bitmap per path read,
 // cached and certified like a hash table, with join and group keys coded
-// once per projection (string keys through a Go map). Mixed-kind
-// columns, and join keys of two kinds or floats, fall back to rows.
-// GroupBy → SortBy(an aggregate) → Limit(n) builds n group rows.
+// once per projection (string keys through a Go map). A projected
+// GroupBy folds dict codes: a group's accumulator is found by its key's
+// code, with no hashing per row. Mixed-kind columns, and join keys of
+// two kinds or floats, fall back to rows. GroupBy → SortBy(an
+// aggregate) → Limit(n) builds n group rows.
 //
 // Every store request the executor issues — seed scan, build-side
 // scan, index probe, per-row key-value prefix scan — goes

@@ -11,41 +11,23 @@ import (
 )
 
 // This file is the vectorized execution engine behind Pipeline: a
-// push-based operator chain exchanging column batches (see batch.go),
+// push-based operator chain exchanging row batches (see batch.go),
 // only evaluated when a terminal (Rows, Count, Each) pulls it.
 //
-// Ownership model. Source operators emit rows that are *shared* with
-// the underlying stores — no clone is taken during execution. Each
-// stage declares how it changes ownership:
-//
-//   - rowShared:  the row aliases store memory entirely; read-only.
-//   - rowShallow: the top-level object is owned (fields can be added)
-//     but nested values may still alias the store.
-//   - rowOwned:   deep-cloned, fully owned by the pipeline.
-//
-// Join stages shallow-clone on demand before attaching match arrays;
-// group-by emits fresh rows. Rows() deep-clones anything not already
-// rowOwned on the way out, so the public contract ("returned rows are
-// yours to mutate") is unchanged while Count/Each and dropped rows
-// (Limit) never pay for a clone.
+// Row contract. Source operators emit rows shared with the underlying
+// stores; no stage mutates a row it is pushed. A stage that attaches a
+// field (the joins, Unnest) extends a copy of the row object: a pooled
+// scratch object when nothing downstream retains rows, else a shallow
+// clone. Group-by emits fresh rows. Rows() deep-clones every row on the
+// way out, so returned rows are the caller's to mutate, while
+// Count/Each and rows dropped by Limit never pay for a clone.
 //
 // Every store request a source or a join issues goes through the
 // pipeline's Access (pipeline.go): Hop first, then the call under that
 // model's handle.
 
-type rowState uint8
-
-const (
-	rowShared rowState = iota
-	rowShallow
-	rowOwned
-)
-
 // stage is one compiled pipeline operator.
 type stage interface {
-	// outState reports the ownership of rows this stage emits, given
-	// the ownership of rows it receives.
-	outState(in rowState) rowState
 	// retains reports whether the stage may hold on to pushed rows
 	// beyond the push call (buffering sorts and adaptive joins do).
 	// When nothing downstream retains, upstream attach stages recycle
@@ -53,7 +35,7 @@ type stage interface {
 	retains() bool
 	// wire builds this stage's batch sink in front of down. transient
 	// is true when no downstream consumer retains pushed rows.
-	wire(in rowState, transient bool, down batchSink) batchSink
+	wire(transient bool, down batchSink) batchSink
 }
 
 // rowBufPool recycles the executor's row buffers — seed scan batches
@@ -110,48 +92,34 @@ type source struct {
 	where  relational.Expr
 }
 
-func (s *source) run(emit func(*Batch) bool) {
-	b := &Batch{}
+func (s *source) run(emit func([]mmvalue.Value) bool) {
 	n := batchCap // kv.Store.Len counts by scanning
 	if _, ok := s.side.(*kv.Store); !ok {
 		n = s.side.Len()
 	}
 	rb := getRowBuf(seedBufCap(n))
 	s.acc.Hop()
-	fn := func(rows []mmvalue.Value) bool {
+	txn.Batch(rb.rows, func(rows []mmvalue.Value) bool {
 		rb.rows = rows[:max(len(rb.rows), len(rows))] // the written prefix
-		b.rows = rows
-		return emit(b)
-	}
-	switch side := s.side.(type) {
-	case *document.Collection:
-		side.StreamBatch(s.tx(), s.filter, rb.rows, fn)
-	case *relational.Table:
-		side.StreamBatch(s.tx(), s.where, rb.rows, fn)
-	default:
-		txn.Batch(rb.rows, fn, func(emit func(mmvalue.Value) bool) { s.stream(s.tx(), emit) })
-	}
+		return emit(rows)
+	}, func(fn func(mmvalue.Value) bool) {
+		switch side := s.side.(type) {
+		case *document.Collection:
+			side.Stream(s.tx(), s.filter, fn)
+		case *relational.Table:
+			side.Stream(s.tx(), s.where, fn)
+		default:
+			s.stream(s.tx(), fn)
+		}
+	})
 	putRowBuf(rb, rb.rows)
 }
 
 // ---- plan compilation and execution ----
 
-// finalState computes the ownership of rows leaving the last stage.
-func (p *Pipeline) finalState() rowState {
-	if p.src == nil {
-		return rowOwned
-	}
-	st := rowShared
-	for _, s := range p.stages {
-		st = s.outState(st)
-	}
-	return st
-}
-
 // execute compiles the operator chain and streams the final rows into
-// onRow. Rows passed to onRow follow the pipeline's final ownership
-// state — Rows() clones them as needed, Count/Each never do. A plan the
-// column projections serve (projection.go) runs its prefix over them.
+// onRow, which must neither mutate nor retain them. A plan the column
+// projections serve (projection.go) runs its prefix over them.
 func (p *Pipeline) execute(onRow func(mmvalue.Value) bool) error {
 	if p.err != nil {
 		return p.err
@@ -168,18 +136,12 @@ func (p *Pipeline) execute(onRow func(mmvalue.Value) bool) error {
 // wireChain wires stages back-to-front into a rowSink terminal.
 func wireChain(stages []stage, onRow func(mmvalue.Value) bool) batchSink {
 	var head batchSink = &rowSink{fn: onRow}
-	st := rowShared
-	states := make([]rowState, len(stages))
-	for i, s := range stages {
-		states[i] = st
-		st = s.outState(st)
-	}
-	// transient[i]: no stage after i retains pushed rows. Terminals
+	// transient: no stage after this one retains pushed rows. Terminals
 	// never retain (Rows clones on collect), so the last stage always
 	// sees a transient downstream.
 	transient := true
 	for i := len(stages) - 1; i >= 0; i-- {
-		head = stages[i].wire(states[i], transient, head)
+		head = stages[i].wire(transient, head)
 		transient = transient && !stages[i].retains()
 	}
 	return head

@@ -44,8 +44,8 @@ func (s Snapshot) Hop()             {}
 //
 // Execution is lazy, streaming and vectorized: stages build an
 // operator tree that is only evaluated when a terminal — Rows, Count
-// or Each — pulls it, and operators exchange column batches of up to
-// 1024 rows rather than single rows (see exec.go). Limit
+// or Each — pulls it, and operators exchange batches of up to 1024
+// rows rather than single rows (see exec.go). Limit
 // short-circuits upstream operators, and the cross-model joins pick per
 // execution between store index probes and one hash build over the
 // build side (joinSpec.route). Rows returned by Rows are deep copies
@@ -86,15 +86,11 @@ func PipelineOver(st datagen.Target, a Access) *Pipeline {
 // fully owned by the caller and may be mutated freely. Calling Rows
 // (or Count/Each) again re-executes the pipeline.
 func (p *Pipeline) Rows() ([]mmvalue.Value, error) {
-	owned := p.finalState() == rowOwned
 	var out []mmvalue.Value
 	if err := p.execute(func(r mmvalue.Value) bool {
-		if !owned {
-			// Copy on collect: upstream operators may recycle row
-			// storage, and shared rows must not leak store memory.
-			r = r.Clone()
-		}
-		out = append(out, r)
+		// Copy on collect: rows may alias store memory or scratch
+		// objects that upstream operators recycle.
+		out = append(out, r.Clone())
 		return true
 	}); err != nil {
 		return nil, err

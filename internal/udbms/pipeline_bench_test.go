@@ -153,6 +153,57 @@ func BenchmarkPipelineJoin(b *testing.B) {
 			run("one")
 		}
 	})
+	// Q1's shape, warm: one relational row gets its documents from the
+	// cached hash table and its key-value entries from a prefix seek, so
+	// the second attach copies a row the first attach made.
+	b.Run("point/two-attach", func(b *testing.B) {
+		db := benchJoinDB(b, 0, 1000, true)
+		cust, err := db.Relational.CreateTable("cust", relational.MustSchema("id",
+			relational.Column{Name: "id", Type: relational.TypeInt}))
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i := 0; i < 250; i++ {
+			if err := cust.Insert(nil, mmvalue.ObjectOf("id", i)); err != nil {
+				b.Fatal(err)
+			}
+			for k := 0; k < 3; k++ {
+				if err := db.KV.Put(nil, fmt.Sprintf("fb/%06d/o%d", i, k), mmvalue.ObjectOf("rating", k)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		run := func() {
+			matched := 0
+			err := db.Pipeline(nil).FromRelational("cust", relational.Col("id").Eq(7)).
+				JoinDocuments("build", "id", "cid", "m").
+				JoinKVPrefix(func(r mmvalue.Value) string {
+					return fmt.Sprintf("fb/%06d/", r.MustObject().GetOr("id", mmvalue.Null).MustInt())
+				}, "f").
+				Each(func(r mmvalue.Value) bool {
+					m, _ := r.MustObject().GetOr("m", mmvalue.Null).AsArray()
+					f, _ := r.MustObject().GetOr("f", mmvalue.Null).AsArray()
+					matched += len(m) + len(f)
+					return true
+				})
+			if err != nil || matched == 0 {
+				b.Fatalf("matched=%d err=%v", matched, err)
+			}
+		}
+		// Rent index probes until the account buys the build (probeBelow).
+		for i := 0; i <= db.Pipeline(nil).probeBelow(1000); i++ {
+			run()
+		}
+		b.ReportAllocs()
+		before := db.JoinStats()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			run()
+		}
+		if after := db.JoinStats(); after.Builds != before.Builds || after.ProbeRows != before.ProbeRows {
+			b.Fatal("the warm leg missed the join cache")
+		}
+	})
 }
 
 // BenchmarkGroupBy measures the batch-native aggregation stage:

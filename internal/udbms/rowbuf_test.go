@@ -35,9 +35,9 @@ func TestSeedScanClearsEveryWrittenSlot(t *testing.T) {
 	}
 	var backing []mmvalue.Value
 	var batches []int
-	db.Pipeline(nil).FromDocuments("c", nil).src.run(func(b *Batch) bool {
-		backing = b.rows[:cap(b.rows)]
-		batches = append(batches, b.Len())
+	db.Pipeline(nil).FromDocuments("c", nil).src.run(func(rows []mmvalue.Value) bool {
+		backing = rows[:cap(rows)]
+		batches = append(batches, len(rows))
 		return true
 	})
 	if !slices.Equal(batches, []int{batchCap, 10}) {
@@ -48,22 +48,24 @@ func TestSeedScanClearsEveryWrittenSlot(t *testing.T) {
 	}
 }
 
-// truncSink keeps only the first row of every batch, like a Limit.
-type truncSink struct{}
+// discardSink drops every batch it is pushed.
+type discardSink struct{}
 
-func (truncSink) push(b *Batch) bool { b.truncate(1); return true }
-func (truncSink) flush()             {}
+func (discardSink) push([]mmvalue.Value) bool { return true }
+func (discardSink) flush()                    {}
 
-// TestAttacherClearsRowsATruncatingSinkHid pins that release clears what
-// the attacher wrote, even when downstream shortened the batch it was
-// handed.
-func TestAttacherClearsRowsATruncatingSinkHid(t *testing.T) {
-	a := newAttacher(truncSink{}, "m", rowOwned, false)
-	for i := 0; i < 5; i++ {
-		a.attach(mmvalue.ObjectOf("id", i), nil)
+// TestAttacherClearsEveryWrittenSlot pins that release clears every slot
+// the attacher wrote, not just its last batch: it emits 5 rows, then 2,
+// so the slots past the last batch hold rows only the first one wrote.
+func TestAttacherClearsEveryWrittenSlot(t *testing.T) {
+	a := newAttacher(discardSink{}, "m", false)
+	for _, n := range []int{5, 2} {
+		for i := 0; i < n; i++ {
+			a.attach(mmvalue.ObjectOf("id", i), nil)
+		}
+		a.emit()
 	}
-	a.emit()
-	backing := a.out.rows[:cap(a.out.rows)]
+	backing := a.out[:cap(a.out)]
 	a.release()
 	if i := allZero(backing); i >= 0 {
 		t.Fatalf("slot %d of the attach scratch still holds a row after release", i)

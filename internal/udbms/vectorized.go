@@ -10,16 +10,17 @@ import (
 )
 
 // This file holds the vectorized operator implementations: every stage
-// consumes and produces a *Batch per call. Sorts and joins extract key
-// columns once per batch, and group-by aggregates into a hash of
-// accumulators — there is exactly one interface dispatch per batch,
-// not per row.
+// consumes and produces a batch of rows per call, so there is one
+// interface dispatch per batch, not per row. Sort buffers its rows with
+// their keys and orders positions; the hash join buffers its probe rows
+// and attaches matches on flush; group-by folds rows into accumulators
+// found by the hash of the group key.
 
 // batchSink consumes a batch stream. push reports false to stop the
 // upstream producer early (limit short-circuit); flush signals
 // end-of-input so blocking stages (sort, join, group-by) can drain.
 type batchSink interface {
-	push(b *Batch) bool
+	push(rows []mmvalue.Value) bool
 	flush()
 }
 
@@ -28,8 +29,8 @@ type rowSink struct {
 	fn func(mmvalue.Value) bool
 }
 
-func (s *rowSink) push(b *Batch) bool {
-	for _, r := range b.rows {
+func (s *rowSink) push(rows []mmvalue.Value) bool {
+	for _, r := range rows {
 		if !s.fn(r) {
 			return false
 		}
@@ -45,10 +46,9 @@ type limitStage struct {
 	n int
 }
 
-func (st *limitStage) outState(in rowState) rowState { return in }
-func (st *limitStage) retains() bool                 { return false }
+func (st *limitStage) retains() bool { return false }
 
-func (st *limitStage) wire(_ rowState, _ bool, down batchSink) batchSink {
+func (st *limitStage) wire(_ bool, down batchSink) batchSink {
 	if st.n < 0 {
 		return down
 	}
@@ -60,15 +60,13 @@ type limitSink struct {
 	down      batchSink
 }
 
-func (s *limitSink) push(b *Batch) bool {
+func (s *limitSink) push(rows []mmvalue.Value) bool {
 	if s.remaining <= 0 {
 		return false
 	}
-	if n := b.Len(); n > s.remaining {
-		b.truncate(s.remaining)
-	}
-	s.remaining -= b.Len()
-	return s.down.push(b) && s.remaining > 0
+	rows = rows[:min(len(rows), s.remaining)]
+	s.remaining -= len(rows)
+	return s.down.push(rows) && s.remaining > 0
 }
 
 func (s *limitSink) flush() { s.down.flush() }
@@ -76,17 +74,16 @@ func (s *limitSink) flush() { s.down.flush() }
 // ---- sort ----
 
 // sortStage is a blocking operator: it buffers the input rows together
-// with a sort-key column extracted once per batch, then re-streams in
-// order on flush. Rows stay shared — sorting reorders references only.
+// with their sort keys, then re-streams in order on flush. Rows stay
+// shared — sorting reorders references only.
 type sortStage struct {
 	path mmvalue.Path
 	desc bool
 }
 
-func (st *sortStage) outState(in rowState) rowState { return in }
-func (st *sortStage) retains() bool                 { return true }
+func (st *sortStage) retains() bool { return true }
 
-func (st *sortStage) wire(_ rowState, _ bool, down batchSink) batchSink {
+func (st *sortStage) wire(_ bool, down batchSink) batchSink {
 	return &sortSink{st: st, down: down, rows: getRowBuf(batchCap), keys: getRowBuf(batchCap)}
 }
 
@@ -98,10 +95,8 @@ type sortSink struct {
 	rows, keys *rowBuf
 }
 
-func (s *sortSink) push(b *Batch) bool {
-	n := b.Len()
-	for i := 0; i < n; i++ {
-		r := b.Row(i)
+func (s *sortSink) push(rows []mmvalue.Value) bool {
+	for _, r := range rows {
 		s.rows.rows = append(s.rows.rows, r)
 		s.keys.rows = append(s.keys.rows, s.st.path.LookupOr(r, mmvalue.Null))
 	}
@@ -115,19 +110,19 @@ func (s *sortSink) flush() {
 		putRowBuf(s.keys, s.keys.rows)
 	}()
 	perm := order(s.keys.rows, s.st.desc)
-	out := Batch{rows: make([]mmvalue.Value, 0, min(len(rows), batchCap))}
+	out := make([]mmvalue.Value, 0, min(len(rows), batchCap))
 	for _, i := range perm {
-		out.rows = append(out.rows, rows[i])
-		if len(out.rows) == batchCap {
-			if !s.down.push(&out) {
+		out = append(out, rows[i])
+		if len(out) == batchCap {
+			if !s.down.push(out) {
 				s.down.flush()
 				return
 			}
-			out.reset()
+			out = out[:0]
 		}
 	}
-	if len(out.rows) > 0 {
-		s.down.push(&out)
+	if len(out) > 0 {
+		s.down.push(out)
 	}
 	s.down.flush()
 }
@@ -161,31 +156,24 @@ var attachScratchPool = sync.Pool{New: func() any {
 }}
 
 // attacher builds output batches for the attaching stages (hash join,
-// per-row joins): it lands a match array under asField without ever
-// mutating a shared store row, recycling a ring of scratch objects when
-// downstream consumes rows transiently — one scratch object per batch
-// position, reused across batches, zero allocations in steady state.
+// per-row joins, Unnest): it lands a value under asField in a copy of
+// each row, never in the row it is pushed. When downstream consumes
+// rows transiently the copy is a scratch object from a ring — one per
+// batch position, reused across batches, zero allocations in steady
+// state — and otherwise a shallow clone.
 type attacher struct {
-	down    batchSink
-	asField string
-	in      rowState
-	useScr  bool
-	scr     *attachScratch
-	out     Batch
-	used    int // most rows out has held: the prefix release clears
-	stopped bool
+	down      batchSink
+	asField   string
+	transient bool
+	scr       *attachScratch
+	out       []mmvalue.Value
+	used      int // most rows out has held: the prefix release clears
+	stopped   bool
 }
 
-func newAttacher(down batchSink, asField string, in rowState, transient bool) *attacher {
+func newAttacher(down batchSink, asField string, transient bool) *attacher {
 	scr := attachScratchPool.Get().(*attachScratch)
-	return &attacher{
-		down:    down,
-		asField: asField,
-		in:      in,
-		useScr:  transient && in == rowShared,
-		scr:     scr,
-		out:     Batch{rows: scr.out},
-	}
+	return &attacher{down: down, asField: asField, transient: transient, scr: scr, out: scr.out}
 }
 
 // release returns the scratch to the pool. Callers invoke it after the
@@ -195,12 +183,12 @@ func (a *attacher) release() {
 	if a.scr == nil {
 		return
 	}
-	out := a.out.rows[:max(a.used, len(a.out.rows))]
+	out := a.out[:max(a.used, len(a.out))]
 	clear(out)
 	a.scr.out = out[:0]
 	attachScratchPool.Put(a.scr)
 	a.scr = nil
-	a.out.rows = nil
+	a.out = nil
 }
 
 // attach emits r with its matches under asField.
@@ -208,25 +196,21 @@ func (a *attacher) attach(r mmvalue.Value, matches []mmvalue.Value) bool {
 	return a.attachValue(r, mmvalue.Array(matches...))
 }
 
-// attachValue emits r with v under asField.
+// attachValue emits a copy of r with v under asField.
 func (a *attacher) attachValue(r, v mmvalue.Value) bool {
-	obj := r.MustObject()
-	if a.in == rowShared {
-		if a.useScr {
-			if len(a.scr.objs) == len(a.out.rows) {
-				a.scr.objs = append(a.scr.objs, mmvalue.NewObject())
-			}
-			s := a.scr.objs[len(a.out.rows)]
-			s.CopyFrom(obj)
-			obj = s
-		} else {
-			obj = obj.ShallowClone()
+	var obj *mmvalue.Object
+	if a.transient {
+		if len(a.scr.objs) == len(a.out) {
+			a.scr.objs = append(a.scr.objs, mmvalue.NewObject())
 		}
-		r = mmvalue.FromObject(obj)
+		obj = a.scr.objs[len(a.out)]
+		obj.CopyFrom(r.MustObject())
+	} else {
+		obj = r.MustObject().ShallowClone()
 	}
 	obj.Set(a.asField, v)
-	a.out.rows = append(a.out.rows, r)
-	if len(a.out.rows) == attachCap {
+	a.out = append(a.out, mmvalue.FromObject(obj))
+	if len(a.out) == attachCap {
 		return a.emit()
 	}
 	return true
@@ -234,13 +218,12 @@ func (a *attacher) attachValue(r, v mmvalue.Value) bool {
 
 // emit pushes the pending output batch downstream.
 func (a *attacher) emit() bool {
-	if len(a.out.rows) == 0 {
+	if len(a.out) == 0 {
 		return !a.stopped
 	}
-	// Before the push: downstream may truncate the batch it is handed.
-	a.used = max(a.used, len(a.out.rows))
-	ok := a.down.push(&a.out)
-	a.out.reset()
+	a.used = max(a.used, len(a.out))
+	ok := a.down.push(a.out)
+	a.out = a.out[:0]
 	if !ok {
 		a.stopped = true
 	}
@@ -360,17 +343,11 @@ type hashJoinStage struct {
 	spec joinSpec
 }
 
-func (st *hashJoinStage) outState(rowState) rowState {
-	// Matches are attached as shared store values, so the row is at
-	// most shallow-owned afterwards.
-	return rowShallow
-}
-
 // The adaptive strategy buffers probe rows before deciding.
 func (st *hashJoinStage) retains() bool { return true }
 
-func (st *hashJoinStage) wire(in rowState, transient bool, down batchSink) batchSink {
-	return &joinSink{spec: st.spec, at: newAttacher(down, st.spec.asField, in, transient)}
+func (st *hashJoinStage) wire(transient bool, down batchSink) batchSink {
+	return &joinSink{spec: st.spec, at: newAttacher(down, st.spec.asField, transient)}
 }
 
 type joinSink struct {
@@ -379,14 +356,14 @@ type joinSink struct {
 	rb   *rowBuf // pooled probe-row buffer
 }
 
-func (j *joinSink) push(b *Batch) bool {
+func (j *joinSink) push(rows []mmvalue.Value) bool {
 	if j.at.stopped {
 		return false
 	}
 	if j.rb == nil {
 		j.rb = getRowBuf(batchCap)
 	}
-	j.rb.rows = append(j.rb.rows, b.rows...)
+	j.rb.rows = append(j.rb.rows, rows...)
 	return true
 }
 
@@ -438,17 +415,10 @@ type perRowStage struct {
 	path    mmvalue.Path // the array Unnest reads
 }
 
-// Attached values may alias the store, so the row is at most
-// shallow-owned afterwards.
-func (st *perRowStage) outState(rowState) rowState { return rowShallow }
-
 func (st *perRowStage) retains() bool { return false }
 
-func (st *perRowStage) wire(in rowState, transient bool, down batchSink) batchSink {
-	if st.unnest {
-		in = rowShared // one row in, several out: each must be a copy
-	}
-	return &perRowSink{perRowStage: st, at: newAttacher(down, st.asField, in, transient)}
+func (st *perRowStage) wire(transient bool, down batchSink) batchSink {
+	return &perRowSink{perRowStage: st, at: newAttacher(down, st.asField, transient)}
 }
 
 type perRowSink struct {
@@ -456,13 +426,11 @@ type perRowSink struct {
 	at *attacher
 }
 
-func (s *perRowSink) push(b *Batch) bool {
+func (s *perRowSink) push(rows []mmvalue.Value) bool {
 	if s.at.stopped {
 		return false
 	}
-	n := b.Len()
-	for i := 0; i < n; i++ {
-		r := b.Row(i)
+	for _, r := range rows {
 		vals := s.fetch(r)
 		if !s.unnest {
 			if !s.at.attach(r, vals) {
@@ -539,13 +507,11 @@ type groupStage struct {
 	topN, topAgg int
 }
 
-func (st *groupStage) outState(rowState) rowState { return rowOwned }
-
 // Everything the stage keeps (group keys, min/max winners) is cloned at
 // accumulation time, so upstream scratch recycling stays safe.
 func (st *groupStage) retains() bool { return false }
 
-func (st *groupStage) wire(_ rowState, _ bool, down batchSink) batchSink {
+func (st *groupStage) wire(_ bool, down batchSink) batchSink {
 	return &groupSink{st: st, down: down, buckets: make(map[uint64]*groupAcc)}
 }
 
@@ -583,10 +549,8 @@ func (g *groupSink) acc(key mmvalue.Value) *groupAcc {
 	return a
 }
 
-func (g *groupSink) push(b *Batch) bool {
-	n := b.Len()
-	for i := 0; i < n; i++ {
-		r := b.Row(i)
+func (g *groupSink) push(rows []mmvalue.Value) bool {
+	for _, r := range rows {
 		acc := g.acc(g.st.key.LookupOr(r, mmvalue.Null))
 		acc.count++
 		for k := range g.st.aggs {
@@ -673,25 +637,25 @@ func (g *groupSink) flush() {
 	for _, a := range g.st.aggs {
 		tmpl.Set(a.as, mmvalue.Null)
 	}
-	out := Batch{rows: make([]mmvalue.Value, 0, min(len(accs), batchCap))}
+	out := make([]mmvalue.Value, 0, min(len(accs), batchCap))
 	for _, acc := range accs {
 		obj := tmpl.Clone()
 		obj.Set(g.st.asKey, acc.key)
 		for k, a := range g.st.aggs {
 			obj.Set(a.as, g.value(acc, k))
 		}
-		out.rows = append(out.rows, mmvalue.FromObject(obj))
-		if len(out.rows) == batchCap {
-			if !g.down.push(&out) {
+		out = append(out, mmvalue.FromObject(obj))
+		if len(out) == batchCap {
+			if !g.down.push(out) {
 				g.drop()
 				g.down.flush()
 				return
 			}
-			out.reset()
+			out = out[:0]
 		}
 	}
-	if len(out.rows) > 0 {
-		g.down.push(&out)
+	if len(out) > 0 {
+		g.down.push(out)
 	}
 	g.drop()
 	g.down.flush()
