@@ -425,6 +425,38 @@ func cmpInt64(a, b int64) int {
 // in particular Int(1) equals Float(1).
 func Equal(a, b Value) bool { return Compare(a, b) == 0 }
 
+// Set is a set of values under Equal: members bucketed by Hash and
+// confirmed with Equal, so membership costs one hash, not one Equal per
+// member. The zero Set is empty and read-only; Add needs NewSet's.
+type Set struct{ buckets map[uint64][]Value }
+
+// NewSet returns the set of vals.
+func NewSet(vals ...Value) Set {
+	s := Set{buckets: make(map[uint64][]Value, len(vals))}
+	for _, v := range vals {
+		s.Add(v)
+	}
+	return s
+}
+
+// Add puts v in the set.
+func (s Set) Add(v Value) {
+	if !s.Has(v) {
+		h := v.Hash()
+		s.buckets[h] = append(s.buckets[h], v)
+	}
+}
+
+// Has reports whether a member is Equal to v.
+func (s Set) Has(v Value) bool {
+	for _, m := range s.buckets[v.Hash()] {
+		if Equal(m, v) {
+			return true
+		}
+	}
+	return false
+}
+
 // Hash returns a 64-bit FNV-1a style hash consistent with Equal:
 // Equal values hash identically (numeric values hash via float64 when a
 // fractional part exists, via int64 otherwise).

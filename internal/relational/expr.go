@@ -114,10 +114,12 @@ func (c ColRef) Gt(v any) Expr { return cmpExpr{c, opGt, mmvalue.From(v)} }
 // Ge builds column >= literal.
 func (c ColRef) Ge(v any) Expr { return cmpExpr{c, opGe, mmvalue.From(v)} }
 
-// inExpr implements column IN (set).
+// inExpr implements column IN (set): the literals in order, and hashed
+// for membership.
 type inExpr struct {
-	col ColRef
-	set []mmvalue.Value
+	col  ColRef
+	set  []mmvalue.Value
+	hash mmvalue.Set
 }
 
 // In builds column IN (values...).
@@ -126,18 +128,10 @@ func (c ColRef) In(vals ...any) Expr {
 	for i, v := range vals {
 		set[i] = mmvalue.From(v)
 	}
-	return inExpr{c, set}
+	return inExpr{c, set, mmvalue.NewSet(set...)}
 }
 
-func (e inExpr) Eval(row mmvalue.Value) bool {
-	v := e.col.value(row)
-	for _, s := range e.set {
-		if mmvalue.Equal(v, s) {
-			return true
-		}
-	}
-	return false
-}
+func (e inExpr) Eval(row mmvalue.Value) bool { return e.hash.Has(e.col.value(row)) }
 
 func (e inExpr) String() string {
 	parts := make([]string, len(e.set))

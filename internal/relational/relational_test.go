@@ -254,6 +254,22 @@ func TestExprSemantics(t *testing.T) {
 			t.Errorf("%s = %v, want %v", c.e, got, c.want)
 		}
 	}
+	// IN matches under mmvalue.Equal: an int literal a float cell of the
+	// same number, and a float literal an int cell.
+	num := mmvalue.ObjectOf("i", 3, "f", 2.0, "h", 2.5)
+	for _, c := range []struct {
+		e    Expr
+		want bool
+	}{
+		{Col("f").In(7, 2), true},
+		{Col("i").In(1.0, 3.0), true},
+		{Col("h").In(2, 3), false},
+		{Col("i").In(3.5, "3"), false},
+	} {
+		if got := c.e.Eval(num); got != c.want {
+			t.Errorf("%s on %v = %v, want %v", c.e, num, got, c.want)
+		}
+	}
 	// String rendering sanity.
 	s := And(Col("a").Eq(1), Col("c").In(1, 2)).String()
 	if !strings.Contains(s, "AND") || !strings.Contains(s, "IN") {

@@ -41,16 +41,21 @@
 // an unchanged build side. A side that keeps changing is only probed;
 // read-heavy workloads build once and skip the rebuild entirely.
 //
-// A plan that is a whole-store, key-value-prefix or graph edge-end seed,
-// joins, at most one Unnest and a GroupBy reading only seed paths,
-// "<asField>.0.<path>" and paths under the Unnest's field runs that
-// prefix over column projections (projection.go): per store (and
-// unnested array), one typed vector and validity bitmap per path read,
-// cached and certified like a hash table, with join and group keys coded
-// once per projection (string keys through a Go map). A projected
-// GroupBy folds dict codes: a group's accumulator is found by its key's
-// code, with no hashing per row. Mixed-kind columns, and join keys of
-// two kinds or floats, fall back to rows. GroupBy → SortBy(an
+// A plan that is a whole-store, key-value-prefix, graph edge-end or XML
+// seed, joins (XML build sides included), Where stages, at most one
+// Unnest and a GroupBy reading only seed paths, "<asField>.0.<path>" and
+// paths under the Unnest's field runs that prefix over column
+// projections (projection.go): per store (and unnested array), one typed
+// vector and validity bitmap per path read, cached and certified like a
+// hash table, with join and group keys coded once per projection (string
+// keys through a Go map). An XML projection reads the trees directly:
+// the text of a child parses to a number once per store version. A
+// projected Where is a code set: its values are looked up in the
+// column's dict once per run, and a row (or unnested element) is kept by
+// its code; the values are no part of the projection's cache key. A
+// projected GroupBy folds dict codes: a group's accumulator is found by
+// its key's code, with no hashing per row. Mixed-kind columns, and join
+// keys of two kinds or floats, fall back to rows. GroupBy → SortBy(an
 // aggregate) → Limit(n) builds n group rows.
 //
 // Every store request the executor issues — seed scan, build-side

@@ -85,7 +85,8 @@ func seedBufCap(n int) int {
 
 // source produces the seed batch stream: the documents of a collection
 // matching filter, the rows of a table matching where (nil = all), or
-// FromKVPrefix's or FromEdgeEnds's rows, shared with store memory.
+// FromKVPrefix's, FromEdgeEnds's or FromXML's rows, shared with store
+// memory.
 type source struct {
 	storeScan
 	filter document.Filter

@@ -167,6 +167,35 @@ func (p *Pipeline) FromEdgeEnds(label, as string) *Pipeline {
 	return p
 }
 
+// FromXML seeds the pipeline with one row per XML document, in id
+// order: {"_id": id, "@<attr>": <root attribute>, "<child>": <text>},
+// where a child field is the inner text of the root's first child
+// element of that name, a Float when strconv.ParseFloat accepts it and
+// a String otherwise.
+func (p *Pipeline) FromXML() *Pipeline {
+	if p.err != nil {
+		return p
+	}
+	p.src = &source{storeScan: storeScan{side: p.st.XML, acc: p.acc}}
+	return p
+}
+
+// Where keeps the rows whose value at the dotted path is mmvalue.Equal
+// to one of vals; a missing or null value matches nothing. Over column
+// projections the values are looked up once per run in the column's
+// dict, and a row is kept by its code.
+func (p *Pipeline) Where(path string, vals ...any) *Pipeline {
+	if p.err != nil {
+		return p
+	}
+	set := make([]mmvalue.Value, len(vals))
+	for i, v := range vals {
+		set[i] = mmvalue.From(v)
+	}
+	p.stages = append(p.stages, &whereStage{path: mmvalue.ParsePath(path), vals: set, set: mmvalue.NewSet(set...)})
+	return p
+}
+
 // Limit truncates the result to the first n rows; upstream operators
 // stop as soon as the limit is satisfied (blocking stages — SortBy and
 // the hash joins — buffer their input first and only stop emitting).
@@ -275,6 +304,25 @@ func (p *Pipeline) JoinRelational(table, rowField, column, asField string) *Pipe
 		}
 	}
 	return p.hashJoin(storeScan{side: t, acc: p.acc}, column, mmvalue.Path{column}, rowField, asField, probe)
+}
+
+// JoinXML extends each row with the XML document whose id equals the
+// row's rowField value, as a one-row array under asField in FromXML's
+// row form; a row whose key names no document keeps an empty array. It
+// rents document lookups by id before it buys a hash build, like
+// JoinDocuments.
+func (p *Pipeline) JoinXML(rowField, asField string) *Pipeline {
+	if p.err != nil {
+		return p
+	}
+	return p.hashJoin(storeScan{side: p.st.XML, acc: p.acc}, "_id", mmvalue.Path{"_id"}, rowField, asField,
+		func(tx *txn.Tx, key mmvalue.Value, fn func(mmvalue.Value) bool) {
+			if id, ok := key.AsString(); ok {
+				if doc, ok := p.st.XML.Get(tx, id); ok {
+					fn(xmlRow(id, doc))
+				}
+			}
+		})
 }
 
 // hashJoin appends the equality join against one build side: keyPath

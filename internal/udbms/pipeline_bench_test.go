@@ -10,6 +10,7 @@ import (
 	"udbench/internal/mmvalue"
 	"udbench/internal/relational"
 	"udbench/internal/txn"
+	"udbench/internal/xmlstore"
 )
 
 // benchJoinDB builds nProbe probe docs and nBuild build docs with
@@ -231,7 +232,11 @@ func BenchmarkGroupBy(b *testing.B) {
 // q3 legs run the Q3 shape over columns: 7 200 feedback pairs joined to
 // their orders, unnested into line items and averaged per product, top
 // 10. The q9 legs run the Q9 shape: the ends of 8 000 "knows" edges
-// among 4 000 vertices counted per vertex, top 10 by degree. The /warm
+// among 4 000 vertices counted per vertex, top 10 by degree. The where
+// legs run the Q4 shape: the join keeps the orders of one city's
+// customers by dict code before the fold sums them per customer. The
+// xml legs run the Q5 shape: 12 000 invoices averaged per currency
+// attribute, the totals parsed from their text once per projection. The /warm
 // legs repeat over unchanged stores, so projections and
 // the hash table come from the join cache; the /cold legs commit one
 // write to every store between iterations, so every iteration projects
@@ -259,8 +264,14 @@ func BenchmarkProjectedGroup(b *testing.B) {
 				return err
 			}
 		}
+		total := float64(rng.Intn(100000)) / 100
+		inv := xmlstore.NewElement("invoice", xmlstore.Attr{Name: "currency", Value: []string{"EUR", "USD", "SEK", "NOK"}[i%4]})
+		inv.Append(xmlstore.NewElement("total").Append(xmlstore.NewText(fmt.Sprintf("%.2f", total))))
+		if err := db.XML.Put(tx, fmt.Sprintf("o%05d", i), inv); err != nil {
+			return err
+		}
 		return orders.Insert(tx, mmvalue.ObjectOf("_id", fmt.Sprintf("o%05d", i),
-			"cid", cid, "total", float64(rng.Intn(100000))/100, "items", items))
+			"cid", cid, "total", total, "items", items))
 	}); err != nil {
 		b.Fatal(err)
 	}
@@ -312,6 +323,22 @@ func BenchmarkProjectedGroup(b *testing.B) {
 			b.Fatalf("vertices=%d err=%v", n, err)
 		}
 	}
+	where := func(b *testing.B, _ document.Filter) {
+		n, err := db.Pipeline(nil).FromDocuments("orders", nil).
+			JoinRelational("cust", "cid", "id", "c").
+			Where("c.0.city", "city07").
+			GroupBy("cid", "cid", Sum("total", "spent")).
+			Count()
+		if err != nil || n == 0 || n > 100 {
+			b.Fatalf("customers=%d err=%v", n, err)
+		}
+	}
+	xml := func(b *testing.B, _ document.Filter) {
+		n, err := db.Pipeline(nil).FromXML().GroupBy("@currency", "currency", Avg("total", "avg")).Count()
+		if err != nil || n != 4 {
+			b.Fatalf("currencies=%d err=%v", n, err)
+		}
+	}
 	for _, leg := range []struct {
 		name string
 		seed document.Filter
@@ -326,6 +353,10 @@ func BenchmarkProjectedGroup(b *testing.B) {
 		{"q3/cold", nil, true, q3},
 		{"q9/warm", nil, false, q9},
 		{"q9/cold", nil, true, q9},
+		{"where/warm", nil, false, where},
+		{"where/cold", nil, true, where},
+		{"xml/warm", nil, false, xml},
+		{"xml/cold", nil, true, xml},
 	} {
 		b.Run(leg.name, func(b *testing.B) {
 			leg.run(b, leg.seed)
@@ -343,6 +374,9 @@ func BenchmarkProjectedGroup(b *testing.B) {
 							return err
 						}
 						if err := db.Graph.SetVertexProps(tx, "c0", func(props mmvalue.Value) (mmvalue.Value, error) { return props, nil }); err != nil {
+							return err
+						}
+						if err := db.XML.Update(tx, "o00000", func(n *xmlstore.Node) (*xmlstore.Node, error) { return n, nil }); err != nil {
 							return err
 						}
 						return cust.Update(tx, 0, func(row mmvalue.Value) (mmvalue.Value, error) { return row, nil })

@@ -3,6 +3,7 @@ package udbms
 import (
 	"fmt"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -12,11 +13,13 @@ import (
 	"udbench/internal/mmvalue"
 	"udbench/internal/relational"
 	"udbench/internal/txn"
+	"udbench/internal/xmlstore"
 )
 
 // storeScan is one document collection, relational table, key-value
-// prefix (FromKVPrefix's rows) or edge label in prefix (FromEdgeEnds's
-// rows, as keys[0]) read under the pipeline's handle for it.
+// prefix (FromKVPrefix's rows), edge label in prefix (FromEdgeEnds's
+// rows, as keys[0]) or the XML store (FromXML's rows) read under the
+// pipeline's handle for it.
 type storeScan struct {
 	side   buildSide
 	acc    Access
@@ -32,6 +35,8 @@ func (s storeScan) tx() *txn.Tx {
 		return s.acc.KVTx()
 	case *graph.Store:
 		return s.acc.GraphTx()
+	case *xmlstore.Store:
+		return s.acc.XMLTx()
 	}
 	return s.acc.RelTx()
 }
@@ -61,7 +66,51 @@ func (s storeScan) stream(tx *txn.Tx, fn func(mmvalue.Value) bool) {
 		side.Edges(tx, s.prefix, func(e graph.Edge) bool {
 			return fn(mmvalue.ObjectOf(s.keys[0], string(e.From))) && fn(mmvalue.ObjectOf(s.keys[0], string(e.To)))
 		})
+	case *xmlstore.Store:
+		side.Scan(tx, func(id string, doc *xmlstore.Node) bool { return fn(xmlRow(id, doc)) })
 	}
+}
+
+// xmlRow is the row of XML document doc stored under id (FromXML): its
+// id, root attributes and first child elements by name, each field
+// equal to xmlField's.
+func xmlRow(id string, doc *xmlstore.Node) mmvalue.Value {
+	row := mmvalue.NewObject()
+	for _, a := range doc.Attrs {
+		row.Set("@"+a.Name, mmvalue.String(a.Value))
+	}
+	for _, c := range doc.Children {
+		if _, dup := row.Get(c.Name); !c.IsText() && !dup {
+			row.Set(c.Name, xmlText(c.InnerText()))
+		}
+	}
+	row.Set("_id", mmvalue.String(id))
+	return mmvalue.FromObject(row)
+}
+
+// xmlField is field of xmlRow(id, doc), read off the tree: null when
+// the row has no such field.
+func xmlField(id string, doc *xmlstore.Node, field string) mmvalue.Value {
+	if field == "_id" {
+		return mmvalue.String(id)
+	}
+	if name, ok := strings.CutPrefix(field, "@"); ok {
+		if v, ok := doc.Attr(name); ok {
+			return mmvalue.String(v)
+		}
+	} else if c, ok := doc.FirstChild(field); ok {
+		return xmlText(c.InnerText())
+	}
+	return mmvalue.Null
+}
+
+// xmlText is an element's text as a field: a number when it parses as
+// one.
+func xmlText(text string) mmvalue.Value {
+	if f, err := strconv.ParseFloat(text, 64); err == nil {
+		return mmvalue.Float(f)
+	}
+	return mmvalue.String(text)
 }
 
 // column is one path's values over a projection's rows, in scan order:
@@ -167,6 +216,23 @@ func project(s storeScan, tx *txn.Tx, paths []mmvalue.Path, arr *arraySpec) *pro
 		})
 		return p
 	}
+	if x, ok := s.side.(*xmlstore.Store); ok && arr == nil {
+		x.Scan(tx, func(id string, doc *xmlstore.Node) bool { // off the tree: no row is built
+			for c, path := range paths {
+				switch len(path) {
+				case 0:
+					p.cols[c].add(p.n, xmlRow(id, doc))
+				case 1:
+					p.cols[c].add(p.n, xmlField(id, doc, path[0]))
+				default: // a path under a field: fields hold no objects
+					p.cols[c].add(p.n, mmvalue.Null)
+				}
+			}
+			p.n++
+			return true
+		})
+		return p
+	}
 	s.stream(tx, func(row mmvalue.Value) bool {
 		p.add(row, paths, arr)
 		return true
@@ -264,7 +330,11 @@ func (p *Pipeline) project(s storeScan, paths []mmvalue.Path, arr *arraySpec) *p
 		p.acc.Hop()
 		return project(s, s.tx(), paths, arr)
 	}
-	key := joinCacheKey{store: s.side, cols: fmt.Sprintf("%q %q %q %#v", s.prefix, s.keys, paths, arr)}
+	cols := fmt.Sprintf("%q %q %q", s.prefix, s.keys, paths)
+	if arr != nil { // the array's path and element paths: plans that unnest it from another scan share it
+		cols += fmt.Sprintf(" %q %q", arr.path, arr.elems)
+	}
+	key := joinCacheKey{store: s.side, cols: cols}
 	ver, tx := s.side.Version(), s.tx()
 	if e := p.joins.get(key, ver, tx); e != nil {
 		return e.proj
@@ -280,15 +350,23 @@ func (p *Pipeline) project(s storeScan, paths []mmvalue.Path, arr *arraySpec) *p
 // of arr; paths[i] are the paths projected from scan i, and a colRef
 // names one of them.
 type projPlan struct {
-	scans  []storeScan
-	paths  [][]mmvalue.Path
-	joins  []*joinSpec
-	arr    *arraySpec
-	probes []colRef // per join, its probe key
-	key    colRef   // the GroupBy key
-	aggs   []colRef // per aggregate; unused for Count
-	rest   []stage  // the GroupBy and the stages after it
-	bad    bool     // a path reads a match array other than at ".0."
+	scans   []storeScan
+	paths   [][]mmvalue.Path
+	joins   []*joinSpec
+	arr     *arraySpec
+	probes  []colRef // per join, its probe key
+	filters []projFilter
+	key     colRef   // the GroupBy key
+	aggs    []colRef // per aggregate; unused for Count
+	rest    []stage  // the GroupBy and the stages after it
+	bad     bool     // a path reads a match array other than at ".0."
+}
+
+// projFilter is a Where over one column. Its values stay out of the
+// plan's paths, and so out of the projection cache keys.
+type projFilter struct {
+	col  colRef
+	vals []mmvalue.Value
 }
 
 // arraySpec is the array a plan unnests: at path in the rows of scan,
@@ -325,6 +403,8 @@ func (p *Pipeline) projectedPlan() (*projPlan, bool) {
 			pl.joins = append(pl.joins, &st.spec)
 			pl.scans = append(pl.scans, st.spec.storeScan)
 			pl.paths = append(pl.paths, []mmvalue.Path{st.spec.keyPath})
+		case *whereStage:
+			pl.filters = append(pl.filters, projFilter{pl.resolve(st.path), st.vals})
 		case *groupStage:
 			pl.key = pl.resolve(st.key)
 			pl.aggs = make([]colRef, len(st.aggs))
@@ -342,16 +422,24 @@ func (p *Pipeline) projectedPlan() (*projPlan, bool) {
 	return nil, false
 }
 
-// resolve names the column at path, appending it to its scan's paths;
-// a path that starts at the Unnest's field reads its elements.
+// resolve names the column at path, adding it to its scan's paths; a
+// path that starts at the Unnest's field reads its elements.
 func (pl *projPlan) resolve(path mmvalue.Path) colRef {
 	if a := pl.arr; a != nil && len(path) > 0 && path[0] == a.as {
-		a.elems = append(a.elems, path[1:])
-		return colRef{len(pl.scans), len(a.elems) - 1}
+		return colRef{len(pl.scans), addPath(&a.elems, path[1:])}
 	}
 	scan, rest := pl.locate(path)
-	pl.paths[scan] = append(pl.paths[scan], rest)
-	return colRef{scan, len(pl.paths[scan]) - 1}
+	return colRef{scan, addPath(&pl.paths[scan], rest)}
+}
+
+// addPath returns path's index in *paths, appending it if absent: a
+// path read twice is projected once.
+func addPath(paths *[]mmvalue.Path, path mmvalue.Path) int {
+	if i := slices.IndexFunc(*paths, func(q mmvalue.Path) bool { return slices.Equal(q, path) }); i >= 0 {
+		return i
+	}
+	*paths = append(*paths, path)
+	return len(*paths) - 1
 }
 
 // locate finds the scan whose rows path reads, and the path within
@@ -407,6 +495,32 @@ func (p *Pipeline) runProjected(onRow func(mmvalue.Value) bool) bool {
 	for j, probe := range pl.probes {
 		links[j] = projs[0].link(probe.col, projs[j+1])
 	}
+	// A Where keeps a row by its code: the codes of its values are looked
+	// up once, and null's code, 0, is never kept. Filters on the Unnest's
+	// elements apply per element, the others per seed row.
+	var rowFilters, elemFilters []codeSet
+	for _, f := range pl.filters {
+		d := projs[f.col.scan].dict(f.col.col)
+		cs := codeSet{scan: f.col.scan, codes: d.codes, in: make([]uint64, len(d.first)/64+1)}
+		for _, v := range f.vals {
+			if c := d.code(v); c > 0 {
+				cs.in[c/64] |= 1 << (c % 64)
+			}
+		}
+		if f.col.scan == len(pl.scans) {
+			elemFilters = append(elemFilters, cs)
+		} else {
+			rowFilters = append(rowFilters, cs)
+		}
+	}
+	keep := func(fs []codeSet) bool {
+		for _, f := range fs {
+			if !f.keeps(at[f.scan]) {
+				return false
+			}
+		}
+		return true
+	}
 	g := wireChain(pl.rest, onRow).(*groupSink)
 	// A group is found by its key's code: its accumulator is slab[code].
 	keys := projs[pl.key.scan].dict(pl.key.col)
@@ -436,12 +550,15 @@ func (p *Pipeline) runProjected(onRow func(mmvalue.Value) bool) bool {
 			at[j+1] = int(l[r])
 		}
 		switch a, e := pl.arr, len(pl.scans); {
+		case !keep(rowFilters):
 		case a == nil:
 			fold()
 		case at[a.scan] >= 0:
 			off := projs[a.scan].off[at[a.scan]:]
 			for at[e] = int(off[0]); at[e] < int(off[1]); at[e]++ {
-				fold()
+				if keep(elemFilters) {
+					fold()
+				}
 			}
 		}
 	}
@@ -451,6 +568,24 @@ func (p *Pipeline) runProjected(onRow func(mmvalue.Value) bool) bool {
 	clear(states)
 	foldPool.Put(fs)
 	return true
+}
+
+// codeSet is a Where's kept codes of one column of scan: in is a bitmap
+// over the column dict's codes.
+type codeSet struct {
+	scan  int
+	codes []int32
+	in    []uint64
+}
+
+// keeps reports whether row r of the scan holds a kept value; r < 0 (no
+// match row) holds null.
+func (f codeSet) keeps(r int) bool {
+	if r < 0 {
+		return false
+	}
+	c := f.codes[r]
+	return f.in[c/64]&(1<<(c%64)) != 0
 }
 
 // foldPool recycles runProjected's accumulators, cleared: a warm fold

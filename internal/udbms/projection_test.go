@@ -13,6 +13,7 @@ import (
 	"udbench/internal/mmvalue"
 	"udbench/internal/relational"
 	"udbench/internal/txn"
+	"udbench/internal/xmlstore"
 )
 
 // projMode picks the kinds of projDB's data, and so whether the
@@ -488,12 +489,14 @@ func refOrdersAt(db *DB, tx *txn.Tx) []mmvalue.Value {
 // snapshot or served from the cache — and equal the row-at-a-time
 // reference under that snapshot. The readers also run a key-value seed
 // → join → Unnest → group plan while the writer rates orders and
-// rewrites their items, and an edge-end → top-N group plan while it adds
-// and removes "knows" edges.
+// rewrites their items, an edge-end → top-N group plan while it adds
+// and removes "knows" edges, and an XML seed plan and an orders → XML
+// join plan while it rewrites invoices.
 func TestProjectionUnderWriters(t *testing.T) {
 	db := projDB(t, rand.New(rand.NewSource(11)), projInt)
 	projKVData(t, db, rand.New(rand.NewSource(12)), projInt)
 	projGraphData(t, db, rand.New(rand.NewSource(13)))
+	projXMLData(t, db, rand.New(rand.NewSource(14)), projInt)
 	tbl, _ := db.Relational.Table("custtab")
 	docs, orders := db.Docs.Collection("custdocs"), db.Docs.Collection("orders")
 	nBuild := tbl.Count()
@@ -514,6 +517,12 @@ func TestProjectionUnderWriters(t *testing.T) {
 	graphAggs := []Agg{Count("n")}
 	graphPlan := func(p *Pipeline) *Pipeline {
 		return p.FromEdgeEnds("knows", "v").GroupBy("v", "k", graphAggs...).SortBy("n", true).Limit(5)
+	}
+	xmlAggs := []Agg{Avg("total", "av"), Count("n")}
+	xmlPlan := func(p *Pipeline) *Pipeline { return p.FromXML().GroupBy("@cur", "k", xmlAggs...) }
+	invAggs := []Agg{Max("x.0.total", "t"), Count("n")}
+	invPlan := func(p *Pipeline) *Pipeline {
+		return p.FromDocuments("orders", nil).JoinXML("_id", "x").Where("x.0.@cur", "EUR", "USD").GroupBy("cid", "k", invAggs...)
 	}
 	before := db.JoinStats()
 
@@ -565,6 +574,11 @@ func TestProjectionUnderWriters(t *testing.T) {
 					graph.VID(fmt.Sprintf("v%02d", w*7%30)), mmvalue.Null); err != nil {
 					return err
 				}
+				inv := xmlstore.NewElement("invoice", xmlstore.Attr{Name: "cur", Value: []string{"EUR", "USD", "SEK"}[rng.Intn(3)]})
+				inv.Append(xmlstore.NewElement("total").Append(xmlstore.NewText(fmt.Sprintf("%.2f", float64(rng.Intn(900))/7))))
+				if err := db.XML.Put(tx, fmt.Sprintf("o%04d", rng.Intn(150)), inv); err != nil {
+					return err
+				}
 				item := mmvalue.ObjectOf("pid", fmt.Sprintf("p%d", rng.Intn(12)), "qty", rng.Intn(5))
 				if err := orders.SetPath(tx, fmt.Sprintf("o%04d", rng.Intn(150)), "items", mmvalue.Array(item)); err != nil {
 					return err
@@ -614,6 +628,21 @@ func TestProjectionUnderWriters(t *testing.T) {
 				want = refGroupBy(refEdgeEndsAt(db, tx, "knows"), mmvalue.Path{"v"}, "k", graphAggs)
 				want = refSort(want, mmvalue.Path{"n"}, true)[:min(5, len(want))]
 				runs[r] = append(runs[r], run{fmt.Sprintf("reader %d it %d graph", r, it), ran, got, want})
+				got = nil
+				ran = xmlPlan(db.Pipeline(tx)).runProjected(func(row mmvalue.Value) bool {
+					got = append(got, row.Clone())
+					return true
+				})
+				want = refGroupBy(refXMLAt(db, tx), mmvalue.Path{"@cur"}, "k", xmlAggs)
+				runs[r] = append(runs[r], run{fmt.Sprintf("reader %d it %d xml", r, it), ran, got, want})
+				got = nil
+				ran = invPlan(db.Pipeline(tx)).runProjected(func(row mmvalue.Value) bool {
+					got = append(got, row.Clone())
+					return true
+				})
+				rows := refJoinXMLAt(db, tx, db.Docs.Collection("orders").Find(tx, nil, nil), "_id", "x")
+				want = refGroupBy(refWhere(rows, "x.0.@cur", "EUR", "USD"), mmvalue.Path{"cid"}, "k", invAggs)
+				runs[r] = append(runs[r], run{fmt.Sprintf("reader %d it %d invoices", r, it), ran, got, want})
 				tx.Abort()
 			}
 		}(r)

@@ -71,6 +71,49 @@ func (s *limitSink) push(rows []mmvalue.Value) bool {
 
 func (s *limitSink) flush() { s.down.flush() }
 
+// ---- where ----
+
+// whereStage keeps the rows whose value at path is a member of set, the
+// Equal-set of vals (Pipeline.Where). The projected path codes vals
+// instead (runProjected).
+type whereStage struct {
+	path mmvalue.Path
+	vals []mmvalue.Value
+	set  mmvalue.Set
+}
+
+func (st *whereStage) retains() bool { return false }
+
+func (st *whereStage) wire(_ bool, down batchSink) batchSink { return &whereSink{st: st, down: down} }
+
+type whereSink struct {
+	st   *whereStage
+	down batchSink
+	rb   *rowBuf // pooled; its rows are the written prefix, kept rows first
+}
+
+func (s *whereSink) push(rows []mmvalue.Value) bool {
+	if s.rb == nil {
+		s.rb = getRowBuf(batchCap)
+	}
+	kept := s.rb.rows[:0]
+	for _, r := range rows {
+		if v := s.st.path.LookupOr(r, mmvalue.Null); !v.IsNull() && s.st.set.Has(v) {
+			kept = append(kept, r)
+		}
+	}
+	s.rb.rows = kept[:max(len(s.rb.rows), len(kept))]
+	return len(kept) == 0 || s.down.push(kept)
+}
+
+func (s *whereSink) flush() {
+	s.down.flush()
+	if s.rb != nil {
+		putRowBuf(s.rb, s.rb.rows)
+		s.rb = nil
+	}
+}
+
 // ---- sort ----
 
 // sortStage is a blocking operator: it buffers the input rows together

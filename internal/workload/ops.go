@@ -16,11 +16,14 @@ import (
 // session is what an op body runs in: the per-store transaction handles
 // and the charge for one store request (udbms.Access — the accessor the
 // pipeline executor issues its own requests through), plus the executor
-// itself. For the unified engine every handle is the same snapshot
-// transaction, Hop() is free and pipelines keep the DB's join cache; for
-// the federation the handles are independent (or nil for auto-commit
-// reads), Hop() sleeps for the simulated network round trip and a
-// pipeline is just the session's requests in executor order.
+// itself. The bodies here, the write transactions and Q2, Q6 and Q10,
+// use the handles directly; the other queries are pipelines
+// (pipeline_queries.go). For the unified engine every handle is the same
+// snapshot transaction, Hop() is free and pipelines keep the DB's join
+// cache and column projections; for the federation the handles are
+// independent (or nil for auto-commit reads), Hop() sleeps for the
+// simulated network round trip and a pipeline is just the session's
+// requests in executor order.
 type session interface {
 	udbms.Access
 	pipeline() *udbms.Pipeline
@@ -50,21 +53,6 @@ func q2FriendsPurchases(st datagen.Target, s session, p Params) (int, error) {
 	return len(products), nil
 }
 
-func q5InvoiceTotalsByCurrency(st datagen.Target, s session, _ Params) (int, error) {
-	s.Hop()
-	sums := map[string]float64{}
-	st.XML.Scan(s.XMLTx(), func(_ string, doc *xmlstore.Node) bool {
-		cur, _ := doc.Attr("currency")
-		if totalEl, ok := doc.FirstChild("total"); ok {
-			if f, err := strconv.ParseFloat(totalEl.InnerText(), 64); err == nil {
-				sums[cur] += f
-			}
-		}
-		return true
-	})
-	return len(sums), nil
-}
-
 func q6TwoHopBuyers(st datagen.Target, s session, p Params) (int, error) {
 	product := datagen.ProductVID(p.ProductID)
 	if product == "" {
@@ -81,32 +69,6 @@ func q6TwoHopBuyers(st datagen.Target, s session, p Params) (int, error) {
 		}
 	}
 	return len(reach), nil
-}
-
-func q7OrdersWithProduct(st datagen.Target, s session, p Params) (int, error) {
-	s.Hop()
-	matched := st.Docs.Collection("orders").Find(s.DocTx(), document.Func(
-		"items contains "+p.ProductID,
-		func(doc mmvalue.Value) bool {
-			items, _ := mmvalue.ParsePath("items").LookupOr(doc, mmvalue.Null).AsArray()
-			for _, it := range items {
-				if pid, _ := it.MustObject().Get("product_id"); mmvalue.Equal(pid, mmvalue.String(p.ProductID)) {
-					return true
-				}
-			}
-			return false
-		}), nil)
-	count := 0
-	for _, o := range matched {
-		id, _ := o.MustObject().Get("_id")
-		s.Hop()
-		if inv, ok := st.XML.Get(s.XMLTx(), id.MustString()); ok {
-			if _, ok := inv.FirstChild("total"); ok {
-				count++
-			}
-		}
-	}
-	return count, nil
 }
 
 func q10FullChain(st datagen.Target, s session, p Params) (int, error) {

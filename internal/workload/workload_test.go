@@ -276,7 +276,8 @@ func TestQueriesReturnWork(t *testing.T) {
 // Q3, Q8, Q9, Q12 or Q13 scans nothing: its column projections (and
 // Q13's top-N join) come from the join cache, so the repeat adds two
 // cache hits — one for Q9, whose only projection is its edge-end seed —
-// and no builds or probes.
+// and no builds or probes; and that a repeated Q4, Q5, Q7 or Q11, even
+// with other Where values, builds nothing.
 func TestProjectedQueriesRepeatFromCache(t *testing.T) {
 	fx := newFixture(t, 0.05)
 	p := NewParamGen(fx.info, 3, 0).Next()
@@ -297,6 +298,31 @@ func TestProjectedQueriesRepeatFromCache(t *testing.T) {
 		}
 		if after != want || again != first {
 			t.Errorf("%s repeated: %d rows (first %d), join stats %+v -> %+v, want %+v", q, again, first, before, after, want)
+		}
+	}
+	// Q4, Q5, Q7 and Q11 filter with a Where whose values stay out of the
+	// projection cache keys: a repeat, and a second draw with another
+	// city, product and customer, build nothing.
+	gen := NewParamGen(fx.info, 5, 0)
+	p2 := gen.Next()
+	for p2.City == p.City || p2.ProductID == p.ProductID || p2.CustomerID == p.CustomerID {
+		p2 = gen.Next()
+	}
+	for _, q := range []QueryID{Q4, Q5, Q7, Q11} {
+		first, err := fx.uni.RunQuery(q, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := fx.uni.DB.JoinStats()
+		again, err := fx.uni.RunQuery(q, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fx.uni.RunQuery(q, p2); err != nil {
+			t.Fatal(err)
+		}
+		if after := fx.uni.DB.JoinStats(); after.Builds != before.Builds || after.CacheHits <= before.CacheHits || again != first {
+			t.Errorf("%s repeated and redrawn: %d rows (first %d), join stats %+v -> %+v, want no builds", q, again, first, before, after)
 		}
 	}
 }

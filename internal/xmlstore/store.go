@@ -101,5 +101,12 @@ func (s *Store) Scan(tx *txn.Tx, fn func(id string, doc *Node) bool) {
 // Count returns the number of live documents at latest-committed state.
 func (s *Store) Count() int { return s.docs.Count() }
 
+// Version counts committed writes to the store (txn.Records.Version).
+func (s *Store) Version() uint64 { return s.docs.Version() }
+
+// Len is the number of document ids ever stored, tombstoned ones
+// included: an upper bound on Count that costs no scan.
+func (s *Store) Len() int { return s.docs.Len() }
+
 // Compact garbage-collects old versions and unlinks dead documents.
 func (s *Store) Compact(horizon txn.TS) int { return s.docs.Compact(horizon) }

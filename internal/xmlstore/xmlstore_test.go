@@ -303,3 +303,55 @@ func TestInnerText(t *testing.T) {
 		}
 	}
 }
+
+// TestVersionCountsCommits pins Version's contract for the join cache:
+// each committed Put, Update and Delete moves the counter once for each
+// document it writes, an aborted transaction and reads do not move it,
+// and Len bounds Count from above (it counts tombstoned ids too).
+func TestVersionCountsCommits(t *testing.T) {
+	s := NewStore("xml", txn.NewManager())
+	doc := MustParse(invoiceXML)
+	commit := func(name string, docs uint64, write func(tx *txn.Tx) error) {
+		t.Helper()
+		before := s.Version()
+		tx := s.Manager().Begin()
+		if err := write(tx); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if _, err := tx.Commit(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if after := s.Version(); after != before+docs {
+			t.Errorf("%s: version %d -> %d, want %d steps", name, before, after, docs)
+		}
+	}
+	commit("Put", 1, func(tx *txn.Tx) error { return s.Put(tx, "a", doc) })
+	commit("Put ×2", 2, func(tx *txn.Tx) error {
+		if err := s.Put(tx, "b", doc); err != nil {
+			return err
+		}
+		return s.Put(tx, "c", doc)
+	})
+	commit("Update", 1, func(tx *txn.Tx) error {
+		return s.Update(tx, "a", func(n *Node) (*Node, error) { n.SetAttr("status", "paid"); return n, nil })
+	})
+	commit("Delete", 1, func(tx *txn.Tx) error { return s.Delete(tx, "b") })
+
+	before := s.Version()
+	tx := s.Manager().Begin()
+	if err := s.Put(tx, "d", doc); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Delete(tx, "c"); err != nil {
+		t.Fatal(err)
+	}
+	tx.Abort()
+	s.Get(nil, "a")
+	s.Scan(nil, func(string, *Node) bool { return true })
+	if after := s.Version(); after != before {
+		t.Errorf("an aborted transaction and reads moved the version %d -> %d", before, after)
+	}
+	if s.Count() != 2 || s.Len() < s.Count() {
+		t.Errorf("Count %d, Len %d: want 2 live documents and Len ≥ Count", s.Count(), s.Len())
+	}
+}
