@@ -85,7 +85,7 @@ func main() {
 		status, invPaid)
 
 	// --- Cross-model analytics: who bought what my friends bought? ---
-	friends := db.Graph.KHop(nil, graph.VID(datagen.CustomerVID(customer)), 1, graph.Both, "knows")
+	friends := db.Graph.KHop(nil, []graph.VID{graph.VID(datagen.CustomerVID(customer))}, 1, graph.Both, "knows")
 	recommended := map[string]int{}
 	for _, f := range friends {
 		for _, e := range db.Graph.Neighbors(nil, f, graph.Out, "purchased") {

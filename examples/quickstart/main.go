@@ -39,7 +39,7 @@ func main() {
 	fmt.Printf("document    | orders with total > 100: %d\n", big)
 
 	// Graph: friends-of-friends of customer 1.
-	fof := db.Graph.KHop(nil, graph.VID(datagen.CustomerVID(1)), 2, graph.Both, "knows")
+	fof := db.Graph.KHop(nil, []graph.VID{graph.VID(datagen.CustomerVID(1))}, 2, graph.Both, "knows")
 	fmt.Printf("graph       | customers within 2 knows-hops of c1: %d\n", len(fof))
 
 	// Key-value: feedback entries of customer 1.

@@ -24,6 +24,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -469,24 +470,7 @@ const (
 func (s *Store) Neighbors(tx *txn.Tx, v VID, dir Dir, label string) []Edge {
 	s.mu.RLock()
 	var candidates []EID
-	appendFrom := func(byLabel map[string][]EID) {
-		if byLabel == nil {
-			return
-		}
-		if label != "" {
-			candidates = append(candidates, byLabel[label]...)
-			return
-		}
-		for _, eids := range byLabel {
-			candidates = append(candidates, eids...)
-		}
-	}
-	if dir == Out || dir == Both {
-		appendFrom(s.out[v])
-	}
-	if dir == In || dir == Both {
-		appendFrom(s.in[v])
-	}
+	s.eachList(v, dir, label, func(eids []EID, _ bool) { candidates = append(candidates, eids...) })
 	s.mu.RUnlock()
 	out := make([]Edge, 0, len(candidates))
 	seen := make(map[EID]bool, len(candidates))
@@ -508,36 +492,64 @@ func (s *Store) Degree(tx *txn.Tx, v VID, dir Dir, label string) int {
 	return len(s.Neighbors(tx, v, dir, label))
 }
 
-// KHop returns the set of vertices reachable from start in exactly 1..k
-// hops over edges with the given label (any direction per dir),
-// excluding start itself. Results are sorted.
-func (s *Store) KHop(tx *txn.Tx, start VID, k int, dir Dir, label string) []VID {
-	visited := map[VID]bool{start: true}
-	frontier := []VID{start}
-	var result []VID
-	for depth := 0; depth < k && len(frontier) > 0; depth++ {
-		var next []VID
-		for _, v := range frontier {
-			for _, e := range s.Neighbors(tx, v, dir, label) {
-				nb := e.To
-				if nb == v {
-					nb = e.From
-				}
-				if dir == Out {
-					nb = e.To
-				} else if dir == In {
-					nb = e.From
-				}
-				if !visited[nb] {
+// eachList calls fn with each of v's adjacency lists that dir and label
+// ("" for any label) select; in tells fn the list holds v's in-edges.
+// The caller holds s.mu.
+func (s *Store) eachList(v VID, dir Dir, label string, fn func(eids []EID, in bool)) {
+	side := func(byLabel map[string][]EID, in bool) {
+		if label != "" {
+			fn(byLabel[label], in)
+			return
+		}
+		for _, eids := range byLabel {
+			fn(eids, in)
+		}
+	}
+	if dir != In {
+		side(s.out[v], false)
+	}
+	if dir != Out {
+		side(s.in[v], true)
+	}
+}
+
+// KHop returns the vertices at distance 1..k from the start set over
+// edges with the given label ("" for any label), in direction dir, as
+// visible to tx, excluding the starts themselves. Results are sorted.
+// The walk keeps one visited set for the whole start set and takes the
+// store's read lock once per expanded vertex, so a writer waits for at
+// most one adjacency list; it builds no Edge and copies no props.
+func (s *Store) KHop(tx *txn.Tx, starts []VID, k int, dir Dir, label string) []VID {
+	visited := make(map[VID]bool, len(starts))
+	for _, v := range starts {
+		visited[v] = true
+	}
+	frontier, result := starts, []VID(nil)
+	visit := func(eids []EID, in bool) {
+		for _, id := range eids {
+			rec := s.edges[id]
+			nb := rec.to
+			if in {
+				nb = rec.from
+			}
+			if !visited[nb] {
+				if _, ok := rec.chain.Visible(tx); ok {
 					visited[nb] = true
-					next = append(next, nb)
 					result = append(result, nb)
 				}
 			}
 		}
-		frontier = next
 	}
-	sort.Slice(result, func(i, j int) bool { return result[i] < result[j] })
+	for depth := 0; depth < k && len(frontier) > 0; depth++ {
+		n := len(result)
+		for _, v := range frontier {
+			s.mu.RLock()
+			s.eachList(v, dir, label, visit)
+			s.mu.RUnlock()
+		}
+		frontier = result[n:]
+	}
+	slices.Sort(result)
 	return result
 }
 

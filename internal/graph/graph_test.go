@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"math/rand"
 	"sort"
 	"sync"
 	"testing"
@@ -123,27 +124,195 @@ func TestNeighborsAndDegree(t *testing.T) {
 
 func TestKHop(t *testing.T) {
 	g := buildSocial(t)
-	hop1 := g.KHop(nil, "a", 1, Out, "knows")
+	hop1 := g.KHop(nil, []VID{"a"}, 1, Out, "knows")
 	if fmt.Sprint(hop1) != "[b c]" {
 		t.Errorf("1-hop = %v", hop1)
 	}
-	hop2 := g.KHop(nil, "a", 2, Out, "knows")
+	hop2 := g.KHop(nil, []VID{"a"}, 2, Out, "knows")
 	if fmt.Sprint(hop2) != "[b c d]" {
 		t.Errorf("2-hop = %v", hop2)
 	}
-	hop0 := g.KHop(nil, "a", 0, Out, "knows")
+	hop0 := g.KHop(nil, []VID{"a"}, 0, Out, "knows")
 	if len(hop0) != 0 {
 		t.Errorf("0-hop = %v", hop0)
 	}
 	// In direction: who knows c within 1 hop.
-	in1 := g.KHop(nil, "c", 1, In, "knows")
+	in1 := g.KHop(nil, []VID{"c"}, 1, In, "knows")
 	if fmt.Sprint(in1) != "[a b]" {
 		t.Errorf("in 1-hop = %v", in1)
 	}
 	// Both: d reaches everyone in 2 hops.
-	both2 := g.KHop(nil, "d", 2, Both, "knows")
+	both2 := g.KHop(nil, []VID{"d"}, 2, Both, "knows")
 	if fmt.Sprint(both2) != "[a b c]" {
 		t.Errorf("both 2-hop = %v", both2)
+	}
+}
+
+// refKHop is the single-start walk over Neighbors that KHop's
+// multi-source walk replaced: one Edge per incident edge, a visited set
+// per start. The tests check KHop against the union of its answers.
+func refKHop(g *Store, tx *txn.Tx, start VID, k int, dir Dir, label string) []VID {
+	visited := map[VID]bool{start: true}
+	frontier := []VID{start}
+	var result []VID
+	for depth := 0; depth < k && len(frontier) > 0; depth++ {
+		var next []VID
+		for _, v := range frontier {
+			for _, e := range g.Neighbors(tx, v, dir, label) {
+				nb := e.To
+				if nb == v {
+					nb = e.From
+				}
+				if dir == Out {
+					nb = e.To
+				} else if dir == In {
+					nb = e.From
+				}
+				if !visited[nb] {
+					visited[nb] = true
+					next = append(next, nb)
+					result = append(result, nb)
+				}
+			}
+		}
+		frontier = next
+	}
+	sort.Slice(result, func(i, j int) bool { return result[i] < result[j] })
+	return result
+}
+
+// refReach is the union of refKHop over starts, minus the starts, sorted.
+func refReach(g *Store, tx *txn.Tx, starts []VID, k int, dir Dir, label string) []VID {
+	reach := map[VID]bool{}
+	for _, s := range starts {
+		for _, v := range refKHop(g, tx, s, k, dir, label) {
+			reach[v] = true
+		}
+	}
+	for _, s := range starts {
+		delete(reach, s)
+	}
+	out := make([]VID, 0, len(reach))
+	for v := range reach {
+		out = append(out, v)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+// TestKHopStartSets pins the multi-source walk on the social graph plus
+// a self-loop d->d, an edge b->d that was removed, and an edge d->e
+// committed after a reader began: every case against a literal and
+// against refReach.
+func TestKHopStartSets(t *testing.T) {
+	g := buildSocial(t)
+	for _, err := range []error{
+		g.AddEdge(nil, "e7", "knows", "d", "d", mmvalue.Null),
+		g.AddEdge(nil, "e8", "knows", "b", "d", mmvalue.Null),
+		g.RemoveEdge(nil, "e8"),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	reader := g.Manager().Begin()
+	defer reader.Abort()
+	if err := g.AddVertex(nil, "e", "customer", mmvalue.Null); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.AddEdge(nil, "e9", "knows", "d", "e", mmvalue.Null); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name   string
+		tx     *txn.Tx
+		starts []VID
+		k      int
+		dir    Dir
+		label  string
+		want   string
+	}{
+		{"overlapping starts", nil, []VID{"b", "d"}, 1, Both, "knows", "[a c e]"},
+		{"a start another start reaches", nil, []VID{"a", "b"}, 2, Out, "knows", "[c d]"},
+		{"duplicate starts", nil, []VID{"a", "a"}, 1, Out, "knows", "[b c]"},
+		{"empty start set", nil, []VID{}, 2, Both, "", "[]"},
+		{"nil start set", nil, nil, 2, Both, "", "[]"},
+		{"k 0", nil, []VID{"a", "b"}, 0, Both, "knows", "[]"},
+		{"any label", nil, []VID{"a"}, 1, Out, "", "[b c p1]"},
+		{"any label, two hops", nil, []VID{"p1"}, 2, Both, "", "[a b c d]"},
+		{"self-loop at a start", nil, []VID{"d"}, 1, In, "knows", "[c]"},
+		{"self-loop on the way", nil, []VID{"c"}, 2, Out, "knows", "[d e]"},
+		{"in", nil, []VID{"d"}, 2, In, "knows", "[a b c]"},
+		{"both", nil, []VID{"c"}, 1, Both, "knows", "[a b d]"},
+		{"removed edge", nil, []VID{"b"}, 1, Out, "knows", "[c]"},
+		{"reader snapshot", reader, []VID{"a", "c"}, 2, Out, "knows", "[b d]"},
+		{"latest next to the snapshot", nil, []VID{"a", "c"}, 2, Out, "knows", "[b d e]"},
+	}
+	for _, c := range cases {
+		got := g.KHop(c.tx, c.starts, c.k, c.dir, c.label)
+		if fmt.Sprint(got) != c.want {
+			t.Errorf("%s: KHop = %v, want %s", c.name, got, c.want)
+		}
+		if ref := refReach(g, c.tx, c.starts, c.k, c.dir, c.label); fmt.Sprint(got) != fmt.Sprint(ref) {
+			t.Errorf("%s: KHop = %v, reference %v", c.name, got, ref)
+		}
+	}
+}
+
+// TestKHopMatchesReference checks KHop against refReach on seeded
+// random two-label graphs with self-loops and removed edges, at a
+// reader's snapshot taken halfway through the writes and at the latest
+// state, for random start sets (duplicates and the empty set included).
+func TestKHopMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	const n = 30
+	vid := func(i int) VID { return VID(fmt.Sprintf("v%02d", i)) }
+	labels := []string{"x", "y", ""}
+	for graphNo := 0; graphNo < 20; graphNo++ {
+		g := newTestGraph()
+		for i := 0; i < n; i++ {
+			if err := g.AddVertex(nil, vid(i), "n", mmvalue.Null); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var live []EID
+		seq := 0
+		write := func(edges int) {
+			for e := 0; e < edges; e++ {
+				if len(live) > 0 && rng.Intn(4) == 0 {
+					i := rng.Intn(len(live))
+					if err := g.RemoveEdge(nil, live[i]); err != nil {
+						t.Fatal(err)
+					}
+					live = append(live[:i], live[i+1:]...)
+					continue
+				}
+				id := EID(fmt.Sprintf("e%d", seq))
+				seq++
+				if err := g.AddEdge(nil, id, labels[rng.Intn(2)], vid(rng.Intn(n)), vid(rng.Intn(n)), mmvalue.Null); err != nil {
+					t.Fatal(err)
+				}
+				live = append(live, id)
+			}
+		}
+		write(40)
+		reader := g.Manager().Begin()
+		write(40)
+		for trial := 0; trial < 30; trial++ {
+			starts := make([]VID, rng.Intn(6))
+			for i := range starts {
+				starts[i] = vid(rng.Intn(n))
+			}
+			k, dir, label := rng.Intn(4), Dir(rng.Intn(3)), labels[rng.Intn(3)]
+			for _, tx := range []*txn.Tx{reader, nil} {
+				got, want := g.KHop(tx, starts, k, dir, label), refReach(g, tx, starts, k, dir, label)
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("graph %d: KHop(snapshot %v, %v, %d, %d, %q) = %v, reference %v",
+						graphNo, tx != nil, starts, k, dir, label, got, want)
+				}
+			}
+		}
+		reader.Abort()
 	}
 }
 
@@ -156,11 +325,17 @@ func TestAlgorithmsHonorSnapshots(t *testing.T) {
 	defer reader.Abort()
 	g.AddVertex(nil, "e", "customer", mmvalue.Null)
 	g.AddEdge(nil, "e9", "knows", "d", "e", mmvalue.Null)
-	if got := g.KHop(reader, "a", 3, Out, "knows"); fmt.Sprint(got) != "[b c d]" {
+	if got := g.KHop(reader, []VID{"a"}, 3, Out, "knows"); fmt.Sprint(got) != "[b c d]" {
 		t.Errorf("snapshot 3-hop = %v", got)
 	}
-	if got := g.KHop(nil, "a", 3, Out, "knows"); fmt.Sprint(got) != "[b c d e]" {
+	if got := g.KHop(nil, []VID{"a"}, 3, Out, "knows"); fmt.Sprint(got) != "[b c d e]" {
 		t.Errorf("latest 3-hop = %v", got)
+	}
+	if got := g.KHop(reader, []VID{"a", "d"}, 1, Out, "knows"); fmt.Sprint(got) != "[b c]" {
+		t.Errorf("snapshot 1-hop from {a d} = %v", got)
+	}
+	if got := g.KHop(nil, []VID{"a", "d"}, 1, Out, "knows"); fmt.Sprint(got) != "[b c e]" {
+		t.Errorf("latest 1-hop from {a d} = %v", got)
 	}
 	if d := g.Degree(reader, "d", Out, "knows"); d != 0 {
 		t.Errorf("snapshot d out-degree = %d, want 0", d)
@@ -178,7 +353,7 @@ func TestRemoveEdgeAndVertex(t *testing.T) {
 	if _, ok := g.GetEdge(nil, "e4"); ok {
 		t.Error("removed edge visible")
 	}
-	if hop1 := g.KHop(nil, "a", 1, Out, "knows"); fmt.Sprint(hop1) != "[b]" {
+	if hop1 := g.KHop(nil, []VID{"a"}, 1, Out, "knows"); fmt.Sprint(hop1) != "[b]" {
 		t.Errorf("1-hop after edge removal = %v", hop1)
 	}
 	// Removing vertex c removes incident edges.
@@ -194,7 +369,7 @@ func TestRemoveEdgeAndVertex(t *testing.T) {
 	if _, ok := g.GetEdge(nil, "e6"); ok {
 		t.Error("incident edge e6 survived vertex removal")
 	}
-	if reach := g.KHop(nil, "a", 3, Out, "knows"); fmt.Sprint(reach) != "[b]" {
+	if reach := g.KHop(nil, []VID{"a"}, 3, Out, "knows"); fmt.Sprint(reach) != "[b]" {
 		t.Errorf("reachable after c removed = %v, want [b]", reach)
 	}
 	// Removing a missing vertex is a no-op.
@@ -316,7 +491,7 @@ func TestConcurrentGraphMutations(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 30; i++ {
 			g.Degree(nil, "center", In, "l")
-			g.KHop(nil, "center", 1, In, "l")
+			g.KHop(nil, []VID{"center"}, 1, In, "l")
 		}
 	}()
 	wg.Wait()
@@ -325,24 +500,120 @@ func TestConcurrentGraphMutations(t *testing.T) {
 	}
 }
 
+// ringWithChords builds n vertices v0000.. with an edge labelled l from
+// each to the next (a ring) and to the seventh next (a chord).
+func ringWithChords(t testing.TB, n int, l string) *Store {
+	t.Helper()
+	g := newTestGraph()
+	vid := func(i int) VID { return VID(fmt.Sprintf("v%04d", i%n)) }
+	for i := 0; i < n; i++ {
+		if err := g.AddVertex(nil, vid(i), "n", mmvalue.Null); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < n; i++ {
+		for _, err := range []error{
+			g.AddEdge(nil, EID(fmt.Sprintf("r%04d", i)), l, vid(i), vid(i+1), mmvalue.Null),
+			g.AddEdge(nil, EID(fmt.Sprintf("c%04d", i)), l, vid(i), vid(i+7), mmvalue.Null),
+		} {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return g
+}
+
+// TestKHopUnderWriters walks from a start set at a fixed snapshot while
+// writers add knows edges and remove both theirs and the ring's: every
+// walk, up to one after the writers finish, must return the answer
+// taken at that snapshot before the writers started.
+func TestKHopUnderWriters(t *testing.T) {
+	const n = 200
+	g := ringWithChords(t, n, "knows")
+	starts := []VID{"v0000", "v0050", "v0100", "v0101"}
+	reader := g.Manager().Begin()
+	defer reader.Abort()
+	want := fmt.Sprint(g.KHop(reader, starts, 2, Both, "knows"))
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < n/2; i++ {
+				id := EID(fmt.Sprintf("w%d-%d", w, i))
+				from, to := VID(fmt.Sprintf("v%04d", (i*13+w)%n)), VID(fmt.Sprintf("v%04d", (i*29+50)%n))
+				for _, err := range []error{
+					g.AddEdge(nil, id, "knows", from, to, mmvalue.Null),
+					g.RemoveEdge(nil, EID(fmt.Sprintf("r%04d", 2*i+w))),
+				} {
+					if err != nil {
+						t.Errorf("writer %d: %v", w, err)
+						return
+					}
+				}
+				if i%2 == 1 {
+					if err := g.RemoveEdge(nil, id); err != nil {
+						t.Errorf("writer %d: %v", w, err)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for walking := true; walking; {
+		select {
+		case <-done:
+			walking = false
+		default:
+		}
+		if got := fmt.Sprint(g.KHop(reader, starts, 2, Both, "knows")); got != want {
+			t.Errorf("walk at the snapshot under writers:\n got  %s\n want %s", got, want)
+			break
+		}
+	}
+	<-done
+	if latest := fmt.Sprint(g.KHop(nil, starts, 2, Both, "knows")); latest == want {
+		t.Error("the writers changed nothing the walk reaches: the test proves nothing")
+	}
+}
+
+// BenchmarkKHop times a 3-hop walk from one start and, as Q6 does from a
+// product's buyers, a 2-hop walk in both directions from 1 000 starts,
+// on a 2 000-vertex ring with chords plus a hub with an edge to every
+// tenth vertex.
 func BenchmarkKHop(b *testing.B) {
-	g := NewStore("b", txn.NewManager())
 	const n = 2000
+	g := ringWithChords(b, n, "l")
+	if err := g.AddVertex(nil, "hub", "n", mmvalue.Null); err != nil {
+		b.Fatal(err)
+	}
+	starts := make([]VID, 0, n/2)
 	for i := 0; i < n; i++ {
-		g.AddVertex(nil, VID(fmt.Sprintf("v%04d", i)), "n", mmvalue.Null)
+		v := VID(fmt.Sprintf("v%04d", i))
+		if i%10 == 0 {
+			if err := g.AddEdge(nil, EID("h"+string(v)), "l", "hub", v, mmvalue.Null); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if i%2 == 0 {
+			starts = append(starts, v)
+		}
 	}
-	// Ring + chords.
-	for i := 0; i < n; i++ {
-		from := VID(fmt.Sprintf("v%04d", i))
-		to := VID(fmt.Sprintf("v%04d", (i+1)%n))
-		chord := VID(fmt.Sprintf("v%04d", (i+7)%n))
-		g.AddEdge(nil, EID(fmt.Sprintf("r%04d", i)), "l", from, to, mmvalue.Null)
-		g.AddEdge(nil, EID(fmt.Sprintf("c%04d", i)), "l", from, chord, mmvalue.Null)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.KHop(nil, VID(fmt.Sprintf("v%04d", i%n)), 3, Out, "l")
-	}
+	b.Run("start1", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			g.KHop(nil, []VID{VID(fmt.Sprintf("v%04d", i%n))}, 3, Out, "l")
+		}
+	})
+	b.Run("starts1000", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			g.KHop(nil, starts, 2, Both, "l")
+		}
+	})
 }
 
 // TestEdgeRelinkRollsBackOnAbort pins the undo of an edge-id reuse with
@@ -597,7 +868,7 @@ func TestVersionCountsWrites(t *testing.T) {
 	g.GetVertex(nil, "a")
 	g.GetEdge(nil, "e1")
 	g.Neighbors(nil, "a", Both, "")
-	g.KHop(nil, "a", 2, Both, "knows")
+	g.KHop(nil, []VID{"a"}, 2, Both, "knows")
 	g.Edges(nil, "knows", func(Edge) bool { return true })
 	g.VertexCount(nil)
 	if g.Len() == 0 || g.Version() != before {

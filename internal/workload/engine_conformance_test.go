@@ -247,7 +247,7 @@ func TestFederationHopCounts(t *testing.T) {
 	for trial := 0; trial < 4; trial++ {
 		p := gen.Next()
 		self := graph.VID(datagen.CustomerVID(p.CustomerID))
-		friends := func(k int) int { return len(st.Graph.KHop(nil, self, k, graph.Both, "knows")) }
+		friends := func(k int) int { return len(st.Graph.KHop(nil, []graph.VID{self}, k, graph.Both, "knows")) }
 		myOrders := st.Docs.Collection("orders").Find(nil, document.Eq("customer_id", p.CustomerID), nil)
 		// Q10 fetches every line's product and every order's invoice.
 		chain := 0
@@ -269,7 +269,7 @@ func TestFederationHopCounts(t *testing.T) {
 			Q3:  2, // feedback seed, one orders scan
 			Q4:  2, // city seed, one orders build
 			Q5:  1,
-			Q6:  1 + len(st.Graph.KHop(nil, graph.VID(datagen.ProductVID(p.ProductID)), 1, graph.In, "purchased")),
+			Q6:  2, // the buyers, one multi-source walk from them
 			Q7:  2, // orders seed, one invoice scan
 			Q8:  2, // orders seed, one customer build
 			Q9:  1 + min(p.TopN, len(connected)),

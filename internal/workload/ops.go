@@ -17,7 +17,8 @@ import (
 // and the charge for one store request (udbms.Access — the accessor the
 // pipeline executor issues its own requests through), plus the executor
 // itself. The bodies here, the write transactions and Q2, Q6 and Q10,
-// use the handles directly; the other queries are pipelines
+// use the handles directly (Q6 as two graph requests: the buyers, then
+// one multi-source walk from them); the other queries are pipelines
 // (pipeline_queries.go). For the unified engine every handle is the same
 // snapshot transaction, Hop() is free and pipelines keep the DB's join
 // cache and column projections; for the federation the handles are
@@ -33,7 +34,7 @@ func feedbackPrefix(cid int) string { return fmt.Sprintf("feedback/%06d/", cid) 
 
 func q2FriendsPurchases(st datagen.Target, s session, p Params) (int, error) {
 	s.Hop()
-	friends := st.Graph.KHop(s.GraphTx(), graph.VID(datagen.CustomerVID(p.CustomerID)), 1, graph.Both, "knows")
+	friends := st.Graph.KHop(s.GraphTx(), []graph.VID{graph.VID(datagen.CustomerVID(p.CustomerID))}, 1, graph.Both, "knows")
 	products := map[string]bool{}
 	orders := st.Docs.Collection("orders")
 	for _, f := range friends {
@@ -53,22 +54,19 @@ func q2FriendsPurchases(st datagen.Target, s session, p Params) (int, error) {
 	return len(products), nil
 }
 
+// q6TwoHopBuyers counts the buyers B of p's product and every vertex
+// within two knows-hops of them: B plus one multi-source walk from B,
+// two graph requests. The walk excludes its starts, so the parts are
+// disjoint.
 func q6TwoHopBuyers(st datagen.Target, s session, p Params) (int, error) {
 	product := datagen.ProductVID(p.ProductID)
 	if product == "" {
 		return 0, nil
 	}
 	s.Hop()
-	buyers := st.Graph.KHop(s.GraphTx(), graph.VID(product), 1, graph.In, "purchased")
-	reach := map[graph.VID]bool{}
-	for _, b := range buyers {
-		reach[b] = true
-		s.Hop()
-		for _, v := range st.Graph.KHop(s.GraphTx(), b, 2, graph.Both, "knows") {
-			reach[v] = true
-		}
-	}
-	return len(reach), nil
+	buyers := st.Graph.KHop(s.GraphTx(), []graph.VID{graph.VID(product)}, 1, graph.In, "purchased")
+	s.Hop()
+	return len(buyers) + len(st.Graph.KHop(s.GraphTx(), buyers, 2, graph.Both, "knows")), nil
 }
 
 func q10FullChain(st datagen.Target, s session, p Params) (int, error) {

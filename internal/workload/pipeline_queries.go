@@ -229,7 +229,7 @@ func q11Pipeline(st datagen.Target, s session, p Params) (int, error) {
 // p's customer: one graph request.
 func q11Friends(st datagen.Target, s session, p Params) []any {
 	s.Hop()
-	friends := st.Graph.KHop(s.GraphTx(), graph.VID(datagen.CustomerVID(p.CustomerID)), 2, graph.Both, "knows")
+	friends := st.Graph.KHop(s.GraphTx(), []graph.VID{graph.VID(datagen.CustomerVID(p.CustomerID))}, 2, graph.Both, "knows")
 	ids := make([]any, 0, len(friends))
 	for _, f := range friends {
 		if fid, ok := customerIDOf(string(f)); ok {

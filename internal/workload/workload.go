@@ -40,7 +40,7 @@ const (
 	// Q5 InvoiceTotalsByCurrency (X): revenue grouped by invoice currency.
 	Q5
 	// Q6 TwoHopBuyers (G+D): customers within two knows-hops of anyone
-	// who bought a product.
+	// who bought a product — its buyers plus one walk from all of them.
 	Q6
 	// Q7 OrdersWithProduct (D+X): orders containing a product, with
 	// their invoice totals.

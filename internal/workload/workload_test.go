@@ -82,7 +82,7 @@ func q11FriendNetworkSpend(st datagen.Target, s session, p Params) (int, error) 
 		return 0, err
 	}
 	s.Hop()
-	friends := st.Graph.KHop(s.GraphTx(), graph.VID(datagen.CustomerVID(p.CustomerID)), 2, graph.Both, "knows")
+	friends := st.Graph.KHop(s.GraphTx(), []graph.VID{graph.VID(datagen.CustomerVID(p.CustomerID))}, 2, graph.Both, "knows")
 	orders := st.Docs.Collection("orders")
 	cities := map[string]bool{}
 	for _, f := range friends {
