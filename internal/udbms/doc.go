@@ -18,8 +18,8 @@
 // interface dispatch per 1024 rows rather than per row. Seeds push
 // their predicate into the store's scan (and its index, when one pins
 // the predicate). Sorts order row positions by mmvalue.Compare of their
-// keys; group-by aggregates (sum/count/min/max/avg) fold rows into
-// accumulators found by the hash of the group key.
+// keys; group-by aggregates (sum/count/min/max/avg) fold the column
+// projection of the values they read by the dict code of the group key.
 //
 // Seed scans stream rows straight out of store memory in batches,
 // using pooled scratch buffers so a steady-state query allocates a
@@ -32,31 +32,29 @@
 // Count/Each and rows dropped by Limit never pay for a clone.
 //
 // Equality joins between models either send one store-index probe per
-// row (rent) or build a hash table over the build side and probe it
-// per batch (buy). Against an indexed build side a join rents until the
-// probes spent since the side's last commit would have paid for a
-// build, then builds once and memoizes the table in a version-keyed
-// cache (joincache.go): every committed write bumps a per-store version
-// counter before it becomes visible, so an unchanged counter certifies
-// an unchanged build side. A side that keeps changing is only probed;
+// row (rent) or project the build side onto its key and whole row, and
+// find a probe key's matches by its dict code (buy). Against an indexed
+// build side a join rents until the probes spent since the side's last
+// commit would have paid for a build, then builds once and memoizes the
+// projection in a version-keyed cache (joincache.go): every committed
+// write bumps a per-store version counter before it becomes visible, so
+// an unchanged counter certifies an unchanged build side. A side that keeps changing is only probed;
 // read-heavy workloads build once and skip the rebuild entirely.
 //
 // A plan that is a whole-store, key-value-prefix, graph edge-end or XML
 // seed, joins (XML build sides included), Where stages, at most one
 // Unnest and a GroupBy reading only seed paths, "<asField>.0.<path>" and
 // paths under the Unnest's field runs that prefix over column
-// projections (projection.go): per store (and unnested array), one typed
-// vector and validity bitmap per path read, cached and certified like a
-// hash table, with join and group keys coded once per projection (string
+// projections (projection.go): per store (and unnested array), one
+// vector (typed for ints, floats or strings, else of values) and
+// validity bitmap per path read, cached and certified like a join's
+// build, with join and group keys coded once per projection (string
 // keys through a Go map). An XML projection reads the trees directly:
 // the text of a child parses to a number once per store version. A
 // projected Where is a code set: its values are looked up in the
 // column's dict once per run, and a row (or unnested element) is kept by
-// its code; the values are no part of the projection's cache key. A
-// projected GroupBy folds dict codes: a group's accumulator is found by
-// its key's code, with no hashing per row. Mixed-kind columns, and join
-// keys of two kinds or floats, fall back to rows. GroupBy → SortBy(an
-// aggregate) → Limit(n) builds n group rows.
+// its code; the values are no part of the projection's cache key.
+// GroupBy → SortBy(an aggregate) → Limit(n) builds n group rows.
 //
 // Every store request the executor issues — seed scan, build-side
 // scan, index probe, per-row key-value prefix scan — goes

@@ -4,12 +4,13 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"udbench/internal/mmvalue"
 	"udbench/internal/txn"
 )
 
 // joinCache decides, per build side, between renting (index probes)
-// and buying (one hash build, cached across pipeline runs). It also
-// holds column projections (projection.go), which are always bought.
+// and buying (one projection, cached across pipeline runs). It also
+// holds the projections of projected plans, which are always bought.
 //
 // A cold join against an indexed build side does not know whether the
 // side will stay unchanged long enough for a build to pay off, so it
@@ -17,32 +18,32 @@ import (
 // at its current Version(), and index probes are sent for as long as
 // the account stays under Pipeline.probeBelow — the number of probes
 // that cost as much as one build. The join that takes the account over
-// the threshold buys: it builds once and offers the table to the
+// the threshold buys: it builds once and offers the projection to the
 // cache, where it serves every reader until the next commit. A build
 // side that keeps changing is only ever probed; a quiet one is built
 // once, after its probes have cost as much as a build (rent-then-buy,
 // at most twice the cost of knowing the future). Build sides without
 // an index are built on every cache miss.
 //
-// An entry at version v holds either the built table or projection, or
-// the probes spent at v without one; a commit resets both by bumping the
-// version. Certifying a build for other readers rests on these gates:
+// An entry at version v holds either the built projection or the probes
+// spent at v without one; a commit resets both by bumping the version.
+// Certifying a build for other readers rests on these gates:
 //
 //   - Stores bump a version counter inside the commit hook, after the
 //     commit has drawn its timestamp and before its row versions are
 //     stamped visible (see Table.Version / Collection.Version). So
 //     "counter unchanged across the scan" certifies that no commit
 //     touched the build side during it.
-//   - The table is built under the reader's own snapshot (a snapshot
-//     at the published watermark when the reader has none) and is
-//     certified only when, at the start of the build, no commit was in
+//   - The projection is built under the reader's own snapshot (a
+//     snapshot at the published watermark when the reader has none) and
+//     is certified only when, at the start of the build, no commit was in
 //     flight (Oracle().Current() == Published()), the snapshot sits at
 //     that watermark, and the reader has written nothing (Tx.ReadOnly).
 //     The version is read before the in-flight check, so a commit the
 //     counter already reflects has published by the time the snapshot
 //     is taken, and any later one changes the counter.
-//   - A transactional reader gets a cached table only when its snapshot
-//     is at or above the entry's and it has written nothing itself:
+//   - A transactional reader gets a cached projection only when its
+//     snapshot is at or above the entry's and it has written nothing itself:
 //     with the version unchanged there are no commits between the two
 //     snapshots, so both see identical build-side state.
 //     Non-transactional readers (latest-committed streams) are served
@@ -69,28 +70,27 @@ type joinCacheKey struct {
 type joinCacheEntry struct {
 	ver  uint64
 	snap txn.TS
-	ht   *hashTable // nil while the entry is only a probe account
-	proj *projection
+	proj *projection // nil while the entry is only a probe account
 	// probes counts the probe rows charged at ver without a usable
-	// table.
+	// projection.
 	probes atomic.Int64
 }
 
-// buildSide is what a hash join needs of its build-side store.
+// buildSide is what a join or projection needs of its build-side store.
 type buildSide interface {
 	Version() uint64
 	Manager() *txn.Manager
 	Len() int
 }
 
-// JoinStats counts, since Open, how the executor's hash joins found
+// JoinStats counts, since Open, how the executor's equality joins found
 // their matches. Each join execution bumps at most one of CacheHits,
 // ProbeRows (by its probe rows) and Builds, and so does each column
 // projection (projection.go) a plan reads.
 type JoinStats struct {
 	CacheHits    uint64 // joins and projections served from the cache
 	ProbeRows    uint64 // probe rows sent to a build-side index
-	Builds       uint64 // store scans into a hash table or projection
+	Builds       uint64 // store scans into a projection
 	CachedBuilds uint64 // builds certified and offered to the cache
 }
 
@@ -103,30 +103,57 @@ func (c *joinCache) stats() JoinStats {
 	}
 }
 
-// get returns the cached entry if its table or projection is provably
-// equivalent to what a fresh build under tx would produce, else nil.
-// Lookup only — it never builds.
-func (c *joinCache) get(key joinCacheKey, ver uint64, tx *txn.Tx) *joinCacheEntry {
+// get returns the cached projection if it is provably equivalent to
+// what a fresh build under tx would produce, else nil. Lookup only — it
+// never builds.
+func (c *joinCache) get(key joinCacheKey, ver uint64, tx *txn.Tx) *projection {
+	if c == nil {
+		return nil
+	}
 	e, ok := c.m.Load(key)
 	if !ok {
 		return nil
 	}
 	ent := e.(*joinCacheEntry)
-	if ent.ht == nil && ent.proj == nil || ent.ver != ver {
+	if ent.proj == nil || ent.ver != ver {
 		return nil
 	}
 	if tx != nil && (tx.BeginTS() < ent.snap || !tx.ReadOnly()) {
 		return nil
 	}
 	c.hits.Add(1)
-	return ent
+	return ent.proj
+}
+
+// project returns s's projection onto paths (and arr, when not nil)
+// under key: the cached one, or one scan (and hop) offered to the cache
+// (none under PipelineOver). On a miss, rent (when not nil) may send the
+// caller to index probes instead: project then returns nil.
+func (c *joinCache) project(key joinCacheKey, s storeScan, paths []mmvalue.Path, arr *arraySpec, rent func(ver uint64) bool) *projection {
+	ver, tx := s.side.Version(), s.tx()
+	if proj := c.get(key, ver, tx); proj != nil {
+		return proj
+	}
+	if rent != nil && rent(ver) {
+		return nil
+	}
+	s.acc.Hop()
+	scan := func(tx *txn.Tx) *projection { return project(s, tx, paths, arr) }
+	if c == nil {
+		return scan(tx)
+	}
+	return c.build(key, s.side, tx, scan)
 }
 
 // rent charges rows probe rows to key's account at ver and reports
 // whether the account, this charge included, is still under below — in
-// which case the caller sends index probes. A reader whose version
-// observation is already stale charges the newer account.
+// which case the caller sends index probes. Without a cache the account
+// is just rows. A reader whose version observation is already stale
+// charges the newer account.
 func (c *joinCache) rent(key joinCacheKey, ver uint64, rows, below int) bool {
+	if c == nil {
+		return rows < below
+	}
 	var ent *joinCacheEntry
 	if e, ok := c.m.Load(key); ok {
 		ent = e.(*joinCacheEntry)
@@ -142,9 +169,9 @@ func (c *joinCache) rent(key joinCacheKey, ver uint64, rows, below int) bool {
 }
 
 // build scans the build side once under tx — under a snapshot at the
-// published watermark when tx is nil — into a table or projection, and
-// offers it to the cache when the gates in the type comment certify it.
-func (c *joinCache) build(key joinCacheKey, side buildSide, tx *txn.Tx, scan func(*txn.Tx) *joinCacheEntry) *joinCacheEntry {
+// published watermark when tx is nil — into a projection, and offers it
+// to the cache when the gates in the type comment certify it.
+func (c *joinCache) build(key joinCacheKey, side buildSide, tx *txn.Tx, scan func(*txn.Tx) *projection) *projection {
 	mgr := side.Manager()
 	ver := side.Version()
 	wm := mgr.Published()
@@ -153,14 +180,13 @@ func (c *joinCache) build(key joinCacheKey, side buildSide, tx *txn.Tx, scan fun
 		tx = mgr.Begin()
 		defer tx.Abort()
 	}
-	ent := scan(tx)
+	proj := scan(tx)
 	c.builds.Add(1)
 	if quiet && tx.ReadOnly() && tx.BeginTS() >= wm && side.Version() == ver {
-		ent.ver, ent.snap = ver, tx.BeginTS()
-		c.install(key, ent, false)
+		c.install(key, &joinCacheEntry{ver: ver, snap: tx.BeginTS(), proj: proj}, false)
 		c.cachedBuilds.Add(1)
 	}
-	return ent
+	return proj
 }
 
 // install stores ent under key unless the stored entry is newer (or,

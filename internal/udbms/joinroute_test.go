@@ -45,8 +45,8 @@ func firstN(k int) document.Filter {
 	})
 }
 
-// cachedTable reports whether the build collection has a cached table
-// at its current version.
+// cachedTable reports whether the build collection has a cached
+// projection at its current version.
 func cachedTable(db *DB) bool {
 	coll := db.Docs.Collection("build")
 	e, ok := db.joins.m.Load(joinCacheKey{store: coll, field: "cid"})
@@ -54,7 +54,7 @@ func cachedTable(db *DB) bool {
 		return false
 	}
 	ent := e.(*joinCacheEntry)
-	return ent.ht != nil && ent.ver == coll.Version()
+	return ent.proj != nil && ent.ver == coll.Version()
 }
 
 func statsDelta(after, before JoinStats) JoinStats {

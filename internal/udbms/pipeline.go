@@ -47,8 +47,8 @@ func (s Snapshot) Hop()             {}
 // or Each — pulls it, and operators exchange batches of up to 1024
 // rows rather than single rows (see exec.go). Limit
 // short-circuits upstream operators, and the cross-model joins pick per
-// execution between store index probes and one hash build over the
-// build side (joinSpec.route). Rows returned by Rows are deep copies
+// execution between store index probes and one projection of the build
+// side, its rows grouped by key (joinSpec.route). Rows returned by Rows are deep copies
 // and may be mutated freely; Each callbacks observe shared rows and
 // must not mutate them.
 //
@@ -198,7 +198,7 @@ func (p *Pipeline) Where(path string, vals ...any) *Pipeline {
 
 // Limit truncates the result to the first n rows; upstream operators
 // stop as soon as the limit is satisfied (blocking stages — SortBy and
-// the hash joins — buffer their input first and only stop emitting).
+// the equality joins — buffer their input first and only stop emitting).
 // Negative n means unlimited. GroupBy → SortBy(one of its aggregates) →
 // Limit(n) builds only the n group rows the limit keeps.
 func (p *Pipeline) Limit(n int) *Pipeline {
@@ -251,8 +251,8 @@ func (p *Pipeline) SortBy(path string, descending bool) *Pipeline {
 // row is fully owned and has the shape {asKey: key, <agg fields>...};
 // rows stream out in ascending key order (mmvalue.Compare), so results
 // are deterministic. GroupBy is a blocking stage like SortBy: it
-// buffers accumulators until the input ends, and a following
-// SortBy+Limit is top-N over aggregates.
+// buffers the values its paths read until the input ends, and a
+// following SortBy+Limit is top-N over aggregates.
 func (p *Pipeline) GroupBy(keyPath, asKey string, aggs ...Agg) *Pipeline {
 	if p.err != nil {
 		return p
@@ -266,8 +266,9 @@ func (p *Pipeline) GroupBy(keyPath, asKey string, aggs ...Agg) *Pipeline {
 // an array under asField. Rows without matches keep an empty array;
 // null row keys match nothing. When the collection has an index on
 // docPath the join rents — per-row index lookups — until the probes
-// would have paid for a build, and then buys: one hash build over the
-// collection, cached until its next commit (joinSpec.route). The build
+// would have paid for a build, and then buys: one projection of the
+// collection onto docPath and the whole document, its documents grouped
+// by key, cached until its next commit (joinSpec.route). The build
 // side is only scanned after the seed scan completes, so joining a
 // collection with itself is safe.
 func (p *Pipeline) JoinDocuments(collection, rowField, docPath, asField string) *Pipeline {
@@ -287,7 +288,7 @@ func (p *Pipeline) JoinDocuments(collection, rowField, docPath, asField string) 
 // JoinRelational extends each row with the rows of table whose column
 // equals the row's rowField value, landing under asField as an array.
 // Like JoinDocuments it rents primary-key or secondary-index lookups
-// before it buys a hash build.
+// before it buys a projection of the table.
 func (p *Pipeline) JoinRelational(table, rowField, column, asField string) *Pipeline {
 	if p.err != nil {
 		return p
@@ -309,8 +310,8 @@ func (p *Pipeline) JoinRelational(table, rowField, column, asField string) *Pipe
 // JoinXML extends each row with the XML document whose id equals the
 // row's rowField value, as a one-row array under asField in FromXML's
 // row form; a row whose key names no document keeps an empty array. It
-// rents document lookups by id before it buys a hash build, like
-// JoinDocuments.
+// rents document lookups by id before it buys a projection of the
+// store, like JoinDocuments.
 func (p *Pipeline) JoinXML(rowField, asField string) *Pipeline {
 	if p.err != nil {
 		return p
@@ -356,7 +357,7 @@ func (p *Pipeline) hashJoin(side storeScan, field string, keyPath mmvalue.Path, 
 }
 
 // probeScanRatio is what one index probe costs in build-side rows
-// scanned into a hash table, in process (2 cores, go1.24). The /cold
+// scanned into a join's projection, in process (2 cores, go1.24). The /cold
 // legs of BenchmarkPipelineJoin put a probe returning ~4 small
 // documents at ≈ 4.2 µs (probe10 cold 55 µs − warm 13 µs, over 10) and
 // a build at ≈ 0.53 µs per row (probe500 cold 690 µs − warm 155 µs,
@@ -369,7 +370,7 @@ const probeScanRatio = 10
 
 // probeBelow is the number of probe rows that cost as much as one scan
 // of an indexed build side of buildLen rows: the rent a join pays in
-// index probes before it buys a hash build (joinSpec.route). In
+// index probes before it buys a build (joinSpec.route). In
 // process that is buildLen/probeScanRatio, and never under 4. Under
 // PipelineOver (no join cache) every probe is a round trip and the
 // whole scan is one, so only a single probe is worth sending.

@@ -113,15 +113,16 @@ func xmlText(text string) mmvalue.Value {
 	return mmvalue.String(text)
 }
 
-// column is one path's values over a projection's rows, in scan order:
-// a vector of their one kind and a bitmap of the rows that have one.
+// column is one path's values over a projection's rows, in scan order,
+// and a bitmap of the rows that have one: a vector of their one kind if
+// that is int, float or string, else vals.
 type column struct {
-	kind   mmvalue.Kind // KindNull until the first value
-	mixed  bool         // values of two kinds, or of a kind with no vector
+	kind   mmvalue.Kind // the last value's: KindNull until the first value
 	valid  []uint64
 	ints   []int64
 	floats []float64
 	strs   []string
+	vals   []mmvalue.Value
 }
 
 // add sets row r, the next row, to v. A row without a value reads zero
@@ -130,22 +131,30 @@ func (c *column) add(r int, v mmvalue.Value) {
 	if r%64 == 0 {
 		c.valid = append(c.valid, 0)
 	}
-	switch k := v.Kind(); {
-	case k == mmvalue.KindNull || c.mixed:
+	k := v.Kind()
+	if k == mmvalue.KindNull {
 		return
-	case c.kind != mmvalue.KindNull && k != c.kind:
-		c.mixed = true
+	}
+	if typed := k == mmvalue.KindInt || k == mmvalue.KindFloat || k == mmvalue.KindString; c.vals == nil &&
+		(!typed || c.kind != mmvalue.KindNull && k != c.kind) { // the rows so far move to vals
+		vals := make([]mmvalue.Value, r)
+		for i := range vals {
+			vals[i] = c.value(i)
+		}
+		c.vals, c.ints, c.floats, c.strs = vals, nil, nil, nil
+	}
+	switch {
+	case c.vals != nil:
+		c.vals = append(append(c.vals, make([]mmvalue.Value, r-len(c.vals))...), v)
 	case k == mmvalue.KindInt:
 		c.ints = append(append(c.ints, make([]int64, r-len(c.ints))...), v.MustInt())
 	case k == mmvalue.KindFloat:
 		f, _ := v.AsFloat()
 		c.floats = append(append(c.floats, make([]float64, r-len(c.floats))...), f)
-	case k == mmvalue.KindString:
-		c.strs = append(append(c.strs, make([]string, r-len(c.strs))...), v.MustString())
 	default:
-		c.mixed = true
+		c.strs = append(append(c.strs, make([]string, r-len(c.strs))...), v.MustString())
 	}
-	c.kind = v.Kind()
+	c.kind = k
 	c.valid[r/64] |= 1 << (r % 64)
 }
 
@@ -154,6 +163,8 @@ func (c *column) value(r int) mmvalue.Value {
 	switch {
 	case r < 0 || c.valid[r/64]&(1<<(r%64)) == 0:
 		return mmvalue.Null
+	case c.vals != nil:
+		return c.vals[r]
 	case c.kind == mmvalue.KindInt:
 		return mmvalue.Int(c.ints[r])
 	case c.kind == mmvalue.KindFloat:
@@ -163,17 +174,18 @@ func (c *column) value(r int) mmvalue.Value {
 }
 
 // projection is one store's rows at one version, one column per
-// projected path; dicts and links derive from the columns on first use.
-// elems projects the elements of the array a plan unnests from these
-// rows, row r's being off[r] ≤ e < off[r+1].
+// projected path; dicts, links and matches derive from the columns on
+// first use. elems projects the elements of the array a plan unnests
+// from these rows, row r's being off[r] ≤ e < off[r+1].
 type projection struct {
-	n     int
-	cols  []column
-	off   []int32
-	elems *projection
-	mu    sync.Mutex
-	dicts map[int]*dict
-	links map[int]projLink // per probe column
+	n       int
+	cols    []column
+	off     []int32
+	elems   *projection
+	mu      sync.Mutex
+	dicts   map[int]*dict
+	links   map[int]projLink // per probe column
+	matches *matches
 }
 
 // projLink is link's result for one build projection.
@@ -205,6 +217,11 @@ func project(s storeScan, tx *txn.Tx, paths []mmvalue.Path, arr *arraySpec) *pro
 	p := newProjection(len(paths))
 	if arr != nil {
 		p.off, p.elems = []int32{0}, newProjection(len(arr.elems))
+	}
+	for c, path := range paths { // a whole-row column holds every row: sized once
+		if _, isKV := s.side.(*kv.Store); len(path) == 0 && !isKV { // kv.Store.Len counts by scanning
+			p.cols[c].vals = make([]mmvalue.Value, 0, s.side.Len())
+		}
 	}
 	g, ok := s.side.(*graph.Store)
 	if ok && arr == nil && len(paths) == 1 && slices.Equal(paths[0], mmvalue.Path{s.keys[0]}) {
@@ -278,7 +295,7 @@ func (p *projection) dict(col int) *dict {
 	}
 	d := &dict{col: &p.cols[col], codes: make([]int32, p.n), first: []int32{-1},
 		index: map[uint64][]int32{mmvalue.Null.Hash(): {0}}}
-	if d.col.kind == mmvalue.KindString { // a Go map codes strings faster than hashed Values
+	if d.col.kind == mmvalue.KindString && d.col.vals == nil { // a Go map codes strings faster than hashed Values
 		d.strs = map[string]int32{}
 	}
 	for r := range d.codes {
@@ -293,8 +310,9 @@ func (p *projection) dict(col int) *dict {
 		}
 		v := d.col.value(r)
 		if d.codes[r] = d.code(v); d.codes[r] < 0 {
+			h := v.Hash()
 			d.codes[r] = int32(len(d.first))
-			d.index[v.Hash()] = append(d.index[v.Hash()], d.codes[r])
+			d.index[h] = append(d.index[h], d.codes[r])
 			d.first = append(d.first, int32(r))
 		}
 	}
@@ -322,27 +340,50 @@ func (p *projection) link(col int, build *projection) []int32 {
 	return rows
 }
 
-// project returns s's projection onto paths (and arr, when not nil)
-// for the pipeline's reader: the join cache's, or one scan (and hop)
-// offered to the cache.
-func (p *Pipeline) project(s storeScan, paths []mmvalue.Path, arr *arraySpec) *projection {
-	if p.joins == nil {
-		p.acc.Hop()
-		return project(s, s.tx(), paths, arr)
+// matches is a join's build structure: the whole rows of a projection
+// onto [key path, whole row] by key code, code c's in scan order at
+// rows[start[c]:start[c+1]]. Null keys (code 0) match nothing.
+type matches struct {
+	keys  *dict
+	rows  []mmvalue.Value
+	start []int32
+}
+
+// get returns the build rows whose key equals key under mmvalue.Equal.
+func (m *matches) get(key mmvalue.Value) []mmvalue.Value {
+	if c := m.keys.code(key); c > 0 {
+		return m.rows[m.start[c]:m.start[c+1]:m.start[c+1]]
 	}
-	cols := fmt.Sprintf("%q %q %q", s.prefix, s.keys, paths)
-	if arr != nil { // the array's path and element paths: plans that unnest it from another scan share it
-		cols += fmt.Sprintf(" %q %q", arr.path, arr.elems)
+	return nil
+}
+
+// byKey returns p's rows (column 1) grouped by their key (column 0).
+func (p *projection) byKey() *matches {
+	keys := p.dict(0) // before p.mu
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.matches != nil {
+		return p.matches
 	}
-	key := joinCacheKey{store: s.side, cols: cols}
-	ver, tx := s.side.Version(), s.tx()
-	if e := p.joins.get(key, ver, tx); e != nil {
-		return e.proj
+	// A counting sort by code: start[c] counts up to the end of code c's
+	// rows, and placing the rows back to front moves it to their start.
+	start := make([]int32, len(keys.first)+1)
+	for _, c := range keys.codes {
+		start[c]++
 	}
-	p.acc.Hop()
-	return p.joins.build(key, s.side, tx, func(tx *txn.Tx) *joinCacheEntry {
-		return &joinCacheEntry{proj: project(s, tx, paths, arr)}
-	}).proj
+	start[0] = 0
+	for c := 1; c < len(start); c++ {
+		start[c] += start[c-1]
+	}
+	rows := make([]mmvalue.Value, start[len(start)-1])
+	for r := len(keys.codes) - 1; r >= 0; r-- {
+		if c := keys.codes[r]; c > 0 {
+			start[c]--
+			rows[start[c]] = p.cols[1].value(r)
+		}
+	}
+	p.matches = &matches{keys, rows, start}
+	return p.matches
 }
 
 // projPlan is a plan's projected prefix. Scan 0 is the seed, scan j+1
@@ -359,7 +400,7 @@ type projPlan struct {
 	key     colRef   // the GroupBy key
 	aggs    []colRef // per aggregate; unused for Count
 	rest    []stage  // the GroupBy and the stages after it
-	bad     bool     // a path reads a match array other than at ".0."
+	bad     bool     // a path reads a match array other than at ".0.", or a row a stage extended
 }
 
 // projFilter is a Where over one column. Its values stay out of the
@@ -406,13 +447,7 @@ func (p *Pipeline) projectedPlan() (*projPlan, bool) {
 		case *whereStage:
 			pl.filters = append(pl.filters, projFilter{pl.resolve(st.path), st.vals})
 		case *groupStage:
-			pl.key = pl.resolve(st.key)
-			pl.aggs = make([]colRef, len(st.aggs))
-			for k, a := range st.aggs {
-				if a.kind != aggCount {
-					pl.aggs[k] = pl.resolve(a.path)
-				}
-			}
+			pl.group(st)
 			pl.rest = p.stages[i:]
 			return pl, !pl.bad
 		default:
@@ -420,6 +455,18 @@ func (p *Pipeline) projectedPlan() (*projPlan, bool) {
 		}
 	}
 	return nil, false
+}
+
+// group names the columns GroupBy st reads: its key and aggregate
+// paths.
+func (pl *projPlan) group(st *groupStage) {
+	pl.key = pl.resolve(st.key)
+	pl.aggs = make([]colRef, len(st.aggs))
+	for k, a := range st.aggs {
+		if a.kind != aggCount {
+			pl.aggs[k] = pl.resolve(a.path)
+		}
+	}
 }
 
 // resolve names the column at path, adding it to its scan's paths; a
@@ -444,8 +491,12 @@ func addPath(paths *[]mmvalue.Path, path mmvalue.Path) int {
 
 // locate finds the scan whose rows path reads, and the path within
 // them: "<asField>.0.<rest>" is rest in the build rows of the last join
-// that attaches asField, any other path a seed path.
+// that attaches asField, any other path a seed path. The whole row is a
+// seed row only before the first join or Unnest attaches to it.
 func (pl *projPlan) locate(path mmvalue.Path) (int, mmvalue.Path) {
+	if len(path) == 0 && (len(pl.joins) > 0 || pl.arr != nil) {
+		pl.bad = true
+	}
 	for j := len(pl.joins) - 1; j >= 0; j-- {
 		if len(path) > 0 && path[0] == pl.joins[j].asField {
 			if len(path) < 3 || path[1] != "0" {
@@ -458,9 +509,9 @@ func (pl *projPlan) locate(path mmvalue.Path) (int, mmvalue.Path) {
 	return 0, path
 }
 
-// runProjected runs a plan of the projected shape and reports true. It
-// reports false, having emitted nothing, when the plan lacks the shape
-// or a column it reads mixes kinds.
+// runProjected runs a plan of the projected shape over its scans'
+// projections and reports true; it reports false, having emitted
+// nothing, when the plan lacks the shape.
 func (p *Pipeline) runProjected(onRow func(mmvalue.Value) bool) bool {
 	pl, ok := p.projectedPlan()
 	if !ok {
@@ -472,23 +523,23 @@ func (p *Pipeline) runProjected(onRow func(mmvalue.Value) bool) bool {
 		if pl.arr != nil && pl.arr.scan == i {
 			arr = pl.arr
 		}
-		if projs[i] = p.project(s, pl.paths[i], arr); arr != nil {
+		cols := fmt.Sprintf("%q %q %q", s.prefix, s.keys, pl.paths[i])
+		if arr != nil { // the array's path and element paths: plans that unnest it from another scan share it
+			cols += fmt.Sprintf(" %q %q", arr.path, arr.elems)
+		}
+		if projs[i] = p.joins.project(joinCacheKey{store: s.side, cols: cols}, s, pl.paths[i], arr, nil); arr != nil {
 			projs = append(projs, projs[i].elems)
 		}
 	}
-	for _, pr := range projs {
-		if slices.ContainsFunc(pr.cols, func(c column) bool { return c.mixed }) {
-			return false
-		}
-	}
-	// Join keys of two kinds, or float keys, stay on rows: columns serve
-	// the int and string keys every benchmark join has.
-	for j, probe := range pl.probes {
-		k, bk := projs[0].cols[probe.col].kind, projs[j+1].cols[0].kind
-		if k == mmvalue.KindFloat || k != bk && k != mmvalue.KindNull && bk != mmvalue.KindNull {
-			return false
-		}
-	}
+	g := &groupSink{st: pl.rest[0].(*groupStage), down: wireChain(pl.rest[1:], onRow)}
+	g.fold(pl, projs)
+	return true
+}
+
+// fold is GroupBy's one fold: over projs, the projections of pl's scans,
+// each seed row (or unnested element) pl's Where stages keep goes to
+// the accumulator its key's code finds, slab[code]. It emits the groups.
+func (g *groupSink) fold(pl *projPlan, projs []*projection) {
 	at := make([]int, len(projs)) // at[i]: the row of scan i the seed row reads
 	val := func(ref colRef) mmvalue.Value { return projs[ref.scan].cols[ref.col].value(at[ref.scan]) }
 	links := make([][]int32, len(pl.probes))
@@ -521,20 +572,18 @@ func (p *Pipeline) runProjected(onRow func(mmvalue.Value) bool) bool {
 		}
 		return true
 	}
-	g := wireChain(pl.rest, onRow).(*groupSink)
-	// A group is found by its key's code: its accumulator is slab[code].
 	keys := projs[pl.key.scan].dict(pl.key.col)
 	fs, n, nagg := foldPool.Get().(*foldScratch), len(keys.first), len(g.st.aggs)
 	slab, states := slices.Grow(fs.slab[:0], n)[:n], slices.Grow(fs.states[:0], n*nagg)[:n*nagg]
 	g.accs = fs.accs[:0]
-	fold := func() {
+	add := func() {
 		code := 0
 		if r := at[pl.key.scan]; r >= 0 {
 			code = int(keys.codes[r])
 		}
 		acc := &slab[code]
 		if acc.count == 0 {
-			acc.key, acc.st = keys.val(code), states[code*nagg:(code+1)*nagg]
+			acc.key, acc.st = keys.val(code).Clone(), states[code*nagg:(code+1)*nagg] // rows out are owned, like min/max winners
 			g.accs = append(g.accs, acc)
 		}
 		acc.count++
@@ -552,22 +601,21 @@ func (p *Pipeline) runProjected(onRow func(mmvalue.Value) bool) bool {
 		switch a, e := pl.arr, len(pl.scans); {
 		case !keep(rowFilters):
 		case a == nil:
-			fold()
+			add()
 		case at[a.scan] >= 0:
 			off := projs[a.scan].off[at[a.scan]:]
 			for at[e] = int(off[0]); at[e] < int(off[1]); at[e]++ {
 				if keep(elemFilters) {
-					fold()
+					add()
 				}
 			}
 		}
 	}
-	fs.slab, fs.states, fs.accs = slab, states, g.accs // before flush drops g.accs
-	g.flush()
+	fs.slab, fs.states, fs.accs = slab, states, g.accs
+	g.emit()
 	clear(slab)
 	clear(states)
 	foldPool.Put(fs)
-	return true
 }
 
 // codeSet is a Where's kept codes of one column of scan: in is a bitmap
@@ -588,7 +636,7 @@ func (f codeSet) keeps(r int) bool {
 	return f.in[c/64]&(1<<(c%64)) != 0
 }
 
-// foldPool recycles runProjected's accumulators, cleared: a warm fold
+// foldPool recycles fold's accumulators, cleared: a warm fold
 // over thousands of groups would otherwise allocate them on every run.
 var foldPool = sync.Pool{New: func() any { return &foldScratch{} }}
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -21,16 +22,16 @@ import (
 type projMode int
 
 const (
-	projInt   projMode = iota // int join keys: columns
-	projStr                   // string join keys: columns
-	projCross                 // int probe keys, float build keys: joins on rows
-	projMixed                 // one int total among floats: rows
+	projInt   projMode = iota // int join keys
+	projStr                   // string join keys
+	projCross                 // int probe keys, float build keys
+	projMixed                 // one int total among floats
 )
 
-// projDB builds an "orders" collection {cid, total}, a "custtab" table
-// and a "custdocs" collection {ref.cid, city, score}. Every field may be
-// null or missing; build keys repeat and some probe keys match nothing;
-// totals go negative and now and then NaN.
+// projDB builds an "orders" collection {cid, total, paid}, a "custtab"
+// table and a "custdocs" collection {ref.cid, city, score}. Every field
+// may be null or missing; build keys repeat and some probe keys match
+// nothing; totals go negative and now and then NaN; paid is a bool.
 func projDB(t *testing.T, rng *rand.Rand, mode projMode) *DB {
 	t.Helper()
 	key := func(k int) mmvalue.Value {
@@ -69,6 +70,9 @@ func projDB(t *testing.T, rng *rand.Rand, mode projMode) *DB {
 		maybe(o, "total", total)
 		if mode == projMixed && i == 7 {
 			o.Set("total", mmvalue.Int(3))
+		}
+		if i%5 > 0 {
+			o.Set("paid", mmvalue.Bool(i%3 == 0))
 		}
 		if err := orders.Insert(nil, mmvalue.FromObject(o)); err != nil {
 			t.Fatal(err)
@@ -120,15 +124,15 @@ func projDB(t *testing.T, rng *rand.Rand, mode projMode) *DB {
 // joins and the group-by applied to materialized order rows.
 type projPlanCase struct {
 	name   string
-	joins  bool
 	onRows bool // the plan lacks the shape
-	// unmixed: the plan reads no column projMixed mixes kinds in
-	unmixed bool
-	build   func(p *Pipeline) *Pipeline
-	refRow  func(db *DB, rows []mmvalue.Value) []mmvalue.Value
+	build  func(p *Pipeline) *Pipeline
+	refRow func(db *DB, rows []mmvalue.Value) []mmvalue.Value
 }
 
-// projPlans draws the aggregates at random; every plan sums total.
+// projPlans draws the aggregates at random; every plan sums total. The
+// bool key, the object key (a custdocs ref) and the Max over the
+// orders' items (arrays among strings, from projKVData) read value
+// columns. The whole row a join extended is a key only on rows.
 func projPlans(rng *rand.Rand) []projPlanCase {
 	aggs := []Agg{Sum("total", "s"), Count("n")}
 	for _, a := range []Agg{Avg("total", "av"), Min("total", "mn"), Max("c.0.score", "mx"), Max("d.0.city", "mc")} {
@@ -136,23 +140,30 @@ func projPlans(rng *rand.Rand) []projPlanCase {
 			aggs = append(aggs, a)
 		}
 	}
+	arrayMax := append(slices.Clip(aggs), Max("items", "mi"))
 	var cases []projPlanCase
 	for _, c := range []struct {
 		name          string
 		key           string
 		rel, doc, top bool
+		aggs          []Agg
 	}{
-		{"seed key", "cid", false, false, false},
-		{"relational city", "c.0.city", true, false, false},
-		{"document city", "d.0.city", false, true, false},
-		{"both joins", "c.0.city", true, true, false},
-		{"relational score, top 3", "c.0.score", true, false, true},
-		{"second match", "c.1.city", true, false, false},
+		{"seed key", "cid", false, false, false, aggs},
+		{"relational city", "c.0.city", true, false, false, aggs},
+		{"document city", "d.0.city", false, true, false, aggs},
+		{"both joins", "c.0.city", true, true, false, aggs},
+		{"relational score, top 3", "c.0.score", true, false, true, aggs},
+		{"second match", "c.1.city", true, false, false, aggs},
+		{"bool key", "paid", false, false, false, aggs},
+		{"object key", "d.0.ref", false, true, false, aggs},
+		{"array max", "cid", false, false, false, arrayMax},
+		{"array max, second match", "c.1.city", true, false, false, arrayMax},
+		{"whole row key", "", true, false, false, aggs},
 	} {
+		aggs := c.aggs
 		cases = append(cases, projPlanCase{
 			name:   c.name,
-			joins:  c.rel || c.doc,
-			onRows: c.key == "c.1.city",
+			onRows: c.key == "c.1.city" || c.key == "",
 			build: func(p *Pipeline) *Pipeline {
 				p = p.FromDocuments("orders", nil)
 				if c.rel {
@@ -284,8 +295,7 @@ func projKVPlans() []projPlanCase {
 	}
 	return []projPlanCase{
 		{
-			name:    "kv seed key",
-			unmixed: true,
+			name: "kv seed key",
 			build: func(p *Pipeline) *Pipeline {
 				return p.FromKVPrefix("fb/", "cid", "oid").GroupBy("cid", "k", aggs[:2]...)
 			},
@@ -381,8 +391,7 @@ func projGraphPlans() []projPlanCase {
 	count, both := []Agg{Count("n")}, []Agg{Count("n"), Max("v", "mx")}
 	plan := func(label string, aggs []Agg, top bool) projPlanCase {
 		return projPlanCase{
-			name:    fmt.Sprintf("edge ends %s %d aggs top %v", label, len(aggs), top),
-			unmixed: true,
+			name: fmt.Sprintf("edge ends %s %d aggs top %v", label, len(aggs), top),
 			build: func(p *Pipeline) *Pipeline {
 				if p = p.FromEdgeEnds(label, "v").GroupBy("v", "k", aggs...); top {
 					p = p.SortBy("n", true).Limit(3)
@@ -399,9 +408,8 @@ func projGraphPlans() []projPlanCase {
 		}
 	}
 	onRows := projPlanCase{ // a SortBy first keeps the plan on rows
-		name:    "edge ends sorted, then grouped",
-		unmixed: true,
-		onRows:  true,
+		name:   "edge ends sorted, then grouped",
+		onRows: true,
 		build: func(p *Pipeline) *Pipeline {
 			return p.FromEdgeEnds("knows", "v").SortBy("v", true).GroupBy("v", "k", both...)
 		},
@@ -421,12 +429,10 @@ func projGraphPlans() []projPlanCase {
 }
 
 // TestProjectionMatchesRowPath runs the projected plans over random data
-// and compares them with the row-at-a-time references. Int and string
-// join keys run over columns; float build keys against int probe keys,
-// and a column mixing ints and floats, must run on rows. The key-value
-// seed and Unnest plans join on order ids and run over columns unless
-// an element column mixes kinds (projMixed). The edge-end seed plans
-// always run over columns.
+// and compares them with the row-at-a-time references. Every plan not
+// marked onRows runs over columns: int and string join keys, float
+// build keys against int probe keys (projCross), columns mixing ints
+// and floats (projMixed), and bool, array and object values alike.
 func TestProjectionMatchesRowPath(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		mode := projMode(seed % 4)
@@ -443,7 +449,7 @@ func TestProjectionMatchesRowPath(t *testing.T) {
 				got = append(got, r.Clone())
 				return true
 			})
-			wantRan := !pc.onRows && (mode != projMixed || pc.unmixed) && (mode != projCross || !pc.joins)
+			wantRan := !pc.onRows
 			if ran != wantRan {
 				t.Errorf("%s: ran over columns %v, want %v", label, ran, wantRan)
 			}

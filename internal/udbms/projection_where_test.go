@@ -128,13 +128,14 @@ func refUnnest(rows []mmvalue.Value, path, as string) []mmvalue.Value {
 // projWherePlans are the XML seed, XML build side and Where plans over
 // projDB, projKVData and projXMLData. A Where's values mix an int and an
 // equal float, strings, null (which matches nothing) and values no row
-// holds.
+// holds; one Where matches objects, another bools.
 func projWherePlans() []projPlanCase {
 	xmlAggs := []Agg{Avg("total", "av"), Count("n"), Max("_id", "mx"), Min("note", "mn")}
 	sumAggs := []Agg{Sum("total", "s"), Count("n")}
 	invAggs := []Agg{Max("x.0.total", "t"), Count("n"), Sum("x.0.total", "s")}
 	keys := []any{1, 2.0, "k3", "k4", nil, 99, "nobody"}
 	cities := []any{"c1", "c4", nil}
+	refs := []any{map[string]any{"cid": 1}, map[string]any{"cid": "k3"}, map[string]any{}, true}
 	return []projPlanCase{
 		{
 			name: "xml seed",
@@ -180,8 +181,7 @@ func projWherePlans() []projPlanCase {
 			},
 		},
 		{
-			name:  "build-side where",
-			joins: true,
+			name: "build-side where",
 			build: func(p *Pipeline) *Pipeline {
 				return p.FromDocuments("orders", nil).JoinRelational("custtab", "cid", "cid", "c").
 					Where("c.0.city", cities...).GroupBy("cid", "k", sumAggs...)
@@ -192,8 +192,7 @@ func projWherePlans() []projPlanCase {
 			},
 		},
 		{
-			name:  "where matching nothing",
-			joins: true,
+			name: "where matching nothing",
 			build: func(p *Pipeline) *Pipeline {
 				return p.FromDocuments("orders", nil).JoinRelational("custtab", "cid", "cid", "c").
 					Where("c.0.city", "nowhere").GroupBy("cid", "k", sumAggs...)
@@ -210,6 +209,26 @@ func projWherePlans() []projPlanCase {
 				rows := refUnnest(refJoinXMLAt(db, nil, orders, "_id", "x"), "items", "it")
 				rows = refWhere(refWhere(rows, "it.pid", "p1", "p3", nil), "x.0.@cur", "EUR", "SEK")
 				return refGroupBy(rows, mmvalue.Path{"_id"}, "k", invAggs)
+			},
+		},
+		{
+			name: "object where, bool key",
+			build: func(p *Pipeline) *Pipeline {
+				return p.FromDocuments("orders", nil).JoinDocuments("custdocs", "cid", "ref.cid", "d").
+					Where("d.0.ref", refs...).GroupBy("paid", "k", sumAggs...)
+			},
+			refRow: func(db *DB, orders []mmvalue.Value) []mmvalue.Value {
+				rows := refJoinDocuments(db, orders, "custdocs", "cid", "ref.cid", "d")
+				return refGroupBy(refWhere(rows, "d.0.ref", refs...), mmvalue.Path{"paid"}, "k", sumAggs)
+			},
+		},
+		{
+			name: "bool where",
+			build: func(p *Pipeline) *Pipeline {
+				return p.FromDocuments("orders", nil).Where("paid", true, 1).GroupBy("cid", "k", sumAggs...)
+			},
+			refRow: func(_ *DB, orders []mmvalue.Value) []mmvalue.Value {
+				return refGroupBy(refWhere(orders, "paid", true, 1), mmvalue.Path{"cid"}, "k", sumAggs)
 			},
 		},
 		{
@@ -235,9 +254,9 @@ func twoOrders(o mmvalue.Value) bool {
 
 // TestWhereAndXMLMatchRowPath runs the XML and Where plans over random
 // data, over columns and on rows, and compares both with the row at a
-// time references. They run over columns unless a column they read
-// mixes kinds (projMixed) or a relational join has float build keys
-// (projCross).
+// time references. Every plan not marked onRows runs over columns, also
+// where a column it reads mixes kinds (projMixed) or a relational join
+// has float build keys (projCross).
 func TestWhereAndXMLMatchRowPath(t *testing.T) {
 	for seed := int64(0); seed < 32; seed++ {
 		mode := projMode(seed % 4)
@@ -253,7 +272,7 @@ func TestWhereAndXMLMatchRowPath(t *testing.T) {
 				got = append(got, r.Clone())
 				return true
 			})
-			if wantRan := !pc.onRows && mode != projMixed && (mode != projCross || !pc.joins); ran != wantRan {
+			if wantRan := !pc.onRows; ran != wantRan {
 				t.Errorf("%s: ran over columns %v, want %v", label, ran, wantRan)
 			}
 			rows, err := pc.build(db.Pipeline(nil)).Rows()

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"udbench/internal/document"
 	"udbench/internal/graph"
 	"udbench/internal/mmvalue"
 	"udbench/internal/relational"
@@ -16,6 +17,9 @@ import (
 // contractDB is a small Figure-1 dataset whose rows nest: orders carry
 // items with tag arrays, feedback values and vertex properties hold
 // objects, so a mutation can reach every level of a returned row.
+// Visits name orders, and there are more of them than an attach batch
+// holds (attachCap), so a join from them recycles its scratch rows
+// within one run.
 func contractDB(t *testing.T) *DB {
 	t.Helper()
 	db := Open()
@@ -27,7 +31,7 @@ func contractDB(t *testing.T) *DB {
 	if err != nil {
 		t.Fatal(err)
 	}
-	orders := db.Docs.Collection("orders")
+	orders, visits := db.Docs.Collection("orders"), db.Docs.Collection("visits")
 	if err := db.RunTx(func(tx *txn.Tx) error {
 		for i := 1; i <= 6; i++ {
 			if err := cust.Insert(tx, mmvalue.ObjectOf("id", i, "name", fmt.Sprintf("cust%d", i), "city", []string{"hki", "tku"}[i%2])); err != nil {
@@ -41,6 +45,11 @@ func contractDB(t *testing.T) *DB {
 		for i := 1; i <= 9; i++ {
 			from, to := graph.VID(fmt.Sprintf("c%d", i%6+1)), graph.VID(fmt.Sprintf("c%d", (i*i)%6+1))
 			if err := db.Graph.AddEdge(tx, graph.EID(fmt.Sprintf("k%d", i)), "knows", from, to, mmvalue.ObjectOf("since", i)); err != nil {
+				return err
+			}
+		}
+		for i := 0; i < 3*attachCap; i++ {
+			if err := visits.Insert(tx, mmvalue.ObjectOf("_id", fmt.Sprintf("v%03d", i), "oid", fmt.Sprintf("o%02d", i%11+1), "n", i)); err != nil {
 				return err
 			}
 		}
@@ -139,7 +148,8 @@ func render(rows []mmvalue.Value) []string {
 // (hash join, key-value prefix join, Unnest) after a seed, after a
 // join and after a top-N group, on rows and over column projections,
 // and run from several goroutines at once, so pipelines share the
-// pooled scratch rows.
+// pooled scratch rows. A GroupBy on rows that reads a field a join
+// attached to recycled scratch rows must also match its reference.
 func TestPipelineLeavesStoreRowsAlone(t *testing.T) {
 	db := contractDB(t)
 	feedbackOf := func(field string) func(mmvalue.Value) string {
@@ -153,6 +163,11 @@ func TestPipelineLeavesStoreRowsAlone(t *testing.T) {
 			return ""
 		}
 	}
+	someVisits := document.Func("n%3>0", func(v mmvalue.Value) bool {
+		n, _ := v.MustObject().GetOr("n", mmvalue.Null).AsInt()
+		return n%3 > 0
+	})
+	groupAggs := []Agg{Max("_order.0.total", "top"), Count("n")}
 	plans := []struct {
 		name string
 		plan func() *Pipeline
@@ -194,6 +209,11 @@ func TestPipelineLeavesStoreRowsAlone(t *testing.T) {
 			return db.Pipeline(nil).FromRelational("customer", relational.Col("city").Eq("hki")).
 				JoinDocuments("orders", "id", "customer_id", "_orders").
 				JoinKVPrefix(feedbackOf("id"), "_feedback")
+		}},
+		{"filtered-join-group", func() *Pipeline {
+			return db.Pipeline(nil).FromDocuments("visits", someVisits).
+				JoinDocuments("orders", "oid", "_id", "_order").
+				GroupBy("_order.0.customer_id", "cid", groupAggs...)
 		}},
 	}
 	before := dumpStores(db)
@@ -241,6 +261,12 @@ func TestPipelineLeavesStoreRowsAlone(t *testing.T) {
 			t.Fatal(err)
 		}
 		want[i] = w
+		if pl.name == "filtered-join-group" {
+			rows := refJoinDocuments(db, db.Docs.Collection("visits").Find(nil, someVisits, nil), "orders", "oid", "_id", "_order")
+			if ref := render(refGroupBy(rows, mmvalue.ParsePath("_order.0.customer_id"), "cid", groupAggs)); !slices.Equal(w, ref) {
+				t.Fatalf("%s: Rows = %v, want %v", pl.name, w, ref)
+			}
+		}
 		if after := dumpStores(db); after != before {
 			t.Fatalf("%s changed the stores:\nbefore %s\nafter  %s", pl.name, before, after)
 		}

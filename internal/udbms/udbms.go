@@ -26,7 +26,7 @@ type DB struct {
 	XML *xmlstore.Store
 
 	// joins holds, per build side of the pipeline executor's equality
-	// joins, the cached hash table or the index probes spent without
+	// joins, the cached projection or the index probes spent without
 	// one, keyed by store version (see joincache.go).
 	joins joinCache
 }
@@ -64,8 +64,9 @@ func (db *DB) RunTx(fn func(tx *txn.Tx) error) error {
 	return db.mgr.Auto(nil, fn)
 }
 
-// JoinStats reports how the pipeline executor's hash joins have found
-// their matches since Open: cached tables, index probes, build scans.
+// JoinStats reports how the pipeline executor's equality joins have
+// found their matches since Open: cached projections, index probes,
+// build scans.
 // It is kept out of Stats, which describes the dataset alone.
 func (db *DB) JoinStats() JoinStats { return db.joins.stats() }
 

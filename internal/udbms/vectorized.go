@@ -6,15 +6,14 @@ import (
 	"sync"
 
 	"udbench/internal/mmvalue"
-	"udbench/internal/txn"
 )
 
 // This file holds the vectorized operator implementations: every stage
 // consumes and produces a batch of rows per call, so there is one
 // interface dispatch per batch, not per row. Sort buffers its rows with
-// their keys and orders positions; the hash join buffers its probe rows
-// and attaches matches on flush; group-by folds rows into accumulators
-// found by the hash of the group key.
+// their keys and orders positions; the equality join buffers its probe
+// rows and attaches matches on flush; group-by buffers the values it
+// reads as a column projection and folds them (groupSink.fold).
 
 // batchSink consumes a batch stream. push reports false to stop the
 // upstream producer early (limit short-circuit); flush signals
@@ -198,7 +197,7 @@ var attachScratchPool = sync.Pool{New: func() any {
 	return &attachScratch{out: make([]mmvalue.Value, 0, attachCap)}
 }}
 
-// attacher builds output batches for the attaching stages (hash join,
+// attacher builds output batches for the attaching stages (equality join,
 // per-row joins, Unnest): it lands a value under asField in a copy of
 // each row, never in the row it is pushed. When downstream consumes
 // rows transiently the copy is a scratch object from a ring — one per
@@ -273,49 +272,12 @@ func (a *attacher) emit() bool {
 	return ok
 }
 
-// ---- hash join ----
-
-// hashTable buckets build-side records by mmvalue.Hash of their join
-// key — an allocation-free hash consistent with mmvalue.Equal. Probes
-// re-verify with mmvalue.Equal, so hash collisions cannot produce
-// wrong matches: the join is exactly equality in the mmvalue.Compare
-// sense, like the nested-loop predicates it replaces.
-type hashTable struct {
-	buckets map[uint64][]*hashGroup
-}
-
-type hashGroup struct {
-	key  mmvalue.Value
-	vals []mmvalue.Value
-}
-
-func newHashTable(sizeHint int) *hashTable {
-	return &hashTable{buckets: make(map[uint64][]*hashGroup, sizeHint)}
-}
-
-func (h *hashTable) add(key, val mmvalue.Value) {
-	k := key.Hash()
-	for _, g := range h.buckets[k] {
-		if mmvalue.Equal(g.key, key) {
-			g.vals = append(g.vals, val)
-			return
-		}
-	}
-	h.buckets[k] = append(h.buckets[k], &hashGroup{key: key, vals: []mmvalue.Value{val}})
-}
-
-func (h *hashTable) get(key mmvalue.Value) []mmvalue.Value {
-	for _, g := range h.buckets[key.Hash()] {
-		if mmvalue.Equal(g.key, key) {
-			return g.vals
-		}
-	}
-	return nil
-}
+// ---- equality join ----
 
 // joinSpec abstracts the build side of an equality join (document
-// collection or relational table) and the two ways to reach it: per-key
-// index probes (rent) or one scan into a hash table (buy).
+// collection, relational table or the XML store) and the two ways to
+// reach it: per-key index probes (rent) or one scan into a projection
+// onto [keyPath, whole row] whose rows are grouped by key (buy).
 type joinSpec struct {
 	// rowField is the flat field of the pipeline row holding the key.
 	rowField string
@@ -337,51 +299,28 @@ type joinSpec struct {
 }
 
 // route picks how n buffered probe rows find their matches and returns
-// the hash table to probe, or nil for per-key index probes. In order:
-// a valid cached table; else, against an indexed build side, index
-// probes while the side's probe account — n included — stays under
-// probeBelow; else one scan under the pipeline's own snapshot, offered
-// to the cache (joincache.go). Without a cache (PipelineOver) the
-// account is just n: k probes cost k requests, one scan costs one.
-func (s *joinSpec) route(n int) *hashTable {
-	if s.cache == nil {
-		if s.indexProbe != nil && n < s.probeBelow {
-			return nil
-		}
-		s.acc.Hop()
-		return s.scan(s.tx())
+// the build rows by key to look them up in, or nil for per-key index
+// probes. In order: a valid cached projection; else, against an indexed
+// build side, index probes while the side's probe account — n included
+// — stays under probeBelow; else one scan under the pipeline's own
+// snapshot, offered to the cache (joincache.go). Without a cache
+// (PipelineOver) the account is just n: k probes cost k requests, one
+// scan costs one.
+func (s *joinSpec) route(n int) *matches {
+	rent := func(ver uint64) bool { return s.indexProbe != nil && s.cache.rent(s.key, ver, n, s.probeBelow) }
+	if proj := s.cache.project(s.key, s.storeScan, []mmvalue.Path{s.keyPath, nil}, nil, rent); proj != nil {
+		return proj.byKey()
 	}
-	ver, tx := s.side.Version(), s.tx()
-	if e := s.cache.get(s.key, ver, tx); e != nil {
-		return e.ht
-	}
-	if s.indexProbe != nil && s.cache.rent(s.key, ver, n, s.probeBelow) {
-		return nil
-	}
-	s.acc.Hop()
-	return s.cache.build(s.key, s.side, tx, func(tx *txn.Tx) *joinCacheEntry {
-		return &joinCacheEntry{ht: s.scan(tx)}
-	}).ht
-}
-
-// scan reads the whole build side into a hash table as tx sees it.
-func (s *joinSpec) scan(tx *txn.Tx) *hashTable {
-	ht := newHashTable(s.side.Len())
-	s.stream(tx, func(row mmvalue.Value) bool {
-		if v, ok := s.keyPath.Lookup(row); ok && !v.IsNull() {
-			ht.add(v, row)
-		}
-		return true
-	})
-	return ht
+	return nil
 }
 
 // hashJoinStage joins the batch stream against a build side. It is a
 // blocking operator: probe rows are buffered until the input ends, so
 // the route (joinSpec.route) is picked from the exact probe count, and
-// a hash table is probed in one tight loop. Deferring the build-side
-// scan to flush also guarantees it never nests inside the still-open
-// seed scan, so self-joins cannot deadlock on the store's scan lock.
+// the build rows are looked up in one tight loop. Deferring the
+// build-side scan to flush also guarantees it never nests inside the
+// still-open seed scan, so self-joins cannot deadlock on the store's
+// scan lock.
 type hashJoinStage struct {
 	spec joinSpec
 }
@@ -411,19 +350,19 @@ func (j *joinSink) push(rows []mmvalue.Value) bool {
 }
 
 // flush routes the buffered probe rows once (rent-then-buy, see
-// joinSpec.route) and attaches each row's matches: from the hash table
-// when the route bought or found one, else from one index probe per
-// non-null key. The build side is scanned at most once per flush.
+// joinSpec.route) and attaches each row's matches: from the build rows
+// by key when the route bought or found them, else from one index probe
+// per non-null key. The build side is scanned at most once per flush.
 func (j *joinSink) flush() {
 	if !j.at.stopped && j.rb != nil && len(j.rb.rows) > 0 {
-		ht := j.spec.route(len(j.rb.rows))
+		built := j.spec.route(len(j.rb.rows))
 		for _, r := range j.rb.rows {
 			key := r.MustObject().GetOr(j.spec.rowField, mmvalue.Null)
 			var matches []mmvalue.Value
 			switch {
 			case key.IsNull():
-			case ht != nil:
-				matches = ht.get(key)
+			case built != nil:
+				matches = built.get(key)
 			default:
 				matches = j.spec.indexProbe(key)
 			}
@@ -535,11 +474,10 @@ func Max(path, as string) Agg { return Agg{kind: aggMax, path: mmvalue.ParsePath
 // the group has none.
 func Avg(path, as string) Agg { return Agg{kind: aggAvg, path: mmvalue.ParsePath(path), as: as} }
 
-// groupStage is the blocking hash aggregation behind Pipeline.GroupBy:
-// rows are folded into per-group accumulators batch by batch (grouping
-// by mmvalue.Hash with Equal verification, like the hash join), and on
-// flush one fully-owned row per group streams out in ascending key
-// order, so results are deterministic.
+// groupStage is the blocking aggregation behind Pipeline.GroupBy: it
+// projects the values its paths read from its input and, on flush,
+// folds them (groupSink.fold) into one fully-owned row per group,
+// streamed out in ascending key order, so results are deterministic.
 type groupStage struct {
 	key   mmvalue.Path
 	asKey string
@@ -550,12 +488,16 @@ type groupStage struct {
 	topN, topAgg int
 }
 
-// Everything the stage keeps (group keys, min/max winners) is cloned at
-// accumulation time, so upstream scratch recycling stays safe.
-func (st *groupStage) retains() bool { return false }
+// The stage keeps the values its paths read, which upstream never
+// recycles; only the whole row (the empty path) may be a scratch row.
+func (st *groupStage) retains() bool {
+	return len(st.key) == 0 || slices.ContainsFunc(st.aggs, func(a Agg) bool { return a.kind != aggCount && len(a.path) == 0 })
+}
 
 func (st *groupStage) wire(_ bool, down batchSink) batchSink {
-	return &groupSink{st: st, down: down, buckets: make(map[uint64]*groupAcc)}
+	pl := &projPlan{paths: make([][]mmvalue.Path, 1)}
+	pl.group(st)
+	return &groupSink{st: st, down: down, pl: pl, proj: newProjection(len(pl.paths[0]))}
 }
 
 type aggState struct {
@@ -566,44 +508,29 @@ type aggState struct {
 }
 
 type groupAcc struct {
-	key   mmvalue.Value // cloned: outlives the pushed batch
+	key   mmvalue.Value
 	count int64
 	st    []aggState
-	next  *groupAcc // the next group in the same hash bucket
 }
 
+// groupSink is a GroupBy's sink. On rows, pl is a one-scan plan over
+// the columns the stage reads and proj their values in the pushed rows.
 type groupSink struct {
-	st      *groupStage
-	down    batchSink
-	buckets map[uint64]*groupAcc
-	accs    []*groupAcc
-}
-
-func (g *groupSink) acc(key mmvalue.Value) *groupAcc {
-	h := key.Hash()
-	for a := g.buckets[h]; a != nil; a = a.next {
-		if mmvalue.Equal(a.key, key) {
-			return a
-		}
-	}
-	a := &groupAcc{key: key.Clone(), st: make([]aggState, len(g.st.aggs)), next: g.buckets[h]}
-	g.buckets[h] = a
-	g.accs = append(g.accs, a)
-	return a
+	st   *groupStage
+	down batchSink
+	pl   *projPlan
+	proj *projection
+	accs []*groupAcc
 }
 
 func (g *groupSink) push(rows []mmvalue.Value) bool {
 	for _, r := range rows {
-		acc := g.acc(g.st.key.LookupOr(r, mmvalue.Null))
-		acc.count++
-		for k := range g.st.aggs {
-			if a := &g.st.aggs[k]; a.kind != aggCount { // count is per-group, tracked once above
-				acc.st[k].fold(a.kind, a.path.LookupOr(r, mmvalue.Null))
-			}
-		}
+		g.proj.add(r, g.pl.paths[0], nil)
 	}
 	return true
 }
+
+func (g *groupSink) flush() { g.fold(g.pl, []*projection{g.proj}) }
 
 // fold adds one row's value to a Sum, Avg, Min or Max.
 func (s *aggState) fold(kind aggKind, v mmvalue.Value) {
@@ -670,8 +597,9 @@ func (g *groupSink) order() []*groupAcc {
 	return g.accs
 }
 
-// flush emits one row per group in order (groupSink.order).
-func (g *groupSink) flush() {
+// emit sends one row per group in order (groupSink.order) downstream
+// and flushes it.
+func (g *groupSink) emit() {
 	accs := g.order()
 	// Every row has the same fields, so each starts as a copy of tmpl:
 	// three allocations, none of them regrown.
@@ -690,7 +618,6 @@ func (g *groupSink) flush() {
 		out = append(out, mmvalue.FromObject(obj))
 		if len(out) == batchCap {
 			if !g.down.push(out) {
-				g.drop()
 				g.down.flush()
 				return
 			}
@@ -700,10 +627,5 @@ func (g *groupSink) flush() {
 	if len(out) > 0 {
 		g.down.push(out)
 	}
-	g.drop()
 	g.down.flush()
-}
-
-func (g *groupSink) drop() {
-	g.buckets, g.accs = nil, nil
 }
