@@ -135,7 +135,8 @@ func ObjectOf(pairs ...any) Value {
 	if len(pairs)%2 != 0 {
 		panic("mmvalue.ObjectOf: odd number of arguments")
 	}
-	o := NewObject()
+	n := len(pairs) / 2
+	o := &Object{keys: make([]string, 0, n), vals: make([]Value, 0, n)}
 	for i := 0; i < len(pairs); i += 2 {
 		k, ok := pairs[i].(string)
 		if !ok {
@@ -144,6 +145,21 @@ func ObjectOf(pairs ...any) Value {
 		o.Set(k, From(pairs[i+1]))
 	}
 	return FromObject(o)
+}
+
+// Object2 builds the object {k1: v1, k2: v2} in one allocation, without
+// ObjectOf's boxing of each argument. It panics if the keys are equal.
+func Object2(k1 string, v1 Value, k2 string, v2 Value) Value {
+	if k1 == k2 {
+		panic("mmvalue.Object2: duplicate key " + strconv.Quote(k1))
+	}
+	p := &struct {
+		o    Object
+		keys [2]string
+		vals [2]Value
+	}{keys: [2]string{k1, k2}, vals: [2]Value{v1, v2}}
+	p.o.keys, p.o.vals = p.keys[:], p.vals[:]
+	return FromObject(&p.o)
 }
 
 // FromObject wraps an *Object as a Value. A nil Object yields an empty

@@ -130,6 +130,32 @@ func TestObjectOfOddPanics(t *testing.T) {
 	ObjectOf("a")
 }
 
+// TestObject2MatchesObjectOf checks that the one-allocation two-field
+// constructor builds the object ObjectOf builds, in the same field
+// order, and that the object grows and shrinks like any other.
+func TestObject2MatchesObjectOf(t *testing.T) {
+	v := Object2("key", String("k1"), "value", ObjectOf("rating", 3))
+	want := ObjectOf("key", "k1", "value", ObjectOf("rating", 3))
+	if !Equal(v, want) || v.String() != want.String() {
+		t.Fatalf("Object2 = %s, want %s", v, want)
+	}
+	if n := testing.AllocsPerRun(100, func() { Object2("key", String("k"), "value", Null) }); n != 1 {
+		t.Errorf("Object2 allocates %v times, want 1", n)
+	}
+	o := v.MustObject()
+	o.Set("extra", Int(1))
+	o.Delete("key")
+	if got := FromObject(o).String(); got != `{"value":{"rating":3},"extra":1}` {
+		t.Errorf("after Set and Delete: %s", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic for a duplicate key")
+		}
+	}()
+	Object2("k", Null, "k", Null)
+}
+
 func TestCompareCrossKindOrder(t *testing.T) {
 	ordered := []Value{
 		Null, Bool(false), Bool(true), Int(-1), Int(0), Float(0.5), Int(1),

@@ -1,7 +1,9 @@
 package txn
 
 import (
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -129,7 +131,7 @@ func (r *Records[T]) committing(c *Chain[T], txID uint64) {
 	key := c.Res.name[len(r.prefix):]
 	for _, ix := range r.indexes {
 		if vk, ok := ix.keyOf(value); ok {
-			ix.add(vk, key)
+			ix.add(vk, key, c)
 		}
 	}
 }
@@ -170,25 +172,24 @@ func (r *Records[T]) Count() int {
 
 // Compact garbage-collects versions shadowed below horizon and
 // physically unlinks records whose latest version is a tombstone older
-// than horizon, together with their index entries. It returns the
-// number of versions dropped and must not run concurrently with
-// transactions that might read below horizon.
+// than horizon, together with their index entries, which go first so
+// that no entry outlives its chain. It returns the number of versions
+// dropped and must not run concurrently with transactions that might
+// read below horizon.
 func (r *Records[T]) Compact(horizon TS) int {
 	dropped := 0
-	var dead []string
+	dead := make(map[*Chain[T]]string)
 	r.chains.Ascend("", "", func(key string, c *Chain[T]) bool {
 		n, gone := c.Collect(horizon)
 		dropped += n
 		if gone {
-			dead = append(dead, key)
+			dead[c] = key
 		}
 		return true
 	})
 	r.idxMu.RLock()
 	for _, ix := range r.indexes {
-		for _, key := range dead {
-			ix.drop(key)
-		}
+		ix.drop(dead)
 	}
 	r.idxMu.RUnlock()
 	for _, key := range dead {
@@ -197,35 +198,64 @@ func (r *Records[T]) Compact(horizon TS) int {
 	return dropped
 }
 
-// index is an advisory equality index: indexed value -> set of record
-// keys. Entries are added at commit time and only removed by Compact,
-// so a lookup may return extra candidates; Lookup hands back the
-// snapshot-visible record and the caller re-checks its predicate. This
-// keeps index maintenance correct under multi-versioning without
-// versioning the index itself.
+// index is an advisory equality index: indexed value -> bucket of
+// {record key, version chain} entries sorted by key. Entries are added
+// at commit time and only removed by Compact, so a lookup may return
+// extra candidates; Lookup hands back the snapshot-visible record and
+// the caller re-checks its predicate. This keeps index maintenance
+// correct under multi-versioning without versioning the index itself.
+// Buckets are copy-on-write under mu, so readers walk them unlocked; an
+// entry that sorts last may be appended in place, past the length any
+// reader holds, and no published bucket is ever shortened.
 type index[T any] struct {
 	keyOf   func(T) (string, bool) // indexed value of a record; false = not indexed
 	mu      sync.RWMutex
-	buckets map[string]map[string]struct{}
+	buckets map[string][]entry[T]
 }
 
-func (ix *index[T]) add(valKey, key string) {
+// entry is one record listed under an indexed value.
+type entry[T any] struct {
+	key string
+	c   *Chain[T]
+}
+
+// find returns where key sits, or would sit, in bucket b.
+func find[T any](b []entry[T], key string) (int, bool) {
+	return slices.BinarySearchFunc(b, key, func(e entry[T], k string) int { return strings.Compare(e.key, k) })
+}
+
+// add lists c under valKey as key unless key is already there. Only a
+// new entry takes the write lock.
+func (ix *index[T]) add(valKey, key string, c *Chain[T]) {
+	ix.mu.RLock()
+	_, ok := find(ix.buckets[valKey], key)
+	ix.mu.RUnlock()
+	if ok {
+		return
+	}
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	b := ix.buckets[valKey]
-	if b == nil {
-		b = make(map[string]struct{})
-		ix.buckets[valKey] = b
+	i, ok := find(b, key)
+	if ok {
+		return
 	}
-	b[key] = struct{}{}
+	if i < len(b) {
+		b = slices.Clip(b) // so that Insert copies to a new array
+	}
+	ix.buckets[valKey] = slices.Insert(b, i, entry[T]{key, c})
 }
 
-func (ix *index[T]) drop(key string) {
+// drop removes the entries of dead chains from every bucket in one pass.
+func (ix *index[T]) drop(dead map[*Chain[T]]string) {
+	isDead := func(e entry[T]) bool { _, ok := dead[e.c]; return ok }
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	for vk, b := range ix.buckets {
-		delete(b, key)
-		if len(b) == 0 {
+		if slices.ContainsFunc(b, isDead) {
+			ix.buckets[vk] = slices.DeleteFunc(slices.Clone(b), isDead)
+		}
+		if len(ix.buckets[vk]) == 0 {
 			delete(ix.buckets, vk)
 		}
 	}
@@ -235,7 +265,7 @@ func (ix *index[T]) drop(key string) {
 // backfills it from the latest committed records. It reports false if
 // an index of that name already exists.
 func (r *Records[T]) CreateIndex(name string, keyOf func(T) (string, bool)) bool {
-	ix := &index[T]{keyOf: keyOf, buckets: make(map[string]map[string]struct{})}
+	ix := &index[T]{keyOf: keyOf, buckets: make(map[string][]entry[T])}
 	r.idxMu.Lock()
 	if _, exists := r.indexes[name]; exists {
 		r.idxMu.Unlock()
@@ -243,9 +273,11 @@ func (r *Records[T]) CreateIndex(name string, keyOf func(T) (string, bool)) bool
 	}
 	r.indexes[name] = ix
 	r.idxMu.Unlock()
-	r.Scan(nil, "", "", func(key string, v T) bool {
-		if vk, ok := keyOf(v); ok {
-			ix.add(vk, key)
+	r.chains.Ascend("", "", func(key string, c *Chain[T]) bool {
+		if v, live := c.ReadLatest(); live {
+			if vk, ok := keyOf(v); ok {
+				ix.add(vk, key, c) // in key order: each entry sorts last
+			}
 		}
 		return true
 	})
@@ -273,8 +305,9 @@ func (r *Records[T]) IndexNames() []string {
 }
 
 // Lookup calls fn, in key order, for every record visible to tx that
-// index name lists under valKey, until fn returns false. The index is
-// advisory: fn must re-check its predicate.
+// index name lists under valKey, until fn returns false. It reads each
+// entry's chain directly and allocates nothing. The index is advisory:
+// fn must re-check its predicate.
 func (r *Records[T]) Lookup(tx *Tx, name, valKey string, fn func(key string, value T) bool) {
 	r.idxMu.RLock()
 	ix := r.indexes[name]
@@ -283,14 +316,10 @@ func (r *Records[T]) Lookup(tx *Tx, name, valKey string, fn func(key string, val
 		return
 	}
 	ix.mu.RLock()
-	keys := make([]string, 0, len(ix.buckets[valKey]))
-	for key := range ix.buckets[valKey] {
-		keys = append(keys, key)
-	}
+	b := ix.buckets[valKey]
 	ix.mu.RUnlock()
-	sort.Strings(keys)
-	for _, key := range keys {
-		if v, ok := r.Get(tx, key); ok && !fn(key, v) {
+	for _, e := range b {
+		if v, ok := e.c.Visible(tx); ok && !fn(e.key, v) {
 			return
 		}
 	}

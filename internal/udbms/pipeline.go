@@ -342,14 +342,9 @@ func (p *Pipeline) hashJoin(side storeScan, field string, keyPath mmvalue.Path, 
 	}
 	if probe != nil {
 		spec.probeBelow = p.probeBelow(side.side.Len())
-		spec.indexProbe = func(key mmvalue.Value) []mmvalue.Value {
-			var matches []mmvalue.Value
+		spec.indexProbe = func(key mmvalue.Value, fn func(mmvalue.Value) bool) {
 			p.acc.Hop()
-			probe(side.tx(), key, func(row mmvalue.Value) bool {
-				matches = append(matches, row)
-				return true
-			})
-			return matches
+			probe(side.tx(), key, fn)
 		}
 	}
 	p.stages = append(p.stages, &hashJoinStage{spec: spec})
@@ -357,15 +352,16 @@ func (p *Pipeline) hashJoin(side storeScan, field string, keyPath mmvalue.Path, 
 }
 
 // probeScanRatio is what one index probe costs in build-side rows
-// scanned into a join's projection, in process (2 cores, go1.24). The /cold
-// legs of BenchmarkPipelineJoin put a probe returning ~4 small
-// documents at ≈ 4.2 µs (probe10 cold 55 µs − warm 13 µs, over 10) and
-// a build at ≈ 0.53 µs per row (probe500 cold 690 µs − warm 155 µs,
-// over 1 000 rows): ≈ 8. On the benchmark's orders collection, keyed on
-// customer_id, the ratio is higher: 5.7 µs vs 0.64 µs per row at SF 1
-// and 9.6 vs 0.92 at SF 4 in a loop (≈ 9 and 10), and a whole Q4 right
-// after a commit costs 9.1 µs per probed customer vs 0.77 µs per order
-// built at SF 1, 14.1 vs 1.2 at SF 4 (≈ 12).
+// scanned into a join's projection, in process (2 cores, go1.24). The
+// /cold legs of BenchmarkPipelineJoin put a probe returning ~4 small
+// documents at ≈ 3.1 µs (probe10 cold 39.8 µs − warm 8.6 µs, over 10)
+// and a build at ≈ 0.81 µs per row (probe500 cold 977 µs − warm 165 µs,
+// over 1 000 rows): ≈ 4. On the benchmark's orders collection, keyed on
+// customer_id, a probe in a loop costs 2.0–2.3 µs against 0.52–0.59 µs
+// per order built at SF 1 (≈ 4), and 4.2–4.5 µs against 0.66–0.72 µs at
+// SF 4 (≈ 6). The constant was set at ≈ 8–10, when a lookup sorted its
+// keys and searched the record map per candidate; it stays there so that
+// index entries holding their chains leave every route decision as it was.
 const probeScanRatio = 10
 
 // probeBelow is the number of probe rows that cost as much as one scan
@@ -398,7 +394,7 @@ func (p *Pipeline) JoinKVPrefix(prefixFn func(row mmvalue.Value) string, asField
 			}
 			p.acc.Hop()
 			p.st.KV.ScanPrefix(p.acc.KVTx(), prefix, func(k string, v mmvalue.Value) bool {
-				matches = append(matches, mmvalue.ObjectOf("key", k, "value", v))
+				matches = append(matches, mmvalue.Object2("key", mmvalue.String(k), "value", v))
 				return true
 			})
 			return matches

@@ -286,9 +286,9 @@ type joinSpec struct {
 	// storeScan reads the build side; keyPath locates a build row's key.
 	storeScan
 	keyPath mmvalue.Path
-	// indexProbe fetches matches for one key through a store index;
+	// indexProbe streams the matches for one key through a store index;
 	// nil when the build side has no usable index.
-	indexProbe func(key mmvalue.Value) []mmvalue.Value
+	indexProbe func(key mmvalue.Value, fn func(mmvalue.Value) bool)
 	// probeBelow is the number of probe rows that cost as much as one
 	// scan (see Pipeline.probeBelow).
 	probeBelow int
@@ -352,10 +352,17 @@ func (j *joinSink) push(rows []mmvalue.Value) bool {
 // flush routes the buffered probe rows once (rent-then-buy, see
 // joinSpec.route) and attaches each row's matches: from the build rows
 // by key when the route bought or found them, else from one index probe
-// per non-null key. The build side is scanned at most once per flush.
+// per non-null key, collected in a pooled buffer and copied out once at
+// their exact size. The build side is scanned at most once per flush.
 func (j *joinSink) flush() {
 	if !j.at.stopped && j.rb != nil && len(j.rb.rows) > 0 {
 		built := j.spec.route(len(j.rb.rows))
+		var probed *rowBuf
+		var collect func(mmvalue.Value) bool
+		if built == nil {
+			probed = getRowBuf(0)
+			collect = func(row mmvalue.Value) bool { probed.rows = append(probed.rows, row); return true }
+		}
 		for _, r := range j.rb.rows {
 			key := r.MustObject().GetOr(j.spec.rowField, mmvalue.Null)
 			var matches []mmvalue.Value
@@ -364,11 +371,19 @@ func (j *joinSink) flush() {
 			case built != nil:
 				matches = built.get(key)
 			default:
-				matches = j.spec.indexProbe(key)
+				j.spec.indexProbe(key, collect)
+				if len(probed.rows) > 0 {
+					matches = slices.Clone(probed.rows)
+					clear(probed.rows)
+					probed.rows = probed.rows[:0]
+				}
 			}
 			if !j.at.attach(r, matches) {
 				break
 			}
+		}
+		if probed != nil {
+			putRowBuf(probed, probed.rows)
 		}
 	}
 	if j.rb != nil {

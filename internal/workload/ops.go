@@ -30,7 +30,11 @@ type session interface {
 	pipeline() *udbms.Pipeline
 }
 
-func feedbackPrefix(cid int) string { return fmt.Sprintf("feedback/%06d/", cid) }
+// feedbackPrefix is fmt.Sprintf("feedback/%06d/", cid) for cid >= 0.
+func feedbackPrefix(cid int) string {
+	d := strconv.Itoa(cid)
+	return "feedback/" + "000000"[min(len(d), 6):] + d + "/"
+}
 
 func q2FriendsPurchases(st datagen.Target, s session, p Params) (int, error) {
 	s.Hop()
