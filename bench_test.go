@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"udbench/internal/datagen"
 	"udbench/internal/workload"
 )
 
@@ -19,7 +20,6 @@ import (
 // engine so write history never carries across client counts; ops/s is
 // the figure of merit.
 func BenchmarkMixScaling(b *testing.B) {
-	suite, _ := workload.SuiteByName(workload.DefaultSuite)
 	legs := []struct {
 		name string
 		hop  time.Duration
@@ -33,7 +33,8 @@ func BenchmarkMixScaling(b *testing.B) {
 		seen[clients] = true
 		for _, leg := range legs {
 			b.Run(fmt.Sprintf("clients%d/%s", clients, leg.name), func(b *testing.B) {
-				ds := suite.Generate(0.05, 42)
+				ds := datagen.Generate(datagen.Config{ScaleFactor: 0.05, Seed: 42})
+				info := workload.InfoOf(ds)
 				e, err := workload.NewBackend(leg.name, ds, workload.BackendOptions{HopLatency: leg.hop})
 				if err != nil {
 					b.Fatal(err)
@@ -41,7 +42,7 @@ func BenchmarkMixScaling(b *testing.B) {
 				b.ResetTimer()
 				var ops int64
 				for i := 0; i < b.N; i++ {
-					res := workload.RunMix(e, ds.Info(), workload.StandardMix(e), workload.DriverConfig{
+					res := workload.RunMix(e, info, workload.StandardMix(e), workload.DriverConfig{
 						Clients: clients, OpsPerClient: 50, Theta: 0.5, Seed: uint64(i),
 					})
 					ops += res.Ops

@@ -1,6 +1,6 @@
 // Command udbench runs the UDBMS multi-model database benchmark: the
-// experiments (run, list), the workload driver (mix, serve, ping,
-// suites) and the dataset generator (generate).
+// experiments (run, list), the workload driver (mix, serve, ping) and
+// the dataset generator (generate).
 // `udbench help` prints every command and flag; usage() below is the
 // one place they are documented.
 package main
@@ -44,8 +44,6 @@ func main() {
 		err = cmdServe(os.Args[2:])
 	case "ping":
 		err = cmdPing(os.Args[2:])
-	case "suites":
-		err = cmdSuites()
 	case "-h", "--help", "help":
 		usage()
 	default:
@@ -69,7 +67,6 @@ commands:
   mix [flags]                  drive the standard OLTP mix on both engines
   serve [flags]                serve an engine over the network protocol
   ping -addr A                 probe a running server (readiness checks)
-  suites                       list registered workload suites
 
 run/generate flags:
   -sf F      scale factor (default 0.2)
@@ -78,12 +75,10 @@ run/generate flags:
   -hop D     federation per-request latency (default 100us)
   -csv       emit CSV instead of aligned tables
   -json F    also write results to F as JSON
-  -suite S   workload suite to drive (default t2; see 'udbench suites');
-             honored by the f5 sweep
   -remote A  also sweep a running 'udbench serve' at address A where
              the experiment supports it (f5: in-process vs remote knee)
 
-mix flags (plus -sf/-seed/-hop/-json/-suite):
+mix flags (plus -sf/-seed/-hop/-json):
   -clients N   number of driver workers (default 4)
   -ops N       operations per client (default 200)
   -theta T     Zipf parameter skew (default 0.5)
@@ -106,7 +101,7 @@ mix flags (plus -sf/-seed/-hop/-json/-suite):
                run the mix subset their capabilities allow and attach a
                backend_capabilities block to the JSON report
 
-serve flags (dataset flags as in run, plus -suite):
+serve flags (dataset flags as in run):
   -addr A      listen address (default 127.0.0.1:7744)
   -engine E    registered backend to front: udbms (default), federation,
                relational, ... (unknown names list the registry)
@@ -135,7 +130,6 @@ func benchFlags(args []string) (core.Config, []string, bool, string, error) {
 	csv := fs.Bool("csv", false, "CSV output")
 	jsonPath := fs.String("json", "", "write results as JSON to this file")
 	fs.StringVar(&cfg.Remote, "remote", "", "also sweep a running 'udbench serve' at this address (f5)")
-	fs.StringVar(&cfg.Suite, "suite", "", "workload suite to drive (default t2; see 'udbench suites')")
 	// Allow the experiment id before the flags.
 	var pos []string
 	rest := args
@@ -146,31 +140,7 @@ func benchFlags(args []string) (core.Config, []string, bool, string, error) {
 	if err := fs.Parse(rest); err != nil {
 		return core.Config{}, nil, false, "", err
 	}
-	if _, err := workload.ResolveSuite(cfg.Suite); err != nil {
-		return core.Config{}, nil, false, "", err
-	}
 	return cfg, append(pos, fs.Args()...), *csv, *jsonPath, nil
-}
-
-// cmdSuites lists the registered workload suites and their op mixes.
-func cmdSuites() error {
-	t := metrics.NewTable("Workload suites", "suite", "op", "weight", "kind", "description")
-	for _, name := range workload.SuiteNames() {
-		s, _ := workload.SuiteByName(name)
-		t.AddRow(s.Name, "", "", "", s.Description)
-		for _, op := range s.Ops {
-			kind := "read"
-			if op.Write {
-				kind = "write"
-			}
-			if op.Weight <= 0 {
-				kind = "probe"
-			}
-			t.AddRow("", op.Name, op.Weight, kind, "")
-		}
-	}
-	fmt.Print(t.String())
-	return nil
 }
 
 // writeJSON marshals v indented into path.
@@ -261,13 +231,8 @@ func cmdMix(args []string) error {
 	jsonPath := fs.String("json", "", "write results as JSON to this file")
 	remote := fs.String("remote", "", "drive a running 'udbench serve' at this address instead of in-process engines")
 	queueBudget := fs.Duration("budget", 0, "with -remote: per-request queue-wait budget (0 = server default)")
-	suiteName := fs.String("suite", "", "workload suite to drive (default t2; see 'udbench suites')")
 	engineName := fs.String("engine", "", "drive one registered backend instead of both native engines (comparative mode)")
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	suite, err := workload.ResolveSuite(*suiteName)
-	if err != nil {
 		return err
 	}
 	if *remote != "" && *walDir != "" {
@@ -280,9 +245,6 @@ func cmdMix(args []string) error {
 		if *walDir != "" {
 			return fmt.Errorf("mix: -wal attaches to the native unified-engine path and cannot combine with -engine")
 		}
-	}
-	if *walDir != "" && suite.Name != workload.DefaultSuite {
-		return fmt.Errorf("mix: -wal drives the durable t2 store and cannot combine with -suite %s", suite.Name)
 	}
 	driverMode, ok := map[string]workload.DriverMode{"closed": workload.ModeClosed, "open": workload.ModeOpen}[*mode]
 	switch {
@@ -314,17 +276,13 @@ func cmdMix(args []string) error {
 		if *queueBudget > 0 {
 			re.SetQueueBudget(*queueBudget)
 		}
-		if re.Suite() != suite.Name {
-			return fmt.Errorf("mix: remote serves suite %q, not %q (serve with matching -suite)",
-				re.Suite(), suite.Name)
-		}
 		info = re.Info()
 		engines = []workload.Backend{re}
-		fmt.Printf("remote engine %s at %s serving suite %s (customers %d, products %d, orders %d)\n",
-			re.ServerName(), *remote, re.Suite(), info.Customers, info.Products, info.Orders)
+		fmt.Printf("remote engine %s at %s (customers %d, products %d, orders %d)\n",
+			re.ServerName(), *remote, info.Customers, info.Products, info.Orders)
 	} else {
-		data := suite.Generate(*sf, *seed)
-		info = data.Info()
+		ds := datagen.Generate(datagen.Config{ScaleFactor: *sf, Seed: *seed})
+		info = workload.InfoOf(ds)
 		// Every in-process engine comes out of the backend registry;
 		// comparative mode builds the one named, the default both natives.
 		names := []string{"udbms", "federation"}
@@ -336,7 +294,7 @@ func cmdMix(args []string) error {
 			if name == "udbms" && *walDir != "" {
 				// The durable path stays explicit: an existing log is
 				// recovered instead of re-loading the dataset.
-				d, err := openDurable(*walDir, *fsync, data)
+				d, err := openDurable(*walDir, *fsync, ds)
 				if err != nil {
 					return err
 				}
@@ -345,7 +303,8 @@ func cmdMix(args []string) error {
 				e.Durable = d
 				be = e
 			} else {
-				be, err = workload.NewBackend(name, data, workload.BackendOptions{HopLatency: *hop})
+				var err error
+				be, err = workload.NewBackend(name, ds, workload.BackendOptions{HopLatency: *hop})
 				if err != nil {
 					return fmt.Errorf("mix: %w", err)
 				}
@@ -353,13 +312,8 @@ func cmdMix(args []string) error {
 			if c, ok := be.(io.Closer); ok {
 				defer c.Close()
 			}
-			caps := be.Capabilities()
-			if !caps.SupportsSuite(suite.Name) {
-				return fmt.Errorf("mix: backend %s does not support suite %s (supported: %v)",
-					be.Name(), suite.Name, caps.Suites)
-			}
-			if len(suite.Mix(be)) == 0 {
-				return fmt.Errorf("mix: suite %s has no ops backend %s can express", suite.Name, be.Name())
+			if len(workload.StandardMix(be)) == 0 {
+				return fmt.Errorf("mix: backend %s can express no op of the standard mix", be.Name())
 			}
 			engines = append(engines, be)
 		}
@@ -367,7 +321,6 @@ func cmdMix(args []string) error {
 	cfg := workload.DriverConfig{
 		Clients: *clients, OpsPerClient: *ops, Theta: *theta, Seed: *seed,
 		Mode: driverMode, RateOpsPerSec: *rate, Arrival: arrivalProc, Duration: *duration,
-		Suite: suite.Name,
 	}
 	var summaries []workload.RunSummary
 	budget := fmt.Sprintf("%d clients x %d ops", *clients, *ops)
@@ -378,8 +331,8 @@ func cmdMix(args []string) error {
 	if *remote != "" {
 		dataset = "remote " + *remote
 	}
-	title := fmt.Sprintf("Suite %s mix (%s loop), %s, %s, theta %g",
-		suite.Name, driverMode, dataset, budget, *theta)
+	title := fmt.Sprintf("Standard mix (%s loop), %s, %s, theta %g",
+		driverMode, dataset, budget, *theta)
 	if driverMode == workload.ModeOpen {
 		title += fmt.Sprintf(", %s arrivals @ %g ops/s", arrivalProc, *rate)
 	}
@@ -391,8 +344,6 @@ func cmdMix(args []string) error {
 		"engine", "policy", "commits logged", "ops", "batches", "commits/batch", "fsyncs", "log KiB", "sealed")
 	at := metrics.NewTable("Admission telemetry (server-side, run delta)",
 		"engine", "queue depth max", "shed", "queue wait p99")
-	st := metrics.NewTable("Suite-op telemetry (run delta)",
-		"engine", "reads", "writes", "rows")
 	// Closed loops have no arrival schedule, so the intended column
 	// renders not-measured ("") rather than as a zero latency.
 	intended := func(d time.Duration) any {
@@ -402,7 +353,7 @@ func cmdMix(args []string) error {
 		return ""
 	}
 	for _, e := range engines {
-		res := workload.RunMix(e, info, suite.Mix(e), cfg)
+		res := workload.RunMix(e, info, workload.StandardMix(e), cfg)
 		s := res.Summary()
 		summaries = append(summaries, s)
 		t.AddRow(s.Engine, "all", s.Ops, res.Latency.Mean(), s.P50NS, s.P95NS, s.P99NS,
@@ -427,9 +378,6 @@ func cmdMix(args []string) error {
 		if a := res.Admission; a != nil {
 			at.AddRow(s.Engine, a.QueueDepthMax, a.Shed, a.QueueWaitP99NS)
 		}
-		if ss := res.SuiteStats; ss != nil {
-			st.AddRow(s.Engine, ss.Reads, ss.Writes, ss.Rows)
-		}
 		if driverMode == workload.ModeOpen {
 			note := ""
 			if s.Dropped > 0 {
@@ -440,7 +388,7 @@ func cmdMix(args []string) error {
 		}
 	}
 	fmt.Print(t.String())
-	for _, telemetry := range []*metrics.Table{lt, dt, at, st} {
+	for _, telemetry := range []*metrics.Table{lt, dt, at} {
 		if telemetry.NumRows() > 0 {
 			fmt.Print(telemetry.String())
 		}
@@ -449,13 +397,12 @@ func cmdMix(args []string) error {
 		out := struct {
 			SF      float64               `json:"sf"`
 			Seed    uint64                `json:"seed"`
-			Suite   string                `json:"suite"`
 			Theta   float64               `json:"theta"`
 			HopNS   time.Duration         `json:"hop_ns"`
 			Mode    string                `json:"mode"`
 			Arrival string                `json:"arrival"`
 			Results []workload.RunSummary `json:"results"`
-		}{*sf, *seed, suite.Name, *theta, *hop, driverMode.String(), arrivalName, summaries}
+		}{*sf, *seed, *theta, *hop, driverMode.String(), arrivalName, summaries}
 		if err := writeJSON(*jsonPath, out); err != nil {
 			return err
 		}
@@ -467,7 +414,7 @@ func cmdMix(args []string) error {
 // openDurable opens the durable unified store rooted at dir: a directory
 // that already holds a history (same -sf/-seed runs append to it) is
 // recovered, a fresh one gets the dataset loaded through the log.
-func openDurable(dir, fsync string, data workload.SuiteData) (*durable.DB, error) {
+func openDurable(dir, fsync string, ds *datagen.Dataset) (*durable.DB, error) {
 	policy, err := wal.ParseSyncPolicy(fsync)
 	if err != nil {
 		return nil, fmt.Errorf("mix: %w", err)
@@ -483,7 +430,7 @@ func openDurable(dir, fsync string, data workload.SuiteData) (*durable.DB, error
 			map[bool]string{true: ", torn tail truncated", false: ""}[rec.Truncated])
 		return d, nil
 	}
-	if err := data.Load(d.Stores()); err != nil {
+	if err := ds.Load(d.Stores()); err != nil {
 		d.Close()
 		return nil, err
 	}
@@ -502,37 +449,28 @@ func cmdServe(args []string) error {
 	workers := fs.Int("workers", 4, "executor pool size")
 	queue := fs.Int("queue", 256, "admission queue depth")
 	deadline := fs.Duration("deadline", 100*time.Millisecond, "default queue-wait budget before shedding")
-	suiteName := fs.String("suite", "", "workload suite to load and serve (default t2)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	suite, err := workload.ResolveSuite(*suiteName)
-	if err != nil {
-		return err
-	}
-	data := suite.Generate(*sf, *seed)
+	ds := datagen.Generate(datagen.Config{ScaleFactor: *sf, Seed: *seed})
 	cfg := server.Config{
-		Info: data.Info(), Suite: suite.Name, Workers: *workers,
+		Info: workload.InfoOf(ds), Workers: *workers,
 		QueueDepth: *queue, QueueDeadline: *deadline,
 	}
-	be, err := workload.NewBackend(*engine, data, workload.BackendOptions{HopLatency: *hop})
+	be, err := workload.NewBackend(*engine, ds, workload.BackendOptions{HopLatency: *hop})
 	if err != nil {
 		return fmt.Errorf("serve: %w", err)
 	}
 	if c, ok := be.(io.Closer); ok {
 		defer c.Close()
 	}
-	if !be.Capabilities().SupportsSuite(suite.Name) {
-		return fmt.Errorf("serve: backend %s does not support suite %s (supported: %v)",
-			be.Name(), suite.Name, be.Capabilities().Suites)
-	}
 	cfg.Engine = be
 	s, err := server.Listen(*addr, cfg)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("serving %s on %s (suite %s, SF %g, seed %d, %d workers, queue %d, deadline %v)\n",
-		cfg.Engine.Name(), s.Addr(), suite.Name, *sf, *seed, *workers, *queue, *deadline)
+	fmt.Printf("serving %s on %s (SF %g, seed %d, %d workers, queue %d, deadline %v)\n",
+		cfg.Engine.Name(), s.Addr(), *sf, *seed, *workers, *queue, *deadline)
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
@@ -562,8 +500,8 @@ func cmdPing(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%s: %s engine up serving suite %s, %v round trip (customers %d, products %d, orders %d)\n",
-		*addr, si.Engine, si.Suite, time.Since(t0).Round(time.Microsecond),
+	fmt.Printf("%s: %s engine up, %v round trip (customers %d, products %d, orders %d)\n",
+		*addr, si.Engine, time.Since(t0).Round(time.Microsecond),
 		si.Info.Customers, si.Info.Products, si.Info.Orders)
 	return nil
 }

@@ -21,8 +21,8 @@
 //	internal/txn         timestamps, 2PL + deadlock detection, version chains
 //	internal/replica     primary/replica lag simulator (consistency substrate)
 //	internal/datagen     deterministic Figure-1 dataset generator
-//	internal/workload    query table Q1–Q13, T1–T5 and suite op bodies, one
-//	                     native engine adapter, drivers (3.4k non-test lines)
+//	internal/workload    query table Q1–Q13, T1–T5 op bodies, one native
+//	                     engine adapter, drivers (2.3k non-test lines)
 //	internal/mmschema    schema inference, evolution ops, query compatibility
 //	internal/convert     model conversions with gold-standard fidelity
 //	internal/consistency staleness / RYW / monotonic / atomicity metrics

@@ -20,28 +20,27 @@ import (
 
 // Backend is a partial backend: its capability descriptor advertises
 // the queries whose data shreds into flat tables (Q1, Q3, Q4, Q8, Q12,
-// Q13), the t2 read leg, and the tenants suite; everything else
-// returns workload.ErrUnsupported before touching any data.
+// Q13); every other query returns workload.ErrUnsupported before
+// touching any data, and it has no native transactions.
 type Backend struct {
-	db    *relational.DB // private, on its own txn.Manager
-	stats workload.SuiteStatsCounter
+	db *relational.DB // private, on its own txn.Manager
 }
 
 func init() {
 	workload.RegisterBackend(&workload.BackendSpec{
 		Name:        "relational",
 		Description: "relational-only baseline on the shared record layer: shredded tables, query subset per its capability descriptor",
-		New: func(data workload.SuiteData, opt workload.BackendOptions) (workload.Backend, error) {
-			return Open(data)
+		New: func(ds *datagen.Dataset, opt workload.BackendOptions) (workload.Backend, error) {
+			return Open(ds)
 		},
 	})
 }
 
-// Open shreds data into a fresh relational database and returns the
+// Open shreds ds into a fresh relational database and returns the
 // backend fronting it.
-func Open(data workload.SuiteData) (*Backend, error) {
+func Open(ds *datagen.Dataset) (*Backend, error) {
 	db := relational.NewDB(txn.NewManager())
-	if err := load(data, db); err != nil {
+	if err := load(ds, db); err != nil {
 		return nil, err
 	}
 	return &Backend{db: db}, nil
@@ -50,9 +49,6 @@ func Open(data workload.SuiteData) (*Backend, error) {
 // Name implements workload.Backend.
 func (b *Backend) Name() string { return "relational" }
 
-// SuiteOpStats implements workload.SuiteStatsProvider.
-func (b *Backend) SuiteOpStats() workload.SuiteStats { return b.stats.Stats() }
-
 // Capabilities implements workload.Backend: the relational, document,
 // and key-value models shred; graph and XML do not, which excludes
 // their queries, the native transaction set, and snapshot reads.
@@ -60,9 +56,6 @@ func (b *Backend) Capabilities() workload.Capabilities {
 	return workload.Capabilities{
 		Models:  []string{"relational", "document", "kv"},
 		Queries: []workload.QueryID{workload.Q1, workload.Q3, workload.Q4, workload.Q8, workload.Q12, workload.Q13},
-		Suites:  []string{"t2", "tenants"},
-
-		SuiteStats: b,
 	}
 }
 
@@ -86,37 +79,6 @@ func (b *Backend) RunQuery(q workload.QueryID, p workload.Params) (int, error) {
 		return b.q13(p)
 	}
 	return 0, fmt.Errorf("relational backend does not express %s: %w", q, workload.ErrUnsupported)
-}
-
-// RunSuiteOp implements workload.Backend: the tenants suite executes
-// over the shredded tables; every other suite (including t2, whose mix
-// drives RunQuery natively) is unsupported before any row is read.
-func (b *Backend) RunSuiteOp(suite, op string, p workload.Params) (int, error) {
-	if suite != "tenants" {
-		return 0, fmt.Errorf("relational backend cannot run suite %s op %s: %w", suite, op, workload.ErrUnsupported)
-	}
-	var run func(workload.Params) (int, error)
-	write := false
-	switch op {
-	case "t_lookup":
-		run = b.tnLookup
-	case "t_inbox":
-		run = b.tnInbox
-	case "t_open":
-		run, write = b.tnOpen, true
-	case "t_close":
-		run, write = b.tnClose, true
-	case "t_count":
-		run = b.tnCount
-	default:
-		return 0, fmt.Errorf("relational backend has no tenants op %q: %w", op, workload.ErrUnsupported)
-	}
-	n, err := run(p)
-	if err != nil {
-		return 0, err
-	}
-	b.stats.Observe(write, n)
-	return n, nil
 }
 
 // --- helpers ---
@@ -332,104 +294,4 @@ func (b *Backend) q13(p workload.Params) (int, error) {
 		}
 	}
 	return len(cities), nil
-}
-
-// --- tenants suite ops ---
-
-func (b *Backend) tenantTables() (tenants, tickets *relational.Table, err error) {
-	if tenants, err = b.mustTable("tenant"); err != nil {
-		return nil, nil, err
-	}
-	tickets, err = b.mustTable("tickets")
-	return tenants, tickets, err
-}
-
-func (b *Backend) tnLookup(p workload.Params) (int, error) {
-	tenants, tickets, err := b.tenantTables()
-	if err != nil {
-		return 0, err
-	}
-	found := 0
-	if _, ok := tenants.Get(nil, p.CustomerID); ok {
-		found++
-	}
-	if _, ok := tickets.Get(nil, datagen.TicketID(datagen.SeqOf(p.OrderID))); ok {
-		found++
-	}
-	return found, nil
-}
-
-func (b *Backend) tnInbox(p workload.Params) (int, error) {
-	tickets, err := b.mustTable("tickets")
-	if err != nil {
-		return 0, err
-	}
-	return tickets.Query(nil).Where(relational.And(
-		relational.Col("tenant_id").Eq(p.CustomerID), relational.Col("status").Eq("open"))).Count(), nil
-}
-
-// tnOpen inserts the ticket and bumps the tenant's counter in one
-// transaction, mirroring the native op's atomicity.
-func (b *Backend) tnOpen(p workload.Params) (int, error) {
-	tenants, tickets, err := b.tenantTables()
-	if err != nil {
-		return 0, err
-	}
-	err = b.db.Manager().Auto(nil, func(tx *txn.Tx) error {
-		if err := tickets.Insert(tx, mmvalue.ObjectOf(
-			"_id", "tk-"+p.FreshID,
-			"tenant_id", p.CustomerID,
-			"status", "open",
-			"priority", p.Rating,
-			"subject", "opened at runtime",
-			"body", "runtime ticket for tenant "+p.City,
-		)); err != nil {
-			return err
-		}
-		return tenants.Update(tx, p.CustomerID, func(row mmvalue.Value) (mmvalue.Value, error) {
-			o := row.MustObject()
-			o.Set("tickets", mmvalue.Int(int64(num(o, "tickets"))+1))
-			return row, nil
-		})
-	})
-	if err != nil {
-		return 0, fmt.Errorf("relbe: %w", err)
-	}
-	return 1, nil
-}
-
-func (b *Backend) tnClose(p workload.Params) (int, error) {
-	tickets, err := b.mustTable("tickets")
-	if err != nil {
-		return 0, err
-	}
-	err = tickets.Update(nil, datagen.TicketID(datagen.SeqOf(p.OrderID)), func(row mmvalue.Value) (mmvalue.Value, error) {
-		row.MustObject().Set("status", mmvalue.String("closed"))
-		return row, nil
-	})
-	if err != nil {
-		return 0, fmt.Errorf("relbe: %w", err)
-	}
-	return 1, nil
-}
-
-// tnCount is the counter-vs-table consistency probe. Both reads run
-// under one snapshot so the comparison sees a consistent view, like
-// the native probe's.
-func (b *Backend) tnCount(p workload.Params) (int, error) {
-	tenants, tickets, err := b.tenantTables()
-	if err != nil {
-		return 0, err
-	}
-	tx := b.db.Manager().Begin()
-	defer tx.Abort()
-	row, ok := tenants.Get(tx, p.CustomerID)
-	if !ok {
-		return 0, nil
-	}
-	counted := int(num(row.MustObject(), "tickets"))
-	if counted != tickets.Query(tx).Where(relational.Col("tenant_id").Eq(p.CustomerID)).Count() {
-		return 1, nil
-	}
-	return 0, nil
 }

@@ -3,33 +3,32 @@ package relbe
 import (
 	"errors"
 	"fmt"
+	"net"
 	"testing"
 
+	"udbench/internal/datagen"
+	"udbench/internal/server"
 	"udbench/internal/workload"
 )
 
 // buildPair loads one generated dataset into both the native unified
 // engine and the relational backend, via the registry path real runs
 // use.
-func buildPair(t *testing.T, suiteName string, sf float64, seed uint64) (native, rel workload.Backend, info workload.Info) {
+func buildPair(t *testing.T, sf float64, seed uint64) (native, rel workload.Backend, info workload.Info) {
 	t.Helper()
-	suite, err := workload.ResolveSuite(suiteName)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := suite.Generate(sf, seed)
+	ds := datagen.Generate(datagen.Config{ScaleFactor: sf, Seed: seed})
 	build := func(name string) workload.Backend {
 		spec, err := workload.ResolveBackend(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		be, err := spec.New(data, workload.BackendOptions{})
+		be, err := spec.New(ds, workload.BackendOptions{})
 		if err != nil {
 			t.Fatalf("build %s backend: %v", name, err)
 		}
 		return be
 	}
-	return build("udbms"), build("relational"), data.Info()
+	return build("udbms"), build("relational"), workload.InfoOf(ds)
 }
 
 // TestQueryAgreement pins the comparative contract on the t2 dataset:
@@ -40,7 +39,7 @@ func TestQueryAgreement(t *testing.T) {
 	for _, sf := range []float64{0.05, 0.1} {
 		for _, seed := range []uint64{1234, 99} {
 			t.Run(fmt.Sprintf("sf%v/seed%d", sf, seed), func(t *testing.T) {
-				native, rel, info := buildPair(t, "t2", sf, seed)
+				native, rel, info := buildPair(t, sf, seed)
 				queries := rel.Capabilities().Queries
 				if len(queries) == 0 {
 					t.Fatal("relational backend advertises no queries")
@@ -98,83 +97,28 @@ func TestQueryAgreement(t *testing.T) {
 	}
 }
 
-// TestTenantsAgreement drives the tenants suite on both backends:
-// read ops must agree on a fresh dataset, and after both apply the
-// same write sequence the reads must still agree — including the
-// consistency probe and the suite_stats deltas.
-func TestTenantsAgreement(t *testing.T) {
-	native, rel, info := buildPair(t, "tenants", 0.05, 7)
-	readOps := []string{"t_lookup", "t_inbox", "t_count"}
-	compareReads := func(label string, gen *workload.ParamGen, trials int) {
-		t.Helper()
-		for trial := 0; trial < trials; trial++ {
-			p := gen.Next()
-			for _, op := range readOps {
-				want, err := native.RunSuiteOp("tenants", op, p)
-				if err != nil {
-					t.Fatalf("%s %s udbms: %v", label, op, err)
-				}
-				got, err := rel.RunSuiteOp("tenants", op, p)
-				if err != nil {
-					t.Fatalf("%s %s relational: %v", label, op, err)
-				}
-				if got != want {
-					t.Errorf("%s %s: udbms=%d relational=%d (params %+v)", label, op, want, got, p)
-				}
-			}
+// advertisedCounts runs every query the backend advertises once with p.
+func advertisedCounts(t *testing.T, be workload.Backend, p workload.Params) map[workload.QueryID]int {
+	t.Helper()
+	got := map[workload.QueryID]int{}
+	for _, q := range be.Capabilities().Queries {
+		n, err := be.RunQuery(q, p)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
 		}
+		got[q] = n
 	}
-	compareReads("fresh", workload.NewParamGen(info, 7, 0.5), 8)
-
-	nativeStats := native.Capabilities().SuiteStats
-	relStats := rel.Capabilities().SuiteStats
-	if nativeStats == nil || relStats == nil {
-		t.Fatal("both backends must provide suite stats")
-	}
-	baseN, baseR := nativeStats.SuiteOpStats(), relStats.SuiteOpStats()
-
-	// Identical write sequences: open a fresh ticket per trial, close a
-	// generated one.
-	gen := workload.NewParamGen(info, 21, 0.5)
-	for trial := 0; trial < 6; trial++ {
-		p := gen.Next()
-		p.FreshID = fmt.Sprintf("agree-%d", trial)
-		for _, op := range []string{"t_open", "t_close"} {
-			want, err := native.RunSuiteOp("tenants", op, p)
-			if err != nil {
-				t.Fatalf("%s udbms: %v", op, err)
-			}
-			got, err := rel.RunSuiteOp("tenants", op, p)
-			if err != nil {
-				t.Fatalf("%s relational: %v", op, err)
-			}
-			if got != want {
-				t.Errorf("%s: udbms=%d relational=%d", op, want, got)
-			}
-		}
-	}
-	compareReads("after-writes", workload.NewParamGen(info, 7, 0.5), 8)
-
-	dn := nativeStats.SuiteOpStats().Delta(baseN)
-	dr := relStats.SuiteOpStats().Delta(baseR)
-	if dn != dr {
-		t.Errorf("suite stats deltas diverge: udbms=%+v relational=%+v", dn, dr)
-	}
+	return got
 }
 
 // TestUnsupportedIsTypedAndTouchesNothing pins the capability
-// contract: unsupported queries and suites fail with the typed
-// sentinel before reading or writing anything — the suite-op counters
-// and the data must be bit-identical before and after.
+// contract: a query outside the descriptor, and a native transaction
+// sent to the backend through the server, fail with the typed sentinel
+// and leave every advertised query's answer as it was.
 func TestUnsupportedIsTypedAndTouchesNothing(t *testing.T) {
-	_, rel, info := buildPair(t, "tenants", 0.05, 7)
-	gen := workload.NewParamGen(info, 5, 0.5)
-	p := gen.Next()
-	before, err := rel.RunSuiteOp("tenants", "t_inbox", p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	statsBefore := rel.Capabilities().SuiteStats.SuiteOpStats()
+	_, rel, info := buildPair(t, 0.05, 7)
+	p := workload.NewParamGen(info, 5, 0.5).Next()
+	before := advertisedCounts(t, rel, p)
 
 	if _, err := rel.RunQuery(workload.Q2, p); !errors.Is(err, workload.ErrUnsupported) {
 		t.Errorf("Q2 err = %v, want workload.ErrUnsupported", err)
@@ -182,161 +126,86 @@ func TestUnsupportedIsTypedAndTouchesNothing(t *testing.T) {
 	if _, err := rel.RunQuery(workload.Q9, p); !errors.Is(err, workload.ErrUnsupported) {
 		t.Errorf("Q9 err = %v, want workload.ErrUnsupported", err)
 	}
-	if _, err := rel.RunSuiteOp("timeseries", "window", p); !errors.Is(err, workload.ErrUnsupported) {
-		t.Errorf("timeseries op err = %v, want workload.ErrUnsupported", err)
+	if _, ok := rel.(workload.TxnEngine); ok || rel.Capabilities().Transactions {
+		t.Fatal("relational backend claims native transactions")
 	}
-	if _, err := rel.RunSuiteOp("tenants", "no_such_op", p); !errors.Is(err, workload.ErrUnsupported) {
-		t.Errorf("unknown op err = %v, want workload.ErrUnsupported", err)
-	}
-
-	if after, err := rel.RunSuiteOp("tenants", "t_inbox", p); err != nil || after != before {
-		t.Errorf("inbox after unsupported attempts = %d, %v; want %d (data untouched)", after, err, before)
-	}
-	statsAfter := rel.Capabilities().SuiteStats.SuiteOpStats()
-	// Only the two deliberate t_inbox reads may have counted.
-	wantReads := statsBefore.Reads + 1
-	if statsAfter.Reads != wantReads || statsAfter.Writes != statsBefore.Writes {
-		t.Errorf("stats after = %+v, want reads=%d writes=%d (unsupported ops must not count)",
-			statsAfter, wantReads, statsBefore.Writes)
-	}
-}
-
-// TestRunMixOnRelationalBackend runs the full tenants mix through the
-// unmodified driver, four concurrent clients on each backend: the
-// relational leg must be error-free with suite telemetry and the
-// partial-capability report attached, and — what a global mutex would
-// give for free but MVCC has to earn — leave every tenant's counter
-// consistent and the data in the state the unified engine reaches.
-func TestRunMixOnRelationalBackend(t *testing.T) {
-	native, rel, info := buildPair(t, "tenants", 0.05, 7)
-	suite, err := workload.ResolveSuite("tenants")
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := workload.DriverConfig{Clients: 4, OpsPerClient: 40, Theta: 0.7, Seed: 11, Suite: "tenants"}
-	nativeStats, relStats := native.Capabilities().SuiteStats, rel.Capabilities().SuiteStats
-	baseR := relStats.SuiteOpStats()
+	srv := server.Serve(lis, server.Config{Engine: rel, Info: info, Workers: 1})
+	defer srv.Close()
+	re, err := server.DialEngine(srv.Addr().String(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if err := re.OrderUpdate(p); !errors.Is(err, workload.ErrUnsupported) {
+		t.Errorf("served T1 err = %v, want workload.ErrUnsupported", err)
+	}
 
-	// While the mix runs, a fifth client probes the hot tenants: a ticket
-	// insert visible without its counter bump (or the reverse) is a
-	// violation only snapshot reads over atomic commits rule out.
-	stop, probed := make(chan struct{}), make(chan int64)
-	go func() {
-		var n int64
-		for {
-			select {
-			case <-stop:
-				probed <- n
-				return
-			default:
-			}
-			v, err := rel.RunSuiteOp("tenants", "t_count", workload.Params{CustomerID: 1 + int(n%3)})
-			if err != nil || v != 0 {
-				t.Errorf("mid-mix t_count on tenant %d = %d, %v; want 0 violations", 1+n%3, v, err)
-			}
-			n++
+	after := advertisedCounts(t, rel, p)
+	for q, n := range before {
+		if after[q] != n {
+			t.Errorf("%s after the unsupported attempts = %d, want %d (data untouched)", q, after[q], n)
 		}
-	}()
-	res := workload.RunMix(rel, info, suite.Mix(rel), cfg)
-	close(stop)
-	probes := <-probed
-	mixR := relStats.SuiteOpStats().Delta(baseR)
-	mixR.Reads -= probes
+	}
+}
+
+// TestRunMixOnRelationalBackend runs a mix of every advertised query
+// through the unmodified driver, four concurrent clients: the run must
+// be error-free and carry the partial-capability report, which names
+// exactly the advertised queries.
+func TestRunMixOnRelationalBackend(t *testing.T) {
+	_, rel, info := buildPair(t, 0.05, 7)
+	queries := rel.Capabilities().Queries
+	var mix []workload.MixItem
+	for _, q := range queries {
+		mix = append(mix, workload.MixItem{Name: q.String(), Weight: 1, Run: func(p workload.Params) error {
+			_, err := rel.RunQuery(q, p)
+			return err
+		}})
+	}
+	res := workload.RunMix(rel, info, mix, workload.DriverConfig{Clients: 4, OpsPerClient: 40, Theta: 0.7, Seed: 11})
 	if res.Errors != 0 || res.Aborts != 0 {
-		t.Fatalf("tenants mix on relational: %d errors, %d aborts", res.Errors, res.Aborts)
+		t.Fatalf("query mix on relational: %d errors, %d aborts", res.Errors, res.Aborts)
 	}
 	if res.Ops != 160 {
 		t.Fatalf("ops = %d, want 160", res.Ops)
 	}
-	if res.SuiteStats == nil || res.SuiteStats.Reads+res.SuiteStats.Writes == 0 {
-		t.Fatalf("suite stats missing or empty: %+v", res.SuiteStats)
-	}
 	sum := res.Summary()
-	if sum.BackendCapabilities == nil {
-		t.Fatal("partial backend must attach backend_capabilities")
-	}
-	if !sum.BackendCapabilities.Transactions && len(sum.BackendCapabilities.Queries) == 0 {
-		t.Error("capability report lists no queries")
-	}
 	if sum.Engine != "relational" {
 		t.Errorf("summary engine = %q, want relational", sum.Engine)
 	}
-
-	// The same seed gives the unified engine the same per-client op
-	// sequences. Read cardinalities seen *during* the runs depend on
-	// the interleaving (an inbox read races the opens around it), so
-	// the concurrent phase compares the op counts...
-	nres := workload.RunMix(native, info, suite.Mix(native), cfg)
-	if nres.Errors != 0 || nres.SuiteStats == nil {
-		t.Fatalf("tenants mix on udbms: %d errors, stats %+v", nres.Errors, nres.SuiteStats)
+	caps := sum.BackendCapabilities
+	if caps == nil {
+		t.Fatal("partial backend must attach backend_capabilities")
 	}
-	if mixR.Reads != nres.SuiteStats.Reads || mixR.Writes != nres.SuiteStats.Writes {
-		t.Errorf("mix op counts diverge: udbms=%+v relational=%+v (probe reads taken out)", *nres.SuiteStats, mixR)
+	if caps.Transactions || len(caps.Queries) != len(queries) {
+		t.Errorf("capability report %+v, want no transactions and the %d advertised queries", caps, len(queries))
 	}
-	// ...and the writes commute, so afterwards both hold the same
-	// state: every read of every tenant agrees, no counter drifted from
-	// its tickets, and the suite_stats deltas (rows included) match.
-	baseN, baseR := nativeStats.SuiteOpStats(), relStats.SuiteOpStats()
-	for tenant := 1; tenant <= info.Customers; tenant++ {
-		p := workload.Params{CustomerID: tenant, OrderID: fmt.Sprintf("o%d", tenant)}
-		for _, op := range []string{"t_lookup", "t_inbox", "t_count"} {
-			want, err := native.RunSuiteOp("tenants", op, p)
-			if err != nil {
-				t.Fatalf("%s udbms: %v", op, err)
-			}
-			got, err := rel.RunSuiteOp("tenants", op, p)
-			if err != nil {
-				t.Fatalf("%s relational: %v", op, err)
-			}
-			if got != want {
-				t.Errorf("tenant %d %s after the mix: udbms=%d relational=%d", tenant, op, want, got)
-			}
-			if op == "t_count" && got != 0 {
-				t.Errorf("tenant %d: counter disagrees with its tickets after the concurrent mix", tenant)
-			}
+	for i, q := range queries {
+		if i < len(caps.Queries) && caps.Queries[i] != q.String() {
+			t.Errorf("reported query %d = %s, want %s", i, caps.Queries[i], q)
 		}
-	}
-	if dn, dr := nativeStats.SuiteOpStats().Delta(baseN), relStats.SuiteOpStats().Delta(baseR); dn != dr {
-		t.Errorf("suite stats deltas diverge: udbms=%+v relational=%+v", dn, dr)
 	}
 }
 
-// TestStandardMixDegradesToQueries pins what the backend offers each
-// registered suite. Every suite's dataset must load — the f5 sweep
-// builds every backend before asking SupportsSuite, and a typed schema
-// is stricter than the documents it is inferred from — and the suites
-// outside the descriptor must yield an empty mix. On t2, without
-// native transactions, the standard mix reduces to its supported query
-// items instead of erroring.
+// TestStandardMixDegradesToQueries pins what the standard mix becomes
+// over a backend without native transactions: its supported query
+// items instead of an error, here Q1 alone, on the t2 dataset.
 func TestStandardMixDegradesToQueries(t *testing.T) {
-	wantOps := map[string]int{"t2": 1, "tenants": 4}
-	for _, name := range workload.SuiteNames() {
-		t.Run(name, func(t *testing.T) {
-			suite, err := workload.ResolveSuite(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rel, err := Open(suite.Generate(0.05, 1234))
-			if err != nil {
-				t.Fatalf("Open on the %s dataset: %v", name, err)
-			}
-			_, advertised := wantOps[name]
-			if got := rel.Capabilities().SupportsSuite(name); got != advertised {
-				t.Errorf("SupportsSuite(%s) = %v, want %v", name, got, advertised)
-			}
-			mix := suite.Mix(rel)
-			if advertised && len(mix) != wantOps[name] {
-				t.Fatalf("%s mix over relational has %d items, want %d", name, len(mix), wantOps[name])
-			}
-			if name != "t2" {
-				return
-			}
-			if mix[0].Name != "Q1" {
-				t.Fatalf("standard mix over relational = [%s], want [Q1] only", mix[0].Name)
-			}
-			if err := mix[0].Run(workload.Params{CustomerID: 1}); err != nil {
-				t.Errorf("Q1 through relational failed: %v", err)
-			}
-		})
-	}
+	t.Run("t2", func(t *testing.T) {
+		rel, err := Open(datagen.Generate(datagen.Config{ScaleFactor: 0.05, Seed: 1234}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		mix := workload.StandardMix(rel)
+		if len(mix) != 1 || mix[0].Name != "Q1" {
+			t.Fatalf("standard mix over relational has %d items, want [Q1] only", len(mix))
+		}
+		if err := mix[0].Run(workload.Params{CustomerID: 1}); err != nil {
+			t.Errorf("Q1 through relational failed: %v", err)
+		}
+	})
 }

@@ -4,14 +4,14 @@ import (
 	"fmt"
 
 	"udbench/internal/convert"
+	"udbench/internal/datagen"
 	"udbench/internal/mmvalue"
 	"udbench/internal/relational"
 	"udbench/internal/txn"
 	"udbench/internal/udbms"
-	"udbench/internal/workload"
 )
 
-// The loader shreds a multi-model SuiteData into flat relational
+// The loader shreds the multi-model dataset into flat relational
 // tables — the conversion a one-model system must do to sit behind the
 // same workload:
 //
@@ -34,13 +34,13 @@ import (
 // accumulation over Find/Scan — the agreement tests compare exact
 // cardinalities on the back of that.
 
-// load materializes data in a scratch unified store and shreds it into
+// load materializes ds in a scratch unified store and shreds it into
 // db. Shapes a dataset lacks (no orders, no key-value entries) simply
 // leave no table behind; the queries treat a missing table as empty,
 // like the native engines do over empty stores.
-func load(data workload.SuiteData, db *relational.DB) error {
+func load(ds *datagen.Dataset, db *relational.DB) error {
 	scratch := udbms.Open()
-	if err := data.Load(scratch.Stores()); err != nil {
+	if err := ds.Load(scratch.Stores()); err != nil {
 		return fmt.Errorf("relbe: load dataset: %w", err)
 	}
 	for _, name := range scratch.Relational.TableNames() {

@@ -4,6 +4,7 @@ import (
 	"io"
 	"time"
 
+	"udbench/internal/datagen"
 	"udbench/internal/workload"
 
 	// Comparative backends register themselves with the workload
@@ -16,11 +17,10 @@ import (
 // comparativeLegs builds a sweep leg for every registered backend
 // beyond the two baseline engines (which the callers provision
 // themselves so transactional experiments keep their direct handles).
-// Backends that do not support the suite — or whose capability subset
-// leaves the suite's mix empty — are skipped rather than erroring:
-// a comparative run reports what each system can express, and an
-// inexpressible suite is simply not that backend's trajectory.
-func comparativeLegs(data workload.SuiteData, hop time.Duration, suite *workload.Suite) ([]sweepEngine, func(), error) {
+// Backends whose capability subset leaves the standard mix empty are
+// skipped rather than erroring: a comparative run reports what each
+// system can express.
+func comparativeLegs(ds *datagen.Dataset, hop time.Duration) ([]sweepEngine, func(), error) {
 	var legs []sweepEngine
 	closeAll := func() {
 		for _, leg := range legs {
@@ -31,12 +31,12 @@ func comparativeLegs(data workload.SuiteData, hop time.Duration, suite *workload
 		if name == "udbms" || name == "federation" {
 			continue
 		}
-		be, err := workload.NewBackend(name, data, workload.BackendOptions{HopLatency: hop})
+		be, err := workload.NewBackend(name, ds, workload.BackendOptions{HopLatency: hop})
 		if err != nil {
 			closeAll()
 			return nil, nil, err
 		}
-		if !be.Capabilities().SupportsSuite(suite.Name) || len(suite.Mix(be)) == 0 {
+		if len(workload.StandardMix(be)) == 0 {
 			closeBackend(be)
 			continue
 		}

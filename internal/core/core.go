@@ -10,6 +10,7 @@ import (
 	"sort"
 	"time"
 
+	"udbench/internal/datagen"
 	"udbench/internal/metrics"
 	"udbench/internal/workload"
 )
@@ -32,11 +33,6 @@ type Config struct {
 	// knees land side by side in one artifact. The server must front a
 	// dataset with the same cardinalities (same -sf/-seed).
 	Remote string
-	// Suite selects the workload suite for the experiments that honor
-	// one (f5 sweeps the chosen suite's mix). Empty means the default
-	// t2 suite; suites are separate trajectories and their numbers are
-	// never compared across suites.
-	Suite string
 }
 
 // DefaultConfig returns the reference configuration.
@@ -95,35 +91,30 @@ func RunAll(cfg Config) ([]*metrics.Table, error) {
 }
 
 // testbed provisions both native systems under test with the same
-// suite dataset, built through the backend registry like every other
+// dataset, built through the backend registry like every other
 // backend.
 type testbed struct {
 	info     workload.Info
 	uni, fed workload.Engine
-	// data is the dataset the testbed was loaded from, retained so
+	// ds is the dataset the testbed was loaded from, retained so
 	// comparative backends can be provisioned with the exact same data.
-	data workload.SuiteData
+	ds *datagen.Dataset
 }
 
-// newTestbed generates the named suite's dataset ("" is the default t2
-// suite, the paper's Figure-1 data) and loads it into a fresh unified
-// engine and a fresh federation.
-func newTestbed(sf float64, seed uint64, hop time.Duration, suiteName string) (*testbed, error) {
-	suite, err := workload.ResolveSuite(suiteName)
-	if err != nil {
-		return nil, err
-	}
-	data := suite.Generate(sf, seed)
+// newTestbed generates the paper's Figure-1 dataset and loads it into a
+// fresh unified engine and a fresh federation.
+func newTestbed(sf float64, seed uint64, hop time.Duration) (*testbed, error) {
+	ds := datagen.Generate(datagen.Config{ScaleFactor: sf, Seed: seed})
 	opt := workload.BackendOptions{HopLatency: hop}
-	uni, err := workload.NewBackend("udbms", data, opt)
+	uni, err := workload.NewBackend("udbms", ds, opt)
 	if err != nil {
 		return nil, err
 	}
-	fed, err := workload.NewBackend("federation", data, opt)
+	fed, err := workload.NewBackend("federation", ds, opt)
 	if err != nil {
 		return nil, err
 	}
-	return &testbed{info: data.Info(), uni: uni.(workload.Engine), fed: fed.(workload.Engine), data: data}, nil
+	return &testbed{info: workload.InfoOf(ds), uni: uni.(workload.Engine), fed: fed.(workload.Engine), ds: ds}, nil
 }
 
 // medianOf runs fn k times and returns the median duration.

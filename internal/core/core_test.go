@@ -253,34 +253,6 @@ func TestF5LatencyVsRate(t *testing.T) {
 	}
 }
 
-// TestF5SweepSuite runs the knee sweep over a registry suite instead
-// of the native t2 mix: the same ladder, engines, and row shape must
-// come out, with every rung achieving throughput on the suite's ops.
-func TestF5SweepSuite(t *testing.T) {
-	cfg := QuickConfig()
-	cfg.Suite = "timeseries"
-	rows, err := f5Sweep(cfg, shapeLadder)
-	if err != nil {
-		t.Fatal(err)
-	}
-	byEngine := map[string]int{}
-	for _, r := range rows {
-		byEngine[r.Engine]++
-		if r.Achieved <= 0 {
-			t.Errorf("%s @ %.0f ops/s achieved nothing on the timeseries suite", r.Engine, r.Offered)
-		}
-		if r.Errors != r.Aborts {
-			t.Errorf("%s @ %.0f: %d errors but %d aborts — suite op failed outright",
-				r.Engine, r.Offered, r.Errors, r.Aborts)
-		}
-	}
-	for _, eng := range []string{"udbms", "federation"} {
-		if byEngine[eng] == 0 {
-			t.Fatalf("suite sweep has no %s rows", eng)
-		}
-	}
-}
-
 func TestF6RecoverySweep(t *testing.T) {
 	cfg := QuickConfig()
 	p := f6ConfigFor(cfg)

@@ -116,7 +116,7 @@ func runF1(cfg Config) ([]*metrics.Table, error) {
 // engine vs the federation and verifies both return identical result
 // counts.
 func runT2(cfg Config) ([]*metrics.Table, error) {
-	tb, err := newTestbed(cfg.SF, cfg.Seed, cfg.HopLatency, "")
+	tb, err := newTestbed(cfg.SF, cfg.Seed, cfg.HopLatency)
 	if err != nil {
 		return nil, err
 	}
@@ -157,7 +157,7 @@ func runT2(cfg Config) ([]*metrics.Table, error) {
 
 // runF2 sweeps client counts over the standard mixed workload.
 func runF2(cfg Config) ([]*metrics.Table, error) {
-	tb, err := newTestbed(cfg.SF, cfg.Seed, cfg.HopLatency, "")
+	tb, err := newTestbed(cfg.SF, cfg.Seed, cfg.HopLatency)
 	if err != nil {
 		return nil, err
 	}
@@ -192,7 +192,7 @@ func runF3(cfg Config) ([]*metrics.Table, error) {
 		"theta", "udbms aborts", "udbms ops/s", "federation aborts", "federation ops/s")
 	for _, theta := range thetas {
 		// Fresh stores per cell so stock decrements don't accumulate.
-		tb, err := newTestbed(cfg.SF, cfg.Seed, cfg.HopLatency, "")
+		tb, err := newTestbed(cfg.SF, cfg.Seed, cfg.HopLatency)
 		if err != nil {
 			return nil, err
 		}
@@ -245,7 +245,7 @@ func runT3(cfg Config) ([]*metrics.Table, error) {
 	// its per-store commits (where readers can observe a torn state)
 	// is wide enough to measure; the unified engine's single commit
 	// point has no such window at any latency.
-	tb, err := newTestbed(cfg.SF, cfg.Seed, time.Millisecond, "")
+	tb, err := newTestbed(cfg.SF, cfg.Seed, time.Millisecond)
 	if err != nil {
 		return nil, err
 	}
@@ -427,7 +427,7 @@ func runF4(cfg Config) ([]*metrics.Table, error) {
 	}
 	t := metrics.NewTable("F4: unified-engine query latency vs scale factor", headers...)
 	for _, sf := range sfs {
-		tb, err := newTestbed(sf, cfg.Seed, 0, "")
+		tb, err := newTestbed(sf, cfg.Seed, 0)
 		if err != nil {
 			return nil, err
 		}

@@ -74,14 +74,14 @@ func f5ConfigFor(cfg Config) f5Config {
 // sweepEngine is one system under test in a rate sweep: the backend and
 // the label its rows carry (an engine name for f5, a fsync policy for
 // f6's durable variants). The sweep only needs the core Backend
-// contract — partial backends ride the same ladder with whatever mix
-// subset the suite grants them.
+// contract — partial backends ride the same ladder with whatever subset
+// of the standard mix their capabilities grant them.
 type sweepEngine struct {
 	label string
 	e     workload.Backend
 }
 
-// rateSweep drives the suite's mix open-loop at a geometric ladder of
+// rateSweep drives the standard mix open-loop at a geometric ladder of
 // offered rates against each engine. Per rung it runs an unmeasured
 // warm-up (populating caches and the freshly counted lock telemetry is
 // delta-scoped per run anyway), then one duration-bounded measured run,
@@ -90,11 +90,11 @@ type sweepEngine struct {
 // rung itself is kept (it is the most interesting row: intended
 // latency there is backlog, not service), so each engine's sweep ends
 // with at most one saturated row.
-func rateSweep(p f5Config, info workload.Info, seed uint64, suite *workload.Suite, engines []sweepEngine) []f5Row {
+func rateSweep(p f5Config, info workload.Info, seed uint64, engines []sweepEngine) []f5Row {
 	var rows []f5Row
 	for _, se := range engines {
 		e := se.e
-		mix := suite.Mix(e)
+		mix := workload.StandardMix(e)
 		names := make([]string, len(mix))
 		for i, item := range mix {
 			names[i] = item.Name
@@ -106,7 +106,6 @@ func rateSweep(p f5Config, info workload.Info, seed uint64, suite *workload.Suit
 				Clients: p.clients, Theta: p.theta, Seed: seed,
 				Mode: workload.ModeOpen, RateOpsPerSec: rate,
 				Arrival: workload.ArrivalPoisson, Duration: p.measure,
-				Suite: suite.Name,
 			}
 			warm := dc
 			warm.Duration = p.warmup
@@ -194,22 +193,18 @@ func kneeOf(rows []f5Row, label string) (d kneeDigest, ok bool) {
 }
 
 // f5Sweep runs the rate ladder over the two baseline engines, every
-// registered comparative backend that supports the suite — plus, when
-// cfg.Remote names a `udbench serve` address, the same sweep over the
-// wire, so the artifact carries the in-process, comparative, and
-// remote knees side by side. The ladder is a parameter so tests can
+// registered comparative backend that can run part of the standard mix
+// — plus, when cfg.Remote names a `udbench serve` address, the same
+// sweep over the wire, so the artifact carries the in-process,
+// comparative, and remote knees side by side. The ladder is a parameter so tests can
 // assert the sweep's shape on a short one.
 func f5Sweep(cfg Config, p f5Config) ([]f5Row, error) {
-	suite, err := workload.ResolveSuite(cfg.Suite)
-	if err != nil {
-		return nil, fmt.Errorf("f5: %w", err)
-	}
-	tb, err := newTestbed(cfg.SF, cfg.Seed, cfg.HopLatency, suite.Name)
+	tb, err := newTestbed(cfg.SF, cfg.Seed, cfg.HopLatency)
 	if err != nil {
 		return nil, err
 	}
 	engines := []sweepEngine{{tb.uni.Name(), tb.uni}, {tb.fed.Name(), tb.fed}}
-	extra, closeExtra, err := comparativeLegs(tb.data, cfg.HopLatency, suite)
+	extra, closeExtra, err := comparativeLegs(tb.ds, cfg.HopLatency)
 	if err != nil {
 		return nil, err
 	}
@@ -222,19 +217,15 @@ func f5Sweep(cfg Config, p f5Config) ([]f5Row, error) {
 		}
 		defer re.Close()
 		// A remote knee is only comparable to the local ones if the
-		// server fronts the same suite and dataset; the suite name and
-		// the cardinalities are the proxies the protocol exposes.
-		if re.Suite() != suite.Name {
-			return nil, fmt.Errorf("f5: remote serves suite %q, local sweep wants %q (serve with matching -suite)",
-				re.Suite(), suite.Name)
-		}
+		// server fronts the same dataset; the cardinalities are the
+		// proxy the protocol exposes.
 		if re.Info() != tb.info {
 			return nil, fmt.Errorf("f5: remote dataset %+v != local %+v (serve with matching -sf/-seed)",
 				re.Info(), tb.info)
 		}
 		engines = append(engines, sweepEngine{re.Name(), re})
 	}
-	return rateSweep(p, tb.info, cfg.Seed, suite, engines), nil
+	return rateSweep(p, tb.info, cfg.Seed, engines), nil
 }
 
 // runF5 is the latency-vs-offered-rate experiment: the classic
@@ -253,13 +244,9 @@ func runF5(cfg Config) ([]*metrics.Table, error) {
 
 // f5Tables renders a sweep: every rung, then the knee digest.
 func f5Tables(cfg Config, p f5Config, rows []f5Row) []*metrics.Table {
-	suiteName := cfg.Suite
-	if suiteName == "" {
-		suiteName = workload.DefaultSuite
-	}
 	sweep := metrics.NewTable(
-		fmt.Sprintf("F5: latency vs offered rate (open loop, %v per rate, x%g ladder), suite %s, SF %g",
-			p.measure, p.factor, suiteName, cfg.SF),
+		fmt.Sprintf("F5: latency vs offered rate (open loop, %v per rate, x%g ladder), SF %g",
+			p.measure, p.factor, cfg.SF),
 		"engine", "ops", "offered", "achieved", "ach%", "svc p50", "svc p99",
 		"int p50", "int p99", "int max", "abort%", "lock wait", "dropped", "shed")
 	for _, r := range rows {

@@ -11,7 +11,7 @@ import (
 // listener and returns its address.
 func startQuickServer(t *testing.T, cfg Config) string {
 	t.Helper()
-	tb, err := newTestbed(cfg.SF, cfg.Seed, cfg.HopLatency, "")
+	tb, err := newTestbed(cfg.SF, cfg.Seed, cfg.HopLatency)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,17 +85,5 @@ func TestF5SweepRemoteMismatch(t *testing.T) {
 	cfg.Remote = startQuickServer(t, serveCfg)
 	if _, err := f5Sweep(cfg, shapeLadder); err == nil || !strings.Contains(err.Error(), "remote dataset") {
 		t.Fatalf("mismatched dataset err = %v, want the remote dataset guard", err)
-	}
-}
-
-// TestF5SweepRemoteSuiteMismatch pins the suite guard on the remote
-// leg: a server loaded with the default t2 suite must be rejected by a
-// sweep asked to run a different suite, before any data comparison.
-func TestF5SweepRemoteSuiteMismatch(t *testing.T) {
-	cfg := QuickConfig()
-	cfg.Remote = startQuickServer(t, cfg)
-	cfg.Suite = "timeseries"
-	if _, err := f5Sweep(cfg, shapeLadder); err == nil || !strings.Contains(err.Error(), "remote serves suite") {
-		t.Fatalf("mismatched suite err = %v, want the remote suite guard", err)
 	}
 }

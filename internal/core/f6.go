@@ -164,13 +164,7 @@ func f6PolicySweep(cfg Config, p f6Config) ([]f5Row, error) {
 		engines = append(engines, sweepEngine{policy.String(), eng})
 		info = inf
 	}
-	// The durability sweep is t2-only: its engines run the native mix
-	// over WAL-backed stores loaded with the t2 dataset.
-	t2, err := workload.ResolveSuite("")
-	if err != nil {
-		return nil, err
-	}
-	return rateSweep(p.sweep, info, cfg.Seed, t2, engines), nil
+	return rateSweep(p.sweep, info, cfg.Seed, engines), nil
 }
 
 // runF6 is the durability experiment: how long recovery takes as the

@@ -2,6 +2,7 @@ package relational
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -108,6 +109,47 @@ func TestEncodeKeyOrderPreserving(t *testing.T) {
 	}
 	if !(EncodeKey(mmvalue.Bool(false)) < EncodeKey(mmvalue.Bool(true))) {
 		t.Error("bool keys must preserve order")
+	}
+}
+
+// TestEncodeKeyMatchesFmtForm pins the numeric key spelling byte for
+// byte: keys are stored and logged, so EncodeKey must keep writing the
+// tag followed by fmt's %016x of the sortable bits.
+func TestEncodeKeyMatchesFmtForm(t *testing.T) {
+	ints := []int64{0, 1, -1, math.MinInt64, math.MaxInt64}
+	for _, i := range ints {
+		want := "i" + fmt.Sprintf("%016x", uint64(i)^(1<<63))
+		if got := EncodeKey(mmvalue.Int(i)); got != want {
+			t.Errorf("EncodeKey(Int(%d)) = %q, want %q", i, got, want)
+		}
+	}
+	floats := []float64{0, math.Copysign(0, -1), 1, -1, 0.5, 1e300, math.Inf(1), math.Inf(-1), math.NaN()}
+	for _, f := range floats {
+		want := "f" + fmt.Sprintf("%016x", floatSortableBits(f))
+		if got := EncodeKey(mmvalue.Float(f)); got != want {
+			t.Errorf("EncodeKey(Float(%g)) = %q, want %q", f, got, want)
+		}
+	}
+}
+
+// TestPKStreamAllocs bounds what a primary-key equality Stream costs:
+// one key string per encoding it probes (Int and Float), nothing else.
+func TestPKStreamAllocs(t *testing.T) {
+	tbl := newCustomerTable(t)
+	for i := int64(1); i <= 20; i++ {
+		if err := tbl.Insert(nil, row(i, "c", 30, "hki")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	where := Col("id").Eq(7)
+	n := 0
+	count := func(mmvalue.Value) bool { n++; return true }
+	allocs := testing.AllocsPerRun(100, func() { tbl.Stream(nil, where, count) })
+	if n == 0 {
+		t.Fatal("the probe found no row")
+	}
+	if allocs > 2 {
+		t.Errorf("PK-equality Stream made %.0f allocations, want at most 2", allocs)
 	}
 }
 

@@ -167,11 +167,10 @@ func EncodeKey(v mmvalue.Value) string {
 	switch v.Kind() {
 	case mmvalue.KindInt:
 		i, _ := v.AsInt()
-		return "i" + fmt.Sprintf("%016x", uint64(i)^(1<<63))
+		return hexKey('i', uint64(i)^(1<<63))
 	case mmvalue.KindFloat:
 		f, _ := v.AsFloat()
-		bits := floatSortableBits(f)
-		return "f" + fmt.Sprintf("%016x", bits)
+		return hexKey('f', floatSortableBits(f))
 	case mmvalue.KindString:
 		s, _ := v.AsString()
 		return "s" + s
@@ -185,6 +184,19 @@ func EncodeKey(v mmvalue.Value) string {
 	}
 }
 
+// hexKey spells tag followed by u as 16 lower-case hex digits, the form
+// fmt's %016x gives, with the one allocation the string needs.
+func hexKey(tag byte, u uint64) string {
+	const digits = "0123456789abcdef"
+	var b [17]byte
+	b[0] = tag
+	for i := len(b) - 1; i > 0; i-- {
+		b[i] = digits[u&0xf]
+		u >>= 4
+	}
+	return string(b[:])
+}
+
 func floatSortableBits(f float64) uint64 {
 	bits := mathFloat64bits(f)
 	if bits&(1<<63) != 0 {
@@ -193,22 +205,22 @@ func floatSortableBits(f float64) uint64 {
 	return bits | (1 << 63) // positive: flip sign
 }
 
-// pkEncodings returns every encoded key a value Compare-equal to v may
-// be stored under. Int and Float encode differently but compare
+// pkEncodings returns the encoded keys a value Compare-equal to v may
+// be stored under: its own, and alt, the other numeric spelling, or ""
+// when there is none. Int and Float encode differently but compare
 // numerically equal, so a numeric lookup must probe both spellings.
-func pkEncodings(v mmvalue.Value) []string {
-	keys := []string{EncodeKey(v)}
+func pkEncodings(v mmvalue.Value) (key, alt string) {
 	switch v.Kind() {
 	case mmvalue.KindInt:
 		i, _ := v.AsInt()
-		keys = append(keys, EncodeKey(mmvalue.Float(float64(i))))
+		alt = EncodeKey(mmvalue.Float(float64(i)))
 	case mmvalue.KindFloat:
 		f, _ := v.AsFloat()
 		if f == math.Trunc(f) && !math.IsInf(f, 0) && f >= math.MinInt64 && f <= math.MaxInt64 {
-			keys = append(keys, EncodeKey(mmvalue.Int(int64(f))))
+			alt = EncodeKey(mmvalue.Int(int64(f)))
 		}
 	}
-	return keys
+	return EncodeKey(v), alt
 }
 
 // indexKey renders any column value for equality indexing: a stable

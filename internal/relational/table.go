@@ -213,22 +213,25 @@ func (t *Table) Stream(tx *txn.Tx, where Expr, fn func(row mmvalue.Value) bool) 
 	if where == nil {
 		where = TrueExpr{}
 	}
-	matching := func(_ string, row mmvalue.Value) bool { return !where.Eval(row) || fn(row) }
-	if col, lit, ok := where.equalityOn(); ok {
-		if col == t.schema.PrimaryKey {
-			// Probe every encoding a Compare-equal key may use (Int
-			// and Float spell the same number differently).
-			for _, pk := range pkEncodings(lit) {
-				if row, live := t.rows.Get(tx, pk); live && !matching(pk, row) {
-					return
-				}
+	col, lit, eq := where.equalityOn()
+	if eq && col == t.schema.PrimaryKey {
+		// Probe every encoding a Compare-equal key may use (Int and
+		// Float spell the same number differently).
+		key, alt := pkEncodings(lit)
+		for _, pk := range [2]string{key, alt} {
+			if pk == "" {
+				continue
 			}
-			return
+			if row, live := t.rows.Get(tx, pk); live && where.Eval(row) && !fn(row) {
+				return
+			}
 		}
-		if t.HasIndex(col) {
-			t.rows.Lookup(tx, col, indexKey(lit), matching)
-			return
-		}
+		return
+	}
+	matching := func(_ string, row mmvalue.Value) bool { return !where.Eval(row) || fn(row) }
+	if eq && t.HasIndex(col) {
+		t.rows.Lookup(tx, col, indexKey(lit), matching)
+		return
 	}
 	t.rows.Scan(tx, "", "", matching)
 }

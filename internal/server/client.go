@@ -168,17 +168,15 @@ func (cl *Client) Txn(kind byte, p workload.Params) (uint64, error) {
 
 // ServerInfo is what the info request advertises: the dataset
 // cardinalities clients build parameter generators from, the engine
-// name, the workload suite the server's store was loaded with, and
-// the backend's capability descriptor.
+// name, and the backend's capability descriptor.
 type ServerInfo struct {
 	Info   workload.Info
 	Engine string
-	Suite  string
 	Caps   workload.Capabilities
 }
 
-// Info fetches the server's dataset cardinalities, engine name, loaded
-// workload suite and capability descriptor. Client and server ship in
+// Info fetches the server's dataset cardinalities, engine name and
+// capability descriptor. Client and server ship in
 // one binary, so every row is required: a short or unparsable response
 // is an ErrProto, never a guess — a driver that assumed a full engine
 // behind a truncated descriptor would issue ops the server refuses.
@@ -187,12 +185,12 @@ func (cl *Client) Info() (ServerInfo, error) {
 	if err != nil {
 		return ServerInfo{}, err
 	}
-	if len(resp.u64s) < 3 || len(resp.rows) < 3 {
+	if len(resp.u64s) < 3 || len(resp.rows) < 2 {
 		return ServerInfo{}, fmt.Errorf("%w: short info response (%d counts, %d rows)", ErrProto, len(resp.u64s), len(resp.rows))
 	}
-	caps, ok := workload.ParseCapabilities(resp.rows[2])
+	caps, ok := workload.ParseCapabilities(resp.rows[1])
 	if !ok {
-		return ServerInfo{}, fmt.Errorf("%w: malformed capability descriptor %q", ErrProto, resp.rows[2])
+		return ServerInfo{}, fmt.Errorf("%w: malformed capability descriptor %q", ErrProto, resp.rows[1])
 	}
 	return ServerInfo{
 		Info: workload.Info{
@@ -201,21 +199,8 @@ func (cl *Client) Info() (ServerInfo, error) {
 			Orders:    int(resp.u64s[2]),
 		},
 		Engine: resp.rows[0],
-		Suite:  resp.rows[1],
 		Caps:   caps,
 	}, nil
-}
-
-// SuiteOp runs one registry-suite operation remotely and returns its
-// row count. The server refuses suites other than the one its store
-// was loaded with.
-func (cl *Client) SuiteOp(suite, op string, p workload.Params) (int, error) {
-	resp, err := cl.call(request{op: opSuiteOp, budget: time.Duration(cl.budget.Load()),
-		suite: suite, suiteOp: op, params: p})
-	if err != nil {
-		return 0, err
-	}
-	return int(resp.value), nil
 }
 
 // Nonce fetches a fresh server-issued run nonce.

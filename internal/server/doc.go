@@ -1,6 +1,6 @@
 // Package server is UDBench's network front-end: it serves the
-// benchmark's operation set (Q1–Q13, T1–T5, registry-suite ops) over a
-// minimal length-prefixed binary protocol, in front of any registered
+// benchmark's operation set (Q1–Q13, T1–T5) over a minimal
+// length-prefixed binary protocol, in front of any registered
 // workload.Backend (the unified udbms engine, the polyglot federation,
 // the relational comparative leg).
 //

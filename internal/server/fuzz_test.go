@@ -25,9 +25,8 @@ func FuzzWireDecode(f *testing.F) {
 		op: opQuery, id: 1, budget: 10 * time.Millisecond, query: workload.Q3, params: testParams,
 	}))
 	valid = wal.AppendFrame(valid, encodeRequest(request{op: opTxn, id: 2, txn: txnNewOrder, params: testParams}))
-	valid = wal.AppendFrame(valid, encodeRequest(request{
-		op: opSuiteOp, id: 3, suite: "tenants", suiteOp: "t_lookup", params: testParams,
-	}))
+	valid = wal.AppendFrame(valid, retiredOp03)
+	valid = wal.AppendFrame(valid, retiredOp04)
 	valid = wal.AppendFrame(valid, encodeResponse(response{
 		id: 1, status: StatusOK, value: 7, u64s: []uint64{1, 2, 3}, rows: []string{"a", "b"},
 	}))

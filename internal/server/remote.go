@@ -23,12 +23,11 @@ import (
 //     sequence, so independent client processes driving one long-lived
 //     server never collide on T2 fresh order ids.
 type RemoteEngine struct {
-	pool  []*Client
-	next  atomic.Uint64
-	name  string
-	info  workload.Info
-	suite string
-	caps  workload.Capabilities
+	pool []*Client
+	next atomic.Uint64
+	name string
+	info workload.Info
+	caps workload.Capabilities
 }
 
 // DialEngine connects a RemoteEngine with conns pooled connections and
@@ -53,7 +52,6 @@ func DialEngine(addr string, conns int) (*RemoteEngine, error) {
 	}
 	e.info = si.Info
 	e.name = si.Engine + "-remote"
-	e.suite = si.Suite
 	e.caps = si.Caps
 	return e, nil
 }
@@ -85,11 +83,6 @@ func (e *RemoteEngine) SetQueueBudget(d time.Duration) {
 
 // Info returns the server's dataset cardinalities (fetched at dial).
 func (e *RemoteEngine) Info() workload.Info { return e.info }
-
-// Suite returns the workload suite the server's store was loaded with
-// (fetched at dial). Drivers must refuse to run any other suite's mix
-// against this engine.
-func (e *RemoteEngine) Suite() string { return e.suite }
 
 // ServerName returns the server-side engine name without the "-remote"
 // suffix RemoteEngine adds to its own Name.
@@ -128,13 +121,6 @@ func (e *RemoteEngine) WriteFeedback(p workload.Params) error { return e.txn(txn
 func (e *RemoteEngine) SnapshotRead(p workload.Params) (bool, error) {
 	v, err := e.conn().Txn(txnSnapshotRead, p)
 	return v != 0, err
-}
-
-// RunSuiteOp implements workload.Backend over the wire, so a
-// registry suite's mix drives a server exactly like the native t2 ops
-// do. The server rejects suites other than its loaded one.
-func (e *RemoteEngine) RunSuiteOp(suite, op string, p workload.Params) (int, error) {
-	return e.conn().SuiteOp(suite, op, p)
 }
 
 // AdmissionStats implements workload.AdmissionProvider by fetching the

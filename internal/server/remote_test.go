@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"udbench/internal/udbms"
 	"udbench/internal/wal"
 	"udbench/internal/workload"
 )
@@ -82,85 +81,6 @@ func TestRemoteRunMix(t *testing.T) {
 	}
 }
 
-// startSuiteServer loads one registry suite into a unified engine and
-// serves it, advertising the suite name in Config.Suite.
-func startSuiteServer(t *testing.T, suiteName string) (*Server, *workload.Suite, workload.Info) {
-	t.Helper()
-	suite, err := workload.ResolveSuite(suiteName)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := suite.Generate(0.05, 7)
-	db := udbms.Open()
-	if err := data.Load(db.Stores()); err != nil {
-		t.Fatal(err)
-	}
-	s := startServer(t, Config{Engine: workload.NewUDBMSEngine(db), Info: data.Info(), Suite: suiteName})
-	return s, suite, data.Info()
-}
-
-// TestRemoteSuiteOps pins the suite leg of the protocol end to end: the
-// server advertises its loaded suite, suite ops round-trip with their
-// cardinalities, and the full suite mix drives a RemoteEngine through
-// the unchanged driver.
-func TestRemoteSuiteOps(t *testing.T) {
-	s, suite, info := startSuiteServer(t, "timeseries")
-	re, err := DialEngine(s.Addr().String(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if re.Suite() != "timeseries" {
-		t.Fatalf("remote suite = %q, want timeseries", re.Suite())
-	}
-	gen := workload.NewParamGen(info, 3, 0.5)
-	p := gen.Next()
-	if n, err := re.RunSuiteOp("timeseries", "window", p); err != nil || n <= 0 {
-		t.Errorf("remote window op = %d, %v; want rows from the loaded store", n, err)
-	}
-	res := workload.RunMix(re, info, suite.Mix(re), workload.DriverConfig{
-		Clients: 4, OpsPerClient: 40, Theta: 0.7, Seed: 11, Suite: suite.Name,
-	})
-	if res.Errors != 0 || res.Ops != 160 {
-		t.Errorf("remote suite mix: ops=%d errors=%d, want 160/0", res.Ops, res.Errors)
-	}
-	if sum := res.Summary(); sum.Suite != "timeseries" {
-		t.Errorf("remote summary suite = %q, want timeseries", sum.Suite)
-	}
-}
-
-// TestRemoteSuiteMismatch pins the suite guard: a server refuses ops
-// from a suite it did not load, and a backend without registry-suite
-// execution refuses them all — both as typed remote errors, never as
-// silent misreads of the wrong dataset.
-func TestRemoteSuiteMismatch(t *testing.T) {
-	s, _, _ := startSuiteServer(t, "timeseries")
-	re, err := DialEngine(s.Addr().String(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if _, err := re.RunSuiteOp("tenants", "t_lookup", workload.Params{}); !errors.Is(err, ErrRemote) ||
-		!strings.Contains(err.Error(), "timeseries") {
-		t.Errorf("mismatched suite err = %v, want ErrRemote naming the served suite", err)
-	}
-
-	// A stub engine advertises the default t2 suite and cannot execute
-	// registry-suite ops.
-	bare := startServer(t, Config{Engine: &stubEngine{}})
-	re2, err := DialEngine(bare.Addr().String(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re2.Close()
-	if re2.Suite() != workload.DefaultSuite {
-		t.Errorf("stub server suite = %q, want the default", re2.Suite())
-	}
-	if _, err := re2.RunSuiteOp(workload.DefaultSuite, "Q1", workload.Params{}); !errors.Is(err, ErrRemote) {
-		t.Errorf("suite op on a non-executor engine err = %v, want ErrRemote", err)
-	}
-}
-
 // TestRemoteAdmissionDelta pins the run-scoping of the telemetry: a
 // second run's shed delta counts only its own sheds, not history.
 func TestRemoteAdmissionDelta(t *testing.T) {
@@ -229,14 +149,13 @@ func stubInfoListener(t *testing.T, rows []string) string {
 
 // TestInfoResponseMustBeComplete pins the descriptor contract: the
 // client is told what the server fronts or it fails typed — it never
-// assumes the t2 suite or a fully capable engine behind a short or
-// unparsable info response.
+// assumes a fully capable engine behind a short or unparsable info
+// response.
 func TestInfoResponseMustBeComplete(t *testing.T) {
 	full := workload.FullCapabilities().Encode()
 	cases := map[string][]string{
 		"engine row only":      {"partial"},
-		"no capability row":    {"partial", "t2"},
-		"malformed capability": {"partial", "t2", "models=relational;txn=maybe"},
+		"malformed capability": {"partial", "models=relational;txn=maybe"},
 	}
 	for name, rows := range cases {
 		addr := stubInfoListener(t, rows)
@@ -252,14 +171,14 @@ func TestInfoResponseMustBeComplete(t *testing.T) {
 			t.Errorf("%s: DialEngine = %v, %v; want ErrProto", name, re, err)
 		}
 	}
-	// The same stub with all three rows dials fine: the failures above
-	// are about the rows, not the stub.
-	re, err := DialEngine(stubInfoListener(t, []string{"partial", "tenants", full}), 1)
+	// The same stub with both rows dials fine: the failures above are
+	// about the rows, not the stub.
+	re, err := DialEngine(stubInfoListener(t, []string{"partial", full}), 1)
 	if err != nil {
 		t.Fatalf("complete info response: %v", err)
 	}
 	defer re.Close()
-	if re.Suite() != "tenants" || re.Capabilities().Partial() {
-		t.Errorf("dialed suite %q, partial %v; want tenants, false", re.Suite(), re.Capabilities().Partial())
+	if re.ServerName() != "partial" || re.Capabilities().Partial() {
+		t.Errorf("dialed %q, partial %v; want partial, false", re.ServerName(), re.Capabilities().Partial())
 	}
 }

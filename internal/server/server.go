@@ -26,11 +26,6 @@ type Config struct {
 	// Info carries the dataset cardinalities clients need to build
 	// their parameter generators (served by the info request).
 	Info workload.Info
-	// Suite names the workload suite this server's store was loaded
-	// with. Advertised in the info response so remote clients can refuse
-	// to drive a mismatched suite against it (the same guard the dataset
-	// cardinalities give against sf/seed drift). Default "t2".
-	Suite string
 	// Workers is the executor pool size — the server's concurrency
 	// admission ultimately meters the engine to. Default 4.
 	Workers int
@@ -99,9 +94,6 @@ func Serve(lis net.Listener, cfg Config) *Server {
 	}
 	if cfg.QueueDeadline < 0 {
 		cfg.QueueDeadline = 0
-	}
-	if cfg.Suite == "" {
-		cfg.Suite = workload.DefaultSuite
 	}
 	s := &Server{
 		cfg:   cfg,
@@ -195,12 +187,12 @@ func (s *Server) readLoop(cn *conn) {
 		case opPing:
 			cn.respond(response{id: req.id, status: StatusOK})
 		case opInfo:
-			// rows: engine name, suite label, capability descriptor —
-			// Client.Info requires all three.
+			// rows: engine name, capability descriptor — Client.Info
+			// requires both.
 			cn.respond(response{
 				id: req.id, status: StatusOK,
 				u64s: []uint64{uint64(s.cfg.Info.Customers), uint64(s.cfg.Info.Products), uint64(s.cfg.Info.Orders)},
-				rows: []string{s.cfg.Engine.Name(), s.cfg.Suite, s.cfg.Engine.Capabilities().Encode()},
+				rows: []string{s.cfg.Engine.Name(), s.cfg.Engine.Capabilities().Encode()},
 			})
 		case opNonce:
 			cn.respond(response{id: req.id, status: StatusOK, value: s.nonce.Add(1)})
@@ -268,19 +260,6 @@ func (s *Server) exec(t task) {
 				value = 1
 			}
 		}
-	case opSuiteOp:
-		// The suite must match what the store was loaded with: op bodies
-		// assume their own tables/collections/prefixes, so running suite
-		// A's ops against suite B's data would read nothing or corrupt
-		// the counters the probes check.
-		if req.suite != s.cfg.Suite {
-			t.c.respond(response{id: req.id, status: StatusErr, errClass: errClassUnsupported,
-				errMsg: fmt.Sprintf("server: suite %q not loaded (serving %q)", req.suite, s.cfg.Suite)})
-			return
-		}
-		var n int
-		n, err = s.cfg.Engine.RunSuiteOp(req.suite, req.suiteOp, req.params)
-		value = uint64(n)
 	}
 	if err != nil {
 		t.c.respond(response{id: req.id, status: StatusErr, errClass: classifyErr(err), errMsg: err.Error()})

@@ -2,7 +2,6 @@ package server
 
 import (
 	"errors"
-	"fmt"
 	"net"
 	"strings"
 	"sync/atomic"
@@ -36,9 +35,6 @@ func (e *stubEngine) op() error {
 func (e *stubEngine) Name() string { return "stub" }
 func (e *stubEngine) Capabilities() workload.Capabilities {
 	return workload.FullCapabilities()
-}
-func (e *stubEngine) RunSuiteOp(suite, op string, _ workload.Params) (int, error) {
-	return 0, fmt.Errorf("stub engine cannot run suite %s op %s: %w", suite, op, workload.ErrUnsupported)
 }
 func (e *stubEngine) RunQuery(q workload.QueryID, p workload.Params) (int, error) {
 	return int(q) * 10, e.op()
@@ -93,9 +89,6 @@ func TestServerRoundTrip(t *testing.T) {
 	}
 	if si.Info != testInfo || si.Engine != "stub" {
 		t.Errorf("info = %+v/%q, want %+v/stub", si.Info, si.Engine, testInfo)
-	}
-	if si.Suite != workload.DefaultSuite {
-		t.Errorf("suite = %q, want the default %q when serve sets none", si.Suite, workload.DefaultSuite)
 	}
 	if n, err := cl.Query(workload.Q5, testParams); err != nil || n != 50 {
 		t.Errorf("query = %d, %v; want 50, nil", n, err)
@@ -175,9 +168,9 @@ func TestServerSurvivesPanickingOp(t *testing.T) {
 	}
 }
 
-// TestServerRejectsRetiredOp sends an intact frame carrying the retired
-// op code 0x03: the server answers it with an error and the stream
-// stays in sync for the next request.
+// TestServerRejectsRetiredOp sends intact frames carrying the retired
+// op codes 0x03 and 0x04: the server answers each with an error and
+// the stream stays in sync for the next request.
 func TestServerRejectsRetiredOp(t *testing.T) {
 	s := startServer(t, Config{Engine: &stubEngine{}})
 	c, err := net.Dial("tcp", s.Addr().String())
@@ -200,11 +193,15 @@ func TestServerRejectsRetiredOp(t *testing.T) {
 		}
 		return resp
 	}
-	if r := roundTrip(wal.NewOp(0x03).Uvarint(1).Uvarint(0).String("x").Build()); r.status != StatusErr {
-		t.Errorf("op 0x03 answered status %d, want StatusErr", r.status)
-	}
-	if r := roundTrip(encodeRequest(request{op: opPing, id: 2})); r.status != StatusOK || r.id != 2 {
-		t.Errorf("ping after op 0x03 = %+v, want StatusOK for id 2", r)
+	for i, payload := range [][]byte{retiredOp03, retiredOp04} {
+		op := payload[0]
+		if r := roundTrip(payload); r.status != StatusErr {
+			t.Errorf("op 0x%02x answered status %d, want StatusErr", op, r.status)
+		}
+		id := uint64(10 + i)
+		if r := roundTrip(encodeRequest(request{op: opPing, id: id})); r.status != StatusOK || r.id != id {
+			t.Errorf("ping after op 0x%02x = %+v, want StatusOK for id %d", op, r, id)
+		}
 	}
 }
 

@@ -38,16 +38,16 @@ const maxFrame = 1 << 20
 // with wal.AppendFrame verify here and vice versa.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// Request op codes (first byte of every request payload). 0x03, a
-// retired ad-hoc query op, decodes as unknown.
+// Request op codes (first byte of every request payload). 0x03 (an
+// ad-hoc query) and 0x04 (a named-suite op) are retired and decode as
+// unknown.
 const (
-	opQuery   byte = 0x01 // benchmark read query: query id + params
-	opTxn     byte = 0x02 // benchmark transaction: txn kind + params
-	opSuiteOp byte = 0x04 // registry-suite operation: suite + op names + params
-	opInfo    byte = 0x10 // dataset cardinalities + engine name + suite
-	opNonce   byte = 0x11 // server-issued run nonce
-	opStats   byte = 0x12 // admission-control telemetry snapshot
-	opPing    byte = 0x13 // liveness probe
+	opQuery byte = 0x01 // benchmark read query: query id + params
+	opTxn   byte = 0x02 // benchmark transaction: txn kind + params
+	opInfo  byte = 0x10 // dataset cardinalities + engine name + capabilities
+	opNonce byte = 0x11 // server-issued run nonce
+	opStats byte = 0x12 // admission-control telemetry snapshot
+	opPing  byte = 0x13 // liveness probe
 )
 
 // Transaction kinds carried by opTxn requests.
@@ -89,14 +89,12 @@ const (
 
 // request is one decoded client request.
 type request struct {
-	op      byte
-	id      uint64
-	budget  time.Duration // max queue wait before the server sheds; 0 = server default
-	query   workload.QueryID
-	txn     byte
-	params  workload.Params
-	suite   string // opSuiteOp: registered suite name
-	suiteOp string // opSuiteOp: operation name within the suite
+	op     byte
+	id     uint64
+	budget time.Duration // max queue wait before the server sheds; 0 = server default
+	query  workload.QueryID
+	txn    byte
+	params workload.Params
 }
 
 // response is one decoded server response. The body layout is uniform
@@ -108,7 +106,7 @@ type response struct {
 	status     byte
 	value      uint64   // query cardinality / torn flag / nonce
 	u64s       []uint64 // info cardinalities, stats counters
-	rows       []string // info: engine name, suite, capability descriptor
+	rows       []string // info: engine name, capability descriptor
 	errClass   byte
 	shedReason byte
 	errMsg     string
@@ -153,10 +151,6 @@ func encodeRequest(r request) []byte {
 	case opTxn:
 		e.Byte(r.txn)
 		appendParams(e, r.params)
-	case opSuiteOp:
-		e.String(r.suite)
-		e.String(r.suiteOp)
-		appendParams(e, r.params)
 	}
 	return e.Build()
 }
@@ -181,10 +175,6 @@ func decodeRequest(payload []byte) (request, error) {
 		if d.Err() == nil && (r.txn < txnOrderUpdate || r.txn > txnSnapshotRead) {
 			return r, fmt.Errorf("%w: unknown txn kind 0x%02x", ErrProto, r.txn)
 		}
-	case opSuiteOp:
-		r.suite = d.String()
-		r.suiteOp = d.String()
-		r.params = decodeParams(d)
 	case opInfo, opNonce, opStats, opPing:
 		// header only
 	default:

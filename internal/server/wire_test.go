@@ -19,6 +19,18 @@ var testParams = workload.Params{
 	City: "Hangzhou", TopN: 5, Threshold: 3.25, Rating: 4, FreshID: "O-r1-c2-s3",
 }
 
+// Intact payloads of the two retired request ops, in the layouts they
+// had: 0x03 an ad-hoc query text, 0x04 a suite name, an op name and
+// the parameters.
+var (
+	retiredOp03 = wal.NewOp(0x03).Uvarint(1).Uvarint(0).String("x").Build()
+	retiredOp04 = func() []byte {
+		e := wal.NewOp(0x04).Uvarint(1).Uvarint(0).String("t2").String("Q1")
+		appendParams(e, testParams)
+		return e.Build()
+	}()
+)
+
 // TestRequestRoundTrip pins encode→frame→readFrame→decode identity for
 // every request op.
 func TestRequestRoundTrip(t *testing.T) {
@@ -30,8 +42,6 @@ func TestRequestRoundTrip(t *testing.T) {
 		{op: opNonce, id: 6},
 		{op: opStats, id: 7},
 		{op: opPing, id: 8, budget: time.Second},
-		{op: opSuiteOp, id: 9, budget: 20 * time.Millisecond, suite: "timeseries", suiteOp: "append", params: testParams},
-		{op: opSuiteOp, id: 10, suite: "logs", suiteOp: "by_level"},
 	}
 	var stream []byte
 	for _, r := range reqs {
@@ -127,7 +137,8 @@ func TestReadFrameErrors(t *testing.T) {
 func TestDecodeRejects(t *testing.T) {
 	cases := map[string][]byte{
 		"unknown request op": wal.NewOp(0x7f).Uvarint(1).Uvarint(0).Build(),
-		"retired op 0x03":    wal.NewOp(0x03).Uvarint(1).Uvarint(0).String("x").Build(),
+		"retired op 0x03":    retiredOp03,
+		"retired op 0x04":    retiredOp04,
 		"unknown txn kind":   encodeRequest(request{op: opTxn, id: 1, txn: 99}),
 		"query id zero":      encodeRequest(request{op: opQuery, id: 1, query: 0}),
 		"query id huge":      encodeRequest(request{op: opQuery, id: 1, query: workload.QueryID(len(workload.AllQueries) + 1)}),
@@ -139,8 +150,10 @@ func TestDecodeRejects(t *testing.T) {
 			t.Errorf("%s: err = %v, want ErrProto", name, err)
 		}
 	}
-	if _, err := decodeRequest(cases["retired op 0x03"]); err == nil || !strings.Contains(err.Error(), "unknown request op") {
-		t.Errorf("retired op 0x03: err = %v, want unknown request op", err)
+	for _, name := range []string{"retired op 0x03", "retired op 0x04"} {
+		if _, err := decodeRequest(cases[name]); err == nil || !strings.Contains(err.Error(), "unknown request op") {
+			t.Errorf("%s: err = %v, want unknown request op", name, err)
+		}
 	}
 	respCases := map[string][]byte{
 		"unknown status": wal.NewOp(0x77).Uvarint(1).Build(),

@@ -7,26 +7,27 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
+
+	"udbench/internal/datagen"
 )
 
 // ErrUnsupported is the typed "this backend cannot run that" error.
-// Backends return it (wrapped with context) from RunQuery/RunSuiteOp
-// for operations outside their capability descriptor, *before* touching
-// any data, and the server maps it onto the wire's unsupported error
-// class so remote callers see the same sentinel. Callers degrade
+// Backends return it (wrapped with context) from RunQuery for queries
+// outside their capability descriptor, *before* touching any data; the
+// server returns it for a transaction sent to a backend without them,
+// and maps it onto the wire's unsupported error class so remote
+// callers see the same sentinel. Callers degrade
 // gracefully with errors.Is(err, ErrUnsupported) instead of parsing
 // messages.
 var ErrUnsupported = errors.New("workload: operation unsupported by backend")
 
 // Backend is the minimal contract a system under test must satisfy to
 // sit behind the harness: identify itself, describe what it can do, and
-// run read queries plus registry-suite ops. Everything else — the
-// native T1–T5 transaction set, lock/durability/admission telemetry,
-// server-issued run nonces — is an optional capability discovered
-// through the single Capabilities() descriptor rather than scattered
-// type assertions.
+// run read queries. Everything else — the native T1–T5 transaction
+// set, lock/durability/admission telemetry, server-issued run nonces —
+// is an optional capability discovered through the single
+// Capabilities() descriptor rather than scattered type assertions.
 type Backend interface {
 	// Name identifies the backend in reports ("udbms", "federation",
 	// "relational", ...).
@@ -39,10 +40,6 @@ type Backend interface {
 	// cardinality. Queries outside Capabilities().Queries return
 	// ErrUnsupported (wrapped) without touching data.
 	RunQuery(q QueryID, p Params) (int, error)
-	// RunSuiteOp executes one registered suite op. Suites outside
-	// Capabilities().Suites return ErrUnsupported (wrapped) without
-	// touching data.
-	RunSuiteOp(suite, op string, p Params) (int, error)
 }
 
 // TxnEngine is the native T2 transaction set — a capability, not part
@@ -80,11 +77,11 @@ type TxnEngine interface {
 var AllModels = []string{"relational", "document", "graph", "kv", "xml"}
 
 // Capabilities describes what a backend supports. The zero value means
-// "nothing"; nil Queries/Suites mean "everything registered" so the
-// fully capable native engines need no enumeration. The provider
-// fields replace the driver's old ad-hoc type asserts: a backend that
-// exports lock-table, durability, admission, suite-op, or run-nonce
-// telemetry sets the corresponding field (usually to itself).
+// "nothing"; nil Queries means every query, so the fully capable
+// native engines need no enumeration. The provider fields replace the
+// driver's old ad-hoc type asserts: a backend that exports lock-table,
+// durability, admission or run-nonce telemetry sets the corresponding
+// field (usually to itself).
 type Capabilities struct {
 	// Models lists the data models the backend serves (subset of
 	// AllModels).
@@ -98,10 +95,6 @@ type Capabilities struct {
 	// Queries lists the supported read queries; nil means all of
 	// AllQueries.
 	Queries []QueryID
-	// Suites lists the registry suites the backend can execute through
-	// RunSuiteOp (plus, for t2, its native mix subset); nil means every
-	// registered suite.
-	Suites []string
 
 	// LockStats, when non-nil, exposes the backend's lock-table
 	// telemetry; RunMix snapshots it around the run and reports the
@@ -113,8 +106,6 @@ type Capabilities struct {
 	// Admission, when non-nil, exposes server-side admission-control
 	// telemetry (remote backends sitting behind a bounded queue).
 	Admission AdmissionProvider
-	// SuiteStats, when non-nil, exposes suite-op execution counters.
-	SuiteStats SuiteStatsProvider
 	// Nonce, when non-nil, supplies server-issued run nonces so
 	// FreshIDs stay unique across processes sharing one store.
 	Nonce NonceProvider
@@ -125,18 +116,12 @@ func (c Capabilities) SupportsQuery(q QueryID) bool {
 	return c.Queries == nil || slices.Contains(c.Queries, q)
 }
 
-// SupportsSuite reports whether the named suite is inside the
-// descriptor.
-func (c Capabilities) SupportsSuite(name string) bool {
-	return c.Suites == nil || slices.Contains(c.Suites, name)
-}
-
 // Partial reports whether the descriptor restricts anything a fully
 // capable native engine would support. Reports attach the capability
 // block only for partial backends, so the two native engines' JSON
 // trajectories stay byte-identical.
 func (c Capabilities) Partial() bool {
-	return !c.Transactions || !c.SnapshotReads || c.Queries != nil || c.Suites != nil
+	return !c.Transactions || !c.SnapshotReads || c.Queries != nil
 }
 
 // Report converts the descriptor to its frozen JSON form, or nil for a
@@ -158,19 +143,15 @@ func (c Capabilities) Report() *BackendCaps {
 	for _, q := range qs {
 		b.Queries = append(b.Queries, q.String())
 	}
-	b.Suites = append([]string(nil), c.Suites...)
-	if b.Suites == nil {
-		b.Suites = SuiteNames()
-	}
 	return b
 }
 
 // Encode serializes the static half of the descriptor for the wire
-// (the server advertises it next to the suite label). Providers are
+// (the server advertises it in its info response). Providers are
 // per-process and not encoded. Lists join with "+"; "*" is the nil list
-// ("everything registered").
+// ("every query").
 func (c Capabilities) Encode() string {
-	queries, suites := "*", "*"
+	queries := "*"
 	if c.Queries != nil {
 		names := make([]string, len(c.Queries))
 		for i, q := range c.Queries {
@@ -178,11 +159,8 @@ func (c Capabilities) Encode() string {
 		}
 		queries = strings.Join(names, "+")
 	}
-	if c.Suites != nil {
-		suites = strings.Join(c.Suites, "+")
-	}
-	return fmt.Sprintf("models=%s;txn=%t;snap=%t;queries=%s;suites=%s",
-		strings.Join(c.Models, "+"), c.Transactions, c.SnapshotReads, queries, suites)
+	return fmt.Sprintf("models=%s;txn=%t;snap=%t;queries=%s",
+		strings.Join(c.Models, "+"), c.Transactions, c.SnapshotReads, queries)
 }
 
 // ParseCapabilities is Encode's inverse; ok is false on malformed
@@ -216,8 +194,6 @@ func ParseCapabilities(s string) (Capabilities, bool) {
 					c.Queries[i] = QueryID(n)
 				}
 			}
-		case "suites":
-			c.Suites = splitList(val)
 		default:
 			return Capabilities{}, false
 		}
@@ -225,11 +201,11 @@ func ParseCapabilities(s string) (Capabilities, bool) {
 			return Capabilities{}, false
 		}
 	}
-	return c, len(seen) == 5
+	return c, len(seen) == 4
 }
 
-// splitList decodes one "+"-joined list: "*" is nil (everything
-// registered), "" is empty (nothing).
+// splitList decodes one "+"-joined list: "*" is nil (everything), "" is
+// empty (nothing).
 func splitList(val string) []string {
 	switch val {
 	case "*":
@@ -241,7 +217,7 @@ func splitList(val string) []string {
 }
 
 // FullCapabilities is the descriptor of a natively complete engine:
-// all five models, the whole transaction set, every query and suite.
+// all five models, the whole transaction set, every query.
 func FullCapabilities() Capabilities {
 	return Capabilities{Models: AllModels, Transactions: true, SnapshotReads: true}
 }
@@ -255,7 +231,7 @@ type BackendOptions struct {
 }
 
 // BackendSpec is one registered backend: a name, a one-line summary,
-// and a constructor that loads a suite dataset into a fresh instance.
+// and a constructor that loads a dataset into a fresh instance.
 type BackendSpec struct {
 	// Name is the registry key ("udbms", "federation", "relational").
 	Name string
@@ -263,87 +239,57 @@ type BackendSpec struct {
 	Description string
 	// New builds a backend instance with data loaded. Instances that
 	// also implement io.Closer are closed by callers that own them.
-	New func(data SuiteData, opt BackendOptions) (Backend, error)
+	New func(ds *datagen.Dataset, opt BackendOptions) (Backend, error)
 }
 
-var backends = registry[*BackendSpec]{kind: "backend"}
+// backends is the registry. It is written only by RegisterBackend from
+// package init functions, which run one at a time, so reads need no
+// lock.
+var backends = map[string]*BackendSpec{}
 
 // RegisterBackend adds a backend to the registry. Duplicate or
 // anonymous registrations panic: they are programming errors in an
 // init path.
-func RegisterBackend(s *BackendSpec) { backends.add(s.Name, s) }
+func RegisterBackend(s *BackendSpec) {
+	if s.Name == "" {
+		panic("workload: registering a backend with an empty name")
+	}
+	if _, dup := backends[s.Name]; dup {
+		panic("workload: duplicate backend " + s.Name)
+	}
+	backends[s.Name] = s
+}
 
 // BackendNames lists the registered backend names sorted.
-func BackendNames() []string { return backends.names() }
+func BackendNames() []string { return slices.Sorted(maps.Keys(backends)) }
 
 // DefaultBackend is the backend an empty -engine flag resolves to.
 const DefaultBackend = "udbms"
 
 // ResolveBackend maps an -engine flag value to its spec: "" means the
-// default, and an unknown name errors listing what is registered —
-// the same convention as ResolveSuite.
-func ResolveBackend(name string) (*BackendSpec, error) { return backends.resolve(name, DefaultBackend) }
+// default, and an unknown name errors listing what is registered.
+func ResolveBackend(name string) (*BackendSpec, error) {
+	if name == "" {
+		name = DefaultBackend
+	}
+	spec, ok := backends[name]
+	if !ok {
+		return nil, fmt.Errorf("workload: unknown backend %q (registered: %v)", name, BackendNames())
+	}
+	return spec, nil
+}
 
 // NewBackend resolves name in the registry and builds an instance with
-// data loaded — the one construction path for native and external
+// ds loaded — the one construction path for native and external
 // backends alike.
-func NewBackend(name string, data SuiteData, opt BackendOptions) (Backend, error) {
+func NewBackend(name string, ds *datagen.Dataset, opt BackendOptions) (Backend, error) {
 	spec, err := ResolveBackend(name)
 	if err != nil {
 		return nil, err
 	}
-	be, err := spec.New(data, opt)
+	be, err := spec.New(ds, opt)
 	if err != nil {
 		return nil, fmt.Errorf("workload: build %s backend: %w", spec.Name, err)
 	}
 	return be, nil
-}
-
-// registry is a named set behind a lock; the suites and the backends
-// each keep one, so both resolve names and report unknown ones alike.
-type registry[T any] struct {
-	kind  string // "suite" or "backend", for messages
-	mu    sync.RWMutex
-	items map[string]T
-}
-
-func (r *registry[T]) add(name string, v T) {
-	if name == "" {
-		panic("workload: registering a " + r.kind + " with an empty name")
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, dup := r.items[name]; dup {
-		panic("workload: duplicate " + r.kind + " " + name)
-	}
-	if r.items == nil {
-		r.items = map[string]T{}
-	}
-	r.items[name] = v
-}
-
-func (r *registry[T]) names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return slices.Sorted(maps.Keys(r.items))
-}
-
-func (r *registry[T]) get(name string) (T, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	v, ok := r.items[name]
-	return v, ok
-}
-
-// resolve maps a flag value to its entry: "" means def, and an unknown
-// name errors listing what is registered.
-func (r *registry[T]) resolve(name, def string) (T, error) {
-	if name == "" {
-		name = def
-	}
-	v, ok := r.get(name)
-	if !ok {
-		return v, fmt.Errorf("workload: unknown %s %q (registered: %v)", r.kind, name, r.names())
-	}
-	return v, nil
 }

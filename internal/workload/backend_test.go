@@ -13,27 +13,26 @@ func TestCapabilitiesCodec(t *testing.T) {
 	partial := Capabilities{
 		Models:  []string{"relational"},
 		Queries: []QueryID{Q1, Q3, Q13},
-		Suites:  []string{"t2", "tenants"},
 	}
-	none := Capabilities{Models: []string{}, Transactions: true, Queries: []QueryID{}, Suites: []string{}}
+	none := Capabilities{Models: []string{}, Transactions: true, Queries: []QueryID{}}
 	for name, c := range map[string]Capabilities{"full": FullCapabilities(), "partial": partial, "none": none} {
 		got, ok := ParseCapabilities(c.Encode())
 		if !ok || !reflect.DeepEqual(got, c) {
 			t.Errorf("%s: %q parsed to %+v (ok %v), want %+v", name, c.Encode(), got, ok, c)
 		}
 	}
-	if enc := partial.Encode(); enc != "models=relational;txn=false;snap=false;queries=Q1+Q3+Q13;suites=t2+tenants" {
+	if enc := partial.Encode(); enc != "models=relational;txn=false;snap=false;queries=Q1+Q3+Q13" {
 		t.Errorf("partial descriptor encodes as %q", enc)
 	}
 	full := FullCapabilities().Encode()
 	for name, s := range map[string]string{
 		"empty":         "",
 		"no value":      "models",
-		"missing field": "models=kv;txn=true;snap=true;queries=*",
+		"missing field": "models=kv;txn=true;snap=true",
 		"unknown field": full + ";extra=1",
 		"repeated":      full + ";txn=true",
-		"bad bool":      "models=kv;txn=maybe;snap=true;queries=*;suites=*",
-		"bad query":     "models=kv;txn=true;snap=true;queries=Qx;suites=*",
+		"bad bool":      "models=kv;txn=maybe;snap=true;queries=*",
+		"bad query":     "models=kv;txn=true;snap=true;queries=Qx",
 	} {
 		if c, ok := ParseCapabilities(s); ok {
 			t.Errorf("%s: %q parsed to %+v, want a rejection", name, s, c)

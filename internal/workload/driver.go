@@ -52,11 +52,7 @@ func StandardMix(b Backend) []MixItem {
 
 // Result summarizes one driver run.
 type Result struct {
-	Engine string
-	// Suite names the workload suite the mix was drawn from ("t2" when
-	// unset — the original benchmark mix). Suites are separate
-	// trajectories: results are only comparable within one suite.
-	Suite   string
+	Engine  string
 	Mode    DriverMode
 	Clients int
 	Ops     int64
@@ -97,14 +93,9 @@ type Result struct {
 	// in front of it). Only remote engines, which sit behind a server's
 	// bounded request queue, report it.
 	Admission *AdmissionStats
-	// SuiteStats is the engine's registry-suite op telemetry accrued
-	// during the run (nil for the native t2 mix, remote engines, and
-	// synthetic mixes — only in-process engines driving registry-suite
-	// ops report it).
-	SuiteStats *SuiteStats
 	// Capabilities is the backend's capability descriptor, attached
 	// only for partial backends (external engines that restrict the
-	// query/suite/transaction surface) so native-engine reports stay
+	// query/transaction surface) so native-engine reports stay
 	// unchanged.
 	Capabilities *BackendCaps
 }
@@ -202,11 +193,6 @@ type DriverConfig struct {
 	// step cannot extend wall time unboundedly. Ignored in closed-loop
 	// mode.
 	Duration time.Duration
-	// Suite labels the run with the workload suite the mix came from.
-	// Purely a label: the mix itself is built by the caller (Suite.Mix),
-	// so the driver's load models stay suite-agnostic. Empty means the
-	// default t2 suite.
-	Suite string
 }
 
 // withDefaults fills in an unset client count and per-client op budget.
@@ -363,13 +349,8 @@ func RunMix(b Backend, info Info, mix []MixItem, cfg DriverConfig) Result {
 		name = b.Name()
 		caps = b.Capabilities()
 	}
-	suite := cfg.Suite
-	if suite == "" {
-		suite = DefaultSuite
-	}
 	res := Result{
 		Engine:   name,
-		Suite:    suite,
 		Mode:     cfg.Mode,
 		Clients:  cfg.Clients,
 		Latency:  &metrics.Histogram{},
@@ -401,10 +382,6 @@ func RunMix(b Backend, info Info, mix []MixItem, cfg DriverConfig) Result {
 	var admBase *AdmissionStats
 	if caps.Admission != nil {
 		admBase = caps.Admission.AdmissionStats()
-	}
-	var suiteBase SuiteStats
-	if caps.SuiteStats != nil {
-		suiteBase = caps.SuiteStats.SuiteOpStats()
 	}
 	nonce := uint64(0)
 	if caps.Nonce != nil {
@@ -453,14 +430,6 @@ func RunMix(b Backend, info Info, mix []MixItem, cfg DriverConfig) Result {
 		if end := caps.Admission.AdmissionStats(); end != nil {
 			delta := end.Delta(*admBase)
 			res.Admission = &delta
-		}
-	}
-	if caps.SuiteStats != nil {
-		// Attached only when the run actually drove registry-suite ops:
-		// a native t2 mix leaves the counters untouched and the delta
-		// zero, keeping t2 reports byte-identical to before suites.
-		if delta := caps.SuiteStats.SuiteOpStats().Delta(suiteBase); delta != (SuiteStats{}) {
-			res.SuiteStats = &delta
 		}
 	}
 	// Partial backends carry their capability descriptor into the

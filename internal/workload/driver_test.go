@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"strconv"
@@ -135,8 +134,7 @@ func TestMixFidelity(t *testing.T) {
 }
 
 // nopEngine is the minimal Engine for mix-shape tests: fully capable
-// per its descriptor (so StandardMix builds the whole 5-item mix) but
-// with no registered-suite execution.
+// per its descriptor, so StandardMix builds the whole 5-item mix.
 type nopEngine struct{}
 
 func (nopEngine) Name() string                          { return "nop" }
@@ -148,9 +146,6 @@ func (nopEngine) StockTransferOnce(Params) error        { return nil }
 func (nopEngine) NewOrder(Params) error                 { return nil }
 func (nopEngine) WriteFeedback(Params) error            { return nil }
 func (nopEngine) SnapshotRead(Params) (bool, error)     { return false, nil }
-func (nopEngine) RunSuiteOp(suite, op string, _ Params) (int, error) {
-	return 0, fmt.Errorf("nop engine cannot run suite %s op %s: %w", suite, op, ErrUnsupported)
-}
 
 // TestRunMixRejectsInvalidMix pins the empty/zero-weight validation:
 // an undrivable mix must come back as a zero Result with one error

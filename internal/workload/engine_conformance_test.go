@@ -41,9 +41,8 @@ func (ce conformanceEngine) activeTxns() int {
 }
 
 // newConformanceEngines builds both native engines. Loaded engines hold
-// the t2 and the tenants dataset side by side (their tables and
-// collections do not overlap), so every op class has data to succeed
-// on; unloaded ones are empty, so every body that needs a table fails.
+// the dataset, so every op class has data to succeed on; unloaded ones
+// are empty, so every body that needs a table fails.
 func newConformanceEngines(t *testing.T, loaded bool) []conformanceEngine {
 	t.Helper()
 	db, f := udbms.Open(), federation.Open()
@@ -54,13 +53,10 @@ func newConformanceEngines(t *testing.T, loaded bool) []conformanceEngine {
 	if !loaded {
 		return engines
 	}
-	for _, name := range []string{"t2", "tenants"} {
-		suite, _ := SuiteByName(name)
-		data := suite.Generate(0.02, 1234)
-		for _, ce := range engines {
-			if err := data.Load(ce.st); err != nil {
-				t.Fatal(err)
-			}
+	ds := datagen.Generate(datagen.Config{ScaleFactor: 0.02, Seed: 1234})
+	for _, ce := range engines {
+		if err := ds.Load(ce.st); err != nil {
+			t.Fatal(err)
 		}
 	}
 	return engines
@@ -70,8 +66,7 @@ func newConformanceEngines(t *testing.T, loaded bool) []conformanceEngine {
 // engines three ways — on loaded stores with valid parameters, on loaded
 // stores with unknown ids, on empty stores — and pins what the one
 // adapter promises for all of them: no transaction outlives the call
-// whether the body succeeded or failed, failures surface, and suite-op
-// counters move only on success.
+// whether the body succeeded or failed, and failures surface.
 func TestNativeEngineConformance(t *testing.T) {
 	type opClass struct {
 		name string
@@ -80,9 +75,6 @@ func TestNativeEngineConformance(t *testing.T) {
 		// on stores without the dataset (reads of a missing record are
 		// empty results, not errors, so not every class can fail).
 		failsUnknown, failsEmpty bool
-		// suiteWrite is set for suite ops: which counter a success moves.
-		suite      bool
-		suiteWrite bool
 	}
 	// Q11 is not here: its graph walk finds no friends on an empty store
 	// and returns before it names the table.
@@ -95,9 +87,6 @@ func TestNativeEngineConformance(t *testing.T) {
 			failsEmpty: needsCustomerTable[q],
 		})
 	}
-	suiteOp := func(op string) func(e Engine, p Params) error {
-		return func(e Engine, p Params) error { _, err := e.RunSuiteOp("tenants", op, p); return err }
-	}
 	classes = append(classes,
 		opClass{name: "T1", run: Engine.OrderUpdate, failsUnknown: true, failsEmpty: true},
 		opClass{name: "T1-once", run: Engine.OrderUpdateOnce, failsUnknown: true, failsEmpty: true},
@@ -105,8 +94,6 @@ func TestNativeEngineConformance(t *testing.T) {
 		opClass{name: "T3", run: Engine.WriteFeedback, failsUnknown: true, failsEmpty: true},
 		opClass{name: "T4", run: func(e Engine, p Params) error { _, err := e.SnapshotRead(p); return err }},
 		opClass{name: "T5-once", run: Engine.StockTransferOnce, failsUnknown: true, failsEmpty: true},
-		opClass{name: "suite read", run: suiteOp("t_lookup"), failsEmpty: true, suite: true},
-		opClass{name: "suite write", run: suiteOp("t_open"), failsUnknown: true, failsEmpty: true, suite: true, suiteWrite: true},
 	)
 	good := Params{
 		CustomerID: 1, OrderID: datagen.OrderID(1), ProductID: datagen.ProductID(1), ProductID2: datagen.ProductID(2),
@@ -129,24 +116,12 @@ func TestNativeEngineConformance(t *testing.T) {
 					if p.FreshID == "" {
 						p.FreshID = fmt.Sprintf("o-conf-%04d", fresh)
 					}
-					before := ce.Capabilities().SuiteStats.SuiteOpStats()
 					err := c.run(ce, p)
 					if (err != nil) != wantErr {
 						t.Errorf("%s: err = %v, want error %v", label, err, wantErr)
 					}
 					if n := ce.activeTxns(); n != 0 {
 						t.Errorf("%s: %d transactions still active after the call (err %v)", label, n, err)
-					}
-					delta := ce.Capabilities().SuiteStats.SuiteOpStats().Delta(before)
-					want := SuiteStats{}
-					if c.suite && err == nil {
-						want = SuiteStats{Reads: 1, Rows: delta.Rows}
-						if c.suiteWrite {
-							want = SuiteStats{Writes: 1, Rows: delta.Rows}
-						}
-					}
-					if delta != want {
-						t.Errorf("%s: suite counters moved by %+v, want %+v (err %v)", label, delta, want, err)
 					}
 				}
 				check("valid params", loaded[i], good, false)

@@ -1,38 +1,12 @@
 package workload
 
 import (
-	"sync/atomic"
-
 	"udbench/internal/datagen"
 	"udbench/internal/federation"
 	"udbench/internal/txn"
 	"udbench/internal/udbms"
 	"udbench/internal/wal"
 )
-
-// SuiteStatsCounter is the per-backend suite-op telemetry behind
-// SuiteStatsProvider: lock-free so counting never perturbs the
-// concurrency the suites are built to measure. External backends
-// (internal/backend/...) embed one too, so every backend reports the
-// same suite_stats shape.
-type SuiteStatsCounter struct {
-	reads, writes, rows atomic.Int64
-}
-
-// Observe counts one successful suite op and the rows it touched.
-func (c *SuiteStatsCounter) Observe(write bool, rows int) {
-	if write {
-		c.writes.Add(1)
-	} else {
-		c.reads.Add(1)
-	}
-	c.rows.Add(int64(rows))
-}
-
-// Stats snapshots the counters.
-func (c *SuiteStatsCounter) Stats() SuiteStats {
-	return SuiteStats{Reads: c.reads.Load(), Writes: c.writes.Load(), Rows: c.rows.Load()}
-}
 
 // discipline is the one decision that separates the systems under test:
 // how an op body gets the session it runs in. Everything else about an
@@ -51,15 +25,13 @@ const (
 	retried = txn.DefaultRetries // deadlock victims are re-run
 )
 
-// nativeEngine runs the op bodies (ops.go, pipeline_queries.go,
-// suite_*.go) over a five-store bundle under a discipline: the single
+// nativeEngine runs the op bodies (ops.go, pipeline_queries.go) over a five-store bundle under a discipline: the single
 // implementation of Backend's op methods and of TxnEngine for both
 // in-process engines.
 // Each op costs one closure and one interface call on top of its body.
 type nativeEngine struct {
-	st       datagen.Target
-	sut      discipline
-	suiteOps SuiteStatsCounter
+	st  datagen.Target
+	sut discipline
 }
 
 // RunQuery implements Backend with the query table's body.
@@ -111,32 +83,6 @@ func (e *nativeEngine) SnapshotRead(p Params) (torn bool, err error) {
 	return torn, err
 }
 
-// RunSuiteOp implements Backend: read ops (and the weight-0 probes) run
-// in the read view, write ops in a retried read-write transaction like
-// T1–T3. Only successful ops are counted.
-func (e *nativeEngine) RunSuiteOp(suite, op string, p Params) (n int, err error) {
-	so, err := suiteOpBody(suite, op)
-	if err != nil {
-		return 0, err
-	}
-	body := func(s session) error {
-		n, err = so.Body(e.st, s, p)
-		return err
-	}
-	if so.Write {
-		err = e.sut.write(retried, body)
-	} else {
-		err = e.sut.read(body)
-	}
-	if err == nil {
-		e.suiteOps.Observe(so.Write, n)
-	}
-	return n, err
-}
-
-// SuiteOpStats implements SuiteStatsProvider.
-func (e *nativeEngine) SuiteOpStats() SuiteStats { return e.suiteOps.Stats() }
-
 // UDBMSEngine adapts the unified multi-model engine to the workload
 // Engine interface. Its discipline: reads see one snapshot spanning all
 // five models; writes are one ACID transaction.
@@ -161,13 +107,12 @@ func NewUDBMSEngine(db *udbms.DB) *UDBMSEngine {
 func (e *UDBMSEngine) Name() string { return "udbms" }
 
 // Capabilities implements Backend: the unified engine is natively
-// complete (all models, full transaction set, every query and suite)
-// and exposes lock, durability, and suite-op telemetry.
+// complete (all models, full transaction set, every query) and
+// exposes lock and durability telemetry.
 func (e *UDBMSEngine) Capabilities() Capabilities {
 	c := FullCapabilities()
 	c.LockStats = e
 	c.Durability = e
-	c.SuiteStats = e
 	return c
 }
 
@@ -227,12 +172,11 @@ func NewFederationEngine(f *federation.Federation) *FederationEngine {
 func (e *FederationEngine) Name() string { return "federation" }
 
 // Capabilities implements Backend: the federation is natively complete
-// and exposes aggregated lock and suite-op telemetry (it runs without
-// a shared write-ahead log, so no durability provider).
+// and exposes aggregated lock telemetry (it runs without a shared
+// write-ahead log, so no durability provider).
 func (e *FederationEngine) Capabilities() Capabilities {
 	c := FullCapabilities()
 	c.LockStats = e
-	c.SuiteStats = e
 	return c
 }
 
@@ -281,9 +225,9 @@ func init() {
 	RegisterBackend(&BackendSpec{
 		Name:        "udbms",
 		Description: "unified multi-model engine: one snapshot/commit across all five models",
-		New: func(data SuiteData, opt BackendOptions) (Backend, error) {
+		New: func(ds *datagen.Dataset, opt BackendOptions) (Backend, error) {
 			db := udbms.Open()
-			if err := data.Load(db.Stores()); err != nil {
+			if err := ds.Load(db.Stores()); err != nil {
 				return nil, err
 			}
 			return NewUDBMSEngine(db), nil
@@ -292,10 +236,10 @@ func init() {
 	RegisterBackend(&BackendSpec{
 		Name:        "federation",
 		Description: "polyglot federation: per-store engines, simulated hops, 2PC writes",
-		New: func(data SuiteData, opt BackendOptions) (Backend, error) {
+		New: func(ds *datagen.Dataset, opt BackendOptions) (Backend, error) {
 			f := federation.Open()
 			f.HopLatency = opt.HopLatency
-			if err := data.Load(f.Stores()); err != nil {
+			if err := ds.Load(f.Stores()); err != nil {
 				return nil, err
 			}
 			return NewFederationEngine(f), nil

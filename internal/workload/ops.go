@@ -9,6 +9,7 @@ import (
 	"udbench/internal/document"
 	"udbench/internal/graph"
 	"udbench/internal/mmvalue"
+	"udbench/internal/relational"
 	"udbench/internal/udbms"
 	"udbench/internal/xmlstore"
 )
@@ -28,6 +29,16 @@ import (
 type session interface {
 	udbms.Access
 	pipeline() *udbms.Pipeline
+}
+
+// tableOf fetches one of the dataset's relational tables, or says that
+// the dataset is missing.
+func tableOf(st datagen.Target, name string) (*relational.Table, error) {
+	t, ok := st.Relational.Table(name)
+	if !ok {
+		return nil, fmt.Errorf("workload: %s table missing (dataset not loaded?)", name)
+	}
+	return t, nil
 }
 
 // feedbackPrefix is fmt.Sprintf("feedback/%06d/", cid) for cid >= 0.

@@ -32,12 +32,7 @@ type OpSummary struct {
 // written by `udbench mix -json` so successive PRs can track a
 // BENCH_*.json perf trajectory.
 type RunSummary struct {
-	Engine string `json:"engine"`
-	// Suite names the workload suite the mix came from ("t2" for the
-	// original benchmark mix). Trajectory rule: numbers are only ever
-	// compared within one suite — a BENCH_*.json from suite A says
-	// nothing about suite B.
-	Suite   string `json:"suite"`
+	Engine  string `json:"engine"`
 	Mode    string `json:"mode"` // "closed" | "open"
 	Clients int    `json:"clients"`
 	Ops     int64  `json:"ops"`
@@ -76,16 +71,12 @@ type RunSummary struct {
 	// run (bounded-queue high watermark, shed count, queue-wait p99);
 	// absent for in-process engines, which have no queue in front.
 	Admission *AdmissionStats `json:"admission,omitempty"`
-	// SuiteStats is the registry-suite op telemetry for this run
-	// (read/write op counts and rows touched); absent for the native t2
-	// mix and for remote engines.
-	SuiteStats *SuiteStats `json:"suite_stats,omitempty"`
 	// BackendCapabilities is the backend's capability descriptor;
 	// present only for partial backends (external engines restricting
-	// the model/query/suite/transaction surface), so pre-existing
-	// native-engine trajectories are untouched. Frozen like suite and
-	// suite_stats: cross-engine legs are only comparable after checking
-	// the capability sets overlap.
+	// the model/query/transaction surface), so pre-existing
+	// native-engine trajectories are untouched. Frozen: cross-engine
+	// legs are only comparable after checking the capability sets
+	// overlap.
 	BackendCapabilities *BackendCaps `json:"backend_capabilities,omitempty"`
 }
 
@@ -96,7 +87,6 @@ type BackendCaps struct {
 	Transactions  bool     `json:"transactions"`
 	SnapshotReads bool     `json:"snapshot_reads"`
 	Queries       []string `json:"queries"`
-	Suites        []string `json:"suites"`
 }
 
 func opSummary(name string, d *metrics.DualHistogram) OpSummary {
@@ -121,7 +111,6 @@ func opSummary(name string, d *metrics.DualHistogram) OpSummary {
 func (r Result) Summary() RunSummary {
 	s := RunSummary{
 		Engine:        r.Engine,
-		Suite:         r.Suite,
 		Mode:          r.Mode.String(),
 		Clients:       r.Clients,
 		Ops:           r.Ops,
@@ -138,12 +127,8 @@ func (r Result) Summary() RunSummary {
 		LockStats:     r.LockStats,
 		Durability:    r.Durability,
 		Admission:     r.Admission,
-		SuiteStats:    r.SuiteStats,
 
 		BackendCapabilities: r.Capabilities,
-	}
-	if s.Suite == "" {
-		s.Suite = DefaultSuite
 	}
 	if r.Intended != nil && r.Intended.Count() > 0 {
 		s.IntendedP50NS = r.Intended.Percentile(50)

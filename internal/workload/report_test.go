@@ -24,7 +24,6 @@ var goldenSummaryFields = []string{
 	"backend_capabilities.models[]",
 	"backend_capabilities.queries[]",
 	"backend_capabilities.snapshot_reads",
-	"backend_capabilities.suites[]",
 	"backend_capabilities.transactions",
 	"clients",
 	"dropped",
@@ -69,10 +68,6 @@ var goldenSummaryFields = []string{
 	"per_op[].p95_ns",
 	"per_op[].p99_ns",
 	"rate_ops_per_sec",
-	"suite",
-	"suite_stats.reads",
-	"suite_stats.rows",
-	"suite_stats.writes",
 	"throughput_ops_per_sec",
 }
 
@@ -117,9 +112,6 @@ func TestRunSummaryGoldenFields(t *testing.T) {
 	// And the admission block: synthetic mixes run in-process with no
 	// server queue in front, so populate it by hand to pin its keys.
 	s.Admission = &AdmissionStats{QueueDepthMax: 3, Shed: 2, QueueWaitP99NS: 1000}
-	// And the suite-op block: synthetic mixes drive no registry suite,
-	// so populate it by hand to pin its keys.
-	s.SuiteStats = &SuiteStats{Reads: 5, Writes: 3, Rows: 40}
 	// And the capability block: only partial backends attach it, so
 	// populate it by hand to pin its keys.
 	s.BackendCapabilities = &BackendCaps{
@@ -127,7 +119,6 @@ func TestRunSummaryGoldenFields(t *testing.T) {
 		Transactions:  false,
 		SnapshotReads: false,
 		Queries:       []string{"Q1"},
-		Suites:        []string{"t2"},
 	}
 	data, err := json.Marshal(s)
 	if err != nil {

@@ -1,4 +1,4 @@
-// Package workload defines the UDBMS benchmark's operation suite:
+// Package workload defines the UDBMS benchmark's operation set:
 // thirteen multi-model read queries (Q1–Q13, the last three being
 // analytic group-by/top-N shapes that exercise the vectorized
 // executor), four cross-model transactions (T1–T4, T1 being the
