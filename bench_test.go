@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"udbench/internal/core"
 	"udbench/internal/datagen"
 	"udbench/internal/workload"
 )
@@ -35,7 +36,7 @@ func BenchmarkMixScaling(b *testing.B) {
 			b.Run(fmt.Sprintf("clients%d/%s", clients, leg.name), func(b *testing.B) {
 				ds := datagen.Generate(datagen.Config{ScaleFactor: 0.05, Seed: 42})
 				info := workload.InfoOf(ds)
-				e, err := workload.NewBackend(leg.name, ds, workload.BackendOptions{HopLatency: leg.hop})
+				e, err := core.NewBackend(leg.name, ds, leg.hop)
 				if err != nil {
 					b.Fatal(err)
 				}

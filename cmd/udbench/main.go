@@ -9,7 +9,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/signal"
 	"syscall"
@@ -93,21 +92,19 @@ mix flags (plus -sf/-seed/-hop/-json):
   -fsync P     fsync policy with -wal: always, group (default), async
   -remote A    drive a running 'udbench serve' at address A instead of
                in-process engines (admission telemetry lands in the
-               report); -budget D caps per-request queue wait
-  -budget D    with -remote: queue-wait budget per request (0 = server
-               default); requests exceeding it are shed server-side
-  -engine E    comparative mode: drive one registered backend (e.g.
+               report; the server's -deadline sheds late requests)
+  -engine E    comparative mode: drive one backend (udbms, federation or
                relational) instead of both native engines; partial backends
                run the mix subset their capabilities allow and attach a
                backend_capabilities block to the JSON report
 
 serve flags (dataset flags as in run):
   -addr A      listen address (default 127.0.0.1:7744)
-  -engine E    registered backend to front: udbms (default), federation,
-               relational, ... (unknown names list the registry)
+  -engine E    backend to front: udbms (default), federation or
+               relational
   -workers N   executor pool size (default 4)
   -queue N     admission queue depth (default 256)
-  -deadline D  default queue-wait budget before shedding (default 100ms)
+  -deadline D  queue-wait budget before shedding (default 100ms)
 `)
 }
 
@@ -230,8 +227,7 @@ func cmdMix(args []string) error {
 	fsync := fs.String("fsync", "group", "fsync policy with -wal: always, group, or async")
 	jsonPath := fs.String("json", "", "write results as JSON to this file")
 	remote := fs.String("remote", "", "drive a running 'udbench serve' at this address instead of in-process engines")
-	queueBudget := fs.Duration("budget", 0, "with -remote: per-request queue-wait budget (0 = server default)")
-	engineName := fs.String("engine", "", "drive one registered backend instead of both native engines (comparative mode)")
+	engineName := fs.String("engine", "", "drive one backend (udbms, federation or relational) instead of both native engines (comparative mode)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -273,9 +269,6 @@ func cmdMix(args []string) error {
 			return err
 		}
 		defer re.Close()
-		if *queueBudget > 0 {
-			re.SetQueueBudget(*queueBudget)
-		}
 		info = re.Info()
 		engines = []workload.Backend{re}
 		fmt.Printf("remote engine %s at %s (customers %d, products %d, orders %d)\n",
@@ -283,7 +276,7 @@ func cmdMix(args []string) error {
 	} else {
 		ds := datagen.Generate(datagen.Config{ScaleFactor: *sf, Seed: *seed})
 		info = workload.InfoOf(ds)
-		// Every in-process engine comes out of the backend registry;
+		// Every in-process engine comes out of core.NewBackend;
 		// comparative mode builds the one named, the default both natives.
 		names := []string{"udbms", "federation"}
 		if *engineName != "" {
@@ -304,13 +297,10 @@ func cmdMix(args []string) error {
 				be = e
 			} else {
 				var err error
-				be, err = workload.NewBackend(name, ds, workload.BackendOptions{HopLatency: *hop})
+				be, err = core.NewBackend(name, ds, *hop)
 				if err != nil {
 					return fmt.Errorf("mix: %w", err)
 				}
-			}
-			if c, ok := be.(io.Closer); ok {
-				defer c.Close()
 			}
 			if len(workload.StandardMix(be)) == 0 {
 				return fmt.Errorf("mix: backend %s can express no op of the standard mix", be.Name())
@@ -445,10 +435,10 @@ func cmdServe(args []string) error {
 	sf := fs.Float64("sf", 0.2, "scale factor")
 	seed := fs.Uint64("seed", 42, "generator seed")
 	hop := fs.Duration("hop", 100*time.Microsecond, "federation hop latency")
-	engine := fs.String("engine", "udbms", "registered backend to serve")
+	engine := fs.String("engine", "udbms", "backend to serve: udbms, federation or relational")
 	workers := fs.Int("workers", 4, "executor pool size")
 	queue := fs.Int("queue", 256, "admission queue depth")
-	deadline := fs.Duration("deadline", 100*time.Millisecond, "default queue-wait budget before shedding")
+	deadline := fs.Duration("deadline", 100*time.Millisecond, "queue-wait budget before shedding")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -457,12 +447,9 @@ func cmdServe(args []string) error {
 		Info: workload.InfoOf(ds), Workers: *workers,
 		QueueDepth: *queue, QueueDeadline: *deadline,
 	}
-	be, err := workload.NewBackend(*engine, ds, workload.BackendOptions{HopLatency: *hop})
+	be, err := core.NewBackend(*engine, ds, *hop)
 	if err != nil {
 		return fmt.Errorf("serve: %w", err)
-	}
-	if c, ok := be.(io.Closer); ok {
-		defer c.Close()
 	}
 	cfg.Engine = be
 	s, err := server.Listen(*addr, cfg)

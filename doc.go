@@ -9,6 +9,7 @@
 // The package tree:
 //
 //	internal/core        experiment harness (one runner per table/figure)
+//	                     and NewBackend, the one list of backends
 //	internal/udbms       the unified multi-model engine (system under test)
 //	internal/federation  polyglot baseline: five stores + 2PC + hops
 //	internal/backend     comparative one-model leg: relbe shreds the dataset
@@ -22,7 +23,7 @@
 //	internal/replica     primary/replica lag simulator (consistency substrate)
 //	internal/datagen     deterministic Figure-1 dataset generator
 //	internal/workload    query table Q1–Q13, T1–T5 op bodies, one native
-//	                     engine adapter, drivers (2.3k non-test lines)
+//	                     engine adapter, drivers (2.2k non-test lines)
 //	internal/mmschema    schema inference, evolution ops, query compatibility
 //	internal/convert     model conversions with gold-standard fidelity
 //	internal/consistency staleness / RYW / monotonic / atomicity metrics

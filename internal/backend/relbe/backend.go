@@ -23,17 +23,10 @@ import (
 // Q13); every other query returns workload.ErrUnsupported before
 // touching any data, and it has no native transactions.
 type Backend struct {
-	db *relational.DB // private, on its own txn.Manager
-}
-
-func init() {
-	workload.RegisterBackend(&workload.BackendSpec{
-		Name:        "relational",
-		Description: "relational-only baseline on the shared record layer: shredded tables, query subset per its capability descriptor",
-		New: func(ds *datagen.Dataset, opt workload.BackendOptions) (workload.Backend, error) {
-			return Open(ds)
-		},
-	})
+	// The tables of a private relational database on its own
+	// txn.Manager. Every dataset has customers, orders and line items;
+	// kv is nil when no order drew feedback.
+	customer, orders, items, kv *relational.Table
 }
 
 // Open shreds ds into a fresh relational database and returns the
@@ -43,7 +36,15 @@ func Open(ds *datagen.Dataset) (*Backend, error) {
 	if err := load(ds, db); err != nil {
 		return nil, err
 	}
-	return &Backend{db: db}, nil
+	b := &Backend{}
+	b.customer, _ = db.Table("customer")
+	b.orders, _ = db.Table("orders")
+	b.items, _ = db.Table("orders_items")
+	b.kv, _ = db.Table("kv")
+	if b.customer == nil || b.orders == nil || b.items == nil {
+		return nil, fmt.Errorf("relbe: dataset without customers, orders or line items")
+	}
+	return b, nil
 }
 
 // Name implements workload.Backend.
@@ -71,8 +72,7 @@ func (b *Backend) RunQuery(q workload.QueryID, p workload.Params) (int, error) {
 	case workload.Q4:
 		return b.q4(p)
 	case workload.Q8:
-		revenue, err := b.cityRevenue()
-		return len(revenue), err
+		return len(b.cityRevenue()), nil
 	case workload.Q12:
 		return b.q12(p)
 	case workload.Q13:
@@ -82,20 +82,6 @@ func (b *Backend) RunQuery(q workload.QueryID, p workload.Params) (int, error) {
 }
 
 // --- helpers ---
-
-// table returns the named table, nil when the dataset had nothing to
-// shred into it.
-func (b *Backend) table(name string) *relational.Table {
-	t, _ := b.db.Table(name)
-	return t
-}
-
-func (b *Backend) mustTable(name string) (*relational.Table, error) {
-	if t := b.table(name); t != nil {
-		return t, nil
-	}
-	return nil, fmt.Errorf("relbe: %s table missing (dataset not loaded?)", name)
-}
 
 // scanKeys streams the rows of a string-keyed table whose key lies in
 // [from, to), in key order. The rows are shared with the store.
@@ -125,20 +111,13 @@ func num(o *mmvalue.Object, col string) float64 {
 // q1 is the customer profile: the relational row, the customer's
 // order rows, and their feedback keys.
 func (b *Backend) q1(p workload.Params) (int, error) {
-	cust, err := b.mustTable("customer")
-	if err != nil {
-		return 0, err
-	}
-	if _, ok := cust.Get(nil, p.CustomerID); !ok {
+	if _, ok := b.customer.Get(nil, p.CustomerID); !ok {
 		return 0, nil
 	}
-	n := 1
-	if orders := b.table("orders"); orders != nil {
-		n += orders.Query(nil).Where(relational.Col("customer_id").Eq(p.CustomerID)).Count()
-	}
-	if kv := b.table("kv"); kv != nil {
+	n := 1 + b.orders.Query(nil).Where(relational.Col("customer_id").Eq(p.CustomerID)).Count()
+	if b.kv != nil {
 		prefix := fmt.Sprintf("feedback/%06d/", p.CustomerID)
-		scanKeys(kv, prefix, prefix[:len(prefix)-1]+"0", func(*mmvalue.Object) { n++ }) // "0" is '/'+1
+		scanKeys(b.kv, prefix, prefix[:len(prefix)-1]+"0", func(*mmvalue.Object) { n++ }) // "0" is '/'+1
 	}
 	return n, nil
 }
@@ -146,16 +125,15 @@ func (b *Backend) q1(p workload.Params) (int, error) {
 // q3 ranks products by average feedback rating: join feedback keys to
 // order line items, aggregate per product, take the top N.
 func (b *Backend) q3(p workload.Params) (int, error) {
-	kv, items := b.table("kv"), b.table("orders_items")
-	if kv == nil || items == nil {
-		return 0, nil // no feedback or no line items: nothing rated
+	if b.kv == nil {
+		return 0, nil // no feedback: nothing rated
 	}
 	type entry struct {
 		oid    string
 		rating float64
 	}
 	var entries []entry
-	scanKeys(kv, "feedback/", "feedback0", func(row *mmvalue.Object) {
+	scanKeys(b.kv, "feedback/", "feedback0", func(row *mmvalue.Object) {
 		// Keys are feedback/<customer>/<order>.
 		if parts := strings.Split(str(row, "_id"), "/"); len(parts) == 3 {
 			entries = append(entries, entry{parts[2], num(row, "rating")})
@@ -164,7 +142,7 @@ func (b *Backend) q3(p workload.Params) (int, error) {
 	type acc struct{ sum, n float64 }
 	ratings := map[string]*acc{}
 	for _, e := range entries {
-		for _, it := range items.Query(nil).Where(relational.Col("_parent").Eq(e.oid)).Project("product_id").Rows() {
+		for _, it := range b.items.Query(nil).Where(relational.Col("_parent").Eq(e.oid)).Project("product_id").Rows() {
 			pid := str(it.MustObject(), "product_id")
 			a := ratings[pid]
 			if a == nil {
@@ -196,17 +174,11 @@ func (b *Backend) q3(p workload.Params) (int, error) {
 // threshold: the city's customers (index-served) hash-joined with
 // their orders, summed per customer in order key order.
 func (b *Backend) q4(p workload.Params) (int, error) {
-	cust, err := b.mustTable("customer")
-	if err != nil {
-		return 0, err
-	}
-	inCity := cust.Query(nil).Where(relational.Col("city").Eq(p.City)).Project("id")
+	inCity := b.customer.Query(nil).Where(relational.Col("city").Eq(p.City)).Project("id")
 	sums := map[string]float64{}
-	if orders := b.table("orders"); orders != nil {
-		for _, r := range inCity.HashJoin(orders, "id", "customer_id") {
-			o := r.MustObject()
-			sums[o.GetOr("id", mmvalue.Null).Key()] += num(o, "orders.total")
-		}
+	for _, r := range inCity.HashJoin(b.orders, "id", "customer_id") {
+		o := r.MustObject()
+		sums[o.GetOr("id", mmvalue.Null).Key()] += num(o, "orders.total")
 	}
 	count := 0
 	for _, sum := range sums {
@@ -227,32 +199,25 @@ func (b *Backend) q4(p workload.Params) (int, error) {
 // cities, Q12 cuts them by revenue). Orders are the join spine, so the
 // per-city sums accumulate in order key order exactly like the native
 // map accumulation; orders of unknown customers have no city.
-func (b *Backend) cityRevenue() (map[string]float64, error) {
-	cust, err := b.mustTable("customer")
-	if err != nil {
-		return nil, err
-	}
+func (b *Backend) cityRevenue() map[string]float64 {
 	revenue := map[string]float64{}
-	if orders := b.table("orders"); orders != nil {
-		for _, r := range orders.Query(nil).Project("customer_id", "total").HashJoin(cust, "customer_id", "id") {
-			o := r.MustObject()
-			revenue[str(o, "customer.city")] += num(o, "total")
-		}
+	for _, r := range b.orders.Query(nil).Project("customer_id", "total").HashJoin(b.customer, "customer_id", "id") {
+		o := r.MustObject()
+		revenue[str(o, "customer.city")] += num(o, "total")
 	}
 	delete(revenue, "")
-	return revenue, nil
+	return revenue
 }
 
 // q12 counts the cities whose revenue clears threshold*50.
 func (b *Backend) q12(p workload.Params) (int, error) {
-	revenue, err := b.cityRevenue()
 	count := 0
-	for _, rev := range revenue {
+	for _, rev := range b.cityRevenue() {
 		if rev > p.Threshold*50 {
 			count++
 		}
 	}
-	return count, err
+	return count, nil
 }
 
 // q13 takes the top-N customers by summed order revenue and counts
@@ -260,15 +225,7 @@ func (b *Backend) q12(p workload.Params) (int, error) {
 // stable sort the native engines use, so revenue ties resolve
 // identically.
 func (b *Backend) q13(p workload.Params) (int, error) {
-	cust, err := b.mustTable("customer")
-	if err != nil {
-		return 0, err
-	}
-	orders := b.table("orders")
-	if orders == nil {
-		return 0, nil
-	}
-	groups, err := orders.Query(nil).GroupBy("customer_id", relational.Agg{Fn: "sum", Column: "total", As: "revenue"})
+	groups, err := b.orders.Query(nil).GroupBy("customer_id", relational.Agg{Fn: "sum", Column: "total", As: "revenue"})
 	if err != nil {
 		return 0, fmt.Errorf("relbe: %w", err)
 	}
@@ -287,7 +244,7 @@ func (b *Backend) q13(p workload.Params) (int, error) {
 	sort.SliceStable(top, func(i, j int) bool { return top[i].rev > top[j].rev })
 	cities := map[string]bool{}
 	for _, sp := range top[:min(len(top), p.TopN)] {
-		if row, ok := cust.Get(nil, sp.cid); ok {
+		if row, ok := b.customer.Get(nil, sp.cid); ok {
 			if city := str(row.MustObject(), "city"); city != "" {
 				cities[city] = true
 			}

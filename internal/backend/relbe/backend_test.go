@@ -8,27 +8,24 @@ import (
 
 	"udbench/internal/datagen"
 	"udbench/internal/server"
+	"udbench/internal/udbms"
 	"udbench/internal/workload"
 )
 
 // buildPair loads one generated dataset into both the native unified
-// engine and the relational backend, via the registry path real runs
-// use.
+// engine and the relational backend.
 func buildPair(t *testing.T, sf float64, seed uint64) (native, rel workload.Backend, info workload.Info) {
 	t.Helper()
 	ds := datagen.Generate(datagen.Config{ScaleFactor: sf, Seed: seed})
-	build := func(name string) workload.Backend {
-		spec, err := workload.ResolveBackend(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		be, err := spec.New(ds, workload.BackendOptions{})
-		if err != nil {
-			t.Fatalf("build %s backend: %v", name, err)
-		}
-		return be
+	db := udbms.Open()
+	if err := ds.Load(db.Stores()); err != nil {
+		t.Fatalf("load udbms: %v", err)
 	}
-	return build("udbms"), build("relational"), workload.InfoOf(ds)
+	r, err := Open(ds)
+	if err != nil {
+		t.Fatalf("build relational backend: %v", err)
+	}
+	return workload.NewUDBMSEngine(db), r, workload.InfoOf(ds)
 }
 
 // TestQueryAgreement pins the comparative contract on the t2 dataset:

@@ -35,9 +35,9 @@ import (
 // cardinalities on the back of that.
 
 // load materializes ds in a scratch unified store and shreds it into
-// db. Shapes a dataset lacks (no orders, no key-value entries) simply
-// leave no table behind; the queries treat a missing table as empty,
-// like the native engines do over empty stores.
+// db. A dataset without key-value entries leaves no kv table behind;
+// the queries treat it as empty, like the native engines do over an
+// empty store.
 func load(ds *datagen.Dataset, db *relational.DB) error {
 	scratch := udbms.Open()
 	if err := ds.Load(scratch.Stores()); err != nil {

@@ -1,53 +1,42 @@
 package core
 
 import (
-	"io"
+	"fmt"
 	"time"
 
+	"udbench/internal/backend/relbe"
 	"udbench/internal/datagen"
+	"udbench/internal/federation"
+	"udbench/internal/udbms"
 	"udbench/internal/workload"
-
-	// Comparative backends register themselves with the workload
-	// backend registry; this is the one place the harness links them
-	// in, so `udbench mix -engine relational` and the f5 comparative legs
-	// work out of one import.
-	_ "udbench/internal/backend/relbe"
 )
 
-// comparativeLegs builds a sweep leg for every registered backend
-// beyond the two baseline engines (which the callers provision
-// themselves so transactional experiments keep their direct handles).
-// Backends whose capability subset leaves the standard mix empty are
-// skipped rather than erroring: a comparative run reports what each
-// system can express.
-func comparativeLegs(ds *datagen.Dataset, hop time.Duration) ([]sweepEngine, func(), error) {
-	var legs []sweepEngine
-	closeAll := func() {
-		for _, leg := range legs {
-			closeBackend(leg.e)
+// NewBackend builds the named system under test with ds loaded: the
+// unified engine (udbms), the polyglot federation with hop as its
+// simulated per-request latency (federation), or the relational-only
+// comparative leg (relational). This is the one list of backends; mix,
+// serve and the experiment testbeds all build through it.
+func NewBackend(name string, ds *datagen.Dataset, hop time.Duration) (workload.Backend, error) {
+	switch name {
+	case "udbms":
+		db := udbms.Open()
+		if err := ds.Load(db.Stores()); err != nil {
+			return nil, err
 		}
-	}
-	for _, name := range workload.BackendNames() {
-		if name == "udbms" || name == "federation" {
-			continue
+		return workload.NewUDBMSEngine(db), nil
+	case "federation":
+		f := federation.Open()
+		f.HopLatency = hop
+		if err := ds.Load(f.Stores()); err != nil {
+			return nil, err
 		}
-		be, err := workload.NewBackend(name, ds, workload.BackendOptions{HopLatency: hop})
+		return workload.NewFederationEngine(f), nil
+	case "relational":
+		be, err := relbe.Open(ds)
 		if err != nil {
-			closeAll()
-			return nil, nil, err
+			return nil, err
 		}
-		if len(workload.StandardMix(be)) == 0 {
-			closeBackend(be)
-			continue
-		}
-		legs = append(legs, sweepEngine{be.Name(), be})
+		return be, nil
 	}
-	return legs, closeAll, nil
-}
-
-// closeBackend releases a backend that holds resources (most do not).
-func closeBackend(be workload.Backend) {
-	if c, ok := be.(io.Closer); ok {
-		c.Close()
-	}
+	return nil, fmt.Errorf("unknown backend %q (want udbms, federation or relational)", name)
 }

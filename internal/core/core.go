@@ -1,5 +1,5 @@
 // Package core is the UDBench experiment harness — the paper's
-// benchmark itself. It registers one experiment per table/figure of
+// benchmark itself. It lists one experiment per table/figure of
 // the reproduction (see DESIGN.md §4), knows how to provision the
 // systems under test (the unified engine and the polyglot federation),
 // runs parameter sweeps and renders result tables.
@@ -7,6 +7,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -45,7 +46,7 @@ func QuickConfig() Config {
 	return Config{SF: 0.03, Seed: 42, Quick: true, HopLatency: 20 * time.Microsecond}
 }
 
-// Experiment is one registered table/figure reproduction.
+// Experiment is one table/figure reproduction.
 type Experiment struct {
 	// ID is the experiment identifier from DESIGN.md ("f1", "t2", ...).
 	ID string
@@ -57,30 +58,48 @@ type Experiment struct {
 	Run func(cfg Config) ([]*metrics.Table, error)
 }
 
-var registry = map[string]Experiment{}
-
-func register(e Experiment) { registry[e.ID] = e }
-
-// Experiments returns all registered experiments sorted by ID.
-func Experiments() []Experiment {
-	out := make([]Experiment, 0, len(registry))
-	for _, e := range registry {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+// experiments lists every experiment once, in ID order.
+var experiments = []Experiment{
+	{ID: "a1", Name: "Ablation: standard secondary indexes",
+		Pillar: "multi-model data", Run: runA1},
+	{ID: "f1", Name: "Dataset statistics (Figure 1 reproduction)",
+		Pillar: "multi-model data", Run: runF1},
+	{ID: "f2", Name: "Throughput vs clients (mixed workload)",
+		Pillar: "multi-model transactions", Run: runF2},
+	{ID: "f3", Name: "Transaction abort rate vs contention",
+		Pillar: "multi-model transactions", Run: runF3},
+	{ID: "f4", Name: "Query latency scale-up",
+		Pillar: "multi-model data", Run: runF4},
+	{ID: "f5", Name: "Latency vs offered rate (open-loop saturation knee)",
+		Pillar: "multi-model transactions", Run: runF5},
+	{ID: "f6", Name: "Durability: recovery time vs log size, fsync-policy knee",
+		Pillar: "durability", Run: runF6},
+	{ID: "t2", Name: "Multi-model query latency Q1-Q13",
+		Pillar: "multi-model data", Run: runT2},
+	{ID: "t3", Name: "Consistency metrics: strong vs eventual",
+		Pillar: "consistency", Run: runT3},
+	{ID: "t4", Name: "Schema evolution vs historical queries",
+		Pillar: "schema evolution", Run: runT4},
+	{ID: "t5", Name: "Model conversion fidelity and throughput",
+		Pillar: "data conversion", Run: runT5},
 }
+
+// Experiments returns every experiment in ID order.
+func Experiments() []Experiment { return slices.Clone(experiments) }
 
 // ByID looks an experiment up.
 func ByID(id string) (Experiment, bool) {
-	e, ok := registry[id]
-	return e, ok
+	i := slices.IndexFunc(experiments, func(e Experiment) bool { return e.ID == id })
+	if i < 0 {
+		return Experiment{}, false
+	}
+	return experiments[i], true
 }
 
 // RunAll executes every experiment and returns the tables in ID order.
 func RunAll(cfg Config) ([]*metrics.Table, error) {
 	var out []*metrics.Table
-	for _, e := range Experiments() {
+	for _, e := range experiments {
 		tables, err := e.Run(cfg)
 		if err != nil {
 			return nil, fmt.Errorf("experiment %s: %w", e.ID, err)
@@ -91,8 +110,7 @@ func RunAll(cfg Config) ([]*metrics.Table, error) {
 }
 
 // testbed provisions both native systems under test with the same
-// dataset, built through the backend registry like every other
-// backend.
+// dataset, built through NewBackend like every other backend.
 type testbed struct {
 	info     workload.Info
 	uni, fed workload.Engine
@@ -105,12 +123,11 @@ type testbed struct {
 // fresh unified engine and a fresh federation.
 func newTestbed(sf float64, seed uint64, hop time.Duration) (*testbed, error) {
 	ds := datagen.Generate(datagen.Config{ScaleFactor: sf, Seed: seed})
-	opt := workload.BackendOptions{HopLatency: hop}
-	uni, err := workload.NewBackend("udbms", ds, opt)
+	uni, err := NewBackend("udbms", ds, hop)
 	if err != nil {
 		return nil, err
 	}
-	fed, err := workload.NewBackend("federation", ds, opt)
+	fed, err := NewBackend("federation", ds, hop)
 	if err != nil {
 		return nil, err
 	}

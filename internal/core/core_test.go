@@ -7,13 +7,20 @@ import (
 	"time"
 )
 
+// TestRegistryComplete checks the experiment list: every experiment
+// in ID order, each ID once.
 func TestRegistryComplete(t *testing.T) {
 	want := []string{"a1", "f1", "f2", "f3", "f4", "f5", "f6", "t2", "t3", "t4", "t5"}
 	got := Experiments()
 	if len(got) != len(want) {
-		t.Fatalf("registry has %d experiments, want %d", len(got), len(want))
+		t.Fatalf("list has %d experiments, want %d", len(got), len(want))
 	}
+	seen := map[string]bool{}
 	for i, e := range got {
+		if seen[e.ID] {
+			t.Errorf("experiment %s listed twice", e.ID)
+		}
+		seen[e.ID] = true
 		if e.ID != want[i] {
 			t.Errorf("experiment %d = %s, want %s", i, e.ID, want[i])
 		}
@@ -343,29 +350,29 @@ func TestF6PolicySweep(t *testing.T) {
 	}
 }
 
-// TestRunAllQuick runs, through the registry and RunAll, every
+// TestRunAllQuick runs, through the experiment list and RunAll, every
 // experiment that has no dedicated test above — re-running the ones
 // that do would only repeat their sweeps.
 func TestRunAllQuick(t *testing.T) {
 	dedicated := map[string]bool{"f1": true, "f2": true, "f3": true, "f4": true, "f5": true, "f6": true,
 		"t2": true, "t3": true, "t4": true, "t5": true}
-	all := registry
-	defer func() { registry = all }()
-	registry = map[string]Experiment{}
-	for id, e := range all {
-		if !dedicated[id] {
-			registry[id] = e
+	all := experiments
+	defer func() { experiments = all }()
+	experiments = nil
+	for _, e := range all {
+		if !dedicated[e.ID] {
+			experiments = append(experiments, e)
 		}
 	}
-	if len(registry) == 0 {
+	if len(experiments) == 0 {
 		t.Fatal("every experiment has a dedicated test: nothing left to run through RunAll")
 	}
 	tables, err := RunAll(QuickConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tables) < len(registry) {
-		t.Fatalf("RunAll produced %d tables for %d experiments", len(tables), len(registry))
+	if len(tables) < len(experiments) {
+		t.Fatalf("RunAll produced %d tables for %d experiments", len(tables), len(experiments))
 	}
 	for _, tab := range tables {
 		if tab.NumRows() == 0 {

@@ -15,30 +15,6 @@ import (
 	"udbench/internal/xmlstore"
 )
 
-func equalXML(a, b *xmlstore.Node) bool    { return xmlstore.Equal(a, b) }
-func mmvalueEqual(a, b mmvalue.Value) bool { return mmvalue.Equal(a, b) }
-
-func init() {
-	register(Experiment{ID: "f1", Name: "Dataset statistics (Figure 1 reproduction)",
-		Pillar: "multi-model data", Run: runF1})
-	register(Experiment{ID: "t2", Name: "Multi-model query latency Q1-Q13",
-		Pillar: "multi-model data", Run: runT2})
-	register(Experiment{ID: "f2", Name: "Throughput vs clients (mixed workload)",
-		Pillar: "multi-model transactions", Run: runF2})
-	register(Experiment{ID: "f3", Name: "Transaction abort rate vs contention",
-		Pillar: "multi-model transactions", Run: runF3})
-	register(Experiment{ID: "t3", Name: "Consistency metrics: strong vs eventual",
-		Pillar: "consistency", Run: runT3})
-	register(Experiment{ID: "t4", Name: "Schema evolution vs historical queries",
-		Pillar: "schema evolution", Run: runT4})
-	register(Experiment{ID: "t5", Name: "Model conversion fidelity and throughput",
-		Pillar: "data conversion", Run: runT5})
-	register(Experiment{ID: "f4", Name: "Query latency scale-up",
-		Pillar: "multi-model data", Run: runF4})
-	register(Experiment{ID: "a1", Name: "Ablation: standard secondary indexes",
-		Pillar: "multi-model data", Run: runA1})
-}
-
 // runA1 is the index ablation DESIGN.md calls out: the same queries on
 // the same data with and without the benchmark's standard secondary
 // indexes (customer.city, orders.customer_id, products.category).
@@ -364,7 +340,7 @@ func runT5(cfg Config) ([]*metrics.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		if equalXML(inv, b) {
+		if xmlstore.Equal(inv, b) {
 			exact++
 		}
 	}
@@ -401,7 +377,7 @@ func runT5(cfg Config) ([]*metrics.Table, error) {
 	dur = time.Since(t0)
 	match := 0
 	for i := range pairs {
-		if backPairs[i].Key == pairs[i].Key && mmvalueEqual(backPairs[i].Value, pairs[i].Value) {
+		if backPairs[i].Key == pairs[i].Key && mmvalue.Equal(backPairs[i].Value, pairs[i].Value) {
 			match++
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"udbench/internal/backend/relbe"
 	"udbench/internal/metrics"
 	"udbench/internal/server"
 	"udbench/internal/wal"
@@ -17,11 +18,6 @@ import (
 // longer keeping up with the arrival schedule and intended latency
 // grows with the backlog rather than with per-op cost.
 const f5KneeThreshold = 0.9
-
-func init() {
-	register(Experiment{ID: "f5", Name: "Latency vs offered rate (open-loop saturation knee)",
-		Pillar: "multi-model transactions", Run: runF5})
-}
 
 // f5Row is one measured cell of the sweep: one engine at one offered
 // rate. The typed form exists so tests (and future JSON consumers) can
@@ -192,24 +188,23 @@ func kneeOf(rows []f5Row, label string) (d kneeDigest, ok bool) {
 	return d, d.at != nil
 }
 
-// f5Sweep runs the rate ladder over the two baseline engines, every
-// registered comparative backend that can run part of the standard mix
-// — plus, when cfg.Remote names a `udbench serve` address, the same
-// sweep over the wire, so the artifact carries the in-process,
-// comparative, and remote knees side by side. The ladder is a parameter so tests can
-// assert the sweep's shape on a short one.
+// f5Sweep runs the rate ladder over the two baseline engines and the
+// relational comparative backend (on the Q1 share of the standard mix
+// its capabilities allow) — plus, when cfg.Remote names a `udbench
+// serve` address, the same sweep over the wire, so the artifact carries
+// the in-process, comparative, and remote knees side by side. The
+// ladder is a parameter so tests can assert the sweep's shape on a
+// short one.
 func f5Sweep(cfg Config, p f5Config) ([]f5Row, error) {
 	tb, err := newTestbed(cfg.SF, cfg.Seed, cfg.HopLatency)
 	if err != nil {
 		return nil, err
 	}
-	engines := []sweepEngine{{tb.uni.Name(), tb.uni}, {tb.fed.Name(), tb.fed}}
-	extra, closeExtra, err := comparativeLegs(tb.ds, cfg.HopLatency)
+	rel, err := relbe.Open(tb.ds)
 	if err != nil {
 		return nil, err
 	}
-	defer closeExtra()
-	engines = append(engines, extra...)
+	engines := []sweepEngine{{tb.uni.Name(), tb.uni}, {tb.fed.Name(), tb.fed}, {rel.Name(), rel}}
 	if cfg.Remote != "" {
 		re, err := server.DialEngine(cfg.Remote, p.clients)
 		if err != nil {

@@ -11,11 +11,6 @@ import (
 	"udbench/internal/workload"
 )
 
-func init() {
-	register(Experiment{ID: "f6", Name: "Durability: recovery time vs log size, fsync-policy knee",
-		Pillar: "durability", Run: runF6})
-}
-
 // f6Config sizes the durability experiment.
 type f6Config struct {
 	opsLadder []int         // write-transaction counts for the recovery ladder

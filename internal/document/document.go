@@ -128,16 +128,6 @@ func (c *Collection) CreateIndex(path string) error {
 // (used by snapshot encoding).
 func (c *Collection) IndexPaths() []string { return c.docs.IndexNames() }
 
-// UsesIndex reports whether Find/Stream would serve the filter from a
-// path index rather than a collection scan.
-func (c *Collection) UsesIndex(f Filter) bool {
-	if f == nil {
-		return false
-	}
-	path, _, ok := f.equalityOn()
-	return ok && c.HasIndex(path)
-}
-
 // HasIndex reports whether an index exists on the dotted path.
 func (c *Collection) HasIndex(path string) bool { return c.docs.HasIndex(path) }
 
@@ -270,6 +260,18 @@ func (c *Collection) Stream(tx *txn.Tx, filter Filter, fn func(doc mmvalue.Value
 		return
 	}
 	c.docs.Scan(tx, "", "", matching)
+}
+
+// LookupEq calls fn for every live document visible to tx whose value
+// at path equals key, in id order, through the index on path (none
+// without one); pp is path parsed. Index entries are advisory, so each
+// candidate is re-checked as Eq(path, key) would: a missing path never
+// matches. The documents are shared with the store, as in Stream.
+func (c *Collection) LookupEq(tx *txn.Tx, path string, pp mmvalue.Path, key mmvalue.Value, fn func(doc mmvalue.Value) bool) {
+	c.docs.Lookup(tx, path, valKey(key), func(_ string, doc mmvalue.Value) bool {
+		v, ok := pp.Lookup(doc)
+		return !ok || mmvalue.Compare(v, key) != 0 || fn(doc)
+	})
 }
 
 // Count returns the number of live documents at latest-committed state.

@@ -2,6 +2,7 @@ package document
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -282,6 +283,66 @@ func TestCrossCollectionTransaction(t *testing.T) {
 	p, _ = products.Get(nil, "p1")
 	if v, _ := p.MustObject().Get("stock"); !mmvalue.Equal(v, mmvalue.Int(4)) {
 		t.Error("aborted update leaked")
+	}
+}
+
+// TestLookupEqMatchesEqFilter pins LookupEq to what Stream with an Eq
+// filter returns on the same index: the same documents in the same
+// order, an Int key finding Float values it equals, and a document that
+// moved out of a key's bucket dropped by the re-check.
+func TestLookupEqMatchesEqFilter(t *testing.T) {
+	c := newTestStore().Collection("orders")
+	for i := 0; i < 30; i++ {
+		c.Insert(nil, orderDoc(fmt.Sprintf("o%02d", i), int64(i%5), float64(i)))
+	}
+	c.Insert(nil, mmvalue.ObjectOf("_id", "f1", "customer_id", 2.0))
+	c.Insert(nil, mmvalue.ObjectOf("_id", "nokey"))
+	c.CreateIndex("customer_id")
+	c.SetPath(nil, "o03", "customer_id", mmvalue.Int(4))
+	pp := mmvalue.ParsePath("customer_id")
+	ids := func(stream func(fn func(mmvalue.Value) bool)) []string {
+		var out []string
+		stream(func(doc mmvalue.Value) bool {
+			id, _ := doc.MustObject().GetOr(IDField, mmvalue.Null).AsString()
+			out = append(out, id)
+			return true
+		})
+		return out
+	}
+	for _, key := range []mmvalue.Value{mmvalue.Int(2), mmvalue.Float(2), mmvalue.Int(3), mmvalue.Int(4), mmvalue.Int(9), mmvalue.String("2")} {
+		got := ids(func(fn func(mmvalue.Value) bool) { c.LookupEq(nil, "customer_id", pp, key, fn) })
+		want := ids(func(fn func(mmvalue.Value) bool) { c.Stream(nil, Eq("customer_id", key), fn) })
+		if strings.Join(got, ",") != strings.Join(want, ",") {
+			t.Errorf("key %v: LookupEq = %v, Stream(Eq) = %v", key, got, want)
+		}
+		if slices.Contains(got, "o03") && !mmvalue.Equal(key, mmvalue.Int(4)) {
+			t.Errorf("key %v: the moved document o03 survived the re-check", key)
+		}
+	}
+	if got := ids(func(fn func(mmvalue.Value) bool) { c.LookupEq(nil, "customer_id", pp, mmvalue.Int(2), fn) }); len(got) != 7 {
+		t.Errorf("key 2 found %v, want the six Int documents and f1", got)
+	}
+}
+
+// TestLookupEqAllocs bounds one index probe hit at the two allocations
+// of its index key (Value.Key), nothing per match. The same probe
+// through Stream(tx, Eq(path, key), fn) makes 5.
+func TestLookupEqAllocs(t *testing.T) {
+	c := newTestStore().Collection("orders")
+	for i := 0; i < 20; i++ {
+		c.Insert(nil, orderDoc(fmt.Sprintf("o%02d", i), int64(i), float64(i)))
+	}
+	c.CreateIndex("customer_id")
+	pp := mmvalue.ParsePath("customer_id")
+	key := mmvalue.Int(7)
+	n := 0
+	count := func(mmvalue.Value) bool { n++; return true }
+	allocs := testing.AllocsPerRun(100, func() { c.LookupEq(nil, "customer_id", pp, key, count) })
+	if n == 0 {
+		t.Fatal("the probe found no document")
+	}
+	if allocs > 2 {
+		t.Errorf("LookupEq made %.0f allocations per hit, want at most 2", allocs)
 	}
 }
 

@@ -60,15 +60,15 @@ type task struct {
 
 // admission is the bounded request queue in front of the engine. The
 // channel's buffer IS the bound: offers to a full queue fail
-// immediately (shed at arrival), and requests whose wait exceeded
-// their deadline budget by dequeue time are shed then (deadline-aware
+// immediately (shed at arrival), and requests whose wait exceeded the
+// queue deadline by dequeue time are shed then (deadline-aware
 // shedding) — a request that would have been served hopelessly late is
 // rejected with a typed overload response instead, which is what keeps
 // the served tail bounded while the offered load exceeds capacity.
 type admission struct {
 	queue    chan task
 	quit     chan struct{}
-	deadline time.Duration // default budget for requests that carry none
+	deadline time.Duration // max queue wait before shedding; 0 never sheds
 
 	depth        atomic.Int64
 	depthMax     atomic.Int64
@@ -120,11 +120,7 @@ func (a *admission) take() (task, admitVerdict, time.Duration, bool) {
 	case t := <-a.queue:
 		a.depth.Add(-1)
 		wait := time.Since(t.enq)
-		budget := t.req.budget
-		if budget == 0 {
-			budget = a.deadline
-		}
-		if budget > 0 && wait > budget {
+		if a.deadline > 0 && wait > a.deadline {
 			a.shedDeadline.Add(1)
 			return t, verdictShedDeadline, wait, true
 		}

@@ -21,7 +21,6 @@ import (
 type Client struct {
 	c      net.Conn
 	nextID atomic.Uint64
-	budget atomic.Int64 // queue-wait budget sent with every workload op
 
 	wmu  sync.Mutex
 	wbuf []byte
@@ -46,10 +45,6 @@ func Dial(addr string) (*Client, error) {
 	go cl.readLoop()
 	return cl, nil
 }
-
-// SetQueueBudget sets the per-request queue-wait budget attached to
-// every subsequent workload request (0 = accept the server default).
-func (cl *Client) SetQueueBudget(d time.Duration) { cl.budget.Store(int64(d)) }
 
 // Close tears the connection down; in-flight calls fail.
 func (cl *Client) Close() error {
@@ -149,7 +144,7 @@ func opErr(r response) error {
 
 // Query runs benchmark query q remotely and returns its cardinality.
 func (cl *Client) Query(q workload.QueryID, p workload.Params) (int, error) {
-	resp, err := cl.call(request{op: opQuery, budget: time.Duration(cl.budget.Load()), query: q, params: p})
+	resp, err := cl.call(request{op: opQuery, query: q, params: p})
 	if err != nil {
 		return 0, err
 	}
@@ -159,7 +154,7 @@ func (cl *Client) Query(q workload.QueryID, p workload.Params) (int, error) {
 // Txn runs one benchmark transaction remotely. The returned value is
 // nonzero only for snapshot reads that observed a torn view.
 func (cl *Client) Txn(kind byte, p workload.Params) (uint64, error) {
-	resp, err := cl.call(request{op: opTxn, budget: time.Duration(cl.budget.Load()), txn: kind, params: p})
+	resp, err := cl.call(request{op: opTxn, txn: kind, params: p})
 	if err != nil {
 		return 0, err
 	}

@@ -1,8 +1,8 @@
 // Package server is UDBench's network front-end: it serves the
 // benchmark's operation set (Q1–Q13, T1–T5) over a minimal
-// length-prefixed binary protocol, in front of any registered
-// workload.Backend (the unified udbms engine, the polyglot federation,
-// the relational comparative leg).
+// length-prefixed binary protocol, in front of any workload.Backend
+// (the unified udbms engine, the polyglot federation, the relational
+// comparative leg).
 //
 // # Wire protocol
 //
@@ -13,8 +13,8 @@
 // here rejects oversized length prefixes *before* allocating, so a
 // corrupt or adversarial peer can neither panic the server nor make it
 // over-allocate — pinned by FuzzWireDecode. Payloads are wal.OpEncoder
-// records: a request carries an op code, a request id, a queue-wait
-// budget and the operation arguments; a response echoes the id with a
+// records: a request carries an op code, a request id and the
+// operation arguments; a response echoes the id with a
 // status (ok / error / overload) and a uniform result body. Responses
 // may return out of order — clients match on the id — so one
 // connection can pipeline many in-flight requests.
@@ -23,9 +23,9 @@
 //
 // In front of the engine sits a bounded request queue with
 // deadline-aware shedding: a request that arrives with the queue full,
-// or whose queue wait exceeds its budget by the time a worker picks it
-// up, is rejected with a typed overload response (StatusOverload)
-// instead of being served late. The queue exports telemetry — depth
+// or whose queue wait exceeds Config.QueueDeadline by the time a
+// worker picks it up, is rejected with a typed overload response
+// (StatusOverload) instead of being served late. The queue exports telemetry — depth
 // high watermark, shed count, queue-wait distribution — which remote
 // clients fold into the standard RunSummary JSON as the
 // admission{queue_depth_max,shed,queue_wait_p99_ns} block. A worker

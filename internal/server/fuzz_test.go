@@ -5,7 +5,6 @@ import (
 	"errors"
 	"io"
 	"testing"
-	"time"
 
 	"udbench/internal/wal"
 	"udbench/internal/workload"
@@ -21,9 +20,7 @@ import (
 // which pins the same contract for the log this framing is shared with.
 func FuzzWireDecode(f *testing.F) {
 	var valid []byte
-	valid = wal.AppendFrame(valid, encodeRequest(request{
-		op: opQuery, id: 1, budget: 10 * time.Millisecond, query: workload.Q3, params: testParams,
-	}))
+	valid = wal.AppendFrame(valid, encodeRequest(request{op: opQuery, id: 1, query: workload.Q3, params: testParams}))
 	valid = wal.AppendFrame(valid, encodeRequest(request{op: opTxn, id: 2, txn: txnNewOrder, params: testParams}))
 	valid = wal.AppendFrame(valid, retiredOp03)
 	valid = wal.AppendFrame(valid, retiredOp04)

@@ -3,7 +3,6 @@ package server
 import (
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"udbench/internal/workload"
 )
@@ -70,14 +69,6 @@ func (e *RemoteEngine) Capabilities() workload.Capabilities {
 func (e *RemoteEngine) Close() {
 	for _, cl := range e.pool {
 		_ = cl.Close()
-	}
-}
-
-// SetQueueBudget sets the per-request queue-wait budget on every
-// pooled connection (0 = server default).
-func (e *RemoteEngine) SetQueueBudget(d time.Duration) {
-	for _, cl := range e.pool {
-		cl.SetQueueBudget(d)
 	}
 }
 

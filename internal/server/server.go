@@ -32,10 +32,9 @@ type Config struct {
 	// QueueDepth bounds the admission queue. Requests arriving on a
 	// full queue are shed immediately. Default 256.
 	QueueDepth int
-	// QueueDeadline is the default queue-wait budget for requests that
-	// carry none: a request still queued after this long is shed at
-	// dequeue instead of served late. Default 100ms; negative disables
-	// deadline shedding for requests without their own budget.
+	// QueueDeadline is the queue-wait budget: a request still queued
+	// after this long is shed at dequeue instead of served late.
+	// Default 100ms; negative disables deadline shedding.
 	QueueDeadline time.Duration
 }
 

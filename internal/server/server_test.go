@@ -233,13 +233,13 @@ func TestServerSurvivesEmptyProductID(t *testing.T) {
 }
 
 // TestServerDeadlineShed pins deadline-aware shedding: with one worker
-// busy on a slow op and a microscopic queue budget, queued requests are
-// rejected with a typed overload response instead of being served late.
+// busy on a slow op and a microscopic queue deadline, queued requests
+// are rejected with a typed overload response instead of being served
+// late.
 func TestServerDeadlineShed(t *testing.T) {
 	e := &stubEngine{opDelay: 30 * time.Millisecond}
-	s := startServer(t, Config{Engine: e, Workers: 1, QueueDepth: 16})
+	s := startServer(t, Config{Engine: e, Workers: 1, QueueDepth: 16, QueueDeadline: time.Nanosecond})
 	cl := dial(t, s)
-	cl.SetQueueBudget(time.Nanosecond)
 
 	// Fill the single worker, then pile queued requests behind it; by
 	// the time any of them is dequeued its wait exceeds the 1ns budget.

@@ -7,7 +7,6 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"time"
 
 	"udbench/internal/wal"
 	"udbench/internal/workload"
@@ -21,7 +20,7 @@ var (
 	ErrProto = errors.New("server: protocol error")
 	// ErrOverload is the client-side form of a StatusOverload response:
 	// the server shed the request instead of serving it (bounded queue
-	// full, or the queue wait exceeded the request's budget).
+	// full, or the queue wait exceeded the server's deadline).
 	ErrOverload = errors.New("server: request shed by admission control")
 	// ErrRemote is the client-side form of a StatusErr response whose
 	// error class carries no richer typed mapping.
@@ -91,7 +90,6 @@ const (
 type request struct {
 	op     byte
 	id     uint64
-	budget time.Duration // max queue wait before the server sheds; 0 = server default
 	query  workload.QueryID
 	txn    byte
 	params workload.Params
@@ -143,7 +141,6 @@ func decodeParams(d *wal.OpDecoder) workload.Params {
 func encodeRequest(r request) []byte {
 	e := wal.NewOp(r.op)
 	e.Uvarint(r.id)
-	e.Uvarint(uint64(r.budget))
 	switch r.op {
 	case opQuery:
 		e.Uvarint(uint64(r.query))
@@ -161,10 +158,6 @@ func decodeRequest(payload []byte) (request, error) {
 	d := wal.DecodeOp(payload)
 	r := request{op: d.Code()}
 	r.id = d.Uvarint()
-	r.budget = time.Duration(d.Uvarint())
-	if r.budget < 0 {
-		return r, fmt.Errorf("%w: negative queue budget", ErrProto)
-	}
 	switch r.op {
 	case opQuery:
 		r.query = workload.QueryID(d.Uvarint())

@@ -8,7 +8,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"udbench/internal/wal"
 	"udbench/internal/workload"
@@ -35,13 +34,13 @@ var (
 // every request op.
 func TestRequestRoundTrip(t *testing.T) {
 	reqs := []request{
-		{op: opQuery, id: 1, budget: 50 * time.Millisecond, query: workload.Q7, params: testParams},
+		{op: opQuery, id: 1, query: workload.Q7, params: testParams},
 		{op: opTxn, id: 2, txn: txnStockTransferOnce, params: testParams},
 		{op: opTxn, id: 3, txn: txnSnapshotRead},
 		{op: opInfo, id: 5},
 		{op: opNonce, id: 6},
 		{op: opStats, id: 7},
-		{op: opPing, id: 8, budget: time.Second},
+		{op: opPing, id: 8},
 	}
 	var stream []byte
 	for _, r := range reqs {

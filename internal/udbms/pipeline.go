@@ -276,13 +276,14 @@ func (p *Pipeline) JoinDocuments(collection, rowField, docPath, asField string) 
 		return p
 	}
 	coll := p.st.Docs.Collection(collection)
+	pp := mmvalue.ParsePath(docPath)
 	var probe func(*txn.Tx, mmvalue.Value, func(mmvalue.Value) bool)
 	if coll.HasIndex(docPath) {
 		probe = func(tx *txn.Tx, key mmvalue.Value, fn func(mmvalue.Value) bool) {
-			coll.Stream(tx, document.Eq(docPath, key), fn)
+			coll.LookupEq(tx, docPath, pp, key, fn)
 		}
 	}
-	return p.hashJoin(storeScan{side: coll, acc: p.acc}, docPath, mmvalue.ParsePath(docPath), rowField, asField, probe)
+	return p.hashJoin(storeScan{side: coll, acc: p.acc}, docPath, pp, rowField, asField, probe)
 }
 
 // JoinRelational extends each row with the rows of table whose column

@@ -3,13 +3,9 @@ package workload
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"slices"
 	"strconv"
 	"strings"
-	"time"
-
-	"udbench/internal/datagen"
 )
 
 // ErrUnsupported is the typed "this backend cannot run that" error.
@@ -45,7 +41,7 @@ type Backend interface {
 // TxnEngine is the native T2 transaction set — a capability, not part
 // of the core Backend contract. The two in-process engines and the
 // remote engine implement it; external backends may not. Callers gate
-// on Capabilities().Transactions / .SnapshotReads before asserting.
+// on Capabilities().Transactions before asserting.
 type TxnEngine interface {
 	// OrderUpdate is transaction T1 — the paper's example: one order
 	// update touching JSON Orders/Product, key-value Feedback and XML
@@ -87,11 +83,8 @@ type Capabilities struct {
 	// AllModels).
 	Models []string
 	// Transactions reports whether the backend implements the native
-	// TxnEngine transaction set (T1–T3, T5).
+	// TxnEngine transaction set (T1–T5).
 	Transactions bool
-	// SnapshotReads reports whether the backend's T4 snapshot read is
-	// available (requires Transactions).
-	SnapshotReads bool
 	// Queries lists the supported read queries; nil means all of
 	// AllQueries.
 	Queries []QueryID
@@ -121,7 +114,7 @@ func (c Capabilities) SupportsQuery(q QueryID) bool {
 // block only for partial backends, so the two native engines' JSON
 // trajectories stay byte-identical.
 func (c Capabilities) Partial() bool {
-	return !c.Transactions || !c.SnapshotReads || c.Queries != nil
+	return !c.Transactions || c.Queries != nil
 }
 
 // Report converts the descriptor to its frozen JSON form, or nil for a
@@ -132,9 +125,8 @@ func (c Capabilities) Report() *BackendCaps {
 		return nil
 	}
 	b := &BackendCaps{
-		Models:        append([]string(nil), c.Models...),
-		Transactions:  c.Transactions,
-		SnapshotReads: c.SnapshotReads,
+		Models:       append([]string(nil), c.Models...),
+		Transactions: c.Transactions,
 	}
 	qs := c.Queries
 	if qs == nil {
@@ -159,8 +151,8 @@ func (c Capabilities) Encode() string {
 		}
 		queries = strings.Join(names, "+")
 	}
-	return fmt.Sprintf("models=%s;txn=%t;snap=%t;queries=%s",
-		strings.Join(c.Models, "+"), c.Transactions, c.SnapshotReads, queries)
+	return fmt.Sprintf("models=%s;txn=%t;queries=%s",
+		strings.Join(c.Models, "+"), c.Transactions, queries)
 }
 
 // ParseCapabilities is Encode's inverse; ok is false on malformed
@@ -181,8 +173,6 @@ func ParseCapabilities(s string) (Capabilities, bool) {
 			c.Models = splitList(val)
 		case "txn":
 			c.Transactions, err = strconv.ParseBool(val)
-		case "snap":
-			c.SnapshotReads, err = strconv.ParseBool(val)
 		case "queries":
 			if names := splitList(val); names != nil {
 				c.Queries = make([]QueryID, len(names))
@@ -201,7 +191,7 @@ func ParseCapabilities(s string) (Capabilities, bool) {
 			return Capabilities{}, false
 		}
 	}
-	return c, len(seen) == 4
+	return c, len(seen) == 3
 }
 
 // splitList decodes one "+"-joined list: "*" is nil (everything), "" is
@@ -219,77 +209,5 @@ func splitList(val string) []string {
 // FullCapabilities is the descriptor of a natively complete engine:
 // all five models, the whole transaction set, every query.
 func FullCapabilities() Capabilities {
-	return Capabilities{Models: AllModels, Transactions: true, SnapshotReads: true}
-}
-
-// BackendOptions carries construction-time knobs a BackendSpec may
-// honor.
-type BackendOptions struct {
-	// HopLatency is the federation's simulated per-request network
-	// delay; other backends ignore it.
-	HopLatency time.Duration
-}
-
-// BackendSpec is one registered backend: a name, a one-line summary,
-// and a constructor that loads a dataset into a fresh instance.
-type BackendSpec struct {
-	// Name is the registry key ("udbms", "federation", "relational").
-	Name string
-	// Description is the one-line summary shown in listings.
-	Description string
-	// New builds a backend instance with data loaded. Instances that
-	// also implement io.Closer are closed by callers that own them.
-	New func(ds *datagen.Dataset, opt BackendOptions) (Backend, error)
-}
-
-// backends is the registry. It is written only by RegisterBackend from
-// package init functions, which run one at a time, so reads need no
-// lock.
-var backends = map[string]*BackendSpec{}
-
-// RegisterBackend adds a backend to the registry. Duplicate or
-// anonymous registrations panic: they are programming errors in an
-// init path.
-func RegisterBackend(s *BackendSpec) {
-	if s.Name == "" {
-		panic("workload: registering a backend with an empty name")
-	}
-	if _, dup := backends[s.Name]; dup {
-		panic("workload: duplicate backend " + s.Name)
-	}
-	backends[s.Name] = s
-}
-
-// BackendNames lists the registered backend names sorted.
-func BackendNames() []string { return slices.Sorted(maps.Keys(backends)) }
-
-// DefaultBackend is the backend an empty -engine flag resolves to.
-const DefaultBackend = "udbms"
-
-// ResolveBackend maps an -engine flag value to its spec: "" means the
-// default, and an unknown name errors listing what is registered.
-func ResolveBackend(name string) (*BackendSpec, error) {
-	if name == "" {
-		name = DefaultBackend
-	}
-	spec, ok := backends[name]
-	if !ok {
-		return nil, fmt.Errorf("workload: unknown backend %q (registered: %v)", name, BackendNames())
-	}
-	return spec, nil
-}
-
-// NewBackend resolves name in the registry and builds an instance with
-// ds loaded — the one construction path for native and external
-// backends alike.
-func NewBackend(name string, ds *datagen.Dataset, opt BackendOptions) (Backend, error) {
-	spec, err := ResolveBackend(name)
-	if err != nil {
-		return nil, err
-	}
-	be, err := spec.New(ds, opt)
-	if err != nil {
-		return nil, fmt.Errorf("workload: build %s backend: %w", spec.Name, err)
-	}
-	return be, nil
+	return Capabilities{Models: AllModels, Transactions: true}
 }

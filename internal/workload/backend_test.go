@@ -21,18 +21,19 @@ func TestCapabilitiesCodec(t *testing.T) {
 			t.Errorf("%s: %q parsed to %+v (ok %v), want %+v", name, c.Encode(), got, ok, c)
 		}
 	}
-	if enc := partial.Encode(); enc != "models=relational;txn=false;snap=false;queries=Q1+Q3+Q13" {
+	if enc := partial.Encode(); enc != "models=relational;txn=false;queries=Q1+Q3+Q13" {
 		t.Errorf("partial descriptor encodes as %q", enc)
 	}
 	full := FullCapabilities().Encode()
 	for name, s := range map[string]string{
 		"empty":         "",
 		"no value":      "models",
-		"missing field": "models=kv;txn=true;snap=true",
+		"missing field": "models=kv;txn=true",
+		"retired snap":  "models=kv;txn=true;snap=true;queries=*",
 		"unknown field": full + ";extra=1",
 		"repeated":      full + ";txn=true",
-		"bad bool":      "models=kv;txn=maybe;snap=true;queries=*",
-		"bad query":     "models=kv;txn=true;snap=true;queries=Qx",
+		"bad bool":      "models=kv;txn=maybe;queries=*",
+		"bad query":     "models=kv;txn=true;queries=Qx",
 	} {
 		if c, ok := ParseCapabilities(s); ok {
 			t.Errorf("%s: %q parsed to %+v, want a rejection", name, s, c)

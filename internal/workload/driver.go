@@ -42,10 +42,8 @@ func StandardMix(b Backend) []MixItem {
 			MixItem{Name: "T1", Weight: 20, Run: te.OrderUpdate},
 			MixItem{Name: "T2", Weight: 15, Run: te.NewOrder},
 			MixItem{Name: "T3", Weight: 10, Run: te.WriteFeedback},
+			MixItem{Name: "T4", Weight: 5, Run: func(p Params) error { _, err := te.SnapshotRead(p); return err }},
 		)
-		if caps.SnapshotReads {
-			items = append(items, MixItem{Name: "T4", Weight: 5, Run: func(p Params) error { _, err := te.SnapshotRead(p); return err }})
-		}
 	}
 	return items
 }

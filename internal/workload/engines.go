@@ -218,31 +218,3 @@ func (e *FederationEngine) read(fn func(session) error) error { return fn(fedRea
 func (e *FederationEngine) write(retries int, fn func(session) error) error {
 	return e.F.RunTx(retries, func(ftx *federation.FTx) error { return fn(fedWriteSession{e.F, ftx}) })
 }
-
-// Both native engines register as backends: mix, serve and the experiment
-// testbeds build every backend, native or external, through the registry.
-func init() {
-	RegisterBackend(&BackendSpec{
-		Name:        "udbms",
-		Description: "unified multi-model engine: one snapshot/commit across all five models",
-		New: func(ds *datagen.Dataset, opt BackendOptions) (Backend, error) {
-			db := udbms.Open()
-			if err := ds.Load(db.Stores()); err != nil {
-				return nil, err
-			}
-			return NewUDBMSEngine(db), nil
-		},
-	})
-	RegisterBackend(&BackendSpec{
-		Name:        "federation",
-		Description: "polyglot federation: per-store engines, simulated hops, 2PC writes",
-		New: func(ds *datagen.Dataset, opt BackendOptions) (Backend, error) {
-			f := federation.Open()
-			f.HopLatency = opt.HopLatency
-			if err := ds.Load(f.Stores()); err != nil {
-				return nil, err
-			}
-			return NewFederationEngine(f), nil
-		},
-	})
-}

@@ -83,10 +83,9 @@ type RunSummary struct {
 // BackendCaps is the frozen JSON form of a partial backend's
 // capability descriptor (see Capabilities.Report).
 type BackendCaps struct {
-	Models        []string `json:"models"`
-	Transactions  bool     `json:"transactions"`
-	SnapshotReads bool     `json:"snapshot_reads"`
-	Queries       []string `json:"queries"`
+	Models       []string `json:"models"`
+	Transactions bool     `json:"transactions"`
+	Queries      []string `json:"queries"`
 }
 
 func opSummary(name string, d *metrics.DualHistogram) OpSummary {

@@ -23,7 +23,6 @@ var goldenSummaryFields = []string{
 	"admission.shed",
 	"backend_capabilities.models[]",
 	"backend_capabilities.queries[]",
-	"backend_capabilities.snapshot_reads",
 	"backend_capabilities.transactions",
 	"clients",
 	"dropped",
@@ -115,10 +114,9 @@ func TestRunSummaryGoldenFields(t *testing.T) {
 	// And the capability block: only partial backends attach it, so
 	// populate it by hand to pin its keys.
 	s.BackendCapabilities = &BackendCaps{
-		Models:        []string{"relational"},
-		Transactions:  false,
-		SnapshotReads: false,
-		Queries:       []string{"Q1"},
+		Models:       []string{"relational"},
+		Transactions: false,
+		Queries:      []string{"Q1"},
 	}
 	data, err := json.Marshal(s)
 	if err != nil {

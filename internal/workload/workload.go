@@ -68,7 +68,7 @@ const (
 )
 
 // queryDef is one row of the query table — the only place a query is
-// registered, and body its one definition: both engines run it, each
+// listed, and body its one definition: both engines run it, each
 // through its own session (pipeline_queries.go for the ten written over
 // the session's pipeline, ops.go for Q2, Q6 and Q10).
 type queryDef struct {
