@@ -543,8 +543,9 @@ func (v Value) Hash() uint64 {
 // huge ints colliding with floats or objects differing only in field
 // order) should re-verify candidates with Equal.
 func (v Value) Key() string {
-	if f, ok := v.AsFloat(); ok {
-		return "num:" + strconv.FormatFloat(f, 'g', -1, 64)
+	if f, ok := v.AsFloat(); ok { // one allocation: the digits go to a stack buffer first
+		var buf [32]byte
+		return string(strconv.AppendFloat(append(buf[:0], "num:"...), f, 'g', -1, 64))
 	}
 	var sb strings.Builder
 	sb.WriteString(v.kind.String())

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -460,5 +461,23 @@ func sanitizeFloats(v Value) Value {
 		return FromObject(no)
 	default:
 		return v
+	}
+}
+
+// TestNumberKeyOneAlloc pins a number's Key to the bytes of its former
+// form, "num:" + FormatFloat(f, 'g', -1, 64), and to one allocation.
+func TestNumberKeyOneAlloc(t *testing.T) {
+	for _, v := range []Value{
+		Int(0), Int(1), Int(-1), Int(math.MinInt64), Int(math.MaxInt64),
+		Float(0), Float(math.Copysign(0, -1)), Float(0.5), Float(1e300),
+		Float(math.Inf(1)), Float(math.Inf(-1)), Float(math.NaN()),
+	} {
+		f, _ := v.AsFloat()
+		if got, want := v.Key(), "num:"+strconv.FormatFloat(f, 'g', -1, 64); got != want {
+			t.Errorf("%v.Key() = %q, want %q", v, got, want)
+		}
+		if n := testing.AllocsPerRun(100, func() { _ = v.Key() }); n > 1 {
+			t.Errorf("%v.Key(): %v allocations, want at most 1", v, n)
+		}
 	}
 }

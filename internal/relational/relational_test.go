@@ -33,6 +33,17 @@ func row(id int64, name string, age int64, city string) mmvalue.Value {
 	return mmvalue.ObjectOf("id", id, "name", name, "age", age, "city", city)
 }
 
+// setCol writes row pk again, as tx sees it, with column col set to v.
+func setCol(tbl *Table, tx *txn.Tx, pk int64, col string, v any) error {
+	cur, ok := tbl.Get(tx, pk)
+	if !ok {
+		return fmt.Errorf("no row %d", pk)
+	}
+	next := cur.Clone()
+	next.MustObject().Set(col, mmvalue.From(v))
+	return tbl.ApplyPut(tx, next)
+}
+
 func TestSchemaValidation(t *testing.T) {
 	if _, err := NewSchema("id"); err == nil {
 		t.Error("pk not in columns should fail")
@@ -199,33 +210,6 @@ func TestInsertGetDelete(t *testing.T) {
 	}
 }
 
-func TestUpdate(t *testing.T) {
-	tbl := newCustomerTable(t)
-	tbl.Insert(nil, row(1, "alice", 30, "hki"))
-	err := tbl.Update(nil, 1, func(r mmvalue.Value) (mmvalue.Value, error) {
-		r.MustObject().Set("age", mmvalue.Int(31))
-		return r, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _ := tbl.Get(nil, 1)
-	if age, _ := got.MustObject().Get("age"); !mmvalue.Equal(age, mmvalue.Int(31)) {
-		t.Error("update lost")
-	}
-	// Changing the PK is rejected.
-	err = tbl.Update(nil, 1, func(r mmvalue.Value) (mmvalue.Value, error) {
-		r.MustObject().Set("id", mmvalue.Int(99))
-		return r, nil
-	})
-	if err == nil {
-		t.Error("pk change should fail")
-	}
-	if err := tbl.Update(nil, 42, func(r mmvalue.Value) (mmvalue.Value, error) { return r, nil }); err == nil {
-		t.Error("update of missing row should fail")
-	}
-}
-
 func TestReturnedRowsAreClones(t *testing.T) {
 	tbl := newCustomerTable(t)
 	tbl.Insert(nil, row(1, "alice", 30, "hki"))
@@ -351,10 +335,7 @@ func TestIndexLookupAndPlan(t *testing.T) {
 		t.Errorf("index vs scan mismatch: %d vs %d", len(rows), len(scanRows))
 	}
 	// Index stays correct after updates: move one row to city3.
-	tbl.Update(nil, 1, func(r mmvalue.Value) (mmvalue.Value, error) {
-		r.MustObject().Set("city", mmvalue.String("city3"))
-		return r, nil
-	})
+	setCol(tbl, nil, 1, "city", "city3")
 	rows = tbl.Query(nil).Where(Col("city").Eq("city3")).Rows()
 	if len(rows) != 11 {
 		t.Errorf("after update index lookup got %d rows, want 11", len(rows))
@@ -375,10 +356,7 @@ func TestIndexSnapshotCorrectness(t *testing.T) {
 	mgr := tbl.Manager()
 	reader := mgr.Begin()
 	// After the reader starts, move the row to tku.
-	tbl.Update(nil, 1, func(r mmvalue.Value) (mmvalue.Value, error) {
-		r.MustObject().Set("city", mmvalue.String("tku"))
-		return r, nil
-	})
+	setCol(tbl, nil, 1, "city", "tku")
 	// The reader's snapshot must still find the row under hki.
 	rows := tbl.Query(reader).Where(Col("city").Eq("hki")).Rows()
 	if len(rows) != 1 {
@@ -480,10 +458,7 @@ func TestTransactionRollbackRestoresRows(t *testing.T) {
 	tbl.Insert(nil, row(1, "alice", 30, "hki"))
 	mgr := tbl.Manager()
 	tx := mgr.Begin()
-	tbl.Update(tx, 1, func(r mmvalue.Value) (mmvalue.Value, error) {
-		r.MustObject().Set("age", mmvalue.Int(99))
-		return r, nil
-	})
+	setCol(tbl, tx, 1, "age", 99)
 	tbl.Insert(tx, row(2, "bob", 20, "tku"))
 	tx.Abort()
 	got, _ := tbl.Get(nil, 1)
@@ -558,10 +533,7 @@ func TestCompactDropsVersionsAndDeadIndexEntries(t *testing.T) {
 	tbl.CreateIndex("city")
 	tbl.Insert(nil, row(1, "alice", 30, "hki"))
 	for i := 0; i < 5; i++ {
-		tbl.Update(nil, 1, func(r mmvalue.Value) (mmvalue.Value, error) {
-			r.MustObject().Set("age", mmvalue.Int(int64(31+i)))
-			return r, nil
-		})
+		setCol(tbl, nil, 1, "age", 31+i)
 	}
 	tbl.Insert(nil, row(2, "bob", 20, "tku"))
 	tbl.Delete(nil, 2)
@@ -597,10 +569,7 @@ func TestPropIndexMatchesScan(t *testing.T) {
 			case 0, 1: // insert or replace
 				city := fmt.Sprintf("c%d", r.Intn(5))
 				if _, exists := live[id]; exists {
-					tbl.Update(nil, id, func(row mmvalue.Value) (mmvalue.Value, error) {
-						row.MustObject().Set("city", mmvalue.String(city))
-						return row, nil
-					})
+					setCol(tbl, nil, id, "city", city)
 				} else {
 					tbl.Insert(nil, row(id, "x", 1, city))
 				}

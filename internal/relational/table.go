@@ -143,38 +143,6 @@ func (t *Table) Get(tx *txn.Tx, pkValue any) (mmvalue.Value, bool) {
 	return t.rows.Get(tx, EncodeKey(mmvalue.From(pkValue)))
 }
 
-// Update applies fn to the current version of the row with the given
-// primary key and stores the result. fn receives a clone and returns
-// the replacement row (same primary key required).
-func (t *Table) Update(tx *txn.Tx, pkValue any, fn func(row mmvalue.Value) (mmvalue.Value, error)) error {
-	pk := EncodeKey(mmvalue.From(pkValue))
-	return t.rows.Auto(tx, func(tx *txn.Tx) error {
-		rec, cur, live, err := t.rows.LockLive(tx, pk)
-		if err != nil {
-			return err
-		}
-		if !live {
-			return fmt.Errorf("relational %s: no row with key %v", t.name, pkValue)
-		}
-		next, err := fn(cur.Clone())
-		if err != nil {
-			return err
-		}
-		if err := t.schema.ValidateRow(next); err != nil {
-			return err
-		}
-		npk, err := t.pkOf(next)
-		if err != nil {
-			return err
-		}
-		if npk != pk {
-			return fmt.Errorf("relational %s: update may not change the primary key", t.name)
-		}
-		t.stage(tx, rec, next)
-		return nil
-	})
-}
-
 // Delete tombstones the row with the given primary key. Deleting a
 // missing row is a no-op.
 func (t *Table) Delete(tx *txn.Tx, pkValue any) error {

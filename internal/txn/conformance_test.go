@@ -52,10 +52,8 @@ func fiveStores() []model {
 		relational.Column{Name: "n", Type: relational.TypeInt}), mgr)
 	ms = append(ms, model{
 		name: "relational", mgr: mgr,
-		insert: func(tx *txn.Tx, k string, n int64) error { return tab.Insert(tx, mmvalue.ObjectOf("id", k, "n", n)) },
-		update: func(tx *txn.Tx, k string, n int64) error {
-			return tab.Update(tx, k, func(mmvalue.Value) (mmvalue.Value, error) { return mmvalue.ObjectOf("id", k, "n", n), nil })
-		},
+		insert:  func(tx *txn.Tx, k string, n int64) error { return tab.Insert(tx, mmvalue.ObjectOf("id", k, "n", n)) },
+		update:  func(tx *txn.Tx, k string, n int64) error { return tab.ApplyPut(tx, mmvalue.ObjectOf("id", k, "n", n)) },
 		get:     func(tx *txn.Tx, k string) (int64, bool) { return intOf(tab.Get(tx, k)) },
 		del:     func(tx *txn.Tx, k string) error { return tab.Delete(tx, k) },
 		compact: tab.Compact,

@@ -27,10 +27,7 @@ func TestEngineWideCompact(t *testing.T) {
 			t.Fatal(err)
 		}
 		cust, _ := db.Relational.Table("customer")
-		err = cust.Update(nil, 1, func(r mmvalue.Value) (mmvalue.Value, error) {
-			r.MustObject().Set("city", mmvalue.String(fmt.Sprintf("city%d", i)))
-			return r, nil
-		})
+		err = setFields(cust, nil, 1, "city", fmt.Sprintf("city%d", i))
 		if err != nil {
 			t.Fatal(err)
 		}

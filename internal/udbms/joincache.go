@@ -51,9 +51,19 @@ import (
 //
 // A build that fails the gates is still used by the query that paid
 // for it — the build side is scanned at most once per join.
+//
+// A build whose gates hold at its start is a flight: a reader that
+// misses at the same version waits for it, then passes get's gates or
+// builds its own, so concurrent first readers build each (key, version)
+// once. No waiter can deadlock: it holds no lock while it waits (a plan
+// takes its projections before its first scan, a join after its seed
+// scan returned), and the builder waits on nothing but its own scan, a
+// lock-free read of version chains; its defer ends the flight even if
+// the scan panics.
 type joinCache struct {
-	m  sync.Map   // joinCacheKey -> *joinCacheEntry
-	mu sync.Mutex // serialises entry replacement
+	m       sync.Map   // joinCacheKey -> *joinCacheEntry
+	flights sync.Map   // joinCacheKey -> *flight: builds whose gates held at their start
+	mu      sync.Mutex // serialises entry replacement
 
 	hits, probeRows, builds, cachedBuilds atomic.Uint64
 }
@@ -65,6 +75,12 @@ type joinCacheKey struct {
 	store any
 	field string
 	cols  string
+}
+
+// flight is a build in progress at ver; done closes when it ends.
+type flight struct {
+	ver  uint64
+	done chan struct{}
 }
 
 type joinCacheEntry struct {
@@ -176,13 +192,26 @@ func (c *joinCache) build(key joinCacheKey, side buildSide, tx *txn.Tx, scan fun
 	ver := side.Version()
 	wm := mgr.Published()
 	quiet := mgr.Oracle().Current() == wm
+	reader := tx
 	if tx == nil {
 		tx = mgr.Begin()
 		defer tx.Abort()
 	}
+	certified := quiet && tx.ReadOnly() && tx.BeginTS() >= wm
+	if certified {
+		f := &flight{ver: ver, done: make(chan struct{})}
+		if in, busy := c.flights.LoadOrStore(key, f); !busy {
+			defer func() { c.flights.Delete(key); close(f.done) }()
+		} else if f = in.(*flight); f.ver == ver {
+			<-f.done
+			if proj := c.get(key, ver, reader); proj != nil {
+				return proj
+			}
+		}
+	}
 	proj := scan(tx)
 	c.builds.Add(1)
-	if quiet && tx.ReadOnly() && tx.BeginTS() >= wm && side.Version() == ver {
+	if certified && side.Version() == ver {
 		c.install(key, &joinCacheEntry{ver: ver, snap: tx.BeginTS(), proj: proj}, false)
 		c.cachedBuilds.Add(1)
 	}

@@ -227,10 +227,7 @@ func TestJoinRouteUnderWriters(t *testing.T) {
 					if key.Kind() == mmvalue.KindString {
 						key = mmvalue.Null
 					}
-					if err := tbl.Update(tx, i, func(row mmvalue.Value) (mmvalue.Value, error) {
-						row.MustObject().Set("cid", key)
-						return row, nil
-					}); err != nil {
+					if err := setFields(tbl, tx, i, "cid", key); err != nil {
 						return err
 					}
 				}
@@ -307,4 +304,18 @@ func TestJoinRouteUnderWriters(t *testing.T) {
 		t.Fatalf("writes %d, routes %+v: want commits, probes and builds", writes, d)
 	}
 	t.Logf("writes %d, routes %+v", writes, d)
+}
+
+// setFields writes row pk of tbl again, as tx sees it, with each
+// (name, value) pair of fields set.
+func setFields(tbl *relational.Table, tx *txn.Tx, pk int, fields ...any) error {
+	cur, ok := tbl.Get(tx, pk)
+	if !ok {
+		return fmt.Errorf("%s: no row %d", tbl.Name(), pk)
+	}
+	next := cur.Clone()
+	for i := 0; i < len(fields); i += 2 {
+		next.MustObject().Set(fields[i].(string), mmvalue.From(fields[i+1]))
+	}
+	return tbl.ApplyPut(tx, next)
 }

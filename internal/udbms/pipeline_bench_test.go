@@ -404,7 +404,7 @@ func BenchmarkProjectedGroup(b *testing.B) {
 						if err := db.XML.Update(tx, "o00000", func(n *xmlstore.Node) (*xmlstore.Node, error) { return n, nil }); err != nil {
 							return err
 						}
-						return cust.Update(tx, 0, func(row mmvalue.Value) (mmvalue.Value, error) { return row, nil })
+						return setFields(cust, tx, 0)
 					}); err != nil {
 						b.Fatal(err)
 					}

@@ -50,17 +50,9 @@ func (s storeScan) stream(tx *txn.Tx, fn func(mmvalue.Value) bool) {
 	case *relational.Table:
 		side.Stream(tx, nil, fn)
 	case *kv.Store:
+		parts := make([]string, len(s.keys))
 		side.ScanPrefix(tx, s.prefix, func(key string, v mmvalue.Value) bool {
-			parts := strings.Split(key[len(s.prefix):], "/")
-			if len(parts) != len(s.keys) {
-				return true
-			}
-			row := mmvalue.NewObject()
-			for i, k := range s.keys {
-				row.Set(k, mmvalue.String(parts[i]))
-			}
-			row.Set("value", v)
-			return fn(mmvalue.FromObject(row))
+			return !kvParts(key[len(s.prefix):], parts) || fn(kvField(s.keys, parts, v, nil))
 		})
 	case *graph.Store:
 		side.Edges(tx, s.prefix, func(e graph.Edge) bool {
@@ -69,6 +61,41 @@ func (s storeScan) stream(tx *txn.Tx, fn func(mmvalue.Value) bool) {
 	case *xmlstore.Store:
 		side.Scan(tx, func(id string, doc *xmlstore.Node) bool { return fn(xmlRow(id, doc)) })
 	}
+}
+
+// kvParts splits key at "/" into parts, reporting false when it has
+// another number of parts than len(parts) (FromKVPrefix skips it).
+func kvParts(key string, parts []string) bool {
+	for i := range parts {
+		var more bool
+		if parts[i], key, more = strings.Cut(key, "/"); more != (i < len(parts)-1) {
+			return false
+		}
+	}
+	return len(parts) > 0
+}
+
+// kvField is path in the row of the value v stored under a key of these
+// parts, read without building the row unless path is empty. The row
+// holds each key part, a string, under its name and v as "value".
+func kvField(keys, parts []string, v mmvalue.Value, path mmvalue.Path) mmvalue.Value {
+	switch {
+	case len(path) == 0:
+		row := mmvalue.NewObject()
+		for i, k := range keys {
+			row.Set(k, mmvalue.String(parts[i]))
+		}
+		row.Set("value", v)
+		return mmvalue.FromObject(row)
+	case path[0] == "value":
+		return path[1:].LookupOr(v, mmvalue.Null)
+	}
+	for i := len(keys) - 1; i >= 0; i-- { // a repeated name holds its last part, as in the row
+		if keys[i] == path[0] && len(path) == 1 {
+			return mmvalue.String(parts[i])
+		}
+	}
+	return mmvalue.Null
 }
 
 // xmlRow is the row of XML document doc stored under id (FromXML): its
@@ -88,17 +115,23 @@ func xmlRow(id string, doc *xmlstore.Node) mmvalue.Value {
 	return mmvalue.FromObject(row)
 }
 
-// xmlField is field of xmlRow(id, doc), read off the tree: null when
-// the row has no such field.
-func xmlField(id string, doc *xmlstore.Node, field string) mmvalue.Value {
-	if field == "_id" {
+// xmlField is path in xmlRow(id, doc), read off the tree unless path is
+// empty: null when the row has no such field, and below a field, which
+// holds no object.
+func xmlField(id string, doc *xmlstore.Node, path mmvalue.Path) mmvalue.Value {
+	switch {
+	case len(path) == 0:
+		return xmlRow(id, doc)
+	case len(path) > 1:
+		return mmvalue.Null
+	case path[0] == "_id":
 		return mmvalue.String(id)
 	}
-	if name, ok := strings.CutPrefix(field, "@"); ok {
+	if name, ok := strings.CutPrefix(path[0], "@"); ok {
 		if v, ok := doc.Attr(name); ok {
 			return mmvalue.String(v)
 		}
-	} else if c, ok := doc.FirstChild(field); ok {
+	} else if c, ok := doc.FirstChild(path[0]); ok {
 		return xmlText(c.InnerText())
 	}
 	return mmvalue.Null
@@ -198,6 +231,14 @@ func newProjection(paths int) *projection {
 	return &projection{cols: make([]column, paths), dicts: map[int]*dict{}, links: map[int]projLink{}}
 }
 
+// addRow appends a row whose value at each of paths is field's.
+func (p *projection) addRow(paths []mmvalue.Path, field func(mmvalue.Path) mmvalue.Value) {
+	for c, path := range paths {
+		p.cols[c].add(p.n, field(path))
+	}
+	p.n++
+}
+
 // add appends row to p, and its elements to p.elems.
 func (p *projection) add(row mmvalue.Value, paths []mmvalue.Path, arr *arraySpec) {
 	for c, path := range paths {
@@ -233,19 +274,19 @@ func project(s storeScan, tx *txn.Tx, paths []mmvalue.Path, arr *arraySpec) *pro
 		})
 		return p
 	}
+	if kvs, ok := s.side.(*kv.Store); ok && arr == nil {
+		parts := make([]string, len(s.keys))
+		kvs.ScanPrefix(tx, s.prefix, func(key string, v mmvalue.Value) bool { // off the key and value: no row is built
+			if kvParts(key[len(s.prefix):], parts) {
+				p.addRow(paths, func(path mmvalue.Path) mmvalue.Value { return kvField(s.keys, parts, v, path) })
+			}
+			return true
+		})
+		return p
+	}
 	if x, ok := s.side.(*xmlstore.Store); ok && arr == nil {
 		x.Scan(tx, func(id string, doc *xmlstore.Node) bool { // off the tree: no row is built
-			for c, path := range paths {
-				switch len(path) {
-				case 0:
-					p.cols[c].add(p.n, xmlRow(id, doc))
-				case 1:
-					p.cols[c].add(p.n, xmlField(id, doc, path[0]))
-				default: // a path under a field: fields hold no objects
-					p.cols[c].add(p.n, mmvalue.Null)
-				}
-			}
-			p.n++
+			p.addRow(paths, func(path mmvalue.Path) mmvalue.Value { return xmlField(id, doc, path) })
 			return true
 		})
 		return p
@@ -536,112 +577,117 @@ func (p *Pipeline) runProjected(onRow func(mmvalue.Value) bool) bool {
 	return true
 }
 
-// fold is GroupBy's one fold: over projs, the projections of pl's scans,
-// each seed row (or unnested element) pl's Where stages keep goes to
-// the accumulator its key's code finds, slab[code]. It emits the groups.
+// fold is GroupBy's one fold, a column at a time over projs, the
+// projections of pl's scans. It lists the seed rows, or the (seed row,
+// element) pairs of the Unnest; keeps those pl's Where stages keep;
+// gathers their group key codes; runs each aggregate over (codes, rows)
+// in one kernel (aggCols.fold); and emits the groups.
 func (g *groupSink) fold(pl *projPlan, projs []*projection) {
-	at := make([]int, len(projs)) // at[i]: the row of scan i the seed row reads
-	val := func(ref colRef) mmvalue.Value { return projs[ref.scan].cols[ref.col].value(at[ref.scan]) }
-	links := make([][]int32, len(pl.probes))
+	g.foldScratch = foldPool.Get().(*foldScratch)
+	defer foldPool.Put(g.foldScratch)
+	via := make([][]int32, len(projs)) // per join scan, each seed row's row in it; nil for the seed and the elements
 	for j, probe := range pl.probes {
-		links[j] = projs[0].link(probe.col, projs[j+1])
+		via[j+1] = projs[0].link(probe.col, projs[j+1])
+	}
+	rows := make([][]int32, len(projs)) // per scan read, each kept row's row in it
+	gather := func(scan int) []int32 {  // rows[scan], gathered through its link on first use
+		if rows[scan] == nil {
+			rows[scan] = g.vec(3+scan, len(rows[0]))
+			for i, r := range rows[0] {
+				rows[scan][i] = via[scan][r]
+			}
+		}
+		return rows[scan]
+	}
+	rows[0] = g.vec(0, projs[0].n)
+	for r := range rows[0] {
+		rows[0][r] = int32(r)
+	}
+	if a, e := pl.arr, len(pl.scans); a != nil { // each seed row becomes its array's elements
+		parents, elems, off := g.vec(1, 0), g.vec(2, 0), projs[a.scan].off
+		for r, pr := range gather(a.scan) {
+			if pr < 0 {
+				continue
+			}
+			for el := off[pr]; el < off[pr+1]; el++ {
+				parents, elems = append(parents, int32(r)), append(elems, el)
+			}
+		}
+		clear(rows)
+		rows[0], rows[e], g.vecs[1], g.vecs[2] = parents, elems, parents, elems
 	}
 	// A Where keeps a row by its code: the codes of its values are looked
-	// up once, and null's code, 0, is never kept. Filters on the Unnest's
-	// elements apply per element, the others per seed row.
-	var rowFilters, elemFilters []codeSet
+	// up once, and null's code, 0, is never kept.
 	for _, f := range pl.filters {
 		d := projs[f.col.scan].dict(f.col.col)
-		cs := codeSet{scan: f.col.scan, codes: d.codes, in: make([]uint64, len(d.first)/64+1)}
+		in := make([]bool, len(d.first))
 		for _, v := range f.vals {
-			if c := d.code(v); c > 0 {
-				cs.in[c/64] |= 1 << (c % 64)
-			}
+			in[max(d.code(v), 0)] = true // an absent value's code is -1
 		}
-		if f.col.scan == len(pl.scans) {
-			elemFilters = append(elemFilters, cs)
-		} else {
-			rowFilters = append(rowFilters, cs)
-		}
-	}
-	keep := func(fs []codeSet) bool {
-		for _, f := range fs {
-			if !f.keeps(at[f.scan]) {
-				return false
-			}
-		}
-		return true
-	}
-	keys := projs[pl.key.scan].dict(pl.key.col)
-	fs, n, nagg := foldPool.Get().(*foldScratch), len(keys.first), len(g.st.aggs)
-	slab, states := slices.Grow(fs.slab[:0], n)[:n], slices.Grow(fs.states[:0], n*nagg)[:n*nagg]
-	g.accs = fs.accs[:0]
-	add := func() {
-		code := 0
-		if r := at[pl.key.scan]; r >= 0 {
-			code = int(keys.codes[r])
-		}
-		acc := &slab[code]
-		if acc.count == 0 {
-			acc.key, acc.st = keys.val(code).Clone(), states[code*nagg:(code+1)*nagg] // rows out are owned, like min/max winners
-			g.accs = append(g.accs, acc)
-		}
-		acc.count++
-		for k := range g.st.aggs {
-			if a := &g.st.aggs[k]; a.kind != aggCount {
-				acc.st[k].fold(a.kind, val(pl.aggs[k]))
-			}
-		}
-	}
-	for r := 0; r < projs[0].n; r++ {
-		at[0] = r
-		for j, l := range links {
-			at[j+1] = int(l[r])
-		}
-		switch a, e := pl.arr, len(pl.scans); {
-		case !keep(rowFilters):
-		case a == nil:
-			add()
-		case at[a.scan] >= 0:
-			off := projs[a.scan].off[at[a.scan]:]
-			for at[e] = int(off[0]); at[e] < int(off[1]); at[e]++ {
-				if keep(elemFilters) {
-					add()
+		in[0] = false
+		kept := 0
+		for i, r := range gather(f.col.scan) {
+			if r >= 0 && in[d.codes[r]] {
+				for _, rs := range rows {
+					if rs != nil {
+						rs[kept] = rs[i]
+					}
 				}
+				kept++
+			}
+		}
+		for s, rs := range rows {
+			if rs != nil {
+				rows[s] = rs[:kept]
 			}
 		}
 	}
-	fs.slab, fs.states, fs.accs = slab, states, g.accs
-	g.emit()
-	clear(slab)
-	clear(states)
-	foldPool.Put(fs)
-}
-
-// codeSet is a Where's kept codes of one column of scan: in is a bitmap
-// over the column dict's codes.
-type codeSet struct {
-	scan  int
-	codes []int32
-	in    []uint64
-}
-
-// keeps reports whether row r of the scan holds a kept value; r < 0 (no
-// match row) holds null.
-func (f codeSet) keeps(r int) bool {
-	if r < 0 {
-		return false
+	g.keys = projs[pl.key.scan].dict(pl.key.col)
+	codes, n := g.vec(3+len(projs), len(rows[0])), len(g.keys.first)
+	g.count, g.groups = zeroed(g.count, n), g.groups[:0]
+	for i, r := range gather(pl.key.scan) {
+		if codes[i] = 0; r >= 0 {
+			codes[i] = g.keys.codes[r]
+		}
+		if g.count[codes[i]] == 0 {
+			g.groups = append(g.groups, codes[i])
+		}
+		g.count[codes[i]]++
 	}
-	c := f.codes[r]
-	return f.in[c/64]&(1<<(c%64)) != 0
+	g.aggs = slices.Grow(g.aggs[:0], len(pl.aggs))[:len(pl.aggs)]
+	for k, ref := range pl.aggs {
+		if kind := g.st.aggs[k].kind; kind != aggCount {
+			g.aggs[k].fold(kind, &projs[ref.scan].cols[ref.col], n, codes, gather(ref.scan))
+		}
+	}
+	g.emit()
 }
 
-// foldPool recycles fold's accumulators, cleared: a warm fold
+// foldPool recycles fold's vectors and per-group state: a warm fold
 // over thousands of groups would otherwise allocate them on every run.
 var foldPool = sync.Pool{New: func() any { return &foldScratch{} }}
 
+// foldScratch is a fold's row vectors, the group codes in order of first
+// appearance, and per code the row count and each aggregate's state.
 type foldScratch struct {
-	slab   []groupAcc
-	states []aggState
-	accs   []*groupAcc
+	vecs   [][]int32
+	groups []int32
+	count  []int64
+	aggs   []aggCols
+}
+
+// vec returns fs's i-th vector at length n, its contents undefined.
+func (fs *foldScratch) vec(i, n int) []int32 {
+	for len(fs.vecs) <= i {
+		fs.vecs = append(fs.vecs, nil)
+	}
+	fs.vecs[i] = slices.Grow(fs.vecs[i][:0], n)[:n]
+	return fs.vecs[i]
+}
+
+// zeroed returns s at length n, all zero, reusing its array.
+func zeroed[T any](s []T, n int) []T {
+	s = slices.Grow(s[:0], n)[:n]
+	clear(s)
+	return s
 }

@@ -304,6 +304,15 @@ func projKVPlans() []projPlanCase {
 			},
 		},
 		{
+			name: "kv key-part subpath, whole row",
+			build: func(p *Pipeline) *Pipeline {
+				return p.FromKVPrefix("fb/", "cid", "oid").GroupBy("oid.x", "k", Max("", "mr"), Min("cid.0", "mc"), Max("value", "mv"), Count("n"))
+			},
+			refRow: func(db *DB, _ []mmvalue.Value) []mmvalue.Value {
+				return refGroupBy(refKVAt(db, nil), mmvalue.ParsePath("oid.x"), "k", []Agg{Max("", "mr"), Min("cid.0", "mc"), Max("value", "mv"), Count("n")})
+			},
+		},
+		{
 			name:  "kv join unnest",
 			build: func(p *Pipeline) *Pipeline { return joined(p).GroupBy("it.pid", "k", aggs...) },
 			refRow: func(db *DB, _ []mmvalue.Value) []mmvalue.Value {
@@ -553,11 +562,7 @@ func TestProjectionUnderWriters(t *testing.T) {
 					key = mmvalue.Null
 				}
 				city := mmvalue.String(fmt.Sprintf("c%d", rng.Intn(6)))
-				if err := tbl.Update(tx, i, func(row mmvalue.Value) (mmvalue.Value, error) {
-					row.MustObject().Set("cid", key)
-					row.MustObject().Set("city", city)
-					return row, nil
-				}); err != nil {
+				if err := setFields(tbl, tx, i, "cid", key, "city", city); err != nil {
 					return err
 				}
 				if err := docs.SetPath(tx, fmt.Sprintf("d%04d", i), "ref.cid", key); err != nil {

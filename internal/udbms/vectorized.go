@@ -1,6 +1,7 @@
 package udbms
 
 import (
+	"cmp"
 	"slices"
 	"sort"
 	"sync"
@@ -515,27 +516,16 @@ func (st *groupStage) wire(_ bool, down batchSink) batchSink {
 	return &groupSink{st: st, down: down, pl: pl, proj: newProjection(len(pl.paths[0]))}
 }
 
-type aggState struct {
-	sum  float64
-	n    int64
-	best mmvalue.Value // current min/max winner
-	seen bool
-}
-
-type groupAcc struct {
-	key   mmvalue.Value
-	count int64
-	st    []aggState
-}
-
 // groupSink is a GroupBy's sink. On rows, pl is a one-scan plan over
 // the columns the stage reads and proj their values in the pushed rows.
+// fold leaves the groups in foldScratch, by their codes in keys.
 type groupSink struct {
 	st   *groupStage
 	down batchSink
 	pl   *projPlan
 	proj *projection
-	accs []*groupAcc
+	keys *dict
+	*foldScratch
 }
 
 func (g *groupSink) push(rows []mmvalue.Value) bool {
@@ -547,75 +537,155 @@ func (g *groupSink) push(rows []mmvalue.Value) bool {
 
 func (g *groupSink) flush() { g.fold(g.pl, []*projection{g.proj}) }
 
-// fold adds one row's value to a Sum, Avg, Min or Max.
-func (s *aggState) fold(kind aggKind, v mmvalue.Value) {
-	switch kind {
-	case aggSum, aggAvg:
-		if f, ok := v.AsFloat(); ok {
-			s.sum += f
-			s.n++
+// aggCols is one Sum, Avg, Min or Max over col, per group code: the sum
+// and count of numbers, or the winner's row plus one (0: none yet).
+type aggCols struct {
+	col  *column
+	sum  []float64
+	n    []int64
+	best []int32
+}
+
+// fold runs the aggregate over col's values at rows, adding row i's to
+// group codes[i] of n, by a loop chosen once by the column's kind. A
+// column of values takes the boxed loop, which is the reference for the
+// typed ones.
+func (a *aggCols) fold(kind aggKind, col *column, n int, codes, rows []int32) {
+	a.col = col
+	if kind == aggSum || kind == aggAvg {
+		a.sum, a.n = zeroed(a.sum, n), zeroed(a.n, n)
+		switch {
+		case col.vals != nil:
+			for i, r := range rows {
+				if f, ok := col.value(int(r)).AsFloat(); ok {
+					a.sum[codes[i]] += f
+					a.n[codes[i]]++
+				}
+			}
+		case col.kind == mmvalue.KindInt:
+			sumOf(a, codes, rows, col.valid, col.ints)
+		case col.kind == mmvalue.KindFloat:
+			sumOf(a, codes, rows, col.valid, col.floats)
+		} // strings, or no values: no numbers
+		return
+	}
+	a.best = zeroed(a.best, n)
+	dir := 1 // Max keeps a value above its group's winner, Min (-1) one below
+	if kind == aggMin {
+		dir = -1
+	}
+	switch {
+	case col.vals != nil:
+		for i, r := range rows {
+			v, b := col.value(int(r)), a.best[codes[i]]
+			if !v.IsNull() && (b == 0 || dir*mmvalue.Compare(v, col.value(int(b-1))) > 0) {
+				a.best[codes[i]] = r + 1
+			}
 		}
-	case aggMin:
-		if !v.IsNull() && (!s.seen || mmvalue.Compare(v, s.best) < 0) {
-			s.best, s.seen = v.Clone(), true
-		}
-	case aggMax:
-		if !v.IsNull() && (!s.seen || mmvalue.Compare(v, s.best) > 0) {
-			s.best, s.seen = v.Clone(), true
+	case col.kind == mmvalue.KindInt:
+		bestOf(a.best, dir, codes, rows, col.valid, col.ints)
+	case col.kind == mmvalue.KindFloat:
+		bestOf(a.best, dir, codes, rows, col.valid, col.floats)
+	case col.kind == mmvalue.KindString:
+		bestOf(a.best, dir, codes, rows, col.valid, col.strs)
+	}
+}
+
+// sumOf is Sum and Avg over a typed number vector.
+func sumOf[T int64 | float64](a *aggCols, codes, rows []int32, valid []uint64, xs []T) {
+	for i, r := range rows {
+		if r >= 0 && valid[r/64]&(1<<(r%64)) != 0 {
+			a.sum[codes[i]] += float64(xs[r])
+			a.n[codes[i]]++
 		}
 	}
 }
 
-// value is aggregate k's output field in group a's row.
-func (g *groupSink) value(a *groupAcc, k int) mmvalue.Value {
-	s := &a.st[k]
+// bestOf is Min or Max over a typed vector. cmp.Compare orders NaN first
+// and -0 equal to 0, as mmvalue.Compare does.
+func bestOf[T cmp.Ordered](best []int32, dir int, codes, rows []int32, valid []uint64, xs []T) {
+	for i, r := range rows {
+		if r >= 0 && valid[r/64]&(1<<(r%64)) != 0 {
+			if b := best[codes[i]]; b == 0 || dir*cmp.Compare(xs[r], xs[b-1]) > 0 {
+				best[codes[i]] = r + 1
+			}
+		}
+	}
+}
+
+// value is aggregate k's output field in group c's row; a Min or Max
+// winner is the projection's, not owned.
+func (g *groupSink) value(c int32, k int) mmvalue.Value {
 	switch g.st.aggs[k].kind {
 	case aggCount:
-		return mmvalue.Int(a.count)
-	case aggSum:
-		return mmvalue.Float(s.sum)
-	case aggAvg:
-		if s.n > 0 {
-			return mmvalue.Float(s.sum / float64(s.n))
-		}
-	default:
-		if s.seen {
-			return s.best
-		}
+		return mmvalue.Int(g.count[c])
+	case aggMin, aggMax:
+		return g.aggs[k].col.value(int(g.aggs[k].best[c]) - 1)
+	}
+	if f, ok := g.num(c, k); ok {
+		return mmvalue.Float(f)
 	}
 	return mmvalue.Null
 }
 
-// order returns the groups to emit: all of them by ascending key, or
-// with top set (and fewer than all kept) the first topN in the top
+// num is a Count, Sum or Avg in group c as a number; false for an Avg
+// over no numbers, which is null.
+func (g *groupSink) num(c int32, k int) (float64, bool) {
+	a := &g.aggs[k]
+	switch g.st.aggs[k].kind {
+	case aggCount:
+		return float64(g.count[c]), true
+	case aggSum:
+		return a.sum[c], true
+	}
+	return a.sum[c] / float64(a.n[c]), a.n[c] > 0
+}
+
+// order returns the group codes to emit: all of them by ascending key,
+// or with top set (and fewer than all kept) the first topN in the top
 // SortBy's order, ties by ascending key, kept by a bounded insertion.
-func (g *groupSink) order() []*groupAcc {
-	if n, k := g.st.topN, g.st.topAgg; g.st.top != nil && n < len(g.accs) {
-		before := func(a, b *groupAcc) bool {
-			c := mmvalue.Compare(g.value(a, k), g.value(b, k))
+func (g *groupSink) order() []int32 {
+	key := func(c int32) mmvalue.Value { return g.keys.val(int(c)) }
+	if n, k := g.st.topN, g.st.topAgg; g.st.top != nil && n < len(g.groups) {
+		compare := func(a, b int32) int { return mmvalue.Compare(g.value(a, k), g.value(b, k)) }
+		if kind := g.st.aggs[k].kind; kind != aggMin && kind != aggMax { // numbers, null first as in mmvalue.Compare
+			compare = func(a, b int32) int {
+				fb, okb := g.num(b, k)
+				switch fa, oka := g.num(a, k); {
+				case oka == okb:
+					return cmp.Compare(fa, fb) // two nulls: 0/0 and 0/0, NaN and NaN, equal
+				case oka:
+					return 1
+				}
+				return -1
+			}
+		}
+		before := func(a, b int32) bool {
+			c := compare(a, b)
 			if g.st.top.desc {
 				c = -c
 			}
-			return c < 0 || c == 0 && mmvalue.Compare(a.key, b.key) < 0
+			return c < 0 || c == 0 && mmvalue.Compare(key(a), key(b)) < 0
 		}
-		top := make([]*groupAcc, 0, n+1)
-		for _, a := range g.accs {
-			if len(top) == n && (n == 0 || !before(a, top[n-1])) {
+		top := make([]int32, 0, n+1)
+		for _, c := range g.groups {
+			if len(top) == n && (n == 0 || !before(c, top[n-1])) {
 				continue
 			}
-			i := sort.Search(len(top), func(i int) bool { return before(a, top[i]) })
-			top = slices.Insert(top, i, a)[:min(len(top)+1, n)]
+			i := sort.Search(len(top), func(i int) bool { return before(c, top[i]) })
+			top = slices.Insert(top, i, c)[:min(len(top)+1, n)]
 		}
 		return top
 	}
-	slices.SortStableFunc(g.accs, func(a, b *groupAcc) int { return mmvalue.Compare(a.key, b.key) })
-	return g.accs
+	slices.SortStableFunc(g.groups, func(a, b int32) int { return mmvalue.Compare(key(a), key(b)) })
+	return g.groups
 }
 
 // emit sends one row per group in order (groupSink.order) downstream
-// and flushes it.
+// and flushes it. Keys and Min/Max winners are cloned here, for the
+// groups emitted only: rows out are owned.
 func (g *groupSink) emit() {
-	accs := g.order()
+	codes := g.order()
 	// Every row has the same fields, so each starts as a copy of tmpl:
 	// three allocations, none of them regrown.
 	tmpl := mmvalue.NewObject()
@@ -623,12 +693,12 @@ func (g *groupSink) emit() {
 	for _, a := range g.st.aggs {
 		tmpl.Set(a.as, mmvalue.Null)
 	}
-	out := make([]mmvalue.Value, 0, min(len(accs), batchCap))
-	for _, acc := range accs {
+	out := make([]mmvalue.Value, 0, min(len(codes), batchCap))
+	for _, c := range codes {
 		obj := tmpl.Clone()
-		obj.Set(g.st.asKey, acc.key)
+		obj.Set(g.st.asKey, g.keys.val(int(c)).Clone())
 		for k, a := range g.st.aggs {
-			obj.Set(a.as, g.value(acc, k))
+			obj.Set(a.as, g.value(c, k).Clone())
 		}
 		out = append(out, mmvalue.FromObject(obj))
 		if len(out) == batchCap {
