@@ -20,10 +20,18 @@
 // Version counts committed writes like txn.Records.Version, bumped in
 // the commit hook before the stamp, and edge relinks and their undo as
 // they happen: those change what scans see before a commit.
+//
+// KHop walks a CSR per (label, direction) at one Version(), shared
+// under the join cache's gates (txn.Certifies, txn.Shares); other
+// readers walk the maps, the reference. Multi-hop map walks charge their
+// edge visits to the key's account; the next one to find Len() there
+// buys the CSR, later buyers wait for it, one-hop walks only read it.
 package graph
 
 import (
 	"fmt"
+	"maps"
+	"math/bits"
 	"slices"
 	"sort"
 	"sync"
@@ -71,6 +79,10 @@ type Store struct {
 	in      map[VID]map[string][]EID
 	version atomic.Uint64                           // see Version
 	bump    func(*txn.Chain[mmvalue.Value], uint64) // the chains' commit hook
+
+	csrMu     sync.Mutex // guards csrs
+	csrs      map[csrKey]*csrEntry
+	csrBuilds atomic.Uint64
 }
 
 type vertexRec struct {
@@ -93,6 +105,7 @@ func NewStore(name string, mgr *txn.Manager) *Store {
 		edges:    make(map[EID]*edgeRec),
 		out:      make(map[VID]map[string][]EID),
 		in:       make(map[VID]map[string][]EID),
+		csrs:     make(map[csrKey]*csrEntry),
 	}
 	s.bump = func(*txn.Chain[mmvalue.Value], uint64) { s.version.Add(1) }
 	return s
@@ -516,16 +529,32 @@ func (s *Store) eachList(v VID, dir Dir, label string, fn func(eids []EID, in bo
 // KHop returns the vertices at distance 1..k from the start set over
 // edges with the given label ("" for any label), in direction dir, as
 // visible to tx, excluding the starts themselves. Results are sorted.
-// The walk keeps one visited set for the whole start set and takes the
-// store's read lock once per expanded vertex, so a writer waits for at
-// most one adjacency list; it builds no Edge and copies no props.
+// A reader the CSR gates admit walks the CSR of (label, dir), any other
+// the maps (package comment).
 func (s *Store) KHop(tx *txn.Tx, starts []VID, k int, dir Dir, label string) []VID {
+	c, e := s.csrFor(tx, csrKey{label, dir}, k > 1)
+	if c != nil {
+		return c.walk(starts, k)
+	}
+	result, visits := s.khopMaps(tx, starts, k, dir, label)
+	if k > 1 {
+		e.visits.Add(int64(visits))
+	}
+	return result
+}
+
+// khopMaps is KHop over the adjacency maps, and the number of edges it
+// visited. It keeps one visited set for the whole start set and takes
+// the store's read lock once per expanded vertex, so a writer waits for
+// at most one adjacency list; it builds no Edge and copies no props.
+func (s *Store) khopMaps(tx *txn.Tx, starts []VID, k int, dir Dir, label string) ([]VID, int) {
 	visited := make(map[VID]bool, len(starts))
 	for _, v := range starts {
 		visited[v] = true
 	}
-	frontier, result := starts, []VID(nil)
+	frontier, result, visits := starts, []VID(nil), 0
 	visit := func(eids []EID, in bool) {
+		visits += len(eids)
 		for _, id := range eids {
 			rec := s.edges[id]
 			nb := rec.to
@@ -550,7 +579,144 @@ func (s *Store) KHop(tx *txn.Tx, starts []VID, k int, dir Dir, label string) []V
 		frontier = result[n:]
 	}
 	slices.Sort(result)
-	return result
+	return result, visits
+}
+
+// csrKey names a CSR: a label ("" for every label) and a direction.
+type csrKey struct {
+	label string
+	dir   Dir
+}
+
+// csrEntry is a key's account at version ver: the edge visits charged,
+// and the CSR once bought (later buyers wait in once.Do, holding no lock).
+type csrEntry struct {
+	ver    uint64
+	visits atomic.Int64
+	once   sync.Once
+	adj    atomic.Pointer[csr]
+}
+
+// csr is one key's visible edges, certified at snapshot snap, in
+// compressed sparse row form over int32 vertex codes in VID order: the
+// neighbours of code c, one per edge, are nbr[off[c]:off[c+1]].
+type csr struct {
+	snap     txn.TS
+	ids      []VID
+	code     map[VID]int32
+	off, nbr []int32
+}
+
+// csrFor returns key's account at Version() (opening it if the one held
+// is older) and its CSR if tx may read it, bought first when buy is set
+// and the account holds Len() edge visits; a nil CSR sends the walk to
+// the maps. A walker whose version read is stale gets the newer account.
+func (s *Store) csrFor(tx *txn.Tx, key csrKey, buy bool) (*csr, *csrEntry) {
+	ver := s.Version()
+	s.csrMu.Lock()
+	e := s.csrs[key]
+	if e == nil || e.ver < ver {
+		e = &csrEntry{ver: ver}
+		s.csrs[key] = e
+	}
+	s.csrMu.Unlock()
+	if buy && e.adj.Load() == nil && e.visits.Load() >= int64(s.Len()) {
+		btx := tx
+		if btx == nil {
+			btx = s.mgr.Begin()
+			defer btx.Abort()
+		}
+		if s.mgr.Certifies(btx) {
+			e.once.Do(func() {
+				c := s.buildCSR(btx, key)
+				s.csrBuilds.Add(1)
+				if s.Version() == e.ver {
+					e.adj.Store(c)
+				}
+			})
+		}
+	}
+	if c := e.adj.Load(); c != nil && txn.Shares(tx, c.snap) {
+		return c, e
+	}
+	return nil, e
+}
+
+// buildCSR scans the edges of key's label visible to tx into key's CSR,
+// each edge in row from for Out, in row to for In, and in both for Both,
+// as the map walk reads the out and in lists.
+func (s *Store) buildCSR(tx *txn.Tx, key csrKey) *csr {
+	c := &csr{snap: tx.BeginTS(), code: make(map[VID]int32)}
+	var ends []VID // from, to of each edge
+	s.Edges(tx, key.label, func(e Edge) bool { ends = append(ends, e.From, e.To); return true })
+	for _, v := range ends {
+		c.code[v] = 0
+	}
+	c.ids = slices.Sorted(maps.Keys(c.code))
+	for i, v := range c.ids {
+		c.code[v] = int32(i)
+	}
+	var rows [][2]int32 // (row, neighbour)
+	for i := 0; i < len(ends); i += 2 {
+		from, to := c.code[ends[i]], c.code[ends[i+1]]
+		if key.dir != In {
+			rows = append(rows, [2]int32{from, to})
+		}
+		if key.dir != Out {
+			rows = append(rows, [2]int32{to, from})
+		}
+	}
+	slices.SortFunc(rows, func(a, b [2]int32) int { return int(a[0] - b[0]) })
+	c.off, c.nbr = make([]int32, len(c.ids)+1), make([]int32, len(rows))
+	for i, r := range rows {
+		c.off[r[0]+1]++
+		c.nbr[i] = r[1]
+	}
+	for i := range c.ids {
+		c.off[i+1] += c.off[i]
+	}
+	return c
+}
+
+// walk is KHop over the CSR: int32 frontiers and a visited bitmap that,
+// once the starts are cleared from it, lists the result in VID order.
+func (c *csr) walk(starts []VID, k int) []VID {
+	seen := make([]uint64, (len(c.ids)+63)/64)
+	var reached []int32 // the coded starts, then every vertex reached
+	mark := func(v int32) {
+		if seen[v>>6]&(1<<(v&63)) == 0 {
+			seen[v>>6] |= 1 << (v & 63)
+			reached = append(reached, v)
+		}
+	}
+	for _, v := range starts {
+		if x, ok := c.code[v]; ok {
+			mark(x)
+		}
+	}
+	origin := len(reached)
+	for depth, lo := 0, 0; depth < k && lo < len(reached); depth++ {
+		hi := len(reached)
+		for _, v := range reached[lo:hi] {
+			for _, nb := range c.nbr[c.off[v]:c.off[v+1]] {
+				mark(nb)
+			}
+		}
+		lo = hi
+	}
+	if len(reached) == origin {
+		return nil
+	}
+	for _, x := range reached[:origin] {
+		seen[x>>6] &^= 1 << (x & 63)
+	}
+	out := make([]VID, 0, len(reached)-origin)
+	for w, b := range seen {
+		for ; b != 0; b &= b - 1 {
+			out = append(out, c.ids[w<<6+bits.TrailingZeros64(b)])
+		}
+	}
+	return out
 }
 
 // Vertices calls fn for every live vertex visible to tx in id order.

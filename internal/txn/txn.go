@@ -272,6 +272,24 @@ func (tx *Tx) ReadOnly() bool {
 	return len(tx.heldLocks) == 0 && len(tx.undo) == 0 && len(tx.walOps) == 0
 }
 
+// Shares is the gate for read-side structures built from a store's
+// committed state and reused while its version counter, bumped in the
+// commit hook before the stamp, stands still (a join projection, a graph
+// CSR): one built at snap serves tx if tx has written nothing and no
+// commit lies between the snapshots. A nil tx reads the latest state.
+func Shares(tx *Tx, snap TS) bool {
+	return tx == nil || tx.ReadOnly() && tx.beginTS >= snap
+}
+
+// Certifies reports whether a structure tx builds now may serve others:
+// no commit is in flight and Shares(tx, Published()). The caller has
+// read the store's version counter first, so a commit it reflects has
+// published by now and any later one moves it.
+func (m *Manager) Certifies(tx *Tx) bool {
+	wm := m.Published()
+	return m.oracle.Current() == wm && Shares(tx, wm)
+}
+
 // LockExclusive acquires an exclusive lock on the named resource,
 // blocking until granted. If waiting would close a cycle in the
 // wait-for graph the transaction is aborted and ErrDeadlock returned.

@@ -27,7 +27,9 @@ import (
 //
 // An entry at version v holds either the built projection or the probes
 // spent at v without one; a commit resets both by bumping the version.
-// Certifying a build for other readers rests on these gates:
+// Certifying a build for other readers rests on these gates, stated
+// once in txn.Shares and txn.Manager.Certifies (the graph store's CSR
+// cache rests on the same two):
 //
 //   - Stores bump a version counter inside the commit hook, after the
 //     commit has drawn its timestamp and before its row versions are
@@ -36,14 +38,10 @@ import (
 //     touched the build side during it.
 //   - The projection is built under the reader's own snapshot (a
 //     snapshot at the published watermark when the reader has none) and
-//     is certified only when, at the start of the build, no commit was in
-//     flight (Oracle().Current() == Published()), the snapshot sits at
-//     that watermark, and the reader has written nothing (Tx.ReadOnly).
-//     The version is read before the in-flight check, so a commit the
-//     counter already reflects has published by the time the snapshot
-//     is taken, and any later one changes the counter.
-//   - A transactional reader gets a cached projection only when its
-//     snapshot is at or above the entry's and it has written nothing itself:
+//     is certified only when, read after the version, Certifies holds:
+//     no commit in flight, the snapshot at the watermark, and a reader
+//     that has written nothing.
+//   - A reader gets a cached projection only when Shares(reader, snap):
 //     with the version unchanged there are no commits between the two
 //     snapshots, so both see identical build-side state.
 //     Non-transactional readers (latest-committed streams) are served
@@ -134,7 +132,7 @@ func (c *joinCache) get(key joinCacheKey, ver uint64, tx *txn.Tx) *projection {
 	if ent.proj == nil || ent.ver != ver {
 		return nil
 	}
-	if tx != nil && (tx.BeginTS() < ent.snap || !tx.ReadOnly()) {
+	if !txn.Shares(tx, ent.snap) {
 		return nil
 	}
 	c.hits.Add(1)
@@ -190,14 +188,12 @@ func (c *joinCache) rent(key joinCacheKey, ver uint64, rows, below int) bool {
 func (c *joinCache) build(key joinCacheKey, side buildSide, tx *txn.Tx, scan func(*txn.Tx) *projection) *projection {
 	mgr := side.Manager()
 	ver := side.Version()
-	wm := mgr.Published()
-	quiet := mgr.Oracle().Current() == wm
 	reader := tx
 	if tx == nil {
 		tx = mgr.Begin()
 		defer tx.Abort()
 	}
-	certified := quiet && tx.ReadOnly() && tx.BeginTS() >= wm
+	certified := mgr.Certifies(tx)
 	if certified {
 		f := &flight{ver: ver, done: make(chan struct{})}
 		if in, busy := c.flights.LoadOrStore(key, f); !busy {
