@@ -16,7 +16,7 @@
 //	                     into a private relational.DB (-engine relational)
 //	internal/relational  relational engine (schemas, indexes, joins)
 //	internal/document    JSON document store (filters, path indexes)
-//	internal/graph       property graph store (neighbours, degree, CSR k-hop)
+//	internal/graph       property graph store (neighbours, CSR k-hop)
 //	internal/kv          ordered key-value store (skip list, prefix scans)
 //	internal/xmlstore    XML store (parser, serializer, tree navigation)
 //	internal/txn         timestamps, 2PL + deadlock detection, version chains

@@ -31,7 +31,6 @@ package durable
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"udbench/internal/graph"
@@ -403,18 +402,12 @@ func encodeState(db *udbms.DB, tx *txn.Tx) [][]byte {
 			Bytes(mmvalue.AppendBinary(nil, v.Props)).Build())
 		return true
 	})
-	var edges []graph.Edge
-	db.Graph.Edges(tx, "", func(e graph.Edge) bool {
-		edges = append(edges, e)
-		return true
-	})
-	// Edges come unordered; sort so equal states encode to equal bytes.
-	sort.Slice(edges, func(i, j int) bool { return edges[i].ID < edges[j].ID })
-	for _, e := range edges {
+	db.Graph.Edges(tx, "", func(e graph.Edge) bool { // in id order
 		ops = append(ops, wal.NewOp(wal.OpGraphEdge).String(string(e.ID)).String(e.Label).
 			String(string(e.From)).String(string(e.To)).
 			Bytes(mmvalue.AppendBinary(nil, e.Props)).Build())
-	}
+		return true
+	})
 	db.KV.Scan(tx, "", "", func(key string, value mmvalue.Value) bool {
 		ops = append(ops, wal.NewOp(wal.OpKVPut).String(key).
 			Bytes(mmvalue.AppendBinary(nil, value)).Build())

@@ -38,9 +38,9 @@ func TestCompactDropsShadowedVersions(t *testing.T) {
 	}
 }
 
-// TestCompactUnlinksDeadEdges: a removed edge leaves the edge map and
-// both adjacency lists once its tombstone is below the horizon, and not
-// before; a removed vertex leaves the vertex map.
+// TestCompactUnlinksDeadEdges: a removed edge leaves the edge records
+// and both adjacency lists once its tombstone is below the horizon, and
+// not before; a removed vertex leaves the vertex records.
 func TestCompactUnlinksDeadEdges(t *testing.T) {
 	mgr := txn.NewManager()
 	s := NewStore("g", mgr)
@@ -66,8 +66,8 @@ func TestCompactUnlinksDeadEdges(t *testing.T) {
 	reader.Abort()
 	s.Compact(mgr.Published() + 1)
 	s.mu.RLock()
-	_, edge := s.edges["ab"]
-	_, vertex := s.vertices["b"]
+	edge := s.edges.Len() == 2      // ab and ac
+	vertex := s.vertices.Len() == 3 // a, b and c
 	out, in := len(s.out["a"]["knows"]), len(s.in["b"]["knows"])
 	s.mu.RUnlock()
 	if edge || vertex || out != 1 || in != 0 {

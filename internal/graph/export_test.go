@@ -17,3 +17,8 @@ func (s *Store) RentCSR(label string, dir Dir) {
 	_, e := s.csrFor(nil, csrKey{label, dir}, false)
 	e.visits.Add(int64(s.Len()))
 }
+
+// Degree is the number of edges Neighbors returns.
+func (s *Store) Degree(tx *txn.Tx, v VID, dir Dir, label string) int {
+	return len(s.Neighbors(tx, v, dir, label))
+}

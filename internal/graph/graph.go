@@ -1,25 +1,22 @@
 // Package graph implements the property-graph data model of the UDBMS
 // benchmark: labeled vertices and edges with mmvalue properties,
-// adjacency indexes, neighbour and degree lookups, and k-hop traversal.
+// adjacency indexes, neighbour lookups, and k-hop traversal.
 //
 // In the Figure-1 dataset this store holds the social "knows" network
 // between customers and the "purchased" edges from customers to
 // products.
 //
-// Concurrency: vertex and edge property records are multi-versioned
-// like every UDBench store, through the shared chain helpers of the
-// record layer (txn.Chain's Stage, Visible, Current, Collect and the
-// manager's Auto wrapper). Unlike the other four stores the records
-// are hash-keyed rather than a txn.Records, because point lookups
-// dominate traversals. The adjacency structure itself is guarded by a
-// store-level RWMutex and registers undo hooks so that structural
-// changes are transactional too. Whole-graph edge scans (Edges) walk
-// the out-adjacency lists of one label, or of all labels, under one
-// read lock and visit edges in no particular order.
-//
-// Version counts committed writes like txn.Records.Version, bumped in
-// the commit hook before the stamp, and edge relinks and their undo as
-// they happen: those change what scans see before a commit.
+// Concurrency: all five stores are built on the record layer, the graph
+// on two txn.Records: the vertices and the edges. Every
+// stored version carries its record's identity (a vertex's label, an
+// edge's label and endpoints), so a re-add under another vertex label
+// is versioned like any write. The adjacency lists are the one
+// structure of the graph's own: per vertex and label they hold the
+// incident edges' version chains, under a store-level RWMutex, and a
+// reader reaches an edge from them with one lock-free Visible (Store
+// states their invariants). Edges(tx, "") scans the edge records in id
+// order; a label's scan walks that label's out-lists in no particular
+// order.
 //
 // KHop walks a CSR per (label, direction) at one Version(), shared
 // under the join cache's gates (txn.Certifies, txn.Shares); other
@@ -29,11 +26,11 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
 	"maps"
 	"math/bits"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -64,106 +61,67 @@ type Edge struct {
 	Props mmvalue.Value // object
 }
 
-// Store is a transactional property graph.
-type Store struct {
-	name string
-	mgr  *txn.Manager
+// adjacency maps a vertex and a label to its incident edges' chains.
+type adjacency map[VID]map[string][]*txn.Chain[*Edge]
 
-	mu       sync.RWMutex
-	vertices map[VID]*vertexRec
-	edges    map[EID]*edgeRec
-	// out[v][label] and in[v][label] list edge ids. Structure entries
-	// exist only for committed edges plus uncommitted ones owned by an
-	// in-flight transaction; visibility is re-checked on read.
-	out     map[VID]map[string][]EID
-	in      map[VID]map[string][]EID
-	version atomic.Uint64                           // see Version
-	bump    func(*txn.Chain[mmvalue.Value], uint64) // the chains' commit hook
+// Store is a transactional property graph: the vertex records under the
+// lock-resource prefix name+"/v/", the edge records under name+"/e/",
+// and the adjacency lists out[v][label] and in[v][label] of edge
+// chains. An edge version is an immutable *Edge, so a walk reads the
+// endpoints through a pointer instead of copying the edge out. An edge
+// id keeps its label and endpoints while its record exists: adding it
+// with another triple fails until Compact has removed the dead record.
+// Four invariants hold:
+//
+//   - Adjacency: a chain is in the lists iff it holds a version. A fresh
+//     insert (an empty chain) links it; the insert's abort unlinks it
+//     once the chain is empty again, so a retry, which finds the empty
+//     chain Records keeps, links it exactly once.
+//   - Compaction: Compact drops a dead edge from both lists before
+//     Records.Compact removes its record, so no list entry outlives its
+//     chain.
+//   - Version() is vertices.Version() + edges.Version(): committed
+//     writes, each counted before it is stamped visible. The lists change
+//     only for chains no other reader sees a version of (an uncommitted
+//     insert, its abort, a dead record), so they move nothing.
+//   - Len() is edges.Len(), every edge record not yet compacted: the
+//     CSR rent threshold.
+type Store struct {
+	name     string
+	vertices *txn.Records[Vertex]
+	edges    *txn.Records[*Edge]
+
+	mu      sync.RWMutex // guards out and in
+	out, in adjacency
 
 	csrMu     sync.Mutex // guards csrs
 	csrs      map[csrKey]*csrEntry
 	csrBuilds atomic.Uint64
 }
 
-type vertexRec struct {
-	label string
-	chain txn.Chain[mmvalue.Value] // property versions; tombstone = vertex deleted
-}
-
-type edgeRec struct {
-	label    string
-	from, to VID
-	chain    txn.Chain[mmvalue.Value]
-}
-
 // NewStore creates an empty graph named name on mgr.
 func NewStore(name string, mgr *txn.Manager) *Store {
-	s := &Store{
+	return &Store{
 		name:     name,
-		mgr:      mgr,
-		vertices: make(map[VID]*vertexRec),
-		edges:    make(map[EID]*edgeRec),
-		out:      make(map[VID]map[string][]EID),
-		in:       make(map[VID]map[string][]EID),
+		vertices: txn.NewRecords[Vertex](mgr, name+"/v/"),
+		edges:    txn.NewRecords[*Edge](mgr, name+"/e/"),
+		out:      make(adjacency),
+		in:       make(adjacency),
 		csrs:     make(map[csrKey]*csrEntry),
 	}
-	s.bump = func(*txn.Chain[mmvalue.Value], uint64) { s.version.Add(1) }
-	return s
 }
 
 // Name returns the store name.
 func (s *Store) Name() string { return s.name }
 
 // Manager returns the transaction manager.
-func (s *Store) Manager() *txn.Manager { return s.mgr }
+func (s *Store) Manager() *txn.Manager { return s.edges.Manager() }
 
-// Version counts committed writes and edge relinks (package comment).
-func (s *Store) Version() uint64 { return s.version.Load() }
+// Version counts committed writes (Store).
+func (s *Store) Version() uint64 { return s.vertices.Version() + s.edges.Version() }
 
 // Len is an O(1) size hint for a scan over Edges: the edge records.
-func (s *Store) Len() int { s.mu.RLock(); defer s.mu.RUnlock(); return len(s.edges) }
-
-func (s *Store) vResource(id VID) string { return s.name + "/v/" + string(id) }
-func (s *Store) eResource(id EID) string { return s.name + "/e/" + string(id) }
-
-// vLockKey returns the interned lock key of a vertex, building a fresh
-// key only when the record does not exist yet (first insert, or lock on
-// a missing id).
-func (s *Store) vLockKey(id VID) txn.ResourceKey {
-	s.mu.RLock()
-	rec := s.vertices[id]
-	s.mu.RUnlock()
-	if rec != nil {
-		return rec.chain.Res
-	}
-	return txn.NewResourceKey(s.vResource(id))
-}
-
-// eLockKey is vLockKey for edges.
-func (s *Store) eLockKey(id EID) txn.ResourceKey {
-	s.mu.RLock()
-	rec := s.edges[id]
-	s.mu.RUnlock()
-	if rec != nil {
-		return rec.chain.Res
-	}
-	return txn.NewResourceKey(s.eResource(id))
-}
-
-// getOrCreateVertex returns the vertex record, creating it (with its
-// interned lock key) on first use. The caller serializes on the
-// record's lock before writing the chain.
-func (s *Store) getOrCreateVertex(id VID, label string) *vertexRec {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	rec := s.vertices[id]
-	if rec == nil {
-		rec = &vertexRec{label: label}
-		rec.chain.Res = txn.NewResourceKey(s.vResource(id))
-		s.vertices[id] = rec
-	}
-	return rec
-}
+func (s *Store) Len() int { return s.edges.Len() }
 
 // AddVertex inserts a vertex. Props must be an object (Null is treated
 // as an empty object). Duplicate ids fail.
@@ -186,30 +144,15 @@ func (s *Store) putVertex(tx *txn.Tx, id VID, label string, props mmvalue.Value,
 	if props.Kind() != mmvalue.KindObject {
 		return fmt.Errorf("graph %s: vertex props must be an object", s.name)
 	}
-	return s.mgr.Auto(tx, func(tx *txn.Tx) error {
-		rec := s.getOrCreateVertex(id, label)
-		if err := tx.LockExclusiveKey(rec.chain.Res); err != nil {
+	return s.vertices.Auto(tx, func(tx *txn.Tx) error {
+		c, err := s.vertices.Lock(tx, string(id))
+		if err != nil {
 			return err
 		}
-		if !upsert {
-			if _, exists := rec.chain.Current(tx); exists {
-				return fmt.Errorf("graph %s: duplicate vertex %q", s.name, id)
-			}
+		if _, exists := c.Current(tx); exists && !upsert {
+			return fmt.Errorf("graph %s: duplicate vertex %q", s.name, id)
 		}
-		s.mu.Lock()
-		oldLabel := rec.label
-		rec.label = label
-		s.mu.Unlock()
-		if oldLabel != label {
-			// The label is not versioned: put the old one back if tx
-			// aborts, as putEdge does for a relink.
-			tx.OnUndo(func() {
-				s.mu.Lock()
-				rec.label = oldLabel
-				s.mu.Unlock()
-			})
-		}
-		rec.chain.Stage(tx, props.Clone(), false, s.bump)
+		s.vertices.Stage(tx, c, Vertex{ID: id, Label: label, Props: props.Clone()}, false)
 		if tx.Logging() {
 			tx.LogOp(wal.NewOp(wal.OpGraphVertex).String(string(id)).String(label).
 				Bytes(mmvalue.AppendBinary(nil, props)).Build())
@@ -224,10 +167,12 @@ func (s *Store) AddEdge(tx *txn.Tx, id EID, label string, from, to VID, props mm
 }
 
 // ApplyEdge is the replay path: it upserts the edge without the
-// duplicate-id check (relinking if the endpoints changed), so recovery
-// can reapply a logged add whether or not a snapshot already holds the
-// edge. The endpoint vertices must exist, which replay guarantees
-// because their ops precede the edge op in the log.
+// duplicate-id check (the label and endpoints must still match the
+// record's, Store), so recovery can reapply a logged add whether or not
+// a snapshot already holds the edge. The endpoint vertices must exist,
+// which replay guarantees because their ops precede the edge op in the
+// log. Replay does not compact, so a log in which an id comes back with
+// another triple after a Compact of the live store fails here.
 func (s *Store) ApplyEdge(tx *txn.Tx, id EID, label string, from, to VID, props mmvalue.Value) error {
 	return s.putEdge(tx, id, label, from, to, props, true)
 }
@@ -240,52 +185,39 @@ func (s *Store) putEdge(tx *txn.Tx, id EID, label string, from, to VID, props mm
 	if props.Kind() != mmvalue.KindObject {
 		return fmt.Errorf("graph %s: edge props must be an object", s.name)
 	}
-	return s.mgr.Auto(tx, func(tx *txn.Tx) error {
-		if err := tx.LockExclusiveKey(s.eLockKey(id)); err != nil {
+	return s.edges.Auto(tx, func(tx *txn.Tx) error {
+		for _, v := range [2]VID{from, to} {
+			if _, ok := s.GetVertex(tx, v); !ok {
+				return fmt.Errorf("graph %s: edge %q: no vertex %q", s.name, id, v)
+			}
+		}
+		c, err := s.edges.Lock(tx, string(id))
+		if err != nil {
 			return err
 		}
-		if _, ok := s.GetVertex(tx, from); !ok {
-			return fmt.Errorf("graph %s: edge %q: no vertex %q", s.name, id, from)
-		}
-		if _, ok := s.GetVertex(tx, to); !ok {
-			return fmt.Errorf("graph %s: edge %q: no vertex %q", s.name, id, to)
-		}
-		s.mu.Lock()
-		rec := s.edges[id]
-		fresh := rec == nil
-		if fresh {
-			rec = &edgeRec{label: label, from: from, to: to}
-			rec.chain.Res = txn.NewResourceKey(s.eResource(id))
-			s.edges[id] = rec
-			s.link(id, label, from, to)
-		}
-		s.mu.Unlock()
-		if !fresh {
-			if !upsert {
-				if _, exists := rec.chain.Current(tx); exists {
-					return fmt.Errorf("graph %s: duplicate edge %q", s.name, id)
-				}
-			}
-			if rec.from != from || rec.to != to || rec.label != label {
-				// Reusing an edge id with different endpoints or label:
-				// relink, and put the old triple back if tx aborts.
-				oldLabel, oldFrom, oldTo := rec.label, rec.from, rec.to
-				s.relink(id, rec, label, from, to)
-				tx.OnUndo(func() { s.relink(id, rec, oldLabel, oldFrom, oldTo) })
-			}
-		} else {
+		e := Edge{ID: id, Label: label, From: from, To: to}
+		switch cur, live := c.Current(tx); {
+		case cur == nil: // an empty chain: link it, and unlink it if the insert aborts
+			s.mu.Lock()
+			s.link(c, e)
+			s.mu.Unlock()
 			// Registered before Stage, so on abort it runs after the
 			// version has been rolled back.
 			tx.OnUndo(func() {
-				if rec.chain.Empty() {
+				if c.Empty() {
 					s.mu.Lock()
-					s.unlink(id, label, from, to)
-					delete(s.edges, id)
+					s.unlink(c, e)
 					s.mu.Unlock()
 				}
 			})
+		case live && !upsert:
+			return fmt.Errorf("graph %s: duplicate edge %q", s.name, id)
+		case cur.Label != label || cur.From != from || cur.To != to:
+			return fmt.Errorf("graph %s: edge %q is %s %s->%s until compacted, not %s %s->%s",
+				s.name, id, cur.Label, cur.From, cur.To, label, from, to)
 		}
-		rec.chain.Stage(tx, props.Clone(), false, s.bump)
+		e.Props = props.Clone()
+		s.edges.Stage(tx, c, &e, false)
 		if tx.Logging() {
 			tx.LogOp(wal.NewOp(wal.OpGraphEdge).String(string(id)).String(label).
 				String(string(from)).String(string(to)).
@@ -295,43 +227,24 @@ func (s *Store) putEdge(tx *txn.Tx, id EID, label string, from, to VID, props mm
 	})
 }
 
-func (s *Store) link(id EID, label string, from, to VID) {
-	if s.out[from] == nil {
-		s.out[from] = make(map[string][]EID)
-	}
-	s.out[from][label] = append(s.out[from][label], id)
-	if s.in[to] == nil {
-		s.in[to] = make(map[string][]EID)
-	}
-	s.in[to][label] = append(s.in[to][label], id)
+// link lists c under e's endpoints; the caller holds s.mu.
+func (s *Store) link(c *txn.Chain[*Edge], e Edge) {
+	s.out.add(e.From, e.Label, c)
+	s.in.add(e.To, e.Label, c)
 }
 
-// relink moves edge id's adjacency entries and record to a new label and
-// endpoints under the store lock. The caller holds the edge's lock.
-func (s *Store) relink(id EID, rec *edgeRec, label string, from, to VID) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.version.Add(1)
-	s.unlink(id, rec.label, rec.from, rec.to)
-	rec.label, rec.from, rec.to = label, from, to
-	s.link(id, label, from, to)
+func (a adjacency) add(v VID, label string, c *txn.Chain[*Edge]) {
+	if a[v] == nil {
+		a[v] = make(map[string][]*txn.Chain[*Edge])
+	}
+	a[v][label] = append(a[v][label], c)
 }
 
-func (s *Store) unlink(id EID, label string, from, to VID) {
-	removeEID := func(list []EID) []EID {
-		for i, e := range list {
-			if e == id {
-				return append(list[:i], list[i+1:]...)
-			}
-		}
-		return list
-	}
-	if m := s.out[from]; m != nil {
-		m[label] = removeEID(m[label])
-	}
-	if m := s.in[to]; m != nil {
-		m[label] = removeEID(m[label])
-	}
+// unlink removes c from e's endpoints' lists; the caller holds s.mu.
+func (s *Store) unlink(c *txn.Chain[*Edge], e Edge) {
+	is := func(x *txn.Chain[*Edge]) bool { return x == c }
+	s.out[e.From][e.Label] = slices.DeleteFunc(s.out[e.From][e.Label], is)
+	s.in[e.To][e.Label] = slices.DeleteFunc(s.in[e.To][e.Label], is)
 }
 
 func normalizeProps(props mmvalue.Value) mmvalue.Value {
@@ -343,72 +256,36 @@ func normalizeProps(props mmvalue.Value) mmvalue.Value {
 
 // GetVertex returns the vertex as visible to tx.
 func (s *Store) GetVertex(tx *txn.Tx, id VID) (Vertex, bool) {
-	s.mu.RLock()
-	rec := s.vertices[id]
-	var label string
-	if rec != nil {
-		label = rec.label
-	}
-	s.mu.RUnlock()
-	if rec == nil {
-		return Vertex{}, false
-	}
-	props, ok := rec.chain.Visible(tx)
-	if !ok {
-		return Vertex{}, false
-	}
-	return Vertex{ID: id, Label: label, Props: props}, true
+	return s.vertices.Get(tx, string(id))
 }
 
 // GetEdge returns the edge as visible to tx.
 func (s *Store) GetEdge(tx *txn.Tx, id EID) (Edge, bool) {
-	s.mu.RLock()
-	rec := s.edges[id]
-	var e Edge
-	if rec != nil {
-		e = rec.edge(id)
+	if e, ok := s.edges.Get(tx, string(id)); ok {
+		return *e, true
 	}
-	s.mu.RUnlock()
-	if rec == nil {
-		return Edge{}, false
-	}
-	props, ok := rec.chain.Visible(tx)
-	if !ok {
-		return Edge{}, false
-	}
-	e.Props = props
-	return e, true
-}
-
-// edge returns the record's identity fields; callers hold s.mu.
-func (rec *edgeRec) edge(id EID) Edge {
-	return Edge{ID: id, Label: rec.label, From: rec.from, To: rec.to}
+	return Edge{}, false
 }
 
 // SetVertexProps replaces the property object of a vertex.
 func (s *Store) SetVertexProps(tx *txn.Tx, id VID, update func(props mmvalue.Value) (mmvalue.Value, error)) error {
-	return s.mgr.Auto(tx, func(tx *txn.Tx) error {
-		if err := tx.LockExclusiveKey(s.vLockKey(id)); err != nil {
+	return s.vertices.Auto(tx, func(tx *txn.Tx) error {
+		c, cur, live, err := s.vertices.LockLive(tx, string(id))
+		if err != nil {
 			return err
 		}
-		s.mu.RLock()
-		rec := s.vertices[id]
-		s.mu.RUnlock()
-		if rec == nil {
-			return fmt.Errorf("graph %s: no vertex %q", s.name, id)
-		}
-		cur, live := rec.chain.Current(tx)
 		if !live {
 			return fmt.Errorf("graph %s: no vertex %q", s.name, id)
 		}
-		next, err := update(cur.Clone())
+		next, err := update(cur.Props.Clone())
 		if err != nil {
 			return err
 		}
 		if next.Kind() != mmvalue.KindObject {
 			return fmt.Errorf("graph %s: vertex props must be an object", s.name)
 		}
-		rec.chain.Stage(tx, next, false, s.bump)
+		cur.Props = next
+		s.vertices.Stage(tx, c, cur, false)
 		if tx.Logging() {
 			tx.LogOp(wal.NewOp(wal.OpGraphVertexProps).String(string(id)).
 				Bytes(mmvalue.AppendBinary(nil, next)).Build())
@@ -419,48 +296,50 @@ func (s *Store) SetVertexProps(tx *txn.Tx, id VID, update func(props mmvalue.Val
 
 // RemoveEdge tombstones an edge.
 func (s *Store) RemoveEdge(tx *txn.Tx, id EID) error {
-	return s.mgr.Auto(tx, func(tx *txn.Tx) error {
-		if err := tx.LockExclusiveKey(s.eLockKey(id)); err != nil {
+	return s.edges.Auto(tx, func(tx *txn.Tx) error {
+		c, ok, err := s.edges.LockExisting(tx, string(id))
+		if err != nil || !ok {
 			return err
 		}
-		s.mu.RLock()
-		rec := s.edges[id]
-		s.mu.RUnlock()
-		if rec == nil {
-			return nil
-		}
-		rec.chain.Stage(tx, mmvalue.Null, true, s.bump)
-		if tx.Logging() {
-			tx.LogOp(wal.NewOp(wal.OpGraphRemoveEdge).String(string(id)).Build())
-		}
+		s.tombstone(tx, c)
 		return nil
 	})
 }
 
+// tombstone stages the removal of c's edge, which tx has locked. The
+// tombstone keeps the edge's identity for Compact and for a re-add; an
+// empty chain (an aborted insert) has no edge to remove.
+func (s *Store) tombstone(tx *txn.Tx, c *txn.Chain[*Edge]) {
+	cur, _ := c.Current(tx)
+	if cur == nil {
+		return
+	}
+	e := *cur
+	e.Props = mmvalue.Null
+	s.edges.Stage(tx, c, &e, true)
+	if tx.Logging() {
+		tx.LogOp(wal.NewOp(wal.OpGraphRemoveEdge).String(string(e.ID)).Build())
+	}
+}
+
 // RemoveVertex tombstones a vertex and all incident edges.
 func (s *Store) RemoveVertex(tx *txn.Tx, id VID) error {
-	return s.mgr.Auto(tx, func(tx *txn.Tx) error {
-		if err := tx.LockExclusiveKey(s.vLockKey(id)); err != nil {
+	return s.vertices.Auto(tx, func(tx *txn.Tx) error {
+		c, ok, err := s.vertices.LockExisting(tx, string(id))
+		if err != nil || !ok {
 			return err
 		}
+		var incident []*txn.Chain[*Edge]
 		s.mu.RLock()
-		rec := s.vertices[id]
-		var incident []EID
-		for _, byLabel := range [2]map[string][]EID{s.out[id], s.in[id]} {
-			for _, eids := range byLabel {
-				incident = append(incident, eids...)
-			}
-		}
+		s.eachList(id, Both, "", func(cs []*txn.Chain[*Edge], _ bool) { incident = append(incident, cs...) })
 		s.mu.RUnlock()
-		if rec == nil {
-			return nil
-		}
-		for _, eid := range incident {
-			if err := s.RemoveEdge(tx, eid); err != nil {
+		for _, ec := range incident {
+			if err := tx.LockExclusiveKey(ec.Res); err != nil {
 				return err
 			}
+			s.tombstone(tx, ec)
 		}
-		rec.chain.Stage(tx, mmvalue.Null, true, s.bump)
+		s.vertices.Stage(tx, c, Vertex{ID: id}, true)
 		if tx.Logging() {
 			tx.LogOp(wal.NewOp(wal.OpGraphRemoveVertex).String(string(id)).Build())
 		}
@@ -481,41 +360,32 @@ const (
 // Neighbors returns the edges incident to v in direction dir with the
 // given label ("" for any label), as visible to tx, sorted by edge id.
 func (s *Store) Neighbors(tx *txn.Tx, v VID, dir Dir, label string) []Edge {
+	var out []Edge
 	s.mu.RLock()
-	var candidates []EID
-	s.eachList(v, dir, label, func(eids []EID, _ bool) { candidates = append(candidates, eids...) })
+	s.eachList(v, dir, label, func(cs []*txn.Chain[*Edge], _ bool) {
+		for _, c := range cs {
+			if e, ok := c.Visible(tx); ok {
+				out = append(out, *e)
+			}
+		}
+	})
 	s.mu.RUnlock()
-	out := make([]Edge, 0, len(candidates))
-	seen := make(map[EID]bool, len(candidates))
-	for _, eid := range candidates {
-		if seen[eid] {
-			continue
-		}
-		seen[eid] = true
-		if e, ok := s.GetEdge(tx, eid); ok {
-			out = append(out, e)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// Degree returns the number of live incident edges.
-func (s *Store) Degree(tx *txn.Tx, v VID, dir Dir, label string) int {
-	return len(s.Neighbors(tx, v, dir, label))
+	slices.SortFunc(out, func(a, b Edge) int { return cmp.Compare(a.ID, b.ID) })
+	// A self-loop is in both of v's lists when dir is Both.
+	return slices.CompactFunc(out, func(a, b Edge) bool { return a.ID == b.ID })
 }
 
 // eachList calls fn with each of v's adjacency lists that dir and label
 // ("" for any label) select; in tells fn the list holds v's in-edges.
 // The caller holds s.mu.
-func (s *Store) eachList(v VID, dir Dir, label string, fn func(eids []EID, in bool)) {
-	side := func(byLabel map[string][]EID, in bool) {
+func (s *Store) eachList(v VID, dir Dir, label string, fn func(cs []*txn.Chain[*Edge], in bool)) {
+	side := func(byLabel map[string][]*txn.Chain[*Edge], in bool) {
 		if label != "" {
 			fn(byLabel[label], in)
 			return
 		}
-		for _, eids := range byLabel {
-			fn(eids, in)
+		for _, cs := range byLabel {
+			fn(cs, in)
 		}
 	}
 	if dir != In {
@@ -553,19 +423,20 @@ func (s *Store) khopMaps(tx *txn.Tx, starts []VID, k int, dir Dir, label string)
 		visited[v] = true
 	}
 	frontier, result, visits := starts, []VID(nil), 0
-	visit := func(eids []EID, in bool) {
-		visits += len(eids)
-		for _, id := range eids {
-			rec := s.edges[id]
-			nb := rec.to
+	visit := func(cs []*txn.Chain[*Edge], in bool) {
+		visits += len(cs)
+		for _, c := range cs {
+			e, ok := c.Visible(tx)
+			if !ok {
+				continue
+			}
+			nb := e.To
 			if in {
-				nb = rec.from
+				nb = e.From
 			}
 			if !visited[nb] {
-				if _, ok := rec.chain.Visible(tx); ok {
-					visited[nb] = true
-					result = append(result, nb)
-				}
+				visited[nb] = true
+				result = append(result, nb)
 			}
 		}
 	}
@@ -623,10 +494,10 @@ func (s *Store) csrFor(tx *txn.Tx, key csrKey, buy bool) (*csr, *csrEntry) {
 	if buy && e.adj.Load() == nil && e.visits.Load() >= int64(s.Len()) {
 		btx := tx
 		if btx == nil {
-			btx = s.mgr.Begin()
+			btx = s.Manager().Begin()
 			defer btx.Abort()
 		}
-		if s.mgr.Certifies(btx) {
+		if s.Manager().Certifies(btx) {
 			e.once.Do(func() {
 				c := s.buildCSR(btx, key)
 				s.csrBuilds.Add(1)
@@ -719,55 +590,31 @@ func (c *csr) walk(starts []VID, k int) []VID {
 	return out
 }
 
-// Vertices calls fn for every live vertex visible to tx in id order.
+// Vertices calls fn for every live vertex visible to tx in id order,
+// until fn returns false. Like ordmap.Ascend it holds the vertex
+// records' structural read lock throughout, so fn must not add or look
+// up vertices.
 func (s *Store) Vertices(tx *txn.Tx, fn func(v Vertex) bool) {
-	s.mu.RLock()
-	ids := make([]VID, 0, len(s.vertices))
-	for id := range s.vertices {
-		ids = append(ids, id)
-	}
-	s.mu.RUnlock()
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		if v, ok := s.GetVertex(tx, id); ok {
-			if !fn(v) {
-				return
-			}
-		}
-	}
+	s.vertices.Scan(tx, "", "", func(_ string, v Vertex) bool { return fn(v) })
 }
 
 // Edges calls fn for every live edge with the given label ("" for every
-// label) visible to tx, in no particular order, until fn returns false.
-// Like ordmap.Ascend it holds the structural read lock throughout — here
-// the store's, while it walks the out-adjacency lists — so fn must not
-// call back into the store; gathering the edges first to release the
-// lock would cost more than the walk itself.
+// label) visible to tx, until fn returns false: every label's in id
+// order, one label's in no particular order. It holds a structural read
+// lock throughout, the edge records' (like ordmap.Ascend) or, for one
+// label, the store's while it walks that label's out-lists, so fn must
+// not call back into the store; gathering the edges first to release
+// the lock would cost more than the walk itself.
 func (s *Store) Edges(tx *txn.Tx, label string, fn func(e Edge) bool) {
+	if label == "" {
+		s.edges.Scan(tx, "", "", func(_ string, e *Edge) bool { return fn(*e) })
+		return
+	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	visit := func(eids []EID) bool {
-		for _, id := range eids {
-			rec := s.edges[id]
-			if props, ok := rec.chain.Visible(tx); ok {
-				e := rec.edge(id)
-				e.Props = props
-				if !fn(e) {
-					return false
-				}
-			}
-		}
-		return true
-	}
 	for _, byLabel := range s.out {
-		if label != "" {
-			if !visit(byLabel[label]) {
-				return
-			}
-			continue
-		}
-		for _, eids := range byLabel {
-			if !visit(eids) {
+		for _, c := range byLabel[label] {
+			if e, ok := c.Visible(tx); ok && !fn(*e) {
 				return
 			}
 		}
@@ -789,28 +636,20 @@ func (s *Store) EdgeCount(tx *txn.Tx) int {
 }
 
 // Compact garbage-collects vertex and edge versions shadowed below
-// horizon and unlinks dead records; a dead edge also leaves the
-// adjacency lists. It returns the number of versions dropped and, like
-// every store's Compact, must not run concurrently with transactions
-// that might read below horizon.
+// horizon and removes dead records, a dead edge from both adjacency
+// lists first (Store). It returns the number of versions dropped and,
+// like every store's Compact, must not run concurrently with
+// transactions that might read below horizon.
 func (s *Store) Compact(horizon txn.TS) int {
+	dead := func(c *txn.Chain[*Edge]) bool { return c.Dead(horizon) }
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	dropped := 0
-	for id, rec := range s.edges {
-		n, dead := rec.chain.Collect(horizon)
-		dropped += n
-		if dead {
-			s.unlink(id, rec.label, rec.from, rec.to)
-			delete(s.edges, id)
+	for _, lists := range [2]adjacency{s.out, s.in} {
+		for _, byLabel := range lists {
+			for label, cs := range byLabel {
+				byLabel[label] = slices.DeleteFunc(cs, dead)
+			}
 		}
 	}
-	for id, rec := range s.vertices {
-		n, dead := rec.chain.Collect(horizon)
-		dropped += n
-		if dead {
-			delete(s.vertices, id)
-		}
-	}
-	return dropped
+	s.mu.Unlock()
+	return s.vertices.Compact(horizon) + s.edges.Compact(horizon)
 }

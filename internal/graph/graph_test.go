@@ -441,6 +441,10 @@ func TestSetVertexProps(t *testing.T) {
 	}
 }
 
+// TestEdgeIDReuseAfterDelete pins the id rule: a removed edge's id
+// comes back with its own label and endpoints at once, with another
+// triple only once Compact has removed the dead record, and a snapshot
+// older than the reuse still reads the original edge.
 func TestEdgeIDReuseAfterDelete(t *testing.T) {
 	g := newTestGraph()
 	for _, v := range []VID{"a", "b", "c"} {
@@ -448,9 +452,26 @@ func TestEdgeIDReuseAfterDelete(t *testing.T) {
 	}
 	g.AddEdge(nil, "e", "l", "a", "b", mmvalue.Null)
 	g.RemoveEdge(nil, "e")
-	// Reuse the id with different endpoints.
+	if err := g.AddEdge(nil, "e", "l", "a", "b", mmvalue.ObjectOf("w", 2)); err != nil {
+		t.Fatalf("reuse with the same triple: %v", err)
+	}
+	old := g.Manager().Begin()
+	g.RemoveEdge(nil, "e")
+	for _, add := range []func() error{
+		func() error { return g.AddEdge(nil, "e", "l", "b", "c", mmvalue.Null) },
+		func() error { return g.ApplyEdge(nil, "e", "m", "a", "b", mmvalue.Null) },
+	} {
+		if err := add(); err == nil {
+			t.Fatal("reuse with another triple before Compact succeeded")
+		}
+	}
+	if e, ok := g.GetEdge(old, "e"); !ok || e.From != "a" || e.To != "b" || e.Label != "l" {
+		t.Fatalf("older snapshot reads %+v, %v; want l a->b", e, ok)
+	}
+	old.Abort()
+	g.Compact(g.Manager().Published() + 1)
 	if err := g.AddEdge(nil, "e", "l", "b", "c", mmvalue.Null); err != nil {
-		t.Fatal(err)
+		t.Fatalf("reuse with another triple after Compact: %v", err)
 	}
 	e, ok := g.GetEdge(nil, "e")
 	if !ok || e.From != "b" || e.To != "c" {
@@ -646,10 +667,11 @@ func BenchmarkKHop(b *testing.B) {
 	})
 }
 
-// TestEdgeRelinkRollsBackOnAbort pins the undo of an edge-id reuse with
-// new endpoints and label: an aborted reuse must leave the record and
-// the adjacency lists as they were, so an older snapshot still sees the
-// original edge.
+// TestEdgeRelinkRollsBackOnAbort pins that an edge id is never relinked:
+// re-adding a removed edge with a new label or endpoints is refused
+// while its record exists, and an aborted re-add with its own triple
+// leaves the record and the adjacency lists as they were, so an older
+// snapshot still sees the original edge once.
 func TestEdgeRelinkRollsBackOnAbort(t *testing.T) {
 	g := newTestGraph()
 	for _, v := range []VID{"a", "b", "c"} {
@@ -664,25 +686,71 @@ func TestEdgeRelinkRollsBackOnAbort(t *testing.T) {
 		t.Fatal(err)
 	}
 	tx := g.Manager().Begin()
-	if err := g.AddEdge(tx, "e", "m", "b", "c", mmvalue.Null); err != nil {
+	if err := g.AddEdge(tx, "e", "m", "b", "c", mmvalue.Null); err == nil {
+		t.Fatal("re-add with a new label and endpoints succeeded")
+	}
+	if err := g.AddEdge(tx, "e", "l", "a", "b", mmvalue.ObjectOf("w", 1)); err != nil {
 		t.Fatal(err)
 	}
-	if e, ok := g.GetEdge(tx, "e"); !ok || e.Label != "m" || e.From != "b" || e.To != "c" {
-		t.Fatalf("in-flight reuse = %+v, %v", e, ok)
+	if e, ok := g.GetEdge(tx, "e"); !ok || e.Label != "l" || e.From != "a" || e.To != "b" {
+		t.Fatalf("in-flight re-add = %+v, %v", e, ok)
 	}
 	tx.Abort()
 	e, ok := g.GetEdge(old, "e")
-	if !ok || e.Label != "l" || e.From != "a" || e.To != "b" {
-		t.Fatalf("old snapshot after aborted reuse = %+v, %v; want l a->b", e, ok)
+	if !ok || e.Label != "l" || e.From != "a" || e.To != "b" || e.Props.MustObject().Len() != 0 {
+		t.Fatalf("old snapshot after aborted re-add = %+v, %v; want l a->b", e, ok)
 	}
 	if d := g.Degree(old, "a", Out, "l"); d != 1 {
 		t.Errorf("old snapshot a out-degree over l = %d, want 1", d)
 	}
 	if d := g.Degree(old, "b", Out, "m"); d != 0 {
-		t.Errorf("aborted relink left b -m-> adjacency, degree %d", d)
+		t.Errorf("refused re-add left b -m-> adjacency, degree %d", d)
+	}
+	g.mu.RLock()
+	out, in := len(g.out["a"]["l"]), len(g.in["b"]["l"])
+	g.mu.RUnlock()
+	if out != 1 || in != 1 {
+		t.Errorf("aborted re-add: e listed %d times out of a, %d into b; want 1, 1", out, in)
 	}
 	if _, ok := g.GetEdge(nil, "e"); ok {
-		t.Error("removed edge visible at latest after aborted reuse")
+		t.Error("removed edge visible at latest after aborted re-add")
+	}
+}
+
+// TestEdgeInsertAbortRetryLinksOnce pins the adjacency invariant through
+// a deadlock retry's path: a fresh insert on a shared transaction that
+// aborts leaves an empty chain and unlinks it, and the retry with the
+// same id links it again exactly once.
+func TestEdgeInsertAbortRetryLinksOnce(t *testing.T) {
+	g := buildSocial(t)
+	for attempt := 0; attempt < 3; attempt++ {
+		tx := g.Manager().Begin()
+		if err := g.AddEdge(tx, "ed", "knows", "d", "a", mmvalue.Null); err != nil {
+			t.Fatal(err)
+		}
+		if attempt < 2 {
+			tx.Abort()
+			continue
+		}
+		if _, err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g.mu.RLock()
+	out, in := len(g.out["d"]["knows"]), len(g.in["a"]["knows"])
+	g.mu.RUnlock()
+	if out != 1 || in != 1 {
+		t.Errorf("after two aborts and a commit: ed listed %d times out of d, %d into a; want 1, 1", out, in)
+	}
+	starts := []VID{"a", "d"}
+	for _, dir := range []Dir{Out, In, Both} {
+		got, want := g.KHop(nil, starts, 3, dir, "knows"), g.KHopMaps(nil, starts, 3, dir, "knows")
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("dir %d: KHop = %v, map walk %v", dir, got, want)
+		}
+	}
+	if got := g.Neighbors(nil, "d", Out, "knows"); len(got) != 1 || got[0].ID != "ed" {
+		t.Errorf("d's out-edges = %v, want ed once", got)
 	}
 }
 
@@ -751,21 +819,15 @@ func TestGetVertexDuringRelabel(t *testing.T) {
 }
 
 // edgesByScan is the reference for Edges: every edge record in id order
-// through GetEdge, filtered by label.
+// as tx sees it, filtered by label.
 func edgesByScan(g *Store, tx *txn.Tx, label string) []Edge {
-	g.mu.RLock()
-	ids := make([]EID, 0, len(g.edges))
-	for id := range g.edges {
-		ids = append(ids, id)
-	}
-	g.mu.RUnlock()
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	var out []Edge
-	for _, id := range ids {
-		if e, ok := g.GetEdge(tx, id); ok && (label == "" || e.Label == label) {
-			out = append(out, e)
+	g.edges.Scan(tx, "", "", func(_ string, e *Edge) bool {
+		if label == "" || e.Label == label {
+			out = append(out, *e)
 		}
-	}
+		return true
+	})
 	return out
 }
 
@@ -785,11 +847,15 @@ func TestEdgesByLabelMatchesFilteredScan(t *testing.T) {
 	if err := g.RemoveEdge(nil, "e2"); err != nil {
 		t.Fatal(err)
 	}
-	// Relabel: remove e3 and reuse its id under another label.
+	// Relabel: remove e3; its id stays knows c->d until compacted, so
+	// the follows edge takes a new id.
 	if err := g.RemoveEdge(nil, "e3"); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.AddEdge(nil, "e3", "follows", "d", "a", mmvalue.Null); err != nil {
+	if err := g.AddEdge(nil, "e3", "follows", "d", "a", mmvalue.Null); err == nil {
+		t.Fatal("e3 reused under another label before Compact")
+	}
+	if err := g.AddEdge(nil, "f3", "follows", "d", "a", mmvalue.Null); err != nil {
 		t.Fatal(err)
 	}
 	open := mgr.Begin()
@@ -841,8 +907,9 @@ func TestEdgesByLabelMatchesFilteredScan(t *testing.T) {
 
 // TestVersionCountsWrites pins Version's contract: every write path
 // moves the counter no later than its commit becomes visible — a reader
-// that sees the write also sees a new version — an edge relink moves it
-// as it happens and its undo moves it again, and reads never move it.
+// that sees the write also sees a new version — an aborted write, an
+// edge insert's link and unlink included, does not move it, and reads
+// never move it.
 func TestVersionCountsWrites(t *testing.T) {
 	g := buildSocial(t)
 	for _, w := range []struct {
@@ -857,8 +924,8 @@ func TestVersionCountsWrites(t *testing.T) {
 		{"SetVertexProps", func() error {
 			return g.SetVertexProps(nil, "x", func(mmvalue.Value) (mmvalue.Value, error) { return mmvalue.ObjectOf("k", 1), nil })
 		}, func() bool { v, ok := g.GetVertex(nil, "x"); return ok && v.Props.MustObject().Len() == 1 }},
-		{"ApplyEdge relink", func() error { return g.ApplyEdge(nil, "ex", "bought", "b", "p1", mmvalue.Null) },
-			func() bool { e, ok := g.GetEdge(nil, "ex"); return ok && e.Label == "bought" }},
+		{"ApplyEdge", func() error { return g.ApplyEdge(nil, "ex", "knows", "x", "a", mmvalue.ObjectOf("w", 1)) },
+			func() bool { e, ok := g.GetEdge(nil, "ex"); return ok && e.Props.MustObject().Len() == 1 }},
 		{"RemoveEdge", func() error { return g.RemoveEdge(nil, "ex") },
 			func() bool { _, ok := g.GetEdge(nil, "ex"); return !ok }},
 		{"RemoveVertex", func() error { return g.RemoveVertex(nil, "x") },
@@ -879,19 +946,15 @@ func TestVersionCountsWrites(t *testing.T) {
 		}
 	}
 
-	// A relink moves the counter before the commit, and its undo again.
 	before := g.Version()
 	tx := g.Manager().Begin()
-	if err := g.ApplyEdge(tx, "e1", "bought", "b", "p1", mmvalue.Null); err != nil {
+	if err := g.AddEdge(tx, "ey", "knows", "b", "a", mmvalue.Null); err != nil {
 		t.Fatal(err)
 	}
 	mid := g.Version()
 	tx.Abort()
-	if after := g.Version(); mid <= before || after <= mid {
-		t.Errorf("aborted relink: version %d, then %d, then %d after the undo; want it to rise twice", before, mid, after)
-	}
-	if e, _ := g.GetEdge(nil, "e1"); e.Label != "knows" || e.From != "a" {
-		t.Errorf("aborted relink left %+v", e)
+	if after := g.Version(); mid != before || after != before {
+		t.Errorf("aborted insert: version %d, then %d, then %d after the undo; want it unmoved", before, mid, after)
 	}
 
 	before = g.Version()

@@ -1,9 +1,9 @@
 // Package ordmap provides a concurrent ordered map from string keys to
 // arbitrary payloads. It is the physical index structure under the
 // record layer: txn.Records keeps its version chains in one ordmap.Map,
-// and the key-value store, relational tables, document collections and
-// the XML registry are each built on a txn.Records rather than on this
-// package directly.
+// and the key-value store, relational tables, document collections,
+// the XML registry and the graph's vertices and edges are each built on
+// a txn.Records rather than on this package directly.
 //
 // Each key lives in two structures: a hash for point lookups (Get and
 // GetOrInsert of an existing key) and a skip list for order (Ascend).

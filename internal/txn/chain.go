@@ -177,15 +177,19 @@ func (c *Chain[T]) Stage(tx *Tx, value T, deleted bool, committing func(c *Chain
 
 // Collect is the per-record compaction step: it garbage-collects
 // versions shadowed below horizon and reports how many were dropped and
-// whether the record is dead — its latest committed version is a
-// tombstone older than horizon — so the owner can unlink it.
+// whether the record is Dead, so the owner can unlink it.
 func (c *Chain[T]) Collect(horizon TS) (dropped int, dead bool) {
-	dropped = c.GC(horizon)
-	if _, live := c.ReadLatest(); !live {
-		ts := c.LatestCommitTS()
-		dead = ts != 0 && ts < horizon
+	return c.GC(horizon), c.Dead(horizon)
+}
+
+// Dead reports whether the record's latest committed version is a
+// tombstone older than horizon. GC does not change the answer.
+func (c *Chain[T]) Dead(horizon TS) bool {
+	if _, live := c.ReadLatest(); live {
+		return false
 	}
-	return dropped, dead
+	ts := c.LatestCommitTS()
+	return ts != 0 && ts < horizon
 }
 
 // GC drops committed versions that are older than horizon and shadowed

@@ -15,11 +15,11 @@ import (
 // about a record — its interned lock key, the lock-then-recheck
 // protocol, the write / undo / commit-stamp ritual, snapshot-vs-latest
 // visibility for point reads and ordered scans, advisory secondary
-// indexes, a committed-write counter and version garbage collection. The relational, document,
-// key-value and XML stores are each a Records plus what is specific to
-// their model (schema, filters, XML trees, WAL op encodings); the graph
-// store keeps hash-keyed records and drives its chains through the
-// same Chain helpers (Stage, Visible, Current, Collect).
+// indexes, a committed-write counter and version garbage collection.
+// All five stores are built on it: the relational, document, key-value
+// and XML stores are each a Records, the graph two (vertices and
+// edges), plus what is specific to their model (schema, filters, XML
+// trees, adjacency lists, WAL op encodings).
 type Records[T any] struct {
 	mgr    *Manager
 	prefix string // lock-resource prefix; two Records on one manager must differ

@@ -58,13 +58,14 @@ func q2FriendsPurchases(st datagen.Target, s session, p Params) (int, error) {
 			continue
 		}
 		s.Hop()
-		for _, o := range orders.Find(s.DocTx(), document.Eq("customer_id", fid), nil) {
+		orders.Stream(s.DocTx(), document.Eq("customer_id", fid), func(o mmvalue.Value) bool {
 			items, _ := o.MustObject().GetOr("items", mmvalue.Null).AsArray()
 			for _, it := range items {
 				pid, _ := it.MustObject().Get("product_id")
 				products[pid.MustString()] = true
 			}
-		}
+			return true
+		})
 	}
 	return len(products), nil
 }
@@ -95,7 +96,11 @@ func q10FullChain(st datagen.Target, s session, p Params) (int, error) {
 	}
 	touched := 1
 	s.Hop()
-	orders := st.Docs.Collection("orders").Find(s.DocTx(), document.Eq("customer_id", p.CustomerID), nil)
+	var orders []mmvalue.Value // shared with the store: read only
+	st.Docs.Collection("orders").Stream(s.DocTx(), document.Eq("customer_id", p.CustomerID), func(o mmvalue.Value) bool {
+		orders = append(orders, o)
+		return true
+	})
 	products := st.Docs.Collection("products")
 	for _, o := range orders {
 		touched++
