@@ -63,11 +63,13 @@ func TestCompactUnlinksDeadEdges(t *testing.T) {
 	if got := s.Neighbors(reader, "a", Out, "knows"); len(got) != 2 {
 		t.Fatalf("snapshot lost edges to a compact at its own horizon: %v", got)
 	}
+	if !holds(s.edges, "ab") || !holds(s.vertices, "b") {
+		t.Fatal("a compact at a reader's horizon removed records the reader sees")
+	}
 	reader.Abort()
 	s.Compact(mgr.Published() + 1)
+	edge, vertex := holds(s.edges, "ab"), holds(s.vertices, "b")
 	s.mu.RLock()
-	edge := s.edges.Len() == 2      // ab and ac
-	vertex := s.vertices.Len() == 3 // a, b and c
 	out, in := len(s.out["a"]["knows"]), len(s.in["b"]["knows"])
 	s.mu.RUnlock()
 	if edge || vertex || out != 1 || in != 0 {
@@ -77,4 +79,12 @@ func TestCompactUnlinksDeadEdges(t *testing.T) {
 	if got := s.Neighbors(nil, "a", Out, "knows"); len(got) != 1 || got[0].ID != "ac" {
 		t.Fatalf("live edge lost: %v", got)
 	}
+}
+
+// holds reports whether r still has key's record, live or dead.
+func holds[T any](r *txn.Records[T], key string) bool {
+	tx := r.Manager().Begin()
+	defer tx.Abort()
+	_, ok, err := r.LockExisting(tx, key)
+	return ok && err == nil
 }

@@ -33,8 +33,7 @@ func buyAll(t *testing.T, g *graph.Store, labels []string, start graph.VID) {
 
 // TestKHopCSRMatchesMaps checks the CSR walk against the map walk on
 // seeded random graphs over three labels with removed edges, edge ids
-// reused with new endpoints and labels (removed, compacted, re-added),
-// self-loops, parallel
+// reused with new endpoints and labels (relinks), self-loops, parallel
 // edges, and start sets with duplicates and absent vertices, for k 0-3,
 // every direction and label "" too, after each of three write stages.
 func TestKHopCSRMatchesMaps(t *testing.T) {
@@ -57,12 +56,8 @@ func TestKHopCSRMatchesMaps(t *testing.T) {
 				switch op := rng.Intn(10); {
 				case op < 2 && len(ids) > 0: // remove
 					err = g.RemoveEdge(nil, ids[rng.Intn(len(ids))])
-				case op < 4 && len(ids) > 0: // reuse an id, live or removed, with a new triple
-					id := ids[rng.Intn(len(ids))]
-					if err = g.RemoveEdge(nil, id); err == nil {
-						g.Compact(g.Manager().Published() + 1)
-						err = g.ApplyEdge(nil, id, label, from, to, mmvalue.Null)
-					}
+				case op < 4 && len(ids) > 0: // relink an id, live or removed
+					err = g.ApplyEdge(nil, ids[rng.Intn(len(ids))], label, from, to, mmvalue.Null)
 				case op < 5: // self-loop
 					to = from
 					fallthrough

@@ -69,9 +69,10 @@ type adjacency map[VID]map[string][]*txn.Chain[*Edge]
 // and the adjacency lists out[v][label] and in[v][label] of edge
 // chains. An edge version is an immutable *Edge, so a walk reads the
 // endpoints through a pointer instead of copying the edge out. An edge
-// id keeps its label and endpoints while its record exists: adding it
-// with another triple fails until Compact has removed the dead record.
-// Four invariants hold:
+// id keeps its label and endpoints while its record exists: AddEdge
+// with another triple fails until Compact has removed the dead record,
+// and ApplyEdge, for replay, replaces the record at once. Four
+// invariants hold:
 //
 //   - Adjacency: a chain is in the lists iff it holds a version. A fresh
 //     insert (an empty chain) links it; the insert's abort unlinks it
@@ -167,12 +168,15 @@ func (s *Store) AddEdge(tx *txn.Tx, id EID, label string, from, to VID, props mm
 }
 
 // ApplyEdge is the replay path: it upserts the edge without the
-// duplicate-id check (the label and endpoints must still match the
-// record's, Store), so recovery can reapply a logged add whether or not
-// a snapshot already holds the edge. The endpoint vertices must exist,
-// which replay guarantees because their ops precede the edge op in the
-// log. Replay does not compact, so a log in which an id comes back with
-// another triple after a Compact of the live store fails here.
+// duplicate-id check, so recovery can reapply a logged add whether or
+// not a snapshot already holds the edge. A record of another label or
+// endpoints, live or removed, is replaced: replay does not compact, so
+// an id the live store reused after a Compact comes back here, and so
+// does every reused id when a log is replayed twice. The old record
+// goes from the lists and the records at once, which only replay may
+// do: no other transaction can still read it, and if tx aborts it stays
+// gone (replay then fails). The endpoint vertices must exist, which
+// replay guarantees because their ops precede the edge op in the log.
 func (s *Store) ApplyEdge(tx *txn.Tx, id EID, label string, from, to VID, props mmvalue.Value) error {
 	return s.putEdge(tx, id, label, from, to, props, true)
 }
@@ -196,7 +200,19 @@ func (s *Store) putEdge(tx *txn.Tx, id EID, label string, from, to VID, props mm
 			return err
 		}
 		e := Edge{ID: id, Label: label, From: from, To: to}
-		switch cur, live := c.Current(tx); {
+		cur, live := c.Current(tx)
+		same := cur == nil || cur.Label == label && cur.From == from && cur.To == to
+		if !same && upsert { // replay replaces the record (ApplyEdge)
+			s.mu.Lock()
+			s.unlink(c, *cur)
+			s.mu.Unlock()
+			s.edges.Remove(string(id))
+			if c, err = s.edges.Lock(tx, string(id)); err != nil {
+				return err
+			}
+			cur = nil
+		}
+		switch {
 		case cur == nil: // an empty chain: link it, and unlink it if the insert aborts
 			s.mu.Lock()
 			s.link(c, e)
@@ -212,7 +228,7 @@ func (s *Store) putEdge(tx *txn.Tx, id EID, label string, from, to VID, props mm
 			})
 		case live && !upsert:
 			return fmt.Errorf("graph %s: duplicate edge %q", s.name, id)
-		case cur.Label != label || cur.From != from || cur.To != to:
+		case !same:
 			return fmt.Errorf("graph %s: edge %q is %s %s->%s until compacted, not %s %s->%s",
 				s.name, id, cur.Label, cur.From, cur.To, label, from, to)
 		}

@@ -457,13 +457,8 @@ func TestEdgeIDReuseAfterDelete(t *testing.T) {
 	}
 	old := g.Manager().Begin()
 	g.RemoveEdge(nil, "e")
-	for _, add := range []func() error{
-		func() error { return g.AddEdge(nil, "e", "l", "b", "c", mmvalue.Null) },
-		func() error { return g.ApplyEdge(nil, "e", "m", "a", "b", mmvalue.Null) },
-	} {
-		if err := add(); err == nil {
-			t.Fatal("reuse with another triple before Compact succeeded")
-		}
+	if err := g.AddEdge(nil, "e", "l", "b", "c", mmvalue.Null); err == nil {
+		t.Fatal("reuse with another triple before Compact succeeded")
 	}
 	if e, ok := g.GetEdge(old, "e"); !ok || e.From != "a" || e.To != "b" || e.Label != "l" {
 		t.Fatalf("older snapshot reads %+v, %v; want l a->b", e, ok)
@@ -482,6 +477,51 @@ func TestEdgeIDReuseAfterDelete(t *testing.T) {
 	}
 	if g.Degree(nil, "b", Out, "l") != 1 {
 		t.Error("new adjacency entry missing")
+	}
+}
+
+// TestApplyEdgeReplacesOtherTriple pins replay's side of the id rule:
+// ApplyEdge with another label or endpoints replaces a removed or a
+// live record without a Compact, so a log that reuses an id after a
+// live Compact replays, and so does a second pass over it. The replaced
+// record leaves both adjacency lists.
+func TestApplyEdgeReplacesOtherTriple(t *testing.T) {
+	g := newTestGraph()
+	for _, v := range []VID{"a", "b", "c"} {
+		g.AddVertex(nil, v, "n", mmvalue.Null)
+	}
+	g.AddEdge(nil, "e", "l", "a", "b", mmvalue.Null)
+	g.RemoveEdge(nil, "e")
+	for _, step := range []struct {
+		label    string
+		from, to VID
+	}{{"m", "b", "c"}, {"l", "c", "a"}} { // over the tombstone, then over a live edge
+		if err := g.ApplyEdge(nil, "e", step.label, step.from, step.to, mmvalue.Null); err != nil {
+			t.Fatalf("ApplyEdge %s %s->%s: %v", step.label, step.from, step.to, err)
+		}
+		if e, ok := g.GetEdge(nil, "e"); !ok || e.Label != step.label || e.From != step.from || e.To != step.to {
+			t.Fatalf("after ApplyEdge %s %s->%s: %+v, %v", step.label, step.from, step.to, e, ok)
+		}
+		if g.Len() != 1 {
+			t.Fatalf("edge records = %d, want 1", g.Len())
+		}
+	}
+	g.mu.RLock()
+	entries := 0
+	for _, lists := range []adjacency{g.out, g.in} {
+		for _, byLabel := range lists {
+			for _, cs := range byLabel {
+				entries += len(cs)
+			}
+		}
+	}
+	out, in := len(g.out["c"]["l"]), len(g.in["a"]["l"])
+	g.mu.RUnlock()
+	if entries != 2 || out != 1 || in != 1 {
+		t.Errorf("lists hold %d entries, e %d times out of c and %d into a; want 2, 1, 1", entries, out, in)
+	}
+	if got := g.KHop(nil, []VID{"c"}, 2, Both, ""); fmt.Sprint(got) != "[a]" {
+		t.Errorf("KHop from c = %v, want [a]", got)
 	}
 }
 

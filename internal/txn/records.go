@@ -187,15 +187,30 @@ func (r *Records[T]) Compact(horizon TS) int {
 		}
 		return true
 	})
+	r.unlink(dead)
+	return dropped
+}
+
+// Remove unlinks key's record at once, live or not, its index entries
+// first. Unlike Compact it keeps no version for older snapshots, so the
+// caller must know that no other transaction can read the record, as
+// in recovery replay.
+func (r *Records[T]) Remove(key string) {
+	if c, ok := r.chains.Get(key); ok {
+		r.unlink(map[*Chain[T]]string{c: key})
+	}
+}
+
+// unlink removes the records of chains from the indexes, then the map.
+func (r *Records[T]) unlink(chains map[*Chain[T]]string) {
 	r.idxMu.RLock()
 	for _, ix := range r.indexes {
-		ix.drop(dead)
+		ix.drop(chains)
 	}
 	r.idxMu.RUnlock()
-	for _, key := range dead {
+	for _, key := range chains {
 		r.chains.Remove(key)
 	}
-	return dropped
 }
 
 // index is an advisory equality index: indexed value -> bucket of
