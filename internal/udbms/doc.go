@@ -29,9 +29,9 @@
 // rule keeps store rows intact: no stage mutates a row it is pushed. A
 // stage that attaches a field (the joins, Unnest) extends a copy of the
 // row object — a scratch object from its pooled ring when nothing
-// downstream retains rows, else a shallow clone — and GroupBy emits
-// fresh rows. Rows() deep-clones every row on the way out, while
-// Count/Each and rows dropped by Limit never pay for a clone.
+// downstream retains rows, else a shallow clone — and GroupBy refills a
+// scratch row, cloned for a retaining stage. Rows() deep-clones every
+// row, while Count/Each and rows dropped by Limit never pay for a clone.
 //
 // Equality joins between models either send one store-index probe per
 // row (rent) or project the build side onto its key and whole row, and

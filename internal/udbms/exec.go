@@ -18,9 +18,9 @@ import (
 // stores; no stage mutates a row it is pushed. A stage that attaches a
 // field (the joins, Unnest) extends a copy of the row object: a pooled
 // scratch object when nothing downstream retains rows, else a shallow
-// clone. Group-by emits fresh rows. Rows() deep-clones every row on the
-// way out, so returned rows are the caller's to mutate, while
-// Count/Each and rows dropped by Limit never pay for a clone.
+// clone; group-by refills a scratch row, cloned for a retaining stage.
+// Rows() deep-clones every row, so returned rows are the caller's to
+// mutate, while Count/Each and rows dropped by Limit never pay for a clone.
 //
 // Every store request a source or a join issues goes through the
 // pipeline's Access (pipeline.go): Hop first, then the call under that

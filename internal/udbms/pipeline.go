@@ -248,11 +248,11 @@ func (p *Pipeline) SortBy(path string, descending bool) *Pipeline {
 // GroupBy folds the row stream into one row per distinct value at
 // keyPath (missing values group under null), computing the given
 // aggregates per group — see Sum, Count, Min, Max, Avg. Each output
-// row is fully owned and has the shape {asKey: key, <agg fields>...};
-// rows stream out in ascending key order (mmvalue.Compare), so results
-// are deterministic. GroupBy is a blocking stage like SortBy: it
-// buffers the values its paths read until the input ends, and a
-// following SortBy+Limit is top-N over aggregates.
+// row has the shape {asKey: key, <agg fields>...}, owned when collected
+// or kept downstream and read-only during Each; rows stream out in
+// ascending key order (mmvalue.Compare), so results are deterministic.
+// GroupBy blocks like SortBy, buffering the values its paths read until
+// the input ends; a following SortBy+Limit is top-N over aggregates.
 func (p *Pipeline) GroupBy(keyPath, asKey string, aggs ...Agg) *Pipeline {
 	if p.err != nil {
 		return p

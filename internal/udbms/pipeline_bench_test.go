@@ -261,7 +261,10 @@ func BenchmarkGroupBy(b *testing.B) {
 // legs run the Q4 shape: the join keeps the orders of one city's
 // customers by dict code before the fold sums them per customer. The
 // xml legs run the Q5 shape: 12 000 invoices averaged per currency
-// attribute, the totals parsed from their text once per projection. The /warm
+// attribute, the totals parsed from their text once per projection. The
+// groups legs run Q4 over four cities: ≈ 400 customer groups, each read
+// by an Each that keeps no row. The topmin leg is a top 10 by the
+// smallest order of each customer (Min), ascending. The /warm
 // legs repeat over unchanged stores, so the column projections, the
 // join's included, come from the join cache; the /cold legs commit one
 // write to every store between iterations, so every iteration projects
@@ -358,6 +361,31 @@ func BenchmarkProjectedGroup(b *testing.B) {
 			b.Fatalf("customers=%d err=%v", n, err)
 		}
 	}
+	groups := func(b *testing.B, _ document.Filter) {
+		n, spent := 0, 0.0
+		err := db.Pipeline(nil).FromDocuments("orders", nil).
+			JoinRelational("cust", "cid", "id", "c").
+			Where("c.0.city", "city03", "city14", "city25", "city36").
+			GroupBy("cid", "cid", Sum("total", "spent")).
+			Each(func(r mmvalue.Value) bool {
+				f, _ := r.MustObject().GetOr("spent", mmvalue.Null).AsFloat()
+				n, spent = n+1, spent+f
+				return true
+			})
+		if err != nil || n < 300 || spent <= 0 {
+			b.Fatalf("customers=%d err=%v", n, err)
+		}
+	}
+	topMin := func(b *testing.B, _ document.Filter) {
+		n, err := db.Pipeline(nil).FromDocuments("orders", nil).
+			GroupBy("cid", "cid", Min("total", "low")).
+			SortBy("low", false).
+			Limit(10).
+			Count()
+		if err != nil || n != 10 {
+			b.Fatalf("customers=%d err=%v", n, err)
+		}
+	}
 	xml := func(b *testing.B, _ document.Filter) {
 		n, err := db.Pipeline(nil).FromXML().GroupBy("@currency", "currency", Avg("total", "avg")).Count()
 		if err != nil || n != 4 {
@@ -382,6 +410,9 @@ func BenchmarkProjectedGroup(b *testing.B) {
 		{"where/cold", nil, true, where},
 		{"xml/warm", nil, false, xml},
 		{"xml/cold", nil, true, xml},
+		{"groups/warm", nil, false, groups},
+		{"groups/cold", nil, true, groups},
+		{"topmin/warm", nil, false, topMin},
 	} {
 		b.Run(leg.name, func(b *testing.B) {
 			leg.run(b, leg.seed)

@@ -1,6 +1,7 @@
 package udbms
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"strconv"
@@ -191,10 +192,13 @@ func (c *column) add(r int, v mmvalue.Value) {
 	c.valid[r/64] |= 1 << (r % 64)
 }
 
+// has reports whether row r has a value: false when r < 0.
+func (c *column) has(r int) bool { return r >= 0 && c.valid[r/64]&(1<<(r%64)) != 0 }
+
 // value returns row r's value: null when r < 0 or the row has none.
 func (c *column) value(r int) mmvalue.Value {
 	switch {
-	case r < 0 || c.valid[r/64]&(1<<(r%64)) == 0:
+	case !c.has(r):
 		return mmvalue.Null
 	case c.vals != nil:
 		return c.vals[r]
@@ -204,6 +208,20 @@ func (c *column) value(r int) mmvalue.Value {
 		return mmvalue.Float(c.floats[r])
 	}
 	return mmvalue.String(c.strs[r])
+}
+
+// compare orders rows i and j by their values as mmvalue.Compare does,
+// natively on a typed vector (cmp.Compare orders NaN first and -0 = 0).
+func (c *column) compare(i, j int) int {
+	switch {
+	case !c.has(i) || !c.has(j) || c.vals != nil:
+		return mmvalue.Compare(c.value(i), c.value(j))
+	case c.kind == mmvalue.KindInt:
+		return cmp.Compare(c.ints[i], c.ints[j])
+	case c.kind == mmvalue.KindFloat:
+		return cmp.Compare(c.floats[i], c.floats[j])
+	}
+	return strings.Compare(c.strs[i], c.strs[j])
 }
 
 // projection is one store's rows at one version, one column per
@@ -299,17 +317,37 @@ func project(s storeScan, tx *txn.Tx, paths []mmvalue.Path, arr *arraySpec) *pro
 }
 
 // dict codes a column densely: the distinct values under mmvalue.Equal
-// in order of first appearance, code 0 being null.
+// in order of first appearance, code 0 being null; ranked orders them.
 type dict struct {
-	col   *column
-	codes []int32            // per row
-	first []int32            // per code, the first row holding it (-1: null)
-	strs  map[string]int32   // a string column's codes by value
-	index map[uint64][]int32 // other codes by value hash
+	col    *column
+	codes  []int32            // per row
+	first  []int32            // per code, the first row holding it (-1: null)
+	strs   map[string]int32   // a string column's codes by value
+	index  map[uint64][]int32 // other codes by value hash
+	once   sync.Once
+	byRank []int32
+	ties   bool // two codes compare equal: values Equal that Hash told apart, such as two NaNs
 }
 
 // val returns code c's value.
 func (d *dict) val(c int) mmvalue.Value { return d.col.value(int(d.first[c])) }
+
+// compare orders codes a and b by their values, as mmvalue.Compare.
+func (d *dict) compare(a, b int32) int { return d.col.compare(int(d.first[a]), int(d.first[b])) }
+
+// ranked returns the codes in mmvalue.Compare order, equal ones in code
+// order, and whether any are equal: sorted once, for all a cached dict's readers.
+func (d *dict) ranked() ([]int32, bool) {
+	d.once.Do(func() {
+		d.byRank = make([]int32, len(d.first))
+		for c := range d.byRank {
+			d.byRank[c] = int32(c)
+		}
+		slices.SortStableFunc(d.byRank, d.compare)
+		d.ties = !slices.IsSortedFunc(d.byRank, func(a, b int32) int { return cmp.Or(d.compare(a, b), -1) }) // an equal pair reads as out of order
+	})
+	return d.byRank, d.ties
+}
 
 // code returns v's code, or -1 when no row holds v.
 func (d *dict) code(v mmvalue.Value) int32 {
@@ -340,7 +378,7 @@ func (p *projection) dict(col int) *dict {
 		d.strs = map[string]int32{}
 	}
 	for r := range d.codes {
-		if d.strs != nil && d.col.valid[r/64]&(1<<(r%64)) != 0 { // no Value is built
+		if d.strs != nil && d.col.has(r) { // no Value is built
 			c, ok := d.strs[d.col.strs[r]]
 			if !ok {
 				c = int32(len(d.first))
@@ -572,7 +610,8 @@ func (p *Pipeline) runProjected(onRow func(mmvalue.Value) bool) bool {
 			projs = append(projs, projs[i].elems)
 		}
 	}
-	g := &groupSink{st: pl.rest[0].(*groupStage), down: wireChain(pl.rest[1:], onRow)}
+	g := &groupSink{st: pl.rest[0].(*groupStage), down: wireChain(pl.rest[1:], onRow),
+		transient: !slices.ContainsFunc(pl.rest[1:], stage.retains)} // as wireChain has it
 	g.fold(pl, projs)
 	return true
 }
@@ -674,6 +713,7 @@ type foldScratch struct {
 	groups []int32
 	count  []int64
 	aggs   []aggCols
+	nums   []float64 // order's scores
 }
 
 // vec returns fs's i-th vector at length n, its contents undefined.

@@ -292,3 +292,100 @@ func TestPipelineLeavesStoreRowsAlone(t *testing.T) {
 		t.Fatalf("concurrent runs changed the stores:\nbefore %s\nafter  %s", before, after)
 	}
 }
+
+// TestGroupRowsOwnedWhereKept pins GroupBy's row rule, over column
+// projections and on rows: a downstream that only reads (Each, Count, a
+// Limit before them) is handed one scratch row refilled per group, and
+// one that keeps rows (SortBy, JoinRelational, Rows) gets owned copies.
+// Every terminal must see the rows of the row-at-a-time reference, rows
+// a sort or a join kept must be one per group, not one row seen many
+// times, and writing into the rows Rows returns, Min/Max winners that
+// are arrays of the stored orders included, must change neither the
+// other rows, nor a second run, nor the stores.
+func TestGroupRowsOwnedWhereKept(t *testing.T) {
+	db := contractDB(t)
+	aggs := []Agg{Sum("total", "revenue"), Count("n"), Max("items", "items"), Min("_id", "first")}
+	ref := refGroupBy(db.Docs.Collection("orders").Find(nil, nil, nil), mmvalue.ParsePath("customer_id"), "cid", aggs)
+	sorted := refSort(ref, mmvalue.ParsePath("revenue"), true)
+	joined := refJoinRelational(db, cloneRows(ref), "customer", "cid", "id", "_cust")
+	before := dumpStores(db)
+	for _, seed := range []struct {
+		name   string
+		filter document.Filter
+	}{{"projected", nil}, {"rows", document.Everything()}} {
+		group := func() *Pipeline {
+			return db.Pipeline(nil).FromDocuments("orders", seed.filter).GroupBy("customer_id", "cid", aggs...)
+		}
+		if _, ok := group().projectedPlan(); ok != (seed.filter == nil) {
+			t.Fatalf("%s: projected plan = %v", seed.name, ok)
+		}
+		for _, pl := range []struct {
+			name string
+			plan func() *Pipeline
+			want []mmvalue.Value
+		}{
+			{"group", group, ref},
+			{"limit", func() *Pipeline { return group().Limit(3) }, ref[:3]},
+			{"sort", func() *Pipeline { return group().SortBy("revenue", true) }, sorted},
+			{"top", func() *Pipeline { return group().SortBy("revenue", true).Limit(3) }, sorted[:3]},
+			{"join", func() *Pipeline { return group().JoinRelational("customer", "cid", "id", "_cust") }, joined},
+		} {
+			name, want := seed.name+"/"+pl.name, render(pl.want)
+			var each []string
+			if err := pl.plan().Each(func(r mmvalue.Value) bool { each = append(each, r.String()); return true }); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(each, want) {
+				t.Fatalf("%s: Each = %v, want %v", name, each, want)
+			}
+			if n, err := pl.plan().Count(); err != nil || n != len(want) {
+				t.Fatalf("%s: Count = %d, %v, want %d", name, n, err, len(want))
+			}
+			rows, err := pl.plan().Rows()
+			if err != nil {
+				t.Fatal(err)
+			}
+			again, err := pl.plan().Rows()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := render(rows); !slices.Equal(got, want) {
+				t.Fatalf("%s: Rows = %v, want %v", name, got, want)
+			}
+			scribble(rows[0])
+			if got := render(rows[1:]); !slices.Equal(got, want[1:]) {
+				t.Fatalf("%s: writing into row 0 changed the others: %v, want %v", name, got, want[1:])
+			}
+			if got := render(again); !slices.Equal(got, want) {
+				t.Fatalf("%s: writing into the first run's rows changed the second's: %v, want %v", name, got, want)
+			}
+			for _, r := range again {
+				scribble(r)
+			}
+			if third, err := pl.plan().Rows(); err != nil || !slices.Equal(render(third), want) {
+				t.Fatalf("%s: a run after writing into the rows = %v, %v, want %v", name, render(third), err, want)
+			}
+			if after := dumpStores(db); after != before {
+				t.Fatalf("%s changed the stores:\nbefore %s\nafter  %s", name, before, after)
+			}
+		}
+	}
+	// Limit → Each stops the emission early and sees the first groups.
+	var first []string
+	if err := db.Pipeline(nil).FromDocuments("orders", nil).GroupBy("customer_id", "cid", aggs...).
+		Each(func(r mmvalue.Value) bool { first = append(first, r.String()); return len(first) < 2 }); err != nil {
+		t.Fatal(err)
+	}
+	if want := render(ref[:2]); !slices.Equal(first, want) {
+		t.Fatalf("Each stopped after two = %v, want %v", first, want)
+	}
+}
+
+// cloneRows deep-copies rows.
+func cloneRows(rows []mmvalue.Value) []mmvalue.Value {
+	out := make([]mmvalue.Value, len(rows))
+	for i, r := range rows {
+		out[i] = r.Clone()
+	}
+	return out
+}

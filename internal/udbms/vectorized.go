@@ -492,8 +492,9 @@ func Avg(path, as string) Agg { return Agg{kind: aggAvg, path: mmvalue.ParsePath
 
 // groupStage is the blocking aggregation behind Pipeline.GroupBy: it
 // projects the values its paths read from its input and, on flush,
-// folds them (groupSink.fold) into one fully-owned row per group,
-// streamed out in ascending key order, so results are deterministic.
+// folds them (groupSink.fold) into one row per group, streamed out in
+// ascending key order, so results are deterministic: a scratch row, or
+// owned copies for a downstream that retains rows (groupSink.emit).
 type groupStage struct {
 	key   mmvalue.Path
 	asKey string
@@ -510,21 +511,22 @@ func (st *groupStage) retains() bool {
 	return len(st.key) == 0 || slices.ContainsFunc(st.aggs, func(a Agg) bool { return a.kind != aggCount && len(a.path) == 0 })
 }
 
-func (st *groupStage) wire(_ bool, down batchSink) batchSink {
+func (st *groupStage) wire(transient bool, down batchSink) batchSink {
 	pl := &projPlan{paths: make([][]mmvalue.Path, 1)}
 	pl.group(st)
-	return &groupSink{st: st, down: down, pl: pl, proj: newProjection(len(pl.paths[0]))}
+	return &groupSink{st: st, down: down, transient: transient, pl: pl, proj: newProjection(len(pl.paths[0]))}
 }
 
 // groupSink is a GroupBy's sink. On rows, pl is a one-scan plan over
 // the columns the stage reads and proj their values in the pushed rows.
 // fold leaves the groups in foldScratch, by their codes in keys.
 type groupSink struct {
-	st   *groupStage
-	down batchSink
-	pl   *projPlan
-	proj *projection
-	keys *dict
+	st        *groupStage
+	down      batchSink
+	transient bool
+	pl        *projPlan
+	proj      *projection
+	keys      *dict
 	*foldScratch
 }
 
@@ -644,32 +646,37 @@ func (g *groupSink) num(c int32, k int) (float64, bool) {
 // order returns the group codes to emit: all of them by ascending key,
 // or with top set (and fewer than all kept) the first topN in the top
 // SortBy's order, ties by ascending key, kept by a bounded insertion.
+// Keys and aggregates compare unboxed. Groups that hold a key code in 32
+// or more are read off the ranked codes, unless keys tie (dict.ranked);
+// others are sorted stably, equal keys in order of first appearance.
 func (g *groupSink) order() []int32 {
-	key := func(c int32) mmvalue.Value { return g.keys.val(int(c)) }
 	if n, k := g.st.topN, g.st.topAgg; g.st.top != nil && n < len(g.groups) {
-		compare := func(a, b int32) int { return mmvalue.Compare(g.value(a, k), g.value(b, k)) }
-		if kind := g.st.aggs[k].kind; kind != aggMin && kind != aggMax { // numbers, null first as in mmvalue.Compare
-			compare = func(a, b int32) int {
-				fb, okb := g.num(b, k)
-				switch fa, oka := g.num(a, k); {
-				case oka == okb:
-					return cmp.Compare(fa, fb) // two nulls: 0/0 and 0/0, NaN and NaN, equal
-				case oka:
-					return 1
-				}
-				return -1
+		w := &g.aggs[k]
+		compare := func(a, b int32) int { return w.col.compare(int(w.best[a])-1, int(w.best[b])-1) }
+		var score []float64 // per code, a Count's, Sum's or Avg's number; an Avg over no numbers, null, is 0/0
+		if kind := g.st.aggs[k].kind; kind != aggMin && kind != aggMax {
+			score = slices.Grow(g.nums[:0], len(g.count))[:len(g.count)]
+			for c := range score {
+				score[c], _ = g.num(int32(c), k)
 			}
+			g.nums, compare = score, func(a, b int32) int {
+				if c := cmp.Compare(score[a], score[b]); c != 0 || kind != aggAvg {
+					return c // NaN first, as in mmvalue.Compare
+				}
+				return cmp.Compare(min(w.n[a], 1), min(w.n[b], 1)) // of two NaNs, a null first
+			}
+		}
+		sign := 1
+		if g.st.top.desc {
+			sign = -1
 		}
 		before := func(a, b int32) bool {
-			c := compare(a, b)
-			if g.st.top.desc {
-				c = -c
-			}
-			return c < 0 || c == 0 && mmvalue.Compare(key(a), key(b)) < 0
+			c := sign * compare(a, b)
+			return c < 0 || c == 0 && g.keys.compare(a, b) < 0
 		}
 		top := make([]int32, 0, n+1)
-		for _, c := range g.groups {
-			if len(top) == n && (n == 0 || !before(c, top[n-1])) {
+		for _, c := range g.groups { // once top is full, a score after its last group's is out at once
+			if len(top) == n && (n == 0 || score != nil && sign*cmp.Compare(score[c], score[top[n-1]]) > 0 || !before(c, top[n-1])) {
 				continue
 			}
 			i := sort.Search(len(top), func(i int) bool { return before(c, top[i]) })
@@ -677,31 +684,43 @@ func (g *groupSink) order() []int32 {
 		}
 		return top
 	}
-	slices.SortStableFunc(g.groups, func(a, b int32) int { return mmvalue.Compare(key(a), key(b)) })
+	if 32*len(g.groups) >= len(g.keys.first) {
+		if byRank, ties := g.keys.ranked(); !ties {
+			g.groups = g.groups[:0]
+			for _, c := range byRank {
+				if g.count[c] > 0 {
+					g.groups = append(g.groups, c)
+				}
+			}
+			return g.groups
+		}
+	}
+	slices.SortStableFunc(g.groups, g.keys.compare)
 	return g.groups
 }
 
 // emit sends one row per group in order (groupSink.order) downstream
-// and flushes it. Keys and Min/Max winners are cloned here, for the
-// groups emitted only: rows out are owned.
+// and flushes it. Each group's fields are set in one scratch row, which
+// a transient downstream is pushed alone and reads during the push; a
+// retaining one gets batches of deep clones, so the rows it keeps are owned.
 func (g *groupSink) emit() {
 	codes := g.order()
-	// Every row has the same fields, so each starts as a copy of tmpl:
-	// three allocations, none of them regrown.
-	tmpl := mmvalue.NewObject()
-	tmpl.Set(g.st.asKey, mmvalue.Null)
-	for _, a := range g.st.aggs {
-		tmpl.Set(a.as, mmvalue.Null)
+	row := mmvalue.NewObject()
+	size := 1
+	if !g.transient {
+		size = min(len(codes), batchCap)
 	}
-	out := make([]mmvalue.Value, 0, min(len(codes), batchCap))
+	out := make([]mmvalue.Value, 0, size)
 	for _, c := range codes {
-		obj := tmpl.Clone()
-		obj.Set(g.st.asKey, g.keys.val(int(c)).Clone())
+		row.Set(g.st.asKey, g.keys.val(int(c)))
 		for k, a := range g.st.aggs {
-			obj.Set(a.as, g.value(c, k).Clone())
+			row.Set(a.as, g.value(c, k))
 		}
-		out = append(out, mmvalue.FromObject(obj))
-		if len(out) == batchCap {
+		r := mmvalue.FromObject(row)
+		if !g.transient {
+			r = r.Clone()
+		}
+		if out = append(out, r); len(out) == cap(out) {
 			if !g.down.push(out) {
 				g.down.flush()
 				return
