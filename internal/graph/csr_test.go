@@ -3,6 +3,7 @@ package graph_test
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -237,4 +238,134 @@ func TestCSRBuildsOncePerVersion(t *testing.T) {
 	if g.KHop(nil, starts, 2, graph.Out, "l"); g.CSRBuilds() != 1 {
 		t.Errorf("a two-hop walk over the full account built %d CSRs, want 1", g.CSRBuilds())
 	}
+}
+
+// endsOf lists the edge ends of label visible to tx as EdgeEnds reports
+// them, sorted, and whether it read them off the CSR.
+func endsOf(g *graph.Store, tx *txn.Tx, label string) ([]graph.VID, bool) {
+	var ends []graph.VID
+	ok := g.EdgeEnds(tx, label, func(v graph.VID) { ends = append(ends, v) })
+	return ends, ok
+}
+
+// scannedEnds lists the ends of label's edges visible to tx from an
+// Edges scan, sorted: FromEdgeEnds's rows, the reference.
+func scannedEnds(g *graph.Store, tx *txn.Tx, label string) []graph.VID {
+	var ends []graph.VID
+	g.Edges(tx, label, func(e graph.Edge) bool { ends = append(ends, e.From, e.To); return true })
+	slices.Sort(ends)
+	return ends
+}
+
+// TestEdgeEndsFromCSRMatchScan checks the edge ends read off a label's
+// Both CSR against an Edges scan, as multisets, over labels with
+// self-loops, parallel edges and removed edges, a label with no edges,
+// and label "": a nil and a snapshot reader read the CSR, a reader that
+// has written and one older than the CSR fall back. The first read buys
+// the CSR outright, and a two-hop walk after it builds nothing more.
+func TestEdgeEndsFromCSRMatchScan(t *testing.T) {
+	g := graph.NewStore("g", txn.NewManager())
+	for i := 0; i < 8; i++ {
+		if err := g.AddVertex(nil, vid(i), "n", mmvalue.Null); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, e := range []struct {
+		label    string
+		from, to int
+	}{{"x", 0, 1}, {"x", 0, 1}, {"x", 2, 2}, {"x", 1, 3}, {"x", 3, 4}, {"y", 4, 4}, {"y", 5, 0}, {"x", 6, 7}, {"y", 6, 7}} {
+		if err := g.AddEdge(nil, graph.EID(fmt.Sprintf("e%d", i)), e.label, vid(e.from), vid(e.to), mmvalue.Null); err != nil {
+			t.Fatal(err)
+		}
+	}
+	old := g.Manager().Begin()
+	defer old.Abort()
+	for _, id := range []graph.EID{"e7", "e8"} {
+		if err := g.RemoveEdge(nil, id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ends, ok := endsOf(g, nil, "x"); !ok || g.CSRBuilds() != 1 {
+		t.Fatalf("a first read got the CSR %v after %d builds, want true after 1", ok, g.CSRBuilds())
+	} else if want := scannedEnds(g, nil, "x"); fmt.Sprint(ends) != fmt.Sprint(want) {
+		t.Fatalf("CSR ends %v, scan %v", ends, want)
+	}
+	if got, want := fmt.Sprint(g.KHop(nil, []graph.VID{vid(0)}, 2, graph.Both, "x")), fmt.Sprint(g.KHopMaps(nil, []graph.VID{vid(0)}, 2, graph.Both, "x")); got != want || g.CSRBuilds() != 1 {
+		t.Fatalf("two-hop walk after the ends: %s after %d builds, want the map walk %s after 1", got, g.CSRBuilds(), want)
+	}
+
+	snap := g.Manager().Begin()
+	defer snap.Abort()
+	writer := g.Manager().Begin()
+	defer writer.Abort()
+	for _, id := range []graph.EID{"w1", "w2"} {
+		if err := g.AddEdge(writer, id, "x", vid(5), vid(5), mmvalue.Null); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, label := range []string{"x", "y", "none", ""} {
+		for _, r := range []struct {
+			name string
+			tx   *txn.Tx
+			csr  bool
+		}{{"nil reader", nil, true}, {"snapshot reader", snap, true}, {"reader that has written", writer, false}, {"reader older than the CSR", old, false}} {
+			ends, ok := endsOf(g, r.tx, label)
+			if ok != r.csr {
+				t.Errorf("%q, %s: read off the CSR %v, want %v", label, r.name, ok, r.csr)
+			}
+			if want := scannedEnds(g, r.tx, label); ok && fmt.Sprint(ends) != fmt.Sprint(want) {
+				t.Errorf("%q, %s: CSR ends %v, scan %v", label, r.name, ends, want)
+			}
+		}
+	}
+	if got, want := g.CSRBuilds(), uint64(4); got != want {
+		t.Errorf("%d CSR builds, want one per label", got)
+	}
+}
+
+// TestLabelEdgeCount pins the CSR rent threshold, each label's count of
+// listed edges, through inserts, an aborted insert and its retry, a
+// replay that moves an id to another label, a vertex removal, which
+// lists its tombstoned edges until Compact, and Compact.
+func TestLabelEdgeCount(t *testing.T) {
+	g := graph.NewStore("g", txn.NewManager())
+	for i := 0; i < 3; i++ {
+		if err := g.AddVertex(nil, vid(i), "n", mmvalue.Null); err != nil {
+			t.Fatal(err)
+		}
+	}
+	add := func(tx *txn.Tx, id graph.EID, label string, from, to int) {
+		t.Helper()
+		if err := g.AddEdge(tx, id, label, vid(from), vid(to), mmvalue.Null); err != nil {
+			t.Fatal(err)
+		}
+	}
+	expect := func(step string, knows, bought int) {
+		t.Helper()
+		if k, b, all := g.EdgeCountOf("knows"), g.EdgeCountOf("bought"), g.EdgeCountOf(""); k != knows || b != bought || all != g.Len() {
+			t.Errorf("after %s: knows %d, bought %d, \"\" %d (Len %d); want %d, %d and Len", step, k, b, all, g.Len(), knows, bought)
+		}
+	}
+	add(nil, "k1", "knows", 0, 1)
+	add(nil, "k2", "knows", 1, 2)
+	add(nil, "k3", "knows", 0, 0)
+	add(nil, "b1", "bought", 0, 2)
+	expect("inserts", 3, 1)
+	tx := g.Manager().Begin()
+	add(tx, "k4", "knows", 1, 0)
+	expect("an uncommitted insert", 4, 1)
+	tx.Abort()
+	expect("its abort", 3, 1)
+	add(nil, "k4", "knows", 1, 0)
+	expect("the retry", 4, 1)
+	if err := g.ApplyEdge(nil, "k4", "bought", vid(1), vid(2), mmvalue.Null); err != nil {
+		t.Fatal(err)
+	}
+	expect("a replay to another label", 3, 2)
+	if err := g.RemoveVertex(nil, vid(0)); err != nil {
+		t.Fatal(err)
+	}
+	expect("a vertex removal", 3, 2)
+	g.Compact(g.Manager().Published() + 1)
+	expect("Compact", 1, 1)
 }

@@ -18,17 +18,16 @@
 // order; a label's scan walks that label's out-lists in no particular
 // order.
 //
-// KHop walks a CSR per (label, direction) at one Version(), shared
-// under the join cache's gates (txn.Certifies, txn.Shares); other
-// readers walk the maps, the reference. Multi-hop map walks charge their
-// edge visits to the key's account; the next one to find Len() there
-// buys the CSR, later buyers wait for it, one-hop walks only read it.
+// KHop and EdgeEnds read a CSR per (label, direction) at one Version(),
+// shared under the join cache's gates (txn.Certifies, txn.Shares); other
+// readers walk the maps or scan Edges, the reference. An EdgeEnds, whose
+// scan would cost as much as a build, buys; so does the next multi-hop
+// map walk once walks have cost as much, one-hop walks only read it.
 package graph
 
 import (
 	"cmp"
 	"fmt"
-	"maps"
 	"math/bits"
 	"slices"
 	"sync"
@@ -85,15 +84,16 @@ type adjacency map[VID]map[string][]*txn.Chain[*Edge]
 //     writes, each counted before it is stamped visible. The lists change
 //     only for chains no other reader sees a version of (an uncommitted
 //     insert, its abort, a dead record), so they move nothing.
-//   - Len() is edges.Len(), every edge record not yet compacted: the
-//     CSR rent threshold.
+//   - labelled[l] counts the chains in the out-lists under label l: the
+//     CSR rent of l's keys (edgeCount; label ""'s is Len()).
 type Store struct {
 	name     string
 	vertices *txn.Records[Vertex]
 	edges    *txn.Records[*Edge]
 
-	mu      sync.RWMutex // guards out and in
-	out, in adjacency
+	mu       sync.RWMutex // guards out, in and labelled
+	out, in  adjacency
+	labelled map[string]int
 
 	csrMu     sync.Mutex // guards csrs
 	csrs      map[csrKey]*csrEntry
@@ -108,6 +108,7 @@ func NewStore(name string, mgr *txn.Manager) *Store {
 		edges:    txn.NewRecords[*Edge](mgr, name+"/e/"),
 		out:      make(adjacency),
 		in:       make(adjacency),
+		labelled: make(map[string]int),
 		csrs:     make(map[csrKey]*csrEntry),
 	}
 }
@@ -247,6 +248,7 @@ func (s *Store) putEdge(tx *txn.Tx, id EID, label string, from, to VID, props mm
 func (s *Store) link(c *txn.Chain[*Edge], e Edge) {
 	s.out.add(e.From, e.Label, c)
 	s.in.add(e.To, e.Label, c)
+	s.labelled[e.Label]++
 }
 
 func (a adjacency) add(v VID, label string, c *txn.Chain[*Edge]) {
@@ -259,8 +261,20 @@ func (a adjacency) add(v VID, label string, c *txn.Chain[*Edge]) {
 // unlink removes c from e's endpoints' lists; the caller holds s.mu.
 func (s *Store) unlink(c *txn.Chain[*Edge], e Edge) {
 	is := func(x *txn.Chain[*Edge]) bool { return x == c }
+	before := len(s.out[e.From][e.Label])
 	s.out[e.From][e.Label] = slices.DeleteFunc(s.out[e.From][e.Label], is)
 	s.in[e.To][e.Label] = slices.DeleteFunc(s.in[e.To][e.Label], is)
+	s.labelled[e.Label] -= before - len(s.out[e.From][e.Label])
+}
+
+// edgeCount is the CSR rent of label's keys: its listed edges, or Len().
+func (s *Store) edgeCount(label string) int {
+	if label == "" {
+		return s.Len()
+	}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.labelled[label]
 }
 
 func normalizeProps(props mmvalue.Value) mmvalue.Value {
@@ -494,10 +508,31 @@ type csr struct {
 	off, nbr []int32
 }
 
+// EdgeEnds calls fn with each end of the edges of label ("" for every
+// label) visible to tx, a self-loop's two included, in VID order, off
+// the label's Both CSR, which a reader the CSR gates admit buys if need
+// be. For any other reader it calls fn for none and reports false.
+func (s *Store) EdgeEnds(tx *txn.Tx, label string, fn func(v VID)) bool {
+	key := csrKey{label, Both}
+	_, e := s.csrFor(tx, key, false)
+	e.visits.Add(int64(s.edgeCount(label))) // the scan it saves pays for the CSR
+	c, _ := s.csrFor(tx, key, true)
+	if c == nil {
+		return false
+	}
+	for i, v := range c.ids {
+		for range c.off[i+1] - c.off[i] {
+			fn(v)
+		}
+	}
+	return true
+}
+
 // csrFor returns key's account at Version() (opening it if the one held
 // is older) and its CSR if tx may read it, bought first when buy is set
-// and the account holds Len() edge visits; a nil CSR sends the walk to
-// the maps. A walker whose version read is stale gets the newer account.
+// and the account holds edgeCount visits; a nil CSR sends the reader to
+// the maps or to Edges. A reader whose version read is stale gets the
+// newer account.
 func (s *Store) csrFor(tx *txn.Tx, key csrKey, buy bool) (*csr, *csrEntry) {
 	ver := s.Version()
 	s.csrMu.Lock()
@@ -507,7 +542,7 @@ func (s *Store) csrFor(tx *txn.Tx, key csrKey, buy bool) (*csr, *csrEntry) {
 		s.csrs[key] = e
 	}
 	s.csrMu.Unlock()
-	if buy && e.adj.Load() == nil && e.visits.Load() >= int64(s.Len()) {
+	if buy && e.adj.Load() == nil && e.visits.Load() >= int64(s.edgeCount(key.label)) {
 		btx := tx
 		if btx == nil {
 			btx = s.Manager().Begin()
@@ -534,34 +569,45 @@ func (s *Store) csrFor(tx *txn.Tx, key csrKey, buy bool) (*csr, *csrEntry) {
 // as the map walk reads the out and in lists.
 func (s *Store) buildCSR(tx *txn.Tx, key csrKey) *csr {
 	c := &csr{snap: tx.BeginTS(), code: make(map[VID]int32)}
-	var ends []VID // from, to of each edge
-	s.Edges(tx, key.label, func(e Edge) bool { ends = append(ends, e.From, e.To); return true })
-	for _, v := range ends {
-		c.code[v] = 0
-	}
-	c.ids = slices.Sorted(maps.Keys(c.code))
+	var codes []int32 // from, to of each edge, coded in order of first appearance
+	s.Edges(tx, key.label, func(e Edge) bool {
+		for _, v := range [2]VID{e.From, e.To} {
+			x, ok := c.code[v]
+			if !ok {
+				x = int32(len(c.ids))
+				c.code[v], c.ids = x, append(c.ids, v)
+			}
+			codes = append(codes, x)
+		}
+		return true
+	})
+	slices.Sort(c.ids) // recoded in VID order
+	rank := make([]int32, len(c.ids))
 	for i, v := range c.ids {
+		rank[c.code[v]] = int32(i)
 		c.code[v] = int32(i)
 	}
-	var rows [][2]int32 // (row, neighbour)
-	for i := 0; i < len(ends); i += 2 {
-		from, to := c.code[ends[i]], c.code[ends[i+1]]
-		if key.dir != In {
-			rows = append(rows, [2]int32{from, to})
-		}
-		if key.dir != Out {
-			rows = append(rows, [2]int32{to, from})
+	// Rows by counting: each row's degree into off, summed into its start,
+	// then each neighbour at its row's cursor.
+	each := func(fn func(row, nb int32)) {
+		for i := 0; i < len(codes); i += 2 {
+			from, to := rank[codes[i]], rank[codes[i+1]]
+			if key.dir != In {
+				fn(from, to)
+			}
+			if key.dir != Out {
+				fn(to, from)
+			}
 		}
 	}
-	slices.SortFunc(rows, func(a, b [2]int32) int { return int(a[0] - b[0]) })
-	c.off, c.nbr = make([]int32, len(c.ids)+1), make([]int32, len(rows))
-	for i, r := range rows {
-		c.off[r[0]+1]++
-		c.nbr[i] = r[1]
-	}
+	c.off = make([]int32, len(c.ids)+1)
+	each(func(row, _ int32) { c.off[row+1]++ })
 	for i := range c.ids {
 		c.off[i+1] += c.off[i]
 	}
+	c.nbr = make([]int32, c.off[len(c.ids)])
+	next := slices.Clone(c.off[:len(c.ids)])
+	each(func(row, nb int32) { c.nbr[next[row]] = nb; next[row]++ })
 	return c
 }
 
@@ -659,10 +705,12 @@ func (s *Store) EdgeCount(tx *txn.Tx) int {
 func (s *Store) Compact(horizon txn.TS) int {
 	dead := func(c *txn.Chain[*Edge]) bool { return c.Dead(horizon) }
 	s.mu.Lock()
-	for _, lists := range [2]adjacency{s.out, s.in} {
+	for side, lists := range [2]adjacency{s.out, s.in} {
 		for _, byLabel := range lists {
 			for label, cs := range byLabel {
-				byLabel[label] = slices.DeleteFunc(cs, dead)
+				if byLabel[label] = slices.DeleteFunc(cs, dead); side == 0 { // an edge's one out-list entry
+					s.labelled[label] -= len(cs) - len(byLabel[label])
+				}
 			}
 		}
 	}

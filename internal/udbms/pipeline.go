@@ -157,8 +157,10 @@ func (p *Pipeline) FromKVPrefix(prefix string, keyFields ...string) *Pipeline {
 }
 
 // FromEdgeEnds seeds the pipeline with rows {as: From} and {as: To} for
-// each live graph edge with label, so a self-loop's vertex comes twice.
-// The scan holds the graph's read lock; no stage calls back into the graph.
+// each live graph edge with label, so a self-loop's vertex comes twice,
+// in no particular order. A projected plan reads them off the label's
+// CSR (graph.Store.EdgeEnds) if its reader may; any other scan holds the
+// graph's read lock, and no stage calls back into the graph.
 func (p *Pipeline) FromEdgeEnds(label, as string) *Pipeline {
 	if p.err != nil {
 		return p

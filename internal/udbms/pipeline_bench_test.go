@@ -263,7 +263,9 @@ func BenchmarkGroupBy(b *testing.B) {
 // xml legs run the Q5 shape: 12 000 invoices averaged per currency
 // attribute, the totals parsed from their text once per projection. The
 // groups legs run Q4 over four cities: ≈ 400 customer groups, each read
-// by an Each that keeps no row. The topmin leg is a top 10 by the
+// by an Each that keeps no row. The q7 leg runs the Q7 shape: every
+// order joined to its invoice and unnested into its ≈ 24 000 line items,
+// the ≈ 20 of one product kept and folded per order. The topmin leg is a top 10 by the
 // smallest order of each customer (Min), ascending. The /warm
 // legs repeat over unchanged stores, so the column projections, the
 // join's included, come from the join cache; the /cold legs commit one
@@ -376,6 +378,17 @@ func BenchmarkProjectedGroup(b *testing.B) {
 			b.Fatalf("customers=%d err=%v", n, err)
 		}
 	}
+	q7 := func(b *testing.B, _ document.Filter) {
+		n, err := db.Pipeline(nil).FromDocuments("orders", nil).
+			JoinXML("_id", "_inv").
+			Unnest("items", "item").
+			Where("item.pid", "p0042").
+			GroupBy("_id", "oid", Max("_inv.0.total", "total")).
+			Count()
+		if err != nil || n == 0 || n > 100 {
+			b.Fatalf("orders=%d err=%v", n, err)
+		}
+	}
 	topMin := func(b *testing.B, _ document.Filter) {
 		n, err := db.Pipeline(nil).FromDocuments("orders", nil).
 			GroupBy("cid", "cid", Min("total", "low")).
@@ -412,6 +425,7 @@ func BenchmarkProjectedGroup(b *testing.B) {
 		{"xml/cold", nil, true, xml},
 		{"groups/warm", nil, false, groups},
 		{"groups/cold", nil, true, groups},
+		{"q7/warm", nil, false, q7},
 		{"topmin/warm", nil, false, topMin},
 	} {
 		b.Run(leg.name, func(b *testing.B) {

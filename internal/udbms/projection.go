@@ -283,13 +283,11 @@ func project(s storeScan, tx *txn.Tx, paths []mmvalue.Path, arr *arraySpec) *pro
 		}
 	}
 	g, ok := s.side.(*graph.Store)
-	if ok && arr == nil && len(paths) == 1 && slices.Equal(paths[0], mmvalue.Path{s.keys[0]}) {
-		g.Edges(tx, s.prefix, func(e graph.Edge) bool { // the ends alone: no row is built
-			p.cols[0].add(p.n, mmvalue.String(string(e.From)))
-			p.cols[0].add(p.n+1, mmvalue.String(string(e.To)))
-			p.n += 2
-			return true
-		})
+	if ok && arr == nil && len(paths) == 1 && slices.Equal(paths[0], mmvalue.Path{s.keys[0]}) { // the ends alone: no row is built
+		end := func(v graph.VID) { p.cols[0].add(p.n, mmvalue.String(string(v))); p.n++ }
+		if !g.EdgeEnds(tx, s.prefix, end) {
+			g.Edges(tx, s.prefix, func(e graph.Edge) bool { end(e.From); end(e.To); return true })
+		}
 		return p
 	}
 	if kvs, ok := s.side.(*kv.Store); ok && arr == nil {
@@ -363,6 +361,18 @@ func (d *dict) code(v mmvalue.Value) int32 {
 		}
 	}
 	return -1
+}
+
+// keeps returns, per code, whether a Where over vals keeps its rows:
+// the codes of the values are looked up once, and null's, 0, is never
+// kept.
+func (d *dict) keeps(vals []mmvalue.Value) []bool {
+	in := make([]bool, len(d.first))
+	for _, v := range vals {
+		in[max(d.code(v), 0)] = true // an absent value's code is -1
+	}
+	in[0] = false
+	return in
 }
 
 // dict returns column col's dict.
@@ -643,7 +653,29 @@ func (g *groupSink) fold(pl *projPlan, projs []*projection) {
 		rows[0][r] = int32(r)
 	}
 	if a, e := pl.arr, len(pl.scans); a != nil { // each seed row becomes its array's elements
-		parents, elems, off := g.vec(1, 0), g.vec(2, 0), projs[a.scan].off
+		// An element Where lists the elements it keeps in one flat pass, els,
+		// and row pr's are then els[off[pr]:off[pr+1]]: the expansion skips
+		// the dropped ones, and the Where pass below keeps every pair.
+		off, els := projs[a.scan].off, []int32(nil)
+		w := slices.IndexFunc(pl.filters, func(f projFilter) bool { return f.col.scan == e })
+		if w >= 0 {
+			d := projs[e].dict(pl.filters[w].col.col)
+			in := d.keeps(pl.filters[w].vals)
+			els = g.vec(4+len(projs), 0)
+			for el, c := range d.codes {
+				if in[c] {
+					els = append(els, int32(el))
+				}
+			}
+			kept, i := g.vec(5+len(projs), len(off)), int32(0)
+			for pr, o := range off {
+				for ; int(i) < len(els) && els[i] < o; i++ {
+				}
+				kept[pr] = i
+			}
+			off = kept
+		}
+		parents, elems := g.vec(1, 0), g.vec(2, 0)
 		for r, pr := range gather(a.scan) {
 			if pr < 0 {
 				continue
@@ -652,19 +684,17 @@ func (g *groupSink) fold(pl *projPlan, projs []*projection) {
 				parents, elems = append(parents, int32(r)), append(elems, el)
 			}
 		}
+		if w >= 0 {
+			for i, x := range elems {
+				elems[i] = els[x]
+			}
+		}
 		clear(rows)
 		rows[0], rows[e], g.vecs[1], g.vecs[2] = parents, elems, parents, elems
 	}
-	// A Where keeps a row by its code: the codes of its values are looked
-	// up once, and null's code, 0, is never kept.
 	for _, f := range pl.filters {
 		d := projs[f.col.scan].dict(f.col.col)
-		in := make([]bool, len(d.first))
-		for _, v := range f.vals {
-			in[max(d.code(v), 0)] = true // an absent value's code is -1
-		}
-		in[0] = false
-		kept := 0
+		in, kept := d.keeps(f.vals), 0
 		for i, r := range gather(f.col.scan) {
 			if r >= 0 && in[d.codes[r]] {
 				for _, rs := range rows {

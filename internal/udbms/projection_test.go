@@ -680,3 +680,40 @@ func TestProjectionUnderWriters(t *testing.T) {
 	}
 	t.Logf("writes %d, routes %+v", writes, d)
 }
+
+// TestEdgeEndsProjectionHonorsReaders projects the "knows" edge ends,
+// which a nil reader reads off the label's CSR and so buys it, then
+// under a snapshot reader, which shares it, and under a reader that has
+// added a "knows" edge, which must see it: each projection must hold
+// the ends refEdgeEndsAt lists under its reader, as a multiset.
+func TestEdgeEndsProjectionHonorsReaders(t *testing.T) {
+	db := Open()
+	projGraphData(t, db, rand.New(rand.NewSource(5)))
+	snap := db.Manager().Begin()
+	defer snap.Abort()
+	writer := db.Manager().Begin()
+	defer writer.Abort()
+	if err := db.Graph.AddEdge(writer, "w", "knows", "v00", "v29", mmvalue.Null); err != nil {
+		t.Fatal(err)
+	}
+	scan := storeScan{side: db.Graph, prefix: "knows", keys: []string{"v"}}
+	for _, r := range []struct {
+		name string
+		tx   *txn.Tx
+	}{{"nil reader", nil}, {"snapshot reader", snap}, {"reader that has written", writer}} {
+		p := project(scan, r.tx, []mmvalue.Path{{"v"}}, nil)
+		got := make([]string, p.n)
+		for i := range got {
+			got[i] = p.cols[0].value(i).MustString()
+		}
+		var want []string
+		for _, row := range refEdgeEndsAt(db, r.tx, "knows") {
+			want = append(want, row.MustObject().GetOr("v", mmvalue.Null).MustString())
+		}
+		slices.Sort(got)
+		slices.Sort(want)
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: projected ends %v, want %v", r.name, got, want)
+		}
+	}
+}
