@@ -322,50 +322,3 @@ func TestEdgeEndsFromCSRMatchScan(t *testing.T) {
 		t.Errorf("%d CSR builds, want one per label", got)
 	}
 }
-
-// TestLabelEdgeCount pins the CSR rent threshold, each label's count of
-// listed edges, through inserts, an aborted insert and its retry, a
-// replay that moves an id to another label, a vertex removal, which
-// lists its tombstoned edges until Compact, and Compact.
-func TestLabelEdgeCount(t *testing.T) {
-	g := graph.NewStore("g", txn.NewManager())
-	for i := 0; i < 3; i++ {
-		if err := g.AddVertex(nil, vid(i), "n", mmvalue.Null); err != nil {
-			t.Fatal(err)
-		}
-	}
-	add := func(tx *txn.Tx, id graph.EID, label string, from, to int) {
-		t.Helper()
-		if err := g.AddEdge(tx, id, label, vid(from), vid(to), mmvalue.Null); err != nil {
-			t.Fatal(err)
-		}
-	}
-	expect := func(step string, knows, bought int) {
-		t.Helper()
-		if k, b, all := g.EdgeCountOf("knows"), g.EdgeCountOf("bought"), g.EdgeCountOf(""); k != knows || b != bought || all != g.Len() {
-			t.Errorf("after %s: knows %d, bought %d, \"\" %d (Len %d); want %d, %d and Len", step, k, b, all, g.Len(), knows, bought)
-		}
-	}
-	add(nil, "k1", "knows", 0, 1)
-	add(nil, "k2", "knows", 1, 2)
-	add(nil, "k3", "knows", 0, 0)
-	add(nil, "b1", "bought", 0, 2)
-	expect("inserts", 3, 1)
-	tx := g.Manager().Begin()
-	add(tx, "k4", "knows", 1, 0)
-	expect("an uncommitted insert", 4, 1)
-	tx.Abort()
-	expect("its abort", 3, 1)
-	add(nil, "k4", "knows", 1, 0)
-	expect("the retry", 4, 1)
-	if err := g.ApplyEdge(nil, "k4", "bought", vid(1), vid(2), mmvalue.Null); err != nil {
-		t.Fatal(err)
-	}
-	expect("a replay to another label", 3, 2)
-	if err := g.RemoveVertex(nil, vid(0)); err != nil {
-		t.Fatal(err)
-	}
-	expect("a vertex removal", 3, 2)
-	g.Compact(g.Manager().Published() + 1)
-	expect("Compact", 1, 1)
-}

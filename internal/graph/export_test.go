@@ -15,11 +15,8 @@ func (s *Store) KHopMaps(tx *txn.Tx, starts []VID, k int, dir Dir, label string)
 // build's cost, so the next multi-hop walk by an admitted reader buys.
 func (s *Store) RentCSR(label string, dir Dir) {
 	_, e := s.csrFor(nil, csrKey{label, dir}, false)
-	e.visits.Add(int64(s.edgeCount(label)))
+	e.visits.Add(int64(s.Len()))
 }
-
-// EdgeCountOf is the CSR rent of label's keys.
-func (s *Store) EdgeCountOf(label string) int { return s.edgeCount(label) }
 
 // Degree is the number of edges Neighbors returns.
 func (s *Store) Degree(tx *txn.Tx, v VID, dir Dir, label string) int {

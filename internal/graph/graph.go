@@ -28,6 +28,7 @@ package graph
 import (
 	"cmp"
 	"fmt"
+	"maps"
 	"math/bits"
 	"slices"
 	"sync"
@@ -84,16 +85,15 @@ type adjacency map[VID]map[string][]*txn.Chain[*Edge]
 //     writes, each counted before it is stamped visible. The lists change
 //     only for chains no other reader sees a version of (an uncommitted
 //     insert, its abort, a dead record), so they move nothing.
-//   - labelled[l] counts the chains in the out-lists under label l: the
-//     CSR rent of l's keys (edgeCount; label ""'s is Len()).
+//   - Len() is edges.Len(), every edge record not yet compacted: the
+//     CSR rent threshold.
 type Store struct {
 	name     string
 	vertices *txn.Records[Vertex]
 	edges    *txn.Records[*Edge]
 
-	mu       sync.RWMutex // guards out, in and labelled
-	out, in  adjacency
-	labelled map[string]int
+	mu      sync.RWMutex // guards out and in
+	out, in adjacency
 
 	csrMu     sync.Mutex // guards csrs
 	csrs      map[csrKey]*csrEntry
@@ -108,7 +108,6 @@ func NewStore(name string, mgr *txn.Manager) *Store {
 		edges:    txn.NewRecords[*Edge](mgr, name+"/e/"),
 		out:      make(adjacency),
 		in:       make(adjacency),
-		labelled: make(map[string]int),
 		csrs:     make(map[csrKey]*csrEntry),
 	}
 }
@@ -248,7 +247,6 @@ func (s *Store) putEdge(tx *txn.Tx, id EID, label string, from, to VID, props mm
 func (s *Store) link(c *txn.Chain[*Edge], e Edge) {
 	s.out.add(e.From, e.Label, c)
 	s.in.add(e.To, e.Label, c)
-	s.labelled[e.Label]++
 }
 
 func (a adjacency) add(v VID, label string, c *txn.Chain[*Edge]) {
@@ -261,20 +259,8 @@ func (a adjacency) add(v VID, label string, c *txn.Chain[*Edge]) {
 // unlink removes c from e's endpoints' lists; the caller holds s.mu.
 func (s *Store) unlink(c *txn.Chain[*Edge], e Edge) {
 	is := func(x *txn.Chain[*Edge]) bool { return x == c }
-	before := len(s.out[e.From][e.Label])
 	s.out[e.From][e.Label] = slices.DeleteFunc(s.out[e.From][e.Label], is)
 	s.in[e.To][e.Label] = slices.DeleteFunc(s.in[e.To][e.Label], is)
-	s.labelled[e.Label] -= before - len(s.out[e.From][e.Label])
-}
-
-// edgeCount is the CSR rent of label's keys: its listed edges, or Len().
-func (s *Store) edgeCount(label string) int {
-	if label == "" {
-		return s.Len()
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.labelled[label]
 }
 
 func normalizeProps(props mmvalue.Value) mmvalue.Value {
@@ -515,7 +501,7 @@ type csr struct {
 func (s *Store) EdgeEnds(tx *txn.Tx, label string, fn func(v VID)) bool {
 	key := csrKey{label, Both}
 	_, e := s.csrFor(tx, key, false)
-	e.visits.Add(int64(s.edgeCount(label))) // the scan it saves pays for the CSR
+	e.visits.Add(int64(s.Len())) // the scan it saves pays for the CSR
 	c, _ := s.csrFor(tx, key, true)
 	if c == nil {
 		return false
@@ -530,7 +516,7 @@ func (s *Store) EdgeEnds(tx *txn.Tx, label string, fn func(v VID)) bool {
 
 // csrFor returns key's account at Version() (opening it if the one held
 // is older) and its CSR if tx may read it, bought first when buy is set
-// and the account holds edgeCount visits; a nil CSR sends the reader to
+// and the account holds Len() edge visits; a nil CSR sends the reader to
 // the maps or to Edges. A reader whose version read is stale gets the
 // newer account.
 func (s *Store) csrFor(tx *txn.Tx, key csrKey, buy bool) (*csr, *csrEntry) {
@@ -542,7 +528,7 @@ func (s *Store) csrFor(tx *txn.Tx, key csrKey, buy bool) (*csr, *csrEntry) {
 		s.csrs[key] = e
 	}
 	s.csrMu.Unlock()
-	if buy && e.adj.Load() == nil && e.visits.Load() >= int64(s.edgeCount(key.label)) {
+	if buy && e.adj.Load() == nil && e.visits.Load() >= int64(s.Len()) {
 		btx := tx
 		if btx == nil {
 			btx = s.Manager().Begin()
@@ -569,45 +555,34 @@ func (s *Store) csrFor(tx *txn.Tx, key csrKey, buy bool) (*csr, *csrEntry) {
 // as the map walk reads the out and in lists.
 func (s *Store) buildCSR(tx *txn.Tx, key csrKey) *csr {
 	c := &csr{snap: tx.BeginTS(), code: make(map[VID]int32)}
-	var codes []int32 // from, to of each edge, coded in order of first appearance
-	s.Edges(tx, key.label, func(e Edge) bool {
-		for _, v := range [2]VID{e.From, e.To} {
-			x, ok := c.code[v]
-			if !ok {
-				x = int32(len(c.ids))
-				c.code[v], c.ids = x, append(c.ids, v)
-			}
-			codes = append(codes, x)
-		}
-		return true
-	})
-	slices.Sort(c.ids) // recoded in VID order
-	rank := make([]int32, len(c.ids))
+	var ends []VID // from, to of each edge
+	s.Edges(tx, key.label, func(e Edge) bool { ends = append(ends, e.From, e.To); return true })
+	for _, v := range ends {
+		c.code[v] = 0
+	}
+	c.ids = slices.Sorted(maps.Keys(c.code))
 	for i, v := range c.ids {
-		rank[c.code[v]] = int32(i)
 		c.code[v] = int32(i)
 	}
-	// Rows by counting: each row's degree into off, summed into its start,
-	// then each neighbour at its row's cursor.
-	each := func(fn func(row, nb int32)) {
-		for i := 0; i < len(codes); i += 2 {
-			from, to := rank[codes[i]], rank[codes[i+1]]
-			if key.dir != In {
-				fn(from, to)
-			}
-			if key.dir != Out {
-				fn(to, from)
-			}
+	var rows [][2]int32 // (row, neighbour)
+	for i := 0; i < len(ends); i += 2 {
+		from, to := c.code[ends[i]], c.code[ends[i+1]]
+		if key.dir != In {
+			rows = append(rows, [2]int32{from, to})
+		}
+		if key.dir != Out {
+			rows = append(rows, [2]int32{to, from})
 		}
 	}
-	c.off = make([]int32, len(c.ids)+1)
-	each(func(row, _ int32) { c.off[row+1]++ })
+	slices.SortFunc(rows, func(a, b [2]int32) int { return int(a[0] - b[0]) })
+	c.off, c.nbr = make([]int32, len(c.ids)+1), make([]int32, len(rows))
+	for i, r := range rows {
+		c.off[r[0]+1]++
+		c.nbr[i] = r[1]
+	}
 	for i := range c.ids {
 		c.off[i+1] += c.off[i]
 	}
-	c.nbr = make([]int32, c.off[len(c.ids)])
-	next := slices.Clone(c.off[:len(c.ids)])
-	each(func(row, nb int32) { c.nbr[next[row]] = nb; next[row]++ })
 	return c
 }
 
@@ -705,12 +680,10 @@ func (s *Store) EdgeCount(tx *txn.Tx) int {
 func (s *Store) Compact(horizon txn.TS) int {
 	dead := func(c *txn.Chain[*Edge]) bool { return c.Dead(horizon) }
 	s.mu.Lock()
-	for side, lists := range [2]adjacency{s.out, s.in} {
+	for _, lists := range [2]adjacency{s.out, s.in} {
 		for _, byLabel := range lists {
 			for label, cs := range byLabel {
-				if byLabel[label] = slices.DeleteFunc(cs, dead); side == 0 { // an edge's one out-list entry
-					s.labelled[label] -= len(cs) - len(byLabel[label])
-				}
+				byLabel[label] = slices.DeleteFunc(cs, dead)
 			}
 		}
 	}

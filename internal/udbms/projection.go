@@ -667,6 +667,7 @@ func (g *groupSink) fold(pl *projPlan, projs []*projection) {
 					els = append(els, int32(el))
 				}
 			}
+			g.vecs[4+len(projs)] = els
 			kept, i := g.vec(5+len(projs), len(off)), int32(0)
 			for pr, o := range off {
 				for ; int(i) < len(els) && els[i] < o; i++ {
