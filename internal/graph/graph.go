@@ -556,7 +556,7 @@ func (s *Store) csrFor(tx *txn.Tx, key csrKey, buy bool) (*csr, *csrEntry) {
 func (s *Store) buildCSR(tx *txn.Tx, key csrKey) *csr {
 	c := &csr{snap: tx.BeginTS(), code: make(map[VID]int32)}
 	var ends []VID // from, to of each edge
-	s.Edges(tx, key.label, func(e Edge) bool { ends = append(ends, e.From, e.To); return true })
+	s.EachEdge(tx, key.label, func(e *Edge) bool { ends = append(ends, e.From, e.To); return true })
 	for _, v := range ends {
 		c.code[v] = 0
 	}
@@ -643,15 +643,21 @@ func (s *Store) Vertices(tx *txn.Tx, fn func(v Vertex) bool) {
 // not call back into the store; gathering the edges first to release
 // the lock would cost more than the walk itself.
 func (s *Store) Edges(tx *txn.Tx, label string, fn func(e Edge) bool) {
+	s.EachEdge(tx, label, func(e *Edge) bool { return fn(*e) })
+}
+
+// EachEdge is Edges handing fn the store's own version of each edge,
+// with no copy: fn must neither modify nor keep it.
+func (s *Store) EachEdge(tx *txn.Tx, label string, fn func(e *Edge) bool) {
 	if label == "" {
-		s.edges.Scan(tx, "", "", func(_ string, e *Edge) bool { return fn(*e) })
+		s.edges.Scan(tx, "", "", func(_ string, e *Edge) bool { return fn(e) })
 		return
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	for _, byLabel := range s.out {
 		for _, c := range byLabel[label] {
-			if e, ok := c.Visible(tx); ok && !fn(*e) {
+			if e, ok := c.Visible(tx); ok && !fn(e) {
 				return
 			}
 		}

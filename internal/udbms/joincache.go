@@ -4,13 +4,21 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"udbench/internal/graph"
 	"udbench/internal/mmvalue"
 	"udbench/internal/txn"
 )
 
 // joinCache decides, per build side, between renting (index probes)
 // and buying (one projection, cached across pipeline runs). It also
-// holds the projections of projected plans, which are always bought.
+// holds the projections of projected plans, which are always bought:
+// one per store (prefix and key names) and version, and one more for
+// the elements of each array a plan unnests. A plan that needs columns
+// the cached projection lacks scans the store for those alone and
+// caches the projection with them added; every scan at one version lists
+// the same rows in the same order (all but the graph's, whose readers
+// build afresh), so the columns line up, and a column never changes once
+// cached. JoinStats.Builds counts these column-adding scans too.
 //
 // A cold join against an indexed build side does not know whether the
 // side will stay unchanged long enough for a build to pay off, so it
@@ -50,14 +58,14 @@ import (
 // A build that fails the gates is still used by the query that paid
 // for it — the build side is scanned at most once per join.
 //
-// A build whose gates hold at its start is a flight: a reader that
-// misses at the same version waits for it, then passes get's gates or
-// builds its own, so concurrent first readers build each (key, version)
-// once. No waiter can deadlock: it holds no lock while it waits (a plan
-// takes its projections before its first scan, a join after its seed
-// scan returned), and the builder waits on nothing but its own scan, a
-// lock-free read of version chains; its defer ends the flight even if
-// the scan panics.
+// A build whose gates hold at its start is a flight, column-adding
+// scans included: a reader that misses at the same version waits for
+// it, then looks again, so concurrent first readers scan each (key,
+// version, column) once. No waiter can deadlock: it holds no lock while
+// it waits (a plan takes its projections before its first scan, a join
+// after its seed scan returned), and the builder waits on nothing but
+// its own scan, a lock-free read of version chains; its defer ends the
+// flight even if the scan panics.
 type joinCache struct {
 	m       sync.Map   // joinCacheKey -> *joinCacheEntry
 	flights sync.Map   // joinCacheKey -> *flight: builds whose gates held at their start
@@ -66,13 +74,14 @@ type joinCache struct {
 	hits, probeRows, builds, cachedBuilds atomic.Uint64
 }
 
-// joinCacheKey identifies a build side by store identity (pointer) and
-// the path/column the build keys on, or a projection by its store and
-// its column paths (cols).
+// joinCacheKey identifies a join's build side by store identity
+// (pointer) and the field the build keys on, or a projected plan's scan
+// by its store, prefix and key names and, when the plan unnests an array
+// of its rows, the array's path (storeScan.cacheKey).
 type joinCacheKey struct {
-	store any
-	field string
-	cols  string
+	store             any
+	field             string
+	prefix, keys, arr string
 }
 
 // flight is a build in progress at ver; done closes when it ends.
@@ -104,7 +113,7 @@ type buildSide interface {
 type JoinStats struct {
 	CacheHits    uint64 // joins and projections served from the cache
 	ProbeRows    uint64 // probe rows sent to a build-side index
-	Builds       uint64 // store scans into a projection
+	Builds       uint64 // store scans into a projection, or into columns added to one
 	CachedBuilds uint64 // builds certified and offered to the cache
 }
 
@@ -117,46 +126,43 @@ func (c *joinCache) stats() JoinStats {
 	}
 }
 
-// get returns the cached projection if it is provably equivalent to
-// what a fresh build under tx would produce, else nil. Lookup only — it
-// never builds.
-func (c *joinCache) get(key joinCacheKey, ver uint64, tx *txn.Tx) *projection {
+// get returns the cached projection, and its snapshot, if it is provably
+// equivalent to what a fresh build under tx would produce, else nil.
+// Lookup only — it never builds.
+func (c *joinCache) get(key joinCacheKey, ver uint64, tx *txn.Tx) (*projection, txn.TS) {
 	if c == nil {
-		return nil
+		return nil, 0
 	}
 	e, ok := c.m.Load(key)
 	if !ok {
-		return nil
+		return nil, 0
 	}
 	ent := e.(*joinCacheEntry)
-	if ent.proj == nil || ent.ver != ver {
-		return nil
+	if ent.proj == nil || ent.ver != ver || !txn.Shares(tx, ent.snap) {
+		return nil, 0
 	}
-	if !txn.Shares(tx, ent.snap) {
-		return nil
-	}
-	c.hits.Add(1)
-	return ent.proj
+	return ent.proj, ent.snap
 }
 
 // project returns s's projection onto paths (and arr, when not nil)
-// under key: the cached one, or one scan (and hop) offered to the cache
-// (none under PipelineOver). On a miss, rent (when not nil) may send the
-// caller to index probes instead: project then returns nil.
+// under key: the cached one when it holds them all, else one scan (and
+// hop) for what it lacks (build). On a miss, rent (when not nil) may send
+// the caller to index probes instead: project then returns nil.
 func (c *joinCache) project(key joinCacheKey, s storeScan, paths []mmvalue.Path, arr *arraySpec, rent func(ver uint64) bool) *projection {
-	ver, tx := s.side.Version(), s.tx()
-	if proj := c.get(key, ver, tx); proj != nil {
-		return proj
+	for {
+		ver, tx := s.side.Version(), s.tx()
+		base, _ := c.get(key, ver, tx)
+		if base == nil && rent != nil && rent(ver) {
+			return nil
+		}
+		if lack, lackArr := base.lacks(paths, arr); base != nil && lack == nil && lackArr == nil {
+			c.hits.Add(1)
+			return base.view(paths, arr)
+		}
+		if proj := c.build(key, s, tx, paths, arr); proj != nil {
+			return proj.view(paths, arr)
+		}
 	}
-	if rent != nil && rent(ver) {
-		return nil
-	}
-	s.acc.Hop()
-	scan := func(tx *txn.Tx) *projection { return project(s, tx, paths, arr) }
-	if c == nil {
-		return scan(tx)
-	}
-	return c.build(key, s.side, tx, scan)
 }
 
 // rent charges rows probe rows to key's account at ver and reports
@@ -182,36 +188,56 @@ func (c *joinCache) rent(key joinCacheKey, ver uint64, rows, below int) bool {
 	return true
 }
 
-// build scans the build side once under tx — under a snapshot at the
-// published watermark when tx is nil — into a projection, and offers it
-// to the cache when the gates in the type comment certify it.
-func (c *joinCache) build(key joinCacheKey, side buildSide, tx *txn.Tx, scan func(*txn.Tx) *projection) *projection {
-	mgr := side.Manager()
-	ver := side.Version()
-	reader := tx
+// build scans s under tx — under a snapshot at the published watermark
+// when tx is nil — for what the projection cached under key lacks of
+// paths and arr, and offers the projection with them to the cache when
+// the gates in the type comment certify it (there is none under
+// PipelineOver). A reader they do not certify, or of the graph, scans
+// all of paths and arr. build returns nil, having scanned nothing, when
+// it waited for another reader's scan at the same version.
+func (c *joinCache) build(key joinCacheKey, s storeScan, tx *txn.Tx, paths []mmvalue.Path, arr *arraySpec) *projection {
+	if c == nil {
+		s.acc.Hop()
+		return project(s, tx, paths, arr)
+	}
+	mgr, ver, reader := s.side.Manager(), s.side.Version(), tx
 	if tx == nil {
 		tx = mgr.Begin()
 		defer tx.Abort()
 	}
+	var base *projection
+	var snap txn.TS
 	certified := mgr.Certifies(tx)
 	if certified {
 		f := &flight{ver: ver, done: make(chan struct{})}
 		if in, busy := c.flights.LoadOrStore(key, f); !busy {
 			defer func() { c.flights.Delete(key); close(f.done) }()
-		} else if f = in.(*flight); f.ver == ver {
-			<-f.done
-			if proj := c.get(key, ver, reader); proj != nil {
-				return proj
-			}
+		} else if in := in.(*flight); in.ver == ver {
+			<-in.done
+			return nil
+		}
+		if _, unordered := s.side.(*graph.Store); !unordered {
+			base, snap = c.get(key, ver, reader) // read once the flight began: no scan at ver adds to it now
 		}
 	}
-	proj := scan(tx)
+	s.acc.Hop()
+	ent := &joinCacheEntry{ver: ver, snap: tx.BeginTS()}
+	if base == nil {
+		ent.proj = project(s, tx, paths, arr)
+	} else { // one version: the new columns line up with base's
+		lack, lackArr := base.lacks(paths, arr)
+		elems := 0
+		if base.elems != nil {
+			elems = base.elems.n
+		}
+		ent.snap, ent.proj = snap, base.with(s.columns(tx, lack, lackArr, base.n, elems))
+	}
 	c.builds.Add(1)
-	if certified && side.Version() == ver {
-		c.install(key, &joinCacheEntry{ver: ver, snap: tx.BeginTS(), proj: proj}, false)
+	if certified && s.side.Version() == ver {
+		c.install(key, ent, false)
 		c.cachedBuilds.Add(1)
 	}
-	return proj
+	return ent.proj
 }
 
 // install stores ent under key unless the stored entry is newer (or,

@@ -2,7 +2,7 @@ package udbms
 
 import (
 	"cmp"
-	"fmt"
+	"math/bits"
 	"slices"
 	"strconv"
 	"strings"
@@ -56,12 +56,22 @@ func (s storeScan) stream(tx *txn.Tx, fn func(mmvalue.Value) bool) {
 			return !kvParts(key[len(s.prefix):], parts) || fn(kvField(s.keys, parts, v, nil))
 		})
 	case *graph.Store:
-		side.Edges(tx, s.prefix, func(e graph.Edge) bool {
+		side.EachEdge(tx, s.prefix, func(e *graph.Edge) bool {
 			return fn(mmvalue.ObjectOf(s.keys[0], string(e.From))) && fn(mmvalue.ObjectOf(s.keys[0], string(e.To)))
 		})
 	case *xmlstore.Store:
 		side.Scan(tx, func(id string, doc *xmlstore.Node) bool { return fn(xmlRow(id, doc)) })
 	}
+}
+
+// cacheKey is the join cache's key for the projection of s's rows and,
+// with arr, of arr's elements (no name holds a NUL).
+func (s storeScan) cacheKey(arr *arraySpec) joinCacheKey {
+	k := joinCacheKey{store: s.side, prefix: s.prefix, keys: strings.Join(s.keys, "\x00")}
+	if arr != nil {
+		k.arr = "\x00" + strings.Join(arr.path, "\x00")
+	}
+	return k
 }
 
 // kvParts splits key at "/" into parts, reporting false when it has
@@ -149,21 +159,36 @@ func xmlText(text string) mmvalue.Value {
 
 // column is one path's values over a projection's rows, in scan order,
 // and a bitmap of the rows that have one: a vector of their one kind if
-// that is int, float or string, else vals.
+// that is int, float or string, else vals. Its vectors are made with room
+// for hint rows. Every copy of a column shares its memo.
 type column struct {
 	kind   mmvalue.Kind // the last value's: KindNull until the first value
+	hint   int
 	valid  []uint64
 	ints   []int64
 	floats []float64
 	strs   []string
 	vals   []mmvalue.Value
+	memo   *memo
+}
+
+// memo is what derives from a column once its rows are all added: its
+// dict, its last link (to linkTo's column, by linkRoute) and, for a join
+// build's key column, byKey's matches.
+type memo struct {
+	mu        sync.Mutex
+	dict      *dict
+	linkTo    *dict
+	link      []int32
+	linkRoute route
+	matches   *matches
 }
 
 // add sets row r, the next row, to v. A row without a value reads zero
 // in the vector; valid tells the two apart.
 func (c *column) add(r int, v mmvalue.Value) {
 	if r%64 == 0 {
-		c.valid = append(c.valid, 0)
+		c.valid = append(padded(c.valid, r/64, (c.hint+63)/64), 0)
 	}
 	k := v.Kind()
 	if k == mmvalue.KindNull {
@@ -171,7 +196,7 @@ func (c *column) add(r int, v mmvalue.Value) {
 	}
 	if typed := k == mmvalue.KindInt || k == mmvalue.KindFloat || k == mmvalue.KindString; c.vals == nil &&
 		(!typed || c.kind != mmvalue.KindNull && k != c.kind) { // the rows so far move to vals
-		vals := make([]mmvalue.Value, r)
+		vals := make([]mmvalue.Value, r, max(c.hint, r+1))
 		for i := range vals {
 			vals[i] = c.value(i)
 		}
@@ -179,17 +204,26 @@ func (c *column) add(r int, v mmvalue.Value) {
 	}
 	switch {
 	case c.vals != nil:
-		c.vals = append(append(c.vals, make([]mmvalue.Value, r-len(c.vals))...), v)
+		c.vals = append(padded(c.vals, r, c.hint), v)
 	case k == mmvalue.KindInt:
-		c.ints = append(append(c.ints, make([]int64, r-len(c.ints))...), v.MustInt())
+		c.ints = append(padded(c.ints, r, c.hint), v.MustInt())
 	case k == mmvalue.KindFloat:
 		f, _ := v.AsFloat()
-		c.floats = append(append(c.floats, make([]float64, r-len(c.floats))...), f)
+		c.floats = append(padded(c.floats, r, c.hint), f)
 	default:
-		c.strs = append(append(c.strs, make([]string, r-len(c.strs))...), v.MustString())
+		c.strs = append(padded(c.strs, r, c.hint), v.MustString())
 	}
 	c.kind = k
 	c.valid[r/64] |= 1 << (r % 64)
+}
+
+// padded returns s at length r, the new entries zero; when s is nil it
+// is made with room for hint entries.
+func padded[T any](s []T, r, hint int) []T {
+	if s == nil {
+		s = make([]T, 0, max(hint, r+1))
+	}
+	return append(s, make([]T, r-len(s))...)
 }
 
 // has reports whether row r has a value: false when r < 0.
@@ -224,69 +258,81 @@ func (c *column) compare(i, j int) int {
 	return strings.Compare(c.strs[i], c.strs[j])
 }
 
-// projection is one store's rows at one version, one column per
-// projected path; dicts, links and matches derive from the columns on
-// first use. elems projects the elements of the array a plan unnests
-// from these rows, row r's being off[r] ≤ e < off[r+1].
-type projection struct {
-	n       int
-	cols    []column
-	off     []int32
-	elems   *projection
-	mu      sync.Mutex
-	dicts   map[int]*dict
-	links   map[int]projLink // per probe column
-	matches *matches
+// ascends reports whether each of the n rows holds a value of a typed
+// int or string vector, none below the one before.
+func (c *column) ascends(n int) bool {
+	held := 0
+	for _, w := range c.valid {
+		held += bits.OnesCount64(w)
+	}
+	return n > 0 && held == n && c.vals == nil &&
+		(c.kind == mmvalue.KindInt && slices.IsSorted(c.ints) || c.kind == mmvalue.KindString && slices.IsSorted(c.strs))
 }
 
-// projLink is link's result for one build projection.
-type projLink struct {
-	build *projection
-	rows  []int32
+// projection is one store's rows at one version, one column per path in
+// paths (a view leaves paths to the projection it reads); dicts, links
+// and matches derive from the columns on first use.
+// elems projects the elements of the array a plan unnests from these
+// rows, row r's being off[r] ≤ e < off[r+1].
+type projection struct {
+	n     int
+	paths []mmvalue.Path
+	cols  []column
+	off   []int32
+	elems *projection
 }
 
 func newProjection(paths int) *projection {
-	return &projection{cols: make([]column, paths), dicts: map[int]*dict{}, links: map[int]projLink{}}
+	p := &projection{cols: make([]column, paths)}
+	for c := range p.cols {
+		p.cols[c].memo = &memo{}
+	}
+	return p
 }
 
-// addRow appends a row whose value at each of paths is field's.
-func (p *projection) addRow(paths []mmvalue.Path, field func(mmvalue.Path) mmvalue.Value) {
-	for c, path := range paths {
+// addRow appends a row whose value at each of p's paths is field's.
+func (p *projection) addRow(field func(mmvalue.Path) mmvalue.Value) {
+	for c, path := range p.paths {
 		p.cols[c].add(p.n, field(path))
 	}
 	p.n++
 }
 
-// add appends row to p, and its elements to p.elems.
-func (p *projection) add(row mmvalue.Value, paths []mmvalue.Path, arr *arraySpec) {
-	for c, path := range paths {
-		p.cols[c].add(p.n, path.LookupOr(row, mmvalue.Null))
-	}
-	p.n++
-	if arr != nil {
-		items, _ := arr.path.LookupOr(row, mmvalue.Null).AsArray()
+// add appends row to p, and the elements of its array at arr to p.elems.
+func (p *projection) add(row mmvalue.Value, arr mmvalue.Path) {
+	p.addRow(func(path mmvalue.Path) mmvalue.Value { return path.LookupOr(row, mmvalue.Null) })
+	if p.elems != nil {
+		items, _ := arr.LookupOr(row, mmvalue.Null).AsArray()
 		for _, it := range items {
-			p.elems.add(it, arr.elems, nil)
+			p.elems.add(it, nil)
 		}
 		p.off = append(p.off, int32(p.elems.n))
 	}
 }
 
+// project is s.columns sized by the store's Len (the key-value store's
+// counts by scanning, so its are not).
 func project(s storeScan, tx *txn.Tx, paths []mmvalue.Path, arr *arraySpec) *projection {
-	p := newProjection(len(paths))
-	if arr != nil {
-		p.off, p.elems = []int32{0}, newProjection(len(arr.elems))
+	rows := 0
+	if _, isKV := s.side.(*kv.Store); !isKV {
+		rows = s.side.Len()
 	}
-	for c, path := range paths { // a whole-row column holds every row: sized once
-		if _, isKV := s.side.(*kv.Store); len(path) == 0 && !isKV { // kv.Store.Len counts by scanning
-			p.cols[c].vals = make([]mmvalue.Value, 0, s.side.Len())
-		}
+	return s.columns(tx, paths, arr, rows, 0)
+}
+
+// columns scans s under tx into a new projection onto paths and, with
+// arr, arr's elements onto arr.elems, its vectors made with room for rows
+// rows and elems elements.
+func (s storeScan) columns(tx *txn.Tx, paths []mmvalue.Path, arr *arraySpec, rows, elems int) *projection {
+	p, at := sized(paths, rows), mmvalue.Path(nil)
+	if arr != nil {
+		at, p.elems, p.off = arr.path, sized(arr.elems, elems), make([]int32, 1, rows+1)
 	}
 	g, ok := s.side.(*graph.Store)
 	if ok && arr == nil && len(paths) == 1 && slices.Equal(paths[0], mmvalue.Path{s.keys[0]}) { // the ends alone: no row is built
 		end := func(v graph.VID) { p.cols[0].add(p.n, mmvalue.String(string(v))); p.n++ }
 		if !g.EdgeEnds(tx, s.prefix, end) {
-			g.Edges(tx, s.prefix, func(e graph.Edge) bool { end(e.From); end(e.To); return true })
+			g.EachEdge(tx, s.prefix, func(e *graph.Edge) bool { end(e.From); end(e.To); return true })
 		}
 		return p
 	}
@@ -294,7 +340,7 @@ func project(s storeScan, tx *txn.Tx, paths []mmvalue.Path, arr *arraySpec) *pro
 		parts := make([]string, len(s.keys))
 		kvs.ScanPrefix(tx, s.prefix, func(key string, v mmvalue.Value) bool { // off the key and value: no row is built
 			if kvParts(key[len(s.prefix):], parts) {
-				p.addRow(paths, func(path mmvalue.Path) mmvalue.Value { return kvField(s.keys, parts, v, path) })
+				p.addRow(func(path mmvalue.Path) mmvalue.Value { return kvField(s.keys, parts, v, path) })
 			}
 			return true
 		})
@@ -302,30 +348,119 @@ func project(s storeScan, tx *txn.Tx, paths []mmvalue.Path, arr *arraySpec) *pro
 	}
 	if x, ok := s.side.(*xmlstore.Store); ok && arr == nil {
 		x.Scan(tx, func(id string, doc *xmlstore.Node) bool { // off the tree: no row is built
-			p.addRow(paths, func(path mmvalue.Path) mmvalue.Value { return xmlField(id, doc, path) })
+			p.addRow(func(path mmvalue.Path) mmvalue.Value { return xmlField(id, doc, path) })
 			return true
 		})
 		return p
 	}
 	s.stream(tx, func(row mmvalue.Value) bool {
-		p.add(row, paths, arr)
+		p.add(row, at)
 		return true
 	})
 	return p
 }
 
+// sized is an empty projection onto paths, made with room for rows rows.
+func sized(paths []mmvalue.Path, rows int) *projection {
+	p := newProjection(len(paths))
+	for c := range p.cols {
+		p.cols[c].hint = rows
+	}
+	p.paths = slices.Clone(paths) // a copy, so that a plan's paths need not escape to the heap
+	return p
+}
+
+// index returns the index of path's column in p (nil: none), or -1.
+func (p *projection) index(path mmvalue.Path) int {
+	if p == nil {
+		return -1
+	}
+	return slices.IndexFunc(p.paths, func(q mmvalue.Path) bool { return slices.Equal(q, path) })
+}
+
+// lacks returns the paths of paths, and arr with the element paths of
+// arr, that p holds no column for: a nil arr when p holds all of arr's.
+func (p *projection) lacks(paths []mmvalue.Path, arr *arraySpec) (lack []mmvalue.Path, lackArr *arraySpec) {
+	for _, path := range paths {
+		if p.index(path) < 0 {
+			lack = append(lack, path)
+		}
+	}
+	if arr == nil || p == nil {
+		return lack, arr
+	}
+	if els, _ := p.elems.lacks(arr.elems, nil); els != nil { // an array's entry holds its elements
+		lackArr = &arraySpec{path: arr.path, elems: els}
+	}
+	return lack, lackArr
+}
+
+// with returns p plus the columns of q that p lacks, q holding the same
+// rows (and elements); p and q stay as they are.
+func (p *projection) with(q *projection) *projection {
+	m := &projection{n: p.n, paths: slices.Clip(p.paths), cols: slices.Clip(p.cols), off: p.off, elems: p.elems}
+	for c, path := range q.paths {
+		if m.index(path) < 0 {
+			m.paths, m.cols = append(m.paths, path), append(m.cols, q.cols[c])
+		}
+	}
+	if q.elems != nil {
+		m.elems = m.elems.with(q.elems)
+	}
+	return m
+}
+
+// view is p's columns at paths, in that order, and with arr its
+// elements' at arr.elems; p must hold them all.
+func (p *projection) view(paths []mmvalue.Path, arr *arraySpec) *projection {
+	if arr == nil && slices.EqualFunc(p.paths, paths, func(a, b mmvalue.Path) bool { return slices.Equal(a, b) }) {
+		return p // a join build's: none gains columns
+	}
+	v := &projection{n: p.n, cols: make([]column, len(paths))}
+	for c, path := range paths {
+		v.cols[c] = p.cols[p.index(path)]
+	}
+	if arr != nil {
+		v.off, v.elems = p.off, p.elems.view(arr.elems, nil)
+	}
+	return v
+}
+
 // dict codes a column densely: the distinct values under mmvalue.Equal
 // in order of first appearance, code 0 being null; ranked orders them.
+// Its route, picked at build, is how code finds a value's code. A typed
+// int or string column whose rows all hold values in non-decreasing
+// order is coded by runs (each change of value opens the next code) and
+// searched over its run heads, or, when its ints are consecutive, read
+// by offset from code 1's; another int or string column goes through a
+// Go map; any other through Value.Hash, the reference the rest match.
 type dict struct {
 	col    *column
-	codes  []int32            // per row
-	first  []int32            // per code, the first row holding it (-1: null)
-	strs   map[string]int32   // a string column's codes by value
-	index  map[uint64][]int32 // other codes by value hash
+	codes  []int32 // per row
+	first  []int32 // per code, the first row holding it (-1: null)
+	route  route
+	ints   []int64 // an int or string column's vector when the dict was built
+	strs   []string
+	lo     int64 // byOffset: code 1's int
+	intMap map[int64]int32
+	strMap map[string]int32
+	index  map[uint64][]int32 // byHash: codes by value hash
 	once   sync.Once
 	byRank []int32
 	ties   bool // two codes compare equal: values Equal that Hash told apart, such as two NaNs
 }
+
+// route is how a dict finds a value's code, or how a link was made:
+// byMerge walks an ascending probe column along the run heads.
+type route uint8
+
+const (
+	byHash route = iota
+	byMap
+	bySearch
+	byOffset
+	byMerge
+)
 
 // val returns code c's value.
 func (d *dict) val(c int) mmvalue.Value { return d.col.value(int(d.first[c])) }
@@ -334,24 +469,43 @@ func (d *dict) val(c int) mmvalue.Value { return d.col.value(int(d.first[c])) }
 func (d *dict) compare(a, b int32) int { return d.col.compare(int(d.first[a]), int(d.first[b])) }
 
 // ranked returns the codes in mmvalue.Compare order, equal ones in code
-// order, and whether any are equal: sorted once, for all a cached dict's readers.
+// order, and whether any are equal: sorted once, for all a cached dict's
+// readers. Codes by runs are in that order already, and none are equal.
 func (d *dict) ranked() ([]int32, bool) {
 	d.once.Do(func() {
 		d.byRank = make([]int32, len(d.first))
 		for c := range d.byRank {
 			d.byRank[c] = int32(c)
 		}
-		slices.SortStableFunc(d.byRank, d.compare)
-		d.ties = !slices.IsSortedFunc(d.byRank, func(a, b int32) int { return cmp.Or(d.compare(a, b), -1) }) // an equal pair reads as out of order
+		if d.route < bySearch {
+			slices.SortStableFunc(d.byRank, d.compare)
+			d.ties = !slices.IsSortedFunc(d.byRank, func(a, b int32) int { return cmp.Or(d.compare(a, b), -1) }) // an equal pair reads as out of order
+		}
 	})
 	return d.byRank, d.ties
 }
 
-// code returns v's code, or -1 when no row holds v.
+// code returns v's code, or -1 when no row holds v. Into an int column a
+// float is looked up as its int64, as Value.Hash buckets it, and found
+// only when the two compare equal.
 func (d *dict) code(v mmvalue.Value) int32 {
-	if s, ok := v.AsString(); ok && d.strs != nil {
-		if c, ok := d.strs[s]; ok {
-			return c
+	switch {
+	case d.route == byHash:
+	case v.Kind() == mmvalue.KindNull:
+		return 0
+	case d.ints != nil:
+		i, ok := v.AsInt()
+		if f, isFloat := v.AsFloat(); !ok && isFloat {
+			i = int64(f)
+			ok = float64(i) == f
+		}
+		if ok {
+			return d.intCode(i)
+		}
+		return -1
+	default:
+		if s, ok := v.AsString(); ok {
+			return find(d, d.strs, d.strMap, s)
 		}
 		return -1
 	}
@@ -361,6 +515,31 @@ func (d *dict) code(v mmvalue.Value) int32 {
 		}
 	}
 	return -1
+}
+
+// intCode is an int column's code of i, or -1.
+func (d *dict) intCode(i int64) int32 {
+	if d.route != byOffset {
+		return find(d, d.ints, d.intMap, i)
+	}
+	if u := uint64(i) - uint64(d.lo); u < uint64(len(d.first)-1) {
+		return int32(u) + 1
+	}
+	return -1
+}
+
+// find returns v's code in a typed column, vec when d was built: a search
+// over the run heads, or a map lookup; -1 when no row holds v.
+func find[T cmp.Ordered](d *dict, vec []T, m map[T]int32, v T) int32 {
+	c, ok := m[v]
+	if d.route == bySearch {
+		i, found := slices.BinarySearchFunc(d.first[1:], v, func(r int32, v T) int { return cmp.Compare(vec[r], v) })
+		c, ok = int32(i)+1, found
+	}
+	if !ok {
+		return -1
+	}
+	return c
 }
 
 // keeps returns, per code, whether a Where over vals keeps its rows:
@@ -377,27 +556,34 @@ func (d *dict) keeps(vals []mmvalue.Value) []bool {
 
 // dict returns column col's dict.
 func (p *projection) dict(col int) *dict {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if d := p.dicts[col]; d != nil {
+	m := p.cols[col].memo
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.dict == nil {
+		m.dict = newDict(&p.cols[col], p.n)
+	}
+	return m.dict
+}
+
+// newDict codes col's n rows (dict's route).
+func newDict(col *column, n int) *dict {
+	d := &dict{col: col, codes: make([]int32, n), first: []int32{-1}}
+	switch {
+	case col.vals == nil && col.kind == mmvalue.KindInt:
+		d.ints = col.ints
+		if d.intMap = codeRows(d, col.ints, col.ascends(n)); d.route == bySearch &&
+			uint64(col.ints[n-1])-uint64(col.ints[0]) == uint64(len(d.first)-2) { // consecutive
+			d.route, d.lo = byOffset, col.ints[0]
+		}
+		return d
+	case col.vals == nil && col.kind == mmvalue.KindString:
+		d.strs = col.strs
+		d.strMap = codeRows(d, col.strs, col.ascends(n))
 		return d
 	}
-	d := &dict{col: &p.cols[col], codes: make([]int32, p.n), first: []int32{-1},
-		index: map[uint64][]int32{mmvalue.Null.Hash(): {0}}}
-	if d.col.kind == mmvalue.KindString && d.col.vals == nil { // a Go map codes strings faster than hashed Values
-		d.strs = map[string]int32{}
-	}
+	d.index = map[uint64][]int32{mmvalue.Null.Hash(): {0}}
 	for r := range d.codes {
-		if d.strs != nil && d.col.has(r) { // no Value is built
-			c, ok := d.strs[d.col.strs[r]]
-			if !ok {
-				c = int32(len(d.first))
-				d.strs[d.col.strs[r]], d.first = c, append(d.first, int32(r))
-			}
-			d.codes[r] = c
-			continue
-		}
-		v := d.col.value(r)
+		v := col.value(r)
 		if d.codes[r] = d.code(v); d.codes[r] < 0 {
 			h := v.Hash()
 			d.codes[r] = int32(len(d.first))
@@ -405,28 +591,82 @@ func (p *projection) dict(col int) *dict {
 			d.first = append(d.first, int32(r))
 		}
 	}
-	p.dicts[col] = d
 	return d
 }
 
-// link returns, for every row, the first row of build whose first
-// column equals the row's non-null value in column col, or -1.
-func (p *projection) link(col int, build *projection) []int32 {
-	keys := build.dict(0) // before p.mu: p may be build
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if l := p.links[col]; l.build == build {
-		return l.rows
+// codeRows codes d's rows, whose values in a typed column are vec: by
+// runs when they ascend (bySearch, and no map), else through the map it
+// returns (byMap), sized for the rows with values.
+func codeRows[T cmp.Ordered](d *dict, vec []T, ascends bool) map[T]int32 {
+	if ascends {
+		d.route = bySearch
+		for r := range d.codes {
+			if r == 0 || vec[r] != vec[r-1] {
+				d.first = append(d.first, int32(r))
+			}
+			d.codes[r] = int32(len(d.first) - 1)
+		}
+		return nil
 	}
-	rows := make([]int32, p.n)
-	for r := range rows {
-		rows[r] = -1
-		if c := keys.code(p.cols[col].value(r)); c > 0 { // code 0: null, which matches nothing
-			rows[r] = keys.first[c]
+	d.route = byMap
+	m := make(map[T]int32, len(vec))
+	for r := range vec {
+		if !d.col.has(r) {
+			continue
+		}
+		c, ok := m[vec[r]]
+		if !ok {
+			c = int32(len(d.first))
+			m[vec[r]], d.first = c, append(d.first, int32(r))
+		}
+		d.codes[r] = c
+	}
+	return m
+}
+
+// link returns, for every row, the first row of build whose first
+// column equals the row's non-null value in column col, or -1: by a
+// merge when both columns ascend, else by the build dict's route.
+func (p *projection) link(col int, build *projection) []int32 {
+	keys := build.dict(0) // before the memo's lock: col may be build's column 0
+	m := p.cols[col].memo
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.linkTo == keys {
+		return m.link
+	}
+	c, rows, how := &p.cols[col], make([]int32, p.n), keys.route
+	switch {
+	case how >= bySearch && keys.ints != nil && c.kind == mmvalue.KindInt && c.ascends(p.n):
+		how = merge(rows, c.ints, keys.ints, keys.first)
+	case how >= bySearch && keys.strs != nil && c.kind == mmvalue.KindString && c.ascends(p.n):
+		how = merge(rows, c.strs, keys.strs, keys.first)
+	default:
+		for r := range rows {
+			rows[r] = -1
+			if k := keys.code(c.value(r)); k > 0 { // code 0: null, which matches nothing
+				rows[r] = keys.first[k]
+			}
 		}
 	}
-	p.links[col] = projLink{build, rows}
+	m.linkTo, m.link, m.linkRoute = keys, rows, how
 	return rows
+}
+
+// merge links the ascending probe values to the run heads first of the
+// ascending build vector: rows[r] is the head holding probe[r], or -1.
+func merge[T cmp.Ordered](rows []int32, probe, build []T, first []int32) route {
+	c := 1
+	for r, v := range probe[:len(rows)] {
+		for c < len(first) && build[first[c]] < v {
+			c++
+		}
+		rows[r] = -1
+		if c < len(first) && build[first[c]] == v {
+			rows[r] = first[c]
+		}
+	}
+	return byMerge
 }
 
 // matches is a join's build structure: the whole rows of a projection
@@ -446,13 +686,16 @@ func (m *matches) get(key mmvalue.Value) []mmvalue.Value {
 	return nil
 }
 
-// byKey returns p's rows (column 1) grouped by their key (column 0).
+// byKey returns p's rows (column 1) grouped by their key (column 0),
+// cached with column 0's dict: a join build's projection pairs its key
+// column with no other.
 func (p *projection) byKey() *matches {
-	keys := p.dict(0) // before p.mu
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.matches != nil {
-		return p.matches
+	keys := p.dict(0) // before the memo's lock
+	m := p.cols[0].memo
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.matches != nil {
+		return m.matches
 	}
 	// A counting sort by code: start[c] counts up to the end of code c's
 	// rows, and placing the rows back to front moves it to their start.
@@ -471,8 +714,8 @@ func (p *projection) byKey() *matches {
 			rows[start[c]] = p.cols[1].value(r)
 		}
 	}
-	p.matches = &matches{keys, rows, start}
-	return p.matches
+	m.matches = &matches{keys, rows, start}
+	return m.matches
 }
 
 // projPlan is a plan's projected prefix. Scan 0 is the seed, scan j+1
@@ -612,11 +855,7 @@ func (p *Pipeline) runProjected(onRow func(mmvalue.Value) bool) bool {
 		if pl.arr != nil && pl.arr.scan == i {
 			arr = pl.arr
 		}
-		cols := fmt.Sprintf("%q %q %q", s.prefix, s.keys, pl.paths[i])
-		if arr != nil { // the array's path and element paths: plans that unnest it from another scan share it
-			cols += fmt.Sprintf(" %q %q", arr.path, arr.elems)
-		}
-		if projs[i] = p.joins.project(joinCacheKey{store: s.side, cols: cols}, s, pl.paths[i], arr, nil); arr != nil {
+		if projs[i] = p.joins.project(s.cacheKey(arr), s, pl.paths[i], arr, nil); arr != nil {
 			projs = append(projs, projs[i].elems)
 		}
 	}

@@ -717,3 +717,154 @@ func TestEdgeEndsProjectionHonorsReaders(t *testing.T) {
 		}
 	}
 }
+
+// TestProjectionAddsColumns pins one projection per store and version: a
+// plan that needs columns the cached projection lacks scans once for
+// those alone (the columns held are kept as they are), a plan whose
+// columns are all held builds nothing, an Unnest's elements gain columns
+// the same way, a commit starts a fresh projection, and a reader that
+// has written gets a private one. Two readers that add disjoint columns
+// at once each get their rows, and the projection ends with both. Every
+// answer equals the row path's.
+func TestProjectionAddsColumns(t *testing.T) {
+	db := Open()
+	coll := db.Docs.Collection("c")
+	for i := range 200 {
+		o := mmvalue.NewObject()
+		o.Set("_id", mmvalue.String(fmt.Sprintf("d%03d", i)))
+		o.Set("a", mmvalue.Int(int64(i%7)))
+		o.Set("b", mmvalue.Float(float64(i%13)/2))
+		o.Set("s", mmvalue.String(fmt.Sprintf("s%d", i%5)))
+		o.Set("e", mmvalue.Int(int64(i%11)))
+		o.Set("items", mmvalue.Array(mmvalue.ObjectOf("x", int64(i%3), "y", fmt.Sprintf("y%d", i%4)), mmvalue.ObjectOf("x", int64(i%2))))
+		if err := coll.Insert(nil, mmvalue.FromObject(o)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rowsKey := joinCacheKey{store: coll}
+	elemsKey := storeScan{side: coll}.cacheKey(&arraySpec{path: mmvalue.Path{"items"}})
+	entry := func(key joinCacheKey) *projection {
+		e, ok := db.joins.m.Load(key)
+		if !ok || e.(*joinCacheEntry).ver != coll.Version() {
+			return nil
+		}
+		return e.(*joinCacheEntry).proj
+	}
+	all := document.Func("all", func(mmvalue.Value) bool { return true }) // a seed filter: the row path
+	plans := map[string]func(p *Pipeline, f document.Filter) *Pipeline{
+		"a b": func(p *Pipeline, f document.Filter) *Pipeline {
+			return p.FromDocuments("c", f).GroupBy("a", "k", Sum("b", "v"))
+		},
+		"a s": func(p *Pipeline, f document.Filter) *Pipeline {
+			return p.FromDocuments("c", f).GroupBy("a", "k", Max("s", "v"))
+		},
+		"s": func(p *Pipeline, f document.Filter) *Pipeline {
+			return p.FromDocuments("c", f).GroupBy("s", "k", Count("n"))
+		},
+		"a e": func(p *Pipeline, f document.Filter) *Pipeline {
+			return p.FromDocuments("c", f).GroupBy("a", "k", Min("e", "v"))
+		},
+		"items x": func(p *Pipeline, f document.Filter) *Pipeline {
+			return p.FromDocuments("c", f).Unnest("items", "it").GroupBy("it.x", "k", Count("n"))
+		},
+		"b items y": func(p *Pipeline, f document.Filter) *Pipeline {
+			return p.FromDocuments("c", f).Unnest("items", "it").GroupBy("it.y", "k", Sum("b", "v"))
+		},
+	}
+	run := func(name string, tx *txn.Tx) error {
+		want, err := plans[name](db.Pipeline(tx), all).Rows()
+		if err != nil {
+			return err
+		}
+		var got []mmvalue.Value
+		if !plans[name](db.Pipeline(tx), nil).runProjected(func(r mmvalue.Value) bool { got = append(got, r.Clone()); return true }) {
+			return fmt.Errorf("%s: not run over columns", name)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			return fmt.Errorf("%s:\n got  %v\n want %v", name, got, want)
+		}
+		return nil
+	}
+	step := func(name string, tx *txn.Tx, builds, hits uint64) {
+		t.Helper()
+		before := db.JoinStats()
+		if err := run(name, tx); err != nil {
+			t.Fatal(err)
+		}
+		if d := statsDelta(db.JoinStats(), before); d.Builds != builds || d.CacheHits != hits {
+			t.Errorf("%s: %d builds, %d hits; want %d, %d", name, d.Builds, d.CacheHits, builds, hits)
+		}
+	}
+	paths := func(p *projection) string {
+		if p == nil {
+			return "none"
+		}
+		return fmt.Sprint(p.paths)
+	}
+
+	step("a b", nil, 1, 0)
+	first := entry(rowsKey)
+	step("a s", nil, 1, 0)
+	if p := entry(rowsKey); paths(p) != "[a b s]" || p.cols[0].memo != first.cols[0].memo || p.cols[1].memo != first.cols[1].memo {
+		t.Errorf("after a second plan the projection holds %s, want a and b kept and s added", paths(p))
+	}
+	step("s", nil, 0, 1)
+	step("items x", nil, 1, 0)
+	elems := entry(elemsKey).elems
+	step("b items y", nil, 1, 0)
+	if p := entry(elemsKey); paths(p) != "[b]" || paths(p.elems) != "[x y]" || p.elems.cols[0].memo != elems.cols[0].memo {
+		t.Errorf("elements projection holds %s and elements %s, want b, then x kept and y added", paths(p), paths(p.elems))
+	}
+	step("items x", nil, 0, 1)
+
+	touch := func(i int) {
+		t.Helper()
+		err := coll.Update(nil, fmt.Sprintf("d%03d", i), func(doc mmvalue.Value) (mmvalue.Value, error) {
+			doc.MustObject().Set("b", mmvalue.Float(float64(i)))
+			return doc, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	touch(3)
+	step("a s", nil, 1, 0)
+	if p := entry(rowsKey); paths(p) != "[a s]" {
+		t.Errorf("after a commit the projection holds %s, want a fresh one of a and s", paths(p))
+	}
+
+	cached := entry(rowsKey)
+	writer := db.Manager().Begin()
+	if err := coll.Update(writer, "d004", func(doc mmvalue.Value) (mmvalue.Value, error) {
+		doc.MustObject().Set("a", mmvalue.Int(99))
+		return doc, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	step("a s", writer, 1, 0)
+	if entry(rowsKey) != cached {
+		t.Error("a writer's build replaced the cached projection")
+	}
+	writer.Abort()
+
+	for round := range 20 {
+		touch(round)
+		step("a b", nil, 1, 0)
+		before := db.JoinStats()
+		var wg sync.WaitGroup
+		for _, name := range []string{"a s", "a e"} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := run(name, nil); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+		if d := statsDelta(db.JoinStats(), before); d.Builds != 2 || len(entry(rowsKey).paths) != 4 {
+			t.Errorf("round %d: two readers adding a column each: %d builds, projection holds %s; want 2 builds and all four columns",
+				round, d.Builds, paths(entry(rowsKey)))
+		}
+	}
+}

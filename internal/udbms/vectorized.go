@@ -514,7 +514,7 @@ func (st *groupStage) retains() bool {
 func (st *groupStage) wire(transient bool, down batchSink) batchSink {
 	pl := &projPlan{paths: make([][]mmvalue.Path, 1)}
 	pl.group(st)
-	return &groupSink{st: st, down: down, transient: transient, pl: pl, proj: newProjection(len(pl.paths[0]))}
+	return &groupSink{st: st, down: down, transient: transient, pl: pl, proj: sized(pl.paths[0], 0)}
 }
 
 // groupSink is a GroupBy's sink. On rows, pl is a one-scan plan over
@@ -532,7 +532,7 @@ type groupSink struct {
 
 func (g *groupSink) push(rows []mmvalue.Value) bool {
 	for _, r := range rows {
-		g.proj.add(r, g.pl.paths[0], nil)
+		g.proj.add(r, nil)
 	}
 	return true
 }
