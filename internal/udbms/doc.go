@@ -54,11 +54,8 @@
 // projection lacks scans the store for those alone, so each store is
 // scanned at most once per version and path (edge ends, which the graph
 // lists in map order, are scanned whole again). Join and group keys are
-// coded once per column: a typed column already in key order (ids
-// scanned in id order, edge ends off the CSR) by its runs, found by a
-// binary search, an offset or, for a link between two such columns, a
-// merge; another int or string column through a Go map; the rest by
-// hash. An XML projection reads the trees directly:
+// coded once per column: an int or string column through a Go map, the
+// rest by hash. An XML projection reads the trees directly:
 // the text of a child parses to a number once per store version. A
 // projected Where is a code set: its values are looked up in the
 // column's dict once per run, and a row (or unnested element) is kept by

@@ -2,7 +2,6 @@ package udbms
 
 import (
 	"cmp"
-	"math/bits"
 	"slices"
 	"strconv"
 	"strings"
@@ -173,15 +172,14 @@ type column struct {
 }
 
 // memo is what derives from a column once its rows are all added: its
-// dict, its last link (to linkTo's column, by linkRoute) and, for a join
-// build's key column, byKey's matches.
+// dict, its last link (to linkTo's column) and, for a join build's key
+// column, byKey's matches.
 type memo struct {
-	mu        sync.Mutex
-	dict      *dict
-	linkTo    *dict
-	link      []int32
-	linkRoute route
-	matches   *matches
+	mu      sync.Mutex
+	dict    *dict
+	linkTo  *dict
+	link    []int32
+	matches *matches
 }
 
 // add sets row r, the next row, to v. A row without a value reads zero
@@ -256,17 +254,6 @@ func (c *column) compare(i, j int) int {
 		return cmp.Compare(c.floats[i], c.floats[j])
 	}
 	return strings.Compare(c.strs[i], c.strs[j])
-}
-
-// ascends reports whether each of the n rows holds a value of a typed
-// int or string vector, none below the one before.
-func (c *column) ascends(n int) bool {
-	held := 0
-	for _, w := range c.valid {
-		held += bits.OnesCount64(w)
-	}
-	return n > 0 && held == n && c.vals == nil &&
-		(c.kind == mmvalue.KindInt && slices.IsSorted(c.ints) || c.kind == mmvalue.KindString && slices.IsSorted(c.strs))
 }
 
 // projection is one store's rows at one version, one column per path in
@@ -395,15 +382,11 @@ func (p *projection) lacks(paths []mmvalue.Path, arr *arraySpec) (lack []mmvalue
 	return lack, lackArr
 }
 
-// with returns p plus the columns of q that p lacks, q holding the same
+// with returns p plus q's columns, which p lacks, q holding the same
 // rows (and elements); p and q stay as they are.
 func (p *projection) with(q *projection) *projection {
-	m := &projection{n: p.n, paths: slices.Clip(p.paths), cols: slices.Clip(p.cols), off: p.off, elems: p.elems}
-	for c, path := range q.paths {
-		if m.index(path) < 0 {
-			m.paths, m.cols = append(m.paths, path), append(m.cols, q.cols[c])
-		}
-	}
+	m := &projection{n: p.n, paths: append(slices.Clip(p.paths), q.paths...), cols: append(slices.Clip(p.cols), q.cols...),
+		off: p.off, elems: p.elems}
 	if q.elems != nil {
 		m.elems = m.elems.with(q.elems)
 	}
@@ -428,39 +411,17 @@ func (p *projection) view(paths []mmvalue.Path, arr *arraySpec) *projection {
 
 // dict codes a column densely: the distinct values under mmvalue.Equal
 // in order of first appearance, code 0 being null; ranked orders them.
-// Its route, picked at build, is how code finds a value's code. A typed
-// int or string column whose rows all hold values in non-decreasing
-// order is coded by runs (each change of value opens the next code) and
-// searched over its run heads, or, when its ints are consecutive, read
-// by offset from code 1's; another int or string column goes through a
-// Go map; any other through Value.Hash, the reference the rest match.
 type dict struct {
 	col    *column
-	codes  []int32 // per row
-	first  []int32 // per code, the first row holding it (-1: null)
-	route  route
-	ints   []int64 // an int or string column's vector when the dict was built
-	strs   []string
-	lo     int64 // byOffset: code 1's int
-	intMap map[int64]int32
-	strMap map[string]int32
-	index  map[uint64][]int32 // byHash: codes by value hash
+	codes  []int32            // per row
+	first  []int32            // per code, the first row holding it (-1: null)
+	ints   map[int64]int32    // an int column's codes by value
+	strs   map[string]int32   // a string column's codes by value
+	index  map[uint64][]int32 // other codes by value hash
 	once   sync.Once
 	byRank []int32
 	ties   bool // two codes compare equal: values Equal that Hash told apart, such as two NaNs
 }
-
-// route is how a dict finds a value's code, or how a link was made:
-// byMerge walks an ascending probe column along the run heads.
-type route uint8
-
-const (
-	byHash route = iota
-	byMap
-	bySearch
-	byOffset
-	byMerge
-)
 
 // val returns code c's value.
 func (d *dict) val(c int) mmvalue.Value { return d.col.value(int(d.first[c])) }
@@ -469,18 +430,15 @@ func (d *dict) val(c int) mmvalue.Value { return d.col.value(int(d.first[c])) }
 func (d *dict) compare(a, b int32) int { return d.col.compare(int(d.first[a]), int(d.first[b])) }
 
 // ranked returns the codes in mmvalue.Compare order, equal ones in code
-// order, and whether any are equal: sorted once, for all a cached dict's
-// readers. Codes by runs are in that order already, and none are equal.
+// order, and whether any are equal: sorted once, for all a cached dict's readers.
 func (d *dict) ranked() ([]int32, bool) {
 	d.once.Do(func() {
 		d.byRank = make([]int32, len(d.first))
 		for c := range d.byRank {
 			d.byRank[c] = int32(c)
 		}
-		if d.route < bySearch {
-			slices.SortStableFunc(d.byRank, d.compare)
-			d.ties = !slices.IsSortedFunc(d.byRank, func(a, b int32) int { return cmp.Or(d.compare(a, b), -1) }) // an equal pair reads as out of order
-		}
+		slices.SortStableFunc(d.byRank, d.compare)
+		d.ties = !slices.IsSortedFunc(d.byRank, func(a, b int32) int { return cmp.Or(d.compare(a, b), -1) }) // an equal pair reads as out of order
 	})
 	return d.byRank, d.ties
 }
@@ -489,23 +447,19 @@ func (d *dict) ranked() ([]int32, bool) {
 // float is looked up as its int64, as Value.Hash buckets it, and found
 // only when the two compare equal.
 func (d *dict) code(v mmvalue.Value) int32 {
-	switch {
-	case d.route == byHash:
-	case v.Kind() == mmvalue.KindNull:
-		return 0
-	case d.ints != nil:
-		i, ok := v.AsInt()
-		if f, isFloat := v.AsFloat(); !ok && isFloat {
-			i = int64(f)
-			ok = float64(i) == f
-		}
-		if ok {
-			return d.intCode(i)
+	if s, ok := v.AsString(); ok && d.strs != nil {
+		if c, ok := d.strs[s]; ok {
+			return c
 		}
 		return -1
-	default:
-		if s, ok := v.AsString(); ok {
-			return find(d, d.strs, d.strMap, s)
+	}
+	if f, ok := v.AsFloat(); ok && d.ints != nil {
+		i, isInt := v.AsInt()
+		if !isInt && float64(int64(f)) == f {
+			i, isInt = int64(f), true
+		}
+		if c, ok := d.ints[i]; ok && isInt {
+			return c
 		}
 		return -1
 	}
@@ -515,31 +469,6 @@ func (d *dict) code(v mmvalue.Value) int32 {
 		}
 	}
 	return -1
-}
-
-// intCode is an int column's code of i, or -1.
-func (d *dict) intCode(i int64) int32 {
-	if d.route != byOffset {
-		return find(d, d.ints, d.intMap, i)
-	}
-	if u := uint64(i) - uint64(d.lo); u < uint64(len(d.first)-1) {
-		return int32(u) + 1
-	}
-	return -1
-}
-
-// find returns v's code in a typed column, vec when d was built: a search
-// over the run heads, or a map lookup; -1 when no row holds v.
-func find[T cmp.Ordered](d *dict, vec []T, m map[T]int32, v T) int32 {
-	c, ok := m[v]
-	if d.route == bySearch {
-		i, found := slices.BinarySearchFunc(d.first[1:], v, func(r int32, v T) int { return cmp.Compare(vec[r], v) })
-		c, ok = int32(i)+1, found
-	}
-	if !ok {
-		return -1
-	}
-	return c
 }
 
 // keeps returns, per code, whether a Where over vals keeps its rows:
@@ -565,23 +494,19 @@ func (p *projection) dict(col int) *dict {
 	return m.dict
 }
 
-// newDict codes col's n rows (dict's route).
+// newDict codes col's n rows: an int or string vector through a Go map,
+// which codes them faster than hashed Values, and any other by hash.
 func newDict(col *column, n int) *dict {
-	d := &dict{col: col, codes: make([]int32, n), first: []int32{-1}}
+	d := &dict{col: col, codes: make([]int32, n), first: []int32{-1},
+		index: map[uint64][]int32{mmvalue.Null.Hash(): {0}}}
 	switch {
 	case col.vals == nil && col.kind == mmvalue.KindInt:
-		d.ints = col.ints
-		if d.intMap = codeRows(d, col.ints, col.ascends(n)); d.route == bySearch &&
-			uint64(col.ints[n-1])-uint64(col.ints[0]) == uint64(len(d.first)-2) { // consecutive
-			d.route, d.lo = byOffset, col.ints[0]
-		}
+		d.ints = codeRows(d, col.ints)
 		return d
 	case col.vals == nil && col.kind == mmvalue.KindString:
-		d.strs = col.strs
-		d.strMap = codeRows(d, col.strs, col.ascends(n))
+		d.strs = codeRows(d, col.strs)
 		return d
 	}
-	d.index = map[uint64][]int32{mmvalue.Null.Hash(): {0}}
 	for r := range d.codes {
 		v := col.value(r)
 		if d.codes[r] = d.code(v); d.codes[r] < 0 {
@@ -594,22 +519,10 @@ func newDict(col *column, n int) *dict {
 	return d
 }
 
-// codeRows codes d's rows, whose values in a typed column are vec: by
-// runs when they ascend (bySearch, and no map), else through the map it
-// returns (byMap), sized for the rows with values.
-func codeRows[T cmp.Ordered](d *dict, vec []T, ascends bool) map[T]int32 {
-	if ascends {
-		d.route = bySearch
-		for r := range d.codes {
-			if r == 0 || vec[r] != vec[r-1] {
-				d.first = append(d.first, int32(r))
-			}
-			d.codes[r] = int32(len(d.first) - 1)
-		}
-		return nil
-	}
-	d.route = byMap
-	m := make(map[T]int32, len(vec))
+// codeRows codes d's rows, whose values are vec's where the column has
+// one, through the map it returns: no Value is built.
+func codeRows[T comparable](d *dict, vec []T) map[T]int32 {
+	m := map[T]int32{}
 	for r := range vec {
 		if !d.col.has(r) {
 			continue
@@ -625,8 +538,7 @@ func codeRows[T cmp.Ordered](d *dict, vec []T, ascends bool) map[T]int32 {
 }
 
 // link returns, for every row, the first row of build whose first
-// column equals the row's non-null value in column col, or -1: by a
-// merge when both columns ascend, else by the build dict's route.
+// column equals the row's non-null value in column col, or -1.
 func (p *projection) link(col int, build *projection) []int32 {
 	keys := build.dict(0) // before the memo's lock: col may be build's column 0
 	m := p.cols[col].memo
@@ -635,38 +547,15 @@ func (p *projection) link(col int, build *projection) []int32 {
 	if m.linkTo == keys {
 		return m.link
 	}
-	c, rows, how := &p.cols[col], make([]int32, p.n), keys.route
-	switch {
-	case how >= bySearch && keys.ints != nil && c.kind == mmvalue.KindInt && c.ascends(p.n):
-		how = merge(rows, c.ints, keys.ints, keys.first)
-	case how >= bySearch && keys.strs != nil && c.kind == mmvalue.KindString && c.ascends(p.n):
-		how = merge(rows, c.strs, keys.strs, keys.first)
-	default:
-		for r := range rows {
-			rows[r] = -1
-			if k := keys.code(c.value(r)); k > 0 { // code 0: null, which matches nothing
-				rows[r] = keys.first[k]
-			}
-		}
-	}
-	m.linkTo, m.link, m.linkRoute = keys, rows, how
-	return rows
-}
-
-// merge links the ascending probe values to the run heads first of the
-// ascending build vector: rows[r] is the head holding probe[r], or -1.
-func merge[T cmp.Ordered](rows []int32, probe, build []T, first []int32) route {
-	c := 1
-	for r, v := range probe[:len(rows)] {
-		for c < len(first) && build[first[c]] < v {
-			c++
-		}
+	rows := make([]int32, p.n)
+	for r := range rows {
 		rows[r] = -1
-		if c < len(first) && build[first[c]] == v {
-			rows[r] = first[c]
+		if c := keys.code(p.cols[col].value(r)); c > 0 { // code 0: null, which matches nothing
+			rows[r] = keys.first[c]
 		}
 	}
-	return byMerge
+	m.linkTo, m.link = keys, rows
+	return rows
 }
 
 // matches is a join's build structure: the whole rows of a projection
