@@ -89,13 +89,13 @@
 //     hash, each with its own mutex and condition variable. Acquires of
 //     unrelated records never contend and a release wakes only its own
 //     shard. There is one lock mode, exclusive: only writers lock.
-//   - Background deadlock detection: a blocked acquire only records
-//     its wait-for edge; a sweeper goroutine — spawned when the first
-//     waiter appears, exiting when the graph drains — runs one DFS
-//     over the whole cross-shard graph per interval (1ms,
-//     txn.DefaultDetectorInterval) and marks the youngest transaction
-//     of each cycle as the victim. Victim latency is bounded by the
-//     interval; a blocked acquire no longer pays a graph traversal.
+//   - Deadlock detection at wait time: with one lock mode a waiter
+//     waits for exactly one holder, so the wait-for graph is a
+//     function (waiter → holder). Before a transaction sleeps it
+//     follows its holder's chain; if the chain comes back to it, it
+//     closes a cycle and fails with ErrDeadlock instead of sleeping.
+//     The closer is the victim, so no goroutine sweeps and no victim
+//     is woken on another shard.
 //   - Interned lock keys: every record carries its precomputed
 //     txn.ResourceKey (name + shard), built once when the record is
 //     created, so steady-state acquire/release performs zero
@@ -137,9 +137,8 @@
 //     docs/BENCHMARKING.md covers the methodology.
 //   - Lock telemetry (internal/txn): every shard counts acquires,
 //     blocked acquires and blocked wall time in atomic counters (a
-//     snapshot takes no shard mutex), and the background detector
-//     counts sweeps, cycles
-//     found and victims marked, and reports its sweep interval.
+//     snapshot takes no shard mutex), and the detector counts its
+//     victims.
 //     Manager.LockStats() snapshots all of it; the driver reports the
 //     per-run delta through `udbench mix -json` so a contention
 //     regression is visible in the run's own report.

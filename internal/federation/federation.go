@@ -84,9 +84,8 @@ func (f *Federation) Stores() datagen.Target {
 	return datagen.Target{Relational: f.Relational, Docs: f.Docs, Graph: f.Graph, KV: f.KV, XML: f.XML}
 }
 
-// LockStats aggregates lock-table telemetry across the five per-store
-// managers (summed shard-by-index — each store has its own lock table,
-// so the per-shard rows describe the combined stripes, not one table).
+// LockStats sums lock-table telemetry across the five per-store
+// managers.
 func (f *Federation) LockStats() txn.LockStats {
 	out := f.relMgr.LockStats()
 	for _, m := range []*txn.Manager{f.docMgr, f.graphMgr, f.kvMgr, f.xmlMgr} {

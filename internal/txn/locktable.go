@@ -42,11 +42,6 @@ func fnv32a(s string) uint32 {
 	return h
 }
 
-// DefaultDetectorInterval is the cadence of the background deadlock
-// detector: the upper bound a deadlocked transaction waits before a
-// sweep finds the cycle and marks a victim.
-const DefaultDetectorInterval = time.Millisecond
-
 // lockTable implements strict two-phase locking over string-named
 // resources with one lock mode, exclusive: snapshot readers never lock,
 // so every lock is a writer's, held to commit. The table is striped:
@@ -59,10 +54,8 @@ const DefaultDetectorInterval = time.Millisecond
 // record allocate nothing. Idle entries (no holder, no waiter) are
 // removed by sweepEntries at a GC point — see lockgc.go.
 //
-// Deadlock detection is batched: a blocked acquire only records its
-// wait-for edge; a background sweeper goroutine — spawned when the
-// first waiter appears, exiting when the graph drains — runs one DFS
-// over the whole cross-shard graph per interval and marks victims.
+// Deadlocks are caught at wait time by the detector, so no goroutine
+// runs beside the transactions.
 type lockTable struct {
 	shards [numLockShards]lockShard
 	det    detector
@@ -97,39 +90,40 @@ type heldLock struct {
 	entry *lockEntry
 }
 
-// detector owns the cross-shard deadlock state: the wait-for graph, the
-// set of chosen victims, and which shard each waiter sleeps on (so a
-// victim can be woken wherever it blocks). Its mutex is a leaf: it is
-// taken while holding at most one shard mutex and never the other way
-// around — the background sweeper collects victims under det.mu, drops
-// it, and only then takes shard mutexes to broadcast.
+// detector holds the wait-for graph. With one lock mode a waiter waits
+// for exactly one holder, so the graph is a function: waitsFor[T] = H
+// while T sleeps on a lock H holds. Its mutex is a leaf, taken under at
+// most one shard mutex.
+//
+// Every edge is checked as it goes in: before T sleeps on H, wait
+// follows H's chain, and if the chain reaches T, T closes a cycle and
+// fails with ErrDeadlock instead of sleeping. Three facts make that
+// enough.
+//   - The stored graph stays acyclic, since an edge that would close a
+//     cycle is refused, so the walk ends.
+//   - No false victim. An edge X→Y lives from X's wait until X is
+//     granted or fails, so Y having an edge means Y is inside acquire,
+//     not yet at commit or abort, and under strict 2PL still holds the
+//     lock X waits for: X→Y is current. On a cycle every node has an
+//     edge, so every edge of a cycle the walk finds is current, and
+//     the first, T→H, is read under H's shard mutex.
+//   - No missed cycle. An edge goes stale only when its target
+//     releases, and that release broadcasts the owner's shard, so the
+//     owner wakes and walks again from the new holder. Hence once every
+//     transaction of a cycle sleeps, each edge is current, and the last
+//     of them to write its edge walked the others': it closed the cycle
+//     and failed instead of sleeping.
+//
+// The victim is the transaction that closes the cycle: it is the one
+// running, so it needs no wake-up on another shard.
 type detector struct {
-	mu sync.Mutex
-	// waitsFor[a] = set of txIDs that a is currently waiting on.
-	waitsFor map[uint64]map[uint64]struct{}
-	// aborted marks waiters chosen as deadlock victims so they stop
-	// waiting and return ErrDeadlock.
-	aborted map[uint64]struct{}
-	// waitShard records the shard each waiting transaction blocks on.
-	waitShard map[uint64]*lockShard
-	// running is true while the background sweeper goroutine is alive.
-	// It is spawned by the first waiter and exits when the graph
-	// drains, so idle managers cost nothing.
-	running bool
-	// Telemetry, guarded by mu.
-	sweeps  uint64 // background passes over the whole wait-for graph
-	cycles  uint64 // cycles found across all sweeps
-	victims uint64 // transactions marked as deadlock victims
+	mu       sync.Mutex
+	waitsFor map[uint64]uint64
+	victims  uint64 // cycles closed; guarded by mu
 }
 
 func newLockTable() *lockTable {
-	lt := &lockTable{
-		det: detector{
-			waitsFor:  make(map[uint64]map[uint64]struct{}),
-			aborted:   make(map[uint64]struct{}),
-			waitShard: make(map[uint64]*lockShard),
-		},
-	}
+	lt := &lockTable{det: detector{waitsFor: make(map[uint64]uint64)}}
 	for i := range lt.shards {
 		s := &lt.shards[i]
 		s.cond = sync.NewCond(&s.mu)
@@ -138,12 +132,17 @@ func newLockTable() *lockTable {
 	return lt
 }
 
-// acquire blocks until txID holds key's lock or is chosen as a deadlock
-// victim. The caller must not already hold the lock (Tx.lock filters
-// re-entry). waited reports whether the call ever blocked (and
-// therefore registered state in the detector); entry is the lock entry
-// (valid on every return, for release bookkeeping).
-func (lt *lockTable) acquire(txID uint64, key ResourceKey) (waited bool, entry *lockEntry, err error) {
+// acquire blocks until txID holds key's lock, or returns ErrDeadlock
+// when waiting would close a cycle. The caller must not already hold
+// the lock (Tx.lock filters re-entry). entry is the lock entry (valid
+// on every return, for release bookkeeping).
+//
+// Termination: each pass of the loop grants, returns ErrDeadlock, or
+// sleeps until a release on the key's shard broadcasts. A sleeper
+// waits on a holder whose chain does not come back to it; a cycle's
+// closer never sleeps, so every chain of sleepers ends at a running
+// transaction, whose commit or abort wakes the next.
+func (lt *lockTable) acquire(txID uint64, key ResourceKey) (entry *lockEntry, err error) {
 	s := &lt.shards[key.shard]
 	s.acquires.Add(1)
 	s.mu.Lock()
@@ -153,28 +152,18 @@ func (lt *lockTable) acquire(txID uint64, key ResourceKey) (waited bool, entry *
 		e = &lockEntry{}
 		s.entries[key.name] = e
 	}
+	waited := false
 	for {
-		if waited {
-			// Refresh our wait edge each retry so a released holder does
-			// not linger in the graph and cause spurious victims, and
-			// honor a victim marking before re-checking grantability.
-			// A transaction that never waited has no detector state, so
-			// the uncontended path skips the detector lock entirely.
-			lt.det.clearWaits(txID)
-			if lt.det.consumeAborted(txID) {
-				return true, e, ErrDeadlock
-			}
-		}
 		if e.holder == 0 {
 			e.holder = txID
 			if waited {
-				lt.det.onGrant(txID)
+				lt.det.granted(txID)
 			}
-			return waited, e, nil
+			return e, nil
 		}
-		// Record the wait edge to the holder, then sleep; the
-		// background detector sweeps the graph for cycles.
-		lt.det.addWait(txID, e.holder, s)
+		if !lt.det.wait(txID, e.holder) {
+			return e, ErrDeadlock
+		}
 		if !waited {
 			s.waits.Add(1)
 			waited = true
@@ -189,10 +178,8 @@ func (lt *lockTable) acquire(txID uint64, key ResourceKey) (waited bool, entry *
 	}
 }
 
-// release drops the given locks held by txID, waking only the affected
-// shards, and clears the transaction's detector state when it ever
-// waited.
-func (lt *lockTable) release(txID uint64, held []heldLock, waited bool) {
+// release drops the given locks, waking only the affected shards.
+func (lt *lockTable) release(held []heldLock) {
 	for i := range held {
 		h := &held[i]
 		s := &lt.shards[h.key.shard]
@@ -201,202 +188,29 @@ func (lt *lockTable) release(txID uint64, held []heldLock, waited bool) {
 		s.cond.Broadcast()
 		s.mu.Unlock()
 	}
-	if waited {
-		lt.det.clearTx(txID)
-	}
 }
 
-// --- detector ---
-
-// addWait records txID's wait edge to blocker (noting the shard it
-// will sleep on) and ensures the background sweeper is running. No
-// cycle search happens here: the sweeper finds cycles in batch, so a
-// blocked acquire pays one map update instead of a graph traversal.
-func (d *detector) addWait(txID, blocker uint64, s *lockShard) {
+// wait records txID→holder and reports true, or, when holder's chain
+// leads back to txID, drops txID's edge, counts a victim and reports
+// false. The walk stops at txID, so txID's own (older) edge is never
+// followed.
+func (d *detector) wait(txID, holder uint64) bool {
 	d.mu.Lock()
-	w := d.waitsFor[txID]
-	if w == nil {
-		w = make(map[uint64]struct{}, 1)
-		d.waitsFor[txID] = w
+	defer d.mu.Unlock()
+	for h, ok := holder, true; ok; h, ok = d.waitsFor[h] {
+		if h == txID {
+			delete(d.waitsFor, txID)
+			d.victims++
+			return false
+		}
 	}
-	w[blocker] = struct{}{}
-	d.waitShard[txID] = s
-	if !d.running {
-		// First waiter: spawn the sweeper, which sweeps immediately —
-		// an isolated deadlock is found without waiting an interval.
-		d.running = true
-		go d.run()
-	}
-	d.mu.Unlock()
+	d.waitsFor[txID] = holder
+	return true
 }
 
-// run is the background sweeper: one DFS pass over the whole wait-for
-// graph per interval while waiters exist, exiting when the graph
-// drains. Victims are marked under the detector mutex, but their shards
-// are only broadcast after it is dropped (shard mutexes order before
-// the detector mutex everywhere else).
-func (d *detector) run() {
-	for {
-		d.mu.Lock()
-		if len(d.waitsFor) == 0 {
-			d.running = false
-			d.mu.Unlock()
-			return
-		}
-		d.sweeps++
-		wake := d.sweepLocked()
-		d.mu.Unlock()
-		for _, s := range wake {
-			s.mu.Lock()
-			s.cond.Broadcast()
-			s.mu.Unlock()
-		}
-		time.Sleep(DefaultDetectorInterval)
-	}
-}
-
-// sweepLocked finds every cycle currently in the graph, marking one
-// victim per cycle, and returns the shards to wake. Marked victims are
-// excluded from further traversal (they will abort and release), so
-// each iteration either finds a new cycle or terminates. The done memo
-// is shared across iterations — marking a victim only removes
-// traversable edges, which cannot make a fully-explored cycle-free
-// node part of a cycle — so one sweep visits each settled node once
-// however many victims it marks. Callers hold d.mu.
-func (d *detector) sweepLocked() []*lockShard {
-	var wake []*lockShard
-	done := map[uint64]bool{}
-	for {
-		victim, found := d.findCycleVictim(done)
-		if !found {
-			return wake
-		}
-		d.cycles++
-		d.victims++
-		d.aborted[victim] = struct{}{}
-		if s := d.waitShard[victim]; s != nil {
-			wake = append(wake, s)
-		}
-	}
-}
-
-// clearWaits removes txID's outgoing wait edges; incoming edges from
-// other waiters are refreshed when they retry.
-func (d *detector) clearWaits(txID uint64) {
+// granted drops the edge of a waiter that got its lock.
+func (d *detector) granted(txID uint64) {
 	d.mu.Lock()
 	delete(d.waitsFor, txID)
-	delete(d.waitShard, txID)
 	d.mu.Unlock()
-}
-
-// consumeAborted reports (and clears) a victim marking.
-func (d *detector) consumeAborted(txID uint64) bool {
-	d.mu.Lock()
-	_, victim := d.aborted[txID]
-	if victim {
-		delete(d.aborted, txID)
-	}
-	d.mu.Unlock()
-	return victim
-}
-
-// onGrant clears all detector state of a transaction whose lock was
-// just granted. A granted transaction cannot sit on a genuine cycle (a
-// true blocker can never release while itself blocked), so discarding a
-// concurrent victim marking here is safe and prevents a stale flag from
-// spuriously killing the transaction's next acquire.
-func (d *detector) onGrant(txID uint64) {
-	d.mu.Lock()
-	delete(d.waitsFor, txID)
-	delete(d.waitShard, txID)
-	delete(d.aborted, txID)
-	d.mu.Unlock()
-}
-
-// clearTx drops every trace of txID at transaction end.
-func (d *detector) clearTx(txID uint64) {
-	d.mu.Lock()
-	delete(d.waitsFor, txID)
-	delete(d.waitShard, txID)
-	delete(d.aborted, txID)
-	d.mu.Unlock()
-}
-
-// findCycleVictim searches the whole wait-for graph for a cycle and
-// returns the youngest (highest-ID) transaction on it as the victim.
-// Higher ID means started later, so less work is wasted. Transactions
-// already marked as victims are skipped — their cycles are being torn
-// down. done memoizes nodes fully explored without a cycle (valid for
-// the whole sweep, see sweepLocked). Callers hold d.mu.
-func (d *detector) findCycleVictim(done map[uint64]bool) (victim uint64, found bool) {
-	// Iterative DFS from every node, tracking the path to recover cycle
-	// membership.
-	for start := range d.waitsFor {
-		if done[start] {
-			continue
-		}
-		if _, ab := d.aborted[start]; ab {
-			continue
-		}
-		if v, ok := d.dfsFrom(start, done); ok {
-			return v, true
-		}
-	}
-	return 0, false
-}
-
-func (d *detector) dfsFrom(start uint64, done map[uint64]bool) (victim uint64, found bool) {
-	type frame struct {
-		node uint64
-		next []uint64
-	}
-	onPath := map[uint64]bool{}
-	var path []uint64
-	push := func(n uint64) frame {
-		var succ []uint64
-		for s := range d.waitsFor[n] {
-			if _, ab := d.aborted[s]; !ab {
-				succ = append(succ, s)
-			}
-		}
-		onPath[n] = true
-		path = append(path, n)
-		return frame{node: n, next: succ}
-	}
-	stack := []frame{push(start)}
-	for len(stack) > 0 {
-		top := &stack[len(stack)-1]
-		if len(top.next) == 0 {
-			onPath[top.node] = false
-			done[top.node] = true
-			path = path[:len(path)-1]
-			stack = stack[:len(stack)-1]
-			continue
-		}
-		n := top.next[len(top.next)-1]
-		top.next = top.next[:len(top.next)-1]
-		if onPath[n] {
-			// Cycle: path from n..end plus n. Pick youngest.
-			victim = n
-			seen := false
-			for _, p := range path {
-				if p == n {
-					seen = true
-				}
-				if seen && p > victim {
-					victim = p
-				}
-			}
-			return victim, true
-		}
-		if done[n] {
-			continue
-		}
-		if _, hasEdges := d.waitsFor[n]; hasEdges {
-			stack = append(stack, push(n))
-		} else {
-			done[n] = true
-		}
-	}
-	return 0, false
 }

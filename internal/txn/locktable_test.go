@@ -1,6 +1,7 @@
 package txn
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -36,17 +37,17 @@ func keysOnDistinctShards(t *testing.T, n int) []ResourceKey {
 func TestLockAcquireReleaseZeroAlloc(t *testing.T) {
 	lt := newLockTable()
 	key := NewResourceKey("orders/o-000042")
-	_, e, err := lt.acquire(1, key)
+	e, err := lt.acquire(1, key)
 	if err != nil {
 		t.Fatal(err)
 	}
 	held := []heldLock{{key: key, entry: e}}
-	lt.release(1, held, false)
+	lt.release(held)
 	allocs := testing.AllocsPerRun(1000, func() {
-		if _, _, err := lt.acquire(1, key); err != nil {
+		if _, err := lt.acquire(1, key); err != nil {
 			t.Fatal(err)
 		}
-		lt.release(1, held, false)
+		lt.release(held)
 	})
 	if allocs != 0 {
 		t.Errorf("acquire+release on interned key allocated %.1f times per run, want 0", allocs)
@@ -119,6 +120,91 @@ func TestCrossShardDeadlockCycle(t *testing.T) {
 	}
 	if deadlocks == 0 {
 		t.Fatal("no victim chosen in cross-shard cycle")
+	}
+}
+
+// TestDeadlockCloserFailsWithoutBlocking pins the victim policy: in an
+// AB-BA cycle the transaction whose wait would close the cycle fails at
+// once, in its own goroutine, without ever sleeping, and the waiter it
+// would have closed on gets its lock from the abort.
+func TestDeadlockCloserFailsWithoutBlocking(t *testing.T) {
+	m := NewManager()
+	a, b := NewResourceKey("closer-a"), NewResourceKey("closer-b")
+	tx1, tx2 := m.Begin(), m.Begin()
+	if err := tx1.LockExclusiveKey(a); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx2.LockExclusiveKey(b); err != nil {
+		t.Fatal(err)
+	}
+	got := make(chan error, 1)
+	go func() { got <- tx1.LockExclusiveKey(b) }()
+	waitFor(t, "tx1 to block", func() bool { return m.LockStats().Waits == 1 })
+	if err := tx2.LockExclusiveKey(a); !errors.Is(err, ErrDeadlock) {
+		t.Fatalf("closing acquire = %v, want ErrDeadlock", err)
+	}
+	s := m.LockStats()
+	if s.Waits != 1 {
+		t.Errorf("waits = %d, want 1: the closer must not sleep", s.Waits)
+	}
+	if s.Detector.Victims != 1 {
+		t.Errorf("victims = %d, want 1", s.Detector.Victims)
+	}
+	select {
+	case err := <-got:
+		if err != nil {
+			t.Fatalf("tx1 after tx2's abort: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("tx1 not granted after the closer aborted")
+	}
+	if _, err := tx1.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWaitChainIsNotACycle lines three waiters up behind a running
+// head, each on a lock of another shard: a chain that never comes back
+// to its waiter is no deadlock, so nobody is chosen as a victim and all
+// three commit once the head releases.
+func TestWaitChainIsNotACycle(t *testing.T) {
+	keys := keysOnDistinctShards(t, 4)
+	m := NewManager()
+	txs := make([]*Tx, 4)
+	for i := range txs {
+		txs[i] = m.Begin()
+		if err := txs[i].LockExclusiveKey(keys[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	errs := make(chan error, 3)
+	for i := 1; i < 4; i++ {
+		go func(tx *Tx, key ResourceKey) {
+			err := tx.LockExclusiveKey(key)
+			if err == nil {
+				_, err = tx.Commit()
+			}
+			errs <- err
+		}(txs[i], keys[i-1])
+		waitFor(t, fmt.Sprintf("waiter %d to block", i), func() bool {
+			return m.LockStats().Waits == uint64(i)
+		})
+	}
+	if _, err := txs[0].Commit(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		select {
+		case err := <-errs:
+			if err != nil {
+				t.Fatalf("chain waiter: %v", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("wait chain did not drain after the head committed")
+		}
+	}
+	if v := m.LockStats().Detector.Victims; v != 0 {
+		t.Errorf("victims = %d, want 0 for a chain", v)
 	}
 }
 
@@ -220,18 +306,18 @@ func BenchmarkLockAcquireRelease(b *testing.B) {
 	b.Run("interned", func(b *testing.B) {
 		lt := newLockTable()
 		key := NewResourceKey("orders/o-000042")
-		_, e, err := lt.acquire(1, key)
+		e, err := lt.acquire(1, key)
 		if err != nil {
 			b.Fatal(err)
 		}
 		held := []heldLock{{key: key, entry: e}}
-		lt.release(1, held, false)
+		lt.release(held)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := lt.acquire(1, key); err != nil {
+			if _, err := lt.acquire(1, key); err != nil {
 				b.Fatal(err)
 			}
-			lt.release(1, held, false)
+			lt.release(held)
 		}
 	})
 	b.Run("string", func(b *testing.B) {
@@ -240,11 +326,11 @@ func BenchmarkLockAcquireRelease(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			key := NewResourceKey(store + "/" + id)
-			_, e, err := lt.acquire(1, key)
+			e, err := lt.acquire(1, key)
 			if err != nil {
 				b.Fatal(err)
 			}
-			lt.release(1, []heldLock{{key: key, entry: e}}, false)
+			lt.release([]heldLock{{key: key, entry: e}})
 		}
 	})
 }

@@ -1,8 +1,8 @@
 // Package txn provides the transactional substrate shared by all UDBench
 // stores: a global timestamp oracle, per-record multi-version chains, a
-// strict two-phase-locking lock table with wait-for-graph deadlock
-// detection, the transaction object that ties them together, and — one
-// level up — the record layer the stores are built on: Records, an
+// strict two-phase-locking lock table that refuses a wait closing a
+// wait-for cycle, the transaction object that ties them together, and
+// — one level up — the record layer the stores are built on: Records, an
 // ordered map of version chains that owns locking, the write ritual,
 // visibility, advisory indexes and version GC, so a store adds only
 // what is specific to its data model. One retry policy (Retry, with
@@ -246,9 +246,6 @@ type Tx struct {
 	// Nil below the threshold: a linear scan of a small slice beats a
 	// map and keeps the common path allocation-free.
 	heldIndex map[string]int
-	// waited records whether any acquire ever blocked; only then does
-	// transaction end need to visit the deadlock detector.
-	waited bool
 }
 
 // ID returns the transaction's unique identifier.
@@ -344,10 +341,7 @@ func (tx *Tx) lock(key ResourceKey) error {
 	if tx.holds(key.name) {
 		return nil // re-entry: locks are held to commit
 	}
-	waited, e, err := tx.mgr.locks.acquire(tx.id, key)
-	if waited {
-		tx.waited = true
-	}
+	e, err := tx.mgr.locks.acquire(tx.id, key)
 	if err != nil {
 		tx.Abort()
 		return err
@@ -472,7 +466,7 @@ func (tx *Tx) Abort() {
 }
 
 func (tx *Tx) finish() {
-	tx.mgr.locks.release(tx.id, tx.heldLocks, tx.waited)
+	tx.mgr.locks.release(tx.heldLocks)
 	tx.heldLocks = nil
 	tx.heldIndex = nil
 	tx.undo = nil
@@ -498,12 +492,13 @@ const (
 // times, backing off between calls. attempt must leave nothing behind
 // when it fails (abort what it began).
 //
-// The backoff is what makes the budget mean something: the detector
-// victimises the youngest transaction on a cycle, and a retry begins
-// with a fresh, younger id, so an immediate retry walks straight back
-// into the same conflict and is re-killed until the budget is gone. The
-// jittered, exponentially growing sleep lets the survivors of the cycle
-// commit and desynchronises victims that would otherwise collide again.
+// The backoff is what makes the budget mean something: the victim is
+// the transaction whose wait would close a cycle, and its abort wakes
+// the survivor that waited on it. An immediate retry can take its first
+// lock back before that survivor runs, rebuild the same cycle and kill
+// one side again, until the budget is gone. The jittered, exponentially
+// growing sleep lets the survivors of the cycle commit and
+// desynchronises victims that would otherwise collide again.
 //
 // Termination: the loop makes at most retries+1 attempts and sleeps at
 // most retries*backoffCap in total, so it returns within that plus the

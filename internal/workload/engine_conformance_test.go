@@ -136,25 +136,28 @@ func TestNativeEngineConformance(t *testing.T) {
 // against each engine's document store and pins the retry switch of the
 // write discipline: the single-attempt ops (T1-once, T5-once) come back
 // with txn.ErrDeadlock, the retrying T1 rides out the same cycle and
-// commits.
+// commits. The lock table fails the transaction whose wait closes the
+// cycle, so the op is paused after its first lock until a rival, which
+// already holds the op's second document, queues for the first; the
+// op's second request then closes the cycle.
 func TestOnceVariantsSurfaceDeadlock(t *testing.T) {
 	p := Params{OrderID: datagen.OrderID(1), ProductID: datagen.ProductID(1), ProductID2: datagen.ProductID(2), Rating: 3}
 	for _, ce := range newConformanceEngines(t, true) {
 		order, _ := ce.st.Docs.Collection("orders").Get(nil, p.OrderID)
 		items, _ := order.MustObject().GetOr("items", mmvalue.Null).AsArray()
 		linePID, _ := items[0].MustObject().Get("product_id")
-		// Each op locks first, then second; the rival below holds second
-		// and then asks for first.
+		// Each op locks first, then second, one store request (one Hop)
+		// before each; the rival holds second and then asks for first.
 		cases := []struct {
 			name                 string
-			run                  func(Params) error
+			run                  func(*nativeEngine, Params) error
 			firstColl, firstID   string
 			secondColl, secondID string
 			wantDeadlock         bool
 		}{
-			{"T5-once", ce.StockTransferOnce, "products", p.ProductID, "products", p.ProductID2, true},
-			{"T1-once", ce.OrderUpdateOnce, "orders", p.OrderID, "products", linePID.MustString(), true},
-			{"T1", ce.OrderUpdate, "orders", p.OrderID, "products", linePID.MustString(), false},
+			{"T5-once", (*nativeEngine).StockTransferOnce, "products", p.ProductID, "products", p.ProductID2, true},
+			{"T1-once", (*nativeEngine).OrderUpdateOnce, "orders", p.OrderID, "products", linePID.MustString(), true},
+			{"T1", (*nativeEngine).OrderUpdate, "orders", p.OrderID, "products", linePID.MustString(), false},
 		}
 		for _, c := range cases {
 			t.Run(ce.Name()+"/"+c.name, func(t *testing.T) {
@@ -162,22 +165,31 @@ func TestOnceVariantsSurfaceDeadlock(t *testing.T) {
 				touch := func(tx *txn.Tx, coll, id string) error {
 					return ce.st.Docs.Collection(coll).Update(tx, id, func(d mmvalue.Value) (mmvalue.Value, error) { return d, nil })
 				}
-				rival := mgr.Begin() // older than the op's transaction: the op is the victim
+				gate := &pauseAtSecondHop{discipline: ce.Engine.(discipline), paused: make(chan struct{}), resume: make(chan struct{})}
+				rival := mgr.Begin()
 				if err := touch(rival, c.secondColl, c.secondID); err != nil {
 					t.Fatal(err)
 				}
-				waits := mgr.LockStats().Waits
 				done := make(chan error, 1)
-				go func() { done <- c.run(p) }()
+				go func() { done <- c.run(&nativeEngine{st: ce.st, sut: gate}, p) }()
+				select {
+				case <-gate.paused:
+				case <-time.After(5 * time.Second):
+					t.Fatal("op never reached its second lock")
+				}
+				waits := mgr.LockStats().Waits
+				rivalDone := make(chan error, 1)
+				go func() { rivalDone <- touch(rival, c.firstColl, c.firstID) }()
 				for deadline := time.Now().Add(5 * time.Second); mgr.LockStats().Waits == waits; {
 					if time.Now().After(deadline) {
-						t.Fatal("op never blocked on the rival's lock")
+						t.Fatal("rival never blocked on the op's lock")
 					}
 					time.Sleep(100 * time.Microsecond)
 				}
-				// Closing the cycle: the detector aborts the op's (younger)
-				// transaction, which is what lets this update through.
-				if err := touch(rival, c.firstColl, c.firstID); err != nil {
+				// The op's second request closes the cycle, so the op's
+				// transaction is the victim, which lets the rival through.
+				close(gate.resume)
+				if err := <-rivalDone; err != nil {
 					t.Fatalf("rival was the victim: %v", err)
 				}
 				if _, err := rival.Commit(); err != nil {
@@ -195,6 +207,32 @@ func TestOnceVariantsSurfaceDeadlock(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// pauseAtSecondHop is a write discipline that holds the first attempt
+// at its second store request (after its first lock, before its second)
+// until resume closes, signalling paused when it gets there.
+type pauseAtSecondHop struct {
+	discipline
+	paused, resume chan struct{}
+	once           sync.Once
+}
+
+func (d *pauseAtSecondHop) write(retries int, fn func(session) error) error {
+	return d.discipline.write(retries, func(s session) error { return fn(&pausingSession{session: s, d: d}) })
+}
+
+type pausingSession struct {
+	session
+	d    *pauseAtSecondHop
+	hops int
+}
+
+func (s *pausingSession) Hop() {
+	s.session.Hop()
+	if s.hops++; s.hops == 2 {
+		s.d.once.Do(func() { close(s.d.paused); <-s.d.resume })
 	}
 }
 

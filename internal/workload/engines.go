@@ -215,6 +215,15 @@ func (s fedWriteSession) pipeline() *udbms.Pipeline { return udbms.PipelineOver(
 
 func (e *FederationEngine) read(fn func(session) error) error { return fn(fedReadSession{e.F}) }
 
+// write runs fn over one local transaction per store. Each store's lock
+// table catches the cycles inside it, but none sees a cycle that spans
+// two stores, and such a cycle would hang with no timeout. None forms
+// because every write body (T1, T2, T3, T5 in ops.go) reaches the
+// stores in the order doc → kv → xml → graph and never goes back
+// (TestWriteBodiesLockStoresInOrder): a transaction waiting in store r
+// holds locks only in stores ranked ≤ r, so along a wait-for cycle the
+// ranks never fall, and the cycle lies in one store. A new write body
+// must keep that order.
 func (e *FederationEngine) write(retries int, fn func(session) error) error {
 	return e.F.RunTx(retries, func(ftx *federation.FTx) error { return fn(fedWriteSession{e.F, ftx}) })
 }

@@ -60,7 +60,7 @@ type RunSummary struct {
 	IntendedMaxNS time.Duration `json:"intended_max_ns"`
 	PerOp         []OpSummary   `json:"per_op"`
 	// LockStats is the engine's lock-table telemetry for this run
-	// (per-shard wait counts plus deadlock-detector counters); absent
+	// (acquires, waits, blocked time and deadlock victims); absent
 	// for engines without a lock table.
 	LockStats *txn.LockStats `json:"lock_stats,omitempty"`
 	// Durability is the engine's write-ahead-log telemetry for this
