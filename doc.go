@@ -66,7 +66,7 @@
 //     cache: stores bump a version counter before a commit's rows
 //     become visible, so an unchanged counter certifies an unchanged
 //     build side.
-//   - GroupBy folds batches into accumulators (sum/count/min/max/avg)
+//   - GroupBy folds batches into accumulators (sum/count/max/avg)
 //     found by the hash of the group key. A whole-store scan into a
 //     GroupBy, joins and an Unnest before it included, runs that prefix
 //     over cached column projections instead: typed vectors per path

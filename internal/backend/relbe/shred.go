@@ -51,7 +51,7 @@ func load(ds *datagen.Dataset, db *relational.DB) error {
 	}
 	for _, name := range scratch.Docs.CollectionNames() {
 		coll := scratch.Docs.Collection(name)
-		if err := shred(db, name, coll.Find(nil, nil, nil), coll.IndexPaths()); err != nil {
+		if err := shred(db, name, coll.Find(nil, nil), coll.IndexPaths()); err != nil {
 			return err
 		}
 	}

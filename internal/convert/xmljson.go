@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"udbench/internal/mmvalue"
-	"udbench/internal/relational"
 	"udbench/internal/xmlstore"
 )
 
@@ -248,12 +247,4 @@ func RowsToKV(rows []mmvalue.Value) ([]KVPair, error) {
 		out[i] = KVPair{Key: ks, Value: v}
 	}
 	return out, nil
-}
-
-// KVRowSchema returns the relational schema used by KVToRows.
-func KVRowSchema() relational.Schema {
-	return relational.MustSchema("k",
-		relational.Column{Name: "k", Type: relational.TypeString},
-		relational.Column{Name: "v_json", Type: relational.TypeString},
-	)
 }

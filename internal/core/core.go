@@ -41,11 +41,6 @@ func DefaultConfig() Config {
 	return Config{SF: 0.2, Seed: 42, HopLatency: 100 * time.Microsecond}
 }
 
-// QuickConfig returns a configuration sized for CI runs.
-func QuickConfig() Config {
-	return Config{SF: 0.03, Seed: 42, Quick: true, HopLatency: 20 * time.Microsecond}
-}
-
 // Experiment is one table/figure reproduction.
 type Experiment struct {
 	// ID is the experiment identifier from DESIGN.md ("f1", "t2", ...).

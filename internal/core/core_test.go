@@ -7,6 +7,12 @@ import (
 	"time"
 )
 
+// QuickConfig returns a configuration sized for the tests: the quick
+// mode at SF 0.03.
+func QuickConfig() Config {
+	return Config{SF: 0.03, Seed: 42, Quick: true, HopLatency: 20 * time.Microsecond}
+}
+
 // TestRegistryComplete checks the experiment list: every experiment
 // in ID order, each ID once.
 func TestRegistryComplete(t *testing.T) {

@@ -1,6 +1,6 @@
 // Package document implements the JSON document data model of the
 // UDBMS benchmark: schemaless collections of mmvalue objects with
-// path-predicate queries, projections, partial updates and advisory
+// path-equality queries, partial updates and advisory
 // path indexes. Each collection is a txn.Records: locking, versions,
 // visibility, index maintenance and garbage collection are the shared
 // record layer's; this package adds filters, paths and the document

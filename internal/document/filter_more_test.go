@@ -21,7 +21,7 @@ func TestFuncFilter(t *testing.T) {
 		}
 		return false
 	})
-	if n := c.CountWhere(nil, f); n != 1 {
+	if n := len(c.Find(nil, f)); n != 1 {
 		t.Errorf("func filter matched %d", n)
 	}
 	if s := f.String(); s != "{$func: any q > 3}" {
@@ -37,7 +37,7 @@ func TestIndexAfterDeleteFiltersTombstones(t *testing.T) {
 	}
 	c.Delete(nil, "d0")
 	c.Delete(nil, "d2")
-	docs := c.Find(nil, Eq("k", 0), nil)
+	docs := c.Find(nil, Eq("k", 0))
 	if len(docs) != 3 {
 		t.Errorf("indexed find after deletes = %d, want 3", len(docs))
 	}
@@ -51,7 +51,7 @@ func TestFindUnderTransactionSeesOwnWrites(t *testing.T) {
 		if err := c.Insert(tx, mmvalue.ObjectOf("_id", "b", "v", 2)); err != nil {
 			return err
 		}
-		docs := c.Find(tx, nil, nil)
+		docs := c.Find(tx, nil)
 		if len(docs) != 2 {
 			return fmt.Errorf("tx sees %d docs, want 2", len(docs))
 		}
@@ -66,21 +66,5 @@ func TestFindUnderTransactionSeesOwnWrites(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestProjectionDoesNotFabricateMissingPaths(t *testing.T) {
-	c := newTestStore().Collection("x")
-	c.Insert(nil, mmvalue.MustParseJSON(`{"_id":"a","p":{"q":1}}`))
-	docs := c.Find(nil, nil, &FindOptions{Projection: []string{"p.q", "p.nope", "zz"}})
-	o := docs[0].MustObject()
-	if v, ok := mmvalue.ParsePath("p.q").Lookup(docs[0]); !ok || !mmvalue.Equal(v, mmvalue.Int(1)) {
-		t.Error("nested projection lost value")
-	}
-	if _, ok := mmvalue.ParsePath("p.nope").Lookup(docs[0]); ok {
-		t.Error("projection fabricated missing nested path")
-	}
-	if _, ok := o.Get("zz"); ok {
-		t.Error("projection fabricated missing top path")
 	}
 }

@@ -1,6 +1,11 @@
 package graph
 
-import "udbench/internal/txn"
+import (
+	"cmp"
+	"slices"
+
+	"udbench/internal/txn"
+)
 
 // CSRBuilds counts the CSRs built since NewStore.
 func (s *Store) CSRBuilds() uint64 { return s.csrBuilds.Load() }
@@ -21,4 +26,22 @@ func (s *Store) RentCSR(label string, dir Dir) {
 // Degree is the number of edges Neighbors returns.
 func (s *Store) Degree(tx *txn.Tx, v VID, dir Dir, label string) int {
 	return len(s.Neighbors(tx, v, dir, label))
+}
+
+// Neighbors returns the edges incident to v in direction dir with the
+// given label ("" for any label), as visible to tx, sorted by edge id.
+func (s *Store) Neighbors(tx *txn.Tx, v VID, dir Dir, label string) []Edge {
+	var out []Edge
+	s.mu.RLock()
+	s.eachList(v, dir, label, func(cs []*txn.Chain[*Edge], _ bool) {
+		for _, c := range cs {
+			if e, ok := c.Visible(tx); ok {
+				out = append(out, *e)
+			}
+		}
+	})
+	s.mu.RUnlock()
+	slices.SortFunc(out, func(a, b Edge) int { return cmp.Compare(a.ID, b.ID) })
+	// A self-loop is in both of v's lists when dir is Both.
+	return slices.CompactFunc(out, func(a, b Edge) bool { return a.ID == b.ID })
 }

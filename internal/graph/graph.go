@@ -26,7 +26,6 @@
 package graph
 
 import (
-	"cmp"
 	"fmt"
 	"maps"
 	"math/bits"
@@ -372,24 +371,6 @@ const (
 	In
 	Both
 )
-
-// Neighbors returns the edges incident to v in direction dir with the
-// given label ("" for any label), as visible to tx, sorted by edge id.
-func (s *Store) Neighbors(tx *txn.Tx, v VID, dir Dir, label string) []Edge {
-	var out []Edge
-	s.mu.RLock()
-	s.eachList(v, dir, label, func(cs []*txn.Chain[*Edge], _ bool) {
-		for _, c := range cs {
-			if e, ok := c.Visible(tx); ok {
-				out = append(out, *e)
-			}
-		}
-	})
-	s.mu.RUnlock()
-	slices.SortFunc(out, func(a, b Edge) int { return cmp.Compare(a.ID, b.ID) })
-	// A self-loop is in both of v's lists when dir is Both.
-	return slices.CompactFunc(out, func(a, b Edge) bool { return a.ID == b.ID })
-}
 
 // eachList calls fn with each of v's adjacency lists that dir and label
 // ("" for any label) select; in tells fn the list holds v's in-edges.

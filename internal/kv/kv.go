@@ -100,9 +100,6 @@ func (s *Store) ScanPrefix(tx *txn.Tx, prefix string, fn func(key string, value 
 // It is O(n); intended for statistics, not hot paths.
 func (s *Store) Len() int { return s.recs.Count() }
 
-// KeyCount returns the number of physical keys including tombstones.
-func (s *Store) KeyCount() int { return s.recs.Len() }
-
 // Compact garbage-collects version chains older than horizon and
 // physically unlinks keys whose latest version is a tombstone older
 // than horizon. It returns the number of versions dropped. Compact must

@@ -136,13 +136,6 @@ func (h *Histogram) Mean() time.Duration {
 	return h.sum / time.Duration(h.count)
 }
 
-// Min returns the smallest observation.
-func (h *Histogram) Min() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.min
-}
-
 // Max returns the largest observation.
 func (h *Histogram) Max() time.Duration {
 	h.mu.Lock()

@@ -19,8 +19,8 @@ func TestHistogramBasics(t *testing.T) {
 	if h.Count() != 100 {
 		t.Errorf("Count = %d", h.Count())
 	}
-	if h.Min() != time.Millisecond || h.Max() != 100*time.Millisecond {
-		t.Errorf("min/max = %v/%v", h.Min(), h.Max())
+	if h.min != time.Millisecond || h.Max() != 100*time.Millisecond {
+		t.Errorf("min/max = %v/%v", h.min, h.Max())
 	}
 	mean := h.Mean()
 	if mean < 50*time.Millisecond || mean > 51*time.Millisecond {
@@ -81,13 +81,13 @@ func TestHistogramMerge(t *testing.T) {
 	if a.Count() != 3 {
 		t.Errorf("merged count = %d", a.Count())
 	}
-	if a.Min() != time.Millisecond || a.Max() != 20*time.Millisecond {
-		t.Errorf("merged min/max = %v/%v", a.Min(), a.Max())
+	if a.min != time.Millisecond || a.Max() != 20*time.Millisecond {
+		t.Errorf("merged min/max = %v/%v", a.min, a.Max())
 	}
 	// Merging into an empty histogram.
 	var c Histogram
 	c.Merge(&a)
-	if c.Count() != 3 || c.Min() != time.Millisecond {
+	if c.Count() != 3 || c.min != time.Millisecond {
 		t.Error("merge into empty failed")
 	}
 }
@@ -111,8 +111,8 @@ func TestHistogramMergeDisjointRanges(t *testing.T) {
 	if a.Count() != 80 {
 		t.Errorf("count = %d, want 80", a.Count())
 	}
-	if a.Min() != time.Microsecond {
-		t.Errorf("min = %v, want 1µs", a.Min())
+	if a.min != time.Microsecond {
+		t.Errorf("min = %v, want 1µs", a.min)
 	}
 	if a.Max() != 30*time.Second {
 		t.Errorf("max = %v, want 30s", a.Max())
@@ -154,9 +154,9 @@ func TestHistogramMergeOverlappingRanges(t *testing.T) {
 	}
 	// Merging an empty histogram changes nothing (including min).
 	var empty Histogram
-	before := a.Min()
+	before := a.min
 	a.Merge(&empty)
-	if a.Count() != whole.Count() || a.Min() != before {
+	if a.Count() != whole.Count() || a.min != before {
 		t.Error("merging an empty histogram changed state")
 	}
 }

@@ -68,14 +68,6 @@ type CompatReport struct {
 	Results []CompatResult
 }
 
-// Fraction returns the valid fraction in [0, 1].
-func (r CompatReport) Fraction() float64 {
-	if r.Total == 0 {
-		return 1
-	}
-	return float64(r.Valid) / float64(r.Total)
-}
-
 // CheckAll verifies every query against the schema.
 func CheckAll(queries []HistQuery, s *Schema) CompatReport {
 	rep := CompatReport{Total: len(queries)}

@@ -7,9 +7,8 @@ import (
 	"udbench/internal/mmvalue"
 )
 
-// Expr is a boolean predicate over a row. Expressions are built with
-// the Col/Lit constructors and the comparison/logic combinators, and
-// evaluated against a row object.
+// Expr is a boolean predicate over a row. Expressions are built from
+// Col with Eq, In and And, and evaluated against a row object.
 type Expr interface {
 	// Eval reports whether the row satisfies the predicate.
 	Eval(row mmvalue.Value) bool
@@ -35,84 +34,35 @@ func (c ColRef) value(row mmvalue.Value) mmvalue.Value {
 	return obj.GetOr(c.Name, mmvalue.Null)
 }
 
-type cmpOp uint8
-
-const (
-	opEq cmpOp = iota
-	opNe
-	opLt
-	opLe
-	opGt
-	opGe
-)
-
-func (o cmpOp) String() string {
-	return [...]string{"=", "<>", "<", "<=", ">", ">="}[o]
-}
-
-type cmpExpr struct {
+// eqExpr is column = literal.
+type eqExpr struct {
 	col ColRef
-	op  cmpOp
 	lit mmvalue.Value
 }
 
-func (e cmpExpr) Eval(row mmvalue.Value) bool {
+func (e eqExpr) Eval(row mmvalue.Value) bool {
 	v := e.col.value(row)
-	// SQL semantics: comparisons with NULL are never true (except when
-	// explicitly testing equality against NULL, which UDBench treats
-	// as IS NULL for usability).
-	if v.IsNull() {
-		return e.op == opEq && e.lit.IsNull()
+	// SQL semantics: comparisons with NULL are never true, except that
+	// UDBench treats equality against NULL as IS NULL for usability.
+	if v.IsNull() || e.lit.IsNull() {
+		return v.IsNull() && e.lit.IsNull()
 	}
-	if e.lit.IsNull() {
-		return e.op == opNe
-	}
-	c := mmvalue.Compare(v, e.lit)
-	switch e.op {
-	case opEq:
-		return c == 0
-	case opNe:
-		return c != 0
-	case opLt:
-		return c < 0
-	case opLe:
-		return c <= 0
-	case opGt:
-		return c > 0
-	case opGe:
-		return c >= 0
-	}
-	return false
+	return mmvalue.Compare(v, e.lit) == 0
 }
 
-func (e cmpExpr) String() string {
-	return fmt.Sprintf("%s %s %s", e.col.Name, e.op, e.lit)
+func (e eqExpr) String() string {
+	return fmt.Sprintf("%s = %s", e.col.Name, e.lit)
 }
 
-func (e cmpExpr) equalityOn() (string, mmvalue.Value, bool) {
-	if e.op == opEq && !e.lit.IsNull() {
+func (e eqExpr) equalityOn() (string, mmvalue.Value, bool) {
+	if !e.lit.IsNull() {
 		return e.col.Name, e.lit, true
 	}
 	return "", mmvalue.Null, false
 }
 
 // Eq builds column = literal.
-func (c ColRef) Eq(v any) Expr { return cmpExpr{c, opEq, mmvalue.From(v)} }
-
-// Ne builds column <> literal.
-func (c ColRef) Ne(v any) Expr { return cmpExpr{c, opNe, mmvalue.From(v)} }
-
-// Lt builds column < literal.
-func (c ColRef) Lt(v any) Expr { return cmpExpr{c, opLt, mmvalue.From(v)} }
-
-// Le builds column <= literal.
-func (c ColRef) Le(v any) Expr { return cmpExpr{c, opLe, mmvalue.From(v)} }
-
-// Gt builds column > literal.
-func (c ColRef) Gt(v any) Expr { return cmpExpr{c, opGt, mmvalue.From(v)} }
-
-// Ge builds column >= literal.
-func (c ColRef) Ge(v any) Expr { return cmpExpr{c, opGe, mmvalue.From(v)} }
+func (c ColRef) Eq(v any) Expr { return eqExpr{c, mmvalue.From(v)} }
 
 // inExpr implements column IN (set): the literals in order, and hashed
 // for membership.

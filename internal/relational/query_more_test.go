@@ -30,8 +30,8 @@ func TestQueryStackedWhereIsConjunction(t *testing.T) {
 		tbl.Insert(nil, row(int64(i), fmt.Sprintf("c%d", i), int64(20+i), "hki"))
 	}
 	n := tbl.Query(nil).
-		Where(Col("age").Gt(22)).
-		Where(Col("age").Lt(28)).
+		Where(Col("age").In(21, 22, 23, 24, 25, 26, 27)).
+		Where(Col("age").In(23, 24, 25, 26, 27, 28, 29)).
 		Count()
 	if n != 5 { // ages 23..27
 		t.Errorf("stacked where = %d, want 5", n)

@@ -1,8 +1,9 @@
 // Package relational implements the relational data model of the UDBMS
-// benchmark: typed tables with primary and secondary indexes, a
-// predicate language, a small planner (index vs. scan), joins and
-// aggregation. Rows are mmvalue objects validated against the table
-// schema, which keeps conversion to and from the NoSQL models lossless.
+// benchmark: typed tables with primary and secondary indexes,
+// equality predicates (Eq, In, And), a small planner (index vs. scan),
+// joins and aggregation. Rows are mmvalue objects validated against
+// the table schema, which keeps conversion to and from the NoSQL models
+// lossless.
 //
 // Everything model-agnostic about a row — locking, versions,
 // visibility, the advisory indexes, garbage collection — is the shared
@@ -120,15 +121,6 @@ func (s Schema) Column(name string) (Column, bool) {
 		}
 	}
 	return Column{}, false
-}
-
-// ColumnNames returns the column names in declaration order.
-func (s Schema) ColumnNames() []string {
-	names := make([]string, len(s.Columns))
-	for i, c := range s.Columns {
-		names[i] = c.Name
-	}
-	return names
 }
 
 // ValidateRow checks that row (an object) conforms to the schema:

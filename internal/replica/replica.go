@@ -71,9 +71,6 @@ func NewCluster(n int, lag func(replica int) time.Duration, clock Clock) *Cluste
 	return c
 }
 
-// ReplicaCount returns the number of replicas.
-func (c *Cluster) ReplicaCount() int { return len(c.replicas) }
-
 // Write commits a value on the primary and appends it to the
 // replication log. It returns the assigned sequence number.
 func (c *Cluster) Write(key string, value mmvalue.Value) uint64 {
@@ -130,38 +127,6 @@ func (c *Cluster) catchUp(i int) {
 		}
 		st.applied++
 	}
-}
-
-// AppliedSeq returns the sequence number of the newest event replica i
-// has applied (forcing a catch-up first).
-func (c *Cluster) AppliedSeq(i int) uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.catchUp(i)
-	if c.replicas[i].applied == 0 {
-		return 0
-	}
-	return c.log[c.replicas[i].applied-1].Seq
-}
-
-// PrimarySeq returns the newest committed sequence number.
-func (c *Cluster) PrimarySeq() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.seq
-}
-
-// ReplicationLagSeq returns how many events replica i is behind the
-// primary right now.
-func (c *Cluster) ReplicationLagSeq(i int) uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.catchUp(i)
-	applied := uint64(0)
-	if c.replicas[i].applied > 0 {
-		applied = c.log[c.replicas[i].applied-1].Seq
-	}
-	return c.seq - applied
 }
 
 // ConvergenceTime returns the duration after the last write at which

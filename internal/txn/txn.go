@@ -257,9 +257,6 @@ func (tx *Tx) BeginTS() TS { return tx.beginTS }
 // Status returns the lifecycle state.
 func (tx *Tx) Status() Status { return tx.status }
 
-// Active reports whether the transaction can still be used.
-func (tx *Tx) Active() bool { return tx.status == StatusActive }
-
 // ReadOnly reports whether the transaction has performed no writes so
 // far: no locks (every lock is a writer's), no undo actions, no logged
 // ops. Read-side caches use it to rule out uncommitted own-writes that

@@ -60,7 +60,7 @@ func TestOracleConcurrent(t *testing.T) {
 func TestTxLifecycle(t *testing.T) {
 	m := NewManager()
 	tx := m.Begin()
-	if tx.Status() != StatusActive || !tx.Active() {
+	if tx.Status() != StatusActive {
 		t.Fatal("fresh tx should be active")
 	}
 	if m.ActiveCount() != 1 {

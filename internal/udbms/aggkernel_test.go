@@ -132,7 +132,7 @@ func boxCached(db *DB) {
 // its document, and with where only the rows whose where is x or y.
 func kernelRows(db *DB, unnest bool, where string) []mmvalue.Value {
 	var rows []mmvalue.Value
-	for _, doc := range db.Docs.Collection("t").Find(nil, nil, nil) {
+	for _, doc := range db.Docs.Collection("t").Find(nil, nil) {
 		items, _ := doc.MustObject().GetOr("items", mmvalue.Null).AsArray()
 		if !unnest {
 			items = []mmvalue.Value{mmvalue.Null}
@@ -150,7 +150,7 @@ func kernelRows(db *DB, unnest bool, where string) []mmvalue.Value {
 	return rows
 }
 
-// TestAggKernelsMatchBoxedFold runs Sum, Avg, Min, Max and Count over
+// TestAggKernelsMatchBoxedFold runs Sum, Avg, Max and Count over
 // each kernel kind, with and without Unnest, with no Where, a seed-row
 // Where and an element Where, and with no top-N or a top 3 by each
 // aggregate. The typed kernels must emit exactly the rows, in exactly
@@ -167,7 +167,7 @@ func TestAggKernelsMatchBoxedFold(t *testing.T) {
 			for _, where := range wheres {
 				rows := kernelRows(db, unnest, where)
 				for _, kind := range kernelKinds {
-					aggs := []Agg{Sum(pre+kind, "sum"), Avg(pre+kind, "avg"), Min(pre+kind, "min"), Max(pre+kind, "max"), Count("n")}
+					aggs := []Agg{Sum(pre+kind, "sum"), Avg(pre+kind, "avg"), Max(pre+kind, "max"), Count("n")}
 					groups := refGroupBy(rows, mmvalue.ParsePath(pre+"k"), "k", aggs)
 					for top := -1; top < len(aggs); top++ {
 						build := func() *Pipeline {

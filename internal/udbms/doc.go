@@ -18,10 +18,10 @@
 // interface dispatch per 1024 rows rather than per row. Seeds push
 // their predicate into the store's scan (and its index, when one pins
 // the predicate). Sorts order row positions by mmvalue.Compare of their
-// keys. Group-by aggregates (sum/count/min/max/avg) fold a column at a
+// keys. Group-by aggregates (sum/count/max/avg) fold a column at a
 // time: the kept rows' group key codes once, then per aggregate one loop
 // picked by its column's kind, native over typed vectors and boxed over
-// a vector of values; keys and min/max winners box only when emitted.
+// a vector of values; keys and max winners box only when emitted.
 //
 // Seed scans stream rows straight out of store memory in batches,
 // using pooled scratch buffers so a steady-state query allocates a

@@ -108,7 +108,7 @@ func refJoinDocuments(db *DB, rows []mmvalue.Value, collection, rowField, docPat
 		key := obj.GetOr(rowField, mmvalue.Null)
 		var matches []mmvalue.Value
 		if !key.IsNull() {
-			matches = coll.Find(nil, document.Eq(docPath, key), nil)
+			matches = coll.Find(nil, document.Eq(docPath, key))
 		}
 		obj.Set(asField, mmvalue.Array(matches...))
 	}
@@ -191,7 +191,7 @@ func TestJoinEquivalenceProperty(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
-			want := refJoinDocuments(db, db.Docs.Collection("probe").Find(nil, nil, nil), "build", "cid", "ref.cid", "m")
+			want := refJoinDocuments(db, db.Docs.Collection("probe").Find(nil, nil), "build", "cid", "ref.cid", "m")
 			sameRows(t, label+"/docs", got, want, "m")
 
 			// Documents ⋈ relational, plain column.
@@ -202,7 +202,7 @@ func TestJoinEquivalenceProperty(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
-			want = refJoinRelational(db, db.Docs.Collection("probe").Find(nil, nil, nil), "buildtab", "cid", "cid", "m")
+			want = refJoinRelational(db, db.Docs.Collection("probe").Find(nil, nil), "buildtab", "cid", "cid", "m")
 			sameRows(t, label+"/rel", got, want, "m")
 
 			// Documents ⋈ relational on the primary key (point probes).
@@ -213,7 +213,7 @@ func TestJoinEquivalenceProperty(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
-			want = refJoinRelational(db, db.Docs.Collection("probe").Find(nil, nil, nil), "buildtab", "n", "id", "m")
+			want = refJoinRelational(db, db.Docs.Collection("probe").Find(nil, nil), "buildtab", "n", "id", "m")
 			sameRows(t, label+"/relpk", got, want, "m")
 		}
 	}

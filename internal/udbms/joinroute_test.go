@@ -162,12 +162,12 @@ func TestJoinRoute(t *testing.T) {
 // a pipeline reading the same snapshot.
 func refJoinAt(db *DB, tx *txn.Tx, seed document.Filter, collection, rowField, docPath, asField string) []mmvalue.Value {
 	coll := db.Docs.Collection(collection)
-	rows := db.Docs.Collection("probe").Find(tx, seed, nil)
+	rows := db.Docs.Collection("probe").Find(tx, seed)
 	for _, r := range rows {
 		obj := r.MustObject()
 		var matches []mmvalue.Value
 		if key := obj.GetOr(rowField, mmvalue.Null); !key.IsNull() {
-			matches = coll.Find(tx, document.Eq(docPath, key), nil)
+			matches = coll.Find(tx, document.Eq(docPath, key))
 		}
 		obj.Set(asField, mmvalue.Array(matches...))
 	}
@@ -177,7 +177,7 @@ func refJoinAt(db *DB, tx *txn.Tx, seed document.Filter, collection, rowField, d
 // refJoinRelAt is refJoinRelational under tx.
 func refJoinRelAt(db *DB, tx *txn.Tx, seed document.Filter, table, rowField, column, asField string) []mmvalue.Value {
 	tbl, _ := db.Relational.Table(table)
-	rows := db.Docs.Collection("probe").Find(tx, seed, nil)
+	rows := db.Docs.Collection("probe").Find(tx, seed)
 	for _, r := range rows {
 		obj := r.MustObject()
 		var matches []mmvalue.Value

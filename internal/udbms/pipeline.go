@@ -249,7 +249,7 @@ func (p *Pipeline) SortBy(path string, descending bool) *Pipeline {
 
 // GroupBy folds the row stream into one row per distinct value at
 // keyPath (missing values group under null), computing the given
-// aggregates per group — see Sum, Count, Min, Max, Avg. Each output
+// aggregates per group — see Sum, Count, Max, Avg. Each output
 // row has the shape {asKey: key, <agg fields>...}, owned when collected
 // or kept downstream and read-only during Each; rows stream out in
 // ascending key order (mmvalue.Compare), so results are deterministic.

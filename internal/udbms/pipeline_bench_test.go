@@ -119,7 +119,7 @@ func BenchmarkPipelineJoin(b *testing.B) {
 		b.Run(sh.name+"/nestedloop-ref", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				rows := db.Docs.Collection("probe").Find(nil, nil, nil)
+				rows := db.Docs.Collection("probe").Find(nil, nil)
 				rows = refJoinDocuments(db, rows, "build", "cid", "cid", "m")
 				matched := 0
 				for _, r := range rows {
@@ -265,8 +265,8 @@ func BenchmarkGroupBy(b *testing.B) {
 // groups legs run Q4 over four cities: ≈ 400 customer groups, each read
 // by an Each that keeps no row. The q7 leg runs the Q7 shape: every
 // order joined to its invoice and unnested into its ≈ 24 000 line items,
-// the ≈ 20 of one product kept and folded per order. The topmin leg is a top 10 by the
-// smallest order of each customer (Min), ascending. The /warm
+// the ≈ 20 of one product kept and folded per order. The topmax leg is a top 10 by the
+// largest order of each customer (Max), descending. The /warm
 // legs repeat over unchanged stores, so the column projections, the
 // join's included, come from the join cache; the /cold legs commit one
 // write to every store between iterations, so every iteration projects
@@ -389,10 +389,10 @@ func BenchmarkProjectedGroup(b *testing.B) {
 			b.Fatalf("orders=%d err=%v", n, err)
 		}
 	}
-	topMin := func(b *testing.B, _ document.Filter) {
+	topMax := func(b *testing.B, _ document.Filter) {
 		n, err := db.Pipeline(nil).FromDocuments("orders", nil).
-			GroupBy("cid", "cid", Min("total", "low")).
-			SortBy("low", false).
+			GroupBy("cid", "cid", Max("total", "high")).
+			SortBy("high", true).
 			Limit(10).
 			Count()
 		if err != nil || n != 10 {
@@ -426,7 +426,7 @@ func BenchmarkProjectedGroup(b *testing.B) {
 		{"groups/warm", nil, false, groups},
 		{"groups/cold", nil, true, groups},
 		{"q7/warm", nil, false, q7},
-		{"topmin/warm", nil, false, topMin},
+		{"topmax/warm", nil, false, topMax},
 	} {
 		b.Run(leg.name, func(b *testing.B) {
 			leg.run(b, leg.seed)

@@ -135,7 +135,7 @@ type projPlanCase struct {
 // columns. The whole row a join extended is a key only on rows.
 func projPlans(rng *rand.Rand) []projPlanCase {
 	aggs := []Agg{Sum("total", "s"), Count("n")}
-	for _, a := range []Agg{Avg("total", "av"), Min("total", "mn"), Max("c.0.score", "mx"), Max("d.0.city", "mc")} {
+	for _, a := range []Agg{Avg("total", "av"), Max("total", "mt"), Max("c.0.score", "mx"), Max("d.0.city", "mc")} {
 		if rng.Intn(2) == 0 {
 			aggs = append(aggs, a)
 		}
@@ -207,7 +207,7 @@ func projKVData(t *testing.T, db *DB, rng *rand.Rand, mode projMode) {
 			t.Fatal(err)
 		}
 	}
-	for _, o := range orders.Find(nil, nil, nil) {
+	for _, o := range orders.Find(nil, nil) {
 		id := o.MustObject().GetOr("_id", mmvalue.Null).MustString()
 		var items mmvalue.Value
 		switch rng.Intn(8) {
@@ -289,7 +289,7 @@ func refKVOrdersAt(db *DB, tx *txn.Tx) []mmvalue.Value {
 
 // projKVPlans are the key-value seed and Unnest plans over projKVData.
 func projKVPlans() []projPlanCase {
-	aggs := []Agg{Avg("value.r", "av"), Count("n"), Sum("it.qty", "s"), Max("it.pid", "mx"), Min("cid", "mn")}
+	aggs := []Agg{Avg("value.r", "av"), Count("n"), Sum("it.qty", "s"), Max("it.pid", "mx"), Max("cid", "mc")}
 	joined := func(p *Pipeline) *Pipeline {
 		return p.FromKVPrefix("fb/", "cid", "oid").JoinDocuments("orders", "oid", "_id", "o").Unnest("o.0.items", "it")
 	}
@@ -306,10 +306,10 @@ func projKVPlans() []projPlanCase {
 		{
 			name: "kv key-part subpath, whole row",
 			build: func(p *Pipeline) *Pipeline {
-				return p.FromKVPrefix("fb/", "cid", "oid").GroupBy("oid.x", "k", Max("", "mr"), Min("cid.0", "mc"), Max("value", "mv"), Count("n"))
+				return p.FromKVPrefix("fb/", "cid", "oid").GroupBy("oid.x", "k", Max("", "mr"), Max("cid.0", "mc"), Max("value", "mv"), Count("n"))
 			},
 			refRow: func(db *DB, _ []mmvalue.Value) []mmvalue.Value {
-				return refGroupBy(refKVAt(db, nil), mmvalue.ParsePath("oid.x"), "k", []Agg{Max("", "mr"), Min("cid.0", "mc"), Max("value", "mv"), Count("n")})
+				return refGroupBy(refKVAt(db, nil), mmvalue.ParsePath("oid.x"), "k", []Agg{Max("", "mr"), Max("cid.0", "mc"), Max("value", "mv"), Count("n")})
 			},
 		},
 		{
@@ -380,14 +380,12 @@ func projGraphData(t *testing.T, db *DB, rng *rand.Rand) {
 	}
 }
 
-// refEdgeEndsAt is FromEdgeEnds(label, "v") under tx, walked vertex by
-// vertex through the out-adjacency lists.
+// refEdgeEndsAt is FromEdgeEnds(label, "v") under tx, read edge by edge
+// off the store's edge records rather than a CSR.
 func refEdgeEndsAt(db *DB, tx *txn.Tx, label string) []mmvalue.Value {
 	var rows []mmvalue.Value
-	db.Graph.Vertices(tx, func(v graph.Vertex) bool {
-		for _, e := range db.Graph.Neighbors(tx, v.ID, graph.Out, label) {
-			rows = append(rows, mmvalue.ObjectOf("v", string(e.From)), mmvalue.ObjectOf("v", string(e.To)))
-		}
+	db.Graph.EachEdge(tx, label, func(e *graph.Edge) bool {
+		rows = append(rows, mmvalue.ObjectOf("v", string(e.From)), mmvalue.ObjectOf("v", string(e.To)))
 		return true
 	})
 	return rows
@@ -452,7 +450,7 @@ func TestProjectionMatchesRowPath(t *testing.T) {
 		projGraphData(t, db, rng)
 		for _, pc := range append(append(plans, projKVPlans()...), projGraphPlans()...) {
 			label := fmt.Sprintf("seed %d mode %d %s", seed, mode, pc.name)
-			want := pc.refRow(db, db.Docs.Collection("orders").Find(nil, nil, nil))
+			want := pc.refRow(db, db.Docs.Collection("orders").Find(nil, nil))
 			var got []mmvalue.Value
 			ran := pc.build(db.Pipeline(nil)).runProjected(func(r mmvalue.Value) bool {
 				got = append(got, r.Clone())
@@ -483,13 +481,13 @@ func TestProjectionMatchesRowPath(t *testing.T) {
 func refOrdersAt(db *DB, tx *txn.Tx) []mmvalue.Value {
 	tbl, _ := db.Relational.Table("custtab")
 	docs := db.Docs.Collection("custdocs")
-	rows := db.Docs.Collection("orders").Find(tx, nil, nil)
+	rows := db.Docs.Collection("orders").Find(tx, nil)
 	for _, r := range rows {
 		o := r.MustObject()
 		var c, d []mmvalue.Value
 		if key := o.GetOr("cid", mmvalue.Null); !key.IsNull() {
 			c = tbl.Query(tx).Where(relational.Col("cid").Eq(key)).Rows()
-			d = docs.Find(tx, document.Eq("ref.cid", key), nil)
+			d = docs.Find(tx, document.Eq("ref.cid", key))
 		}
 		o.Set("c", mmvalue.Array(c...))
 		o.Set("d", mmvalue.Array(d...))
@@ -651,7 +649,7 @@ func TestProjectionUnderWriters(t *testing.T) {
 					got = append(got, row.Clone())
 					return true
 				})
-				rows := refJoinXMLAt(db, tx, db.Docs.Collection("orders").Find(tx, nil, nil), "_id", "x")
+				rows := refJoinXMLAt(db, tx, db.Docs.Collection("orders").Find(tx, nil), "_id", "x")
 				want = refGroupBy(refWhere(rows, "x.0.@cur", "EUR", "USD"), mmvalue.Path{"cid"}, "k", invAggs)
 				runs[r] = append(runs[r], run{fmt.Sprintf("reader %d it %d invoices", r, it), ran, got, want})
 				tx.Abort()
@@ -762,7 +760,7 @@ func TestProjectionAddsColumns(t *testing.T) {
 			return p.FromDocuments("c", f).GroupBy("s", "k", Count("n"))
 		},
 		"a e": func(p *Pipeline, f document.Filter) *Pipeline {
-			return p.FromDocuments("c", f).GroupBy("a", "k", Min("e", "v"))
+			return p.FromDocuments("c", f).GroupBy("a", "k", Max("e", "v"))
 		},
 		"items x": func(p *Pipeline, f document.Filter) *Pipeline {
 			return p.FromDocuments("c", f).Unnest("items", "it").GroupBy("it.x", "k", Count("n"))

@@ -262,7 +262,7 @@ func TestPipelineLeavesStoreRowsAlone(t *testing.T) {
 		}
 		want[i] = w
 		if pl.name == "filtered-join-group" {
-			rows := refJoinDocuments(db, db.Docs.Collection("visits").Find(nil, someVisits, nil), "orders", "oid", "_id", "_order")
+			rows := refJoinDocuments(db, db.Docs.Collection("visits").Find(nil, someVisits), "orders", "oid", "_id", "_order")
 			if ref := render(refGroupBy(rows, mmvalue.ParsePath("_order.0.customer_id"), "cid", groupAggs)); !slices.Equal(w, ref) {
 				t.Fatalf("%s: Rows = %v, want %v", pl.name, w, ref)
 			}
@@ -299,13 +299,13 @@ func TestPipelineLeavesStoreRowsAlone(t *testing.T) {
 // one that keeps rows (SortBy, JoinRelational, Rows) gets owned copies.
 // Every terminal must see the rows of the row-at-a-time reference, rows
 // a sort or a join kept must be one per group, not one row seen many
-// times, and writing into the rows Rows returns, Min/Max winners that
-// are arrays of the stored orders included, must change neither the
+// times, and writing into the rows Rows returns, Max winners that are
+// arrays of the stored orders included, must change neither the
 // other rows, nor a second run, nor the stores.
 func TestGroupRowsOwnedWhereKept(t *testing.T) {
 	db := contractDB(t)
-	aggs := []Agg{Sum("total", "revenue"), Count("n"), Max("items", "items"), Min("_id", "first")}
-	ref := refGroupBy(db.Docs.Collection("orders").Find(nil, nil, nil), mmvalue.ParsePath("customer_id"), "cid", aggs)
+	aggs := []Agg{Sum("total", "revenue"), Count("n"), Max("items", "items"), Max("_id", "last")}
+	ref := refGroupBy(db.Docs.Collection("orders").Find(nil, nil), mmvalue.ParsePath("customer_id"), "cid", aggs)
 	sorted := refSort(ref, mmvalue.ParsePath("revenue"), true)
 	joined := refJoinRelational(db, cloneRows(ref), "customer", "cid", "id", "_cust")
 	before := dumpStores(db)

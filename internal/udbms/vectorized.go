@@ -458,13 +458,12 @@ type aggKind uint8
 const (
 	aggSum aggKind = iota
 	aggCount
-	aggMin
 	aggMax
 	aggAvg
 )
 
 // Agg is one aggregate computed per group by Pipeline.GroupBy; build
-// with Sum, Count, Min, Max or Avg.
+// with Sum, Count, Max or Avg.
 type Agg struct {
 	kind aggKind
 	path mmvalue.Path
@@ -478,12 +477,8 @@ func Sum(path, as string) Agg { return Agg{kind: aggSum, path: mmvalue.ParsePath
 // Count counts the rows of each group.
 func Count(as string) Agg { return Agg{kind: aggCount, as: as} }
 
-// Min keeps the smallest non-null value at path per group
+// Max keeps the largest non-null value at path per group
 // (mmvalue.Compare order); null when the group has none.
-func Min(path, as string) Agg { return Agg{kind: aggMin, path: mmvalue.ParsePath(path), as: as} }
-
-// Max keeps the largest non-null value at path per group; null when
-// the group has none.
 func Max(path, as string) Agg { return Agg{kind: aggMax, path: mmvalue.ParsePath(path), as: as} }
 
 // Avg is Sum divided by the count of numeric values at path; null when
@@ -539,7 +534,7 @@ func (g *groupSink) push(rows []mmvalue.Value) bool {
 
 func (g *groupSink) flush() { g.fold(g.pl, []*projection{g.proj}) }
 
-// aggCols is one Sum, Avg, Min or Max over col, per group code: the sum
+// aggCols is one Sum, Avg or Max over col, per group code: the sum
 // and count of numbers, or the winner's row plus one (0: none yet).
 type aggCols struct {
 	col  *column
@@ -571,25 +566,21 @@ func (a *aggCols) fold(kind aggKind, col *column, n int, codes, rows []int32) {
 		} // strings, or no values: no numbers
 		return
 	}
-	a.best = zeroed(a.best, n)
-	dir := 1 // Max keeps a value above its group's winner, Min (-1) one below
-	if kind == aggMin {
-		dir = -1
-	}
+	a.best = zeroed(a.best, n) // Max keeps a value above its group's winner
 	switch {
 	case col.vals != nil:
 		for i, r := range rows {
 			v, b := col.value(int(r)), a.best[codes[i]]
-			if !v.IsNull() && (b == 0 || dir*mmvalue.Compare(v, col.value(int(b-1))) > 0) {
+			if !v.IsNull() && (b == 0 || mmvalue.Compare(v, col.value(int(b-1))) > 0) {
 				a.best[codes[i]] = r + 1
 			}
 		}
 	case col.kind == mmvalue.KindInt:
-		bestOf(a.best, dir, codes, rows, col.valid, col.ints)
+		bestOf(a.best, codes, rows, col.valid, col.ints)
 	case col.kind == mmvalue.KindFloat:
-		bestOf(a.best, dir, codes, rows, col.valid, col.floats)
+		bestOf(a.best, codes, rows, col.valid, col.floats)
 	case col.kind == mmvalue.KindString:
-		bestOf(a.best, dir, codes, rows, col.valid, col.strs)
+		bestOf(a.best, codes, rows, col.valid, col.strs)
 	}
 }
 
@@ -603,25 +594,25 @@ func sumOf[T int64 | float64](a *aggCols, codes, rows []int32, valid []uint64, x
 	}
 }
 
-// bestOf is Min or Max over a typed vector. cmp.Compare orders NaN first
-// and -0 equal to 0, as mmvalue.Compare does.
-func bestOf[T cmp.Ordered](best []int32, dir int, codes, rows []int32, valid []uint64, xs []T) {
+// bestOf is Max over a typed vector. cmp.Compare orders NaN first and
+// -0 equal to 0, as mmvalue.Compare does.
+func bestOf[T cmp.Ordered](best []int32, codes, rows []int32, valid []uint64, xs []T) {
 	for i, r := range rows {
 		if r >= 0 && valid[r/64]&(1<<(r%64)) != 0 {
-			if b := best[codes[i]]; b == 0 || dir*cmp.Compare(xs[r], xs[b-1]) > 0 {
+			if b := best[codes[i]]; b == 0 || cmp.Compare(xs[r], xs[b-1]) > 0 {
 				best[codes[i]] = r + 1
 			}
 		}
 	}
 }
 
-// value is aggregate k's output field in group c's row; a Min or Max
-// winner is the projection's, not owned.
+// value is aggregate k's output field in group c's row; a Max winner
+// is the projection's, not owned.
 func (g *groupSink) value(c int32, k int) mmvalue.Value {
 	switch g.st.aggs[k].kind {
 	case aggCount:
 		return mmvalue.Int(g.count[c])
-	case aggMin, aggMax:
+	case aggMax:
 		return g.aggs[k].col.value(int(g.aggs[k].best[c]) - 1)
 	}
 	if f, ok := g.num(c, k); ok {
@@ -654,7 +645,7 @@ func (g *groupSink) order() []int32 {
 		w := &g.aggs[k]
 		compare := func(a, b int32) int { return w.col.compare(int(w.best[a])-1, int(w.best[b])-1) }
 		var score []float64 // per code, a Count's, Sum's or Avg's number; an Avg over no numbers, null, is 0/0
-		if kind := g.st.aggs[k].kind; kind != aggMin && kind != aggMax {
+		if kind := g.st.aggs[k].kind; kind != aggMax {
 			score = slices.Grow(g.nums[:0], len(g.count))[:len(g.count)]
 			for c := range score {
 				score[c], _ = g.num(int32(c), k)

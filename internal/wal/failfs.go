@@ -66,13 +66,6 @@ func (f *FailFS) FailSyncsFrom(n int) {
 	f.syncErrAfter = n
 }
 
-// FailRename makes every Rename fail with err (nil to disarm).
-func (f *FailFS) FailRename(err error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.renameErr = err
-}
-
 // SetSyncLatency injects d of latency before every fsync — a hermetic
 // model of a storage device's durability-barrier cost, which is what
 // separates the fsync policies in the durability experiments.

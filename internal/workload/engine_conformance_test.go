@@ -165,7 +165,7 @@ func TestOnceVariantsSurfaceDeadlock(t *testing.T) {
 				touch := func(tx *txn.Tx, coll, id string) error {
 					return ce.st.Docs.Collection(coll).Update(tx, id, func(d mmvalue.Value) (mmvalue.Value, error) { return d, nil })
 				}
-				gate := &pauseAtSecondHop{discipline: ce.Engine.(discipline), paused: make(chan struct{}), resume: make(chan struct{})}
+				gate := &pauseAtSecondHop{discipline: ce.Engine.(discipline), paused: make(chan struct{}), resume: make(chan struct{}), rivalIn: make(chan struct{})}
 				rival := mgr.Begin()
 				if err := touch(rival, c.secondColl, c.secondID); err != nil {
 					t.Fatal(err)
@@ -189,13 +189,15 @@ func TestOnceVariantsSurfaceDeadlock(t *testing.T) {
 				// The op's second request closes the cycle, so the op's
 				// transaction is the victim, which lets the rival through.
 				close(gate.resume)
-				if err := <-rivalDone; err != nil {
+				err := <-rivalDone
+				close(gate.rivalIn)
+				if err != nil {
 					t.Fatalf("rival was the victim: %v", err)
 				}
 				if _, err := rival.Commit(); err != nil {
 					t.Fatal(err)
 				}
-				err := <-done
+				err = <-done
 				if got := errors.Is(err, txn.ErrDeadlock); got != c.wantDeadlock {
 					t.Errorf("err = %v; surfaced deadlock %v, want %v", err, got, c.wantDeadlock)
 				}
@@ -212,15 +214,25 @@ func TestOnceVariantsSurfaceDeadlock(t *testing.T) {
 
 // pauseAtSecondHop is a write discipline that holds the first attempt
 // at its second store request (after its first lock, before its second)
-// until resume closes, signalling paused when it gets there.
+// until resume closes, signalling paused when it gets there. A retry
+// starts only once rivalIn closes, when the rival holds both documents:
+// a retry that took the first document before the rival was granted it
+// would wait on the rival, and the rival's wait would then close the
+// cycle and make the rival the victim.
 type pauseAtSecondHop struct {
 	discipline
-	paused, resume chan struct{}
-	once           sync.Once
+	paused, resume, rivalIn chan struct{}
+	once                    sync.Once
+	attempts                int // written by the op's goroutine only
 }
 
 func (d *pauseAtSecondHop) write(retries int, fn func(session) error) error {
-	return d.discipline.write(retries, func(s session) error { return fn(&pausingSession{session: s, d: d}) })
+	return d.discipline.write(retries, func(s session) error {
+		if d.attempts++; d.attempts > 1 {
+			<-d.rivalIn
+		}
+		return fn(&pausingSession{session: s, d: d})
+	})
 }
 
 type pausingSession struct {
@@ -261,7 +273,7 @@ func TestFederationHopCounts(t *testing.T) {
 		p := gen.Next()
 		self := graph.VID(datagen.CustomerVID(p.CustomerID))
 		friends := func(k int) int { return len(st.Graph.KHop(nil, []graph.VID{self}, k, graph.Both, "knows")) }
-		myOrders := st.Docs.Collection("orders").Find(nil, document.Eq("customer_id", p.CustomerID), nil)
+		myOrders := st.Docs.Collection("orders").Find(nil, document.Eq("customer_id", p.CustomerID))
 		// Q10 fetches every line's product and every order's invoice.
 		chain := 0
 		for _, o := range myOrders {

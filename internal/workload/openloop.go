@@ -128,21 +128,6 @@ func (s *openScheduler) expected(cfg DriverConfig) int {
 	return int(cfg.RateOpsPerSec*cfg.Duration.Seconds()*2) + 4096
 }
 
-// buildOpenSchedule materializes the lazy schedule — determinism tests
-// compare these snapshots; the driver itself consumes the scheduler
-// one arrival at a time.
-func buildOpenSchedule(info Info, mix []MixItem, cfg DriverConfig, nonce uint64) []scheduledOp {
-	s := newOpenScheduler(info, mix, cfg, nonce)
-	var ops []scheduledOp
-	for {
-		op, ok := s.next()
-		if !ok {
-			return ops
-		}
-		ops = append(ops, op)
-	}
-}
-
 // drainDeadline bounds how long a duration-bounded run may keep
 // working its backlog after the arrival horizon closes: half the run
 // again, plus a constant floor so very short runs still get a useful

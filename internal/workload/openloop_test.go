@@ -5,6 +5,21 @@ import (
 	"time"
 )
 
+// buildOpenSchedule materializes the lazy schedule, so that the
+// determinism tests can compare snapshots; the driver consumes the
+// scheduler one arrival at a time.
+func buildOpenSchedule(info Info, mix []MixItem, cfg DriverConfig, nonce uint64) []scheduledOp {
+	s := newOpenScheduler(info, mix, cfg, nonce)
+	var ops []scheduledOp
+	for {
+		op, ok := s.next()
+		if !ok {
+			return ops
+		}
+		ops = append(ops, op)
+	}
+}
+
 // TestArrivalScheduleShapes pins the two arrival processes: fixed
 // schedules are an exact metronome at 1/rate, Poisson schedules are
 // strictly increasing with mean gap ~1/rate, and both are seed-

@@ -65,7 +65,7 @@ func refQ7(st datagen.Target, s session, p Params) (int, error) {
 				}
 			}
 			return false
-		}), nil)
+		}))
 	count := 0
 	for _, o := range matched {
 		id, _ := o.MustObject().Get("_id")

@@ -97,8 +97,7 @@ func q11FriendNetworkSpend(st datagen.Target, s session, p Params) (int, error) 
 		}
 		sum := 0.0
 		s.Hop()
-		for _, o := range orders.Find(s.DocTx(), document.Eq("customer_id", fid),
-			&document.FindOptions{Projection: []string{"total"}}) {
+		for _, o := range orders.Find(s.DocTx(), document.Eq("customer_id", fid)) {
 			t, _ := o.MustObject().GetOr("total", mmvalue.Float(0)).AsFloat()
 			sum += t
 		}
@@ -170,8 +169,8 @@ type q9Ranked struct {
 func q9SortedRanking(st datagen.Target, s session, p Params) []q9Ranked {
 	s.Hop()
 	var all []graph.Edge
-	st.Graph.Vertices(s.GraphTx(), func(v graph.Vertex) bool {
-		all = append(all, st.Graph.Neighbors(s.GraphTx(), v.ID, graph.Out, "")...)
+	st.Graph.EachEdge(s.GraphTx(), "", func(e *graph.Edge) bool {
+		all = append(all, *e)
 		return true
 	})
 	sort.Slice(all, func(i, j int) bool { return all[i].ID < all[j].ID })
@@ -491,7 +490,7 @@ func TestStockTransferConservation(t *testing.T) {
 	fx := newFixture(t, 0.02)
 	sumStock := func() int64 {
 		var sum int64
-		for _, d := range fx.uni.DB.Docs.Collection("products").Find(nil, nil, nil) {
+		for _, d := range fx.uni.DB.Docs.Collection("products").Find(nil, nil) {
 			s, _ := d.MustObject().GetOr("stock", mmvalue.Int(0)).AsFloat()
 			sum += int64(s)
 		}

@@ -3,7 +3,7 @@
 // encoding/xml tokens, serialization and a transactional document
 // store (a txn.Records of trees: locking, versions, visibility and
 // garbage collection are the shared record layer's). Readers navigate
-// trees with Attr, FirstChild and ChildElements.
+// trees with Attr, FirstChild and Children.
 //
 // In the Figure-1 dataset this store holds the Invoice documents.
 package xmlstore
@@ -67,18 +67,6 @@ func (n *Node) SetAttr(name, value string) {
 		}
 	}
 	n.Attrs = append(n.Attrs, Attr{Name: name, Value: value})
-}
-
-// ChildElements returns the element children with the given name
-// ("" = all element children).
-func (n *Node) ChildElements(name string) []*Node {
-	var out []*Node
-	for _, c := range n.Children {
-		if !c.IsText() && (name == "" || c.Name == name) {
-			out = append(out, c)
-		}
-	}
-	return out
 }
 
 // FirstChild returns the first element child with the given name.
