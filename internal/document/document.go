@@ -179,7 +179,7 @@ func (c *Collection) put(tx *txn.Tx, doc mmvalue.Value, upsert bool) error {
 
 // stage writes doc as tx's new version of id and logs the put.
 func (c *Collection) stage(tx *txn.Tx, id string, rec *txn.Chain[mmvalue.Value], doc mmvalue.Value) {
-	c.docs.Stage(tx, rec, doc, false)
+	c.docs.Stage(tx, rec, doc)
 	if tx.Logging() {
 		tx.LogOp(wal.NewOp(wal.OpDocPut).String(c.name).String(id).
 			Bytes(mmvalue.AppendBinary(nil, doc)).Build())
@@ -225,24 +225,9 @@ func (c *Collection) SetPath(tx *txn.Tx, id, path string, value mmvalue.Value) e
 	})
 }
 
-// Delete tombstones the document; deleting a missing id is a no-op.
-func (c *Collection) Delete(tx *txn.Tx, id string) error {
-	return c.docs.Auto(tx, func(tx *txn.Tx) error {
-		rec, ok, err := c.docs.LockExisting(tx, id)
-		if err != nil || !ok {
-			return err
-		}
-		c.docs.Stage(tx, rec, mmvalue.Null, true)
-		if tx.Logging() {
-			tx.LogOp(wal.NewOp(wal.OpDocDelete).String(c.name).String(id).Build())
-		}
-		return nil
-	})
-}
-
 // Len returns the number of document slots in the collection, including
-// tombstoned documents not yet compacted. It is a cheap upper bound on
-// the live document count, intended for executor sizing decisions.
+// those of inserts that never committed. It is a cheap upper bound on
+// the document count, intended for executor sizing decisions.
 func (c *Collection) Len() int { return c.docs.Len() }
 
 // Stream calls fn for every live document visible to tx that matches
@@ -277,6 +262,5 @@ func (c *Collection) LookupEq(tx *txn.Tx, path string, pp mmvalue.Path, key mmva
 // Count returns the number of live documents at latest-committed state.
 func (c *Collection) Count() int { return c.docs.Count() }
 
-// Compact garbage-collects old versions and removes dead documents and
-// their index entries. Returns versions dropped.
+// Compact garbage-collects old versions. Returns versions dropped.
 func (c *Collection) Compact(horizon txn.TS) int { return c.docs.Compact(horizon) }

@@ -29,20 +29,6 @@ func TestFuncFilter(t *testing.T) {
 	}
 }
 
-func TestIndexAfterDeleteFiltersTombstones(t *testing.T) {
-	c := newTestStore().Collection("x")
-	c.CreateIndex("k")
-	for i := 0; i < 10; i++ {
-		c.Insert(nil, mmvalue.ObjectOf("_id", fmt.Sprintf("d%d", i), "k", i%2))
-	}
-	c.Delete(nil, "d0")
-	c.Delete(nil, "d2")
-	docs := c.Find(nil, Eq("k", 0))
-	if len(docs) != 3 {
-		t.Errorf("indexed find after deletes = %d, want 3", len(docs))
-	}
-}
-
 func TestFindUnderTransactionSeesOwnWrites(t *testing.T) {
 	s := newTestStore()
 	c := s.Collection("x")

@@ -24,9 +24,9 @@
 //     timestamp and attach a fresh log so new commits append after the
 //     recovered history.
 //
-// Replay is idempotent: every op is an upsert or a tombstone keyed by
-// its primary identifier, so applying a log twice converges to the same
-// state (pinned by TestReplayIdempotent).
+// Replay is idempotent: every op is an upsert keyed by its primary
+// identifier, so applying a log twice converges to the same state
+// (pinned by TestReplayIdempotent).
 package durable
 
 import (
@@ -207,8 +207,9 @@ func applyOps(db *udbms.DB, ops [][]byte) error {
 	})
 }
 
-// applyOp dispatches one op blob to its store. Every path is an upsert
-// or an idempotent tombstone, so replaying a prefix twice converges.
+// applyOp dispatches one op blob to its store. Every path is an upsert,
+// so replaying a prefix twice converges. A retired or unknown code is
+// an error that names it.
 func applyOp(db *udbms.DB, tx *txn.Tx, op []byte) error {
 	d := wal.DecodeOp(op)
 	switch d.Code() {
@@ -219,12 +220,6 @@ func applyOp(db *udbms.DB, tx *txn.Tx, op []byte) error {
 			return err
 		}
 		return db.KV.Put(tx, key, v)
-	case wal.OpKVDelete:
-		key := d.String()
-		if err := d.Done(); err != nil {
-			return err
-		}
-		return db.KV.Delete(tx, key)
 	case wal.OpDocPut:
 		coll, _ := d.String(), d.String() // id is re-derived from the doc
 		v, err := decodeValue(d)
@@ -232,12 +227,6 @@ func applyOp(db *udbms.DB, tx *txn.Tx, op []byte) error {
 			return err
 		}
 		return db.Docs.Collection(coll).ApplyPut(tx, v)
-	case wal.OpDocDelete:
-		coll, id := d.String(), d.String()
-		if err := d.Done(); err != nil {
-			return err
-		}
-		return db.Docs.Collection(coll).Delete(tx, id)
 	case wal.OpDocCreateIndex:
 		coll, path := d.String(), d.String()
 		if err := d.Done(); err != nil {
@@ -281,16 +270,6 @@ func applyOp(db *udbms.DB, tx *txn.Tx, op []byte) error {
 			return fmt.Errorf("durable: put on unknown table %q", name)
 		}
 		return t.ApplyPut(tx, v)
-	case wal.OpRelDelete:
-		name, pk := d.String(), d.String()
-		if err := d.Done(); err != nil {
-			return err
-		}
-		t, ok := db.Relational.Table(name)
-		if !ok {
-			return fmt.Errorf("durable: delete on unknown table %q", name)
-		}
-		return t.ApplyDelete(tx, pk)
 	case wal.OpGraphVertex:
 		id, label := d.String(), d.String()
 		v, err := decodeValue(d)
@@ -314,18 +293,6 @@ func applyOp(db *udbms.DB, tx *txn.Tx, op []byte) error {
 		}
 		return db.Graph.SetVertexProps(tx, graph.VID(id),
 			func(mmvalue.Value) (mmvalue.Value, error) { return v, nil })
-	case wal.OpGraphRemoveVertex:
-		id := d.String()
-		if err := d.Done(); err != nil {
-			return err
-		}
-		return db.Graph.RemoveVertex(tx, graph.VID(id))
-	case wal.OpGraphRemoveEdge:
-		id := d.String()
-		if err := d.Done(); err != nil {
-			return err
-		}
-		return db.Graph.RemoveEdge(tx, graph.EID(id))
 	case wal.OpXMLPut:
 		id := d.String()
 		raw := d.Bytes()
@@ -337,17 +304,11 @@ func applyOp(db *udbms.DB, tx *txn.Tx, op []byte) error {
 			return fmt.Errorf("durable: xml op: %w", err)
 		}
 		return db.XML.Put(tx, id, doc)
-	case wal.OpXMLDelete:
-		id := d.String()
-		if err := d.Done(); err != nil {
-			return err
-		}
-		return db.XML.Delete(tx, id)
 	default:
 		if err := d.Err(); err != nil {
 			return err
 		}
-		return fmt.Errorf("durable: unknown op code 0x%02x", d.Code())
+		return fmt.Errorf("durable: unknown or retired op code 0x%02x", d.Code())
 	}
 }
 

@@ -3,6 +3,7 @@ package durable
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"udbench/internal/graph"
@@ -105,22 +106,25 @@ func TestDurableRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Mutations beyond inserts: update, delete, graph edge, props.
+	// Mutations beyond inserts: overwrite, update, graph edge, props.
 	if err := d.RunTx(func(tx *txn.Tx) error {
-		if err := d.KV.Delete(tx, "k0003"); err != nil {
+		if err := d.KV.Put(tx, "k0003", mmvalue.Int(333)); err != nil {
 			return err
 		}
 		if err := d.Docs.Collection("orders").SetPath(tx, "d0004", "seq", mmvalue.Int(444)); err != nil {
 			return err
 		}
 		items, _ := d.Relational.Table("items")
-		if err := items.Delete(tx, 5); err != nil {
+		if err := items.ApplyPut(tx, mmvalue.ObjectOf("id", 5, "seq", 555)); err != nil {
 			return err
 		}
 		if err := d.Graph.AddEdge(tx, "e0", "link", vid(1), vid(2), mmvalue.ObjectOf("w", 1.5)); err != nil {
 			return err
 		}
-		return d.XML.Delete(tx, "x0006")
+		return d.XML.Update(tx, "x0006", func(doc *xmlstore.Node) (*xmlstore.Node, error) {
+			doc.SetAttr("seq", "666")
+			return doc, nil
+		})
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -141,10 +145,14 @@ func TestDurableRoundTrip(t *testing.T) {
 		for _, m := range models {
 			want := int64(i)
 			switch {
-			case m == "kv" && i == 3, m == "rel" && i == 5, m == "xml" && i == 6:
-				want = -1
+			case m == "kv" && i == 3:
+				want = 333
 			case m == "doc" && i == 4:
 				want = 444
+			case m == "rel" && i == 5:
+				want = 555
+			case m == "xml" && i == 6:
+				want = 666
 			}
 			if got := readSeq(d2, m, i); got != want {
 				t.Errorf("%s[%d] = %d, want %d", m, i, got, want)
@@ -235,13 +243,15 @@ func TestReplayIdempotent(t *testing.T) {
 		}
 	}
 	if err := d.RunTx(func(tx *txn.Tx) error {
-		if err := d.KV.Delete(tx, "k0002"); err != nil {
+		if err := d.KV.Put(tx, "k0002", mmvalue.Int(222)); err != nil {
 			return err
 		}
 		if err := d.Graph.AddEdge(tx, "e1", "link", vid(0), vid(1), mmvalue.Null); err != nil {
 			return err
 		}
-		return d.Graph.RemoveVertex(tx, vid(7))
+		return d.Graph.SetVertexProps(tx, vid(7), func(mmvalue.Value) (mmvalue.Value, error) {
+			return mmvalue.ObjectOf("seq", 777), nil
+		})
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +273,7 @@ func TestReplayIdempotent(t *testing.T) {
 	onceBytes := encode(once)
 
 	// Replay the same log a second time over the already-recovered
-	// state: every op must upsert/tombstone to the same place.
+	// state: every op must upsert to the same place.
 	once.Manager().SetCommitLog(nil) // do not re-log the re-applied ops
 	if _, err := wal.Replay(fsys, "db/"+LogName, func(ts uint64, ops [][]byte) error {
 		return applyOps(once.DB, ops)
@@ -276,57 +286,36 @@ func TestReplayIdempotent(t *testing.T) {
 	}
 }
 
-// TestRecoverEdgeIDReuse pins that recovery accepts what the live
-// store accepts: an edge id removed, compacted away and re-added with
-// another label and endpoints recovers as its last add, and a second
-// replay over the recovered state converges to the same bytes.
-func TestRecoverEdgeIDReuse(t *testing.T) {
-	fsys := wal.NewMemFS()
-	d, err := Open("db", Options{FS: fsys})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if err := d.Graph.AddVertex(nil, vid(i), "node", mmvalue.Null); err != nil {
+// TestRetiredOpcodesRejected pins that the six retired delete codes
+// stay retired: a log record carrying one makes Open fail with an error
+// that names the code, and replay does not panic on it.
+func TestRetiredOpcodesRejected(t *testing.T) {
+	for _, code := range []byte{0x11, 0x21, 0x33, 0x43, 0x44, 0x51} {
+		fsys := wal.NewMemFS()
+		if err := fsys.MkdirAll("db"); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := d.Graph.AddEdge(nil, "e", "l", vid(0), vid(1), mmvalue.Null); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Graph.RemoveEdge(nil, "e"); err != nil {
-		t.Fatal(err)
-	}
-	d.Compact(0)
-	if err := d.Graph.AddEdge(nil, "e", "m", vid(1), vid(2), mmvalue.Null); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	re, err := Open("db", Options{FS: fsys})
-	if err != nil {
-		t.Fatalf("recovering a reused edge id: %v", err)
-	}
-	defer re.Close()
-	if e, ok := re.Graph.GetEdge(nil, "e"); !ok || e.Label != "m" || e.From != vid(1) || e.To != vid(2) {
-		t.Fatalf("recovered edge = %+v, %v; want m %s->%s", e, ok, vid(1), vid(2))
-	}
-	encode := func() []byte {
-		tx := re.Manager().Begin()
-		defer tx.Abort()
-		return wal.AppendCommit(nil, 0, encodeState(re.DB, tx))
-	}
-	once := encode()
-	re.Manager().SetCommitLog(nil) // do not re-log the re-applied ops
-	if _, err := wal.Replay(fsys, "db/"+LogName, func(ts uint64, ops [][]byte) error {
-		return applyOps(re.DB, ops)
-	}); err != nil {
-		t.Fatalf("second replay: %v", err)
-	}
-	if twice := encode(); string(once) != string(twice) {
-		t.Fatalf("replaying twice diverged: %d vs %d bytes", len(once), len(twice))
+		log, err := wal.OpenLog("db/"+LogName, wal.Options{FS: fsys})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := log.Append(1, [][]byte{wal.NewOp(code).String("id").Build()}); err != nil {
+			t.Fatal(err)
+		}
+		if err := log.Commit(1); err != nil {
+			t.Fatal(err)
+		}
+		if err := log.Close(); err != nil {
+			t.Fatal(err)
+		}
+		d, err := Open("db", Options{FS: fsys})
+		if err == nil {
+			d.Close()
+			t.Fatalf("op 0x%02x: Open succeeded", code)
+		}
+		if want := fmt.Sprintf("0x%02x", code); !strings.Contains(err.Error(), want) {
+			t.Errorf("op 0x%02x: Open error %q does not name the code", code, err)
+		}
 	}
 }
 

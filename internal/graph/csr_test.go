@@ -33,8 +33,8 @@ func buyAll(t *testing.T, g *graph.Store, labels []string, start graph.VID) {
 }
 
 // TestKHopCSRMatchesMaps checks the CSR walk against the map walk on
-// seeded random graphs over three labels with removed edges, edge ids
-// reused with new endpoints and labels (relinks), self-loops, parallel
+// seeded random graphs over three labels with vertex props rewrites,
+// edges rewritten in place by ApplyEdge, self-loops, parallel
 // edges, and start sets with duplicates and absent vertices, for k 0-3,
 // every direction and label "" too, after each of three write stages.
 func TestKHopCSRMatchesMaps(t *testing.T) {
@@ -55,10 +55,12 @@ func TestKHopCSRMatchesMaps(t *testing.T) {
 				label := labels[rng.Intn(3)]
 				var err error
 				switch op := rng.Intn(10); {
-				case op < 2 && len(ids) > 0: // remove
-					err = g.RemoveEdge(nil, ids[rng.Intn(len(ids))])
-				case op < 4 && len(ids) > 0: // relink an id, live or removed
-					err = g.ApplyEdge(nil, ids[rng.Intn(len(ids))], label, from, to, mmvalue.Null)
+				case op < 2 && len(ids) > 0: // rewrite a vertex's props
+					err = g.SetVertexProps(nil, from, func(mmvalue.Value) (mmvalue.Value, error) { return mmvalue.ObjectOf("w", w), nil })
+				case op < 4 && len(ids) > 0: // rewrite an edge in place
+					id := ids[rng.Intn(len(ids))]
+					e, _ := g.GetEdge(nil, id)
+					err = g.ApplyEdge(nil, id, e.Label, e.From, e.To, mmvalue.ObjectOf("w", w))
 				case op < 5: // self-loop
 					to = from
 					fallthrough
@@ -259,9 +261,10 @@ func scannedEnds(g *graph.Store, tx *txn.Tx, label string) []graph.VID {
 
 // TestEdgeEndsFromCSRMatchScan checks the edge ends read off a label's
 // Both CSR against an Edges scan, as multisets, over labels with
-// self-loops, parallel edges and removed edges, a label with no edges,
-// and label "": a nil and a snapshot reader read the CSR, a reader that
-// has written and one older than the CSR fall back. The first read buys
+// self-loops, parallel edges and edges added after a reader began, a
+// label with no edges, and label "": a nil and a snapshot reader read
+// the CSR, a reader that has written and one older than the CSR fall
+// back. The first read buys
 // the CSR outright, and a two-hop walk after it builds nothing more.
 func TestEdgeEndsFromCSRMatchScan(t *testing.T) {
 	g := graph.NewStore("g", txn.NewManager())
@@ -280,8 +283,12 @@ func TestEdgeEndsFromCSRMatchScan(t *testing.T) {
 	}
 	old := g.Manager().Begin()
 	defer old.Abort()
-	for _, id := range []graph.EID{"e7", "e8"} {
-		if err := g.RemoveEdge(nil, id); err != nil {
+	for _, e := range []struct {
+		id       graph.EID
+		label    string
+		from, to int
+	}{{"e9", "x", 7, 6}, {"e10", "y", 7, 6}} {
+		if err := g.AddEdge(nil, e.id, e.label, vid(e.from), vid(e.to), mmvalue.Null); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -9,7 +9,7 @@
 // Concurrency: all five stores are built on the record layer, the graph
 // on two txn.Records: the vertices and the edges. Every
 // stored version carries its record's identity (a vertex's label, an
-// edge's label and endpoints), so a re-add under another vertex label
+// edge's label and endpoints), so a vertex upsert under another label
 // is versioned like any write. The adjacency lists are the one
 // structure of the graph's own: per vertex and label they hold the
 // incident edges' version chains, under a store-level RWMutex, and a
@@ -68,24 +68,20 @@ type adjacency map[VID]map[string][]*txn.Chain[*Edge]
 // and the adjacency lists out[v][label] and in[v][label] of edge
 // chains. An edge version is an immutable *Edge, so a walk reads the
 // endpoints through a pointer instead of copying the edge out. An edge
-// id keeps its label and endpoints while its record exists: AddEdge
-// with another triple fails until Compact has removed the dead record,
-// and ApplyEdge, for replay, replaces the record at once. Four
-// invariants hold:
+// id keeps its label and endpoints for the store's life: AddEdge on a
+// live id fails, and so does ApplyEdge, for replay, with another
+// triple. Three invariants hold:
 //
 //   - Adjacency: a chain is in the lists iff it holds a version. A fresh
 //     insert (an empty chain) links it; the insert's abort unlinks it
 //     once the chain is empty again, so a retry, which finds the empty
 //     chain Records keeps, links it exactly once.
-//   - Compaction: Compact drops a dead edge from both lists before
-//     Records.Compact removes its record, so no list entry outlives its
-//     chain.
 //   - Version() is vertices.Version() + edges.Version(): committed
 //     writes, each counted before it is stamped visible. The lists change
 //     only for chains no other reader sees a version of (an uncommitted
-//     insert, its abort, a dead record), so they move nothing.
-//   - Len() is edges.Len(), every edge record not yet compacted: the
-//     CSR rent threshold.
+//     insert or its abort), so they move nothing.
+//   - Len() is edges.Len(), every edge record, an aborted insert's empty
+//     chain included: the CSR rent threshold.
 type Store struct {
 	name     string
 	vertices *txn.Records[Vertex]
@@ -152,7 +148,7 @@ func (s *Store) putVertex(tx *txn.Tx, id VID, label string, props mmvalue.Value,
 		if _, exists := c.Current(tx); exists && !upsert {
 			return fmt.Errorf("graph %s: duplicate vertex %q", s.name, id)
 		}
-		s.vertices.Stage(tx, c, Vertex{ID: id, Label: label, Props: props.Clone()}, false)
+		s.vertices.Stage(tx, c, Vertex{ID: id, Label: label, Props: props.Clone()})
 		if tx.Logging() {
 			tx.LogOp(wal.NewOp(wal.OpGraphVertex).String(string(id)).String(label).
 				Bytes(mmvalue.AppendBinary(nil, props)).Build())
@@ -168,14 +164,10 @@ func (s *Store) AddEdge(tx *txn.Tx, id EID, label string, from, to VID, props mm
 
 // ApplyEdge is the replay path: it upserts the edge without the
 // duplicate-id check, so recovery can reapply a logged add whether or
-// not a snapshot already holds the edge. A record of another label or
-// endpoints, live or removed, is replaced: replay does not compact, so
-// an id the live store reused after a Compact comes back here, and so
-// does every reused id when a log is replayed twice. The old record
-// goes from the lists and the records at once, which only replay may
-// do: no other transaction can still read it, and if tx aborts it stays
-// gone (replay then fails). The endpoint vertices must exist, which
-// replay guarantees because their ops precede the edge op in the log.
+// not a snapshot already holds the edge. A live record of another label
+// or endpoints is an error, as for AddEdge (Store). The endpoint
+// vertices must exist, which replay guarantees because their ops
+// precede the edge op in the log.
 func (s *Store) ApplyEdge(tx *txn.Tx, id EID, label string, from, to VID, props mmvalue.Value) error {
 	return s.putEdge(tx, id, label, from, to, props, true)
 }
@@ -199,20 +191,8 @@ func (s *Store) putEdge(tx *txn.Tx, id EID, label string, from, to VID, props mm
 			return err
 		}
 		e := Edge{ID: id, Label: label, From: from, To: to}
-		cur, live := c.Current(tx)
-		same := cur == nil || cur.Label == label && cur.From == from && cur.To == to
-		if !same && upsert { // replay replaces the record (ApplyEdge)
-			s.mu.Lock()
-			s.unlink(c, *cur)
-			s.mu.Unlock()
-			s.edges.Remove(string(id))
-			if c, err = s.edges.Lock(tx, string(id)); err != nil {
-				return err
-			}
-			cur = nil
-		}
-		switch {
-		case cur == nil: // an empty chain: link it, and unlink it if the insert aborts
+		switch cur, live := c.Current(tx); {
+		case !live: // an empty chain: link it, and unlink it if the insert aborts
 			s.mu.Lock()
 			s.link(c, e)
 			s.mu.Unlock()
@@ -225,14 +205,14 @@ func (s *Store) putEdge(tx *txn.Tx, id EID, label string, from, to VID, props mm
 					s.mu.Unlock()
 				}
 			})
-		case live && !upsert:
+		case !upsert:
 			return fmt.Errorf("graph %s: duplicate edge %q", s.name, id)
-		case !same:
-			return fmt.Errorf("graph %s: edge %q is %s %s->%s until compacted, not %s %s->%s",
+		case cur.Label != label || cur.From != from || cur.To != to:
+			return fmt.Errorf("graph %s: edge %q is %s %s->%s, not %s %s->%s",
 				s.name, id, cur.Label, cur.From, cur.To, label, from, to)
 		}
 		e.Props = props.Clone()
-		s.edges.Stage(tx, c, &e, false)
+		s.edges.Stage(tx, c, &e)
 		if tx.Logging() {
 			tx.LogOp(wal.NewOp(wal.OpGraphEdge).String(string(id)).String(label).
 				String(string(from)).String(string(to)).
@@ -300,63 +280,10 @@ func (s *Store) SetVertexProps(tx *txn.Tx, id VID, update func(props mmvalue.Val
 			return fmt.Errorf("graph %s: vertex props must be an object", s.name)
 		}
 		cur.Props = next
-		s.vertices.Stage(tx, c, cur, false)
+		s.vertices.Stage(tx, c, cur)
 		if tx.Logging() {
 			tx.LogOp(wal.NewOp(wal.OpGraphVertexProps).String(string(id)).
 				Bytes(mmvalue.AppendBinary(nil, next)).Build())
-		}
-		return nil
-	})
-}
-
-// RemoveEdge tombstones an edge.
-func (s *Store) RemoveEdge(tx *txn.Tx, id EID) error {
-	return s.edges.Auto(tx, func(tx *txn.Tx) error {
-		c, ok, err := s.edges.LockExisting(tx, string(id))
-		if err != nil || !ok {
-			return err
-		}
-		s.tombstone(tx, c)
-		return nil
-	})
-}
-
-// tombstone stages the removal of c's edge, which tx has locked. The
-// tombstone keeps the edge's identity for Compact and for a re-add; an
-// empty chain (an aborted insert) has no edge to remove.
-func (s *Store) tombstone(tx *txn.Tx, c *txn.Chain[*Edge]) {
-	cur, _ := c.Current(tx)
-	if cur == nil {
-		return
-	}
-	e := *cur
-	e.Props = mmvalue.Null
-	s.edges.Stage(tx, c, &e, true)
-	if tx.Logging() {
-		tx.LogOp(wal.NewOp(wal.OpGraphRemoveEdge).String(string(e.ID)).Build())
-	}
-}
-
-// RemoveVertex tombstones a vertex and all incident edges.
-func (s *Store) RemoveVertex(tx *txn.Tx, id VID) error {
-	return s.vertices.Auto(tx, func(tx *txn.Tx) error {
-		c, ok, err := s.vertices.LockExisting(tx, string(id))
-		if err != nil || !ok {
-			return err
-		}
-		var incident []*txn.Chain[*Edge]
-		s.mu.RLock()
-		s.eachList(id, Both, "", func(cs []*txn.Chain[*Edge], _ bool) { incident = append(incident, cs...) })
-		s.mu.RUnlock()
-		for _, ec := range incident {
-			if err := tx.LockExclusiveKey(ec.Res); err != nil {
-				return err
-			}
-			s.tombstone(tx, ec)
-		}
-		s.vertices.Stage(tx, c, Vertex{ID: id}, true)
-		if tx.Logging() {
-			tx.LogOp(wal.NewOp(wal.OpGraphRemoveVertex).String(string(id)).Build())
 		}
 		return nil
 	})
@@ -660,20 +587,9 @@ func (s *Store) EdgeCount(tx *txn.Tx) int {
 }
 
 // Compact garbage-collects vertex and edge versions shadowed below
-// horizon and removes dead records, a dead edge from both adjacency
-// lists first (Store). It returns the number of versions dropped and,
-// like every store's Compact, must not run concurrently with
-// transactions that might read below horizon.
+// horizon and returns the number dropped. Like every store's Compact,
+// it must not run concurrently with transactions that might read below
+// horizon.
 func (s *Store) Compact(horizon txn.TS) int {
-	dead := func(c *txn.Chain[*Edge]) bool { return c.Dead(horizon) }
-	s.mu.Lock()
-	for _, lists := range [2]adjacency{s.out, s.in} {
-		for _, byLabel := range lists {
-			for label, cs := range byLabel {
-				byLabel[label] = slices.DeleteFunc(cs, dead)
-			}
-		}
-	}
-	s.mu.Unlock()
 	return s.vertices.Compact(horizon) + s.edges.Compact(horizon)
 }

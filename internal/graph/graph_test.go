@@ -201,15 +201,14 @@ func refReach(g *Store, tx *txn.Tx, starts []VID, k int, dir Dir, label string) 
 }
 
 // TestKHopStartSets pins the multi-source walk on the social graph plus
-// a self-loop d->d, an edge b->d that was removed, and an edge d->e
+// a self-loop d->d, an edge b->d of another label, and an edge d->e
 // committed after a reader began: every case against a literal and
 // against refReach.
 func TestKHopStartSets(t *testing.T) {
 	g := buildSocial(t)
 	for _, err := range []error{
 		g.AddEdge(nil, "e7", "knows", "d", "d", mmvalue.Null),
-		g.AddEdge(nil, "e8", "knows", "b", "d", mmvalue.Null),
-		g.RemoveEdge(nil, "e8"),
+		g.AddEdge(nil, "e8", "follows", "b", "d", mmvalue.Null),
 	} {
 		if err != nil {
 			t.Fatal(err)
@@ -244,7 +243,7 @@ func TestKHopStartSets(t *testing.T) {
 		{"self-loop on the way", nil, []VID{"c"}, 2, Out, "knows", "[d e]"},
 		{"in", nil, []VID{"d"}, 2, In, "knows", "[a b c]"},
 		{"both", nil, []VID{"c"}, 1, Both, "knows", "[a b d]"},
-		{"removed edge", nil, []VID{"b"}, 1, Out, "knows", "[c]"},
+		{"edge of another label", nil, []VID{"b"}, 1, Out, "knows", "[c]"},
 		{"reader snapshot", reader, []VID{"a", "c"}, 2, Out, "knows", "[b d]"},
 		{"latest next to the snapshot", nil, []VID{"a", "c"}, 2, Out, "knows", "[b d e]"},
 	}
@@ -260,7 +259,7 @@ func TestKHopStartSets(t *testing.T) {
 }
 
 // TestKHopMatchesReference checks KHop against refReach on seeded
-// random two-label graphs with self-loops and removed edges, at a
+// random two-label graphs with self-loops and parallel edges, at a
 // reader's snapshot taken halfway through the writes and at the latest
 // state, for random start sets (duplicates and the empty set included).
 func TestKHopMatchesReference(t *testing.T) {
@@ -279,16 +278,15 @@ func TestKHopMatchesReference(t *testing.T) {
 		seq := 0
 		write := func(edges int) {
 			for e := 0; e < edges; e++ {
-				if len(live) > 0 && rng.Intn(4) == 0 {
-					i := rng.Intn(len(live))
-					if err := g.RemoveEdge(nil, live[i]); err != nil {
-						t.Fatal(err)
-					}
-					live = append(live[:i], live[i+1:]...)
-					continue
-				}
 				id := EID(fmt.Sprintf("e%d", seq))
 				seq++
+				if len(live) > 0 && rng.Intn(4) == 0 { // a parallel edge under the other label
+					twin, _ := g.GetEdge(nil, live[rng.Intn(len(live))])
+					if err := g.AddEdge(nil, id, map[string]string{"x": "y", "y": "x"}[twin.Label], twin.From, twin.To, mmvalue.Null); err != nil {
+						t.Fatal(err)
+					}
+					continue
+				}
 				if err := g.AddEdge(nil, id, labels[rng.Intn(2)], vid(rng.Intn(n)), vid(rng.Intn(n)), mmvalue.Null); err != nil {
 					t.Fatal(err)
 				}
@@ -342,39 +340,6 @@ func TestAlgorithmsHonorSnapshots(t *testing.T) {
 	}
 	if d := g.Degree(nil, "d", Out, "knows"); d != 1 {
 		t.Errorf("latest d out-degree = %d, want 1", d)
-	}
-}
-
-func TestRemoveEdgeAndVertex(t *testing.T) {
-	g := buildSocial(t)
-	if err := g.RemoveEdge(nil, "e4"); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := g.GetEdge(nil, "e4"); ok {
-		t.Error("removed edge visible")
-	}
-	if hop1 := g.KHop(nil, []VID{"a"}, 1, Out, "knows"); fmt.Sprint(hop1) != "[b]" {
-		t.Errorf("1-hop after edge removal = %v", hop1)
-	}
-	// Removing vertex c removes incident edges.
-	if err := g.RemoveVertex(nil, "c"); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := g.GetVertex(nil, "c"); ok {
-		t.Error("removed vertex visible")
-	}
-	if _, ok := g.GetEdge(nil, "e2"); ok {
-		t.Error("incident edge e2 survived vertex removal")
-	}
-	if _, ok := g.GetEdge(nil, "e6"); ok {
-		t.Error("incident edge e6 survived vertex removal")
-	}
-	if reach := g.KHop(nil, []VID{"a"}, 3, Out, "knows"); fmt.Sprint(reach) != "[b]" {
-		t.Errorf("reachable after c removed = %v, want [b]", reach)
-	}
-	// Removing a missing vertex is a no-op.
-	if err := g.RemoveVertex(nil, "zz"); err != nil {
-		t.Errorf("remove missing vertex: %v", err)
 	}
 }
 
@@ -441,70 +406,33 @@ func TestSetVertexProps(t *testing.T) {
 	}
 }
 
-// TestEdgeIDReuseAfterDelete pins the id rule: a removed edge's id
-// comes back with its own label and endpoints at once, with another
-// triple only once Compact has removed the dead record, and a snapshot
-// older than the reuse still reads the original edge.
-func TestEdgeIDReuseAfterDelete(t *testing.T) {
+// TestApplyEdgeRejectsOtherTriple pins replay's side of the id rule: an
+// edge id keeps its label and endpoints, so ApplyEdge with its own
+// triple rewrites the props in place and with another label or
+// endpoints fails, leaving the record and both adjacency lists as they
+// were.
+func TestApplyEdgeRejectsOtherTriple(t *testing.T) {
 	g := newTestGraph()
 	for _, v := range []VID{"a", "b", "c"} {
 		g.AddVertex(nil, v, "n", mmvalue.Null)
 	}
 	g.AddEdge(nil, "e", "l", "a", "b", mmvalue.Null)
-	g.RemoveEdge(nil, "e")
-	if err := g.AddEdge(nil, "e", "l", "a", "b", mmvalue.ObjectOf("w", 2)); err != nil {
-		t.Fatalf("reuse with the same triple: %v", err)
+	if err := g.ApplyEdge(nil, "e", "l", "a", "b", mmvalue.ObjectOf("w", 1)); err != nil {
+		t.Fatalf("ApplyEdge with its own triple: %v", err)
 	}
-	old := g.Manager().Begin()
-	g.RemoveEdge(nil, "e")
-	if err := g.AddEdge(nil, "e", "l", "b", "c", mmvalue.Null); err == nil {
-		t.Fatal("reuse with another triple before Compact succeeded")
-	}
-	if e, ok := g.GetEdge(old, "e"); !ok || e.From != "a" || e.To != "b" || e.Label != "l" {
-		t.Fatalf("older snapshot reads %+v, %v; want l a->b", e, ok)
-	}
-	old.Abort()
-	g.Compact(g.Manager().Published() + 1)
-	if err := g.AddEdge(nil, "e", "l", "b", "c", mmvalue.Null); err != nil {
-		t.Fatalf("reuse with another triple after Compact: %v", err)
-	}
-	e, ok := g.GetEdge(nil, "e")
-	if !ok || e.From != "b" || e.To != "c" {
-		t.Fatalf("reused edge = %+v", e)
-	}
-	if g.Degree(nil, "a", Out, "l") != 0 {
-		t.Error("old adjacency entry survived reuse")
-	}
-	if g.Degree(nil, "b", Out, "l") != 1 {
-		t.Error("new adjacency entry missing")
-	}
-}
-
-// TestApplyEdgeReplacesOtherTriple pins replay's side of the id rule:
-// ApplyEdge with another label or endpoints replaces a removed or a
-// live record without a Compact, so a log that reuses an id after a
-// live Compact replays, and so does a second pass over it. The replaced
-// record leaves both adjacency lists.
-func TestApplyEdgeReplacesOtherTriple(t *testing.T) {
-	g := newTestGraph()
-	for _, v := range []VID{"a", "b", "c"} {
-		g.AddVertex(nil, v, "n", mmvalue.Null)
-	}
-	g.AddEdge(nil, "e", "l", "a", "b", mmvalue.Null)
-	g.RemoveEdge(nil, "e")
 	for _, step := range []struct {
 		label    string
 		from, to VID
-	}{{"m", "b", "c"}, {"l", "c", "a"}} { // over the tombstone, then over a live edge
-		if err := g.ApplyEdge(nil, "e", step.label, step.from, step.to, mmvalue.Null); err != nil {
-			t.Fatalf("ApplyEdge %s %s->%s: %v", step.label, step.from, step.to, err)
+	}{{"m", "a", "b"}, {"l", "b", "c"}, {"m", "c", "a"}} {
+		if err := g.ApplyEdge(nil, "e", step.label, step.from, step.to, mmvalue.Null); err == nil {
+			t.Fatalf("ApplyEdge %s %s->%s over l a->b succeeded", step.label, step.from, step.to)
 		}
-		if e, ok := g.GetEdge(nil, "e"); !ok || e.Label != step.label || e.From != step.from || e.To != step.to {
-			t.Fatalf("after ApplyEdge %s %s->%s: %+v, %v", step.label, step.from, step.to, e, ok)
-		}
-		if g.Len() != 1 {
-			t.Fatalf("edge records = %d, want 1", g.Len())
-		}
+	}
+	if e, ok := g.GetEdge(nil, "e"); !ok || e.Label != "l" || e.From != "a" || e.To != "b" || e.Props.MustObject().Len() != 1 {
+		t.Fatalf("after the refused ApplyEdges: %+v, %v; want l a->b with its props", e, ok)
+	}
+	if g.Len() != 1 {
+		t.Fatalf("edge records = %d, want 1", g.Len())
 	}
 	g.mu.RLock()
 	entries := 0
@@ -515,13 +443,13 @@ func TestApplyEdgeReplacesOtherTriple(t *testing.T) {
 			}
 		}
 	}
-	out, in := len(g.out["c"]["l"]), len(g.in["a"]["l"])
+	out, in := len(g.out["a"]["l"]), len(g.in["b"]["l"])
 	g.mu.RUnlock()
 	if entries != 2 || out != 1 || in != 1 {
-		t.Errorf("lists hold %d entries, e %d times out of c and %d into a; want 2, 1, 1", entries, out, in)
+		t.Errorf("lists hold %d entries, e %d times out of a and %d into b; want 2, 1, 1", entries, out, in)
 	}
-	if got := g.KHop(nil, []VID{"c"}, 2, Both, ""); fmt.Sprint(got) != "[a]" {
-		t.Errorf("KHop from c = %v, want [a]", got)
+	if got := g.KHop(nil, []VID{"c"}, 2, Both, ""); fmt.Sprint(got) != "[]" {
+		t.Errorf("KHop from c = %v, want []", got)
 	}
 }
 
@@ -586,7 +514,7 @@ func ringWithChords(t testing.TB, n int, l string) *Store {
 }
 
 // TestKHopUnderWriters walks from a start set at a fixed snapshot while
-// writers add knows edges and remove both theirs and the ring's: every
+// writers add knows edges, two per step, and rewrite vertex props: every
 // walk, up to one after the writers finish, must return the answer
 // taken at that snapshot before the writers started.
 func TestKHopUnderWriters(t *testing.T) {
@@ -606,7 +534,7 @@ func TestKHopUnderWriters(t *testing.T) {
 				from, to := VID(fmt.Sprintf("v%04d", (i*13+w)%n)), VID(fmt.Sprintf("v%04d", (i*29+50)%n))
 				for _, err := range []error{
 					g.AddEdge(nil, id, "knows", from, to, mmvalue.Null),
-					g.RemoveEdge(nil, EID(fmt.Sprintf("r%04d", 2*i+w))),
+					g.AddEdge(nil, EID(fmt.Sprintf("x%d-%d", w, i)), "knows", to, VID(fmt.Sprintf("v%04d", (2*i+w+100)%n)), mmvalue.Null),
 				} {
 					if err != nil {
 						t.Errorf("writer %d: %v", w, err)
@@ -614,7 +542,9 @@ func TestKHopUnderWriters(t *testing.T) {
 					}
 				}
 				if i%2 == 1 {
-					if err := g.RemoveEdge(nil, id); err != nil {
+					if err := g.SetVertexProps(nil, from, func(mmvalue.Value) (mmvalue.Value, error) {
+						return mmvalue.ObjectOf("w", w, "i", i), nil
+					}); err != nil {
 						t.Errorf("writer %d: %v", w, err)
 						return
 					}
@@ -708,10 +638,10 @@ func BenchmarkKHop(b *testing.B) {
 }
 
 // TestEdgeRelinkRollsBackOnAbort pins that an edge id is never relinked:
-// re-adding a removed edge with a new label or endpoints is refused
-// while its record exists, and an aborted re-add with its own triple
-// leaves the record and the adjacency lists as they were, so an older
-// snapshot still sees the original edge once.
+// adding a live edge's id with a new label or endpoints is refused, and
+// an aborted rewrite with its own triple leaves the record and the
+// adjacency lists as they were, so an older snapshot still sees the
+// original edge once and the latest state the committed rewrite.
 func TestEdgeRelinkRollsBackOnAbort(t *testing.T) {
 	g := newTestGraph()
 	for _, v := range []VID{"a", "b", "c"} {
@@ -722,23 +652,23 @@ func TestEdgeRelinkRollsBackOnAbort(t *testing.T) {
 	}
 	old := g.Manager().Begin()
 	defer old.Abort()
-	if err := g.RemoveEdge(nil, "e"); err != nil {
+	if err := g.ApplyEdge(nil, "e", "l", "a", "b", mmvalue.ObjectOf("w", 2)); err != nil {
 		t.Fatal(err)
 	}
 	tx := g.Manager().Begin()
 	if err := g.AddEdge(tx, "e", "m", "b", "c", mmvalue.Null); err == nil {
 		t.Fatal("re-add with a new label and endpoints succeeded")
 	}
-	if err := g.AddEdge(tx, "e", "l", "a", "b", mmvalue.ObjectOf("w", 1)); err != nil {
+	if err := g.ApplyEdge(tx, "e", "l", "a", "b", mmvalue.ObjectOf("w", 1)); err != nil {
 		t.Fatal(err)
 	}
 	if e, ok := g.GetEdge(tx, "e"); !ok || e.Label != "l" || e.From != "a" || e.To != "b" {
-		t.Fatalf("in-flight re-add = %+v, %v", e, ok)
+		t.Fatalf("in-flight rewrite = %+v, %v", e, ok)
 	}
 	tx.Abort()
 	e, ok := g.GetEdge(old, "e")
 	if !ok || e.Label != "l" || e.From != "a" || e.To != "b" || e.Props.MustObject().Len() != 0 {
-		t.Fatalf("old snapshot after aborted re-add = %+v, %v; want l a->b", e, ok)
+		t.Fatalf("old snapshot after aborted rewrite = %+v, %v; want l a->b", e, ok)
 	}
 	if d := g.Degree(old, "a", Out, "l"); d != 1 {
 		t.Errorf("old snapshot a out-degree over l = %d, want 1", d)
@@ -750,10 +680,10 @@ func TestEdgeRelinkRollsBackOnAbort(t *testing.T) {
 	out, in := len(g.out["a"]["l"]), len(g.in["b"]["l"])
 	g.mu.RUnlock()
 	if out != 1 || in != 1 {
-		t.Errorf("aborted re-add: e listed %d times out of a, %d into b; want 1, 1", out, in)
+		t.Errorf("aborted rewrite: e listed %d times out of a, %d into b; want 1, 1", out, in)
 	}
-	if _, ok := g.GetEdge(nil, "e"); ok {
-		t.Error("removed edge visible at latest after aborted re-add")
+	if e, ok := g.GetEdge(nil, "e"); !ok || !mmvalue.Equal(e.Props, mmvalue.ObjectOf("w", 2)) {
+		t.Errorf("latest after aborted rewrite = %+v, %v; want the committed rewrite", e, ok)
 	}
 }
 
@@ -794,9 +724,10 @@ func TestEdgeInsertAbortRetryLinksOnce(t *testing.T) {
 	}
 }
 
-// TestVertexRelabelRollsBackOnAbort is the vertex counterpart: re-adding
-// a removed vertex under a new label and aborting must leave the old
-// label, so an older snapshot still sees the vertex as it was.
+// TestVertexRelabelRollsBackOnAbort is the vertex counterpart: a
+// replay-style upsert of a vertex under a new label that aborts must
+// leave the old label, so an older snapshot still sees the vertex as it
+// was and the latest state its committed props rewrite.
 func TestVertexRelabelRollsBackOnAbort(t *testing.T) {
 	g := newTestGraph()
 	if err := g.AddVertex(nil, "v", "a", mmvalue.Null); err != nil {
@@ -804,22 +735,22 @@ func TestVertexRelabelRollsBackOnAbort(t *testing.T) {
 	}
 	old := g.Manager().Begin()
 	defer old.Abort()
-	if err := g.RemoveVertex(nil, "v"); err != nil {
+	if err := g.SetVertexProps(nil, "v", func(mmvalue.Value) (mmvalue.Value, error) { return mmvalue.ObjectOf("k", 1), nil }); err != nil {
 		t.Fatal(err)
 	}
 	tx := g.Manager().Begin()
-	if err := g.AddVertex(tx, "v", "b", mmvalue.Null); err != nil {
+	if err := g.ApplyVertex(tx, "v", "b", mmvalue.Null); err != nil {
 		t.Fatal(err)
 	}
 	if v, ok := g.GetVertex(tx, "v"); !ok || v.Label != "b" {
-		t.Fatalf("in-flight re-add = %+v, %v", v, ok)
+		t.Fatalf("in-flight relabel = %+v, %v", v, ok)
 	}
 	tx.Abort()
-	if v, ok := g.GetVertex(old, "v"); !ok || v.Label != "a" {
-		t.Fatalf("old snapshot after aborted re-add = %+v, %v; want label a", v, ok)
+	if v, ok := g.GetVertex(old, "v"); !ok || v.Label != "a" || v.Props.MustObject().Len() != 0 {
+		t.Fatalf("old snapshot after aborted relabel = %+v, %v; want label a, no props", v, ok)
 	}
-	if _, ok := g.GetVertex(nil, "v"); ok {
-		t.Error("removed vertex visible at latest after aborted re-add")
+	if v, ok := g.GetVertex(nil, "v"); !ok || v.Label != "a" || v.Props.MustObject().Len() != 1 {
+		t.Errorf("latest after aborted relabel = %+v, %v; want label a with the committed props", v, ok)
 	}
 }
 
@@ -884,16 +815,12 @@ func TestEdgesByLabelMatchesFilteredScan(t *testing.T) {
 	mgr := g.Manager()
 	snap := mgr.Begin() // sees the six edges of buildSocial
 	defer snap.Abort()
-	if err := g.RemoveEdge(nil, "e2"); err != nil {
+	if err := g.AddEdge(nil, "e8", "knows", "b", "d", mmvalue.Null); err != nil {
 		t.Fatal(err)
 	}
-	// Relabel: remove e3; its id stays knows c->d until compacted, so
-	// the follows edge takes a new id.
-	if err := g.RemoveEdge(nil, "e3"); err != nil {
-		t.Fatal(err)
-	}
+	// e3 stays knows c->d, so the follows edge takes a new id.
 	if err := g.AddEdge(nil, "e3", "follows", "d", "a", mmvalue.Null); err == nil {
-		t.Fatal("e3 reused under another label before Compact")
+		t.Fatal("e3 reused under another label")
 	}
 	if err := g.AddEdge(nil, "f3", "follows", "d", "a", mmvalue.Null); err != nil {
 		t.Fatal(err)
@@ -926,14 +853,14 @@ func TestEdgesByLabelMatchesFilteredScan(t *testing.T) {
 		}
 	}
 	count := func(tx *txn.Tx, label string) int { return len(edgesSorted(g, tx, label)) }
-	if n := count(nil, "knows"); n != 2 { // e1, e4
-		t.Errorf("latest knows = %d, want 2", n)
+	if n := count(nil, "knows"); n != 5 { // e1-e4, e8
+		t.Errorf("latest knows = %d, want 5", n)
 	}
-	if n := count(open, "knows"); n != 3 { // e1, e4 and the pending e7
-		t.Errorf("open tx knows = %d, want 3", n)
+	if n := count(open, "knows"); n != 6 { // e1-e4, e8 and the pending e7
+		t.Errorf("open tx knows = %d, want 6", n)
 	}
-	if got := edgesSorted(g, snap, "knows"); len(got) < 2 || got[1].ID != "e2" {
-		t.Errorf("snapshot knows = %v, want e2 (removed after the snapshot) included", got)
+	if got := edgesSorted(g, snap, "knows"); len(got) != 4 || got[1].ID != "e2" {
+		t.Errorf("snapshot knows = %v, want e1-e4 (e8 added after the snapshot) only", got)
 	}
 	if n := count(nil, "follows"); n != 1 {
 		t.Errorf("latest follows = %d, want 1", n)
@@ -966,10 +893,6 @@ func TestVersionCountsWrites(t *testing.T) {
 		}, func() bool { v, ok := g.GetVertex(nil, "x"); return ok && v.Props.MustObject().Len() == 1 }},
 		{"ApplyEdge", func() error { return g.ApplyEdge(nil, "ex", "knows", "x", "a", mmvalue.ObjectOf("w", 1)) },
 			func() bool { e, ok := g.GetEdge(nil, "ex"); return ok && e.Props.MustObject().Len() == 1 }},
-		{"RemoveEdge", func() error { return g.RemoveEdge(nil, "ex") },
-			func() bool { _, ok := g.GetEdge(nil, "ex"); return !ok }},
-		{"RemoveVertex", func() error { return g.RemoveVertex(nil, "x") },
-			func() bool { _, ok := g.GetVertex(nil, "x"); return !ok }},
 	} {
 		before := g.Version()
 		seen := make(chan uint64)

@@ -49,7 +49,7 @@ func (s *Store) Put(tx *txn.Tx, key string, value mmvalue.Value) error {
 		if err != nil {
 			return err
 		}
-		s.recs.Stage(tx, rec, value, false)
+		s.recs.Stage(tx, rec, value)
 		if tx.Logging() {
 			tx.LogOp(wal.NewOp(wal.OpKVPut).String(key).
 				Bytes(mmvalue.AppendBinary(nil, value)).Build())
@@ -65,22 +65,6 @@ func (s *Store) Version() uint64 { return s.recs.Version() }
 // returns the latest committed value.
 func (s *Store) Get(tx *txn.Tx, key string) (mmvalue.Value, bool) {
 	return s.recs.Get(tx, key)
-}
-
-// Delete removes key (writes a tombstone). Deleting a missing key is
-// not an error; the lock still serializes with concurrent writers.
-func (s *Store) Delete(tx *txn.Tx, key string) error {
-	return s.recs.Auto(tx, func(tx *txn.Tx) error {
-		rec, ok, err := s.recs.LockExisting(tx, key)
-		if err != nil || !ok {
-			return err
-		}
-		s.recs.Stage(tx, rec, mmvalue.Null, true)
-		if tx.Logging() {
-			tx.LogOp(wal.NewOp(wal.OpKVDelete).String(key).Build())
-		}
-		return nil
-	})
 }
 
 // Scan calls fn for every live key in [start, end) in key order, as
@@ -100,9 +84,7 @@ func (s *Store) ScanPrefix(tx *txn.Tx, prefix string, fn func(key string, value 
 // It is O(n); intended for statistics, not hot paths.
 func (s *Store) Len() int { return s.recs.Count() }
 
-// Compact garbage-collects version chains older than horizon and
-// physically unlinks keys whose latest version is a tombstone older
-// than horizon. It returns the number of versions dropped. Compact must
-// not run concurrently with active transactions that might read below
-// horizon.
+// Compact garbage-collects version chains older than horizon. It
+// returns the number of versions dropped. Compact must not run
+// concurrently with active transactions that might read below horizon.
 func (s *Store) Compact(horizon txn.TS) int { return s.recs.Compact(horizon) }

@@ -50,23 +50,6 @@ func TestPutOverwrite(t *testing.T) {
 	}
 }
 
-func TestDelete(t *testing.T) {
-	s := newTestStore(t)
-	s.Put(nil, "k", mmvalue.String("x"))
-	if err := s.Delete(nil, "k"); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := s.Get(nil, "k"); ok {
-		t.Error("deleted key still visible")
-	}
-	if err := s.Delete(nil, "nope"); err != nil {
-		t.Errorf("deleting missing key should be a no-op, got %v", err)
-	}
-	if s.Len() != 0 {
-		t.Errorf("Len = %d, want 0", s.Len())
-	}
-}
-
 func TestTransactionalAtomicity(t *testing.T) {
 	s := newTestStore(t)
 	mgr := s.Manager()
@@ -106,9 +89,9 @@ func TestSnapshotIsolationOnScan(t *testing.T) {
 		s.Put(nil, fmt.Sprintf("k%d", i), mmvalue.Int(int64(i)))
 	}
 	reader := mgr.Begin()
-	// Concurrent writer adds and deletes after the reader began.
+	// Concurrent writer adds two keys after the reader began.
 	s.Put(nil, "k9", mmvalue.Int(9))
-	s.Delete(nil, "k0")
+	s.Put(nil, "k5", mmvalue.Int(5))
 
 	var seen []string
 	s.Scan(reader, "", "", func(k string, _ mmvalue.Value) bool {
@@ -127,7 +110,7 @@ func TestSnapshotIsolationOnScan(t *testing.T) {
 		now = append(now, k)
 		return true
 	})
-	want = []string{"k1", "k2", "k3", "k4", "k9"}
+	want = []string{"k0", "k1", "k2", "k3", "k4", "k5", "k9"}
 	if fmt.Sprint(now) != fmt.Sprint(want) {
 		t.Errorf("latest scan = %v, want %v", now, want)
 	}
@@ -192,8 +175,7 @@ func TestCompact(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		s.Put(nil, "hot", mmvalue.Int(int64(i)))
 	}
-	s.Put(nil, "dead", mmvalue.Int(1))
-	s.Delete(nil, "dead")
+	s.Put(nil, "cold", mmvalue.Int(1))
 	// Published()+1, not Oracle().Current()+1: the oracle runs ahead of
 	// the watermark while commits are stamping, and a horizon past the
 	// watermark can drop versions still visible to published snapshots.
@@ -205,8 +187,8 @@ func TestCompact(t *testing.T) {
 	if v, ok := s.Get(nil, "hot"); !ok || !mmvalue.Equal(v, mmvalue.Int(9)) {
 		t.Error("latest version must survive compaction")
 	}
-	if n := s.recs.Len(); n != 1 {
-		t.Errorf("tombstoned key should be physically removed, %d physical keys", n)
+	if n := s.recs.Len(); n != 2 {
+		t.Errorf("Compact should keep every key, %d physical keys", n)
 	}
 }
 
@@ -273,19 +255,14 @@ func TestPropSkiplistMatchesSortedMap(t *testing.T) {
 		ref := map[string]int64{}
 		for i := 0; i < 150; i++ {
 			k := fmt.Sprintf("key%03d", r.Intn(60))
-			switch r.Intn(3) {
-			case 0, 1:
-				v := int64(r.Intn(1000))
-				if s.Put(nil, k, mmvalue.Int(v)) != nil {
-					return false
-				}
-				ref[k] = v
-			case 2:
-				if s.Delete(nil, k) != nil {
-					return false
-				}
-				delete(ref, k)
+			if r.Intn(3) == 2 { // a fresh key
+				k = fmt.Sprintf("new%03d", i)
 			}
+			v := int64(r.Intn(1000))
+			if s.Put(nil, k, mmvalue.Int(v)) != nil {
+				return false
+			}
+			ref[k] = v
 		}
 		var wantKeys []string
 		for k := range ref {

@@ -7,10 +7,10 @@
 //
 // Each key lives in two structures: a hash for point lookups (Get and
 // GetOrInsert of an existing key) and a skip list for order (Ascend).
-// Only a first insert and a remove touch both; a point read never walks
-// the skip list.
+// Only a first insert touches both; a point read never walks the skip
+// list. Keys are never removed.
 //
-// Structural operations (insert, remove, iterate) are guarded by an
+// Structural operations (insert, iterate) are guarded by an
 // internal RWMutex; payload values must handle their own
 // synchronization (the record layer's payloads are txn version chains).
 package ordmap
@@ -80,8 +80,8 @@ func (m *Map[T]) seekGE(target string) *node[T] {
 }
 
 // predecessors fills update with the rightmost node before key on every
-// level and returns the first node with key >= key; callers hold mu.
-func (m *Map[T]) predecessors(key string, update *[maxLevel]*node[T]) *node[T] {
+// level; callers hold mu.
+func (m *Map[T]) predecessors(key string, update *[maxLevel]*node[T]) {
 	x := m.head
 	for i := m.level - 1; i >= 0; i-- {
 		for x.next[i] != nil && x.next[i].key < key {
@@ -89,7 +89,6 @@ func (m *Map[T]) predecessors(key string, update *[maxLevel]*node[T]) *node[T] {
 		}
 		update[i] = x
 	}
-	return x.next[0]
 }
 
 // GetOrInsert returns the payload at key, inserting mk() if absent.
@@ -121,31 +120,10 @@ func (m *Map[T]) GetOrInsert(key string, mk func() T) (T, bool) {
 	return n.val, true
 }
 
-// Remove physically unlinks key; it reports whether the key existed.
-func (m *Map[T]) Remove(key string) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.hash[key] == nil {
-		return false
-	}
-	var update [maxLevel]*node[T]
-	n := m.predecessors(key, &update)
-	for i := 0; i < len(n.next); i++ {
-		if update[i].next[i] == n {
-			update[i].next[i] = n.next[i]
-		}
-	}
-	for m.level > 1 && m.head.next[m.level-1] == nil {
-		m.level--
-	}
-	delete(m.hash, key)
-	return true
-}
-
 // Ascend calls fn for every (key, payload) with start <= key < end in
 // key order. An empty end means unbounded. Iteration stops when fn
 // returns false. The structural read lock is held throughout, so fn
-// must not insert or remove.
+// must not insert.
 func (m *Map[T]) Ascend(start, end string, fn func(key string, val T) bool) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()

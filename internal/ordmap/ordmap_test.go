@@ -31,29 +31,6 @@ func TestGetOrInsertAndGet(t *testing.T) {
 	}
 }
 
-func TestRemove(t *testing.T) {
-	m := New[int](1)
-	for i := 0; i < 20; i++ {
-		k := fmt.Sprintf("k%02d", i)
-		m.GetOrInsert(k, func() int { return i })
-	}
-	if !m.Remove("k05") || m.Remove("k05") {
-		t.Fatal("Remove semantics wrong")
-	}
-	if m.Len() != 19 {
-		t.Errorf("Len = %d", m.Len())
-	}
-	if _, ok := m.Get("k05"); ok {
-		t.Error("removed key still present")
-	}
-	// Order preserved.
-	var keys []string
-	m.Ascend("", "", func(k string, _ int) bool { keys = append(keys, k); return true })
-	if !sort.StringsAreSorted(keys) || len(keys) != 19 {
-		t.Errorf("keys after remove = %v", keys)
-	}
-}
-
 func TestAscendBoundsAndStop(t *testing.T) {
 	m := New[string](1)
 	for _, k := range []string{"a", "c", "e", "g"} {
@@ -101,16 +78,14 @@ func TestPropMatchesReferenceMap(t *testing.T) {
 		ref := map[string]int{}
 		for i := 0; i < 300; i++ {
 			k := fmt.Sprintf("%03d", r.Intn(80))
-			if r.Intn(4) == 0 {
-				m.Remove(k)
-				delete(ref, k)
-			} else {
-				val := r.Intn(100)
-				if _, ok := ref[k]; !ok {
-					ref[k] = val
-				}
-				m.GetOrInsert(k, func() int { return val })
+			if r.Intn(4) == 0 { // a fresh key
+				k = fmt.Sprintf("f%03d", i)
 			}
+			val := r.Intn(100)
+			if _, ok := ref[k]; !ok {
+				ref[k] = val
+			}
+			m.GetOrInsert(k, func() int { return val })
 		}
 		if m.Len() != len(ref) {
 			return false
@@ -143,11 +118,11 @@ func TestPrefixEnd(t *testing.T) {
 }
 
 // TestGetAgreesWithAscend checks the hash against the skip list: after
-// random GetOrInsert/Remove runs, Get must answer every key of the key
-// space as a reference map does, and Ascend must list exactly the keys
-// Get finds. A second part runs readers beside a writer (meaningful
-// under -race): a key the writer never removes must stay visible to Get
-// and Ascend from the moment its insert returns.
+// random GetOrInsert runs, over a key space and fresh keys beside it,
+// Get must answer every key of the key space as a reference map does,
+// and Ascend must list exactly the keys Get finds. A second part runs
+// readers beside a writer (meaningful under -race): a key must stay
+// visible to Get and Ascend from the moment its insert returns.
 func TestGetAgreesWithAscend(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -155,13 +130,8 @@ func TestGetAgreesWithAscend(t *testing.T) {
 		ref := map[string]int{}
 		for i := 0; i < 400; i++ {
 			k := fmt.Sprintf("%03d", r.Intn(100))
-			if r.Intn(3) == 0 {
-				_, had := ref[k]
-				if m.Remove(k) != had {
-					return false
-				}
-				delete(ref, k)
-				continue
+			if r.Intn(3) == 0 { // a fresh key
+				k = fmt.Sprintf("f%03d", i)
 			}
 			val := r.Intn(1000)
 			got, inserted := m.GetOrInsert(k, func() int { return val })
@@ -237,13 +207,12 @@ func TestGetAgreesWithAscend(t *testing.T) {
 	for i := 0; i < keys; i++ {
 		m.GetOrInsert(fmt.Sprintf("k%04d", i), func() int { return i })
 		inserted[i].Store(true)
-		// Churn a key the readers never ask for.
+		// Insert a key the readers never ask for.
 		m.GetOrInsert(fmt.Sprintf("x%04d", i), func() int { return -1 })
-		m.Remove(fmt.Sprintf("x%04d", i))
 	}
 	close(stop)
 	wg.Wait()
-	if m.Len() != keys {
-		t.Errorf("Len = %d, want %d", m.Len(), keys)
+	if m.Len() != 2*keys {
+		t.Errorf("Len = %d, want %d", m.Len(), 2*keys)
 	}
 }

@@ -129,7 +129,7 @@ func (t *Table) put(tx *txn.Tx, row mmvalue.Value, upsert bool) error {
 // stage writes row as tx's new version of the locked record and logs
 // the put.
 func (t *Table) stage(tx *txn.Tx, rec *txn.Chain[mmvalue.Value], row mmvalue.Value) {
-	t.rows.Stage(tx, rec, row, false)
+	t.rows.Stage(tx, rec, row)
 	if tx.Logging() {
 		tx.LogOp(wal.NewOp(wal.OpRelPut).String(t.name).
 			Bytes(mmvalue.AppendBinary(nil, row)).Build())
@@ -143,32 +143,9 @@ func (t *Table) Get(tx *txn.Tx, pkValue any) (mmvalue.Value, bool) {
 	return t.rows.Get(tx, EncodeKey(mmvalue.From(pkValue)))
 }
 
-// Delete tombstones the row with the given primary key. Deleting a
-// missing row is a no-op.
-func (t *Table) Delete(tx *txn.Tx, pkValue any) error {
-	return t.ApplyDelete(tx, EncodeKey(mmvalue.From(pkValue)))
-}
-
-// ApplyDelete is Delete by already-encoded primary key (as logged by
-// Delete): the replay path. Missing rows are a no-op, which makes
-// replay idempotent.
-func (t *Table) ApplyDelete(tx *txn.Tx, pk string) error {
-	return t.rows.Auto(tx, func(tx *txn.Tx) error {
-		rec, _, live, err := t.rows.LockLive(tx, pk)
-		if err != nil || !live {
-			return err
-		}
-		t.rows.Stage(tx, rec, mmvalue.Null, true)
-		if tx.Logging() {
-			tx.LogOp(wal.NewOp(wal.OpRelDelete).String(t.name).String(pk).Build())
-		}
-		return nil
-	})
-}
-
-// Len returns the number of row slots in the table, including
-// tombstoned rows not yet compacted. It is a cheap upper bound on the
-// live row count, intended for executor sizing decisions.
+// Len returns the number of row slots in the table, including those of
+// inserts that never committed. It is a cheap upper bound on the row
+// count, intended for executor sizing decisions.
 func (t *Table) Len() int { return t.rows.Len() }
 
 // Stream calls fn for every live row visible to tx matching where
@@ -227,7 +204,6 @@ func (t *Table) StreamRangeBatch(tx *txn.Tx, from, to string, where Expr, buf []
 // Count returns the number of live rows at latest-committed state.
 func (t *Table) Count() int { return t.rows.Count() }
 
-// Compact garbage-collects old versions and unlinks dead rows together
-// with their index entries. Returns versions dropped. Must not run
-// concurrently with transactions reading below horizon.
+// Compact garbage-collects old versions. Returns versions dropped. Must
+// not run concurrently with transactions reading below horizon.
 func (t *Table) Compact(horizon txn.TS) int { return t.rows.Compact(horizon) }

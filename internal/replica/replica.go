@@ -23,11 +23,10 @@ type Clock func() time.Time
 
 // Event is one replicated write.
 type Event struct {
-	Seq     uint64
-	Key     string
-	Value   mmvalue.Value
-	Deleted bool
-	Wall    time.Time // primary commit wall-clock time
+	Seq   uint64
+	Key   string
+	Value mmvalue.Value
+	Wall  time.Time // primary commit wall-clock time
 }
 
 // Versioned is a read result carrying replication metadata.
@@ -83,17 +82,6 @@ func (c *Cluster) Write(key string, value mmvalue.Value) uint64 {
 	return ev.Seq
 }
 
-// Delete commits a deletion on the primary.
-func (c *Cluster) Delete(key string) uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.seq++
-	ev := Event{Seq: c.seq, Key: key, Deleted: true, Wall: c.clock()}
-	c.log = append(c.log, ev)
-	c.primary[key] = Versioned{Seq: ev.Seq, Wall: ev.Wall, Found: false}
-	return ev.Seq
-}
-
 // ReadPrimary reads the key from the primary (always fresh).
 func (c *Cluster) ReadPrimary(key string) Versioned {
 	c.mu.Lock()
@@ -120,11 +108,7 @@ func (c *Cluster) catchUp(i int) {
 		if now.Before(ev.Wall.Add(lag)) {
 			return
 		}
-		if ev.Deleted {
-			st.data[ev.Key] = Versioned{Seq: ev.Seq, Wall: ev.Wall, Found: false}
-		} else {
-			st.data[ev.Key] = Versioned{Value: ev.Value, Seq: ev.Seq, Wall: ev.Wall, Found: true}
-		}
+		st.data[ev.Key] = Versioned{Value: ev.Value, Seq: ev.Seq, Wall: ev.Wall, Found: true}
 		st.applied++
 	}
 }

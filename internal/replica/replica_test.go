@@ -66,32 +66,6 @@ func TestPerReplicaLag(t *testing.T) {
 	}
 }
 
-func TestDeleteReplication(t *testing.T) {
-	vc := NewVirtualClock(time.Unix(0, 0))
-	c := NewCluster(1, fixedLag(10*time.Millisecond), vc.Now)
-	c.Write("k", mmvalue.Int(1))
-	vc.Advance(10 * time.Millisecond)
-	if got := c.ReadReplica(0, "k"); !got.Found {
-		t.Fatal("setup failed")
-	}
-	c.Delete("k")
-	// Replica still sees the old value until the delete applies.
-	if got := c.ReadReplica(0, "k"); !got.Found {
-		t.Error("delete applied too early")
-	}
-	vc.Advance(10 * time.Millisecond)
-	got := c.ReadReplica(0, "k")
-	if got.Found {
-		t.Error("delete not applied")
-	}
-	if got.Seq != 2 {
-		t.Errorf("tombstone seq = %d", got.Seq)
-	}
-	if primary := c.ReadPrimary("k"); primary.Found {
-		t.Error("primary should see delete immediately")
-	}
-}
-
 func TestApplyOrderIsLogOrder(t *testing.T) {
 	vc := NewVirtualClock(time.Unix(0, 0))
 	c := NewCluster(1, fixedLag(5*time.Millisecond), vc.Now)

@@ -57,6 +57,12 @@ func (cl *Client) Close() error {
 // each response to the pending caller matching its id. Any transport
 // or protocol error is terminal — it fails every in-flight and future
 // call, so no caller is ever lost waiting on a dead stream.
+//
+// Termination: the loop ends at the first read or decode error, and
+// Close, which waits for it, closes the connection, which makes the
+// blocked read fail. A pass never blocks elsewhere: a caller's channel
+// has room for its one response, which is sent once, after the id left
+// pending.
 func (cl *Client) readLoop() {
 	var scratch []byte
 	var err error

@@ -11,14 +11,14 @@ import (
 // the record's exclusive lock) may sit at the head.
 //
 // Readers take no lock; one writer at a time under the record lock.
-// Read, ReadLatest, LatestCommitTS, Empty and Len load the head and
-// follow atomic next pointers. Write, CommitStamp, Rollback and GC
-// serialise on a mutex only among themselves: a write publishes a new
-// head node (replacing the caller's own pending head rather than editing
-// it), a commit stamps the pending head's atomic timestamp, a rollback
-// pops it, and GC cuts the list below the newest version at or under the
-// horizon. A reader that is past a cut keeps walking the nodes it
-// already reached, which stay valid.
+// Read, ReadLatest, Empty and Len load the head and follow atomic next
+// pointers. Write, CommitStamp, Rollback and GC serialise on a mutex
+// only among themselves: a write publishes a new head node (replacing
+// the caller's own pending head rather than editing it), a commit
+// stamps the pending head's atomic timestamp, a rollback pops it, and
+// GC cuts the list below the newest version at or under the horizon. A
+// reader that is past a cut keeps walking the nodes it already reached,
+// which stay valid.
 //
 // The zero Chain is empty and ready to use.
 type Chain[T any] struct {
@@ -36,7 +36,6 @@ type Chain[T any] struct {
 type version[T any] struct {
 	commitTS atomic.Uint64 // 0 while uncommitted
 	owner    uint64        // writing txID; meaningful only while uncommitted
-	deleted  bool
 	value    T
 	next     atomic.Pointer[version[T]] // next older version
 }
@@ -49,18 +48,18 @@ func (v *version[T]) pendingOf(txID uint64) bool {
 // Read returns the record value visible to a reader with snapshot
 // timestamp snapTS belonging to transaction txID (0 for non-
 // transactional readers). Own uncommitted writes are visible. The
-// second result is false if no visible, non-deleted version exists.
+// second result is false if no version is visible.
 func (c *Chain[T]) Read(snapTS TS, txID uint64) (T, bool) {
 	for v := c.head.Load(); v != nil; v = v.next.Load() {
 		ts := TS(v.commitTS.Load())
 		if ts == 0 {
 			if txID != 0 && v.owner == txID {
-				return v.value, !v.deleted
+				return v.value, true
 			}
 			continue
 		}
 		if ts <= snapTS {
-			return v.value, !v.deleted
+			return v.value, true
 		}
 	}
 	var zero T
@@ -81,28 +80,19 @@ func (c *Chain[T]) latestCommitted() *version[T] {
 // snapshot (used by replication shipping and non-transactional paths).
 func (c *Chain[T]) ReadLatest() (T, bool) {
 	if v := c.latestCommitted(); v != nil {
-		return v.value, !v.deleted
+		return v.value, true
 	}
 	var zero T
 	return zero, false
 }
 
-// LatestCommitTS returns the commit timestamp of the newest committed
-// version, or 0 if none.
-func (c *Chain[T]) LatestCommitTS() TS {
-	if v := c.latestCommitted(); v != nil {
-		return TS(v.commitTS.Load())
-	}
-	return 0
-}
-
 // Write installs an uncommitted version owned by txID. The caller must
 // hold the record's exclusive lock. A previous uncommitted version by
 // the same transaction is replaced.
-func (c *Chain[T]) Write(txID uint64, value T, deleted bool) {
+func (c *Chain[T]) Write(txID uint64, value T) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	nv := &version[T]{owner: txID, deleted: deleted, value: value}
+	nv := &version[T]{owner: txID, value: value}
 	older := c.head.Load()
 	if older.pendingOf(txID) {
 		older = older.next.Load()
@@ -130,8 +120,8 @@ func (c *Chain[T]) Rollback(txID uint64) {
 	}
 }
 
-// Empty reports whether the chain holds no versions at all (safe to
-// garbage-collect the record).
+// Empty reports whether the chain holds no versions at all, as the
+// chain of an insert that never committed does.
 func (c *Chain[T]) Empty() bool { return c.head.Load() == nil }
 
 // Len returns the number of stored versions (committed + pending).
@@ -161,35 +151,18 @@ func (c *Chain[T]) Current(tx *Tx) (T, bool) {
 	return c.Read(tx.mgr.oracle.Current(), tx.id)
 }
 
-// Stage is the write ritual every store shares: install value (or a
-// tombstone) as tx's uncommitted version, roll it back if tx aborts and,
-// if tx commits, run the owner's commit hook, which bumps its version
-// counter, just before stamping the commit timestamp. The caller must
-// hold the record's exclusive lock.
-func (c *Chain[T]) Stage(tx *Tx, value T, deleted bool, committing func(c *Chain[T], txID uint64)) {
-	c.Write(tx.ID(), value, deleted)
+// Stage is the write ritual every store shares: install value as tx's
+// uncommitted version, roll it back if tx aborts and, if tx commits,
+// run the owner's commit hook, which bumps its version counter, just
+// before stamping the commit timestamp. The caller must hold the
+// record's exclusive lock.
+func (c *Chain[T]) Stage(tx *Tx, value T, committing func(c *Chain[T], txID uint64)) {
+	c.Write(tx.ID(), value)
 	tx.OnUndo(func() { c.Rollback(tx.ID()) })
 	tx.OnCommit(func(ts TS) {
 		committing(c, tx.ID())
 		c.CommitStamp(tx.ID(), ts)
 	})
-}
-
-// Collect is the per-record compaction step: it garbage-collects
-// versions shadowed below horizon and reports how many were dropped and
-// whether the record is Dead, so the owner can unlink it.
-func (c *Chain[T]) Collect(horizon TS) (dropped int, dead bool) {
-	return c.GC(horizon), c.Dead(horizon)
-}
-
-// Dead reports whether the record's latest committed version is a
-// tombstone older than horizon. GC does not change the answer.
-func (c *Chain[T]) Dead(horizon TS) bool {
-	if _, live := c.ReadLatest(); live {
-		return false
-	}
-	ts := c.LatestCommitTS()
-	return ts != 0 && ts < horizon
 }
 
 // GC drops committed versions that are older than horizon and shadowed

@@ -27,7 +27,7 @@ func TestChainSnapshotVisibility(t *testing.T) {
 	var c Chain[string]
 	// Install three committed versions at ts 10, 20, 30.
 	for i, ts := range []TS{10, 20, 30} {
-		c.Write(uint64(i+1), []string{"v10", "v20", "v30"}[i], false)
+		c.Write(uint64(i+1), []string{"v10", "v20", "v30"}[i])
 		c.CommitStamp(uint64(i+1), ts)
 	}
 	cases := []struct {
@@ -56,9 +56,9 @@ func TestChainSnapshotVisibility(t *testing.T) {
 
 func TestChainUncommittedInvisibleToOthers(t *testing.T) {
 	var c Chain[string]
-	c.Write(1, "committed", false)
+	c.Write(1, "committed")
 	c.CommitStamp(1, 10)
-	c.Write(7, "pending", false)
+	c.Write(7, "pending")
 	// Other readers see the committed version.
 	if v, ok := c.Read(100, 0); !ok || v != "committed" {
 		t.Errorf("outside reader got (%q, %v)", v, ok)
@@ -76,31 +76,11 @@ func TestChainUncommittedInvisibleToOthers(t *testing.T) {
 	}
 }
 
-func TestChainDeleteVisibility(t *testing.T) {
-	var c Chain[string]
-	c.Write(1, "alive", false)
-	c.CommitStamp(1, 10)
-	c.Write(2, "", true)
-	c.CommitStamp(2, 20)
-	if v, ok := c.Read(15, 0); !ok || v != "alive" {
-		t.Error("pre-delete snapshot should see the record")
-	}
-	if _, ok := c.Read(25, 0); ok {
-		t.Error("post-delete snapshot should see deletion")
-	}
-	if _, ok := c.ReadLatest(); ok {
-		t.Error("latest is deleted")
-	}
-	if c.LatestCommitTS() != 20 {
-		t.Error("deleted versions still carry commit timestamps")
-	}
-}
-
 func TestChainWriteReplacePending(t *testing.T) {
 	var c Chain[int]
-	c.Write(5, 1, false)
-	c.Write(5, 2, false)
-	c.Write(5, 3, false)
+	c.Write(5, 1)
+	c.Write(5, 2)
+	c.Write(5, 3)
 	if c.Len() != 1 {
 		t.Fatalf("same-tx rewrites should collapse, len = %d", c.Len())
 	}
@@ -115,9 +95,9 @@ func TestChainWriteReplacePending(t *testing.T) {
 
 func TestChainRollbackKeepsCommitted(t *testing.T) {
 	var c Chain[int]
-	c.Write(1, 10, false)
+	c.Write(1, 10)
 	c.CommitStamp(1, 5)
-	c.Write(2, 20, false)
+	c.Write(2, 20)
 	c.Rollback(2)
 	if v, ok := c.ReadLatest(); !ok || v != 10 {
 		t.Errorf("latest after rollback = (%d, %v)", v, ok)
@@ -131,7 +111,7 @@ func TestChainRollbackKeepsCommitted(t *testing.T) {
 
 func TestChainCommitStampWrongOwnerNoop(t *testing.T) {
 	var c Chain[int]
-	c.Write(2, 20, false)
+	c.Write(2, 20)
 	c.CommitStamp(3, 50) // wrong tx
 	if ts := c.LatestCommitTS(); ts != 0 {
 		t.Errorf("stamp by non-owner should be no-op, ts = %d", ts)
@@ -145,7 +125,7 @@ func TestChainCommitStampWrongOwnerNoop(t *testing.T) {
 func TestChainGC(t *testing.T) {
 	var c Chain[int]
 	for i := 1; i <= 5; i++ {
-		c.Write(uint64(i), i*100, false)
+		c.Write(uint64(i), i*100)
 		c.CommitStamp(uint64(i), TS(i*10))
 	}
 	// Horizon 35: versions at 10,20 shadowed by 30 (<=35) are droppable.
@@ -171,7 +151,7 @@ func TestChainGC(t *testing.T) {
 
 func TestChainConcurrentReadersWithWriter(t *testing.T) {
 	var c Chain[int]
-	c.Write(1, 0, false)
+	c.Write(1, 0)
 	c.CommitStamp(1, 1)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -193,7 +173,7 @@ func TestChainConcurrentReadersWithWriter(t *testing.T) {
 		}()
 	}
 	for i := 2; i <= 200; i++ {
-		c.Write(uint64(i), i, false)
+		c.Write(uint64(i), i)
 		c.CommitStamp(uint64(i), TS(i))
 	}
 	close(stop)
@@ -212,18 +192,16 @@ func TestPropChainMatchesReferenceModel(t *testing.T) {
 		type committed struct {
 			ts  TS
 			val int
-			del bool
 		}
 		var hist []committed
 		ts := TS(0)
 		for i := 0; i < 30; i++ {
 			ts += TS(r.Intn(3) + 1)
 			val := r.Intn(1000)
-			del := r.Intn(10) == 0
 			id := uint64(i + 1)
-			c.Write(id, val, del)
+			c.Write(id, val)
 			c.CommitStamp(id, ts)
-			hist = append(hist, committed{ts, val, del})
+			hist = append(hist, committed{ts, val})
 		}
 		for probe := TS(0); probe <= ts+2; probe++ {
 			var want *committed
@@ -233,7 +211,7 @@ func TestPropChainMatchesReferenceModel(t *testing.T) {
 				}
 			}
 			got, ok := c.Read(probe, 0)
-			if want == nil || want.del {
+			if want == nil {
 				if ok {
 					return false
 				}
@@ -255,7 +233,7 @@ func TestPropChainMatchesReferenceModel(t *testing.T) {
 func BenchmarkChainRead(b *testing.B) {
 	var c Chain[int]
 	for i := 1; i <= 4; i++ {
-		c.Write(uint64(i), i, false)
+		c.Write(uint64(i), i)
 		c.CommitStamp(uint64(i), TS(i*10))
 	}
 	b.ResetTimer()

@@ -22,7 +22,6 @@ type model struct {
 	insert  func(tx *txn.Tx, key string, n int64) error // new record
 	update  func(tx *txn.Tx, key string, n int64) error // replace a live record
 	get     func(tx *txn.Tx, key string) (int64, bool)
-	del     func(tx *txn.Tx, key string) error
 	compact func(horizon txn.TS) int
 }
 
@@ -55,7 +54,6 @@ func fiveStores() []model {
 		insert:  func(tx *txn.Tx, k string, n int64) error { return tab.Insert(tx, mmvalue.ObjectOf("id", k, "n", n)) },
 		update:  func(tx *txn.Tx, k string, n int64) error { return tab.ApplyPut(tx, mmvalue.ObjectOf("id", k, "n", n)) },
 		get:     func(tx *txn.Tx, k string) (int64, bool) { return intOf(tab.Get(tx, k)) },
-		del:     func(tx *txn.Tx, k string) error { return tab.Delete(tx, k) },
 		compact: tab.Compact,
 	})
 
@@ -66,7 +64,6 @@ func fiveStores() []model {
 		insert:  func(tx *txn.Tx, k string, n int64) error { return coll.Insert(tx, mmvalue.ObjectOf("_id", k, "n", n)) },
 		update:  func(tx *txn.Tx, k string, n int64) error { return coll.SetPath(tx, k, "n", mmvalue.Int(n)) },
 		get:     func(tx *txn.Tx, k string) (int64, bool) { return intOf(coll.Get(tx, k)) },
-		del:     coll.Delete,
 		compact: coll.Compact,
 	})
 
@@ -78,7 +75,6 @@ func fiveStores() []model {
 		insert:  put,
 		update:  put,
 		get:     func(tx *txn.Tx, k string) (int64, bool) { return intOf(kvs.Get(tx, k)) },
-		del:     kvs.Delete,
 		compact: kvs.Compact,
 	})
 
@@ -94,7 +90,6 @@ func fiveStores() []model {
 			return xs.Update(tx, k, func(*xmlstore.Node) (*xmlstore.Node, error) { return elem(n), nil })
 		},
 		get:     func(tx *txn.Tx, k string) (int64, bool) { return xmlOf(xs.Get(tx, k)) },
-		del:     xs.Delete,
 		compact: xs.Compact,
 	})
 
@@ -114,7 +109,6 @@ func fiveStores() []model {
 			v, ok := g.GetVertex(tx, graph.VID(k))
 			return intOf(v.Props, ok)
 		},
-		del:     func(tx *txn.Tx, k string) error { return g.RemoveVertex(tx, graph.VID(k)) },
 		compact: g.Compact,
 	})
 	return ms
@@ -122,7 +116,7 @@ func fiveStores() []model {
 
 // TestRecordLayerConformance runs one scripted interleaving against all
 // five stores: whatever the model, a record behaves the same under
-// snapshots, own writes, rollback, tombstones, compaction, lock waits
+// snapshots, own writes, rollback, compaction, lock waits
 // and auto-commit.
 func TestRecordLayerConformance(t *testing.T) {
 	for _, m := range fiveStores() {
@@ -161,10 +155,10 @@ func TestRecordLayerConformance(t *testing.T) {
 			tx.Abort()
 			want("after rollback", nil, "k", 2, true)
 
-			// A tombstone hides the record from new readers only.
-			must("auto delete", m.del(nil, "k"))
-			want("deleted", nil, "k", 0, false)
-			want("snapshot outlives delete", reader, "k", 1, true)
+			// A later write is seen by new readers only.
+			must("auto rewrite", m.update(nil, "k", 4))
+			want("rewritten", nil, "k", 4, true)
+			want("snapshot outlives rewrite", reader, "k", 1, true)
 
 			// Compact at the oldest live snapshot keeps everything that
 			// snapshot can still read ...
@@ -173,31 +167,28 @@ func TestRecordLayerConformance(t *testing.T) {
 			}
 			want("snapshot outlives compact", reader, "k", 1, true)
 			reader.Abort()
-			// ... and above it drops the two shadowed versions and the
-			// dead record, whose key is then free again.
+			// ... and above it drops the two shadowed versions.
 			if n := m.compact(m.mgr.Published() + 1); n != 2 {
 				t.Fatalf("compact above horizon dropped %d versions, want 2", n)
 			}
-			want("compacted away", nil, "k", 0, false)
-			must("reinsert", m.insert(nil, "k", 4))
-			want("reinsert", nil, "k", 4, true)
+			want("after compact", nil, "k", 4, true)
 
-			// Lock wait, then re-check: a delete that queues behind an
+			// Lock wait, then re-check: an update that queues behind an
 			// uncommitted insert must decide on the state it finds once
 			// the lock is granted, not the one it saw before waiting.
 			ins := m.mgr.Begin()
 			must("pending insert", m.insert(ins, "later", 5))
 			waits := m.mgr.LockStats().Waits
-			deleted := make(chan error, 1)
-			go func() { deleted <- m.del(nil, "later") }()
+			updated := make(chan error, 1)
+			go func() { updated <- m.update(nil, "later", 6) }()
 			for m.mgr.LockStats().Waits == waits {
 				time.Sleep(100 * time.Microsecond)
 			}
 			if _, err := ins.Commit(); err != nil {
 				t.Fatal(err)
 			}
-			must("queued delete", <-deleted)
-			want("delete after lock wait", nil, "later", 0, false)
+			must("queued update", <-updated)
+			want("update after lock wait", nil, "later", 6, true)
 		})
 	}
 }

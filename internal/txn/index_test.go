@@ -19,22 +19,21 @@ func newIndexed(t testing.TB) *Records[rec] {
 	return r
 }
 
-// commit commits v (or a tombstone) under key and returns its commit
-// timestamp.
-func commit(r *Records[rec], key string, v rec, deleted bool) (TS, error) {
+// commit commits v under key and returns its commit timestamp.
+func commit(r *Records[rec], key string, v rec) (TS, error) {
 	tx := r.Manager().Begin()
 	c, err := r.Lock(tx, key)
 	if err != nil {
 		tx.Abort()
 		return 0, err
 	}
-	r.Stage(tx, c, v, deleted)
+	r.Stage(tx, c, v)
 	return tx.Commit()
 }
 
-func write(t testing.TB, r *Records[rec], key string, v rec, deleted bool) {
+func write(t testing.TB, r *Records[rec], key string, v rec) {
 	t.Helper()
-	if _, err := commit(r, key, v, deleted); err != nil {
+	if _, err := commit(r, key, v); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -52,9 +51,9 @@ func lookup(r *Records[rec], tx *Tx, val string) (keys []string, vals []rec) {
 func TestIndexLookupKeyOrder(t *testing.T) {
 	r := newIndexed(t)
 	for _, k := range []string{"k5", "k1", "k9", "k3", "k7", "k0"} {
-		write(t, r, k, rec{"a", k}, false)
+		write(t, r, k, rec{"a", k})
 	}
-	write(t, r, "k4", rec{"b", "k4"}, false)
+	write(t, r, "k4", rec{"b", "k4"})
 	if keys, _ := lookup(r, nil, "a"); !slices.Equal(keys, []string{"k0", "k1", "k3", "k5", "k7", "k9"}) {
 		t.Errorf("Lookup(a) = %v, want key order", keys)
 	}
@@ -71,8 +70,8 @@ func TestIndexLookupKeyOrder(t *testing.T) {
 
 func TestIndexLookupMovedValueIsRechecked(t *testing.T) {
 	r := newIndexed(t)
-	write(t, r, "k1", rec{"a", "old"}, false)
-	write(t, r, "k1", rec{"b", "new"}, false)
+	write(t, r, "k1", rec{"a", "old"})
+	write(t, r, "k1", rec{"b", "new"})
 	keys, vals := lookup(r, nil, "a")
 	if !slices.Equal(keys, []string{"k1"}) || vals[0] != (rec{"b", "new"}) {
 		t.Fatalf("Lookup(a) = %v %v, want the moved record at its visible value", keys, vals)
@@ -92,48 +91,12 @@ func TestIndexLookupMovedValueIsRechecked(t *testing.T) {
 	}
 }
 
-func TestIndexLookupSkipsTombstones(t *testing.T) {
-	r := newIndexed(t)
-	write(t, r, "k1", rec{"a", "x"}, false)
-	write(t, r, "k2", rec{"a", "y"}, false)
-	write(t, r, "k1", rec{}, true)
-	if keys, _ := lookup(r, nil, "a"); !slices.Equal(keys, []string{"k2"}) {
-		t.Errorf("Lookup(a) = %v, want [k2]", keys)
-	}
-}
-
-func TestIndexCompactThenReinsert(t *testing.T) {
-	r := newIndexed(t)
-	write(t, r, "k1", rec{"a", "first"}, false)
-	write(t, r, "k2", rec{"a", "other"}, false)
-	old, _ := r.chains.Get("k1")
-	write(t, r, "k1", rec{}, true)
-	r.Compact(r.Manager().Published() + 1)
-	if _, ok := r.chains.Get("k1"); ok {
-		t.Fatal("Compact kept the dead record")
-	}
-	write(t, r, "k1", rec{"a", "second"}, false)
-	keys, vals := lookup(r, nil, "a")
-	if !slices.Equal(keys, []string{"k1", "k2"}) || vals[0].payload != "second" {
-		t.Fatalf("Lookup(a) = %v %v, want k1 once at its new value, then k2", keys, vals)
-	}
-	cur, _ := r.chains.Get("k1")
-	if cur == old {
-		t.Fatal("re-insert reused the compacted chain")
-	}
-	for _, e := range r.indexes["val"].buckets["a"] {
-		if e.key == "k1" && e.c != cur {
-			t.Error("the index entry reads through the compacted chain")
-		}
-	}
-}
-
 func TestIndexLookupSnapshot(t *testing.T) {
 	r := newIndexed(t)
-	write(t, r, "k1", rec{"a", "x"}, false)
+	write(t, r, "k1", rec{"a", "x"})
 	tx := r.Manager().Begin()
 	defer tx.Abort()
-	write(t, r, "k0", rec{"a", "y"}, false)
+	write(t, r, "k0", rec{"a", "y"})
 	if keys, _ := lookup(r, tx, "a"); !slices.Equal(keys, []string{"k1"}) {
 		t.Errorf("old snapshot Lookup(a) = %v, want [k1]", keys)
 	}
@@ -151,7 +114,7 @@ func TestIndexLookupUnderWriters(t *testing.T) {
 	r := newIndexed(t)
 	const per = 300
 	for i := 0; i < per; i++ {
-		write(t, r, fmt.Sprintf("m%04d", 2*i), rec{"hot", "seed"}, false)
+		write(t, r, fmt.Sprintf("m%04d", 2*i), rec{"hot", "seed"})
 	}
 	var (
 		mu        sync.Mutex
@@ -169,7 +132,7 @@ func TestIndexLookupUnderWriters(t *testing.T) {
 			defer writers.Done()
 			for i := 0; i < per; i++ {
 				key := keyOf(i)
-				ts, err := commit(r, key, rec{"hot", key}, false)
+				ts, err := commit(r, key, rec{"hot", key})
 				if err != nil {
 					t.Error(err)
 					return
@@ -232,7 +195,7 @@ func BenchmarkIndexLookup(b *testing.B) {
 		r := newIndexed(b)
 		const buckets = 100
 		for i := 0; i < size*buckets; i++ {
-			write(b, r, fmt.Sprintf("k%05d", i), rec{fmt.Sprintf("v%03d", i%buckets), "p"}, false)
+			write(b, r, fmt.Sprintf("k%05d", i), rec{fmt.Sprintf("v%03d", i%buckets), "p"})
 		}
 		read := func(b *testing.B) {
 			n := 0
@@ -251,7 +214,7 @@ func BenchmarkIndexLookup(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				write(b, r, "k00007", rec{"v007", fmt.Sprint(i)}, false)
+				write(b, r, "k00007", rec{"v007", fmt.Sprint(i)})
 				b.StartTimer()
 				read(b)
 			}

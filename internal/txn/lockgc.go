@@ -4,8 +4,8 @@ package txn
 // every resource name ever locked stays in its shard's map — including
 // names that have no record, since LockExisting locks the name of a
 // missing key to serialize the absence with a concurrent creator. A
-// workload that keeps writing or deleting keys that do not exist would
-// grow the table unboundedly. SweepLockEntries removes every entry with
+// workload that keeps updating keys that do not exist would grow the
+// table unboundedly. SweepLockEntries removes every entry with
 // no holder and no waiter, under the shard mutex that guards both, so a
 // concurrent acquire either finds the entry before the sweep (and keeps
 // it busy) or re-creates it after.

@@ -85,8 +85,9 @@ func TestResourceKeyStability(t *testing.T) {
 
 // TestCrossShardDeadlockCycle builds a 4-cycle whose resources sit on
 // four different shards and verifies the detector still breaks it: the
-// victim marked by a waiter in one shard must be woken on another
-// shard's condition variable.
+// detector's wait-for graph spans the shards, so the acquire that
+// closes the cycle fails at once on its own shard, and its abort wakes
+// the waiter on the key it held.
 func TestCrossShardDeadlockCycle(t *testing.T) {
 	keys := keysOnDistinctShards(t, 4)
 	m := NewManager()

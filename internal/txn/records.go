@@ -97,7 +97,8 @@ func (r *Records[T]) LockExisting(tx *Tx, key string) (*Chain[T], bool, error) {
 
 // LockLive is LockExisting for a read-modify-write: it also returns the
 // record's current value under the lock, and live is false when the
-// record is missing or deleted.
+// record is missing or its chain is empty (an insert that never
+// committed).
 func (r *Records[T]) LockLive(tx *Tx, key string) (c *Chain[T], cur T, live bool, err error) {
 	c, ok, err := r.LockExisting(tx, key)
 	if err == nil && ok {
@@ -108,10 +109,10 @@ func (r *Records[T]) LockLive(tx *Tx, key string) (c *Chain[T], cur T, live bool
 
 // Stage writes tx's new version onto c (which tx must have locked
 // through Lock, LockExisting or LockLive); at commit the version
-// counter is bumped and a live value is entered into every index just
+// counter is bumped and the value is entered into every index just
 // before the version is stamped visible.
-func (r *Records[T]) Stage(tx *Tx, c *Chain[T], value T, deleted bool) {
-	c.Stage(tx, value, deleted, r.hook)
+func (r *Records[T]) Stage(tx *Tx, c *Chain[T], value T) {
+	c.Stage(tx, value, r.hook)
 }
 
 // committing is the commit-hook half of Stage. It reads the value back
@@ -124,8 +125,8 @@ func (r *Records[T]) committing(c *Chain[T], txID uint64) {
 	if len(r.indexes) == 0 {
 		return
 	}
-	value, live := c.Read(0, txID)
-	if !live {
+	value, pending := c.Read(0, txID)
+	if !pending { // an earlier hook of tx has stamped it
 		return
 	}
 	key := c.Res.name[len(r.prefix):]
@@ -152,14 +153,14 @@ func (r *Records[T]) Scan(tx *Tx, from, to string, fn func(key string, value T) 
 	r.chains.Ascend(from, to, func(key string, c *Chain[T]) bool {
 		v, ok := c.Visible(tx)
 		if !ok {
-			return true // tombstoned or not yet visible
+			return true // not yet visible
 		}
 		return fn(key, v)
 	})
 }
 
-// Len returns the number of record slots, including tombstoned records
-// not yet compacted: a cheap upper bound on the live count.
+// Len returns the number of record slots, including the empty chains
+// of inserts that never committed: a cheap upper bound on the count.
 func (r *Records[T]) Len() int { return r.chains.Len() }
 
 // Count returns the number of live records at latest-committed state.
@@ -170,53 +171,22 @@ func (r *Records[T]) Count() int {
 	return n
 }
 
-// Compact garbage-collects versions shadowed below horizon and
-// physically unlinks records whose latest version is a tombstone older
-// than horizon, together with their index entries, which go first so
-// that no entry outlives its chain. It returns the number of versions
-// dropped and must not run concurrently with transactions that might
-// read below horizon.
+// Compact garbage-collects versions shadowed below horizon and returns
+// the number dropped. It must not run concurrently with transactions
+// that might read below horizon.
 func (r *Records[T]) Compact(horizon TS) int {
 	dropped := 0
-	dead := make(map[*Chain[T]]string)
-	r.chains.Ascend("", "", func(key string, c *Chain[T]) bool {
-		n, gone := c.Collect(horizon)
-		dropped += n
-		if gone {
-			dead[c] = key
-		}
+	r.chains.Ascend("", "", func(_ string, c *Chain[T]) bool {
+		dropped += c.GC(horizon)
 		return true
 	})
-	r.unlink(dead)
 	return dropped
-}
-
-// Remove unlinks key's record at once, live or not, its index entries
-// first. Unlike Compact it keeps no version for older snapshots, so the
-// caller must know that no other transaction can read the record, as
-// in recovery replay.
-func (r *Records[T]) Remove(key string) {
-	if c, ok := r.chains.Get(key); ok {
-		r.unlink(map[*Chain[T]]string{c: key})
-	}
-}
-
-// unlink removes the records of chains from the indexes, then the map.
-func (r *Records[T]) unlink(chains map[*Chain[T]]string) {
-	r.idxMu.RLock()
-	for _, ix := range r.indexes {
-		ix.drop(chains)
-	}
-	r.idxMu.RUnlock()
-	for _, key := range chains {
-		r.chains.Remove(key)
-	}
 }
 
 // index is an advisory equality index: indexed value -> bucket of
 // {record key, version chain} entries sorted by key. Entries are added
-// at commit time and only removed by Compact, so a lookup may return
-// extra candidates; Lookup hands back the snapshot-visible record and
+// at commit time and never removed, so a lookup may return extra
+// candidates; Lookup hands back the snapshot-visible record and
 // the caller re-checks its predicate. This keeps index maintenance
 // correct under multi-versioning without versioning the index itself.
 // Buckets are copy-on-write under mu, so readers walk them unlocked; an
@@ -259,21 +229,6 @@ func (ix *index[T]) add(valKey, key string, c *Chain[T]) {
 		b = slices.Clip(b) // so that Insert copies to a new array
 	}
 	ix.buckets[valKey] = slices.Insert(b, i, entry[T]{key, c})
-}
-
-// drop removes the entries of dead chains from every bucket in one pass.
-func (ix *index[T]) drop(dead map[*Chain[T]]string) {
-	isDead := func(e entry[T]) bool { _, ok := dead[e.c]; return ok }
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	for vk, b := range ix.buckets {
-		if slices.ContainsFunc(b, isDead) {
-			ix.buckets[vk] = slices.DeleteFunc(slices.Clone(b), isDead)
-		}
-		if len(ix.buckets[vk]) == 0 {
-			delete(ix.buckets, vk)
-		}
-	}
 }
 
 // CreateIndex adds an advisory index called name over keyOf and

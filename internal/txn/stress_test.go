@@ -23,7 +23,7 @@ func TestBankTransferInvariant(t *testing.T) {
 		if err := tx.LockExclusive(fmt.Sprintf("acct/%d", i)); err != nil {
 			t.Fatal(err)
 		}
-		chains[i].Write(tx.ID(), initial, false)
+		chains[i].Write(tx.ID(), initial)
 		tx.OnCommit(func(ts TS) { chains[i].CommitStamp(tx.ID(), ts) })
 		if _, err := tx.Commit(); err != nil {
 			t.Fatal(err)
@@ -35,7 +35,7 @@ func TestBankTransferInvariant(t *testing.T) {
 		return v
 	}
 	writeBalance := func(tx *Tx, i, v int) {
-		chains[i].Write(tx.ID(), v, false)
+		chains[i].Write(tx.ID(), v)
 		ci := chains[i]
 		id := tx.ID()
 		tx.OnUndo(func() { ci.Rollback(id) })
@@ -215,7 +215,7 @@ func TestChainGCUnderReaders(t *testing.T) {
 		if err := tx.LockExclusive("k"); err != nil {
 			t.Fatal(err)
 		}
-		c.Write(tx.ID(), v, false)
+		c.Write(tx.ID(), v)
 		tx.OnCommit(func(ts TS) { c.CommitStamp(tx.ID(), ts) })
 		if _, err := tx.Commit(); err != nil {
 			t.Fatal(err)

@@ -167,14 +167,15 @@ func (m *Manager) Begin() *Tx {
 	return tx
 }
 
-// Oracle exposes the manager's timestamp oracle (used by replication
-// and consistency metrics to relate events to commit timestamps).
-// Current may run ahead of the published snapshot watermark while
-// commits are stamping; callers comparing record stamps to it are
-// unaffected because a record's own stamps are always complete while
-// its lock is held. Next is reserved for the commit protocol — issuing
-// timestamps from a manager-attached oracle outside Commit would stall
-// the publish watermark.
+// Oracle exposes the manager's timestamp oracle. No program calls it:
+// tests of txn, udbms and federation read it to compare the oracle with
+// the published watermark or with a record's stamps. Current may run
+// ahead of the published snapshot watermark while commits are stamping;
+// callers comparing record stamps to it are unaffected because a
+// record's own stamps are always complete while its lock is held. Next
+// is reserved for the commit protocol — issuing timestamps from a
+// manager-attached oracle outside Commit would stall the publish
+// watermark.
 func (m *Manager) Oracle() *Oracle { return &m.oracle }
 
 // Published returns the commit watermark: every commit with timestamp
@@ -211,6 +212,12 @@ func (m *Manager) ActiveCount() int {
 // advancePublished raises the watermark over the contiguous prefix of
 // finished commits. Any committer may carry the watermark forward on
 // behalf of others; a failed CAS just means someone else advanced it.
+//
+// Termination: the watermark only grows, and every pass either returns
+// or finds it one higher than the pass before, by its own CAS or by
+// another committer's. A slot is marked only for a timestamp the
+// oracle has issued, so the loop returns at the first slot not yet
+// marked, after at most one pass per commit marked while it runs.
 func (m *Manager) advancePublished() {
 	for {
 		p := m.published.Load()
@@ -399,7 +406,11 @@ func (tx *Tx) Commit() (TS, error) {
 	}
 	commitTS := uint64(m.oracle.Next())
 	// Window guard: never lap the publish ring. Needs commitWindow
-	// commits in flight at once to trip.
+	// commits in flight at once to trip. Termination: the commit at
+	// published+1 is within the window, so it passes its own guard and
+	// marks its slot once its log append and commit hooks return, none
+	// of which waits on a later commit; each such mark raises the
+	// watermark, until it is within commitWindow of commitTS.
 	for commitTS-m.published.Load() > commitWindow {
 		runtime.Gosched()
 	}
@@ -420,7 +431,9 @@ func (tx *Tx) Commit() (TS, error) {
 	// Wait until our commit is visible; predecessors are actively
 	// stamping, so this resolves in the time their hooks take. The
 	// advance call inside the loop lets us carry the watermark if a
-	// predecessor marked its slot but lost the CAS race.
+	// predecessor marked its slot but lost the CAS race. Termination:
+	// our slot is marked, and so, by the window guard's argument, is
+	// every earlier one in finite time.
 	for m.published.Load() < commitTS {
 		runtime.Gosched()
 		m.advancePublished()

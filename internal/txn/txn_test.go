@@ -211,7 +211,7 @@ func TestTxReadOnly(t *testing.T) {
 	if err := m.RunWith(0, func(tx *Tx) error {
 		c, err := recs.Lock(tx, "a")
 		if err == nil {
-			recs.Stage(tx, c, 1, false)
+			recs.Stage(tx, c, 1)
 		}
 		return err
 	}); err != nil {
@@ -236,7 +236,7 @@ func TestTxReadOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs.Stage(tx, c, 2, false)
+	recs.Stage(tx, c, 2)
 	if tx.ReadOnly() {
 		t.Error("tx with a staged write is read-only")
 	}
@@ -340,7 +340,7 @@ func TestConcurrentCountersNoLostUpdates(t *testing.T) {
 					if latest > cur {
 						cur = latest
 					}
-					chain.Write(tx.ID(), cur+1, false)
+					chain.Write(tx.ID(), cur+1)
 					tx.OnUndo(func() { chain.Rollback(tx.ID()) })
 					tx.OnCommit(func(ts TS) { chain.CommitStamp(tx.ID(), ts) })
 					return nil
@@ -386,8 +386,8 @@ func TestEpochCommitNoTornReads(t *testing.T) {
 			if err := tx.LockExclusiveKey(kb); err != nil {
 				return err
 			}
-			a.Write(tx.ID(), v, false)
-			b.Write(tx.ID(), v, false)
+			a.Write(tx.ID(), v)
+			b.Write(tx.ID(), v)
 			id := tx.ID()
 			tx.OnUndo(func() { a.Rollback(id); b.Rollback(id) })
 			tx.OnCommit(func(ts TS) { a.CommitStamp(id, ts); b.CommitStamp(id, ts) })
@@ -470,7 +470,7 @@ func TestCommitVisibleToSubsequentBegin(t *testing.T) {
 					if err := tx.LockExclusiveKey(key); err != nil {
 						return err
 					}
-					c.Write(tx.ID(), i, false)
+					c.Write(tx.ID(), i)
 					id := tx.ID()
 					tx.OnUndo(func() { c.Rollback(id) })
 					tx.OnCommit(func(ts TS) { c.CommitStamp(id, ts) })

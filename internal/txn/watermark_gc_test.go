@@ -27,7 +27,7 @@ func TestGCHorizonRespectsWatermark(t *testing.T) {
 		if err := tx.LockExclusive("k"); err != nil {
 			t.Fatal(err)
 		}
-		c.Write(tx.ID(), v, false)
+		c.Write(tx.ID(), v)
 		tx.OnCommit(func(ts TS) { c.CommitStamp(tx.ID(), ts) })
 		if _, err := tx.Commit(); err != nil {
 			t.Fatal(err)
@@ -60,7 +60,7 @@ func TestGCHorizonRespectsWatermark(t *testing.T) {
 	if err := txB.LockExclusive("k"); err != nil {
 		t.Fatal(err)
 	}
-	c.Write(txB.ID(), 2, false)
+	c.Write(txB.ID(), 2)
 	txB.OnCommit(func(ts TS) {
 		c.CommitStamp(txB.ID(), ts)
 		close(bStamped)

@@ -73,26 +73,6 @@ func TestCompactPreservesExplicitHorizon(t *testing.T) {
 	}
 }
 
-func TestStatsAfterDeletes(t *testing.T) {
-	db := seedSmall(t)
-	if err := db.Docs.Collection("orders").Delete(nil, "o1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Graph.RemoveVertex(nil, "c3"); err != nil {
-		t.Fatal(err)
-	}
-	st := db.Stats()
-	if st.Collections["orders"] != 3 {
-		t.Errorf("orders after delete = %d", st.Collections["orders"])
-	}
-	if st.Vertices != 2 {
-		t.Errorf("vertices after removal = %d", st.Vertices)
-	}
-	if st.Edges != 1 { // k23 removed with c3
-		t.Errorf("edges after vertex removal = %d", st.Edges)
-	}
-}
-
 func TestPipelineUnderExplicitSnapshot(t *testing.T) {
 	db := seedSmall(t)
 	tx := db.Begin()

@@ -20,15 +20,18 @@ func TestCompactCoversGraph(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := db.Graph.RemoveEdge(nil, "k12"); err != nil {
+	err := db.Graph.SetVertexProps(nil, "c2", func(mmvalue.Value) (mmvalue.Value, error) {
+		return mmvalue.ObjectOf("id", 2, "rev", 0), nil
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	// 4 rewrites shadow 4 vertex versions; the tombstone shadows the
-	// edge's one live version.
+	// 4 rewrites of c1 shadow 4 vertex versions; the rewrite of c2
+	// shadows its one version.
 	if dropped := db.Compact(0); dropped != 5 {
 		t.Fatalf("Compact dropped %d graph versions, want 5", dropped)
 	}
-	if st := db.Stats(); st.Vertices != 3 || st.Edges != 1 {
+	if st := db.Stats(); st.Vertices != 3 || st.Edges != 2 {
 		t.Fatalf("live graph changed by compact: %+v", st)
 	}
 }

@@ -1,36 +1,30 @@
 package udbms
 
 import (
+	"fmt"
 	"testing"
 
 	"udbench/internal/mmvalue"
-	"udbench/internal/relational"
 )
 
-// A Delete of a key that does not exist takes (and releases) an
+// An Update of a key that does not exist takes (and releases) an
 // exclusive lock on a name with no version chain, leaving a lock entry
 // behind. A storm of such misses must not grow the lock table
 // unboundedly: Compact is the GC point that sweeps the idle entries.
 func TestCompactSweepsProbedLockEntries(t *testing.T) {
 	db := Open()
-	schema, err := relational.NewSchema("id", relational.Column{Name: "id", Type: relational.TypeInt})
-	if err != nil {
+	coll := db.Docs.Collection("sparse")
+	if err := coll.Insert(nil, mmvalue.ObjectOf("_id", "1")); err != nil {
 		t.Fatal(err)
 	}
-	tbl, err := db.Relational.CreateTable("sparse", schema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tbl.Insert(nil, mmvalue.ObjectOf("id", 1)); err != nil {
-		t.Fatal(err)
-	}
+	same := func(doc mmvalue.Value) (mmvalue.Value, error) { return doc, nil }
 
 	base := db.Manager().LockEntryCount()
 
 	const misses = 2000
 	for i := 0; i < misses; i++ {
-		if err := tbl.Delete(nil, 1000000+i); err != nil {
-			t.Fatal(err)
+		if err := coll.Update(nil, fmt.Sprint(1000000+i), same); err == nil {
+			t.Fatal("Update of a missing key succeeded")
 		}
 	}
 	grown := db.Manager().LockEntryCount()
@@ -46,13 +40,13 @@ func TestCompactSweepsProbedLockEntries(t *testing.T) {
 	}
 
 	// The store still works after the sweep: hits, misses and writes.
-	if _, ok := tbl.Get(nil, 1); !ok {
-		t.Fatal("row 1 missing after sweep")
+	if _, ok := coll.Get(nil, "1"); !ok {
+		t.Fatal("document 1 missing after sweep")
 	}
-	if err := tbl.Delete(nil, 424242); err != nil {
-		t.Fatalf("Delete miss after sweep: %v", err)
+	if err := coll.Update(nil, "424242", same); err == nil {
+		t.Fatal("Update miss after sweep succeeded")
 	}
-	if err := tbl.Insert(nil, mmvalue.ObjectOf("id", 2)); err != nil {
+	if err := coll.Insert(nil, mmvalue.ObjectOf("_id", "2")); err != nil {
 		t.Fatal(err)
 	}
 }

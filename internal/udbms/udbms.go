@@ -90,8 +90,8 @@ type Stats struct {
 // Compact must not run concurrently with transactions that read below
 // the horizon; in the benchmark it runs between workload phases.
 //
-// Compact also sweeps idle lock-table entries: a write or delete of a
-// key that does not exist locks its name anyway (LockExisting), leaving
+// Compact also sweeps idle lock-table entries: an update of a key that
+// does not exist locks its name anyway (LockExisting), leaving
 // a lock entry with no version chain, and this is the watermark-keyed
 // GC point that reclaims them. The sweep itself is safe against running
 // transactions (busy entries are skipped); see txn.SweepLockEntries.

@@ -227,6 +227,12 @@ func (l *Log) Commit(ts uint64) error {
 	if l.policy == SyncAsync {
 		return l.sealErr
 	}
+	// Termination: a pass returns, leads, or waits while a leader
+	// flushes; every flush ends (given that the file's Write and Sync
+	// return) with a broadcast. ts is in maxReq before the first wait,
+	// so a flush that starts after it covers ts: at most the flush in
+	// progress and one more can pass before durable reaches ts or this
+	// caller leads.
 	for {
 		if l.durable >= ts {
 			return nil
@@ -304,7 +310,9 @@ func (l *Log) flushLocked() {
 	l.cond.Broadcast()
 }
 
-// asyncFlusher is the SyncAsync background loop.
+// asyncFlusher is the SyncAsync background loop. Termination: Close
+// closes asyncStop and waits for the loop, which returns at the next
+// select; a tick's flush is one bounded leader flush.
 func (l *Log) asyncFlusher(interval time.Duration) {
 	defer close(l.asyncDone)
 	tick := time.NewTicker(interval)

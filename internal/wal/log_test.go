@@ -141,13 +141,13 @@ func TestLogSealsOnFsyncFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append(1, [][]byte{{OpKVDelete}}); err != nil {
+	if err := l.Append(1, [][]byte{{OpKVPut}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Commit(1); err != nil {
 		t.Fatalf("first commit should succeed: %v", err)
 	}
-	if err := l.Append(2, [][]byte{{OpKVDelete}}); err != nil {
+	if err := l.Append(2, [][]byte{{OpKVPut}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Commit(2); !errors.Is(err, ErrSealed) {

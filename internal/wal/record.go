@@ -133,30 +133,28 @@ func DecodeCommit(payload []byte) (ts uint64, ops [][]byte, err error) {
 }
 
 // Opcodes — the first byte of every op blob names the store mutation
-// it replays to. Values are frozen: they are on disk.
+// it replays to. Values are frozen: they are on disk. The stores do not
+// delete records, so the six delete codes are retired and must never be
+// reused: 0x11 (key-value delete), 0x21 (document delete), 0x33 (row
+// delete), 0x43 (vertex removal), 0x44 (edge removal) and 0x51 (XML
+// delete). Replay rejects a record that carries one.
 const (
 	// Key-value store.
-	OpKVPut    byte = 0x10
-	OpKVDelete byte = 0x11
+	OpKVPut byte = 0x10
 	// Document store. Put carries the full post-image, so Insert,
 	// Update and SetPath log the same op.
 	OpDocPut         byte = 0x20
-	OpDocDelete      byte = 0x21
 	OpDocCreateIndex byte = 0x22
 	// Relational store.
 	OpRelCreateTable byte = 0x30
 	OpRelCreateIndex byte = 0x31
 	OpRelPut         byte = 0x32
-	OpRelDelete      byte = 0x33
 	// Property graph.
-	OpGraphVertex       byte = 0x40
-	OpGraphEdge         byte = 0x41
-	OpGraphVertexProps  byte = 0x42
-	OpGraphRemoveVertex byte = 0x43
-	OpGraphRemoveEdge   byte = 0x44
+	OpGraphVertex      byte = 0x40
+	OpGraphEdge        byte = 0x41
+	OpGraphVertexProps byte = 0x42
 	// XML store.
-	OpXMLPut    byte = 0x50
-	OpXMLDelete byte = 0x51
+	OpXMLPut byte = 0x50
 )
 
 // OpEncoder builds one op blob. Stores write the opcode plus their

@@ -56,7 +56,7 @@ func TestDecodeFrameTornAndCorrupt(t *testing.T) {
 func TestCommitRoundTrip(t *testing.T) {
 	ops := [][]byte{
 		NewOp(OpKVPut).String("k1").Bytes([]byte("v1")).Build(),
-		NewOp(OpXMLDelete).String("doc9").Build(),
+		NewOp(OpXMLPut).String("doc9").Build(),
 		{},
 	}
 	payload := AppendCommit(nil, 42, ops)

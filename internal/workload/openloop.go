@@ -160,7 +160,16 @@ func runOpen(mix []MixItem, cfg DriverConfig, sched *openScheduler, recs []worke
 		deadline = start.Add(drainDeadline(sched.horizon))
 	}
 	go func() {
-		for {
+		// Termination: next ends the schedule at the count bound or at
+		// the first arrival past the horizon, and the loop stops after
+		// cap(queue) arrivals in any case. In count mode that is the
+		// count bound itself; in duration mode it is twice the mean
+		// arrival count plus 4096, which a Poisson schedule passes with
+		// negligible probability, but it also ends a schedule whose
+		// arrival offset stops growing (at a rate so high that the gaps
+		// vanish in float64). No more sends than the buffer holds, so
+		// none blocks.
+		for range cap(queue) {
 			op, ok := sched.next()
 			if !ok {
 				break

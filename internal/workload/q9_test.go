@@ -29,8 +29,8 @@ func q9Rows(t *testing.T, s session, p Params) []q9Ranked {
 // just its count, against q9SortedRanking on both engines: with TopN
 // below and above the number of connected vertices, on the loaded data
 // and after rounds of graph writes. Workload writes never touch "knows",
-// so the test writes it itself: knows edges added and removed, a
-// self-loop, knows edges to a product (a ranked vertex that is not a
+// so the test writes it itself: knows edges added, one reversing a
+// loaded edge, a self-loop, knows edges to a product (a ranked vertex that is not a
 // customer, whose feedback prefix Q9 skips) and purchased edges.
 func TestQ9RankingMatchesReference(t *testing.T) {
 	fx := newFixture(t, 0.04)
@@ -79,7 +79,7 @@ func TestQ9RankingMatchesReference(t *testing.T) {
 				id := func(kind string) graph.EID { return graph.EID(fmt.Sprintf("test-%s-%d", kind, i)) }
 				for _, err := range []error{
 					g.AddEdge(nil, id("knows"), "knows", customer(3*i), customer(5*i+1), mmvalue.Null),
-					g.RemoveEdge(nil, graph.EID(fx.ds.KnowsEdges[i].ID)),
+					g.AddEdge(nil, id("back"), "knows", graph.VID(fx.ds.KnowsEdges[i].To), graph.VID(fx.ds.KnowsEdges[i].From), mmvalue.Null),
 					g.AddEdge(nil, id("loop"), "knows", customer(7*i), customer(7*i), mmvalue.Null),
 					g.AddEdge(nil, id("product"), "knows", customer(11*i), product, mmvalue.Null),
 					g.AddEdge(nil, id("buy"), "purchased", customer(13*i), product, mmvalue.Null),

@@ -40,7 +40,7 @@ func (s *Store) Put(tx *txn.Tx, id string, doc *Node) error {
 		if err != nil {
 			return err
 		}
-		s.docs.Stage(tx, rec, doc.Clone(), false)
+		s.docs.Stage(tx, rec, doc.Clone())
 		if tx.Logging() {
 			tx.LogOp(wal.NewOp(wal.OpXMLPut).String(id).Bytes(Marshal(doc)).Build())
 		}
@@ -70,24 +70,9 @@ func (s *Store) Update(tx *txn.Tx, id string, fn func(doc *Node) (*Node, error))
 		if next == nil || next.IsText() {
 			return fmt.Errorf("xmlstore %s: updated root must be an element", s.name)
 		}
-		s.docs.Stage(tx, rec, next, false)
+		s.docs.Stage(tx, rec, next)
 		if tx.Logging() {
 			tx.LogOp(wal.NewOp(wal.OpXMLPut).String(id).Bytes(Marshal(next)).Build())
-		}
-		return nil
-	})
-}
-
-// Delete tombstones the document; deleting a missing id is a no-op.
-func (s *Store) Delete(tx *txn.Tx, id string) error {
-	return s.docs.Auto(tx, func(tx *txn.Tx) error {
-		rec, ok, err := s.docs.LockExisting(tx, id)
-		if err != nil || !ok {
-			return err
-		}
-		s.docs.Stage(tx, rec, nil, true)
-		if tx.Logging() {
-			tx.LogOp(wal.NewOp(wal.OpXMLDelete).String(id).Build())
 		}
 		return nil
 	})
@@ -104,9 +89,10 @@ func (s *Store) Count() int { return s.docs.Count() }
 // Version counts committed writes to the store (txn.Records.Version).
 func (s *Store) Version() uint64 { return s.docs.Version() }
 
-// Len is the number of document ids ever stored, tombstoned ones
-// included: an upper bound on Count that costs no scan.
+// Len is the number of document ids ever locked for a write, those of
+// inserts that never committed included: an upper bound on Count that
+// costs no scan.
 func (s *Store) Len() int { return s.docs.Len() }
 
-// Compact garbage-collects old versions and unlinks dead documents.
+// Compact garbage-collects old versions.
 func (s *Store) Compact(horizon txn.TS) int { return s.docs.Compact(horizon) }
