@@ -28,7 +28,6 @@ var testOnlyAPI = map[string]string{
 	"internal/consistency.AtomicityChecker.ObserveSnapshot": "as NewAtomicityChecker",
 	"internal/consistency.AtomicityChecker.Violations":      "as NewAtomicityChecker",
 	"internal/consistency.AtomicityChecker.Snapshots":       "as NewAtomicityChecker",
-	"internal/txn.Manager.LockEntryCount":                   "udbms's lock-sweep test; goes with the ROADMAP item 'A long run stays bounded'",
 
 	"internal/txn.Manager.ActiveCount":     "fixture: workload's conformance test checks that no transaction leaks",
 	"internal/document.Collection.SetPath": "fixture: durable, federation, udbms and workload tests write one path",

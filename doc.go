@@ -109,11 +109,17 @@
 //     timestamp from an atomic sequence (safe — it still holds its
 //     exclusive locks),
 //     then publishes by raising a watermark once all smaller
-//     timestamps have published. Begin snapshots at the watermark with
-//     a single atomic load, so cross-model snapshots are never torn
-//     and neither Begin nor Commit takes a mutex — the old
-//     Manager.commitMu serialization point is gone. Commit returns
-//     only after publishing, preserving read-your-writes.
+//     timestamps have published. Begin snapshots at the watermark, so
+//     cross-model snapshots are never torn, and no commit takes a
+//     mutex to publish. Commit returns only after publishing,
+//     preserving read-your-writes.
+//   - Memory follows the live data: Begin registers its snapshot
+//     (one short critical section per transaction, another at its
+//     end), every write trims its chain below the newest version the
+//     oldest open snapshot can read, and a release deletes the lock
+//     entry it leaves with no holder and no waiter. No pass collects
+//     versions or lock entries, and a long run's heap grows by what it
+//     inserts.
 //   - Measurement (internal/metrics, internal/workload): histograms
 //     use fixed-size logarithmic bucket arrays, and the driver gives
 //     every worker a private recorder merged only after the run —

@@ -261,6 +261,3 @@ func (c *Collection) LookupEq(tx *txn.Tx, path string, pp mmvalue.Path, key mmva
 
 // Count returns the number of live documents at latest-committed state.
 func (c *Collection) Count() int { return c.docs.Count() }
-
-// Compact garbage-collects old versions. Returns versions dropped.
-func (c *Collection) Compact(horizon txn.TS) int { return c.docs.Compact(horizon) }

@@ -179,6 +179,57 @@ func ringStore(t *testing.T, n int) *graph.Store {
 	return g
 }
 
+// TestCSRAfterCommitInScan releases a writer from inside buildCSR's
+// scan and waits for its commit of a new edge: the CSR the scan built
+// is at the version before the edge. The buyer's own walk runs after
+// the commit, so it must not get that CSR: like every later walk, by a
+// nil reader and by a snapshot begun after the commit, before and after
+// they buy again, it must equal the map walk and reach the edge's end.
+// Only the buyer's walk can catch an install without the version
+// re-check: a later reader reads the new version and opens a new
+// account, which holds no stale CSR either way.
+func TestCSRAfterCommitInScan(t *testing.T) {
+	g := ringStore(t, 60)
+	starts := []graph.VID{vid(0)}
+	release, committed := make(chan struct{}), make(chan error)
+	go func() {
+		<-release
+		committed <- g.AddEdge(nil, "extra", "l", vid(0), vid(40), mmvalue.Null)
+	}()
+	var once sync.Once
+	g.OnCSRScanned(func() {
+		once.Do(func() {
+			close(release)
+			if err := <-committed; err != nil {
+				t.Error(err)
+			}
+		})
+	})
+	g.RentCSR("l", graph.Both)
+	buyer := g.KHop(nil, starts, 2, graph.Both, "l")
+	if g.CSRBuilds() != 1 {
+		t.Fatalf("the buy built %d CSRs, want 1", g.CSRBuilds())
+	}
+	check := func(what string, got, want []graph.VID) {
+		t.Helper()
+		if fmt.Sprint(got) != fmt.Sprint(want) || !slices.Contains(got, vid(40)) {
+			t.Errorf("%s: KHop = %v, map walk %v", what, got, want)
+		}
+	}
+	check("the buyer's walk", buyer, g.KHopMaps(nil, starts, 2, graph.Both, "l"))
+	snap := g.Manager().Begin()
+	defer snap.Abort()
+	for _, buy := range []bool{false, true} {
+		if buy {
+			g.RentCSR("l", graph.Both)
+		}
+		for _, tx := range []*txn.Tx{nil, snap} {
+			check(fmt.Sprintf("bought %v, snapshot %v", buy, tx != nil),
+				g.KHop(tx, starts, 2, graph.Both, "l"), g.KHopMaps(tx, starts, 2, graph.Both, "l"))
+		}
+	}
+}
+
 // TestCSRBuildsOncePerVersion pins rent-then-buy and the flight: 1, 2
 // and 4 concurrent first walkers over a full account build one CSR, a
 // commit makes the next buy build again, and one-hop walks never buy,

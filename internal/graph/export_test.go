@@ -10,6 +10,9 @@ import (
 // CSRBuilds counts the CSRs built since NewStore.
 func (s *Store) CSRBuilds() uint64 { return s.csrBuilds.Load() }
 
+// OnCSRScanned makes fn run in every CSR build after its scan.
+func (s *Store) OnCSRScanned(fn func()) { s.scanned = fn }
+
 // KHopMaps is KHop's reference walk over the adjacency maps.
 func (s *Store) KHopMaps(tx *txn.Tx, starts []VID, k int, dir Dir, label string) []VID {
 	result, _ := s.khopMaps(tx, starts, k, dir, label)

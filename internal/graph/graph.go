@@ -93,6 +93,9 @@ type Store struct {
 	csrMu     sync.Mutex // guards csrs
 	csrs      map[csrKey]*csrEntry
 	csrBuilds atomic.Uint64
+	// scanned, when set, runs in buildCSR after the scan, before the
+	// CSR is offered for install; only tests set it, to commit there.
+	scanned func()
 }
 
 // NewStore creates an empty graph named name on mgr.
@@ -465,6 +468,9 @@ func (s *Store) buildCSR(tx *txn.Tx, key csrKey) *csr {
 	c := &csr{snap: tx.BeginTS(), code: make(map[VID]int32)}
 	var ends []VID // from, to of each edge
 	s.EachEdge(tx, key.label, func(e *Edge) bool { ends = append(ends, e.From, e.To); return true })
+	if s.scanned != nil {
+		s.scanned()
+	}
 	for _, v := range ends {
 		c.code[v] = 0
 	}
@@ -584,12 +590,4 @@ func (s *Store) EdgeCount(tx *txn.Tx) int {
 	n := 0
 	s.Edges(tx, "", func(Edge) bool { n++; return true })
 	return n
-}
-
-// Compact garbage-collects vertex and edge versions shadowed below
-// horizon and returns the number dropped. Like every store's Compact,
-// it must not run concurrently with transactions that might read below
-// horizon.
-func (s *Store) Compact(horizon txn.TS) int {
-	return s.vertices.Compact(horizon) + s.edges.Compact(horizon)
 }

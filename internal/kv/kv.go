@@ -83,8 +83,3 @@ func (s *Store) ScanPrefix(tx *txn.Tx, prefix string, fn func(key string, value 
 // Len returns the number of live keys at the latest committed state.
 // It is O(n); intended for statistics, not hot paths.
 func (s *Store) Len() int { return s.recs.Count() }
-
-// Compact garbage-collects version chains older than horizon. It
-// returns the number of versions dropped. Compact must not run
-// concurrently with active transactions that might read below horizon.
-func (s *Store) Compact(horizon txn.TS) int { return s.recs.Compact(horizon) }

@@ -203,7 +203,3 @@ func (t *Table) StreamRangeBatch(tx *txn.Tx, from, to string, where Expr, buf []
 
 // Count returns the number of live rows at latest-committed state.
 func (t *Table) Count() int { return t.rows.Count() }
-
-// Compact garbage-collects old versions. Returns versions dropped. Must
-// not run concurrently with transactions reading below horizon.
-func (t *Table) Compact(horizon txn.TS) int { return t.rows.Compact(horizon) }

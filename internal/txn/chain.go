@@ -11,12 +11,12 @@ import (
 // the record's exclusive lock) may sit at the head.
 //
 // Readers take no lock; one writer at a time under the record lock.
-// Read, ReadLatest, Empty and Len load the head and follow atomic next
-// pointers. Write, CommitStamp, Rollback and GC serialise on a mutex
-// only among themselves: a write publishes a new head node (replacing
-// the caller's own pending head rather than editing it), a commit
-// stamps the pending head's atomic timestamp, a rollback pops it, and
-// GC cuts the list below the newest version at or under the horizon. A
+// Read, ReadLatest and Empty load the head and follow atomic next
+// pointers. write, CommitStamp and Rollback serialise on a mutex only
+// among themselves: a write publishes a new head node (replacing the
+// caller's own pending head rather than editing it) and cuts the list
+// below the newest version at or under the manager's horizon, a commit
+// stamps the pending head's atomic timestamp, and a rollback pops it. A
 // reader that is past a cut keeps walking the nodes it already reached,
 // which stay valid.
 //
@@ -77,7 +77,7 @@ func (c *Chain[T]) latestCommitted() *version[T] {
 }
 
 // ReadLatest returns the newest committed version regardless of
-// snapshot (used by replication shipping and non-transactional paths).
+// snapshot: what a nil-tx reader sees.
 func (c *Chain[T]) ReadLatest() (T, bool) {
 	if v := c.latestCommitted(); v != nil {
 		return v.value, true
@@ -86,10 +86,11 @@ func (c *Chain[T]) ReadLatest() (T, bool) {
 	return zero, false
 }
 
-// Write installs an uncommitted version owned by txID. The caller must
+// write installs an uncommitted version owned by txID and trims the
+// versions no snapshot at or above horizon can read. The caller must
 // hold the record's exclusive lock. A previous uncommitted version by
 // the same transaction is replaced.
-func (c *Chain[T]) Write(txID uint64, value T) {
+func (c *Chain[T]) write(txID uint64, value T, horizon TS) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	nv := &version[T]{owner: txID, value: value}
@@ -99,6 +100,19 @@ func (c *Chain[T]) Write(txID uint64, value T) {
 	}
 	nv.next.Store(older)
 	c.head.Store(nv)
+	c.trim(horizon)
+}
+
+// trim cuts the versions below the newest committed one at or under
+// horizon: a snapshot at or above horizon reads that one or a newer
+// one. The caller holds mu.
+func (c *Chain[T]) trim(horizon TS) {
+	for v := c.head.Load(); v != nil; v = v.next.Load() {
+		if ts := TS(v.commitTS.Load()); ts != 0 && ts <= horizon {
+			v.next.Store(nil)
+			return
+		}
+	}
 }
 
 // CommitStamp stamps txID's uncommitted version with ts. It is a no-op
@@ -124,15 +138,6 @@ func (c *Chain[T]) Rollback(txID uint64) {
 // chain of an insert that never committed does.
 func (c *Chain[T]) Empty() bool { return c.head.Load() == nil }
 
-// Len returns the number of stored versions (committed + pending).
-func (c *Chain[T]) Len() int {
-	n := 0
-	for v := c.head.Load(); v != nil; v = v.next.Load() {
-		n++
-	}
-	return n
-}
-
 // Visible returns the value a reader sees: the snapshot-visible version
 // (own uncommitted writes included) for a transaction, the latest
 // committed version when tx is nil.
@@ -152,34 +157,15 @@ func (c *Chain[T]) Current(tx *Tx) (T, bool) {
 }
 
 // Stage is the write ritual every store shares: install value as tx's
-// uncommitted version, roll it back if tx aborts and, if tx commits,
-// run the owner's commit hook, which bumps its version counter, just
-// before stamping the commit timestamp. The caller must hold the
-// record's exclusive lock.
+// uncommitted version, trimming the chain at the manager's horizon,
+// roll it back if tx aborts and, if tx commits, run the owner's commit
+// hook, which bumps its version counter, just before stamping the
+// commit timestamp. The caller must hold the record's exclusive lock.
 func (c *Chain[T]) Stage(tx *Tx, value T, committing func(c *Chain[T], txID uint64)) {
-	c.Write(tx.ID(), value)
+	c.write(tx.ID(), value, TS(tx.mgr.horizon.Load()))
 	tx.OnUndo(func() { c.Rollback(tx.ID()) })
 	tx.OnCommit(func(ts TS) {
 		committing(c, tx.ID())
 		c.CommitStamp(tx.ID(), ts)
 	})
-}
-
-// GC drops committed versions that are older than horizon and shadowed
-// by a newer committed version, returning how many were dropped.
-// The newest committed version is always retained.
-func (c *Chain[T]) GC(horizon TS) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for v := c.head.Load(); v != nil; v = v.next.Load() {
-		if ts := TS(v.commitTS.Load()); ts != 0 && ts <= horizon {
-			dropped := 0
-			for o := v.next.Load(); o != nil; o = o.next.Load() {
-				dropped++
-			}
-			v.next.Store(nil)
-			return dropped
-		}
-	}
-	return 0
 }

@@ -122,16 +122,19 @@ func TestChainCommitStampWrongOwnerNoop(t *testing.T) {
 	}
 }
 
+// TestChainGC pins the trim a write makes: it cuts the versions below
+// the newest committed one at or under the horizon, and keeps that one,
+// every newer one and the writer's own pending version.
 func TestChainGC(t *testing.T) {
 	var c Chain[int]
 	for i := 1; i <= 5; i++ {
 		c.Write(uint64(i), i*100)
 		c.CommitStamp(uint64(i), TS(i*10))
 	}
-	// Horizon 35: versions at 10,20 shadowed by 30 (<=35) are droppable.
-	dropped := c.GC(35)
-	if dropped != 2 {
-		t.Fatalf("dropped = %d, want 2", dropped)
+	// Horizon 35: versions at 10,20 are shadowed by 30 (<=35).
+	c.write(6, 600, 35)
+	if n := c.Len(); n != 4 {
+		t.Fatalf("len after a write at horizon 35 = %d, want 4 (pending, 50, 40, 30)", n)
 	}
 	// All snapshots >= horizon still read correctly.
 	if v, ok := c.Read(35, 0); !ok || v != 300 {
@@ -140,12 +143,17 @@ func TestChainGC(t *testing.T) {
 	if v, ok := c.Read(50, 0); !ok || v != 500 {
 		t.Errorf("Read(50) = (%d, %v)", v, ok)
 	}
-	// GC never drops the newest committed version.
-	if c.GC(1000) != 2 {
-		t.Error("GC(1000) should drop all but the newest committed")
+	if v, ok := c.Read(50, 6); !ok || v != 600 {
+		t.Errorf("own read = (%d, %v), want 600", v, ok)
+	}
+	c.Rollback(6)
+	// A trim never drops the newest committed version.
+	c.write(7, 700, 1000)
+	if n := c.Len(); n != 2 {
+		t.Fatalf("len after a write at horizon 1000 = %d, want 2 (pending, 50)", n)
 	}
 	if v, ok := c.ReadLatest(); !ok || v != 500 {
-		t.Error("newest version must survive GC")
+		t.Error("newest version must survive a trim")
 	}
 }
 

@@ -17,12 +17,11 @@ import (
 // model drives one store through the record-layer contract: records
 // are keyed by string and carry one integer.
 type model struct {
-	name    string
-	mgr     *txn.Manager
-	insert  func(tx *txn.Tx, key string, n int64) error // new record
-	update  func(tx *txn.Tx, key string, n int64) error // replace a live record
-	get     func(tx *txn.Tx, key string) (int64, bool)
-	compact func(horizon txn.TS) int
+	name   string
+	mgr    *txn.Manager
+	insert func(tx *txn.Tx, key string, n int64) error // new record
+	update func(tx *txn.Tx, key string, n int64) error // replace a live record
+	get    func(tx *txn.Tx, key string) (int64, bool)
 }
 
 func intOf(v mmvalue.Value, ok bool) (int64, bool) {
@@ -51,20 +50,18 @@ func fiveStores() []model {
 		relational.Column{Name: "n", Type: relational.TypeInt}), mgr)
 	ms = append(ms, model{
 		name: "relational", mgr: mgr,
-		insert:  func(tx *txn.Tx, k string, n int64) error { return tab.Insert(tx, mmvalue.ObjectOf("id", k, "n", n)) },
-		update:  func(tx *txn.Tx, k string, n int64) error { return tab.ApplyPut(tx, mmvalue.ObjectOf("id", k, "n", n)) },
-		get:     func(tx *txn.Tx, k string) (int64, bool) { return intOf(tab.Get(tx, k)) },
-		compact: tab.Compact,
+		insert: func(tx *txn.Tx, k string, n int64) error { return tab.Insert(tx, mmvalue.ObjectOf("id", k, "n", n)) },
+		update: func(tx *txn.Tx, k string, n int64) error { return tab.ApplyPut(tx, mmvalue.ObjectOf("id", k, "n", n)) },
+		get:    func(tx *txn.Tx, k string) (int64, bool) { return intOf(tab.Get(tx, k)) },
 	})
 
 	mgr = txn.NewManager()
 	coll := document.NewStore("doc", mgr).Collection("c")
 	ms = append(ms, model{
 		name: "document", mgr: mgr,
-		insert:  func(tx *txn.Tx, k string, n int64) error { return coll.Insert(tx, mmvalue.ObjectOf("_id", k, "n", n)) },
-		update:  func(tx *txn.Tx, k string, n int64) error { return coll.SetPath(tx, k, "n", mmvalue.Int(n)) },
-		get:     func(tx *txn.Tx, k string) (int64, bool) { return intOf(coll.Get(tx, k)) },
-		compact: coll.Compact,
+		insert: func(tx *txn.Tx, k string, n int64) error { return coll.Insert(tx, mmvalue.ObjectOf("_id", k, "n", n)) },
+		update: func(tx *txn.Tx, k string, n int64) error { return coll.SetPath(tx, k, "n", mmvalue.Int(n)) },
+		get:    func(tx *txn.Tx, k string) (int64, bool) { return intOf(coll.Get(tx, k)) },
 	})
 
 	mgr = txn.NewManager()
@@ -72,10 +69,9 @@ func fiveStores() []model {
 	put := func(tx *txn.Tx, k string, n int64) error { return kvs.Put(tx, k, mmvalue.ObjectOf("n", n)) }
 	ms = append(ms, model{
 		name: "kv", mgr: mgr,
-		insert:  put,
-		update:  put,
-		get:     func(tx *txn.Tx, k string) (int64, bool) { return intOf(kvs.Get(tx, k)) },
-		compact: kvs.Compact,
+		insert: put,
+		update: put,
+		get:    func(tx *txn.Tx, k string) (int64, bool) { return intOf(kvs.Get(tx, k)) },
 	})
 
 	mgr = txn.NewManager()
@@ -89,8 +85,7 @@ func fiveStores() []model {
 		update: func(tx *txn.Tx, k string, n int64) error {
 			return xs.Update(tx, k, func(*xmlstore.Node) (*xmlstore.Node, error) { return elem(n), nil })
 		},
-		get:     func(tx *txn.Tx, k string) (int64, bool) { return xmlOf(xs.Get(tx, k)) },
-		compact: xs.Compact,
+		get: func(tx *txn.Tx, k string) (int64, bool) { return xmlOf(xs.Get(tx, k)) },
 	})
 
 	mgr = txn.NewManager()
@@ -109,14 +104,13 @@ func fiveStores() []model {
 			v, ok := g.GetVertex(tx, graph.VID(k))
 			return intOf(v.Props, ok)
 		},
-		compact: g.Compact,
 	})
 	return ms
 }
 
 // TestRecordLayerConformance runs one scripted interleaving against all
 // five stores: whatever the model, a record behaves the same under
-// snapshots, own writes, rollback, compaction, lock waits
+// snapshots, own writes, rollback, trimming, lock waits
 // and auto-commit.
 func TestRecordLayerConformance(t *testing.T) {
 	for _, m := range fiveStores() {
@@ -160,18 +154,15 @@ func TestRecordLayerConformance(t *testing.T) {
 			want("rewritten", nil, "k", 4, true)
 			want("snapshot outlives rewrite", reader, "k", 1, true)
 
-			// Compact at the oldest live snapshot keeps everything that
-			// snapshot can still read ...
-			if n := m.compact(reader.BeginTS()); n != 0 {
-				t.Fatalf("compact at reader horizon dropped %d versions, want 0", n)
-			}
-			want("snapshot outlives compact", reader, "k", 1, true)
+			// Once the reader ends, the next write trims every version
+			// below the newest committed one: a read at the reader's
+			// snapshot finds nothing, one at the rewrite's finds it.
+			gone, kept := reader.BeginTS(), m.mgr.Published()
 			reader.Abort()
-			// ... and above it drops the two shadowed versions.
-			if n := m.compact(m.mgr.Published() + 1); n != 2 {
-				t.Fatalf("compact above horizon dropped %d versions, want 2", n)
-			}
-			want("after compact", nil, "k", 4, true)
+			must("trimming rewrite", m.update(nil, "k", 5))
+			want("trimmed", m.mgr.ReaderAt(gone), "k", 0, false)
+			want("newest committed kept", m.mgr.ReaderAt(kept), "k", 4, true)
+			want("after trim", nil, "k", 5, true)
 
 			// Lock wait, then re-check: an update that queues behind an
 			// uncommitted insert must decide on the state it finds once

@@ -49,10 +49,16 @@ func fnv32a(s string) uint32 {
 // mutex and condition variable, so acquires of unrelated resources
 // never contend and a release only wakes waiters in its own shard.
 //
-// An entry is created on the first acquire of its name and stays in
-// the shard's map after release, so steady-state acquires of a hot
-// record allocate nothing. Idle entries (no holder, no waiter) are
-// removed by sweepEntries at a GC point — see lockgc.go.
+// An entry is in its shard's map while it has a holder or a waiter:
+// acquire puts it there and the release that leaves it idle deletes it,
+// so the map holds as many entries as locks are held or waited for,
+// whatever names were ever locked (LockExisting locks the name of a
+// missing key, too). A deleted entry goes on the shard's free list and
+// the next new entry comes off it, so steady-state acquires of a hot
+// record allocate nothing. A waiter never sleeps on a deleted entry: it
+// counts itself in waiters under the shard mutex before it sleeps and
+// uncounts itself after it wakes, and release deletes under that mutex
+// only an entry whose waiters is 0.
 //
 // Deadlocks are caught at wait time by the detector, so no goroutine
 // runs beside the transactions.
@@ -66,6 +72,8 @@ type lockShard struct {
 	cond *sync.Cond
 	// entries maps resource name -> lock entry; guarded by mu.
 	entries map[string]*lockEntry
+	// free lists the deleted entries, linked through next; guarded by mu.
+	free *lockEntry
 	// Telemetry. Atomics so a stats snapshot never takes mu.
 	acquires atomic.Uint64 // acquire calls routed to this shard
 	waits    atomic.Uint64 // acquires that blocked at least once
@@ -77,13 +85,15 @@ type lockEntry struct {
 	// holder is the transaction holding the lock; 0 when free
 	// (transaction IDs start at 1).
 	holder uint64
-	// waiters counts transactions currently asleep on this entry; the
-	// sweep never removes an entry a waiter will wake up on.
+	// waiters counts transactions currently asleep on this entry;
+	// release never deletes an entry a waiter will wake up on.
 	waiters int
+	// next links the entry into its shard's free list while deleted.
+	next *lockEntry
 }
 
 // heldLock records one lock held by a transaction: the key and the
-// entry it was granted on. A held entry is never swept, so release
+// entry it was granted on. A held entry is never deleted, so release
 // reaches it without a map lookup.
 type heldLock struct {
 	key   ResourceKey
@@ -149,7 +159,11 @@ func (lt *lockTable) acquire(txID uint64, key ResourceKey) (entry *lockEntry, er
 	defer s.mu.Unlock()
 	e := s.entries[key.name]
 	if e == nil {
-		e = &lockEntry{}
+		if e = s.free; e != nil {
+			s.free, e.next = e.next, nil
+		} else {
+			e = &lockEntry{}
+		}
 		s.entries[key.name] = e
 	}
 	waited := false
@@ -178,14 +192,21 @@ func (lt *lockTable) acquire(txID uint64, key ResourceKey) (entry *lockEntry, er
 	}
 }
 
-// release drops the given locks, waking only the affected shards.
+// release drops the given locks, waking only the affected shards, and
+// deletes each entry that no waiter sleeps on.
 func (lt *lockTable) release(held []heldLock) {
 	for i := range held {
 		h := &held[i]
 		s := &lt.shards[h.key.shard]
 		s.mu.Lock()
-		h.entry.holder = 0
-		s.cond.Broadcast()
+		if e := h.entry; e.waiters > 0 {
+			e.holder = 0
+			s.cond.Broadcast()
+		} else {
+			delete(s.entries, h.key.name)
+			*e = lockEntry{next: s.free}
+			s.free = e
+		}
 		s.mu.Unlock()
 	}
 }

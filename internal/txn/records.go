@@ -15,7 +15,8 @@ import (
 // about a record — its interned lock key, the lock-then-recheck
 // protocol, the write / undo / commit-stamp ritual, snapshot-vs-latest
 // visibility for point reads and ordered scans, advisory secondary
-// indexes, a committed-write counter and version garbage collection.
+// indexes and a committed-write counter. Every write trims its chain
+// (Chain.Stage), so no pass over the records collects versions.
 // All five stores are built on it: the relational, document, key-value
 // and XML stores are each a Records, the graph two (vertices and
 // edges), plus what is specific to their model (schema, filters, XML
@@ -169,18 +170,6 @@ func (r *Records[T]) Count() int {
 	n := 0
 	r.Scan(nil, "", "", func(string, T) bool { n++; return true })
 	return n
-}
-
-// Compact garbage-collects versions shadowed below horizon and returns
-// the number dropped. It must not run concurrently with transactions
-// that might read below horizon.
-func (r *Records[T]) Compact(horizon TS) int {
-	dropped := 0
-	r.chains.Ascend("", "", func(_ string, c *Chain[T]) bool {
-		dropped += c.GC(horizon)
-		return true
-	})
-	return dropped
 }
 
 // index is an advisory equality index: indexed value -> bucket of

@@ -205,8 +205,10 @@ func TestThreeWayDeadlock(t *testing.T) {
 	}
 }
 
-// TestChainGCUnderReaders verifies GC never removes versions a live
-// reader needs when the horizon respects active snapshots.
+// TestChainGCUnderReaders verifies that a write trims only what no
+// open snapshot reads: a reader pinned at v1 keeps v1 across later
+// writes, and once it ends the next write leaves the newest committed
+// version and its own.
 func TestChainGCUnderReaders(t *testing.T) {
 	m := NewManager()
 	var c Chain[int]
@@ -215,8 +217,7 @@ func TestChainGCUnderReaders(t *testing.T) {
 		if err := tx.LockExclusive("k"); err != nil {
 			t.Fatal(err)
 		}
-		c.Write(tx.ID(), v)
-		tx.OnCommit(func(ts TS) { c.CommitStamp(tx.ID(), ts) })
+		c.Stage(tx, v, func(*Chain[int], uint64) {})
 		if _, err := tx.Commit(); err != nil {
 			t.Fatal(err)
 		}
@@ -225,17 +226,19 @@ func TestChainGCUnderReaders(t *testing.T) {
 	reader := m.Begin() // snapshot pinned at v1
 	commit(2)
 	commit(3)
-	// GC with a horizon at the reader's snapshot: v1 must survive.
-	c.GC(reader.BeginTS())
+	commit(4)
 	if v, ok := c.Read(reader.BeginTS(), reader.ID()); !ok || v != 1 {
-		t.Fatalf("reader lost its version after GC: (%d, %v)", v, ok)
+		t.Fatalf("reader lost its version to a trim: (%d, %v)", v, ok)
+	}
+	if n := c.Len(); n != 4 {
+		t.Errorf("len under the reader = %d, want 4", n)
 	}
 	reader.Abort()
-	// Now GC to the watermark horizon: only the newest survives.
-	// (Published()+1 is the safe bound — the oracle runs ahead of the
-	// watermark mid-commit; see TestGCHorizonRespectsWatermark.)
-	c.GC(m.Published() + 1)
-	if c.Len() != 1 {
-		t.Errorf("len after full GC = %d", c.Len())
+	commit(5)
+	if n := c.Len(); n != 2 {
+		t.Errorf("len after the reader ended = %d, want 2", n)
+	}
+	if v, ok := c.ReadLatest(); !ok || v != 5 {
+		t.Errorf("latest = (%d, %v), want 5", v, ok)
 	}
 }

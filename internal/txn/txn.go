@@ -4,10 +4,13 @@
 // wait-for cycle, the transaction object that ties them together, and
 // — one level up — the record layer the stores are built on: Records, an
 // ordered map of version chains that owns locking, the write ritual,
-// visibility, advisory indexes and version GC, so a store adds only
-// what is specific to its data model. One retry policy (Retry, with
-// backoff) serves every auto-committed operation, every bulk load (Bulk,
-// BulkBatch records per transaction) and both engines' RunTx.
+// visibility and advisory indexes, so a store adds only what is
+// specific to its data model. A write trims its chain's versions that
+// no open snapshot can read, and a release forgets a lock entry nobody
+// holds or waits on, so memory follows the live data, not the history.
+// One retry policy (Retry, with backoff) serves every auto-committed
+// operation, every bulk load (Bulk, BulkBatch records per transaction)
+// and both engines' RunTx.
 //
 // Concurrency model ("SI+SS2PL"): writers take exclusive locks held to
 // commit (strict 2PL), so write sets serialize. Readers never lock; they
@@ -21,6 +24,8 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -87,24 +92,34 @@ type Manager struct {
 	oracle Oracle
 	locks  *lockTable
 	nextID atomic.Uint64
-	active atomic.Int64
+
+	// The snapshot registry: every open Tx's beginTS, ascending, with
+	// the number of Txs at each, under snapMu. Begin reads published
+	// while it holds snapMu, so snapshots arrive in order and a Tx that
+	// registers later never reads below one registered earlier.
+	// horizon is the oldest registered snapshot, republished when the
+	// head changes and kept when the registry empties: it only rises,
+	// and every snapshot a Tx reads from now on is at or above it, so a
+	// write may cut any version below the newest committed one at or
+	// under it. A nil-tx reader needs no entry: it reads only the
+	// newest committed version, which no trim removes.
+	snapMu  sync.Mutex
+	snaps   []snapCount
+	horizon atomic.Uint64
 
 	// Epoch-based commit protocol: commits stamp their versions at a
 	// timestamp allocated from the oracle, then *publish* it by raising
 	// the watermark below — but only once every smaller commit
 	// timestamp has also finished stamping, so the prefix [1,published]
 	// is always fully stamped. Begin snapshots at the published
-	// watermark with a single atomic load: there is no commit mutex,
-	// and a reader can never observe a torn (half-stamped) commit.
+	// watermark, so a reader never observes a torn (half-stamped)
+	// commit, and no commit takes a mutex to publish.
 	//
 	// commitSlots is a ring: slot ts%commitWindow holds ts once the
 	// commit at ts has stamped all its versions. advancePublished walks
 	// the contiguous prefix of finished slots.
 	published   atomic.Uint64
 	commitSlots [commitWindow]atomic.Uint64
-
-	commits atomic.Uint64
-	aborts  atomic.Uint64
 
 	// commitLog, when set, is the durability hook: Commit hands it the
 	// transaction's logical op records before publishing and waits on it
@@ -149,22 +164,55 @@ func (m *Manager) commitLogRef() CommitLog {
 	return nil
 }
 
+// snapCount is one snapshot of the registry and the open Txs at it.
+type snapCount struct {
+	snap TS
+	n    int
+}
+
 // NewManager returns a ready Manager.
 func NewManager() *Manager {
 	return &Manager{locks: newLockTable()}
 }
 
 // Begin starts a transaction with a snapshot at the published commit
-// watermark. This is the epoch-commit read side: one atomic load, no
-// mutex, regardless of how many commits are in flight.
+// watermark, registered until the transaction ends.
 func (m *Manager) Begin() *Tx {
-	tx := &Tx{
-		id:      m.nextID.Add(1),
-		beginTS: TS(m.published.Load()),
-		mgr:     m,
+	return &Tx{id: m.nextID.Add(1), beginTS: m.register(), mgr: m}
+}
+
+// register reads the watermark and registers it as a snapshot. It reads
+// under the registry mutex, never before it: a snapshot read first and
+// registered late could sit below a horizon a writer has already
+// trimmed at.
+func (m *Manager) register() TS {
+	m.snapMu.Lock()
+	defer m.snapMu.Unlock()
+	snap := TS(m.published.Load())
+	if n := len(m.snaps); n > 0 && m.snaps[n-1].snap == snap {
+		m.snaps[n-1].n++
+	} else {
+		m.snaps = append(m.snaps, snapCount{snap, 1})
+		if n == 0 {
+			m.horizon.Store(uint64(snap))
+		}
 	}
-	m.active.Add(1)
-	return tx
+	return snap
+}
+
+// unregister drops one Tx at snap from the registry, raising the
+// horizon when snap was the oldest.
+func (m *Manager) unregister(snap TS) {
+	m.snapMu.Lock()
+	defer m.snapMu.Unlock()
+	i := slices.IndexFunc(m.snaps, func(s snapCount) bool { return s.snap == snap })
+	if m.snaps[i].n--; m.snaps[i].n > 0 {
+		return
+	}
+	m.snaps = slices.Delete(m.snaps, i, i+1)
+	if i == 0 && len(m.snaps) > 0 {
+		m.horizon.Store(uint64(m.snaps[0].snap))
+	}
 }
 
 // Oracle exposes the manager's timestamp oracle. No program calls it:
@@ -180,9 +228,7 @@ func (m *Manager) Oracle() *Oracle { return &m.oracle }
 
 // Published returns the commit watermark: every commit with timestamp
 // at or below it is fully stamped and visible to new snapshots. While
-// commits are stamping, Oracle().Current() runs ahead of Published();
-// the watermark is the tight safe bound for version GC — see
-// udbms.Compact.
+// commits are stamping, Oracle().Current() runs ahead of Published().
 func (m *Manager) Published() TS { return TS(m.published.Load()) }
 
 // RestoreWatermark fast-forwards the oracle and the published
@@ -199,14 +245,15 @@ func (m *Manager) RestoreWatermark(ts TS) {
 	}
 }
 
-// Stats reports cumulative commit and abort counts.
-func (m *Manager) Stats() (commits, aborts uint64) {
-	return m.commits.Load(), m.aborts.Load()
-}
-
 // ActiveCount returns the number of in-flight transactions.
 func (m *Manager) ActiveCount() int {
-	return int(m.active.Load())
+	m.snapMu.Lock()
+	defer m.snapMu.Unlock()
+	n := 0
+	for _, s := range m.snaps {
+		n += s.n
+	}
+	return n
 }
 
 // advancePublished raises the watermark over the contiguous prefix of
@@ -260,9 +307,6 @@ func (tx *Tx) ID() uint64 { return tx.id }
 
 // BeginTS returns the snapshot timestamp reads are served at.
 func (tx *Tx) BeginTS() TS { return tx.beginTS }
-
-// Status returns the lifecycle state.
-func (tx *Tx) Status() Status { return tx.status }
 
 // ReadOnly reports whether the transaction has performed no writes so
 // far: no locks (every lock is a writer's), no undo actions, no logged
@@ -446,7 +490,6 @@ func (tx *Tx) Commit() (TS, error) {
 		}
 		tx.status = StatusAborted
 		tx.finish()
-		m.aborts.Add(1)
 		return 0, logErr
 	}
 	if clog != nil {
@@ -454,7 +497,6 @@ func (tx *Tx) Commit() (TS, error) {
 	}
 	tx.status = StatusCommitted
 	tx.finish()
-	m.commits.Add(1)
 	if logErr != nil {
 		return 0, logErr
 	}
@@ -472,7 +514,6 @@ func (tx *Tx) Abort() {
 	}
 	tx.status = StatusAborted
 	tx.finish()
-	tx.mgr.aborts.Add(1)
 }
 
 func (tx *Tx) finish() {
@@ -482,7 +523,7 @@ func (tx *Tx) finish() {
 	tx.undo = nil
 	tx.commitHook = nil
 	tx.walOps = nil
-	tx.mgr.active.Add(-1)
+	tx.mgr.unregister(tx.beginTS)
 }
 
 // DefaultRetries is the deadlock-retry budget of every auto-committed

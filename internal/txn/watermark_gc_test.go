@@ -5,20 +5,19 @@ import (
 	"time"
 )
 
-// TestGCHorizonRespectsWatermark pins the safe GC horizon for
-// concurrent compaction: Published()+1, never Oracle().Current()+1.
+// TestGCHorizonRespectsWatermark pins the horizon writes trim at: the
+// oldest registered snapshot, which is never above Published(), and
+// neither Published() nor Oracle().Current().
 //
 // The hazard: the oracle allocates commit timestamps before the
 // watermark publishes them, so while commits are in flight
-// Oracle().Current() runs ahead of Published(). A version chain may
-// then hold a version stamped at an unpublished timestamp; under a
-// Current()-based horizon that version "shadows" its predecessor and
-// GC drops it — but every snapshot reader begins at the published
-// watermark, below the stamped timestamp, and still needs the
-// predecessor. The test parks two commits mid-flight (epoch-stamped
-// but unpublished), compacts concurrently, and verifies the
-// watermark-based horizon preserves the reader's version while the
-// oracle-based horizon demonstrably would not.
+// Oracle().Current() runs ahead of Published(), and a chain may hold a
+// version stamped at an unpublished timestamp. A reader beginning then
+// snapshots at the watermark, below that stamp, and still needs the
+// version before it. The test parks two commits mid-flight (epoch-
+// stamped but unpublished), begins a reader, lets the commits publish,
+// and writes the chain once more: the reader must keep its version,
+// though by then Published() is above it.
 func TestGCHorizonRespectsWatermark(t *testing.T) {
 	m := NewManager()
 	var c Chain[int]
@@ -27,8 +26,7 @@ func TestGCHorizonRespectsWatermark(t *testing.T) {
 		if err := tx.LockExclusive("k"); err != nil {
 			t.Fatal(err)
 		}
-		c.Write(tx.ID(), v)
-		tx.OnCommit(func(ts TS) { c.CommitStamp(tx.ID(), ts) })
+		c.Stage(tx, v, func(*Chain[int], uint64) {})
 		if _, err := tx.Commit(); err != nil {
 			t.Fatal(err)
 		}
@@ -60,11 +58,8 @@ func TestGCHorizonRespectsWatermark(t *testing.T) {
 	if err := txB.LockExclusive("k"); err != nil {
 		t.Fatal(err)
 	}
-	c.Write(txB.ID(), 2)
-	txB.OnCommit(func(ts TS) {
-		c.CommitStamp(txB.ID(), ts)
-		close(bStamped)
-	})
+	c.Stage(txB, 2, func(*Chain[int], uint64) {})
+	txB.OnCommit(func(TS) { close(bStamped) })
 	bDone := make(chan error, 1)
 	go func() {
 		_, err := txB.Commit()
@@ -79,20 +74,9 @@ func TestGCHorizonRespectsWatermark(t *testing.T) {
 	// must still see v1 — v2's timestamp is stamped but unpublished.
 	reader := m.Begin()
 	defer reader.Abort()
-
-	// The corrected horizon: compact concurrently with the in-flight
-	// commits. v1 must survive.
-	c.GC(m.Published() + 1)
-	if v, ok := c.Read(reader.BeginTS(), reader.ID()); !ok || v != 1 {
-		t.Fatalf("watermark-horizon GC lost the reader's version: (%d, %v)", v, ok)
-	}
-	// The old Oracle().Current()+1 horizon drops v1 in this exact
-	// state — run it to document that the hazard is real, not
-	// hypothetical (this is why the horizon choice matters).
-	c.GC(m.Oracle().Current() + 1)
-	if _, ok := c.Read(reader.BeginTS(), reader.ID()); ok {
-		t.Fatal("oracle-horizon GC kept the version — the hazard this test pins has vanished; " +
-			"re-examine the horizon contract before touching this test")
+	if h, pub := m.Horizon(), m.Published(); reader.BeginTS() != pub || h > pub {
+		t.Fatalf("reader at %d, horizon %d, watermark %d: want the reader at the watermark and the horizon at or under it",
+			reader.BeginTS(), h, pub)
 	}
 
 	close(unparkA)
@@ -105,5 +89,14 @@ func TestGCHorizonRespectsWatermark(t *testing.T) {
 		case <-time.After(5 * time.Second):
 			t.Fatal("parked commit never completed")
 		}
+	}
+	// v2 is published now, so a trim at Published() would cut v1. The
+	// write trims at the reader's snapshot and leaves it.
+	commit(3)
+	if m.Published() <= reader.BeginTS() {
+		t.Fatalf("watermark %d did not pass the reader's snapshot %d", m.Published(), reader.BeginTS())
+	}
+	if v, ok := c.Read(reader.BeginTS(), reader.ID()); !ok || v != 1 {
+		t.Fatalf("the trim lost the reader's version: (%d, %v)", v, ok)
 	}
 }

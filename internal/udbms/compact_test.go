@@ -6,13 +6,31 @@ import (
 
 	"udbench/internal/mmvalue"
 	"udbench/internal/relational"
+	"udbench/internal/txn"
 	"udbench/internal/xmlstore"
 )
 
+// records prints the record each model's rewrites below touch, as tx
+// reads it.
+func records(db *DB, tx *txn.Tx) string {
+	doc, _ := db.Docs.Collection("orders").Get(tx, "o1")
+	kv, _ := db.KV.Get(tx, "feedback/2/o1")
+	var rev string
+	if n, ok := db.XML.Get(tx, "o1"); ok {
+		rev, _ = n.Attr("rev")
+	}
+	cust, _ := db.Relational.Table("customer")
+	row, _ := cust.Get(tx, 1)
+	return fmt.Sprint(doc, kv, rev, row)
+}
+
+// TestEngineWideCompact: writes in every model trim their chains as
+// they go, but no further than an open snapshot, which reads each
+// record as it began while the latest state moves on.
 func TestEngineWideCompact(t *testing.T) {
 	db := seedSmall(t)
-	// Generate garbage versions in every model.
-	for i := 0; i < 5; i++ {
+	rewrite := func(i int) {
+		t.Helper()
 		if err := db.Docs.Collection("orders").SetPath(nil, "o1", "total", mmvalue.Float(float64(i))); err != nil {
 			t.Fatal(err)
 		}
@@ -27,49 +45,24 @@ func TestEngineWideCompact(t *testing.T) {
 			t.Fatal(err)
 		}
 		cust, _ := db.Relational.Table("customer")
-		err = setFields(cust, nil, 1, "city", fmt.Sprintf("city%d", i))
-		if err != nil {
+		if err := setFields(cust, nil, 1, "city", fmt.Sprintf("city%d", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	dropped := db.Compact(0) // horizon defaults to now
-	if dropped < 16 {
-		t.Errorf("Compact dropped %d versions, want >= 16", dropped)
+	rewrite(0)
+	reader := db.Begin()
+	began := records(db, reader)
+	for i := 1; i <= 5; i++ {
+		rewrite(i)
 	}
-	// Everything still readable at latest.
-	if _, ok := db.Docs.Collection("orders").Get(nil, "o1"); !ok {
-		t.Error("doc lost in compact")
+	if got := records(db, reader); got != began {
+		t.Errorf("the open snapshot reads %s, began with %s", got, began)
 	}
-	if _, ok := db.KV.Get(nil, "feedback/2/o1"); !ok {
-		t.Error("kv lost in compact")
-	}
-	if _, ok := db.XML.Get(nil, "o1"); !ok {
-		t.Error("xml lost in compact")
-	}
-	cust, _ := db.Relational.Table("customer")
-	if _, ok := cust.Get(nil, 1); !ok {
-		t.Error("row lost in compact")
-	}
-	// A second compact finds nothing more.
-	if again := db.Compact(0); again != 0 {
-		t.Errorf("second compact dropped %d", again)
-	}
-}
-
-func TestCompactPreservesExplicitHorizon(t *testing.T) {
-	db := Open()
-	if err := db.KV.Put(nil, "k", mmvalue.Int(1)); err != nil {
-		t.Fatal(err)
-	}
-	tsAfterV1 := db.Manager().Oracle().Current()
-	if err := db.KV.Put(nil, "k", mmvalue.Int(2)); err != nil {
-		t.Fatal(err)
-	}
-	// Horizon at v1's timestamp: v1 must survive (a reader could still
-	// be at that snapshot).
-	db.Compact(tsAfterV1)
-	if v, ok := db.KV.Get(nil, "k"); !ok || !mmvalue.Equal(v, mmvalue.Int(2)) {
-		t.Error("latest version corrupted by horizon compact")
+	latest := records(db, nil)
+	reader.Abort()
+	rewrite(6)
+	if got := records(db, nil); got == latest || got == began {
+		t.Errorf("latest after the reader ended = %s, want the sixth rewrite", got)
 	}
 }
 

@@ -80,40 +80,6 @@ type Stats struct {
 	XMLDocs     int
 }
 
-// Compact garbage-collects old record versions across every model.
-// When zero, the horizon defaults to the published commit watermark
-// plus one — the tight correct bound under epoch commit: a version at
-// or below the watermark is fully stamped and visible, so the versions
-// it shadows can never be read by a new snapshot. Oracle().Current()
-// would run ahead of the watermark while commits are mid-stamp and
-// could GC versions still needed by a snapshot begun at the watermark.
-// Compact must not run concurrently with transactions that read below
-// the horizon; in the benchmark it runs between workload phases.
-//
-// Compact also sweeps idle lock-table entries: an update of a key that
-// does not exist locks its name anyway (LockExisting), leaving
-// a lock entry with no version chain, and this is the watermark-keyed
-// GC point that reclaims them. The sweep itself is safe against running
-// transactions (busy entries are skipped); see txn.SweepLockEntries.
-func (db *DB) Compact(horizon txn.TS) int {
-	if horizon == 0 {
-		horizon = db.mgr.Published() + 1
-	}
-	dropped := 0
-	for _, name := range db.Relational.TableNames() {
-		t, _ := db.Relational.Table(name)
-		dropped += t.Compact(horizon)
-	}
-	for _, name := range db.Docs.CollectionNames() {
-		dropped += db.Docs.Collection(name).Compact(horizon)
-	}
-	dropped += db.Graph.Compact(horizon)
-	dropped += db.KV.Compact(horizon)
-	dropped += db.XML.Compact(horizon)
-	db.mgr.SweepLockEntries()
-	return dropped
-}
-
 // Stats counts live records in every model at latest-committed state.
 func (db *DB) Stats() Stats {
 	st := Stats{

@@ -2,7 +2,7 @@
 // benchmark: an in-memory XML node tree with a parser built on
 // encoding/xml tokens, serialization and a transactional document
 // store (a txn.Records of trees: locking, versions, visibility and
-// garbage collection are the shared record layer's). Readers navigate
+// trimming are the shared record layer's). Readers navigate
 // trees with Attr, FirstChild and Children.
 //
 // In the Figure-1 dataset this store holds the Invoice documents.

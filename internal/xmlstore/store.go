@@ -93,6 +93,3 @@ func (s *Store) Version() uint64 { return s.docs.Version() }
 // inserts that never committed included: an upper bound on Count that
 // costs no scan.
 func (s *Store) Len() int { return s.docs.Len() }
-
-// Compact garbage-collects old versions.
-func (s *Store) Compact(horizon txn.TS) int { return s.docs.Compact(horizon) }

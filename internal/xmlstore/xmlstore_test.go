@@ -240,28 +240,34 @@ func TestStoreSnapshot(t *testing.T) {
 	reader.Abort()
 }
 
+// TestStoreCompact: the updates of a document trim its chain as they
+// go, but never past an open snapshot, which keeps its version.
 func TestStoreCompact(t *testing.T) {
 	s := NewStore("xml", txn.NewManager())
 	s.Put(nil, "d", MustParse(`<doc/>`))
-	for i := 0; i < 5; i++ {
+	reader := s.Manager().Begin()
+	update := func(i int) {
 		s.Update(nil, "d", func(n *Node) (*Node, error) {
 			n.SetAttr("i", fmt.Sprint(i))
 			return n, nil
 		})
 	}
-	s.Put(nil, "cold", MustParse(`<doc/>`))
-	// Published()+1, not Oracle().Current()+1: the oracle runs ahead of
-	// the watermark while commits are stamping, and a horizon past the
-	// watermark can drop versions still visible to published snapshots.
-	horizon := s.Manager().Published() + 1
-	if dropped := s.Compact(horizon); dropped < 5 {
-		t.Errorf("dropped = %d", dropped)
+	for i := 0; i < 5; i++ {
+		update(i)
 	}
-	if _, ok := s.Get(nil, "d"); !ok {
+	if n, ok := s.Get(reader, "d"); !ok || len(n.Attrs) != 0 {
+		t.Errorf("the open snapshot lost its version: %v %v", n, ok)
+	}
+	reader.Abort()
+	update(5)
+	s.Put(nil, "cold", MustParse(`<doc/>`))
+	if n, ok := s.Get(nil, "d"); !ok {
 		t.Error("live doc lost")
+	} else if v, _ := n.Attr("i"); v != "5" {
+		t.Errorf("latest i = %q, want 5", v)
 	}
 	if s.Count() != 2 {
-		t.Errorf("Count after compact = %d", s.Count())
+		t.Errorf("Count after the trims = %d", s.Count())
 	}
 }
 
